@@ -22,11 +22,13 @@
 
 use crate::trail::{partition_trail_key, TrailMedia};
 use encompass_sim::NodeId;
-use encompass_sim::{FlightCause, HistogramHandle, Payload, Pid, SimTime, World};
+use encompass_sim::{
+    DetHashMap, DetHashSet, FlightCause, HistogramHandle, Payload, Pid, SimTime, World,
+};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
 use encompass_storage::types::Transid;
-use guardian::{reply, PairApp, PairCtx, PairHandle, ReplyCache, Request};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identity of one image record: duplicates arise when a DISCPROCESS
 /// takeover re-sends retained images whose original append already
@@ -157,12 +159,12 @@ pub struct AuditProcess {
     cfg: AuditConfig,
     parts: Vec<Partition>,
     /// Fanned-out force requests awaiting partition acknowledgements.
-    pending: HashMap<u64, PendingForce>,
+    pending: DetHashMap<u64, PendingForce>,
     replies: ReplyCache<AuditReply>,
-    in_progress: HashSet<u64>,
+    in_progress: DetHashSet<u64>,
     /// Keys of every record on the trails or in the buffers; `None` until
     /// first needed (rebuilt by scanning the trails after a takeover).
-    seen: Option<HashSet<ImageKey>>,
+    seen: Option<DetHashSet<ImageKey>>,
     boxcar_hist: HistogramHandle,
 }
 
@@ -172,9 +174,9 @@ impl AuditProcess {
         AuditProcess {
             cfg,
             parts: (0..n).map(|_| Partition::new()).collect(),
-            pending: HashMap::new(),
+            pending: DetHashMap::default(),
             replies: ReplyCache::new(8192),
-            in_progress: HashSet::new(),
+            in_progress: DetHashSet::default(),
             seen: None,
             boxcar_hist: HistogramHandle::new("audit.boxcar_size", BOXCAR_BOUNDS),
         }
@@ -202,7 +204,7 @@ impl AuditProcess {
     /// Drop records already on a trail or in a buffer.
     fn dedup(&mut self, ctx: &mut PairCtx<'_, '_>, records: Vec<ImageRecord>) -> Vec<ImageRecord> {
         if self.seen.is_none() {
-            let mut s: HashSet<ImageKey> = HashSet::new();
+            let mut s: DetHashSet<ImageKey> = DetHashSet::default();
             for p in 0..self.parts.len() {
                 self.with_trail(ctx, p, |t| {
                     for f in &t.files {
@@ -620,7 +622,7 @@ impl PairApp for AuditProcess {
         ctx.count("audit.takeovers", 1);
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload) {
+    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
         match delta.expect::<AuditDelta>() {
             AuditDelta::Append {
                 req_id,
@@ -651,7 +653,7 @@ impl PairApp for AuditProcess {
         })
     }
 
-    fn restore(&mut self, snapshot: Payload) {
+    fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
         let s = snapshot.expect::<AuditSnapshot>();
         for (i, (buffer, forced)) in s.partitions.into_iter().enumerate() {
             if let Some(p) = self.parts.get_mut(i) {

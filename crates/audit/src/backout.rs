@@ -10,12 +10,11 @@
 //! reconstructible, so a takeover simply drops them and the requesting TMP
 //! retries (its Backout request is safe-delivery).
 
-use encompass_sim::{Payload, Pid, SimDuration, World};
+use encompass_sim::{DetHashMap, Payload, Pid, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::{reply, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
-use std::collections::HashMap;
+use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
 
 /// Requests to the BACKOUTPROCESS.
 #[derive(Clone, Debug)]
@@ -46,16 +45,16 @@ pub struct BackoutProcess {
     service: String,
     audit_rpc: Rpc<AuditMsg, AuditReply>,
     disc_rpc: Rpc<DiscRequest, DiscReply>,
-    jobs: HashMap<Transid, Job>,
+    jobs: DetHashMap<Transid, Job>,
     /// disc-rpc id → (transid, volume, audit service) awaiting the flush
     /// barrier (all of the volume's lazy appends acknowledged), without
     /// which the image read below could miss in-flight records and the
     /// undo would be partial
-    flush_acks: HashMap<u64, (Transid, VolumeRef, String)>,
+    flush_acks: DetHashMap<u64, (Transid, VolumeRef, String)>,
     /// audit-rpc id → (transid, volume) awaiting images
-    image_reads: HashMap<u64, (Transid, VolumeRef)>,
+    image_reads: DetHashMap<u64, (Transid, VolumeRef)>,
     /// disc-rpc id → transid awaiting undo ack
-    undo_acks: HashMap<u64, Transid>,
+    undo_acks: DetHashMap<u64, Transid>,
     replies: ReplyCache<BackoutReply>,
 }
 
@@ -65,10 +64,10 @@ impl BackoutProcess {
             service: service.to_string(),
             audit_rpc: Rpc::new(3),
             disc_rpc: Rpc::new(4),
-            jobs: HashMap::new(),
-            flush_acks: HashMap::new(),
-            image_reads: HashMap::new(),
-            undo_acks: HashMap::new(),
+            jobs: DetHashMap::default(),
+            flush_acks: DetHashMap::default(),
+            image_reads: DetHashMap::default(),
+            undo_acks: DetHashMap::default(),
             replies: ReplyCache::new(4096),
         }
     }
@@ -209,7 +208,7 @@ impl PairApp for BackoutProcess {
         ctx.count("backout.takeovers", 1);
     }
 
-    fn apply_checkpoint(&mut self, _delta: Payload) {
+    fn apply_checkpoint(&mut self, _delta: Payload, _cp: &Checkpointed) {
         // stateless by design: nothing to mirror
     }
 
@@ -217,7 +216,7 @@ impl PairApp for BackoutProcess {
         Payload::new(())
     }
 
-    fn restore(&mut self, _snapshot: Payload) {}
+    fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
 }
 
 /// Spawn a BACKOUTPROCESS pair named `$BACKOUT` on `node`.

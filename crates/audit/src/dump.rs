@@ -29,14 +29,14 @@
 //! safe-delivery retry restarts the dump from scratch. Duplicate begin/end
 //! markers from a restarted dump are harmless — recovery filters them.
 
-use encompass_sim::{Payload, Pid, SimDuration, World};
+use encompass_sim::{DetHashMap, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, superseded_archive_keys, ArchiveImage, DumpRegistry, FileImage,
 };
 use encompass_storage::types::{FileOrganization, VolumeRef};
-use guardian::{reply, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
-use std::collections::{BTreeMap, HashMap};
+use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
+use std::collections::BTreeMap;
 
 /// Requests to the DUMPPROCESS.
 #[derive(Clone, Debug)]
@@ -82,9 +82,9 @@ pub struct DumpProcess {
     service: String,
     disc_rpc: Rpc<DiscRequest, DiscReply>,
     /// In-flight dumps, keyed by originating request id.
-    jobs: HashMap<u64, Job>,
+    jobs: DetHashMap<u64, Job>,
     /// disc-rpc id → job request id.
-    waits: HashMap<u64, u64>,
+    waits: DetHashMap<u64, u64>,
     replies: ReplyCache<DumpReply>,
     /// Archive generations retained per volume; older generations are
     /// deleted once the registry update supersedes them.
@@ -100,8 +100,8 @@ impl DumpProcess {
         DumpProcess {
             service: service.to_string(),
             disc_rpc: Rpc::new(1),
-            jobs: HashMap::new(),
-            waits: HashMap::new(),
+            jobs: DetHashMap::default(),
+            waits: DetHashMap::default(),
             replies: ReplyCache::new(4096),
             archive_retain: archive_retain.max(1),
         }
@@ -248,7 +248,14 @@ impl DumpProcess {
                 ctx.count("dump.failed", 1);
                 self.finish(ctx, job_id, DumpReply::Failed);
             }
-            _ => {}
+            // replies to requests a dump never sends
+            DiscReply::Value(_)
+            | DiscReply::Snapshot { .. }
+            | DiscReply::EntryNumber(_)
+            | DiscReply::Entries(_)
+            | DiscReply::Phase1Done
+            | DiscReply::LockAudit { .. }
+            | DiscReply::State(_) => {}
         }
     }
 }
@@ -314,7 +321,7 @@ impl PairApp for DumpProcess {
         ctx.count("dump.takeovers", 1);
     }
 
-    fn apply_checkpoint(&mut self, _delta: Payload) {
+    fn apply_checkpoint(&mut self, _delta: Payload, _cp: &Checkpointed) {
         // stateless by design: nothing to mirror
     }
 
@@ -322,7 +329,7 @@ impl PairApp for DumpProcess {
         Payload::new(())
     }
 
-    fn restore(&mut self, _snapshot: Payload) {}
+    fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
 }
 
 /// Spawn a DUMPPROCESS pair named `$DUMP` on `node`, retaining the last

@@ -10,6 +10,7 @@
 
 use encompass_sim::{NodeId, SimTime, StableStorage};
 use encompass_storage::types::Transid;
+use guardian::Checkpointed;
 
 /// Stable-storage key of a node's monitor audit trail.
 pub fn monitor_key(node: NodeId) -> String {
@@ -44,9 +45,16 @@ impl MonitorTrail {
 
     /// Write a completion record (the commit point when `committed`). This
     /// is the forced write the paper's commit protocol pivots on, so every
-    /// path into it must have checkpointed intent to the backup first.
-    // lint: mutates-db
-    pub fn record(&mut self, transid: Transid, committed: bool, at: SimTime) {
+    /// path into it must have checkpointed intent to the backup first and
+    /// proves it with the [`Checkpointed`] witness:
+    ///
+    /// ```compile_fail
+    /// use encompass_sim::{NodeId, SimTime};
+    /// let transid = encompass_storage::types::Transid { home_node: NodeId(1), cpu: 0, seq: 1 };
+    /// let mut trail = encompass_audit::monitor::MonitorTrail::new();
+    /// trail.record(transid, true, SimTime::ZERO); // no checkpoint, no commit record
+    /// ```
+    pub fn record(&mut self, transid: Transid, committed: bool, at: SimTime, _cp: &Checkpointed) {
         // idempotent against TMP retries: the first disposition stands
         if self.outcome(transid).is_none() {
             self.records.push(CompletionRecord {
@@ -64,8 +72,12 @@ impl MonitorTrail {
     /// write is still "force at phase one", there is just one of it.
     /// Returns how many records were new (retries are skipped, as in
     /// [`MonitorTrail::record`]). A fully-duplicate batch costs no force.
-    // lint: mutates-db
-    pub fn record_group(&mut self, batch: &[(Transid, bool)], at: SimTime) -> usize {
+    pub fn record_group(
+        &mut self,
+        batch: &[(Transid, bool)],
+        at: SimTime,
+        _cp: &Checkpointed,
+    ) -> usize {
         let mut written = 0;
         for &(transid, committed) in batch {
             if self.outcome(transid).is_none() {
@@ -122,11 +134,15 @@ mod tests {
         }
     }
 
+    fn cp() -> Checkpointed {
+        Checkpointed::reviewed("unit test: no backup exists")
+    }
+
     #[test]
     fn records_and_outcomes() {
         let mut m = MonitorTrail::new();
-        m.record(t(1), true, SimTime::from_micros(10));
-        m.record(t(2), false, SimTime::from_micros(20));
+        m.record(t(1), true, SimTime::from_micros(10), &cp());
+        m.record(t(2), false, SimTime::from_micros(20), &cp());
         assert_eq!(m.outcome(t(1)), Some(true));
         assert_eq!(m.outcome(t(2)), Some(false));
         assert_eq!(m.outcome(t(3)), None);
@@ -138,9 +154,9 @@ mod tests {
     #[test]
     fn first_disposition_is_final() {
         let mut m = MonitorTrail::new();
-        m.record(t(1), true, SimTime::from_micros(10));
+        m.record(t(1), true, SimTime::from_micros(10), &cp());
         // a retried (or conflicting) record cannot change the outcome
-        m.record(t(1), false, SimTime::from_micros(30));
+        m.record(t(1), false, SimTime::from_micros(30), &cp());
         assert_eq!(m.outcome(t(1)), Some(true));
         assert_eq!(m.len(), 1);
         assert_eq!(m.forces, 1);
@@ -149,24 +165,25 @@ mod tests {
     #[test]
     fn group_record_is_one_force() {
         let mut m = MonitorTrail::new();
-        let written = m.record_group(&[(t(1), true), (t(2), true), (t(3), false)], SimTime::ZERO);
+        let batch = [(t(1), true), (t(2), true), (t(3), false)];
+        let written = m.record_group(&batch, SimTime::ZERO, &cp());
         assert_eq!(written, 3);
         assert_eq!(m.forces, 1);
         assert_eq!(m.commits(), 2);
         assert_eq!(m.aborts(), 1);
         // a retried batch is absorbed without another force
-        let written = m.record_group(&[(t(1), true), (t(2), true)], SimTime::from_micros(5));
+        let written = m.record_group(&batch[..2], SimTime::from_micros(5), &cp());
         assert_eq!(written, 0);
         assert_eq!(m.forces, 1);
         // and a conflicting retry cannot flip an outcome
-        m.record_group(&[(t(3), true)], SimTime::from_micros(6));
+        m.record_group(&[(t(3), true)], SimTime::from_micros(6), &cp());
         assert_eq!(m.outcome(t(3)), Some(false));
     }
 
     #[test]
     fn lives_in_stable_storage() {
         let mut stable = StableStorage::new();
-        MonitorTrail::of(&mut stable, NodeId(3)).record(t(9), true, SimTime::ZERO);
+        MonitorTrail::of(&mut stable, NodeId(3)).record(t(9), true, SimTime::ZERO, &cp());
         assert_eq!(
             MonitorTrail::of(&mut stable, NodeId(3)).outcome(t(9)),
             Some(true)

@@ -58,11 +58,10 @@
 
 use crate::monitor::MonitorTrail;
 use crate::trail::TrailMedia;
-use encompass_sim::World;
+use encompass_sim::{DetHashMap, World};
 use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::media::{archive_key, media_key, VolumeMedia};
 use encompass_storage::types::{Transid, VolumeRef};
-use std::collections::HashMap;
 
 /// What a ROLLFORWARD run did.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -127,7 +126,7 @@ pub fn rollforward_volume(
     images.sort_by_key(|r| r.seq);
 
     // 3. resolve outcomes against the home nodes' monitor trails
-    let mut outcomes: HashMap<Transid, bool> = HashMap::new();
+    let mut outcomes: DetHashMap<Transid, bool> = DetHashMap::default();
     for img in &images {
         let t = img.transid;
         if let std::collections::hash_map::Entry::Vacant(e) = outcomes.entry(t) {
@@ -141,14 +140,14 @@ pub fn rollforward_volume(
     // 4. rebuild
     let mut files = archive.files.clone();
     let mut report = RollforwardReport::default();
-    let mut committed_seen: HashMap<Transid, ()> = HashMap::new();
-    let mut rolled_seen: HashMap<Transid, ()> = HashMap::new();
+    let mut committed_seen: DetHashMap<Transid, ()> = DetHashMap::default();
+    let mut rolled_seen: DetHashMap<Transid, ()> = DetHashMap::default();
     // REDO committed, ascending; remember the newest committed sequence
     // per record for the UNDO pass below. The committed-high map covers
     // *all* committed images — including those at or below the watermark,
     // whose values the fuzzy image already holds — because a loser's undo
     // is superseded by any later committed write, replayed or not.
-    let mut committed_high: HashMap<(&str, &bytes::Bytes), u64> = HashMap::new();
+    let mut committed_high: DetHashMap<(&str, &bytes::Bytes), u64> = DetHashMap::default();
     for img in &images {
         if outcomes[&img.transid] {
             committed_seen.insert(img.transid, ());
@@ -224,6 +223,10 @@ mod tests {
         }
     }
 
+    fn cp() -> guardian::Checkpointed {
+        guardian::Checkpointed::reviewed("unit test: the trail is built by hand")
+    }
+
     fn img(
         seq: u64,
         txn: Transid,
@@ -279,8 +282,8 @@ mod tests {
         ]);
 
         // monitor trail: t1 committed, t2 aborted, t3 has no record
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO);
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO);
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
 
         // simulate total loss of the volume
         let mkey = media_key(n, "$D");
@@ -329,7 +332,7 @@ mod tests {
         w.stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(100))
             .force(vec![img(1, t(1), "k", None, Some("v"))]);
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO);
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
 
         let r1 = rollforward_volume(&mut w, &vol, std::slice::from_ref(&tk), 1);
         let r2 = rollforward_volume(&mut w, &vol, &[tk], 1);
@@ -375,9 +378,9 @@ mod tests {
                 img(2, t(2), "k", Some("900"), Some("850")),
                 img(3, t(3), "k", Some("900"), Some("870")),
             ]);
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO);
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO);
-        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO);
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO, &cp());
 
         let report = rollforward_volume(&mut w, &vol, &[tk], 0);
         assert_eq!(report.redone, 2);
@@ -443,9 +446,9 @@ mod tests {
             ImageRecord::dump_marker(5, vol.clone(), 2, true),
         ]);
         assert!(trail.files.len() > 1, "trail rotated across files");
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO);
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO);
-        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO);
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO, &cp());
 
         let report = rollforward_volume(&mut w, &vol, &[tk], 2);
         assert_eq!(report.redone, 1, "only t3's post-watermark write replays");
@@ -500,8 +503,8 @@ mod tests {
         let dropped = trail.purge_below(4);
         assert!(dropped >= 1, "old trail files purged");
         assert_eq!(trail.purged_through, 3);
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO);
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), true, SimTime::ZERO);
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), true, SimTime::ZERO, &cp());
 
         let report = rollforward_volume(&mut w, &vol, &[tk], 3);
         assert_eq!(report.redone, 0, "purged prefix was already in the image");
@@ -536,7 +539,7 @@ mod tests {
             img(2, t(1), "a", Some("1"), Some("2")),
         ]);
         trail.purge_below(2); // drops seq 1, which gen-0 recovery needs
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO);
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
         let _ = rollforward_volume(&mut w, &vol, &[tk], 0);
     }
 }

@@ -17,7 +17,7 @@ use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::testkit::run_script;
 use encompass_storage::types::{FileDef, RecoveryMode, Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::{Rpc, Target, TimerOutcome};
+use guardian::{Checkpointed, Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -493,7 +493,7 @@ fn archive_crash_rollforward_cycle() {
     w.run_for(SimDuration::from_secs(2));
     // record commit outcomes in the monitor trail (normally the TMP's job)
     let now = w.now();
-    MonitorTrail::of(w.stable_mut(), n).record(t1, true, now);
+    MonitorTrail::of(w.stable_mut(), n).record(t1, true, now, &Checkpointed::reviewed("test stands in for the TMP"));
 
     // post-archive: t2 commits, t3 updates but never commits
     let t2 = txn(2);
@@ -522,7 +522,7 @@ fn archive_crash_rollforward_cycle() {
     );
     w.run_for(SimDuration::from_secs(2));
     let now = w.now();
-    MonitorTrail::of(w.stable_mut(), n).record(t2, true, now);
+    MonitorTrail::of(w.stable_mut(), n).record(t2, true, now, &Checkpointed::reviewed("test stands in for the TMP"));
     let t3 = txn(3);
     let _ = run_script(
         &mut w,

@@ -10,6 +10,7 @@ use encompass_sim::{SimConfig, SimTime, World};
 use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::media::{archive_key, ArchiveImage};
 use encompass_storage::types::{FileOrganization, Transid, VolumeRef};
+use guardian::Checkpointed;
 
 /// A world with an empty archive and `n` committed single-image txns on
 /// the trail.
@@ -50,6 +51,7 @@ fn prepared(n: u64) -> (World, VolumeRef, String) {
             .collect();
         trail.force(records);
     }
+    let cp = Checkpointed::reviewed("offline media builder: the bench writes the trail no TMP ran for");
     for i in 0..n {
         MonitorTrail::of(w.stable_mut(), node).record(
             Transid {
@@ -59,6 +61,7 @@ fn prepared(n: u64) -> (World, VolumeRef, String) {
             },
             true,
             SimTime::ZERO,
+            &cp,
         );
     }
     (w, vol, tk)

@@ -98,6 +98,10 @@ impl TxnScript {
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
+        #[allow(
+            clippy::wildcard_enum_match_arm,
+            reason = "the script log shows every other reply in its Debug form"
+        )]
         let entry = match &ev {
             SessionEvent::Began { transid, .. } => format!("began:{transid}"),
             SessionEvent::OpDone { reply, .. } => match reply {

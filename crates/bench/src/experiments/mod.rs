@@ -1,6 +1,6 @@
 //! One function per experiment in EXPERIMENTS.md. Each returns one or
-//! more [`crate::Table`]s ready to print; the `exp_*` binaries are thin
-//! wrappers.
+//! more [`crate::Table`]s ready to print; the `exp` binary looks them up
+//! by name in [`TABLES`] and [`SWEEPS`].
 
 mod claims;
 mod figures;
@@ -20,39 +20,60 @@ pub use online_dump::{online_dump, OnlineDumpResult, OnlineDumpRow};
 pub use read_mix::{read_mix, ReadMixResult, ReadMixRow};
 pub use scaleout::{scaleout, ScaleoutResult, ScaleoutRow};
 
-/// Run every experiment (the `exp_all` binary), in parallel — each
+pub type Experiment = fn() -> Vec<crate::Table>;
+pub type Sweep = fn(bool) -> (crate::Table, String);
+
+/// The paper's figures and claims, in the canonical F1..T8 order:
+/// `exp <name>` prints one, `exp all` prints them all.
+pub const TABLES: &[(&str, Experiment)] = &[
+    ("f1", f1),
+    ("f2", f2),
+    ("f3", f3),
+    ("f4", f4),
+    ("t1", t1),
+    ("t2", t2),
+    ("t3", t3),
+    ("t4", t4),
+    ("t5", t5),
+    ("t6", t6),
+    ("t7", t7),
+    ("t8", t8),
+];
+
+/// The sweeps that also write a machine-readable `BENCH_<name>.json`:
+/// given `smoke`, each returns its table and that JSON.
+pub const SWEEPS: &[(&str, Sweep)] = &[
+    ("group_commit", |smoke| {
+        let r = group_commit(smoke);
+        (r.table(), r.to_json())
+    }),
+    ("latency_attribution", |smoke| {
+        let r = latency_attribution(smoke);
+        (r.table(), r.to_json())
+    }),
+    ("online_dump", |smoke| {
+        let r = online_dump(smoke);
+        (r.table(), r.to_json())
+    }),
+    ("read_mix", |smoke| {
+        let r = read_mix(smoke);
+        (r.table(), r.to_json())
+    }),
+    ("scaleout", |smoke| {
+        let r = scaleout(smoke);
+        (r.table(), r.to_json())
+    }),
+];
+
+/// Run every experiment in [`TABLES`] (`exp all`), in parallel — each
 /// experiment builds its own simulated worlds, so they are independent;
 /// results are returned in the canonical F1..T8 order.
 pub fn all() -> Vec<crate::Table> {
-    type ExpFn = fn() -> Vec<crate::Table>;
-    let experiments: Vec<(usize, ExpFn)> = vec![
-        (0, f1 as ExpFn),
-        (1, f2),
-        (2, f3),
-        (3, f4),
-        (4, t1),
-        (5, t2),
-        (6, t3),
-        (7, t4),
-        (8, t5),
-        (9, t6),
-        (10, t7),
-        (11, t8),
-    ];
-    let results: parking_lot::Mutex<Vec<(usize, Vec<crate::Table>)>> =
-        parking_lot::Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
-        for (idx, f) in &experiments {
-            let results = &results;
-            let (idx, f) = (*idx, *f);
-            scope.spawn(move |_| {
-                let tables = f();
-                results.lock().push((idx, tables));
-            });
-        }
+    std::thread::scope(|scope| {
+        let running: Vec<_> = TABLES.iter().map(|(_, f)| scope.spawn(f)).collect();
+        running
+            .into_iter()
+            .flat_map(|h| h.join().expect("experiment thread panicked"))
+            .collect()
     })
-    .expect("experiment thread panicked");
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|(idx, _)| *idx);
-    collected.into_iter().flat_map(|(_, t)| t).collect()
 }

@@ -6,11 +6,11 @@
 //!
 //! Run a single experiment:
 //! ```text
-//! cargo run -p encompass-bench --release --bin exp_t1
+//! cargo run -p encompass-bench --release --bin exp -- t1
 //! ```
 //! Run everything:
 //! ```text
-//! cargo run -p encompass-bench --release --bin exp_all
+//! cargo run -p encompass-bench --release --bin exp -- all
 //! ```
 //! Criterion timing benches live under `benches/`.
 

@@ -11,7 +11,7 @@
 //! storage (dump registries, archive keys), then hands them here.
 
 use encompass_storage::audit_api::AuditStateReport;
-use encompass_storage::discprocess::DiscStateReport;
+use encompass_storage::discprocess::{DiscStateReport, SETTLED_FENCE_CAPACITY};
 use tmf::tmp::TmpStateReport;
 
 /// One process's answer to a state probe, tagged with who answered and
@@ -47,7 +47,7 @@ pub struct StateCaps {
     pub snapshot_undo: usize,
     /// Live (unsettled) fenced transactions on one volume.
     pub fenced_live: usize,
-    /// `DiscConfig::settled_fence_capacity` in effect for the run.
+    /// The DISCPROCESS's `SETTLED_FENCE_CAPACITY`.
     pub settled_fences: usize,
     /// Counted-but-uncompleted lock waits on one volume.
     pub counted_waits: usize,
@@ -72,7 +72,7 @@ impl StateCaps {
         StateCaps {
             snapshot_undo: snapshot_undo_capacity,
             fenced_live: 256,
-            settled_fences: 4096,
+            settled_fences: SETTLED_FENCE_CAPACITY,
             counted_waits: 512,
             unforced_txns: 64,
             tmp_txns: 256,

@@ -38,8 +38,8 @@ use encompass_audit::dump::{DumpMsg, DumpReply};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_sim::{
-    format_timeline, CpuId, Ctx, Fault, FlightEvent, FlightTransid, NodeId, Payload, Pid,
-    SimConfig, SimDuration, SimTime, TimerId, World,
+    format_timeline, CpuId, Ctx, DetHashMap, Fault, FlightEvent, FlightTransid, NodeId, Payload,
+    Pid, SimConfig, SimDuration, SimTime, TimerId, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
@@ -47,7 +47,7 @@ use encompass_storage::media::{archive_key, ArchiveImage, VolumeMedia};
 use encompass_storage::media::{dump_registry_key, media_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{Rpc, Target, TimerOutcome};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Accounts preloaded per run (balance 1000 each).
 pub(crate) const ACCOUNTS: u64 = 120;
@@ -549,7 +549,7 @@ pub(crate) fn check_atomicity(
     violations: &mut Vec<String>,
     implicated: &mut Vec<Transid>,
 ) {
-    let mut first_seen: HashMap<Transid, (bool, NodeId)> = HashMap::new();
+    let mut first_seen: DetHashMap<Transid, (bool, NodeId)> = DetHashMap::default();
     for &node in nodes {
         let Some(trail) = world.stable().get::<MonitorTrail>(&monitor_key(node)) else {
             continue;

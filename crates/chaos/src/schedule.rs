@@ -646,7 +646,7 @@ mod tests {
                     ChaosAction::RestoreDownCpus { node } => {
                         down[node.0 as usize] = None;
                     }
-                    _ => {}
+                    ChaosAction::Fault(_) | ChaosAction::KillServerProcess { .. } => {}
                 }
             }
             // anything still down is caught by the final heal barrier

@@ -1098,8 +1098,8 @@ impl SoakReader {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
         match (self.state, ev) {
             (ReaderState::WaitBegin, SessionEvent::Began { .. }) => self.read_next(ctx),
-            (ReaderState::WaitRead, SessionEvent::OpDone { reply, .. }) => match reply {
-                DiscReply::Err(DiscError::SnapshotTooOld) => {
+            (ReaderState::WaitRead, SessionEvent::OpDone { reply, .. }) => {
+                if let DiscReply::Err(DiscError::SnapshotTooOld) = reply {
                     // the pinned fence fell off the snapshot-undo ring:
                     // restart the read-only transaction for a fresh one
                     self.restarts += 1;
@@ -1107,14 +1107,13 @@ impl SoakReader {
                     self.state = ReaderState::WaitRestartAbort;
                     self.note("restarting on SnapshotTooOld".to_string());
                     self.session.abort(ctx, AbortReason::Voluntary, 0);
-                }
-                _ => {
+                } else {
                     // values (and transient VolumeDown during a fault
                     // wave) are all fine — snapshot reads assert nothing
                     self.reads += 1;
                     self.finish_or_pause(ctx);
                 }
-            },
+            }
             (ReaderState::WaitRestartAbort, SessionEvent::Aborted { .. }) => self.begin(ctx),
             (ReaderState::WaitEnd, SessionEvent::Committed { .. })
             | (ReaderState::WaitEnd, SessionEvent::Aborted { .. }) => self.done(ctx),

@@ -433,7 +433,6 @@ pub fn spawn_tmf_node(
                 flush_interval: cfg.flush_interval,
                 dump_page_size: cfg.dump_page_size,
                 snapshot_undo_capacity: cfg.snapshot_undo_capacity,
-                ..DiscConfig::default()
             },
         ));
     }

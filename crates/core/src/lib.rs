@@ -39,6 +39,9 @@ pub mod state;
 pub mod table;
 pub mod tmp;
 
+#[cfg(test)]
+mod gate_canaries;
+
 pub use encompass_storage::types::Transid;
 pub use facility::{
     flight_reports, spawn_tmf_network, spawn_tmf_node, ConfigError, FlightReport, NodeHandles,

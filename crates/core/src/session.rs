@@ -23,13 +23,13 @@
 use crate::state::TxnClass;
 use crate::tmp::{TmpMsg, TmpReply};
 use bytes::Bytes;
-use encompass_sim::{Ctx, FlightCause, NodeId, Payload, SimDuration};
+use encompass_sim::{Ctx, DetHashSet, FlightCause, NodeId, Payload, SimDuration};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::locks::LockMode;
 use encompass_storage::types::{Transid, VolumeRef};
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// How a transaction wants to run, declared at BEGIN-TRANSACTION and
 /// carried to every server that adopts the transid.
@@ -170,8 +170,8 @@ pub struct TmfSession {
     disc_rpc: Rpc<DiscRequest, DiscReply>,
     current: Option<Transid>,
     options: SessionOptions,
-    registered_volumes: HashSet<VolumeRef>,
-    ensured_nodes: HashSet<NodeId>,
+    registered_volumes: DetHashSet<VolumeRef>,
+    ensured_nodes: DetHashSet<NodeId>,
     /// Per-volume snapshot fences of the current read-only transaction:
     /// the first snapshot read against a volume pins that volume's
     /// before-image sequence and every later read reuses it, so the
@@ -196,8 +196,8 @@ impl TmfSession {
             disc_rpc: Rpc::new(33 + id_space * 2),
             current: None,
             options: SessionOptions::default(),
-            registered_volumes: HashSet::new(),
-            ensured_nodes: HashSet::new(),
+            registered_volumes: DetHashSet::default(),
+            ensured_nodes: DetHashSet::default(),
             snapshot_fences: BTreeMap::new(),
             pending: None,
             lock_wait: SimDuration::from_millis(500),
@@ -603,14 +603,13 @@ impl TmfSession {
                     // A snapshot reply pins the volume's fence for the rest
                     // of the transaction and is normalized to the plain
                     // Value shape, so server logic stays mode-agnostic.
-                    let reply = match c.body {
-                        DiscReply::Snapshot { value, fence } => {
-                            if let Some(v) = p.volume.clone() {
-                                self.snapshot_fences.entry(v).or_insert(fence);
-                            }
-                            DiscReply::Value(value)
+                    let reply = if let DiscReply::Snapshot { value, fence } = c.body {
+                        if let Some(v) = p.volume.clone() {
+                            self.snapshot_fences.entry(v).or_insert(fence);
                         }
-                        other => other,
+                        DiscReply::Value(value)
+                    } else {
+                        c.body
                     };
                     Ok(Some(SessionEvent::OpDone {
                         reply,

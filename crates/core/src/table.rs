@@ -10,8 +10,7 @@
 
 use crate::state::TxState;
 use encompass_storage::types::Transid;
-use encompass_sim::{Ctx, Payload, Pid, Process};
-use std::collections::HashMap;
+use encompass_sim::{Ctx, DetHashMap, Payload, Pid, Process};
 
 /// A broadcast state change (TMP → every CPU's table).
 #[derive(Clone, Copy, Debug)]
@@ -39,7 +38,7 @@ pub struct TableAnswer {
 /// pid directly).
 #[derive(Default)]
 pub struct TxTableProcess {
-    states: HashMap<Transid, TxState>,
+    states: DetHashMap<Transid, TxState>,
 }
 
 impl TxTableProcess {

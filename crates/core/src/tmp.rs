@@ -34,14 +34,15 @@ use crate::table::StateBroadcast;
 use encompass_audit::backout::{BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_sim::{
-    FlightCause, HistogramHandle, NodeId, Payload, Pid, SimDuration, SimTime, SystemEvent, World,
+    DetHashMap, DetHashSet, FlightCause, HistogramHandle, NodeId, Payload, Pid, SimDuration,
+    SimTime, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::{reply, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
+use std::collections::{BTreeMap, BTreeSet};
 
 const TAG_MONITOR_BASE: u64 = 1 << 16;
 /// Periodic in-doubt sweep on non-home nodes (below TAG_MONITOR_BASE).
@@ -273,8 +274,8 @@ struct TmpSnapshot {
 pub struct TmpProcess {
     cfg: TmpConfig,
     seq: u64,
-    // BTreeMap, not HashMap: takeover/janitor/purge sweeps iterate this
-    // table, and iteration order must be deterministic (lint: L1-iter).
+    // BTreeMap: takeover/janitor/purge sweeps iterate this table, and do so
+    // in transid order.
     txns: BTreeMap<Transid, Txn>,
     replies: ReplyCache<TmpReply>,
     disc_rpc: Rpc<DiscRequest, DiscReply>,
@@ -282,13 +283,13 @@ pub struct TmpProcess {
     backout_rpc: Rpc<BackoutMsg, BackoutReply>,
     audit_rpc: Rpc<AuditMsg, AuditReply>,
     /// critical EndPhase1 rpc → transid
-    phase1_disc: HashMap<u64, Transid>,
+    phase1_disc: DetHashMap<u64, Transid>,
     /// critical Phase1 rpc → (transid, child)
-    phase1_tmp: HashMap<u64, (Transid, NodeId)>,
+    phase1_tmp: DetHashMap<u64, (Transid, NodeId)>,
     /// critical RemoteBegin rpc → (transid, dest, requester)
-    remote_begins: HashMap<u64, (Transid, NodeId, u64, Pid)>,
-    backouts: HashMap<u64, Transid>,
-    monitor_timers: HashMap<u64, (Transid, bool)>,
+    remote_begins: DetHashMap<u64, (Transid, NodeId, u64, Pid)>,
+    backouts: DetHashMap<u64, Transid>,
+    monitor_timers: DetHashMap<u64, (Transid, bool)>,
     /// Completion records waiting to board the next monitor-trail force
     /// (group-commit path; unused when the window is zero).
     monitor_boxcar: Vec<(Transid, bool)>,
@@ -300,15 +301,15 @@ pub struct TmpProcess {
     /// ignored, or it closes the new boxcar before its own window elapses.
     monitor_window_deadline: Option<SimTime>,
     /// safe-delivery Phase2/AbortTxn/ReleaseLocks rpc → transid
-    deliveries: HashMap<u64, Transid>,
+    deliveries: DetHashMap<u64, Transid>,
     /// Early (COMMITTING-state) lock-release rpc → transid. Purely
     /// informational: the terminal delivery set re-sends ReleaseLocks
     /// anyway, and receivers are idempotent.
-    early_releases: HashMap<u64, Transid>,
+    early_releases: DetHashMap<u64, Transid>,
     /// in-doubt QueryDisposition rpc → transid
     janitor_rpcs: BTreeMap<u64, Transid>,
     /// outstanding capacity-sweep Purge rpcs
-    purge_rpcs: HashSet<u64>,
+    purge_rpcs: DetHashSet<u64>,
     next_tag: u64,
     /// Interned histogram keys: the commit path must not format counter
     /// names per observation.
@@ -327,18 +328,18 @@ impl TmpProcess {
             tmp_rpc: Rpc::new(11),
             backout_rpc: Rpc::new(12),
             audit_rpc: Rpc::new(13),
-            phase1_disc: HashMap::new(),
-            phase1_tmp: HashMap::new(),
-            remote_begins: HashMap::new(),
-            backouts: HashMap::new(),
-            monitor_timers: HashMap::new(),
+            phase1_disc: DetHashMap::default(),
+            phase1_tmp: DetHashMap::default(),
+            remote_begins: DetHashMap::default(),
+            backouts: DetHashMap::default(),
+            monitor_timers: DetHashMap::default(),
             monitor_boxcar: Vec::new(),
             monitor_inflight: None,
             monitor_window_deadline: None,
-            deliveries: HashMap::new(),
-            early_releases: HashMap::new(),
+            deliveries: DetHashMap::default(),
+            early_releases: DetHashMap::default(),
             janitor_rpcs: BTreeMap::new(),
-            purge_rpcs: HashSet::new(),
+            purge_rpcs: DetHashSet::default(),
             next_tag: 0,
             boxcar_hist: HistogramHandle::new("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
             latency_hist: HistogramHandle::new("tmf.commit_latency_us", LATENCY_BOUNDS),
@@ -370,7 +371,12 @@ impl TmpProcess {
         }
     }
 
-    fn checkpoint_txn(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, drop: bool) {
+    fn checkpoint_txn(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        transid: Transid,
+        drop: bool,
+    ) -> Checkpointed {
         let (state, home, class, volumes, children) = match self.txns.get(&transid) {
             Some(t) => (
                 t.state,
@@ -396,10 +402,15 @@ impl TmpProcess {
             children,
             seq: self.seq,
             drop,
-        }));
+        }))
     }
 
-    fn set_state(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, state: TxState) {
+    fn set_state(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        transid: Transid,
+        state: TxState,
+    ) -> Checkpointed {
         if let Some(t) = self.txns.get_mut(&transid) {
             debug_assert!(
                 t.state.can_become(state) || t.state == state,
@@ -411,7 +422,7 @@ impl TmpProcess {
             t.janitor_armed = false;
         }
         self.broadcast(ctx, transid, state);
-        self.checkpoint_txn(ctx, transid, false);
+        self.checkpoint_txn(ctx, transid, false)
     }
 
     fn answer(&mut self, ctx: &mut PairCtx<'_, '_>, req_id: u64, from: Pid, r: TmpReply) {
@@ -613,10 +624,6 @@ impl TmpProcess {
 
     /// The boxcarred force reached the platter: every surviving record in
     /// the batch becomes durable at once, under ONE trail force.
-    // a record only enters the boxcar from phase1_complete/backout, after
-    // set_state checkpointed COMMITTING/Aborting to the backup; the filter
-    // below re-reads that checkpointed state at write completion
-    // lint: checkpointed
     fn monitor_flush(&mut self, ctx: &mut PairCtx<'_, '_>) {
         let Some(batch) = self.monitor_inflight.take() else {
             return;
@@ -639,7 +646,12 @@ impl TmpProcess {
         }
         let node = ctx.node();
         let now = ctx.now();
-        MonitorTrail::of(ctx.stable(), node).record_group(&writable, now);
+        let cp = Checkpointed::reviewed(
+            "a record only enters the boxcar from phase1_complete/backout, after \
+             set_state checkpointed COMMITTING/Aborting to the backup; the filter \
+             above re-reads that checkpointed state at write completion",
+        );
+        MonitorTrail::of(ctx.stable(), node).record_group(&writable, now, &cp);
         let boxcar = writable.len() as u32;
         for (transid, commit) in writable {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForced { boxcar });
@@ -659,10 +671,6 @@ impl TmpProcess {
     }
 
     /// The commit/abort record is now on the Monitor Audit Trail.
-    // the single-force twin of monitor_flush: the write was scheduled only
-    // after set_state checkpointed the decision, and the state filter below
-    // re-checks it at write completion
-    // lint: checkpointed
     fn monitor_written(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, commit: bool) {
         // the write was scheduled when the decision was taken, but an
         // abort may have overtaken a pending commit (e.g. the requester's
@@ -680,7 +688,12 @@ impl TmpProcess {
         }
         let node = ctx.node();
         let now = ctx.now();
-        MonitorTrail::of(ctx.stable(), node).record(transid, commit, now);
+        let cp = Checkpointed::reviewed(
+            "the single-force twin of monitor_flush: the write was scheduled only \
+             after set_state checkpointed the decision, and the state filter above \
+             re-checks it at write completion",
+        );
+        MonitorTrail::of(ctx.stable(), node).record(transid, commit, now, &cp);
         ctx.flight(transid.flight_id(), FlightCause::MonitorForced { boxcar: 1 });
         if commit {
             ctx.count("tmf.commits", 1);
@@ -694,16 +707,17 @@ impl TmpProcess {
     /// Apply the home node's commit decision on this (non-home) node:
     /// mirror the completion record onto the local trail, then run local
     /// phase two.
-    // the home node's *forced* commit record is the transaction's commit
-    // point and is already durable before Phase2/rollforward reaches this
-    // node; the local record is a replay cache for late retries, and the
-    // sender re-drives Phase2 until acked, so a primary dying before the
-    // write loses nothing
-    // lint: checkpointed
     fn commit_nonhome(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
         let node = ctx.node();
         let now = ctx.now();
-        MonitorTrail::of(ctx.stable(), node).record(transid, true, now);
+        let cp = Checkpointed::reviewed(
+            "the home node's *forced* commit record is the transaction's commit \
+             point and is already durable before Phase2/rollforward reaches this \
+             node; the local record is a replay cache for late retries, and the \
+             sender re-drives Phase2 until acked, so a primary dying before the \
+             write loses nothing",
+        );
+        MonitorTrail::of(ctx.stable(), node).record(transid, true, now, &cp);
         self.finish_commit(ctx, transid);
     }
 
@@ -905,18 +919,17 @@ impl TmpProcess {
         self.send_terminal_deliveries(ctx, transid);
     }
 
-    // set_state checkpoints the Aborted terminal state to the backup
-    // before the trail write below; the record itself is presumed-abort
-    // bookkeeping (losing it re-derives the same answer from the home node)
-    // lint: checkpointed
     fn finish_abort_nonhome(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
         ctx.flight(transid.flight_id(), FlightCause::Aborted);
-        self.set_state(ctx, transid, TxState::Aborted);
+        // the Aborted terminal state is checkpointed to the backup before
+        // the trail write below; the record itself is presumed-abort
+        // bookkeeping (losing it re-derives the same answer from the home node)
+        let cp = self.set_state(ctx, transid, TxState::Aborted);
         // record the disposition on this node's trail so late retries
         // (e.g. a duplicate RegisterVolume) see a completed transaction
         let node = ctx.node();
         let now = ctx.now();
-        MonitorTrail::of(ctx.stable(), node).record(transid, false, now);
+        MonitorTrail::of(ctx.stable(), node).record(transid, false, now, &cp);
         let (phase1_waiter, abort_waiters) = match self.txns.get_mut(&transid) {
             Some(t) => (t.end_waiter.take(), std::mem::take(&mut t.abort_waiters)),
             None => (None, Vec::new()),
@@ -1242,9 +1255,10 @@ impl TmpProcess {
 
     fn on_disc_completion(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64, body: DiscReply) {
         if let Some(transid) = self.phase1_disc.remove(&id) {
-            match body {
-                DiscReply::Phase1Done => self.phase1_ack(ctx, transid),
-                _ => self.phase1_failed(ctx, transid),
+            if matches!(body, DiscReply::Phase1Done) {
+                self.phase1_ack(ctx, transid);
+            } else {
+                self.phase1_failed(ctx, transid);
             }
             return;
         }
@@ -1258,22 +1272,19 @@ impl TmpProcess {
 
     fn on_tmp_completion(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64, body: TmpReply) {
         if let Some((transid, _child)) = self.phase1_tmp.remove(&id) {
-            match body {
-                TmpReply::Phase1Ok => self.phase1_ack(ctx, transid),
-                _ => self.phase1_failed(ctx, transid),
+            if matches!(body, TmpReply::Phase1Ok) {
+                self.phase1_ack(ctx, transid);
+            } else {
+                self.phase1_failed(ctx, transid);
             }
             return;
         }
         if let Some((transid, dest, req_id, from)) = self.remote_begins.remove(&id) {
-            match body {
-                TmpReply::Ok => {
-                    if let Some(t) = self.txns.get_mut(&transid) {
-                        t.children.insert(dest);
-                        self.checkpoint_txn(ctx, transid, false);
-                        self.answer(ctx, req_id, from, TmpReply::Ok);
-                    } else {
-                        self.answer(ctx, req_id, from, TmpReply::Failed);
-                    }
+            match self.txns.get_mut(&transid) {
+                Some(t) if matches!(body, TmpReply::Ok) => {
+                    t.children.insert(dest);
+                    self.checkpoint_txn(ctx, transid, false);
+                    self.answer(ctx, req_id, from, TmpReply::Ok);
                 }
                 _ => self.answer(ctx, req_id, from, TmpReply::Failed),
             }
@@ -1664,7 +1675,7 @@ impl PairApp for TmpProcess {
         }
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload) {
+    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
         let d = delta.expect::<TmpDelta>();
         self.seq = self.seq.max(d.seq);
         if d.drop {
@@ -1703,7 +1714,7 @@ impl PairApp for TmpProcess {
         })
     }
 
-    fn restore(&mut self, snapshot: Payload) {
+    fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
         let s = snapshot.expect::<TmpSnapshot>();
         self.seq = s.seq;
         self.txns.clear();

@@ -2,6 +2,11 @@
 //! DISCPROCESSes + transaction tables) driven by scripted transaction
 //! programs, with faults injected at every interesting protocol point.
 
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "a test names the one variant it expects; any other is the failure it reports"
+)]
+
 use bytes::Bytes;
 use encompass_audit::monitor::MonitorTrail;
 use encompass_sim::{

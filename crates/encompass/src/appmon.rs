@@ -20,7 +20,7 @@ use crate::messages::ServerRequest;
 use crate::server::{Dispatch, ServerIdle, ServerLogic, ServerProcess};
 use encompass_sim::{CpuId, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::Catalog;
-use guardian::{PairApp, PairCtx, PairHandle, Request};
+use guardian::{Checkpointed, PairApp, PairCtx, PairHandle, Request};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -234,13 +234,13 @@ impl PairApp for ServerClassQueue {
         }
     }
 
-    fn apply_checkpoint(&mut self, _delta: Payload) {}
+    fn apply_checkpoint(&mut self, _delta: Payload, _cp: &Checkpointed) {}
 
     fn snapshot(&self) -> Payload {
         Payload::new(())
     }
 
-    fn restore(&mut self, _snapshot: Payload) {}
+    fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
 }
 
 /// Spawn a server-class queue pair (and its initial servers) on `node`.

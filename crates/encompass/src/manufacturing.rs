@@ -182,12 +182,13 @@ impl ServerLogic for MfgServer {
             return ServerStep::Reply(AppReply::restart());
         }
         match self.op.as_str() {
-            "read-global" => match db {
-                DiscReply::Value(v) => {
+            "read-global" => {
+                if let DiscReply::Value(v) = db {
                     ServerStep::Reply(AppReply::ok(v.iter().cloned().collect()))
+                } else {
+                    ServerStep::Reply(AppReply::error())
                 }
-                _ => ServerStep::Reply(AppReply::error()),
-            },
+            }
             "put-local" => match (self.step, db) {
                 (1, DiscReply::Value(existing)) => {
                     self.step = 2;

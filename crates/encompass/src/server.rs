@@ -142,7 +142,9 @@ impl Process for ServerProcess {
                         // requester to restart the transaction
                         self.finish(ctx, AppReply::restart());
                     }
-                    _ => {}
+                    SessionEvent::Began { .. }
+                    | SessionEvent::Committed { .. }
+                    | SessionEvent::Aborted { .. } => {}
                 }
                 return;
             }

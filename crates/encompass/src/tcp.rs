@@ -26,7 +26,7 @@ use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
 use encompass_sim::{NodeId, Payload, Pid, SimDuration};
 use encompass_storage::types::Transid;
 use encompass_storage::Catalog;
-use guardian::{PairApp, PairCtx, PairHandle, Rpc, Target, TimerOutcome};
+use guardian::{Checkpointed, PairApp, PairCtx, PairHandle, Rpc, Target, TimerOutcome};
 use tmf::session::{SessionEvent, TmfSession};
 use tmf::state::AbortReason;
 use tmf::tmp::{TmpMsg, TmpReply};
@@ -319,19 +319,17 @@ impl TerminalControlProcess {
                 self.drive(ctx, idx, ScreenInput::Committed);
             }
             SessionEvent::Aborted { .. } => {
-                let state = self.terminals[idx].state;
-                match state {
-                    TermState::AwaitAbortFinal => {
-                        let t = &mut self.terminals[idx];
-                        t.aborted += 1;
-                        t.restart_count = 0;
-                        ctx.count("tcp.voluntary_aborts", 1);
-                        self.checkpoint_terminal(ctx, idx);
-                        self.drive(ctx, idx, ScreenInput::Aborted);
-                    }
+                if self.terminals[idx].state == TermState::AwaitAbortFinal {
+                    let t = &mut self.terminals[idx];
+                    t.aborted += 1;
+                    t.restart_count = 0;
+                    ctx.count("tcp.voluntary_aborts", 1);
+                    self.checkpoint_terminal(ctx, idx);
+                    self.drive(ctx, idx, ScreenInput::Aborted);
+                } else {
                     // END answered "aborted" (system abort) or an abort we
                     // requested for restart completed
-                    _ => self.after_abort_restart(ctx, idx),
+                    self.after_abort_restart(ctx, idx);
                 }
             }
             SessionEvent::Failed { .. } => {
@@ -470,7 +468,7 @@ impl PairApp for TerminalControlProcess {
         }
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload) {
+    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
         let d = delta.expect::<TermDelta>();
         if d.idx < self.terminals.len() {
             let t = &mut self.terminals[d.idx];
@@ -502,12 +500,12 @@ impl PairApp for TerminalControlProcess {
         })
     }
 
-    fn restore(&mut self, snapshot: Payload) {
+    fn restore(&mut self, snapshot: Payload, cp: &Checkpointed) {
         let s = snapshot.expect::<TcpSnapshot>();
         for d in s.terms {
             let open = d.open;
             let idx = d.idx;
-            self.apply_checkpoint(Payload::new(d));
+            self.apply_checkpoint(Payload::new(d), cp);
             if idx < self.mirror_open.len() {
                 self.mirror_open[idx] = open;
             }

@@ -321,6 +321,11 @@ pub fn total_balance(world: &mut World, catalog: &Catalog, file: &str) -> i64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants,
+    reason = "a test names the one variant it expects; any other is the failure it reports"
+)]
 mod tests {
     use super::*;
 

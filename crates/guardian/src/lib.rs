@@ -26,7 +26,7 @@ pub mod pair;
 pub mod rpc;
 
 pub use operator::OperatorProcess;
-pub use pair::{spawn_pair, PairApp, PairCtx, PairHandle, Role};
+pub use pair::{spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{
     reply, Completion, ReplyCache, Request, Rpc, RpcReply, Target, TimerOutcome, RPC_TAG_BASE,
 };

@@ -30,6 +30,33 @@ pub enum Role {
     Backup,
 }
 
+/// Proof that the state change about to be made is covered by a checkpoint:
+/// the paper's "checkpointing as the functional equivalent of
+/// Write-Ahead-Log", carried as a value. The functions that change durable
+/// database state (the DISCPROCESS overlay, the Monitor Audit Trail) take a
+/// `&Checkpointed`, so a path that never checkpointed does not compile.
+///
+/// Zero-sized and only minted by [`PairCtx::checkpoint`] (the primary just
+/// sent the delta), by the pair framework around
+/// [`PairApp::apply_checkpoint`] / [`PairApp::restore`] (the backup is
+/// replaying one), and by [`Checkpointed::reviewed`].
+///
+/// ```compile_fail
+/// let forged = guardian::Checkpointed(());
+/// ```
+#[derive(Debug)]
+pub struct Checkpointed(());
+
+impl Checkpointed {
+    /// For a site whose covering checkpoint happened in an earlier event
+    /// (and for offline media builders and tests, which have no backup):
+    /// `why` says which checkpoint that was. Every call is a reviewed
+    /// exception — `git grep Checkpointed::reviewed` lists them all.
+    pub fn reviewed(_why: &'static str) -> Checkpointed {
+        Checkpointed(())
+    }
+}
+
 /// Internal pair-coordination messages.
 enum PairMsg {
     /// A new backup announces itself to the primary.
@@ -65,14 +92,16 @@ pub trait PairApp: 'static {
     /// is served: finish in-doubt work recorded by checkpoints.
     fn on_takeover(&mut self, _ctx: &mut PairCtx<'_, '_>) {}
 
-    /// Apply a checkpoint delta (backup only).
-    fn apply_checkpoint(&mut self, delta: Payload);
+    /// Apply a checkpoint delta (backup only). The delta *is* the
+    /// checkpoint, which is what `cp` witnesses.
+    fn apply_checkpoint(&mut self, delta: Payload, cp: &Checkpointed);
 
     /// Produce the full state for initializing a fresh backup.
     fn snapshot(&self) -> Payload;
 
-    /// Replace state from a snapshot (backup only).
-    fn restore(&mut self, snapshot: Payload);
+    /// Replace state from a snapshot (backup only). A snapshot only ever
+    /// holds checkpoint-covered state, which is what `cp` witnesses.
+    fn restore(&mut self, snapshot: Payload, cp: &Checkpointed);
 
     /// Extra system events (link failures etc.), primary only.
     fn on_system(&mut self, _ctx: &mut PairCtx<'_, '_>, _ev: SystemEvent) {}
@@ -101,12 +130,14 @@ impl<'b> DerefMut for PairCtx<'_, 'b> {
 impl PairCtx<'_, '_> {
     /// Send a state delta to the backup (no-op while no backup exists —
     /// the pair is then running exposed, as real pairs do between a CPU
-    /// failure and its reload).
-    pub fn checkpoint(&mut self, delta: Payload) {
+    /// failure and its reload). The returned witness licenses the update
+    /// the delta describes.
+    pub fn checkpoint(&mut self, delta: Payload) -> Checkpointed {
         if let Some(peer) = self.peer {
             self.inner.count("pair.checkpoints", 1);
             let _ = self.inner.send(peer, Payload::new(PairMsg::Checkpoint(delta)));
         }
+        Checkpointed(())
     }
 
     /// Is a backup currently in place?
@@ -169,11 +200,11 @@ impl<A: PairApp> Process for PairProcess<A> {
                 return;
             }
             Ok(PairMsg::Snapshot(snapshot)) => {
-                self.app.restore(snapshot);
+                self.app.restore(snapshot, &Checkpointed(()));
                 return;
             }
             Ok(PairMsg::Checkpoint(delta)) => {
-                self.app.apply_checkpoint(delta);
+                self.app.apply_checkpoint(delta, &Checkpointed(()));
                 return;
             }
             Err(other) => other,
@@ -220,7 +251,7 @@ impl<A: PairApp> Process for PairProcess<A> {
                         self.peer = None;
                         ctx.count("pair.backup_lost", 1);
                     }
-                    _ => {}
+                    Role::Primary | Role::Backup => {}
                 }
             }
             SystemEvent::CpuUp(node, cpu)
@@ -243,7 +274,10 @@ impl<A: PairApp> Process for PairProcess<A> {
                 }
                 // peer is set when the new backup's BackupHello arrives
             }
-            _ => {}
+            SystemEvent::CpuDown(..)
+            | SystemEvent::CpuUp(..)
+            | SystemEvent::LinkDown(_)
+            | SystemEvent::LinkUp(_) => {}
         }
         if self.role == Role::Primary {
             let mut pctx = self.pair_ctx(ctx);
@@ -370,7 +404,7 @@ mod tests {
             };
             reply(ctx, req.id, req.from, value);
         }
-        fn apply_checkpoint(&mut self, delta: Payload) {
+        fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
             let (id, add) = delta.expect::<(u64, u64)>();
             if self.applied.check(id).is_none() {
                 self.value += add;
@@ -380,7 +414,7 @@ mod tests {
         fn snapshot(&self) -> Payload {
             Payload::new(self.value)
         }
-        fn restore(&mut self, snapshot: Payload) {
+        fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
             self.value = snapshot.expect::<u64>();
         }
     }

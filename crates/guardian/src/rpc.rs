@@ -18,8 +18,7 @@
 //! Retransmission implies at-least-once delivery; receivers that are not
 //! naturally idempotent deduplicate with a [`ReplyCache`].
 
-use encompass_sim::{Ctx, NodeId, Payload, Pid, SendError, SimDuration, TimerId};
-use std::collections::HashMap;
+use encompass_sim::{Ctx, DetHashMap, NodeId, Payload, Pid, SendError, SimDuration, TimerId};
 
 /// Timer tags at or above this value are reserved for `Rpc`; processes must
 /// keep their own tags below it.
@@ -117,7 +116,7 @@ pub struct Rpc<M, R> {
     /// processes.
     salt: Option<u64>,
     counter: u64,
-    pending: HashMap<u64, Pending<M>>,
+    pending: DetHashMap<u64, Pending<M>>,
     _r: std::marker::PhantomData<fn() -> R>,
 }
 
@@ -129,7 +128,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
             id_space,
             salt: None,
             counter: 0,
-            pending: HashMap::new(),
+            pending: DetHashMap::default(),
             _r: std::marker::PhantomData,
         }
     }
@@ -294,7 +293,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
 pub struct ReplyCache<R> {
     capacity: usize,
     order: std::collections::VecDeque<u64>,
-    replies: HashMap<u64, R>,
+    replies: DetHashMap<u64, R>,
 }
 
 impl<R: Clone> ReplyCache<R> {
@@ -302,7 +301,7 @@ impl<R: Clone> ReplyCache<R> {
         ReplyCache {
             capacity: capacity.max(1),
             order: std::collections::VecDeque::new(),
-            replies: HashMap::new(),
+            replies: DetHashMap::default(),
         }
     }
 

@@ -34,6 +34,6 @@ pub mod suspense;
 pub use map::ShardMap;
 pub use monitor::{spawn_suspense_monitor, SuspenseMonitorApp, SuspenseMonitorConfig, SuspenseProbe};
 pub use suspense::{
-    add_replicated_file, add_suspense_files, replica_file, suspense_file, SuspenseDelta,
-    SuspenseMsg, SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
+    add_replicated_file, add_suspense_files, replica_file, suspense_file, SuspenseMsg,
+    SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
 };

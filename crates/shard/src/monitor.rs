@@ -30,10 +30,10 @@ use crate::suspense::{
     suspense_file, SuspenseDelta, SuspenseMsg, SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
 };
 use encompass_sim::{Ctx, NodeId, Payload, Pid, SimDuration, World};
-use encompass_storage::discprocess::{DiscError, DiscReply};
+use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::{key_num, num_key};
 use encompass_storage::Catalog;
-use guardian::{reply, PairApp, PairCtx, PairHandle, Request};
+use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, Request};
 use tmf::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
 use tmf::state::AbortReason;
 
@@ -201,8 +201,8 @@ impl SuspenseMonitorApp {
             (MonState::EnsuringRemote, SessionEvent::OpDone { .. }) => {
                 self.lock_replica(ctx);
             }
-            (MonState::LockingReplica, SessionEvent::OpDone { reply, .. }) => match reply {
-                DiscReply::Value(existing) => {
+            (MonState::LockingReplica, SessionEvent::OpDone { reply, .. }) => {
+                if let DiscReply::Value(existing) = reply {
                     let (_, rec) = self.current.as_ref().expect("work chosen");
                     self.replica_exists = existing.is_some();
                     self.state = MonState::WritingReplica;
@@ -223,12 +223,12 @@ impl SuspenseMonitorApp {
                     if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
                         self.retry(ctx);
                     }
+                } else {
+                    self.retry(ctx);
                 }
-                DiscReply::Err(DiscError::LockTimeout) => self.retry(ctx),
-                _ => self.retry(ctx),
-            },
-            (MonState::WritingReplica, SessionEvent::OpDone { reply, .. }) => match reply {
-                DiscReply::Ok => {
+            }
+            (MonState::WritingReplica, SessionEvent::OpDone { reply, .. }) => {
+                if let DiscReply::Ok = reply {
                     let entry = self.current.as_ref().expect("work chosen").0;
                     let node = ctx.node();
                     self.state = MonState::LockingEntry;
@@ -239,11 +239,12 @@ impl SuspenseMonitorApp {
                     if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
                         self.retry(ctx);
                     }
+                } else {
+                    self.retry(ctx);
                 }
-                _ => self.retry(ctx),
-            },
-            (MonState::LockingEntry, SessionEvent::OpDone { reply, .. }) => match reply {
-                DiscReply::Value(_) => {
+            }
+            (MonState::LockingEntry, SessionEvent::OpDone { reply, .. }) => {
+                if let DiscReply::Value(_) = reply {
                     let entry = self.current.as_ref().expect("work chosen").0;
                     let node = ctx.node();
                     self.state = MonState::Deleting;
@@ -254,16 +255,18 @@ impl SuspenseMonitorApp {
                     if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
                         self.retry(ctx);
                     }
+                } else {
+                    self.retry(ctx);
                 }
-                _ => self.retry(ctx),
-            },
-            (MonState::Deleting, SessionEvent::OpDone { reply, .. }) => match reply {
-                DiscReply::Ok => {
+            }
+            (MonState::Deleting, SessionEvent::OpDone { reply, .. }) => {
+                if let DiscReply::Ok = reply {
                     self.state = MonState::Ending;
                     self.session.end(ctx, 0);
+                } else {
+                    self.retry(ctx);
                 }
-                _ => self.retry(ctx),
-            },
+            }
             (MonState::Ending, SessionEvent::Committed { .. }) => {
                 let (entry, rec) = self.current.take().expect("work chosen");
                 ctx.count("suspense.applied", 1);
@@ -352,7 +355,7 @@ impl PairApp for SuspenseMonitorApp {
         ctx.set_timer(self.cfg.poll, TAG_POLL);
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload) {
+    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
         if let Some(d) = delta.downcast_ref::<SuspenseDelta>() {
             match d {
                 SuspenseDelta::Applied { .. } => {
@@ -368,7 +371,7 @@ impl PairApp for SuspenseMonitorApp {
         Payload::new((self.applied, self.retries, self.pending))
     }
 
-    fn restore(&mut self, snapshot: Payload) {
+    fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
         if let Some(&(applied, retries, pending)) = snapshot.downcast_ref::<(u64, u64, u64)>() {
             self.applied = applied;
             self.retries = retries;

@@ -152,7 +152,7 @@ pub enum SuspenseReply {
 /// progress survives takeover so backlog reporting never goes backwards
 /// (the drain itself restarts from the durable suspense file).
 #[derive(Clone, Debug, PartialEq)]
-pub enum SuspenseDelta {
+pub(crate) enum SuspenseDelta {
     /// One deferred update was applied and its suspense entry deleted.
     Applied { dest: NodeId, entry: u64 },
     /// A scan observed this many pending entries.

@@ -187,6 +187,10 @@ impl FlightCause {
     }
 
     /// The numeric payload, if the variant carries one.
+    #[allow(
+        clippy::wildcard_enum_match_arm,
+        reason = "every variant with a numeric payload is listed; the rest carry none"
+    )]
     pub fn arg(&self) -> Option<(&'static str, u64)> {
         match self {
             FlightCause::Phase1Start { participants } => {
@@ -212,6 +216,10 @@ impl FlightCause {
 
     /// Which commit-latency component a gap *ending* at this event is
     /// attributed to (see [`attribute_commit`]).
+    #[allow(
+        clippy::wildcard_enum_match_arm,
+        reason = "Bus is the residual: a gap ending at any other event is message transit"
+    )]
     pub fn component(&self) -> LatencyComponent {
         match self {
             FlightCause::LockQueued { .. } => LatencyComponent::Bus,

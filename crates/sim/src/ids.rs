@@ -90,8 +90,8 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
+        use crate::DetHashSet;
+        let mut set = DetHashSet::default();
         set.insert(NodeId(1));
         set.insert(NodeId(1));
         assert_eq!(set.len(), 1);

@@ -13,9 +13,10 @@ use crate::stable::StableStorage;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
+use crate::{DetHashMap, DetHashSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 struct ProcSlot {
     pid: Pid,
@@ -34,13 +35,13 @@ pub struct World {
     queue: BinaryHeap<QueuedEvent>,
     procs: Vec<ProcSlot>,
     topology: Topology,
-    names: HashMap<(NodeId, String), Pid>,
+    names: DetHashMap<(NodeId, String), Pid>,
     stable: StableStorage,
     rng: StdRng,
     metrics: Metrics,
     trace: Trace,
     flightrec: FlightRecorder,
-    cancelled_timers: HashSet<TimerId>,
+    cancelled_timers: DetHashSet<TimerId>,
     next_timer: u64,
     subscribers: Vec<Pid>,
     events_processed: u64,
@@ -58,13 +59,13 @@ impl World {
             queue: BinaryHeap::new(),
             procs: Vec::new(),
             topology: Topology::new(),
-            names: HashMap::new(),
+            names: DetHashMap::default(),
             stable: StableStorage::new(),
             rng,
             metrics: Metrics::new(),
             trace,
             flightrec,
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: DetHashSet::default(),
             next_timer: 0,
             subscribers: Vec::new(),
             events_processed: 0,

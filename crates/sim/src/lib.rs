@@ -79,3 +79,15 @@ pub use msg::Payload;
 pub use process::{Ctx, Process, SendError, SystemEvent, TimerId};
 pub use stable::StableStorage;
 pub use time::{SimDuration, SimTime};
+
+/// The one hash map sim-executed code may name: `std`'s table with a
+/// fixed SipHash key in place of `RandomState`, so iteration order is a
+/// function of the inserted keys alone — deterministic by type, same cost.
+/// `clippy.toml` disallows naming `std::collections::{HashMap, HashSet}`
+/// anywhere else in the workspace.
+#[allow(clippy::disallowed_types)]
+pub type DetHashMap<K, V> = std::collections::HashMap<K, V, FixedSipHash>;
+/// The set twin of [`DetHashMap`].
+#[allow(clippy::disallowed_types)]
+pub type DetHashSet<T> = std::collections::HashSet<T, FixedSipHash>;
+type FixedSipHash = std::hash::BuildHasherDefault<std::hash::DefaultHasher>;

@@ -8,7 +8,8 @@
 
 use crate::ids::{CpuId, LinkId, NodeId};
 use crate::time::SimDuration;
-use std::collections::{BinaryHeap, HashMap};
+use crate::DetHashMap;
+use std::collections::BinaryHeap;
 
 pub(crate) struct CpuState {
     pub up: bool,
@@ -63,7 +64,7 @@ pub(crate) struct Route {
 pub(crate) struct Topology {
     pub nodes: Vec<NodeState>,
     pub links: Vec<LinkState>,
-    routes: HashMap<(NodeId, NodeId), Option<Route>>,
+    routes: DetHashMap<(NodeId, NodeId), Option<Route>>,
     dirty: bool,
 }
 
@@ -72,7 +73,7 @@ impl Topology {
         Topology {
             nodes: Vec::new(),
             links: Vec::new(),
-            routes: HashMap::new(),
+            routes: DetHashMap::default(),
             dirty: false,
         }
     }

@@ -246,14 +246,14 @@ impl BPlusTree {
     fn leaf_len(&self, id: PageId) -> usize {
         match self.page(id) {
             Page::Leaf { entries, .. } => entries.len(),
-            _ => unreachable!(),
+            Page::Internal { .. } => unreachable!(),
         }
     }
 
     fn internal_len(&self, id: PageId) -> usize {
         match self.page(id) {
             Page::Internal { keys, .. } => keys.len(),
-            _ => unreachable!(),
+            Page::Leaf { .. } => unreachable!(),
         }
     }
 

@@ -154,7 +154,7 @@ impl FileImage {
     pub fn next_entry(&self) -> u64 {
         match self {
             FileImage::EntrySequenced(f) => f.next_entry(),
-            _ => 0,
+            FileImage::KeySequenced(_) | FileImage::Relative(_) => 0,
         }
     }
 }
@@ -298,7 +298,7 @@ mod tests {
             let mut img = FileImage::new(org);
             let key = match org {
                 FileOrganization::KeySequenced => Bytes::from_static(b"alpha"),
-                _ => num_key(3),
+                FileOrganization::Relative | FileOrganization::EntrySequenced => num_key(3),
             };
             img.apply(&key, Some(b("v1")));
             assert_eq!(img.read(&key), Some(b("v1")), "{org:?}");

@@ -10,7 +10,9 @@
 //! process, not the disc.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use encompass_sim::DetHashMap;
+use guardian::Checkpointed;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Dirty records not yet flushed: `(file, key) -> Some(value) | None`
 /// (None = deleted).
@@ -41,27 +43,33 @@ impl Overlay {
     }
 
     /// Apply one logical database update to the write-behind cache. Every
-    /// caller must have checkpointed intent to the backup first — this is
-    /// the paper's checkpoint-before-update (WAL) discipline, enforced
-    /// statically by encompass-lint rule L2-wal.
-    // lint: mutates-db
-    pub fn put(&mut self, file: &str, key: Bytes, value: Option<Bytes>) {
+    /// caller must have checkpointed intent to the backup first — the
+    /// paper's checkpoint-before-update (WAL) discipline — and proves it
+    /// with the [`Checkpointed`] witness:
+    ///
+    /// ```compile_fail
+    /// let mut overlay = encompass_storage::overlay::Overlay::new();
+    /// overlay.put("f", bytes::Bytes::new(), None); // no checkpoint, no update
+    /// ```
+    pub fn put(&mut self, file: &str, key: Bytes, value: Option<Bytes>, _cp: &Checkpointed) {
         self.dirty.insert((file.to_string(), key), value);
     }
 
     /// Drop one dirty entry (a backup mirroring the primary's flush).
     /// Discarding overlay state is as much a database mutation as writing
     /// it: an unreviewed path here can lose a committed update.
-    // lint: mutates-db
-    pub fn remove(&mut self, file: &str, key: &[u8]) {
+    pub fn remove(&mut self, file: &str, key: &[u8], _cp: &Checkpointed) {
         self.dirty
             .remove(&(file.to_string(), Bytes::copy_from_slice(key)));
     }
 
     /// Remove and return up to `n` dirty entries for flushing (in key
     /// order, so flushes are deterministic).
-    // lint: mutates-db
-    pub fn take_batch(&mut self, n: usize) -> Vec<(String, Bytes, Option<Bytes>)> {
+    pub fn take_batch(
+        &mut self,
+        n: usize,
+        _cp: &Checkpointed,
+    ) -> Vec<(String, Bytes, Option<Bytes>)> {
         let keys: Vec<(String, Bytes)> = self.dirty.keys().take(n).cloned().collect();
         keys.into_iter()
             .map(|k| {
@@ -94,7 +102,7 @@ impl Overlay {
 pub struct ReadCache {
     capacity: usize,
     queue: VecDeque<(String, Bytes)>,
-    members: HashMap<(String, Bytes), u64>,
+    members: DetHashMap<(String, Bytes), u64>,
     clock: u64,
     pub hits: u64,
     pub misses: u64,
@@ -105,7 +113,7 @@ impl ReadCache {
         ReadCache {
             capacity: capacity.max(1),
             queue: VecDeque::new(),
-            members: HashMap::new(),
+            members: DetHashMap::default(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -160,13 +168,17 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    fn cp() -> Checkpointed {
+        Checkpointed::reviewed("unit test: no backup exists")
+    }
+
     #[test]
     fn overlay_tracks_dirty_state() {
         let mut o = Overlay::new();
         assert_eq!(o.get("f", b"k"), None);
-        o.put("f", b("k"), Some(b("v")));
+        o.put("f", b("k"), Some(b("v")), &cp());
         assert_eq!(o.get("f", b"k"), Some(Some(b("v"))));
-        o.put("f", b("k"), None);
+        o.put("f", b("k"), None, &cp());
         assert_eq!(o.get("f", b"k"), Some(None), "deletion is dirty state");
         assert_eq!(o.len(), 1);
     }
@@ -174,15 +186,15 @@ mod tests {
     #[test]
     fn take_batch_drains_in_order() {
         let mut o = Overlay::new();
-        o.put("f", b("b"), Some(b("2")));
-        o.put("f", b("a"), Some(b("1")));
-        o.put("g", b("c"), Some(b("3")));
-        let batch = o.take_batch(2);
+        o.put("f", b("b"), Some(b("2")), &cp());
+        o.put("f", b("a"), Some(b("1")), &cp());
+        o.put("g", b("c"), Some(b("3")), &cp());
+        let batch = o.take_batch(2, &cp());
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].1, b("a"));
         assert_eq!(batch[1].1, b("b"));
         assert_eq!(o.len(), 1);
-        let rest = o.take_batch(10);
+        let rest = o.take_batch(10, &cp());
         assert_eq!(rest.len(), 1);
         assert!(o.is_empty());
     }
@@ -190,9 +202,9 @@ mod tests {
     #[test]
     fn file_entries_scoped_to_file() {
         let mut o = Overlay::new();
-        o.put("a", b("k1"), Some(b("1")));
-        o.put("b", b("k2"), Some(b("2")));
-        o.put("a", b("k0"), None);
+        o.put("a", b("k1"), Some(b("1")), &cp());
+        o.put("b", b("k2"), Some(b("2")), &cp());
+        o.put("a", b("k0"), None, &cp());
         let got = o.file_entries("a");
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, b("k0"));

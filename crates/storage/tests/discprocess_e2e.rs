@@ -1,6 +1,11 @@
 //! End-to-end DISCPROCESS tests: a real simulated world, a process-pair per
 //! volume, scripted clients, and fault injection.
 
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "a test names the one variant it expects; any other is the failure it reports"
+)]
+
 use bytes::Bytes;
 use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, SimTime, World};
 use encompass_storage::discprocess::{

@@ -6,6 +6,7 @@ use bytes::Bytes;
 use encompass_storage::media::FileImage;
 use encompass_storage::overlay::Overlay;
 use encompass_storage::types::FileOrganization;
+use guardian::Checkpointed;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -58,6 +59,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
     fn overlay_over_media_equals_flat_map(ops in prop::collection::vec(op_strategy(), 1..300)) {
+        let cp = Checkpointed::reviewed("property test: no backup exists");
         let mut overlay = Overlay::new();
         let mut media = FileImage::new(FileOrganization::KeySequenced);
         let mut model: BTreeMap<Bytes, Bytes> = BTreeMap::new();
@@ -66,15 +68,15 @@ proptest! {
             match op {
                 Op::Put(k, v) => {
                     let value = Bytes::from(format!("v{v}"));
-                    overlay.put("f", key(k), Some(value.clone()));
+                    overlay.put("f", key(k), Some(value.clone()), &cp);
                     model.insert(key(k), value);
                 }
                 Op::Delete(k) => {
-                    overlay.put("f", key(k), None);
+                    overlay.put("f", key(k), None, &cp);
                     model.remove(&key(k));
                 }
                 Op::Flush(n) => {
-                    for (file, k, v) in overlay.take_batch(n as usize) {
+                    for (file, k, v) in overlay.take_batch(n as usize, &cp) {
                         prop_assert_eq!(file.as_str(), "f");
                         media.apply(&k, v);
                     }
@@ -94,7 +96,7 @@ proptest! {
         let expected: Vec<(Bytes, Bytes)> = model.clone().into_iter().collect();
         prop_assert_eq!(scanned, expected);
         // and a full flush drains the overlay and leaves the media equal
-        for (_, k, v) in overlay.take_batch(usize::MAX) {
+        for (_, k, v) in overlay.take_batch(usize::MAX, &cp) {
             media.apply(&k, v);
         }
         prop_assert!(overlay.is_empty());

@@ -110,6 +110,17 @@ pub trait Rng: RngCore {
 
 impl<T: RngCore + ?Sized> Rng for T {}
 
+/// A generator seeded from the operating system, so every run draws a
+/// different stream — as the real crate's `thread_rng` does. The workspace
+/// bans it (`clippy.toml` disallowed-methods): sim code draws from the
+/// kernel's seeded rng. It is here so that ban names a function that
+/// exists, with or without the real crate.
+pub fn thread_rng() -> rngs::StdRng {
+    use std::hash::{BuildHasher, Hasher};
+    let os_seeded = std::collections::hash_map::RandomState::new();
+    rngs::StdRng::seed_from_u64(os_seeded.build_hasher().finish())
+}
+
 pub mod rngs {
     use super::{RngCore, SeedableRng};
 

@@ -3,6 +3,11 @@
 //! the TMF utility (disposition query / manual override), and a run with
 //! message jitter enabled (shakes out accidental ordering assumptions).
 
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "a test names the one variant it expects; any other is the failure it reports"
+)]
+
 use bytes::Bytes;
 use encompass_tmf::audit::monitor::MonitorTrail;
 use encompass_tmf::audit::rollforward::rollforward_volume;
