@@ -1,0 +1,66 @@
+//! Golden trace-hash folds: the proof that a refactor changed nothing.
+//!
+//! Each tier folds its seeds' trace hashes the way `benchmark/` folds
+//! `chaos_sweep400` (`rotate_left(7) ^ trace_hash`) and compares against
+//! a literal. A refactor must leave every literal alone; a deliberate
+//! behaviour change (a new message, a moved timer) edits the literal in
+//! the same commit — the failure message prints the new fold.
+
+use encompass_chaos::{run_schedule, run_seed, run_shard_seed, run_soak_seed, Schedule};
+
+fn fold(hashes: impl Iterator<Item = u64>) -> u64 {
+    hashes.fold(0u64, |acc, h| acc.rotate_left(7) ^ h)
+}
+
+fn check(tier: &str, expected: u64, got: u64) {
+    assert_eq!(
+        got, expected,
+        "{tier}: trace-hash fold is now {got:#018x} (golden {expected:#018x}); \
+         if the behaviour change is deliberate, put the new fold in this file"
+    );
+}
+
+#[test]
+fn sweep_0_to_25() {
+    check(
+        "run_seed(0..25)",
+        0xa69c_f74b_f972_4296,
+        fold((0..25).map(|s| run_seed(s).trace_hash)),
+    );
+}
+
+/// The same 25 seeds as `--dumps` runs them: online-dump plan and
+/// trail purging enabled.
+#[test]
+fn sweep_0_to_25_with_dumps() {
+    check(
+        "run_seed(0..25) with dumps_enabled",
+        0x86e3_f275_d754_2155,
+        fold((0..25).map(|s| {
+            let mut schedule = Schedule::generate(s);
+            schedule.dumps_enabled = true;
+            run_schedule(&schedule).trace_hash
+        })),
+    );
+}
+
+#[test]
+fn shard_sweep_0_to_8() {
+    check(
+        "run_shard_seed(0..8)",
+        0xa955_26f8_0ae4_32fe,
+        fold((0..8).map(|s| run_shard_seed(s).trace_hash)),
+    );
+}
+
+/// Simulated hours per seed: release builds only
+/// (`cargo test --release -p encompass-chaos --test golden_hashes -- --include-ignored`).
+#[test]
+#[ignore = "soak seeds take minutes unoptimised; CI runs them in release"]
+fn soak_seeds_0_and_10() {
+    check(
+        "run_soak_seed(0), run_soak_seed(10)",
+        0xf336_a736_dead_c819,
+        fold([0, 10].into_iter().map(|s| run_soak_seed(s).run.trace_hash)),
+    );
+}
