@@ -7,8 +7,8 @@
 //! the property the paper's distributed audit-trail placement buys.
 //!
 //! The process is deliberately stateless across failures: its jobs are
-//! reconstructible, so a takeover simply drops them and the requesting TMP
-//! retries (its Backout request is safe-delivery).
+//! reconstructible, so they die with a failed primary and the requesting
+//! TMP retries against the new one (its Backout request is safe-delivery).
 
 use encompass_sim::{DetHashMap, Payload, Pid, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
@@ -40,21 +40,29 @@ struct Job {
     outstanding: usize,
 }
 
+/// What an outstanding call to a DISCPROCESS is for.
+enum DiscThen {
+    /// The `FlushTxn` barrier (all of the volume's lazy appends
+    /// acknowledged), without which the image read that follows could miss
+    /// in-flight records and the undo would be partial. Next: read
+    /// `transid`'s images from `audit_service`.
+    Flushed {
+        transid: Transid,
+        volume: VolumeRef,
+        audit_service: String,
+    },
+    /// The `Undo` of one volume's images: that volume's step is done.
+    Undone(Transid),
+}
+
 /// The BACKOUTPROCESS application.
 pub struct BackoutProcess {
     service: String,
-    audit_rpc: Rpc<AuditMsg, AuditReply>,
-    disc_rpc: Rpc<DiscRequest, DiscReply>,
+    /// `ReadTxnImages` calls; the continuation is the transaction and the
+    /// volume whose images are wanted.
+    audit_rpc: Rpc<AuditMsg, AuditReply, (Transid, VolumeRef)>,
+    disc_rpc: Rpc<DiscRequest, DiscReply, DiscThen>,
     jobs: DetHashMap<Transid, Job>,
-    /// disc-rpc id → (transid, volume, audit service) awaiting the flush
-    /// barrier (all of the volume's lazy appends acknowledged), without
-    /// which the image read below could miss in-flight records and the
-    /// undo would be partial
-    flush_acks: DetHashMap<u64, (Transid, VolumeRef, String)>,
-    /// audit-rpc id → (transid, volume) awaiting images
-    image_reads: DetHashMap<u64, (Transid, VolumeRef)>,
-    /// disc-rpc id → transid awaiting undo ack
-    undo_acks: DetHashMap<u64, Transid>,
     replies: ReplyCache<BackoutReply>,
 }
 
@@ -65,9 +73,6 @@ impl BackoutProcess {
             audit_rpc: Rpc::new(3),
             disc_rpc: Rpc::new(4),
             jobs: DetHashMap::default(),
-            flush_acks: DetHashMap::default(),
-            image_reads: DetHashMap::default(),
-            undo_acks: DetHashMap::default(),
             replies: ReplyCache::new(4096),
         }
     }
@@ -99,51 +104,51 @@ impl PairApp for BackoutProcess {
         // completions of our own sub-requests
         let payload = match self.audit_rpc.accept(ctx, payload) {
             Ok(c) => {
-                if let Some((transid, volume)) = self.image_reads.remove(&c.id) {
-                    let AuditReply::Images(images) = c.body else {
-                        // protocol mismatch: treat as nothing to undo
-                        self.job_step_done(ctx, transid);
-                        return;
-                    };
-                    let local: Vec<_> = images
-                        .into_iter()
-                        .filter(|img| img.volume == volume)
-                        .collect();
-                    ctx.count("backout.images", local.len() as u64);
-                    if local.is_empty() {
-                        self.job_step_done(ctx, transid);
-                        return;
-                    }
-                    let rpc_id = self.disc_rpc.call_persistent(
-                        ctx,
-                        Target::Named(volume.node, volume.volume.clone()),
-                        DiscRequest::Undo { images: local },
-                        SimDuration::from_millis(50),
-                        0,
-                    );
-                    self.undo_acks.insert(rpc_id, transid);
+                let (transid, volume) = c.then;
+                let AuditReply::Images(images) = c.body else {
+                    // protocol mismatch: treat as nothing to undo
+                    self.job_step_done(ctx, transid);
+                    return;
+                };
+                let local: Vec<_> = images
+                    .into_iter()
+                    .filter(|img| img.volume == volume)
+                    .collect();
+                ctx.count("backout.images", local.len() as u64);
+                if local.is_empty() {
+                    self.job_step_done(ctx, transid);
+                    return;
                 }
+                self.disc_rpc.call_persistent(
+                    ctx,
+                    Target::Named(volume.node, volume.volume.clone()),
+                    DiscRequest::Undo { images: local },
+                    SimDuration::from_millis(50),
+                    DiscThen::Undone(transid),
+                );
                 return;
             }
             Err(p) => p,
         };
         let payload = match self.disc_rpc.accept(ctx, payload) {
             Ok(c) => {
-                if let Some((transid, volume, svc)) = self.flush_acks.remove(&c.id) {
-                    // the volume's appends have drained: the audit trail +
-                    // buffer now hold every image, so read them
-                    let rpc_id = self.audit_rpc.call_persistent(
-                        ctx,
-                        Target::Named(volume.node, svc),
-                        AuditMsg::ReadTxnImages { transid },
-                        SimDuration::from_millis(50),
-                        0,
-                    );
-                    self.image_reads.insert(rpc_id, (transid, volume));
-                    return;
-                }
-                if let Some(transid) = self.undo_acks.remove(&c.id) {
-                    self.job_step_done(ctx, transid);
+                match c.then {
+                    DiscThen::Flushed {
+                        transid,
+                        volume,
+                        audit_service,
+                    } => {
+                        // the volume's appends have drained: the audit
+                        // trail + buffer now hold every image, so read them
+                        self.audit_rpc.call_persistent(
+                            ctx,
+                            Target::Named(volume.node, audit_service),
+                            AuditMsg::ReadTxnImages { transid },
+                            SimDuration::from_millis(50),
+                            (transid, volume),
+                        );
+                    }
+                    DiscThen::Undone(transid) => self.job_step_done(ctx, transid),
                 }
                 return;
             }
@@ -179,17 +184,20 @@ impl PairApp for BackoutProcess {
                 outstanding: volumes.len(),
             },
         );
-        for (volume, svc) in volumes.into_iter().zip(audit_services) {
+        for (volume, audit_service) in volumes.into_iter().zip(audit_services) {
             // barrier first: the DISCPROCESS answers once all its lazy
             // appends for the transaction are acknowledged by the audit
-            let rpc_id = self.disc_rpc.call_persistent(
+            self.disc_rpc.call_persistent(
                 ctx,
                 Target::Named(volume.node, volume.volume.clone()),
                 DiscRequest::FlushTxn { transid },
                 SimDuration::from_millis(50),
-                1,
+                DiscThen::Flushed {
+                    transid,
+                    volume,
+                    audit_service,
+                },
             );
-            self.flush_acks.insert(rpc_id, (transid, volume, svc));
         }
     }
 
@@ -199,12 +207,9 @@ impl PairApp for BackoutProcess {
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        // jobs are reconstructible: the TMP's request is safe-delivery and
-        // will be retried against the new primary
-        self.jobs.clear();
-        self.flush_acks.clear();
-        self.image_reads.clear();
-        self.undo_acks.clear();
+        // jobs are reconstructible: the dead primary's died with it (this
+        // half has never run one), and the TMP's request is safe-delivery,
+        // so it is retried against this new primary
         ctx.count("backout.takeovers", 1);
     }
 

@@ -25,8 +25,8 @@
 //!    trail-capacity manager trusts when purging.
 //!
 //! The pair is deliberately stateless across failures, like the
-//! BACKOUTPROCESS: a takeover drops the in-flight copy and the requester's
-//! safe-delivery retry restarts the dump from scratch. Duplicate begin/end
+//! BACKOUTPROCESS: the in-flight copy dies with a failed primary and the
+//! requester's safe-delivery retry restarts the dump from scratch. Duplicate begin/end
 //! markers from a restarted dump are harmless — recovery filters them.
 
 use encompass_sim::{DetHashMap, Payload, Pid, SimDuration, World};
@@ -80,11 +80,11 @@ struct Job {
 /// The DUMPPROCESS application.
 pub struct DumpProcess {
     service: String,
-    disc_rpc: Rpc<DiscRequest, DiscReply>,
+    /// Dump steps sent to the volume; the continuation is the job's
+    /// request id.
+    disc_rpc: Rpc<DiscRequest, DiscReply, u64>,
     /// In-flight dumps, keyed by originating request id.
     jobs: DetHashMap<u64, Job>,
-    /// disc-rpc id → job request id.
-    waits: DetHashMap<u64, u64>,
     replies: ReplyCache<DumpReply>,
     /// Archive generations retained per volume; older generations are
     /// deleted once the registry update supersedes them.
@@ -101,7 +101,6 @@ impl DumpProcess {
             service: service.to_string(),
             disc_rpc: Rpc::new(1),
             jobs: DetHashMap::default(),
-            waits: DetHashMap::default(),
             replies: ReplyCache::new(4096),
             archive_retain: archive_retain.max(1),
         }
@@ -112,10 +111,8 @@ impl DumpProcess {
             return;
         };
         let target = Target::Named(job.volume.node, job.volume.service_name());
-        let rpc_id =
-            self.disc_rpc
-                .call_persistent(ctx, target, req, SimDuration::from_millis(50), 0);
-        self.waits.insert(rpc_id, job_id);
+        self.disc_rpc
+            .call_persistent(ctx, target, req, SimDuration::from_millis(50), job_id);
     }
 
     /// Request the next page, or move to archiving + DumpEnd when every
@@ -161,10 +158,7 @@ impl DumpProcess {
         reply(ctx, job.req_id, job.from, r);
     }
 
-    fn on_disc_reply(&mut self, ctx: &mut PairCtx<'_, '_>, rpc_id: u64, body: DiscReply) {
-        let Some(job_id) = self.waits.remove(&rpc_id) else {
-            return;
-        };
+    fn on_disc_reply(&mut self, ctx: &mut PairCtx<'_, '_>, job_id: u64, body: DiscReply) {
         match body {
             DiscReply::DumpBegun {
                 watermark,
@@ -272,7 +266,7 @@ impl PairApp for DumpProcess {
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, _src: Pid, payload: Payload) {
         let payload = match self.disc_rpc.accept(ctx, payload) {
             Ok(c) => {
-                self.on_disc_reply(ctx, c.id, c.body);
+                self.on_disc_reply(ctx, c.then, c.body);
                 return;
             }
             Err(p) => p,
@@ -314,10 +308,9 @@ impl PairApp for DumpProcess {
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        // the copy in progress died with the primary; the requester's
-        // safe-delivery retry restarts the dump from DumpBegin
-        self.jobs.clear();
-        self.waits.clear();
+        // the copy in progress died with the primary (this half has never
+        // run one); the requester's safe-delivery retry restarts the dump
+        // from DumpBegin
         ctx.count("dump.takeovers", 1);
     }
 

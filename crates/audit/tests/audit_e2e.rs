@@ -389,7 +389,7 @@ impl Process for BackoutDriver {
                 audit_services: vec!["$AUDIT".into()],
             },
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
     fn on_message(&mut self, ctx: &mut encompass_sim::Ctx<'_>, _src: Pid, payload: Payload) {

@@ -258,7 +258,7 @@ impl Process for MfgDriver {
                                 env,
                                 SimDuration::from_secs(2),
                                 0,
-                                0,
+                                (),
                             )
                             .is_err()
                         {

@@ -359,7 +359,7 @@ impl Process for TmpCommand {
             Target::Named(self.node, "$TMP".into()),
             self.msg.clone(),
             SimDuration::from_millis(200),
-            0,
+            (),
         );
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {

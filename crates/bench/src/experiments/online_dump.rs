@@ -69,7 +69,7 @@ impl Process for DumpOnce {
                 generation: 1,
             },
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 

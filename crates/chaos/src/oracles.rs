@@ -45,14 +45,13 @@ pub enum StateKind {
 pub struct StateCaps {
     /// `DiscConfig::snapshot_undo_capacity` in effect for the run.
     pub snapshot_undo: usize,
-    /// Live (unsettled) fenced transactions on one volume.
-    pub fenced_live: usize,
+    /// Live transactions (holding locks, writing, or fenced and not yet
+    /// released) on one volume.
+    pub live_txns: usize,
     /// The DISCPROCESS's `SETTLED_FENCE_CAPACITY`.
     pub settled_fences: usize,
     /// Counted-but-uncompleted lock waits on one volume.
     pub counted_waits: usize,
-    /// Live transactions with retained (unforced) images on one volume.
-    pub unforced_txns: usize,
     /// Transaction-table entries at one TMP.
     pub tmp_txns: usize,
     /// Reply-cache occupancy (each cache is bounded by construction;
@@ -71,10 +70,9 @@ impl StateCaps {
     pub fn soak(snapshot_undo_capacity: usize, archive_retain: usize) -> StateCaps {
         StateCaps {
             snapshot_undo: snapshot_undo_capacity,
-            fenced_live: 256,
+            live_txns: 256,
             settled_fences: SETTLED_FENCE_CAPACITY,
             counted_waits: 512,
-            unforced_txns: 64,
             tmp_txns: 256,
             reply_cache: 16384,
             audit_buffered: 4096,
@@ -101,14 +99,10 @@ pub fn bounded_violations(obs: &[StateObservation], caps: &StateCaps) -> Vec<Str
         match &o.kind {
             StateKind::Disc(r) => {
                 breach(p, o.epoch, "snapshot_undo", r.snapshot_undo, caps.snapshot_undo);
-                breach(p, o.epoch, "fenced_live", r.fenced_live, caps.fenced_live);
+                breach(p, o.epoch, "live_txns", r.live_txns, caps.live_txns);
                 breach(p, o.epoch, "settled_fences", r.settled_fences, caps.settled_fences);
                 breach(p, o.epoch, "counted_waits", r.counted_waits, caps.counted_waits);
-                breach(p, o.epoch, "unforced_txns", r.unforced_txns, caps.unforced_txns);
                 breach(p, o.epoch, "reply_cache", r.reply_cache, caps.reply_cache);
-                // images/low-seq pins exist only for live fenced txns
-                breach(p, o.epoch, "txn_images", r.txn_images, caps.fenced_live);
-                breach(p, o.epoch, "txn_low_seq", r.txn_low_seq, caps.fenced_live);
             }
             StateKind::Tmp(r) => {
                 breach(p, o.epoch, "txns", r.txns, caps.tmp_txns);
@@ -473,22 +467,22 @@ mod tests {
     }
 
     #[test]
-    fn leaked_per_transid_maps_fire() {
-        // post-settlement leak: counted_waits / unforced images growing
-        // past any plausible live population
+    fn leaked_per_transid_state_fires() {
+        // post-settlement leak: counted_waits / transaction records
+        // growing past any plausible live population
         let obs = vec![StateObservation {
             process: "$BANK@\\N0".into(),
             epoch: 7,
             kind: StateKind::Disc(DiscStateReport {
                 counted_waits: 513,
-                unforced_txns: 65,
+                live_txns: 257,
                 ..Default::default()
             }),
         }];
         let v = bounded_violations(&obs, &caps());
         assert_eq!(v.len(), 2);
         assert!(v.iter().any(|s| s.contains("counted_waits=513")));
-        assert!(v.iter().any(|s| s.contains("unforced_txns=65")));
+        assert!(v.iter().any(|s| s.contains("live_txns=257")));
     }
 
     #[test]

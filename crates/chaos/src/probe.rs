@@ -51,7 +51,7 @@ impl Process for TmpProbe {
             Target::Named(self.node, "$TMP".into()),
             TmpMsg::ListOpen,
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 
@@ -110,7 +110,7 @@ impl Process for TmpStateProbe {
             Target::Named(self.node, "$TMP".into()),
             TmpMsg::StateAudit,
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 
@@ -170,7 +170,7 @@ impl Process for AuditStateProbe {
             Target::Named(self.node, self.service.clone()),
             AuditMsg::StateAudit,
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 

@@ -404,7 +404,7 @@ impl encompass_sim::Process for DumpClient {
                 generation: self.generation,
             },
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 
@@ -451,7 +451,7 @@ impl encompass_sim::Process for AuditFlushClient {
                 force: true,
             },
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 

@@ -484,14 +484,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         if let Some(r) = &*final_probes.tmp[node.0 as usize].1.borrow() {
             o.monitor_boxcar = r.monitor_boxcar;
             o.monitor_inflight = r.monitor_inflight;
-            o.outstanding_rpcs = r.deliveries
-                + r.early_releases
-                + r.backouts
-                + r.phase1_disc
-                + r.phase1_tmp
-                + r.remote_begins
-                + r.janitor_rpcs
-                + r.purge_rpcs;
+            o.outstanding_rpcs = r.outstanding_rpcs;
         }
         live_obs.push(o);
     }

@@ -541,11 +541,10 @@ impl TmfSession {
                 }
                 Stage::Execute => {
                     let op = p.op.clone().expect("data op present");
-                    let cookie = p.cookie;
                     let target = Target::Named(volume.node, volume.volume.clone());
                     if self
                         .disc_rpc
-                        .call(ctx, target, op, self.attempt_timeout, self.retries, cookie)
+                        .call(ctx, target, op, self.attempt_timeout, self.retries, ())
                         .is_err()
                     {
                         // the DISCPROCESS name is unresolvable right now
@@ -557,7 +556,7 @@ impl TmfSession {
                                 Target::Named(volume.node, volume.volume.clone()),
                                 op,
                                 self.attempt_timeout,
-                                cookie,
+                                (),
                             );
                         }
                     }
@@ -581,7 +580,7 @@ impl TmfSession {
             Target::Named(node, "$TMP".into()),
             msg,
             self.attempt_timeout,
-            0,
+            (),
         );
     }
 

@@ -34,14 +34,17 @@ use crate::table::StateBroadcast;
 use encompass_audit::backout::{BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_sim::{
-    DetHashMap, DetHashSet, FlightCause, HistogramHandle, NodeId, Payload, Pid, SimDuration,
-    SimTime, SystemEvent, World,
+    DetHashMap, FlightCause, HistogramHandle, NodeId, Payload, Pid, SimDuration, SimTime,
+    SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
+use guardian::{
+    reply, Checkpointed, Completion, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target,
+    TimerOutcome,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 const TAG_MONITOR_BASE: u64 = 1 << 16;
@@ -132,22 +135,10 @@ pub struct TmpStateReport {
     pub monitor_boxcar: usize,
     /// Records in the monitor force currently in flight.
     pub monitor_inflight: usize,
-    /// Outstanding safe-delivery rpcs (Phase2 / AbortTxn / ReleaseLocks).
-    pub deliveries: usize,
-    /// Outstanding early (COMMITTING-state) lock-release rpcs.
-    pub early_releases: usize,
-    /// Outstanding backout rpcs.
-    pub backouts: usize,
-    /// Outstanding phase-one rpcs to local volumes.
-    pub phase1_disc: usize,
-    /// Outstanding phase-one rpcs to child nodes.
-    pub phase1_tmp: usize,
-    /// Outstanding remote-begin rpcs.
-    pub remote_begins: usize,
-    /// Outstanding in-doubt disposition queries.
-    pub janitor_rpcs: usize,
-    /// Outstanding capacity-sweep purge rpcs.
-    pub purge_rpcs: usize,
+    /// Calls this TMP has issued and not yet seen end, over all four of
+    /// its rpc clients (DISCPROCESS, TMP, BACKOUTPROCESS, AUDITPROCESS):
+    /// every message of either class, whatever it is for.
+    pub outstanding_rpcs: usize,
     /// Reply-cache occupancy (bounded by its capacity).
     pub reply_cache: usize,
 }
@@ -270,6 +261,40 @@ struct TmpSnapshot {
     replies: Vec<(u64, TmpReply)>,
 }
 
+/// What an outstanding call to a DISCPROCESS is for.
+enum DiscThen {
+    /// Critical-response `EndPhase1` to a participating volume.
+    Phase1(Transid),
+    /// Early (COMMITTING-state) `ReleaseLocks`. Nothing waits on its ack:
+    /// the terminal delivery set re-sends ReleaseLocks anyway, and
+    /// receivers are idempotent.
+    EarlyRelease,
+    /// Safe-delivery `ReleaseLocks` of a terminal delivery set.
+    Delivery(Transid),
+}
+
+/// What an outstanding call to another node's TMP is for.
+enum TmpThen {
+    /// Critical-response `Phase1` to a child node.
+    Phase1(Transid),
+    /// Critical-response `RemoteBegin` to `dest`; the session's
+    /// `EnsureRemoteSend` (`req_id` from `from`) is answered when it ends.
+    RemoteBegin {
+        transid: Transid,
+        dest: NodeId,
+        req_id: u64,
+        from: Pid,
+    },
+    /// Safe-delivery `Phase2`/`AbortTxn` of a terminal delivery set.
+    Delivery(Transid),
+    /// Safe-delivery `AbortTxn` sent to a child the moment an abort
+    /// starts. Nothing waits on its ack: the terminal delivery set sends
+    /// the child its disposition again once backout is done.
+    AbortNotice,
+    /// In-doubt `QueryDisposition` to a non-home entry's home node.
+    Janitor(Transid),
+}
+
 /// The TMP application (hosted in a `guardian` process-pair, named `$TMP`).
 pub struct TmpProcess {
     cfg: TmpConfig,
@@ -278,17 +303,13 @@ pub struct TmpProcess {
     // in transid order.
     txns: BTreeMap<Transid, Txn>,
     replies: ReplyCache<TmpReply>,
-    disc_rpc: Rpc<DiscRequest, DiscReply>,
-    tmp_rpc: Rpc<TmpMsg, TmpReply>,
-    backout_rpc: Rpc<BackoutMsg, BackoutReply>,
+    disc_rpc: Rpc<DiscRequest, DiscReply, DiscThen>,
+    tmp_rpc: Rpc<TmpMsg, TmpReply, TmpThen>,
+    /// Backout requests; the continuation is the transaction backed out.
+    backout_rpc: Rpc<BackoutMsg, BackoutReply, Transid>,
+    /// Capacity-sweep Purge requests, the only calls made to an
+    /// AUDITPROCESS from here.
     audit_rpc: Rpc<AuditMsg, AuditReply>,
-    /// critical EndPhase1 rpc → transid
-    phase1_disc: DetHashMap<u64, Transid>,
-    /// critical Phase1 rpc → (transid, child)
-    phase1_tmp: DetHashMap<u64, (Transid, NodeId)>,
-    /// critical RemoteBegin rpc → (transid, dest, requester)
-    remote_begins: DetHashMap<u64, (Transid, NodeId, u64, Pid)>,
-    backouts: DetHashMap<u64, Transid>,
     monitor_timers: DetHashMap<u64, (Transid, bool)>,
     /// Completion records waiting to board the next monitor-trail force
     /// (group-commit path; unused when the window is zero).
@@ -300,16 +321,6 @@ pub struct TmpProcess {
     /// timer left over from an earlier, max-filled boxcar and must be
     /// ignored, or it closes the new boxcar before its own window elapses.
     monitor_window_deadline: Option<SimTime>,
-    /// safe-delivery Phase2/AbortTxn/ReleaseLocks rpc → transid
-    deliveries: DetHashMap<u64, Transid>,
-    /// Early (COMMITTING-state) lock-release rpc → transid. Purely
-    /// informational: the terminal delivery set re-sends ReleaseLocks
-    /// anyway, and receivers are idempotent.
-    early_releases: DetHashMap<u64, Transid>,
-    /// in-doubt QueryDisposition rpc → transid
-    janitor_rpcs: BTreeMap<u64, Transid>,
-    /// outstanding capacity-sweep Purge rpcs
-    purge_rpcs: DetHashSet<u64>,
     next_tag: u64,
     /// Interned histogram keys: the commit path must not format counter
     /// names per observation.
@@ -328,18 +339,10 @@ impl TmpProcess {
             tmp_rpc: Rpc::new(11),
             backout_rpc: Rpc::new(12),
             audit_rpc: Rpc::new(13),
-            phase1_disc: DetHashMap::default(),
-            phase1_tmp: DetHashMap::default(),
-            remote_begins: DetHashMap::default(),
-            backouts: DetHashMap::default(),
             monitor_timers: DetHashMap::default(),
             monitor_boxcar: Vec::new(),
             monitor_inflight: None,
             monitor_window_deadline: None,
-            deliveries: DetHashMap::default(),
-            early_releases: DetHashMap::default(),
-            janitor_rpcs: BTreeMap::new(),
-            purge_rpcs: DetHashSet::default(),
             next_tag: 0,
             boxcar_hist: HistogramHandle::new("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
             latency_hist: HistogramHandle::new("tmf.commit_latency_us", LATENCY_BOUNDS),
@@ -456,42 +459,40 @@ impl TmpProcess {
         }
         for v in volumes {
             ctx.count("tmf.msgs.phase1_local", 1);
-            match self.disc_rpc.call(
-                ctx,
-                Target::Named(v.node, v.volume.clone()),
-                DiscRequest::EndPhase1 { transid },
-                self.cfg.critical_timeout,
-                self.cfg.critical_retries,
-                0,
-            ) {
-                Ok(id) => {
-                    self.phase1_disc.insert(id, transid);
-                }
-                Err(_) => {
-                    self.phase1_failed(ctx, transid);
-                    return;
-                }
+            if self
+                .disc_rpc
+                .call(
+                    ctx,
+                    Target::Named(v.node, v.volume.clone()),
+                    DiscRequest::EndPhase1 { transid },
+                    self.cfg.critical_timeout,
+                    self.cfg.critical_retries,
+                    DiscThen::Phase1(transid),
+                )
+                .is_err()
+            {
+                self.phase1_failed(ctx, transid);
+                return;
             }
         }
         for child in children {
             ctx.count("tmf.msgs.phase1_net", 1);
-            match self.tmp_rpc.call(
-                ctx,
-                Target::Named(child, "$TMP".into()),
-                TmpMsg::Phase1 { transid },
-                self.cfg.critical_timeout,
-                self.cfg.critical_retries,
-                0,
-            ) {
-                Ok(id) => {
-                    self.phase1_tmp.insert(id, (transid, child));
-                }
-                Err(_) => {
-                    // "the destination TMP must be accessible at the time
-                    // the message is initiated"
-                    self.phase1_failed(ctx, transid);
-                    return;
-                }
+            if self
+                .tmp_rpc
+                .call(
+                    ctx,
+                    Target::Named(child, "$TMP".into()),
+                    TmpMsg::Phase1 { transid },
+                    self.cfg.critical_timeout,
+                    self.cfg.critical_retries,
+                    TmpThen::Phase1(transid),
+                )
+                .is_err()
+            {
+                // "the destination TMP must be accessible at the time
+                // the message is initiated"
+                self.phase1_failed(ctx, transid);
+                return;
             }
         }
     }
@@ -559,7 +560,7 @@ impl TmpProcess {
         let volumes = t.volumes.clone();
         for v in volumes {
             ctx.count("tmf.msgs.release_early", 1);
-            let id = self.disc_rpc.call_persistent(
+            self.disc_rpc.call_persistent(
                 ctx,
                 Target::Named(v.node, v.volume.clone()),
                 DiscRequest::ReleaseLocks {
@@ -567,9 +568,8 @@ impl TmpProcess {
                     commit: true,
                 },
                 self.cfg.safe_retry,
-                0,
+                DiscThen::EarlyRelease,
             );
-            self.early_releases.insert(id, transid);
         }
     }
 
@@ -767,7 +767,7 @@ impl TmpProcess {
         let mut pending = 0usize;
         for v in volumes {
             ctx.count("tmf.msgs.release_local", 1);
-            let id = self.disc_rpc.call_persistent(
+            self.disc_rpc.call_persistent(
                 ctx,
                 Target::Named(v.node, v.volume.clone()),
                 DiscRequest::ReleaseLocks {
@@ -775,9 +775,8 @@ impl TmpProcess {
                     commit: committed,
                 },
                 self.cfg.safe_retry,
-                0,
+                DiscThen::Delivery(transid),
             );
-            self.deliveries.insert(id, transid);
             pending += 1;
         }
         for child in children {
@@ -795,14 +794,13 @@ impl TmpProcess {
                 ctx.count("tmf.msgs.abort_net", 1);
                 TmpMsg::AbortTxn { transid }
             };
-            let id = self.tmp_rpc.call_persistent(
+            self.tmp_rpc.call_persistent(
                 ctx,
                 Target::Named(child, "$TMP".into()),
                 msg,
                 self.cfg.safe_retry,
-                0,
+                TmpThen::Delivery(transid),
             );
-            self.deliveries.insert(id, transid);
             pending += 1;
         }
         if let Some(t) = self.txns.get_mut(&transid) {
@@ -859,7 +857,7 @@ impl TmpProcess {
                 Target::Named(child, "$TMP".into()),
                 TmpMsg::AbortTxn { transid },
                 self.cfg.safe_retry,
-                0,
+                TmpThen::AbortNotice,
             );
         }
         if volumes.is_empty() {
@@ -867,7 +865,7 @@ impl TmpProcess {
         } else {
             let audit_services = volumes.iter().map(|v| self.audit_service(v)).collect();
             let node = ctx.node();
-            let id = self.backout_rpc.call_persistent(
+            self.backout_rpc.call_persistent(
                 ctx,
                 Target::Named(node, self.cfg.backout_service.clone()),
                 BackoutMsg::Backout {
@@ -876,9 +874,8 @@ impl TmpProcess {
                     audit_services,
                 },
                 self.cfg.safe_retry,
-                0,
+                transid,
             );
-            self.backouts.insert(id, transid);
         }
     }
 
@@ -1017,18 +1014,21 @@ impl TmpProcess {
                     return;
                 }
                 ctx.count("tmf.msgs.remote_begin", 1);
-                match self.tmp_rpc.call(
+                let sent = self.tmp_rpc.call(
                     ctx,
                     Target::Named(dest, "$TMP".into()),
                     TmpMsg::RemoteBegin { transid },
                     self.cfg.critical_timeout,
                     self.cfg.critical_retries,
-                    0,
-                ) {
-                    Ok(id) => {
-                        self.remote_begins.insert(id, (transid, dest, req_id, from));
-                    }
-                    Err(_) => self.answer(ctx, req_id, from, TmpReply::Failed),
+                    TmpThen::RemoteBegin {
+                        transid,
+                        dest,
+                        req_id,
+                        from,
+                    },
+                );
+                if sent.is_err() {
+                    self.answer(ctx, req_id, from, TmpReply::Failed);
                 }
             }
             TmpMsg::End { transid } => {
@@ -1170,14 +1170,10 @@ impl TmpProcess {
                         .as_ref()
                         .map(|b| b.len())
                         .unwrap_or(0),
-                    deliveries: self.deliveries.len(),
-                    early_releases: self.early_releases.len(),
-                    backouts: self.backouts.len(),
-                    phase1_disc: self.phase1_disc.len(),
-                    phase1_tmp: self.phase1_tmp.len(),
-                    remote_begins: self.remote_begins.len(),
-                    janitor_rpcs: self.janitor_rpcs.len(),
-                    purge_rpcs: self.purge_rpcs.len(),
+                    outstanding_rpcs: self.disc_rpc.in_flight()
+                        + self.tmp_rpc.in_flight()
+                        + self.backout_rpc.in_flight()
+                        + self.audit_rpc.in_flight(),
                     reply_cache: self.replies.entries().len(),
                 };
                 // utility query: not cached (idempotent)
@@ -1253,50 +1249,52 @@ impl TmpProcess {
     // RPC completion routing
     // ------------------------------------------------------------------
 
-    fn on_disc_completion(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64, body: DiscReply) {
-        if let Some(transid) = self.phase1_disc.remove(&id) {
-            if matches!(body, DiscReply::Phase1Done) {
-                self.phase1_ack(ctx, transid);
-            } else {
-                self.phase1_failed(ctx, transid);
+    fn on_disc_completion(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        c: Completion<DiscReply, DiscThen>,
+    ) {
+        match c.then {
+            DiscThen::Phase1(transid) => {
+                if matches!(c.body, DiscReply::Phase1Done) {
+                    self.phase1_ack(ctx, transid);
+                } else {
+                    self.phase1_failed(ctx, transid);
+                }
             }
-            return;
-        }
-        if self.early_releases.remove(&id).is_some() {
-            return; // informational only; terminal deliveries re-send
-        }
-        if let Some(transid) = self.deliveries.remove(&id) {
-            self.delivery_acked(ctx, transid);
+            DiscThen::EarlyRelease => {}
+            DiscThen::Delivery(transid) => self.delivery_acked(ctx, transid),
         }
     }
 
-    fn on_tmp_completion(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64, body: TmpReply) {
-        if let Some((transid, _child)) = self.phase1_tmp.remove(&id) {
-            if matches!(body, TmpReply::Phase1Ok) {
-                self.phase1_ack(ctx, transid);
-            } else {
-                self.phase1_failed(ctx, transid);
+    fn on_tmp_completion(&mut self, ctx: &mut PairCtx<'_, '_>, c: Completion<TmpReply, TmpThen>) {
+        match c.then {
+            TmpThen::Phase1(transid) => {
+                if matches!(c.body, TmpReply::Phase1Ok) {
+                    self.phase1_ack(ctx, transid);
+                } else {
+                    self.phase1_failed(ctx, transid);
+                }
             }
-            return;
-        }
-        if let Some((transid, dest, req_id, from)) = self.remote_begins.remove(&id) {
-            match self.txns.get_mut(&transid) {
-                Some(t) if matches!(body, TmpReply::Ok) => {
+            TmpThen::RemoteBegin {
+                transid,
+                dest,
+                req_id,
+                from,
+            } => match self.txns.get_mut(&transid) {
+                Some(t) if matches!(c.body, TmpReply::Ok) => {
                     t.children.insert(dest);
                     self.checkpoint_txn(ctx, transid, false);
                     self.answer(ctx, req_id, from, TmpReply::Ok);
                 }
                 _ => self.answer(ctx, req_id, from, TmpReply::Failed),
-            }
-            return;
-        }
-        if let Some(transid) = self.deliveries.remove(&id) {
-            self.delivery_acked(ctx, transid);
-            return;
-        }
-        if let Some(transid) = self.janitor_rpcs.remove(&id) {
-            if let TmpReply::Disposition { state } = body {
-                self.resolve_indoubt(ctx, transid, state);
+            },
+            TmpThen::Delivery(transid) => self.delivery_acked(ctx, transid),
+            TmpThen::AbortNotice => {}
+            TmpThen::Janitor(transid) => {
+                if let TmpReply::Disposition { state } = c.body {
+                    self.resolve_indoubt(ctx, transid, state);
+                }
             }
         }
     }
@@ -1340,7 +1338,17 @@ impl TmpProcess {
     /// whose safe-delivery died with a home TMP processor, and phantom
     /// entries resurrected by stale RemoteBegin retransmissions.
     fn janitor_tick(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        let in_flight: Vec<Transid> = self.janitor_rpcs.values().copied().collect();
+        let in_flight: Vec<Transid> = self
+            .tmp_rpc
+            .awaiting()
+            .filter_map(|then| match then {
+                TmpThen::Janitor(transid) => Some(*transid),
+                TmpThen::Phase1(_)
+                | TmpThen::RemoteBegin { .. }
+                | TmpThen::Delivery(_)
+                | TmpThen::AbortNotice => None,
+            })
+            .collect();
         let stale: Vec<(Transid, NodeId)> = self
             .txns
             .iter_mut()
@@ -1360,16 +1368,16 @@ impl TmpProcess {
             .collect();
         for (transid, home) in stale {
             ctx.count("tmf.indoubt_probes", 1);
-            if let Ok(id) = self.tmp_rpc.call(
+            // an unreachable home node fails the probe (now, or when its
+            // retry budget runs out): the next sweep simply retries
+            let _ = self.tmp_rpc.call(
                 ctx,
                 Target::Named(home, "$TMP".into()),
                 TmpMsg::QueryDisposition { transid },
                 self.cfg.critical_timeout,
                 self.cfg.critical_retries,
-                1,
-            ) {
-                self.janitor_rpcs.insert(id, transid);
-            }
+                TmpThen::Janitor(transid),
+            );
         }
     }
 
@@ -1406,7 +1414,9 @@ impl TmpProcess {
                 continue;
             }
             ctx.count("tmf.purge_requests", 1);
-            let id = self.audit_rpc.call_persistent(
+            // a sweep lost with the primary is simply re-run at the next
+            // interval
+            self.audit_rpc.call_persistent(
                 ctx,
                 Target::Named(node, service),
                 AuditMsg::Purge {
@@ -1414,40 +1424,33 @@ impl TmpProcess {
                     open: open.clone(),
                 },
                 self.cfg.safe_retry,
-                0,
+                (),
             );
-            self.purge_rpcs.insert(id);
         }
     }
 
-    fn on_audit_completion(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64, body: AuditReply) {
-        if self.purge_rpcs.remove(&id) {
-            if let AuditReply::Purged { files } = body {
-                ctx.count("tmf.purged_trail_files", files);
+    /// A critical-response call ran out of retries. Safe-delivery calls
+    /// never get here: they are re-offered until answered.
+    fn on_disc_expired(&mut self, ctx: &mut PairCtx<'_, '_>, then: DiscThen) {
+        match then {
+            DiscThen::Phase1(transid) => self.phase1_failed(ctx, transid),
+            DiscThen::EarlyRelease | DiscThen::Delivery(_) => {}
+        }
+    }
+
+    /// As [`Self::on_disc_expired`], for calls to other TMPs.
+    fn on_tmp_expired(&mut self, ctx: &mut PairCtx<'_, '_>, then: TmpThen) {
+        match then {
+            TmpThen::Phase1(transid) => {
+                ctx.count("tmf.phase1_timeouts", 1);
+                self.phase1_failed(ctx, transid);
             }
-        }
-    }
-
-    fn on_backout_completion(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64) {
-        if let Some(transid) = self.backouts.remove(&id) {
-            self.backout_done(ctx, transid);
-        }
-    }
-
-    fn on_rpc_expired(&mut self, ctx: &mut PairCtx<'_, '_>, id: u64) {
-        if let Some(transid) = self.phase1_disc.remove(&id) {
-            self.phase1_failed(ctx, transid);
-        } else if let Some((transid, _)) = self.phase1_tmp.remove(&id) {
-            ctx.count("tmf.phase1_timeouts", 1);
-            self.phase1_failed(ctx, transid);
-        } else if let Some((transid, _dest, req_id, from)) = self.remote_begins.remove(&id) {
-            ctx.count("tmf.remote_begin_timeouts", 1);
-            let _ = transid;
-            self.answer(ctx, req_id, from, TmpReply::Failed);
-        } else {
-            // an unreachable home node fails an in-doubt probe: the next
-            // sweep simply retries
-            self.janitor_rpcs.remove(&id);
+            TmpThen::RemoteBegin { req_id, from, .. } => {
+                ctx.count("tmf.remote_begin_timeouts", 1);
+                self.answer(ctx, req_id, from, TmpReply::Failed);
+            }
+            // a failed in-doubt probe is retried by the next sweep
+            TmpThen::Janitor(_) | TmpThen::Delivery(_) | TmpThen::AbortNotice => {}
         }
     }
 }
@@ -1464,28 +1467,30 @@ impl PairApp for TmpProcess {
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, _src: Pid, payload: Payload) {
         let payload = match self.disc_rpc.accept(ctx, payload) {
             Ok(c) => {
-                self.on_disc_completion(ctx, c.id, c.body);
+                self.on_disc_completion(ctx, c);
                 return;
             }
             Err(p) => p,
         };
         let payload = match self.tmp_rpc.accept(ctx, payload) {
             Ok(c) => {
-                self.on_tmp_completion(ctx, c.id, c.body);
+                self.on_tmp_completion(ctx, c);
                 return;
             }
             Err(p) => p,
         };
         let payload = match self.backout_rpc.accept(ctx, payload) {
             Ok(c) => {
-                self.on_backout_completion(ctx, c.id);
+                self.backout_done(ctx, c.then);
                 return;
             }
             Err(p) => p,
         };
         let payload = match self.audit_rpc.accept(ctx, payload) {
             Ok(c) => {
-                self.on_audit_completion(ctx, c.id, c.body);
+                if let AuditReply::Purged { files } = c.body {
+                    ctx.count("tmf.purged_trail_files", files);
+                }
                 return;
             }
             Err(p) => p,
@@ -1543,18 +1548,16 @@ impl PairApp for TmpProcess {
             self.monitor_written(ctx, transid, commit);
             return;
         }
-        if let guardian::TimerOutcome::Expired { id, .. } = self.disc_rpc.on_timer(ctx, tag) {
-            self.on_rpc_expired(ctx, id);
+        if let TimerOutcome::Expired { then, .. } = self.disc_rpc.on_timer(ctx, tag) {
+            self.on_disc_expired(ctx, then);
             return;
         }
-        if let guardian::TimerOutcome::Expired { id, .. } = self.tmp_rpc.on_timer(ctx, tag) {
-            self.on_rpc_expired(ctx, id);
+        if let TimerOutcome::Expired { then, .. } = self.tmp_rpc.on_timer(ctx, tag) {
+            self.on_tmp_expired(ctx, then);
             return;
         }
-        if let guardian::TimerOutcome::Expired { id, .. } = self.backout_rpc.on_timer(ctx, tag) {
-            self.on_rpc_expired(ctx, id);
-            return;
-        }
+        // backout and purge requests are safe-delivery: they never expire
+        let _ = self.backout_rpc.on_timer(ctx, tag);
         let _ = self.audit_rpc.on_timer(ctx, tag);
     }
 
@@ -1582,25 +1585,14 @@ impl PairApp for TmpProcess {
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         ctx.count("tmf.takeovers", 1);
-        // re-drive in-flight protocol work from checkpointed state; client
-        // rpcs retry so lost waiters re-attach
-        self.phase1_disc.clear();
-        self.phase1_tmp.clear();
-        self.remote_begins.clear();
-        self.backouts.clear();
-        self.monitor_timers.clear();
-        // boxcarred records that never reached the trail die with the
-        // primary; the per-state re-drive below recovers each transaction
-        // (trail consult for Ending-home, backout re-drive for Aborting)
-        self.monitor_boxcar.clear();
-        self.monitor_inflight = None;
-        self.monitor_window_deadline = None;
-        self.deliveries.clear();
-        // lost early releases are covered by the terminal delivery resend
-        self.early_releases.clear();
-        self.janitor_rpcs.clear();
-        // a lost purge sweep is simply re-run at the next interval
-        self.purge_rpcs.clear();
+        // Re-drive in-flight protocol work from checkpointed state; client
+        // rpcs retry so lost waiters re-attach. The dead primary's
+        // outstanding calls, monitor timers and boxcar lived in its memory
+        // only — this half has never served a request or issued a call, so
+        // there is nothing of its own to discard. Boxcarred records that
+        // never reached the trail are recovered per state below (trail
+        // consult for Ending-home, backout re-drive for Aborting); lost
+        // early releases by the terminal delivery resend.
         let in_flight: Vec<(Transid, TxState, bool, TxnClass)> = self
             .txns
             .iter()

@@ -226,7 +226,7 @@ fn ask_tmp(world: &mut World, node: NodeId, cpu: u8, msg: TmpMsg) -> Rc<RefCell<
                 Target::Named(self.node, "$TMP".into()),
                 self.msg.take().expect("one shot"),
                 SimDuration::from_millis(100),
-                0,
+                (),
             );
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {

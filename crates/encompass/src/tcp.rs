@@ -248,7 +248,7 @@ impl TerminalControlProcess {
         let timeout = self.cfg.send_timeout;
         if t
             .server_rpc
-            .call(ctx, target, env, timeout, 0, idx as u64)
+            .call(ctx, target, env, timeout, 0, ())
             .is_err()
         {
             self.send_failed(ctx, idx);
@@ -452,7 +452,7 @@ impl PairApp for TerminalControlProcess {
                         reason: AbortReason::CpuFailure,
                     },
                     SimDuration::from_millis(100),
-                    0,
+                    (),
                 );
             }
             if idx < self.terminals.len() && self.terminals[idx].state != TermState::Finished {

@@ -132,7 +132,7 @@ impl Process for OneShot {
                             env,
                             SimDuration::from_secs(3),
                             0,
-                            0,
+                            (),
                         );
                     }
                     (3, SessionEvent::Committed { .. }) => {

@@ -462,7 +462,7 @@ mod tests {
                     Add(1),
                     SimDuration::from_millis(20),
                     8,
-                    0,
+                    (),
                 )
                 .is_err()
             {
@@ -473,7 +473,7 @@ mod tests {
                     self.target.clone(),
                     Add(1),
                     SimDuration::from_millis(20),
-                    0,
+                    (),
                 );
             }
         }

@@ -74,56 +74,65 @@ pub fn reply<R: Send + 'static>(ctx: &mut Ctx<'_>, req_id: u64, to: Pid, body: R
     );
 }
 
-struct Pending<M> {
+struct Pending<M, K> {
     target: Target,
     body: M,
     timeout: SimDuration,
     retries_left: u32,
     timer: TimerId,
-    /// user cookie carried back on completion/timeout
-    cookie: u64,
+    /// the caller's continuation, handed back when the call ends
+    then: K,
 }
 
 /// What `on_timer` decided about an RPC timer.
 #[derive(Debug)]
-pub enum TimerOutcome<M> {
+pub enum TimerOutcome<M, K = ()> {
     /// The tag did not belong to this `Rpc`.
     NotMine,
     /// A retransmission was sent; keep waiting.
     Resent,
     /// The retry budget is exhausted; the request has been abandoned.
-    Expired { id: u64, body: M, cookie: u64 },
+    Expired { id: u64, body: M, then: K },
 }
 
 /// A completed call, returned by [`Rpc::accept`].
 #[derive(Debug)]
-pub struct Completion<R> {
+pub struct Completion<R, K = ()> {
     pub id: u64,
     pub body: R,
-    pub cookie: u64,
+    pub then: K,
 }
 
 /// Client-side state for request/reply exchanges carrying request bodies of
 /// type `M` and replies of type `R`.
 ///
+/// Every call carries a **continuation** `K`: what the call is for and
+/// whom to answer when it ends. It is stored inline with the pending
+/// request and handed back exactly once — by [`Rpc::accept`] on
+/// completion, by [`TimerOutcome::Expired`] on expiry, or by
+/// [`Rpc::cancel`] — so the caller keeps no `rpc id → why` map of its own
+/// (DESIGN.md §D16). A call that fails at send time drops its `K`; the
+/// caller still holds whatever it built it from. Callers with a single
+/// kind of call use `K = ()`.
+///
 /// Owning process responsibilities:
 /// * forward unknown timer tags `>= RPC_TAG_BASE` to [`Rpc::on_timer`];
 /// * offer incoming payloads to [`Rpc::accept`] before other decoding.
-pub struct Rpc<M, R> {
+pub struct Rpc<M, R, K = ()> {
     id_space: u64,
     /// Lazily derived from the owning process's pid so that request ids —
     /// which servers use for retry deduplication — never collide across
     /// processes.
     salt: Option<u64>,
     counter: u64,
-    pending: DetHashMap<u64, Pending<M>>,
+    pending: DetHashMap<u64, Pending<M, K>>,
     _r: std::marker::PhantomData<fn() -> R>,
 }
 
-impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
+impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
     /// `id_space` disambiguates correlation ids between several `Rpc`
     /// instances inside one process (use distinct small integers, < 128).
-    pub fn new(id_space: u64) -> Rpc<M, R> {
+    pub fn new(id_space: u64) -> Rpc<M, R, K> {
         Rpc {
             id_space,
             salt: None,
@@ -138,6 +147,12 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
         self.pending.len()
     }
 
+    /// The continuations of the requests still awaiting replies, in no
+    /// particular order.
+    pub fn awaiting(&self) -> impl Iterator<Item = &K> {
+        self.pending.values().map(|p| &p.then)
+    }
+
     /// Issue a request with a bounded retry budget (critical-response
     /// style). Fails fast if the target is dead or unreachable *now*.
     pub fn call(
@@ -147,7 +162,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
         body: M,
         timeout: SimDuration,
         retries: u32,
-        cookie: u64,
+        then: K,
     ) -> Result<u64, SendError> {
         let id = self.fresh_id(ctx);
         let dst = target.resolve(ctx).ok_or(SendError::UnknownName)?;
@@ -168,7 +183,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
                 timeout,
                 retries_left: retries,
                 timer,
-                cookie,
+                then,
             },
         );
         Ok(id)
@@ -183,7 +198,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
         target: Target,
         body: M,
         retry_interval: SimDuration,
-        cookie: u64,
+        then: K,
     ) -> u64 {
         let id = self.fresh_id(ctx);
         if let Some(dst) = target.resolve(ctx) {
@@ -205,7 +220,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
                 timeout: retry_interval,
                 retries_left: u32::MAX,
                 timer,
-                cookie,
+                then,
             },
         );
         id
@@ -214,7 +229,11 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
     /// Offer an incoming payload. If it is a reply to one of our pending
     /// requests, the call completes. Non-replies and stale replies are
     /// given back as `Err`.
-    pub fn accept(&mut self, ctx: &mut Ctx<'_>, payload: Payload) -> Result<Completion<R>, Payload> {
+    pub fn accept(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        payload: Payload,
+    ) -> Result<Completion<R, K>, Payload> {
         if !payload.is::<RpcReply<R>>() {
             return Err(payload);
         }
@@ -225,7 +244,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
                 Ok(Completion {
                     id: reply.id,
                     body: reply.body,
-                    cookie: p.cookie,
+                    then: p.then,
                 })
             }
             // duplicate or stale reply (e.g. answered after a retry)
@@ -234,7 +253,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
     }
 
     /// Drive timeouts. Call for any timer tag `>= RPC_TAG_BASE`.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> TimerOutcome<M> {
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> TimerOutcome<M, K> {
         if tag < RPC_TAG_BASE {
             return TimerOutcome::NotMine;
         }
@@ -247,7 +266,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
             return TimerOutcome::Expired {
                 id,
                 body: p.body,
-                cookie: p.cookie,
+                then: p.then,
             };
         }
         if p.retries_left != u32::MAX {
@@ -271,11 +290,12 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Rpc<M, R> {
         TimerOutcome::Resent
     }
 
-    /// Abandon a pending request (e.g. the transaction it served aborted).
-    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        if let Some(p) = self.pending.remove(&id) {
-            ctx.cancel_timer(p.timer);
-        }
+    /// Abandon a pending request (e.g. the transaction it served aborted),
+    /// handing its continuation back. `None` if `id` is not pending.
+    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: u64) -> Option<K> {
+        let p = self.pending.remove(&id)?;
+        ctx.cancel_timer(p.timer);
+        Some(p.then)
     }
 
     fn fresh_id(&mut self, ctx: &Ctx<'_>) -> u64 {
@@ -381,7 +401,7 @@ mod tests {
 
     struct Client {
         server: Target,
-        rpc: Rpc<Ping, Pong>,
+        rpc: Rpc<Ping, Pong, u64>,
         retries: u32,
         outcome: Rc<RefCell<Vec<String>>>,
     }
@@ -404,14 +424,14 @@ mod tests {
                 Ok(c) => self
                     .outcome
                     .borrow_mut()
-                    .push(format!("ok:{}:{}", c.body.0, c.cookie)),
+                    .push(format!("ok:{}:{}", c.body.0, c.then)),
                 Err(_) => self.outcome.borrow_mut().push("stray".into()),
             }
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
             match self.rpc.on_timer(ctx, tag) {
-                TimerOutcome::Expired { cookie, .. } => {
-                    self.outcome.borrow_mut().push(format!("expired:{cookie}"))
+                TimerOutcome::Expired { then, .. } => {
+                    self.outcome.borrow_mut().push(format!("expired:{then}"))
                 }
                 TimerOutcome::Resent => self.outcome.borrow_mut().push("resent".into()),
                 TimerOutcome::NotMine => {}
@@ -591,7 +611,7 @@ mod tests {
                     Target::Pid(self.server),
                     Ping(1),
                     SimDuration::from_millis(20),
-                    0,
+                    (),
                 );
             }
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {

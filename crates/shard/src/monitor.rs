@@ -429,7 +429,7 @@ impl encompass_sim::Process for SuspenseProbe {
             guardian::Target::Named(self.node, SUSPENSE_SERVICE.into()),
             SuspenseMsg::Backlog,
             SimDuration::from_millis(100),
-            0,
+            (),
         );
     }
 

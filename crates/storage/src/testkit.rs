@@ -52,13 +52,13 @@ impl ScriptClient {
                 op.clone(),
                 self.attempt_timeout,
                 self.retries,
-                0,
+                (),
             )
             .is_err()
         {
             // service name unresolvable (takeover window): keep trying
             self.rpc
-                .call_persistent(ctx, self.target.clone(), op, self.attempt_timeout, 0);
+                .call_persistent(ctx, self.target.clone(), op, self.attempt_timeout, ());
         }
     }
 }

@@ -7,16 +7,20 @@
 )]
 
 use bytes::Bytes;
-use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, SimTime, World};
+use encompass_sim::{
+    CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId,
+    World,
+};
+use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{
-    spawn_disc_process, DiscConfig, DiscError, DiscReply, DiscRequest,
+    spawn_disc_process, DiscConfig, DiscError, DiscReply, DiscRequest, DiscStateReport,
 };
 use encompass_storage::locks::LockMode;
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::testkit::run_script;
 use encompass_storage::types::{num_key, FileDef, PartitionSpec, Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::Target;
+use guardian::{Request, Target};
 
 fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
@@ -486,6 +490,123 @@ fn takeover_preserves_overlay_and_locks() {
         "t1's lock survived the takeover"
     );
     assert_eq!(w.metrics().get("pair.takeovers"), 1);
+}
+
+/// Stand-in AUDITPROCESS: acknowledges appends and forces, each after
+/// `delay` (one timer per request, answered in arrival order).
+struct SlowAudit {
+    delay: SimDuration,
+    parked: std::collections::VecDeque<(u64, Pid, AuditReply)>,
+}
+
+impl Process for SlowAudit {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.register_name("$AUDIT");
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let req = payload.expect::<Request<AuditMsg>>();
+        let ack = match req.body {
+            AuditMsg::Append { .. } => AuditReply::Appended,
+            AuditMsg::ForceTxn { .. } => AuditReply::Forced,
+            other => panic!("the volume never sends {other:?}"),
+        };
+        self.parked.push_back((req.id, req.from, ack));
+        ctx.set_timer(self.delay, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, _tag: u64) {
+        if let Some((id, to, ack)) = self.parked.pop_front() {
+            guardian::reply(ctx, id, to, ack);
+        }
+    }
+}
+
+fn state_of(reply: Option<&DiscReply>) -> DiscStateReport {
+    match reply {
+        Some(DiscReply::State(report)) => *report,
+        other => panic!("expected a state report, got {other:?}"),
+    }
+}
+
+/// One record per live transaction across a takeover: the primary dies
+/// mid-transaction, the new primary re-sends the retained image, the
+/// transaction is released while that append is still unacknowledged, and
+/// once the ack lands nothing of the transaction is left.
+#[test]
+fn release_after_takeover_leaves_no_transaction_state() {
+    let mut w = World::new(SimConfig::default());
+    let n = w.add_node(4);
+    let cfg = DiscConfig {
+        audit_service: Some("$AUDIT".into()),
+        ..DiscConfig::default()
+    };
+    let vol = VolumeRef::new(n, "$DATA");
+    let target = spawn_disc_process(&mut w, 0, 1, vol, basic_catalog(n), cfg).target();
+    let ack_delay = SimDuration::from_millis(20);
+    w.spawn(
+        n,
+        2,
+        Box::new(SlowAudit {
+            delay: ack_delay,
+            parked: std::collections::VecDeque::new(),
+        }),
+    );
+    let t = txn(1);
+    let before = run_script(
+        &mut w,
+        n,
+        3,
+        target.clone(),
+        vec![
+            DiscRequest::Insert {
+                file: "accounts".into(),
+                key: b("x"),
+                value: b("v"),
+                transid: Some(t),
+                lock_wait: WAIT,
+            },
+            DiscRequest::StateAudit,
+        ],
+    );
+    w.run_for(SimDuration::from_millis(100));
+    let live = state_of(before.borrow().get(1));
+    assert_eq!((live.live_txns, live.unforced_records, live.locks_held), (1, 1, 1));
+
+    // the primary dies; the backup takes over (failure detection takes
+    // 5ms) and re-sends t's image, whose ack is `ack_delay` away
+    w.inject(Fault::KillCpu(n, CpuId(0)));
+    w.run_for(SimDuration::from_millis(6));
+    assert_eq!(w.metrics().get("pair.takeovers"), 1);
+    assert_eq!(w.metrics().get("disc.takeover_image_resends"), 1);
+    let released = run_script(
+        &mut w,
+        n,
+        3,
+        target.clone(),
+        vec![
+            DiscRequest::ReleaseLocks { transid: t, commit: true },
+            DiscRequest::StateAudit,
+        ],
+    );
+    w.run_for(SimDuration::from_millis(10));
+    assert_eq!(released.borrow().first(), Some(&DiscReply::Ok));
+    // released, but the record lingers until the re-sent append is acked
+    let settling = state_of(released.borrow().get(1));
+    assert_eq!(
+        (settling.live_txns, settling.unforced_records, settling.locks_held),
+        (1, 0, 0)
+    );
+    assert_eq!(settling.settled_fences, 1);
+    assert_eq!(settling.snapshot_undo, 1, "the committed image moved to the ring");
+
+    w.run_for(SimDuration::from_millis(100));
+    let after = run_script(&mut w, n, 3, target, vec![DiscRequest::StateAudit]);
+    w.run_for(SimDuration::from_millis(10));
+    let settled = state_of(after.borrow().first());
+    assert_eq!(
+        (settled.live_txns, settled.unforced_records, settled.locks_held),
+        (0, 0, 0),
+        "the append ack removed the last trace of the transaction"
+    );
 }
 
 #[test]

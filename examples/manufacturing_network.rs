@@ -60,7 +60,7 @@ impl Process for Update {
                             env,
                             SimDuration::from_secs(2),
                             0,
-                            0,
+                            (),
                         );
                     }
                     (3, SessionEvent::Committed { .. }) => {

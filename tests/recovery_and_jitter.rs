@@ -334,7 +334,7 @@ fn disposition_query_after_completion() {
                 Target::Named(self.node, "$TMP".into()),
                 TmpMsg::QueryDisposition { transid },
                 SimDuration::from_millis(100),
-                0,
+                (),
             );
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
