@@ -2,7 +2,7 @@
 //! queue, stable storage, metrics, and the fault injector.
 
 use crate::config::SimConfig;
-use crate::event::{EventKind, QueuedEvent};
+use crate::event::{EventKind, EventQueue};
 use crate::fault::Fault;
 use crate::flightrec::FlightRecorder;
 use crate::ids::{CpuId, LinkId, NodeId, Pid};
@@ -13,10 +13,9 @@ use crate::stable::StableStorage;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
-use crate::{DetHashMap, DetHashSet};
+use crate::DetHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
 
 struct ProcSlot {
     pid: Pid,
@@ -31,18 +30,16 @@ struct ProcSlot {
 pub struct World {
     cfg: SimConfig,
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<QueuedEvent>,
+    queue: EventQueue,
     procs: Vec<ProcSlot>,
     topology: Topology,
-    names: DetHashMap<(NodeId, String), Pid>,
+    /// Name table of each node, indexed by node id.
+    names: Vec<DetHashMap<String, Pid>>,
     stable: StableStorage,
     rng: StdRng,
     metrics: Metrics,
     trace: Trace,
     flightrec: FlightRecorder,
-    cancelled_timers: DetHashSet<TimerId>,
-    next_timer: u64,
     subscribers: Vec<Pid>,
     events_processed: u64,
 }
@@ -55,18 +52,15 @@ impl World {
         World {
             cfg,
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             procs: Vec::new(),
             topology: Topology::new(),
-            names: DetHashMap::default(),
+            names: Vec::new(),
             stable: StableStorage::new(),
             rng,
             metrics: Metrics::new(),
             trace,
             flightrec,
-            cancelled_timers: DetHashSet::default(),
-            next_timer: 0,
             subscribers: Vec::new(),
             events_processed: 0,
         }
@@ -78,6 +72,7 @@ impl World {
 
     /// Add a node with `cpus` processor modules (2..=16).
     pub fn add_node(&mut self, cpus: u8) -> NodeId {
+        self.names.push(DetHashMap::default());
         self.topology.add_node(cpus)
     }
 
@@ -144,7 +139,7 @@ impl World {
             kind,
             process: Some(process),
         });
-        self.push_event(self.now, EventKind::Start { pid });
+        self.queue.push(self.now, EventKind::Start { pid });
         Some(pid)
     }
 
@@ -171,12 +166,12 @@ impl World {
     }
 
     pub fn register_name(&mut self, node: NodeId, name: &str, pid: Pid) {
-        self.names.insert((node, name.to_string()), pid);
+        self.names[node.0 as usize].insert(name.to_string(), pid);
     }
 
     /// Resolve a name to a live process.
     pub fn lookup_name(&self, node: NodeId, name: &str) -> Option<Pid> {
-        let pid = *self.names.get(&(node, name.to_string()))?;
+        let pid = *self.names.get(node.0 as usize)?.get(name)?;
         self.is_alive(pid).then_some(pid)
     }
 
@@ -258,7 +253,7 @@ impl World {
     /// Apply a fault at a future virtual time.
     pub fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
         assert!(at >= self.now, "cannot schedule a fault in the past");
-        self.push_event(at, EventKind::Fault(fault));
+        self.queue.push(at, EventKind::Fault(fault));
     }
 
     fn apply_fault(&mut self, fault: Fault) {
@@ -331,7 +326,8 @@ impl World {
             .filter(|p| p.node == node)
             .collect();
         for dst in targets {
-            self.push_event(self.now + delay, EventKind::System { dst, ev });
+            self.queue
+                .push(self.now + delay, EventKind::System { dst, ev });
         }
     }
 
@@ -339,7 +335,8 @@ impl World {
         let delay = self.cfg.failure_detect_delay;
         let targets: Vec<Pid> = self.subscribers.to_vec();
         for dst in targets {
-            self.push_event(self.now + delay, EventKind::System { dst, ev });
+            self.queue
+                .push(self.now + delay, EventKind::System { dst, ev });
         }
     }
 
@@ -400,10 +397,10 @@ impl World {
                     return Err(SendError::BusDown);
                 }
                 self.metrics.inc("sim.msgs.bus");
-                (self.cfg.bus_latency, Vec::new())
+                (self.cfg.bus_latency, None)
             } else {
                 self.metrics.inc("sim.msgs.local");
-                (self.cfg.local_latency, Vec::new())
+                (self.cfg.local_latency, None)
             }
         } else {
             let route = self
@@ -428,7 +425,7 @@ impl World {
             let hops = route.links.len() as u64;
             (
                 route.latency + self.cfg.net_hop_overhead.mul(hops),
-                route.links,
+                Some(route),
             )
         };
 
@@ -437,7 +434,7 @@ impl World {
                 + SimDuration::from_micros(self.rng.random_range(0..=self.cfg.jitter.as_micros()));
         }
 
-        self.push_event(
+        self.queue.push(
             self.now + latency,
             EventKind::Deliver {
                 dst,
@@ -450,20 +447,12 @@ impl World {
     }
 
     pub(crate) fn kernel_set_timer(&mut self, pid: Pid, delay: SimDuration, tag: u64) -> TimerId {
-        let timer = TimerId(self.next_timer);
-        self.next_timer += 1;
-        self.push_event(self.now + delay, EventKind::Timer { pid, timer, tag });
-        timer
+        self.queue
+            .push(self.now + delay, EventKind::Timer { pid, tag })
     }
 
     pub(crate) fn kernel_cancel_timer(&mut self, timer: TimerId) {
-        self.cancelled_timers.insert(timer);
-    }
-
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(QueuedEvent { at, seq, kind });
+        self.queue.cancel(timer);
     }
 
     // ------------------------------------------------------------------
@@ -472,13 +461,13 @@ impl World {
 
     /// Dispatch a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some((at, id, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.events_processed += 1;
-        match ev.kind {
+        match kind {
             EventKind::Deliver {
                 dst,
                 src,
@@ -486,7 +475,8 @@ impl World {
                 via,
             } => {
                 // lose the message if any link of its path went down in flight
-                if via.iter().any(|&l| !self.topology.link(l).up) {
+                let mut path = via.iter().flat_map(|route| &route.links);
+                if path.any(|&l| !self.topology.link(l).up) {
                     self.metrics.inc("sim.msgs.lost_in_flight");
                     self.trace.note(self.now, "msg.cut", dst.index as u64, || {
                         format!("{src}->{dst} lost to link failure in flight")
@@ -503,14 +493,14 @@ impl World {
                     });
                 self.with_process(dst, |proc, ctx| proc.on_message(ctx, src, payload));
             }
-            EventKind::Timer { pid, timer, tag } => {
-                if self.cancelled_timers.remove(&timer) || !self.is_alive(pid) {
+            EventKind::Timer { pid, tag } => {
+                if !self.is_alive(pid) {
                     return true;
                 }
                 self.trace.note(self.now, "timer", pid.index as u64, || {
-                    format!("{pid} timer {timer:?} tag {tag}")
+                    format!("{pid} timer {id:?} tag {tag}")
                 });
-                self.with_process(pid, |proc, ctx| proc.on_timer(ctx, timer, tag));
+                self.with_process(pid, |proc, ctx| proc.on_timer(ctx, id, tag));
             }
             EventKind::System { dst, ev } => {
                 if !self.is_alive(dst) {
@@ -564,10 +554,7 @@ impl World {
     /// Run until the virtual clock reaches `t` (events at exactly `t` are
     /// processed). The clock is advanced to `t` even if the queue drains.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > t {
-                break;
-            }
+        while self.queue.next_at().is_some_and(|at| at <= t) {
             self.step();
         }
         if self.now < t {
@@ -817,6 +804,42 @@ mod tests {
         );
         w.run_until_quiescent();
         assert_eq!(*fired.borrow(), vec![1]);
+    }
+
+    /// Cancelling a timer that has already fired must leave nothing
+    /// behind: rpc layers cancel their timeout on every reply, fired or not.
+    #[test]
+    fn cancelling_fired_timers_leaves_queue_and_slab_empty() {
+        const TIMERS: u64 = 10_000;
+        struct T {
+            armed: Vec<crate::TimerId>,
+            fired: u64,
+        }
+        impl Process for T {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for tag in 0..TIMERS {
+                    let delay = SimDuration::from_micros(1 + tag % 7);
+                    self.armed.push(ctx.set_timer(delay, tag));
+                }
+                ctx.set_timer(SimDuration::from_millis(1), TIMERS);
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_>, _: Pid, _: Payload) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: crate::TimerId, tag: u64) {
+                self.fired += 1;
+                if tag == TIMERS {
+                    assert_eq!(self.fired, TIMERS + 1, "every timer fired first");
+                    for &timer in &self.armed {
+                        ctx.cancel_timer(timer);
+                    }
+                }
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let a = w.add_node(2);
+        let armed = Vec::new();
+        w.spawn(a, 0, Box::new(T { armed, fired: 0 }));
+        w.run_until_quiescent();
+        assert_eq!((w.queue.len(), w.queue.slots_in_use()), (0, 0));
     }
 
     #[test]

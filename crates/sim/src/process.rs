@@ -13,9 +13,14 @@ use crate::msg::Payload;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 
-/// A timer handle, unique for the lifetime of the simulation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
+/// A timer handle, unique for the lifetime of the simulation: the event
+/// queue slot the timer occupies while armed, and the queue sequence number
+/// that tells this timer from a later tenant of the same slot.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct TimerId {
+    pub(crate) slot: u32,
+    pub(crate) seq: u64,
+}
 
 /// Why a send failed. GUARDIAN surfaced equivalent errors through File
 /// System error codes.

@@ -29,9 +29,13 @@ impl StableStorage {
     /// Panics if a media object with the same key exists under a different
     /// type — that is a wiring bug, not a runtime condition.
     pub fn get_or_create<T: Any, F: FnOnce() -> T>(&mut self, key: &str, init: F) -> &mut T {
+        // not `entry`: its owned key would be allocated on every hit
+        if !self.media.contains_key(key) {
+            self.media.insert(key.to_string(), Box::new(init()));
+        }
         self.media
-            .entry(key.to_string())
-            .or_insert_with(|| Box::new(init()))
+            .get_mut(key)
+            .expect("present or just inserted")
             .downcast_mut::<T>()
             .unwrap_or_else(|| panic!("stable media {key:?} exists with a different type"))
     }

@@ -8,8 +8,8 @@
 
 use crate::ids::{CpuId, LinkId, NodeId};
 use crate::time::SimDuration;
-use crate::DetHashMap;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 pub(crate) struct CpuState {
     pub up: bool,
@@ -53,7 +53,7 @@ pub(crate) struct LinkState {
 }
 
 /// A computed route: the links to traverse and the total link latency.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Route {
     pub links: Vec<LinkId>,
     pub latency: SimDuration,
@@ -64,23 +64,24 @@ pub(crate) struct Route {
 pub(crate) struct Topology {
     pub nodes: Vec<NodeState>,
     pub links: Vec<LinkState>,
-    routes: DetHashMap<(NodeId, NodeId), Option<Route>>,
+    /// Per node, its up links and their far ends, in link-index order.
+    adjacency: Vec<Vec<(LinkId, NodeId)>>,
+    /// Dense `nodes × nodes` table, one row per source. A row is filled by
+    /// one shortest-path tree on the first route asked of that source; the
+    /// diagonal entry (the empty self-route) marks a filled row.
+    routes: Vec<Option<Rc<Route>>>,
     dirty: bool,
 }
 
 impl Topology {
     pub fn new() -> Topology {
-        Topology {
-            nodes: Vec::new(),
-            links: Vec::new(),
-            routes: DetHashMap::default(),
-            dirty: false,
-        }
+        Topology::default()
     }
 
     pub fn add_node(&mut self, cpus: u8) -> NodeId {
         assert!(self.nodes.len() < 255, "too many nodes");
         self.nodes.push(NodeState::new(cpus));
+        self.dirty = true;
         NodeId((self.nodes.len() - 1) as u8)
     }
 
@@ -143,32 +144,82 @@ impl Topology {
     }
 
     /// Best route between two nodes over up links, or `None` if partitioned.
-    pub fn route(&mut self, from: NodeId, to: NodeId) -> Option<Route> {
+    pub fn route(&mut self, from: NodeId, to: NodeId) -> Option<Rc<Route>> {
+        let n = self.nodes.len();
         if self.dirty {
+            self.adjacency.clear();
+            self.adjacency.resize(n, Vec::new());
+            for (i, l) in self.links.iter().enumerate().filter(|(_, l)| l.up) {
+                self.adjacency[l.a.0 as usize].push((LinkId(i as u32), l.b));
+                self.adjacency[l.b.0 as usize].push((LinkId(i as u32), l.a));
+            }
             self.routes.clear();
+            self.routes.resize(n * n, None);
             self.dirty = false;
         }
-        if let Some(cached) = self.routes.get(&(from, to)) {
-            return cached.clone();
+        let row = from.0 as usize * n;
+        if self.routes[row + from.0 as usize].is_none() {
+            self.fill_row(from);
         }
-        let computed = self.dijkstra(from, to);
-        self.routes.insert((from, to), computed.clone());
-        computed
+        self.routes[row + to.0 as usize].clone()
     }
 
-    fn dijkstra(&self, from: NodeId, to: NodeId) -> Option<Route> {
-        if from == to {
-            return Some(Route {
-                links: Vec::new(),
-                latency: SimDuration::ZERO,
-            });
-        }
+    /// Dijkstra from `from` to everywhere. Ties break by node id in the
+    /// heap and by link index in the relaxation, so each route equals what
+    /// a search for that one destination finds.
+    fn fill_row(&mut self, from: NodeId) {
         let n = self.nodes.len();
         let mut dist = vec![u64::MAX; n];
         let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
         let mut heap = BinaryHeap::new();
         dist[from.0 as usize] = 0;
-        // (Reverse(dist), node) — ties broken by node id for determinism
+        heap.push(std::cmp::Reverse((0u64, from.0)));
+        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for &(link, v) in &self.adjacency[u as usize] {
+                let nd = d.saturating_add(self.link(link).latency.as_micros().max(1));
+                if nd < dist[v.0 as usize] {
+                    dist[v.0 as usize] = nd;
+                    prev[v.0 as usize] = Some((NodeId(u), link));
+                    heap.push(std::cmp::Reverse((nd, v.0)));
+                }
+            }
+        }
+        for to in (0..n).filter(|&to| dist[to] != u64::MAX) {
+            let mut links = Vec::new();
+            let mut cur = to;
+            while let Some((p, l)) = prev[cur] {
+                links.push(l);
+                cur = p.0 as usize;
+            }
+            links.reverse();
+            self.routes[from.0 as usize * n + to] = Some(Rc::new(Route {
+                links,
+                latency: SimDuration::from_micros(dist[to]),
+            }));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(x: u64) -> SimDuration {
+        SimDuration::from_millis(x)
+    }
+
+    /// The oracle for the routing table: a search for one destination, the
+    /// plain way — scan every link per settled node, stop at the
+    /// destination. Every table entry must equal it, ties included.
+    fn dijkstra(t: &Topology, from: NodeId, to: NodeId) -> Option<Route> {
+        let n = t.nodes.len();
+        let mut dist = vec![u64::MAX; n];
+        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[from.0 as usize] = 0;
         heap.push(std::cmp::Reverse((0u64, from.0)));
         while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
             if d > dist[u as usize] {
@@ -177,7 +228,7 @@ impl Topology {
             if u == to.0 {
                 break;
             }
-            for (i, l) in self.links.iter().enumerate() {
+            for (i, l) in t.links.iter().enumerate() {
                 if !l.up {
                     continue;
                 }
@@ -211,15 +262,6 @@ impl Topology {
             links,
             latency: SimDuration::from_micros(dist[to.0 as usize]),
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ms(x: u64) -> SimDuration {
-        SimDuration::from_millis(x)
     }
 
     #[test]
@@ -374,6 +416,44 @@ mod tests {
                         (None, None) => {}
                         (got, want) => prop_assert!(false, "to {}: got {:?}, want {:?}", to, got, want),
                     }
+                }
+            }
+
+            // Latencies of 1..4 on up to 24 links among at most 8 nodes:
+            // most pairs have several shortest paths, so this holds only if
+            // the per-source tree breaks ties exactly as the per-pair
+            // search does.
+            #[test]
+            fn table_equals_per_pair_search_across_link_flaps(
+                n in 2usize..9,
+                edges in prop::collection::vec((0u8..9, 0u8..9, 1u64..4), 0..25),
+                flaps in prop::collection::vec(0usize..25, 0..6)
+            ) {
+                let mut t = Topology::new();
+                for _ in 0..n {
+                    t.add_node(2);
+                }
+                for (a, b, lat) in edges {
+                    let (a, b) = (a % n as u8, b % n as u8);
+                    if a != b {
+                        t.add_link(NodeId(a), NodeId(b), SimDuration::from_micros(lat));
+                    }
+                }
+                let agrees = |t: &mut Topology| {
+                    for from in (0..n as u8).map(NodeId) {
+                        for to in (0..n as u8).map(NodeId) {
+                            let want = dijkstra(t, from, to);
+                            prop_assert_eq!(t.route(from, to).as_deref(), want.as_ref());
+                        }
+                    }
+                };
+                agrees(&mut t);
+                let links = t.links.len();
+                for up in [false, true] {
+                    for &f in flaps.iter().filter(|_| links > 0) {
+                        t.set_link_up(LinkId((f % links) as u32), up);
+                    }
+                    agrees(&mut t);
                 }
             }
         }
