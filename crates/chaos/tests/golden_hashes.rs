@@ -44,6 +44,50 @@ fn sweep_0_to_25_with_dumps() {
     );
 }
 
+/// The three override paths CI sweeps, set through the same public
+/// fields the CLI's `schedule_for` sets.
+fn overridden(seeds: std::ops::Range<u64>, set: fn(&mut Schedule)) -> u64 {
+    fold(seeds.map(|s| {
+        let mut schedule = Schedule::generate(s);
+        set(&mut schedule);
+        run_schedule(&schedule).trace_hash
+    }))
+}
+
+/// `--sweep 10 --window 2000`: the group-commit window forced open.
+#[test]
+fn sweep_0_to_10_window_2000() {
+    check(
+        "seeds 0..10 with group_commit_window_us = 2000",
+        0x9bf8_a7dc_d4cd_a063,
+        overridden(0..10, |s| s.group_commit_window_us = 2000),
+    );
+}
+
+/// `--sweep 10 --partitions 2 --dumps`: partitioned trails under dumps.
+#[test]
+fn sweep_0_to_10_partitions_2_with_dumps() {
+    check(
+        "seeds 0..10 with audit_partitions = 2, volumes_per_node = 2, dumps_enabled",
+        0xd761_90a9_3f01_8656,
+        overridden(0..10, |s| {
+            s.audit_partitions = 2;
+            s.volumes_per_node = 2;
+            s.dumps_enabled = true;
+        }),
+    );
+}
+
+/// `--sweep 10 --readers 2`: read-only terminals forced on.
+#[test]
+fn sweep_0_to_10_readers_2() {
+    check(
+        "seeds 0..10 with readonly_terminals_per_node = 2",
+        0xb011_e15f_4e10_71da,
+        overridden(0..10, |s| s.readonly_terminals_per_node = 2),
+    );
+}
+
 #[test]
 fn shard_sweep_0_to_8() {
     check(
