@@ -86,23 +86,21 @@ pub struct DumpProcess {
     /// In-flight dumps, keyed by originating request id.
     jobs: DetHashMap<u64, Job>,
     replies: ReplyCache<DumpReply>,
-    /// Archive generations retained per volume; older generations are
-    /// deleted once the registry update supersedes them.
-    archive_retain: u64,
 }
+
+/// Archive generations the DUMPPROCESS retains per volume. When a newer
+/// dump supersedes the registry entry, archives older than the last
+/// `ARCHIVE_RETAIN` generations are deleted from stable storage —
+/// ROLLFORWARD can still restore from any retained generation.
+pub const ARCHIVE_RETAIN: u64 = 2;
 
 impl DumpProcess {
     pub fn new(service: &str) -> DumpProcess {
-        DumpProcess::with_retain(service, 2)
-    }
-
-    pub fn with_retain(service: &str, archive_retain: u64) -> DumpProcess {
         DumpProcess {
             service: service.to_string(),
             disc_rpc: Rpc::new(1),
             jobs: DetHashMap::default(),
             replies: ReplyCache::new(4096),
-            archive_retain: archive_retain.max(1),
         }
     }
 
@@ -218,7 +216,7 @@ impl DumpProcess {
                     // window can never again be the newest usable one
                     let mut deleted = 0u64;
                     for key in
-                        superseded_archive_keys(&job.volume, job.generation, self.archive_retain)
+                        superseded_archive_keys(&job.volume, job.generation, ARCHIVE_RETAIN)
                     {
                         if ctx.stable().get::<ArchiveImage>(&key).is_some() {
                             ctx.stable().remove(&key);
@@ -325,17 +323,14 @@ impl PairApp for DumpProcess {
     fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
 }
 
-/// Spawn a DUMPPROCESS pair named `$DUMP` on `node`, retaining the last
-/// `archive_retain` (clamped to at least 1) archive generations per
-/// volume.
+/// Spawn a DUMPPROCESS pair named `$DUMP` on `node`.
 pub fn spawn_dump_process(
     world: &mut World,
     node: encompass_sim::NodeId,
     cpu_primary: u8,
     cpu_backup: u8,
-    archive_retain: u64,
 ) -> PairHandle {
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        DumpProcess::with_retain("$DUMP", archive_retain)
+        DumpProcess::new("$DUMP")
     })
 }

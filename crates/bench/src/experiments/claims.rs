@@ -7,13 +7,11 @@ use encompass::app::{launch_bank_app, launch_mfg_app, AppBuilder, BankAppParams,
 use encompass::workload::total_balance;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::trail_key;
-use encompass_sim::{
-    Ctx, CpuId, Fault, NodeId, Payload, Pid, Process, SimDuration, SimTime, TimerId, World,
-};
+use encompass_sim::{CpuId, Fault, NodeId, SimDuration, SimTime, World};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::types::{FileDef, RecoveryMode, Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::{Rpc, Target};
+use guardian::{ask, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tmf::tmp::{TmpMsg, TmpReply};
@@ -346,28 +344,17 @@ pub fn t5() -> Vec<Table> {
     vec![table]
 }
 
-/// A one-shot operator command to a TMP.
-struct TmpCommand {
-    node: NodeId,
-    msg: TmpMsg,
-    rpc: Rpc<TmpMsg, TmpReply>,
-}
-impl Process for TmpCommand {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.rpc.call_persistent(
-            ctx,
-            Target::Named(self.node, "$TMP".into()),
-            self.msg.clone(),
-            SimDuration::from_millis(200),
-            (),
-        );
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-        let _ = self.rpc.accept(ctx, payload);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-        let _ = self.rpc.on_timer(ctx, tag);
-    }
+/// A one-shot operator command to `node`'s TMP.
+fn tmp_command(world: &mut World, node: NodeId, id_space: u64, msg: TmpMsg) {
+    ask::<TmpMsg, TmpReply>(
+        world,
+        node,
+        0,
+        id_space,
+        Target::Named(node, "$TMP".into()),
+        msg,
+        SimDuration::from_millis(200),
+    );
 }
 
 fn parse_transid(log_entry: &str) -> Option<Transid> {
@@ -449,17 +436,14 @@ pub fn t6() -> Vec<Table> {
             app.world.run_for(SimDuration::from_millis(10));
         }
         let transid = parse_transid(&log.borrow()[0]).expect("transid in log");
-        app.world.spawn(
+        tmp_command(
+            &mut app.world,
             nodes[1],
-            0,
-            Box::new(TmpCommand {
-                node: nodes[1],
-                msg: TmpMsg::Abort {
-                    transid,
-                    reason: tmf::state::AbortReason::OperatorOverride,
-                },
-                rpc: Rpc::new(50),
-            }),
+            50,
+            TmpMsg::Abort {
+                transid,
+                reason: tmf::state::AbortReason::OperatorOverride,
+            },
         );
         app.world.run_for(SimDuration::from_secs(10));
         let end = log.borrow().last().cloned().unwrap_or_default();
@@ -529,17 +513,14 @@ pub fn t6() -> Vec<Table> {
         let transid = parse_transid(&log.borrow()[0]).expect("transid");
         app.world.inject(Fault::Partition(vec![nodes[1]]));
         // operator on node 1 queries the home node by phone, then forces
-        app.world.spawn(
+        tmp_command(
+            &mut app.world,
             nodes[1],
-            0,
-            Box::new(TmpCommand {
-                node: nodes[1],
-                msg: TmpMsg::ForceDisposition {
-                    transid,
-                    commit: true,
-                },
-                rpc: Rpc::new(51),
-            }),
+            51,
+            TmpMsg::ForceDisposition {
+                transid,
+                commit: true,
+            },
         );
         let released = probe_lock_release(
             &mut app.world,

@@ -19,12 +19,12 @@ use crate::Table;
 use encompass::app::{launch_bank_app, BankAppParams};
 use encompass_audit::dump::{DumpMsg, DumpReply};
 use encompass_audit::rollforward::rollforward_volume;
-use encompass_sim::{Ctx, Payload, Pid, Process, SimDuration, TimerId};
+use encompass_sim::SimDuration;
 use encompass_storage::media::{
     archive_key, dump_registry_key, media_key, ArchiveImage, DumpRegistry, VolumeMedia,
 };
 use encompass_storage::types::VolumeRef;
-use guardian::{Rpc, Target, TimerOutcome};
+use guardian::{ask, Target};
 use tmf::facility::TmfNodeConfig;
 
 /// One cell of the sweep.
@@ -51,43 +51,6 @@ pub struct OnlineDumpRow {
 pub struct OnlineDumpResult {
     pub rows: Vec<OnlineDumpRow>,
     pub smoke: bool,
-}
-
-/// One-shot client that requests one online dump and exits.
-struct DumpOnce {
-    volume: VolumeRef,
-    rpc: Rpc<DumpMsg, DumpReply>,
-}
-
-impl Process for DumpOnce {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.rpc.call_persistent(
-            ctx,
-            Target::Named(self.volume.node, "$DUMP".into()),
-            DumpMsg::DumpVolume {
-                volume: self.volume.clone(),
-                generation: 1,
-            },
-            SimDuration::from_millis(100),
-            (),
-        );
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-        if self.rpc.accept(ctx, payload).is_ok() {
-            ctx.exit();
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-        if let TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
-            ctx.exit();
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "bench-dump-client"
-    }
 }
 
 fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDumpRow {
@@ -137,13 +100,17 @@ fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDump
             waited += 10;
         }
         for v in &volumes {
-            app.world.spawn(
+            ask::<DumpMsg, DumpReply>(
+                &mut app.world,
                 v.node,
                 0,
-                Box::new(DumpOnce {
+                2,
+                Target::Named(v.node, "$DUMP".into()),
+                DumpMsg::DumpVolume {
                     volume: v.clone(),
-                    rpc: Rpc::new(2),
-                }),
+                    generation: 1,
+                },
+                SimDuration::from_millis(100),
             );
         }
     }

@@ -9,9 +9,11 @@
 //!   workload, and a fault/heal timeline (CPU kills aimed at service
 //!   primaries, bus failures, partitions around the commit point, process
 //!   kills during backout);
-//! * [`run_schedule`] plays the timeline against the full application,
-//!   heals everything, quiesces, and then interrogates the system with
-//!   the oracles described in [`runner`];
+//! * [`run_schedule`] plays the plan the schedule's [`Tier`] names — the
+//!   short sweep timeline, the simulated-hours soak, or the sharded bank
+//!   — against the full application, heals everything, quiesces, and then
+//!   interrogates the system with the oracles described in [`runner`];
+//!   every tier hands back the same [`RunReport`];
 //! * the simulator is deterministic, so a failing seed is a one-line
 //!   repro: `cargo run -p encompass-chaos -- --seed N`.
 //!
@@ -19,15 +21,12 @@
 //! the first invariant violation, printing the offending schedule.
 
 pub mod oracles;
-pub mod probe;
 pub mod runner;
 pub mod schedule;
-pub mod shard;
-pub mod soak;
+mod shard;
+mod soak;
 
-pub use runner::{run_schedule, run_schedule_with, run_seed, FlightDump, RunReport};
+pub use runner::{run_schedule, run_schedule_with, run_seed, FlightDump, RunReport, TierStats};
 pub use schedule::{
-    ChaosAction, Schedule, ScheduledDump, ScheduledEvent, ShardPlan, SoakEpoch, SoakPlan,
+    ChaosAction, Schedule, ScheduledDump, ScheduledEvent, ShardPlan, SoakEpoch, SoakPlan, Tier,
 };
-pub use shard::{run_shard_schedule, run_shard_schedule_with, run_shard_seed, ShardReport};
-pub use soak::{run_soak_schedule, run_soak_schedule_with, run_soak_seed, SoakReport};

@@ -6,15 +6,22 @@
 //! encompass-chaos --sweep COUNT --start S
 //! encompass-chaos --sweep 10 --window 2000   # force a 2ms group-commit window
 //! encompass-chaos                     # default: the 25-schedule CI smoke
+//! encompass-chaos --soak | --shards   # the same, over that tier's plan
 //! ```
 //!
-//! Exit status is non-zero if any run violates an invariant (or a seed
-//! fails to reproduce its own determinism hash).
+//! Exit status is 1 if any run violates an invariant (or a seed fails to
+//! reproduce its own determinism hash), 2 on arguments it cannot honour.
 
-use encompass_chaos::{
-    run_schedule, run_schedule_with, run_shard_schedule, run_shard_schedule_with,
-    run_soak_schedule, run_soak_schedule_with, RunReport, Schedule,
-};
+use encompass_chaos::{run_schedule, run_schedule_with, RunReport, Schedule, Tier, TierStats};
+
+/// The schedule overrides of one invocation.
+struct Overrides {
+    tier: Tier,
+    window: Option<u64>,
+    dumps: bool,
+    partitions: Option<u64>,
+    readers: Option<u64>,
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,77 +36,65 @@ fn main() {
     let mut shards = false;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                seed = Some(parse_num(args.get(i + 1), "--seed"));
-                i += 2;
-            }
-            "--sweep" => {
-                sweep = Some(parse_num(args.get(i + 1), "--sweep"));
-                i += 2;
-            }
-            "--start" => {
-                start = parse_num(args.get(i + 1), "--start");
-                i += 2;
-            }
-            "--window" => {
-                window = Some(parse_num(args.get(i + 1), "--window"));
-                i += 2;
-            }
-            "--dumps" => {
-                dumps = true;
-                i += 1;
-            }
-            "--partitions" => {
-                let n = parse_num(args.get(i + 1), "--partitions");
-                if n == 0 {
-                    eprintln!("--partitions needs a value >= 1");
-                    std::process::exit(2);
-                }
-                partitions = Some(n);
-                i += 2;
-            }
-            "--readers" => {
-                readers = Some(parse_num(args.get(i + 1), "--readers"));
-                i += 2;
-            }
-            "--soak" => {
-                soak = true;
-                i += 1;
-            }
-            "--shards" => {
-                shards = true;
-                i += 1;
-            }
+        let flag = args[i].as_str();
+        let mut num = || {
+            i += 1;
+            parse_num(args.get(i), flag)
+        };
+        match flag {
+            "--seed" => seed = Some(num()),
+            "--sweep" => sweep = Some(num()),
+            "--start" => start = num(),
+            "--window" => window = Some(num()),
+            "--dumps" => dumps = true,
+            "--partitions" => partitions = Some(num()),
+            "--readers" => readers = Some(num()),
+            "--soak" => soak = true,
+            "--shards" => shards = true,
             "--help" | "-h" => {
                 print_usage();
                 return;
             }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                print_usage();
-                std::process::exit(2);
-            }
+            other => reject(&format!("unknown argument {other:?}")),
         }
+        i += 1;
     }
+    if partitions == Some(0) {
+        reject("--partitions needs a value >= 1");
+    }
+    if sweep == Some(0) {
+        reject("--sweep 0 runs nothing and would report success");
+    }
+    if soak && shards {
+        reject("--soak and --shards are different tiers; pick one");
+    }
+    if shards && (dumps || partitions.is_some() || readers.is_some()) {
+        reject(
+            "--dumps, --partitions and --readers shape the bank cluster; \
+             --shards runs the sharded bank",
+        );
+    }
+    let o = Overrides {
+        tier: match (soak, shards) {
+            (true, _) => Tier::Soak,
+            (_, true) => Tier::Shards,
+            (false, false) => Tier::Sweep,
+        },
+        window,
+        dumps,
+        partitions,
+        readers,
+    };
 
-    let failed = if shards {
-        match (seed, sweep) {
-            (Some(s), _) => run_shard_single(s, window),
-            (None, Some(count)) => run_shard_sweep(start, count, window),
-            (None, None) => run_shard_sweep(0, 5, window), // CI smoke
-        }
-    } else if soak {
-        match (seed, sweep) {
-            (Some(s), _) => run_soak_single(s, window, dumps, partitions, readers),
-            (None, Some(count)) => run_soak_sweep(start, count, window, dumps, partitions, readers),
-            (None, None) => run_soak_sweep(0, 3, window, dumps, partitions, readers), // CI smoke
-        }
-    } else {
-        match (seed, sweep) {
-            (Some(s), _) => run_single(s, window, dumps, partitions, readers),
-            (None, Some(count)) => run_sweep(start, count, window, dumps, partitions, readers),
-            (None, None) => run_sweep(0, 25, window, dumps, partitions, readers), // CI smoke default
+    let failed = match seed {
+        Some(s) => run_single(s, &o),
+        None => {
+            let ci_smoke = match o.tier {
+                Tier::Sweep => 25,
+                Tier::Soak => 3,
+                Tier::Shards => 5,
+            };
+            run_sweep(start, sweep.unwrap_or(ci_smoke), &o)
         }
     };
     if failed {
@@ -107,46 +102,46 @@ fn main() {
     }
 }
 
-/// Generate the schedule for `seed`, overriding the drawn group-commit
-/// window when `--window US` was given, enabling the online-dump plan
-/// when `--dumps` was, forcing both the audit-partition count and
-/// the volumes-per-node to N when `--partitions N` was, and pinning the
-/// read-only terminal count when `--readers N` was (`--readers 0`
-/// replays every seed's historical trace byte-for-byte).
-fn schedule_for(
-    seed: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> Schedule {
+/// Bad arguments: say why, print the usage, exit 2.
+fn reject(why: &str) -> ! {
+    eprintln!("{why}");
+    print_usage();
+    std::process::exit(2);
+}
+
+/// Generate the schedule for `seed` on the chosen tier, overriding the
+/// drawn group-commit window when `--window US` was given, enabling the
+/// online-dump plan when `--dumps` was, forcing both the audit-partition
+/// count and the volumes-per-node to N when `--partitions N` was, and
+/// pinning the read-only terminal count when `--readers N` was
+/// (`--readers 0` replays every seed's historical trace byte-for-byte).
+fn schedule_for(seed: u64, o: &Overrides) -> Schedule {
     let mut schedule = Schedule::generate(seed);
-    if let Some(us) = window {
+    schedule.tier = o.tier;
+    if let Some(us) = o.window {
         schedule.group_commit_window_us = us;
     }
-    if let Some(p) = partitions {
+    if let Some(p) = o.partitions {
         schedule.audit_partitions = p as usize;
         schedule.volumes_per_node = (p as usize).min(2);
     }
-    if let Some(r) = readers {
+    if let Some(r) = o.readers {
         schedule.readonly_terminals_per_node = r as usize;
     }
-    schedule.dumps_enabled = dumps;
+    schedule.dumps_enabled = o.dumps;
     schedule
 }
 
 fn parse_num(arg: Option<&String>, flag: &str) -> u64 {
-    arg.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} needs a numeric argument");
-        std::process::exit(2);
-    })
+    arg.and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| reject(&format!("{flag} needs a numeric argument")))
 }
 
 fn print_usage() {
     println!(
         "usage: encompass-chaos [--seed N | --sweep COUNT [--start S]] [--window US] [--dumps] \
-         [--partitions N] [--readers N] [--soak] [--shards]\n\
-         default: --sweep 25 (the CI smoke subset)\n\
+         [--partitions N] [--readers N] [--soak | --shards]\n\
+         default: --sweep 25 (the CI smoke subset); COUNT must be >= 1\n\
          --window US overrides each schedule's group-commit window (microseconds)\n\
          --dumps enables each schedule's online-dump plan + trail purging\n\
          --partitions N forces N audit-trail partitions (and up to 2 volumes per node)\n\
@@ -158,174 +153,23 @@ fn print_usage() {
          --shards runs each seed as a 4-6-node sharded bank (cross-shard transfers,\n\
          replicated branch records, one partition/heal cycle, for half the seeds a\n\
          CPU kill on a $SUSPENSE primary; suspense drain-liveness + replica\n\
-         convergence oracles on top of atomicity/conservation/leak checks)"
+         convergence oracles on top of atomicity/conservation/leak checks); it takes\n\
+         --window but none of --dumps, --partitions, --readers"
     );
-}
-
-/// One shard seed, verbose, run twice (second run records) with the
-/// determinism-hash cross-check, like [`run_single`].
-fn run_shard_single(seed: u64, window: Option<u64>) -> bool {
-    let mut schedule = schedule_for(seed, window, false, None, None);
-    schedule.shards_enabled = true;
-    print!("{}", schedule.describe());
-    let a = run_shard_schedule(&schedule);
-    let b = run_shard_schedule_with(&schedule, true);
-    println!("{}", a.summary_line());
-    let mut failed = false;
-    if a.trace_hash != b.trace_hash {
-        println!(
-            "DETERMINISM VIOLATION: recorded rerun produced hash {:016x} != {:016x}",
-            b.trace_hash, a.trace_hash
-        );
-        failed = true;
-    }
-    for v in &a.violations {
-        println!("  violation: {v}");
-        failed = true;
-    }
-    if failed {
-        if !a.implicated.is_empty() {
-            println!("  implicated transactions: {}", a.implicated.join(", "));
-        }
-    } else {
-        println!("seed {seed}: all shard invariants hold, deterministic");
-    }
-    failed
-}
-
-fn run_shard_sweep(start: u64, count: u64, window: Option<u64>) -> bool {
-    let mut failures = 0u64;
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let mut drained = 0u64;
-    let mut takeovers = 0u64;
-    for seed in start..start + count {
-        let mut schedule = schedule_for(seed, window, false, None, None);
-        schedule.shards_enabled = true;
-        let report = run_shard_schedule(&schedule);
-        println!("{}", report.summary_line());
-        commits += report.commits;
-        aborts += report.aborts;
-        drained += report.applied;
-        takeovers += report.takeovers;
-        if !report.ok() {
-            failures += 1;
-            println!("--- failing schedule (repro: --shards --seed {seed}) ---");
-            print!("{}", report.schedule_desc);
-            for v in &report.violations {
-                println!("  violation: {v}");
-            }
-            if !report.implicated.is_empty() {
-                println!("  implicated transactions: {}", report.implicated.join(", "));
-            }
-        }
-    }
-    println!(
-        "sharded {count} schedules: {} ok, {failures} failed \
-         ({commits} commits, {aborts} aborts, {drained} deferred updates drained, \
-         {takeovers} suspense takeovers)",
-        count - failures
-    );
-    failures > 0
-}
-
-/// One soak seed, verbose, run twice (second run records) with the
-/// determinism-hash cross-check, like [`run_single`].
-fn run_soak_single(
-    seed: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let mut schedule = schedule_for(seed, window, dumps, partitions, readers);
-    schedule.soak_enabled = true;
-    print!("{}", schedule.describe());
-    let a = run_soak_schedule(&schedule);
-    let b = run_soak_schedule_with(&schedule, true);
-    println!("{}", a.summary_line());
-    if let Some(d) = &a.drill {
-        println!("  disaster drill: {d}");
-    }
-    let mut failed = false;
-    if a.run.trace_hash != b.run.trace_hash {
-        println!(
-            "DETERMINISM VIOLATION: recorded rerun produced hash {:016x} != {:016x}",
-            b.run.trace_hash, a.run.trace_hash
-        );
-        failed = true;
-    }
-    for v in &a.run.violations {
-        println!("  violation: {v}");
-        failed = true;
-    }
-    if failed {
-        dump_flight(&b.run);
-    } else {
-        println!("seed {seed}: all soak invariants hold, deterministic");
-    }
-    failed
-}
-
-fn run_soak_sweep(
-    start: u64,
-    count: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let mut failures = 0u64;
-    let mut restarts = 0u64;
-    let mut holds = 0u64;
-    let mut drills = 0u64;
-    let mut respawns = 0u64;
-    for seed in start..start + count {
-        let mut schedule = schedule_for(seed, window, dumps, partitions, readers);
-        schedule.soak_enabled = true;
-        let report = run_soak_schedule(&schedule);
-        println!("{}", report.summary_line());
-        restarts += report.reader_restarts;
-        holds += report.writer_commits;
-        respawns += report.client_respawns;
-        if report.drill.is_some() {
-            drills += 1;
-        }
-        if !report.ok() {
-            failures += 1;
-            println!("--- failing schedule (repro: --soak --seed {seed}) ---");
-            print!("{}", report.run.schedule_desc);
-            for v in &report.run.violations {
-                println!("  violation: {v}");
-            }
-            let recorded = run_soak_schedule_with(&schedule, true);
-            dump_flight(&recorded.run);
-        }
-    }
-    println!(
-        "soaked {count} schedules: {} ok, {failures} failed \
-         ({restarts} reader restarts, {holds} long-hold commits, {respawns} client respawns, \
-         {drills} disaster drills)",
-        count - failures
-    );
-    failures > 0
 }
 
 /// One seed, verbose: print the schedule, run it twice — the second time
 /// with the flight recorder on — and require both runs to produce the
 /// same determinism hash (which also pins recorder-off/on equivalence).
-fn run_single(
-    seed: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let schedule = schedule_for(seed, window, dumps, partitions, readers);
+fn run_single(seed: u64, o: &Overrides) -> bool {
+    let schedule = schedule_for(seed, o);
     print!("{}", schedule.describe());
     let a = run_schedule(&schedule);
     let b = run_schedule_with(&schedule, true);
     println!("{}", a.summary_line());
+    if let TierStats::Soak { drill: Some(d), .. } = &a.tier {
+        println!("  disaster drill: {d}");
+    }
     let mut failed = false;
     if a.trace_hash != b.trace_hash {
         println!(
@@ -341,7 +185,12 @@ fn run_single(
     if failed {
         dump_flight(&b);
     } else {
-        println!("seed {seed}: all invariants hold, deterministic");
+        let which = match o.tier {
+            Tier::Sweep => "",
+            Tier::Soak => "soak ",
+            Tier::Shards => "shard ",
+        };
+        println!("seed {seed}: all {which}invariants hold, deterministic");
     }
     failed
 }
@@ -371,50 +220,82 @@ fn dump_flight(report: &RunReport) {
     }
 }
 
-fn run_sweep(
-    start: u64,
-    count: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
+/// Seeds `start..start + count`, one summary line each and a tier-wide
+/// tally at the end; a failing seed prints its schedule and violations
+/// and is re-run recorded for its flight records.
+fn run_sweep(start: u64, count: u64, o: &Overrides) -> bool {
     let mut failures = 0u64;
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let mut takeover_commits = 0u64;
-    let mut dumps_done = 0u64;
-    let mut purged_files = 0u64;
+    let (mut commits, mut aborts, mut takeover_commits) = (0u64, 0u64, 0u64);
+    let (mut dumps_done, mut purged_files) = (0u64, 0u64);
+    let (mut restarts, mut holds, mut respawns, mut drills) = (0u64, 0u64, 0u64, 0u64);
+    let (mut drained, mut takeovers) = (0u64, 0u64);
     for seed in start..start + count {
-        let report = run_schedule(&schedule_for(seed, window, dumps, partitions, readers));
+        let schedule = schedule_for(seed, o);
+        let report = run_schedule(&schedule);
         println!("{}", report.summary_line());
         commits += report.commits;
         aborts += report.aborts;
         takeover_commits += report.takeover_commit_completions;
         dumps_done += report.dumps_completed;
         purged_files += report.purged_trail_files;
+        match &report.tier {
+            TierStats::Sweep => {}
+            TierStats::Soak {
+                reader_restarts,
+                writer_commits,
+                client_respawns,
+                drill,
+                ..
+            } => {
+                restarts += reader_restarts;
+                holds += writer_commits;
+                respawns += client_respawns;
+                drills += u64::from(drill.is_some());
+            }
+            TierStats::Shards {
+                applied,
+                takeovers: t,
+                ..
+            } => {
+                drained += applied;
+                takeovers += t;
+            }
+        }
         if !report.ok() {
             failures += 1;
-            println!("--- failing schedule (repro: --seed {seed}) ---");
+            let tier_flag = match o.tier {
+                Tier::Sweep => "",
+                Tier::Soak => "--soak ",
+                Tier::Shards => "--shards ",
+            };
+            println!("--- failing schedule (repro: {tier_flag}--seed {seed}) ---");
             print!("{}", report.schedule_desc);
             for v in &report.violations {
                 println!("  violation: {v}");
             }
             // recording is hash-neutral, so this replays the same run
-            let recorded =
-                run_schedule_with(&schedule_for(seed, window, dumps, partitions, readers), true);
-            dump_flight(&recorded);
+            dump_flight(&run_schedule_with(&schedule, true));
         }
     }
-    println!(
-        "swept {count} schedules: {} ok, {failures} failed \
-         ({commits} commits, {aborts} aborts, {takeover_commits} commits completed by takeover)",
-        count - failures
-    );
-    if dumps {
-        println!(
-            "online dumps: {dumps_done} completed, {purged_files} trail files purged"
-        );
+    let ok = count - failures;
+    match o.tier {
+        Tier::Sweep => println!(
+            "swept {count} schedules: {ok} ok, {failures} failed \
+             ({commits} commits, {aborts} aborts, {takeover_commits} commits completed by takeover)"
+        ),
+        Tier::Soak => println!(
+            "soaked {count} schedules: {ok} ok, {failures} failed \
+             ({restarts} reader restarts, {holds} long-hold commits, {respawns} client respawns, \
+             {drills} disaster drills)"
+        ),
+        Tier::Shards => println!(
+            "sharded {count} schedules: {ok} ok, {failures} failed \
+             ({commits} commits, {aborts} aborts, {drained} deferred updates drained, \
+             {takeovers} suspense takeovers)"
+        ),
+    }
+    if o.tier == Tier::Sweep && o.dumps {
+        println!("online dumps: {dumps_done} completed, {purged_files} trail files purged");
     }
     failures > 0
 }

@@ -5,11 +5,12 @@
 //! resolves, a monitor boxcar that never flushes, a purge floor that
 //! never advances) and assert that each oracle fires with a message
 //! naming the implicated transid or process. The soak runner collects
-//! the observations from live probes ([`crate::probe::TmpStateProbe`],
-//! [`crate::probe::AuditStateProbe`], `DiscRequest::StateAudit`,
-//! `TmpMsg::ListOpen`, `DiscRequest::LockAudit`) and from the stable
+//! the observations from live probes (the `StateAudit` request of the
+//! TMP, AUDITPROCESS and DISCPROCESS protocols, `TmpMsg::ListOpen`,
+//! `DiscRequest::LockAudit`) and from the stable
 //! storage (dump registries, archive keys), then hands them here.
 
+use encompass_audit::dump::ARCHIVE_RETAIN;
 use encompass_storage::audit_api::AuditStateReport;
 use encompass_storage::discprocess::{DiscStateReport, SETTLED_FENCE_CAPACITY};
 use tmf::tmp::TmpStateReport;
@@ -59,15 +60,15 @@ pub struct StateCaps {
     pub reply_cache: usize,
     /// Records buffered at one AUDITPROCESS awaiting a force.
     pub audit_buffered: usize,
-    /// `archive:` keys retained per volume: `archive_retain` plus one
+    /// `archive:` keys retained per volume: [`ARCHIVE_RETAIN`] plus one
     /// in-flight generation.
     pub archive_keys: usize,
 }
 
 impl StateCaps {
-    /// Caps used by the soak runner (matched to the facility knobs it
-    /// configures).
-    pub fn soak(snapshot_undo_capacity: usize, archive_retain: usize) -> StateCaps {
+    /// Caps used by the soak runner (matched to the snapshot-undo ring
+    /// it configures and the DUMPPROCESS's retention).
+    pub fn soak(snapshot_undo_capacity: usize) -> StateCaps {
         StateCaps {
             snapshot_undo: snapshot_undo_capacity,
             live_txns: 256,
@@ -76,7 +77,7 @@ impl StateCaps {
             tmp_txns: 256,
             reply_cache: 16384,
             audit_buffered: 4096,
-            archive_keys: archive_retain + 1,
+            archive_keys: ARCHIVE_RETAIN as usize + 1,
         }
     }
 }
@@ -320,7 +321,7 @@ mod tests {
     use super::*;
 
     fn caps() -> StateCaps {
-        StateCaps::soak(64, 2)
+        StateCaps::soak(64)
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! Run one schedule end-to-end and check every TMF invariant.
 //!
-//! The run proceeds in deterministic phases:
+//! [`run_schedule_with`] is the one way in: it dispatches on the
+//! schedule's [`Tier`] to a tier driver — `run_sweep` here, `soak::run`,
+//! `shard::run` — and every driver hands
+//! back the same [`RunReport`]. A driver owns its fault timeline; the
+//! phases around it are written once, below the sweep driver. A run
+//! proceeds in deterministic phases:
 //!
-//! 1. build the bank application for the schedule's cluster shape and
-//!    snapshot a generation-0 archive of every volume (the preload writes
-//!    the account records straight to the media, bypassing TMF, so the
-//!    audit trail alone cannot reproduce them — exactly like a real
-//!    pre-TMF bulk load followed by an online dump);
+//! 1. build the application for the schedule's cluster shape and, on the
+//!    bank tiers, snapshot a generation-0 archive of every volume (the
+//!    preload writes the account records straight to the media, bypassing
+//!    TMF, so the audit trail alone cannot reproduce them — exactly like
+//!    a real pre-TMF bulk load followed by an online dump);
 //! 2. play the fault timeline, resolving name-addressed actions against
 //!    the live world;
 //! 3. heal everything, run the workload to completion, and let the
 //!    safe-delivery tail (phase 2, abort notifications, backouts) drain;
 //! 4. probe every TMP and DISCPROCESS for leaked state;
-//! 5. evaluate the oracles.
+//! 5. read out the counters, then evaluate the oracles.
 //!
 //! The oracles are the paper's own guarantees:
 //!
@@ -29,30 +34,40 @@
 //!   live volumes, i.e. every committed transaction survives recovery
 //!   from total node failure and nothing uncommitted does.
 
-use crate::probe::TmpProbe;
-use crate::schedule::{ChaosAction, Schedule, ScheduledDump};
+use crate::schedule::{ChaosAction, Schedule, ScheduledDump, Tier};
 use bytes::Bytes;
-use encompass::app::{launch_bank_app, BankAppParams};
+use encompass::app::{launch_bank_app, AppHandles, BankAppParams};
 use encompass::workload::total_balance;
 use encompass_audit::dump::{DumpMsg, DumpReply};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_sim::{
-    format_timeline, CpuId, Ctx, DetHashMap, Fault, FlightEvent, FlightTransid, NodeId, Payload,
-    Pid, SimConfig, SimDuration, SimTime, TimerId, World,
+    format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, NodeId, SimConfig,
+    SimDuration, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{archive_key, ArchiveImage, VolumeMedia};
 use encompass_storage::media::{dump_registry_key, media_key, DumpRegistry};
+use encompass_storage::testkit::{run_script, Replies};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::{Rpc, Target, TimerOutcome};
+use guardian::{ask, Target};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
+use tmf::facility::{NodeHandles, TmfNodeConfig, TmfNodeConfigBuilder};
+use tmf::tmp::{TmpMsg, TmpReply};
 
 /// Accounts preloaded per run (balance 1000 each).
 pub(crate) const ACCOUNTS: u64 = 120;
 
-/// What one chaos run produced.
+/// Where a [`guardian::ask`] reply lands: `None` until it arrives.
+pub(crate) type Slot<R> = Rc<RefCell<Option<R>>>;
+
+/// Retry interval of every one-shot probe and command the harness sends.
+pub(crate) const ASK_RETRY: SimDuration = SimDuration::from_millis(100);
+
+/// What one chaos run produced, whatever its tier.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub seed: u64,
@@ -74,6 +89,35 @@ pub struct RunReport {
     pub implicated: Vec<String>,
     /// Flight-recorder artifacts; `Some` only on recorder-enabled runs.
     pub flight: Option<FlightDump>,
+    /// What only the schedule's tier tallies.
+    pub tier: TierStats,
+}
+
+/// The tier-specific tallies of a [`RunReport`].
+#[derive(Clone, Debug)]
+pub enum TierStats {
+    Sweep,
+    Soak {
+        /// Soak epochs played.
+        epochs: usize,
+        /// Read-only transactions restarted on `SnapshotTooOld`.
+        reader_restarts: u64,
+        /// Long-hold writer commits / aborts.
+        writer_commits: u64,
+        writer_aborts: u64,
+        /// Soak clients respawned after dying with their processor.
+        client_respawns: u64,
+        /// `Some(description)` when the full-disaster drill ran.
+        drill: Option<String>,
+    },
+    Shards {
+        /// Deferred updates the suspense monitors applied to replicas.
+        applied: u64,
+        /// Monitor apply transactions that aborted and were retried.
+        retries: u64,
+        /// `$SUSPENSE` takeovers (nonzero whenever the monitor-kill landed).
+        takeovers: u64,
+    },
 }
 
 /// What a recorder-enabled run exports for post-mortems.
@@ -95,19 +139,100 @@ impl RunReport {
     }
 
     pub fn summary_line(&self) -> String {
-        format!(
-            "seed {:>6}  hash {:016x}  commits {:>4}  aborts {:>3}  t_end {:>6}ms  {}",
+        let (seed, hash, commits, aborts, end_ms) = (
             self.seed,
             self.trace_hash,
             self.commits,
             self.aborts,
             self.end_ms,
-            if self.ok() {
-                "ok".to_string()
-            } else {
-                format!("FAIL ({})", self.violations.len())
-            }
-        )
+        );
+        let verdict = if self.ok() {
+            "ok".to_string()
+        } else {
+            format!("FAIL ({})", self.violations.len())
+        };
+        match &self.tier {
+            TierStats::Sweep => format!(
+                "seed {seed:>6}  hash {hash:016x}  commits {commits:>4}  aborts {aborts:>3}  \
+                 t_end {end_ms:>6}ms  {verdict}"
+            ),
+            TierStats::Soak {
+                epochs,
+                reader_restarts,
+                writer_commits,
+                drill,
+                ..
+            } => format!(
+                "seed {seed:>6}  hash {hash:016x}  commits {commits:>5}  aborts {aborts:>4}  \
+                 t_end {end_ms:>8}ms  epochs {epochs}  restarts {reader_restarts:>2}  \
+                 holds {writer_commits:>3}  {}{verdict}",
+                if drill.is_some() { "drill " } else { "" },
+            ),
+            TierStats::Shards {
+                applied, takeovers, ..
+            } => format!(
+                "seed {seed:>6}  hash {hash:016x}  commits {commits:>4}  aborts {aborts:>3}  \
+                 drained {applied:>4}  takeovers {takeovers:>2}  t_end {end_ms:>6}ms  {verdict}"
+            ),
+        }
+    }
+
+    /// Read the counters and the clock once the last probe has answered —
+    /// before the oracles, whose rollforward passes would disturb them.
+    pub(crate) fn read_out(
+        schedule: &Schedule,
+        world: &World,
+        violations: Vec<String>,
+        tier: TierStats,
+    ) -> RunReport {
+        let m = world.metrics();
+        RunReport {
+            seed: schedule.seed,
+            trace_hash: world.trace_hash(),
+            commits: m.get("tmf.commits"),
+            aborts: m.get("tmf.aborts"),
+            takeover_commit_completions: m.get("tmf.takeover_commit_completions"),
+            dumps_completed: m.get("dump.completed"),
+            purged_trail_files: m.get("tmf.purged_trail_files"),
+            end_ms: world.now().as_millis(),
+            violations,
+            schedule_desc: schedule.describe(),
+            implicated: Vec::new(),
+            flight: None,
+            tier,
+        }
+    }
+
+    /// Name the implicated transactions and, on a recorded run, export
+    /// their flight timelines.
+    pub(crate) fn finish(
+        mut self,
+        world: &World,
+        nodes: &[NodeId],
+        mut implicated: Vec<Transid>,
+        flight_recorder: bool,
+    ) -> RunReport {
+        implicated.sort();
+        implicated.dedup();
+        if flight_recorder {
+            let by_txn = world.flightrec().timelines();
+            let empty = Vec::new();
+            let timelines = implicated
+                .iter()
+                .map(|t| {
+                    let ft = t.flight_id();
+                    format_timeline(ft, by_txn.get(&ft).unwrap_or(&empty))
+                })
+                .collect();
+            self.flight = Some(FlightDump {
+                json: world.flightrec().to_json(),
+                timelines,
+                timelines_by_txn: by_txn,
+                committed: committed_transids(world, nodes),
+            });
+        }
+        self.implicated = implicated.iter().map(|t| t.to_string()).collect();
+        self
     }
 }
 
@@ -116,7 +241,8 @@ pub fn run_seed(seed: u64) -> RunReport {
     run_schedule(&Schedule::generate(seed))
 }
 
-/// Run one schedule to completion and evaluate every oracle.
+/// Run the plan `schedule.tier` names to completion and evaluate every
+/// oracle.
 pub fn run_schedule(schedule: &Schedule) -> RunReport {
     run_schedule_with(schedule, false)
 }
@@ -125,40 +251,25 @@ pub fn run_schedule(schedule: &Schedule) -> RunReport {
 /// a pure side channel, so the trace hash is identical either way — a
 /// failing seed can be re-run recorded and the same execution replays.
 pub fn run_schedule_with(schedule: &Schedule, flight_recorder: bool) -> RunReport {
-    let mut builder = tmf::facility::TmfNodeConfig::builder()
-        .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
-        .audit_partitions(schedule.audit_partitions.max(1));
-    if schedule.dumps_enabled {
-        builder = builder
-            .trail_purge_interval(SimDuration::from_micros(schedule.trail_purge_interval_us))
-            .audit_rotate_every(schedule.audit_rotate_every);
+    match schedule.tier {
+        Tier::Sweep => run_sweep(schedule, flight_recorder),
+        Tier::Soak => crate::soak::run(schedule, flight_recorder),
+        Tier::Shards => crate::shard::run(schedule, flight_recorder),
     }
-    let tmf = builder
-        .build()
-        .expect("schedule produced an invalid TMF config");
-    let sim = if flight_recorder {
-        SimConfig::default().flight_recording()
-    } else {
-        SimConfig::default()
-    };
-    let mut app = launch_bank_app(BankAppParams {
-        node_cpus: vec![schedule.cpus_per_node; schedule.nodes],
-        volumes_per_node: schedule.volumes_per_node.max(1),
-        accounts: ACCOUNTS,
-        terminals_per_node: schedule.terminals_per_node,
-        readonly_terminals_per_node: schedule.readonly_terminals_per_node,
-        transactions_per_terminal: schedule.transactions_per_terminal,
-        think: SimDuration::from_millis(5),
-        hot_fraction: schedule.hot_fraction,
-        hot_set: 8,
-        seed: schedule.seed,
-        lock_wait: SimDuration::from_millis(300),
-        sim,
-        tmf,
-        ..BankAppParams::default()
-    });
-    let volumes: Vec<VolumeRef> = app.catalog.all_volumes();
-    snapshot_archives(&mut app.world, &volumes);
+}
+
+/// The sweep tier: the phases of the module docs, over the short timeline.
+fn run_sweep(schedule: &Schedule, flight_recorder: bool) -> RunReport {
+    let purge = schedule
+        .dumps_enabled
+        .then_some(schedule.trail_purge_interval_us);
+    let (mut app, volumes) = launch_bank(
+        schedule,
+        schedule.transactions_per_terminal,
+        SimDuration::from_millis(5),
+        build_tmf(bank_tmf(schedule, purge)),
+        flight_recorder,
+    );
 
     // ---- phase 2: the fault timeline (+ online dumps, if enabled) ---
     let dumps: &[ScheduledDump] = if schedule.dumps_enabled {
@@ -184,157 +295,118 @@ pub fn run_schedule_with(schedule: &Schedule, flight_recorder: bool) -> RunRepor
 
     // ---- phase 3: run the workload out, then drain ------------------
     let mut violations = Vec::new();
-    let total_terminals = (schedule.nodes
-        * (schedule.terminals_per_node + schedule.readonly_terminals_per_node))
-        as u64;
-    let stall_deadline = schedule.heal_at + SimDuration::from_secs(120);
-    while app.world.metrics().get("tcp.terminals_finished") < total_terminals
-        && app.world.now() < stall_deadline
-    {
-        app.world.run_for(SimDuration::from_millis(500));
-    }
-    if app.world.metrics().get("tcp.terminals_finished") < total_terminals {
-        violations.push(format!(
-            "workload stalled: {}/{} terminals finished by t={}ms",
-            app.world.metrics().get("tcp.terminals_finished"),
-            total_terminals,
-            app.world.now().as_millis()
-        ));
-    }
-    // safe-delivery tail: phase 2, abort notifications, backouts
-    app.world.run_for(SimDuration::from_secs(5));
-
+    run_out(
+        &mut app.world,
+        bank_terminals(schedule),
+        SimDuration::from_millis(500),
+        schedule.heal_at + SimDuration::from_secs(120),
+        &mut violations,
+    );
+    app.world.run_for(SAFE_DELIVERY_TAIL);
     // When dumps ran, drain every AUDITPROCESS buffer to the trail media
     // before the convergence oracle reads the trails: a fuzzy archive may
     // have caught a dirty value whose undo image is still sitting in a
-    // buffer (an empty forced append is the AUDITPROCESS flush barrier).
+    // buffer.
     if schedule.dumps_enabled {
-        for &node in &app.nodes {
-            app.world
-                .spawn(node, 0, Box::new(AuditFlushClient::new(node)));
-        }
+        flush_audit_buffers(&mut app.world, &app.nodes);
     }
 
     // ---- phase 4: leak probes ---------------------------------------
-    let open_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, TmpProbe::spawn(&mut app.world, n)))
-        .collect();
-    let lock_probes: Vec<_> = volumes
-        .iter()
-        .map(|v| {
-            let replies = encompass_storage::testkit::run_script(
-                &mut app.world,
-                v.node,
-                0,
-                Target::Named(v.node, v.volume.clone()),
-                vec![DiscRequest::LockAudit],
-            );
-            (v.clone(), replies)
-        })
-        .collect();
-    app.world.run_for(SimDuration::from_secs(3));
-
-    let trace_hash = app.world.trace_hash();
-    let commits = app.world.metrics().get("tmf.commits");
-    let aborts = app.world.metrics().get("tmf.aborts");
-    let takeover_commit_completions = app
-        .world
-        .metrics()
-        .get("tmf.takeover_commit_completions");
-    let dumps_completed = app.world.metrics().get("dump.completed");
-    let purged_trail_files = app.world.metrics().get("tmf.purged_trail_files");
-    let end_ms = app.world.now().as_millis();
+    let open_probes = probe_open_txns(&mut app.world, &app.nodes);
+    let lock_probes = probe_locks(&mut app.world, &volumes);
+    app.world.run_for(PROBE_WINDOW);
+    let mut report = RunReport::read_out(schedule, &app.world, violations, TierStats::Sweep);
 
     // ---- phase 5: oracles -------------------------------------------
     let mut implicated: Vec<Transid> = Vec::new();
-    check_atomicity(&mut app.world, &app.nodes, &mut violations, &mut implicated);
-    check_conservation(&mut app.world, &app.catalog, &app.nodes, &mut violations);
-    for (node, slot) in &open_probes {
-        match &*slot.borrow() {
-            None => violations.push(format!("{node}: $TMP unreachable after heal")),
-            Some(open) if !open.is_empty() => {
-                implicated.extend(open.iter().copied());
-                violations.push(format!(
-                    "{node}: {} transaction(s) leaked in the TMP table: {open:?}",
-                    open.len()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    implicated.sort();
-    implicated.dedup();
-    for (vol, replies) in &lock_probes {
-        match replies.borrow().first() {
-            Some(DiscReply::LockAudit { held: 0, waiting: 0 }) => {}
-            Some(DiscReply::LockAudit { held, waiting }) => violations.push(format!(
-                "{}.{}: {held} lock(s) still held, {waiting} waiter(s) parked after quiesce",
-                vol.node, vol.volume
-            )),
-            other => violations.push(format!(
-                "{}.{}: lock audit failed: {other:?}",
-                vol.node, vol.volume
-            )),
-        }
-    }
-    // Per-volume trail keys: with partitioned trails a volume's images
-    // live on exactly one partition, and a *sibling* partition may have
-    // purged past this volume's floor — scanning every trail of the
-    // service would trip ROLLFORWARD's purge-floor check spuriously.
-    let trail_key_of: BTreeMap<(NodeId, String), String> = app
-        .tmf
-        .iter()
-        .flat_map(|h| {
-            let node = h.node;
-            h.trail_key_of
-                .iter()
-                .map(move |(vol, key)| ((node, vol.clone()), key.clone()))
-        })
-        .collect();
-    check_convergence(&mut app.world, &volumes, &trail_key_of, &mut violations);
+    let violations = &mut report.violations;
+    check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
+    check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    check_tmp_tables(&open_probes, violations, &mut implicated);
+    check_locks(&lock_probes, violations);
+    check_convergence(&mut app.world, &volumes, &trail_keys(&app.tmf), violations);
+    report.finish(&app.world, &app.nodes, implicated, flight_recorder)
+}
 
-    let flight = if flight_recorder {
-        let by_txn = app.world.flightrec().timelines();
-        let empty = Vec::new();
-        let timelines = implicated
-            .iter()
-            .map(|t| {
-                let ft = t.flight_id();
-                format_timeline(ft, by_txn.get(&ft).unwrap_or(&empty))
-            })
-            .collect();
-        Some(FlightDump {
-            json: app.world.flightrec().to_json(),
-            timelines,
-            timelines_by_txn: by_txn,
-            committed: committed_transids(&app.world, &app.nodes),
-        })
+// ---------------------------------------------------------------------
+// Phases every tier driver shares. Each takes data (a volume list, a poll
+// step, a deadline), never the tier: where tiers differ in a way the trace
+// hash sees, the difference lives in the driver.
+
+/// The schedule's group-commit window: the one TMF knob every tier sets.
+pub(crate) fn tmf_builder(schedule: &Schedule) -> TmfNodeConfigBuilder {
+    TmfNodeConfig::builder()
+        .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
+}
+
+/// The bank tiers' TMF config: the schedule's trail partitions and, when
+/// the run dumps (`purge_interval_us`), trail purging over small files.
+pub(crate) fn bank_tmf(
+    schedule: &Schedule,
+    purge_interval_us: Option<u64>,
+) -> TmfNodeConfigBuilder {
+    let builder = tmf_builder(schedule).audit_partitions(schedule.audit_partitions.max(1));
+    match purge_interval_us {
+        Some(us) => builder
+            .trail_purge_interval(SimDuration::from_micros(us))
+            .audit_rotate_every(schedule.audit_rotate_every),
+        None => builder,
+    }
+}
+
+pub(crate) fn build_tmf(builder: TmfNodeConfigBuilder) -> TmfNodeConfig {
+    builder
+        .build()
+        .expect("schedule produced an invalid TMF config")
+}
+
+pub(crate) fn sim_config(flight_recorder: bool) -> SimConfig {
+    if flight_recorder {
+        SimConfig::default().flight_recording()
     } else {
-        None
-    };
-
-    RunReport {
-        seed: schedule.seed,
-        trace_hash,
-        commits,
-        aborts,
-        takeover_commit_completions,
-        dumps_completed,
-        purged_trail_files,
-        end_ms,
-        violations,
-        schedule_desc: schedule.describe(),
-        implicated: implicated.iter().map(|t| t.to_string()).collect(),
-        flight,
+        SimConfig::default()
     }
+}
+
+/// Phase 1 of the bank tiers: the bank application for the schedule's
+/// cluster shape, and a generation-0 archive of every volume.
+pub(crate) fn launch_bank(
+    schedule: &Schedule,
+    transactions_per_terminal: u64,
+    think: SimDuration,
+    tmf: TmfNodeConfig,
+    flight_recorder: bool,
+) -> (AppHandles, Vec<VolumeRef>) {
+    let mut app = launch_bank_app(BankAppParams {
+        node_cpus: vec![schedule.cpus_per_node; schedule.nodes],
+        volumes_per_node: schedule.volumes_per_node.max(1),
+        accounts: ACCOUNTS,
+        terminals_per_node: schedule.terminals_per_node,
+        readonly_terminals_per_node: schedule.readonly_terminals_per_node,
+        transactions_per_terminal,
+        think,
+        hot_fraction: schedule.hot_fraction,
+        hot_set: 8,
+        seed: schedule.seed,
+        lock_wait: SimDuration::from_millis(300),
+        sim: sim_config(flight_recorder),
+        tmf,
+        ..BankAppParams::default()
+    });
+    let volumes: Vec<VolumeRef> = app.catalog.all_volumes();
+    snapshot_archives(&mut app.world, &volumes);
+    (app, volumes)
+}
+
+/// Terminals the bank tiers wait for.
+pub(crate) fn bank_terminals(schedule: &Schedule) -> u64 {
+    (schedule.nodes * (schedule.terminals_per_node + schedule.readonly_terminals_per_node)) as u64
 }
 
 /// Snapshot a generation-0 archive of every volume, straight from the
 /// (preloaded) media — the online-dump the paper's ROLLFORWARD starts
 /// from.
-pub(crate) fn snapshot_archives(world: &mut World, volumes: &[VolumeRef]) {
+fn snapshot_archives(world: &mut World, volumes: &[VolumeRef]) {
     for v in volumes {
         let files = world
             .stable()
@@ -353,9 +425,16 @@ pub(crate) fn snapshot_archives(world: &mut World, volumes: &[VolumeRef]) {
     }
 }
 
-/// Start every scheduled dump due at or before `upto`: one [`DumpClient`]
-/// per volume of the dump's node, spawned at the dump's own time.
-pub(crate) fn start_due_dumps(
+/// A processor of `node` that can host a client now: faults may have one
+/// down.
+pub(crate) fn live_cpu(world: &World, node: NodeId) -> u8 {
+    (0..world.cpu_count(node))
+        .find(|&c| world.cpu_up(node, CpuId(c)))
+        .unwrap_or(0)
+}
+
+/// Start every scheduled dump due at or before `upto`, at its own time.
+fn start_due_dumps(
     world: &mut World,
     volumes: &[VolumeRef],
     dumps: &[ScheduledDump],
@@ -363,113 +442,214 @@ pub(crate) fn start_due_dumps(
     upto: SimTime,
 ) {
     while *next < dumps.len() && dumps[*next].at <= upto {
-        let d = dumps[*next].clone();
+        let d = &dumps[*next];
         world.run_until(d.at);
-        // the dump may be scheduled while a processor of the node is
-        // down; host the client on any live one
-        let cpu = (0..world.cpu_count(d.node))
-            .find(|&c| world.cpu_up(d.node, CpuId(c)))
-            .unwrap_or(0);
-        for v in volumes.iter().filter(|v| v.node == d.node) {
-            world.spawn(
-                d.node,
-                cpu,
-                Box::new(DumpClient {
-                    volume: v.clone(),
-                    generation: d.generation,
-                    rpc: Rpc::new(2),
-                }),
-            );
-        }
+        request_dumps(world, volumes, d.node, d.generation);
         *next += 1;
     }
 }
 
-/// One-shot client asking a node's `$DUMP` pair for one online dump. The
-/// request retries persistently — a CPU fault mid-copy forces a takeover
-/// that drops the dump, and the retry is what restarts it after the heal.
-pub(crate) struct DumpClient {
-    pub(crate) volume: VolumeRef,
-    pub(crate) generation: u64,
-    pub(crate) rpc: Rpc<DumpMsg, DumpReply>,
-}
-
-impl encompass_sim::Process for DumpClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.rpc.call_persistent(
-            ctx,
-            Target::Named(self.volume.node, "$DUMP".into()),
+/// Ask `node`'s `$DUMP` pair for one online dump of each of its volumes.
+/// The request retries persistently — a CPU fault mid-copy forces a
+/// takeover that drops the dump, and the retry is what restarts it after
+/// the heal.
+pub(crate) fn request_dumps(
+    world: &mut World,
+    volumes: &[VolumeRef],
+    node: NodeId,
+    generation: u64,
+) {
+    let cpu = live_cpu(world, node);
+    for v in volumes.iter().filter(|v| v.node == node) {
+        ask::<DumpMsg, DumpReply>(
+            world,
+            node,
+            cpu,
+            2,
+            Target::Named(node, "$DUMP".into()),
             DumpMsg::DumpVolume {
-                volume: self.volume.clone(),
-                generation: self.generation,
+                volume: v.clone(),
+                generation,
             },
-            SimDuration::from_millis(100),
-            (),
+            ASK_RETRY,
         );
     }
+}
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-        if self.rpc.accept(ctx, payload).is_ok() {
-            ctx.exit();
-        }
+/// Run until every one of `terminals` finished, polling every `step`;
+/// giving up at `deadline` is a stall violation.
+pub(crate) fn run_out(
+    world: &mut World,
+    terminals: u64,
+    step: SimDuration,
+    deadline: SimTime,
+    violations: &mut Vec<String>,
+) {
+    while world.metrics().get("tcp.terminals_finished") < terminals && world.now() < deadline {
+        world.run_for(step);
     }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-        if let TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
-            ctx.exit();
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "dump-client"
+    let finished = world.metrics().get("tcp.terminals_finished");
+    if finished < terminals {
+        violations.push(format!(
+            "workload stalled: {finished}/{terminals} terminals finished by t={}ms",
+            world.now().as_millis()
+        ));
     }
 }
 
-/// One-shot client that sends a node's `$AUDIT` an empty forced append —
-/// the flush barrier that pushes every buffered image onto the trail.
-pub(crate) struct AuditFlushClient {
-    node: NodeId,
-    rpc: Rpc<AuditMsg, AuditReply>,
-}
+/// The safe-delivery tail after the run-out: phase 2, abort
+/// notifications, backouts.
+pub(crate) const SAFE_DELIVERY_TAIL: SimDuration = SimDuration::from_secs(5);
 
-impl AuditFlushClient {
-    pub(crate) fn new(node: NodeId) -> AuditFlushClient {
-        AuditFlushClient {
+/// How long the final probes get to be answered.
+pub(crate) const PROBE_WINDOW: SimDuration = SimDuration::from_secs(3);
+
+/// Send every node's `$AUDIT` an empty forced append — the flush barrier
+/// that pushes every buffered image onto the trail.
+pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
+    for &node in nodes {
+        ask::<AuditMsg, AuditReply>(
+            world,
             node,
-            rpc: Rpc::new(3),
-        }
-    }
-}
-
-impl encompass_sim::Process for AuditFlushClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.rpc.call_persistent(
-            ctx,
-            Target::Named(self.node, "$AUDIT".into()),
+            0,
+            3,
+            Target::Named(node, "$AUDIT".into()),
             AuditMsg::Append {
                 records: Vec::new(),
                 force: true,
             },
-            SimDuration::from_millis(100),
-            (),
+            ASK_RETRY,
         );
     }
+}
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-        if self.rpc.accept(ctx, payload).is_ok() {
-            ctx.exit();
+/// Ask `node`'s `$TMP` one question. Persistent: the pair may still be
+/// mid-takeover right after the heal.
+pub(crate) fn ask_tmp(
+    world: &mut World,
+    node: NodeId,
+    id_space: u64,
+    msg: TmpMsg,
+) -> Slot<TmpReply> {
+    let target = Target::Named(node, "$TMP".into());
+    ask(world, node, 0, id_space, target, msg, ASK_RETRY)
+}
+
+/// Ask every node's `$TMP` for the transids still in its table.
+pub(crate) fn probe_open_txns(
+    world: &mut World,
+    nodes: &[NodeId],
+) -> Vec<(NodeId, Slot<TmpReply>)> {
+    nodes
+        .iter()
+        .map(|&n| (n, ask_tmp(world, n, 11, TmpMsg::ListOpen)))
+        .collect()
+}
+
+/// Send one request to the DISCPROCESS of every volume.
+pub(crate) fn probe_discs(
+    world: &mut World,
+    volumes: &[VolumeRef],
+    request: DiscRequest,
+) -> Vec<(VolumeRef, Replies)> {
+    volumes
+        .iter()
+        .map(|v| {
+            let target = Target::Named(v.node, v.volume.clone());
+            let replies = run_script(world, v.node, 0, target, vec![request.clone()]);
+            (v.clone(), replies)
+        })
+        .collect()
+}
+
+/// Ask every volume's DISCPROCESS for a lock audit.
+pub(crate) fn probe_locks(world: &mut World, volumes: &[VolumeRef]) -> Vec<(VolumeRef, Replies)> {
+    probe_discs(world, volumes, DiscRequest::LockAudit)
+}
+
+/// What a [`probe_open_txns`] probe heard back; `None` if it never did.
+pub(crate) fn open_txns(slot: &Slot<TmpReply>) -> Option<Vec<Transid>> {
+    if let Some(TmpReply::Open { transids }) = &*slot.borrow() {
+        Some(transids.clone())
+    } else {
+        None
+    }
+}
+
+/// Oracle: after quiesce + heal every TMP answers, with an empty table.
+pub(crate) fn check_tmp_tables(
+    probes: &[(NodeId, Slot<TmpReply>)],
+    violations: &mut Vec<String>,
+    implicated: &mut Vec<Transid>,
+) {
+    for (node, slot) in probes {
+        match open_txns(slot) {
+            None => violations.push(format!("{node}: $TMP unreachable after heal")),
+            Some(open) if !open.is_empty() => {
+                violations.push(format!(
+                    "{node}: {} transaction(s) leaked in the TMP table: {open:?}",
+                    open.len()
+                ));
+                implicated.extend(open);
+            }
+            Some(_) => {}
         }
     }
+}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-        if let TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
-            ctx.exit();
+/// Oracle: after quiesce + heal no lock is held and no waiter parked.
+pub(crate) fn check_locks(probes: &[(VolumeRef, Replies)], violations: &mut Vec<String>) {
+    for (vol, replies) in probes {
+        match replies.borrow().first() {
+            Some(DiscReply::LockAudit { held: 0, waiting: 0 }) => {}
+            Some(DiscReply::LockAudit { held, waiting }) => violations.push(format!(
+                "{}.{}: {held} lock(s) still held, {waiting} waiter(s) parked after quiesce",
+                vol.node, vol.volume
+            )),
+            other => violations.push(format!(
+                "{}.{}: lock audit failed: {other:?}",
+                vol.node, vol.volume
+            )),
         }
     }
+}
 
-    fn kind(&self) -> &'static str {
-        "audit-flush-client"
-    }
+/// `(node, volume)` → the one trail (partition) holding the volume's
+/// images. With partitioned trails a *sibling* partition may have purged
+/// past this volume's floor — scanning every trail of the service would
+/// trip ROLLFORWARD's purge-floor check spuriously.
+pub(crate) type TrailKeys = BTreeMap<(NodeId, String), String>;
+
+pub(crate) fn trail_keys(tmf: &[NodeHandles]) -> TrailKeys {
+    tmf.iter()
+        .flat_map(|h| {
+            let node = h.node;
+            h.trail_key_of
+                .iter()
+                .map(move |(vol, key)| ((node, vol.clone()), key.clone()))
+        })
+        .collect()
+}
+
+/// ROLLFORWARD `v` from its latest registered dump (the fuzzy online
+/// archive, when one registered; the generation-0 snapshot otherwise)
+/// plus its trail. Returns the archive generation used.
+pub(crate) fn rollforward_from_registry(
+    world: &mut World,
+    v: &VolumeRef,
+    trails: &TrailKeys,
+) -> u64 {
+    let generation = world
+        .stable()
+        .get::<DumpRegistry>(&dump_registry_key(v))
+        .map(|r| r.generation)
+        .unwrap_or(0);
+    let keys: Vec<String> = trails
+        .get(&(v.node, v.volume.clone()))
+        .map(|k| vec![k.clone()])
+        .unwrap_or_default();
+    let _ = rollforward_volume(world, v, &keys, generation);
+    generation
 }
 
 pub(crate) fn apply(world: &mut World, action: &ChaosAction) {
@@ -482,13 +662,7 @@ pub(crate) fn apply(world: &mut World, action: &ChaosAction) {
                 }
             }
         }
-        ChaosAction::RestoreDownCpus { node } => {
-            for c in 0..world.cpu_count(*node) {
-                if !world.cpu_up(*node, CpuId(c)) {
-                    world.inject(Fault::RestoreCpu(*node, CpuId(c)));
-                }
-            }
-        }
+        ChaosAction::RestoreDownCpus { node } => restore_down_cpus(world, *node),
         ChaosAction::KillServerProcess { node, nth } => {
             let mut servers = Vec::new();
             for c in 0..world.cpu_count(*node) {
@@ -505,17 +679,22 @@ pub(crate) fn apply(world: &mut World, action: &ChaosAction) {
     }
 }
 
+pub(crate) fn restore_down_cpus(world: &mut World, node: NodeId) {
+    for c in 0..world.cpu_count(node) {
+        if !world.cpu_up(node, CpuId(c)) {
+            world.inject(Fault::RestoreCpu(node, CpuId(c)));
+        }
+    }
+}
+
+/// The bank tiers' heal barrier: every link, bus and processor.
 pub(crate) fn heal_everything(world: &mut World, schedule: &Schedule) {
     world.inject(Fault::HealAllLinks);
     for n in 0..schedule.nodes as u8 {
         let node = NodeId(n);
         world.inject(Fault::HealBus(node, 0));
         world.inject(Fault::HealBus(node, 1));
-        for c in 0..world.cpu_count(node) {
-            if !world.cpu_up(node, CpuId(c)) {
-                world.inject(Fault::RestoreCpu(node, CpuId(c)));
-            }
-        }
+        restore_down_cpus(world, node);
     }
 }
 
@@ -544,7 +723,7 @@ pub(crate) fn committed_transids(world: &World, nodes: &[NodeId]) -> Vec<FlightT
 /// Oracle: a transid is committed everywhere or aborted everywhere, as
 /// judged by each node's Monitor Audit Trail.
 pub(crate) fn check_atomicity(
-    world: &mut World,
+    world: &World,
     nodes: &[NodeId],
     violations: &mut Vec<String>,
     implicated: &mut Vec<Transid>,
@@ -627,27 +806,17 @@ fn parse_history_amount(v: &Bytes) -> Option<i64> {
     s.rsplit(':').next()?.parse().ok()
 }
 
-/// Oracle: ROLLFORWARD from the latest completed dump (the fuzzy online
-/// archive, when one registered; the generation-0 snapshot otherwise)
-/// plus every surviving audit trail reproduces the live media exactly.
+/// Oracle: ROLLFORWARD from the latest completed dump plus the surviving
+/// audit trail reproduces the live media exactly.
 pub(crate) fn check_convergence(
     world: &mut World,
     volumes: &[VolumeRef],
-    trail_key_of: &BTreeMap<(NodeId, String), String>,
+    trails: &TrailKeys,
     violations: &mut Vec<String>,
 ) {
     for v in volumes {
-        let generation = world
-            .stable()
-            .get::<DumpRegistry>(&dump_registry_key(v))
-            .map(|r| r.generation)
-            .unwrap_or(0);
-        let keys: Vec<String> = trail_key_of
-            .get(&(v.node, v.volume.clone()))
-            .map(|k| vec![k.clone()])
-            .unwrap_or_default();
         let live = snapshot_volume(world, v);
-        let _ = rollforward_volume(world, v, &keys, generation);
+        rollforward_from_registry(world, v, trails);
         let rebuilt = snapshot_volume(world, v);
         if live != rebuilt {
             let detail = diff_summary(&live, &rebuilt);

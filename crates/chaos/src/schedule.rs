@@ -63,10 +63,29 @@ pub struct ScheduledDump {
     pub generation: u64,
 }
 
+/// Which of a schedule's three plans a run plays. Every seed draws all
+/// three — the soak plan after every short-run draw and the shard plan
+/// after every other draw — so choosing a tier never shifts another
+/// tier's timeline, and each tier's corpus replays byte-identical traces
+/// whether or not the generating binary knew about the later tiers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Tier {
+    /// The short fault timeline (`events`, `heal_at`, and `dumps` when
+    /// `dumps_enabled`) over the bank application.
+    #[default]
+    Sweep,
+    /// [`SoakPlan`]: simulated hours over the same bank cluster (`--soak`).
+    Soak,
+    /// [`ShardPlan`]: the sharded bank (`--shards`).
+    Shards,
+}
+
 /// A complete chaos run description.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     pub seed: u64,
+    /// The plan [`crate::run_schedule`] plays.
+    pub tier: Tier,
     pub nodes: usize,
     pub cpus_per_node: u8,
     pub terminals_per_node: usize,
@@ -100,20 +119,7 @@ pub struct Schedule {
     /// read-write terminals so a zero here reproduces historical runs
     /// byte-for-byte.
     pub readonly_terminals_per_node: usize,
-    /// Run the soak plan below instead of the short timeline above.
-    /// Off by default (`--soak` turns it on); the plan is drawn for
-    /// every seed, after all other draws, so enabling it never shifts
-    /// the short-run fault timeline and the non-soak corpus replays
-    /// byte-identical traces.
-    pub soak_enabled: bool,
     pub soak: SoakPlan,
-    /// Run the sharded-bank plan below instead of the timelines above.
-    /// Off by default (`--shards` turns it on); the plan is drawn for
-    /// every seed, after ALL existing draws (including the soak plan),
-    /// so the no-flag, `--dumps`, and `--soak` corpora replay
-    /// byte-identical traces whether or not the generating binary knew
-    /// about shards.
-    pub shards_enabled: bool,
     pub shard: ShardPlan,
 }
 
@@ -443,6 +449,7 @@ impl Schedule {
 
         Schedule {
             seed,
+            tier: Tier::Sweep,
             nodes,
             cpus_per_node,
             terminals_per_node,
@@ -458,9 +465,7 @@ impl Schedule {
             volumes_per_node,
             audit_partitions,
             readonly_terminals_per_node,
-            soak_enabled: false,
             soak,
-            shards_enabled: false,
             shard,
         }
     }
@@ -509,7 +514,7 @@ impl Schedule {
                 self.trail_purge_interval_us, self.audit_rotate_every
             ));
         }
-        if self.soak_enabled {
+        if self.tier == Tier::Soak {
             let s = &self.soak;
             out.push_str(&format!(
                 "  soak: {} epochs x {}s, {} txns/terminal think {}ms, reader pause {}ms, \
@@ -538,7 +543,7 @@ impl Schedule {
                 ));
             }
         }
-        if self.shards_enabled {
+        if self.tier == Tier::Shards {
             let p = &self.shard;
             out.push_str(&format!(
                 "  shards: {} nodes x {} accounts, {} terminals/node x {} txns, \
@@ -585,8 +590,8 @@ mod tests {
         for seed in 0..50 {
             let mut a = Schedule::generate(seed);
             let mut b = Schedule::generate(seed);
-            a.soak_enabled = true;
-            b.soak_enabled = true;
+            a.tier = Tier::Soak;
+            b.tier = Tier::Soak;
             assert_eq!(a.describe(), b.describe());
             let s = &a.soak;
             assert!(s.epochs as u64 * s.epoch_gap_us >= 3_600_000_000);
@@ -602,8 +607,8 @@ mod tests {
         for seed in 0..50 {
             let mut a = Schedule::generate(seed);
             let mut b = Schedule::generate(seed);
-            a.shards_enabled = true;
-            b.shards_enabled = true;
+            a.tier = Tier::Shards;
+            b.tier = Tier::Shards;
             assert_eq!(a.describe(), b.describe());
             let p = &a.shard;
             assert!((4..=6).contains(&p.nodes), "seed {seed}");

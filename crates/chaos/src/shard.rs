@@ -1,7 +1,7 @@
-//! Run one sharded-bank schedule end-to-end and check the sharding
-//! layer's invariants on top of the core TMF oracles.
+//! The `--shards` tier: one sharded-bank schedule end-to-end, checking
+//! the sharding layer's invariants on top of the core TMF oracles.
 //!
-//! The `--shards` tier aims faults at the suspense-file subsystem: a
+//! The tier aims faults at the suspense-file subsystem: a
 //! partition isolates one shard mid-run so deferred branch updates pile
 //! up in its peers' suspense files, the heal lets the monitors drain,
 //! and for half the seeds an extra CPU kill lands on a `$SUSPENSE`
@@ -22,97 +22,29 @@
 //! * **no leaks** — TMP tables empty, no locks held or waited on.
 
 use crate::oracles::{suspense_drain_violations, SuspenseObservation};
-use crate::probe::TmpProbe;
-use crate::runner::check_atomicity;
+use crate::runner::{
+    build_tmf, check_atomicity, check_locks, check_tmp_tables, probe_locks, probe_open_txns,
+    restore_down_cpus, run_out, sim_config, tmf_builder, RunReport, Slot, TierStats, ASK_RETRY,
+    PROBE_WINDOW, SAFE_DELIVERY_TAIL,
+};
 use crate::schedule::Schedule;
 use encompass::app::{
     launch_shard_bank, read_branch_copy, suspense_backlog, ShardBankAppParams,
 };
 use encompass::workload::total_balance;
-use encompass_shard::{SuspenseProbe, SuspenseReply, SUSPENSE_SERVICE};
-use encompass_sim::{CpuId, Fault, SimConfig, SimDuration, SimTime};
-use encompass_storage::discprocess::{DiscReply, DiscRequest};
+use encompass_shard::{SuspenseMsg, SuspenseReply, SUSPENSE_SERVICE};
+use encompass_sim::{Fault, NodeId, SimDuration, SimTime};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::Target;
+use guardian::{ask, Target};
 
 /// Bounded drain window after the final heal barrier (sim-time, ms):
 /// the liveness oracle requires every suspense backlog to reach zero
 /// within it.
-pub(crate) const DRAIN_WINDOW_MS: u64 = 30_000;
+const DRAIN_WINDOW_MS: u64 = 30_000;
 
-/// What one sharded-bank chaos run produced.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    pub seed: u64,
-    /// The determinism hash: same seed ⇒ same hash, always.
-    pub trace_hash: u64,
-    pub commits: u64,
-    pub aborts: u64,
-    /// Deferred updates the suspense monitors applied to replicas.
-    pub applied: u64,
-    /// Monitor apply transactions that aborted and were retried.
-    pub retries: u64,
-    /// `$SUSPENSE` takeovers (nonzero whenever the monitor-kill landed).
-    pub takeovers: u64,
-    pub end_ms: u64,
-    pub violations: Vec<String>,
-    /// The shard timeline, for one-line repro reports.
-    pub schedule_desc: String,
-    /// Transids implicated in atomicity disagreements or TMP leaks.
-    pub implicated: Vec<String>,
-}
-
-impl ShardReport {
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    pub fn summary_line(&self) -> String {
-        format!(
-            "seed {:>6}  hash {:016x}  commits {:>4}  aborts {:>3}  drained {:>4}  \
-             takeovers {:>2}  t_end {:>6}ms  {}",
-            self.seed,
-            self.trace_hash,
-            self.commits,
-            self.aborts,
-            self.applied,
-            self.takeovers,
-            self.end_ms,
-            if self.ok() {
-                "ok".to_string()
-            } else {
-                format!("FAIL ({})", self.violations.len())
-            }
-        )
-    }
-}
-
-/// Generate the schedule for `seed` and run its shard plan.
-pub fn run_shard_seed(seed: u64) -> ShardReport {
-    let mut schedule = Schedule::generate(seed);
-    schedule.shards_enabled = true;
-    run_shard_schedule(&schedule)
-}
-
-/// Run one shard schedule to completion and evaluate every oracle.
-pub fn run_shard_schedule(schedule: &Schedule) -> ShardReport {
-    run_shard_schedule_with(schedule, false)
-}
-
-/// [`run_shard_schedule`], optionally with the flight recorder on.
-/// Recording is a pure side channel, so the trace hash is identical
-/// either way — the determinism cross-check runs a seed both ways.
-pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> ShardReport {
+/// Play `schedule.shard` to completion and evaluate every oracle.
+pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
     let plan = &schedule.shard;
-    let tmf = tmf::facility::TmfNodeConfig::builder()
-        .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
-        .build()
-        .expect("schedule produced an invalid TMF config");
-    let sim = if flight_recorder {
-        SimConfig::default().flight_recording()
-    } else {
-        SimConfig::default()
-    };
     let accounts = plan.nodes as u64 * plan.accounts_per_node;
     let (mut app, map) = launch_shard_bank(ShardBankAppParams {
         nodes: plan.nodes,
@@ -125,8 +57,8 @@ pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Sh
         think: SimDuration::from_millis(5),
         lock_wait: SimDuration::from_millis(300),
         seed: schedule.seed,
-        sim,
-        tmf,
+        sim: sim_config(flight_recorder),
+        tmf: build_tmf(tmf_builder(schedule)),
         ..ShardBankAppParams::default()
     });
     let initial_total = accounts as i64 * 1000;
@@ -154,73 +86,50 @@ pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Sh
 
     // ---- phase 2: run the workload out ------------------------------
     let mut violations = Vec::new();
-    let total_terminals = (plan.nodes * plan.terminals_per_node) as u64;
-    let stall_deadline = heal_at + SimDuration::from_secs(120);
-    while app.world.metrics().get("tcp.terminals_finished") < total_terminals
-        && app.world.now() < stall_deadline
-    {
-        app.world.run_for(SimDuration::from_millis(500));
-    }
-    if app.world.metrics().get("tcp.terminals_finished") < total_terminals {
-        violations.push(format!(
-            "workload stalled: {}/{} terminals finished by t={}ms",
-            app.world.metrics().get("tcp.terminals_finished"),
-            total_terminals,
-            app.world.now().as_millis()
-        ));
-    }
-    // safe-delivery tail: phase 2, abort notifications, backouts
-    app.world.run_for(SimDuration::from_secs(5));
+    run_out(
+        &mut app.world,
+        (plan.nodes * plan.terminals_per_node) as u64,
+        SimDuration::from_millis(500),
+        heal_at + SimDuration::from_secs(120),
+        &mut violations,
+    );
+    app.world.run_for(SAFE_DELIVERY_TAIL);
 
     // ---- phase 3: heal barrier + bounded drain window ---------------
+    // Links and processors only: this tier never fails a bus, and a
+    // `HealBus` injection is an event the trace hash would see.
     app.world.inject(Fault::HealAllLinks);
     for &node in &app.nodes {
-        for c in 0..app.world.cpu_count(node) {
-            if !app.world.cpu_up(node, CpuId(c)) {
-                app.world.inject(Fault::RestoreCpu(node, CpuId(c)));
-            }
-        }
+        restore_down_cpus(&mut app.world, node);
     }
     app.world.run_for(SimDuration::from_millis(DRAIN_WINDOW_MS));
 
     // ---- phase 4: probes --------------------------------------------
-    let suspense_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, SuspenseProbe::spawn(&mut app.world, n)))
-        .collect();
-    let open_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, TmpProbe::spawn(&mut app.world, n)))
-        .collect();
-    let lock_probes: Vec<_> = app
+    let suspense_probes: Vec<(NodeId, Slot<SuspenseReply>)> = app
         .nodes
         .iter()
         .map(|&n| {
-            let replies = encompass_storage::testkit::run_script(
-                &mut app.world,
-                n,
-                0,
-                Target::Named(n, "$SB".into()),
-                vec![DiscRequest::LockAudit],
-            );
-            (VolumeRef::new(n, "$SB"), replies)
+            let target = Target::Named(n, SUSPENSE_SERVICE.into());
+            let msg = SuspenseMsg::Backlog;
+            (n, ask(&mut app.world, n, 0, 14, target, msg, ASK_RETRY))
         })
         .collect();
-    app.world.run_for(SimDuration::from_secs(3));
-
-    let trace_hash = app.world.trace_hash();
-    let commits = app.world.metrics().get("tmf.commits");
-    let aborts = app.world.metrics().get("tmf.aborts");
-    let applied = app.world.metrics().get("suspense.applied");
-    let retries = app.world.metrics().get("suspense.retries");
-    let takeovers = app.world.metrics().get("suspense.takeovers");
-    let end_ms = app.world.now().as_millis();
+    let open_probes = probe_open_txns(&mut app.world, &app.nodes);
+    let volumes: Vec<VolumeRef> = app.nodes.iter().map(|&n| VolumeRef::new(n, "$SB")).collect();
+    let lock_probes = probe_locks(&mut app.world, &volumes);
+    app.world.run_for(PROBE_WINDOW);
+    let metrics = app.world.metrics();
+    let stats = TierStats::Shards {
+        applied: metrics.get("suspense.applied"),
+        retries: metrics.get("suspense.retries"),
+        takeovers: metrics.get("suspense.takeovers"),
+    };
+    let mut report = RunReport::read_out(schedule, &app.world, violations, stats);
 
     // ---- phase 5: oracles -------------------------------------------
     let mut implicated: Vec<Transid> = Vec::new();
-    check_atomicity(&mut app.world, &app.nodes, &mut violations, &mut implicated);
+    let violations = &mut report.violations;
+    check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
 
     let final_total = total_balance(&mut app.world, &app.catalog, "accounts");
     if final_total != initial_total {
@@ -261,46 +170,7 @@ pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Sh
         }
     }
 
-    for (node, slot) in &open_probes {
-        match &*slot.borrow() {
-            None => violations.push(format!("{node}: $TMP unreachable after heal")),
-            Some(open) if !open.is_empty() => {
-                implicated.extend(open.iter().copied());
-                violations.push(format!(
-                    "{node}: {} transaction(s) leaked in the TMP table: {open:?}",
-                    open.len()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    implicated.sort();
-    implicated.dedup();
-    for (vol, replies) in &lock_probes {
-        match replies.borrow().first() {
-            Some(DiscReply::LockAudit { held: 0, waiting: 0 }) => {}
-            Some(DiscReply::LockAudit { held, waiting }) => violations.push(format!(
-                "{}.{}: {held} lock(s) still held, {waiting} waiter(s) parked after quiesce",
-                vol.node, vol.volume
-            )),
-            other => violations.push(format!(
-                "{}.{}: lock audit failed: {other:?}",
-                vol.node, vol.volume
-            )),
-        }
-    }
-
-    ShardReport {
-        seed: schedule.seed,
-        trace_hash,
-        commits,
-        aborts,
-        applied,
-        retries,
-        takeovers,
-        end_ms,
-        violations,
-        schedule_desc: schedule.describe(),
-        implicated: implicated.iter().map(|t| t.to_string()).collect(),
-    }
+    check_tmp_tables(&open_probes, violations, &mut implicated);
+    check_locks(&lock_probes, violations);
+    report.finish(&app.world, &app.nodes, implicated, flight_recorder)
 }

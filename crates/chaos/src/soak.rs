@@ -27,142 +27,60 @@ use crate::oracles::{
     bounded_violations, liveness_violations, ClientStatus, LivenessObservation, PurgeFloorTrack,
     StateCaps, StateKind, StateObservation,
 };
-use crate::probe::{AuditStateProbe, TmpProbe, TmpStateProbe};
 use crate::runner::{
-    apply, check_atomicity, check_conservation, check_convergence, heal_everything,
-    snapshot_archives, AuditFlushClient, DumpClient, FlightDump, RunReport, ACCOUNTS,
+    apply, ask_tmp, bank_terminals, bank_tmf, build_tmf, check_atomicity, check_conservation,
+    check_convergence, flush_audit_buffers, heal_everything, launch_bank, live_cpu, open_txns,
+    probe_discs, probe_locks, probe_open_txns, request_dumps, rollforward_from_registry, run_out,
+    trail_keys, RunReport, Slot, TierStats, ACCOUNTS, ASK_RETRY, PROBE_WINDOW,
+    SAFE_DELIVERY_TAIL,
 };
 use crate::schedule::{ChaosAction, Schedule};
 use bytes::Bytes;
-use encompass::app::{launch_bank_app, BankAppParams};
 use encompass::workload::account_key;
-use encompass_audit::rollforward::rollforward_volume;
 use encompass_sim::{
-    format_timeline, CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration,
-    SimTime, TimerId, World,
+    Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, SimTime, TimerId, World,
 };
+use encompass_storage::audit_api::{AuditMsg, AuditReply, AuditStateReport};
 use encompass_storage::discprocess::{DiscError, DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, media_key, ArchiveImage, DumpRegistry, VolumeMedia,
 };
+use encompass_storage::testkit::Replies;
 use encompass_storage::types::{Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::{Rpc, Target};
+use guardian::{ask, Target};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use tmf::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
 use tmf::state::AbortReason;
+use tmf::tmp::{TmpMsg, TmpReply, TmpStateReport};
 
 /// Snapshot-undo ring capacity while soaking: small enough that a
 /// long-lived reader's fence falls off the ring within an epoch or two,
 /// exercising the `SnapshotTooOld` restart path.
 const SOAK_SNAPSHOT_UNDO: usize = 64;
-/// Archive generations retained per volume while soaking.
-const SOAK_ARCHIVE_RETAIN: u64 = 2;
 
-/// What one soak run produced: the short-run report plus soak-specific
-/// tallies.
-#[derive(Clone, Debug)]
-pub struct SoakReport {
-    pub run: RunReport,
-    /// Soak epochs played.
-    pub epochs: usize,
-    /// Read-only transactions restarted on `SnapshotTooOld`.
-    pub reader_restarts: u64,
-    /// Long-hold writer commits / aborts.
-    pub writer_commits: u64,
-    pub writer_aborts: u64,
-    /// Soak clients respawned after dying with their processor.
-    pub client_respawns: u64,
-    /// `Some(description)` when the full-disaster drill ran.
-    pub drill: Option<String>,
-}
-
-impl SoakReport {
-    pub fn ok(&self) -> bool {
-        self.run.ok()
-    }
-
-    pub fn summary_line(&self) -> String {
-        format!(
-            "seed {:>6}  hash {:016x}  commits {:>5}  aborts {:>4}  t_end {:>8}ms  \
-             epochs {}  restarts {:>2}  holds {:>3}  {}{}",
-            self.run.seed,
-            self.run.trace_hash,
-            self.run.commits,
-            self.run.aborts,
-            self.run.end_ms,
-            self.epochs,
-            self.reader_restarts,
-            self.writer_commits,
-            if self.drill.is_some() { "drill " } else { "" },
-            if self.ok() {
-                "ok".to_string()
-            } else {
-                format!("FAIL ({})", self.run.violations.len())
-            }
-        )
-    }
-}
-
-/// Generate the schedule for `seed` and soak it.
-pub fn run_soak_seed(seed: u64) -> SoakReport {
-    let mut schedule = Schedule::generate(seed);
-    schedule.soak_enabled = true;
-    run_soak_schedule(&schedule)
-}
-
-/// Run one soak schedule to completion and evaluate every oracle.
-pub fn run_soak_schedule(schedule: &Schedule) -> SoakReport {
-    run_soak_schedule_with(schedule, false)
-}
-
-/// [`run_soak_schedule`], optionally with the flight recorder on.
-/// Recording is a pure side channel, so the trace hash is identical
-/// either way and a failing seed replays the same execution recorded.
-pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> SoakReport {
+/// Play `schedule.soak` to completion and evaluate every oracle.
+pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
     let plan = &schedule.soak;
     let gap = plan.epoch_gap_us;
     let horizon = SimTime::from_micros(plan.epochs as u64 * gap);
-    let tmf = tmf::facility::TmfNodeConfig::builder()
-        .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
-        .audit_partitions(schedule.audit_partitions.max(1))
-        .trail_purge_interval(SimDuration::from_micros(plan.trail_purge_interval_us))
-        .audit_rotate_every(schedule.audit_rotate_every)
-        .archive_retain(SOAK_ARCHIVE_RETAIN)
-        .snapshot_undo_capacity(SOAK_SNAPSHOT_UNDO)
-        .build()
-        .expect("soak schedule produced an invalid TMF config");
-    let sim = if flight_recorder {
-        SimConfig::default().flight_recording()
-    } else {
-        SimConfig::default()
-    };
+    let tmf = bank_tmf(schedule, Some(plan.trail_purge_interval_us))
+        .snapshot_undo_capacity(SOAK_SNAPSHOT_UNDO);
     // Terminals pace themselves over the horizon: cap the drawn think
     // time so each terminal's budget fits in ~60% of it, leaving the
     // run-out phase to absorb fault-induced restarts.
     let think_ms = plan
         .think_ms
         .min(horizon.as_millis() * 3 / 5 / plan.transactions_per_terminal.max(1));
-    let mut app = launch_bank_app(BankAppParams {
-        node_cpus: vec![schedule.cpus_per_node; schedule.nodes],
-        volumes_per_node: schedule.volumes_per_node.max(1),
-        accounts: ACCOUNTS,
-        terminals_per_node: schedule.terminals_per_node,
-        readonly_terminals_per_node: schedule.readonly_terminals_per_node,
-        transactions_per_terminal: plan.transactions_per_terminal,
-        think: SimDuration::from_millis(think_ms.max(1)),
-        hot_fraction: schedule.hot_fraction,
-        hot_set: 8,
-        seed: schedule.seed,
-        lock_wait: SimDuration::from_millis(300),
-        sim,
-        tmf,
-        ..BankAppParams::default()
-    });
-    let volumes: Vec<VolumeRef> = app.catalog.all_volumes();
-    snapshot_archives(&mut app.world, &volumes);
+    let (mut app, volumes) = launch_bank(
+        schedule,
+        plan.transactions_per_terminal,
+        SimDuration::from_millis(think_ms.max(1)),
+        build_tmf(tmf),
+        flight_recorder,
+    );
 
     // Partition-slot layout, mirroring the bank app: slot j covers
     // accounts [ACCOUNTS*j/slots, ...) on volume j%vpn of node j/vpn.
@@ -179,20 +97,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         .collect();
     let drill: Option<(usize, usize)> = plan.disaster.map(|(e, s)| (e, s % slots.len()));
     let drill_slot = drill.map(|(_, s)| s);
-
-    // Per-volume trail keys (a volume's images live on exactly one
-    // partition of its node's trail) — needed by the drill rollforward
-    // and the final convergence oracle.
-    let trail_key_of: BTreeMap<(NodeId, String), String> = app
-        .tmf
-        .iter()
-        .flat_map(|h| {
-            let node = h.node;
-            h.trail_key_of
-                .iter()
-                .map(move |(vol, key)| ((node, vol.clone()), key.clone()))
-        })
-        .collect();
+    let trails = trail_keys(&app.tmf);
 
     // ---- long-lived soak clients ------------------------------------
     // One long-hold writer and one long-lived snapshot reader per node.
@@ -204,27 +109,18 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
     // data; the in-run drill intentionally only recovers what had
     // settled by its own rollforward point.
     let hold = SimDuration::from_micros(gap.saturating_mul(plan.writer_hold_epochs.max(1)));
+    let pause = SimDuration::from_millis(plan.reader_pause_ms);
     let mut clients: Vec<ClientHandle> = Vec::new();
     for (i, &node) in app.nodes.iter().enumerate() {
         let slot = writer_slot(i, vpn, slots.len(), drill_slot);
-        clients.push(spawn_writer(
-            &mut app.world,
-            &app.catalog,
-            node,
+        let writer = ClientKind::Writer {
             slot,
-            slots.len(),
-            1,
+            n_slots: slots.len(),
             hold,
-            horizon,
-        ));
-        clients.push(spawn_reader(
-            &mut app.world,
-            &app.catalog,
-            node,
-            1,
-            SimDuration::from_millis(plan.reader_pause_ms),
-            horizon,
-        ));
+        };
+        clients.push(spawn_client(&mut app.world, &app.catalog, node, writer, 1, horizon));
+        let reader = ClientKind::Reader { pause };
+        clients.push(spawn_client(&mut app.world, &app.catalog, node, reader, 1, horizon));
     }
 
     // ---- the epoch loop ---------------------------------------------
@@ -235,6 +131,8 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
     let max_generation = plan.epochs as u64 + 1;
     for e in 0..plan.epochs {
         let base = e as u64 * gap;
+        // the instant `pct` percent into this epoch
+        let at = |pct: u64| SimTime::from_micros(base + gap * pct / 100);
         let ep = &plan.plan[e];
         let drill_volume: Option<&VolumeRef> = drill
             .filter(|&(de, _)| de == e)
@@ -244,8 +142,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         // node, so the lost volume's DISCPROCESS pair stays whole
         let kill_skipped = drill_volume.is_some_and(|v| v.node == ep.kill_node);
         if !kill_skipped {
-            app.world
-                .run_until(SimTime::from_micros(base + gap * 15 / 100));
+            app.world.run_until(at(15));
             match &ep.kill_service {
                 Some(svc) => apply(
                     &mut app.world,
@@ -264,8 +161,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
 
         // disaster drill part 1 at 25%: both mirrored drives lost
         if let Some(v) = drill_volume {
-            app.world
-                .run_until(SimTime::from_micros(base + gap * 25 / 100));
+            app.world.run_until(at(25));
             let key = media_key(v.node, &v.volume);
             if let Some(media) = app.world.stable_mut().get_mut::<VolumeMedia>(&key) {
                 media.fail_drive(0);
@@ -275,27 +171,12 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         }
 
         // rolling dump generation at 35% on the drawn node
-        app.world
-            .run_until(SimTime::from_micros(base + gap * 35 / 100));
-        let cpu = (0..app.world.cpu_count(ep.dump_node))
-            .find(|&c| app.world.cpu_up(ep.dump_node, CpuId(c)))
-            .unwrap_or(0);
-        for v in volumes.iter().filter(|v| v.node == ep.dump_node) {
-            app.world.spawn(
-                ep.dump_node,
-                cpu,
-                Box::new(DumpClient {
-                    volume: v.clone(),
-                    generation: e as u64 + 1,
-                    rpc: Rpc::new(2),
-                }),
-            );
-        }
+        app.world.run_until(at(35));
+        request_dumps(&mut app.world, &volumes, ep.dump_node, e as u64 + 1);
 
         // restore wave at 55%
         if !kill_skipped {
-            app.world
-                .run_until(SimTime::from_micros(base + gap * 55 / 100));
+            app.world.run_until(at(55));
             apply(
                 &mut app.world,
                 &ChaosAction::RestoreDownCpus { node: ep.kill_node },
@@ -306,24 +187,13 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         // the volume with ROLLFORWARD from its registry archive while
         // the rest of the cluster keeps serving
         if let Some(v) = drill_volume {
-            app.world
-                .run_until(SimTime::from_micros(base + gap * 75 / 100));
+            app.world.run_until(at(75));
             let key = media_key(v.node, &v.volume);
             if let Some(media) = app.world.stable_mut().get_mut::<VolumeMedia>(&key) {
                 media.revive_drive(0);
                 media.revive_drive(1);
             }
-            let generation = app
-                .world
-                .stable()
-                .get::<DumpRegistry>(&dump_registry_key(v))
-                .map(|r| r.generation)
-                .unwrap_or(0);
-            let keys: Vec<String> = trail_key_of
-                .get(&(v.node, v.volume.clone()))
-                .map(|k| vec![k.clone()])
-                .unwrap_or_default();
-            let _ = rollforward_volume(&mut app.world, v, &keys, generation);
+            let generation = rollforward_from_registry(&mut app.world, v, &trails);
             app.world.metrics_mut().add("chaos.drill_recoveries", 1);
             drill_desc = Some(format!(
                 "epoch {e}: {}.{} lost both drives mid-traffic, rolled forward from \
@@ -342,7 +212,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         observe_stable_state(&app.world, &volumes, e, max_generation, &mut bounded_obs);
         track_purge_floors(&app.world, &volumes, &mut floors);
 
-        app.world.run_until(SimTime::from_micros(base + gap));
+        app.world.run_until(at(100));
         // respawn soak clients that died with their processor (a plain
         // process does not survive a CPU kill); the replacement gets a
         // fresh key generation so its inserts never collide
@@ -353,26 +223,9 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
                     Some("died with its processor; respawned".to_string());
                 respawns += 1;
                 app.world.metrics_mut().add("chaos.soak_respawns", 1);
-                let replacement = match c.kind {
-                    ClientKind::Writer { slot } => spawn_writer(
-                        &mut app.world,
-                        &app.catalog,
-                        c.node,
-                        slot,
-                        slots.len(),
-                        c.generation + 1,
-                        hold,
-                        horizon,
-                    ),
-                    ClientKind::Reader => spawn_reader(
-                        &mut app.world,
-                        &app.catalog,
-                        c.node,
-                        c.generation + 1,
-                        SimDuration::from_millis(plan.reader_pause_ms),
-                        horizon,
-                    ),
-                };
+                let (node, kind, generation) = (c.node, c.kind, c.generation + 1);
+                let replacement =
+                    spawn_client(&mut app.world, &app.catalog, node, kind, generation, horizon);
                 clients.push(replacement);
             }
         }
@@ -381,28 +234,22 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
     // ---- run out the workload, then drain ---------------------------
     heal_everything(&mut app.world, schedule);
     let mut violations = Vec::new();
-    let total_terminals = (schedule.nodes
-        * (schedule.terminals_per_node + schedule.readonly_terminals_per_node))
-        as u64;
+    let step = SimDuration::from_secs(2);
     let stall_deadline = horizon + SimDuration::from_secs(900);
-    loop {
-        let terminals_done =
-            app.world.metrics().get("tcp.terminals_finished") >= total_terminals;
-        let clients_done = clients
+    run_out(
+        &mut app.world,
+        bank_terminals(schedule),
+        step,
+        stall_deadline,
+        &mut violations,
+    );
+    // ... and the long-lived clients, on the same poll and deadline
+    while app.world.now() < stall_deadline
+        && !clients
             .iter()
-            .all(|c| c.finished.borrow().is_some() || !app.world.is_alive(c.pid));
-        if (terminals_done && clients_done) || app.world.now() >= stall_deadline {
-            break;
-        }
-        app.world.run_for(SimDuration::from_secs(2));
-    }
-    if app.world.metrics().get("tcp.terminals_finished") < total_terminals {
-        violations.push(format!(
-            "workload stalled: {}/{} terminals finished by t={}ms",
-            app.world.metrics().get("tcp.terminals_finished"),
-            total_terminals,
-            app.world.now().as_millis()
-        ));
+            .all(|c| c.finished.borrow().is_some() || !app.world.is_alive(c.pid))
+    {
+        app.world.run_for(step);
     }
     // a client that died inside the final epoch has no boundary left to
     // respawn it; excuse it (its transactions are still covered by the
@@ -412,37 +259,17 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
             *c.finished.borrow_mut() = Some("died in the final epoch".to_string());
         }
     }
-    // safe-delivery tail: phase 2, abort notifications, backouts
-    app.world.run_for(SimDuration::from_secs(5));
-    // flush every AUDITPROCESS buffer to the trail media before the
-    // convergence oracle (and the liveness probes) read it
-    for &node in &app.nodes {
-        app.world
-            .spawn(node, 0, Box::new(AuditFlushClient::new(node)));
-    }
+    app.world.run_for(SAFE_DELIVERY_TAIL);
+    // flush every AUDITPROCESS buffer to the trail media and let it land
+    // before the liveness probes (and the convergence oracle) read it
+    flush_audit_buffers(&mut app.world, &app.nodes);
     app.world.run_for(SimDuration::from_secs(2));
 
     // ---- final probes -----------------------------------------------
-    let open_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, TmpProbe::spawn(&mut app.world, n)))
-        .collect();
+    let open_probes = probe_open_txns(&mut app.world, &app.nodes);
     let final_probes = spawn_state_probes(&mut app.world, &app.nodes, &volumes);
-    let lock_probes: Vec<_> = volumes
-        .iter()
-        .map(|v| {
-            let replies = encompass_storage::testkit::run_script(
-                &mut app.world,
-                v.node,
-                0,
-                Target::Named(v.node, v.volume.clone()),
-                vec![DiscRequest::LockAudit],
-            );
-            (v.clone(), replies)
-        })
-        .collect();
-    app.world.run_for(SimDuration::from_secs(3));
+    let lock_probes = probe_locks(&mut app.world, &volumes);
+    app.world.run_for(PROBE_WINDOW);
     collect_state_probes(&final_probes, usize::MAX, &mut bounded_obs);
     observe_stable_state(
         &app.world,
@@ -452,36 +279,40 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         &mut bounded_obs,
     );
     track_purge_floors(&app.world, &volumes, &mut floors);
-
-    let trace_hash = app.world.trace_hash();
-    let commits = app.world.metrics().get("tmf.commits");
-    let aborts = app.world.metrics().get("tmf.aborts");
-    let takeover_commit_completions =
-        app.world.metrics().get("tmf.takeover_commit_completions");
-    let dumps_completed = app.world.metrics().get("dump.completed");
-    let purged_trail_files = app.world.metrics().get("tmf.purged_trail_files");
-    let end_ms = app.world.now().as_millis();
+    let m = app.world.metrics();
+    let stats = TierStats::Soak {
+        epochs: plan.epochs,
+        reader_restarts: m.get("chaos.reader_restarts"),
+        writer_commits: m.get("chaos.soak_writer_commits"),
+        writer_aborts: m.get("chaos.soak_writer_aborts"),
+        client_respawns: respawns,
+        drill: drill_desc,
+    };
+    let mut report = RunReport::read_out(schedule, &app.world, violations, stats);
 
     // ---- oracles ----------------------------------------------------
     let mut implicated: Vec<Transid> = Vec::new();
-    check_atomicity(&mut app.world, &app.nodes, &mut violations, &mut implicated);
-    check_conservation(&mut app.world, &app.catalog, &app.nodes, &mut violations);
+    let violations = &mut report.violations;
+    check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
+    check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
 
-    // liveness observations from the final probes
+    // The leak probes feed the liveness oracle here (not the sweep's leak
+    // oracles): a soak finding names the process alongside its boxcars
+    // and queues.
     let mut live_obs: Vec<LivenessObservation> = Vec::new();
-    for (node, slot) in &open_probes {
+    for ((node, open), (_, state)) in open_probes.iter().zip(&final_probes.tmp) {
         let mut o = LivenessObservation {
             process: format!("$TMP@{node}"),
             ..Default::default()
         };
-        match &*slot.borrow() {
+        match open_txns(open) {
             None => o.unreachable = true,
             Some(open) => {
-                implicated.extend(open.iter().copied());
                 o.open_transids = open.iter().map(|t| t.to_string()).collect();
+                implicated.extend(open);
             }
         }
-        if let Some(r) = &*final_probes.tmp[node.0 as usize].1.borrow() {
+        if let Some(r) = tmp_state(state) {
             o.monitor_boxcar = r.monitor_boxcar;
             o.monitor_inflight = r.monitor_inflight;
             o.outstanding_rpcs = r.outstanding_rpcs;
@@ -493,7 +324,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
             process: format!("$AUDIT@{node}"),
             ..Default::default()
         };
-        match &*slot.borrow() {
+        match audit_state(slot) {
             None => o.unreachable = true,
             Some(r) => {
                 o.audit_buffered = r.buffered;
@@ -516,8 +347,6 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         }
         live_obs.push(o);
     }
-    implicated.sort();
-    implicated.dedup();
 
     let client_statuses: Vec<ClientStatus> = clients
         .iter()
@@ -531,54 +360,10 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
     violations.extend(liveness_violations(&live_obs, &client_statuses, &floor_tracks));
     violations.extend(bounded_violations(
         &bounded_obs,
-        &StateCaps::soak(SOAK_SNAPSHOT_UNDO, SOAK_ARCHIVE_RETAIN as usize),
+        &StateCaps::soak(SOAK_SNAPSHOT_UNDO),
     ));
-    check_convergence(&mut app.world, &volumes, &trail_key_of, &mut violations);
-
-    let flight = if flight_recorder {
-        let by_txn = app.world.flightrec().timelines();
-        let empty = Vec::new();
-        let timelines = implicated
-            .iter()
-            .map(|t| {
-                let ft = t.flight_id();
-                format_timeline(ft, by_txn.get(&ft).unwrap_or(&empty))
-            })
-            .collect();
-        Some(FlightDump {
-            json: app.world.flightrec().to_json(),
-            timelines,
-            timelines_by_txn: by_txn,
-            committed: crate::runner::committed_transids(&app.world, &app.nodes),
-        })
-    } else {
-        None
-    };
-
-    let mut schedule_desc = schedule.clone();
-    schedule_desc.soak_enabled = true;
-    SoakReport {
-        run: RunReport {
-            seed: schedule.seed,
-            trace_hash,
-            commits,
-            aborts,
-            takeover_commit_completions,
-            dumps_completed,
-            purged_trail_files,
-            end_ms,
-            violations,
-            schedule_desc: schedule_desc.describe(),
-            implicated: implicated.iter().map(|t| t.to_string()).collect(),
-            flight,
-        },
-        epochs: plan.epochs,
-        reader_restarts: app.world.metrics().get("chaos.reader_restarts"),
-        writer_commits: app.world.metrics().get("chaos.soak_writer_commits"),
-        writer_aborts: app.world.metrics().get("chaos.soak_writer_aborts"),
-        client_respawns: respawns,
-        drill: drill_desc,
-    }
+    check_convergence(&mut app.world, &volumes, &trails, violations);
+    report.finish(&app.world, &app.nodes, implicated, flight_recorder)
 }
 
 /// Pick the partition slot a node's long-hold writer works, preferring a
@@ -596,34 +381,43 @@ fn writer_slot(node_idx: usize, vpn: usize, slots: usize, drill: Option<usize>) 
 // epoch-boundary probes
 
 struct StateProbes {
-    tmp: Vec<(NodeId, crate::probe::TmpState)>,
-    audit: Vec<(NodeId, crate::probe::AuditState)>,
-    disc: Vec<(VolumeRef, encompass_storage::testkit::Replies)>,
+    tmp: Vec<(NodeId, Slot<TmpReply>)>,
+    audit: Vec<(NodeId, Slot<AuditReply>)>,
+    disc: Vec<(VolumeRef, Replies)>,
 }
 
+/// Ask every TMP, AUDITPROCESS and DISCPROCESS for its in-memory state
+/// sizes (the `StateAudit` request of each protocol).
 fn spawn_state_probes(world: &mut World, nodes: &[NodeId], volumes: &[VolumeRef]) -> StateProbes {
     let tmp = nodes
         .iter()
-        .map(|&n| (n, TmpStateProbe::spawn(world, n)))
+        .map(|&n| (n, ask_tmp(world, n, 12, TmpMsg::StateAudit)))
         .collect();
     let audit = nodes
         .iter()
-        .map(|&n| (n, AuditStateProbe::spawn(world, n, "$AUDIT")))
-        .collect();
-    let disc = volumes
-        .iter()
-        .map(|v| {
-            let replies = encompass_storage::testkit::run_script(
-                world,
-                v.node,
-                0,
-                Target::Named(v.node, v.volume.clone()),
-                vec![DiscRequest::StateAudit],
-            );
-            (v.clone(), replies)
+        .map(|&n| {
+            let target = Target::Named(n, "$AUDIT".into());
+            (n, ask(world, n, 0, 13, target, AuditMsg::StateAudit, ASK_RETRY))
         })
         .collect();
+    let disc = probe_discs(world, volumes, DiscRequest::StateAudit);
     StateProbes { tmp, audit, disc }
+}
+
+fn tmp_state(slot: &Slot<TmpReply>) -> Option<TmpStateReport> {
+    if let Some(TmpReply::State(r)) = &*slot.borrow() {
+        Some(*r)
+    } else {
+        None
+    }
+}
+
+fn audit_state(slot: &Slot<AuditReply>) -> Option<AuditStateReport> {
+    if let Some(AuditReply::State(r)) = &*slot.borrow() {
+        Some(*r)
+    } else {
+        None
+    }
 }
 
 /// Fold whatever the probes answered into bounded-state observations.
@@ -631,20 +425,20 @@ fn spawn_state_probes(world: &mut World, nodes: &[NodeId], volumes: &[VolumeRef]
 /// feed the liveness oracle, which does flag unreachability).
 fn collect_state_probes(probes: &StateProbes, epoch: usize, out: &mut Vec<StateObservation>) {
     for (node, slot) in &probes.tmp {
-        if let Some(r) = &*slot.borrow() {
+        if let Some(r) = tmp_state(slot) {
             out.push(StateObservation {
                 process: format!("$TMP@{node}"),
                 epoch,
-                kind: StateKind::Tmp(*r),
+                kind: StateKind::Tmp(r),
             });
         }
     }
     for (node, slot) in &probes.audit {
-        if let Some(r) = &*slot.borrow() {
+        if let Some(r) = audit_state(slot) {
             out.push(StateObservation {
                 process: format!("$AUDIT@{node}"),
                 epoch,
-                kind: StateKind::Audit(*r),
+                kind: StateKind::Audit(r),
             });
         }
     }
@@ -717,8 +511,15 @@ fn track_purge_floors(
 
 #[derive(Clone, Copy)]
 enum ClientKind {
-    Writer { slot: usize },
-    Reader,
+    /// Works partition slot `slot` of `n_slots`, holding each transaction
+    /// open for `hold`.
+    Writer {
+        slot: usize,
+        n_slots: usize,
+        hold: SimDuration,
+    },
+    /// Pauses `pause` between snapshot reads.
+    Reader { pause: SimDuration },
 }
 
 struct ClientHandle {
@@ -731,93 +532,66 @@ struct ClientHandle {
     last_state: Rc<RefCell<String>>,
 }
 
-fn live_cpu(world: &World, node: NodeId) -> u8 {
-    (0..world.cpu_count(node))
-        .find(|&c| world.cpu_up(node, CpuId(c)))
-        .unwrap_or(0)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_writer(
+/// Spawn one long-lived client on a live processor of `node`, to wind
+/// down by `deadline`.
+fn spawn_client(
     world: &mut World,
     catalog: &Catalog,
     node: NodeId,
-    slot: usize,
-    n_slots: usize,
+    kind: ClientKind,
     generation: u32,
-    hold: SimDuration,
     deadline: SimTime,
 ) -> ClientHandle {
-    let low = ACCOUNTS * slot as u64 / n_slots as u64;
-    let name = format!("soak-writer[{node} slot {slot} g{generation}]");
     let finished: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
     let last_state = Rc::new(RefCell::new("spawned".to_string()));
-    let cpu = live_cpu(world, node);
-    let pid = world.spawn(
-        node,
-        cpu,
-        Box::new(SoakWriter {
-            session: TmfSession::new(catalog.clone(), 7),
-            key_prefix: format!(
-                "{}:w{}g{}",
-                String::from_utf8_lossy(&account_key(low)),
-                node.0,
-                generation
-            ),
-            attempt: 0,
+    let (name, process): (String, Box<dyn Process>) = match kind {
+        ClientKind::Writer {
+            slot,
+            n_slots,
             hold,
-            deadline,
-            state: WriterState::Idle,
-            commits: 0,
-            aborts: 0,
-            finished: finished.clone(),
-            last_state: last_state.clone(),
-        }),
-    );
+        } => {
+            let low = ACCOUNTS * slot as u64 / n_slots as u64;
+            let writer = SoakWriter {
+                session: TmfSession::new(catalog.clone(), 7),
+                key_prefix: format!(
+                    "{}:w{}g{}",
+                    String::from_utf8_lossy(&account_key(low)),
+                    node.0,
+                    generation
+                ),
+                attempt: 0,
+                hold,
+                deadline,
+                state: WriterState::Idle,
+                commits: 0,
+                aborts: 0,
+                finished: finished.clone(),
+                last_state: last_state.clone(),
+            };
+            let name = format!("soak-writer[{node} slot {slot} g{generation}]");
+            (name, Box::new(writer))
+        }
+        ClientKind::Reader { pause } => {
+            let reader = SoakReader {
+                session: TmfSession::new(catalog.clone(), 8),
+                pause,
+                deadline,
+                step: node.0 as u64,
+                reads: 0,
+                restarts: 0,
+                state: ReaderState::Idle,
+                finished: finished.clone(),
+                last_state: last_state.clone(),
+            };
+            (format!("soak-reader[{node} g{generation}]"), Box::new(reader))
+        }
+    };
     ClientHandle {
         name,
-        pid,
+        pid: world.spawn(node, live_cpu(world, node), process),
         node,
         generation,
-        kind: ClientKind::Writer { slot },
-        finished,
-        last_state,
-    }
-}
-
-fn spawn_reader(
-    world: &mut World,
-    catalog: &Catalog,
-    node: NodeId,
-    generation: u32,
-    pause: SimDuration,
-    deadline: SimTime,
-) -> ClientHandle {
-    let name = format!("soak-reader[{node} g{generation}]");
-    let finished: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
-    let last_state = Rc::new(RefCell::new("spawned".to_string()));
-    let cpu = live_cpu(world, node);
-    let pid = world.spawn(
-        node,
-        cpu,
-        Box::new(SoakReader {
-            session: TmfSession::new(catalog.clone(), 8),
-            pause,
-            deadline,
-            step: node.0 as u64,
-            reads: 0,
-            restarts: 0,
-            state: ReaderState::Idle,
-            finished: finished.clone(),
-            last_state: last_state.clone(),
-        }),
-    );
-    ClientHandle {
-        name,
-        pid,
-        node,
-        generation,
-        kind: ClientKind::Reader,
+        kind,
         finished,
         last_state,
     }

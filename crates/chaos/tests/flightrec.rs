@@ -7,29 +7,43 @@
 //! first test pins that equivalence; the second checks the records are
 //! complete enough to be worth reading.
 
-use encompass_chaos::{run_schedule, run_schedule_with, Schedule};
+use encompass_chaos::{run_schedule, run_schedule_with, Schedule, Tier};
 use encompass_sim::FlightCause;
 
 /// Recorder on vs off: bit-identical trace hashes over full chaos
-/// schedules (faults, takeovers, backouts and all).
+/// schedules (faults, takeovers, backouts and all), and the recorded run
+/// exports its flight data — on every tier.
+fn assert_recorder_is_trace_hash_neutral(tier: Tier, seed: u64) {
+    let mut schedule = Schedule::generate(seed);
+    schedule.tier = tier;
+    let off = run_schedule(&schedule);
+    let on = run_schedule_with(&schedule, true);
+    assert_eq!(
+        off.trace_hash, on.trace_hash,
+        "{tier:?} seed {seed}: enabling the flight recorder changed the execution"
+    );
+    assert!(off.flight.is_none());
+    let flight = on.flight.expect("recorded run exports flight data");
+    assert!(
+        !flight.timelines_by_txn.is_empty(),
+        "{tier:?} seed {seed}: a full run must leave flight records"
+    );
+    assert!(flight.json.contains("\"transactions\""));
+}
+
 #[test]
 fn recorder_is_trace_hash_neutral() {
-    for seed in [5, 11] {
-        let schedule = Schedule::generate(seed);
-        let off = run_schedule(&schedule);
-        let on = run_schedule_with(&schedule, true);
-        assert_eq!(
-            off.trace_hash, on.trace_hash,
-            "seed {seed}: enabling the flight recorder changed the execution"
-        );
-        assert!(off.flight.is_none());
-        let flight = on.flight.expect("recorded run exports flight data");
-        assert!(
-            !flight.timelines_by_txn.is_empty(),
-            "seed {seed}: a full run must leave flight records"
-        );
-        assert!(flight.json.contains("\"transactions\""));
+    for (tier, seed) in [(Tier::Sweep, 5), (Tier::Sweep, 11), (Tier::Shards, 0)] {
+        assert_recorder_is_trace_hash_neutral(tier, seed);
     }
+}
+
+/// Simulated hours, run twice: release builds only
+/// (`cargo test --release -p encompass-chaos --test flightrec -- --include-ignored`).
+#[test]
+#[ignore = "soak seeds take minutes unoptimised; run in release"]
+fn recorder_is_trace_hash_neutral_soak() {
+    assert_recorder_is_trace_hash_neutral(Tier::Soak, 10);
 }
 
 /// Every transaction the Monitor Audit Trails record as committed has a

@@ -6,7 +6,7 @@
 //! behaviour change (a new message, a moved timer) edits the literal in
 //! the same commit — the failure message prints the new fold.
 
-use encompass_chaos::{run_schedule, run_seed, run_shard_seed, run_soak_seed, Schedule};
+use encompass_chaos::{run_schedule, run_seed, Schedule, Tier};
 
 fn fold(hashes: impl Iterator<Item = u64>) -> u64 {
     hashes.fold(0u64, |acc, h| acc.rotate_left(7) ^ h)
@@ -36,18 +36,14 @@ fn sweep_0_to_25_with_dumps() {
     check(
         "run_seed(0..25) with dumps_enabled",
         0x86e3_f275_d754_2155,
-        fold((0..25).map(|s| {
-            let mut schedule = Schedule::generate(s);
-            schedule.dumps_enabled = true;
-            run_schedule(&schedule).trace_hash
-        })),
+        overridden(0..25, |s| s.dumps_enabled = true),
     );
 }
 
-/// The three override paths CI sweeps, set through the same public
-/// fields the CLI's `schedule_for` sets.
-fn overridden(seeds: std::ops::Range<u64>, set: fn(&mut Schedule)) -> u64 {
-    fold(seeds.map(|s| {
+/// Seeds run with schedule fields overridden — the same public fields
+/// the CLI's `schedule_for` sets.
+fn overridden(seeds: impl IntoIterator<Item = u64>, set: fn(&mut Schedule)) -> u64 {
+    fold(seeds.into_iter().map(|s| {
         let mut schedule = Schedule::generate(s);
         set(&mut schedule);
         run_schedule(&schedule).trace_hash
@@ -91,9 +87,9 @@ fn sweep_0_to_10_readers_2() {
 #[test]
 fn shard_sweep_0_to_8() {
     check(
-        "run_shard_seed(0..8)",
+        "seeds 0..8 with tier = Shards",
         0xa955_26f8_0ae4_32fe,
-        fold((0..8).map(|s| run_shard_seed(s).trace_hash)),
+        overridden(0..8, |s| s.tier = Tier::Shards),
     );
 }
 
@@ -103,8 +99,8 @@ fn shard_sweep_0_to_8() {
 #[ignore = "soak seeds take minutes unoptimised; CI runs them in release"]
 fn soak_seeds_0_and_10() {
     check(
-        "run_soak_seed(0), run_soak_seed(10)",
+        "seeds 0 and 10 with tier = Soak",
         0xf336_a736_dead_c819,
-        fold([0, 10].into_iter().map(|s| run_soak_seed(s).run.trace_hash)),
+        overridden([0, 10], |s| s.tier = Tier::Soak),
     );
 }

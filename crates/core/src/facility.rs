@@ -28,13 +28,11 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 pub struct TmfNodeConfig {
     pub recovery_mode: RecoveryMode,
-    /// Base audit service name; with `audit_processes > 1` the services
-    /// are `<name>0`, `<name>1`, … and volumes are assigned round-robin —
-    /// the paper's "all audited discs on a given controller share an
-    /// AUDITPROCESS and an audit trail; multiple controllers may be
-    /// configured to use the same or different AUDITPROCESSes".
-    pub audit_service: String,
-    /// Number of AUDITPROCESS pairs (and trails) per node.
+    /// Number of AUDITPROCESS pairs (and trails) per node. One is named
+    /// `$AUDIT`; more are `$AUDIT0`, `$AUDIT1`, … with volumes assigned
+    /// round-robin — the paper's "all audited discs on a given controller
+    /// share an AUDITPROCESS and an audit trail; multiple controllers may
+    /// be configured to use the same or different AUDITPROCESSes".
     pub audit_processes: usize,
     /// Trail partitions per AUDITPROCESS: each audit service splits its
     /// volumes round-robin into this many volume groups, each with its own
@@ -43,12 +41,6 @@ pub struct TmfNodeConfig {
     /// the single-trail layout byte for byte. Private: set through the
     /// builder so validation always runs.
     audit_partitions: usize,
-    /// Critical-response timeout/retries and safe-delivery retry interval.
-    pub critical_timeout: SimDuration,
-    pub critical_retries: u32,
-    pub safe_retry: SimDuration,
-    /// DISCPROCESS cache flush interval.
-    pub flush_interval: SimDuration,
     /// Group-commit boxcar window applied to both the AUDITPROCESS force
     /// path and the TMP's monitor-trail writes. Zero (the default) forces
     /// every record individually, reproducing pre-boxcar traces. Private:
@@ -66,12 +58,6 @@ pub struct TmfNodeConfig {
     /// Interval of the TMP's trail-capacity purge pass. Zero (the
     /// default) disables purging, preserving historical traces.
     trail_purge_interval: SimDuration,
-    /// Archive generations the DUMPPROCESS retains per volume. When a
-    /// newer dump supersedes the registry entry, archives older than the
-    /// last `archive_retain` generations are deleted from stable storage
-    /// — ROLLFORWARD can still restore from any retained generation.
-    /// Private: set through the builder so validation always runs.
-    archive_retain: u64,
     /// Capacity of each DISCPROCESS's per-volume snapshot before-image
     /// ring (see DESIGN.md §D13). Smaller rings evict fences sooner,
     /// forcing long-lived snapshot readers to restart with
@@ -84,19 +70,13 @@ impl Default for TmfNodeConfig {
     fn default() -> Self {
         TmfNodeConfig {
             recovery_mode: RecoveryMode::NonStopCheckpoint,
-            audit_service: "$AUDIT".into(),
             audit_processes: 1,
             audit_partitions: 1,
-            critical_timeout: SimDuration::from_millis(100),
-            critical_retries: 3,
-            safe_retry: SimDuration::from_millis(100),
-            flush_interval: SimDuration::from_millis(50),
             group_commit_window: SimDuration::ZERO,
             group_commit_max: 64,
             dump_page_size: 64,
             audit_rotate_every: 4096,
             trail_purge_interval: SimDuration::ZERO,
-            archive_retain: 2,
             snapshot_undo_capacity: 4096,
         }
     }
@@ -134,10 +114,6 @@ impl TmfNodeConfig {
         self.trail_purge_interval
     }
 
-    pub fn archive_retain(&self) -> u64 {
-        self.archive_retain
-    }
-
     pub fn snapshot_undo_capacity(&self) -> usize {
         self.snapshot_undo_capacity
     }
@@ -148,10 +124,6 @@ impl TmfNodeConfig {
 pub enum ConfigError {
     /// A node needs at least one AUDITPROCESS pair.
     NoAuditProcesses,
-    /// A timeout or retry interval was zero (named field).
-    ZeroDuration(&'static str),
-    /// Critical-response messages need at least one attempt.
-    NoCriticalRetries,
     /// `group_commit_max` must admit at least one record per boxcar.
     ZeroGroupCommitMax,
     /// The window exceeds one second — longer than any commit timeout,
@@ -163,9 +135,6 @@ pub enum ConfigError {
     ZeroAuditRotate,
     /// An audit trail needs at least one partition.
     ZeroAuditPartitions,
-    /// At least the latest archive generation must be retained, or every
-    /// completed dump would immediately delete its own archive.
-    ZeroArchiveRetain,
     /// The snapshot before-image ring must hold at least one image.
     ZeroSnapshotUndo,
 }
@@ -174,8 +143,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoAuditProcesses => write!(f, "audit_processes must be >= 1"),
-            ConfigError::ZeroDuration(field) => write!(f, "{field} must be nonzero"),
-            ConfigError::NoCriticalRetries => write!(f, "critical_retries must be >= 1"),
             ConfigError::ZeroGroupCommitMax => write!(f, "group_commit_max must be >= 1"),
             ConfigError::WindowTooLong => {
                 write!(f, "group_commit_window must be at most one second")
@@ -183,7 +150,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroDumpPageSize => write!(f, "dump_page_size must be >= 1"),
             ConfigError::ZeroAuditRotate => write!(f, "audit_rotate_every must be >= 1"),
             ConfigError::ZeroAuditPartitions => write!(f, "audit_partitions must be >= 1"),
-            ConfigError::ZeroArchiveRetain => write!(f, "archive_retain must be >= 1"),
             ConfigError::ZeroSnapshotUndo => write!(f, "snapshot_undo_capacity must be >= 1"),
         }
     }
@@ -204,33 +170,8 @@ impl TmfNodeConfigBuilder {
         self
     }
 
-    pub fn audit_service(mut self, service: impl Into<String>) -> Self {
-        self.cfg.audit_service = service.into();
-        self
-    }
-
     pub fn audit_processes(mut self, count: usize) -> Self {
         self.cfg.audit_processes = count;
-        self
-    }
-
-    pub fn critical_timeout(mut self, timeout: SimDuration) -> Self {
-        self.cfg.critical_timeout = timeout;
-        self
-    }
-
-    pub fn critical_retries(mut self, retries: u32) -> Self {
-        self.cfg.critical_retries = retries;
-        self
-    }
-
-    pub fn safe_retry(mut self, interval: SimDuration) -> Self {
-        self.cfg.safe_retry = interval;
-        self
-    }
-
-    pub fn flush_interval(mut self, interval: SimDuration) -> Self {
-        self.cfg.flush_interval = interval;
         self
     }
 
@@ -264,11 +205,6 @@ impl TmfNodeConfigBuilder {
         self
     }
 
-    pub fn archive_retain(mut self, generations: u64) -> Self {
-        self.cfg.archive_retain = generations;
-        self
-    }
-
     pub fn snapshot_undo_capacity(mut self, capacity: usize) -> Self {
         self.cfg.snapshot_undo_capacity = capacity;
         self
@@ -278,18 +214,6 @@ impl TmfNodeConfigBuilder {
         let c = &self.cfg;
         if c.audit_processes < 1 {
             return Err(ConfigError::NoAuditProcesses);
-        }
-        if c.critical_timeout == SimDuration::ZERO {
-            return Err(ConfigError::ZeroDuration("critical_timeout"));
-        }
-        if c.safe_retry == SimDuration::ZERO {
-            return Err(ConfigError::ZeroDuration("safe_retry"));
-        }
-        if c.flush_interval == SimDuration::ZERO {
-            return Err(ConfigError::ZeroDuration("flush_interval"));
-        }
-        if c.critical_retries < 1 {
-            return Err(ConfigError::NoCriticalRetries);
         }
         if c.group_commit_max < 1 {
             return Err(ConfigError::ZeroGroupCommitMax);
@@ -305,9 +229,6 @@ impl TmfNodeConfigBuilder {
         }
         if c.audit_partitions < 1 {
             return Err(ConfigError::ZeroAuditPartitions);
-        }
-        if c.archive_retain < 1 {
-            return Err(ConfigError::ZeroArchiveRetain);
         }
         if c.snapshot_undo_capacity < 1 {
             return Err(ConfigError::ZeroSnapshotUndo);
@@ -361,9 +282,9 @@ pub fn spawn_tmf_node(
     let audit_count = cfg.audit_processes.max(1);
     let service_name = |i: usize| -> String {
         if audit_count == 1 {
-            cfg.audit_service.clone()
+            "$AUDIT".to_string()
         } else {
-            format!("{}{}", cfg.audit_service, i)
+            format!("$AUDIT{i}")
         }
     };
     // Volumes share audit services round-robin; within each service they
@@ -430,9 +351,9 @@ pub fn spawn_tmf_node(
             DiscConfig {
                 recovery_mode: cfg.recovery_mode,
                 audit_service: Some(svc),
-                flush_interval: cfg.flush_interval,
                 dump_page_size: cfg.dump_page_size,
                 snapshot_undo_capacity: cfg.snapshot_undo_capacity,
+                ..DiscConfig::default()
             },
         ));
     }
@@ -447,9 +368,6 @@ pub fn spawn_tmf_node(
         TmpConfig {
             audit_service_of,
             backout_service: "$BACKOUT".into(),
-            critical_timeout: cfg.critical_timeout,
-            critical_retries: cfg.critical_retries,
-            safe_retry: cfg.safe_retry,
             group_commit_window: cfg.group_commit_window,
             group_commit_max: cfg.group_commit_max,
             purge_interval: cfg.trail_purge_interval,
@@ -459,8 +377,7 @@ pub fn spawn_tmf_node(
 
     // the ONLINEDUMP pair, on the slot after the TMP's
     let (up, ub) = pair_cpus(2 + audit_count as u8 + volumes.len() as u8);
-    let dump =
-        encompass_audit::dump::spawn_dump_process(world, node, up, ub, cfg.archive_retain);
+    let dump = encompass_audit::dump::spawn_dump_process(world, node, up, ub);
 
     NodeHandles {
         node,
@@ -534,13 +451,6 @@ mod tests {
         assert_eq!(
             TmfNodeConfig::builder().audit_processes(0).build().unwrap_err(),
             ConfigError::NoAuditProcesses
-        );
-        assert_eq!(
-            TmfNodeConfig::builder()
-                .critical_timeout(SimDuration::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroDuration("critical_timeout")
         );
         assert_eq!(
             TmfNodeConfig::builder().group_commit_max(0).build().unwrap_err(),

@@ -16,7 +16,8 @@
 //!   transmissions are reliably received". The two retry policies mirror
 //!   the paper's two network message classes: *critical response* (bounded
 //!   retries, caller is told of failure) and *safe delivery* (retried
-//!   until deliverable).
+//!   until deliverable). [`ask`] is the one-shot client every probe and
+//!   operator command is: one persistent request, keep the reply, exit.
 //! * **An operator process** ([`operator`]): subscribes to hardware events
 //!   and tallies them, standing in for the paper's console-printing
 //!   operator pair.
@@ -28,5 +29,5 @@ pub mod rpc;
 pub use operator::OperatorProcess;
 pub use pair::{spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{
-    reply, Completion, ReplyCache, Request, Rpc, RpcReply, Target, TimerOutcome, RPC_TAG_BASE,
+    ask, reply, Completion, ReplyCache, Request, Rpc, RpcReply, Target, TimerOutcome, RPC_TAG_BASE,
 };

@@ -18,7 +18,11 @@
 //! Retransmission implies at-least-once delivery; receivers that are not
 //! naturally idempotent deduplicate with a [`ReplyCache`].
 
-use encompass_sim::{Ctx, DetHashMap, NodeId, Payload, Pid, SendError, SimDuration, TimerId};
+use encompass_sim::{
+    Ctx, DetHashMap, NodeId, Payload, Pid, Process, SendError, SimDuration, TimerId, World,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Timer tags at or above this value are reserved for `Rpc`; processes must
 /// keep their own tags below it.
@@ -308,6 +312,63 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
     }
 }
 
+/// A one-shot client: spawn a process on `node`/`cpu` that sends `target`
+/// one persistent request (retried every `retry` until answered — across a
+/// takeover a named target finds the new primary), keeps the reply and
+/// exits. The returned slot is `None` until (unless) the reply arrives.
+/// `id_space` is as for [`Rpc::new`].
+pub fn ask<M: Clone + Send + 'static, R: Send + 'static>(
+    world: &mut World,
+    node: NodeId,
+    cpu: u8,
+    id_space: u64,
+    target: Target,
+    msg: M,
+    retry: SimDuration,
+) -> Rc<RefCell<Option<R>>> {
+    let out = Rc::new(RefCell::new(None));
+    world.spawn(
+        node,
+        cpu,
+        Box::new(Ask {
+            request: Some((target, msg, retry)),
+            rpc: Rpc::new(id_space),
+            out: out.clone(),
+        }),
+    );
+    out
+}
+
+struct Ask<M, R> {
+    /// Handed to the rpc by `on_start`.
+    request: Option<(Target, M, SimDuration)>,
+    rpc: Rpc<M, R>,
+    out: Rc<RefCell<Option<R>>>,
+}
+
+impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let (target, msg, retry) = self.request.take().expect("a process starts once");
+        self.rpc.call_persistent(ctx, target, msg, retry, ());
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        if let Ok(c) = self.rpc.accept(ctx, payload) {
+            *self.out.borrow_mut() = Some(c.body);
+            ctx.exit();
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
+        // a persistent call never expires: every outcome is a resend
+        let _ = self.rpc.on_timer(ctx, tag);
+    }
+
+    fn kind(&self) -> &'static str {
+        "ask"
+    }
+}
+
 /// Bounded memory of recent replies, for deduplicating retried requests on
 /// the server side. `check` before executing; `store` after replying.
 pub struct ReplyCache<R> {
@@ -372,9 +433,7 @@ impl<R: Clone> ReplyCache<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encompass_sim::{Fault, Process, SimConfig, World};
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use encompass_sim::{Fault, SimConfig};
 
     #[derive(Clone, Debug)]
     struct Ping(u32);
@@ -599,47 +658,26 @@ mod tests {
             }),
         );
 
-        struct PersistentClient {
-            server: Pid,
-            rpc: Rpc<Ping, Pong>,
-            done: Rc<RefCell<bool>>,
-        }
-        impl Process for PersistentClient {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.rpc.call_persistent(
-                    ctx,
-                    Target::Pid(self.server),
-                    Ping(1),
-                    SimDuration::from_millis(20),
-                    (),
-                );
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-                if self.rpc.accept(ctx, payload).is_ok() {
-                    *self.done.borrow_mut() = true;
-                }
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-                let _ = self.rpc.on_timer(ctx, tag);
-            }
-        }
-        let done = Rc::new(RefCell::new(false));
         // partition before the client even starts
         w.inject(Fault::Partition(vec![b]));
-        w.spawn(
+        let done = ask::<Ping, Pong>(
+            &mut w,
             a,
             0,
-            Box::new(PersistentClient {
-                server: srv,
-                rpc: Rpc::new(0),
-                done: done.clone(),
-            }),
+            0,
+            Target::Pid(srv),
+            Ping(1),
+            SimDuration::from_millis(20),
         );
         w.run_for(SimDuration::from_millis(200));
-        assert!(!*done.borrow(), "unreachable while partitioned");
+        assert!(done.borrow().is_none(), "unreachable while partitioned");
         w.inject(Fault::HealAllLinks);
         w.run_for(SimDuration::from_millis(200));
-        assert!(*done.borrow(), "delivered after the partition healed");
+        assert_eq!(
+            *done.borrow(),
+            Some(Pong(2)),
+            "delivered after the partition healed"
+        );
     }
 
     #[test]

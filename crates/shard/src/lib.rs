@@ -32,7 +32,7 @@ pub mod monitor;
 pub mod suspense;
 
 pub use map::ShardMap;
-pub use monitor::{spawn_suspense_monitor, SuspenseMonitorApp, SuspenseMonitorConfig, SuspenseProbe};
+pub use monitor::{spawn_suspense_monitor, SuspenseMonitorApp, SuspenseMonitorConfig};
 pub use suspense::{
     add_replicated_file, add_suspense_files, replica_file, suspense_file, SuspenseMsg,
     SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,

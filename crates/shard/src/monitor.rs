@@ -29,7 +29,7 @@
 use crate::suspense::{
     suspense_file, SuspenseDelta, SuspenseMsg, SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
 };
-use encompass_sim::{Ctx, NodeId, Payload, Pid, SimDuration, World};
+use encompass_sim::{NodeId, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::{key_num, num_key};
 use encompass_storage::Catalog;
@@ -393,60 +393,4 @@ pub fn spawn_suspense_monitor(
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
         SuspenseMonitorApp::new(catalog.clone(), cfg.clone())
     })
-}
-
-/// One-shot client that asks a node's `$SUSPENSE` pair for its backlog.
-/// The shared slot stays `None` until (unless) the monitor answers.
-pub struct SuspenseProbe {
-    node: NodeId,
-    rpc: guardian::Rpc<SuspenseMsg, SuspenseReply>,
-    out: std::rc::Rc<std::cell::RefCell<Option<SuspenseReply>>>,
-}
-
-impl SuspenseProbe {
-    pub fn spawn(
-        world: &mut World,
-        node: NodeId,
-    ) -> std::rc::Rc<std::cell::RefCell<Option<SuspenseReply>>> {
-        let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-        world.spawn(
-            node,
-            0,
-            Box::new(SuspenseProbe {
-                node,
-                rpc: guardian::Rpc::new(14),
-                out: out.clone(),
-            }),
-        );
-        out
-    }
-}
-
-impl encompass_sim::Process for SuspenseProbe {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.rpc.call_persistent(
-            ctx,
-            guardian::Target::Named(self.node, SUSPENSE_SERVICE.into()),
-            SuspenseMsg::Backlog,
-            SimDuration::from_millis(100),
-            (),
-        );
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-        if let Ok(c) = self.rpc.accept(ctx, payload) {
-            *self.out.borrow_mut() = Some(c.body);
-            ctx.exit();
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: encompass_sim::TimerId, tag: u64) {
-        if let guardian::TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
-            ctx.exit();
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "suspense-probe"
-    }
 }

@@ -5,13 +5,14 @@
 
 use bytes::Bytes;
 use encompass_shard::{
-    replica_file, suspense_file, SuspenseMonitorConfig, SuspenseProbe, SuspenseRecord,
-    SuspenseReply,
+    replica_file, suspense_file, SuspenseMonitorConfig, SuspenseMsg, SuspenseRecord,
+    SuspenseReply, SUSPENSE_SERVICE,
 };
 use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, SimTime, World};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::types::{num_key, Transid, VolumeRef};
 use encompass_storage::Catalog;
+use guardian::Target;
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
 
 fn vol_of(n: NodeId) -> VolumeRef {
@@ -122,7 +123,15 @@ fn drain_applies_in_entry_order_and_deletes() {
     assert_eq!(w.metrics().get("tmf.commits"), 3);
 
     // probe the pair for its drain counters
-    let out = SuspenseProbe::spawn(&mut w, n0);
+    let out = guardian::ask::<SuspenseMsg, SuspenseReply>(
+        &mut w,
+        n0,
+        0,
+        14,
+        Target::Named(n0, SUSPENSE_SERVICE.into()),
+        SuspenseMsg::Backlog,
+        SimDuration::from_millis(100),
+    );
     w.run_for(SimDuration::from_secs(1));
     let reply = out.borrow().clone();
     match reply {

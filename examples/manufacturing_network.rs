@@ -14,9 +14,9 @@ use bytes::Bytes;
 use encompass_tmf::encompass::app::{launch_mfg_app, read_replica, MfgAppParams};
 use encompass_tmf::encompass::messages::{AppReply, AppRequest, ServerRequest};
 use encompass_tmf::prelude::*;
-use encompass_tmf::shard::{suspense_file, SuspenseProbe, SuspenseReply};
+use encompass_tmf::shard::{suspense_file, SuspenseMsg, SuspenseReply};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
-use guardian::{Rpc, Target};
+use guardian::{ask, Rpc, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -162,7 +162,15 @@ fn main() {
     show(&mut app);
 
     // ask a monitor pair for its own accounting, through its request API
-    let probe = SuspenseProbe::spawn(&mut app.world, n0);
+    let probe = ask::<SuspenseMsg, SuspenseReply>(
+        &mut app.world,
+        n0,
+        0,
+        14,
+        Target::Named(n0, "$SUSPENSE".into()),
+        SuspenseMsg::Backlog,
+        SimDuration::from_millis(100),
+    );
     app.world.run_for(SimDuration::from_secs(2));
     if let Some(SuspenseReply::Backlog { pending, applied, .. }) = *probe.borrow() {
         println!(
