@@ -23,18 +23,20 @@
 use crate::trail::{partition_trail_key, TrailMedia};
 use encompass_sim::NodeId;
 use encompass_sim::{
-    DetHashMap, DetHashSet, FlightCause, HistogramHandle, Payload, Pid, SimTime, World,
+    DetHashMap, DetHashSet, FlightCause, HistogramHandle, Name, Payload, Pid, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
 use encompass_storage::types::Transid;
-use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request};
+use guardian::{reply, Checkpointed, PairApp, PairHandle, ReplyCache, Request};
 use std::collections::{BTreeMap, BTreeSet};
+
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, AuditDelta>;
 
 /// Identity of one image record: duplicates arise when a DISCPROCESS
 /// takeover re-sends retained images whose original append already
 /// arrived. `seq` is only unique per volume, so the volume is part of
 /// the key.
-type ImageKey = (Transid, u64, NodeId, String);
+type ImageKey = (Transid, u64, NodeId, Name);
 
 fn image_key(r: &ImageRecord) -> ImageKey {
     (r.transid, r.seq, r.volume.node, r.volume.volume.clone())
@@ -59,7 +61,7 @@ const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 #[derive(Clone, Debug)]
 pub struct AuditConfig {
     /// Service name, e.g. `"$AUDIT"`.
-    pub service: String,
+    pub service: Name,
     /// Trail-file rotation threshold (records per file).
     pub rotate_every: usize,
     /// How long to hold an eligible force open so that later requesters can
@@ -73,7 +75,7 @@ pub struct AuditConfig {
     pub partitions: usize,
     /// Volume name → partition index. Volumes not listed land on
     /// partition 0.
-    pub partition_of: BTreeMap<String, usize>,
+    pub partition_of: BTreeMap<Name, usize>,
 }
 
 impl Default for AuditConfig {
@@ -107,7 +109,8 @@ struct PendingForce {
     transid: Option<Transid>,
 }
 
-enum AuditDelta {
+/// Checkpoint deltas sent from the primary to the backup.
+pub enum AuditDelta {
     Append {
         req_id: u64,
         partition: usize,
@@ -186,7 +189,7 @@ impl AuditProcess {
     fn partition_of(&self, r: &ImageRecord) -> usize {
         self.cfg
             .partition_of
-            .get(&r.volume.volume)
+            .get(&*r.volume.volume)
             .copied()
             .unwrap_or(0)
             .min(self.parts.len() - 1)
@@ -357,10 +360,10 @@ impl AuditProcess {
         ctx.count("audit.group_size_total", batch.len() as u64);
         self.with_trail(ctx, p, |t| t.force(batch));
         self.parts[p].forced_count += upto as u64;
-        ctx.checkpoint(Payload::new(AuditDelta::Forced {
+        ctx.checkpoint(AuditDelta::Forced {
             partition: p,
             count: upto,
-        }));
+        });
         // satisfy waiters
         let forced = self.parts[p].forced_count;
         let (done, rest): (Vec<Waiter>, Vec<Waiter>) = self.parts[p]
@@ -408,7 +411,9 @@ impl AuditProcess {
 }
 
 impl PairApp for AuditProcess {
-    fn service_name(&self) -> String {
+    type Delta = AuditDelta;
+
+    fn service_name(&self) -> Name {
         self.cfg.service.clone()
     }
 
@@ -445,11 +450,11 @@ impl PairApp for AuditProcess {
                 }
                 let mut per_txn: BTreeMap<Transid, u32> = BTreeMap::new();
                 for (p, recs) in split {
-                    ctx.checkpoint(Payload::new(AuditDelta::Append {
+                    ctx.checkpoint(AuditDelta::Append {
                         req_id: req.id,
                         partition: p,
                         records: recs.clone(),
-                    }));
+                    });
                     for r in &recs {
                         *per_txn.entry(r.transid).or_insert(0) += 1;
                     }
@@ -622,8 +627,8 @@ impl PairApp for AuditProcess {
         ctx.count("audit.takeovers", 1);
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
-        match delta.expect::<AuditDelta>() {
+    fn apply_checkpoint(&mut self, delta: AuditDelta, _cp: &Checkpointed) {
+        match delta {
             AuditDelta::Append {
                 req_id,
                 partition,

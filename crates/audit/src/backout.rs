@@ -10,11 +10,14 @@
 //! reconstructible, so they die with a failed primary and the requesting
 //! TMP retries against the new one (its Backout request is safe-delivery).
 
-use encompass_sim::{DetHashMap, Payload, Pid, SimDuration, World};
+use encompass_sim::{DetHashMap, Name, Payload, Pid, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
+use guardian::{reply, Checkpointed, PairApp, PairHandle, ReplyCache, Request, Rpc, Target};
+use std::convert::Infallible;
+
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
 
 /// Requests to the BACKOUTPROCESS.
 #[derive(Clone, Debug)]
@@ -24,7 +27,7 @@ pub enum BackoutMsg {
     Backout {
         transid: Transid,
         volumes: Vec<VolumeRef>,
-        audit_services: Vec<String>,
+        audit_services: Vec<Name>,
     },
 }
 
@@ -49,7 +52,7 @@ enum DiscThen {
     Flushed {
         transid: Transid,
         volume: VolumeRef,
-        audit_service: String,
+        audit_service: Name,
     },
     /// The `Undo` of one volume's images: that volume's step is done.
     Undone(Transid),
@@ -57,7 +60,7 @@ enum DiscThen {
 
 /// The BACKOUTPROCESS application.
 pub struct BackoutProcess {
-    service: String,
+    service: Name,
     /// `ReadTxnImages` calls; the continuation is the transaction and the
     /// volume whose images are wanted.
     audit_rpc: Rpc<AuditMsg, AuditReply, (Transid, VolumeRef)>,
@@ -69,7 +72,7 @@ pub struct BackoutProcess {
 impl BackoutProcess {
     pub fn new(service: &str) -> BackoutProcess {
         BackoutProcess {
-            service: service.to_string(),
+            service: Name::new(service),
             audit_rpc: Rpc::new(3),
             disc_rpc: Rpc::new(4),
             jobs: DetHashMap::default(),
@@ -92,7 +95,11 @@ impl BackoutProcess {
 }
 
 impl PairApp for BackoutProcess {
-    fn service_name(&self) -> String {
+    /// Stateless by design: there is nothing to mirror, so no delta can
+    /// be built.
+    type Delta = Infallible;
+
+    fn service_name(&self) -> Name {
         self.service.clone()
     }
 
@@ -213,8 +220,8 @@ impl PairApp for BackoutProcess {
         ctx.count("backout.takeovers", 1);
     }
 
-    fn apply_checkpoint(&mut self, _delta: Payload, _cp: &Checkpointed) {
-        // stateless by design: nothing to mirror
+    fn apply_checkpoint(&mut self, delta: Infallible, _cp: &Checkpointed) {
+        match delta {}
     }
 
     fn snapshot(&self) -> Payload {

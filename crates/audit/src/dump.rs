@@ -29,14 +29,17 @@
 //! requester's safe-delivery retry restarts the dump from scratch. Duplicate begin/end
 //! markers from a restarted dump are harmless — recovery filters them.
 
-use encompass_sim::{DetHashMap, Payload, Pid, SimDuration, World};
+use encompass_sim::{DetHashMap, Name, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, superseded_archive_keys, ArchiveImage, DumpRegistry, FileImage,
 };
 use encompass_storage::types::{FileOrganization, VolumeRef};
-use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target};
+use guardian::{reply, Checkpointed, PairApp, PairHandle, ReplyCache, Request, Rpc, Target};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
 
 /// Requests to the DUMPPROCESS.
 #[derive(Clone, Debug)]
@@ -69,17 +72,17 @@ struct Job {
     purge_floor: u64,
     /// Files still to copy, in deterministic (sorted) order; `current`
     /// indexes the one being paged.
-    file_list: Vec<(String, FileOrganization)>,
+    file_list: Vec<(Name, FileOrganization)>,
     current: usize,
     /// Key to resume the current file's scan after.
     resume: Option<bytes::Bytes>,
-    files: BTreeMap<String, FileImage>,
+    files: BTreeMap<Name, FileImage>,
     records: u64,
 }
 
 /// The DUMPPROCESS application.
 pub struct DumpProcess {
-    service: String,
+    service: Name,
     /// Dump steps sent to the volume; the continuation is the job's
     /// request id.
     disc_rpc: Rpc<DiscRequest, DiscReply, u64>,
@@ -97,7 +100,7 @@ pub const ARCHIVE_RETAIN: u64 = 2;
 impl DumpProcess {
     pub fn new(service: &str) -> DumpProcess {
         DumpProcess {
-            service: service.to_string(),
+            service: Name::new(service),
             disc_rpc: Rpc::new(1),
             jobs: DetHashMap::default(),
             replies: ReplyCache::new(4096),
@@ -108,7 +111,7 @@ impl DumpProcess {
         let Some(job) = self.jobs.get(&job_id) else {
             return;
         };
-        let target = Target::Named(job.volume.node, job.volume.service_name());
+        let target = Target::Named(job.volume.node, job.volume.volume.clone());
         self.disc_rpc
             .call_persistent(ctx, target, req, SimDuration::from_millis(50), job_id);
     }
@@ -253,7 +256,11 @@ impl DumpProcess {
 }
 
 impl PairApp for DumpProcess {
-    fn service_name(&self) -> String {
+    /// Stateless by design: there is nothing to mirror, so no delta can
+    /// be built.
+    type Delta = Infallible;
+
+    fn service_name(&self) -> Name {
         self.service.clone()
     }
 
@@ -312,8 +319,8 @@ impl PairApp for DumpProcess {
         ctx.count("dump.takeovers", 1);
     }
 
-    fn apply_checkpoint(&mut self, _delta: Payload, _cp: &Checkpointed) {
-        // stateless by design: nothing to mirror
+    fn apply_checkpoint(&mut self, delta: Infallible, _cp: &Checkpointed) {
+        match delta {}
     }
 
     fn snapshot(&self) -> Payload {

@@ -58,7 +58,7 @@
 
 use crate::monitor::MonitorTrail;
 use crate::trail::TrailMedia;
-use encompass_sim::{DetHashMap, World};
+use encompass_sim::{DetHashMap, Name, World};
 use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::media::{archive_key, media_key, VolumeMedia};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -78,7 +78,7 @@ pub struct RollforwardReport {
     /// Distinct non-committed transactions rolled back.
     pub rolled_back_txns: usize,
     /// Records in the recovered volume, per file.
-    pub file_sizes: Vec<(String, usize)>,
+    pub file_sizes: Vec<(Name, usize)>,
 }
 
 /// Recover `volume` from archive `generation` plus the audit trails whose
@@ -258,7 +258,7 @@ mod tests {
         let mut archive_files = std::collections::BTreeMap::new();
         let mut f = encompass_storage::media::FileImage::new(FileOrganization::KeySequenced);
         f.apply(b"old", Some(Bytes::from_static(b"archived")));
-        archive_files.insert("accounts".to_string(), f);
+        archive_files.insert("accounts".into(), f);
         let akey = archive_key(&vol, 1);
         w.stable_mut().get_or_create::<ArchiveImage, _>(&akey, || ArchiveImage {
             volume: vol.clone(),
@@ -424,7 +424,7 @@ mod tests {
         let mut archive_files = std::collections::BTreeMap::new();
         let mut f = encompass_storage::media::FileImage::new(FileOrganization::KeySequenced);
         f.apply(b"k1", Some(Bytes::from_static(b"850"))); // dirty loser value
-        archive_files.insert("accounts".to_string(), f);
+        archive_files.insert("accounts".into(), f);
         let akey = archive_key(&vol, 2);
         w.stable_mut().get_or_create::<ArchiveImage, _>(&akey, || ArchiveImage {
             volume: vol.clone(),
@@ -481,7 +481,7 @@ mod tests {
         let mut f = encompass_storage::media::FileImage::new(FileOrganization::KeySequenced);
         f.apply(b"a", Some(Bytes::from_static(b"2")));
         f.apply(b"b", Some(Bytes::from_static(b"9")));
-        archive_files.insert("accounts".to_string(), f);
+        archive_files.insert("accounts".into(), f);
         let akey = archive_key(&vol, 3);
         w.stable_mut().get_or_create::<ArchiveImage, _>(&akey, || ArchiveImage {
             volume: vol.clone(),

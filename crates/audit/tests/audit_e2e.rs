@@ -304,8 +304,8 @@ fn partition_takeover_with_half_filled_boxcar_per_partition_loses_nothing() {
     catalog.add(FileDef::key_sequenced("accounts", vol_a.clone()));
     catalog.add(FileDef::key_sequenced("ledger", vol_b.clone()));
     let mut partition_of = std::collections::BTreeMap::new();
-    partition_of.insert("$DATA".to_string(), 0usize);
-    partition_of.insert("$DATB".to_string(), 1usize);
+    partition_of.insert("$DATA".into(), 0usize);
+    partition_of.insert("$DATB".into(), 1usize);
     spawn_audit_process(
         &mut w,
         n,
@@ -327,7 +327,7 @@ fn partition_takeover_with_half_filled_boxcar_per_partition_loses_nothing() {
     let hb = spawn_disc_process(&mut w, 1, 2, vol_b, catalog, cfg);
 
     // one transaction per volume, both boxcars half-filled and waiting
-    let script = |file: &str, i: u64| {
+    let script = |file: &'static str, i: u64| {
         vec![
             DiscRequest::Insert {
                 file: file.into(),

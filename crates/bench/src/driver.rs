@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use encompass::messages::{AppReply, AppRequest, ServerRequest};
-use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimDuration, TimerId, World};
+use encompass_sim::{Ctx, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId, World};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
@@ -70,14 +70,14 @@ impl TxnScript {
                 self.session.begin(ctx, self.options, 0);
                 None
             }
-            Step::Read(f, k) => self.session.op(ctx, DbOp::Read { file: f, key: k }, 0),
-            Step::ReadLock(f, k) => self.session.op(ctx, DbOp::ReadLock { file: f, key: k }, 0),
+            Step::Read(f, k) => self.session.op(ctx, DbOp::Read { file: f.into(), key: k }, 0),
+            Step::ReadLock(f, k) => self.session.op(ctx, DbOp::ReadLock { file: f.into(), key: k }, 0),
             Step::Insert(f, k, v) => self
                 .session
-                .op(ctx, DbOp::Insert { file: f, key: k, value: v }, 0),
+                .op(ctx, DbOp::Insert { file: f.into(), key: k, value: v }, 0),
             Step::Update(f, k, v) => self
                 .session
-                .op(ctx, DbOp::Update { file: f, key: k, value: v }, 0),
+                .op(ctx, DbOp::Update { file: f.into(), key: k, value: v }, 0),
             Step::End => {
                 self.session.end(ctx, 0);
                 None
@@ -174,7 +174,7 @@ pub struct MfgDriver {
     session: TmfSession,
     rpc: Rpc<ServerRequest, AppReply>,
     /// `master-update` or `sync-update`.
-    pub op: String,
+    pub op: Name,
     pub server_node: NodeId,
     pub interval: SimDuration,
     pub updates: u64,
@@ -195,7 +195,7 @@ impl MfgDriver {
         MfgDriver {
             session: TmfSession::new(catalog, 6),
             rpc: Rpc::new(41),
-            op: op.to_string(),
+            op: Name::new(op),
             server_node,
             interval,
             updates,
@@ -242,7 +242,7 @@ impl Process for MfgDriver {
                             transid: self.session.transid(),
                             options: self.session.options(),
                             request: AppRequest::new(
-                                &self.op.clone(),
+                                self.op.clone(),
                                 vec![
                                     Bytes::from_static(b"item"),
                                     Bytes::from(format!("part-{}", self.seq % 16)),

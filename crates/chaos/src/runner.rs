@@ -42,7 +42,7 @@ use encompass_audit::dump::{DumpMsg, DumpReply};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_sim::{
-    format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, NodeId, SimConfig,
+    format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, Name, NodeId, SimConfig,
     SimDuration, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
@@ -618,7 +618,7 @@ pub(crate) fn check_locks(probes: &[(VolumeRef, Replies)], violations: &mut Vec<
 /// images. With partitioned trails a *sibling* partition may have purged
 /// past this volume's floor — scanning every trail of the service would
 /// trip ROLLFORWARD's purge-floor check spuriously.
-pub(crate) type TrailKeys = BTreeMap<(NodeId, String), String>;
+pub(crate) type TrailKeys = BTreeMap<(NodeId, Name), String>;
 
 pub(crate) fn trail_keys(tmf: &[NodeHandles]) -> TrailKeys {
     tmf.iter()
@@ -828,7 +828,7 @@ pub(crate) fn check_convergence(
     }
 }
 
-type VolumeSnapshot = BTreeMap<String, Vec<(Bytes, Bytes)>>;
+type VolumeSnapshot = BTreeMap<Name, Vec<(Bytes, Bytes)>>;
 
 fn snapshot_volume(world: &World, v: &VolumeRef) -> VolumeSnapshot {
     let mut out = BTreeMap::new();

@@ -676,7 +676,7 @@ impl SoakWriter {
                 let refused = self.session.op(
                     ctx,
                     DbOp::Insert {
-                        file: "accounts".to_string(),
+                        file: "accounts".into(),
                         key: self.key('a'),
                         value: Bytes::from_static(b"7"),
                     },
@@ -689,7 +689,7 @@ impl SoakWriter {
                 let refused = self.session.op(
                     ctx,
                     DbOp::Insert {
-                        file: "accounts".to_string(),
+                        file: "accounts".into(),
                         key: self.key('b'),
                         value: Bytes::from_static(b"-7"),
                     },
@@ -854,7 +854,7 @@ impl SoakReader {
         let refused = self.session.op(
             ctx,
             DbOp::Read {
-                file: "accounts".to_string(),
+                file: "accounts".into(),
                 key: account_key(idx),
             },
             0,

@@ -15,7 +15,8 @@ use crate::tmp::{spawn_tmp, TmpConfig};
 use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig};
 use encompass_audit::backout::spawn_backout_process;
 use encompass_sim::{
-    attribute_commit, CommitAttribution, FlightEvent, FlightTransid, NodeId, SimDuration, World,
+    attribute_commit, CommitAttribution, FlightEvent, FlightTransid, Name, NodeId, SimDuration,
+    World,
 };
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig};
 use encompass_storage::types::RecoveryMode;
@@ -253,7 +254,7 @@ pub struct NodeHandles {
     /// Per-partition purging makes whole-service trail scans unsound for
     /// per-volume recovery: a sibling partition may legitimately have
     /// purged past this volume's floor.
-    pub trail_key_of: BTreeMap<String, String>,
+    pub trail_key_of: BTreeMap<Name, String>,
 }
 
 /// Spawn the full TMF process set for `node`. The node must have at least
@@ -280,13 +281,12 @@ pub fn spawn_tmf_node(
 
     // audit processes (one per simulated controller group) + backout
     let audit_count = cfg.audit_processes.max(1);
-    let service_name = |i: usize| -> String {
-        if audit_count == 1 {
-            "$AUDIT".to_string()
-        } else {
-            format!("$AUDIT{i}")
-        }
-    };
+    let service_names: Vec<Name> = (0..audit_count)
+        .map(|i| match audit_count {
+            1 => Name::from_static("$AUDIT"),
+            _ => Name::from(format!("$AUDIT{i}")),
+        })
+        .collect();
     // Volumes share audit services round-robin; within each service they
     // are dealt round-robin again into trail partitions (the volume
     // groups of DESIGN.md §D12). Computed up front: the AUDITPROCESS
@@ -297,7 +297,7 @@ pub fn spawn_tmf_node(
         .filter(|v| v.node == node)
         .collect();
     let partitions = cfg.audit_partitions.max(1);
-    let mut partition_maps: Vec<BTreeMap<String, usize>> = vec![BTreeMap::new(); audit_count];
+    let mut partition_maps: Vec<BTreeMap<Name, usize>> = vec![BTreeMap::new(); audit_count];
     let mut trail_key_of = BTreeMap::new();
     for (i, volume) in volumes.iter().enumerate() {
         let s = i % audit_count;
@@ -305,7 +305,7 @@ pub fn spawn_tmf_node(
         partition_maps[s].insert(volume.volume.clone(), p);
         trail_key_of.insert(
             volume.volume.clone(),
-            encompass_audit::trail::partition_trail_key(node, &service_name(s), p),
+            encompass_audit::trail::partition_trail_key(node, &service_names[s], p),
         );
     }
 
@@ -313,7 +313,7 @@ pub fn spawn_tmf_node(
     let mut trail_keys = Vec::new();
     for (i, partition_of) in partition_maps.iter().enumerate() {
         let (ap, ab) = pair_cpus(i as u8);
-        let svc = service_name(i);
+        let svc = service_names[i].clone();
         for p in 0..partitions {
             trail_keys.push(encompass_audit::trail::partition_trail_key(node, &svc, p));
         }
@@ -340,7 +340,7 @@ pub fn spawn_tmf_node(
     let mut audit_service_of = BTreeMap::new();
     for (i, volume) in volumes.iter().enumerate() {
         let (dp, db) = pair_cpus(1 + audit_count as u8 + i as u8);
-        let svc = service_name(i % audit_count);
+        let svc = service_names[i % audit_count].clone();
         audit_service_of.insert(volume.volume.clone(), svc.clone());
         discs.push(spawn_disc_process(
             world,

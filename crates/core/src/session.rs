@@ -21,9 +21,9 @@
 //! (3) reply".
 
 use crate::state::TxnClass;
-use crate::tmp::{TmpMsg, TmpReply};
+use crate::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
 use bytes::Bytes;
-use encompass_sim::{Ctx, DetHashSet, FlightCause, NodeId, Payload, SimDuration};
+use encompass_sim::{Ctx, DetHashSet, FlightCause, Name, NodeId, Payload, SimDuration};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::locks::LockMode;
 use encompass_storage::types::{Transid, VolumeRef};
@@ -85,13 +85,13 @@ impl SessionOptions {
 /// to [`TmfSession::op`].
 #[derive(Clone, Debug)]
 pub enum DbOp {
-    Read { file: String, key: Bytes },
-    ReadLock { file: String, key: Bytes },
-    Insert { file: String, key: Bytes, value: Bytes },
-    Update { file: String, key: Bytes, value: Bytes },
-    Delete { file: String, key: Bytes },
-    InsertEntry { file: String, value: Bytes },
-    ReadRange { file: String, low: Bytes, high: Option<Bytes>, limit: usize },
+    Read { file: Name, key: Bytes },
+    ReadLock { file: Name, key: Bytes },
+    Insert { file: Name, key: Bytes, value: Bytes },
+    Update { file: Name, key: Bytes, value: Bytes },
+    Delete { file: Name, key: Bytes },
+    InsertEntry { file: Name, value: Bytes },
+    ReadRange { file: Name, low: Bytes, high: Option<Bytes>, limit: usize },
 }
 
 /// Why a session operation failed. Delivered in
@@ -577,7 +577,7 @@ impl TmfSession {
         // come from the TMP's own replies (Failed / Phase1Refused)
         let _ = self.tmp_rpc.call_persistent(
             ctx,
-            Target::Named(node, "$TMP".into()),
+            Target::Named(node, TMP_SERVICE),
             msg,
             self.attempt_timeout,
             (),

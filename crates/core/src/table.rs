@@ -33,6 +33,11 @@ pub struct TableAnswer {
     pub state: Option<TxState>,
 }
 
+/// The name the transaction table of processor `cpu` registers.
+pub(crate) fn txtable_name(cpu: u8) -> String {
+    format!("$TXTABLE{cpu}")
+}
+
 /// The per-CPU transaction table. Registered as `$TXTABLE` on its node
 /// (one per CPU; lookups resolve per-CPU via pid, queries in tests use the
 /// pid directly).
@@ -50,8 +55,7 @@ impl TxTableProcess {
 impl Process for TxTableProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // one table per CPU: name carries the CPU number
-        let name = format!("$TXTABLE{}", ctx.pid().cpu.0);
-        ctx.register_name(&name);
+        ctx.register_name(&txtable_name(ctx.pid().cpu.0));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, src: Pid, payload: Payload) {

@@ -34,7 +34,7 @@ use crate::table::StateBroadcast;
 use encompass_audit::backout::{BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_sim::{
-    DetHashMap, FlightCause, HistogramHandle, NodeId, Payload, Pid, SimDuration, SimTime,
+    DetHashMap, FlightCause, HistogramHandle, Name, NodeId, Payload, Pid, SimDuration, SimTime,
     SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
@@ -42,10 +42,15 @@ use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{
-    reply, Checkpointed, Completion, PairApp, PairCtx, PairHandle, ReplyCache, Request, Rpc, Target,
+    reply, Checkpointed, Completion, PairApp, PairHandle, ReplyCache, Request, Rpc, Target,
     TimerOutcome,
 };
 use std::collections::{BTreeMap, BTreeSet};
+
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TmpDelta>;
+
+/// The service name every node's TMP registers.
+pub const TMP_SERVICE: Name = Name::from_static("$TMP");
 
 const TAG_MONITOR_BASE: u64 = 1 << 16;
 /// Periodic in-doubt sweep on non-home nodes (below TAG_MONITOR_BASE).
@@ -147,9 +152,9 @@ pub struct TmpStateReport {
 #[derive(Clone, Debug)]
 pub struct TmpConfig {
     /// Audit service for each local volume name (for backout requests).
-    pub audit_service_of: BTreeMap<String, String>,
+    pub audit_service_of: BTreeMap<Name, Name>,
     /// The local BACKOUTPROCESS service name.
-    pub backout_service: String,
+    pub backout_service: Name,
     /// Per-attempt timeout of critical-response messages.
     pub critical_timeout: SimDuration,
     /// Retry budget of critical-response messages.
@@ -240,7 +245,7 @@ impl Txn {
 }
 
 /// Checkpoint delta: the replicated fraction of a transaction entry.
-struct TmpDelta {
+pub struct TmpDelta {
     transid: Transid,
     state: TxState,
     home: bool,
@@ -326,6 +331,9 @@ pub struct TmpProcess {
     /// names per observation.
     boxcar_hist: HistogramHandle,
     latency_hist: HistogramHandle,
+    /// `$TXTABLE<cpu>` by CPU number, named once: every state change is
+    /// broadcast to each of them.
+    txtable_names: Vec<String>,
 }
 
 impl TmpProcess {
@@ -346,15 +354,16 @@ impl TmpProcess {
             next_tag: 0,
             boxcar_hist: HistogramHandle::new("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
             latency_hist: HistogramHandle::new("tmf.commit_latency_us", LATENCY_BOUNDS),
+            txtable_names: Vec::new(),
         }
     }
 
-    fn audit_service(&self, volume: &VolumeRef) -> String {
+    fn audit_service(&self, volume: &VolumeRef) -> Name {
         self.cfg
             .audit_service_of
-            .get(&volume.volume)
+            .get(&*volume.volume)
             .cloned()
-            .unwrap_or_else(|| "$AUDIT".to_string())
+            .unwrap_or(Name::from_static("$AUDIT"))
     }
 
     // ------------------------------------------------------------------
@@ -366,8 +375,11 @@ impl TmpProcess {
     fn broadcast(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, state: TxState) {
         let node = ctx.node();
         let cpus = ctx.cpu_count(node);
-        for cpu in 0..cpus {
-            if let Some(pid) = ctx.lookup_name(node, &format!("$TXTABLE{cpu}")) {
+        for cpu in self.txtable_names.len()..cpus as usize {
+            self.txtable_names.push(crate::table::txtable_name(cpu as u8));
+        }
+        for name in &self.txtable_names[..cpus as usize] {
+            if let Some(pid) = ctx.lookup_name(node, name) {
                 let _ = ctx.send(pid, Payload::new(StateBroadcast { transid, state }));
                 ctx.count("tmf.state_broadcasts", 1);
             }
@@ -396,7 +408,7 @@ impl TmpProcess {
                 Vec::new(),
             ),
         };
-        ctx.checkpoint(Payload::new(TmpDelta {
+        ctx.checkpoint(TmpDelta {
             transid,
             state,
             home,
@@ -405,7 +417,7 @@ impl TmpProcess {
             children,
             seq: self.seq,
             drop,
-        }))
+        })
     }
 
     fn set_state(
@@ -481,7 +493,7 @@ impl TmpProcess {
                 .tmp_rpc
                 .call(
                     ctx,
-                    Target::Named(child, "$TMP".into()),
+                    Target::Named(child, TMP_SERVICE),
                     TmpMsg::Phase1 { transid },
                     self.cfg.critical_timeout,
                     self.cfg.critical_retries,
@@ -796,7 +808,7 @@ impl TmpProcess {
             };
             self.tmp_rpc.call_persistent(
                 ctx,
-                Target::Named(child, "$TMP".into()),
+                Target::Named(child, TMP_SERVICE),
                 msg,
                 self.cfg.safe_retry,
                 TmpThen::Delivery(transid),
@@ -854,7 +866,7 @@ impl TmpProcess {
             ctx.count("tmf.msgs.abort_net", 1);
             self.tmp_rpc.call_persistent(
                 ctx,
-                Target::Named(child, "$TMP".into()),
+                Target::Named(child, TMP_SERVICE),
                 TmpMsg::AbortTxn { transid },
                 self.cfg.safe_retry,
                 TmpThen::AbortNotice,
@@ -1016,7 +1028,7 @@ impl TmpProcess {
                 ctx.count("tmf.msgs.remote_begin", 1);
                 let sent = self.tmp_rpc.call(
                     ctx,
-                    Target::Named(dest, "$TMP".into()),
+                    Target::Named(dest, TMP_SERVICE),
                     TmpMsg::RemoteBegin { transid },
                     self.cfg.critical_timeout,
                     self.cfg.critical_retries,
@@ -1372,7 +1384,7 @@ impl TmpProcess {
             // retry budget runs out): the next sweep simply retries
             let _ = self.tmp_rpc.call(
                 ctx,
-                Target::Named(home, "$TMP".into()),
+                Target::Named(home, TMP_SERVICE),
                 TmpMsg::QueryDisposition { transid },
                 self.cfg.critical_timeout,
                 self.cfg.critical_retries,
@@ -1392,8 +1404,8 @@ impl TmpProcess {
     /// first image on that partition.
     fn purge_tick(&mut self, ctx: &mut PairCtx<'_, '_>) {
         let node = ctx.node();
-        let mut floors_by_service: BTreeMap<String, Vec<(String, Option<u64>)>> = BTreeMap::new();
-        let services: Vec<(String, String)> = self
+        let mut floors_by_service: BTreeMap<Name, Vec<(Name, Option<u64>)>> = BTreeMap::new();
+        let services: Vec<(Name, Name)> = self
             .cfg
             .audit_service_of
             .iter()
@@ -1456,8 +1468,10 @@ impl TmpProcess {
 }
 
 impl PairApp for TmpProcess {
-    fn service_name(&self) -> String {
-        "$TMP".into()
+    type Delta = TmpDelta;
+
+    fn service_name(&self) -> Name {
+        TMP_SERVICE
     }
 
     fn kind(&self) -> &'static str {
@@ -1667,8 +1681,7 @@ impl PairApp for TmpProcess {
         }
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
-        let d = delta.expect::<TmpDelta>();
+    fn apply_checkpoint(&mut self, d: TmpDelta, _cp: &Checkpointed) {
         self.seq = self.seq.max(d.seq);
         if d.drop {
             self.txns.remove(&d.transid);

@@ -9,7 +9,7 @@ use crate::screen::ScreenProgram;
 use crate::tcp::{spawn_tcp, TcpConfig};
 use crate::workload::{preload_accounts, BankProgram, BankServer, BankWorkload};
 use bytes::Bytes;
-use encompass_sim::{NodeId, SimConfig, SimDuration, World};
+use encompass_sim::{Name, NodeId, SimConfig, SimDuration, World};
 use encompass_storage::types::{FileDef, PartitionSpec, RecoveryMode, VolumeRef};
 use encompass_storage::Catalog;
 use tmf::facility::{spawn_tmf_network, NodeHandles, TmfNodeConfig};
@@ -248,7 +248,7 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             },
             app.catalog.clone(),
             {
-                let history = params.history.then(|| "history".to_string());
+                let history = params.history.then(|| Name::from_static("history"));
                 move || Box::new(BankServer::new(history.clone()))
             },
         );
@@ -275,7 +275,7 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             0,
             1,
             TcpConfig {
-                name: format!("$TCP{}", node.0),
+                name: Name::from(format!("$TCP{}", node.0)),
                 ..TcpConfig::default()
             },
             catalog,
@@ -528,7 +528,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             0,
             1,
             TcpConfig {
-                name: format!("$TCP{}", node.0),
+                name: Name::from(format!("$TCP{}", node.0)),
                 ..TcpConfig::default()
             },
             app.catalog.clone(),

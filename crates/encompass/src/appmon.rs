@@ -18,13 +18,21 @@
 
 use crate::messages::ServerRequest;
 use crate::server::{Dispatch, ServerIdle, ServerLogic, ServerProcess};
-use encompass_sim::{CpuId, Payload, Pid, SimDuration, SystemEvent};
+use encompass_sim::{CpuId, Name, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::Catalog;
-use guardian::{Checkpointed, PairApp, PairCtx, PairHandle, Request};
+use guardian::{Checkpointed, PairApp, PairHandle, Request};
+use std::convert::Infallible;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
+
 const TAG_SHRINK: u64 = 1;
+
+/// The service name the queue of server class `class` registers.
+pub fn server_class_service(class: &str) -> Name {
+    Name::from(format!("$SC-{class}"))
+}
 
 /// Configuration of one server class on one node.
 #[derive(Clone, Debug)]
@@ -63,6 +71,9 @@ pub(crate) struct ServerStop;
 /// The queue/dispatcher for one server class (a process-pair).
 pub struct ServerClassQueue {
     cfg: ServerClassConfig,
+    service: Name,
+    /// `appmon.<class>.requests`, named once.
+    requests_counter: String,
     catalog: Catalog,
     factory: Rc<dyn Fn() -> Box<dyn ServerLogic>>,
     idle: VecDeque<Pid>,
@@ -79,6 +90,8 @@ impl ServerClassQueue {
         factory: Rc<dyn Fn() -> Box<dyn ServerLogic>>,
     ) -> ServerClassQueue {
         ServerClassQueue {
+            service: server_class_service(&cfg.class),
+            requests_counter: format!("appmon.{}.requests", cfg.class),
             cfg,
             catalog,
             factory,
@@ -101,8 +114,7 @@ impl ServerClassQueue {
             self.cpu_rr += 1;
             let factory = Rc::clone(&self.factory);
             let catalog = self.catalog.clone();
-            let class = self.cfg.class.clone();
-            let mut server = ServerProcess::new(&class, catalog, move || (factory)());
+            let mut server = ServerProcess::new(&self.cfg.class, catalog, move || (factory)());
             server.set_lock_wait(self.cfg.lock_wait);
             if let Some(pid) = ctx.try_spawn(node, CpuId(cpu), Box::new(server)) {
                 self.idle.push_back(pid);
@@ -146,8 +158,12 @@ impl ServerClassQueue {
 }
 
 impl PairApp for ServerClassQueue {
-    fn service_name(&self) -> String {
-        format!("$SC-{}", self.cfg.class)
+    /// Reconstructible by design: there is nothing to mirror, so no
+    /// delta can be built.
+    type Delta = Infallible;
+
+    fn service_name(&self) -> Name {
+        self.service.clone()
     }
 
     fn kind(&self) -> &'static str {
@@ -172,7 +188,7 @@ impl PairApp for ServerClassQueue {
                 from: req.from,
                 body: req.body,
             });
-            ctx.count(&format!("appmon.{}.requests", self.cfg.class), 1);
+            ctx.count(&self.requests_counter, 1);
             self.drain(ctx);
             return;
         }
@@ -234,7 +250,9 @@ impl PairApp for ServerClassQueue {
         }
     }
 
-    fn apply_checkpoint(&mut self, _delta: Payload, _cp: &Checkpointed) {}
+    fn apply_checkpoint(&mut self, delta: Infallible, _cp: &Checkpointed) {
+        match delta {}
+    }
 
     fn snapshot(&self) -> Payload {
         Payload::new(())

@@ -24,7 +24,7 @@ use crate::messages::{AppRequest, AppReply};
 use crate::server::{DbOp, ServerLogic, ServerStep};
 use bytes::{BufMut, Bytes, BytesMut};
 use encompass_shard::{add_suspense_files, SuspenseRecord};
-use encompass_sim::NodeId;
+use encompass_sim::{Name, NodeId};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::{FileDef, Transid, VolumeRef};
 use encompass_storage::Catalog;
@@ -35,17 +35,17 @@ pub const GLOBAL_FILES: [&str; 3] = ["item", "bom", "pohead"];
 pub const LOCAL_FILES: [&str; 4] = ["stock", "wip", "hist", "podtl"];
 
 /// The per-node replica of a global file.
-pub fn replica(file: &str, node: NodeId) -> String {
+pub fn replica(file: &str, node: NodeId) -> Name {
     encompass_shard::replica_file(file, node)
 }
 
 /// The per-node name of a local file.
-pub fn local(file: &str, node: NodeId) -> String {
-    format!("{file}@{}", node.0)
+pub fn local(file: &str, node: NodeId) -> Name {
+    Name::from(format!("{file}@{}", node.0))
 }
 
 /// The suspense file of a node.
-pub fn suspense(node: NodeId) -> String {
+pub fn suspense(node: NodeId) -> Name {
     encompass_shard::suspense_file(node)
 }
 
@@ -112,8 +112,8 @@ pub struct MfgServer {
     /// stamped into every suspense record this request queues.
     transid: Option<Transid>,
     step: u32,
-    op: String,
-    file: String,
+    op: Name,
+    file: Name,
     key: Bytes,
     value: Bytes,
     queue: Vec<DbOp>,
@@ -128,8 +128,8 @@ impl MfgServer {
             all_nodes,
             transid: None,
             step: 0,
-            op: String::new(),
-            file: String::new(),
+            op: Name::default(),
+            file: Name::default(),
             key: Bytes::new(),
             value: Bytes::new(),
             queue: Vec::new(),
@@ -153,7 +153,7 @@ impl ServerLogic for MfgServer {
 
     fn on_request(&mut self, req: &AppRequest) -> ServerStep {
         self.op = req.op.clone();
-        self.file = String::from_utf8_lossy(&req.param(0)).to_string();
+        self.file = Name::new(&String::from_utf8_lossy(&req.param(0)));
         self.key = req.param(1);
         self.value = req.param(2);
         match req.op.as_str() {

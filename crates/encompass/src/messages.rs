@@ -6,6 +6,7 @@
 //! transid-carrying envelope.
 
 use bytes::Bytes;
+use encompass_sim::Name;
 use encompass_storage::types::Transid;
 use tmf::session::SessionOptions;
 
@@ -13,15 +14,15 @@ use tmf::session::SessionOptions;
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppRequest {
     /// Operation name, interpreted by the server class (e.g. `"debit"`).
-    pub op: String,
+    pub op: Name,
     /// Positional parameters (encoding is the application's business).
     pub params: Vec<Bytes>,
 }
 
 impl AppRequest {
-    pub fn new(op: &str, params: Vec<Bytes>) -> AppRequest {
+    pub fn new(op: impl Into<Name>, params: Vec<Bytes>) -> AppRequest {
         AppRequest {
-            op: op.to_string(),
+            op: op.into(),
             params,
         }
     }

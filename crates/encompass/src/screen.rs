@@ -14,7 +14,7 @@
 //! "may not require re-entering the input screens".
 
 use crate::messages::{AppReply, AppRequest};
-use encompass_sim::SimDuration;
+use encompass_sim::{Name, SimDuration};
 use tmf::session::SessionOptions;
 
 /// What the program wants the TCP to do next.
@@ -28,7 +28,7 @@ pub enum ScreenAction {
     /// `None` = the TCP's own node).
     Send {
         node: Option<encompass_sim::NodeId>,
-        class: String,
+        class: Name,
         request: AppRequest,
     },
     /// END-TRANSACTION.

@@ -55,7 +55,8 @@ struct Active {
 
 /// The server process: hosts a [`ServerLogic`] factory and a TMF session.
 pub struct ServerProcess {
-    class: String,
+    /// `server.<class>.dispatched`, named once.
+    dispatched_counter: String,
     factory: Box<dyn Fn() -> Box<dyn ServerLogic>>,
     session: TmfSession,
     active: Option<Active>,
@@ -70,7 +71,7 @@ impl ServerProcess {
         factory: impl Fn() -> Box<dyn ServerLogic> + 'static,
     ) -> ServerProcess {
         ServerProcess {
-            class: class.to_string(),
+            dispatched_counter: format!("server.{class}.dispatched"),
             factory: Box::new(factory),
             session: TmfSession::new(catalog, 1),
             active: None,
@@ -182,7 +183,7 @@ impl Process for ServerProcess {
                 from: d.from,
                 logic,
             });
-            ctx.count(&format!("server.{}.dispatched", self.class), 1);
+            ctx.count(&self.dispatched_counter, 1);
             self.run_step(ctx, step);
         }
     }

@@ -27,7 +27,7 @@ use crate::server::{DbOp, ServerLogic, ServerStep};
 use crate::workload::{account_key, balance_bytes, balance_of};
 use bytes::Bytes;
 use encompass_shard::{replica_file, suspense_file, SuspenseRecord};
-use encompass_sim::{NodeId, SimDuration};
+use encompass_sim::{Name, NodeId, SimDuration};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::Transid;
 use rand::rngs::StdRng;
@@ -65,7 +65,7 @@ pub struct ShardBankServer {
     /// Ring replicas of this node's branch record.
     branch_replicas: Vec<NodeId>,
     transid: Option<Transid>,
-    op: String,
+    op: Name,
     step: u32,
     /// Transfer state: keys in lock order with their balance deltas.
     keys: [Bytes; 2],
@@ -81,7 +81,7 @@ impl ShardBankServer {
             node,
             branch_replicas,
             transid: None,
-            op: String::new(),
+            op: Name::default(),
             step: 0,
             keys: [Bytes::new(), Bytes::new()],
             deltas: [0, 0],
@@ -257,7 +257,7 @@ pub struct ShardBankWorkload {
     pub transactions: u64,
     /// Operator think time between transactions.
     pub think: SimDuration,
-    pub server_class: String,
+    pub server_class: Name,
 }
 
 enum Op {

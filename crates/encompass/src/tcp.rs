@@ -21,15 +21,19 @@
 //! A server-processor failure surfaces as a SEND timeout and takes the
 //! restart path, matching the paper's list of automatic abort causes.
 
+use crate::appmon::server_class_service;
 use crate::messages::{AppReply, ServerRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
-use encompass_sim::{NodeId, Payload, Pid, SimDuration};
+use encompass_sim::{Name, NodeId, Payload, Pid, SimDuration};
 use encompass_storage::types::Transid;
 use encompass_storage::Catalog;
-use guardian::{Checkpointed, PairApp, PairCtx, PairHandle, Rpc, Target, TimerOutcome};
+use guardian::{Checkpointed, PairApp, PairHandle, Rpc, Target, TimerOutcome};
+use std::collections::BTreeMap;
 use tmf::session::{SessionEvent, TmfSession};
 use tmf::state::AbortReason;
-use tmf::tmp::{TmpMsg, TmpReply};
+use tmf::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
+
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TermDelta>;
 
 const MAX_TERMINALS: usize = 32;
 
@@ -37,7 +41,7 @@ const MAX_TERMINALS: usize = 32;
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
     /// Service name (e.g. `"$TCP0"`).
-    pub name: String,
+    pub name: Name,
     /// The transaction restart limit.
     pub restart_limit: u32,
     /// SEND timeout (a dead server's processor surfaces here).
@@ -76,7 +80,7 @@ struct Terminal {
     session: TmfSession,
     server_rpc: Rpc<ServerRequest, AppReply>,
     /// A SEND parked on its remote-transaction-begin.
-    pending_send: Option<(NodeId, String, crate::messages::AppRequest)>,
+    pending_send: Option<(NodeId, Name, crate::messages::AppRequest)>,
     state: TermState,
     restart_count: u32,
     committed: u64,
@@ -86,7 +90,7 @@ struct Terminal {
 /// Checkpoint delta: per-terminal transaction metadata (the "data
 /// extracted from input screens" equivalent — enough for the backup to
 /// abort and restart cleanly).
-struct TermDelta {
+pub struct TermDelta {
     idx: usize,
     committed: u64,
     aborted: u64,
@@ -106,6 +110,9 @@ pub struct TerminalControlProcess {
     /// Mirrored per-terminal metadata on the backup.
     mirror_open: Vec<Option<Transid>>,
     tmp_rpc: Rpc<TmpMsg, TmpReply>,
+    /// Server class → the service name of its queue, named on the first
+    /// SEND to the class.
+    class_services: BTreeMap<Name, Name>,
 }
 
 impl TerminalControlProcess {
@@ -139,19 +146,20 @@ impl TerminalControlProcess {
             terminals,
             mirror_open: vec![None; n],
             tmp_rpc: Rpc::new(30),
+            class_services: BTreeMap::new(),
         }
     }
 
     fn checkpoint_terminal(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
         let t = &self.terminals[idx];
-        ctx.checkpoint(Payload::new(TermDelta {
+        ctx.checkpoint(TermDelta {
             idx,
             committed: t.committed,
             aborted: t.aborted,
             restart_count: t.restart_count,
             finished: t.state == TermState::Finished,
             open: t.session.transid(),
-        }));
+        });
     }
 
     /// Feed `input` to terminal `idx`'s program and carry out its action.
@@ -231,11 +239,19 @@ impl TerminalControlProcess {
         ctx: &mut PairCtx<'_, '_>,
         idx: usize,
         dest: NodeId,
-        class: &str,
+        class: &Name,
         request: crate::messages::AppRequest,
     ) {
+        let service = match self.class_services.get(&**class) {
+            Some(service) => service.clone(),
+            None => {
+                let service = server_class_service(class);
+                self.class_services.insert(class.clone(), service.clone());
+                service
+            }
+        };
         let t = &mut self.terminals[idx];
-        let target = Target::Named(dest, format!("$SC-{class}"));
+        let target = Target::Named(dest, service);
         let env = ServerRequest {
             transid: t.session.transid(),
             options: t.session.options(),
@@ -366,7 +382,9 @@ impl TerminalControlProcess {
 }
 
 impl PairApp for TerminalControlProcess {
-    fn service_name(&self) -> String {
+    type Delta = TermDelta;
+
+    fn service_name(&self) -> Name {
         self.cfg.name.clone()
     }
 
@@ -446,7 +464,7 @@ impl PairApp for TerminalControlProcess {
             if let Some(transid) = open {
                 self.tmp_rpc.call_persistent(
                     ctx,
-                    Target::Named(node, "$TMP".into()),
+                    Target::Named(node, TMP_SERVICE),
                     TmpMsg::Abort {
                         transid,
                         reason: AbortReason::CpuFailure,
@@ -468,8 +486,7 @@ impl PairApp for TerminalControlProcess {
         }
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
-        let d = delta.expect::<TermDelta>();
+    fn apply_checkpoint(&mut self, d: TermDelta, _cp: &Checkpointed) {
         if d.idx < self.terminals.len() {
             let t = &mut self.terminals[d.idx];
             t.committed = d.committed;
@@ -505,7 +522,7 @@ impl PairApp for TerminalControlProcess {
         for d in s.terms {
             let open = d.open;
             let idx = d.idx;
-            self.apply_checkpoint(Payload::new(d), cp);
+            self.apply_checkpoint(d, cp);
             if idx < self.mirror_open.len() {
                 self.mirror_open[idx] = open;
             }

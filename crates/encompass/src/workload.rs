@@ -16,7 +16,7 @@ use crate::messages::{AppReply, AppRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
 use crate::server::{DbOp, ServerLogic, ServerStep};
 use bytes::Bytes;
-use encompass_sim::{NodeId, SimDuration, World};
+use encompass_sim::{Name, NodeId, SimDuration, World};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::Catalog;
@@ -50,13 +50,13 @@ pub struct BankServer {
     step: u32,
     account: Bytes,
     amount: i64,
-    history_file: Option<String>,
+    history_file: Option<Name>,
 }
 
 impl BankServer {
     /// `history_file`: if set, every debit appends an audit-style history
     /// record (entry-sequenced).
-    pub fn new(history_file: Option<String>) -> BankServer {
+    pub fn new(history_file: Option<Name>) -> BankServer {
         BankServer {
             history_file,
             ..BankServer::default()
@@ -151,7 +151,7 @@ pub struct BankWorkload {
     /// Operator think time between transactions.
     pub think: SimDuration,
     /// Server class to SEND to, and the node it runs on (`None` = local).
-    pub server_class: String,
+    pub server_class: Name,
     pub server_node: Option<NodeId>,
     /// Run read-only query transactions (BEGIN read-only → SEND `query` →
     /// END) instead of debits. Readers commit without forcing any trail.

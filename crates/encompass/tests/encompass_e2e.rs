@@ -128,7 +128,7 @@ impl Process for OneShot {
                         };
                         let _ = self.rpc.call(
                             ctx,
-                            Target::Named(self.node, format!("$SC-{}", self.class)),
+                            Target::Named(self.node, encompass::appmon::server_class_service(&self.class)),
                             env,
                             SimDuration::from_secs(3),
                             0,

@@ -18,8 +18,9 @@
 //! recovery falls to ROLLFORWARD (see `encompass-audit`).
 
 use encompass_sim::{
-    Ctx, CpuId, NodeId, Payload, Pid, Process, SystemEvent, TimerId,
+    Ctx, CpuId, Name, NodeId, Payload, Pid, Process, SystemEvent, TimerId,
 };
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
@@ -63,14 +64,21 @@ enum PairMsg {
     BackupHello,
     /// Full application state, sent to a (re)created backup.
     Snapshot(Payload),
-    /// An incremental state delta.
-    Checkpoint(Payload),
 }
+
+/// The envelope of an incremental state delta: the one box a checkpoint
+/// costs. Its type path starts with `guardian::pair::`, which is how a
+/// kernel trace reader tells pair-protocol traffic from application
+/// requests whichever pair receives it.
+struct Checkpoint<D>(D);
 
 /// Application logic hosted inside a process-pair.
 pub trait PairApp: 'static {
+    /// The incremental state delta the primary checkpoints to the backup.
+    type Delta: Send + 'static;
+
     /// The service name the pair registers (e.g. `"$DATA1"`, `"$TMP"`).
-    fn service_name(&self) -> String;
+    fn service_name(&self) -> Name;
 
     /// Label for traces.
     fn kind(&self) -> &'static str {
@@ -80,21 +88,21 @@ pub trait PairApp: 'static {
     /// Called when this process assumes the primary role — at initial spawn
     /// and again right after [`PairApp::on_takeover`]. Arm periodic timers
     /// here.
-    fn on_primary_start(&mut self, _ctx: &mut PairCtx<'_, '_>) {}
+    fn on_primary_start(&mut self, _ctx: &mut PairCtx<'_, '_, Self::Delta>) {}
 
     /// Handle a request (primary only).
-    fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, src: Pid, payload: Payload);
+    fn on_request(&mut self, ctx: &mut PairCtx<'_, '_, Self::Delta>, src: Pid, payload: Payload);
 
     /// Handle an application timer (primary only).
-    fn on_timer(&mut self, _ctx: &mut PairCtx<'_, '_>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut PairCtx<'_, '_, Self::Delta>, _tag: u64) {}
 
     /// Called on the backup when it becomes primary, before any new request
     /// is served: finish in-doubt work recorded by checkpoints.
-    fn on_takeover(&mut self, _ctx: &mut PairCtx<'_, '_>) {}
+    fn on_takeover(&mut self, _ctx: &mut PairCtx<'_, '_, Self::Delta>) {}
 
     /// Apply a checkpoint delta (backup only). The delta *is* the
     /// checkpoint, which is what `cp` witnesses.
-    fn apply_checkpoint(&mut self, delta: Payload, cp: &Checkpointed);
+    fn apply_checkpoint(&mut self, delta: Self::Delta, cp: &Checkpointed);
 
     /// Produce the full state for initializing a fresh backup.
     fn snapshot(&self) -> Payload;
@@ -104,38 +112,40 @@ pub trait PairApp: 'static {
     fn restore(&mut self, snapshot: Payload, cp: &Checkpointed);
 
     /// Extra system events (link failures etc.), primary only.
-    fn on_system(&mut self, _ctx: &mut PairCtx<'_, '_>, _ev: SystemEvent) {}
+    fn on_system(&mut self, _ctx: &mut PairCtx<'_, '_, Self::Delta>, _ev: SystemEvent) {}
 }
 
 /// The context handed to [`PairApp`] handlers: everything [`Ctx`] offers,
-/// plus checkpointing to the backup.
-pub struct PairCtx<'a, 'b> {
+/// plus checkpointing deltas of type `D` (the app's [`PairApp::Delta`]) to
+/// the backup.
+pub struct PairCtx<'a, 'b, D> {
     inner: &'a mut Ctx<'b>,
     peer: Option<Pid>,
+    _delta: PhantomData<fn(D)>,
 }
 
-impl<'b> Deref for PairCtx<'_, 'b> {
+impl<'b, D> Deref for PairCtx<'_, 'b, D> {
     type Target = Ctx<'b>;
     fn deref(&self) -> &Self::Target {
         self.inner
     }
 }
 
-impl<'b> DerefMut for PairCtx<'_, 'b> {
+impl<'b, D> DerefMut for PairCtx<'_, 'b, D> {
     fn deref_mut(&mut self) -> &mut Self::Target {
         self.inner
     }
 }
 
-impl PairCtx<'_, '_> {
+impl<D: Send + 'static> PairCtx<'_, '_, D> {
     /// Send a state delta to the backup (no-op while no backup exists —
     /// the pair is then running exposed, as real pairs do between a CPU
     /// failure and its reload). The returned witness licenses the update
     /// the delta describes.
-    pub fn checkpoint(&mut self, delta: Payload) -> Checkpointed {
+    pub fn checkpoint(&mut self, delta: D) -> Checkpointed {
         if let Some(peer) = self.peer {
             self.inner.count("pair.checkpoints", 1);
-            let _ = self.inner.send(peer, Payload::new(PairMsg::Checkpoint(delta)));
+            let _ = self.inner.send(peer, Payload::new(Checkpoint(delta)));
         }
         Checkpointed(())
     }
@@ -165,10 +175,11 @@ impl<A: PairApp> PairProcess<A> {
         }
     }
 
-    fn pair_ctx<'a, 'b>(&self, ctx: &'a mut Ctx<'b>) -> PairCtx<'a, 'b> {
+    fn pair_ctx<'a, 'b>(&self, ctx: &'a mut Ctx<'b>) -> PairCtx<'a, 'b, A::Delta> {
         PairCtx {
             inner: ctx,
             peer: self.peer,
+            _delta: PhantomData,
         }
     }
 }
@@ -191,6 +202,13 @@ impl<A: PairApp> Process for PairProcess<A> {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, src: Pid, payload: Payload) {
+        let payload = match payload.downcast::<Checkpoint<A::Delta>>() {
+            Ok(Checkpoint(delta)) => {
+                self.app.apply_checkpoint(delta, &Checkpointed(()));
+                return;
+            }
+            Err(other) => other,
+        };
         let payload = match payload.downcast::<PairMsg>() {
             Ok(PairMsg::BackupHello) => {
                 // a backup (re)announced itself: adopt it and sync it
@@ -201,10 +219,6 @@ impl<A: PairApp> Process for PairProcess<A> {
             }
             Ok(PairMsg::Snapshot(snapshot)) => {
                 self.app.restore(snapshot, &Checkpointed(()));
-                return;
-            }
-            Ok(PairMsg::Checkpoint(delta)) => {
-                self.app.apply_checkpoint(delta, &Checkpointed(()));
                 return;
             }
             Err(other) => other,
@@ -240,7 +254,7 @@ impl<A: PairApp> Process for PairProcess<A> {
                         self.peer = None;
                         ctx.register_name(&self.app.service_name());
                         ctx.count("pair.takeovers", 1);
-                        ctx.trace("pair.takeover", || self.app.service_name());
+                        ctx.trace("pair.takeover", || self.app.service_name().to_string());
                         let mut pctx = self.pair_ctx(ctx);
                         self.app.on_takeover(&mut pctx);
                         let mut pctx = self.pair_ctx(ctx);
@@ -295,7 +309,7 @@ impl<A: PairApp> Process for PairProcess<A> {
 #[derive(Clone, Debug)]
 pub struct PairHandle {
     pub node: NodeId,
-    pub name: String,
+    pub name: Name,
     pub primary: Pid,
     pub backup: Pid,
 }
@@ -367,7 +381,7 @@ mod tests {
 
     /// A replicated counter: add requests are checkpointed to the backup.
     struct Counter {
-        name: String,
+        name: Name,
         value: u64,
         applied: ReplyCache<u64>,
     }
@@ -378,7 +392,7 @@ mod tests {
     impl Counter {
         fn new(name: &str) -> Counter {
             Counter {
-                name: name.to_string(),
+                name: Name::new(name),
                 value: 0,
                 applied: ReplyCache::new(1024),
             }
@@ -386,10 +400,18 @@ mod tests {
     }
 
     impl PairApp for Counter {
-        fn service_name(&self) -> String {
+        /// An applied request: `(request id, amount added)`.
+        type Delta = (u64, u64);
+
+        fn service_name(&self) -> Name {
             self.name.clone()
         }
-        fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, _src: Pid, payload: Payload) {
+        fn on_request(
+            &mut self,
+            ctx: &mut PairCtx<'_, '_, (u64, u64)>,
+            _src: Pid,
+            payload: Payload,
+        ) {
             let req = payload.expect::<Request<Add>>();
             // dedup retried requests so at-least-once delivery stays exactly-once
             let value = if let Some(v) = self.applied.check(req.id) {
@@ -399,13 +421,12 @@ mod tests {
                 self.applied.store(req.id, self.value);
                 // checkpoint the *applied request*, not the raw value, so a
                 // backup can dedup retries that arrive after takeover too
-                ctx.checkpoint(Payload::new((req.id, req.body.0)));
+                ctx.checkpoint((req.id, req.body.0));
                 self.value
             };
             reply(ctx, req.id, req.from, value);
         }
-        fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
-            let (id, add) = delta.expect::<(u64, u64)>();
+        fn apply_checkpoint(&mut self, (id, add): (u64, u64), _cp: &Checkpointed) {
             if self.applied.check(id).is_none() {
                 self.value += add;
                 self.applied.store(id, self.value);

@@ -19,7 +19,7 @@
 //! naturally idempotent deduplicate with a [`ReplyCache`].
 
 use encompass_sim::{
-    Ctx, DetHashMap, NodeId, Payload, Pid, Process, SendError, SimDuration, TimerId, World,
+    Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SendError, SimDuration, TimerId, World,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -33,7 +33,7 @@ pub const RPC_TAG_BASE: u64 = 1 << 48;
 #[derive(Clone, Debug)]
 pub enum Target {
     Pid(Pid),
-    Named(NodeId, String),
+    Named(NodeId, Name),
 }
 
 impl Target {
@@ -238,22 +238,23 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         ctx: &mut Ctx<'_>,
         payload: Payload,
     ) -> Result<Completion<R, K>, Payload> {
-        if !payload.is::<RpcReply<R>>() {
+        // peek before unboxing: a reply that is not pending here (stale,
+        // or addressed to another `Rpc` of the same process) goes back
+        // untouched
+        let mine = payload
+            .downcast_ref::<RpcReply<R>>()
+            .is_some_and(|reply| self.pending.contains_key(&reply.id));
+        if !mine {
             return Err(payload);
         }
-        let reply = payload.downcast::<RpcReply<R>>().expect("checked above");
-        match self.pending.remove(&reply.id) {
-            Some(p) => {
-                ctx.cancel_timer(p.timer);
-                Ok(Completion {
-                    id: reply.id,
-                    body: reply.body,
-                    then: p.then,
-                })
-            }
-            // duplicate or stale reply (e.g. answered after a retry)
-            None => Err(Payload::new(reply)),
-        }
+        let reply = payload.expect::<RpcReply<R>>();
+        let p = self.pending.remove(&reply.id).expect("peeked above");
+        ctx.cancel_timer(p.timer);
+        Ok(Completion {
+            id: reply.id,
+            body: reply.body,
+            then: p.then,
+        })
     }
 
     /// Drive timeouts. Call for any timer tag `>= RPC_TAG_BASE`.
@@ -700,8 +701,56 @@ mod tests {
 
     #[test]
     fn distinct_id_spaces_do_not_collide() {
-        let a: Rpc<Ping, Pong> = Rpc::new(1);
-        let b: Rpc<Ping, Pong> = Rpc::new(2);
-        assert_ne!(a.id_space, b.id_space);
+        // servers deduplicate retries by request id alone, so ids must be
+        // unique across the `Rpc`s of one process (the id space) and
+        // across processes using the same id space (the pid salt)
+        struct TwoClients {
+            sink: Pid,
+            rpcs: [Rpc<Ping, Pong>; 2],
+            issued: Rc<RefCell<Vec<u64>>>,
+        }
+        impl Process for TwoClients {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for _ in 0..3 {
+                    for rpc in &mut self.rpcs {
+                        let id = rpc.call_persistent(
+                            ctx,
+                            Target::Pid(self.sink),
+                            Ping(0),
+                            SimDuration::from_secs(1),
+                            (),
+                        );
+                        self.issued.borrow_mut().push(id);
+                    }
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, _payload: Payload) {}
+        }
+        let (mut w, n) = world();
+        let sink = w.spawn(
+            n,
+            0,
+            Box::new(FlakyServer {
+                drop_first: u32::MAX,
+                seen: Rc::new(RefCell::new(0)),
+            }),
+        );
+        let issued = Rc::new(RefCell::new(Vec::new()));
+        for cpu in [1, 2] {
+            w.spawn(
+                n,
+                cpu,
+                Box::new(TwoClients {
+                    sink,
+                    rpcs: [Rpc::new(1), Rpc::new(2)],
+                    issued: issued.clone(),
+                }),
+            );
+        }
+        w.run_for(SimDuration::from_millis(1));
+        let issued = issued.borrow();
+        assert_eq!(issued.len(), 12, "two processes, two rpcs each, three calls");
+        let distinct: std::collections::BTreeSet<u64> = issued.iter().copied().collect();
+        assert_eq!(distinct.len(), issued.len(), "request ids collide: {issued:?}");
     }
 }

@@ -1,0 +1,125 @@
+//! Allocation budget of the rpc layer: a reply this `Rpc` is not waiting
+//! for — stale, duplicate, or addressed to another `Rpc` of the same
+//! process — must be handed back as it came, not unboxed and re-boxed. A
+//! TCP offers every reply to each of its terminals' rpcs in turn, so a
+//! re-box here is paid once per terminal per reply.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{allocations_in, CountingAlloc};
+use encompass_sim::{Ctx, Payload, Pid, Process, SimConfig, SimDuration, World};
+use guardian::{Rpc, RpcReply, Target};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[derive(Clone)]
+struct Ping;
+#[derive(Debug, PartialEq)]
+struct Pong(u32);
+
+/// What one offered payload cost and how it came back.
+#[derive(Debug, PartialEq)]
+struct Offer {
+    allocations: u64,
+    completed: bool,
+    /// The id of the reply handed back, if it still is a `RpcReply<Pong>`.
+    returned_id: Option<u64>,
+}
+
+struct Client {
+    sink: Pid,
+    rpc: Rpc<Ping, Pong>,
+    pending_id: Rc<RefCell<Option<u64>>>,
+    offers: Rc<RefCell<Vec<Offer>>>,
+}
+
+impl Process for Client {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        // one call in flight, so the miss is a miss in a non-empty table
+        let id = self.rpc.call_persistent(
+            ctx,
+            Target::Pid(self.sink),
+            Ping,
+            SimDuration::from_secs(60),
+            (),
+        );
+        *self.pending_id.borrow_mut() = Some(id);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let (allocations, outcome) = allocations_in(|| self.rpc.accept(ctx, payload));
+        let offer = match outcome {
+            Ok(_) => Offer {
+                allocations,
+                completed: true,
+                returned_id: None,
+            },
+            Err(back) => Offer {
+                allocations,
+                completed: false,
+                returned_id: back.downcast_ref::<RpcReply<Pong>>().map(|r| r.id),
+            },
+        };
+        self.offers.borrow_mut().push(offer);
+    }
+}
+
+struct Sink;
+impl Process for Sink {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, _payload: Payload) {}
+}
+
+#[test]
+fn a_reply_that_is_not_pending_is_handed_back_unboxed() {
+    let mut w = World::new(SimConfig::default());
+    let n = w.add_node(2);
+    let sink = w.spawn(n, 0, Box::new(Sink));
+    let pending_id = Rc::new(RefCell::new(None));
+    let offers = Rc::new(RefCell::new(Vec::new()));
+    let client = w.spawn(
+        n,
+        1,
+        Box::new(Client {
+            sink,
+            rpc: Rpc::new(1),
+            pending_id: pending_id.clone(),
+            offers: offers.clone(),
+        }),
+    );
+    w.run_for(SimDuration::from_millis(1));
+    let pending = pending_id.borrow().expect("the call was issued");
+    let stale = pending + 1_000;
+
+    // a stale reply of the right type, a payload of another type, then
+    // the real reply
+    w.send_external(client, Payload::new(RpcReply { id: stale, body: Pong(1) }));
+    w.send_external(client, Payload::new("not a reply"));
+    w.send_external(client, Payload::new(RpcReply { id: pending, body: Pong(2) }));
+    w.run_for(SimDuration::from_millis(1));
+
+    let offers = offers.borrow();
+    assert_eq!(
+        offers[0],
+        Offer {
+            allocations: 0,
+            completed: false,
+            returned_id: Some(stale)
+        },
+        "a stale reply comes back intact and costs nothing"
+    );
+    assert_eq!(
+        offers[1],
+        Offer {
+            allocations: 0,
+            completed: false,
+            returned_id: None
+        },
+        "a non-reply comes back and costs nothing"
+    );
+    assert!(offers[2].completed, "the pending reply still completes");
+    assert_eq!(offers.len(), 3);
+}

@@ -27,15 +27,17 @@
 //! which the chaos drain-liveness oracle enforces.
 
 use crate::suspense::{
-    suspense_file, SuspenseDelta, SuspenseMsg, SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
+    replica_file, suspense_file, SuspenseDelta, SuspenseMsg, SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
 };
-use encompass_sim::{NodeId, Payload, Pid, SimDuration, World};
+use encompass_sim::{Name, NodeId, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::{key_num, num_key};
 use encompass_storage::Catalog;
-use guardian::{reply, Checkpointed, PairApp, PairCtx, PairHandle, Request};
+use guardian::{reply, Checkpointed, PairApp, PairHandle, Request};
 use tmf::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
 use tmf::state::AbortReason;
+
+type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, SuspenseDelta>;
 
 const TAG_POLL: u64 = 1;
 
@@ -74,9 +76,13 @@ enum MonState {
 /// The suspense monitor pair application.
 pub struct SuspenseMonitorApp {
     cfg: SuspenseMonitorConfig,
+    /// The suspense file of the node this monitor drains.
+    suspense_file: Name,
     session: TmfSession,
     state: MonState,
-    current: Option<(u64, SuspenseRecord)>,
+    /// The entry being applied: its number, the record, and the replica
+    /// file at the record's destination.
+    current: Option<(u64, SuspenseRecord, Name)>,
     /// Whether the locked replica record already existed (update vs insert).
     replica_exists: bool,
     // --- drain progress, checkpointed to the backup ---
@@ -86,9 +92,10 @@ pub struct SuspenseMonitorApp {
 }
 
 impl SuspenseMonitorApp {
-    pub fn new(catalog: Catalog, cfg: SuspenseMonitorConfig) -> SuspenseMonitorApp {
+    pub fn new(node: NodeId, catalog: Catalog, cfg: SuspenseMonitorConfig) -> SuspenseMonitorApp {
         SuspenseMonitorApp {
             cfg,
+            suspense_file: suspense_file(node),
             session: TmfSession::new(catalog, 2),
             state: MonState::Idle,
             current: None,
@@ -107,12 +114,11 @@ impl SuspenseMonitorApp {
 
     fn scan(&mut self, ctx: &mut PairCtx<'_, '_>) {
         self.state = MonState::Scanning;
-        let node = ctx.node();
         let batch = self.cfg.batch;
         let _ = self.session.op(
             ctx,
             DbOp::ReadRange {
-                file: suspense_file(node),
+                file: self.suspense_file.clone(),
                 low: num_key(0),
                 high: None,
                 limit: batch,
@@ -138,10 +144,10 @@ impl SuspenseMonitorApp {
     }
 
     fn lock_replica(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        let (_, rec) = self.current.as_ref().expect("work chosen");
+        let (_, rec, replica) = self.current.as_ref().expect("work chosen");
         self.state = MonState::LockingReplica;
         let op = DbOp::ReadLock {
-            file: crate::suspense::replica_file(&rec.file, rec.dest),
+            file: replica.clone(),
             key: rec.key.clone(),
         };
         if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
@@ -157,11 +163,11 @@ impl SuspenseMonitorApp {
                     return;
                 };
                 self.pending = entries.len() as u64;
-                ctx.checkpoint(Payload::new(SuspenseDelta::Scanned {
+                ctx.checkpoint(SuspenseDelta::Scanned {
                     pending: self.pending,
-                }));
+                });
                 // earliest entry per destination, in entry (= transid) order
-                let mut chosen: Option<(u64, SuspenseRecord)> = None;
+                let mut chosen: Option<(u64, SuspenseRecord, Name)> = None;
                 let mut seen_dests: Vec<NodeId> = Vec::new();
                 for (k, v) in &entries {
                     let Some(entry) = key_num(k) else { continue };
@@ -173,7 +179,8 @@ impl SuspenseMonitorApp {
                     }
                     seen_dests.push(rec.dest);
                     if chosen.is_none() && ctx.reachable(rec.dest) {
-                        chosen = Some((entry, rec));
+                        let replica = replica_file(&rec.file, rec.dest);
+                        chosen = Some((entry, rec, replica));
                     }
                 }
                 match chosen {
@@ -203,10 +210,10 @@ impl SuspenseMonitorApp {
             }
             (MonState::LockingReplica, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Value(existing) = reply {
-                    let (_, rec) = self.current.as_ref().expect("work chosen");
+                    let (_, rec, replica) = self.current.as_ref().expect("work chosen");
                     self.replica_exists = existing.is_some();
                     self.state = MonState::WritingReplica;
-                    let file = crate::suspense::replica_file(&rec.file, rec.dest);
+                    let file = replica.clone();
                     let op = if self.replica_exists {
                         DbOp::Update {
                             file,
@@ -230,10 +237,9 @@ impl SuspenseMonitorApp {
             (MonState::WritingReplica, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Ok = reply {
                     let entry = self.current.as_ref().expect("work chosen").0;
-                    let node = ctx.node();
                     self.state = MonState::LockingEntry;
                     let op = DbOp::ReadLock {
-                        file: suspense_file(node),
+                        file: self.suspense_file.clone(),
                         key: num_key(entry),
                     };
                     if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
@@ -246,10 +252,9 @@ impl SuspenseMonitorApp {
             (MonState::LockingEntry, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Value(_) = reply {
                     let entry = self.current.as_ref().expect("work chosen").0;
-                    let node = ctx.node();
                     self.state = MonState::Deleting;
                     let op = DbOp::Delete {
-                        file: suspense_file(node),
+                        file: self.suspense_file.clone(),
                         key: num_key(entry),
                     };
                     if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
@@ -268,14 +273,14 @@ impl SuspenseMonitorApp {
                 }
             }
             (MonState::Ending, SessionEvent::Committed { .. }) => {
-                let (entry, rec) = self.current.take().expect("work chosen");
+                let (entry, rec, _) = self.current.take().expect("work chosen");
                 ctx.count("suspense.applied", 1);
                 self.applied += 1;
                 self.pending = self.pending.saturating_sub(1);
-                ctx.checkpoint(Payload::new(SuspenseDelta::Applied {
+                ctx.checkpoint(SuspenseDelta::Applied {
                     dest: rec.dest,
                     entry,
-                }));
+                });
                 // look for more work immediately
                 self.state = MonState::Idle;
                 self.scan(ctx);
@@ -289,8 +294,10 @@ impl SuspenseMonitorApp {
 }
 
 impl PairApp for SuspenseMonitorApp {
-    fn service_name(&self) -> String {
-        SUSPENSE_SERVICE.to_string()
+    type Delta = SuspenseDelta;
+
+    fn service_name(&self) -> Name {
+        Name::from_static(SUSPENSE_SERVICE)
     }
 
     fn kind(&self) -> &'static str {
@@ -355,15 +362,13 @@ impl PairApp for SuspenseMonitorApp {
         ctx.set_timer(self.cfg.poll, TAG_POLL);
     }
 
-    fn apply_checkpoint(&mut self, delta: Payload, _cp: &Checkpointed) {
-        if let Some(d) = delta.downcast_ref::<SuspenseDelta>() {
-            match d {
-                SuspenseDelta::Applied { .. } => {
-                    self.applied += 1;
-                    self.pending = self.pending.saturating_sub(1);
-                }
-                SuspenseDelta::Scanned { pending } => self.pending = *pending,
+    fn apply_checkpoint(&mut self, delta: SuspenseDelta, _cp: &Checkpointed) {
+        match delta {
+            SuspenseDelta::Applied { .. } => {
+                self.applied += 1;
+                self.pending = self.pending.saturating_sub(1);
             }
+            SuspenseDelta::Scanned { pending } => self.pending = pending,
         }
     }
 
@@ -391,6 +396,6 @@ pub fn spawn_suspense_monitor(
     cfg: SuspenseMonitorConfig,
 ) -> PairHandle {
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        SuspenseMonitorApp::new(catalog.clone(), cfg.clone())
+        SuspenseMonitorApp::new(node, catalog.clone(), cfg.clone())
     })
 }

@@ -16,7 +16,7 @@
 //! the record for observability and for the drain-ordering e2e tests.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use encompass_sim::NodeId;
+use encompass_sim::{Name, NodeId};
 use encompass_storage::types::{FileDef, Transid, VolumeRef};
 use encompass_storage::Catalog;
 
@@ -24,13 +24,13 @@ use encompass_storage::Catalog;
 pub const SUSPENSE_SERVICE: &str = "$SUSPENSE";
 
 /// The per-node copy of a replicated file.
-pub fn replica_file(file: &str, node: NodeId) -> String {
-    format!("{file}@{}", node.0)
+pub fn replica_file(file: &str, node: NodeId) -> Name {
+    Name::from(format!("{file}@{}", node.0))
 }
 
 /// The suspense file of a node.
-pub fn suspense_file(node: NodeId) -> String {
-    format!("suspense@{}", node.0)
+pub fn suspense_file(node: NodeId) -> Name {
+    Name::from(format!("suspense@{}", node.0))
 }
 
 /// Add the per-node copies of replicated file `file` for every node, each
@@ -66,7 +66,7 @@ pub struct SuspenseRecord {
     /// The replica's node.
     pub dest: NodeId,
     /// Logical replicated file name (e.g. `"item"` or `"branch"`).
-    pub file: String,
+    pub file: Name,
     pub key: Bytes,
     pub value: Bytes,
 }
@@ -101,7 +101,7 @@ impl SuspenseRecord {
         if raw.len() < flen + 2 {
             return None;
         }
-        let file = String::from_utf8(raw[..flen].to_vec()).ok()?;
+        let file = Name::new(std::str::from_utf8(&raw[..flen]).ok()?);
         raw.advance(flen);
         let klen = raw.get_u16() as usize;
         if raw.len() < klen + 4 {
@@ -152,7 +152,7 @@ pub enum SuspenseReply {
 /// progress survives takeover so backlog reporting never goes backwards
 /// (the drain itself restarts from the durable suspense file).
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum SuspenseDelta {
+pub enum SuspenseDelta {
     /// One deferred update was applied and its suspense entry deleted.
     Applied { dest: NodeId, entry: u64 },
     /// A scan observed this many pending entries.
@@ -219,7 +219,7 @@ mod tests {
                 let r = SuspenseRecord {
                     transid: Transid { home_node: NodeId(home), cpu, seq },
                     dest: NodeId(dest),
-                    file,
+                    file: file.into(),
                     key: Bytes::from(key),
                     value: Bytes::from(value),
                 };

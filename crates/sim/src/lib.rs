@@ -60,6 +60,7 @@ pub mod ids;
 pub mod kernel;
 pub mod metrics;
 pub mod msg;
+pub mod name;
 pub mod process;
 pub mod stable;
 pub mod time;
@@ -76,6 +77,7 @@ pub use ids::{CpuId, LinkId, NodeId, Pid};
 pub use kernel::World;
 pub use metrics::{HistogramHandle, Metrics};
 pub use msg::Payload;
+pub use name::Name;
 pub use process::{Ctx, Process, SendError, SystemEvent, TimerId};
 pub use stable::StableStorage;
 pub use time::{SimDuration, SimTime};

@@ -6,10 +6,9 @@
 
 use std::collections::BTreeMap;
 
-/// Pre-resolved counter keys for one histogram: the hot observation path
-/// (`Metrics::observe_handle`) must not build `format!` strings per bucket
-/// per observation, so call sites intern the keys once at construction and
-/// observe against the handle.
+/// Pre-resolved counter keys for one histogram: observing must not build
+/// `format!` strings per bucket per observation, so call sites intern the
+/// keys once at construction and observe against the handle.
 #[derive(Debug, Clone)]
 pub struct HistogramHandle {
     bounds: Vec<u64>,
@@ -91,15 +90,9 @@ impl Metrics {
     /// Record one observation into a fixed-bound histogram built from plain
     /// counters: cumulative buckets `<name>.le_<bound>` (plus the implicit
     /// `<name>.le_inf`), an observation count `<name>.count`, and a running
-    /// `<name>.sum`. Bounds must be ascending; the experiment harnesses
-    /// read the buckets back with [`Metrics::with_prefix`].
-    pub fn observe(&mut self, name: &str, value: u64, bounds: &[u64]) {
-        // thin convenience wrapper; hot paths hold a pre-built handle
-        self.observe_handle(&HistogramHandle::new(name, bounds), value);
-    }
-
-    /// Record one observation against interned keys (the hot path —
-    /// allocates nothing).
+    /// `<name>.sum`. The experiment harnesses read the buckets back with
+    /// [`Metrics::with_prefix`]. Allocates nothing: the keys were interned
+    /// when the handle was built.
     pub fn observe_handle(&mut self, h: &HistogramHandle, value: u64) {
         for (b, key) in h.bounds.iter().zip(&h.bucket_keys) {
             if value <= *b {
@@ -111,7 +104,7 @@ impl Metrics {
         self.add(&h.sum_key, value);
     }
 
-    /// Mean of every observation recorded with [`Metrics::observe`] under
+    /// Mean of every observation recorded with [`Metrics::observe_handle`] under
     /// `name` (zero if nothing was observed).
     pub fn observed_mean(&self, name: &str) -> f64 {
         let count = self.get(&format!("{name}.count"));
@@ -149,19 +142,24 @@ mod tests {
     }
 
     #[test]
-    fn handle_observation_matches_string_api() {
-        let mut by_name = Metrics::new();
-        let mut by_handle = Metrics::new();
-        let bounds = [10, 100, 1000];
-        let h = HistogramHandle::new("lat", &bounds);
+    fn handle_observation_fills_cumulative_buckets() {
+        let mut m = Metrics::new();
+        let h = HistogramHandle::new("lat", &[10, 100, 1000]);
         for v in [3, 10, 11, 5_000] {
-            by_name.observe("lat", v, &bounds);
-            by_handle.observe_handle(&h, v);
+            m.observe_handle(&h, v);
         }
-        assert_eq!(by_name.snapshot(), by_handle.snapshot());
-        assert_eq!(by_handle.get("lat.le_10"), 2);
-        assert_eq!(by_handle.get("lat.le_inf"), 4);
-        assert_eq!(by_handle.get("lat.sum"), 3 + 10 + 11 + 5_000);
+        let names: Vec<String> = m.with_prefix("lat.").into_iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            names,
+            ["lat.count", "lat.le_10", "lat.le_100", "lat.le_1000", "lat.le_inf", "lat.sum"]
+        );
+        assert_eq!(m.get("lat.le_10"), 2);
+        assert_eq!(m.get("lat.le_100"), 3);
+        assert_eq!(m.get("lat.le_1000"), 3);
+        assert_eq!(m.get("lat.le_inf"), 4);
+        assert_eq!(m.get("lat.count"), 4);
+        assert_eq!(m.get("lat.sum"), 3 + 10 + 11 + 5_000);
+        assert_eq!(m.observed_mean("lat"), 5_024.0 / 4.0);
     }
 
     #[test]

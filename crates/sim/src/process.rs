@@ -207,14 +207,8 @@ impl<'a> Ctx<'a> {
         self.world.metrics_mut().add(name, delta);
     }
 
-    /// Record one observation into a counter-backed histogram (see
-    /// [`crate::Metrics::observe`]).
-    pub fn observe(&mut self, name: &str, value: u64, bounds: &[u64]) {
-        self.world.metrics_mut().observe(name, value, bounds);
-    }
-
     /// Record one observation against a pre-resolved histogram handle
-    /// (the allocation-free hot path; see [`crate::HistogramHandle`]).
+    /// (see [`crate::HistogramHandle`]).
     pub fn observe_handle(&mut self, h: &crate::HistogramHandle, value: u64) {
         self.world.metrics_mut().observe_handle(h, value);
     }

@@ -10,6 +10,7 @@
 
 use crate::types::{FileOrganization, Transid, VolumeRef};
 use bytes::Bytes;
+use encompass_sim::Name;
 
 /// Reserved pseudo-file name of ONLINEDUMP marker records (DumpBegin /
 /// DumpEnd brackets). No real file may use this name; recovery filters
@@ -24,7 +25,7 @@ pub struct ImageRecord {
     pub seq: u64,
     pub transid: Transid,
     pub volume: VolumeRef,
-    pub file: String,
+    pub file: Name,
     pub organization: FileOrganization,
     pub key: Bytes,
     /// `None` = the record did not exist before this update.
@@ -49,7 +50,7 @@ impl ImageRecord {
             seq,
             transid: Transid::dump_marker(volume.node, generation),
             volume,
-            file: DUMP_MARKER_FILE.to_string(),
+            file: Name::from_static(DUMP_MARKER_FILE),
             organization: FileOrganization::KeySequenced,
             key: Bytes::from(if end { "end" } else { "begin" }),
             before: None,
@@ -93,7 +94,7 @@ pub enum AuditMsg {
     /// of them on that partition, so a backout can never find its
     /// before-images purged.
     Purge {
-        floors: Vec<(String, Option<u64>)>,
+        floors: Vec<(Name, Option<u64>)>,
         open: Vec<Transid>,
     },
     /// Utility query: report the sizes of the AUDITPROCESS's in-memory

@@ -4,12 +4,13 @@
 //! every process that needs it.
 
 use crate::types::{FileDef, FileOrganization, VolumeRef};
+use encompass_sim::Name;
 use std::collections::BTreeMap;
 
 /// An immutable-by-convention set of file definitions.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    files: BTreeMap<String, FileDef>,
+    files: BTreeMap<Name, FileDef>,
 }
 
 impl Catalog {
@@ -27,7 +28,7 @@ impl Catalog {
             def.name
         );
         assert!(
-            !self.files.contains_key(&def.name),
+            !self.files.contains_key(&*def.name),
             "duplicate file {}",
             def.name
         );
@@ -35,14 +36,14 @@ impl Catalog {
         // scanned like ordinary key-sequenced files
         for alt in &def.alternates {
             let idx = FileDef {
-                name: def.index_file_name(alt),
+                name: alt.index_file.clone(),
                 organization: FileOrganization::KeySequenced,
                 audited: def.audited,
                 partitions: def.partitions.clone(),
                 alternates: Vec::new(),
             };
             assert!(
-                !self.files.contains_key(&idx.name),
+                !self.files.contains_key(&*idx.name),
                 "duplicate file {}",
                 idx.name
             );

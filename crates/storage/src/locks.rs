@@ -19,6 +19,7 @@
 
 use crate::types::Transid;
 use bytes::Bytes;
+use encompass_sim::Name;
 use std::collections::{BTreeMap, VecDeque};
 
 /// The lock modes. `Shared` and `Exclusive` apply to both scopes;
@@ -95,13 +96,13 @@ impl LockMode {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum LockScope {
     /// The primary key of one logical record.
-    Record { file: String, key: Bytes },
+    Record { file: Name, key: Bytes },
     /// A whole file (tested against every record lock in the file).
-    File { file: String },
+    File { file: Name },
 }
 
 impl LockScope {
-    pub fn file(&self) -> &str {
+    pub fn file(&self) -> &Name {
         match self {
             LockScope::Record { file, .. } => file,
             LockScope::File { file } => file,
@@ -146,6 +147,24 @@ struct LockQueue {
     waiters: VecDeque<WaitEntry>,
 }
 
+impl LockQueue {
+    fn is_idle(&self) -> bool {
+        self.granted.is_empty() && self.waiters.is_empty()
+    }
+
+    fn mode_of(&self, txn: Transid) -> Option<LockMode> {
+        self.granted.iter().find(|g| g.txn == txn).map(|g| g.mode)
+    }
+
+    /// Is a waiter of another transaction queued that `mode` would have
+    /// to overtake?
+    fn foreign_waiter_blocks(&self, txn: Transid, mode: LockMode) -> bool {
+        self.waiters
+            .iter()
+            .any(|w| w.txn != txn && !w.mode.compatible(mode))
+    }
+}
+
 /// Per-file, per-transaction record-lock counts: how many shared and how
 /// many exclusive record locks the transaction holds in the file. The
 /// implied file intent is IX if any exclusive, else IS.
@@ -163,16 +182,37 @@ impl RecordCounts {
             LockMode::IntentShared
         }
     }
+
+    fn of(&mut self, mode: LockMode) -> &mut usize {
+        match mode {
+            LockMode::Shared | LockMode::IntentShared => &mut self.shared,
+            LockMode::Exclusive | LockMode::IntentExclusive => &mut self.exclusive,
+        }
+    }
+}
+
+/// Everything locked in one file.
+#[derive(Default)]
+struct FileLocks {
+    /// The file-scope queue.
+    file: LockQueue,
+    /// Record-scope queues by primary key; idle queues are dropped.
+    records: BTreeMap<Bytes, LockQueue>,
+    /// Record-lock counts per transaction — the implied intent locks a
+    /// file-scope request is tested against.
+    record_holders: BTreeMap<Transid, RecordCounts>,
 }
 
 /// Multi-mode record + file locks for one volume.
+///
+/// The table is two levels, file then key, so every lookup borrows the
+/// caller's `&str` and `&[u8]`, and walking the files in name order and
+/// each file's records in key order is the lexicographic `(file, key)`
+/// order wake-ups have always been issued in. A file's entry stays once
+/// created: files are few and fixed by the catalog.
 #[derive(Default)]
 pub struct LockManager {
-    records: BTreeMap<(String, Bytes), LockQueue>,
-    files: BTreeMap<String, LockQueue>,
-    /// Record-lock counts per file per transaction — the implied intent
-    /// locks a file-scope request is tested against.
-    file_record_holders: BTreeMap<String, BTreeMap<Transid, RecordCounts>>,
+    files: BTreeMap<Name, FileLocks>,
     /// Everything a transaction holds, for release_all (modes live in
     /// the grant sets).
     held: BTreeMap<Transid, Vec<LockScope>>,
@@ -188,28 +228,42 @@ impl LockManager {
         self.held.get(&txn).map(|v| v.len()).unwrap_or(0)
     }
 
+    fn queue(&self, scope: &LockScope) -> Option<&LockQueue> {
+        match scope {
+            LockScope::Record { file, key } => self.record_queue(file, key),
+            LockScope::File { file } => self.files.get(&**file).map(|f| &f.file),
+        }
+    }
+
+    fn record_queue(&self, file: &str, key: &[u8]) -> Option<&LockQueue> {
+        self.files.get(file)?.records.get(key)
+    }
+
+    /// The file's entry, created on the file's first lock.
+    fn file_locks(&mut self, file: &Name) -> &mut FileLocks {
+        if !self.files.contains_key(&**file) {
+            self.files.insert(file.clone(), FileLocks::default());
+        }
+        self.files.get_mut(&**file).expect("just ensured")
+    }
+
     /// The grant set of a scope: every `(transaction, mode)` holding it.
     pub fn holders(&self, scope: &LockScope) -> Vec<(Transid, LockMode)> {
-        let q = match scope {
-            LockScope::Record { file, key } => self.records.get(&(file.clone(), key.clone())),
-            LockScope::File { file } => self.files.get(file),
-        };
-        q.map(|q| q.granted.iter().map(|g| (g.txn, g.mode)).collect())
+        self.queue(scope)
+            .map(|q| q.granted.iter().map(|g| (g.txn, g.mode)).collect())
             .unwrap_or_default()
     }
 
-    /// The mode `txn` holds on this exact scope, if any.
-    fn grant_mode(&self, txn: Transid, scope: &LockScope) -> Option<LockMode> {
-        let q = match scope {
-            LockScope::Record { file, key } => self.records.get(&(file.clone(), key.clone()))?,
-            LockScope::File { file } => self.files.get(file)?,
-        };
-        q.granted.iter().find(|g| g.txn == txn).map(|g| g.mode)
+    /// How many transactions hold this scope.
+    pub fn holder_count(&self, scope: &LockScope) -> usize {
+        self.queue(scope).map_or(0, |q| q.granted.len())
     }
 
     /// Does `txn` hold this exact scope in a mode covering `mode`?
     pub fn holds(&self, txn: Transid, scope: &LockScope, mode: LockMode) -> bool {
-        self.grant_mode(txn, scope).is_some_and(|m| m.covers(mode))
+        self.queue(scope)
+            .and_then(|q| q.mode_of(txn))
+            .is_some_and(|m| m.covers(mode))
     }
 
     /// Every `(transaction, scope, mode)` currently held — used to
@@ -220,7 +274,10 @@ impl LockManager {
             .iter()
             .flat_map(|(t, scopes)| {
                 scopes.iter().map(move |s| {
-                    let mode = self.grant_mode(*t, s).expect("held implies granted");
+                    let mode = self
+                        .queue(s)
+                        .and_then(|q| q.mode_of(*t))
+                        .expect("held implies granted");
                     (*t, s.clone(), mode)
                 })
             })
@@ -229,48 +286,44 @@ impl LockManager {
 
     /// Total queued waiters (diagnostics).
     pub fn waiting(&self) -> usize {
-        self.records
+        self.files
             .values()
-            .chain(self.files.values())
+            .flat_map(|f| f.records.values().chain(std::iter::once(&f.file)))
             .map(|q| q.waiters.len())
             .sum()
     }
 
-    fn record_compatible(&self, txn: Transid, file: &str, key: &Bytes, mode: LockMode) -> bool {
+    fn record_compatible(&self, txn: Transid, file: &str, key: &[u8], mode: LockMode) -> bool {
         let intent = mode.implied_intent();
-        if let Some(fq) = self.files.get(file) {
-            // a file grant by another transaction in an incompatible mode
-            // blocks the record lock; txn's own file grant covers it
-            let own_file_grant = fq.granted.iter().any(|g| g.txn == txn);
-            for g in &fq.granted {
-                if g.txn != txn && !g.mode.compatible(intent) {
-                    return false;
-                }
-            }
-            if !own_file_grant {
-                // Fairness fence: once an incompatible file-lock waiter
-                // from another transaction is queued, record-lock requests
-                // from transactions that hold nothing in the file yet are
-                // refused — otherwise a stream of latecomers keeps the
-                // record-holder count non-zero and starves the file
-                // waiter until its timeout. Transactions already
-                // holding record locks in the file stay exempt (their
-                // further locks, and their own file-lock upgrade, must
-                // not deadlock against the fence).
-                let foreign_waiter = fq
-                    .waiters
-                    .iter()
-                    .any(|w| w.txn != txn && !w.mode.compatible(intent));
-                let already_in_file = self
-                    .file_record_holders
-                    .get(file)
-                    .is_some_and(|m| m.contains_key(&txn));
-                if foreign_waiter && !already_in_file {
-                    return false;
-                }
-            }
+        let Some(locks) = self.files.get(file) else {
+            return true;
+        };
+        // a file grant by another transaction in an incompatible mode
+        // blocks the record lock; txn's own file grant covers it
+        let fq = &locks.file;
+        if fq
+            .granted
+            .iter()
+            .any(|g| g.txn != txn && !g.mode.compatible(intent))
+        {
+            return false;
         }
-        match self.records.get(&(file.to_string(), key.clone())) {
+        // Fairness fence: once an incompatible file-lock waiter from
+        // another transaction is queued, record-lock requests from
+        // transactions that hold nothing in the file yet are refused —
+        // otherwise a stream of latecomers keeps the record-holder count
+        // non-zero and starves the file waiter until its timeout.
+        // Transactions already holding record locks in the file stay
+        // exempt (their further locks, and their own file-lock upgrade,
+        // must not deadlock against the fence).
+        let own_file_grant = fq.mode_of(txn).is_some();
+        if !own_file_grant
+            && fq.foreign_waiter_blocks(txn, intent)
+            && !locks.record_holders.contains_key(&txn)
+        {
+            return false;
+        }
+        match locks.records.get(key) {
             Some(q) => q
                 .granted
                 .iter()
@@ -280,31 +333,31 @@ impl LockManager {
     }
 
     fn file_compatible(&self, txn: Transid, file: &str, mode: LockMode) -> bool {
-        if let Some(fq) = self.files.get(file) {
-            for g in &fq.granted {
-                if g.txn != txn && !g.mode.compatible(mode) {
-                    return false;
-                }
-            }
-            // NOTE: file requests from transactions already active in the
-            // file may overtake queued file waiters — blocking on the
-            // queue would deadlock a transaction that holds record locks
-            // against its own file-lock upgrade. Record-lock latecomers,
-            // however, are fenced while a foreign file waiter queues (see
-            // `record_compatible`), and file-lock latecomers holding
-            // nothing in the file defer to queued waiters (see
-            // `acquire`), so the waiter cannot be starved.
+        let Some(locks) = self.files.get(file) else {
+            return true;
+        };
+        // NOTE: file requests from transactions already active in the
+        // file may overtake queued file waiters — blocking on the queue
+        // would deadlock a transaction that holds record locks against
+        // its own file-lock upgrade. Record-lock latecomers, however, are
+        // fenced while a foreign file waiter queues (see
+        // `record_compatible`), and file-lock latecomers holding nothing
+        // in the file defer to queued waiters (see `acquire`), so the
+        // waiter cannot be starved.
+        if locks
+            .file
+            .granted
+            .iter()
+            .any(|g| g.txn != txn && !g.mode.compatible(mode))
+        {
+            return false;
         }
         // a record lock in the file by another transaction blocks the
         // request unless its implied intent is compatible
-        if let Some(holders) = self.file_record_holders.get(file) {
-            for (h, counts) in holders {
-                if *h != txn && !counts.implied_intent().compatible(mode) {
-                    return false;
-                }
-            }
-        }
-        true
+        locks
+            .record_holders
+            .iter()
+            .all(|(h, counts)| *h == txn || counts.implied_intent().compatible(mode))
     }
 
     /// Try to acquire; on conflict the request queues under `token`.
@@ -316,6 +369,7 @@ impl LockManager {
         if self.holds(txn, &scope, mode) {
             return Acquire::Granted;
         }
+        let waiter = WaitEntry { token, txn, mode };
         match &scope {
             LockScope::Record { file, key } => {
                 // a shared request defers to a queued incompatible waiter
@@ -324,20 +378,18 @@ impl LockManager {
                 // front waiter may be fenced while the requester is not
                 let defer = mode == LockMode::Shared
                     && self
-                        .records
-                        .get(&(file.clone(), key.clone()))
-                        .is_some_and(|q| {
-                            q.waiters.iter().any(|w| w.txn != txn && !w.mode.compatible(mode))
-                        });
+                        .record_queue(file, key)
+                        .is_some_and(|q| q.foreign_waiter_blocks(txn, mode));
                 if !defer && self.record_compatible(txn, file, key, mode) {
-                    self.grant_record(txn, file.clone(), key.clone(), mode);
+                    self.grant_record(txn, file, key, mode);
                     Acquire::Granted
                 } else {
-                    self.records
-                        .entry((file.clone(), key.clone()))
+                    self.file_locks(file)
+                        .records
+                        .entry(key.clone())
                         .or_default()
                         .waiters
-                        .push_back(WaitEntry { token, txn, mode });
+                        .push_back(waiter);
                     Acquire::Queued
                 }
             }
@@ -345,107 +397,66 @@ impl LockManager {
                 // a file request from a transaction holding nothing in the
                 // file defers to queued incompatible file waiters; one
                 // already active in the file may overtake (self-upgrade)
-                let active_in_file = self
-                    .files
-                    .get(file)
-                    .is_some_and(|q| q.granted.iter().any(|g| g.txn == txn))
-                    || self
-                        .file_record_holders
-                        .get(file)
-                        .is_some_and(|m| m.contains_key(&txn));
-                let defer = !active_in_file
-                    && self.files.get(file).is_some_and(|q| {
-                        q.waiters.iter().any(|w| w.txn != txn && !w.mode.compatible(mode))
-                    });
+                let defer = self.files.get(&**file).is_some_and(|locks| {
+                    let active_in_file = locks.file.mode_of(txn).is_some()
+                        || locks.record_holders.contains_key(&txn);
+                    !active_in_file && locks.file.foreign_waiter_blocks(txn, mode)
+                });
                 if !defer && self.file_compatible(txn, file, mode) {
-                    self.grant_file(txn, file.clone(), mode);
+                    self.grant_file(txn, file, mode);
                     Acquire::Granted
                 } else {
-                    self.files
-                        .entry(file.clone())
-                        .or_default()
-                        .waiters
-                        .push_back(WaitEntry { token, txn, mode });
+                    self.file_locks(file).file.waiters.push_back(waiter);
                     Acquire::Queued
                 }
             }
         }
     }
 
-    fn grant_record(&mut self, txn: Transid, file: String, key: Bytes, mode: LockMode) {
-        enum Change {
-            Covered,
-            Upgrade,
-            Fresh,
-        }
-        let change = {
-            let q = self.records.entry((file.clone(), key.clone())).or_default();
-            debug_assert!(q.granted.iter().all(|g| g.txn == txn || g.mode.compatible(mode)));
-            match q.granted.iter_mut().find(|g| g.txn == txn) {
-                Some(g) if g.mode.covers(mode) => Change::Covered,
-                Some(g) => {
-                    debug_assert_eq!(g.mode, LockMode::Shared);
-                    g.mode = mode;
-                    Change::Upgrade
-                }
-                None => {
-                    q.granted.push(Grant { txn, mode });
-                    Change::Fresh
-                }
-            }
+    fn grant_record(&mut self, txn: Transid, file: &Name, key: &Bytes, mode: LockMode) {
+        let locks = self.file_locks(file);
+        let q = match locks.records.get_mut(&**key) {
+            Some(q) => q,
+            None => locks.records.entry(key.clone()).or_default(),
         };
-        match change {
-            Change::Covered => {}
-            Change::Upgrade => {
+        debug_assert!(q.granted.iter().all(|g| g.txn == txn || g.mode.compatible(mode)));
+        match q.granted.iter_mut().find(|g| g.txn == txn) {
+            Some(g) if g.mode.covers(mode) => {}
+            Some(g) => {
                 // Shared → Exclusive in place: move the intent count over
-                let counts = self
-                    .file_record_holders
-                    .get_mut(&file)
-                    .and_then(|m| m.get_mut(&txn))
+                debug_assert_eq!(g.mode, LockMode::Shared);
+                g.mode = mode;
+                let counts = locks
+                    .record_holders
+                    .get_mut(&txn)
                     .expect("upgraded holder is counted");
                 counts.shared -= 1;
                 counts.exclusive += 1;
             }
-            Change::Fresh => {
-                let counts = self
-                    .file_record_holders
-                    .entry(file.clone())
-                    .or_default()
-                    .entry(txn)
-                    .or_default();
-                match mode {
-                    LockMode::Shared | LockMode::IntentShared => counts.shared += 1,
-                    LockMode::Exclusive | LockMode::IntentExclusive => counts.exclusive += 1,
-                }
-                self.held
-                    .entry(txn)
-                    .or_default()
-                    .push(LockScope::Record { file, key });
+            None => {
+                q.granted.push(Grant { txn, mode });
+                *locks.record_holders.entry(txn).or_default().of(mode) += 1;
+                self.held.entry(txn).or_default().push(LockScope::Record {
+                    file: file.clone(),
+                    key: key.clone(),
+                });
             }
         }
     }
 
-    fn grant_file(&mut self, txn: Transid, file: String, mode: LockMode) {
-        let fresh = {
-            let q = self.files.entry(file.clone()).or_default();
-            debug_assert!(q.granted.iter().all(|g| g.txn == txn || g.mode.compatible(mode)));
-            match q.granted.iter_mut().find(|g| g.txn == txn) {
-                Some(g) if g.mode.covers(mode) => false,
-                Some(g) => {
-                    g.mode = mode;
-                    false
-                }
-                None => {
-                    q.granted.push(Grant { txn, mode });
-                    true
-                }
+    fn grant_file(&mut self, txn: Transid, file: &Name, mode: LockMode) {
+        let q = &mut self.file_locks(file).file;
+        debug_assert!(q.granted.iter().all(|g| g.txn == txn || g.mode.compatible(mode)));
+        match q.granted.iter_mut().find(|g| g.txn == txn) {
+            Some(g) if g.mode.covers(mode) => {}
+            Some(g) => g.mode = mode,
+            None => {
+                q.granted.push(Grant { txn, mode });
+                self.held
+                    .entry(txn)
+                    .or_default()
+                    .push(LockScope::File { file: file.clone() });
             }
-        };
-        if fresh {
-            self.held
-                .entry(txn)
-                .or_default()
-                .push(LockScope::File { file });
         }
     }
 
@@ -455,24 +466,37 @@ impl LockManager {
     /// waiter lifts the fairness fence, so fenced record waiters in that
     /// file may be granted and must be completed by the caller.
     pub fn cancel_waiter(&mut self, token: u64) -> Option<Vec<GrantedWaiter>> {
-        let mut in_file: Option<String> = None;
-        for ((file, _), q) in self.records.iter_mut() {
-            if let Some(pos) = q.waiters.iter().position(|w| w.token == token) {
-                q.waiters.remove(pos);
-                in_file = Some(file.clone());
-                break;
-            }
-        }
-        if in_file.is_none() {
-            for (file, q) in self.files.iter_mut() {
-                if let Some(pos) = q.waiters.iter().position(|w| w.token == token) {
+        fn remove_from(q: &mut LockQueue, token: u64) -> bool {
+            match q.waiters.iter().position(|w| w.token == token) {
+                Some(pos) => {
                     q.waiters.remove(pos);
-                    in_file = Some(file.clone());
-                    break;
+                    true
                 }
+                None => false,
             }
         }
-        let file = in_file?;
+        // every record queue in (file, key) order, then every file queue
+        let in_record = self.files.iter_mut().find_map(|(file, locks)| {
+            let key = locks
+                .records
+                .iter_mut()
+                .find_map(|(key, q)| remove_from(q, token).then(|| key.clone()))?;
+            Some((file.clone(), key))
+        });
+        let file = match in_record {
+            Some((file, key)) => {
+                // a queue the cancelled waiter leaves idle goes, to bound memory
+                let records = &mut self.file_locks(&file).records;
+                if records.get(&*key).is_some_and(LockQueue::is_idle) {
+                    records.remove(&*key);
+                }
+                file
+            }
+            None => self
+                .files
+                .iter_mut()
+                .find_map(|(file, locks)| remove_from(&mut locks.file, token).then(|| file.clone()))?,
+        };
         let mut granted = Vec::new();
         self.wake_file(&file, &mut granted);
         self.wake_records_of_file(&file, &mut granted);
@@ -484,42 +508,24 @@ impl LockManager {
     /// DISCPROCESS completes those operations.
     pub fn release_all(&mut self, txn: Transid) -> Vec<GrantedWaiter> {
         let scopes = self.held.remove(&txn).unwrap_or_default();
-        let mut touched_files = Vec::new();
         for scope in &scopes {
+            let Some(locks) = self.files.get_mut(&**scope.file()) else {
+                continue;
+            };
             match scope {
-                LockScope::Record { file, key } => {
-                    let mut released = None;
-                    if let Some(q) = self.records.get_mut(&(file.clone(), key.clone())) {
-                        if let Some(pos) = q.granted.iter().position(|g| g.txn == txn) {
-                            released = Some(q.granted.remove(pos).mode);
+                LockScope::Record { key, .. } => {
+                    let released = locks.records.get_mut(&**key).and_then(|q| {
+                        let pos = q.granted.iter().position(|g| g.txn == txn)?;
+                        Some(q.granted.remove(pos).mode)
+                    });
+                    if let (Some(mode), Some(counts)) = (released, locks.record_holders.get_mut(&txn)) {
+                        *counts.of(mode) -= 1;
+                        if counts.shared == 0 && counts.exclusive == 0 {
+                            locks.record_holders.remove(&txn);
                         }
                     }
-                    if let Some(mode) = released {
-                        if let Some(holders) = self.file_record_holders.get_mut(file) {
-                            if let Some(c) = holders.get_mut(&txn) {
-                                match mode {
-                                    LockMode::Shared | LockMode::IntentShared => c.shared -= 1,
-                                    LockMode::Exclusive | LockMode::IntentExclusive => {
-                                        c.exclusive -= 1
-                                    }
-                                }
-                                if c.shared == 0 && c.exclusive == 0 {
-                                    holders.remove(&txn);
-                                }
-                            }
-                            if holders.is_empty() {
-                                self.file_record_holders.remove(file);
-                            }
-                        }
-                    }
-                    touched_files.push(file.clone());
                 }
-                LockScope::File { file } => {
-                    if let Some(q) = self.files.get_mut(file) {
-                        q.granted.retain(|g| g.txn != txn);
-                    }
-                    touched_files.push(file.clone());
-                }
+                LockScope::File { .. } => locks.file.granted.retain(|g| g.txn != txn),
             }
         }
         let mut granted = Vec::new();
@@ -531,46 +537,50 @@ impl LockManager {
         }
         // re-evaluate file-lock queues of every touched file, and record
         // waiters blocked by a released file lock
+        let mut touched_files: Vec<&Name> = scopes.iter().map(LockScope::file).collect();
         touched_files.sort();
         touched_files.dedup();
         for file in touched_files {
-            self.wake_file(&file, &mut granted);
-            self.wake_records_of_file(&file, &mut granted);
+            self.wake_file(file, &mut granted);
+            self.wake_records_of_file(file, &mut granted);
         }
-        // drop empty queues to bound memory
-        self.records
-            .retain(|_, q| !q.granted.is_empty() || !q.waiters.is_empty());
-        self.files
-            .retain(|_, q| !q.granted.is_empty() || !q.waiters.is_empty());
+        // drop the record queues this release left idle, to bound memory
+        // (a queue only ever empties here or in `cancel_waiter`)
+        for scope in &scopes {
+            if let LockScope::Record { file, key } = scope {
+                if let Some(locks) = self.files.get_mut(&**file) {
+                    if locks.records.get(&**key).is_some_and(LockQueue::is_idle) {
+                        locks.records.remove(&**key);
+                    }
+                }
+            }
+        }
         granted
     }
 
-    fn wake_record(&mut self, file: &str, key: &Bytes, granted: &mut Vec<GrantedWaiter>) {
+    fn wake_record(&mut self, file: &Name, key: &Bytes, granted: &mut Vec<GrantedWaiter>) {
         // grant the maximal compatible prefix of the queue: a shared
         // group drains together, and the first incompatible waiter
         // (an exclusive one behind readers, or vice versa) blocks the rest
         loop {
-            let Some(q) = self.records.get(&(file.to_string(), key.clone())) else {
+            let Some(front) = self.record_queue(file, key).and_then(|q| q.waiters.front()) else {
                 return;
             };
-            let Some(front) = q.waiters.front() else {
-                return;
-            };
-            let (txn, mode) = (front.txn, front.mode);
-            if !self.record_compatible(txn, file, key, mode) {
+            if !self.record_compatible(front.txn, file, key, front.mode) {
                 return;
             }
-            let q = self
-                .records
-                .get_mut(&(file.to_string(), key.clone()))
+            let w = self
+                .files
+                .get_mut(&**file)
+                .and_then(|locks| locks.records.get_mut(&**key))
+                .and_then(|q| q.waiters.pop_front())
                 .expect("present above");
-            let w = q.waiters.pop_front().expect("present above");
-            self.grant_record(w.txn, file.to_string(), key.clone(), w.mode);
+            self.grant_record(w.txn, file, key, w.mode);
             granted.push(GrantedWaiter {
                 token: w.token,
                 txn: w.txn,
                 scope: LockScope::Record {
-                    file: file.to_string(),
+                    file: file.clone(),
                     key: key.clone(),
                 },
                 mode: w.mode,
@@ -578,46 +588,42 @@ impl LockManager {
         }
     }
 
-    fn wake_file(&mut self, file: &str, granted: &mut Vec<GrantedWaiter>) {
+    fn wake_file(&mut self, file: &Name, granted: &mut Vec<GrantedWaiter>) {
         // like wake_record: the maximal compatible prefix is granted
         loop {
-            let Some(q) = self.files.get(file) else {
+            let Some(front) = self.files.get(&**file).and_then(|locks| locks.file.waiters.front())
+            else {
                 return;
             };
-            let Some(front) = q.waiters.front() else {
-                return;
-            };
-            let (txn, mode) = (front.txn, front.mode);
-            if !self.file_compatible(txn, file, mode) {
+            if !self.file_compatible(front.txn, file, front.mode) {
                 return;
             }
             let w = self
                 .files
-                .get_mut(file)
-                .expect("present above")
-                .waiters
-                .pop_front()
+                .get_mut(&**file)
+                .and_then(|locks| locks.file.waiters.pop_front())
                 .expect("present above");
-            self.grant_file(w.txn, file.to_string(), w.mode);
+            self.grant_file(w.txn, file, w.mode);
             granted.push(GrantedWaiter {
                 token: w.token,
                 txn: w.txn,
-                scope: LockScope::File {
-                    file: file.to_string(),
-                },
+                scope: LockScope::File { file: file.clone() },
                 mode: w.mode,
             });
         }
     }
 
-    fn wake_records_of_file(&mut self, file: &str, granted: &mut Vec<GrantedWaiter>) {
+    fn wake_records_of_file(&mut self, file: &Name, granted: &mut Vec<GrantedWaiter>) {
         // a released file lock (or a lifted fence) may unblock record
         // waiters anywhere in the file
-        let keys: Vec<Bytes> = self
+        let Some(locks) = self.files.get(&**file) else {
+            return;
+        };
+        let keys: Vec<Bytes> = locks
             .records
             .iter()
-            .filter(|((f, _), q)| f == file && !q.waiters.is_empty())
-            .map(|((_, k), _)| k.clone())
+            .filter(|(_, q)| !q.waiters.is_empty())
+            .map(|(k, _)| k.clone())
             .collect();
         for key in keys {
             self.wake_record(file, &key, granted);
@@ -640,13 +646,15 @@ mod tests {
 
     fn rec(file: &str, key: &str) -> LockScope {
         LockScope::Record {
-            file: file.into(),
+            file: Name::new(file),
             key: Bytes::copy_from_slice(key.as_bytes()),
         }
     }
 
     fn fl(file: &str) -> LockScope {
-        LockScope::File { file: file.into() }
+        LockScope::File {
+            file: Name::new(file),
+        }
     }
 
     const X: LockMode = LockMode::Exclusive;
@@ -950,7 +958,7 @@ mod tests {
                         continue;
                     }
                     if let LockScope::Record { file, .. } = &scope {
-                        if file == "f" {
+                        if *file == "f" {
                             assert!(
                                 fg_mode.compatible(h_mode.implied_intent()),
                                 "file {fg_mode:?} grant coexists with foreign record {h_mode:?}"

@@ -18,7 +18,7 @@ use crate::entryseq::EntrySequencedFile;
 use crate::relative::RelativeFile;
 use crate::types::{key_num, FileOrganization, VolumeRef};
 use bytes::Bytes;
-use encompass_sim::NodeId;
+use encompass_sim::{Name, NodeId};
 use std::collections::BTreeMap;
 
 /// The stable-storage key for a volume's media object.
@@ -165,7 +165,7 @@ pub struct VolumeMedia {
     /// Up/down state of the two mirrored drives.
     pub drives: [bool; 2],
     /// Flushed file images.
-    pub files: BTreeMap<String, FileImage>,
+    pub files: BTreeMap<Name, FileImage>,
     /// True once both drives have been down simultaneously: the content is
     /// gone and only ROLLFORWARD can rebuild it.
     pub lost: bool,
@@ -212,9 +212,12 @@ impl VolumeMedia {
     }
 
     pub fn ensure_file(&mut self, name: &str, org: FileOrganization) -> &mut FileImage {
-        self.files
-            .entry(name.to_string())
-            .or_insert_with(|| FileImage::new(org))
+        // every flushed write comes through here: name the file on its
+        // first write only
+        if !self.files.contains_key(name) {
+            self.files.insert(Name::new(name), FileImage::new(org));
+        }
+        self.files.get_mut(name).expect("just ensured")
     }
 
     pub fn file(&self, name: &str) -> Option<&FileImage> {
@@ -243,7 +246,7 @@ impl VolumeMedia {
 #[derive(Clone)]
 pub struct ArchiveImage {
     pub volume: VolumeRef,
-    pub files: BTreeMap<String, FileImage>,
+    pub files: BTreeMap<Name, FileImage>,
     /// Every image with `seq <= audit_watermark` by a transaction that
     /// released its locks before the archive began is fully reflected in
     /// `files`.

@@ -10,15 +10,21 @@
 //! process, not the disc.
 
 use bytes::Bytes;
-use encompass_sim::DetHashMap;
+use encompass_sim::{DetHashMap, Name};
 use guardian::Checkpointed;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Dirty records not yet flushed: `(file, key) -> Some(value) | None`
-/// (None = deleted).
+/// Dirty records not yet flushed: `file → key → Some(value) | None`
+/// (None = deleted). Two levels, so a lookup borrows the caller's `&str`
+/// and `&[u8]` instead of building a key, and the files in name order with
+/// each file's keys in key order is exactly the lexicographic `(file, key)`
+/// order flushes, archives and backup snapshots walk. A file's map stays
+/// once created (files are few), so only the first write to a file
+/// allocates for its name.
 #[derive(Clone, Debug, Default)]
 pub struct Overlay {
-    dirty: BTreeMap<(String, Bytes), Option<Bytes>>,
+    dirty: BTreeMap<Name, BTreeMap<Bytes, Option<Bytes>>>,
+    len: usize,
 }
 
 impl Overlay {
@@ -27,19 +33,17 @@ impl Overlay {
     }
 
     pub fn len(&self) -> usize {
-        self.dirty.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.dirty.is_empty()
+        self.len == 0
     }
 
     /// The overlay's opinion of a record: `None` = not dirty (ask the
     /// media); `Some(None)` = deleted; `Some(Some(v))` = current value.
     pub fn get(&self, file: &str, key: &[u8]) -> Option<Option<Bytes>> {
-        self.dirty
-            .get(&(file.to_string(), Bytes::copy_from_slice(key)))
-            .cloned()
+        self.dirty.get(file)?.get(key).cloned()
     }
 
     /// Apply one logical database update to the write-behind cache. Every
@@ -52,58 +56,83 @@ impl Overlay {
     /// overlay.put("f", bytes::Bytes::new(), None); // no checkpoint, no update
     /// ```
     pub fn put(&mut self, file: &str, key: Bytes, value: Option<Bytes>, _cp: &Checkpointed) {
-        self.dirty.insert((file.to_string(), key), value);
+        let records = match self.dirty.get_mut(file) {
+            Some(records) => records,
+            None => self.dirty.entry(Name::new(file)).or_default(),
+        };
+        if records.insert(key, value).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Drop one dirty entry (a backup mirroring the primary's flush).
     /// Discarding overlay state is as much a database mutation as writing
     /// it: an unreviewed path here can lose a committed update.
     pub fn remove(&mut self, file: &str, key: &[u8], _cp: &Checkpointed) {
-        self.dirty
-            .remove(&(file.to_string(), Bytes::copy_from_slice(key)));
+        let removed = self.dirty.get_mut(file).and_then(|records| records.remove(key));
+        if removed.is_some() {
+            self.len -= 1;
+        }
     }
 
-    /// Remove and return up to `n` dirty entries for flushing (in key
-    /// order, so flushes are deterministic).
-    pub fn take_batch(
-        &mut self,
-        n: usize,
-        _cp: &Checkpointed,
-    ) -> Vec<(String, Bytes, Option<Bytes>)> {
-        let keys: Vec<(String, Bytes)> = self.dirty.keys().take(n).cloned().collect();
-        keys.into_iter()
-            .map(|k| {
-                let v = self.dirty.remove(&k).expect("key just listed");
-                (k.0, k.1, v)
-            })
-            .collect()
+    /// Remove and return up to `n` dirty entries for flushing (in
+    /// `(file, key)` order, so flushes are deterministic).
+    pub fn take_batch(&mut self, n: usize, _cp: &Checkpointed) -> Vec<(Name, Bytes, Option<Bytes>)> {
+        let mut batch = Vec::with_capacity(n.min(self.len));
+        for (file, records) in self.dirty.iter_mut() {
+            while batch.len() < n {
+                let Some((key, value)) = records.pop_first() else {
+                    break;
+                };
+                batch.push((file.clone(), key, value));
+            }
+        }
+        self.len -= batch.len();
+        batch
     }
 
     /// All dirty entries of one file (used to merge overlay state into
     /// scans and archives) in key order.
-    pub fn file_entries(&self, file: &str) -> Vec<(Bytes, Option<Bytes>)> {
-        self.dirty
-            .range((file.to_string(), Bytes::new())..)
-            .take_while(|((f, _), _)| f == file)
-            .map(|((_, k), v)| (k.clone(), v.clone()))
-            .collect()
+    pub fn file_entries(&self, file: &str) -> impl Iterator<Item = (&Bytes, &Option<Bytes>)> {
+        self.dirty.get(file).into_iter().flatten()
     }
 
-    /// Iterate every dirty entry.
-    pub fn iter(&self) -> impl Iterator<Item = (&(String, Bytes), &Option<Bytes>)> {
-        self.dirty.iter()
+    /// Iterate every dirty entry in `(file, key)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Name, &Bytes, &Option<Bytes>)> {
+        self.dirty
+            .iter()
+            .flat_map(|(file, records)| records.iter().map(move |(key, value)| (file, key, value)))
     }
+}
+
+const NIL: u32 = u32::MAX;
+
+/// One cached record identity, linked into the recency list.
+#[derive(Clone, Debug)]
+struct CacheSlot {
+    file: Name,
+    key: Bytes,
+    /// Towards the least recently used end.
+    older: u32,
+    /// Towards the most recently used end.
+    newer: u32,
 }
 
 /// A simple LRU read cache over `(file, key)` identities, used only to
 /// decide whether a media read costs simulated disc latency. Content is
 /// not cached here (the media is in memory anyway); only recency is.
+///
+/// Identities live in a slab threaded into a doubly linked recency list;
+/// a two-level `file → key → slot` index finds them from a borrowed `&str`
+/// and `&[u8]`. A hit relinks one slot and allocates nothing; a miss at
+/// capacity reuses the slot it evicts.
 #[derive(Clone, Debug)]
 pub struct ReadCache {
     capacity: usize,
-    queue: VecDeque<(String, Bytes)>,
-    members: DetHashMap<(String, Bytes), u64>,
-    clock: u64,
+    slots: Vec<CacheSlot>,
+    members: DetHashMap<Name, DetHashMap<Bytes, u32>>,
+    oldest: u32,
+    newest: u32,
     pub hits: u64,
     pub misses: u64,
 }
@@ -112,9 +141,10 @@ impl ReadCache {
     pub fn new(capacity: usize) -> ReadCache {
         ReadCache {
             capacity: capacity.max(1),
-            queue: VecDeque::new(),
+            slots: Vec::new(),
             members: DetHashMap::default(),
-            clock: 0,
+            oldest: NIL,
+            newest: NIL,
             hits: 0,
             misses: 0,
         }
@@ -122,41 +152,73 @@ impl ReadCache {
 
     /// Record an access; returns true on a hit (no disc I/O needed).
     pub fn access(&mut self, file: &str, key: &[u8]) -> bool {
-        let id = (file.to_string(), Bytes::copy_from_slice(key));
-        self.clock += 1;
-        let hit = self.members.insert(id.clone(), self.clock).is_some();
-        self.queue.push_back(id);
-        if hit {
+        if let Some(&slot) = self.members.get(file).and_then(|keys| keys.get(key)) {
             self.hits += 1;
-        } else {
-            self.misses += 1;
-            // evict least-recently-used entries beyond capacity
-            while self.members.len() > self.capacity {
-                if let Some(old) = self.queue.pop_front() {
-                    // only evict if this queue entry is the latest access
-                    if let Some(&stamp) = self.members.get(&old) {
-                        let is_stale_queue_entry = self
-                            .queue
-                            .iter()
-                            .any(|q| *q == old);
-                        if is_stale_queue_entry {
-                            continue;
-                        }
-                        let _ = stamp;
-                        self.members.remove(&old);
-                    }
-                }
+            if slot != self.newest {
+                self.unlink(slot);
+                self.link_newest(slot);
             }
+            return true;
         }
-        hit
+        self.misses += 1;
+        let key = Bytes::copy_from_slice(key);
+        let file = match self.members.get_key_value(file) {
+            Some((file, _)) => file.clone(),
+            None => Name::new(file),
+        };
+        let entry = CacheSlot {
+            file: file.clone(),
+            key: key.clone(),
+            older: NIL,
+            newer: NIL,
+        };
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(entry);
+            (self.slots.len() - 1) as u32
+        } else {
+            // full: the least recently used identity gives up its slot
+            let slot = self.oldest;
+            self.unlink(slot);
+            let evicted = std::mem::replace(&mut self.slots[slot as usize], entry);
+            if let Some(keys) = self.members.get_mut(&*evicted.file) {
+                keys.remove(&evicted.key);
+            }
+            slot
+        };
+        self.link_newest(slot);
+        self.members.entry(file).or_default().insert(key, slot);
+        false
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let CacheSlot { older, newer, .. } = self.slots[slot as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    fn link_newest(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.older = self.newest;
+        s.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.slots[n as usize].newer = slot,
+        }
+        self.newest = slot;
     }
 
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -205,9 +267,10 @@ mod tests {
         o.put("a", b("k1"), Some(b("1")), &cp());
         o.put("b", b("k2"), Some(b("2")), &cp());
         o.put("a", b("k0"), None, &cp());
-        let got = o.file_entries("a");
+        let got: Vec<_> = o.file_entries("a").collect();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, b("k0"));
+        assert_eq!(*got[0].0, b("k0"));
+        assert_eq!(o.file_entries("absent").count(), 0);
         assert_eq!(o.iter().count(), 3);
     }
 

@@ -2,7 +2,7 @@
 //! file definitions, partitioning, alternate keys, and recovery modes.
 
 use bytes::Bytes;
-use encompass_sim::NodeId;
+use encompass_sim::{Name, NodeId};
 use std::fmt;
 
 /// A network-unique transaction identifier.
@@ -72,20 +72,17 @@ impl fmt::Display for Transid {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VolumeRef {
     pub node: NodeId,
-    pub volume: String,
+    /// The volume's name, which is also its DISCPROCESS's service name
+    /// (`$DATA` style).
+    pub volume: Name,
 }
 
 impl VolumeRef {
     pub fn new(node: NodeId, volume: &str) -> VolumeRef {
         VolumeRef {
             node,
-            volume: volume.to_string(),
+            volume: Name::new(volume),
         }
-    }
-
-    /// The DISCPROCESS service name for this volume (`$DATA` style).
-    pub fn service_name(&self) -> String {
-        self.volume.clone()
     }
 }
 
@@ -110,8 +107,8 @@ pub enum FileOrganization {
 /// The index is maintained automatically on every insert/update/delete.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AltKeySpec {
-    /// Name suffix of the generated index file.
-    pub name: String,
+    /// The generated index file: `<file>.<alternate name>`.
+    pub index_file: Name,
     /// Byte offset of the field within the record value.
     pub offset: usize,
     /// Byte length of the field.
@@ -142,7 +139,7 @@ pub struct PartitionSpec {
 /// The catalog entry for a file.
 #[derive(Clone, Debug)]
 pub struct FileDef {
-    pub name: String,
+    pub name: Name,
     pub organization: FileOrganization,
     /// Whether TMF audits updates to this file (before/after images).
     pub audited: bool,
@@ -157,7 +154,7 @@ impl FileDef {
     /// A single-partition audited key-sequenced file.
     pub fn key_sequenced(name: &str, volume: VolumeRef) -> FileDef {
         FileDef {
-            name: name.to_string(),
+            name: Name::new(name),
             organization: FileOrganization::KeySequenced,
             audited: true,
             partitions: vec![PartitionSpec {
@@ -193,7 +190,7 @@ impl FileDef {
     /// Builder: add an alternate key.
     pub fn with_alternate(mut self, name: &str, offset: usize, len: usize) -> FileDef {
         self.alternates.push(AltKeySpec {
-            name: name.to_string(),
+            index_file: Name::from(format!("{}.{name}", self.name)),
             offset,
             len,
         });
@@ -213,11 +210,6 @@ impl FileDef {
         }
         self.partitions = parts;
         self
-    }
-
-    /// The name of the index file backing alternate key `alt`.
-    pub fn index_file_name(&self, alt: &AltKeySpec) -> String {
-        format!("{}.{}", self.name, alt.name)
     }
 
     /// The volume holding `key`.
@@ -285,7 +277,7 @@ mod tests {
     #[test]
     fn alt_key_extraction_pads() {
         let spec = AltKeySpec {
-            name: "region".into(),
+            index_file: "f.region".into(),
             offset: 4,
             len: 4,
         };
@@ -348,7 +340,7 @@ mod tests {
             .with_alternate("vendor", 0, 8)
             .unaudited();
         assert!(!def.audited);
-        assert_eq!(def.index_file_name(&def.alternates[0]), "item.vendor");
+        assert_eq!(def.alternates[0].index_file, "item.vendor");
         assert_eq!(
             FileDef::relative("r", vol(0, "$D0")).organization,
             FileOrganization::Relative

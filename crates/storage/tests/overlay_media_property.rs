@@ -45,10 +45,10 @@ fn layered_scan(overlay: &Overlay, media: &FileImage) -> Vec<(Bytes, Bytes)> {
     for (k, v) in overlay.file_entries("f") {
         match v {
             Some(v) => {
-                base.insert(k, v);
+                base.insert(k.clone(), v.clone());
             }
             None => {
-                base.remove(&k);
+                base.remove(k);
             }
         }
     }

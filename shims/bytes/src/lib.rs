@@ -10,11 +10,13 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Immutable, cheaply-cloneable byte buffer.
+/// Immutable, cheaply-cloneable byte buffer. The shared arm is one
+/// allocation (`Arc<[u8]>`: counts and bytes side by side), not the two of
+/// an `Arc<Vec<u8>>`.
 #[derive(Clone)]
 pub enum Bytes {
     Static(&'static [u8]),
-    Shared(Arc<Vec<u8>>),
+    Shared(Arc<[u8]>),
 }
 
 impl Bytes {
@@ -27,13 +29,13 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(b: &[u8]) -> Bytes {
-        Bytes::Shared(Arc::new(b.to_vec()))
+        Bytes::Shared(Arc::from(b))
     }
 
     pub fn as_slice(&self) -> &[u8] {
         match self {
             Bytes::Static(s) => s,
-            Bytes::Shared(v) => v.as_slice(),
+            Bytes::Shared(v) => v,
         }
     }
 
@@ -77,13 +79,13 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::Shared(Arc::new(v))
+        Bytes::Shared(Arc::from(v))
     }
 }
 
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
-        Bytes::Shared(Arc::new(s.into_bytes()))
+        Bytes::Shared(Arc::from(s.into_bytes()))
     }
 }
 
@@ -190,7 +192,7 @@ impl BytesMut {
     }
 
     pub fn freeze(self) -> Bytes {
-        Bytes::Shared(Arc::new(self.buf))
+        Bytes::Shared(Arc::from(self.buf))
     }
 }
 

@@ -80,12 +80,12 @@ mod driver {
             match step {
                 Step::Begin => self.session.begin(ctx, SessionOptions::default(), 0),
                 Step::Read(f, k) => {
-                    let _ = self.session.op(ctx, DbOp::Read { file: f, key: k }, 0);
+                    let _ = self.session.op(ctx, DbOp::Read { file: f.into(), key: k }, 0);
                 }
                 Step::Insert(f, k, v) => {
                     let _ = self
                         .session
-                        .op(ctx, DbOp::Insert { file: f, key: k, value: v }, 0);
+                        .op(ctx, DbOp::Insert { file: f.into(), key: k, value: v }, 0);
                 }
                 Step::End => self.session.end(ctx, 0),
                 Step::Abort => self.session.abort(ctx, AbortReason::Voluntary, 0),
