@@ -27,7 +27,7 @@ use encompass_sim::{
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
 use encompass_storage::types::Transid;
-use guardian::{reply, Checkpointed, PairApp, PairHandle, ReplyCache, Request};
+use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Served};
 use std::collections::{BTreeMap, BTreeSet};
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, AuditDelta>;
@@ -56,6 +56,8 @@ fn tag_window(p: usize) -> u64 {
 
 /// Cumulative bucket bounds for the boxcar-size histogram.
 const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
+/// Replies remembered for retransmissions (see [`Served`]).
+const REPLY_CAPACITY: usize = 8192;
 
 /// Configuration for one AUDITPROCESS.
 #[derive(Clone, Debug)]
@@ -92,7 +94,8 @@ impl Default for AuditConfig {
 }
 
 struct Waiter {
-    req_id: u64,
+    /// Id of the fanned-out request (its key in `pending`).
+    force: u64,
     /// Partition forced-record count that satisfies this waiter.
     needed: u64,
     /// The transaction this force is on behalf of (`ForceTxn` only; WAL
@@ -103,7 +106,7 @@ struct Waiter {
 /// A force request fanned out across partitions; the reply goes out when
 /// every touched partition has acknowledged.
 struct PendingForce {
-    from: Pid,
+    owed: Owed,
     reply: AuditReply,
     remaining: usize,
     transid: Option<Transid>,
@@ -122,7 +125,7 @@ pub enum AuditDelta {
     },
 }
 
-struct AuditSnapshot {
+pub struct AuditSnapshot {
     /// Per partition: (buffer, forced_count).
     partitions: Vec<(Vec<ImageRecord>, u64)>,
     replies: Vec<(u64, AuditReply)>,
@@ -161,10 +164,10 @@ impl Partition {
 pub struct AuditProcess {
     cfg: AuditConfig,
     parts: Vec<Partition>,
-    /// Fanned-out force requests awaiting partition acknowledgements.
+    /// Fanned-out force requests awaiting partition acknowledgements, by
+    /// request id.
     pending: DetHashMap<u64, PendingForce>,
-    replies: ReplyCache<AuditReply>,
-    in_progress: DetHashSet<u64>,
+    replies: Served<AuditReply>,
     /// Keys of every record on the trails or in the buffers; `None` until
     /// first needed (rebuilt by scanning the trails after a takeover).
     seen: Option<DetHashSet<ImageKey>>,
@@ -178,8 +181,7 @@ impl AuditProcess {
             cfg,
             parts: (0..n).map(|_| Partition::new()).collect(),
             pending: DetHashMap::default(),
-            replies: ReplyCache::new(8192),
-            in_progress: DetHashSet::default(),
+            replies: Served::new(REPLY_CAPACITY),
             seen: None,
             boxcar_hist: HistogramHandle::new("audit.boxcar_size", BOXCAR_BOUNDS),
         }
@@ -267,26 +269,24 @@ impl AuditProcess {
     fn enqueue_force(
         &mut self,
         ctx: &mut PairCtx<'_, '_>,
-        req_id: u64,
-        from: Pid,
+        owed: Owed,
         r: AuditReply,
         transid: Option<Transid>,
         targets: Vec<usize>,
     ) {
         if targets.is_empty() {
             // nothing to force (e.g. an append fully deduplicated away)
-            self.replies.store(req_id, r.clone());
-            reply(ctx, req_id, from, r);
+            self.replies.answer(ctx, owed, r);
             return;
         }
-        self.in_progress.insert(req_id);
         if let Some(t) = transid {
             ctx.flight(t.flight_id(), FlightCause::AuditForceStart);
         }
+        let force = owed.id();
         self.pending.insert(
-            req_id,
+            force,
             PendingForce {
-                from,
+                owed,
                 reply: r,
                 remaining: targets.len(),
                 transid,
@@ -295,7 +295,7 @@ impl AuditProcess {
         for p in targets {
             let needed = self.parts[p].forced_count + self.parts[p].buffer.len() as u64;
             self.parts[p].waiters.push(Waiter {
-                req_id,
+                force,
                 needed,
                 transid,
             });
@@ -386,32 +386,31 @@ impl AuditProcess {
                     },
                 );
             }
-            self.partition_acked(ctx, w.req_id, boxcar);
+            self.partition_acked(ctx, w.force, boxcar);
         }
         self.maybe_start_force(ctx, p);
     }
 
     /// One partition acknowledged a fanned-out force; reply once all have.
-    fn partition_acked(&mut self, ctx: &mut PairCtx<'_, '_>, req_id: u64, boxcar: u32) {
-        let Some(pending) = self.pending.get_mut(&req_id) else {
+    fn partition_acked(&mut self, ctx: &mut PairCtx<'_, '_>, force: u64, boxcar: u32) {
+        let Some(pending) = self.pending.get_mut(&force) else {
             return;
         };
         pending.remaining = pending.remaining.saturating_sub(1);
         if pending.remaining > 0 {
             return;
         }
-        let pending = self.pending.remove(&req_id).expect("present above");
-        self.in_progress.remove(&req_id);
+        let pending = self.pending.remove(&force).expect("present above");
         if let Some(t) = pending.transid {
             ctx.flight(t.flight_id(), FlightCause::AuditForced { boxcar });
         }
-        self.replies.store(req_id, pending.reply.clone());
-        reply(ctx, req_id, pending.from, pending.reply);
+        self.replies.answer(ctx, pending.owed, pending.reply);
     }
 }
 
 impl PairApp for AuditProcess {
     type Delta = AuditDelta;
+    type Snapshot = AuditSnapshot;
 
     fn service_name(&self) -> Name {
         self.cfg.service.clone()
@@ -422,18 +421,12 @@ impl PairApp for AuditProcess {
     }
 
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, _src: Pid, payload: Payload) {
-        if !payload.is::<Request<AuditMsg>>() {
+        // a retried request is answered from memory, or is still waiting
+        // on its force
+        let Admitted::Fresh(owed, msg) = self.replies.admit(ctx, payload) else {
             return;
-        }
-        let req = payload.expect::<Request<AuditMsg>>();
-        if let Some(cached) = self.replies.check(req.id) {
-            reply(ctx, req.id, req.from, cached);
-            return;
-        }
-        if self.in_progress.contains(&req.id) {
-            return;
-        }
-        match req.body {
+        };
+        match msg {
             AuditMsg::Append { records, force } => {
                 ctx.count("audit.appends", 1);
                 let records = self.dedup(ctx, records);
@@ -451,7 +444,7 @@ impl PairApp for AuditProcess {
                 let mut per_txn: BTreeMap<Transid, u32> = BTreeMap::new();
                 for (p, recs) in split {
                     ctx.checkpoint(AuditDelta::Append {
-                        req_id: req.id,
+                        req_id: owed.id(),
                         partition: p,
                         records: recs.clone(),
                     });
@@ -467,23 +460,15 @@ impl PairApp for AuditProcess {
                     // a forced append is a flush barrier: everything
                     // queued before it, on every partition, must land
                     let targets = self.parts_nonempty();
-                    self.enqueue_force(ctx, req.id, req.from, AuditReply::Appended, None, targets);
+                    self.enqueue_force(ctx, owed, AuditReply::Appended, None, targets);
                 } else {
-                    self.replies.store(req.id, AuditReply::Appended);
-                    reply(ctx, req.id, req.from, AuditReply::Appended);
+                    self.replies.answer(ctx, owed, AuditReply::Appended);
                 }
             }
             AuditMsg::ForceTxn { transid } => {
                 ctx.count("audit.force_txn", 1);
                 let targets = self.parts_buffering(transid);
-                self.enqueue_force(
-                    ctx,
-                    req.id,
-                    req.from,
-                    AuditReply::Forced,
-                    Some(transid),
-                    targets,
-                );
+                self.enqueue_force(ctx, owed, AuditReply::Forced, Some(transid), targets);
             }
             AuditMsg::Purge { floors, open } => {
                 ctx.count("audit.purges", 1);
@@ -549,8 +534,7 @@ impl PairApp for AuditProcess {
                 // is harmless — it only makes dedup drop re-sent copies of
                 // records the capacity manager proved dispensable.
                 let r = AuditReply::Purged { files: total_files };
-                self.replies.store(req.id, r.clone());
-                reply(ctx, req.id, req.from, r);
+                self.replies.answer(ctx, owed, r);
             }
             AuditMsg::StateAudit => {
                 // utility query: not cached (idempotent), not checkpointed
@@ -563,9 +547,12 @@ impl PairApp for AuditProcess {
                         .filter(|p| p.force_in_progress.is_some())
                         .count(),
                     pending_forces: self.pending.len(),
-                    reply_cache: self.replies.entries().len(),
+                    reply_cache: self.replies.answered(),
+                    // this query is itself admitted and not yet answered
+                    pending_requests: self.replies.pending() - 1,
                 };
-                reply(ctx, req.id, req.from, AuditReply::State(report));
+                self.replies
+                    .answer_uncached(ctx, owed, AuditReply::State(Box::new(report)));
             }
             AuditMsg::ReadTxnImages { transid } => {
                 let mut images: Vec<ImageRecord> = Vec::new();
@@ -580,7 +567,8 @@ impl PairApp for AuditProcess {
                     );
                 }
                 images.sort_by_key(|r| r.seq);
-                reply(ctx, req.id, req.from, AuditReply::Images(images));
+                self.replies
+                    .answer_uncached(ctx, owed, AuditReply::Images(images));
             }
         }
     }
@@ -613,17 +601,11 @@ impl PairApp for AuditProcess {
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        // in-flight forces died with the primary; requesters retransmit
-        for part in &mut self.parts {
-            part.force_in_progress = None;
-            part.window_deadline = None;
-            part.waiters.clear();
-        }
-        self.pending.clear();
-        self.in_progress.clear();
-        // the seen-set was primary-memory state: rebuild from the trails
-        // and buffers on the next append
-        self.seen = None;
+        // In-flight forces, their waiters and the seen-set died with the
+        // primary's memory; this half has never served a request, so it
+        // holds none of its own to discard. Requesters retransmit, and
+        // the seen-set is rebuilt from the trails and buffers on the next
+        // append.
         ctx.count("audit.takeovers", 1);
     }
 
@@ -636,7 +618,7 @@ impl PairApp for AuditProcess {
             } => {
                 let p = partition.min(self.parts.len() - 1);
                 self.parts[p].buffer.extend(records);
-                self.replies.store(req_id, AuditReply::Appended);
+                self.replies.record(req_id, AuditReply::Appended);
             }
             AuditDelta::Forced { partition, count } => {
                 let p = partition.min(self.parts.len() - 1);
@@ -647,26 +629,25 @@ impl PairApp for AuditProcess {
         }
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new(AuditSnapshot {
+    fn snapshot(&self) -> AuditSnapshot {
+        AuditSnapshot {
             partitions: self
                 .parts
                 .iter()
                 .map(|p| (p.buffer.clone(), p.forced_count))
                 .collect(),
             replies: self.replies.entries(),
-        })
+        }
     }
 
-    fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
-        let s = snapshot.expect::<AuditSnapshot>();
+    fn restore(&mut self, s: AuditSnapshot, _cp: &Checkpointed) {
         for (i, (buffer, forced)) in s.partitions.into_iter().enumerate() {
             if let Some(p) = self.parts.get_mut(i) {
                 p.buffer = buffer;
                 p.forced_count = forced;
             }
         }
-        self.replies = ReplyCache::restore(8192, s.replies);
+        self.replies.restore(s.replies);
     }
 }
 

@@ -14,10 +14,13 @@ use encompass_sim::{DetHashMap, Name, Payload, Pid, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
-use guardian::{reply, Checkpointed, PairApp, PairHandle, ReplyCache, Request, Rpc, Target};
+use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Rpc, Served, Target};
 use std::convert::Infallible;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
+
+/// The service name every node's BACKOUTPROCESS registers.
+pub const BACKOUT_SERVICE: Name = Name::from_static("$BACKOUT");
 
 /// Requests to the BACKOUTPROCESS.
 #[derive(Clone, Debug)]
@@ -38,8 +41,8 @@ pub enum BackoutReply {
 }
 
 struct Job {
-    req_id: u64,
-    from: Pid,
+    /// The `Backout` request this job answers.
+    owed: Owed,
     outstanding: usize,
 }
 
@@ -66,7 +69,7 @@ pub struct BackoutProcess {
     audit_rpc: Rpc<AuditMsg, AuditReply, (Transid, VolumeRef)>,
     disc_rpc: Rpc<DiscRequest, DiscReply, DiscThen>,
     jobs: DetHashMap<Transid, Job>,
-    replies: ReplyCache<BackoutReply>,
+    replies: Served<BackoutReply>,
 }
 
 impl BackoutProcess {
@@ -76,7 +79,7 @@ impl BackoutProcess {
             audit_rpc: Rpc::new(3),
             disc_rpc: Rpc::new(4),
             jobs: DetHashMap::default(),
-            replies: ReplyCache::new(4096),
+            replies: Served::new(4096),
         }
     }
 
@@ -88,8 +91,7 @@ impl BackoutProcess {
         if job.outstanding == 0 {
             let job = self.jobs.remove(&transid).expect("present");
             ctx.count("backout.completed", 1);
-            self.replies.store(job.req_id, BackoutReply::Done);
-            reply(ctx, job.req_id, job.from, BackoutReply::Done);
+            self.replies.answer(ctx, job.owed, BackoutReply::Done);
         }
     }
 }
@@ -98,6 +100,7 @@ impl PairApp for BackoutProcess {
     /// Stateless by design: there is nothing to mirror, so no delta can
     /// be built.
     type Delta = Infallible;
+    type Snapshot = ();
 
     fn service_name(&self) -> Name {
         self.service.clone()
@@ -161,33 +164,31 @@ impl PairApp for BackoutProcess {
             }
             Err(p) => p,
         };
-        if !payload.is::<Request<BackoutMsg>>() {
-            return;
-        }
-        let req = payload.expect::<Request<BackoutMsg>>();
-        if let Some(cached) = self.replies.check(req.id) {
-            reply(ctx, req.id, req.from, cached);
-            return;
-        }
+        let Admitted::Fresh(owed, msg) = self.replies.admit(ctx, payload) else {
+            return; // answered from memory, or its job is still running
+        };
         let BackoutMsg::Backout {
             transid,
             volumes,
             audit_services,
-        } = req.body;
+        } = msg;
         if self.jobs.contains_key(&transid) {
-            return; // duplicate request while in progress
+            // a second request for a transaction already being backed out
+            // (a TMP takeover re-drove it) goes unanswered: its retry is
+            // admitted afresh, and starts a job of its own once this one
+            // is done
+            self.replies.forget(owed);
+            return;
         }
         ctx.count("backout.requests", 1);
         if volumes.is_empty() {
-            self.replies.store(req.id, BackoutReply::Done);
-            reply(ctx, req.id, req.from, BackoutReply::Done);
+            self.replies.answer(ctx, owed, BackoutReply::Done);
             return;
         }
         self.jobs.insert(
             transid,
             Job {
-                req_id: req.id,
-                from: req.from,
+                owed,
                 outstanding: volumes.len(),
             },
         );
@@ -224,14 +225,12 @@ impl PairApp for BackoutProcess {
         match delta {}
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new(())
-    }
+    fn snapshot(&self) {}
 
-    fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
+    fn restore(&mut self, _snapshot: (), _cp: &Checkpointed) {}
 }
 
-/// Spawn a BACKOUTPROCESS pair named `$BACKOUT` on `node`.
+/// Spawn a BACKOUTPROCESS pair named [`BACKOUT_SERVICE`] on `node`.
 pub fn spawn_backout_process(
     world: &mut World,
     node: encompass_sim::NodeId,
@@ -239,6 +238,6 @@ pub fn spawn_backout_process(
     cpu_backup: u8,
 ) -> PairHandle {
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, || {
-        BackoutProcess::new("$BACKOUT")
+        BackoutProcess::new(&BACKOUT_SERVICE)
     })
 }

@@ -29,13 +29,13 @@
 //! requester's safe-delivery retry restarts the dump from scratch. Duplicate begin/end
 //! markers from a restarted dump are harmless — recovery filters them.
 
-use encompass_sim::{DetHashMap, Name, Payload, Pid, SimDuration, World};
+use encompass_sim::{Name, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, superseded_archive_keys, ArchiveImage, DumpRegistry, FileImage,
 };
 use encompass_storage::types::{FileOrganization, VolumeRef};
-use guardian::{reply, Checkpointed, PairApp, PairHandle, ReplyCache, Request, Rpc, Target};
+use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Rpc, Served, Target};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 
@@ -64,8 +64,8 @@ pub enum DumpReply {
 
 /// One dump being taken (primary-memory only; reconstructible).
 struct Job {
-    req_id: u64,
-    from: Pid,
+    /// The `DumpVolume` request this dump answers.
+    owed: Owed,
     volume: VolumeRef,
     generation: u64,
     watermark: u64,
@@ -83,12 +83,11 @@ struct Job {
 /// The DUMPPROCESS application.
 pub struct DumpProcess {
     service: Name,
-    /// Dump steps sent to the volume; the continuation is the job's
-    /// request id.
-    disc_rpc: Rpc<DiscRequest, DiscReply, u64>,
-    /// In-flight dumps, keyed by originating request id.
-    jobs: DetHashMap<u64, Job>,
-    replies: ReplyCache<DumpReply>,
+    /// Dump steps sent to the volume. A dump has one step outstanding at
+    /// a time, so the continuation is the job itself: an in-flight dump
+    /// lives in its pending call and nowhere else.
+    disc_rpc: Rpc<DiscRequest, DiscReply, Job>,
+    replies: Served<DumpReply>,
 }
 
 /// Archive generations the DUMPPROCESS retains per volume. When a newer
@@ -102,26 +101,19 @@ impl DumpProcess {
         DumpProcess {
             service: Name::new(service),
             disc_rpc: Rpc::new(1),
-            jobs: DetHashMap::default(),
-            replies: ReplyCache::new(4096),
+            replies: Served::new(4096),
         }
     }
 
-    fn send_disc(&mut self, ctx: &mut PairCtx<'_, '_>, job_id: u64, req: DiscRequest) {
-        let Some(job) = self.jobs.get(&job_id) else {
-            return;
-        };
+    fn send_disc(&mut self, ctx: &mut PairCtx<'_, '_>, job: Job, req: DiscRequest) {
         let target = Target::Named(job.volume.node, job.volume.volume.clone());
         self.disc_rpc
-            .call_persistent(ctx, target, req, SimDuration::from_millis(50), job_id);
+            .call_persistent(ctx, target, req, SimDuration::from_millis(50), job);
     }
 
     /// Request the next page, or move to archiving + DumpEnd when every
     /// file is copied.
-    fn advance(&mut self, ctx: &mut PairCtx<'_, '_>, job_id: u64) {
-        let Some(job) = self.jobs.get_mut(&job_id) else {
-            return;
-        };
+    fn advance(&mut self, ctx: &mut PairCtx<'_, '_>, mut job: Job) {
         if let Some((file, _)) = job.file_list.get(job.current).cloned() {
             let req = DiscRequest::DumpScan {
                 generation: job.generation,
@@ -129,7 +121,7 @@ impl DumpProcess {
                 resume: job.resume.clone(),
                 limit: usize::MAX, // DISCPROCESS clamps to its page size
             };
-            self.send_disc(ctx, job_id, req);
+            self.send_disc(ctx, job, req);
             return;
         }
         // every file copied: write the archive image, then cut the forced
@@ -148,27 +140,16 @@ impl DumpProcess {
         ctx.stable()
             .get_or_create::<ArchiveImage, _>(&akey, move || snapshot);
         ctx.count("dump.archives", 1);
-        self.send_disc(ctx, job_id, DiscRequest::DumpEnd { generation });
+        self.send_disc(ctx, job, DiscRequest::DumpEnd { generation });
     }
 
-    fn finish(&mut self, ctx: &mut PairCtx<'_, '_>, job_id: u64, r: DumpReply) {
-        let Some(job) = self.jobs.remove(&job_id) else {
-            return;
-        };
-        self.replies.store(job.req_id, r.clone());
-        reply(ctx, job.req_id, job.from, r);
-    }
-
-    fn on_disc_reply(&mut self, ctx: &mut PairCtx<'_, '_>, job_id: u64, body: DiscReply) {
+    fn on_disc_reply(&mut self, ctx: &mut PairCtx<'_, '_>, mut job: Job, body: DiscReply) {
         match body {
             DiscReply::DumpBegun {
                 watermark,
                 purge_floor,
                 files,
             } => {
-                let Some(job) = self.jobs.get_mut(&job_id) else {
-                    return;
-                };
                 job.watermark = watermark;
                 job.purge_floor = purge_floor;
                 for (name, org) in &files {
@@ -177,12 +158,9 @@ impl DumpProcess {
                 job.file_list = files;
                 job.current = 0;
                 job.resume = None;
-                self.advance(ctx, job_id);
+                self.advance(ctx, job);
             }
             DiscReply::DumpPage { entries, done } => {
-                let Some(job) = self.jobs.get_mut(&job_id) else {
-                    return;
-                };
                 job.records += entries.len() as u64;
                 ctx.count("dump.records", entries.len() as u64);
                 if let Some((file, _)) = job.file_list.get(job.current) {
@@ -196,13 +174,10 @@ impl DumpProcess {
                     job.current += 1;
                     job.resume = None;
                 }
-                self.advance(ctx, job_id);
+                self.advance(ctx, job);
             }
             DiscReply::Ok => {
                 // DumpEnd acknowledged: register the completed dump
-                let Some(job) = self.jobs.get(&job_id) else {
-                    return;
-                };
                 let entry = DumpRegistry {
                     generation: job.generation,
                     watermark: job.watermark,
@@ -236,21 +211,21 @@ impl DumpProcess {
                     purge_floor: job.purge_floor,
                     records: job.records,
                 };
-                self.finish(ctx, job_id, done);
+                self.replies.answer(ctx, job.owed, done);
             }
-            DiscReply::Err(_) => {
-                // volume down mid-dump: abandon; the operator retries later
-                ctx.count("dump.failed", 1);
-                self.finish(ctx, job_id, DumpReply::Failed);
-            }
-            // replies to requests a dump never sends
-            DiscReply::Value(_)
+            // volume down mid-dump (or a reply to a request a dump never
+            // sends): abandon; the operator retries later
+            DiscReply::Err(_)
+            | DiscReply::Value(_)
             | DiscReply::Snapshot { .. }
             | DiscReply::EntryNumber(_)
             | DiscReply::Entries(_)
             | DiscReply::Phase1Done
             | DiscReply::LockAudit { .. }
-            | DiscReply::State(_) => {}
+            | DiscReply::State(_) => {
+                ctx.count("dump.failed", 1);
+                self.replies.answer(ctx, job.owed, DumpReply::Failed);
+            }
         }
     }
 }
@@ -259,6 +234,7 @@ impl PairApp for DumpProcess {
     /// Stateless by design: there is nothing to mirror, so no delta can
     /// be built.
     type Delta = Infallible;
+    type Snapshot = ();
 
     fn service_name(&self) -> Name {
         self.service.clone()
@@ -276,36 +252,27 @@ impl PairApp for DumpProcess {
             }
             Err(p) => p,
         };
-        if !payload.is::<Request<DumpMsg>>() {
+        // a retransmission is answered from memory, or its dump is still
+        // in flight
+        let Admitted::Fresh(owed, DumpMsg::DumpVolume { volume, generation }) =
+            self.replies.admit(ctx, payload)
+        else {
             return;
-        }
-        let req = payload.expect::<Request<DumpMsg>>();
-        if let Some(cached) = self.replies.check(req.id) {
-            reply(ctx, req.id, req.from, cached);
-            return;
-        }
-        if self.jobs.contains_key(&req.id) {
-            return; // retransmission of an in-flight dump
-        }
-        let DumpMsg::DumpVolume { volume, generation } = req.body;
+        };
         ctx.count("dump.requests", 1);
-        self.jobs.insert(
-            req.id,
-            Job {
-                req_id: req.id,
-                from: req.from,
-                volume,
-                generation,
-                watermark: 0,
-                purge_floor: 1,
-                file_list: Vec::new(),
-                current: 0,
-                resume: None,
-                files: BTreeMap::new(),
-                records: 0,
-            },
-        );
-        self.send_disc(ctx, req.id, DiscRequest::DumpBegin { generation });
+        let job = Job {
+            owed,
+            volume,
+            generation,
+            watermark: 0,
+            purge_floor: 1,
+            file_list: Vec::new(),
+            current: 0,
+            resume: None,
+            files: BTreeMap::new(),
+            records: 0,
+        };
+        self.send_disc(ctx, job, DiscRequest::DumpBegin { generation });
     }
 
     fn on_timer(&mut self, ctx: &mut PairCtx<'_, '_>, tag: u64) {
@@ -323,11 +290,9 @@ impl PairApp for DumpProcess {
         match delta {}
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new(())
-    }
+    fn snapshot(&self) {}
 
-    fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
+    fn restore(&mut self, _snapshot: (), _cp: &Checkpointed) {}
 }
 
 /// Spawn a DUMPPROCESS pair named `$DUMP` on `node`.

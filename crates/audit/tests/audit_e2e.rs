@@ -482,6 +482,57 @@ fn backout_restores_before_images_via_audit_trail() {
     assert_eq!(r.borrow()[1], DiscReply::Value(Some(b("100"))));
 }
 
+/// A second Backout request for a transaction whose backout is running
+/// (a TMP takeover re-drives it under a new request id) is dropped
+/// unanswered — and leaves nothing behind: its retransmission is admitted
+/// as a request of its own once the running job is done, and answered.
+#[test]
+fn second_backout_request_for_a_running_transid_is_forgotten_not_parked() {
+    let (mut w, n, target) = setup(RecoveryMode::NonStopCheckpoint);
+    spawn_backout_process(&mut w, n, 0, 1);
+    let t = txn(1);
+    let _ = run_script(
+        &mut w,
+        n,
+        1,
+        target,
+        vec![DiscRequest::Insert {
+            file: "accounts".into(),
+            key: b("acct"),
+            value: b("999"),
+            transid: Some(t),
+            lock_wait: WAIT,
+        }],
+    );
+    w.run_for(SimDuration::from_secs(1));
+    // two requesters at once: distinct request ids, one transid
+    let done: Vec<_> = (0..2).map(|_| Rc::new(RefCell::new(false))).collect();
+    for (i, done) in done.iter().enumerate() {
+        w.spawn(
+            n,
+            2 + i as u8,
+            Box::new(BackoutDriver {
+                node: n,
+                transid: t,
+                rpc: Rpc::new(7 + i as u64),
+                done: done.clone(),
+            }),
+        );
+    }
+    w.run_for(SimDuration::from_millis(50));
+    assert_eq!(w.metrics().get("backout.requests"), 1, "the second was dropped");
+    assert_eq!(
+        (*done[0].borrow(), *done[1].borrow()),
+        (true, false),
+        "only the request that started the job is answered by it"
+    );
+    // the dropped request's retry (100 ms) finds no trace of its first try
+    w.run_for(SimDuration::from_secs(1));
+    assert!(*done[1].borrow(), "the retry was admitted afresh and answered");
+    assert_eq!(w.metrics().get("backout.requests"), 2);
+    assert_eq!(w.metrics().get("backout.completed"), 2);
+}
+
 #[test]
 fn archive_crash_rollforward_cycle() {
     let (mut w, n, target) = setup(RecoveryMode::NonStopCheckpoint);

@@ -12,7 +12,6 @@
 //! ```text
 //! cargo run -p encompass-bench --release --bin exp -- all
 //! ```
-//! Criterion timing benches live under `benches/`.
 
 pub mod driver;
 pub mod experiments;

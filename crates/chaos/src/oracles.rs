@@ -151,6 +151,9 @@ pub struct LivenessObservation {
     pub lock_waiters: usize,
     /// Locks still held at a DISCPROCESS.
     pub locks_held: usize,
+    /// Requests a TMP, AUDITPROCESS or DISCPROCESS admitted and never
+    /// answered (`guardian::Served::pending`, the probe itself excluded).
+    pub pending_requests: usize,
     /// The probe never heard back (process unreachable after heal).
     pub unreachable: bool,
 }
@@ -244,6 +247,12 @@ pub fn liveness_violations(
         }
         if o.locks_held > 0 {
             v.push(format!("liveness: {} locks still held at {p}", o.locks_held));
+        }
+        if o.pending_requests > 0 {
+            v.push(format!(
+                "liveness: {} requests admitted at {p} were never answered",
+                o.pending_requests
+            ));
         }
     }
     for c in clients {
@@ -447,6 +456,24 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(v.iter().any(|s| s.contains("2 lock waiters still parked")));
         assert!(v.iter().any(|s| s.contains("5 locks still held")));
+    }
+
+    #[test]
+    fn request_never_answered_names_the_process() {
+        // synthetic stuck schedule: a request parked at \N1's volume and
+        // nothing ever answered or forgot it
+        let live = vec![LivenessObservation {
+            process: "$BANK1@\\N1".into(),
+            pending_requests: 1,
+            ..Default::default()
+        }];
+        let v = liveness_violations(&live, &[], &[]);
+        assert_eq!(v.len(), 1);
+        assert!(
+            v[0].contains("1 requests admitted at $BANK1@\\N1 were never answered"),
+            "{}",
+            v[0]
+        );
     }
 
     #[test]

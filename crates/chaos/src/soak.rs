@@ -316,6 +316,7 @@ pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
             o.monitor_boxcar = r.monitor_boxcar;
             o.monitor_inflight = r.monitor_inflight;
             o.outstanding_rpcs = r.outstanding_rpcs;
+            o.pending_requests = r.pending_requests;
         }
         live_obs.push(o);
     }
@@ -329,19 +330,21 @@ pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
             Some(r) => {
                 o.audit_buffered = r.buffered;
                 o.audit_waiters = r.waiters;
+                o.pending_requests = r.pending_requests;
             }
         }
         live_obs.push(o);
     }
-    for (vol, replies) in &lock_probes {
+    for ((vol, locks), (_, state)) in lock_probes.iter().zip(&final_probes.disc) {
         let mut o = LivenessObservation {
             process: format!("{}@{}", vol.volume, vol.node),
             ..Default::default()
         };
-        match replies.borrow().first() {
-            Some(DiscReply::LockAudit { held, waiting }) => {
+        match (locks.borrow().first(), state.borrow().first()) {
+            (Some(DiscReply::LockAudit { held, waiting }), Some(DiscReply::State(r))) => {
                 o.locks_held = *held;
                 o.lock_waiters = *waiting;
+                o.pending_requests = r.pending_requests;
             }
             _ => o.unreachable = true,
         }
@@ -406,7 +409,7 @@ fn spawn_state_probes(world: &mut World, nodes: &[NodeId], volumes: &[VolumeRef]
 
 fn tmp_state(slot: &Slot<TmpReply>) -> Option<TmpStateReport> {
     if let Some(TmpReply::State(r)) = &*slot.borrow() {
-        Some(*r)
+        Some(**r)
     } else {
         None
     }
@@ -414,7 +417,7 @@ fn tmp_state(slot: &Slot<TmpReply>) -> Option<TmpStateReport> {
 
 fn audit_state(slot: &Slot<AuditReply>) -> Option<AuditStateReport> {
     if let Some(AuditReply::State(r)) = &*slot.borrow() {
-        Some(*r)
+        Some(**r)
     } else {
         None
     }
@@ -447,7 +450,7 @@ fn collect_state_probes(probes: &StateProbes, epoch: usize, out: &mut Vec<StateO
             out.push(StateObservation {
                 process: format!("{}@{}", vol.volume, vol.node),
                 epoch,
-                kind: StateKind::Disc(*r),
+                kind: StateKind::Disc(**r),
             });
         }
     }
@@ -653,7 +656,7 @@ impl SoakWriter {
         self.attempt += 1;
         self.state = WriterState::WaitBegin;
         self.note(format!("beginning attempt {}", self.attempt));
-        self.session.begin(ctx, SessionOptions::default(), 0);
+        self.session.begin(ctx, SessionOptions::default());
     }
 
     /// Abort if a transaction is open, otherwise back off and retry.
@@ -661,7 +664,7 @@ impl SoakWriter {
         if self.session.transid().is_some() && !self.session.busy() {
             self.state = WriterState::WaitAbort;
             self.note("aborting".to_string());
-            self.session.abort(ctx, AbortReason::Voluntary, 0);
+            self.session.abort(ctx, AbortReason::Voluntary);
         } else {
             self.state = WriterState::Idle;
             ctx.set_timer(SimDuration::from_secs(5), TAG_RETRY);
@@ -680,7 +683,6 @@ impl SoakWriter {
                         key: self.key('a'),
                         value: Bytes::from_static(b"7"),
                     },
-                    0,
                 );
                 debug_assert!(refused.is_none());
             }
@@ -693,7 +695,6 @@ impl SoakWriter {
                         key: self.key('b'),
                         value: Bytes::from_static(b"-7"),
                     },
-                    0,
                 );
                 debug_assert!(refused.is_none());
             }
@@ -712,12 +713,12 @@ impl SoakWriter {
                 ctx.set_timer(hold, TAG_HOLD);
             }
             (_, SessionEvent::OpDone { .. }) => self.recover(ctx),
-            (WriterState::WaitEnd, SessionEvent::Committed { .. }) => {
+            (WriterState::WaitEnd, SessionEvent::Committed) => {
                 self.commits += 1;
                 ctx.count("chaos.soak_writer_commits", 1);
                 self.start_attempt(ctx);
             }
-            (_, SessionEvent::Aborted { .. }) => {
+            (_, SessionEvent::Aborted) => {
                 self.aborts += 1;
                 ctx.count("chaos.soak_writer_aborts", 1);
                 // halve the hold so a fault-prone epoch converges on a
@@ -730,7 +731,7 @@ impl SoakWriter {
                 ctx.set_timer(SimDuration::from_secs(5), TAG_RETRY);
             }
             (_, SessionEvent::Failed { .. }) => self.recover(ctx),
-            (_, SessionEvent::Began { .. }) | (_, SessionEvent::Committed { .. }) => {
+            (_, SessionEvent::Began { .. }) | (_, SessionEvent::Committed) => {
                 // stale event for a state we already left; ignore
             }
         }
@@ -754,7 +755,7 @@ impl Process for SoakWriter {
                 if self.state == WriterState::Holding {
                     self.state = WriterState::WaitEnd;
                     self.note("ending".to_string());
-                    self.session.end(ctx, 0);
+                    self.session.end(ctx);
                 }
             }
             TAG_RETRY => {
@@ -818,7 +819,7 @@ impl SoakReader {
         self.state = ReaderState::WaitBegin;
         self.note("beginning read-only transaction".to_string());
         self.session
-            .begin(ctx, SessionOptions::new().read_only(), 0);
+            .begin(ctx, SessionOptions::new().read_only());
     }
 
     fn finish_or_pause(&mut self, ctx: &mut Ctx<'_>) {
@@ -826,7 +827,7 @@ impl SoakReader {
             if self.session.transid().is_some() && !self.session.busy() {
                 self.state = ReaderState::WaitEnd;
                 self.note("ending".to_string());
-                self.session.end(ctx, 0);
+                self.session.end(ctx);
             } else {
                 self.done(ctx);
             }
@@ -857,7 +858,6 @@ impl SoakReader {
                 file: "accounts".into(),
                 key: account_key(idx),
             },
-            0,
         );
         debug_assert!(refused.is_none());
     }
@@ -873,7 +873,7 @@ impl SoakReader {
                     ctx.count("chaos.reader_restarts", 1);
                     self.state = ReaderState::WaitRestartAbort;
                     self.note("restarting on SnapshotTooOld".to_string());
-                    self.session.abort(ctx, AbortReason::Voluntary, 0);
+                    self.session.abort(ctx, AbortReason::Voluntary);
                 } else {
                     // values (and transient VolumeDown during a fault
                     // wave) are all fine — snapshot reads assert nothing
@@ -881,10 +881,10 @@ impl SoakReader {
                     self.finish_or_pause(ctx);
                 }
             }
-            (ReaderState::WaitRestartAbort, SessionEvent::Aborted { .. }) => self.begin(ctx),
-            (ReaderState::WaitEnd, SessionEvent::Committed { .. })
-            | (ReaderState::WaitEnd, SessionEvent::Aborted { .. }) => self.done(ctx),
-            (_, SessionEvent::Aborted { .. }) => {
+            (ReaderState::WaitRestartAbort, SessionEvent::Aborted) => self.begin(ctx),
+            (ReaderState::WaitEnd, SessionEvent::Committed)
+            | (ReaderState::WaitEnd, SessionEvent::Aborted) => self.done(ctx),
+            (_, SessionEvent::Aborted) => {
                 // aborted from outside (e.g. the TMP died with our
                 // processor's transactions): begin anew or wind down
                 if ctx.now() + SimDuration::from_secs(10) >= self.deadline {
@@ -896,7 +896,7 @@ impl SoakReader {
             (_, SessionEvent::Failed { .. }) => {
                 if self.session.transid().is_some() && !self.session.busy() {
                     self.state = ReaderState::WaitRestartAbort;
-                    self.session.abort(ctx, AbortReason::Voluntary, 0);
+                    self.session.abort(ctx, AbortReason::Voluntary);
                 } else {
                     self.state = ReaderState::Idle;
                     ctx.set_timer(SimDuration::from_secs(5), TAG_RETRY);

@@ -353,7 +353,6 @@ pub fn spawn_tmf_node(
                 audit_service: Some(svc),
                 dump_page_size: cfg.dump_page_size,
                 snapshot_undo_capacity: cfg.snapshot_undo_capacity,
-                ..DiscConfig::default()
             },
         ));
     }
@@ -367,11 +366,9 @@ pub fn spawn_tmf_node(
         tb,
         TmpConfig {
             audit_service_of,
-            backout_service: "$BACKOUT".into(),
             group_commit_window: cfg.group_commit_window,
             group_commit_max: cfg.group_commit_max,
             purge_interval: cfg.trail_purge_interval,
-            ..TmpConfig::default()
         },
     );
 

@@ -25,6 +25,8 @@
 //!   volume participation with the local TMP, and triggers remote
 //!   transaction begin before the first transmission of a transid to
 //!   another node.
+//! * [`script`] — a scripted transaction client over the session, for
+//!   tests and experiments that drive TMF without a TCP in between.
 //! * [`facility`] — wiring: spawn a complete TMF node (TMP, AUDITPROCESS,
 //!   BACKOUTPROCESS, DISCPROCESSes, per-CPU transaction tables) in one
 //!   call.
@@ -34,6 +36,7 @@
 //! conceptually belongs.
 
 pub mod facility;
+pub mod script;
 pub mod session;
 pub mod state;
 pub mod table;

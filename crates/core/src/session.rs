@@ -117,29 +117,17 @@ pub enum SessionError {
 #[derive(Debug)]
 pub enum SessionEvent {
     /// `begin` completed.
-    Began { transid: Transid, cookie: u64 },
+    Began { transid: Transid },
     /// A data-base operation completed.
-    OpDone { reply: DiscReply, cookie: u64 },
+    OpDone { reply: DiscReply },
     /// `end` completed with a commit.
-    Committed { cookie: u64 },
+    Committed,
     /// `end`/`abort` completed with an abort (the transaction's updates
     /// were backed out).
-    Aborted { cookie: u64 },
+    Aborted,
     /// The operation could not be carried out; `error` says why. The
     /// caller should abort or restart the transaction.
-    Failed { error: SessionError, cookie: u64 },
-}
-
-impl SessionEvent {
-    pub fn cookie(&self) -> u64 {
-        match self {
-            SessionEvent::Began { cookie, .. }
-            | SessionEvent::OpDone { cookie, .. }
-            | SessionEvent::Committed { cookie }
-            | SessionEvent::Aborted { cookie }
-            | SessionEvent::Failed { cookie, .. } => *cookie,
-        }
-    }
+    Failed { error: SessionError },
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -153,7 +141,6 @@ enum Stage {
 }
 
 struct Pending {
-    cookie: u64,
     op: Option<DiscRequest>,
     volume: Option<VolumeRef>,
     stage: Stage,
@@ -251,7 +238,7 @@ impl TmfSession {
     /// BEGIN-TRANSACTION. The [`SessionOptions`] declare the transaction's
     /// class for its whole life; `SessionOptions::default()` is the plain
     /// read-write transaction.
-    pub fn begin(&mut self, ctx: &mut Ctx<'_>, options: SessionOptions, cookie: u64) {
+    pub fn begin(&mut self, ctx: &mut Ctx<'_>, options: SessionOptions) {
         assert!(self.pending.is_none(), "session is single-threaded");
         assert!(self.current.is_none(), "already in transaction mode");
         self.options = options;
@@ -259,7 +246,6 @@ impl TmfSession {
         self.ensured_nodes.clear();
         self.snapshot_fences.clear();
         self.pending = Some(Pending {
-            cookie,
             op: None,
             volume: None,
             stage: Stage::TmpVerb,
@@ -278,11 +264,10 @@ impl TmfSession {
     }
 
     /// END-TRANSACTION (routed to the transaction's home TMP).
-    pub fn end(&mut self, ctx: &mut Ctx<'_>, cookie: u64) {
+    pub fn end(&mut self, ctx: &mut Ctx<'_>) {
         assert!(self.pending.is_none(), "session is single-threaded");
         let transid = self.current.expect("not in transaction mode");
         self.pending = Some(Pending {
-            cookie,
             op: None,
             volume: None,
             stage: Stage::TmpVerb,
@@ -293,11 +278,10 @@ impl TmfSession {
 
     /// ABORT-TRANSACTION / RESTART-TRANSACTION (restart policy lives in
     /// the caller — typically the TCP's restart limit).
-    pub fn abort(&mut self, ctx: &mut Ctx<'_>, reason: crate::state::AbortReason, cookie: u64) {
+    pub fn abort(&mut self, ctx: &mut Ctx<'_>, reason: crate::state::AbortReason) {
         assert!(self.pending.is_none(), "session is single-threaded");
         let transid = self.current.expect("not in transaction mode");
         self.pending = Some(Pending {
-            cookie,
             op: None,
             volume: None,
             stage: Stage::TmpVerb,
@@ -316,11 +300,10 @@ impl TmfSession {
     /// 'remote transaction begin' occurs prior to any transmission of the
     /// transid by the File System to a server or DISCPROCESS on the
     /// destination node." Completes with `OpDone(DiscReply::Ok)`.
-    pub fn ensure_remote(&mut self, ctx: &mut Ctx<'_>, dest: NodeId, cookie: u64) {
+    pub fn ensure_remote(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
         assert!(self.pending.is_none(), "session is single-threaded");
         let transid = self.current.expect("ensure_remote requires transaction mode");
         self.pending = Some(Pending {
-            cookie,
             op: None,
             volume: None,
             stage: Stage::EnsureOnly,
@@ -353,7 +336,7 @@ impl TmfSession {
     /// Returns `None` when the operation was submitted; completion then
     /// arrives as [`SessionEvent::OpDone`] (or [`SessionEvent::Failed`]).
     #[must_use = "a read-only violation completes synchronously and must be handled"]
-    pub fn op(&mut self, ctx: &mut Ctx<'_>, op: DbOp, cookie: u64) -> Option<SessionEvent> {
+    pub fn op(&mut self, ctx: &mut Ctx<'_>, op: DbOp) -> Option<SessionEvent> {
         let in_txn = self.current.is_some();
         let read_only = in_txn && self.options.class == TxnClass::ReadOnly;
         if read_only
@@ -368,7 +351,6 @@ impl TmfSession {
             ctx.count("tmf.readonly_violations", 1);
             return Some(SessionEvent::Failed {
                 error: SessionError::ReadOnlyViolation,
-                cookie,
             });
         }
         let snapshot = in_txn && self.options.snapshot_reads();
@@ -441,14 +423,14 @@ impl TmfSession {
                 limit,
             },
         };
-        self.submit(ctx, req, cookie);
+        self.submit(ctx, req);
         None
     }
 
     /// Route an already-built request (advanced callers). Panics on files
     /// not in the catalog — that is a configuration bug, not a runtime
     /// condition.
-    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: DiscRequest, cookie: u64) {
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: DiscRequest) {
         assert!(self.pending.is_none(), "session is single-threaded");
         let volume = self
             .volume_of(&op)
@@ -458,7 +440,6 @@ impl TmfSession {
         // remote-begin + registration stages
         let register = !matches!(op, DiscRequest::SnapshotRead { .. });
         self.pending = Some(Pending {
-            cookie,
             op: Some(op),
             volume: Some(volume),
             stage: Stage::EnsureRemote,
@@ -610,10 +591,7 @@ impl TmfSession {
                     } else {
                         c.body
                     };
-                    Ok(Some(SessionEvent::OpDone {
-                        reply,
-                        cookie: p.cookie,
-                    }))
+                    Ok(Some(SessionEvent::OpDone { reply }))
                 }
                 None => Ok(None), // stale completion
             },
@@ -622,13 +600,14 @@ impl TmfSession {
     }
 
     fn on_tmp_reply(&mut self, ctx: &mut Ctx<'_>, body: TmpReply) -> Option<SessionEvent> {
-        let cookie = self.pending.as_ref().map(|p| p.cookie)?;
+        // a reply with no operation pending answers nothing
+        self.pending.as_ref()?;
         match body {
             TmpReply::Began { transid } => {
                 self.current = Some(transid);
                 self.pending = None;
                 ctx.flight(transid.flight_id(), FlightCause::SessionBegan);
-                Some(SessionEvent::Began { transid, cookie })
+                Some(SessionEvent::Began { transid })
             }
             TmpReply::Committed => {
                 if let Some(t) = self.current {
@@ -640,7 +619,7 @@ impl TmfSession {
                 self.registered_volumes.clear();
                 self.ensured_nodes.clear();
                 self.snapshot_fences.clear();
-                Some(SessionEvent::Committed { cookie })
+                Some(SessionEvent::Committed)
             }
             TmpReply::Aborted => {
                 if let Some(t) = self.current {
@@ -652,7 +631,7 @@ impl TmfSession {
                 self.registered_volumes.clear();
                 self.ensured_nodes.clear();
                 self.snapshot_fences.clear();
-                Some(SessionEvent::Aborted { cookie })
+                Some(SessionEvent::Aborted)
             }
             TmpReply::Ok => {
                 // a registration step completed: record it and continue.
@@ -666,7 +645,6 @@ impl TmfSession {
                     self.pending = None;
                     return Some(SessionEvent::OpDone {
                         reply: DiscReply::Ok,
-                        cookie,
                     });
                 }
                 match (stage, volume) {
@@ -686,7 +664,6 @@ impl TmfSession {
                 ctx.count("tmf.session_failures", 1);
                 Some(SessionEvent::Failed {
                     error: SessionError::Refused,
-                    cookie,
                 })
             }
             TmpReply::Phase1Ok
@@ -699,7 +676,6 @@ impl TmfSession {
                 ctx.count("tmf.session_failures", 1);
                 Some(SessionEvent::Failed {
                     error: SessionError::Protocol,
-                    cookie,
                 })
             }
         }
@@ -714,14 +690,11 @@ impl TmfSession {
             self.disc_rpc.on_timer(ctx, tag),
             TimerOutcome::Expired { .. }
         );
-        if expired {
-            if let Some(p) = self.pending.take() {
-                ctx.count("tmf.session_failures", 1);
-                return Some(SessionEvent::Failed {
-                    error: SessionError::Timeout,
-                    cookie: p.cookie,
-                });
-            }
+        if expired && self.pending.take().is_some() {
+            ctx.count("tmf.session_failures", 1);
+            return Some(SessionEvent::Failed {
+                error: SessionError::Timeout,
+            });
         }
         None
     }

@@ -31,7 +31,7 @@
 
 use crate::state::{AbortReason, TxState, TxnClass};
 use crate::table::StateBroadcast;
-use encompass_audit::backout::{BackoutMsg, BackoutReply};
+use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_sim::{
     DetHashMap, FlightCause, HistogramHandle, Name, NodeId, Payload, Pid, SimDuration, SimTime,
@@ -42,7 +42,7 @@ use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{
-    reply, Checkpointed, Completion, PairApp, PairHandle, ReplyCache, Request, Rpc, Target,
+    Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, Target,
     TimerOutcome,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,6 +62,17 @@ const TAG_MONITOR_FLUSH: u64 = 9;
 /// Periodic audit-trail capacity sweep (purge below each volume's latest
 /// completed dump floor).
 const TAG_PURGE: u64 = 10;
+
+/// Per-attempt timeout of critical-response messages.
+const CRITICAL_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+/// Retry budget of critical-response messages.
+const CRITICAL_RETRIES: u32 = 3;
+/// Retry interval of safe-delivery messages.
+const SAFE_RETRY: SimDuration = SimDuration::from_millis(100);
+/// Interval of the non-home in-doubt sweep: entries that sit in the table
+/// without progress are resolved against the home node's TMP
+/// (ROLLFORWARD's "negotiation with other nodes", done online).
+const INDOUBT_PROBE: SimDuration = SimDuration::from_millis(250);
 
 /// Cumulative bucket bounds for the boxcar-size histogram.
 const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
@@ -122,7 +133,7 @@ pub enum TmpReply {
     Disposition { state: Option<TxState> },
     Open { transids: Vec<Transid> },
     /// Reply to [`TmpMsg::StateAudit`].
-    State(TmpStateReport),
+    State(Box<TmpStateReport>),
 }
 
 /// Sizes of a TMP's per-transaction state, reported by
@@ -144,8 +155,12 @@ pub struct TmpStateReport {
     /// its rpc clients (DISCPROCESS, TMP, BACKOUTPROCESS, AUDITPROCESS):
     /// every message of either class, whatever it is for.
     pub outstanding_rpcs: usize,
-    /// Reply-cache occupancy (bounded by its capacity).
+    /// Remembered replies (bounded by the reply table's capacity).
     pub reply_cache: usize,
+    /// Requests admitted and not yet answered: the END, Abort, Phase1 and
+    /// EnsureRemoteSend requests waiting on a transaction, so zero once
+    /// every transaction has completed.
+    pub pending_requests: usize,
 }
 
 /// Configuration for one node's TMP.
@@ -153,18 +168,6 @@ pub struct TmpStateReport {
 pub struct TmpConfig {
     /// Audit service for each local volume name (for backout requests).
     pub audit_service_of: BTreeMap<Name, Name>,
-    /// The local BACKOUTPROCESS service name.
-    pub backout_service: Name,
-    /// Per-attempt timeout of critical-response messages.
-    pub critical_timeout: SimDuration,
-    /// Retry budget of critical-response messages.
-    pub critical_retries: u32,
-    /// Retry interval of safe-delivery messages.
-    pub safe_retry: SimDuration,
-    /// Interval of the non-home in-doubt sweep: entries that sit in the
-    /// table without progress are resolved against the home node's TMP
-    /// (ROLLFORWARD's "negotiation with other nodes", done online).
-    pub indoubt_probe: SimDuration,
     /// How long a decided completion record may wait for other concurrently
     /// completing transactions to board the same monitor-trail force. Zero
     /// keeps the one-force-per-record behavior (and its exact trace).
@@ -183,11 +186,6 @@ impl Default for TmpConfig {
     fn default() -> Self {
         TmpConfig {
             audit_service_of: BTreeMap::new(),
-            backout_service: "$BACKOUT".into(),
-            critical_timeout: SimDuration::from_millis(100),
-            critical_retries: 3,
-            safe_retry: SimDuration::from_millis(100),
-            indoubt_probe: SimDuration::from_millis(250),
             group_commit_window: SimDuration::ZERO,
             group_commit_max: 64,
             purge_interval: SimDuration::ZERO,
@@ -207,9 +205,9 @@ struct Txn {
     children: BTreeSet<NodeId>,
     /// Outstanding phase-one acknowledgements (local volumes + children).
     outstanding_phase1: usize,
-    /// The requester awaiting End (home) or Phase1 (non-home).
-    end_waiter: Option<(u64, Pid)>,
-    abort_waiters: Vec<(u64, Pid)>,
+    /// The request awaiting End (home) or Phase1 (non-home).
+    end_waiter: Option<Owed>,
+    abort_waiters: Vec<Owed>,
     abort_reason: Option<AbortReason>,
     /// Outstanding phase-two / abort-propagation acknowledgements. The
     /// entry stays in the table (terminal state) until every safe-delivery
@@ -242,6 +240,20 @@ impl Txn {
             ending_at: None,
         }
     }
+
+    /// The replicated fraction of this entry.
+    fn delta(&self, transid: Transid, seq: u64) -> TmpDelta {
+        TmpDelta {
+            transid,
+            state: self.state,
+            home: self.home,
+            class: self.class,
+            volumes: self.volumes.clone(),
+            children: self.children.iter().copied().collect(),
+            seq,
+            drop: false,
+        }
+    }
 }
 
 /// Checkpoint delta: the replicated fraction of a transaction entry.
@@ -256,13 +268,10 @@ pub struct TmpDelta {
     drop: bool,
 }
 
-/// One transaction's replicated fields: (transid, state, home, class,
-/// volumes, children).
-type TxnSnapshot = (Transid, TxState, bool, TxnClass, Vec<VolumeRef>, Vec<NodeId>);
-
-struct TmpSnapshot {
+/// Full state for (re)initializing a backup: every entry's delta.
+pub struct TmpSnapshot {
     seq: u64,
-    txns: Vec<TxnSnapshot>,
+    txns: Vec<TmpDelta>,
     replies: Vec<(u64, TmpReply)>,
 }
 
@@ -283,12 +292,11 @@ enum TmpThen {
     /// Critical-response `Phase1` to a child node.
     Phase1(Transid),
     /// Critical-response `RemoteBegin` to `dest`; the session's
-    /// `EnsureRemoteSend` (`req_id` from `from`) is answered when it ends.
+    /// `EnsureRemoteSend` is answered when it ends.
     RemoteBegin {
         transid: Transid,
         dest: NodeId,
-        req_id: u64,
-        from: Pid,
+        owed: Owed,
     },
     /// Safe-delivery `Phase2`/`AbortTxn` of a terminal delivery set.
     Delivery(Transid),
@@ -307,7 +315,7 @@ pub struct TmpProcess {
     // BTreeMap: takeover/janitor/purge sweeps iterate this table, and do so
     // in transid order.
     txns: BTreeMap<Transid, Txn>,
-    replies: ReplyCache<TmpReply>,
+    replies: Served<TmpReply>,
     disc_rpc: Rpc<DiscRequest, DiscReply, DiscThen>,
     tmp_rpc: Rpc<TmpMsg, TmpReply, TmpThen>,
     /// Backout requests; the continuation is the transaction backed out.
@@ -342,7 +350,7 @@ impl TmpProcess {
             cfg,
             seq: 0,
             txns: BTreeMap::new(),
-            replies: ReplyCache::new(16384),
+            replies: Served::new(16384),
             disc_rpc: Rpc::new(10),
             tmp_rpc: Rpc::new(11),
             backout_rpc: Rpc::new(12),
@@ -392,32 +400,20 @@ impl TmpProcess {
         transid: Transid,
         drop: bool,
     ) -> Checkpointed {
-        let (state, home, class, volumes, children) = match self.txns.get(&transid) {
-            Some(t) => (
-                t.state,
-                t.home,
-                t.class,
-                t.volumes.clone(),
-                t.children.iter().copied().collect(),
-            ),
-            None => (
-                TxState::Aborted,
-                false,
-                TxnClass::ReadWrite,
-                Vec::new(),
-                Vec::new(),
-            ),
+        let delta = match self.txns.get(&transid) {
+            Some(t) => t.delta(transid, self.seq),
+            None => TmpDelta {
+                transid,
+                state: TxState::Aborted,
+                home: false,
+                class: TxnClass::ReadWrite,
+                volumes: Vec::new(),
+                children: Vec::new(),
+                seq: self.seq,
+                drop: false,
+            },
         };
-        ctx.checkpoint(TmpDelta {
-            transid,
-            state,
-            home,
-            class,
-            volumes,
-            children,
-            seq: self.seq,
-            drop,
-        })
+        ctx.checkpoint(TmpDelta { drop, ..delta })
     }
 
     fn set_state(
@@ -440,9 +436,21 @@ impl TmpProcess {
         self.checkpoint_txn(ctx, transid, false)
     }
 
-    fn answer(&mut self, ctx: &mut PairCtx<'_, '_>, req_id: u64, from: Pid, r: TmpReply) {
-        self.replies.store(req_id, r.clone());
-        reply(ctx, req_id, from, r);
+    /// Make `owed` the request that `transid`'s END (home) or Phase1
+    /// (non-home) answers. A requester that gave up on an earlier request
+    /// and sent another leaves the earlier one unanswered, on purpose; a
+    /// retransmission re-points the waiter at the same request.
+    fn set_end_waiter(&mut self, transid: Transid, owed: Owed) {
+        let t = self
+            .txns
+            .get_mut(&transid)
+            .expect("the caller matched on this entry's state");
+        let id = owed.id();
+        if let Some(old) = t.end_waiter.replace(owed) {
+            if old.id() != id {
+                self.replies.forget(old);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -477,8 +485,8 @@ impl TmpProcess {
                     ctx,
                     Target::Named(v.node, v.volume.clone()),
                     DiscRequest::EndPhase1 { transid },
-                    self.cfg.critical_timeout,
-                    self.cfg.critical_retries,
+                    CRITICAL_TIMEOUT,
+                    CRITICAL_RETRIES,
                     DiscThen::Phase1(transid),
                 )
                 .is_err()
@@ -495,8 +503,8 @@ impl TmpProcess {
                     ctx,
                     Target::Named(child, TMP_SERVICE),
                     TmpMsg::Phase1 { transid },
-                    self.cfg.critical_timeout,
-                    self.cfg.critical_retries,
+                    CRITICAL_TIMEOUT,
+                    CRITICAL_RETRIES,
                     TmpThen::Phase1(transid),
                 )
                 .is_err()
@@ -552,9 +560,8 @@ impl TmpProcess {
         } else {
             // acknowledge phase one to the parent; from here on this node
             // cannot unilaterally abort
-            if let Some((req_id, from)) = self.txns.get_mut(&transid).and_then(|t| t.end_waiter.take())
-            {
-                self.answer(ctx, req_id, from, TmpReply::Phase1Ok);
+            if let Some(owed) = self.txns.get_mut(&transid).and_then(|t| t.end_waiter.take()) {
+                self.replies.answer(ctx, owed, TmpReply::Phase1Ok);
             }
         }
     }
@@ -579,7 +586,7 @@ impl TmpProcess {
                     transid,
                     commit: true,
                 },
-                self.cfg.safe_retry,
+                SAFE_RETRY,
                 DiscThen::EarlyRelease,
             );
         }
@@ -747,14 +754,11 @@ impl TmpProcess {
         let waiter = t.end_waiter.take();
         // abort requests that arrived while COMMITTING could no longer
         // win; they learn the transaction's fate instead
-        let aborters: Vec<(u64, Pid)> = t.abort_waiters.drain(..).collect();
+        let aborters = std::mem::take(&mut t.abort_waiters);
         // END-TRANSACTION completes now; phase two is safe-delivery and
         // its completion is not awaited
-        if let Some((req_id, from)) = waiter {
-            self.answer(ctx, req_id, from, TmpReply::Committed);
-        }
-        for (req_id, from) in aborters {
-            self.answer(ctx, req_id, from, TmpReply::Committed);
+        for owed in waiter.into_iter().chain(aborters) {
+            self.replies.answer(ctx, owed, TmpReply::Committed);
         }
         self.send_terminal_deliveries(ctx, transid);
     }
@@ -786,7 +790,7 @@ impl TmpProcess {
                     transid,
                     commit: committed,
                 },
-                self.cfg.safe_retry,
+                SAFE_RETRY,
                 DiscThen::Delivery(transid),
             );
             pending += 1;
@@ -810,7 +814,7 @@ impl TmpProcess {
                 ctx,
                 Target::Named(child, TMP_SERVICE),
                 msg,
-                self.cfg.safe_retry,
+                SAFE_RETRY,
                 TmpThen::Delivery(transid),
             );
             pending += 1;
@@ -868,7 +872,7 @@ impl TmpProcess {
                 ctx,
                 Target::Named(child, TMP_SERVICE),
                 TmpMsg::AbortTxn { transid },
-                self.cfg.safe_retry,
+                SAFE_RETRY,
                 TmpThen::AbortNotice,
             );
         }
@@ -879,13 +883,13 @@ impl TmpProcess {
             let node = ctx.node();
             self.backout_rpc.call_persistent(
                 ctx,
-                Target::Named(node, self.cfg.backout_service.clone()),
+                Target::Named(node, BACKOUT_SERVICE),
                 BackoutMsg::Backout {
                     transid,
                     volumes,
                     audit_services,
                 },
-                self.cfg.safe_retry,
+                SAFE_RETRY,
                 transid,
             );
         }
@@ -915,14 +919,9 @@ impl TmpProcess {
         ctx.flight(transid.flight_id(), FlightCause::Aborted);
         self.set_state(ctx, transid, TxState::Aborted);
         if let Some(t) = self.txns.get_mut(&transid) {
-            let waiters: Vec<(u64, Pid)> = t
-                .end_waiter
-                .take()
-                .into_iter()
-                .chain(t.abort_waiters.drain(..))
-                .collect();
-            for (req_id, from) in waiters {
-                self.answer(ctx, req_id, from, TmpReply::Aborted);
+            let waiters = t.end_waiter.take().into_iter();
+            for owed in waiters.chain(std::mem::take(&mut t.abort_waiters)) {
+                self.replies.answer(ctx, owed, TmpReply::Aborted);
             }
         }
         self.send_terminal_deliveries(ctx, transid);
@@ -945,12 +944,12 @@ impl TmpProcess {
         };
         // a pending Phase1 request is answered with refusal — forcing
         // network consensus to abort...
-        if let Some((req_id, from)) = phase1_waiter {
-            self.answer(ctx, req_id, from, TmpReply::Phase1Refused);
+        if let Some(owed) = phase1_waiter {
+            self.replies.answer(ctx, owed, TmpReply::Phase1Refused);
         }
         // ...but session Abort requesters get the abort they asked for
-        for (req_id, from) in abort_waiters {
-            self.answer(ctx, req_id, from, TmpReply::Aborted);
+        for owed in abort_waiters {
+            self.replies.answer(ctx, owed, TmpReply::Aborted);
         }
         self.send_terminal_deliveries(ctx, transid);
     }
@@ -959,7 +958,7 @@ impl TmpProcess {
     // Request handling
     // ------------------------------------------------------------------
 
-    fn handle(&mut self, ctx: &mut PairCtx<'_, '_>, req_id: u64, from: Pid, msg: TmpMsg) {
+    fn handle(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, msg: TmpMsg) {
         match msg {
             TmpMsg::Begin { cpu, class } => {
                 self.seq += 1;
@@ -972,7 +971,7 @@ impl TmpProcess {
                 ctx.count("tmf.begins", 1);
                 ctx.flight(transid.flight_id(), FlightCause::Begin);
                 self.set_state(ctx, transid, TxState::Active);
-                self.answer(ctx, req_id, from, TmpReply::Began { transid });
+                self.replies.answer(ctx, owed, TmpReply::Began { transid });
             }
             TmpMsg::RegisterVolume { transid, volume } => {
                 // A late or retried registration for a transaction that
@@ -986,7 +985,7 @@ impl TmpProcess {
                         .is_some()
                     {
                         ctx.count("tmf.register_after_completion", 1);
-                        self.answer(ctx, req_id, from, TmpReply::Failed);
+                        self.replies.answer(ctx, owed, TmpReply::Failed);
                         return;
                     }
                 }
@@ -1009,20 +1008,20 @@ impl TmpProcess {
                     self.checkpoint_txn(ctx, transid, false);
                 }
                 let r = if ok { TmpReply::Ok } else { TmpReply::Failed };
-                self.answer(ctx, req_id, from, r);
+                self.replies.answer(ctx, owed, r);
             }
             TmpMsg::EnsureRemoteSend { transid, dest } => {
                 let my_node = ctx.node();
                 let Some(t) = self.txns.get(&transid) else {
-                    self.answer(ctx, req_id, from, TmpReply::Failed);
+                    self.replies.answer(ctx, owed, TmpReply::Failed);
                     return;
                 };
                 if t.state != TxState::Active {
-                    self.answer(ctx, req_id, from, TmpReply::Failed);
+                    self.replies.answer(ctx, owed, TmpReply::Failed);
                     return;
                 }
                 if dest == my_node || t.children.contains(&dest) {
-                    self.answer(ctx, req_id, from, TmpReply::Ok);
+                    self.replies.answer(ctx, owed, TmpReply::Ok);
                     return;
                 }
                 ctx.count("tmf.msgs.remote_begin", 1);
@@ -1030,17 +1029,16 @@ impl TmpProcess {
                     ctx,
                     Target::Named(dest, TMP_SERVICE),
                     TmpMsg::RemoteBegin { transid },
-                    self.cfg.critical_timeout,
-                    self.cfg.critical_retries,
+                    CRITICAL_TIMEOUT,
+                    CRITICAL_RETRIES,
                     TmpThen::RemoteBegin {
                         transid,
                         dest,
-                        req_id,
-                        from,
+                        owed,
                     },
                 );
-                if sent.is_err() {
-                    self.answer(ctx, req_id, from, TmpReply::Failed);
+                if let Err(TmpThen::RemoteBegin { owed, .. }) = sent {
+                    self.replies.answer(ctx, owed, TmpReply::Failed);
                 }
             }
             TmpMsg::End { transid } => {
@@ -1053,7 +1051,7 @@ impl TmpProcess {
                             Some(true) => TmpReply::Committed,
                             _ => TmpReply::Aborted,
                         };
-                        self.answer(ctx, req_id, from, r);
+                        self.replies.answer(ctx, owed, r);
                     }
                     Some(TxState::Active) => {
                         let now = ctx.now();
@@ -1062,8 +1060,8 @@ impl TmpProcess {
                             .get(&transid)
                             .map(|t| t.class)
                             .unwrap_or_default();
+                        self.set_end_waiter(transid, owed);
                         if let Some(t) = self.txns.get_mut(&transid) {
-                            t.end_waiter = Some((req_id, from));
                             t.ending_at = Some(now);
                         }
                         ctx.flight(transid.flight_id(), FlightCause::EndRequested);
@@ -1085,17 +1083,15 @@ impl TmpProcess {
                         }
                     }
                     Some(TxState::Ending) | Some(TxState::Committing) => {
-                        if let Some(t) = self.txns.get_mut(&transid) {
-                            t.end_waiter = Some((req_id, from)); // retried End
-                        }
+                        self.set_end_waiter(transid, owed); // retried End
                     }
                     Some(TxState::Aborting) => {
                         if let Some(t) = self.txns.get_mut(&transid) {
-                            t.abort_waiters.push((req_id, from));
+                            t.abort_waiters.push(owed);
                         }
                     }
-                    Some(TxState::Ended) => self.answer(ctx, req_id, from, TmpReply::Committed),
-                    Some(TxState::Aborted) => self.answer(ctx, req_id, from, TmpReply::Aborted),
+                    Some(TxState::Ended) => self.replies.answer(ctx, owed, TmpReply::Committed),
+                    Some(TxState::Aborted) => self.replies.answer(ctx, owed, TmpReply::Aborted),
                 }
             }
             TmpMsg::Abort { transid, reason } => {
@@ -1107,22 +1103,22 @@ impl TmpProcess {
                             Some(true) => TmpReply::Committed,
                             _ => TmpReply::Aborted,
                         };
-                        self.answer(ctx, req_id, from, r);
+                        self.replies.answer(ctx, owed, r);
                     }
                     Some((TxState::Ended, _)) => {
-                        self.answer(ctx, req_id, from, TmpReply::Committed)
+                        self.replies.answer(ctx, owed, TmpReply::Committed)
                     }
                     Some((TxState::Aborted, _)) => {
-                        self.answer(ctx, req_id, from, TmpReply::Aborted)
+                        self.replies.answer(ctx, owed, TmpReply::Aborted)
                     }
                     Some((TxState::Ending, false)) => {
                         // after phase-one ack a non-home node may not
                         // unilaterally abort
-                        self.answer(ctx, req_id, from, TmpReply::Failed);
+                        self.replies.answer(ctx, owed, TmpReply::Failed);
                     }
                     Some(_) => {
                         if let Some(t) = self.txns.get_mut(&transid) {
-                            t.abort_waiters.push((req_id, from));
+                            t.abort_waiters.push(owed);
                         }
                         self.abort_txn(ctx, transid, reason);
                     }
@@ -1139,15 +1135,20 @@ impl TmpProcess {
                     }
                 };
                 // utility query: not cached (idempotent)
-                reply(ctx, req_id, from, TmpReply::Disposition { state });
+                self.replies
+                    .answer_uncached(ctx, owed, TmpReply::Disposition { state });
             }
             TmpMsg::ForceDisposition { transid, commit } => {
                 ctx.count("tmf.force_disposition", 1);
                 let state = self.txns.get(&transid).map(|t| t.state);
                 if commit {
                     if matches!(state, Some(TxState::Ending) | Some(TxState::Committing)) {
-                        if let Some(t) = self.txns.get_mut(&transid) {
-                            t.end_waiter = None;
+                        // the operator's word is not the waiting END's
+                        // or Phase1's answer: its retransmission finds the
+                        // outcome
+                        let waiter = self.txns.get_mut(&transid).and_then(|t| t.end_waiter.take());
+                        if let Some(old) = waiter {
+                            self.replies.forget(old);
                         }
                         self.monitor_written(ctx, transid, true);
                     }
@@ -1161,12 +1162,13 @@ impl TmpProcess {
                     }
                     self.abort_txn(ctx, transid, AbortReason::OperatorOverride);
                 }
-                self.answer(ctx, req_id, from, TmpReply::Ok);
+                self.replies.answer(ctx, owed, TmpReply::Ok);
             }
             TmpMsg::ListOpen => {
                 let transids: Vec<Transid> = self.txns.keys().copied().collect();
                 // utility query: not cached (idempotent)
-                reply(ctx, req_id, from, TmpReply::Open { transids });
+                self.replies
+                    .answer_uncached(ctx, owed, TmpReply::Open { transids });
             }
             TmpMsg::StateAudit => {
                 let report = TmpStateReport {
@@ -1186,10 +1188,13 @@ impl TmpProcess {
                         + self.tmp_rpc.in_flight()
                         + self.backout_rpc.in_flight()
                         + self.audit_rpc.in_flight(),
-                    reply_cache: self.replies.entries().len(),
+                    reply_cache: self.replies.answered(),
+                    // this query is itself admitted and not yet answered
+                    pending_requests: self.replies.pending() - 1,
                 };
                 // utility query: not cached (idempotent)
-                reply(ctx, req_id, from, TmpReply::State(report));
+                self.replies
+                    .answer_uncached(ctx, owed, TmpReply::State(Box::new(report)));
             }
             TmpMsg::RemoteBegin { transid } => {
                 ctx.count("tmf.remote_begins_received", 1);
@@ -1202,7 +1207,7 @@ impl TmpProcess {
                     self.txns.insert(transid, Txn::new(false, TxnClass::ReadWrite));
                     self.set_state(ctx, transid, TxState::Active);
                 }
-                self.answer(ctx, req_id, from, TmpReply::Ok);
+                self.replies.answer(ctx, owed, TmpReply::Ok);
             }
             TmpMsg::Phase1 { transid } => {
                 match self.txns.get(&transid).map(|t| t.state) {
@@ -1214,31 +1219,25 @@ impl TmpProcess {
                             Some(true) => TmpReply::Phase1Ok,
                             _ => TmpReply::Phase1Refused,
                         };
-                        self.answer(ctx, req_id, from, r);
+                        self.replies.answer(ctx, owed, r);
                     }
                     Some(TxState::Active) => {
-                        if let Some(t) = self.txns.get_mut(&transid) {
-                            t.end_waiter = Some((req_id, from));
-                        }
+                        self.set_end_waiter(transid, owed);
                         self.set_state(ctx, transid, TxState::Ending);
                         self.start_phase1(ctx, transid);
                     }
-                    Some(TxState::Ending) => {
-                        if let Some(t) = self.txns.get_mut(&transid) {
-                            t.end_waiter = Some((req_id, from));
-                        }
-                    }
+                    Some(TxState::Ending) => self.set_end_waiter(transid, owed),
                     Some(TxState::Ended) | Some(TxState::Committing) => {
-                        self.answer(ctx, req_id, from, TmpReply::Phase1Ok)
+                        self.replies.answer(ctx, owed, TmpReply::Phase1Ok)
                     }
                     Some(TxState::Aborting) | Some(TxState::Aborted) => {
-                        self.answer(ctx, req_id, from, TmpReply::Phase1Refused)
+                        self.replies.answer(ctx, owed, TmpReply::Phase1Refused)
                     }
                 }
             }
             TmpMsg::Phase2 { transid } => {
                 // safe-delivery: ack receipt, then apply
-                self.answer(ctx, req_id, from, TmpReply::Ok);
+                self.replies.answer(ctx, owed, TmpReply::Ok);
                 if let Some(t) = self.txns.get(&transid) {
                     if t.state == TxState::Ending {
                         // the home node committed: record it here too and
@@ -1249,7 +1248,7 @@ impl TmpProcess {
             }
             TmpMsg::AbortTxn { transid } => {
                 // safe-delivery: ack receipt, then apply
-                self.answer(ctx, req_id, from, TmpReply::Ok);
+                self.replies.answer(ctx, owed, TmpReply::Ok);
                 if self.txns.contains_key(&transid) {
                     self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
                 }
@@ -1291,15 +1290,14 @@ impl TmpProcess {
             TmpThen::RemoteBegin {
                 transid,
                 dest,
-                req_id,
-                from,
+                owed,
             } => match self.txns.get_mut(&transid) {
                 Some(t) if matches!(c.body, TmpReply::Ok) => {
                     t.children.insert(dest);
                     self.checkpoint_txn(ctx, transid, false);
-                    self.answer(ctx, req_id, from, TmpReply::Ok);
+                    self.replies.answer(ctx, owed, TmpReply::Ok);
                 }
-                _ => self.answer(ctx, req_id, from, TmpReply::Failed),
+                _ => self.replies.answer(ctx, owed, TmpReply::Failed),
             },
             TmpThen::Delivery(transid) => self.delivery_acked(ctx, transid),
             TmpThen::AbortNotice => {}
@@ -1386,8 +1384,8 @@ impl TmpProcess {
                 ctx,
                 Target::Named(home, TMP_SERVICE),
                 TmpMsg::QueryDisposition { transid },
-                self.cfg.critical_timeout,
-                self.cfg.critical_retries,
+                CRITICAL_TIMEOUT,
+                CRITICAL_RETRIES,
                 TmpThen::Janitor(transid),
             );
         }
@@ -1435,7 +1433,7 @@ impl TmpProcess {
                     floors,
                     open: open.clone(),
                 },
-                self.cfg.safe_retry,
+                SAFE_RETRY,
                 (),
             );
         }
@@ -1457,9 +1455,9 @@ impl TmpProcess {
                 ctx.count("tmf.phase1_timeouts", 1);
                 self.phase1_failed(ctx, transid);
             }
-            TmpThen::RemoteBegin { req_id, from, .. } => {
+            TmpThen::RemoteBegin { owed, .. } => {
                 ctx.count("tmf.remote_begin_timeouts", 1);
-                self.answer(ctx, req_id, from, TmpReply::Failed);
+                self.replies.answer(ctx, owed, TmpReply::Failed);
             }
             // a failed in-doubt probe is retried by the next sweep
             TmpThen::Janitor(_) | TmpThen::Delivery(_) | TmpThen::AbortNotice => {}
@@ -1469,6 +1467,7 @@ impl TmpProcess {
 
 impl PairApp for TmpProcess {
     type Delta = TmpDelta;
+    type Snapshot = TmpSnapshot;
 
     fn service_name(&self) -> Name {
         TMP_SERVICE
@@ -1509,19 +1508,20 @@ impl PairApp for TmpProcess {
             }
             Err(p) => p,
         };
-        if !payload.is::<Request<TmpMsg>>() {
-            return;
+        match self.replies.admit(ctx, payload) {
+            // A retransmission of a request still waiting on its
+            // transaction is handled again, not dropped: a retried END or
+            // Phase1 re-points the waiter, a retried EnsureRemoteSend
+            // re-issues the RemoteBegin its first attempt may have lost.
+            Admitted::Fresh(owed, msg) | Admitted::Duplicate(owed, msg) => {
+                self.handle(ctx, owed, msg)
+            }
+            Admitted::Replayed | Admitted::NotARequest(_) => {}
         }
-        let req = payload.expect::<Request<TmpMsg>>();
-        if let Some(cached) = self.replies.check(req.id) {
-            reply(ctx, req.id, req.from, cached);
-            return;
-        }
-        self.handle(ctx, req.id, req.from, req.body);
     }
 
     fn on_primary_start(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        ctx.set_timer(self.cfg.indoubt_probe, TAG_JANITOR);
+        ctx.set_timer(INDOUBT_PROBE, TAG_JANITOR);
         if self.cfg.purge_interval > SimDuration::ZERO {
             ctx.set_timer(self.cfg.purge_interval, TAG_PURGE);
         }
@@ -1530,7 +1530,7 @@ impl PairApp for TmpProcess {
     fn on_timer(&mut self, ctx: &mut PairCtx<'_, '_>, tag: u64) {
         if tag == TAG_JANITOR {
             self.janitor_tick(ctx);
-            ctx.set_timer(self.cfg.indoubt_probe, TAG_JANITOR);
+            ctx.set_timer(INDOUBT_PROBE, TAG_JANITOR);
             return;
         }
         if tag == TAG_PURGE {
@@ -1698,39 +1698,21 @@ impl PairApp for TmpProcess {
         t.children = d.children.into_iter().collect();
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new(TmpSnapshot {
+    fn snapshot(&self) -> TmpSnapshot {
+        TmpSnapshot {
             seq: self.seq,
-            txns: self
-                .txns
-                .iter()
-                .map(|(t, e)| {
-                    (
-                        *t,
-                        e.state,
-                        e.home,
-                        e.class,
-                        e.volumes.clone(),
-                        e.children.iter().copied().collect(),
-                    )
-                })
-                .collect(),
+            txns: self.txns.iter().map(|(t, e)| e.delta(*t, self.seq)).collect(),
             replies: self.replies.entries(),
-        })
+        }
     }
 
-    fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
-        let s = snapshot.expect::<TmpSnapshot>();
+    fn restore(&mut self, s: TmpSnapshot, cp: &Checkpointed) {
         self.seq = s.seq;
         self.txns.clear();
-        for (transid, state, home, class, volumes, children) in s.txns {
-            let mut t = Txn::new(home, class);
-            t.state = state;
-            t.volumes = volumes;
-            t.children = children.into_iter().collect();
-            self.txns.insert(transid, t);
+        for delta in s.txns {
+            self.apply_checkpoint(delta, cp);
         }
-        self.replies = ReplyCache::restore(16384, s.replies);
+        self.replies.restore(s.replies);
     }
 }
 

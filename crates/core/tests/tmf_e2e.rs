@@ -18,7 +18,8 @@ use encompass_storage::types::{FileDef, PartitionSpec, Transid, VolumeRef};
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
-use tmf::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
+use tmf::script::{Log, Step, TxnScript};
+use tmf::session::{SessionEvent, SessionOptions, TmfSession};
 use tmf::state::AbortReason;
 use tmf::tmp::{TmpMsg, TmpReply};
 use std::cell::RefCell;
@@ -28,143 +29,27 @@ fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
 }
 
-/// One step of a scripted transaction program.
-#[derive(Clone)]
-enum Step {
-    Begin,
-    Read(&'static str, &'static str),
-    ReadLock(&'static str, &'static str),
-    Insert(&'static str, &'static str, &'static str),
-    Update(&'static str, &'static str, &'static str),
-    Delete(&'static str, &'static str),
-    End,
-    Abort,
-    /// Idle for a duration (lets the driver line faults up between steps).
-    Pause(SimDuration),
+// `Step` constructors over string literals.
+fn read(f: &str, k: &str) -> Step {
+    Step::Read(f.into(), b(k))
+}
+fn read_lock(f: &str, k: &str) -> Step {
+    Step::ReadLock(f.into(), b(k))
+}
+fn insert(f: &str, k: &str, v: &str) -> Step {
+    Step::Insert(f.into(), b(k), b(v))
+}
+fn update(f: &str, k: &str, v: &str) -> Step {
+    Step::Update(f.into(), b(k), b(v))
+}
+fn delete(f: &str, k: &str) -> Step {
+    Step::Delete(f.into(), b(k))
 }
 
-type Log = Rc<RefCell<Vec<String>>>;
-
-struct TxnDriver {
-    session: TmfSession,
-    options: SessionOptions,
-    script: Vec<Step>,
-    next: usize,
-    log: Log,
-    /// When present, filled with the transid at `Began` (for tests that
-    /// poke the protocol directly with that transid afterwards).
-    transid_out: Option<Rc<RefCell<Option<Transid>>>>,
-}
-
-impl TxnDriver {
-    fn new(catalog: Catalog, script: Vec<Step>, log: Log) -> TxnDriver {
-        TxnDriver::with_options(catalog, SessionOptions::default(), script, log)
-    }
-
-    fn with_options(
-        catalog: Catalog,
-        options: SessionOptions,
-        script: Vec<Step>,
-        log: Log,
-    ) -> TxnDriver {
-        TxnDriver {
-            session: TmfSession::new(catalog, 0),
-            options,
-            script,
-            next: 0,
-            log,
-            transid_out: None,
-        }
-    }
-
-    fn kick(&mut self, ctx: &mut Ctx<'_>) {
-        if self.next < self.script.len() {
-            let step = self.script[self.next].clone();
-            self.next += 1;
-            let refused = match step {
-                Step::Begin => {
-                    self.session.begin(ctx, self.options, 0);
-                    None
-                }
-                Step::Read(f, k) => self
-                    .session
-                    .op(ctx, DbOp::Read { file: f.into(), key: b(k) }, 0),
-                Step::ReadLock(f, k) => self
-                    .session
-                    .op(ctx, DbOp::ReadLock { file: f.into(), key: b(k) }, 0),
-                Step::Insert(f, k, v) => self
-                    .session
-                    .op(ctx, DbOp::Insert { file: f.into(), key: b(k), value: b(v) }, 0),
-                Step::Update(f, k, v) => self
-                    .session
-                    .op(ctx, DbOp::Update { file: f.into(), key: b(k), value: b(v) }, 0),
-                Step::Delete(f, k) => self
-                    .session
-                    .op(ctx, DbOp::Delete { file: f.into(), key: b(k) }, 0),
-                Step::End => {
-                    self.session.end(ctx, 0);
-                    None
-                }
-                Step::Abort => {
-                    self.session.abort(ctx, AbortReason::Voluntary, 0);
-                    None
-                }
-                Step::Pause(d) => {
-                    ctx.set_timer(d, 1);
-                    None
-                }
-            };
-            if let Some(ev) = refused {
-                self.on_event(ctx, ev);
-            }
-        }
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
-        if let (SessionEvent::Began { .. }, Some(slot)) = (&ev, &self.transid_out) {
-            *slot.borrow_mut() = self.session.transid();
-        }
-        let entry = match &ev {
-            SessionEvent::Began { .. } => "began".to_string(),
-            SessionEvent::OpDone { reply, .. } => match reply {
-                DiscReply::Value(Some(v)) => {
-                    format!("value:{}", String::from_utf8_lossy(v))
-                }
-                DiscReply::Value(None) => "value:<none>".to_string(),
-                DiscReply::Ok => "ok".to_string(),
-                DiscReply::Err(e) => format!("err:{e:?}"),
-                other => format!("{other:?}"),
-            },
-            SessionEvent::Committed { .. } => "committed".to_string(),
-            SessionEvent::Aborted { .. } => "aborted".to_string(),
-            SessionEvent::Failed { .. } => "failed".to_string(),
-        };
-        self.log.borrow_mut().push(entry);
-        self.kick(ctx);
-    }
-}
-
-impl Process for TxnDriver {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.kick(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-        if let Ok(Some(ev)) = self.session.accept(ctx, payload) {
-            self.on_event(ctx, ev);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-        if tag == 1 {
-            self.kick(ctx);
-            return;
-        }
-        if let Some(ev) = self.session.on_timer(ctx, tag) {
-            self.on_event(ctx, ev);
-        }
-    }
-    fn kind(&self) -> &'static str {
-        "txn-driver"
-    }
+/// A script's log with each `began:<transid>` entry shortened to `began`.
+fn steps(log: &Log) -> Vec<String> {
+    let began = |e: &String| if e.starts_with("began:") { "began".into() } else { e.clone() };
+    log.borrow().iter().map(began).collect()
 }
 
 fn drive(world: &mut World, node: NodeId, cpu: u8, catalog: Catalog, script: Vec<Step>) -> Log {
@@ -172,7 +57,7 @@ fn drive(world: &mut World, node: NodeId, cpu: u8, catalog: Catalog, script: Vec
     world.spawn(
         node,
         cpu,
-        Box::new(TxnDriver::new(catalog, script, log.clone())),
+        Box::new(TxnScript::new(catalog, script, log.clone())),
     );
     log
 }
@@ -190,7 +75,7 @@ fn drive_with(
     world.spawn(
         node,
         cpu,
-        Box::new(TxnDriver::with_options(catalog, options, script, log.clone())),
+        Box::new(TxnScript::with_options(catalog, options, script, log.clone())),
     );
     log
 }
@@ -205,7 +90,7 @@ fn drive_capturing(
 ) -> (Log, Rc<RefCell<Option<Transid>>>) {
     let log: Log = Rc::new(RefCell::new(Vec::new()));
     let slot = Rc::new(RefCell::new(None));
-    let mut driver = TxnDriver::new(catalog, script, log.clone());
+    let mut driver = TxnScript::new(catalog, script, log.clone());
     driver.transid_out = Some(slot.clone());
     world.spawn(node, cpu, Box::new(driver));
     (log, slot)
@@ -311,15 +196,15 @@ fn single_node_commit() {
         catalog,
         vec![
             Step::Begin,
-            Step::Insert("accounts", "alice", "100"),
-            Step::Update("accounts", "alice", "150"),
+            insert("accounts", "alice", "100"),
+            update("accounts", "alice", "150"),
             Step::End,
-            Step::Read("accounts", "alice"),
+            read("accounts", "alice"),
         ],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "ok", "ok", "committed", "value:150"]
     );
     assert_eq!(w.metrics().get("tmf.commits"), 1);
@@ -338,7 +223,7 @@ fn voluntary_abort_backs_out_updates() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "bob", "500"),
+            insert("accounts", "bob", "500"),
             Step::End,
         ],
     );
@@ -352,15 +237,15 @@ fn voluntary_abort_backs_out_updates() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::ReadLock("accounts", "bob"),
-            Step::Update("accounts", "bob", "0"),
+            read_lock("accounts", "bob"),
+            update("accounts", "bob", "0"),
             Step::Abort,
-            Step::Read("accounts", "bob"),
+            read("accounts", "bob"),
         ],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(
-        log2.borrow().as_slice(),
+        steps(&log2),
         &["began", "value:500", "ok", "aborted", "value:500"],
         "backout restored the before-image"
     );
@@ -379,17 +264,17 @@ fn distributed_commit_across_three_nodes() {
         catalog,
         vec![
             Step::Begin,
-            Step::Insert("accounts", "alpha", "1"), // node 0 partition
-            Step::Insert("accounts", "zulu", "2"),  // node 1 partition
-            Step::Insert("remote", "r1", "3"),      // node 2
+            insert("accounts", "alpha", "1"), // node 0 partition
+            insert("accounts", "zulu", "2"),  // node 1 partition
+            insert("remote", "r1", "3"),      // node 2
             Step::End,
-            Step::Read("accounts", "zulu"),
-            Step::Read("remote", "r1"),
+            read("accounts", "zulu"),
+            read("remote", "r1"),
         ],
     );
     w.run_for(SimDuration::from_secs(10));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "ok", "ok", "ok", "committed", "value:2", "value:3"]
     );
     // remote begins went to two nodes; phase 1 fanned out over the network
@@ -409,11 +294,11 @@ fn partition_before_phase_one_aborts_everywhere() {
         catalog,
         vec![
             Step::Begin,
-            Step::Insert("accounts", "alpha", "1"),
-            Step::Insert("remote", "r1", "3"),
+            insert("accounts", "alpha", "1"),
+            insert("remote", "r1", "3"),
             Step::Pause(SimDuration::from_millis(500)),
             Step::End,
-            Step::Read("accounts", "alpha"),
+            read("accounts", "alpha"),
         ],
     );
     // cut node 2 off after its insert landed but before END-TRANSACTION
@@ -426,7 +311,7 @@ fn partition_before_phase_one_aborts_everywhere() {
     // wait for END + abort to play out
     w.run_for(SimDuration::from_secs(10));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "ok", "ok", "aborted", "value:<none>"],
         "phase-one failure backed out node 0's insert too"
     );
@@ -444,7 +329,7 @@ fn partition_before_phase_one_aborts_everywhere() {
             c.add(FileDef::key_sequenced("remote", VolumeRef::new(n2, "$D2")));
             c
         },
-        vec![Step::Read("remote", "r1")],
+        vec![read("remote", "r1")],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(
@@ -464,7 +349,7 @@ fn partition_during_phase_two_holds_locks_until_heal() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("remote", "r2", "v"),
+            insert("remote", "r2", "v"),
             Step::End,
         ],
     );
@@ -480,7 +365,7 @@ fn partition_during_phase_two_holds_locks_until_heal() {
     w.inject(Fault::Partition(vec![n2]));
     w.run_for(SimDuration::from_secs(2));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "ok", "committed"],
         "END-TRANSACTION completed despite the phase-2 partition"
     );
@@ -492,7 +377,7 @@ fn partition_during_phase_two_holds_locks_until_heal() {
         n2,
         0,
         probe_catalog,
-        vec![Step::Begin, Step::ReadLock("remote", "r2"), Step::Abort],
+        vec![Step::Begin, read_lock("remote", "r2"), Step::Abort],
     );
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(
@@ -509,11 +394,11 @@ fn partition_during_phase_two_holds_locks_until_heal() {
         n2,
         1,
         catalog,
-        vec![Step::Begin, Step::ReadLock("remote", "r2"), Step::Abort],
+        vec![Step::Begin, read_lock("remote", "r2"), Step::Abort],
     );
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(
-        log3.borrow().as_slice(),
+        steps(&log3),
         &["began", "value:v", "aborted"],
         "after the heal the lock is free and the commit is visible"
     );
@@ -530,7 +415,7 @@ fn cpu_failure_aborts_only_affected_transactions() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "a", "1"),
+            insert("accounts", "a", "1"),
             Step::Pause(SimDuration::from_secs(10)), // still open when cpu dies
             Step::End,
         ],
@@ -543,7 +428,7 @@ fn cpu_failure_aborts_only_affected_transactions() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "b", "2"),
+            insert("accounts", "b", "2"),
             Step::Pause(SimDuration::from_secs(10)),
             Step::End,
         ],
@@ -566,7 +451,7 @@ fn cpu_failure_aborts_only_affected_transactions() {
         n,
         3,
         catalog,
-        vec![Step::Read("accounts", "a"), Step::Read("accounts", "b")],
+        vec![read("accounts", "a"), read("accounts", "b")],
     );
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(log_c.borrow().as_slice(), &["value:<none>", "value:2"]);
@@ -583,7 +468,7 @@ fn lock_timeout_then_restart_transaction_succeeds() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "hot", "1"),
+            insert("accounts", "hot", "1"),
             Step::Pause(SimDuration::from_secs(2)),
             Step::End,
         ],
@@ -598,20 +483,20 @@ fn lock_timeout_then_restart_transaction_succeeds() {
         catalog,
         vec![
             Step::Begin,
-            Step::ReadLock("accounts", "hot"),
+            read_lock("accounts", "hot"),
             // first attempt will log err:LockTimeout; the driver script is
             // linear, so model RESTART-TRANSACTION explicitly:
             Step::Abort,
             Step::Pause(SimDuration::from_secs(3)),
             Step::Begin,
-            Step::ReadLock("accounts", "hot"),
+            read_lock("accounts", "hot"),
             Step::End,
         ],
     );
     w.run_for(SimDuration::from_secs(10));
     assert_eq!(log1.borrow().last().unwrap(), "committed");
     assert_eq!(
-        log2.borrow().as_slice(),
+        steps(&log2),
         &[
             "began",
             &format!("err:{:?}", DiscError::LockTimeout),
@@ -633,20 +518,20 @@ fn delete_is_backed_out_and_its_key_lock_persists() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "doomed", "v"),
+            insert("accounts", "doomed", "v"),
             Step::End,
             // delete it, then abort: the before-image resurrects it
             Step::Begin,
-            Step::ReadLock("accounts", "doomed"),
-            Step::Delete("accounts", "doomed"),
-            Step::Read("accounts", "doomed"),
+            read_lock("accounts", "doomed"),
+            delete("accounts", "doomed"),
+            read("accounts", "doomed"),
             Step::Abort,
-            Step::Read("accounts", "doomed"),
+            read("accounts", "doomed"),
         ],
     );
     w.run_for(SimDuration::from_secs(8));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &[
             "began",
             "ok",
@@ -673,7 +558,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
     impl Process for FileLocker {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             self.step = 1;
-            self.session.begin(ctx, SessionOptions::default(), 0);
+            self.session.begin(ctx, SessionOptions::default());
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
             let Ok(Some(ev)) = self.session.accept(ctx, payload) else {
@@ -690,7 +575,6 @@ fn file_lock_blocks_other_transactions_until_commit() {
                             transid,
                             lock_wait: SimDuration::from_millis(200),
                         },
-                        0,
                     );
                 }
                 (2, SessionEvent::OpDone { .. }) => {
@@ -698,7 +582,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
                     self.step = 3;
                     ctx.set_timer(SimDuration::from_millis(800), 1);
                 }
-                (4, SessionEvent::Committed { .. }) => {
+                (4, SessionEvent::Committed) => {
                     self.log.borrow_mut().push("committed".into());
                 }
                 _ => {}
@@ -707,7 +591,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
             if tag == 1 && self.step == 3 {
                 self.step = 4;
-                self.session.end(ctx, 0);
+                self.session.end(ctx);
                 return;
             }
             let _ = self.session.on_timer(ctx, tag);
@@ -734,7 +618,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
         n,
         1,
         catalog.clone(),
-        vec![Step::Begin, Step::Insert("accounts", "x", "1"), Step::Abort],
+        vec![Step::Begin, insert("accounts", "x", "1"), Step::Abort],
     );
     w.run_for(SimDuration::from_millis(650));
     assert_eq!(
@@ -751,7 +635,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
         n,
         2,
         catalog,
-        vec![Step::Begin, Step::Insert("accounts", "x", "1"), Step::End],
+        vec![Step::Begin, insert("accounts", "x", "1"), Step::End],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(log3.borrow().last().unwrap(), "committed");
@@ -778,8 +662,8 @@ fn tmp_takeover_after_commit_point_completes_distributed_commit() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "alpha", "1"),
-            Step::Insert("remote", "r", "2"),
+            insert("accounts", "alpha", "1"),
+            insert("remote", "r", "2"),
             Step::End,
         ],
     );
@@ -810,11 +694,11 @@ fn tmp_takeover_after_commit_point_completes_distributed_commit() {
         n2,
         0,
         catalog,
-        vec![Step::Begin, Step::ReadLock("remote", "r"), Step::Abort],
+        vec![Step::Begin, read_lock("remote", "r"), Step::Abort],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(
-        log2.borrow().as_slice(),
+        steps(&log2),
         &["began", "value:2", "aborted"],
         "remote record committed and unlocked"
     );
@@ -838,7 +722,7 @@ fn tmp_takeover_between_commit_record_and_checkpoint_commits() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "win", "1"),
+            insert("accounts", "win", "1"),
             Step::End,
         ],
     );
@@ -874,11 +758,11 @@ fn tmp_takeover_between_commit_record_and_checkpoint_commits() {
         n,
         2,
         catalog,
-        vec![Step::Begin, Step::ReadLock("accounts", "win"), Step::Abort],
+        vec![Step::Begin, read_lock("accounts", "win"), Step::Abort],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(
-        log2.borrow().as_slice(),
+        steps(&log2),
         &["began", "value:1", "aborted"],
         "value intact and lock free after the takeover commit"
     );
@@ -897,7 +781,7 @@ fn disc_takeover_mid_transaction_keeps_backout_images() {
         n,
         0,
         catalog.clone(),
-        vec![Step::Begin, Step::Insert("accounts", "vic", "500"), Step::End],
+        vec![Step::Begin, insert("accounts", "vic", "500"), Step::End],
     );
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(log1.borrow().last().unwrap(), "committed");
@@ -908,11 +792,11 @@ fn disc_takeover_mid_transaction_keeps_backout_images() {
         catalog,
         vec![
             Step::Begin,
-            Step::ReadLock("accounts", "vic"),
-            Step::Update("accounts", "vic", "0"),
+            read_lock("accounts", "vic"),
+            update("accounts", "vic", "0"),
             Step::Pause(SimDuration::from_secs(2)), // disc dies in here
             Step::Abort,
-            Step::Read("accounts", "vic"),
+            read("accounts", "vic"),
         ],
     );
     while log2.borrow().len() < 3 && w.now() < SimTime::from_micros(10_000_000) {
@@ -929,7 +813,7 @@ fn disc_takeover_mid_transaction_keeps_backout_images() {
         "the new disc primary re-sent the retained images"
     );
     assert_eq!(
-        log2.borrow().as_slice(),
+        steps(&log2),
         &["began", "value:500", "ok", "aborted", "value:500"],
         "backout found the before-image despite the takeover"
     );
@@ -948,10 +832,10 @@ fn audit_takeover_mid_transaction_still_commits_durably() {
         catalog,
         vec![
             Step::Begin,
-            Step::Insert("accounts", "aud", "7"),
+            insert("accounts", "aud", "7"),
             Step::Pause(SimDuration::from_secs(1)), // audit dies in here
             Step::End,
-            Step::Read("accounts", "aud"),
+            read("accounts", "aud"),
         ],
     );
     while log.borrow().len() < 2 && w.now() < SimTime::from_micros(10_000_000) {
@@ -965,7 +849,7 @@ fn audit_takeover_mid_transaction_still_commits_durably() {
     w.run_for(SimDuration::from_secs(10));
     assert!(w.metrics().get("audit.takeovers") >= 1);
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "ok", "committed", "value:7"],
         "commit forced the checkpoint-surviving buffer to the trail"
     );
@@ -986,10 +870,10 @@ fn late_write_with_stale_transid_is_fenced() {
         n,
         0,
         catalog,
-        vec![Step::Begin, Step::Insert("accounts", "fz", "1"), Step::End],
+        vec![Step::Begin, insert("accounts", "fz", "1"), Step::End],
     );
     w.run_for(SimDuration::from_secs(3));
-    assert_eq!(log.borrow().as_slice(), &["began", "ok", "committed"]);
+    assert_eq!(steps(&log), &["began", "ok", "committed"]);
     let stale = transid.borrow().expect("captured at Began");
     // a straggler write tagged with the completed transid is rejected, and
     // the committed value survives
@@ -1034,10 +918,10 @@ fn nonhome_unilateral_abort_answers_aborted() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("remote", "u9", "v"), // registers with node 2's TMP
+            insert("remote", "u9", "v"), // registers with node 2's TMP
             Step::Pause(SimDuration::from_secs(2)), // abort arrives in here
             Step::End,
-            Step::Read("remote", "u9"),
+            read("remote", "u9"),
         ],
     );
     while log.borrow().len() < 2 && w.now() < SimTime::from_micros(10_000_000) {
@@ -1065,7 +949,7 @@ fn nonhome_unilateral_abort_answers_aborted() {
     // everywhere and node 2's insert is gone
     w.run_for(SimDuration::from_secs(8));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "ok", "aborted", "value:<none>"],
         "consensus abort after the unilateral refusal"
     );
@@ -1083,10 +967,10 @@ fn late_register_volume_after_completion_is_refused() {
         n,
         0,
         catalog,
-        vec![Step::Begin, Step::Insert("accounts", "rg", "1"), Step::End],
+        vec![Step::Begin, insert("accounts", "rg", "1"), Step::End],
     );
     w.run_for(SimDuration::from_secs(3));
-    assert_eq!(log.borrow().as_slice(), &["began", "ok", "committed"]);
+    assert_eq!(steps(&log), &["began", "ok", "committed"]);
     let transid = transid.borrow().expect("captured at Began");
     // a stale File System retry shows up after END-TRANSACTION completed
     let reply = ask_tmp(
@@ -1132,8 +1016,8 @@ fn deterministic_run_with_cpu_failures() {
             catalog,
             vec![
                 Step::Begin,
-                Step::Insert("accounts", "alpha", "1"),
-                Step::Insert("remote", "r", "2"),
+                insert("accounts", "alpha", "1"),
+                insert("remote", "r", "2"),
                 Step::End,
             ],
         );
@@ -1159,8 +1043,8 @@ fn deterministic_distributed_run() {
             catalog,
             vec![
                 Step::Begin,
-                Step::Insert("accounts", "alpha", "1"),
-                Step::Insert("remote", "r", "2"),
+                insert("accounts", "alpha", "1"),
+                insert("remote", "r", "2"),
                 Step::End,
             ],
         );
@@ -1189,7 +1073,7 @@ fn abort_mid_boxcar_keeps_dispositions_separate() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "carol", "100"),
+            insert("accounts", "carol", "100"),
             Step::End,
         ],
     );
@@ -1200,15 +1084,15 @@ fn abort_mid_boxcar_keeps_dispositions_separate() {
         catalog,
         vec![
             Step::Begin,
-            Step::Insert("accounts", "dave", "50"),
+            insert("accounts", "dave", "50"),
             Step::Abort,
-            Step::Read("accounts", "dave"),
+            read("accounts", "dave"),
         ],
     );
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(committer.borrow().last().unwrap(), "committed");
     assert_eq!(
-        aborter.borrow().as_slice(),
+        steps(&aborter),
         &["began", "ok", "aborted", "value:<none>"],
         "dave's insert backed out"
     );
@@ -1235,7 +1119,7 @@ fn group_commit_window_batches_monitor_forces() {
             n,
             i as u8,
             catalog.clone(),
-            vec![Step::Begin, Step::Insert("accounts", key, "1"), Step::End],
+            vec![Step::Begin, insert("accounts", key, "1"), Step::End],
         ));
     }
     w.run_for(SimDuration::from_secs(5));
@@ -1264,7 +1148,7 @@ fn retransmitted_repark_counts_one_lock_wait() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "acct", "100"),
+            insert("accounts", "acct", "100"),
             Step::Pause(SimDuration::from_millis(600)),
             Step::End,
         ],
@@ -1278,8 +1162,8 @@ fn retransmitted_repark_counts_one_lock_wait() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::ReadLock("accounts", "acct"),
-            Step::Update("accounts", "acct", "200"),
+            read_lock("accounts", "acct"),
+            update("accounts", "acct", "200"),
             Step::End,
         ],
     );
@@ -1294,7 +1178,7 @@ fn retransmitted_repark_counts_one_lock_wait() {
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(log1.borrow().last().unwrap(), "committed");
     assert_eq!(
-        log2.borrow().as_slice(),
+        steps(&log2),
         &["began", "value:100", "ok", "committed"],
         "T2 got the lock after T1 released it"
     );
@@ -1321,7 +1205,7 @@ fn readonly_snapshot_commits_without_forces_and_is_not_blocked_by_writer() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "alice", "100"),
+            insert("accounts", "alice", "100"),
             Step::End,
         ],
     );
@@ -1337,8 +1221,8 @@ fn readonly_snapshot_commits_without_forces_and_is_not_blocked_by_writer() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::ReadLock("accounts", "alice"),
-            Step::Update("accounts", "alice", "150"),
+            read_lock("accounts", "alice"),
+            update("accounts", "alice", "150"),
             Step::Pause(SimDuration::from_secs(2)),
             Step::End,
         ],
@@ -1354,14 +1238,14 @@ fn readonly_snapshot_commits_without_forces_and_is_not_blocked_by_writer() {
         vec![
             Step::Pause(SimDuration::from_millis(500)),
             Step::Begin,
-            Step::Read("accounts", "alice"),
+            read("accounts", "alice"),
             Step::End,
         ],
     );
     w.run_for(SimDuration::from_secs(1));
     // the writer is still mid-pause, yet the reader has already committed
     assert_eq!(
-        reader.borrow().as_slice(),
+        steps(&reader),
         &["began", "value:100", "committed"]
     );
     assert_eq!(w.metrics().get("tmf.readonly_commits"), 1);
@@ -1387,7 +1271,7 @@ fn locked_readonly_readers_share_the_lock() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "bob", "500"),
+            insert("accounts", "bob", "500"),
             Step::End,
         ],
     );
@@ -1404,7 +1288,7 @@ fn locked_readonly_readers_share_the_lock() {
         ro,
         vec![
             Step::Begin,
-            Step::Read("accounts", "bob"),
+            read("accounts", "bob"),
             Step::Pause(SimDuration::from_secs(1)),
             Step::End,
         ],
@@ -1417,15 +1301,15 @@ fn locked_readonly_readers_share_the_lock() {
         ro,
         vec![
             Step::Begin,
-            Step::Read("accounts", "bob"),
+            read("accounts", "bob"),
             Step::Pause(SimDuration::from_secs(1)),
             Step::End,
         ],
     );
     w.run_for(SimDuration::from_millis(500));
     // both reads completed while both transactions are still open
-    assert_eq!(ra.borrow().as_slice(), &["began", "value:500"]);
-    assert_eq!(rb.borrow().as_slice(), &["began", "value:500"]);
+    assert_eq!(steps(&ra), &["began", "value:500"]);
+    assert_eq!(steps(&rb), &["began", "value:500"]);
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(ra.borrow().last().unwrap(), "committed");
     assert_eq!(rb.borrow().last().unwrap(), "committed");
@@ -1442,7 +1326,7 @@ fn locked_readonly_reader_blocks_writer_until_end() {
         catalog.clone(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "carol", "7"),
+            insert("accounts", "carol", "7"),
             Step::End,
         ],
     );
@@ -1458,7 +1342,7 @@ fn locked_readonly_reader_blocks_writer_until_end() {
         SessionOptions::new().read_only().locked_reads(),
         vec![
             Step::Begin,
-            Step::Read("accounts", "carol"),
+            read("accounts", "carol"),
             Step::Pause(SimDuration::from_millis(400)),
             Step::End,
         ],
@@ -1472,15 +1356,15 @@ fn locked_readonly_reader_blocks_writer_until_end() {
         vec![
             Step::Pause(SimDuration::from_millis(100)),
             Step::Begin,
-            Step::ReadLock("accounts", "carol"),
-            Step::Update("accounts", "carol", "8"),
+            read_lock("accounts", "carol"),
+            update("accounts", "carol", "8"),
             Step::End,
         ],
     );
     w.run_for(SimDuration::from_millis(300));
-    assert_eq!(reader.borrow().as_slice(), &["began", "value:7"]);
+    assert_eq!(steps(&reader), &["began", "value:7"]);
     // the writer is queued behind the shared lock: begun, nothing more
-    assert_eq!(writer.borrow().as_slice(), &["began"]);
+    assert_eq!(steps(&writer), &["began"]);
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(reader.borrow().last().unwrap(), "committed");
     assert_eq!(writer.borrow().last().unwrap(), "committed");
@@ -1498,16 +1382,16 @@ fn write_under_readonly_session_is_refused_synchronously() {
         SessionOptions::new().read_only(),
         vec![
             Step::Begin,
-            Step::Insert("accounts", "eve", "1"),
+            insert("accounts", "eve", "1"),
             // the violation doesn't kill the transaction: a read still
             // works and END still commits (read-only, no forces)
-            Step::Read("accounts", "eve"),
+            read("accounts", "eve"),
             Step::End,
         ],
     );
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(
-        log.borrow().as_slice(),
+        steps(&log),
         &["began", "failed", "value:<none>", "committed"]
     );
     assert_eq!(w.metrics().get("tmf.readonly_violations"), 1);
@@ -1518,7 +1402,7 @@ fn write_under_readonly_session_is_refused_synchronously() {
         n,
         1,
         catalog,
-        vec![Step::Read("accounts", "eve")],
+        vec![read("accounts", "eve")],
     );
     w.run_for(SimDuration::from_secs(2));
     assert_eq!(check.borrow().as_slice(), &["value:<none>"]);

@@ -242,8 +242,6 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
                 server_cpus: (0..cpus).collect(),
                 min_servers: params.servers_min,
                 max_servers: params.servers_max,
-                spawn_backlog: 2,
-                shrink_interval: SimDuration::from_secs(5),
                 lock_wait: params.lock_wait,
             },
             app.catalog.clone(),
@@ -351,8 +349,6 @@ pub fn launch_mfg_app(params: MfgAppParams) -> AppHandles {
                 server_cpus: (0..params.cpus_per_node).collect(),
                 min_servers: 2,
                 max_servers: 6,
-                spawn_backlog: 2,
-                shrink_interval: SimDuration::from_secs(5),
                 lock_wait: SimDuration::from_millis(500),
             },
             app.catalog.clone(),
@@ -374,7 +370,6 @@ pub fn launch_mfg_app(params: MfgAppParams) -> AppHandles {
             app.catalog.clone(),
             SuspenseMonitorConfig {
                 poll: params.suspense_poll,
-                batch: 64,
             },
         );
     }
@@ -502,8 +497,6 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
                 server_cpus: (0..params.cpus_per_node).collect(),
                 min_servers: params.servers_min,
                 max_servers: params.servers_max,
-                spawn_backlog: 2,
-                shrink_interval: SimDuration::from_secs(5),
                 lock_wait: params.lock_wait,
             },
             app.catalog.clone(),
@@ -552,7 +545,6 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             app.catalog.clone(),
             SuspenseMonitorConfig {
                 poll: params.suspense_poll,
-                batch: 64,
             },
         );
     }

@@ -28,6 +28,10 @@ use std::rc::Rc;
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
 
 const TAG_SHRINK: u64 = 1;
+/// Spawn another server when the backlog exceeds this.
+const SPAWN_BACKLOG: usize = 2;
+/// How often to consider deleting idle servers above the minimum.
+const SHRINK_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// The service name the queue of server class `class` registers.
 pub fn server_class_service(class: &str) -> Name {
@@ -43,10 +47,6 @@ pub struct ServerClassConfig {
     pub server_cpus: Vec<u8>,
     pub min_servers: usize,
     pub max_servers: usize,
-    /// Spawn another server when the backlog exceeds this.
-    pub spawn_backlog: usize,
-    /// How often to consider deleting idle servers above the minimum.
-    pub shrink_interval: SimDuration,
     /// Lock-wait (deadlock timeout) for the servers' data-base requests.
     pub lock_wait: SimDuration,
 }
@@ -58,8 +58,6 @@ impl Default for ServerClassConfig {
             server_cpus: vec![0, 1],
             min_servers: 1,
             max_servers: 8,
-            spawn_backlog: 2,
-            shrink_interval: SimDuration::from_secs(5),
             lock_wait: SimDuration::from_millis(500),
         }
     }
@@ -141,8 +139,7 @@ impl ServerClassQueue {
             self.busy.push(server);
         }
         // dynamic creation under backlog pressure
-        while self.backlog.len() > self.cfg.spawn_backlog
-            && self.server_count() < self.cfg.max_servers
+        while self.backlog.len() > SPAWN_BACKLOG && self.server_count() < self.cfg.max_servers
         {
             let before = self.server_count();
             self.spawn_server(ctx);
@@ -161,6 +158,7 @@ impl PairApp for ServerClassQueue {
     /// Reconstructible by design: there is nothing to mirror, so no
     /// delta can be built.
     type Delta = Infallible;
+    type Snapshot = ();
 
     fn service_name(&self) -> Name {
         self.service.clone()
@@ -177,7 +175,7 @@ impl PairApp for ServerClassQueue {
                 self.spawn_server(ctx);
             }
         }
-        ctx.set_timer(self.cfg.shrink_interval, TAG_SHRINK);
+        ctx.set_timer(SHRINK_INTERVAL, TAG_SHRINK);
     }
 
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, src: Pid, payload: Payload) {
@@ -210,7 +208,7 @@ impl PairApp for ServerClassQueue {
                     ctx.count("appmon.servers_deleted", 1);
                 }
             }
-            ctx.set_timer(self.cfg.shrink_interval, TAG_SHRINK);
+            ctx.set_timer(SHRINK_INTERVAL, TAG_SHRINK);
         }
     }
 
@@ -254,11 +252,9 @@ impl PairApp for ServerClassQueue {
         match delta {}
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new(())
-    }
+    fn snapshot(&self) {}
 
-    fn restore(&mut self, _snapshot: Payload, _cp: &Checkpointed) {}
+    fn restore(&mut self, _snapshot: (), _cp: &Checkpointed) {}
 }
 
 /// Spawn a server-class queue pair (and its initial servers) on `node`.

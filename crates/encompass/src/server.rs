@@ -88,7 +88,7 @@ impl ServerProcess {
     fn run_step(&mut self, ctx: &mut Ctx<'_>, step: ServerStep) {
         match step {
             ServerStep::Db(op) => {
-                if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
+                if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
                     // synchronous refusal (a write under a read-only
                     // transaction): a server-logic bug, not a transient —
                     // restarting would loop forever
@@ -144,8 +144,8 @@ impl Process for ServerProcess {
                         self.finish(ctx, AppReply::restart());
                     }
                     SessionEvent::Began { .. }
-                    | SessionEvent::Committed { .. }
-                    | SessionEvent::Aborted { .. } => {}
+                    | SessionEvent::Committed
+                    | SessionEvent::Aborted => {}
                 }
                 return;
             }

@@ -99,10 +99,6 @@ pub struct TermDelta {
     open: Option<Transid>,
 }
 
-struct TcpSnapshot {
-    terms: Vec<TermDelta>,
-}
-
 /// The Terminal Control Process application.
 pub struct TerminalControlProcess {
     cfg: TcpConfig,
@@ -180,7 +176,7 @@ impl TerminalControlProcess {
                     return;
                 }
                 t.state = TermState::AwaitBegin;
-                t.session.begin(ctx, options, idx as u64);
+                t.session.begin(ctx, options);
             }
             ScreenAction::Send {
                 node,
@@ -194,7 +190,7 @@ impl TerminalControlProcess {
                     // before the first transmission of the transid to the
                     // destination node
                     t.pending_send = Some((dest, class, request));
-                    t.session.ensure_remote(ctx, dest, idx as u64);
+                    t.session.ensure_remote(ctx, dest);
                     return;
                 }
                 self.do_send(ctx, idx, dest, &class, request);
@@ -208,7 +204,7 @@ impl TerminalControlProcess {
                     return;
                 }
                 t.state = TermState::AwaitEnd;
-                t.session.end(ctx, idx as u64);
+                t.session.end(ctx);
             }
             ScreenAction::Abort => {
                 if t.session.transid().is_none() {
@@ -217,7 +213,7 @@ impl TerminalControlProcess {
                     return;
                 }
                 t.state = TermState::AwaitAbortFinal;
-                t.session.abort(ctx, AbortReason::Voluntary, idx as u64);
+                t.session.abort(ctx, AbortReason::Voluntary);
             }
             ScreenAction::Restart => {
                 self.restart_transaction(ctx, idx);
@@ -278,7 +274,7 @@ impl TerminalControlProcess {
         if t.session.transid().is_some() {
             t.state = TermState::AwaitAbortRestart;
             if !t.session.busy() {
-                t.session.abort(ctx, AbortReason::Restart, idx as u64);
+                t.session.abort(ctx, AbortReason::Restart);
             }
             // if the session is busy, the in-flight op's completion (or
             // failure) arrives first; the state machine aborts then
@@ -326,7 +322,7 @@ impl TerminalControlProcess {
                 self.checkpoint_terminal(ctx, idx);
                 self.drive(ctx, idx, ScreenInput::Began);
             }
-            SessionEvent::Committed { .. } => {
+            SessionEvent::Committed => {
                 let t = &mut self.terminals[idx];
                 t.committed += 1;
                 t.restart_count = 0;
@@ -334,7 +330,7 @@ impl TerminalControlProcess {
                 self.checkpoint_terminal(ctx, idx);
                 self.drive(ctx, idx, ScreenInput::Committed);
             }
-            SessionEvent::Aborted { .. } => {
+            SessionEvent::Aborted => {
                 if self.terminals[idx].state == TermState::AwaitAbortFinal {
                     let t = &mut self.terminals[idx];
                     t.aborted += 1;
@@ -383,6 +379,8 @@ impl TerminalControlProcess {
 
 impl PairApp for TerminalControlProcess {
     type Delta = TermDelta;
+    /// Every terminal's delta.
+    type Snapshot = Vec<TermDelta>;
 
     fn service_name(&self) -> Name {
         self.cfg.name.clone()
@@ -499,27 +497,23 @@ impl PairApp for TerminalControlProcess {
         }
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new(TcpSnapshot {
-            terms: self
-                .terminals
-                .iter()
-                .enumerate()
-                .map(|(idx, t)| TermDelta {
-                    idx,
-                    committed: t.committed,
-                    aborted: t.aborted,
-                    restart_count: t.restart_count,
-                    finished: t.state == TermState::Finished,
-                    open: self.mirror_open.get(idx).copied().flatten(),
-                })
-                .collect(),
-        })
+    fn snapshot(&self) -> Vec<TermDelta> {
+        self.terminals
+            .iter()
+            .enumerate()
+            .map(|(idx, t)| TermDelta {
+                idx,
+                committed: t.committed,
+                aborted: t.aborted,
+                restart_count: t.restart_count,
+                finished: t.state == TermState::Finished,
+                open: self.mirror_open.get(idx).copied().flatten(),
+            })
+            .collect()
     }
 
-    fn restore(&mut self, snapshot: Payload, cp: &Checkpointed) {
-        let s = snapshot.expect::<TcpSnapshot>();
-        for d in s.terms {
+    fn restore(&mut self, snapshot: Vec<TermDelta>, cp: &Checkpointed) {
+        for d in snapshot {
             let open = d.open;
             let idx = d.idx;
             self.apply_checkpoint(d, cp);

@@ -112,7 +112,7 @@ impl OneShot {
 impl Process for OneShot {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.state = 1;
-        self.session.begin(ctx, SessionOptions::default(), 0);
+        self.session.begin(ctx, SessionOptions::default());
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         let payload = match self.session.accept(ctx, payload) {
@@ -135,10 +135,10 @@ impl Process for OneShot {
                             (),
                         );
                     }
-                    (3, SessionEvent::Committed { .. }) => {
+                    (3, SessionEvent::Committed) => {
                         *self.result.borrow_mut() = Some(true);
                     }
-                    (_, SessionEvent::Aborted { .. }) | (_, SessionEvent::Failed { .. }) => {
+                    (_, SessionEvent::Aborted) | (_, SessionEvent::Failed { .. }) => {
                         *self.result.borrow_mut() = Some(false);
                     }
                     _ => {}
@@ -152,11 +152,11 @@ impl Process for OneShot {
             if self.state == 2 {
                 if c.body.ok {
                     self.state = 3;
-                    self.session.end(ctx, 0);
+                    self.session.end(ctx);
                 } else {
                     self.state = 4;
                     self.session
-                        .abort(ctx, tmf::state::AbortReason::Voluntary, 0);
+                        .abort(ctx, tmf::state::AbortReason::Voluntary);
                 }
             }
         }
@@ -164,7 +164,7 @@ impl Process for OneShot {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
         if let Some(ev) = self.session.on_timer(ctx, tag) {
             use tmf::session::SessionEvent;
-            if matches!(ev, SessionEvent::Failed { .. } | SessionEvent::Aborted { .. }) {
+            if matches!(ev, SessionEvent::Failed { .. } | SessionEvent::Aborted) {
                 *self.result.borrow_mut() = Some(false);
             }
             return;
@@ -173,7 +173,7 @@ impl Process for OneShot {
             if self.session.transid().is_some() && !self.session.busy() {
                 self.state = 4;
                 self.session
-                    .abort(ctx, tmf::state::AbortReason::NetworkPartition, 0);
+                    .abort(ctx, tmf::state::AbortReason::NetworkPartition);
             }
         }
     }

@@ -18,6 +18,9 @@
 //!   retries, caller is told of failure) and *safe delivery* (retried
 //!   until deliverable). [`ask`] is the one-shot client every probe and
 //!   operator command is: one persistent request, keep the reply, exit.
+//!   [`Served`] is the serving half: a retried request is answered from
+//!   memory instead of run twice, and a request admitted but not yet
+//!   answered is an [`Owed`] held by whatever record it parked in.
 //! * **An operator process** ([`operator`]): subscribes to hardware events
 //!   and tallies them, standing in for the paper's console-printing
 //!   operator pair.
@@ -29,5 +32,6 @@ pub mod rpc;
 pub use operator::OperatorProcess;
 pub use pair::{spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{
-    ask, reply, Completion, ReplyCache, Request, Rpc, RpcReply, Target, TimerOutcome, RPC_TAG_BASE,
+    ask, reply, Admitted, Completion, Owed, Request, Rpc, RpcReply, Served, Target, TimerOutcome,
+    RPC_TAG_BASE,
 };

@@ -58,12 +58,13 @@ impl Checkpointed {
     }
 }
 
-/// Internal pair-coordination messages.
-enum PairMsg {
+/// Internal pair-coordination messages; `S` is the app's
+/// [`PairApp::Snapshot`].
+enum PairMsg<S> {
     /// A new backup announces itself to the primary.
     BackupHello,
     /// Full application state, sent to a (re)created backup.
-    Snapshot(Payload),
+    Snapshot(S),
 }
 
 /// The envelope of an incremental state delta: the one box a checkpoint
@@ -76,6 +77,10 @@ struct Checkpoint<D>(D);
 pub trait PairApp: 'static {
     /// The incremental state delta the primary checkpoints to the backup.
     type Delta: Send + 'static;
+
+    /// The full state a (re)created backup starts from; `()` for a pair
+    /// that replicates nothing.
+    type Snapshot: Send + 'static;
 
     /// The service name the pair registers (e.g. `"$DATA1"`, `"$TMP"`).
     fn service_name(&self) -> Name;
@@ -105,11 +110,11 @@ pub trait PairApp: 'static {
     fn apply_checkpoint(&mut self, delta: Self::Delta, cp: &Checkpointed);
 
     /// Produce the full state for initializing a fresh backup.
-    fn snapshot(&self) -> Payload;
+    fn snapshot(&self) -> Self::Snapshot;
 
     /// Replace state from a snapshot (backup only). A snapshot only ever
     /// holds checkpoint-covered state, which is what `cp` witnesses.
-    fn restore(&mut self, snapshot: Payload, cp: &Checkpointed);
+    fn restore(&mut self, snapshot: Self::Snapshot, cp: &Checkpointed);
 
     /// Extra system events (link failures etc.), primary only.
     fn on_system(&mut self, _ctx: &mut PairCtx<'_, '_, Self::Delta>, _ev: SystemEvent) {}
@@ -195,7 +200,7 @@ impl<A: PairApp> Process for PairProcess<A> {
             }
             Role::Backup => {
                 if let Some(primary) = self.peer {
-                    let _ = ctx.send(primary, Payload::new(PairMsg::BackupHello));
+                    let _ = ctx.send(primary, Payload::new(PairMsg::<A::Snapshot>::BackupHello));
                 }
             }
         }
@@ -209,7 +214,7 @@ impl<A: PairApp> Process for PairProcess<A> {
             }
             Err(other) => other,
         };
-        let payload = match payload.downcast::<PairMsg>() {
+        let payload = match payload.downcast::<PairMsg<A::Snapshot>>() {
             Ok(PairMsg::BackupHello) => {
                 // a backup (re)announced itself: adopt it and sync it
                 self.peer = Some(src);
@@ -374,7 +379,7 @@ pub fn spawn_pair<A: PairApp>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::{reply, ReplyCache, Request, Rpc, Target, TimerOutcome};
+    use crate::rpc::{Admitted, Rpc, Served, Target, TimerOutcome};
     use encompass_sim::{Fault, SimConfig, SimDuration, World};
     use std::cell::RefCell;
     use std::rc::Rc as StdRc;
@@ -383,7 +388,7 @@ mod tests {
     struct Counter {
         name: Name,
         value: u64,
-        applied: ReplyCache<u64>,
+        applied: Served<u64>,
     }
 
     #[derive(Clone)]
@@ -394,7 +399,7 @@ mod tests {
             Counter {
                 name: Name::new(name),
                 value: 0,
-                applied: ReplyCache::new(1024),
+                applied: Served::new(1024),
             }
         }
     }
@@ -402,6 +407,7 @@ mod tests {
     impl PairApp for Counter {
         /// An applied request: `(request id, amount added)`.
         type Delta = (u64, u64);
+        type Snapshot = u64;
 
         fn service_name(&self) -> Name {
             self.name.clone()
@@ -412,31 +418,25 @@ mod tests {
             _src: Pid,
             payload: Payload,
         ) {
-            let req = payload.expect::<Request<Add>>();
-            // dedup retried requests so at-least-once delivery stays exactly-once
-            let value = if let Some(v) = self.applied.check(req.id) {
-                v
-            } else {
-                self.value += req.body.0;
-                self.applied.store(req.id, self.value);
+            // retried requests are replayed from memory, so at-least-once
+            // delivery stays exactly-once
+            if let Admitted::Fresh(owed, Add(n)) = self.applied.admit(ctx, payload) {
+                self.value += n;
                 // checkpoint the *applied request*, not the raw value, so a
                 // backup can dedup retries that arrive after takeover too
-                ctx.checkpoint((req.id, req.body.0));
-                self.value
-            };
-            reply(ctx, req.id, req.from, value);
-        }
-        fn apply_checkpoint(&mut self, (id, add): (u64, u64), _cp: &Checkpointed) {
-            if self.applied.check(id).is_none() {
-                self.value += add;
-                self.applied.store(id, self.value);
+                ctx.checkpoint((owed.id(), n));
+                self.applied.answer(ctx, owed, self.value);
             }
         }
-        fn snapshot(&self) -> Payload {
-            Payload::new(self.value)
+        fn apply_checkpoint(&mut self, (id, add): (u64, u64), _cp: &Checkpointed) {
+            self.value += add;
+            self.applied.record(id, self.value);
         }
-        fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
-            self.value = snapshot.expect::<u64>();
+        fn snapshot(&self) -> u64 {
+            self.value
+        }
+        fn restore(&mut self, snapshot: u64, _cp: &Checkpointed) {
+            self.value = snapshot;
         }
     }
 

@@ -16,12 +16,14 @@
 //!   phase-two and backout notifications behave.
 //!
 //! Retransmission implies at-least-once delivery; receivers that are not
-//! naturally idempotent deduplicate with a [`ReplyCache`].
+//! naturally idempotent answer through a [`Served`] table, which replays
+//! the remembered reply instead of running a request twice.
 
 use encompass_sim::{
-    Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SendError, SimDuration, TimerId, World,
+    Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId, World,
 };
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 /// Timer tags at or above this value are reserved for `Rpc`; processes must
@@ -113,11 +115,11 @@ pub struct Completion<R, K = ()> {
 /// Every call carries a **continuation** `K`: what the call is for and
 /// whom to answer when it ends. It is stored inline with the pending
 /// request and handed back exactly once — by [`Rpc::accept`] on
-/// completion, by [`TimerOutcome::Expired`] on expiry, or by
-/// [`Rpc::cancel`] — so the caller keeps no `rpc id → why` map of its own
-/// (DESIGN.md §D16). A call that fails at send time drops its `K`; the
-/// caller still holds whatever it built it from. Callers with a single
-/// kind of call use `K = ()`.
+/// completion, by [`TimerOutcome::Expired`] on expiry, by [`Rpc::cancel`],
+/// or by [`Rpc::call`] itself when the send fails — so the caller keeps no
+/// `rpc id → why` map of its own (DESIGN.md §D16), and a continuation may
+/// own what cannot be copied (the [`Owed`] of the request the call
+/// serves). Callers with a single kind of call use `K = ()`.
 ///
 /// Owning process responsibilities:
 /// * forward unknown timer tags `>= RPC_TAG_BASE` to [`Rpc::on_timer`];
@@ -158,7 +160,8 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
     }
 
     /// Issue a request with a bounded retry budget (critical-response
-    /// style). Fails fast if the target is dead or unreachable *now*.
+    /// style). Fails fast, giving `then` back, if the target is dead or
+    /// unreachable *now*.
     pub fn call(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -167,17 +170,19 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         timeout: SimDuration,
         retries: u32,
         then: K,
-    ) -> Result<u64, SendError> {
+    ) -> Result<u64, K> {
         let id = self.fresh_id(ctx);
-        let dst = target.resolve(ctx).ok_or(SendError::UnknownName)?;
-        ctx.send(
-            dst,
-            Payload::new(Request {
-                id,
-                from: ctx.pid(),
-                body: body.clone(),
-            }),
-        )?;
+        let Some(dst) = target.resolve(ctx) else {
+            return Err(then);
+        };
+        let request = Request {
+            id,
+            from: ctx.pid(),
+            body: body.clone(),
+        };
+        if ctx.send(dst, Payload::new(request)).is_err() {
+            return Err(then);
+        }
         let timer = ctx.set_timer(timeout, RPC_TAG_BASE + id);
         self.pending.insert(
             id,
@@ -370,64 +375,179 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
     }
 }
 
-/// Bounded memory of recent replies, for deduplicating retried requests on
-/// the server side. `check` before executing; `store` after replying.
-pub struct ReplyCache<R> {
-    capacity: usize,
-    order: std::collections::VecDeque<u64>,
-    replies: DetHashMap<u64, R>,
+/// A request a server admitted and has not answered yet: its id and the
+/// process its one reply goes to. Only [`Served::admit`] mints one and only
+/// [`Served::answer`], [`Served::answer_uncached`] and [`Served::forget`]
+/// consume it, so the record a request parks in holds its `Owed`, and the
+/// request is *in progress* exactly while that record exists (DESIGN.md
+/// §D20). It cannot be copied, built by hand, or answered twice:
+///
+/// ```compile_fail
+/// fn both(owed: guardian::Owed) -> (guardian::Owed, guardian::Owed) {
+///     let copy = owed.clone();
+///     (owed, copy)
+/// }
+/// ```
+/// ```compile_fail
+/// fn forge(to: encompass_sim::Pid) -> guardian::Owed {
+///     guardian::Owed { id: 7, to }
+/// }
+/// ```
+/// ```compile_fail
+/// use guardian::{Owed, Served};
+/// fn twice(s: &mut Served<u32>, ctx: &mut encompass_sim::Ctx<'_>, owed: Owed) {
+///     s.answer(ctx, owed, 1);
+///     s.answer(ctx, owed, 2);
+/// }
+/// ```
+#[derive(Debug)]
+#[must_use = "an admitted request stays pending until its Owed is answered or forgotten"]
+pub struct Owed {
+    id: u64,
+    to: Pid,
 }
 
-impl<R: Clone> ReplyCache<R> {
-    pub fn new(capacity: usize) -> ReplyCache<R> {
-        ReplyCache {
+impl Owed {
+    /// The id of the request this answers.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
+/// What [`Served::admit`] made of an incoming payload.
+pub enum Admitted<M> {
+    /// Not a `Request<M>`: the payload, untouched.
+    NotARequest(Payload),
+    /// Already answered; the remembered reply was sent again.
+    Replayed,
+    /// A retransmission of a request still pending. The record it parked
+    /// in answers it, so most servers drop this, token and all; one that
+    /// re-drives work on a retransmission handles it again (a second
+    /// answer to an id re-sends the reply and keeps its place in memory).
+    Duplicate(Owed, M),
+    /// Not seen before, or so long ago that its reply was evicted: now
+    /// pending.
+    Fresh(Owed, M),
+}
+
+enum Slot<R> {
+    Pending,
+    Answered(R),
+}
+
+/// The serving side of request/reply: one table per server whose entry
+/// for a request id is *pending* (admitted, not yet answered) or
+/// *answered* (the reply, kept to replay to retransmissions). At most
+/// `capacity` answers are kept, the oldest evicted first. A pair's backup
+/// learns answers through [`Served::record`] and [`Served::restore`] and
+/// never holds a pending entry, so a takeover has none to discard.
+pub struct Served<R> {
+    capacity: usize,
+    /// The answered ids, oldest first.
+    ring: std::collections::VecDeque<u64>,
+    table: DetHashMap<u64, Slot<R>>,
+}
+
+impl<R: Clone + Send + 'static> Served<R> {
+    pub fn new(capacity: usize) -> Served<R> {
+        Served {
             capacity: capacity.max(1),
-            order: std::collections::VecDeque::new(),
-            replies: DetHashMap::default(),
+            ring: std::collections::VecDeque::new(),
+            table: DetHashMap::default(),
         }
     }
 
-    /// If this request id was already answered, return the cached reply.
-    pub fn check(&self, id: u64) -> Option<R> {
-        self.replies.get(&id).cloned()
-    }
-
-    /// Remember the reply sent for `id`.
-    pub fn store(&mut self, id: u64, reply: R) {
-        if self.replies.insert(id, reply).is_none() {
-            self.order.push_back(id);
-            if self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.replies.remove(&old);
+    /// Offer an incoming payload: see [`Admitted`].
+    pub fn admit<M: Send + 'static>(&mut self, ctx: &mut Ctx<'_>, payload: Payload) -> Admitted<M> {
+        let req = match payload.downcast::<Request<M>>() {
+            Ok(req) => req,
+            Err(other) => return Admitted::NotARequest(other),
+        };
+        let owed = Owed {
+            id: req.id,
+            to: req.from,
+        };
+        match self.table.entry(req.id) {
+            Entry::Occupied(slot) => match slot.get() {
+                Slot::Answered(cached) => {
+                    reply(ctx, owed.id, owed.to, cached.clone());
+                    Admitted::Replayed
                 }
+                Slot::Pending => Admitted::Duplicate(owed, req.body),
+            },
+            Entry::Vacant(slot) => {
+                slot.insert(Slot::Pending);
+                Admitted::Fresh(owed, req.body)
             }
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.replies.len()
+    /// Remember `body` as the answer and send it.
+    pub fn answer(&mut self, ctx: &mut Ctx<'_>, owed: Owed, body: R) {
+        self.record(owed.id, body.clone());
+        reply(ctx, owed.id, owed.to, body);
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.replies.is_empty()
+    /// Send `body` without remembering it: for idempotent queries, which a
+    /// retransmission simply runs again.
+    pub fn answer_uncached(&mut self, ctx: &mut Ctx<'_>, owed: Owed, body: R) {
+        reply(ctx, owed.id, owed.to, body);
+        self.forget(owed);
     }
 
-    /// All cached `(id, reply)` pairs in insertion order (for snapshotting
-    /// a process-pair's state).
-    pub fn entries(&self) -> Vec<(u64, R)> {
-        self.order
-            .iter()
-            .filter_map(|id| self.replies.get(id).map(|r| (*id, r.clone())))
-            .collect()
-    }
-
-    /// Rebuild a cache from `entries` (the inverse of [`Self::entries`]).
-    pub fn restore(capacity: usize, entries: Vec<(u64, R)>) -> ReplyCache<R> {
-        let mut c = ReplyCache::new(capacity);
-        for (id, r) in entries {
-            c.store(id, r);
+    /// Drop a request unanswered, on purpose: a retransmission is admitted
+    /// afresh.
+    pub fn forget(&mut self, owed: Owed) {
+        if let Entry::Occupied(slot) = self.table.entry(owed.id) {
+            if matches!(slot.get(), Slot::Pending) {
+                slot.remove();
+            }
         }
-        c
+    }
+
+    /// Remember that `id` was answered with `body` (a backup applying its
+    /// primary's checkpoint). An id already answered keeps its place in
+    /// the eviction order.
+    pub fn record(&mut self, id: u64, body: R) {
+        if let Some(Slot::Answered(_)) = self.table.insert(id, Slot::Answered(body)) {
+            return;
+        }
+        self.ring.push_back(id);
+        if self.ring.len() > self.capacity {
+            if let Some(old) = self.ring.pop_front() {
+                self.table.remove(&old);
+            }
+        }
+    }
+
+    /// Requests admitted and not yet answered.
+    pub fn pending(&self) -> usize {
+        self.table.len() - self.ring.len()
+    }
+
+    /// Remembered replies (at most the capacity).
+    pub fn answered(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// The remembered `(id, reply)` pairs, oldest first (for a pair's
+    /// snapshot).
+    pub fn entries(&self) -> Vec<(u64, R)> {
+        let answer = |id: &u64| match self.table.get(id)? {
+            Slot::Answered(r) => Some((*id, r.clone())),
+            Slot::Pending => None,
+        };
+        self.ring.iter().filter_map(answer).collect()
+    }
+
+    /// Replace everything held with `entries` (the inverse of
+    /// [`Self::entries`]).
+    pub fn restore(&mut self, entries: Vec<(u64, R)>) {
+        self.ring.clear();
+        self.table.clear();
+        for (id, r) in entries {
+            self.record(id, r);
+        }
     }
 }
 
@@ -679,24 +799,6 @@ mod tests {
             Some(Pong(2)),
             "delivered after the partition healed"
         );
-    }
-
-    #[test]
-    fn reply_cache_dedups_and_evicts() {
-        let mut c: ReplyCache<u32> = ReplyCache::new(2);
-        assert!(c.is_empty());
-        c.store(1, 10);
-        c.store(2, 20);
-        assert_eq!(c.check(1), Some(10));
-        c.store(3, 30); // evicts 1
-        assert_eq!(c.check(1), None);
-        assert_eq!(c.check(2), Some(20));
-        assert_eq!(c.check(3), Some(30));
-        assert_eq!(c.len(), 2);
-        // re-storing an existing id does not grow the cache
-        c.store(3, 31);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.check(3), Some(31));
     }
 
     #[test]

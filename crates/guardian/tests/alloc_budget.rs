@@ -1,15 +1,21 @@
-//! Allocation budget of the rpc layer: a reply this `Rpc` is not waiting
-//! for — stale, duplicate, or addressed to another `Rpc` of the same
-//! process — must be handed back as it came, not unboxed and re-boxed. A
-//! TCP offers every reply to each of its terminals' rpcs in turn, so a
-//! re-box here is paid once per terminal per reply.
+//! Allocation budget of the rpc layer.
+//!
+//! Calling side: a reply this `Rpc` is not waiting for — stale, duplicate,
+//! or addressed to another `Rpc` of the same process — must be handed back
+//! as it came, not unboxed and re-boxed. A TCP offers every reply to each
+//! of its terminals' rpcs in turn, so a re-box here is paid once per
+//! terminal per reply.
+//!
+//! Serving side: admitting a request and answering it in the same event
+//! costs the reply message and nothing else — the `Served` table keeps no
+//! per-request record besides its own entry.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_sim::{Ctx, Payload, Pid, Process, SimConfig, SimDuration, World};
-use guardian::{Rpc, RpcReply, Target};
+use guardian::{Admitted, Request, Rpc, RpcReply, Served, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -122,4 +128,51 @@ fn a_reply_that_is_not_pending_is_handed_back_unboxed() {
     );
     assert!(offers[2].completed, "the pending reply still completes");
     assert_eq!(offers.len(), 3);
+}
+
+/// Answers every request at once, measuring each admit + answer.
+struct Server {
+    served: Served<u32>,
+    costs: Rc<RefCell<Vec<u64>>>,
+}
+
+impl Process for Server {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let (allocations, ()) = allocations_in(|| {
+            if let Admitted::Fresh(owed, n) = self.served.admit::<u32>(ctx, payload) {
+                self.served.answer(ctx, owed, n + 1);
+            }
+        });
+        self.costs.borrow_mut().push(allocations);
+    }
+}
+
+#[test]
+fn admitting_and_answering_a_request_allocates_only_the_reply() {
+    let mut w = World::new(SimConfig::default());
+    let n = w.add_node(2);
+    let client = w.spawn(n, 0, Box::new(Sink));
+    let costs = Rc::new(RefCell::new(Vec::new()));
+    // a small table, so the warm-up below fills it and every later
+    // request evicts one reply: table and ring stay the size they are
+    let server = w.spawn(
+        n,
+        1,
+        Box::new(Server {
+            served: Served::new(8),
+            costs: costs.clone(),
+        }),
+    );
+    for id in 0..64u64 {
+        let request = Request { id, from: client, body: 7u32 };
+        w.send_external(server, Payload::new(request));
+        w.run_for(SimDuration::from_millis(1));
+    }
+    let costs = costs.borrow();
+    assert_eq!(costs.len(), 64);
+    assert!(
+        costs[32..].iter().all(|&c| c == 1),
+        "one allocation per request, the boxed reply: {:?}",
+        &costs[32..]
+    );
 }

@@ -40,23 +40,29 @@ use tmf::state::AbortReason;
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, SuspenseDelta>;
 
 const TAG_POLL: u64 = 1;
+/// `ReadRange` page size per scan.
+const SCAN_BATCH: usize = 64;
 
 /// Tuning of one suspense monitor pair.
 #[derive(Clone, Debug)]
 pub struct SuspenseMonitorConfig {
     /// Scan cadence while idle.
     pub poll: SimDuration,
-    /// `ReadRange` page size per scan.
-    pub batch: usize,
 }
 
 impl Default for SuspenseMonitorConfig {
     fn default() -> Self {
         SuspenseMonitorConfig {
             poll: SimDuration::from_millis(100),
-            batch: 64,
         }
     }
+}
+
+/// Full state for (re)initializing a backup: the drain progress.
+pub struct SuspenseSnapshot {
+    applied: u64,
+    retries: u64,
+    pending: u64,
 }
 
 #[derive(PartialEq, Debug, Clone, Copy)]
@@ -114,22 +120,20 @@ impl SuspenseMonitorApp {
 
     fn scan(&mut self, ctx: &mut PairCtx<'_, '_>) {
         self.state = MonState::Scanning;
-        let batch = self.cfg.batch;
         let _ = self.session.op(
             ctx,
             DbOp::ReadRange {
                 file: self.suspense_file.clone(),
                 low: num_key(0),
                 high: None,
-                limit: batch,
+                limit: SCAN_BATCH,
             },
-            0,
         );
     }
 
     fn abort_current(&mut self, ctx: &mut PairCtx<'_, '_>, reason: AbortReason) {
         self.state = MonState::Aborting;
-        self.session.abort(ctx, reason, 0);
+        self.session.abort(ctx, reason);
     }
 
     /// A retryable failure: back out if in transaction mode, else go idle.
@@ -150,7 +154,7 @@ impl SuspenseMonitorApp {
             file: replica.clone(),
             key: rec.key.clone(),
         };
-        if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
+        if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
             self.retry(ctx);
         }
     }
@@ -188,7 +192,7 @@ impl SuspenseMonitorApp {
                         ctx.count("suspense.picked", 1);
                         self.current = Some(work);
                         self.state = MonState::Beginning;
-                        self.session.begin(ctx, SessionOptions::default(), 0);
+                        self.session.begin(ctx, SessionOptions::default());
                     }
                     None => self.rearm(ctx),
                 }
@@ -200,7 +204,7 @@ impl SuspenseMonitorApp {
                 let my_node = ctx.node();
                 if self.session.needs_remote(my_node, dest) {
                     self.state = MonState::EnsuringRemote;
-                    self.session.ensure_remote(ctx, dest, 0);
+                    self.session.ensure_remote(ctx, dest);
                     return;
                 }
                 self.lock_replica(ctx);
@@ -227,7 +231,7 @@ impl SuspenseMonitorApp {
                             value: rec.value.clone(),
                         }
                     };
-                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
+                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
                         self.retry(ctx);
                     }
                 } else {
@@ -242,7 +246,7 @@ impl SuspenseMonitorApp {
                         file: self.suspense_file.clone(),
                         key: num_key(entry),
                     };
-                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
+                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
                         self.retry(ctx);
                     }
                 } else {
@@ -257,7 +261,7 @@ impl SuspenseMonitorApp {
                         file: self.suspense_file.clone(),
                         key: num_key(entry),
                     };
-                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op, 0) {
+                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
                         self.retry(ctx);
                     }
                 } else {
@@ -267,12 +271,12 @@ impl SuspenseMonitorApp {
             (MonState::Deleting, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Ok = reply {
                     self.state = MonState::Ending;
-                    self.session.end(ctx, 0);
+                    self.session.end(ctx);
                 } else {
                     self.retry(ctx);
                 }
             }
-            (MonState::Ending, SessionEvent::Committed { .. }) => {
+            (MonState::Ending, SessionEvent::Committed) => {
                 let (entry, rec, _) = self.current.take().expect("work chosen");
                 ctx.count("suspense.applied", 1);
                 self.applied += 1;
@@ -285,7 +289,7 @@ impl SuspenseMonitorApp {
                 self.state = MonState::Idle;
                 self.scan(ctx);
             }
-            (_, SessionEvent::Aborted { .. }) | (_, SessionEvent::Failed { .. }) => {
+            (_, SessionEvent::Aborted) | (_, SessionEvent::Failed { .. }) => {
                 self.retry(ctx);
             }
             _ => self.rearm(ctx),
@@ -295,6 +299,7 @@ impl SuspenseMonitorApp {
 
 impl PairApp for SuspenseMonitorApp {
     type Delta = SuspenseDelta;
+    type Snapshot = SuspenseSnapshot;
 
     fn service_name(&self) -> Name {
         Name::from_static(SUSPENSE_SERVICE)
@@ -372,16 +377,18 @@ impl PairApp for SuspenseMonitorApp {
         }
     }
 
-    fn snapshot(&self) -> Payload {
-        Payload::new((self.applied, self.retries, self.pending))
+    fn snapshot(&self) -> SuspenseSnapshot {
+        SuspenseSnapshot {
+            applied: self.applied,
+            retries: self.retries,
+            pending: self.pending,
+        }
     }
 
-    fn restore(&mut self, snapshot: Payload, _cp: &Checkpointed) {
-        if let Some(&(applied, retries, pending)) = snapshot.downcast_ref::<(u64, u64, u64)>() {
-            self.applied = applied;
-            self.retries = retries;
-            self.pending = pending;
-        }
+    fn restore(&mut self, s: SuspenseSnapshot, _cp: &Checkpointed) {
+        self.applied = s.applied;
+        self.retries = s.retries;
+        self.pending = s.pending;
     }
 }
 

@@ -27,8 +27,6 @@ pub struct SimConfig {
     /// Time for a rotating-media access (seek + latency); charged by the
     /// disc model per physical I/O.
     pub disc_access: SimDuration,
-    /// Additional transfer time per block of a physical disc I/O.
-    pub disc_transfer_per_block: SimDuration,
     /// How long after a CPU failure the remaining CPUs of the node learn of
     /// it (the "I'm alive" protocol period in real GUARDIAN).
     pub failure_detect_delay: SimDuration,
@@ -53,7 +51,6 @@ impl Default for SimConfig {
             net_hop_overhead: SimDuration::from_micros(500),
             jitter: SimDuration::ZERO,
             disc_access: SimDuration::from_micros(25_000),
-            disc_transfer_per_block: SimDuration::from_micros(500),
             failure_detect_delay: SimDuration::from_millis(5),
             trace_enabled: false,
             trace_capacity: 65_536,

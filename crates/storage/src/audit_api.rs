@@ -114,8 +114,11 @@ pub struct AuditStateReport {
     pub inflight_forces: usize,
     /// Fanned-out force requests awaiting partition acknowledgements.
     pub pending_forces: usize,
-    /// Entries in the reply cache.
+    /// Remembered replies (bounded by the reply table's capacity).
     pub reply_cache: usize,
+    /// Requests admitted and not yet answered: each is a fanned-out force,
+    /// so this equals `pending_forces`.
+    pub pending_requests: usize,
 }
 
 /// Replies from an AUDITPROCESS.
@@ -130,7 +133,7 @@ pub enum AuditReply {
     /// Purge complete; `files` trail files were dropped.
     Purged { files: u64 },
     /// Reply to `StateAudit`.
-    State(AuditStateReport),
+    State(Box<AuditStateReport>),
 }
 
 #[cfg(test)]

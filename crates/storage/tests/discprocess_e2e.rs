@@ -17,7 +17,7 @@ use encompass_storage::discprocess::{
 };
 use encompass_storage::locks::LockMode;
 use encompass_storage::media::{media_key, VolumeMedia};
-use encompass_storage::testkit::run_script;
+use encompass_storage::testkit::{run_script, Replies};
 use encompass_storage::types::{num_key, FileDef, PartitionSpec, Transid, VolumeRef};
 use encompass_storage::Catalog;
 use guardian::{Request, Target};
@@ -182,6 +182,84 @@ fn lock_conflict_waits_until_release() {
     );
     w.run_for(SimDuration::from_secs(2));
     assert_eq!(r2.borrow()[0], DiscReply::Value(Some(b("v1"))));
+}
+
+/// A request retransmitted while it is parked on a lock queue is not run
+/// again and not answered again: the parked record answers it, once, and
+/// from then on the volume owes nothing.
+#[test]
+fn request_retransmitted_while_parked_on_a_lock_is_answered_once() {
+    /// Keeps every reply it is sent.
+    struct Collector(Replies);
+    impl Process for Collector {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+            let reply = payload.expect::<guardian::RpcReply<DiscReply>>();
+            self.0.borrow_mut().push(reply.body);
+        }
+    }
+    let pending = |w: &mut World, n: NodeId, target: &Target| {
+        let r = run_script(w, n, 2, target.clone(), vec![DiscRequest::StateAudit]);
+        w.run_for(SimDuration::from_millis(10));
+        let report = state_of(r.borrow().first());
+        report.pending_requests
+    };
+
+    let node = NodeId(0);
+    let (mut w, n, target) = setup(basic_catalog(node));
+    let (t1, t2) = (txn(1), txn(2));
+    // t1 inserts and holds the lock
+    let _ = run_script(
+        &mut w,
+        n,
+        2,
+        target.clone(),
+        vec![DiscRequest::Insert {
+            file: "accounts".into(),
+            key: b("k"),
+            value: b("v1"),
+            transid: Some(t1),
+            lock_wait: WAIT,
+        }],
+    );
+    w.run_for(SimDuration::from_millis(50));
+    assert_eq!(pending(&mut w, n, &target), 0);
+
+    // t2's lock request parks; the same request is sent twice more
+    let replies = Replies::default();
+    let collector = w.spawn(n, 3, Box::new(Collector(replies.clone())));
+    let disc = w.lookup_name(n, "$DATA").expect("disc process");
+    let ops_before = w.metrics().get("disc.ops");
+    for _ in 0..3 {
+        let request = Request {
+            id: 77,
+            from: collector,
+            body: DiscRequest::ReadLock {
+                file: "accounts".into(),
+                key: b("k"),
+                transid: t2,
+                lock_wait: SimDuration::from_secs(2),
+                mode: LockMode::Exclusive,
+            },
+        };
+        w.send_external(disc, Payload::new(request));
+        w.run_for(SimDuration::from_millis(30));
+    }
+    assert_eq!(w.metrics().get("disc.ops"), ops_before + 3, "retransmissions count as ops");
+    assert_eq!(w.metrics().get("disc.lock_waits"), 1, "parked once");
+    assert!(replies.borrow().is_empty(), "t2 is parked on the lock");
+    assert_eq!(pending(&mut w, n, &target), 1, "one request owed, however often it was sent");
+
+    // t1 releases: the parked request completes, once
+    let _ = run_script(
+        &mut w,
+        n,
+        2,
+        target.clone(),
+        vec![DiscRequest::ReleaseLocks { transid: t1, commit: true }],
+    );
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(replies.borrow().as_slice(), &[DiscReply::Value(Some(b("v1")))]);
+    assert_eq!(pending(&mut w, n, &target), 0);
 }
 
 #[test]
@@ -522,7 +600,7 @@ impl Process for SlowAudit {
 
 fn state_of(reply: Option<&DiscReply>) -> DiscStateReport {
     match reply {
-        Some(DiscReply::State(report)) => *report,
+        Some(DiscReply::State(report)) => **report,
         other => panic!("expected a state report, got {other:?}"),
     }
 }

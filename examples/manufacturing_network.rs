@@ -34,7 +34,7 @@ struct Update {
 impl Process for Update {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.state = 1;
-        self.session.begin(ctx, SessionOptions::default(), 0);
+        self.session.begin(ctx, SessionOptions::default());
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         let payload = match self.session.accept(ctx, payload) {
@@ -63,10 +63,10 @@ impl Process for Update {
                             (),
                         );
                     }
-                    (3, SessionEvent::Committed { .. }) => {
+                    (3, SessionEvent::Committed) => {
                         *self.ok.borrow_mut() = Some(true);
                     }
-                    (_, SessionEvent::Aborted { .. }) | (_, SessionEvent::Failed { .. }) => {
+                    (_, SessionEvent::Aborted) | (_, SessionEvent::Failed { .. }) => {
                         *self.ok.borrow_mut() = Some(false);
                     }
                     _ => {}
@@ -79,7 +79,7 @@ impl Process for Update {
         if let Ok(c) = self.rpc.accept(ctx, payload) {
             if self.state == 2 && c.body.ok {
                 self.state = 3;
-                self.session.end(ctx, 0);
+                self.session.end(ctx);
             }
         }
     }

@@ -24,7 +24,7 @@ impl Process for Quickstart {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         println!("[{}] BEGIN-TRANSACTION", ctx.now());
         self.step = 1;
-        self.session.begin(ctx, SessionOptions::default(), 0);
+        self.session.begin(ctx, SessionOptions::default());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
@@ -38,26 +38,24 @@ impl Process for Quickstart {
                 let _ = self.session.op(
                     ctx,
                     DbOp::Insert { file: "accounts".into(), key: b("alice"), value: b("100") },
-                    0,
                 );
             }
             (2, SessionEvent::OpDone { reply, .. }) => {
                 println!("[{}]   insert alice=100 -> {reply:?}", ctx.now());
                 self.step = 3;
-                self.session.end(ctx, 0);
+                self.session.end(ctx);
             }
-            (3, SessionEvent::Committed { .. }) => {
+            (3, SessionEvent::Committed) => {
                 println!("[{}] END-TRANSACTION: committed", ctx.now());
                 // second transaction: update then ABORT — TMF backs it out
                 self.step = 4;
-                self.session.begin(ctx, SessionOptions::default(), 0);
+                self.session.begin(ctx, SessionOptions::default());
             }
             (4, SessionEvent::Began { .. }) => {
                 self.step = 5;
                 let _ = self.session.op(
                     ctx,
                     DbOp::ReadLock { file: "accounts".into(), key: b("alice") },
-                    0,
                 );
             }
             (5, SessionEvent::OpDone { reply, .. }) => {
@@ -66,21 +64,19 @@ impl Process for Quickstart {
                 let _ = self.session.op(
                     ctx,
                     DbOp::Update { file: "accounts".into(), key: b("alice"), value: b("0") },
-                    0,
                 );
             }
             (6, SessionEvent::OpDone { .. }) => {
                 println!("[{}]   updated alice=0 … now ABORT-TRANSACTION", ctx.now());
                 self.step = 7;
-                self.session.abort(ctx, AbortReason::Voluntary, 0);
+                self.session.abort(ctx, AbortReason::Voluntary);
             }
-            (7, SessionEvent::Aborted { .. }) => {
+            (7, SessionEvent::Aborted) => {
                 println!("[{}] ABORT-TRANSACTION: backed out", ctx.now());
                 self.step = 8;
                 let _ = self.session.op(
                     ctx,
                     DbOp::Read { file: "accounts".into(), key: b("alice") },
-                    0,
                 );
             }
             (8, SessionEvent::OpDone { reply, .. }) => {

@@ -47,7 +47,7 @@ mod driver {
                 return;
             }
             self.step = 1;
-            self.session.begin(ctx, SessionOptions::default(), 0);
+            self.session.begin(ctx, SessionOptions::default());
         }
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
             match (self.step, ev) {
@@ -58,7 +58,6 @@ mod driver {
                     let _ = self.session.op(
                         ctx,
                         DbOp::Insert { file: "f0".into(), key: k, value: Bytes::from_static(b"v") },
-                        0,
                     );
                 }
                 (2, SessionEvent::OpDone { reply, .. }) => {
@@ -72,7 +71,6 @@ mod driver {
                                 key: k,
                                 value: Bytes::from_static(b"v"),
                             },
-                            0,
                         );
                     } else {
                         self.bail(ctx);
@@ -81,16 +79,16 @@ mod driver {
                 (3, SessionEvent::OpDone { reply, .. }) => {
                     if matches!(reply, encompass_tmf::storage::discprocess::DiscReply::Ok) {
                         self.step = 4;
-                        self.session.end(ctx, 0);
+                        self.session.end(ctx);
                     } else {
                         self.bail(ctx);
                     }
                 }
-                (4, SessionEvent::Committed { .. }) => {
+                (4, SessionEvent::Committed) => {
                     *self.committed.borrow_mut() += 1;
                     self.begin_next(ctx);
                 }
-                (_, SessionEvent::Aborted { .. }) => self.begin_next(ctx),
+                (_, SessionEvent::Aborted) => self.begin_next(ctx),
                 (_, SessionEvent::Failed { .. }) => self.bail(ctx),
                 _ => {}
             }
@@ -98,7 +96,7 @@ mod driver {
         fn bail(&mut self, ctx: &mut Ctx<'_>) {
             if self.session.transid().is_some() && !self.session.busy() {
                 self.step = 9;
-                self.session.abort(ctx, AbortReason::NetworkPartition, 0);
+                self.session.abort(ctx, AbortReason::NetworkPartition);
             } else {
                 self.begin_next(ctx);
             }
@@ -291,7 +289,7 @@ mod dual_driver {
                 return;
             }
             self.step = 1;
-            self.session.begin(ctx, SessionOptions::default(), 0);
+            self.session.begin(ctx, SessionOptions::default());
         }
         fn handle(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
             let k = Bytes::from(format!("k{}", self.seq));
@@ -303,7 +301,6 @@ mod dual_driver {
                     let _ = self.session.op(
                         ctx,
                         DbOp::Insert { file: "fa".into(), key: k, value: Bytes::from_static(b"v") },
-                        0,
                     );
                 }
                 (2, SessionEvent::OpDone { .. }) => {
@@ -311,14 +308,13 @@ mod dual_driver {
                     let _ = self.session.op(
                         ctx,
                         DbOp::Insert { file: "fb".into(), key: k, value: Bytes::from_static(b"v") },
-                        0,
                     );
                 }
                 (3, SessionEvent::OpDone { .. }) => {
                     self.step = 4;
-                    self.session.end(ctx, 0);
+                    self.session.end(ctx);
                 }
-                (4, SessionEvent::Committed { .. }) => {
+                (4, SessionEvent::Committed) => {
                     *self.committed.borrow_mut() += 1;
                     self.next(ctx);
                 }

@@ -29,7 +29,7 @@ impl Process for OneTxn {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.step = 1;
         self.session
-            .begin(ctx, encompass_tmf::tmf::session::SessionOptions::default(), 0);
+            .begin(ctx, encompass_tmf::tmf::session::SessionOptions::default());
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         let Ok(Some(ev)) = self.session.accept(ctx, payload) else {
@@ -56,7 +56,6 @@ impl OneTxn {
                         key: Bytes::from_static(b"key"),
                         value: Bytes::from_static(b"v"),
                     },
-                    0,
                 );
             }
             (2, SessionEvent::OpDone { .. }) => {
@@ -68,24 +67,23 @@ impl OneTxn {
                         key: Bytes::from_static(b"key"),
                         value: Bytes::from_static(b"v"),
                     },
-                    0,
                 );
             }
             (3, SessionEvent::OpDone { .. }) => {
                 self.step = 4;
-                self.session.end(ctx, 0);
+                self.session.end(ctx);
             }
-            (4, SessionEvent::Committed { .. }) => {
+            (4, SessionEvent::Committed) => {
                 *self.outcome.borrow_mut() = Some("committed");
             }
-            (_, SessionEvent::Aborted { .. }) => {
+            (_, SessionEvent::Aborted) => {
                 *self.outcome.borrow_mut() = Some("aborted");
             }
             (_, SessionEvent::Failed { .. }) => {
                 // a step could not run (partition mid-flight): back out
                 if self.session.transid().is_some() && !self.session.busy() {
                     self.step = 9;
-                    self.session.abort(ctx, AbortReason::NetworkPartition, 0);
+                    self.session.abort(ctx, AbortReason::NetworkPartition);
                 } else {
                     *self.outcome.borrow_mut() = Some("failed");
                 }

@@ -22,116 +22,7 @@ use encompass_tmf::storage::types::{FileDef, VolumeRef};
 use encompass_tmf::storage::Catalog;
 use guardian::Target;
 
-mod driver {
-    //! A minimal copy of the scripted transaction driver (tests cannot
-    //! import each other's modules).
-    use bytes::Bytes;
-    use encompass_tmf::sim::{Ctx, NodeId, Payload, Pid, Process, TimerId, World};
-    use encompass_tmf::storage::discprocess::DiscReply;
-    use encompass_tmf::storage::Catalog;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use tmf::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
-    use tmf::state::AbortReason;
-
-    #[derive(Clone)]
-    pub enum Step {
-        Begin,
-        #[allow(dead_code)]
-        Read(String, Bytes),
-        Insert(String, Bytes, Bytes),
-        End,
-        #[allow(dead_code)]
-        Abort,
-    }
-
-    pub type Log = Rc<RefCell<Vec<String>>>;
-
-    pub struct TxnDriver {
-        session: TmfSession,
-        script: Vec<Step>,
-        next: usize,
-        log: Log,
-    }
-
-    impl Process for TxnDriver {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.kick(ctx);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-            if let Ok(Some(ev)) = self.session.accept(ctx, payload) {
-                self.on_event(ctx, ev);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-            if let Some(ev) = self.session.on_timer(ctx, tag) {
-                self.on_event(ctx, ev);
-            }
-        }
-    }
-
-    impl TxnDriver {
-        fn kick(&mut self, ctx: &mut Ctx<'_>) {
-            if self.next >= self.script.len() {
-                return;
-            }
-            let step = self.script[self.next].clone();
-            self.next += 1;
-            match step {
-                Step::Begin => self.session.begin(ctx, SessionOptions::default(), 0),
-                Step::Read(f, k) => {
-                    let _ = self.session.op(ctx, DbOp::Read { file: f.into(), key: k }, 0);
-                }
-                Step::Insert(f, k, v) => {
-                    let _ = self
-                        .session
-                        .op(ctx, DbOp::Insert { file: f.into(), key: k, value: v }, 0);
-                }
-                Step::End => self.session.end(ctx, 0),
-                Step::Abort => self.session.abort(ctx, AbortReason::Voluntary, 0),
-            }
-        }
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
-            let entry = match &ev {
-                SessionEvent::Began { transid, .. } => format!("began:{transid}"),
-                SessionEvent::OpDone { reply, .. } => match reply {
-                    DiscReply::Value(Some(v)) => format!("value:{}", String::from_utf8_lossy(v)),
-                    DiscReply::Value(None) => "value:<none>".into(),
-                    DiscReply::Ok => "ok".into(),
-                    other => format!("{other:?}"),
-                },
-                SessionEvent::Committed { .. } => "committed".into(),
-                SessionEvent::Aborted { .. } => "aborted".into(),
-                SessionEvent::Failed { .. } => "failed".into(),
-            };
-            self.log.borrow_mut().push(entry);
-            self.kick(ctx);
-        }
-    }
-
-    pub fn drive(
-        world: &mut World,
-        node: NodeId,
-        cpu: u8,
-        catalog: Catalog,
-        script: Vec<Step>,
-    ) -> Log {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
-        world.spawn(
-            node,
-            cpu,
-            Box::new(TxnDriver {
-                session: TmfSession::new(catalog, 0),
-                script,
-                next: 0,
-                log: log.clone(),
-            }),
-        );
-        log
-    }
-}
-
-use driver::{drive, Step};
+use tmf::script::{run_txn_script as drive, Step};
 
 fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
