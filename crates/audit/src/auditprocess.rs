@@ -21,9 +21,9 @@
 //! the historical stable-storage layout.
 
 use crate::trail::{partition_trail_key, TrailMedia};
-use encompass_sim::NodeId;
 use encompass_sim::{
-    DetHashMap, DetHashSet, FlightCause, HistogramHandle, Name, Payload, Pid, SimTime, World,
+    counter, DetHashMap, DetHashSet, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload,
+    Pid, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
 use encompass_storage::types::Transid;
@@ -163,6 +163,8 @@ impl Partition {
 /// The AUDITPROCESS application.
 pub struct AuditProcess {
     cfg: AuditConfig,
+    /// The slot of each partition's trail in stable storage.
+    trails: Vec<MediaId>,
     parts: Vec<Partition>,
     /// Fanned-out force requests awaiting partition acknowledgements, by
     /// request id.
@@ -175,11 +177,14 @@ pub struct AuditProcess {
 }
 
 impl AuditProcess {
-    pub fn new(cfg: AuditConfig) -> AuditProcess {
-        let n = cfg.partitions.max(1);
+    /// `trails` holds, per partition, the [`MediaId`] of its
+    /// [`partition_trail_key`] in the world the process will run in.
+    pub fn new(cfg: AuditConfig, trails: Vec<MediaId>) -> AuditProcess {
+        assert_eq!(trails.len(), cfg.partitions.max(1), "one trail per partition");
         AuditProcess {
             cfg,
-            parts: (0..n).map(|_| Partition::new()).collect(),
+            parts: trails.iter().map(|_| Partition::new()).collect(),
+            trails,
             pending: DetHashMap::default(),
             replies: Served::new(REPLY_CAPACITY),
             seen: None,
@@ -232,7 +237,7 @@ impl AuditProcess {
             .into_iter()
             .filter(|r| seen.insert(image_key(r)))
             .collect();
-        ctx.count("audit.duplicate_records", (before - fresh.len()) as u64);
+        ctx.count(counter!("audit.duplicate_records"), (before - fresh.len()) as u64);
         fresh
     }
 
@@ -242,11 +247,10 @@ impl AuditProcess {
         partition: usize,
         f: impl FnOnce(&mut TrailMedia) -> R,
     ) -> R {
-        let key = partition_trail_key(ctx.node(), &self.cfg.service, partition);
         let rotate = self.cfg.rotate_every;
         let trail = ctx
             .stable()
-            .get_or_create::<TrailMedia, _>(&key, move || TrailMedia::new(rotate));
+            .get_or_create_at(self.trails[partition], || TrailMedia::new(rotate));
         f(trail)
     }
 
@@ -328,7 +332,7 @@ impl AuditProcess {
         self.parts[p].window_deadline = None;
         let upto = self.parts[p].buffer.len();
         self.parts[p].force_in_progress = Some(upto);
-        ctx.count("audit.force_started", 1);
+        ctx.count(counter!("audit.force_started"), 1);
         let will_force = self.parts[p].forced_count + upto as u64;
         let boarding: Vec<Transid> = self.parts[p]
             .waiters
@@ -355,9 +359,9 @@ impl AuditProcess {
             return;
         };
         let batch: Vec<ImageRecord> = self.parts[p].buffer.drain(..upto).collect();
-        ctx.count("audit.forces", 1);
-        ctx.count("audit.forced_records", batch.len() as u64);
-        ctx.count("audit.group_size_total", batch.len() as u64);
+        ctx.count(counter!("audit.forces"), 1);
+        ctx.count(counter!("audit.forced_records"), batch.len() as u64);
+        ctx.count(counter!("audit.group_size_total"), batch.len() as u64);
         self.with_trail(ctx, p, |t| t.force(batch));
         self.parts[p].forced_count += upto as u64;
         ctx.checkpoint(AuditDelta::Forced {
@@ -428,9 +432,9 @@ impl PairApp for AuditProcess {
         };
         match msg {
             AuditMsg::Append { records, force } => {
-                ctx.count("audit.appends", 1);
+                ctx.count(counter!("audit.appends"), 1);
                 let records = self.dedup(ctx, records);
-                ctx.count("audit.records", records.len() as u64);
+                ctx.count(counter!("audit.records"), records.len() as u64);
                 let mut split: BTreeMap<usize, Vec<ImageRecord>> = BTreeMap::new();
                 for r in records {
                     let p = self.partition_of(&r);
@@ -466,12 +470,12 @@ impl PairApp for AuditProcess {
                 }
             }
             AuditMsg::ForceTxn { transid } => {
-                ctx.count("audit.force_txn", 1);
+                ctx.count(counter!("audit.force_txn"), 1);
                 let targets = self.parts_buffering(transid);
                 self.enqueue_force(ctx, owed, AuditReply::Forced, Some(transid), targets);
             }
             AuditMsg::Purge { floors, open } => {
-                ctx.count("audit.purges", 1);
+                ctx.count(counter!("audit.purges"), 1);
                 // group the per-volume dump floors by partition: a
                 // partition is purgeable only when *every* volume it
                 // audits has a completed dump (Some floor)
@@ -529,7 +533,7 @@ impl PairApp for AuditProcess {
                         },
                     );
                 }
-                ctx.count("audit.purged_files", total_files);
+                ctx.count(counter!("audit.purged_files"), total_files);
                 // The seen-set (if built) still names purged records; that
                 // is harmless — it only makes dedup drop re-sent copies of
                 // records the capacity manager proved dispensable.
@@ -596,7 +600,7 @@ impl PairApp for AuditProcess {
                     self.start_force(ctx, p);
                 }
             }
-            _ => ctx.count("audit.stale_window_ignored", 1),
+            _ => ctx.count(counter!("audit.stale_window_ignored"), 1),
         }
     }
 
@@ -606,7 +610,7 @@ impl PairApp for AuditProcess {
         // holds none of its own to discard. Requesters retransmit, and
         // the seen-set is rebuilt from the trails and buffers on the next
         // append.
-        ctx.count("audit.takeovers", 1);
+        ctx.count(counter!("audit.takeovers"), 1);
     }
 
     fn apply_checkpoint(&mut self, delta: AuditDelta, _cp: &Checkpointed) {
@@ -660,14 +664,15 @@ pub fn spawn_audit_process(
     cpu_backup: u8,
     cfg: AuditConfig,
 ) -> PairHandle {
-    for p in 0..cfg.partitions.max(1) {
-        let key = partition_trail_key(node, &cfg.service, p);
-        let rotate = cfg.rotate_every;
-        world
-            .stable_mut()
-            .get_or_create::<TrailMedia, _>(&key, move || TrailMedia::new(rotate));
-    }
+    let stable = world.stable_mut();
+    let trails: Vec<MediaId> = (0..cfg.partitions.max(1))
+        .map(|p| {
+            let trail = stable.id(&partition_trail_key(node, &cfg.service, p));
+            stable.get_or_create_at(trail, || TrailMedia::new(cfg.rotate_every));
+            trail
+        })
+        .collect();
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        AuditProcess::new(cfg.clone())
+        AuditProcess::new(cfg.clone(), trails.clone())
     })
 }

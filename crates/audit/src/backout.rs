@@ -10,7 +10,7 @@
 //! reconstructible, so they die with a failed primary and the requesting
 //! TMP retries against the new one (its Backout request is safe-delivery).
 
-use encompass_sim::{DetHashMap, Name, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, DetHashMap, Name, Payload, Pid, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -90,7 +90,7 @@ impl BackoutProcess {
         job.outstanding -= 1;
         if job.outstanding == 0 {
             let job = self.jobs.remove(&transid).expect("present");
-            ctx.count("backout.completed", 1);
+            ctx.count(counter!("backout.completed"), 1);
             self.replies.answer(ctx, job.owed, BackoutReply::Done);
         }
     }
@@ -124,7 +124,7 @@ impl PairApp for BackoutProcess {
                     .into_iter()
                     .filter(|img| img.volume == volume)
                     .collect();
-                ctx.count("backout.images", local.len() as u64);
+                ctx.count(counter!("backout.images"), local.len() as u64);
                 if local.is_empty() {
                     self.job_step_done(ctx, transid);
                     return;
@@ -180,7 +180,7 @@ impl PairApp for BackoutProcess {
             self.replies.forget(owed);
             return;
         }
-        ctx.count("backout.requests", 1);
+        ctx.count(counter!("backout.requests"), 1);
         if volumes.is_empty() {
             self.replies.answer(ctx, owed, BackoutReply::Done);
             return;
@@ -218,7 +218,7 @@ impl PairApp for BackoutProcess {
         // jobs are reconstructible: the dead primary's died with it (this
         // half has never run one), and the TMP's request is safe-delivery,
         // so it is retried against this new primary
-        ctx.count("backout.takeovers", 1);
+        ctx.count(counter!("backout.takeovers"), 1);
     }
 
     fn apply_checkpoint(&mut self, delta: Infallible, _cp: &Checkpointed) {

@@ -29,7 +29,7 @@
 //! requester's safe-delivery retry restarts the dump from scratch. Duplicate begin/end
 //! markers from a restarted dump are harmless — recovery filters them.
 
-use encompass_sim::{Name, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, Name, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, superseded_archive_keys, ArchiveImage, DumpRegistry, FileImage,
@@ -139,7 +139,7 @@ impl DumpProcess {
         ctx.stable().remove(&akey);
         ctx.stable()
             .get_or_create::<ArchiveImage, _>(&akey, move || snapshot);
-        ctx.count("dump.archives", 1);
+        ctx.count(counter!("dump.archives"), 1);
         self.send_disc(ctx, job, DiscRequest::DumpEnd { generation });
     }
 
@@ -162,7 +162,7 @@ impl DumpProcess {
             }
             DiscReply::DumpPage { entries, done } => {
                 job.records += entries.len() as u64;
-                ctx.count("dump.records", entries.len() as u64);
+                ctx.count(counter!("dump.records"), entries.len() as u64);
                 if let Some((file, _)) = job.file_list.get(job.current) {
                     let image = job.files.get_mut(file).expect("inserted at DumpBegun");
                     for (k, v) in &entries {
@@ -202,10 +202,10 @@ impl DumpProcess {
                         }
                     }
                     if deleted > 0 {
-                        ctx.count("dump.archives_deleted", deleted);
+                        ctx.count(counter!("dump.archives_deleted"), deleted);
                     }
                 }
-                ctx.count("dump.completed", 1);
+                ctx.count(counter!("dump.completed"), 1);
                 let done = DumpReply::Done {
                     watermark: job.watermark,
                     purge_floor: job.purge_floor,
@@ -223,7 +223,7 @@ impl DumpProcess {
             | DiscReply::Phase1Done
             | DiscReply::LockAudit { .. }
             | DiscReply::State(_) => {
-                ctx.count("dump.failed", 1);
+                ctx.count(counter!("dump.failed"), 1);
                 self.replies.answer(ctx, job.owed, DumpReply::Failed);
             }
         }
@@ -259,7 +259,7 @@ impl PairApp for DumpProcess {
         else {
             return;
         };
-        ctx.count("dump.requests", 1);
+        ctx.count(counter!("dump.requests"), 1);
         let job = Job {
             owed,
             volume,
@@ -283,7 +283,7 @@ impl PairApp for DumpProcess {
         // the copy in progress died with the primary (this half has never
         // run one); the requester's safe-delivery retry restarts the dump
         // from DumpBegin
-        ctx.count("dump.takeovers", 1);
+        ctx.count(counter!("dump.takeovers"), 1);
     }
 
     fn apply_checkpoint(&mut self, delta: Infallible, _cp: &Checkpointed) {

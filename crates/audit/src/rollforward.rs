@@ -58,7 +58,7 @@
 
 use crate::monitor::MonitorTrail;
 use crate::trail::TrailMedia;
-use encompass_sim::{DetHashMap, Name, World};
+use encompass_sim::{counter, DetHashMap, Name, World};
 use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::media::{archive_key, media_key, VolumeMedia};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -203,7 +203,7 @@ pub fn rollforward_volume(
         .iter()
         .map(|(name, img)| (name.clone(), img.len()))
         .collect();
-    world.metrics_mut().inc("rollforward.runs");
+    world.metrics_mut().add(counter!("rollforward.runs"), 1);
     report
 }
 

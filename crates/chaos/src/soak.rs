@@ -38,7 +38,7 @@ use crate::schedule::{ChaosAction, Schedule};
 use bytes::Bytes;
 use encompass::workload::account_key;
 use encompass_sim::{
-    Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, SimTime, TimerId, World,
+    counter, Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, SimTime, TimerId, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AuditStateReport};
 use encompass_storage::discprocess::{DiscError, DiscReply, DiscRequest};
@@ -167,7 +167,7 @@ pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
                 media.fail_drive(0);
                 media.fail_drive(1);
             }
-            app.world.metrics_mut().add("chaos.drill_losses", 1);
+            app.world.metrics_mut().add(counter!("chaos.drill_losses"), 1);
         }
 
         // rolling dump generation at 35% on the drawn node
@@ -194,7 +194,7 @@ pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
                 media.revive_drive(1);
             }
             let generation = rollforward_from_registry(&mut app.world, v, &trails);
-            app.world.metrics_mut().add("chaos.drill_recoveries", 1);
+            app.world.metrics_mut().add(counter!("chaos.drill_recoveries"), 1);
             drill_desc = Some(format!(
                 "epoch {e}: {}.{} lost both drives mid-traffic, rolled forward from \
                  archive generation {generation}",
@@ -222,7 +222,7 @@ pub(crate) fn run(schedule: &Schedule, flight_recorder: bool) -> RunReport {
                 *c.finished.borrow_mut() =
                     Some("died with its processor; respawned".to_string());
                 respawns += 1;
-                app.world.metrics_mut().add("chaos.soak_respawns", 1);
+                app.world.metrics_mut().add(counter!("chaos.soak_respawns"), 1);
                 let (node, kind, generation) = (c.node, c.kind, c.generation + 1);
                 let replacement =
                     spawn_client(&mut app.world, &app.catalog, node, kind, generation, horizon);
@@ -715,12 +715,12 @@ impl SoakWriter {
             (_, SessionEvent::OpDone { .. }) => self.recover(ctx),
             (WriterState::WaitEnd, SessionEvent::Committed) => {
                 self.commits += 1;
-                ctx.count("chaos.soak_writer_commits", 1);
+                ctx.count(counter!("chaos.soak_writer_commits"), 1);
                 self.start_attempt(ctx);
             }
             (_, SessionEvent::Aborted) => {
                 self.aborts += 1;
-                ctx.count("chaos.soak_writer_aborts", 1);
+                ctx.count(counter!("chaos.soak_writer_aborts"), 1);
                 // halve the hold so a fault-prone epoch converges on a
                 // hold short enough to commit between waves
                 self.hold = self
@@ -870,7 +870,7 @@ impl SoakReader {
                     // the pinned fence fell off the snapshot-undo ring:
                     // restart the read-only transaction for a fresh one
                     self.restarts += 1;
-                    ctx.count("chaos.reader_restarts", 1);
+                    ctx.count(counter!("chaos.reader_restarts"), 1);
                     self.state = ReaderState::WaitRestartAbort;
                     self.note("restarting on SnapshotTooOld".to_string());
                     self.session.abort(ctx, AbortReason::Voluntary);

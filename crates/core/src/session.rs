@@ -23,7 +23,7 @@
 use crate::state::TxnClass;
 use crate::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
 use bytes::Bytes;
-use encompass_sim::{Ctx, DetHashSet, FlightCause, Name, NodeId, Payload, SimDuration};
+use encompass_sim::{counter, Ctx, DetHashSet, FlightCause, Name, NodeId, Payload, SimDuration};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::locks::LockMode;
 use encompass_storage::types::{Transid, VolumeRef};
@@ -348,7 +348,7 @@ impl TmfSession {
                     | DbOp::InsertEntry { .. }
             )
         {
-            ctx.count("tmf.readonly_violations", 1);
+            ctx.count(counter!("tmf.readonly_violations"), 1);
             return Some(SessionEvent::Failed {
                 error: SessionError::ReadOnlyViolation,
             });
@@ -661,7 +661,7 @@ impl TmfSession {
             }
             TmpReply::Failed | TmpReply::Phase1Refused => {
                 self.pending = None;
-                ctx.count("tmf.session_failures", 1);
+                ctx.count(counter!("tmf.session_failures"), 1);
                 Some(SessionEvent::Failed {
                     error: SessionError::Refused,
                 })
@@ -673,7 +673,7 @@ impl TmfSession {
                 // these replies answer TMP-internal or utility requests,
                 // never a session verb
                 self.pending = None;
-                ctx.count("tmf.session_failures", 1);
+                ctx.count(counter!("tmf.session_failures"), 1);
                 Some(SessionEvent::Failed {
                     error: SessionError::Protocol,
                 })
@@ -691,7 +691,7 @@ impl TmfSession {
             TimerOutcome::Expired { .. }
         );
         if expired && self.pending.take().is_some() {
-            ctx.count("tmf.session_failures", 1);
+            ctx.count(counter!("tmf.session_failures"), 1);
             return Some(SessionEvent::Failed {
                 error: SessionError::Timeout,
             });

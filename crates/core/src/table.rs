@@ -10,7 +10,7 @@
 
 use crate::state::TxState;
 use encompass_storage::types::Transid;
-use encompass_sim::{Ctx, DetHashMap, Payload, Pid, Process};
+use encompass_sim::{counter, Ctx, DetHashMap, Payload, Pid, Process};
 
 /// A broadcast state change (TMP → every CPU's table).
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +60,7 @@ impl Process for TxTableProcess {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, src: Pid, payload: Payload) {
         if let Some(b) = payload.downcast_ref::<StateBroadcast>() {
-            ctx.count("tmf.table_broadcasts", 1);
+            ctx.count(counter!("tmf.table_broadcasts"), 1);
             // terminal states remove the transid: "the transid leaves the
             // system"
             if b.state.is_terminal() {

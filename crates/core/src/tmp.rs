@@ -32,10 +32,10 @@
 use crate::state::{AbortReason, TxState, TxnClass};
 use crate::table::StateBroadcast;
 use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
-use encompass_audit::monitor::MonitorTrail;
+use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_sim::{
-    DetHashMap, FlightCause, HistogramHandle, Name, NodeId, Payload, Pid, SimDuration, SimTime,
-    SystemEvent, World,
+    counter, DetHashMap, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid,
+    SimDuration, SimTime, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
@@ -311,6 +311,8 @@ enum TmpThen {
 /// The TMP application (hosted in a `guardian` process-pair, named `$TMP`).
 pub struct TmpProcess {
     cfg: TmpConfig,
+    /// The slot of this node's Monitor Audit Trail in stable storage.
+    monitor: MediaId,
     seq: u64,
     // BTreeMap: takeover/janitor/purge sweeps iterate this table, and do so
     // in transid order.
@@ -345,9 +347,12 @@ pub struct TmpProcess {
 }
 
 impl TmpProcess {
-    pub fn new(cfg: TmpConfig) -> TmpProcess {
+    /// `monitor` is the [`MediaId`] of the node's [`monitor_key`] in the
+    /// world the process will run in.
+    pub fn new(cfg: TmpConfig, monitor: MediaId) -> TmpProcess {
         TmpProcess {
             cfg,
+            monitor,
             seq: 0,
             txns: BTreeMap::new(),
             replies: Served::new(16384),
@@ -364,6 +369,12 @@ impl TmpProcess {
             latency_hist: HistogramHandle::new("tmf.commit_latency_us", LATENCY_BOUNDS),
             txtable_names: Vec::new(),
         }
+    }
+
+    /// This node's Monitor Audit Trail (created on first use).
+    fn monitor_trail<'c>(&self, ctx: &'c mut PairCtx<'_, '_>) -> &'c mut MonitorTrail {
+        ctx.stable()
+            .get_or_create_at(self.monitor, MonitorTrail::new)
     }
 
     fn audit_service(&self, volume: &VolumeRef) -> Name {
@@ -389,7 +400,7 @@ impl TmpProcess {
         for name in &self.txtable_names[..cpus as usize] {
             if let Some(pid) = ctx.lookup_name(node, name) {
                 let _ = ctx.send(pid, Payload::new(StateBroadcast { transid, state }));
-                ctx.count("tmf.state_broadcasts", 1);
+                ctx.count(counter!("tmf.state_broadcasts"), 1);
             }
         }
     }
@@ -478,7 +489,7 @@ impl TmpProcess {
             return;
         }
         for v in volumes {
-            ctx.count("tmf.msgs.phase1_local", 1);
+            ctx.count(counter!("tmf.msgs.phase1_local"), 1);
             if self
                 .disc_rpc
                 .call(
@@ -496,7 +507,7 @@ impl TmpProcess {
             }
         }
         for child in children {
-            ctx.count("tmf.msgs.phase1_net", 1);
+            ctx.count(counter!("tmf.msgs.phase1_net"), 1);
             if self
                 .tmp_rpc
                 .call(
@@ -578,7 +589,7 @@ impl TmpProcess {
         };
         let volumes = t.volumes.clone();
         for v in volumes {
-            ctx.count("tmf.msgs.release_early", 1);
+            ctx.count(counter!("tmf.msgs.release_early"), 1);
             self.disc_rpc.call_persistent(
                 ctx,
                 Target::Named(v.node, v.volume.clone()),
@@ -602,7 +613,7 @@ impl TmpProcess {
             self.monitor_timers.insert(tag, (transid, commit));
             let latency = ctx.config().disc_access;
             ctx.set_timer(latency, tag);
-            ctx.count("tmf.monitor_forces", 1);
+            ctx.count(counter!("tmf.monitor_forces"), 1);
             return;
         }
         self.monitor_boxcar.push((transid, commit));
@@ -631,7 +642,7 @@ impl TmpProcess {
     fn start_monitor_force(&mut self, ctx: &mut PairCtx<'_, '_>) {
         self.monitor_window_deadline = None;
         let batch = std::mem::take(&mut self.monitor_boxcar);
-        ctx.count("tmf.monitor_forces", 1);
+        ctx.count(counter!("tmf.monitor_forces"), 1);
         ctx.observe_handle(&self.boxcar_hist, batch.len() as u64);
         for &(transid, _) in &batch {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForceStart);
@@ -655,7 +666,7 @@ impl TmpProcess {
             if commit
                 && !matches!(state, Some(TxState::Ending) | Some(TxState::Committing))
             {
-                ctx.count("tmf.commit_overtaken_by_abort", 1);
+                ctx.count(counter!("tmf.commit_overtaken_by_abort"), 1);
                 continue;
             }
             if !commit && state != Some(TxState::Aborting) {
@@ -663,22 +674,21 @@ impl TmpProcess {
             }
             writable.push((transid, commit));
         }
-        let node = ctx.node();
         let now = ctx.now();
         let cp = Checkpointed::reviewed(
             "a record only enters the boxcar from phase1_complete/backout, after \
              set_state checkpointed COMMITTING/Aborting to the backup; the filter \
              above re-reads that checkpointed state at write completion",
         );
-        MonitorTrail::of(ctx.stable(), node).record_group(&writable, now, &cp);
+        self.monitor_trail(ctx).record_group(&writable, now, &cp);
         let boxcar = writable.len() as u32;
         for (transid, commit) in writable {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForced { boxcar });
             if commit {
-                ctx.count("tmf.commits", 1);
+                ctx.count(counter!("tmf.commits"), 1);
                 self.finish_commit(ctx, transid);
             } else {
-                ctx.count("tmf.aborts", 1);
+                ctx.count(counter!("tmf.aborts"), 1);
                 self.finish_abort_home(ctx, transid);
             }
         }
@@ -699,26 +709,25 @@ impl TmpProcess {
         // committing refinement) state
         let state = self.txns.get(&transid).map(|t| t.state);
         if commit && !matches!(state, Some(TxState::Ending) | Some(TxState::Committing)) {
-            ctx.count("tmf.commit_overtaken_by_abort", 1);
+            ctx.count(counter!("tmf.commit_overtaken_by_abort"), 1);
             return;
         }
         if !commit && state != Some(TxState::Aborting) {
             return;
         }
-        let node = ctx.node();
         let now = ctx.now();
         let cp = Checkpointed::reviewed(
             "the single-force twin of monitor_flush: the write was scheduled only \
              after set_state checkpointed the decision, and the state filter above \
              re-checks it at write completion",
         );
-        MonitorTrail::of(ctx.stable(), node).record(transid, commit, now, &cp);
+        self.monitor_trail(ctx).record(transid, commit, now, &cp);
         ctx.flight(transid.flight_id(), FlightCause::MonitorForced { boxcar: 1 });
         if commit {
-            ctx.count("tmf.commits", 1);
+            ctx.count(counter!("tmf.commits"), 1);
             self.finish_commit(ctx, transid);
         } else {
-            ctx.count("tmf.aborts", 1);
+            ctx.count(counter!("tmf.aborts"), 1);
             self.finish_abort_home(ctx, transid);
         }
     }
@@ -727,7 +736,6 @@ impl TmpProcess {
     /// mirror the completion record onto the local trail, then run local
     /// phase two.
     fn commit_nonhome(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
-        let node = ctx.node();
         let now = ctx.now();
         let cp = Checkpointed::reviewed(
             "the home node's *forced* commit record is the transaction's commit \
@@ -736,7 +744,7 @@ impl TmpProcess {
              sender re-drives Phase2 until acked, so a primary dying before the \
              write loses nothing",
         );
-        MonitorTrail::of(ctx.stable(), node).record(transid, true, now, &cp);
+        self.monitor_trail(ctx).record(transid, true, now, &cp);
         self.finish_commit(ctx, transid);
     }
 
@@ -782,7 +790,7 @@ impl TmpProcess {
         };
         let mut pending = 0usize;
         for v in volumes {
-            ctx.count("tmf.msgs.release_local", 1);
+            ctx.count(counter!("tmf.msgs.release_local"), 1);
             self.disc_rpc.call_persistent(
                 ctx,
                 Target::Named(v.node, v.volume.clone()),
@@ -804,10 +812,10 @@ impl TmpProcess {
             // its locks promptly; the outcome is identical because the
             // transaction wrote nothing anywhere.
             let msg = if committed && class == TxnClass::ReadWrite {
-                ctx.count("tmf.msgs.phase2_net", 1);
+                ctx.count(counter!("tmf.msgs.phase2_net"), 1);
                 TmpMsg::Phase2 { transid }
             } else {
-                ctx.count("tmf.msgs.abort_net", 1);
+                ctx.count(counter!("tmf.msgs.abort_net"), 1);
                 TmpMsg::AbortTxn { transid }
             };
             self.tmp_rpc.call_persistent(
@@ -861,13 +869,13 @@ impl TmpProcess {
         let volumes = t.volumes.clone();
         let children: Vec<NodeId> = t.children.iter().copied().collect();
         self.set_state(ctx, transid, TxState::Aborting);
-        ctx.count("tmf.abort_started", 1);
+        ctx.count(counter!("tmf.abort_started"), 1);
         if !volumes.is_empty() {
             ctx.flight(transid.flight_id(), FlightCause::BackoutStart);
         }
         // abort notifications to children are safe-delivery
         for child in children {
-            ctx.count("tmf.msgs.abort_net", 1);
+            ctx.count(counter!("tmf.msgs.abort_net"), 1);
             self.tmp_rpc.call_persistent(
                 ctx,
                 Target::Named(child, TMP_SERVICE),
@@ -935,9 +943,8 @@ impl TmpProcess {
         let cp = self.set_state(ctx, transid, TxState::Aborted);
         // record the disposition on this node's trail so late retries
         // (e.g. a duplicate RegisterVolume) see a completed transaction
-        let node = ctx.node();
         let now = ctx.now();
-        MonitorTrail::of(ctx.stable(), node).record(transid, false, now, &cp);
+        self.monitor_trail(ctx).record(transid, false, now, &cp);
         let (phase1_waiter, abort_waiters) = match self.txns.get_mut(&transid) {
             Some(t) => (t.end_waiter.take(), std::mem::take(&mut t.abort_waiters)),
             None => (None, Vec::new()),
@@ -968,7 +975,7 @@ impl TmpProcess {
                     seq: self.seq,
                 };
                 self.txns.insert(transid, Txn::new(true, class));
-                ctx.count("tmf.begins", 1);
+                ctx.count(counter!("tmf.begins"), 1);
                 ctx.flight(transid.flight_id(), FlightCause::Begin);
                 self.set_state(ctx, transid, TxState::Active);
                 self.replies.answer(ctx, owed, TmpReply::Began { transid });
@@ -978,16 +985,12 @@ impl TmpProcess {
                 // already committed or aborted must not resurrect it as a
                 // phantom Active entry: for unknown transids, the Monitor
                 // Audit Trail is the authority on completion.
-                if !self.txns.contains_key(&transid) {
-                    let node = ctx.node();
-                    if MonitorTrail::of(ctx.stable(), node)
-                        .outcome(transid)
-                        .is_some()
-                    {
-                        ctx.count("tmf.register_after_completion", 1);
-                        self.replies.answer(ctx, owed, TmpReply::Failed);
-                        return;
-                    }
+                if !self.txns.contains_key(&transid)
+                    && self.monitor_trail(ctx).outcome(transid).is_some()
+                {
+                    ctx.count(counter!("tmf.register_after_completion"), 1);
+                    self.replies.answer(ctx, owed, TmpReply::Failed);
+                    return;
                 }
                 let home = transid.home_node == volume.node;
                 let (ok, changed) = {
@@ -1024,7 +1027,7 @@ impl TmpProcess {
                     self.replies.answer(ctx, owed, TmpReply::Ok);
                     return;
                 }
-                ctx.count("tmf.msgs.remote_begin", 1);
+                ctx.count(counter!("tmf.msgs.remote_begin"), 1);
                 let sent = self.tmp_rpc.call(
                     ctx,
                     Target::Named(dest, TMP_SERVICE),
@@ -1045,8 +1048,7 @@ impl TmpProcess {
                 match self.txns.get(&transid).map(|t| t.state) {
                     None => {
                         // already completed: the monitor trail is the truth
-                        let node = ctx.node();
-                        let outcome = MonitorTrail::of(ctx.stable(), node).outcome(transid);
+                        let outcome = self.monitor_trail(ctx).outcome(transid);
                         let r = match outcome {
                             Some(true) => TmpReply::Committed,
                             _ => TmpReply::Aborted,
@@ -1066,7 +1068,7 @@ impl TmpProcess {
                         }
                         ctx.flight(transid.flight_id(), FlightCause::EndRequested);
                         self.set_state(ctx, transid, TxState::Ending);
-                        ctx.count("tmf.ends", 1);
+                        ctx.count(counter!("tmf.ends"), 1);
                         match class {
                             TxnClass::ReadWrite => self.start_phase1(ctx, transid),
                             TxnClass::ReadOnly => {
@@ -1076,8 +1078,8 @@ impl TmpProcess {
                                 // resolves locally; the terminal delivery
                                 // set still frees any shared locks it took
                                 // (DESIGN.md §D13).
-                                ctx.count("tmf.commits", 1);
-                                ctx.count("tmf.readonly_commits", 1);
+                                ctx.count(counter!("tmf.commits"), 1);
+                                ctx.count(counter!("tmf.readonly_commits"), 1);
                                 self.finish_commit(ctx, transid);
                             }
                         }
@@ -1097,8 +1099,7 @@ impl TmpProcess {
             TmpMsg::Abort { transid, reason } => {
                 match self.txns.get(&transid).map(|t| (t.state, t.home)) {
                     None => {
-                        let node = ctx.node();
-                        let outcome = MonitorTrail::of(ctx.stable(), node).outcome(transid);
+                        let outcome = self.monitor_trail(ctx).outcome(transid);
                         let r = match outcome {
                             Some(true) => TmpReply::Committed,
                             _ => TmpReply::Aborted,
@@ -1128,8 +1129,7 @@ impl TmpProcess {
                 let state = match self.txns.get(&transid) {
                     Some(t) => Some(t.state),
                     None => {
-                        let node = ctx.node();
-                        MonitorTrail::of(ctx.stable(), node)
+                        self.monitor_trail(ctx)
                             .outcome(transid)
                             .map(|c| if c { TxState::Ended } else { TxState::Aborted })
                     }
@@ -1139,7 +1139,7 @@ impl TmpProcess {
                     .answer_uncached(ctx, owed, TmpReply::Disposition { state });
             }
             TmpMsg::ForceDisposition { transid, commit } => {
-                ctx.count("tmf.force_disposition", 1);
+                ctx.count(counter!("tmf.force_disposition"), 1);
                 let state = self.txns.get(&transid).map(|t| t.state);
                 if commit {
                     if matches!(state, Some(TxState::Ending) | Some(TxState::Committing)) {
@@ -1197,7 +1197,7 @@ impl TmpProcess {
                     .answer_uncached(ctx, owed, TmpReply::State(Box::new(report)));
             }
             TmpMsg::RemoteBegin { transid } => {
-                ctx.count("tmf.remote_begins_received", 1);
+                ctx.count(counter!("tmf.remote_begins_received"), 1);
                 let known = self.txns.contains_key(&transid);
                 if !known {
                     // Non-home entries default to read-write: the class only
@@ -1213,8 +1213,7 @@ impl TmpProcess {
                 match self.txns.get(&transid).map(|t| t.state) {
                     None => {
                         // the monitor trail may know a completed outcome
-                        let node = ctx.node();
-                        let outcome = MonitorTrail::of(ctx.stable(), node).outcome(transid);
+                        let outcome = self.monitor_trail(ctx).outcome(transid);
                         let r = match outcome {
                             Some(true) => TmpReply::Phase1Ok,
                             _ => TmpReply::Phase1Refused,
@@ -1329,11 +1328,11 @@ impl TmpProcess {
         }
         match home_state {
             Some(TxState::Ended) => {
-                ctx.count("tmf.indoubt_commits", 1);
+                ctx.count(counter!("tmf.indoubt_commits"), 1);
                 self.commit_nonhome(ctx, transid);
             }
             Some(TxState::Aborted) | None => {
-                ctx.count("tmf.indoubt_aborts", 1);
+                ctx.count(counter!("tmf.indoubt_aborts"), 1);
                 if let Some(t) = self.txns.get_mut(&transid) {
                     t.state = TxState::Active; // permit the Aborting transition
                 }
@@ -1377,7 +1376,7 @@ impl TmpProcess {
             })
             .collect();
         for (transid, home) in stale {
-            ctx.count("tmf.indoubt_probes", 1);
+            ctx.count(counter!("tmf.indoubt_probes"), 1);
             // an unreachable home node fails the probe (now, or when its
             // retry budget runs out): the next sweep simply retries
             let _ = self.tmp_rpc.call(
@@ -1423,7 +1422,7 @@ impl TmpProcess {
             if !floors.iter().any(|(_, f)| matches!(f, Some(f) if *f > 1)) {
                 continue;
             }
-            ctx.count("tmf.purge_requests", 1);
+            ctx.count(counter!("tmf.purge_requests"), 1);
             // a sweep lost with the primary is simply re-run at the next
             // interval
             self.audit_rpc.call_persistent(
@@ -1452,11 +1451,11 @@ impl TmpProcess {
     fn on_tmp_expired(&mut self, ctx: &mut PairCtx<'_, '_>, then: TmpThen) {
         match then {
             TmpThen::Phase1(transid) => {
-                ctx.count("tmf.phase1_timeouts", 1);
+                ctx.count(counter!("tmf.phase1_timeouts"), 1);
                 self.phase1_failed(ctx, transid);
             }
             TmpThen::RemoteBegin { owed, .. } => {
-                ctx.count("tmf.remote_begin_timeouts", 1);
+                ctx.count(counter!("tmf.remote_begin_timeouts"), 1);
                 self.replies.answer(ctx, owed, TmpReply::Failed);
             }
             // a failed in-doubt probe is retried by the next sweep
@@ -1502,7 +1501,7 @@ impl PairApp for TmpProcess {
         let payload = match self.audit_rpc.accept(ctx, payload) {
             Ok(c) => {
                 if let AuditReply::Purged { files } = c.body {
-                    ctx.count("tmf.purged_trail_files", files);
+                    ctx.count(counter!("tmf.purged_trail_files"), files);
                 }
                 return;
             }
@@ -1550,7 +1549,7 @@ impl PairApp for TmpProcess {
                         self.start_monitor_force(ctx);
                     }
                 }
-                _ => ctx.count("tmf.stale_monitor_window_ignored", 1),
+                _ => ctx.count(counter!("tmf.stale_monitor_window_ignored"), 1),
             }
             return;
         }
@@ -1591,14 +1590,14 @@ impl PairApp for TmpProcess {
                 .map(|(t, _)| *t)
                 .collect();
             for transid in affected {
-                ctx.count("tmf.cpu_failure_aborts", 1);
+                ctx.count(counter!("tmf.cpu_failure_aborts"), 1);
                 self.abort_txn(ctx, transid, AbortReason::CpuFailure);
             }
         }
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        ctx.count("tmf.takeovers", 1);
+        ctx.count(counter!("tmf.takeovers"), 1);
         // Re-drive in-flight protocol work from checkpointed state; client
         // rpcs retry so lost waiters re-attach. The dead primary's
         // outstanding calls, monitor timers and boxcar lived in its memory
@@ -1620,10 +1619,9 @@ impl PairApp for TmpProcess {
                     // Audit Trail, and the primary may have died *after*
                     // writing it but before the drop-checkpoint: consult
                     // the trail before presuming abort.
-                    let node = ctx.node();
-                    let outcome = MonitorTrail::of(ctx.stable(), node).outcome(transid);
+                    let outcome = self.monitor_trail(ctx).outcome(transid);
                     if outcome == Some(true) {
-                        ctx.count("tmf.takeover_commit_completions", 1);
+                        ctx.count(counter!("tmf.takeover_commit_completions"), 1);
                         self.finish_commit(ctx, transid);
                     } else {
                         // no commit record on stable storage: presume abort
@@ -1640,13 +1638,12 @@ impl PairApp for TmpProcess {
                     // is out of the question. If the commit record reached
                     // the monitor trail before the primary died, finish;
                     // otherwise re-drive the forced write.
-                    let node = ctx.node();
-                    let outcome = MonitorTrail::of(ctx.stable(), node).outcome(transid);
+                    let outcome = self.monitor_trail(ctx).outcome(transid);
                     if outcome == Some(true) {
-                        ctx.count("tmf.takeover_commit_completions", 1);
+                        ctx.count(counter!("tmf.takeover_commit_completions"), 1);
                         self.finish_commit(ctx, transid);
                     } else {
-                        ctx.count("tmf.takeover_commit_redrives", 1);
+                        ctx.count(counter!("tmf.takeover_commit_redrives"), 1);
                         self.schedule_monitor_write(ctx, transid, true);
                     }
                 }
@@ -1662,7 +1659,7 @@ impl PairApp for TmpProcess {
                     // (phase-2 / abort notices, lock releases) may have died
                     // with the primary; receivers are idempotent, so re-send
                     // everything
-                    ctx.count("tmf.takeover_delivery_resends", 1);
+                    ctx.count(counter!("tmf.takeover_delivery_resends"), 1);
                     self.send_terminal_deliveries(ctx, transid);
                 }
                 TxState::Active if home && class == TxnClass::ReadOnly => {
@@ -1670,7 +1667,7 @@ impl PairApp for TmpProcess {
                     // its snapshot fences died with the primary's session
                     // state: a takeover resolves it as a plain abort and the
                     // requester restarts (DESIGN.md §D13).
-                    ctx.count("tmf.takeover_readonly_aborts", 1);
+                    ctx.count(counter!("tmf.takeover_readonly_aborts"), 1);
                     self.abort_txn(ctx, transid, AbortReason::CpuFailure);
                 }
                 TxState::Active => {
@@ -1724,7 +1721,8 @@ pub fn spawn_tmp(
     cpu_backup: u8,
     cfg: TmpConfig,
 ) -> PairHandle {
+    let monitor = world.stable_mut().id(&monitor_key(node));
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        TmpProcess::new(cfg.clone())
+        TmpProcess::new(cfg.clone(), monitor)
     })
 }

@@ -18,7 +18,7 @@
 
 use crate::messages::ServerRequest;
 use crate::server::{Dispatch, ServerIdle, ServerLogic, ServerProcess};
-use encompass_sim::{CpuId, Name, Payload, Pid, SimDuration, SystemEvent};
+use encompass_sim::{counter, CounterId, CpuId, Name, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::Catalog;
 use guardian::{Checkpointed, PairApp, PairHandle, Request};
 use std::convert::Infallible;
@@ -71,7 +71,7 @@ pub struct ServerClassQueue {
     cfg: ServerClassConfig,
     service: Name,
     /// `appmon.<class>.requests`, named once.
-    requests_counter: String,
+    requests_counter: CounterId,
     catalog: Catalog,
     factory: Rc<dyn Fn() -> Box<dyn ServerLogic>>,
     idle: VecDeque<Pid>,
@@ -89,7 +89,7 @@ impl ServerClassQueue {
     ) -> ServerClassQueue {
         ServerClassQueue {
             service: server_class_service(&cfg.class),
-            requests_counter: format!("appmon.{}.requests", cfg.class),
+            requests_counter: CounterId::named(&format!("appmon.{}.requests", cfg.class)),
             cfg,
             catalog,
             factory,
@@ -116,7 +116,7 @@ impl ServerClassQueue {
             server.set_lock_wait(self.cfg.lock_wait);
             if let Some(pid) = ctx.try_spawn(node, CpuId(cpu), Box::new(server)) {
                 self.idle.push_back(pid);
-                ctx.count("appmon.servers_spawned", 1);
+                ctx.count(counter!("appmon.servers_spawned"), 1);
                 return;
             }
         }
@@ -186,7 +186,7 @@ impl PairApp for ServerClassQueue {
                 from: req.from,
                 body: req.body,
             });
-            ctx.count(&self.requests_counter, 1);
+            ctx.count(self.requests_counter, 1);
             self.drain(ctx);
             return;
         }
@@ -205,7 +205,7 @@ impl PairApp for ServerClassQueue {
             while self.server_count() > self.cfg.min_servers && self.idle.len() > 1 {
                 if let Some(server) = self.idle.pop_front() {
                     let _ = ctx.send(server, Payload::new(ServerStop));
-                    ctx.count("appmon.servers_deleted", 1);
+                    ctx.count(counter!("appmon.servers_deleted"), 1);
                 }
             }
             ctx.set_timer(SHRINK_INTERVAL, TAG_SHRINK);
@@ -234,7 +234,7 @@ impl PairApp for ServerClassQueue {
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         // reconstructible state: fresh roster; in-flight SENDs time out at
         // the TCPs and restart their transactions
-        ctx.count("appmon.takeovers", 1);
+        ctx.count(counter!("appmon.takeovers"), 1);
         self.idle.clear();
         self.busy.clear();
         self.backlog.clear();

@@ -13,7 +13,7 @@
 //! transaction is immaterial".
 
 use crate::messages::{AppReply, AppRequest, ServerRequest};
-use encompass_sim::{Ctx, Payload, Pid, Process, TimerId};
+use encompass_sim::{counter, CounterId, Ctx, Payload, Pid, Process, TimerId};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::Catalog;
 use guardian::reply;
@@ -55,8 +55,8 @@ struct Active {
 
 /// The server process: hosts a [`ServerLogic`] factory and a TMF session.
 pub struct ServerProcess {
-    /// `server.<class>.dispatched`, named once.
-    dispatched_counter: String,
+    /// `server.<class>.dispatched`, resolved once.
+    dispatched_counter: CounterId,
     factory: Box<dyn Fn() -> Box<dyn ServerLogic>>,
     session: TmfSession,
     active: Option<Active>,
@@ -71,7 +71,7 @@ impl ServerProcess {
         factory: impl Fn() -> Box<dyn ServerLogic> + 'static,
     ) -> ServerProcess {
         ServerProcess {
-            dispatched_counter: format!("server.{class}.dispatched"),
+            dispatched_counter: CounterId::named(&format!("server.{class}.dispatched")),
             factory: Box::new(factory),
             session: TmfSession::new(catalog, 1),
             active: None,
@@ -92,7 +92,7 @@ impl ServerProcess {
                     // synchronous refusal (a write under a read-only
                     // transaction): a server-logic bug, not a transient —
                     // restarting would loop forever
-                    ctx.count("server.readonly_violations", 1);
+                    ctx.count(counter!("server.readonly_violations"), 1);
                     self.finish(ctx, AppReply::error());
                 }
             }
@@ -105,7 +105,7 @@ impl ServerProcess {
             reply(ctx, active.req_id, active.from, r);
         }
         self.session.clear();
-        ctx.count("server.requests_served", 1);
+        ctx.count(counter!("server.requests_served"), 1);
         // tell the dispatcher we are idle again
         if let Some(q) = self.queue {
             let _ = ctx.send(q, Payload::new(ServerIdle));
@@ -183,7 +183,7 @@ impl Process for ServerProcess {
                 from: d.from,
                 logic,
             });
-            ctx.count(&self.dispatched_counter, 1);
+            ctx.count(self.dispatched_counter, 1);
             self.run_step(ctx, step);
         }
     }

@@ -24,7 +24,7 @@
 use crate::appmon::server_class_service;
 use crate::messages::{AppReply, ServerRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
-use encompass_sim::{Name, NodeId, Payload, Pid, SimDuration};
+use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration};
 use encompass_storage::types::Transid;
 use encompass_storage::Catalog;
 use guardian::{Checkpointed, PairApp, PairHandle, Rpc, Target, TimerOutcome};
@@ -171,7 +171,7 @@ impl TerminalControlProcess {
             ScreenAction::Begin { options } => {
                 if t.session.transid().is_some() {
                     // BEGIN while already in transaction mode: program error
-                    ctx.count("tcp.program_errors", 1);
+                    ctx.count(counter!("tcp.program_errors"), 1);
                     self.restart_transaction(ctx, idx);
                     return;
                 }
@@ -199,7 +199,7 @@ impl TerminalControlProcess {
                 if t.session.transid().is_none() {
                     // END-TRANSACTION outside transaction mode is a screen
                     // program error; surface it as an abort
-                    ctx.count("tcp.program_errors", 1);
+                    ctx.count(counter!("tcp.program_errors"), 1);
                     self.drive(ctx, idx, ScreenInput::Aborted);
                     return;
                 }
@@ -208,7 +208,7 @@ impl TerminalControlProcess {
             }
             ScreenAction::Abort => {
                 if t.session.transid().is_none() {
-                    ctx.count("tcp.program_errors", 1);
+                    ctx.count(counter!("tcp.program_errors"), 1);
                     self.drive(ctx, idx, ScreenInput::Aborted);
                     return;
                 }
@@ -224,7 +224,7 @@ impl TerminalControlProcess {
             }
             ScreenAction::Finished => {
                 t.state = TermState::Finished;
-                ctx.count("tcp.terminals_finished", 1);
+                ctx.count(counter!("tcp.terminals_finished"), 1);
                 self.checkpoint_terminal(ctx, idx);
             }
         }
@@ -253,7 +253,7 @@ impl TerminalControlProcess {
             options: t.session.options(),
             request,
         };
-        ctx.count("tcp.sends", 1);
+        ctx.count(counter!("tcp.sends"), 1);
         // a single attempt: a lost server surfaces as a timeout and takes
         // the abort+restart path (no blind re-execution of non-idempotent
         // work)
@@ -291,9 +291,9 @@ impl TerminalControlProcess {
         let t = &mut self.terminals[idx];
         t.aborted += 1;
         t.restart_count += 1;
-        ctx.count("tcp.restarts", 1);
+        ctx.count(counter!("tcp.restarts"), 1);
         if t.restart_count > limit {
-            ctx.count("tcp.restart_limit_hit", 1);
+            ctx.count(counter!("tcp.restart_limit_hit"), 1);
             t.restart_count = 0;
             self.checkpoint_terminal(ctx, idx);
             self.drive(ctx, idx, ScreenInput::Aborted);
@@ -306,7 +306,7 @@ impl TerminalControlProcess {
     }
 
     fn send_failed(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
-        ctx.count("tcp.send_failures", 1);
+        ctx.count(counter!("tcp.send_failures"), 1);
         if self.terminals[idx].session.transid().is_some() {
             // "failure of an application server's processor while that
             // server was working on the transaction" → abort + restart
@@ -326,7 +326,7 @@ impl TerminalControlProcess {
                 let t = &mut self.terminals[idx];
                 t.committed += 1;
                 t.restart_count = 0;
-                ctx.count("tcp.commits", 1);
+                ctx.count(counter!("tcp.commits"), 1);
                 self.checkpoint_terminal(ctx, idx);
                 self.drive(ctx, idx, ScreenInput::Committed);
             }
@@ -335,7 +335,7 @@ impl TerminalControlProcess {
                     let t = &mut self.terminals[idx];
                     t.aborted += 1;
                     t.restart_count = 0;
-                    ctx.count("tcp.voluntary_aborts", 1);
+                    ctx.count(counter!("tcp.voluntary_aborts"), 1);
                     self.checkpoint_terminal(ctx, idx);
                     self.drive(ctx, idx, ScreenInput::Aborted);
                 } else {
@@ -452,7 +452,7 @@ impl PairApp for TerminalControlProcess {
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        ctx.count("tcp.takeovers", 1);
+        ctx.count(counter!("tcp.takeovers"), 1);
         // abort every transaction that was open on the failed primary,
         // then restart the programs at BEGIN-TRANSACTION
         let node = ctx.node();

@@ -3,7 +3,7 @@
 //! console". Here it subscribes to hardware events and tallies them into
 //! the metrics, giving experiments a node-local availability log.
 
-use encompass_sim::{Ctx, Payload, Pid, Process, SystemEvent};
+use encompass_sim::{counter, Ctx, Payload, Pid, Process, SystemEvent};
 
 /// Spawn one per node (plain process; its state is reconstructible, so a
 /// pair adds nothing in the simulation).
@@ -25,10 +25,10 @@ impl Process for OperatorProcess {
     fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
         self.seen += 1;
         let counter = match ev {
-            SystemEvent::CpuDown(..) => "operator.cpu_down",
-            SystemEvent::CpuUp(..) => "operator.cpu_up",
-            SystemEvent::LinkDown(..) => "operator.link_down",
-            SystemEvent::LinkUp(..) => "operator.link_up",
+            SystemEvent::CpuDown(..) => counter!("operator.cpu_down"),
+            SystemEvent::CpuUp(..) => counter!("operator.cpu_up"),
+            SystemEvent::LinkDown(..) => counter!("operator.link_down"),
+            SystemEvent::LinkUp(..) => counter!("operator.link_up"),
         };
         ctx.count(counter, 1);
         ctx.trace("operator", || format!("{ev:?}"));

@@ -18,7 +18,7 @@
 //! recovery falls to ROLLFORWARD (see `encompass-audit`).
 
 use encompass_sim::{
-    Ctx, CpuId, Name, NodeId, Payload, Pid, Process, SystemEvent, TimerId,
+    counter, Ctx, CpuId, Name, NodeId, Payload, Pid, Process, SystemEvent, TimerId,
 };
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
@@ -149,7 +149,7 @@ impl<D: Send + 'static> PairCtx<'_, '_, D> {
     /// the delta describes.
     pub fn checkpoint(&mut self, delta: D) -> Checkpointed {
         if let Some(peer) = self.peer {
-            self.inner.count("pair.checkpoints", 1);
+            self.inner.count(counter!("pair.checkpoints"), 1);
             let _ = self.inner.send(peer, Payload::new(Checkpoint(delta)));
         }
         Checkpointed(())
@@ -258,7 +258,7 @@ impl<A: PairApp> Process for PairProcess<A> {
                         self.role = Role::Primary;
                         self.peer = None;
                         ctx.register_name(&self.app.service_name());
-                        ctx.count("pair.takeovers", 1);
+                        ctx.count(counter!("pair.takeovers"), 1);
                         ctx.trace("pair.takeover", || self.app.service_name().to_string());
                         let mut pctx = self.pair_ctx(ctx);
                         self.app.on_takeover(&mut pctx);
@@ -268,7 +268,7 @@ impl<A: PairApp> Process for PairProcess<A> {
                     Role::Primary if self.peer.map(|p| p.cpu) == Some(cpu) => {
                         // lost the backup: run exposed until the CPU reloads
                         self.peer = None;
-                        ctx.count("pair.backup_lost", 1);
+                        ctx.count(counter!("pair.backup_lost"), 1);
                     }
                     Role::Primary | Role::Backup => {}
                 }
@@ -289,7 +289,7 @@ impl<A: PairApp> Process for PairProcess<A> {
                     home: self.home,
                 };
                 if ctx.try_spawn(node, cpu, Box::new(backup)).is_some() {
-                    ctx.count("pair.backup_respawned", 1);
+                    ctx.count(counter!("pair.backup_respawned"), 1);
                 }
                 // peer is set when the new backup's BackupHello arrives
             }

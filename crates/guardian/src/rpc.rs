@@ -308,15 +308,36 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         Some(p.then)
     }
 
+    /// `(id_space << 56) | (pid << 24) | call number`. A server remembers
+    /// a request id to recognise its retransmissions, so an id must never
+    /// be issued twice — not by this `Rpc`, and not by the same id space of
+    /// another process: the call number has [`CALL_BITS`] bits to itself,
+    /// and running out of them is a panic, not a quiet walk into the next
+    /// pid's ids (whose remembered replies a server would then replay to
+    /// this process).
     fn fresh_id(&mut self, ctx: &Ctx<'_>) -> u64 {
         let salt = *self.salt.get_or_insert_with(|| {
-            (self.id_space << 56) | ((ctx.pid().index as u64) << 24)
+            (self.id_space << 56) | ((ctx.pid().index as u64) << CALL_BITS)
         });
+        assert!(
+            self.counter < 1 << CALL_BITS,
+            "{} issued 2^{CALL_BITS} calls from one Rpc (id space {}): request ids would repeat",
+            ctx.pid(),
+            self.id_space
+        );
         let id = salt + self.counter;
         self.counter += 1;
         id
     }
 }
+
+/// Bits of a request id that count one [`Rpc`]'s calls: 16 777 216 of them.
+/// The busiest `Rpc` of any harness here issues on the order of 10^4 (the
+/// TMP's disc calls over the repo benchmark's 4 800 single-node commits; a
+/// soak seed's simulated hour peaks near 4 000), so the budget is three
+/// orders of magnitude past the longest run there is, and the 32 bits above
+/// it hold any pid.
+const CALL_BITS: u32 = 24;
 
 /// A one-shot client: spawn a process on `node`/`cpu` that sends `target`
 /// one persistent request (retried every `retry` until answered — across a
@@ -623,6 +644,43 @@ mod tests {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(4);
         (w, n)
+    }
+
+    /// The last call number is issued; the one after it would be the first
+    /// id of the next pid in the same id space, and must not be.
+    #[test]
+    #[should_panic(expected = "request ids would repeat")]
+    fn exhausting_the_call_numbers_is_loud() {
+        struct Exhausted {
+            rpc: Rpc<Ping, Pong>,
+            neighbour: Rpc<Ping, Pong>,
+        }
+        impl Process for Exhausted {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                // what the process spawned next would issue first
+                let mut next_door = Ctx::pid(ctx);
+                next_door.index += 1;
+                self.neighbour.salt = Some((5 << 56) | ((next_door.index as u64) << CALL_BITS));
+                let theirs = self.neighbour.fresh_id(ctx);
+
+                self.rpc.counter = (1 << CALL_BITS) - 1;
+                let last = self.rpc.fresh_id(ctx);
+                assert_eq!(last + 1, theirs, "the last id sits right below the neighbour's");
+                let beyond = self.rpc.fresh_id(ctx);
+                assert_ne!(beyond, theirs, "two processes issued the same request id");
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_>, _: Pid, _: Payload) {}
+        }
+        let (mut w, n) = world();
+        w.spawn(
+            n,
+            0,
+            Box::new(Exhausted {
+                rpc: Rpc::new(5),
+                neighbour: Rpc::new(5),
+            }),
+        );
+        w.run_until_quiescent();
     }
 
     #[test]

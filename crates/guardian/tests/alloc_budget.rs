@@ -9,12 +9,19 @@
 //! Serving side: admitting a request and answering it in the same event
 //! costs the reply message and nothing else — the `Served` table keeps no
 //! per-request record besides its own entry.
+//!
+//! Underneath both (`encompass-sim`): a counter bump, a histogram
+//! observation and a fetch of a stable-storage medium by id are indexes —
+//! they allocate nothing, and a `counter!` call site allocates nothing
+//! even the first time it is passed.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
-use encompass_sim::{Ctx, Payload, Pid, Process, SimConfig, SimDuration, World};
+use encompass_sim::{
+    counter, Ctx, HistogramHandle, MediaId, Payload, Pid, Process, SimConfig, SimDuration, World,
+};
 use guardian::{Admitted, Request, Rpc, RpcReply, Served, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -175,4 +182,54 @@ fn admitting_and_answering_a_request_allocates_only_the_reply() {
         "one allocation per request, the boxed reply: {:?}",
         &costs[32..]
     );
+}
+
+/// Bumps a counter, observes a histogram and fetches its medium on every
+/// message, measuring each.
+struct Instrumented {
+    histogram: HistogramHandle,
+    medium: MediaId,
+    /// `[count, observe, fetch]` allocations, per message.
+    costs: Rc<RefCell<Vec<[u64; 3]>>>,
+}
+
+impl Process for Instrumented {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, _payload: Payload) {
+        // this call site is passed for the first time on the first message,
+        // and no other names its counter
+        let (count, ()) = allocations_in(|| ctx.count(counter!("alloc_budget.first_use"), 1));
+        let (observe, ()) = allocations_in(|| ctx.observe_handle(&self.histogram, 3));
+        let (fetch, ()) =
+            allocations_in(|| *ctx.stable().get_or_create_at(self.medium, || 0u64) += 1);
+        self.costs.borrow_mut().push([count, observe, fetch]);
+    }
+}
+
+#[test]
+fn counting_observing_and_fetching_a_medium_by_id_allocate_nothing() {
+    let mut w = World::new(SimConfig::default());
+    let n = w.add_node(2);
+    let costs = Rc::new(RefCell::new(Vec::new()));
+    let medium = w.stable_mut().id("\\N0.$BUDGET");
+    let instrumented = w.spawn(
+        n,
+        0,
+        Box::new(Instrumented {
+            histogram: HistogramHandle::new("alloc_budget.histogram", &[1, 10]),
+            medium,
+            costs: costs.clone(),
+        }),
+    );
+    for _ in 0..3 {
+        w.send_external(instrumented, Payload::new(()));
+    }
+    w.run_for(SimDuration::from_millis(1));
+    assert_eq!(
+        *costs.borrow(),
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        "[count, observe, fetch]: only creating the medium — its box — may allocate"
+    );
+    assert_eq!(w.metrics().get("alloc_budget.first_use"), 3);
+    assert_eq!(w.metrics().get("alloc_budget.histogram.le_10"), 3);
+    assert_eq!(w.stable().get::<u64>("\\N0.$BUDGET"), Some(&3));
 }

@@ -29,7 +29,7 @@
 use crate::suspense::{
     replica_file, suspense_file, SuspenseDelta, SuspenseMsg, SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
 };
-use encompass_sim::{Name, NodeId, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::{key_num, num_key};
 use encompass_storage::Catalog;
@@ -138,7 +138,7 @@ impl SuspenseMonitorApp {
 
     /// A retryable failure: back out if in transaction mode, else go idle.
     fn retry(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        ctx.count("suspense.retries", 1);
+        ctx.count(counter!("suspense.retries"), 1);
         self.retries += 1;
         if self.session.transid().is_some() && !self.session.busy() {
             self.abort_current(ctx, AbortReason::Restart);
@@ -189,7 +189,7 @@ impl SuspenseMonitorApp {
                 }
                 match chosen {
                     Some(work) => {
-                        ctx.count("suspense.picked", 1);
+                        ctx.count(counter!("suspense.picked"), 1);
                         self.current = Some(work);
                         self.state = MonState::Beginning;
                         self.session.begin(ctx, SessionOptions::default());
@@ -278,7 +278,7 @@ impl SuspenseMonitorApp {
             }
             (MonState::Ending, SessionEvent::Committed) => {
                 let (entry, rec, _) = self.current.take().expect("work chosen");
-                ctx.count("suspense.applied", 1);
+                ctx.count(counter!("suspense.applied"), 1);
                 self.applied += 1;
                 self.pending = self.pending.saturating_sub(1);
                 ctx.checkpoint(SuspenseDelta::Applied {
@@ -360,7 +360,7 @@ impl PairApp for SuspenseMonitorApp {
         // the in-flight apply transaction (if any) dies with the old
         // primary and is backed out by TMF; the durable suspense file is
         // the work list, so a fresh scan resumes the drain in order
-        ctx.count("suspense.takeovers", 1);
+        ctx.count(counter!("suspense.takeovers"), 1);
         self.state = MonState::Idle;
         self.current = None;
         self.session.clear();

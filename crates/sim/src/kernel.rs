@@ -13,7 +13,7 @@ use crate::stable::StableStorage;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
-use crate::DetHashMap;
+use crate::{counter, DetHashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -258,7 +258,7 @@ impl World {
 
     fn apply_fault(&mut self, fault: Fault) {
         self.trace_note("fault", 0xFA17, || fault.label());
-        self.metrics.inc("sim.faults");
+        self.metrics.add(counter!("sim.faults"), 1);
         match fault {
             Fault::KillCpu(node, cpu) => {
                 if !self.topology.node(node).cpu_up(cpu) {
@@ -396,10 +396,10 @@ impl World {
                 if !self.topology.node(dst.node).bus_up() {
                     return Err(SendError::BusDown);
                 }
-                self.metrics.inc("sim.msgs.bus");
+                self.metrics.add(counter!("sim.msgs.bus"), 1);
                 (self.cfg.bus_latency, None)
             } else {
-                self.metrics.inc("sim.msgs.local");
+                self.metrics.add(counter!("sim.msgs.local"), 1);
                 (self.cfg.local_latency, None)
             }
         } else {
@@ -407,14 +407,14 @@ impl World {
                 .topology
                 .route(src.node, dst.node)
                 .ok_or(SendError::Unreachable)?;
-            self.metrics.inc("sim.msgs.net");
+            self.metrics.add(counter!("sim.msgs.net"), 1);
             self.metrics
-                .add("sim.msgs.net.hops", route.links.len() as u64);
+                .add(counter!("sim.msgs.net.hops"), route.links.len() as u64);
             // per-link loss: decided at send time, deterministically
             for &link in &route.links {
                 let p = self.topology.link(link).loss_prob;
                 if p > 0.0 && self.rng.random::<f64>() < p {
-                    self.metrics.inc("sim.msgs.lost");
+                    self.metrics.add(counter!("sim.msgs.lost"), 1);
                     // the message vanishes on the wire: report success
                     self.trace.note(self.now, "msg.lost", dst.index as u64, || {
                         format!("{src}->{dst} lost on {link:?}")
@@ -477,14 +477,14 @@ impl World {
                 // lose the message if any link of its path went down in flight
                 let mut path = via.iter().flat_map(|route| &route.links);
                 if path.any(|&l| !self.topology.link(l).up) {
-                    self.metrics.inc("sim.msgs.lost_in_flight");
+                    self.metrics.add(counter!("sim.msgs.lost_in_flight"), 1);
                     self.trace.note(self.now, "msg.cut", dst.index as u64, || {
                         format!("{src}->{dst} lost to link failure in flight")
                     });
                     return true;
                 }
                 if !self.is_alive(dst) {
-                    self.metrics.inc("sim.msgs.to_dead");
+                    self.metrics.add(counter!("sim.msgs.to_dead"), 1);
                     return true;
                 }
                 self.trace

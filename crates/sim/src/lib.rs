@@ -56,6 +56,7 @@ pub mod config;
 pub mod event;
 pub mod fault;
 pub mod flightrec;
+pub mod hash;
 pub mod ids;
 pub mod kernel;
 pub mod metrics;
@@ -73,23 +74,12 @@ pub use flightrec::{
     attribute_commit, format_timeline, CommitAttribution, FlightCause, FlightEvent,
     FlightLockMode, FlightRecorder, FlightTransid, LatencyComponent,
 };
+pub use hash::{DetHashMap, DetHashSet};
 pub use ids::{CpuId, LinkId, NodeId, Pid};
 pub use kernel::World;
-pub use metrics::{HistogramHandle, Metrics};
+pub use metrics::{CounterId, HistogramHandle, Metrics};
 pub use msg::Payload;
 pub use name::Name;
 pub use process::{Ctx, Process, SendError, SystemEvent, TimerId};
-pub use stable::StableStorage;
+pub use stable::{MediaId, StableStorage};
 pub use time::{SimDuration, SimTime};
-
-/// The one hash map sim-executed code may name: `std`'s table with a
-/// fixed SipHash key in place of `RandomState`, so iteration order is a
-/// function of the inserted keys alone — deterministic by type, same cost.
-/// `clippy.toml` disallows naming `std::collections::{HashMap, HashSet}`
-/// anywhere else in the workspace.
-#[allow(clippy::disallowed_types)]
-pub type DetHashMap<K, V> = std::collections::HashMap<K, V, FixedSipHash>;
-/// The set twin of [`DetHashMap`].
-#[allow(clippy::disallowed_types)]
-pub type DetHashSet<T> = std::collections::HashSet<T, FixedSipHash>;
-type FixedSipHash = std::hash::BuildHasherDefault<std::hash::DefaultHasher>;

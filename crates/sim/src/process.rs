@@ -202,9 +202,10 @@ impl<'a> Ctx<'a> {
         self.world.stable_mut()
     }
 
-    /// Bump a named metric counter.
-    pub fn count(&mut self, name: &str, delta: u64) {
-        self.world.metrics_mut().add(name, delta);
+    /// Bump a metric counter: `ctx.count(counter!("disc.reads"), 1)`.
+    #[inline]
+    pub fn count(&mut self, id: crate::CounterId, delta: u64) {
+        self.world.metrics_mut().add(id, delta);
     }
 
     /// Record one observation against a pre-resolved histogram handle

@@ -1,16 +1,21 @@
 //! The data dictionary: file definitions shared by DISCPROCESSes and the
 //! File System client layer. In real ENCOMPASS this is the DDL dictionary;
-//! here it is a value constructed at configuration time and cloned into
-//! every process that needs it.
+//! here it is a value constructed at configuration time and handed to
+//! every process that needs it — a handle on one shared dictionary, so a
+//! clone is a reference-count bump however many files and nodes there are.
 
 use crate::types::{FileDef, FileOrganization, VolumeRef};
 use encompass_sim::Name;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// An immutable-by-convention set of file definitions.
+/// A set of file definitions. Builders [`Catalog::add`] before they hand
+/// out clones; adding to a clone afterwards copies the dictionary for that
+/// clone and leaves every other holder's unchanged. (`Arc`, not `Rc`, so the
+/// type stays `Send + Sync` as the map it wraps is.)
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    files: BTreeMap<Name, FileDef>,
+    files: Arc<BTreeMap<Name, FileDef>>,
 }
 
 impl Catalog {
@@ -32,6 +37,7 @@ impl Catalog {
             "duplicate file {}",
             def.name
         );
+        let files = Arc::make_mut(&mut self.files);
         // register the implicit alternate-key index files so they can be
         // scanned like ordinary key-sequenced files
         for alt in &def.alternates {
@@ -43,13 +49,13 @@ impl Catalog {
                 alternates: Vec::new(),
             };
             assert!(
-                !self.files.contains_key(&*idx.name),
+                !files.contains_key(&*idx.name),
                 "duplicate file {}",
                 idx.name
             );
-            self.files.insert(idx.name.clone(), idx);
+            files.insert(idx.name.clone(), idx);
         }
-        self.files.insert(def.name.clone(), def);
+        files.insert(def.name.clone(), def);
         self
     }
 
@@ -129,6 +135,25 @@ mod tests {
         assert_eq!(c.files_on(&vol(1, "$D1")).len(), 1);
         assert_eq!(c.all_volumes().len(), 2);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn a_clone_shares_the_dictionary_until_it_adds() {
+        let mut source = Catalog::new();
+        source.add(FileDef::key_sequenced("f", vol(0, "$D0")));
+        let mut clone = source.clone();
+        assert!(std::ptr::eq(
+            source.get("f").expect("source has f"),
+            clone.get("f").expect("clone has f"),
+        ));
+        clone.add(FileDef::key_sequenced("g", vol(0, "$D0")));
+        assert_eq!((source.len(), clone.len()), (1, 2));
+        assert!(source.get("g").is_none());
+        // and a later clone of the source still shares with it
+        assert!(std::ptr::eq(
+            source.get("f").expect("source has f"),
+            source.clone().get("f").expect("clone has f"),
+        ));
     }
 
     #[test]
