@@ -89,7 +89,11 @@ impl TrailMedia {
                 });
                 self.next_file_number += 1;
             }
-            self.files.last_mut().expect("just ensured").records.push(rec);
+            self.files
+                .last_mut()
+                .expect("just ensured")
+                .records
+                .push(rec);
         }
     }
 
@@ -219,7 +223,15 @@ mod tests {
         let dropped = t.purge_below(5);
         assert_eq!(dropped, 2);
         assert_eq!(t.purged_through, 4);
-        assert_eq!(t.txn_images(Transid { home_node: NodeId(0), cpu: 0, seq: 1 }).len(), 2);
+        assert_eq!(
+            t.txn_images(Transid {
+                home_node: NodeId(0),
+                cpu: 0,
+                seq: 1
+            })
+            .len(),
+            2
+        );
         // purging everything drops the last data file (counted!) and
         // leaves one fresh empty file
         let dropped = t.purge_below(100);
@@ -250,7 +262,12 @@ mod tests {
         let mut t = TrailMedia::new(2);
         t.force(vec![img(1, 1, "$D")]);
         // the second force starts mid-file and rotates twice while writing
-        t.force(vec![img(2, 1, "$D"), img(3, 2, "$D"), img(4, 2, "$D"), img(5, 3, "$D")]);
+        t.force(vec![
+            img(2, 1, "$D"),
+            img(3, 2, "$D"),
+            img(4, 2, "$D"),
+            img(5, 3, "$D"),
+        ]);
         assert_eq!(t.forces, 2, "one physical write per batch, rotation or not");
         assert_eq!(t.files.len(), 3);
         assert_eq!(
@@ -258,11 +275,18 @@ mod tests {
             vec![2, 2, 1]
         );
         // queries see ascending sequence order across the file boundary
-        let txn2 = Transid { home_node: NodeId(0), cpu: 0, seq: 2 };
+        let txn2 = Transid {
+            home_node: NodeId(0),
+            cpu: 0,
+            seq: 2,
+        };
         let got = t.txn_images(txn2);
         assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![3, 4]);
         let vol = t.volume_images(&VolumeRef::new(NodeId(0), "$D"));
-        assert_eq!(vol.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(
+            vol.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4, 5]
+        );
         // purging below 4 may only drop the first file: the second holds
         // seq 4 even though it also holds seq 3
         assert_eq!(t.purge_below(4), 1);

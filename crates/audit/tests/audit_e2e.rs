@@ -9,9 +9,7 @@ use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::{partition_trail_key, trail_key, TrailMedia};
 use encompass_sim::{CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
-use encompass_storage::discprocess::{
-    spawn_disc_process, DiscConfig, DiscReply, DiscRequest,
-};
+use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, DiscRequest};
 use encompass_storage::locks::LockMode;
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::testkit::run_script;
@@ -74,7 +72,10 @@ fn write_workload(t: Transid) -> Vec<DiscRequest> {
             lock_wait: WAIT,
         },
         DiscRequest::EndPhase1 { transid: t },
-        DiscRequest::ReleaseLocks { transid: t, commit: true },
+        DiscRequest::ReleaseLocks {
+            transid: t,
+            commit: true,
+        },
     ]
 }
 
@@ -128,7 +129,10 @@ fn group_commit_batches_concurrent_phase_ones() {
                     lock_wait: WAIT,
                 },
                 DiscRequest::EndPhase1 { transid: t },
-                DiscRequest::ReleaseLocks { transid: t, commit: true },
+                DiscRequest::ReleaseLocks {
+                    transid: t,
+                    commit: true,
+                },
             ],
         ));
     }
@@ -190,7 +194,10 @@ fn audit_takeover_with_half_filled_boxcar_loses_nothing() {
                     lock_wait: WAIT,
                 },
                 DiscRequest::EndPhase1 { transid: t },
-                DiscRequest::ReleaseLocks { transid: t, commit: true },
+                DiscRequest::ReleaseLocks {
+                    transid: t,
+                    commit: true,
+                },
             ],
         ));
     }
@@ -261,7 +268,10 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
                 lock_wait: WAIT,
             },
             DiscRequest::EndPhase1 { transid: txn(i) },
-            DiscRequest::ReleaseLocks { transid: txn(i), commit: true },
+            DiscRequest::ReleaseLocks {
+                transid: txn(i),
+                commit: true,
+            },
         ]
     };
     // t≈0: two transactions arm the window, then fill the boxcar to max —
@@ -269,7 +279,11 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
     let r1 = run_script(&mut w, n, 0, target.clone(), phase1(1));
     let r2 = run_script(&mut w, n, 1, target.clone(), phase1(2));
     w.run_for(SimDuration::from_millis(100));
-    assert_eq!(w.metrics().get("audit.forces"), 1, "boxcar filled: forced early");
+    assert_eq!(
+        w.metrics().get("audit.forces"),
+        1,
+        "boxcar filled: forced early"
+    );
     // t≈100ms: a third transaction arms a fresh window (deadline ≈ 400ms)
     let r3 = run_script(&mut w, n, 2, target, phase1(3));
     // t≈360ms: the stale timer has fired (≈300ms) inside the new window;
@@ -337,7 +351,10 @@ fn partition_takeover_with_half_filled_boxcar_per_partition_loses_nothing() {
                 lock_wait: WAIT,
             },
             DiscRequest::EndPhase1 { transid: txn(i) },
-            DiscRequest::ReleaseLocks { transid: txn(i), commit: true },
+            DiscRequest::ReleaseLocks {
+                transid: txn(i),
+                commit: true,
+            },
         ]
     };
     let ra = run_script(&mut w, n, 0, ha.target(), script("accounts", 1));
@@ -423,7 +440,10 @@ fn backout_restores_before_images_via_audit_trail() {
                 lock_wait: WAIT,
             },
             DiscRequest::EndPhase1 { transid: t1 },
-            DiscRequest::ReleaseLocks { transid: t1, commit: true },
+            DiscRequest::ReleaseLocks {
+                transid: t1,
+                commit: true,
+            },
         ],
     );
     w.run_for(SimDuration::from_secs(2));
@@ -471,7 +491,10 @@ fn backout_restores_before_images_via_audit_trail() {
         3,
         target,
         vec![
-            DiscRequest::ReleaseLocks { transid: t2, commit: false },
+            DiscRequest::ReleaseLocks {
+                transid: t2,
+                commit: false,
+            },
             DiscRequest::Read {
                 file: "accounts".into(),
                 key: b("acct"),
@@ -520,7 +543,11 @@ fn second_backout_request_for_a_running_transid_is_forgotten_not_parked() {
         );
     }
     w.run_for(SimDuration::from_millis(50));
-    assert_eq!(w.metrics().get("backout.requests"), 1, "the second was dropped");
+    assert_eq!(
+        w.metrics().get("backout.requests"),
+        1,
+        "the second was dropped"
+    );
     assert_eq!(
         (*done[0].borrow(), *done[1].borrow()),
         (true, false),
@@ -528,7 +555,10 @@ fn second_backout_request_for_a_running_transid_is_forgotten_not_parked() {
     );
     // the dropped request's retry (100 ms) finds no trace of its first try
     w.run_for(SimDuration::from_secs(1));
-    assert!(*done[1].borrow(), "the retry was admitted afresh and answered");
+    assert!(
+        *done[1].borrow(),
+        "the retry was admitted afresh and answered"
+    );
     assert_eq!(w.metrics().get("backout.requests"), 2);
     assert_eq!(w.metrics().get("backout.completed"), 2);
 }
@@ -544,7 +574,12 @@ fn archive_crash_rollforward_cycle() {
     w.run_for(SimDuration::from_secs(2));
     // record commit outcomes in the monitor trail (normally the TMP's job)
     let now = w.now();
-    MonitorTrail::of(w.stable_mut(), n).record(t1, true, now, &Checkpointed::reviewed("test stands in for the TMP"));
+    MonitorTrail::of(w.stable_mut(), n).record(
+        t1,
+        true,
+        now,
+        &Checkpointed::reviewed("test stands in for the TMP"),
+    );
 
     // post-archive: t2 commits, t3 updates but never commits
     let t2 = txn(2);
@@ -568,12 +603,20 @@ fn archive_crash_rollforward_cycle() {
                 transid: Some(t2),
             },
             DiscRequest::EndPhase1 { transid: t2 },
-            DiscRequest::ReleaseLocks { transid: t2, commit: true },
+            DiscRequest::ReleaseLocks {
+                transid: t2,
+                commit: true,
+            },
         ],
     );
     w.run_for(SimDuration::from_secs(2));
     let now = w.now();
-    MonitorTrail::of(w.stable_mut(), n).record(t2, true, now, &Checkpointed::reviewed("test stands in for the TMP"));
+    MonitorTrail::of(w.stable_mut(), n).record(
+        t2,
+        true,
+        now,
+        &Checkpointed::reviewed("test stands in for the TMP"),
+    );
     let t3 = txn(3);
     let _ = run_script(
         &mut w,
@@ -618,11 +661,21 @@ fn archive_crash_rollforward_cycle() {
 
     let vol = VolumeRef::new(n, "$DATA");
     let report = rollforward_volume(&mut w, &vol, &[trail_key(n, "$AUDIT")], 1);
-    assert!(report.redone >= 1, "t2's post-archive update redone: {report:?}");
+    assert!(
+        report.redone >= 1,
+        "t2's post-archive update redone: {report:?}"
+    );
     assert!(report.rolled_back_txns >= 1, "t3 rolled back: {report:?}");
 
-    let media = w.stable().get::<VolumeMedia>(&media_key(n, "$DATA")).unwrap();
+    let media = w
+        .stable()
+        .get::<VolumeMedia>(&media_key(n, "$DATA"))
+        .unwrap();
     let accounts = media.file("accounts").unwrap();
     assert_eq!(accounts.read(b"a"), Some(b("42")), "committed t2 survives");
-    assert_eq!(accounts.read(b"b"), Some(b("9")), "t3's dirty update undone");
+    assert_eq!(
+        accounts.read(b"b"),
+        Some(b("9")),
+        "t3's dirty update undone"
+    );
 }

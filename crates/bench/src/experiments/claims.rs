@@ -198,7 +198,10 @@ pub fn t3() -> Vec<Table> {
             format!("{mode:?}"),
             commits.to_string(),
             m.get("audit.forces").to_string(),
-            format!("{:.2}", m.get("audit.forces") as f64 / commits.max(1) as f64),
+            format!(
+                "{:.2}",
+                m.get("audit.forces") as f64 / commits.max(1) as f64
+            ),
             m.get("pair.checkpoints").to_string(),
             format!("{t:.2}"),
             format!("{:.1}", commits as f64 / t),
@@ -413,7 +416,12 @@ fn probe_lock_release(
 pub fn t6() -> Vec<Table> {
     let mut table = Table::new(
         "T6 — in-doubt windows of the distributed commit",
-        &["scenario", "END outcome at home", "locks on remote node", "released after"],
+        &[
+            "scenario",
+            "END outcome at home",
+            "locks on remote node",
+            "released after",
+        ],
     );
 
     // (a) unilateral abort before phase one forces consensus abort
@@ -476,10 +484,17 @@ pub fn t6() -> Vec<Table> {
         }
         app.world.inject(Fault::Partition(vec![nodes[1]]));
         let cut_at = app.world.now();
-        app.world
-            .schedule_fault(cut_at + SimDuration::from_secs(partition_secs), Fault::HealAllLinks);
-        let released =
-            probe_lock_release(&mut app.world, &app.catalog, nodes[1], "f1", SimDuration::from_secs(20));
+        app.world.schedule_fault(
+            cut_at + SimDuration::from_secs(partition_secs),
+            Fault::HealAllLinks,
+        );
+        let released = probe_lock_release(
+            &mut app.world,
+            &app.catalog,
+            nodes[1],
+            "f1",
+            SimDuration::from_secs(20),
+        );
         let end = log.borrow().last().cloned().unwrap_or_default();
         table.row(vec![
             format!("partition {partition_secs}s during phase 2"),
@@ -550,7 +565,10 @@ pub fn t7() -> Vec<Table> {
         &["design", "attempted", "committed", "availability"],
     );
     for (label, op) in [
-        ("master + suspense file (the paper's design)", "master-update"),
+        (
+            "master + suspense file (the paper's design)",
+            "master-update",
+        ),
         ("synchronous replication (rejected design)", "sync-update"),
     ] {
         let mut app = launch_mfg_app(MfgAppParams::default());
@@ -586,7 +604,12 @@ pub fn t7() -> Vec<Table> {
 pub fn t8() -> Vec<Table> {
     let mut table = Table::new(
         "T8 — takeover service gap by failed primary (commit-gap around the fault, 10ms sampling)",
-        &["failed CPU hosts", "takeovers", "longest commit gap (ms)", "commits completed"],
+        &[
+            "failed CPU hosts",
+            "takeovers",
+            "longest commit gap (ms)",
+            "commits completed",
+        ],
     );
     for (label, cpu) in [
         ("DISCPROCESS primary (cpu2)", 2u8),

@@ -101,7 +101,11 @@ pub fn f1() -> Vec<Table> {
             format!("{finished}/{terminals}"),
             m.get("pair.takeovers").to_string(),
             m.get("tcp.restarts").to_string(),
-            if survived { "yes".into() } else { "NO".to_string() },
+            if survived {
+                "yes".into()
+            } else {
+                "NO".to_string()
+            },
         ]);
     }
     table.note("every single-module failure completes the full workload; only the double-drive failure (a multi-module failure) loses service — the paper's ROLLFORWARD case (see T5)");
@@ -236,11 +240,7 @@ pub fn f4() -> Vec<Table> {
     let backlog = |app: &mut encompass::app::AppHandles| -> u64 {
         let mut total = 0;
         for &n in &app.nodes.clone() {
-            if let Some(media) = app
-                .world
-                .stable()
-                .get::<VolumeMedia>(&media_key(n, "$MFG"))
-            {
+            if let Some(media) = app.world.stable().get::<VolumeMedia>(&media_key(n, "$MFG")) {
                 if let Some(f) = media.file(&suspense(n)) {
                     total += f.len() as u64;
                 }

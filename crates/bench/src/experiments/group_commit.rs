@@ -60,8 +60,7 @@ fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> G
         ..BankAppParams::default()
     });
     let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-        && elapsed < 600_000
+    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64 && elapsed < 600_000
     {
         app.world.run_for(SimDuration::from_millis(100));
         elapsed += 100;

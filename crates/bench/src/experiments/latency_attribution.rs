@@ -62,7 +62,12 @@ pub struct LatencyAttributionResult {
     pub smoke: bool,
 }
 
-fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> LatencyAttributionRow {
+fn run_cell(
+    window_us: u64,
+    terminals: usize,
+    partitions: usize,
+    txns: u64,
+) -> LatencyAttributionRow {
     let tmf = TmfNodeConfig::builder()
         .group_commit_window(SimDuration::from_micros(window_us))
         .audit_partitions(partitions)
@@ -87,8 +92,7 @@ fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> L
         ..BankAppParams::default()
     });
     let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-        && elapsed < 600_000
+    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64 && elapsed < 600_000
     {
         app.world.run_for(SimDuration::from_millis(100));
         elapsed += 100;

@@ -38,7 +38,11 @@ pub struct ScaleoutResult {
     pub smoke: bool,
 }
 
-fn run_cell(nodes: usize, cross_shard_permille: u32, transactions_per_terminal: u64) -> ScaleoutRow {
+fn run_cell(
+    nodes: usize,
+    cross_shard_permille: u32,
+    transactions_per_terminal: u64,
+) -> ScaleoutRow {
     let accounts = nodes as u64 * 64;
     let (mut app, _map) = launch_shard_bank(ShardBankAppParams {
         nodes,

@@ -21,7 +21,8 @@ impl Table {
 
     pub fn row<S: ToString>(&mut self, cells: Vec<S>) -> &mut Table {
         assert_eq!(cells.len(), self.headers.len(), "row width");
-        self.rows.push(cells.into_iter().map(|c| c.to_string()).collect());
+        self.rows
+            .push(cells.into_iter().map(|c| c.to_string()).collect());
         self
     }
 

@@ -205,7 +205,10 @@ fn dump_flight(report: &RunReport) {
     if report.implicated.is_empty() {
         println!("  implicated transactions: none named by the oracles");
     } else {
-        println!("  implicated transactions: {}", report.implicated.join(", "));
+        println!(
+            "  implicated transactions: {}",
+            report.implicated.join(", ")
+        );
         for t in &flight.timelines {
             print!("{t}");
         }

@@ -499,7 +499,10 @@ impl Schedule {
             };
             out.push_str(&format!("  t={:>7}ms  {}\n", ev.at.as_millis(), what));
         }
-        out.push_str(&format!("  t={:>7}ms  heal-everything\n", self.heal_at.as_millis()));
+        out.push_str(&format!(
+            "  t={:>7}ms  heal-everything\n",
+            self.heal_at.as_millis()
+        ));
         if self.dumps_enabled {
             for d in &self.dumps {
                 out.push_str(&format!(

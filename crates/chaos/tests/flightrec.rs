@@ -69,10 +69,18 @@ fn committed_transactions_have_complete_timelines() {
         };
         let begin = first(|c| matches!(c, FlightCause::Begin), "Begin");
         let lock = first(
-            |c| matches!(c, FlightCause::LockGranted { .. } | FlightCause::LockQueued { .. }),
+            |c| {
+                matches!(
+                    c,
+                    FlightCause::LockGranted { .. } | FlightCause::LockQueued { .. }
+                )
+            },
             "lock",
         );
-        let force = first(|c| matches!(c, FlightCause::MonitorForced { .. }), "monitor force");
+        let force = first(
+            |c| matches!(c, FlightCause::MonitorForced { .. }),
+            "monitor force",
+        );
         let commit = first(|c| matches!(c, FlightCause::Committed), "Committed");
         assert!(
             begin < lock && lock < force && force < commit,

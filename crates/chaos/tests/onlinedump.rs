@@ -47,7 +47,11 @@ fn fuzzy_dump_rollforward_converges() {
     let mut dumps_completed = 0;
     for seed in [0, 4, 7] {
         let report = run_schedule(&dump_schedule(seed));
-        assert!(report.ok(), "seed {seed} violations: {:#?}", report.violations);
+        assert!(
+            report.ok(),
+            "seed {seed} violations: {:#?}",
+            report.violations
+        );
         dumps_completed += report.dumps_completed;
     }
     assert!(

@@ -446,11 +446,17 @@ mod tests {
     #[test]
     fn builder_rejects_bad_knobs() {
         assert_eq!(
-            TmfNodeConfig::builder().audit_processes(0).build().unwrap_err(),
+            TmfNodeConfig::builder()
+                .audit_processes(0)
+                .build()
+                .unwrap_err(),
             ConfigError::NoAuditProcesses
         );
         assert_eq!(
-            TmfNodeConfig::builder().group_commit_max(0).build().unwrap_err(),
+            TmfNodeConfig::builder()
+                .group_commit_max(0)
+                .build()
+                .unwrap_err(),
             ConfigError::ZeroGroupCommitMax
         );
         assert_eq!(

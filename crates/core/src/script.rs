@@ -83,11 +83,28 @@ impl TxnScript {
                 ctx.set_timer(d, TAG_PAUSE);
                 return;
             }
-            Step::Read(f, key) => DbOp::Read { file: f.into(), key },
-            Step::ReadLock(f, key) => DbOp::ReadLock { file: f.into(), key },
-            Step::Insert(f, key, value) => DbOp::Insert { file: f.into(), key, value },
-            Step::Update(f, key, value) => DbOp::Update { file: f.into(), key, value },
-            Step::Delete(f, key) => DbOp::Delete { file: f.into(), key },
+            Step::Read(f, key) => DbOp::Read {
+                file: f.into(),
+                key,
+            },
+            Step::ReadLock(f, key) => DbOp::ReadLock {
+                file: f.into(),
+                key,
+            },
+            Step::Insert(f, key, value) => DbOp::Insert {
+                file: f.into(),
+                key,
+                value,
+            },
+            Step::Update(f, key, value) => DbOp::Update {
+                file: f.into(),
+                key,
+                value,
+            },
+            Step::Delete(f, key) => DbOp::Delete {
+                file: f.into(),
+                key,
+            },
         };
         if let Some(refused) = self.session.op(ctx, op) {
             // synchronous refusal (write under a read-only script)

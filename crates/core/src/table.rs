@@ -9,8 +9,8 @@
 //! System shims, servers) can query its own CPU's table cheaply.
 
 use crate::state::TxState;
-use encompass_storage::types::Transid;
 use encompass_sim::{counter, Ctx, DetHashMap, Payload, Pid, Process};
+use encompass_storage::types::Transid;
 
 /// A broadcast state change (TMP → every CPU's table).
 #[derive(Clone, Copy, Debug)]

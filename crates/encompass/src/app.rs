@@ -4,11 +4,11 @@
 
 use crate::appmon::{spawn_server_class, ServerClassConfig};
 use crate::manufacturing::{self, manufacturing_catalog, MfgServer};
-use encompass_shard::{spawn_suspense_monitor, ShardMap, SuspenseMonitorConfig};
 use crate::screen::ScreenProgram;
 use crate::tcp::{spawn_tcp, TcpConfig};
 use crate::workload::{preload_accounts, BankProgram, BankServer, BankWorkload};
 use bytes::Bytes;
+use encompass_shard::{spawn_suspense_monitor, ShardMap, SuspenseMonitorConfig};
 use encompass_sim::{Name, NodeId, SimConfig, SimDuration, World};
 use encompass_storage::types::{FileDef, PartitionSpec, RecoveryMode, VolumeRef};
 use encompass_storage::Catalog;
@@ -228,7 +228,13 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
     ));
 
     let mut app = builder.build(catalog);
-    preload_accounts(&mut app.world, &app.catalog, "accounts", params.accounts, 1000);
+    preload_accounts(
+        &mut app.world,
+        &app.catalog,
+        "accounts",
+        params.accounts,
+        1000,
+    );
 
     for (i, &node) in app.nodes.iter().enumerate() {
         let cpus = params.node_cpus[i];
@@ -377,12 +383,7 @@ pub fn launch_mfg_app(params: MfgAppParams) -> AppHandles {
 }
 
 /// Directly read a global replica from the media (test assertions).
-pub fn read_replica(
-    world: &mut World,
-    node: NodeId,
-    file: &str,
-    key: &[u8],
-) -> Option<Bytes> {
+pub fn read_replica(world: &mut World, node: NodeId, file: &str, key: &[u8]) -> Option<Bytes> {
     use encompass_storage::media::{media_key, VolumeMedia};
     let media = world
         .stable()
@@ -470,9 +471,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
 
     let mut catalog = Catalog::new();
     let parts = map.partitions(vol_of);
-    catalog.add(
-        FileDef::key_sequenced(ACCOUNTS_FILE, parts[0].volume.clone()).partitioned(parts),
-    );
+    catalog.add(FileDef::key_sequenced(ACCOUNTS_FILE, parts[0].volume.clone()).partitioned(parts));
     add_replicated_file(&mut catalog, BRANCH_FILE, &node_ids, vol_of);
     add_suspense_files(&mut catalog, &node_ids, vol_of);
 
@@ -484,7 +483,13 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
         builder = builder.node(params.cpus_per_node);
     }
     let mut app = builder.mesh(params.link_latency).build(catalog);
-    preload_accounts(&mut app.world, &app.catalog, ACCOUNTS_FILE, params.accounts, 1000);
+    preload_accounts(
+        &mut app.world,
+        &app.catalog,
+        ACCOUNTS_FILE,
+        params.accounts,
+        1000,
+    );
 
     for (i, &node) in app.nodes.iter().enumerate() {
         let replicas = map.replica_set(node, params.branch_replicas);

@@ -21,8 +21,8 @@ use crate::server::{Dispatch, ServerIdle, ServerLogic, ServerProcess};
 use encompass_sim::{counter, CounterId, CpuId, Name, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::Catalog;
 use guardian::{Checkpointed, PairApp, PairHandle, Request};
-use std::convert::Infallible;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::rc::Rc;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
@@ -139,8 +139,7 @@ impl ServerClassQueue {
             self.busy.push(server);
         }
         // dynamic creation under backlog pressure
-        while self.backlog.len() > SPAWN_BACKLOG && self.server_count() < self.cfg.max_servers
-        {
+        while self.backlog.len() > SPAWN_BACKLOG && self.server_count() < self.cfg.max_servers {
             let before = self.server_count();
             self.spawn_server(ctx);
             if self.server_count() == before {

@@ -20,7 +20,7 @@
 //! transaction) is also implemented (`sync-update`) for the node-autonomy
 //! ablation, experiment T7.
 
-use crate::messages::{AppRequest, AppReply};
+use crate::messages::{AppReply, AppRequest};
 use crate::server::{DbOp, ServerLogic, ServerStep};
 use bytes::{BufMut, Bytes, BytesMut};
 use encompass_shard::{add_suspense_files, SuspenseRecord};

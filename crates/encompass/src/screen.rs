@@ -139,9 +139,15 @@ mod tests {
     #[test]
     fn script_runs_in_order_and_finishes() {
         let mut p = ScriptProgram::new(vec![ScreenAction::begin(), ScreenAction::End]);
-        assert!(matches!(p.next(ScreenInput::Go), ScreenAction::Begin { .. }));
+        assert!(matches!(
+            p.next(ScreenInput::Go),
+            ScreenAction::Begin { .. }
+        ));
         assert!(matches!(p.next(ScreenInput::Began), ScreenAction::End));
-        assert!(matches!(p.next(ScreenInput::Committed), ScreenAction::Finished));
+        assert!(matches!(
+            p.next(ScreenInput::Committed),
+            ScreenAction::Finished
+        ));
         assert!(matches!(p.next(ScreenInput::Go), ScreenAction::Finished));
     }
 

@@ -252,9 +252,7 @@ mod tests {
                 if payload.is::<ServerIdle>() {
                     self.got.borrow_mut().push("idle".into());
                 } else if let Some(r) = payload.downcast_ref::<guardian::RpcReply<AppReply>>() {
-                    self.got
-                        .borrow_mut()
-                        .push(format!("reply:{}", r.body.ok));
+                    self.got.borrow_mut().push(format!("reply:{}", r.body.ok));
                 }
             }
         }

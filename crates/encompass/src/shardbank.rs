@@ -487,8 +487,7 @@ mod tests {
             think: SimDuration::ZERO,
             server_class: "shardbank".into(),
         };
-        for (permille, lo_expect, hi_expect) in [(0, 0.0, 0.0), (300, 0.2, 0.4), (1000, 1.0, 1.0)]
-        {
+        for (permille, lo_expect, hi_expect) in [(0, 0.0, 0.0), (300, 0.2, 0.4), (1000, 1.0, 1.0)] {
             let mut p = ShardBankProgram::new(mk(permille), 42);
             let mut cross = 0;
             let total = 2000;

@@ -258,11 +258,7 @@ impl TerminalControlProcess {
         // the abort+restart path (no blind re-execution of non-idempotent
         // work)
         let timeout = self.cfg.send_timeout;
-        if t
-            .server_rpc
-            .call(ctx, target, env, timeout, 0, ())
-            .is_err()
-        {
+        if t.server_rpc.call(ctx, target, env, timeout, 0, ()).is_err() {
             self.send_failed(ctx, idx);
         }
     }

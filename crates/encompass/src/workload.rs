@@ -101,9 +101,7 @@ impl ServerLogic for BankServer {
             }
             (1, DiscReply::Value(None)) => ServerStep::Reply(AppReply::error()),
             // deadlock timeout: ask the requester to RESTART-TRANSACTION
-            (_, DiscReply::Err(DiscError::LockTimeout)) => {
-                ServerStep::Reply(AppReply::restart())
-            }
+            (_, DiscReply::Err(DiscError::LockTimeout)) => ServerStep::Reply(AppReply::restart()),
             // the snapshot fence aged out of the volume's before-image
             // ring: restart pins a fresh fence
             (_, DiscReply::Err(DiscError::SnapshotTooOld)) => {
@@ -345,7 +343,10 @@ mod tests {
             },
             7,
         );
-        assert!(matches!(p.next(ScreenInput::Go), ScreenAction::Begin { .. }));
+        assert!(matches!(
+            p.next(ScreenInput::Go),
+            ScreenAction::Begin { .. }
+        ));
         let send = p.next(ScreenInput::Began);
         match &send {
             ScreenAction::Send { class, request, .. } => {

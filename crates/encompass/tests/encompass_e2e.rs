@@ -5,9 +5,9 @@
 use bytes::Bytes;
 use encompass::app::{launch_bank_app, launch_mfg_app, read_replica, BankAppParams, MfgAppParams};
 use encompass::manufacturing::{global_record, master_of};
-use encompass_shard::SuspenseRecord;
 use encompass::messages::{AppReply, AppRequest, ServerRequest};
 use encompass::workload::total_balance;
+use encompass_shard::SuspenseRecord;
 use encompass_sim::{CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, TimerId};
 use guardian::{Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
@@ -128,7 +128,10 @@ impl Process for OneShot {
                         };
                         let _ = self.rpc.call(
                             ctx,
-                            Target::Named(self.node, encompass::appmon::server_class_service(&self.class)),
+                            Target::Named(
+                                self.node,
+                                encompass::appmon::server_class_service(&self.class),
+                            ),
                             env,
                             SimDuration::from_secs(3),
                             0,
@@ -155,8 +158,7 @@ impl Process for OneShot {
                     self.session.end(ctx);
                 } else {
                     self.state = 4;
-                    self.session
-                        .abort(ctx, tmf::state::AbortReason::Voluntary);
+                    self.session.abort(ctx, tmf::state::AbortReason::Voluntary);
                 }
             }
         }
@@ -236,7 +238,11 @@ fn manufacturing_replicas_converge_via_suspense_files() {
         )),
     );
     app.world.run_for(SimDuration::from_secs(40));
-    assert_eq!(*result2.borrow(), Some(true), "second update of the same key");
+    assert_eq!(
+        *result2.borrow(),
+        Some(true),
+        "second update of the same key"
+    );
     let expected2 = global_record(n0, b"rev-2");
     for &n in &app.nodes {
         assert_eq!(

@@ -3,9 +3,7 @@
 //! transactions), and replicated branch records converge through the
 //! suspense-file subsystem — also across a partition and heal.
 
-use encompass::app::{
-    launch_shard_bank, read_branch_copy, suspense_backlog, ShardBankAppParams,
-};
+use encompass::app::{launch_shard_bank, read_branch_copy, suspense_backlog, ShardBankAppParams};
 use encompass::workload::total_balance;
 use encompass_sim::{Fault, SimDuration};
 

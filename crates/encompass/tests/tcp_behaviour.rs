@@ -18,8 +18,14 @@ fn setup() -> (World, NodeId, Catalog) {
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(4);
     let mut catalog = Catalog::new();
-    catalog.add(FileDef::key_sequenced("accounts", VolumeRef::new(n, "$BANK")));
-    catalog.add(FileDef::entry_sequenced("history", VolumeRef::new(n, "$BANK")));
+    catalog.add(FileDef::key_sequenced(
+        "accounts",
+        VolumeRef::new(n, "$BANK"),
+    ));
+    catalog.add(FileDef::entry_sequenced(
+        "history",
+        VolumeRef::new(n, "$BANK"),
+    ));
     spawn_tmf_network(&mut w, &catalog, TmfNodeConfig::default());
     spawn_server_class(
         &mut w,
@@ -40,11 +46,12 @@ fn setup() -> (World, NodeId, Catalog) {
             .stable_mut()
             .get_mut::<VolumeMedia>(&media_key(n, "$BANK"))
             .unwrap();
-        media.ensure_file(
-            "accounts",
-            encompass_storage::types::FileOrganization::KeySequenced,
-        )
-        .apply(b"acct00000000", Some(Bytes::from_static(b"1000")));
+        media
+            .ensure_file(
+                "accounts",
+                encompass_storage::types::FileOrganization::KeySequenced,
+            )
+            .apply(b"acct00000000", Some(Bytes::from_static(b"1000")));
     }
     (w, n, catalog)
 }
@@ -55,7 +62,10 @@ fn debit_send() -> ScreenAction {
         class: "bank".into(),
         request: AppRequest::new(
             "debit",
-            vec![Bytes::from_static(b"acct00000000"), Bytes::from_static(b"5")],
+            vec![
+                Bytes::from_static(b"acct00000000"),
+                Bytes::from_static(b"5"),
+            ],
         ),
     }
 }
@@ -63,30 +73,22 @@ fn debit_send() -> ScreenAction {
 #[test]
 fn scripted_commit_and_voluntary_abort_through_the_tcp() {
     let (mut w, n, catalog) = setup();
-    spawn_tcp(
-        &mut w,
-        n,
-        0,
-        1,
-        TcpConfig::default(),
-        catalog,
-        move || {
-            vec![
-                // terminal 0: begin → debit → commit
-                Box::new(ScriptProgram::new(vec![
-                    ScreenAction::begin(),
-                    debit_send(),
-                    ScreenAction::End,
-                ])) as Box<dyn ScreenProgram>,
-                // terminal 1: begin → debit → ABORT-TRANSACTION
-                Box::new(ScriptProgram::new(vec![
-                    ScreenAction::begin(),
-                    debit_send(),
-                    ScreenAction::Abort,
-                ])) as Box<dyn ScreenProgram>,
-            ]
-        },
-    );
+    spawn_tcp(&mut w, n, 0, 1, TcpConfig::default(), catalog, move || {
+        vec![
+            // terminal 0: begin → debit → commit
+            Box::new(ScriptProgram::new(vec![
+                ScreenAction::begin(),
+                debit_send(),
+                ScreenAction::End,
+            ])) as Box<dyn ScreenProgram>,
+            // terminal 1: begin → debit → ABORT-TRANSACTION
+            Box::new(ScriptProgram::new(vec![
+                ScreenAction::begin(),
+                debit_send(),
+                ScreenAction::Abort,
+            ])) as Box<dyn ScreenProgram>,
+        ]
+    });
     w.run_for(SimDuration::from_secs(20));
     let m = w.metrics();
     assert_eq!(m.get("tcp.commits"), 1);
@@ -180,5 +182,8 @@ fn tcp_takeover_aborts_open_transaction_and_finishes_script() {
     // restarted at BEGIN; the script then commits
     assert_eq!(m.get("tcp.commits"), 1, "restarted and committed");
     assert_eq!(m.get("tcp.terminals_finished"), 1);
-    assert!(m.get("tmf.aborts") >= 1, "the takeover aborted the open txn");
+    assert!(
+        m.get("tmf.aborts") >= 1,
+        "the takeover aborted the open txn"
+    );
 }

@@ -71,13 +71,7 @@ pub struct RpcReply<R> {
 
 /// Send a reply to a previously received [`Request`].
 pub fn reply<R: Send + 'static>(ctx: &mut Ctx<'_>, req_id: u64, to: Pid, body: R) {
-    let _ = ctx.send(
-        to,
-        Payload::new(RpcReply {
-            id: req_id,
-            body,
-        }),
-    );
+    let _ = ctx.send(to, Payload::new(RpcReply { id: req_id, body }));
 }
 
 struct Pending<M, K> {
@@ -316,9 +310,9 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
     /// pid's ids (whose remembered replies a server would then replay to
     /// this process).
     fn fresh_id(&mut self, ctx: &Ctx<'_>) -> u64 {
-        let salt = *self.salt.get_or_insert_with(|| {
-            (self.id_space << 56) | ((ctx.pid().index as u64) << CALL_BITS)
-        });
+        let salt = *self
+            .salt
+            .get_or_insert_with(|| (self.id_space << 56) | ((ctx.pid().index as u64) << CALL_BITS));
         assert!(
             self.counter < 1 << CALL_BITS,
             "{} issued 2^{CALL_BITS} calls from one Rpc (id space {}): request ids would repeat",
@@ -665,7 +659,11 @@ mod tests {
 
                 self.rpc.counter = (1 << CALL_BITS) - 1;
                 let last = self.rpc.fresh_id(ctx);
-                assert_eq!(last + 1, theirs, "the last id sits right below the neighbour's");
+                assert_eq!(
+                    last + 1,
+                    theirs,
+                    "the last id sits right below the neighbour's"
+                );
                 let beyond = self.rpc.fresh_id(ctx);
                 assert_ne!(beyond, theirs, "two processes issued the same request id");
             }
@@ -909,8 +907,16 @@ mod tests {
         }
         w.run_for(SimDuration::from_millis(1));
         let issued = issued.borrow();
-        assert_eq!(issued.len(), 12, "two processes, two rpcs each, three calls");
+        assert_eq!(
+            issued.len(),
+            12,
+            "two processes, two rpcs each, three calls"
+        );
         let distinct: std::collections::BTreeSet<u64> = issued.iter().copied().collect();
-        assert_eq!(distinct.len(), issued.len(), "request ids collide: {issued:?}");
+        assert_eq!(
+            distinct.len(),
+            issued.len(),
+            "request ids collide: {issued:?}"
+        );
     }
 }

@@ -109,9 +109,21 @@ fn a_reply_that_is_not_pending_is_handed_back_unboxed() {
 
     // a stale reply of the right type, a payload of another type, then
     // the real reply
-    w.send_external(client, Payload::new(RpcReply { id: stale, body: Pong(1) }));
+    w.send_external(
+        client,
+        Payload::new(RpcReply {
+            id: stale,
+            body: Pong(1),
+        }),
+    );
     w.send_external(client, Payload::new("not a reply"));
-    w.send_external(client, Payload::new(RpcReply { id: pending, body: Pong(2) }));
+    w.send_external(
+        client,
+        Payload::new(RpcReply {
+            id: pending,
+            body: Pong(2),
+        }),
+    );
     w.run_for(SimDuration::from_millis(1));
 
     let offers = offers.borrow();
@@ -171,7 +183,11 @@ fn admitting_and_answering_a_request_allocates_only_the_reply() {
         }),
     );
     for id in 0..64u64 {
-        let request = Request { id, from: client, body: 7u32 };
+        let request = Request {
+            id,
+            from: client,
+            body: 7u32,
+        };
         w.send_external(server, Payload::new(request));
         w.run_for(SimDuration::from_millis(1));
     }

@@ -104,14 +104,16 @@ impl Model {
         self.in_progress.remove(&id);
         self.sent.push((id, reply));
     }
-
 }
 
 #[derive(Clone, Debug)]
 enum Op {
     /// A request with this id arrives. A duplicate's token is kept (the
     /// TMP handles a retransmission again) or dropped (everyone else).
-    Admit { id: u64, keep_duplicate: bool },
+    Admit {
+        id: u64,
+        keep_duplicate: bool,
+    },
     /// Consume the held token at this index (modulo how many are held).
     Answer(usize, u32),
     AnswerUncached(usize, u32),
@@ -124,7 +126,9 @@ enum Op {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    let admit = || (0..IDS, any::<bool>()).prop_map(|(id, keep_duplicate)| Op::Admit { id, keep_duplicate });
+    let admit = || {
+        (0..IDS, any::<bool>()).prop_map(|(id, keep_duplicate)| Op::Admit { id, keep_duplicate })
+    };
     prop_oneof![
         admit(),
         admit(),
@@ -211,7 +215,11 @@ impl Process for Server {
                     model.in_progress.clear();
                 }
             }
-            assert_eq!(served.entries(), model.cache.entries(), "remembered replies, oldest first");
+            assert_eq!(
+                served.entries(),
+                model.cache.entries(),
+                "remembered replies, oldest first"
+            );
             assert_eq!(served.answered(), model.cache.entries().len());
             assert_eq!(served.pending(), model.in_progress.len());
         }

@@ -38,10 +38,7 @@ impl ShardMap {
             "the first slot's low key must be empty"
         );
         for w in slots.windows(2) {
-            assert!(
-                w[0].0 < w[1].0,
-                "slot low keys must be strictly ascending"
-            );
+            assert!(w[0].0 < w[1].0, "slot low keys must be strictly ascending");
         }
         ShardMap { slots }
     }
@@ -112,7 +109,10 @@ impl ShardMap {
     /// Build the `PartitionSpec` list for a partitioned file whose
     /// partition boundaries are the shard boundaries; `volume_of` names
     /// each master's volume.
-    pub fn partitions(&self, volume_of: impl Fn(NodeId) -> encompass_storage::types::VolumeRef) -> Vec<PartitionSpec> {
+    pub fn partitions(
+        &self,
+        volume_of: impl Fn(NodeId) -> encompass_storage::types::VolumeRef,
+    ) -> Vec<PartitionSpec> {
         self.slots
             .iter()
             .map(|(low, m)| PartitionSpec {
@@ -186,10 +186,7 @@ mod tests {
     fn replica_set_is_a_ring() {
         let masters: Vec<NodeId> = (0..4).map(NodeId).collect();
         let map = ShardMap::uniform(&masters, 100, key);
-        assert_eq!(
-            map.replica_set(NodeId(2), 2),
-            vec![NodeId(3), NodeId(0)]
-        );
+        assert_eq!(map.replica_set(NodeId(2), 2), vec![NodeId(3), NodeId(0)]);
         // full replication caps at nodes-1
         assert_eq!(map.replica_set(NodeId(0), 10).len(), 3);
         assert!(!map.replica_set(NodeId(1), 10).contains(&NodeId(1)));

@@ -577,7 +577,11 @@ mod tests {
         let a = attribute_commit(&events).expect("committed window present");
         assert_eq!(a.total_us, 1000, "full window starts at Begin");
         assert_eq!(a.commit_us, 900, "commit window starts at EndRequested");
-        assert_eq!(a.component_sum(), a.total_us, "components partition the window");
+        assert_eq!(
+            a.component_sum(),
+            a.total_us,
+            "components partition the window"
+        );
         assert_eq!(a.force_us, 250 + 450);
         assert_eq!(a.bus_us, 100 + 50 + 50 + 100);
         assert_eq!(a.lock_wait_us, 0);
@@ -656,7 +660,12 @@ mod tests {
     fn json_export_shape() {
         let mut fr = FlightRecorder::new(true, 16);
         fr.record(at(5), pid(0, 1), tid(3), FlightCause::Begin);
-        fr.record(at(9), pid(0, 1), tid(3), FlightCause::MonitorForced { boxcar: 4 });
+        fr.record(
+            at(9),
+            pid(0, 1),
+            tid(3),
+            FlightCause::MonitorForced { boxcar: 4 },
+        );
         let json = fr.to_json();
         assert!(json.contains("\"transid\": \"T0.1.3\""));
         assert!(json.contains("\"cause\": \"monitor_forced\", \"boxcar\": 4"));

@@ -148,10 +148,14 @@ mod tests {
                 }
             }
         }
-        let by_name: BTreeMap<Name, usize> = WORDS.iter().map(|w| (Name::new(w), w.len())).collect();
+        let by_name: BTreeMap<Name, usize> =
+            WORDS.iter().map(|w| (Name::new(w), w.len())).collect();
         let by_string: BTreeMap<String, usize> =
             WORDS.iter().map(|w| (w.to_string(), w.len())).collect();
-        assert!(by_name.keys().map(Name::as_str).eq(by_string.keys().map(String::as_str)));
+        assert!(by_name
+            .keys()
+            .map(Name::as_str)
+            .eq(by_string.keys().map(String::as_str)));
     }
 
     #[test]

@@ -41,7 +41,13 @@ impl Trace {
     /// Fold an event into the determinism hash (always) and into the
     /// readable trace (when enabled). `code` should identify the event kind
     /// and principals; `detail` is only evaluated when tracing is on.
-    pub fn note(&mut self, at: SimTime, kind: &'static str, code: u64, detail: impl FnOnce() -> String) {
+    pub fn note(
+        &mut self,
+        at: SimTime,
+        kind: &'static str,
+        code: u64,
+        detail: impl FnOnce() -> String,
+    ) {
         self.hash ^= at.as_micros();
         self.hash = self.hash.wrapping_mul(FNV_PRIME);
         self.hash ^= code;

@@ -560,7 +560,11 @@ impl BPlusTree {
                 }
                 for (i, &c) in children.iter().enumerate() {
                     let l = if i == 0 { low } else { Some(&keys[i - 1]) };
-                    let h = if i == keys.len() { high } else { Some(&keys[i]) };
+                    let h = if i == keys.len() {
+                        high
+                    } else {
+                        Some(&keys[i])
+                    };
                     self.check_node(c, l, h, depth + 1, false, leaf_depths, count);
                 }
             }
@@ -693,7 +697,10 @@ mod tests {
             t.insert(b(&format!("customer/region-west/{i:04}")), bn(i));
         }
         let (raw, compressed) = t.key_compression();
-        assert!(raw > compressed, "shared prefixes compress: {raw} vs {compressed}");
+        assert!(
+            raw > compressed,
+            "shared prefixes compress: {raw} vs {compressed}"
+        );
     }
 
     #[test]

@@ -365,7 +365,13 @@ impl LockManager {
     /// mode is granted immediately (idempotent, for retried requests);
     /// requesting `Exclusive` over an own `Shared` grant upgrades in
     /// place once every other holder is gone.
-    pub fn acquire(&mut self, txn: Transid, scope: LockScope, mode: LockMode, token: u64) -> Acquire {
+    pub fn acquire(
+        &mut self,
+        txn: Transid,
+        scope: LockScope,
+        mode: LockMode,
+        token: u64,
+    ) -> Acquire {
         if self.holds(txn, &scope, mode) {
             return Acquire::Granted;
         }
@@ -419,7 +425,10 @@ impl LockManager {
             Some(q) => q,
             None => locks.records.entry(key.clone()).or_default(),
         };
-        debug_assert!(q.granted.iter().all(|g| g.txn == txn || g.mode.compatible(mode)));
+        debug_assert!(q
+            .granted
+            .iter()
+            .all(|g| g.txn == txn || g.mode.compatible(mode)));
         match q.granted.iter_mut().find(|g| g.txn == txn) {
             Some(g) if g.mode.covers(mode) => {}
             Some(g) => {
@@ -446,7 +455,10 @@ impl LockManager {
 
     fn grant_file(&mut self, txn: Transid, file: &Name, mode: LockMode) {
         let q = &mut self.file_locks(file).file;
-        debug_assert!(q.granted.iter().all(|g| g.txn == txn || g.mode.compatible(mode)));
+        debug_assert!(q
+            .granted
+            .iter()
+            .all(|g| g.txn == txn || g.mode.compatible(mode)));
         match q.granted.iter_mut().find(|g| g.txn == txn) {
             Some(g) if g.mode.covers(mode) => {}
             Some(g) => g.mode = mode,
@@ -492,10 +504,9 @@ impl LockManager {
                 }
                 file
             }
-            None => self
-                .files
-                .iter_mut()
-                .find_map(|(file, locks)| remove_from(&mut locks.file, token).then(|| file.clone()))?,
+            None => self.files.iter_mut().find_map(|(file, locks)| {
+                remove_from(&mut locks.file, token).then(|| file.clone())
+            })?,
         };
         let mut granted = Vec::new();
         self.wake_file(&file, &mut granted);
@@ -518,7 +529,9 @@ impl LockManager {
                         let pos = q.granted.iter().position(|g| g.txn == txn)?;
                         Some(q.granted.remove(pos).mode)
                     });
-                    if let (Some(mode), Some(counts)) = (released, locks.record_holders.get_mut(&txn)) {
+                    if let (Some(mode), Some(counts)) =
+                        (released, locks.record_holders.get_mut(&txn))
+                    {
                         *counts.of(mode) -= 1;
                         if counts.shared == 0 && counts.exclusive == 0 {
                             locks.record_holders.remove(&txn);
@@ -591,7 +604,10 @@ impl LockManager {
     fn wake_file(&mut self, file: &Name, granted: &mut Vec<GrantedWaiter>) {
         // like wake_record: the maximal compatible prefix is granted
         loop {
-            let Some(front) = self.files.get(&**file).and_then(|locks| locks.file.waiters.front())
+            let Some(front) = self
+                .files
+                .get(&**file)
+                .and_then(|locks| locks.file.waiters.front())
             else {
                 return;
             };
@@ -664,7 +680,11 @@ mod tests {
     fn exclusive_record_lock() {
         let mut lm = LockManager::new();
         assert_eq!(lm.acquire(t(1), rec("f", "k"), X, 100), Acquire::Granted);
-        assert_eq!(lm.acquire(t(1), rec("f", "k"), X, 101), Acquire::Granted, "re-entrant");
+        assert_eq!(
+            lm.acquire(t(1), rec("f", "k"), X, 101),
+            Acquire::Granted,
+            "re-entrant"
+        );
         assert_eq!(lm.acquire(t(2), rec("f", "k"), X, 102), Acquire::Queued);
         assert_eq!(lm.holders(&rec("f", "k")), vec![(t(1), X)]);
         assert_eq!(lm.waiting(), 1);
@@ -939,10 +959,7 @@ mod tests {
                 let hs = lm.holders(&rec("f", &format!("k{k}")));
                 for (i, a) in hs.iter().enumerate() {
                     for b in hs.iter().skip(i + 1) {
-                        assert!(
-                            a.1.compatible(b.1),
-                            "incompatible record grant set: {hs:?}"
-                        );
+                        assert!(a.1.compatible(b.1), "incompatible record grant set: {hs:?}");
                     }
                 }
             }

@@ -227,7 +227,11 @@ impl VolumeMedia {
     /// Apply a flushed write. Panics if the volume is unavailable — the
     /// DISCPROCESS must check availability first.
     pub fn apply(&mut self, file: &str, org: FileOrganization, key: &[u8], value: Option<Bytes>) {
-        assert!(self.available(), "write to unavailable volume {}", self.name);
+        assert!(
+            self.available(),
+            "write to unavailable volume {}",
+            self.name
+        );
         self.physical_writes += 1;
         self.ensure_file(file, org).apply(key, value);
     }

@@ -69,7 +69,10 @@ impl Overlay {
     /// Discarding overlay state is as much a database mutation as writing
     /// it: an unreviewed path here can lose a committed update.
     pub fn remove(&mut self, file: &str, key: &[u8], _cp: &Checkpointed) {
-        let removed = self.dirty.get_mut(file).and_then(|records| records.remove(key));
+        let removed = self
+            .dirty
+            .get_mut(file)
+            .and_then(|records| records.remove(key));
         if removed.is_some() {
             self.len -= 1;
         }
@@ -77,7 +80,11 @@ impl Overlay {
 
     /// Remove and return up to `n` dirty entries for flushing (in
     /// `(file, key)` order, so flushes are deterministic).
-    pub fn take_batch(&mut self, n: usize, _cp: &Checkpointed) -> Vec<(Name, Bytes, Option<Bytes>)> {
+    pub fn take_batch(
+        &mut self,
+        n: usize,
+        _cp: &Checkpointed,
+    ) -> Vec<(Name, Bytes, Option<Bytes>)> {
         let mut batch = Vec::with_capacity(n.min(self.len));
         for (file, records) in self.dirty.iter_mut() {
             while batch.len() < n {

@@ -126,10 +126,7 @@ mod tests {
         }
         assert_eq!(f.scan(0, None, usize::MAX).len(), 4);
         let mid = f.scan(2, Some(6), usize::MAX);
-        assert_eq!(
-            mid.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![3, 5]
-        );
+        assert_eq!(mid.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![3, 5]);
         assert_eq!(f.scan(0, None, 2).len(), 2);
         assert_eq!(f.capacity(), 8);
     }

@@ -48,7 +48,11 @@ fn the_counter_counts() {
     let (n, name) = allocations_in(|| Name::new("accounts"));
     assert_eq!(n, 1, "building a shared name is its one allocation");
     drop(name);
-    assert_eq!(allocations_in(|| Name::from("accounts")).0, 0, "a literal is free");
+    assert_eq!(
+        allocations_in(|| Name::from("accounts")).0,
+        0,
+        "a literal is free"
+    );
 }
 
 #[test]
@@ -109,7 +113,10 @@ fn overlay_lookups_borrow() {
         overlay.remove("accounts", &miss_key, &cp);
         overlay.remove("history", &hit_key, &cp);
     });
-    assert_eq!(n, 0, "Overlay::put over a dirty key, Overlay::remove of a clean one");
+    assert_eq!(
+        n, 0,
+        "Overlay::put over a dirty key, Overlay::remove of a clean one"
+    );
     assert_eq!(overlay.len(), 2);
 }
 
@@ -134,7 +141,10 @@ fn cache_hits_relink() {
         )
     });
     assert_eq!(hits, (true, true, true));
-    assert_eq!(n, 0, "ReadCache::access hit, at the head of the list and behind it");
+    assert_eq!(
+        n, 0,
+        "ReadCache::access hit, at the head of the list and behind it"
+    );
     assert_eq!((cache.hits, cache.misses, cache.len()), (3, 3, 3));
 }
 
@@ -157,7 +167,10 @@ fn names_clone_by_handle() {
             scope.clone(),
         ))
     });
-    assert_eq!(n, 0, "Name / VolumeRef / DiscRequest::Read / LockScope clone");
+    assert_eq!(
+        n, 0,
+        "Name / VolumeRef / DiscRequest::Read / LockScope clone"
+    );
     assert_eq!(clones.0, "accounts");
     assert_eq!(clones.2, volume);
 }

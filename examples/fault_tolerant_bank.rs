@@ -24,7 +24,9 @@ fn main() {
     });
     let node = app.nodes[0];
 
-    println!("bank open: {terminals} terminals x {txns} debit transactions over {accounts} accounts");
+    println!(
+        "bank open: {terminals} terminals x {txns} debit transactions over {accounts} accounts"
+    );
     println!("running 1 virtual second of workload …");
     app.world.run_for(SimDuration::from_secs(1));
     println!(

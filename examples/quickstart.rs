@@ -37,7 +37,11 @@ impl Process for Quickstart {
                 self.step = 2;
                 let _ = self.session.op(
                     ctx,
-                    DbOp::Insert { file: "accounts".into(), key: b("alice"), value: b("100") },
+                    DbOp::Insert {
+                        file: "accounts".into(),
+                        key: b("alice"),
+                        value: b("100"),
+                    },
                 );
             }
             (2, SessionEvent::OpDone { reply, .. }) => {
@@ -55,7 +59,10 @@ impl Process for Quickstart {
                 self.step = 5;
                 let _ = self.session.op(
                     ctx,
-                    DbOp::ReadLock { file: "accounts".into(), key: b("alice") },
+                    DbOp::ReadLock {
+                        file: "accounts".into(),
+                        key: b("alice"),
+                    },
                 );
             }
             (5, SessionEvent::OpDone { reply, .. }) => {
@@ -63,7 +70,11 @@ impl Process for Quickstart {
                 self.step = 6;
                 let _ = self.session.op(
                     ctx,
-                    DbOp::Update { file: "accounts".into(), key: b("alice"), value: b("0") },
+                    DbOp::Update {
+                        file: "accounts".into(),
+                        key: b("alice"),
+                        value: b("0"),
+                    },
                 );
             }
             (6, SessionEvent::OpDone { .. }) => {
@@ -76,7 +87,10 @@ impl Process for Quickstart {
                 self.step = 8;
                 let _ = self.session.op(
                     ctx,
-                    DbOp::Read { file: "accounts".into(), key: b("alice") },
+                    DbOp::Read {
+                        file: "accounts".into(),
+                        key: b("alice"),
+                    },
                 );
             }
             (8, SessionEvent::OpDone { reply, .. }) => {
@@ -99,7 +113,10 @@ fn main() {
     let mut world = World::new(SimConfig::default());
     let node: NodeId = world.add_node(4);
     let mut catalog = Catalog::new();
-    catalog.add(FileDef::key_sequenced("accounts", VolumeRef::new(node, "$DATA")));
+    catalog.add(FileDef::key_sequenced(
+        "accounts",
+        VolumeRef::new(node, "$DATA"),
+    ));
     spawn_tmf_network(&mut world, &catalog, TmfNodeConfig::default());
 
     let session = TmfSession::new(catalog, 0);

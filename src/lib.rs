@@ -20,19 +20,18 @@ pub use tmf;
 pub mod prelude {
     // simulator
     pub use encompass_sim::{
-        Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId,
-        World,
+        Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId, World,
     };
     // storage schema + disc surface
     pub use encompass_storage::discprocess::{DiscError, DiscReply, DiscRequest};
     pub use encompass_storage::types::{FileDef, PartitionSpec, RecoveryMode, VolumeRef};
     pub use encompass_storage::Catalog;
     // the TMF session and node wiring
+    pub use encompass_storage::locks::{LockMode, LockScope};
     pub use tmf::facility::{
         spawn_tmf_network, spawn_tmf_node, ConfigError, NodeHandles, TmfNodeConfig,
         TmfNodeConfigBuilder,
     };
-    pub use encompass_storage::locks::{LockMode, LockScope};
     pub use tmf::session::{DbOp, SessionError, SessionEvent, SessionOptions, TmfSession};
     pub use tmf::state::{AbortReason, TxState, TxnClass};
     pub use tmf::Transid;

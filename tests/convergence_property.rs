@@ -4,11 +4,11 @@
 //! record equals its master copy — "global file copies converge to a
 //! consistent state".
 
+use encompass_bench::driver::{MfgDriver, MfgTally};
 use encompass_tmf::encompass::app::{launch_mfg_app, read_replica, MfgAppParams};
 use encompass_tmf::encompass::manufacturing::suspense;
 use encompass_tmf::sim::{Fault, SimDuration};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
-use encompass_bench::driver::{MfgDriver, MfgTally};
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -189,8 +189,10 @@ fn deterministic_full_stack_replay() {
             ..BankAppParams::default()
         });
         let n = app.nodes[0];
-        app.world
-            .schedule_fault(encompass_tmf::sim::SimTime::from_micros(400_000), Fault::KillCpu(n, CpuId(2)));
+        app.world.schedule_fault(
+            encompass_tmf::sim::SimTime::from_micros(400_000),
+            Fault::KillCpu(n, CpuId(2)),
+        );
         app.world.run_for(SimDuration::from_secs(30));
         app.world.trace_hash()
     }

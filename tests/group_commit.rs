@@ -24,8 +24,7 @@ fn run_bank(tmf: TmfNodeConfig) -> BankRun {
         ..BankAppParams::default()
     });
     let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-        && elapsed < 120_000
+    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64 && elapsed < 120_000
     {
         app.world.run_for(SimDuration::from_millis(100));
         elapsed += 100;

@@ -57,7 +57,11 @@ mod driver {
                     let k = Bytes::from(format!("k{}", self.seq));
                     let _ = self.session.op(
                         ctx,
-                        DbOp::Insert { file: "f0".into(), key: k, value: Bytes::from_static(b"v") },
+                        DbOp::Insert {
+                            file: "f0".into(),
+                            key: k,
+                            value: Bytes::from_static(b"v"),
+                        },
                     );
                 }
                 (2, SessionEvent::OpDone { reply, .. }) => {
@@ -138,16 +142,21 @@ mod driver {
 #[test]
 fn distributed_transactions_complete_over_a_lossy_link() {
     let mut catalog = Catalog::new();
-    catalog.add(FileDef::key_sequenced("f0", VolumeRef::new(NodeId(0), "$D0")));
-    catalog.add(FileDef::key_sequenced("f1", VolumeRef::new(NodeId(1), "$D1")));
+    catalog.add(FileDef::key_sequenced(
+        "f0",
+        VolumeRef::new(NodeId(0), "$D0"),
+    ));
+    catalog.add(FileDef::key_sequenced(
+        "f1",
+        VolumeRef::new(NodeId(1), "$D1"),
+    ));
     let mut app = AppBuilder::new()
         .node(4)
         .node(4)
         .link(0, 1, SimDuration::from_millis(2))
         .build(catalog);
     // 10% of all packets on the only link vanish
-    app.world
-        .set_link_loss(encompass_tmf::sim::LinkId(0), 0.10);
+    app.world.set_link_loss(encompass_tmf::sim::LinkId(0), 0.10);
 
     let committed = driver::spawn(&mut app.world, app.nodes[0], app.catalog.clone(), 20);
     app.world.run_for(SimDuration::from_secs(600));
@@ -300,14 +309,22 @@ mod dual_driver {
                     let k = Bytes::from(format!("k{}", self.seq));
                     let _ = self.session.op(
                         ctx,
-                        DbOp::Insert { file: "fa".into(), key: k, value: Bytes::from_static(b"v") },
+                        DbOp::Insert {
+                            file: "fa".into(),
+                            key: k,
+                            value: Bytes::from_static(b"v"),
+                        },
                     );
                 }
                 (2, SessionEvent::OpDone { .. }) => {
                     self.step = 3;
                     let _ = self.session.op(
                         ctx,
-                        DbOp::Insert { file: "fb".into(), key: k, value: Bytes::from_static(b"v") },
+                        DbOp::Insert {
+                            file: "fb".into(),
+                            key: k,
+                            value: Bytes::from_static(b"v"),
+                        },
                     );
                 }
                 (3, SessionEvent::OpDone { .. }) => {

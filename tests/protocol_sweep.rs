@@ -7,13 +7,13 @@
 use bytes::Bytes;
 use encompass_tmf::audit::monitor::MonitorTrail;
 use encompass_tmf::encompass::app::AppBuilder;
+use encompass_tmf::sim::{Ctx, Payload, Pid, Process, TimerId};
 use encompass_tmf::sim::{Fault, NodeId, SimDuration, SimTime};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
 use encompass_tmf::storage::types::{FileDef, VolumeRef};
 use encompass_tmf::storage::Catalog;
 use encompass_tmf::tmf::session::{DbOp, SessionEvent, TmfSession};
 use encompass_tmf::tmf::state::AbortReason;
-use encompass_tmf::sim::{Ctx, Payload, Pid, Process, TimerId};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -98,8 +98,14 @@ impl OneTxn {
 /// value-visible-at-node1-after-heal).
 fn run_with_cut(cut_us: u64) -> (&'static str, Option<bool>, bool) {
     let mut catalog = Catalog::new();
-    catalog.add(FileDef::key_sequenced("f0", VolumeRef::new(NodeId(0), "$D0")));
-    catalog.add(FileDef::key_sequenced("f1", VolumeRef::new(NodeId(1), "$D1")));
+    catalog.add(FileDef::key_sequenced(
+        "f0",
+        VolumeRef::new(NodeId(0), "$D0"),
+    ));
+    catalog.add(FileDef::key_sequenced(
+        "f1",
+        VolumeRef::new(NodeId(1), "$D1"),
+    ));
     let mut app = AppBuilder::new()
         .node(4)
         .node(4)

@@ -14,9 +14,7 @@ use encompass_tmf::audit::rollforward::rollforward_volume;
 use encompass_tmf::audit::trail::{trail_key, TrailMedia};
 use encompass_tmf::encompass::app::{launch_bank_app, AppBuilder, BankAppParams};
 use encompass_tmf::encompass::workload::total_balance;
-use encompass_tmf::sim::{
-    CpuId, Fault, NodeId, SimConfig, SimDuration,
-};
+use encompass_tmf::sim::{CpuId, Fault, NodeId, SimConfig, SimDuration};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
 use encompass_tmf::storage::types::{FileDef, VolumeRef};
 use encompass_tmf::storage::Catalog;
@@ -33,8 +31,14 @@ fn b(s: &str) -> Bytes {
 #[test]
 fn rollforward_negotiates_with_remote_home_node() {
     let mut catalog = Catalog::new();
-    catalog.add(FileDef::key_sequenced("f0", VolumeRef::new(NodeId(0), "$D0")));
-    catalog.add(FileDef::key_sequenced("f1", VolumeRef::new(NodeId(1), "$D1")));
+    catalog.add(FileDef::key_sequenced(
+        "f0",
+        VolumeRef::new(NodeId(0), "$D0"),
+    ));
+    catalog.add(FileDef::key_sequenced(
+        "f1",
+        VolumeRef::new(NodeId(1), "$D1"),
+    ));
     let mut app = AppBuilder::new()
         .node(4)
         .node(4)
@@ -97,9 +101,9 @@ fn rollforward_negotiates_with_remote_home_node() {
         // to the remote home node (it would normally have a phase-2 copy)
         assert!(!media.available());
     }
-    app.world.stable_mut().remove(
-        &encompass_tmf::audit::monitor::monitor_key(n1),
-    );
+    app.world
+        .stable_mut()
+        .remove(&encompass_tmf::audit::monitor::monitor_key(n1));
 
     let report = rollforward_volume(
         &mut app.world,
@@ -187,15 +191,18 @@ fn trail_purge_respects_archive_watermark() {
 /// The TMF utility: query a completed transaction's disposition.
 #[test]
 fn disposition_query_after_completion() {
+    use encompass_tmf::sim::{Ctx, Payload, Pid, Process, TimerId};
     use encompass_tmf::tmf::tmp::{TmpMsg, TmpReply};
     use encompass_tmf::tmf::TxState;
-    use encompass_tmf::sim::{Ctx, Payload, Pid, Process, TimerId};
     use guardian::Rpc;
     use std::cell::RefCell;
     use std::rc::Rc;
 
     let mut catalog = Catalog::new();
-    catalog.add(FileDef::key_sequenced("f0", VolumeRef::new(NodeId(0), "$D0")));
+    catalog.add(FileDef::key_sequenced(
+        "f0",
+        VolumeRef::new(NodeId(0), "$D0"),
+    ));
     let mut app = AppBuilder::new().node(4).build(catalog);
     let n0 = app.nodes[0];
     let log = drive(
@@ -203,7 +210,11 @@ fn disposition_query_after_completion() {
         n0,
         0,
         app.catalog.clone(),
-        vec![Step::Begin, Step::Insert("f0".into(), b("k"), b("v")), Step::End],
+        vec![
+            Step::Begin,
+            Step::Insert("f0".into(), b("k"), b("v")),
+            Step::End,
+        ],
     );
     app.world.run_for(SimDuration::from_secs(5));
     assert_eq!(log.borrow().last().unwrap(), "committed");
