@@ -55,8 +55,10 @@ pub enum SystemEvent {
 }
 
 /// Behaviour of a simulated process. All methods have default no-op
-/// implementations except [`Process::on_message`].
-pub trait Process: 'static {
+/// implementations except [`Process::on_message`]. `Any` is what lets a
+/// driver read a live process's state between events
+/// ([`World::inspect`]).
+pub trait Process: std::any::Any {
     /// Called once, when the process is scheduled for the first time.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
