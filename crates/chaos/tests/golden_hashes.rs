@@ -24,7 +24,7 @@ fn check(tier: &str, expected: u64, got: u64) {
 fn sweep_0_to_25() {
     check(
         "run_seed(0..25)",
-        0xa69c_f74b_f972_4296,
+        0xbc74_f80d_7129_c6d3,
         fold((0..25).map(|s| run_seed(s).trace_hash)),
     );
 }
@@ -35,7 +35,7 @@ fn sweep_0_to_25() {
 fn sweep_0_to_25_with_dumps() {
     check(
         "run_seed(0..25) with dumps_enabled",
-        0x86e3_f275_d754_2155,
+        0x584a_81a9_56e6_fa8c,
         overridden(0..25, |s| s.dumps_enabled = true),
     );
 }
@@ -55,7 +55,7 @@ fn overridden(seeds: impl IntoIterator<Item = u64>, set: fn(&mut Schedule)) -> u
 fn sweep_0_to_10_window_2000() {
     check(
         "seeds 0..10 with group_commit_window_us = 2000",
-        0x9bf8_a7dc_d4cd_a063,
+        0x5fc7_9f72_b6a8_cbc6,
         overridden(0..10, |s| s.group_commit_window_us = 2000),
     );
 }
@@ -65,7 +65,7 @@ fn sweep_0_to_10_window_2000() {
 fn sweep_0_to_10_partitions_2_with_dumps() {
     check(
         "seeds 0..10 with audit_partitions = 2, volumes_per_node = 2, dumps_enabled",
-        0xd761_90a9_3f01_8656,
+        0x66ac_fcbf_024c_a057,
         overridden(0..10, |s| {
             s.audit_partitions = 2;
             s.volumes_per_node = 2;
@@ -79,7 +79,7 @@ fn sweep_0_to_10_partitions_2_with_dumps() {
 fn sweep_0_to_10_readers_2() {
     check(
         "seeds 0..10 with readonly_terminals_per_node = 2",
-        0xb011_e15f_4e10_71da,
+        0xc8a8_d333_0b54_574f,
         overridden(0..10, |s| s.readonly_terminals_per_node = 2),
     );
 }
@@ -88,7 +88,7 @@ fn sweep_0_to_10_readers_2() {
 fn shard_sweep_0_to_8() {
     check(
         "seeds 0..8 with tier = Shards",
-        0xa955_26f8_0ae4_32fe,
+        0xafcd_fed8_cfd1_6cf9,
         overridden(0..8, |s| s.tier = Tier::Shards),
     );
 }
@@ -100,7 +100,7 @@ fn shard_sweep_0_to_8() {
 fn soak_seeds_0_and_10() {
     check(
         "seeds 0 and 10 with tier = Soak",
-        0xf336_a736_dead_c819,
+        0x235e_6349_406f_58b5,
         overridden([0, 10], |s| s.tier = Tier::Soak),
     );
 }

@@ -22,10 +22,8 @@
 //!   suspense entry. Per-destination order is entry order, which is the
 //!   master's commit order — replicas converge in transid order after a
 //!   partition heals, and a takeover resumes the drain from the durable
-//!   file.
-//! * [`SuspenseMsg`] / [`SuspenseReply`] — the monitor's probe protocol
-//!   (backlog interrogation and drain kicks), used by the chaos drain
-//!   liveness oracle and the e2e tests.
+//!   file. Its drain progress is read off the live pair
+//!   ([`SuspenseMonitorApp::pending`], [`SuspenseMonitorApp::applied`]).
 
 pub mod map;
 pub mod monitor;
@@ -34,6 +32,6 @@ pub mod suspense;
 pub use map::ShardMap;
 pub use monitor::{spawn_suspense_monitor, SuspenseMonitorApp, SuspenseMonitorConfig};
 pub use suspense::{
-    add_replicated_file, add_suspense_files, replica_file, suspense_file, SuspenseMsg,
-    SuspenseRecord, SuspenseReply, SUSPENSE_SERVICE,
+    add_replicated_file, add_suspense_files, replica_file, suspense_file, SuspenseRecord,
+    SUSPENSE_SERVICE,
 };

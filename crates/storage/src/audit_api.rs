@@ -97,28 +97,6 @@ pub enum AuditMsg {
         floors: Vec<(Name, Option<u64>)>,
         open: Vec<Transid>,
     },
-    /// Utility query: report the sizes of the AUDITPROCESS's in-memory
-    /// state (buffers, waiter queues, reply cache). Used by soak-mode
-    /// bounded-state oracles; replied to immediately, never cached.
-    StateAudit,
-}
-
-/// Sizes of an AUDITPROCESS's in-memory state, for bounded-state checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AuditStateReport {
-    /// Records appended but not yet forced, across all partitions.
-    pub buffered: usize,
-    /// Force waiters queued across all partitions.
-    pub waiters: usize,
-    /// Partitions with a physical force in flight.
-    pub inflight_forces: usize,
-    /// Fanned-out force requests awaiting partition acknowledgements.
-    pub pending_forces: usize,
-    /// Remembered replies (bounded by the reply table's capacity).
-    pub reply_cache: usize,
-    /// Requests admitted and not yet answered: each is a fanned-out force,
-    /// so this equals `pending_forces`.
-    pub pending_requests: usize,
 }
 
 /// Replies from an AUDITPROCESS.
@@ -132,8 +110,6 @@ pub enum AuditReply {
     Images(Vec<ImageRecord>),
     /// Purge complete; `files` trail files were dropped.
     Purged { files: u64 },
-    /// Reply to `StateAudit`.
-    State(Box<AuditStateReport>),
 }
 
 #[cfg(test)]
