@@ -8,9 +8,10 @@
 //! resolve in-doubt transactions by consulting the home node's monitor
 //! trail.
 
-use encompass_sim::{NodeId, SimTime, StableStorage};
+use encompass_sim::{DetHashMap, NodeId, SimTime, StableStorage};
 use encompass_storage::types::Transid;
 use guardian::Checkpointed;
+use std::collections::hash_map::Entry;
 
 /// Stable-storage key of a node's monitor audit trail.
 pub fn monitor_key(node: NodeId) -> String {
@@ -28,7 +29,10 @@ pub struct CompletionRecord {
 /// The persistent monitor trail of one node.
 #[derive(Default)]
 pub struct MonitorTrail {
-    pub records: Vec<CompletionRecord>,
+    /// Each completed transaction's disposition and the instant it was
+    /// forced, keyed by transid: every write looks its transid up first,
+    /// so a scan here would make the trail quadratic in a run's commits.
+    records: DetHashMap<Transid, (bool, SimTime)>,
     /// Every record is a forced write.
     pub forces: u64,
 }
@@ -55,13 +59,7 @@ impl MonitorTrail {
     /// trail.record(transid, true, SimTime::ZERO); // no checkpoint, no commit record
     /// ```
     pub fn record(&mut self, transid: Transid, committed: bool, at: SimTime, _cp: &Checkpointed) {
-        // idempotent against TMP retries: the first disposition stands
-        if self.outcome(transid).is_none() {
-            self.records.push(CompletionRecord {
-                transid,
-                committed,
-                at,
-            });
+        if self.write(transid, committed, at) {
             self.forces += 1;
         }
     }
@@ -80,14 +78,7 @@ impl MonitorTrail {
     ) -> usize {
         let mut written = 0;
         for &(transid, committed) in batch {
-            if self.outcome(transid).is_none() {
-                self.records.push(CompletionRecord {
-                    transid,
-                    committed,
-                    at,
-                });
-                written += 1;
-            }
+            written += usize::from(self.write(transid, committed, at));
         }
         if written > 0 {
             self.forces += 1;
@@ -95,12 +86,32 @@ impl MonitorTrail {
         written
     }
 
+    /// Add a record unless `transid` has one: idempotent against TMP
+    /// retries, the first disposition stands. True if it was added.
+    fn write(&mut self, transid: Transid, committed: bool, at: SimTime) -> bool {
+        match self.records.entry(transid) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert((committed, at));
+                true
+            }
+        }
+    }
+
     /// The recorded outcome of a transaction, if it completed.
     pub fn outcome(&self, transid: Transid) -> Option<bool> {
-        self.records
-            .iter()
-            .find(|r| r.transid == transid)
-            .map(|r| r.committed)
+        self.records.get(&transid).map(|&(committed, _)| committed)
+    }
+
+    /// Every record, in no particular order (but the same one in every run
+    /// of a seed).
+    pub fn records(&self) -> impl Iterator<Item = CompletionRecord> + '_ {
+        let record = |(&transid, &(committed, at))| CompletionRecord {
+            transid,
+            committed,
+            at,
+        };
+        self.records.iter().map(record)
     }
 
     pub fn len(&self) -> usize {
@@ -113,18 +124,19 @@ impl MonitorTrail {
 
     /// Count of commit records (experiments).
     pub fn commits(&self) -> usize {
-        self.records.iter().filter(|r| r.committed).count()
+        self.records.values().filter(|r| r.0).count()
     }
 
     /// Count of abort records.
     pub fn aborts(&self) -> usize {
-        self.records.iter().filter(|r| !r.committed).count()
+        self.len() - self.commits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(seq: u64) -> Transid {
         Transid {
@@ -178,6 +190,84 @@ mod tests {
         // and a conflicting retry cannot flip an outcome
         m.record_group(&[(t(3), true)], SimTime::from_micros(6), &cp());
         assert_eq!(m.outcome(t(3)), Some(false));
+    }
+
+    /// The trail as it was before it was keyed: a `Vec` in write order,
+    /// every lookup a scan.
+    #[derive(Default)]
+    struct Linear {
+        records: Vec<CompletionRecord>,
+        forces: u64,
+    }
+
+    impl Linear {
+        fn outcome(&self, transid: Transid) -> Option<bool> {
+            let mut records = self.records.iter();
+            records.find(|r| r.transid == transid).map(|r| r.committed)
+        }
+
+        fn record_group(&mut self, batch: &[(Transid, bool)], at: SimTime) -> usize {
+            let mut written = 0;
+            for &(transid, committed) in batch {
+                if self.outcome(transid).is_none() {
+                    let record = CompletionRecord {
+                        transid,
+                        committed,
+                        at,
+                    };
+                    self.records.push(record);
+                    written += 1;
+                }
+            }
+            self.forces += u64::from(written > 0);
+            written
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        // Random `record`/`record_group` sequences over 24 transids, so
+        // retries and conflicting dispositions (within a boxcar, too) are
+        // the rule; every query of both must agree after every write.
+        #[test]
+        fn agrees_with_a_linear_scan(
+            ops in prop::collection::vec(
+                (0u8..2, prop::collection::vec((0u8..2, 0u64..12, 0u8..2), 1..5)),
+                0..60,
+            )
+        ) {
+            let mut trail = MonitorTrail::new();
+            let mut model = Linear::default();
+            let transid = |cpu, seq| Transid { home_node: NodeId(1), cpu, seq };
+            for (i, (group, batch)) in ops.into_iter().enumerate() {
+                let at = SimTime::from_micros(i as u64);
+                let batch: Vec<(Transid, bool)> = batch
+                    .into_iter()
+                    .map(|(cpu, seq, committed)| (transid(cpu, seq), committed == 1))
+                    .collect();
+                if group == 0 {
+                    let (t, committed) = batch[0];
+                    trail.record(t, committed, at, &cp());
+                    model.record_group(&batch[..1], at);
+                } else {
+                    let written = trail.record_group(&batch, at, &cp());
+                    prop_assert_eq!(written, model.record_group(&batch, at));
+                }
+                prop_assert_eq!(trail.len(), model.records.len());
+                prop_assert_eq!(trail.forces, model.forces);
+                let commits = model.records.iter().filter(|r| r.committed).count();
+                prop_assert_eq!(trail.commits(), commits);
+                prop_assert_eq!(trail.aborts(), model.records.len() - commits);
+                for (cpu, seq) in (0..3).flat_map(|cpu| (0..13).map(move |seq| (cpu, seq))) {
+                    let t = transid(cpu, seq);
+                    prop_assert_eq!(trail.outcome(t), model.outcome(t));
+                }
+            }
+            let mut records: Vec<CompletionRecord> = trail.records().collect();
+            records.sort_by_key(|r| r.transid);
+            model.records.sort_by_key(|r| r.transid);
+            prop_assert_eq!(records, model.records);
+        }
     }
 
     #[test]

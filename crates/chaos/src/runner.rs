@@ -667,8 +667,7 @@ pub(crate) fn committed_transids(world: &World, nodes: &[NodeId]) -> Vec<FlightT
         };
         out.extend(
             trail
-                .records
-                .iter()
+                .records()
                 .filter(|r| r.committed)
                 .map(|r| r.transid.flight_id()),
         );
@@ -691,7 +690,7 @@ pub(crate) fn check_atomicity(
         let Some(trail) = world.stable().get::<MonitorTrail>(&monitor_key(node)) else {
             continue;
         };
-        for rec in &trail.records {
+        for rec in trail.records() {
             match first_seen.get(&rec.transid) {
                 None => {
                     first_seen.insert(rec.transid, (rec.committed, node));

@@ -4,10 +4,11 @@
 //! for the same virtual instant fire in the order they were scheduled. This
 //! total order is the root of the simulator's determinism.
 //!
-//! The queue holds live events only. Event bodies sit in a slab; a binary
-//! heap orders small `(time, sequence, slot)` keys, and each slab entry
-//! knows where its key currently is in the heap, so cancelling an event
-//! removes it in O(log n) instead of leaving a tombstone to be popped.
+//! The queue holds live events only, in two heaps numbered by one sequence
+//! counter; `pop` takes the smaller head. Events that are never cancelled
+//! sit in a slab under a plain heap of `(time, sequence, slot)` keys. Only
+//! timers can be cancelled, so only their heap is indexed: each timer slot
+//! knows its key's heap position, and cancelling removes it in O(log n).
 
 use crate::fault::Fault;
 use crate::ids::Pid;
@@ -15,9 +16,11 @@ use crate::msg::Payload;
 use crate::process::{SystemEvent, TimerId};
 use crate::time::SimTime;
 use crate::topology::Route;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// What happens when an event fires.
+/// What happens when an event that is never cancelled fires.
 pub(crate) enum EventKind {
     /// Deliver a message. `via` is the network route the message was sent
     /// over (`None` inside a node); if any of its links has since gone down,
@@ -28,14 +31,19 @@ pub(crate) enum EventKind {
         payload: Payload,
         via: Option<Rc<Route>>,
     },
-    /// Fire a timer owned by `pid` (ignored if the owner died).
-    Timer { pid: Pid, tag: u64 },
     /// Deliver a system notification to a subscriber.
     System { dst: Pid, ev: SystemEvent },
     /// Apply a scheduled fault.
     Fault(Fault),
     /// Run `on_start` for a freshly spawned process.
     Start { pid: Pid },
+}
+
+/// What [`EventQueue::pop`] hands back.
+pub(crate) enum Popped {
+    Event(EventKind),
+    /// Fire a timer: its handle, owner (ignored if dead) and tag.
+    Timer(TimerId, Pid, u64),
 }
 
 /// Heap key; `seq` is unique, so `slot` never decides the order.
@@ -46,122 +54,150 @@ struct Key {
     slot: u32,
 }
 
-struct Entry {
-    /// Index of this entry's key in `heap`.
-    pos: usize,
-    kind: EventKind,
-}
+/// A timer slot's `pos` has this bit set while the slot is free; the
+/// other bits link the free list (the next free slot plus one, 0 at the
+/// end), so the list costs no allocation of its own.
+const FREE: u32 = 1 << 31;
 
 #[derive(Default)]
 pub(crate) struct EventQueue {
-    /// Binary min-heap of the live events' keys.
-    heap: Vec<Key>,
-    slab: Vec<Option<Entry>>,
-    free: Vec<u32>,
+    /// Min-heap of the keys of the events that are never cancelled.
+    events: BinaryHeap<Reverse<Key>>,
+    bodies: Vec<Option<EventKind>>,
+    free_bodies: Vec<u32>,
+    /// Binary min-heap of the armed timers' keys.
+    timers: Vec<Key>,
+    /// Per timer slot: the index of its key in `timers`, or `FREE` and a link.
+    pos: Vec<u32>,
+    /// Per timer slot: the owner and tag it fires with.
+    owners: Vec<(Pid, u64)>,
+    /// The first free timer slot plus one; 0 if there is none.
+    free_timers: u32,
     next_seq: u64,
 }
 
 impl EventQueue {
-    /// Schedule `kind` at `at`. The handle names this event until it is
-    /// popped or cancelled, and nothing afterwards.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) -> TimerId {
+    /// Schedule `kind` at `at`.
+    pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Some(Entry { pos: 0, kind });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = entry;
-                slot
-            }
-            None => {
-                self.slab.push(entry);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.heap.push(Key { at, seq, slot });
-        self.sift_up(self.heap.len() - 1);
+        let slot = self.free_bodies.pop().unwrap_or(self.bodies.len() as u32);
+        if slot as usize == self.bodies.len() {
+            self.bodies.push(None);
+        }
+        self.bodies[slot as usize] = Some(kind);
+        self.events.push(Reverse(Key { at, seq, slot }));
+    }
+
+    /// Arm a timer for `pid` at `at`. The handle names this timer until it
+    /// is popped or cancelled, and nothing afterwards.
+    pub fn set_timer(&mut self, at: SimTime, pid: Pid, tag: u64) -> TimerId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.free_timers == 0 {
+            // a new slot, free and last in an empty list
+            self.pos.push(FREE);
+            self.owners.push((pid, tag));
+            self.free_timers = self.pos.len() as u32;
+        }
+        let slot = self.free_timers - 1;
+        self.free_timers = self.pos[slot as usize] & !FREE;
+        self.owners[slot as usize] = (pid, tag);
+        self.timers.push(Key { at, seq, slot });
+        self.sift_up(self.timers.len() - 1);
         TimerId { slot, seq }
     }
 
     /// Time of the earliest event.
     pub fn next_at(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.at)
+        let event = self.events.peek().map(|k| k.0.at);
+        let timer = self.timers.first().map(|k| k.at);
+        event.into_iter().chain(timer).min()
     }
 
     /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, TimerId, EventKind)> {
-        let Key { at, seq, slot } = *self.heap.first()?;
-        Some((at, TimerId { slot, seq }, self.remove(0)))
+    pub fn pop(&mut self) -> Option<(SimTime, Popped)> {
+        let timer = self.timers.first().copied();
+        let event = self.events.peek().map(|k| k.0);
+        if let Some(key) = event.filter(|&e| timer.is_none_or(|t| e < t)) {
+            self.events.pop();
+            self.free_bodies.push(key.slot);
+            let body = self.bodies[key.slot as usize].take();
+            let kind = body.expect("an event key points at a live body");
+            return Some((key.at, Popped::Event(kind)));
+        }
+        let Key { at, seq, slot } = timer?;
+        let (pid, tag) = self.owners[slot as usize];
+        self.remove(0);
+        Some((at, Popped::Timer(TimerId { slot, seq }, pid, tag)))
     }
 
-    /// Remove the event `id` names, if it is still queued.
+    /// Disarm the timer `id` names, if it is still armed.
     pub fn cancel(&mut self, id: TimerId) {
-        let queued = self.slab.get(id.slot as usize).and_then(Option::as_ref);
-        if let Some(pos) = queued.map(|e| e.pos) {
-            // a popped or cancelled event's slot may have a new tenant
-            if self.heap[pos].seq == id.seq {
-                self.remove(pos);
-            }
+        let pos = self.pos.get(id.slot as usize).copied().unwrap_or(FREE);
+        // a popped or cancelled timer's slot may have a new tenant
+        if pos & FREE == 0 && self.timers[pos as usize].seq == id.seq {
+            self.remove(pos as usize);
         }
     }
 
+    /// Queued events, never-cancelled ones and timers.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.heap.len()
+    pub fn len(&self) -> (usize, usize) {
+        (self.events.len(), self.timers.len())
     }
 
-    /// Occupied slab slots; equals `len()` unless the slab leaks.
+    /// Occupied slots of each side; equals `len()` unless a slab leaks.
     #[cfg(test)]
-    pub fn slots_in_use(&self) -> usize {
-        self.slab.iter().flatten().count()
+    pub fn slots_in_use(&self) -> (usize, usize) {
+        let bodies = self.bodies.iter().flatten().count();
+        (bodies, self.pos.iter().filter(|&&p| p & FREE == 0).count())
     }
 
-    fn remove(&mut self, pos: usize) -> EventKind {
-        let slot = self.heap.swap_remove(pos).slot;
-        if pos < self.heap.len() {
+    fn remove(&mut self, pos: usize) {
+        let slot = self.timers.swap_remove(pos).slot;
+        if pos < self.timers.len() {
             // the former last key now sits at `pos`, above or below its place
             self.sift_up(pos);
             self.sift_down(pos);
         }
-        self.free.push(slot);
-        let entry = self.slab[slot as usize].take();
-        entry.expect("a heap key points at a live entry").kind
+        self.pos[slot as usize] = FREE | self.free_timers;
+        self.free_timers = slot + 1;
     }
 
-    /// Put `key` at heap index `i` and tell its entry.
+    /// Put `key` at heap index `i` and tell its slot.
     fn place(&mut self, i: usize, key: Key) {
-        self.heap[i] = key;
-        let entry = self.slab[key.slot as usize].as_mut();
-        entry.expect("a heap key points at a live entry").pos = i;
+        self.timers[i] = key;
+        self.pos[key.slot as usize] = i as u32;
     }
 
     fn sift_up(&mut self, mut i: usize) {
-        let key = self.heap[i];
+        let key = self.timers[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[parent] < key {
+            if self.timers[parent] < key {
                 break;
             }
-            self.place(i, self.heap[parent]);
+            self.place(i, self.timers[parent]);
             i = parent;
         }
         self.place(i, key);
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let key = self.heap[i];
+        let key = self.timers[i];
         loop {
             let mut child = 2 * i + 1;
-            if child >= self.heap.len() {
+            if child >= self.timers.len() {
                 break;
             }
-            if child + 1 < self.heap.len() && self.heap[child + 1] < self.heap[child] {
+            if child + 1 < self.timers.len() && self.timers[child + 1] < self.timers[child] {
                 child += 1;
             }
-            if key < self.heap[child] {
+            if key < self.timers[child] {
                 break;
             }
-            self.place(i, self.heap[child]);
+            self.place(i, self.timers[child]);
             i = child;
         }
         self.place(i, key);
@@ -175,50 +211,72 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    fn timer(tag: u64) -> EventKind {
-        let pid = Pid {
+    fn pid(index: u32) -> Pid {
+        Pid {
             node: NodeId(0),
             cpu: CpuId(0),
-            index: 0,
-        };
-        EventKind::Timer { pid, tag }
+            index,
+        }
+    }
+
+    /// The serial number a popped entry carries, and whether it is a timer.
+    fn serial_of(popped: Popped) -> (u64, bool) {
+        match popped {
+            Popped::Timer(id, _, tag) => {
+                assert_eq!(id.seq, tag, "a timer's sequence is its serial number");
+                (tag, true)
+            }
+            Popped::Event(EventKind::Start { pid }) => (pid.index as u64, false),
+            Popped::Event(_) => unreachable!("only starts are pushed"),
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         // Against the obvious model, a `BTreeMap` keyed by `(at, seq)`.
-        // Every event carries its issue number as the tag. Times of 0..20
-        // make ties the rule; cancel picks among every handle ever issued,
-        // so it also hits events already popped or cancelled, whose slots
-        // have since been reused.
+        // Never-cancelled events (`Start`, the serial number in
+        // `pid.index`) interleave with timers (the serial number as the
+        // tag); one counter numbers both, so the serial number is the
+        // sequence. Times of 0..20 make ties the rule; cancel picks among
+        // every timer handle ever handed out, so it also hits timers already
+        // popped or cancelled, whose slots have since been reused.
         #[test]
         fn behaves_like_an_ordered_map(
-            ops in prop::collection::vec((0u8..5, 0u64..20, 0usize..64), 0..200)
+            ops in prop::collection::vec((0u8..6, 0u64..20, 0usize..64), 0..200)
         ) {
             let mut queue = EventQueue::default();
-            let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
-            let mut issued: Vec<(SimTime, TimerId)> = Vec::new();
+            let mut model: BTreeMap<(SimTime, u64), bool> = BTreeMap::new();
+            let mut timers: Vec<(SimTime, TimerId)> = Vec::new();
+            let mut serial = 0u64;
+            let sides = |model: &BTreeMap<_, bool>| {
+                let timers = model.values().filter(|&&t| t).count();
+                (model.len() - timers, timers)
+            };
             let pop_agrees = |queue: &mut EventQueue, model: &mut BTreeMap<_, _>| {
-                let got = queue.pop().map(|(at, id, kind)| {
-                    let EventKind::Timer { tag, .. } = kind else {
-                        unreachable!("only timers are pushed")
-                    };
-                    ((at, id.seq), tag)
+                let got = queue.pop().map(|(at, popped)| {
+                    let (n, timer) = serial_of(popped);
+                    ((at, n), timer)
                 });
                 prop_assert_eq!(got, model.pop_first());
                 got.is_some()
             };
             for (op, at, pick) in ops {
+                let at = SimTime::from_micros(at);
                 match op {
-                    0..=2 => {
-                        let at = SimTime::from_micros(at);
-                        let tag = issued.len() as u64;
-                        let id = queue.push(at, timer(tag));
-                        prop_assert!(model.insert((at, id.seq), tag).is_none(), "seq reused");
-                        issued.push((at, id));
+                    0 | 1 => {
+                        queue.push(at, EventKind::Start { pid: pid(serial as u32) });
+                        model.insert((at, serial), false);
+                        serial += 1;
                     }
-                    3 if !issued.is_empty() => {
-                        let (at, id) = issued[pick % issued.len()];
+                    2 | 3 => {
+                        let id = queue.set_timer(at, pid(0), serial);
+                        prop_assert_eq!(id.seq, serial);
+                        model.insert((at, serial), true);
+                        timers.push((at, id));
+                        serial += 1;
+                    }
+                    4 if !timers.is_empty() => {
+                        let (at, id) = timers[pick % timers.len()];
                         model.remove(&(at, id.seq));
                         queue.cancel(id);
                     }
@@ -226,12 +284,28 @@ mod tests {
                         pop_agrees(&mut queue, &mut model);
                     }
                 }
-                prop_assert_eq!(queue.len(), model.len());
-                prop_assert_eq!(queue.slots_in_use(), model.len());
+                prop_assert_eq!(queue.len(), sides(&model));
+                prop_assert_eq!(queue.slots_in_use(), sides(&model));
                 prop_assert_eq!(queue.next_at(), model.keys().next().map(|k| k.0));
             }
             while pop_agrees(&mut queue, &mut model) {}
-            prop_assert_eq!(queue.slots_in_use(), 0);
+            prop_assert_eq!(queue.slots_in_use(), (0, 0));
         }
+    }
+
+    #[test]
+    fn a_stale_timer_handle_cancels_nothing() {
+        let mut queue = EventQueue::default();
+        let at = SimTime::from_micros(5);
+        let fired = queue.set_timer(at, pid(1), 1);
+        assert!(matches!(queue.pop(), Some((_, Popped::Timer(id, ..))) if id == fired));
+        let tenant = queue.set_timer(at, pid(2), 2);
+        assert_eq!(tenant.slot, fired.slot, "the freed slot is reused");
+        queue.cancel(fired);
+        queue.cancel(fired);
+        assert_eq!((queue.len(), queue.slots_in_use()), ((0, 1), (0, 1)));
+        assert!(matches!(queue.pop(), Some((_, Popped::Timer(id, ..))) if id == tenant));
+        queue.cancel(tenant);
+        assert_eq!(queue.slots_in_use(), (0, 0));
     }
 }

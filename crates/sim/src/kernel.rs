@@ -2,7 +2,7 @@
 //! queue, stable storage, metrics, and the fault injector.
 
 use crate::config::SimConfig;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, Popped};
 use crate::fault::Fault;
 use crate::flightrec::FlightRecorder;
 use crate::ids::{CpuId, LinkId, NodeId, Pid};
@@ -456,8 +456,7 @@ impl World {
     }
 
     pub(crate) fn kernel_set_timer(&mut self, pid: Pid, delay: SimDuration, tag: u64) -> TimerId {
-        self.queue
-            .push(self.now + delay, EventKind::Timer { pid, tag })
+        self.queue.set_timer(self.now + delay, pid, tag)
     }
 
     pub(crate) fn kernel_cancel_timer(&mut self, timer: TimerId) {
@@ -470,19 +469,19 @@ impl World {
 
     /// Dispatch a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, id, kind)) = self.queue.pop() else {
+        let Some((at, popped)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.events_processed += 1;
-        match kind {
-            EventKind::Deliver {
+        match popped {
+            Popped::Event(EventKind::Deliver {
                 dst,
                 src,
                 payload,
                 via,
-            } => {
+            }) => {
                 // lose the message if any link of its path went down in flight
                 let mut path = via.iter().flat_map(|route| &route.links);
                 if path.any(|&l| !self.topology.link(l).up) {
@@ -501,7 +500,7 @@ impl World {
                 });
                 self.with_process(dst, |proc, ctx| proc.on_message(ctx, src, payload));
             }
-            EventKind::Timer { pid, tag } => {
+            Popped::Timer(id, pid, tag) => {
                 if !self.is_alive(pid) {
                     return true;
                 }
@@ -510,7 +509,7 @@ impl World {
                 });
                 self.with_process(pid, |proc, ctx| proc.on_timer(ctx, id, tag));
             }
-            EventKind::System { dst, ev } => {
+            Popped::Event(EventKind::System { dst, ev }) => {
                 if !self.is_alive(dst) {
                     return true;
                 }
@@ -519,10 +518,10 @@ impl World {
                 });
                 self.with_process(dst, |proc, ctx| proc.on_system(ctx, ev));
             }
-            EventKind::Fault(fault) => {
+            Popped::Event(EventKind::Fault(fault)) => {
                 self.apply_fault(fault);
             }
-            EventKind::Start { pid } => {
+            Popped::Event(EventKind::Start { pid }) => {
                 if !self.is_alive(pid) {
                     return true;
                 }
@@ -840,7 +839,7 @@ mod tests {
         let armed = Vec::new();
         w.spawn(a, 0, Box::new(T { armed, fired: 0 }));
         w.run_until_quiescent();
-        assert_eq!((w.queue.len(), w.queue.slots_in_use()), (0, 0));
+        assert_eq!((w.queue.len(), w.queue.slots_in_use()), ((0, 0), (0, 0)));
     }
 
     #[test]

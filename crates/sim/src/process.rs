@@ -13,9 +13,9 @@ use crate::msg::Payload;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 
-/// A timer handle, unique for the lifetime of the simulation: the event
-/// queue slot the timer occupies while armed, and the queue sequence number
-/// that tells this timer from a later tenant of the same slot.
+/// A timer handle, unique for the lifetime of the simulation: the timer
+/// slot the timer occupies while armed, and the queue sequence number that
+/// tells this timer from a later tenant of the same slot.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerId {
     pub(crate) slot: u32,

@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Resolve the samples sampler.c wrote into a self-time profile.
+
+    resolve.py BINARY RUN.raw                     # top symbols, all samples
+    resolve.py BINARY RUN.raw --sites measure_window
+        # return addresses inside a function that samples passed through,
+        # with the function each call site calls (and its source line, if
+        # BINARY has debug info): pick the one a window's loop makes
+    resolve.py BINARY RUN.raw --within 0x1a2b3c   # only samples under it
+    resolve.py BINARY RUN.raw --within 0x1a2b3c --returns-to
+        # libc samples grouped by the function their word at rsp returns to
+
+Addresses are resolved with `nm` on the file they fall in (`nm -D` for a
+stripped library, plus the run-time IFUNC addresses the sampler saved; a
+stripped library's local functions show under the exported symbol before
+them). A
+sample with no frame chain (libc's malloc uses rbp as scratch) takes the
+window membership of the last sample that had one.
+"""
+import argparse
+import bisect
+import collections
+import re
+import struct
+import subprocess
+
+
+def read_samples(path):
+    words = open(path, "rb").read()
+    words = struct.unpack(f"<{len(words) // 8}Q", words)
+    i = 0
+    while i < len(words):
+        n = words[i]
+        yield words[i + 1:i + 1 + n]
+        i += 1 + n
+
+
+class Symbols:
+    """Every mapped file's symbols, by run-time address."""
+
+    def __init__(self, maps_path):
+        self.maps, runtime = [], []
+        for line in open(maps_path):
+            parts = line.split()
+            if parts[0] == "symbol":
+                runtime.append((int(parts[2], 16), parts[1]))
+            elif len(parts) == 6 and parts[5].startswith("/"):
+                lo, hi = (int(x, 16) for x in parts[0].split("-"))
+                self.maps.append((lo, hi, int(parts[2], 16), parts[5]))
+        self.bias = {}
+        for lo, _, offset, path in self.maps:
+            self.bias[path] = min(self.bias.get(path, lo - offset), lo - offset)
+        self.tables, self.addrs = {}, {}
+        for addr, name in runtime:
+            path = self.file_of(addr)
+            if path:
+                self.table(path).append((addr - self.bias[path], name))
+        for table in self.tables.values():
+            table.sort()
+        self.addrs = {path: [a for a, _ in table] for path, table in self.tables.items()}
+
+    def file_of(self, addr):
+        for lo, hi, _, path in self.maps:
+            if lo <= addr < hi:
+                return path
+        return None
+
+    def table(self, path):
+        if path not in self.tables:
+            out = subprocess.run(["nm", "-C", "--defined-only", path], capture_output=True, text=True).stdout
+            if not out.strip():
+                out = subprocess.run(["nm", "-C", "-D", "--defined-only", path], capture_output=True, text=True).stdout
+            rows = (line.split(" ", 2) for line in out.splitlines())
+            self.tables[path] = sorted((int(a, 16), n) for a, t, n in rows if t in "TtWwi")
+            self.addrs[path] = [a for a, _ in self.tables[path]]
+        return self.tables[path]
+
+    def resolve(self, addr):
+        """(file, address in the file, symbol) of a run-time address."""
+        path = self.file_of(addr)
+        if path is None:
+            return None, addr, "?"
+        vaddr = addr - self.bias[path]
+        table = self.table(path)
+        i = bisect.bisect_right(self.addrs[path], vaddr) - 1
+        return path, vaddr, table[i][1] if i >= 0 else "?"
+
+
+def short(name):
+    """`Type::method` of a demangled Rust path: generics and hash dropped,
+    `<Type as Trait>` read as `Type`."""
+    name = re.sub(r"::h[0-9a-f]{16}$", "", name)
+    innermost = r"<([^<>]*)>"
+    while re.search(innermost, name):
+        name = re.sub(innermost, lambda m: m[1].split(" as ")[0] if " as " in m[1] else "", name)
+    return "::".join(name.split("::")[-2:])
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("binary")
+    ap.add_argument("raw")
+    ap.add_argument("--top", type=int, default=40)
+    ap.add_argument("--within", help="keep samples whose chain holds this return address (in BINARY)")
+    ap.add_argument("--sites", help="list the call sites inside this function")
+    ap.add_argument("--returns-to", action="store_true", help="group libc samples by caller")
+    args = ap.parse_args()
+    syms = Symbols(args.raw + ".maps")
+    binary = next(p for _, _, _, p in syms.maps if p.endswith(args.binary.split("/")[-1]))
+    within = int(args.within, 16) if args.within else None
+    counts, sites, kept, total, member = collections.Counter(), collections.Counter(), 0, 0, True
+    for sample in read_samples(args.raw):
+        total += 1
+        rip, at_rsp, chain = sample[0], sample[1], sample[2:]
+        resolved = [syms.resolve(a) for a in chain]
+        if within is not None and chain:
+            member = any(p == binary and v == within for p, v, _ in resolved)
+        if not member:
+            continue
+        kept += 1
+        path, _, name = syms.resolve(rip)
+        callees = [name] + [n for _, _, n in resolved]
+        for (p, v, caller), callee in zip(resolved if args.sites else (), callees):
+            if p == binary and args.sites in caller:
+                sites[v, short(callee)] += 1
+        if path != binary:
+            lib = (path or "?").split("/")[-1]
+            caller = short(syms.resolve(at_rsp)[2]) if args.returns_to else ""
+            name = name.split("@")[0]
+            counts[f"{lib} {name}" + (f" <- {caller}" if caller else "")] += 1
+        else:
+            counts[short(name)] += 1
+    print(f"{kept} of {total} samples")
+    if args.sites:
+        for (v, callee), n in sites.most_common():
+            where = subprocess.run(["addr2line", "-e", binary, hex(v - 1)], capture_output=True, text=True)
+            line = where.stdout.strip()
+            print(f"{n:8}  {v:#x} calls {callee}  {'' if line.endswith(':?') else line}")
+        return
+    for name, n in counts.most_common(args.top):
+        print(f"{100 * n / max(kept, 1):6.1f} % {n:8}  {name}")
+
+
+if __name__ == "__main__":
+    main()
