@@ -13,9 +13,7 @@
 use encompass_chaos::{run_schedule, run_schedule_with, Schedule};
 
 fn dump_schedule(seed: u64) -> Schedule {
-    let mut schedule = Schedule::generate(seed);
-    schedule.dumps_enabled = true;
-    schedule
+    Schedule::generate(seed).with_dumps()
 }
 
 /// Recorder on vs off with dumps and purging running: bit-identical
