@@ -1,19 +1,25 @@
-//! Soak-tier oracle families: **liveness** and **bounded state**.
+//! The oracle families that read process state: **liveness** and
+//! **bounded state** (the soak's), **suspense drain** (the sharded
+//! bank's) and the **timer census** (every run's).
 //!
-//! Both are pure functions over observation structs so that unit tests
+//! Each is a pure function over observation structs so that unit tests
 //! can feed synthetic stuck schedules (a transaction that never
 //! resolves, a monitor boxcar that never flushes, a purge floor that
-//! never advances) and assert that each oracle fires with a message
-//! naming the implicated transid or process. The soak runner reads the
-//! observations off the live TMP, AUDITPROCESS and DISCPROCESS primaries
-//! (their `state_report`s, DESIGN.md §D22) and off stable storage (dump
-//! registries, archive keys), then hands them here.
+//! never advances, a timer chain that forks) and assert that each oracle
+//! fires with a message naming the implicated transid or process. The
+//! runners read the observations off the live TMP, AUDITPROCESS and
+//! DISCPROCESS primaries (their `state_report`s, DESIGN.md §D22), off the
+//! kernel's timer queue and off stable storage (dump registries, archive
+//! keys), then hand them here.
 
 use encompass_audit::auditprocess::{AuditStateReport, REPLY_CAPACITY as AUDIT_REPLIES};
 use encompass_audit::dump::ARCHIVE_RETAIN;
+use encompass_sim::Pid;
 use encompass_storage::discprocess::{
     DiscStateReport, REPLY_CAPACITY as DISC_REPLIES, SETTLED_FENCE_CAPACITY,
 };
+use guardian::RPC_TAG_BASE;
+use std::collections::BTreeMap;
 use tmf::tmp::{TmpStateReport, REPLY_CAPACITY as TMP_REPLIES};
 
 /// One process's state, tagged with whose it is and when it was read
@@ -42,104 +48,57 @@ pub enum StateKind {
     },
 }
 
-/// Caps for the bounded-state oracle. Everything the servers keep per
-/// transid or per request must stay below these across the whole soak
-/// horizon; a monotonically growing structure is a leak even when the
-/// run is otherwise green.
-#[derive(Clone, Copy, Debug)]
-pub struct StateCaps {
-    /// `DiscConfig::snapshot_undo_capacity` in effect for the run.
-    pub snapshot_undo: usize,
-    /// Live transactions (holding locks, writing, or fenced and not yet
-    /// released) on one volume.
-    pub live_txns: usize,
-    /// The DISCPROCESS's `SETTLED_FENCE_CAPACITY`.
-    pub settled_fences: usize,
-    /// Counted-but-uncompleted lock waits on one volume.
-    pub counted_waits: usize,
-    /// Transaction-table entries at one TMP.
-    pub tmp_txns: usize,
-    /// Records buffered at one AUDITPROCESS awaiting a force.
-    pub audit_buffered: usize,
-    /// `archive:` keys retained per volume: [`ARCHIVE_RETAIN`] plus one
-    /// in-flight generation.
-    pub archive_keys: usize,
-}
+/// Live transactions (holding locks, writing, or fenced and not yet
+/// released) on one volume.
+const LIVE_TXNS: usize = 256;
+/// Counted-but-uncompleted lock waits on one volume.
+const COUNTED_WAITS: usize = 512;
+/// Transaction-table entries at one TMP.
+const TMP_TXNS: usize = 256;
+/// Records buffered at one AUDITPROCESS awaiting a force.
+const AUDIT_BUFFERED: usize = 4096;
+/// `archive:` keys retained per volume: [`ARCHIVE_RETAIN`] plus one
+/// in-flight generation.
+const ARCHIVE_KEYS: usize = ARCHIVE_RETAIN as usize + 1;
 
-impl StateCaps {
-    /// Caps used by the soak runner (matched to the snapshot-undo ring
-    /// it configures and the DUMPPROCESS's retention).
-    pub fn soak(snapshot_undo_capacity: usize) -> StateCaps {
-        StateCaps {
-            snapshot_undo: snapshot_undo_capacity,
-            live_txns: 256,
-            settled_fences: SETTLED_FENCE_CAPACITY,
-            counted_waits: 512,
-            tmp_txns: 256,
-            audit_buffered: 4096,
-            archive_keys: ARCHIVE_RETAIN as usize + 1,
-        }
-    }
-}
-
-/// Bounded-state oracle: every per-transid / per-request structure a
-/// server keeps must stay within its cap at every observation point; a
-/// reply table's cap is its own process's `REPLY_CAPACITY`.
-/// Returns one violation string per breach, naming the process, the
-/// field, the observed size, and the cap.
-pub fn bounded_violations(obs: &[StateObservation], caps: &StateCaps) -> Vec<String> {
+/// Bounded-state oracle: everything a server keeps per transid or per
+/// request must stay within its cap at every observation point across the
+/// whole soak horizon — a monotonically growing structure is a leak even
+/// when the run is otherwise green. A reply table's cap is its own
+/// process's `REPLY_CAPACITY`, the settled-fence ring's the DISCPROCESS's
+/// `SETTLED_FENCE_CAPACITY`, and the snapshot-undo ring's `snapshot_undo`,
+/// the capacity the run configured. Returns one violation string per
+/// breach, naming the process, the field, the observed size, and the cap.
+pub fn bounded_violations(obs: &[StateObservation], snapshot_undo: usize) -> Vec<String> {
     let mut v = Vec::new();
-    let mut breach = |process: &str, epoch: usize, field: &str, size: usize, cap: usize| {
-        if size > cap {
-            v.push(format!(
-                "bounded-state: {process} {field}={size} exceeds cap {cap} at epoch {epoch}"
-            ));
-        }
-    };
     for o in obs {
-        let p = o.process.as_str();
+        let (p, epoch) = (o.process.as_str(), o.epoch);
+        let mut breach = |field: &str, size: usize, cap: usize| {
+            if size > cap {
+                v.push(format!(
+                    "bounded-state: {p} {field}={size} exceeds cap {cap} at epoch {epoch}"
+                ));
+            }
+        };
         match &o.kind {
             StateKind::Disc(r) => {
-                breach(
-                    p,
-                    o.epoch,
-                    "snapshot_undo",
-                    r.snapshot_undo,
-                    caps.snapshot_undo,
-                );
-                breach(p, o.epoch, "live_txns", r.live_txns, caps.live_txns);
-                breach(
-                    p,
-                    o.epoch,
-                    "settled_fences",
-                    r.settled_fences,
-                    caps.settled_fences,
-                );
-                breach(
-                    p,
-                    o.epoch,
-                    "counted_waits",
-                    r.counted_waits,
-                    caps.counted_waits,
-                );
-                breach(p, o.epoch, "reply_cache", r.reply_cache, DISC_REPLIES);
+                breach("snapshot_undo", r.snapshot_undo, snapshot_undo);
+                breach("live_txns", r.live_txns, LIVE_TXNS);
+                breach("settled_fences", r.settled_fences, SETTLED_FENCE_CAPACITY);
+                breach("counted_waits", r.counted_waits, COUNTED_WAITS);
+                breach("reply_cache", r.reply_cache, DISC_REPLIES);
             }
             StateKind::Tmp(r) => {
-                breach(p, o.epoch, "txns", r.txns, caps.tmp_txns);
-                breach(p, o.epoch, "reply_cache", r.reply_cache, TMP_REPLIES);
+                breach("txns", r.txns, TMP_TXNS);
+                breach("reply_cache", r.reply_cache, TMP_REPLIES);
             }
             StateKind::Audit(r) => {
-                breach(p, o.epoch, "buffered", r.buffered, caps.audit_buffered);
-                breach(p, o.epoch, "reply_cache", r.reply_cache, AUDIT_REPLIES);
+                breach("buffered", r.buffered, AUDIT_BUFFERED);
+                breach("reply_cache", r.reply_cache, AUDIT_REPLIES);
             }
             StateKind::ArchiveKeys { volume, count } => {
-                breach(
-                    &format!("{p} archive set for {volume}"),
-                    o.epoch,
-                    "archive_keys",
-                    *count,
-                    caps.archive_keys,
-                );
+                let field = format!("archive set for {volume} archive_keys");
+                breach(&field, *count, ARCHIVE_KEYS);
             }
         }
     }
@@ -344,13 +303,59 @@ pub fn suspense_drain_violations(obs: &[SuspenseObservation], drain_window_ms: u
     v
 }
 
+/// The kernel's armed timers at one instant, and the rpc counts of the
+/// processes that report them.
+#[derive(Clone, Debug, Default)]
+pub struct TimerCensus {
+    /// Every armed timer: owner, the owner's `Process::kind`, tag.
+    pub armed: Vec<(Pid, &'static str, u64)>,
+    /// Outstanding rpcs per reporting process
+    /// (`TmpStateReport::outstanding_rpcs`).
+    pub rpcs: Vec<(Pid, usize)>,
+}
+
+/// Timer oracle: a process arms each of its own tags (those below
+/// `guardian::RPC_TAG_BASE`) at most once, and a process that reports its
+/// outstanding rpcs holds no more rpc-tag timers than that. A timer chain
+/// that forks — a periodic timer re-armed from two places — shows up here
+/// long before it costs anything. Returns one violation per breach,
+/// naming the pid, the process kind and the tag.
+pub fn timer_violations(census: &TimerCensus) -> Vec<String> {
+    let mut own: BTreeMap<(Pid, u64), (&str, usize)> = BTreeMap::new();
+    let mut rpc: BTreeMap<Pid, (&str, usize)> = BTreeMap::new();
+    for &(pid, kind, tag) in &census.armed {
+        let slot = if tag < RPC_TAG_BASE {
+            own.entry((pid, tag)).or_insert((kind, 0))
+        } else {
+            rpc.entry(pid).or_insert((kind, 0))
+        };
+        slot.1 += 1;
+    }
+    let mut v: Vec<String> = (own.into_iter())
+        .filter(|&(_, (_, n))| n > 1)
+        .map(|((pid, tag), (kind, n))| {
+            format!("timers: {kind} {pid} holds {n} armed timers with tag {tag}")
+        })
+        .collect();
+    for &(pid, outstanding) in &census.rpcs {
+        match rpc.get(&pid) {
+            Some(&(kind, n)) if n > outstanding => v.push(format!(
+                "timers: {kind} {pid} holds {n} rpc timers (tags from {RPC_TAG_BASE}) \
+                 for {outstanding} outstanding rpcs"
+            )),
+            Some(_) | None => {}
+        }
+    }
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encompass_sim::{CpuId, NodeId};
 
-    fn caps() -> StateCaps {
-        StateCaps::soak(64)
-    }
+    /// The soak's snapshot-undo capacity.
+    const UNDO: usize = 64;
 
     #[test]
     fn clean_observations_raise_nothing() {
@@ -371,7 +376,7 @@ mod tests {
                 kind: StateKind::Audit(AuditStateReport::default()),
             },
         ];
-        assert!(bounded_violations(&obs, &caps()).is_empty());
+        assert!(bounded_violations(&obs, UNDO).is_empty());
         let live = vec![LivenessObservation {
             process: "$TMP@\\N0".into(),
             ..Default::default()
@@ -513,7 +518,7 @@ mod tests {
                 ..Default::default()
             }),
         }];
-        let v = bounded_violations(&obs, &caps());
+        let v = bounded_violations(&obs, UNDO);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("$BANK1@\\N1"), "{}", v[0]);
         assert!(v[0].contains("snapshot_undo=65"), "{}", v[0]);
@@ -534,7 +539,7 @@ mod tests {
                 ..Default::default()
             }),
         }];
-        let v = bounded_violations(&obs, &caps());
+        let v = bounded_violations(&obs, UNDO);
         assert_eq!(v.len(), 2);
         assert!(v.iter().any(|s| s.contains("counted_waits=513")));
         assert!(v.iter().any(|s| s.contains("live_txns=257")));
@@ -603,9 +608,72 @@ mod tests {
                 count: 4,
             },
         }];
-        let v = bounded_violations(&obs, &caps());
+        let v = bounded_violations(&obs, UNDO);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("\\N0:$BANK"), "{}", v[0]);
         assert!(v[0].contains("archive_keys=4"), "{}", v[0]);
+    }
+
+    fn pid(index: u32) -> Pid {
+        Pid {
+            node: NodeId(1),
+            cpu: CpuId(2),
+            index,
+        }
+    }
+
+    #[test]
+    fn one_timer_per_tag_and_one_per_rpc_raise_nothing() {
+        let census = TimerCensus {
+            armed: vec![
+                (pid(7), "suspense-monitor", 1),
+                (pid(8), "suspense-monitor", 1),
+                (pid(9), "tmp", 7),
+                (pid(9), "tmp", RPC_TAG_BASE + 3),
+                (pid(9), "tmp", RPC_TAG_BASE + 4),
+            ],
+            rpcs: vec![(pid(9), 2)],
+        };
+        assert!(timer_violations(&census).is_empty());
+    }
+
+    #[test]
+    fn a_forked_timer_chain_names_the_pid_kind_and_tag() {
+        // synthetic census: one monitor primary's poll re-armed from two
+        // places, so three chains are live at once
+        let census = TimerCensus {
+            armed: vec![
+                (pid(7), "suspense-monitor", 1),
+                (pid(9), "tmp", 7),
+                (pid(7), "suspense-monitor", 1),
+                (pid(7), "suspense-monitor", 1),
+            ],
+            rpcs: Vec::new(),
+        };
+        let v = timer_violations(&census);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("suspense-monitor \\N1.2.p7 holds 3 armed timers with tag 1"),
+            "{}",
+            v[0]
+        );
+    }
+
+    #[test]
+    fn rpc_timers_beyond_the_outstanding_rpcs_fire() {
+        let census = TimerCensus {
+            armed: vec![
+                (pid(9), "tmp", RPC_TAG_BASE + 1),
+                (pid(9), "tmp", RPC_TAG_BASE + 2),
+                (pid(9), "tmp", RPC_TAG_BASE + 3),
+            ],
+            rpcs: vec![(pid(9), 1)],
+        };
+        let v = timer_violations(&census);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("tmp \\N1.2.p9"), "{}", v[0]);
+        assert!(v[0].contains("3 rpc timers"), "{}", v[0]);
+        assert!(v[0].contains("1 outstanding rpcs"), "{}", v[0]);
+        assert!(v[0].contains(&RPC_TAG_BASE.to_string()), "{}", v[0]);
     }
 }

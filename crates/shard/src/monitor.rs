@@ -19,6 +19,11 @@
 //! 2. read-locks and deletes the suspense entry at home,
 //! 3. commits.
 //!
+//! One poll timer drives the scans: `on_primary_start` arms it (at spawn
+//! and after a takeover), each firing scans if idle and re-arms it, and a
+//! scan that finds no work just goes idle until the next firing — so a
+//! primary holds exactly one armed [`TAG_POLL`] timer.
+//!
 //! Applying in entry order per destination is transid order: entries were
 //! appended by the master transactions in commit order. A destination
 //! behind a partition simply blocks its own queue ([`Ctx::reachable`]
@@ -39,24 +44,12 @@ use tmf::state::AbortReason;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, SuspenseDelta>;
 
-const TAG_POLL: u64 = 1;
+/// The one poll timer's tag: a primary keeps exactly one armed.
+pub const TAG_POLL: u64 = 1;
+/// Scan cadence while idle.
+const POLL: SimDuration = SimDuration::from_millis(100);
 /// `ReadRange` page size per scan.
 const SCAN_BATCH: usize = 64;
-
-/// Tuning of one suspense monitor pair.
-#[derive(Clone, Debug)]
-pub struct SuspenseMonitorConfig {
-    /// Scan cadence while idle.
-    pub poll: SimDuration,
-}
-
-impl Default for SuspenseMonitorConfig {
-    fn default() -> Self {
-        SuspenseMonitorConfig {
-            poll: SimDuration::from_millis(100),
-        }
-    }
-}
 
 /// Full state for (re)initializing a backup: the drain progress.
 pub struct SuspenseSnapshot {
@@ -80,7 +73,6 @@ enum MonState {
 
 /// The suspense monitor pair application.
 pub struct SuspenseMonitorApp {
-    cfg: SuspenseMonitorConfig,
     /// The suspense file of the node this monitor drains.
     suspense_file: Name,
     session: TmfSession,
@@ -88,22 +80,18 @@ pub struct SuspenseMonitorApp {
     /// The entry being applied: its number, the record, and the replica
     /// file at the record's destination.
     current: Option<(u64, SuspenseRecord, Name)>,
-    /// Whether the locked replica record already existed (update vs insert).
-    replica_exists: bool,
     // --- drain progress, checkpointed to the backup ---
     applied: u64,
     pending: u64,
 }
 
 impl SuspenseMonitorApp {
-    pub fn new(node: NodeId, catalog: Catalog, cfg: SuspenseMonitorConfig) -> SuspenseMonitorApp {
+    pub fn new(node: NodeId, catalog: Catalog) -> SuspenseMonitorApp {
         SuspenseMonitorApp {
-            cfg,
             suspense_file: suspense_file(node),
             session: TmfSession::new(catalog, 2),
             state: MonState::Idle,
             current: None,
-            replica_exists: false,
             applied: 0,
             pending: 0,
         }
@@ -119,10 +107,10 @@ impl SuspenseMonitorApp {
         self.applied
     }
 
-    fn rearm(&mut self, ctx: &mut PairCtx<'_, '_>) {
+    /// Go idle until the next poll.
+    fn go_idle(&mut self) {
         self.state = MonState::Idle;
         self.current = None;
-        ctx.set_timer(self.cfg.poll, TAG_POLL);
     }
 
     fn scan(&mut self, ctx: &mut PairCtx<'_, '_>) {
@@ -138,38 +126,39 @@ impl SuspenseMonitorApp {
         );
     }
 
-    fn abort_current(&mut self, ctx: &mut PairCtx<'_, '_>, reason: AbortReason) {
-        self.state = MonState::Aborting;
-        self.session.abort(ctx, reason);
-    }
-
     /// A retryable failure: back out if in transaction mode, else go idle.
     fn retry(&mut self, ctx: &mut PairCtx<'_, '_>) {
         ctx.count(counter!("suspense.retries"), 1);
         if self.session.transid().is_some() && !self.session.busy() {
-            self.abort_current(ctx, AbortReason::Restart);
+            self.state = MonState::Aborting;
+            self.session.abort(ctx, AbortReason::Restart);
         } else {
-            self.rearm(ctx);
+            self.go_idle();
+        }
+    }
+
+    /// Move to `next` and issue `op`; a refused op is a retryable failure.
+    fn issue(&mut self, ctx: &mut PairCtx<'_, '_>, next: MonState, op: DbOp) {
+        self.state = next;
+        if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
+            self.retry(ctx);
         }
     }
 
     fn lock_replica(&mut self, ctx: &mut PairCtx<'_, '_>) {
         let (_, rec, replica) = self.current.as_ref().expect("work chosen");
-        self.state = MonState::LockingReplica;
         let op = DbOp::ReadLock {
             file: replica.clone(),
             key: rec.key.clone(),
         };
-        if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
-            self.retry(ctx);
-        }
+        self.issue(ctx, MonState::LockingReplica, op);
     }
 
     fn on_event(&mut self, ctx: &mut PairCtx<'_, '_>, ev: SessionEvent) {
         match (self.state, ev) {
             (MonState::Scanning, SessionEvent::OpDone { reply, .. }) => {
                 let DiscReply::Entries(entries) = reply else {
-                    self.rearm(ctx);
+                    self.go_idle();
                     return;
                 };
                 self.pending = entries.len() as u64;
@@ -200,7 +189,7 @@ impl SuspenseMonitorApp {
                         self.state = MonState::Beginning;
                         self.session.begin(ctx, SessionOptions::default());
                     }
-                    None => self.rearm(ctx),
+                    None => self.go_idle(),
                 }
             }
             (MonState::Beginning, SessionEvent::Began { .. }) => {
@@ -221,25 +210,12 @@ impl SuspenseMonitorApp {
             (MonState::LockingReplica, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Value(existing) = reply {
                     let (_, rec, replica) = self.current.as_ref().expect("work chosen");
-                    self.replica_exists = existing.is_some();
-                    self.state = MonState::WritingReplica;
-                    let file = replica.clone();
-                    let op = if self.replica_exists {
-                        DbOp::Update {
-                            file,
-                            key: rec.key.clone(),
-                            value: rec.value.clone(),
-                        }
-                    } else {
-                        DbOp::Insert {
-                            file,
-                            key: rec.key.clone(),
-                            value: rec.value.clone(),
-                        }
+                    let (file, key, value) = (replica.clone(), rec.key.clone(), rec.value.clone());
+                    let op = match existing {
+                        Some(_) => DbOp::Update { file, key, value },
+                        None => DbOp::Insert { file, key, value },
                     };
-                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
-                        self.retry(ctx);
-                    }
+                    self.issue(ctx, MonState::WritingReplica, op);
                 } else {
                     self.retry(ctx);
                 }
@@ -247,14 +223,11 @@ impl SuspenseMonitorApp {
             (MonState::WritingReplica, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Ok = reply {
                     let entry = self.current.as_ref().expect("work chosen").0;
-                    self.state = MonState::LockingEntry;
                     let op = DbOp::ReadLock {
                         file: self.suspense_file.clone(),
                         key: num_key(entry),
                     };
-                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
-                        self.retry(ctx);
-                    }
+                    self.issue(ctx, MonState::LockingEntry, op);
                 } else {
                     self.retry(ctx);
                 }
@@ -262,14 +235,11 @@ impl SuspenseMonitorApp {
             (MonState::LockingEntry, SessionEvent::OpDone { reply, .. }) => {
                 if let DiscReply::Value(_) = reply {
                     let entry = self.current.as_ref().expect("work chosen").0;
-                    self.state = MonState::Deleting;
                     let op = DbOp::Delete {
                         file: self.suspense_file.clone(),
                         key: num_key(entry),
                     };
-                    if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
-                        self.retry(ctx);
-                    }
+                    self.issue(ctx, MonState::Deleting, op);
                 } else {
                     self.retry(ctx);
                 }
@@ -298,7 +268,7 @@ impl SuspenseMonitorApp {
             (_, SessionEvent::Aborted) | (_, SessionEvent::Failed { .. }) => {
                 self.retry(ctx);
             }
-            _ => self.rearm(ctx),
+            _ => self.go_idle(),
         }
     }
 }
@@ -315,8 +285,9 @@ impl PairApp for SuspenseMonitorApp {
         "suspense-monitor"
     }
 
+    /// At spawn and again after a takeover: start the one poll chain.
     fn on_primary_start(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        self.rearm(ctx);
+        ctx.set_timer(POLL, TAG_POLL);
     }
 
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, _src: Pid, payload: Payload) {
@@ -330,7 +301,7 @@ impl PairApp for SuspenseMonitorApp {
             if self.state == MonState::Idle {
                 self.scan(ctx);
             }
-            ctx.set_timer(self.cfg.poll, TAG_POLL);
+            ctx.set_timer(POLL, TAG_POLL);
             return;
         }
         if let Some(ev) = self.session.on_timer(ctx, tag) {
@@ -341,12 +312,10 @@ impl PairApp for SuspenseMonitorApp {
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         // the in-flight apply transaction (if any) dies with the old
         // primary and is backed out by TMF; the durable suspense file is
-        // the work list, so a fresh scan resumes the drain in order
+        // the work list, so the next poll resumes the drain in order
         ctx.count(counter!("suspense.takeovers"), 1);
-        self.state = MonState::Idle;
-        self.current = None;
+        self.go_idle();
         self.session.clear();
-        ctx.set_timer(self.cfg.poll, TAG_POLL);
     }
 
     fn apply_checkpoint(&mut self, delta: SuspenseDelta, _cp: &Checkpointed) {
@@ -380,9 +349,8 @@ pub fn spawn_suspense_monitor(
     cpu_primary: u8,
     cpu_backup: u8,
     catalog: Catalog,
-    cfg: SuspenseMonitorConfig,
 ) -> PairHandle {
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        SuspenseMonitorApp::new(node, catalog.clone(), cfg.clone())
+        SuspenseMonitorApp::new(node, catalog.clone())
     })
 }

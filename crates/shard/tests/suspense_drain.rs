@@ -1,12 +1,12 @@
 //! End-to-end tests of the suspense monitor pair: deferred updates drain
 //! to replicas in entry (= transid) order, block behind a network
 //! partition and resume after heal, and survive a takeover of the monitor
-//! primary mid-drain.
+//! primary mid-drain; an idle primary polls on one timer.
 
 use bytes::Bytes;
+use encompass_shard::monitor::TAG_POLL;
 use encompass_shard::{
-    replica_file, suspense_file, SuspenseMonitorApp, SuspenseMonitorConfig, SuspenseRecord,
-    SUSPENSE_SERVICE,
+    replica_file, suspense_file, SuspenseMonitorApp, SuspenseRecord, SUSPENSE_SERVICE,
 };
 use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, SimTime, World};
 use encompass_storage::media::{media_key, VolumeMedia};
@@ -116,14 +116,7 @@ fn drain_applies_in_entry_order_and_deletes() {
     queue(&mut w, &catalog, n0, 0, n1, "b01", "v1");
     queue(&mut w, &catalog, n0, 1, n1, "b01", "v2");
     queue(&mut w, &catalog, n0, 2, n1, "b02", "fresh");
-    encompass_shard::spawn_suspense_monitor(
-        &mut w,
-        n0,
-        2,
-        3,
-        catalog.clone(),
-        SuspenseMonitorConfig::default(),
-    );
+    encompass_shard::spawn_suspense_monitor(&mut w, n0, 2, 3, catalog.clone());
     w.run_for(SimDuration::from_secs(5));
 
     assert_eq!(
@@ -149,14 +142,7 @@ fn partition_blocks_drain_and_heal_resumes_it() {
     let (mut w, [n0, n1], catalog) = two_nodes();
     queue(&mut w, &catalog, n0, 0, n1, "b01", "v1");
     queue(&mut w, &catalog, n0, 1, n1, "b01", "v2");
-    encompass_shard::spawn_suspense_monitor(
-        &mut w,
-        n0,
-        2,
-        3,
-        catalog.clone(),
-        SuspenseMonitorConfig::default(),
-    );
+    encompass_shard::spawn_suspense_monitor(&mut w, n0, 2, 3, catalog.clone());
     w.inject(Fault::Partition(vec![n1]));
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(
@@ -181,14 +167,7 @@ fn takeover_resumes_drain_in_order() {
     for i in 0..6 {
         queue(&mut w, &catalog, n0, i, n1, "b01", &format!("v{i}"));
     }
-    encompass_shard::spawn_suspense_monitor(
-        &mut w,
-        n0,
-        2,
-        3,
-        catalog.clone(),
-        SuspenseMonitorConfig::default(),
-    );
+    encompass_shard::spawn_suspense_monitor(&mut w, n0, 2, 3, catalog.clone());
     // kill the monitor primary's CPU mid-drain; the backup on CPU 3 takes
     // over and resumes from the durable suspense file
     w.schedule_fault(SimTime::from_micros(350_000), Fault::KillCpu(n0, CpuId(2)));
@@ -203,4 +182,34 @@ fn takeover_resumes_drain_in_order() {
         w.metrics().get("guardian.takeovers") >= 1 || w.metrics().get("suspense.takeovers") >= 1,
         "the pair took over"
     );
+}
+
+/// The `$SUSPENSE` primary's armed poll timers.
+fn polls_armed(world: &World, node: NodeId) -> usize {
+    let primary = world
+        .lookup_name(node, SUSPENSE_SERVICE)
+        .expect("a live $SUSPENSE primary");
+    world
+        .armed_timers()
+        .filter(|&(pid, tag)| pid == primary && tag == TAG_POLL)
+        .count()
+}
+
+/// An idle scan arms no poll of its own: the primary holds exactly one
+/// poll timer, and a takeover starts exactly one on the new primary.
+#[test]
+fn an_idle_primary_holds_one_poll_timer() {
+    let (mut w, [n0, n1], catalog) = two_nodes();
+    for i in 0..3 {
+        queue(&mut w, &catalog, n0, i, n1, "b01", &format!("v{i}"));
+    }
+    encompass_shard::spawn_suspense_monitor(&mut w, n0, 2, 3, catalog.clone());
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(suspense_len(&w, n0), 0, "the drain went idle");
+    assert_eq!(polls_armed(&w, n0), 1);
+
+    w.inject(Fault::KillCpu(n0, CpuId(2)));
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(w.metrics().get("suspense.takeovers"), 1);
+    assert_eq!(polls_armed(&w, n0), 1, "after the takeover");
 }

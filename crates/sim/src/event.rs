@@ -141,6 +141,11 @@ impl EventQueue {
         }
     }
 
+    /// The owner and tag of each armed timer, in heap order.
+    pub fn armed(&self) -> impl Iterator<Item = (Pid, u64)> + '_ {
+        self.timers.iter().map(|k| self.owners[k.slot as usize])
+    }
+
     /// Queued events, never-cancelled ones and timers.
     #[cfg(test)]
     pub fn len(&self) -> (usize, usize) {
@@ -286,6 +291,12 @@ mod tests {
                 }
                 prop_assert_eq!(queue.len(), sides(&model));
                 prop_assert_eq!(queue.slots_in_use(), sides(&model));
+                let mut armed: Vec<u64> = queue.armed().map(|(_, tag)| tag).collect();
+                armed.sort_unstable();
+                let mut timers_left: Vec<u64> =
+                    model.iter().filter(|(_, &t)| t).map(|(&(_, n), _)| n).collect();
+                timers_left.sort_unstable();
+                prop_assert_eq!(armed, timers_left);
                 prop_assert_eq!(queue.next_at(), model.keys().next().map(|k| k.0));
             }
             while pop_agrees(&mut queue, &mut model) {}

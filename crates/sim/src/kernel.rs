@@ -165,6 +165,13 @@ impl World {
         (process as &dyn std::any::Any).downcast_ref()
     }
 
+    /// The owner and tag of every armed timer: a read between events like
+    /// [`World::inspect`], so the trace hash does not move. A dead
+    /// process's timers stay armed until they fire unheard.
+    pub fn armed_timers(&self) -> impl Iterator<Item = (Pid, u64)> + '_ {
+        self.queue.armed()
+    }
+
     /// All live pids on the given CPU.
     pub fn procs_on_cpu(&self, node: NodeId, cpu: CpuId) -> Vec<Pid> {
         self.procs

@@ -17,10 +17,7 @@ use std::rc::Rc;
 fn replicas_converge_under_random_partition_schedules() {
     for seed in 0..4u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0117 + seed);
-        let mut app = launch_mfg_app(MfgAppParams {
-            seed,
-            ..MfgAppParams::default()
-        });
+        let mut app = launch_mfg_app(MfgAppParams { seed });
         let n0 = app.nodes[0];
         // updates originate at node 0 (masters there)
         let tally = Rc::new(RefCell::new(MfgTally::default()));
