@@ -56,6 +56,9 @@ fn tag_window(p: usize) -> u64 {
 
 /// Cumulative bucket bounds for the boxcar-size histogram.
 const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
+/// A boxcar this full forces at once, without waiting out its window: the
+/// AUDITPROCESS counts force waiters, the TMP monitor-trail records.
+pub const GROUP_COMMIT_MAX: usize = 64;
 /// Replies remembered for retransmissions (see [`Served`]).
 pub const REPLY_CAPACITY: usize = 8192;
 
@@ -67,12 +70,9 @@ pub struct AuditConfig {
     /// Trail-file rotation threshold (records per file).
     pub rotate_every: usize,
     /// How long to hold an eligible force open so that later requesters can
-    /// board the same boxcar. Zero forces immediately (the pre-boxcar
-    /// behavior): a force starts as soon as one waiter is queued.
+    /// board the same boxcar (up to [`GROUP_COMMIT_MAX`] waiters). Zero
+    /// forces as soon as one waiter is queued.
     pub group_commit_window: encompass_sim::SimDuration,
-    /// Start the force early once this many waiters have boarded, even if
-    /// the window has not elapsed.
-    pub group_commit_max: usize,
     /// Number of trail partitions (volume groups forcing in parallel).
     pub partitions: usize,
     /// Volume name → partition index. Volumes not listed land on
@@ -86,7 +86,6 @@ impl Default for AuditConfig {
             service: "$AUDIT".into(),
             rotate_every: 4096,
             group_commit_window: encompass_sim::SimDuration::ZERO,
-            group_commit_max: 64,
             partitions: 1,
             partition_of: BTreeMap::new(),
         }
@@ -356,7 +355,7 @@ impl AuditProcess {
             return;
         }
         if self.cfg.group_commit_window > encompass_sim::SimDuration::ZERO
-            && part.waiters.len() < self.cfg.group_commit_max
+            && part.waiters.len() < GROUP_COMMIT_MAX
         {
             // hold the boxcar open for late boarders; the recorded
             // deadline lets on_timer ignore stale firings from earlier,
@@ -612,7 +611,7 @@ impl PairApp for AuditProcess {
             return;
         }
         // window firing: ignore stale timers armed for an earlier boxcar
-        // (one that filled to group_commit_max and forced before its
+        // (one that filled to GROUP_COMMIT_MAX and forced before its
         // window elapsed) — the accumulating boxcar deserves its own full
         // window
         match self.parts[p].window_deadline {

@@ -3,7 +3,7 @@
 //! archive → crash → ROLLFORWARD cycle.
 
 use bytes::Bytes;
-use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig};
+use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig, GROUP_COMMIT_MAX};
 use encompass_audit::backout::{spawn_backout_process, BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
@@ -229,9 +229,9 @@ fn audit_takeover_with_half_filled_boxcar_loses_nothing() {
 
 #[test]
 fn stale_window_timer_does_not_close_the_next_boxcar_early() {
-    // Two force requests fill the boxcar to `group_commit_max`, so the
-    // force starts *before* the armed window expires — leaving the window
-    // timer live. A third transaction then opens a fresh window. The
+    // `GROUP_COMMIT_MAX` force requests fill the boxcar, so the force
+    // starts *before* the armed window expires — leaving the window timer
+    // live. One more transaction then opens a fresh window. The
     // stale timer from the first window fires mid-way through the new
     // window; it must be ignored, not close the new boxcar ~100ms early.
     let mut w = World::new(SimConfig::default());
@@ -246,7 +246,6 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
         3,
         AuditConfig {
             group_commit_window: SimDuration::from_millis(300),
-            group_commit_max: 2,
             ..AuditConfig::default()
         },
     );
@@ -274,18 +273,21 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
             },
         ]
     };
-    // t≈0: two transactions arm the window, then fill the boxcar to max —
-    // the force starts early, stranding the window timer (fires ≈ t+300ms)
-    let r1 = run_script(&mut w, n, 0, target.clone(), phase1(1));
-    let r2 = run_script(&mut w, n, 1, target.clone(), phase1(2));
+    // t≈0: the first transaction arms the window, the rest fill the
+    // boxcar — the force starts early, stranding the window timer (fires
+    // ≈ t+300ms)
+    let full = GROUP_COMMIT_MAX as u64;
+    let mut scripts: Vec<_> = (1..=full)
+        .map(|i| run_script(&mut w, n, (i % 4) as u8, target.clone(), phase1(i)))
+        .collect();
     w.run_for(SimDuration::from_millis(100));
     assert_eq!(
         w.metrics().get("audit.forces"),
         1,
         "boxcar filled: forced early"
     );
-    // t≈100ms: a third transaction arms a fresh window (deadline ≈ 400ms)
-    let r3 = run_script(&mut w, n, 2, target, phase1(3));
+    // t≈100ms: one more transaction arms a fresh window (deadline ≈ 400ms)
+    scripts.push(run_script(&mut w, n, 2, target, phase1(full + 1)));
     // t≈360ms: the stale timer has fired (≈300ms) inside the new window;
     // the new boxcar must still be open
     w.run_for(SimDuration::from_millis(260));
@@ -298,7 +300,7 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
     // and the new window still closes on its own deadline
     w.run_for(SimDuration::from_millis(200));
     assert_eq!(w.metrics().get("audit.forces"), 2);
-    for (i, r) in [&r1, &r2, &r3].iter().enumerate() {
+    for (i, r) in scripts.iter().enumerate() {
         assert_eq!(r.borrow().len(), 3, "txn {}: {:?}", i + 1, r.borrow());
         assert_eq!(r.borrow()[1], DiscReply::Phase1Done, "txn {}", i + 1);
     }

@@ -43,12 +43,12 @@ pub struct TmfNodeConfig {
     /// builder so validation always runs.
     audit_partitions: usize,
     /// Group-commit boxcar window applied to both the AUDITPROCESS force
-    /// path and the TMP's monitor-trail writes. Zero (the default) forces
-    /// every record individually, reproducing pre-boxcar traces. Private:
-    /// set through the builder so validation always runs.
+    /// path and the TMP's monitor-trail writes; a boxcar of
+    /// [`GROUP_COMMIT_MAX`](encompass_audit::auditprocess::GROUP_COMMIT_MAX)
+    /// forces without waiting it out. Zero (the default) holds nothing
+    /// open: a force starts as soon as it is asked for. Private: set
+    /// through the builder so validation always runs.
     group_commit_window: SimDuration,
-    /// Boxcar size that triggers an early force before the window elapses.
-    group_commit_max: usize,
     /// Records per ONLINEDUMP page (one disc access each). Private: set
     /// through the builder so validation always runs.
     dump_page_size: usize,
@@ -74,7 +74,6 @@ impl Default for TmfNodeConfig {
             audit_processes: 1,
             audit_partitions: 1,
             group_commit_window: SimDuration::ZERO,
-            group_commit_max: 64,
             dump_page_size: 64,
             audit_rotate_every: 4096,
             trail_purge_interval: SimDuration::ZERO,
@@ -93,10 +92,6 @@ impl TmfNodeConfig {
 
     pub fn group_commit_window(&self) -> SimDuration {
         self.group_commit_window
-    }
-
-    pub fn group_commit_max(&self) -> usize {
-        self.group_commit_max
     }
 
     pub fn dump_page_size(&self) -> usize {
@@ -125,8 +120,6 @@ impl TmfNodeConfig {
 pub enum ConfigError {
     /// A node needs at least one AUDITPROCESS pair.
     NoAuditProcesses,
-    /// `group_commit_max` must admit at least one record per boxcar.
-    ZeroGroupCommitMax,
     /// The window exceeds one second — longer than any commit timeout,
     /// so every boxcar would expire its requesters instead of forcing.
     WindowTooLong,
@@ -144,7 +137,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoAuditProcesses => write!(f, "audit_processes must be >= 1"),
-            ConfigError::ZeroGroupCommitMax => write!(f, "group_commit_max must be >= 1"),
             ConfigError::WindowTooLong => {
                 write!(f, "group_commit_window must be at most one second")
             }
@@ -181,11 +173,6 @@ impl TmfNodeConfigBuilder {
         self
     }
 
-    pub fn group_commit_max(mut self, max: usize) -> Self {
-        self.cfg.group_commit_max = max;
-        self
-    }
-
     pub fn dump_page_size(mut self, size: usize) -> Self {
         self.cfg.dump_page_size = size;
         self
@@ -215,9 +202,6 @@ impl TmfNodeConfigBuilder {
         let c = &self.cfg;
         if c.audit_processes < 1 {
             return Err(ConfigError::NoAuditProcesses);
-        }
-        if c.group_commit_max < 1 {
-            return Err(ConfigError::ZeroGroupCommitMax);
         }
         if c.group_commit_window > SimDuration::from_secs(1) {
             return Err(ConfigError::WindowTooLong);
@@ -326,7 +310,6 @@ pub fn spawn_tmf_node(
                 service: svc,
                 rotate_every: cfg.audit_rotate_every,
                 group_commit_window: cfg.group_commit_window,
-                group_commit_max: cfg.group_commit_max,
                 partitions,
                 partition_of: partition_of.clone(),
             },
@@ -367,7 +350,6 @@ pub fn spawn_tmf_node(
         TmpConfig {
             audit_service_of,
             group_commit_window: cfg.group_commit_window,
-            group_commit_max: cfg.group_commit_max,
             purge_interval: cfg.trail_purge_interval,
         },
     );
@@ -440,7 +422,6 @@ mod tests {
     fn builder_defaults_are_valid() {
         let cfg = TmfNodeConfig::builder().build().expect("defaults valid");
         assert_eq!(cfg.group_commit_window(), SimDuration::ZERO);
-        assert_eq!(cfg.group_commit_max(), 64);
     }
 
     #[test]
@@ -451,13 +432,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::NoAuditProcesses
-        );
-        assert_eq!(
-            TmfNodeConfig::builder()
-                .group_commit_max(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroGroupCommitMax
         );
         assert_eq!(
             TmfNodeConfig::builder()
@@ -472,10 +446,8 @@ mod tests {
     fn builder_accepts_group_commit() {
         let cfg = TmfNodeConfig::builder()
             .group_commit_window(SimDuration::from_millis(2))
-            .group_commit_max(16)
             .build()
             .expect("valid");
         assert_eq!(cfg.group_commit_window(), SimDuration::from_millis(2));
-        assert_eq!(cfg.group_commit_max(), 16);
     }
 }

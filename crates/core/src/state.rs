@@ -22,6 +22,18 @@
 //! backup. From COMMITTING the only exit is ENDED — an abort can no longer
 //! overtake the commit — which is what licenses releasing record locks
 //! while the commit record's monitor-trail force is still spinning.
+//!
+//! The table is the TMP's only gate: `TmpProcess::set_state` asserts it on
+//! every change, in every build. Two things that look like transitions
+//! add no edge:
+//!
+//! * *Re-drive.* A takeover that finds an entry ABORTING re-enters the
+//!   state it is in — the backout, or the abort record's force, may have
+//!   died with the primary — and drives the backout again.
+//! * *Operator override.* `ForceDisposition` goes through the same table
+//!   as the protocol: it may abort only what can become ABORTING (ACTIVE,
+//!   ENDING) and commit only what can become ENDED (ENDING, COMMITTING),
+//!   so a COMMITTING or finished transaction keeps its outcome.
 
 use std::fmt;
 

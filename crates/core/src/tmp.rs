@@ -31,11 +31,12 @@
 
 use crate::state::{AbortReason, TxState, TxnClass};
 use crate::table::StateBroadcast;
+use encompass_audit::auditprocess::GROUP_COMMIT_MAX;
 use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_sim::{
-    counter, DetHashMap, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid,
-    SimDuration, SimTime, SystemEvent, World,
+    counter, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid, SimDuration,
+    SimTime, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
@@ -43,7 +44,7 @@ use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{
     Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, Target,
-    TimerOutcome,
+    TimerOutcome, RPC_TAG_BASE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,13 +53,13 @@ type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TmpDelta>;
 /// The service name every node's TMP registers.
 pub const TMP_SERVICE: Name = Name::from_static("$TMP");
 
+/// Physical completion of a monitor-trail force: each force in flight has
+/// its own tag, from here up to the rpc tags.
 const TAG_MONITOR_BASE: u64 = 1 << 16;
 /// Periodic in-doubt sweep on non-home nodes (below TAG_MONITOR_BASE).
 const TAG_JANITOR: u64 = 7;
 /// Group-commit window expiry for the monitor-trail boxcar.
 const TAG_MONITOR_WINDOW: u64 = 8;
-/// Physical completion of a boxcarred monitor-trail force.
-const TAG_MONITOR_FLUSH: u64 = 9;
 /// Periodic audit-trail capacity sweep (purge below each volume's latest
 /// completed dump floor).
 const TAG_PURGE: u64 = 10;
@@ -149,7 +150,7 @@ pub struct TmpStateReport {
     pub terminal_txns: usize,
     /// Completion records waiting to board the next monitor force.
     pub monitor_boxcar: usize,
-    /// Records in the monitor force currently in flight.
+    /// Records in the monitor forces currently in flight.
     pub monitor_inflight: usize,
     /// Calls this TMP has issued and not yet seen end, over all four of
     /// its rpc clients (DISCPROCESS, TMP, BACKOUTPROCESS, AUDITPROCESS):
@@ -169,11 +170,10 @@ pub struct TmpConfig {
     /// Audit service for each local volume name (for backout requests).
     pub audit_service_of: BTreeMap<Name, Name>,
     /// How long a decided completion record may wait for other concurrently
-    /// completing transactions to board the same monitor-trail force. Zero
-    /// keeps the one-force-per-record behavior (and its exact trace).
+    /// completing transactions to board the same monitor-trail force (up
+    /// to [`GROUP_COMMIT_MAX`] records). Zero starts each record's force
+    /// as soon as it is decided, beside any force already in flight.
     pub group_commit_window: SimDuration,
-    /// Start the boxcarred force early once this many records are waiting.
-    pub group_commit_max: usize,
     /// Interval of the audit-trail capacity sweep: for every local audit
     /// service whose volumes all have a completed online dump registered,
     /// ask it to purge trail files below the smallest dump purge floor
@@ -187,7 +187,6 @@ impl Default for TmpConfig {
         TmpConfig {
             audit_service_of: BTreeMap::new(),
             group_commit_window: SimDuration::ZERO,
-            group_commit_max: 64,
             purge_interval: SimDuration::ZERO,
         }
     }
@@ -325,12 +324,14 @@ pub struct TmpProcess {
     /// Capacity-sweep Purge requests, the only calls made to an
     /// AUDITPROCESS from here.
     audit_rpc: Rpc<AuditMsg, AuditReply>,
-    monitor_timers: DetHashMap<u64, (Transid, bool)>,
-    /// Completion records waiting to board the next monitor-trail force
-    /// (group-commit path; unused when the window is zero).
+    /// Completion records waiting to board the next monitor-trail force.
     monitor_boxcar: Vec<(Transid, bool)>,
-    /// The boxcar whose physical force is in flight.
-    monitor_inflight: Option<Vec<(Transid, bool)>>,
+    /// Records whose force is in flight, each beside the tag of the timer
+    /// that completes its force.
+    monitor_inflight: Vec<(u64, Transid, bool)>,
+    /// The records one completing force writes; kept only so that a force
+    /// allocates nothing once the commit path has warmed up.
+    monitor_batch: Vec<(Transid, bool)>,
     /// Deadline of the `TAG_MONITOR_WINDOW` timer armed for the
     /// accumulating boxcar. A firing before this deadline is a *stale*
     /// timer left over from an earlier, max-filled boxcar and must be
@@ -360,9 +361,9 @@ impl TmpProcess {
             tmp_rpc: Rpc::new(11),
             backout_rpc: Rpc::new(12),
             audit_rpc: Rpc::new(13),
-            monitor_timers: DetHashMap::default(),
             monitor_boxcar: Vec::new(),
-            monitor_inflight: None,
+            monitor_inflight: Vec::new(),
+            monitor_batch: Vec::new(),
             monitor_window_deadline: None,
             next_tag: 0,
             boxcar_hist: HistogramHandle::new("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
@@ -386,7 +387,7 @@ impl TmpProcess {
                 .filter(|t| matches!(t.state, TxState::Ended | TxState::Aborted))
                 .count(),
             monitor_boxcar: self.monitor_boxcar.len(),
-            monitor_inflight: self.monitor_inflight.as_ref().map_or(0, Vec::len),
+            monitor_inflight: self.monitor_inflight.len(),
             outstanding_rpcs: self.disc_rpc.in_flight()
                 + self.tmp_rpc.in_flight()
                 + self.backout_rpc.in_flight()
@@ -400,6 +401,22 @@ impl TmpProcess {
     fn monitor_trail<'c>(&self, ctx: &'c mut PairCtx<'_, '_>) -> &'c mut MonitorTrail {
         ctx.stable()
             .get_or_create_at(self.monitor, MonitorTrail::new)
+    }
+
+    /// `transid`'s state: its table entry's, else the outcome the Monitor
+    /// Audit Trail records for it (a transaction that completed and left
+    /// the table), else `None`.
+    fn state_of(&self, ctx: &mut PairCtx<'_, '_>, transid: Transid) -> Option<TxState> {
+        match self.txns.get(&transid) {
+            Some(t) => Some(t.state),
+            None => self.monitor_trail(ctx).outcome(transid).map(|committed| {
+                if committed {
+                    TxState::Ended
+                } else {
+                    TxState::Aborted
+                }
+            }),
+        }
     }
 
     fn audit_service(&self, volume: &VolumeRef) -> Name {
@@ -453,6 +470,10 @@ impl TmpProcess {
         ctx.checkpoint(TmpDelta { drop, ..delta })
     }
 
+    /// The one writer of an entry's state outside `apply_checkpoint`. It
+    /// asserts, in every build, that the change takes an edge of Figure 3
+    /// ([`TxState::successors`]) or re-enters the state the entry is in
+    /// (BEGIN's first broadcast, a takeover re-driving a backout).
     fn set_state(
         &mut self,
         ctx: &mut PairCtx<'_, '_>,
@@ -460,7 +481,7 @@ impl TmpProcess {
         state: TxState,
     ) -> Checkpointed {
         if let Some(t) = self.txns.get_mut(&transid) {
-            debug_assert!(
+            assert!(
                 t.state.can_become(state) || t.state == state,
                 "illegal transition {} -> {} for {transid}",
                 t.state,
@@ -569,12 +590,7 @@ impl TmpProcess {
     }
 
     fn phase1_failed(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
-        if matches!(
-            self.txns.get(&transid).map(|t| t.state),
-            Some(TxState::Ending) | Some(TxState::Active)
-        ) {
-            self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
-        }
+        self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
     }
 
     /// Every participant has forced its audit: the transaction reaches its
@@ -640,82 +656,82 @@ impl TmpProcess {
         commit: bool,
     ) {
         ctx.flight(transid.flight_id(), FlightCause::MonitorEnqueued);
-        if self.cfg.group_commit_window == SimDuration::ZERO {
-            // one force per completion record: the pre-boxcar path, kept
-            // byte-identical so window=0 reproduces historical traces
-            let tag = TAG_MONITOR_BASE + self.next_tag;
-            self.next_tag += 1;
-            self.monitor_timers.insert(tag, (transid, commit));
-            let latency = ctx.config().disc_access;
-            ctx.set_timer(latency, tag);
-            ctx.count(counter!("tmf.monitor_forces"), 1);
-            return;
-        }
         self.monitor_boxcar.push((transid, commit));
         self.maybe_start_monitor_force(ctx);
     }
 
     fn maybe_start_monitor_force(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        if self.monitor_inflight.is_some() || self.monitor_boxcar.is_empty() {
-            return;
-        }
-        if self.monitor_boxcar.len() < self.cfg.group_commit_max {
-            // hold the boxcar open for other transactions reaching their
-            // completion point; the recorded deadline lets on_timer tell
-            // this boxcar's own window expiry apart from stale timers of
-            // earlier, max-filled boxcars
-            if self.monitor_window_deadline.is_none() {
-                self.monitor_window_deadline = Some(ctx.now() + self.cfg.group_commit_window);
-                ctx.set_timer(self.cfg.group_commit_window, TAG_MONITOR_WINDOW);
+        let window = self.cfg.group_commit_window;
+        if window > SimDuration::ZERO {
+            if !self.monitor_inflight.is_empty() || self.monitor_boxcar.is_empty() {
+                return;
             }
-            return;
+            if self.monitor_boxcar.len() < GROUP_COMMIT_MAX {
+                // hold the boxcar open for other transactions reaching
+                // their completion point; the recorded deadline lets
+                // on_timer tell this boxcar's own window expiry apart from
+                // stale timers of earlier, max-filled boxcars
+                if self.monitor_window_deadline.is_none() {
+                    self.monitor_window_deadline = Some(ctx.now() + window);
+                    ctx.set_timer(window, TAG_MONITOR_WINDOW);
+                }
+                return;
+            }
         }
+        // with no window there is no boxcar to hold open: the record's
+        // force starts now, beside any force already in flight
         self.start_monitor_force(ctx);
     }
 
     /// Start the single physical force for everything in the boxcar.
     fn start_monitor_force(&mut self, ctx: &mut PairCtx<'_, '_>) {
         self.monitor_window_deadline = None;
-        let batch = std::mem::take(&mut self.monitor_boxcar);
+        let tag = TAG_MONITOR_BASE + self.next_tag;
+        self.next_tag += 1;
         ctx.count(counter!("tmf.monitor_forces"), 1);
-        ctx.observe_handle(&self.boxcar_hist, batch.len() as u64);
-        for &(transid, _) in &batch {
+        ctx.observe_handle(&self.boxcar_hist, self.monitor_boxcar.len() as u64);
+        for (transid, commit) in self.monitor_boxcar.drain(..) {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForceStart);
+            self.monitor_inflight.push((tag, transid, commit));
         }
-        self.monitor_inflight = Some(batch);
         let latency = ctx.config().disc_access;
-        ctx.set_timer(latency, TAG_MONITOR_FLUSH);
+        ctx.set_timer(latency, tag);
     }
 
-    /// The boxcarred force reached the platter: every surviving record in
-    /// the batch becomes durable at once, under ONE trail force.
-    fn monitor_flush(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        let Some(batch) = self.monitor_inflight.take() else {
-            return;
-        };
-        // The state at write completion is authoritative, exactly as in
-        // monitor_written: an abort may have overtaken a boxcarred commit.
-        let mut writable: Vec<(Transid, bool)> = Vec::new();
-        for &(transid, commit) in &batch {
-            let state = self.txns.get(&transid).map(|t| t.state);
-            if commit && !matches!(state, Some(TxState::Ending) | Some(TxState::Committing)) {
+    /// The force under timer `tag` reached the platter: every record it
+    /// carries whose entry can still take the edge the record completes
+    /// (an abort may have overtaken a commit, e.g. the requester's
+    /// processor failed while the record was in flight) becomes durable
+    /// at once, under ONE trail force.
+    fn monitor_flush(&mut self, ctx: &mut PairCtx<'_, '_>, tag: u64) {
+        let mut batch = std::mem::take(&mut self.monitor_batch);
+        let txns = &self.txns;
+        self.monitor_inflight.retain(|&(force, transid, commit)| {
+            if force != tag {
+                return true;
+            }
+            let outcome = if commit {
+                TxState::Ended
+            } else {
+                TxState::Aborted
+            };
+            let state = txns.get(&transid).map(|t| t.state);
+            if state.is_some_and(|s| s.can_become(outcome)) {
+                batch.push((transid, commit));
+            } else if commit {
                 ctx.count(counter!("tmf.commit_overtaken_by_abort"), 1);
-                continue;
             }
-            if !commit && state != Some(TxState::Aborting) {
-                continue;
-            }
-            writable.push((transid, commit));
-        }
+            false
+        });
         let now = ctx.now();
         let cp = Checkpointed::reviewed(
-            "a record only enters the boxcar from phase1_complete/backout, after \
-             set_state checkpointed COMMITTING/Aborting to the backup; the filter \
-             above re-reads that checkpointed state at write completion",
+            "a record only enters the boxcar after set_state checkpointed \
+             COMMITTING/Aborting to the backup; the filter above re-reads that \
+             checkpointed state at write completion",
         );
-        self.monitor_trail(ctx).record_group(&writable, now, &cp);
-        let boxcar = writable.len() as u32;
-        for (transid, commit) in writable {
+        self.monitor_trail(ctx).record_group(&batch, now, &cp);
+        let boxcar = batch.len() as u32;
+        for &(transid, commit) in &batch {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForced { boxcar });
             if commit {
                 ctx.count(counter!("tmf.commits"), 1);
@@ -725,50 +741,18 @@ impl TmpProcess {
                 self.finish_abort_home(ctx, transid);
             }
         }
-        // records that arrived while this force was spinning form the next
-        // boxcar; they have already waited, so force without a new window
+        batch.clear();
+        self.monitor_batch = batch;
+        // records that arrived while a windowed force was spinning form
+        // the next boxcar; they have already waited, so force without a
+        // new window
         if !self.monitor_boxcar.is_empty() {
             self.start_monitor_force(ctx);
         }
     }
 
-    /// The commit/abort record is now on the Monitor Audit Trail.
-    fn monitor_written(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, commit: bool) {
-        // the write was scheduled when the decision was taken, but an
-        // abort may have overtaken a pending commit (e.g. the requester's
-        // processor failed while the record was in flight): the state at
-        // write completion is authoritative, and a commit record may only
-        // be written for a transaction still in "ending" (or its
-        // committing refinement) state
-        let state = self.txns.get(&transid).map(|t| t.state);
-        if commit && !matches!(state, Some(TxState::Ending) | Some(TxState::Committing)) {
-            ctx.count(counter!("tmf.commit_overtaken_by_abort"), 1);
-            return;
-        }
-        if !commit && state != Some(TxState::Aborting) {
-            return;
-        }
-        let now = ctx.now();
-        let cp = Checkpointed::reviewed(
-            "the single-force twin of monitor_flush: the write was scheduled only \
-             after set_state checkpointed the decision, and the state filter above \
-             re-checks it at write completion",
-        );
-        self.monitor_trail(ctx).record(transid, commit, now, &cp);
-        ctx.flight(
-            transid.flight_id(),
-            FlightCause::MonitorForced { boxcar: 1 },
-        );
-        if commit {
-            ctx.count(counter!("tmf.commits"), 1);
-            self.finish_commit(ctx, transid);
-        } else {
-            ctx.count(counter!("tmf.aborts"), 1);
-            self.finish_abort_home(ctx, transid);
-        }
-    }
-
-    /// Apply the home node's commit decision on this (non-home) node:
+    /// Apply a commit decided elsewhere — by the home node (Phase2, the
+    /// janitor) or by the operator (ForceDisposition) — on this node:
     /// mirror the completion record onto the local trail, then run local
     /// phase two.
     fn commit_nonhome(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
@@ -777,8 +761,8 @@ impl TmpProcess {
             "the home node's *forced* commit record is the transaction's commit \
              point and is already durable before Phase2/rollforward reaches this \
              node; the local record is a replay cache for late retries, and the \
-             sender re-drives Phase2 until acked, so a primary dying before the \
-             write loses nothing",
+             sender (home TMP or operator) re-sends until answered, so a primary \
+             dying before the write loses nothing",
         );
         self.monitor_trail(ctx).record(transid, true, now, &cp);
         self.finish_commit(ctx, transid);
@@ -894,13 +878,24 @@ impl TmpProcess {
     // Abort protocol
     // ------------------------------------------------------------------
 
+    /// Abort `transid` if Figure 3 lets it: only Active and Ending may
+    /// become Aborting. Anything else — unknown, COMMITTING, already
+    /// aborting or finished — keeps its course.
     fn abort_txn(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, reason: AbortReason) {
+        let entry = self.txns.get(&transid);
+        if entry.is_some_and(|t| t.state.can_become(TxState::Aborting)) {
+            self.drive_backout(ctx, transid, reason);
+        }
+    }
+
+    /// Enter Aborting and drive the backout: notify the children, then ask
+    /// the BACKOUTPROCESS to undo the local volumes. Unguarded: reached
+    /// through [`Self::abort_txn`]'s gate, or from a takeover re-driving
+    /// an entry that was already Aborting when the primary died.
+    fn drive_backout(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, reason: AbortReason) {
         let Some(t) = self.txns.get_mut(&transid) else {
             return;
         };
-        if !t.state.can_become(TxState::Aborting) {
-            return;
-        }
         t.abort_reason = Some(reason);
         let volumes = t.volumes.clone();
         let children: Vec<NodeId> = t.children.iter().copied().collect();
@@ -1081,16 +1076,7 @@ impl TmpProcess {
                 }
             }
             TmpMsg::End { transid } => {
-                match self.txns.get(&transid).map(|t| t.state) {
-                    None => {
-                        // already completed: the monitor trail is the truth
-                        let outcome = self.monitor_trail(ctx).outcome(transid);
-                        let r = match outcome {
-                            Some(true) => TmpReply::Committed,
-                            _ => TmpReply::Aborted,
-                        };
-                        self.replies.answer(ctx, owed, r);
-                    }
+                match self.state_of(ctx, transid) {
                     Some(TxState::Active) => {
                         let now = ctx.now();
                         let class = self.txns.get(&transid).map(|t| t.class).unwrap_or_default();
@@ -1125,26 +1111,20 @@ impl TmpProcess {
                         }
                     }
                     Some(TxState::Ended) => self.replies.answer(ctx, owed, TmpReply::Committed),
-                    Some(TxState::Aborted) => self.replies.answer(ctx, owed, TmpReply::Aborted),
+                    // never heard of it: presumed abort
+                    Some(TxState::Aborted) | None => {
+                        self.replies.answer(ctx, owed, TmpReply::Aborted)
+                    }
                 }
             }
             TmpMsg::Abort { transid, reason } => {
-                match self.txns.get(&transid).map(|t| (t.state, t.home)) {
-                    None => {
-                        let outcome = self.monitor_trail(ctx).outcome(transid);
-                        let r = match outcome {
-                            Some(true) => TmpReply::Committed,
-                            _ => TmpReply::Aborted,
-                        };
-                        self.replies.answer(ctx, owed, r);
-                    }
-                    Some((TxState::Ended, _)) => {
-                        self.replies.answer(ctx, owed, TmpReply::Committed)
-                    }
-                    Some((TxState::Aborted, _)) => {
+                let home = self.txns.get(&transid).is_some_and(|t| t.home);
+                match self.state_of(ctx, transid) {
+                    Some(TxState::Ended) => self.replies.answer(ctx, owed, TmpReply::Committed),
+                    Some(TxState::Aborted) | None => {
                         self.replies.answer(ctx, owed, TmpReply::Aborted)
                     }
-                    Some((TxState::Ending, false)) => {
+                    Some(TxState::Ending) if !home => {
                         // after phase-one ack a non-home node may not
                         // unilaterally abort
                         self.replies.answer(ctx, owed, TmpReply::Failed);
@@ -1158,46 +1138,29 @@ impl TmpProcess {
                 }
             }
             TmpMsg::QueryDisposition { transid } => {
-                let state = match self.txns.get(&transid) {
-                    Some(t) => Some(t.state),
-                    None => self.monitor_trail(ctx).outcome(transid).map(|c| {
-                        if c {
-                            TxState::Ended
-                        } else {
-                            TxState::Aborted
-                        }
-                    }),
-                };
+                let state = self.state_of(ctx, transid);
                 // utility query: not cached (idempotent)
                 self.replies
                     .answer_uncached(ctx, owed, TmpReply::Disposition { state });
             }
             TmpMsg::ForceDisposition { transid, commit } => {
+                // the operator breaks an in-doubt hold through the same
+                // gate as every other transition: a commit only where
+                // Ended may follow, an abort only where Aborting may, so a
+                // COMMITTING or finished transaction keeps its outcome
                 ctx.count(counter!("tmf.force_disposition"), 1);
-                let state = self.txns.get(&transid).map(|t| t.state);
-                if commit {
-                    if matches!(state, Some(TxState::Ending) | Some(TxState::Committing)) {
+                if !commit {
+                    self.abort_txn(ctx, transid, AbortReason::OperatorOverride);
+                } else if let Some(t) = self.txns.get_mut(&transid) {
+                    if t.state.can_become(TxState::Ended) {
                         // the operator's word is not the waiting END's
                         // or Phase1's answer: its retransmission finds the
                         // outcome
-                        let waiter = self
-                            .txns
-                            .get_mut(&transid)
-                            .and_then(|t| t.end_waiter.take());
-                        if let Some(old) = waiter {
+                        if let Some(old) = t.end_waiter.take() {
                             self.replies.forget(old);
                         }
-                        self.monitor_written(ctx, transid, true);
+                        self.commit_nonhome(ctx, transid);
                     }
-                } else if state.is_some() && state != Some(TxState::Committing) {
-                    // break the in-doubt hold — but a COMMITTING
-                    // transaction already released locks against a
-                    // durable commit decision, so even the operator may
-                    // not turn it into an abort
-                    if let Some(t) = self.txns.get_mut(&transid) {
-                        t.state = TxState::Active; // permit Aborting transition
-                    }
-                    self.abort_txn(ctx, transid, AbortReason::OperatorOverride);
                 }
                 self.replies.answer(ctx, owed, TmpReply::Ok);
             }
@@ -1215,31 +1178,20 @@ impl TmpProcess {
                 }
                 self.replies.answer(ctx, owed, TmpReply::Ok);
             }
-            TmpMsg::Phase1 { transid } => {
-                match self.txns.get(&transid).map(|t| t.state) {
-                    None => {
-                        // the monitor trail may know a completed outcome
-                        let outcome = self.monitor_trail(ctx).outcome(transid);
-                        let r = match outcome {
-                            Some(true) => TmpReply::Phase1Ok,
-                            _ => TmpReply::Phase1Refused,
-                        };
-                        self.replies.answer(ctx, owed, r);
-                    }
-                    Some(TxState::Active) => {
-                        self.set_end_waiter(transid, owed);
-                        self.set_state(ctx, transid, TxState::Ending);
-                        self.start_phase1(ctx, transid);
-                    }
-                    Some(TxState::Ending) => self.set_end_waiter(transid, owed),
-                    Some(TxState::Ended) | Some(TxState::Committing) => {
-                        self.replies.answer(ctx, owed, TmpReply::Phase1Ok)
-                    }
-                    Some(TxState::Aborting) | Some(TxState::Aborted) => {
-                        self.replies.answer(ctx, owed, TmpReply::Phase1Refused)
-                    }
+            TmpMsg::Phase1 { transid } => match self.state_of(ctx, transid) {
+                Some(TxState::Active) => {
+                    self.set_end_waiter(transid, owed);
+                    self.set_state(ctx, transid, TxState::Ending);
+                    self.start_phase1(ctx, transid);
                 }
-            }
+                Some(TxState::Ending) => self.set_end_waiter(transid, owed),
+                Some(TxState::Ended) | Some(TxState::Committing) => {
+                    self.replies.answer(ctx, owed, TmpReply::Phase1Ok)
+                }
+                Some(TxState::Aborting) | Some(TxState::Aborted) | None => {
+                    self.replies.answer(ctx, owed, TmpReply::Phase1Refused)
+                }
+            },
             TmpMsg::Phase2 { transid } => {
                 // safe-delivery: ack receipt, then apply
                 self.replies.answer(ctx, owed, TmpReply::Ok);
@@ -1333,15 +1285,15 @@ impl TmpProcess {
             return;
         }
         match home_state {
-            Some(TxState::Ended) => {
+            Some(TxState::Ended) if local.can_become(TxState::Ended) => {
                 ctx.count(counter!("tmf.indoubt_commits"), 1);
                 self.commit_nonhome(ctx, transid);
             }
-            Some(TxState::Aborted) | None => {
+            // An Active entry never acknowledged phase one, so it took no
+            // part in a commit (a phantom a stale RemoteBegin resurrected,
+            // or a read-only parent's child) and may abort on its own.
+            Some(TxState::Ended) | Some(TxState::Aborted) | None => {
                 ctx.count(counter!("tmf.indoubt_aborts"), 1);
-                if let Some(t) = self.txns.get_mut(&transid) {
-                    t.state = TxState::Active; // permit the Aborting transition
-                }
                 self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
             }
             _ => {} // still in progress at home: leave it alone
@@ -1548,13 +1500,13 @@ impl PairApp for TmpProcess {
         }
         if tag == TAG_MONITOR_WINDOW {
             // ignore stale firings armed for an earlier boxcar that
-            // already forced (filled to group_commit_max before its
+            // already forced (filled to GROUP_COMMIT_MAX before its
             // window elapsed): the accumulating boxcar gets its own full
             // window
             match self.monitor_window_deadline {
                 Some(deadline) if ctx.now() >= deadline => {
                     self.monitor_window_deadline = None;
-                    if self.monitor_inflight.is_none() && !self.monitor_boxcar.is_empty() {
+                    if self.monitor_inflight.is_empty() && !self.monitor_boxcar.is_empty() {
                         self.start_monitor_force(ctx);
                     }
                 }
@@ -1562,12 +1514,8 @@ impl PairApp for TmpProcess {
             }
             return;
         }
-        if tag == TAG_MONITOR_FLUSH {
-            self.monitor_flush(ctx);
-            return;
-        }
-        if let Some((transid, commit)) = self.monitor_timers.remove(&tag) {
-            self.monitor_written(ctx, transid, commit);
+        if (TAG_MONITOR_BASE..RPC_TAG_BASE).contains(&tag) {
+            self.monitor_flush(ctx, tag);
             return;
         }
         if let TimerOutcome::Expired { then, .. } = self.disc_rpc.on_timer(ctx, tag) {
@@ -1607,7 +1555,7 @@ impl PairApp for TmpProcess {
         ctx.count(counter!("tmf.takeovers"), 1);
         // Re-drive in-flight protocol work from checkpointed state; client
         // rpcs retry so lost waiters re-attach. The dead primary's
-        // outstanding calls, monitor timers and boxcar lived in its memory
+        // outstanding calls, monitor forces and boxcar lived in its memory
         // only — this half has never served a request or issued a call, so
         // there is nothing of its own to discard. Boxcarred records that
         // never reached the trail are recovered per state below (trail
@@ -1632,9 +1580,6 @@ impl PairApp for TmpProcess {
                         self.finish_commit(ctx, transid);
                     } else {
                         // no commit record on stable storage: presume abort
-                        if let Some(t) = self.txns.get_mut(&transid) {
-                            t.state = TxState::Active;
-                        }
                         self.abort_txn(ctx, transid, AbortReason::CpuFailure);
                     }
                 }
@@ -1655,11 +1600,10 @@ impl PairApp for TmpProcess {
                     }
                 }
                 TxState::Aborting => {
-                    // re-drive the backout
-                    if let Some(t) = self.txns.get_mut(&transid) {
-                        t.state = TxState::Active;
-                    }
-                    self.abort_txn(ctx, transid, AbortReason::CpuFailure);
+                    // the backout (or the abort record's force) may have
+                    // died with the primary: re-enter Aborting and re-drive
+                    // it, past abort_txn's gate
+                    self.drive_backout(ctx, transid, AbortReason::CpuFailure);
                 }
                 TxState::Ended | TxState::Aborted => {
                     // the outcome is decided but its safe-delivery set

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
 use tmf::script::{Log, Step, TxnScript};
 use tmf::session::{SessionEvent, SessionOptions, TmfSession};
-use tmf::state::AbortReason;
+use tmf::state::{AbortReason, TxState};
 use tmf::tmp::{TmpMsg, TmpProcess, TmpReply};
 
 fn b(s: &str) -> Bytes {
@@ -1019,6 +1019,321 @@ fn late_register_volume_after_completion_is_refused() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Figure 3 gates every state change: the operator's override and a
+// takeover's re-drive go through the same table as any other transition.
+// ---------------------------------------------------------------------------
+
+/// Step `w` in `step` increments until `done` holds (or ten virtual seconds
+/// pass — the assertion after the call reports which).
+fn run_until(w: &mut World, step: SimDuration, done: impl Fn(&World) -> bool) {
+    while !done(w) && w.now() < SimTime::from_micros(10_000_000) {
+        w.run_for(step);
+    }
+}
+
+/// Ask `node`'s TMP what state it holds `transid` in.
+fn disposition(w: &mut World, node: NodeId, cpu: u8, transid: Transid) -> Option<TmpReply> {
+    let reply = ask_tmp(w, node, cpu, TmpMsg::QueryDisposition { transid });
+    w.run_for(SimDuration::from_millis(20));
+    let answer = reply.borrow().clone();
+    answer
+}
+
+/// The manual override's abort arm: a non-home participant cut off after
+/// entering phase one holds its locks in Ending until the operator forces
+/// the abort the home node decided, which backs out its insert and
+/// releases the lock.
+#[test]
+fn operator_abort_backs_out_an_in_doubt_nonhome_entry() {
+    let (mut w, [n0, _n1, n2], catalog) = three_nodes();
+    let (log, transid) = drive_capturing(
+        &mut w,
+        n0,
+        0,
+        catalog.clone(),
+        vec![
+            Step::Begin,
+            insert("accounts", "alpha", "1"),
+            insert("remote", "r", "2"),
+            Step::End,
+        ],
+    );
+    // node 0 counts one local phase one, node 2 the second as it enters
+    // Ending: cut node 2 off before its acknowledgement can reach home
+    run_until(&mut w, SimDuration::from_micros(50), |w| {
+        w.metrics().get("tmf.msgs.phase1_local") == 2
+    });
+    w.inject(Fault::Partition(vec![n2]));
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(
+        steps(&log),
+        &["began", "ok", "ok", "aborted"],
+        "phase one timed out at home"
+    );
+    let transid = transid.borrow().expect("captured at Began");
+    assert_eq!(
+        disposition(&mut w, n2, 1, transid),
+        Some(TmpReply::Disposition {
+            state: Some(TxState::Ending)
+        }),
+        "node 2 is in doubt"
+    );
+    let started = w.metrics().get("tmf.abort_started");
+    let reply = ask_tmp(
+        &mut w,
+        n2,
+        2,
+        TmpMsg::ForceDisposition {
+            transid,
+            commit: false,
+        },
+    );
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
+    assert_eq!(w.metrics().get("tmf.abort_started"), started + 1);
+    let probe = drive(
+        &mut w,
+        n2,
+        3,
+        catalog,
+        vec![Step::Begin, read_lock("remote", "r"), Step::Abort],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(
+        steps(&probe),
+        &["began", "value:<none>", "aborted"],
+        "node 2's insert backed out and its lock released"
+    );
+}
+
+/// The override cannot undo a commit: a home entry that is Ended, kept in
+/// the table only because phase two cannot reach a cut-off child, does not
+/// become Aborting when the operator forces an abort.
+#[test]
+fn operator_abort_leaves_an_ended_entry_committed() {
+    let (mut w, [n0, _n1, n2], catalog) = three_nodes();
+    let (log, transid) = drive_capturing(
+        &mut w,
+        n0,
+        0,
+        catalog.clone(),
+        vec![
+            Step::Begin,
+            insert("accounts", "alpha", "1"),
+            insert("remote", "r", "2"),
+            Step::End,
+        ],
+    );
+    run_until(&mut w, SimDuration::from_millis(1), |w| {
+        w.metrics().get("tmf.commits") == 1
+    });
+    w.inject(Fault::Partition(vec![n2]));
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(steps(&log), &["began", "ok", "ok", "committed"]);
+    let transid = transid.borrow().expect("captured at Began");
+    let ended = Some(TmpReply::Disposition {
+        state: Some(TxState::Ended),
+    });
+    assert_eq!(
+        disposition(&mut w, n0, 1, transid),
+        ended,
+        "waiting on phase two"
+    );
+    let started = w.metrics().get("tmf.abort_started");
+    let reply = ask_tmp(
+        &mut w,
+        n0,
+        2,
+        TmpMsg::ForceDisposition {
+            transid,
+            commit: false,
+        },
+    );
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
+    assert_eq!(w.metrics().get("tmf.abort_started"), started, "no backout");
+    assert_eq!(disposition(&mut w, n0, 1, transid), ended);
+    let probe = drive(
+        &mut w,
+        n0,
+        3,
+        catalog,
+        vec![Step::Begin, read_lock("accounts", "alpha"), Step::Abort],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(
+        steps(&probe),
+        &["began", "value:1", "aborted"],
+        "the committed value stays"
+    );
+}
+
+/// Nor can it overtake a decided commit: COMMITTING has no abort
+/// successor, so an override that arrives while the commit record waits
+/// in an open boxcar leaves the commit to finish. (The window also holds
+/// phase one's audit force open, so it must stay inside phase one's
+/// retry budget.)
+#[test]
+fn operator_abort_cannot_overtake_committing() {
+    let cfg = TmfNodeConfig::builder()
+        .group_commit_window(SimDuration::from_millis(200))
+        .build()
+        .expect("valid tmf config");
+    let (mut w, n, catalog) = single_node_with(cfg);
+    let (log, transid) = drive_capturing(
+        &mut w,
+        n,
+        0,
+        catalog.clone(),
+        vec![Step::Begin, insert("accounts", "c", "1"), Step::End],
+    );
+    // entering COMMITTING releases the local locks early
+    run_until(&mut w, SimDuration::from_micros(50), |w| {
+        w.metrics().get("tmf.msgs.release_early") == 1
+    });
+    let transid = transid.borrow().expect("captured at Began");
+    assert_eq!(
+        disposition(&mut w, n, 1, transid),
+        Some(TmpReply::Disposition {
+            state: Some(TxState::Committing)
+        })
+    );
+    let reply = ask_tmp(
+        &mut w,
+        n,
+        2,
+        TmpMsg::ForceDisposition {
+            transid,
+            commit: false,
+        },
+    );
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
+    assert_eq!(steps(&log), &["began", "ok", "committed"]);
+    assert_eq!(w.metrics().get("tmf.abort_started"), 0, "no backout");
+    let probe = drive(
+        &mut w,
+        n,
+        3,
+        catalog,
+        vec![Step::Begin, read_lock("accounts", "c"), Step::Abort],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(steps(&probe), &["began", "value:1", "aborted"]);
+}
+
+/// The janitor's commit arm applied the home node's Ended to any entry in
+/// doubt, taking an Active one straight to Ended — an edge Figure 3 lacks,
+/// and a panic once the table is asserted. An Active non-home entry never
+/// acknowledged phase one: here it is a phantom that a stale RemoteBegin
+/// resurrected after the transaction completed. The janitor aborts it,
+/// and the committed outcome stands.
+#[test]
+fn janitor_aborts_a_phantom_of_a_committed_transaction() {
+    let (mut w, [n0, _n1, n2], catalog) = three_nodes();
+    let (log, transid) = drive_capturing(
+        &mut w,
+        n0,
+        0,
+        catalog.clone(),
+        vec![Step::Begin, insert("remote", "r", "2"), Step::End],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(steps(&log), &["began", "ok", "committed"]);
+    let transid = transid.borrow().expect("captured at Began");
+    let open = |w: &World| {
+        let tmp = guardian::primary::<TmpProcess>(w, n2, "$TMP").expect("a live $TMP primary");
+        tmp.open_transids()
+    };
+    assert_eq!(open(&w), Vec::new());
+    // a RemoteBegin retransmission that outlived its reply
+    let reply = ask_tmp(&mut w, n2, 1, TmpMsg::RemoteBegin { transid });
+    w.run_for(SimDuration::from_millis(20));
+    assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
+    assert_eq!(open(&w), vec![transid], "a phantom entry");
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(w.metrics().get("tmf.indoubt_commits"), 0);
+    assert_eq!(w.metrics().get("tmf.indoubt_aborts"), 1);
+    assert_eq!(open(&w), Vec::new(), "the phantom left the table");
+    assert_eq!(
+        MonitorTrail::of(w.stable_mut(), n2).outcome(transid),
+        Some(true),
+        "the first disposition stands"
+    );
+    let probe = drive(
+        &mut w,
+        n2,
+        2,
+        catalog,
+        vec![Step::Begin, read_lock("remote", "r"), Step::Abort],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(steps(&probe), &["began", "value:2", "aborted"]);
+}
+
+/// A TMP primary that dies mid-backout leaves its backup a checkpointed
+/// Aborting entry. The takeover re-drives the backout exactly once — it
+/// re-enters the state it is in, which is not an edge of Figure 3 — and
+/// the update is undone and its lock released.
+#[test]
+fn tmp_takeover_mid_backout_redrives_it_once() {
+    let (mut w, n, catalog) = single_node();
+    let setup = drive(
+        &mut w,
+        n,
+        0,
+        catalog.clone(),
+        vec![Step::Begin, insert("accounts", "bob", "500"), Step::End],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(steps(&setup), &["began", "ok", "committed"]);
+    let log = drive(
+        &mut w,
+        n,
+        1,
+        catalog.clone(),
+        vec![
+            Step::Begin,
+            read_lock("accounts", "bob"),
+            update("accounts", "bob", "0"),
+            Step::Abort,
+        ],
+    );
+    run_until(&mut w, SimDuration::from_micros(50), |w| {
+        w.metrics().get("tmf.abort_started") == 1
+    });
+    // let the Aborting checkpoint reach the backup, then kill the primary
+    // while the BACKOUTPROCESS is still undoing
+    w.run_for(SimDuration::from_millis(1));
+    assert_eq!(w.metrics().get("backout.completed"), 0, "backout running");
+    let tmp_cpu = w.lookup_name(n, "$TMP").expect("TMP registered").cpu;
+    w.inject(Fault::KillCpu(n, tmp_cpu));
+    w.run_for(SimDuration::from_secs(2));
+    w.inject(Fault::RestoreCpu(n, tmp_cpu));
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(w.metrics().get("tmf.takeovers"), 1);
+    assert_eq!(
+        w.metrics().get("tmf.abort_started"),
+        2,
+        "the abort, then one re-drive"
+    );
+    assert_eq!(steps(&log), &["began", "value:500", "ok", "aborted"]);
+    let probe = drive(
+        &mut w,
+        n,
+        2,
+        catalog,
+        vec![Step::Begin, read_lock("accounts", "bob"), Step::Abort],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(
+        steps(&probe),
+        &["began", "value:500", "aborted"],
+        "the update was undone and its lock released"
+    );
+}
+
 /// Determinism is what makes a chaos seed a one-line repro, so it is an
 /// invariant in its own right: the same fault timeline (a TMP-primary CPU
 /// kill mid-transaction, a partition, restores and heals) must replay to
@@ -1118,8 +1433,11 @@ fn abort_mid_boxcar_keeps_dispositions_separate() {
     let trail = MonitorTrail::of(w.stable_mut(), n);
     assert_eq!(trail.commits(), 1);
     assert_eq!(trail.aborts(), 1);
-    // the batched monitor path ran (the window knob reached the TMP)
-    assert!(w.metrics().get("tmf.monitor_boxcar_size.count") >= 1);
+    // every monitor force, windowed or not, feeds the boxcar histogram
+    assert_eq!(
+        w.metrics().get("tmf.monitor_boxcar_size.count"),
+        w.metrics().get("tmf.monitor_forces")
+    );
 }
 
 #[test]

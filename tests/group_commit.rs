@@ -1,7 +1,8 @@
 //! Group-commit configuration properties over the full bank application:
-//! window = 0 must take the legacy immediate-force path byte-for-byte
-//! (identical trace hash to the default configuration), and a nonzero
-//! window must change only physical I/O, never transaction outcomes.
+//! an explicit window of 0 is the default configuration byte for byte
+//! (identical trace hash) — every force starts as soon as it is asked
+//! for — and a nonzero window must change only physical I/O, never
+//! transaction outcomes.
 
 use encompass_tmf::prelude::*;
 
@@ -44,7 +45,6 @@ fn window_zero_is_trace_identical_to_default() {
     let default_run = run_bank(TmfNodeConfig::default());
     let explicit_zero = TmfNodeConfig::builder()
         .group_commit_window(SimDuration::ZERO)
-        .group_commit_max(16)
         .build()
         .expect("valid tmf config");
     let zero_run = run_bank(explicit_zero);
@@ -52,8 +52,7 @@ fn window_zero_is_trace_identical_to_default() {
     assert_eq!(default_run.commits, zero_run.commits);
     assert_eq!(
         default_run.trace_hash, zero_run.trace_hash,
-        "window = 0 must preserve the pre-boxcarring execution exactly \
-         (group_commit_max is irrelevant when the window is closed)"
+        "window = 0 must be the default execution exactly"
     );
 }
 
