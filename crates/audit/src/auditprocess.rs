@@ -1,7 +1,9 @@
-//! The AUDITPROCESS: a process-pair that owns one audit trail.
+//! The AUDITPROCESS: the one process-pair per node, named
+//! [`AUDIT_SERVICE`], that owns the node's audit trail.
 //!
 //! "All audited discs on a given controller share an AUDITPROCESS and an
-//! audit trail" — several DISCPROCESSes send their image records here.
+//! audit trail" — every DISCPROCESS on the node sends its image records
+//! here (DESIGN.md §D7).
 //! Records are *buffered* in the pair's memory (each append is checkpointed
 //! to the backup, so a single processor failure loses nothing) and *forced*
 //! to the trail media:
@@ -20,12 +22,12 @@
 //! the legacy trail key and timer tags, so `partitions == 1` reproduces
 //! the historical stable-storage layout.
 
-use crate::trail::{partition_trail_key, TrailMedia};
+use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::{
     counter, DetHashMap, DetHashSet, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload,
     Pid, SimTime, World,
 };
-use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
+use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::Transid;
 use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Served};
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,8 +67,6 @@ pub const REPLY_CAPACITY: usize = 8192;
 /// Configuration for one AUDITPROCESS.
 #[derive(Clone, Debug)]
 pub struct AuditConfig {
-    /// Service name, e.g. `"$AUDIT"`.
-    pub service: Name,
     /// Trail-file rotation threshold (records per file).
     pub rotate_every: usize,
     /// How long to hold an eligible force open so that later requesters can
@@ -83,7 +83,6 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            service: "$AUDIT".into(),
             rotate_every: 4096,
             group_commit_window: encompass_sim::SimDuration::ZERO,
             partitions: 1,
@@ -197,7 +196,7 @@ pub struct AuditProcess {
 
 impl AuditProcess {
     /// `trails` holds, per partition, the [`MediaId`] of its
-    /// [`partition_trail_key`] in the world the process will run in.
+    /// [`trail_key`] in the world the process will run in.
     pub fn new(cfg: AuditConfig, trails: Vec<MediaId>) -> AuditProcess {
         assert_eq!(
             trails.len(),
@@ -459,7 +458,7 @@ impl PairApp for AuditProcess {
     type Snapshot = AuditSnapshot;
 
     fn service_name(&self) -> Name {
-        self.cfg.service.clone()
+        AUDIT_SERVICE
     }
 
     fn kind(&self) -> &'static str {
@@ -679,8 +678,8 @@ impl PairApp for AuditProcess {
     }
 }
 
-/// Spawn an AUDITPROCESS pair and create its trail media (one per
-/// partition) if absent.
+/// Spawn `node`'s [`AUDIT_SERVICE`] pair and create its trail media (one
+/// per partition) if absent.
 pub fn spawn_audit_process(
     world: &mut World,
     node: encompass_sim::NodeId,
@@ -691,7 +690,7 @@ pub fn spawn_audit_process(
     let stable = world.stable_mut();
     let trails: Vec<MediaId> = (0..cfg.partitions.max(1))
         .map(|p| {
-            let trail = stable.id(&partition_trail_key(node, &cfg.service, p));
+            let trail = stable.id(&trail_key(node, p));
             stable.get_or_create_at(trail, || TrailMedia::new(cfg.rotate_every));
             trail
         })

@@ -11,7 +11,7 @@
 //! TMP retries against the new one (its Backout request is safe-delivery).
 
 use encompass_sim::{counter, DetHashMap, Name, Payload, Pid, SimDuration, World};
-use encompass_storage::audit_api::{AuditMsg, AuditReply};
+use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Rpc, Served, Target};
@@ -26,11 +26,9 @@ pub const BACKOUT_SERVICE: Name = Name::from_static("$BACKOUT");
 #[derive(Clone, Debug)]
 pub enum BackoutMsg {
     /// Back out `transid` on the given local volumes, then reply `Done`.
-    /// `audit_service_of[i]` is the audit service of `volumes[i]`.
     Backout {
         transid: Transid,
         volumes: Vec<VolumeRef>,
-        audit_services: Vec<Name>,
     },
 }
 
@@ -51,19 +49,14 @@ enum DiscThen {
     /// The `FlushTxn` barrier (all of the volume's lazy appends
     /// acknowledged), without which the image read that follows could miss
     /// in-flight records and the undo would be partial. Next: read
-    /// `transid`'s images from `audit_service`.
-    Flushed {
-        transid: Transid,
-        volume: VolumeRef,
-        audit_service: Name,
-    },
+    /// `transid`'s images from the node's AUDITPROCESS.
+    Flushed { transid: Transid, volume: VolumeRef },
     /// The `Undo` of one volume's images: that volume's step is done.
     Undone(Transid),
 }
 
 /// The BACKOUTPROCESS application.
 pub struct BackoutProcess {
-    service: Name,
     /// `ReadTxnImages` calls; the continuation is the transaction and the
     /// volume whose images are wanted.
     audit_rpc: Rpc<AuditMsg, AuditReply, (Transid, VolumeRef)>,
@@ -72,17 +65,18 @@ pub struct BackoutProcess {
     replies: Served<BackoutReply>,
 }
 
-impl BackoutProcess {
-    pub fn new(service: &str) -> BackoutProcess {
+impl Default for BackoutProcess {
+    fn default() -> BackoutProcess {
         BackoutProcess {
-            service: Name::new(service),
             audit_rpc: Rpc::new(3),
             disc_rpc: Rpc::new(4),
             jobs: DetHashMap::default(),
             replies: Served::new(4096),
         }
     }
+}
 
+impl BackoutProcess {
     fn job_step_done(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
         let Some(job) = self.jobs.get_mut(&transid) else {
             return;
@@ -103,7 +97,7 @@ impl PairApp for BackoutProcess {
     type Snapshot = ();
 
     fn service_name(&self) -> Name {
-        self.service.clone()
+        BACKOUT_SERVICE
     }
 
     fn kind(&self) -> &'static str {
@@ -143,16 +137,12 @@ impl PairApp for BackoutProcess {
         let payload = match self.disc_rpc.accept(ctx, payload) {
             Ok(c) => {
                 match c.then {
-                    DiscThen::Flushed {
-                        transid,
-                        volume,
-                        audit_service,
-                    } => {
+                    DiscThen::Flushed { transid, volume } => {
                         // the volume's appends have drained: the audit
                         // trail + buffer now hold every image, so read them
                         self.audit_rpc.call_persistent(
                             ctx,
-                            Target::Named(volume.node, audit_service),
+                            Target::Named(volume.node, AUDIT_SERVICE),
                             AuditMsg::ReadTxnImages { transid },
                             SimDuration::from_millis(50),
                             (transid, volume),
@@ -167,11 +157,7 @@ impl PairApp for BackoutProcess {
         let Admitted::Fresh(owed, msg) = self.replies.admit(ctx, payload) else {
             return; // answered from memory, or its job is still running
         };
-        let BackoutMsg::Backout {
-            transid,
-            volumes,
-            audit_services,
-        } = msg;
+        let BackoutMsg::Backout { transid, volumes } = msg;
         if self.jobs.contains_key(&transid) {
             // a second request for a transaction already being backed out
             // (a TMP takeover re-drove it) goes unanswered: its retry is
@@ -192,7 +178,7 @@ impl PairApp for BackoutProcess {
                 outstanding: volumes.len(),
             },
         );
-        for (volume, audit_service) in volumes.into_iter().zip(audit_services) {
+        for volume in volumes {
             // barrier first: the DISCPROCESS answers once all its lazy
             // appends for the transaction are acknowledged by the audit
             self.disc_rpc.call_persistent(
@@ -200,11 +186,7 @@ impl PairApp for BackoutProcess {
                 Target::Named(volume.node, volume.volume.clone()),
                 DiscRequest::FlushTxn { transid },
                 SimDuration::from_millis(50),
-                DiscThen::Flushed {
-                    transid,
-                    volume,
-                    audit_service,
-                },
+                DiscThen::Flushed { transid, volume },
             );
         }
     }
@@ -237,7 +219,11 @@ pub fn spawn_backout_process(
     cpu_primary: u8,
     cpu_backup: u8,
 ) -> PairHandle {
-    guardian::spawn_pair(world, node, cpu_primary, cpu_backup, || {
-        BackoutProcess::new(&BACKOUT_SERVICE)
-    })
+    guardian::spawn_pair(
+        world,
+        node,
+        cpu_primary,
+        cpu_backup,
+        BackoutProcess::default,
+    )
 }

@@ -41,6 +41,9 @@ use std::convert::Infallible;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
 
+/// The service name every node's DUMPPROCESS registers.
+pub const DUMP_SERVICE: Name = Name::from_static("$DUMP");
+
 /// Requests to the DUMPPROCESS.
 #[derive(Clone, Debug)]
 pub enum DumpMsg {
@@ -82,7 +85,6 @@ struct Job {
 
 /// The DUMPPROCESS application.
 pub struct DumpProcess {
-    service: Name,
     /// Dump steps sent to the volume. A dump has one step outstanding at
     /// a time, so the continuation is the job itself: an in-flight dump
     /// lives in its pending call and nowhere else.
@@ -96,15 +98,16 @@ pub struct DumpProcess {
 /// ROLLFORWARD can still restore from any retained generation.
 pub const ARCHIVE_RETAIN: u64 = 2;
 
-impl DumpProcess {
-    pub fn new(service: &str) -> DumpProcess {
+impl Default for DumpProcess {
+    fn default() -> DumpProcess {
         DumpProcess {
-            service: Name::new(service),
             disc_rpc: Rpc::new(1),
             replies: Served::new(4096),
         }
     }
+}
 
+impl DumpProcess {
     fn send_disc(&mut self, ctx: &mut PairCtx<'_, '_>, job: Job, req: DiscRequest) {
         let target = Target::Named(job.volume.node, job.volume.volume.clone());
         self.disc_rpc
@@ -235,7 +238,7 @@ impl PairApp for DumpProcess {
     type Snapshot = ();
 
     fn service_name(&self) -> Name {
-        self.service.clone()
+        DUMP_SERVICE
     }
 
     fn kind(&self) -> &'static str {
@@ -293,14 +296,12 @@ impl PairApp for DumpProcess {
     fn restore(&mut self, _snapshot: (), _cp: &Checkpointed) {}
 }
 
-/// Spawn a DUMPPROCESS pair named `$DUMP` on `node`.
+/// Spawn a DUMPPROCESS pair named [`DUMP_SERVICE`] on `node`.
 pub fn spawn_dump_process(
     world: &mut World,
     node: encompass_sim::NodeId,
     cpu_primary: u8,
     cpu_backup: u8,
 ) -> PairHandle {
-    guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        DumpProcess::new("$DUMP")
-    })
+    guardian::spawn_pair(world, node, cpu_primary, cpu_backup, DumpProcess::default)
 }

@@ -6,10 +6,10 @@
 //!   files holding before/after images of data-base updates. "For
 //!   transactions that span data bases on multiple nodes of a network, all
 //!   audit images for records residing on a particular node are contained
-//!   in audit trails at that node" — each node's AUDITPROCESSes write only
+//!   in audit trails at that node" — each node's AUDITPROCESS writes only
 //!   local trails, which is what lets backout run without network traffic.
-//! * **The AUDITPROCESS** ([`auditprocess`]): a process-pair that buffers
-//!   image records from the DISCPROCESSes sharing its trail and forces
+//! * **The AUDITPROCESS** ([`auditprocess`]): one process-pair per node
+//!   that buffers image records from the node's DISCPROCESSes and forces
 //!   them to the trail media on demand — lazily in the NonStop design
 //!   (group-committing concurrent force requests), eagerly per record in
 //!   the Write-Ahead-Log baseline.

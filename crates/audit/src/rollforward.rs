@@ -105,15 +105,18 @@ pub fn archive_generation_zero(world: &mut World, volumes: &[VolumeRef]) {
     }
 }
 
-/// Recover `volume` from archive `generation` plus the audit trails whose
-/// stable-storage keys are given (see [`crate::trail::trail_key`]).
+/// Recover `volume` from archive `generation` plus `trail_key`, the one
+/// trail partition holding the volume's images (`NodeHandles::trail_key_of`
+/// in `encompass-core`; see [`crate::trail::trail_key`]). Only that trail
+/// is read: a sibling partition may have purged past this volume's floor
+/// (DESIGN.md §D12).
 ///
 /// Panics if the archive is missing — recovery without an archive is
 /// impossible, which is an operator error worth failing loudly on.
 pub fn rollforward_volume(
     world: &mut World,
     volume: &VolumeRef,
-    trail_keys: &[String],
+    trail_key: &str,
     generation: u64,
 ) -> RollforwardReport {
     // 1. the archived copy
@@ -126,28 +129,20 @@ pub fn rollforward_volume(
     let watermark = archive.audit_watermark;
     let floor = archive.purge_floor;
 
-    // 2. gather this volume's images from the trails. Only trails on the
-    // volume's own node can hold its images (each DISCPROCESS audits to an
-    // AUDITPROCESS on its node); for those, the capacity manager must not
-    // have purged any record recovery still needs — every sequence at or
-    // above the archive's purge floor.
-    let node_prefix = format!("{}.", volume.node);
-    let mut images: Vec<ImageRecord> = Vec::new();
-    for tk in trail_keys {
-        if let Some(trail) = world.stable().get::<TrailMedia>(tk) {
-            if tk.starts_with(&node_prefix) && trail.purged_through >= floor {
-                panic!(
-                    "trail {tk} purged through seq {} but archive {akey} needs \
-                     every record from seq {floor} — cannot roll forward",
-                    trail.purged_through
-                );
-            }
-            images.extend(trail.volume_images(volume));
-        }
-    }
+    // 2. gather this volume's images from its trail, in ascending sequence
+    // order. The capacity manager must not have purged any record recovery
+    // still needs — every sequence at or above the archive's purge floor.
+    let mut images: Vec<ImageRecord> = match world.stable().get::<TrailMedia>(trail_key) {
+        Some(trail) if trail.purged_through >= floor => panic!(
+            "trail {trail_key} purged through seq {} but archive {akey} needs \
+             every record from seq {floor} — cannot roll forward",
+            trail.purged_through
+        ),
+        Some(trail) => trail.volume_images(volume),
+        None => Vec::new(),
+    };
     // ONLINEDUMP begin/end markers are trail bookkeeping, not data images
     images.retain(|r| !r.is_dump_marker());
-    images.sort_by_key(|r| r.seq);
 
     // 3. resolve outcomes against the home nodes' monitor trails
     let mut outcomes: DetHashMap<Transid, bool> = DetHashMap::default();
@@ -295,7 +290,7 @@ mod tests {
 
         // trail: t1 commits (insert + update), t2 aborts (overwrote "old"),
         // t3 was in flight (inserted a record, no completion record)
-        let tk = crate::trail::trail_key(n, "$AUDIT");
+        let tk = crate::trail::trail_key(n, 0);
         let trail = w
             .stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(100));
@@ -321,7 +316,7 @@ mod tests {
         media.revive_drive(1);
         assert!(!media.available(), "lost until recovered");
 
-        let report = rollforward_volume(&mut w, &vol, &[tk], 1);
+        let report = rollforward_volume(&mut w, &vol, &tk, 1);
         assert_eq!(report.redone, 2);
         assert_eq!(report.undone, 2);
         assert_eq!(report.committed_txns, 1);
@@ -358,14 +353,14 @@ mod tests {
                 purge_floor: 1,
                 generation: 1,
             });
-        let tk = crate::trail::trail_key(n, "$AUDIT");
+        let tk = crate::trail::trail_key(n, 0);
         w.stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(100))
             .force(vec![img(1, t(1), "k", None, Some("v"))]);
         MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
 
-        let r1 = rollforward_volume(&mut w, &vol, std::slice::from_ref(&tk), 1);
-        let r2 = rollforward_volume(&mut w, &vol, &[tk], 1);
+        let r1 = rollforward_volume(&mut w, &vol, &tk, 1);
+        let r2 = rollforward_volume(&mut w, &vol, &tk, 1);
         assert_eq!(r1, r2);
         let media = w.stable().get::<VolumeMedia>(&media_key(n, "$D")).unwrap();
         assert_eq!(
@@ -398,7 +393,7 @@ mod tests {
         //   t2 writes 900 -> 850, aborts; BACKOUT restores 900 on the live
         //     volume before releasing the lock
         //   t3 commits 900 -> 870
-        let tk = crate::trail::trail_key(n, "$AUDIT");
+        let tk = crate::trail::trail_key(n, 0);
         w.stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(100))
             .force(vec![
@@ -410,7 +405,7 @@ mod tests {
         MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
         MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO, &cp());
 
-        let report = rollforward_volume(&mut w, &vol, &[tk], 0);
+        let report = rollforward_volume(&mut w, &vol, &tk, 0);
         assert_eq!(report.redone, 2);
         assert_eq!(report.undone, 0, "loser undo superseded by t3's commit");
         assert_eq!(report.superseded, 1);
@@ -428,7 +423,7 @@ mod tests {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(2);
         let vol = VolumeRef::new(n, "$D");
-        let _ = rollforward_volume(&mut w, &vol, &[], 9);
+        let _ = rollforward_volume(&mut w, &vol, &crate::trail::trail_key(n, 0), 9);
     }
 
     /// Fuzzy ONLINEDUMP recovery: the archive was copied while
@@ -463,7 +458,7 @@ mod tests {
                 generation: 2,
             });
 
-        let tk = crate::trail::trail_key(n, "$AUDIT");
+        let tk = crate::trail::trail_key(n, 0);
         let trail = w
             .stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(2));
@@ -479,7 +474,7 @@ mod tests {
         MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
         MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO, &cp());
 
-        let report = rollforward_volume(&mut w, &vol, &[tk], 2);
+        let report = rollforward_volume(&mut w, &vol, &tk, 2);
         assert_eq!(report.redone, 1, "only t3's post-watermark write replays");
         assert_eq!(report.undone, 1, "t2's dirty write is repaired");
         assert_eq!(report.committed_txns, 2);
@@ -521,7 +516,7 @@ mod tests {
                 generation: 3,
             });
 
-        let tk = crate::trail::trail_key(n, "$AUDIT");
+        let tk = crate::trail::trail_key(n, 0);
         let trail = w
             .stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(2));
@@ -536,7 +531,7 @@ mod tests {
         MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
         MonitorTrail::of(w.stable_mut(), n).record(t(2), true, SimTime::ZERO, &cp());
 
-        let report = rollforward_volume(&mut w, &vol, &[tk], 3);
+        let report = rollforward_volume(&mut w, &vol, &tk, 3);
         assert_eq!(report.redone, 0, "purged prefix was already in the image");
         let media = w.stable().get::<VolumeMedia>(&media_key(n, "$D")).unwrap();
         let accounts = media.file("accounts").unwrap();
@@ -561,7 +556,7 @@ mod tests {
                 purge_floor: 1,
                 generation: 0,
             });
-        let tk = crate::trail::trail_key(n, "$AUDIT");
+        let tk = crate::trail::trail_key(n, 0);
         let trail = w
             .stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(1));
@@ -571,6 +566,6 @@ mod tests {
         ]);
         trail.purge_below(2); // drops seq 1, which gen-0 recovery needs
         MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
-        let _ = rollforward_volume(&mut w, &vol, &[tk], 0);
+        let _ = rollforward_volume(&mut w, &vol, &tk, 0);
     }
 }

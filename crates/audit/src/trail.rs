@@ -7,24 +7,17 @@
 //! records live in the AUDITPROCESS pair's memory.
 
 use encompass_sim::NodeId;
-use encompass_storage::audit_api::ImageRecord;
+use encompass_storage::audit_api::{ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::{Transid, VolumeRef};
 
-/// Stable-storage key of an audit trail owned by audit service `service`
-/// on `node`.
-pub fn trail_key(node: NodeId, service: &str) -> String {
-    format!("{node}.{service}:trail")
-}
-
-/// Stable-storage key of partition `partition` of a partitioned audit
-/// trail. Partition 0 is the legacy single trail — same key as
-/// [`trail_key`] — so unpartitioned configurations keep their historical
-/// stable-storage layout (and trace hashes) byte for byte.
-pub fn partition_trail_key(node: NodeId, service: &str, partition: usize) -> String {
+/// Stable-storage key of trail partition `partition` of `node`'s
+/// AUDITPROCESS. Partition 0 has no suffix, so an unpartitioned node keeps
+/// the single-trail layout (and trace hashes) byte for byte.
+pub fn trail_key(node: NodeId, partition: usize) -> String {
     if partition == 0 {
-        trail_key(node, service)
+        format!("{node}.{AUDIT_SERVICE}:trail")
     } else {
-        format!("{node}.{service}:trail.p{partition}")
+        format!("{node}.{AUDIT_SERVICE}:trail.p{partition}")
     }
 }
 
@@ -247,12 +240,9 @@ mod tests {
     #[test]
     fn partition_zero_key_is_the_legacy_key() {
         let n = NodeId(2);
-        assert_eq!(partition_trail_key(n, "$AUDIT", 0), trail_key(n, "$AUDIT"));
-        assert_eq!(partition_trail_key(n, "$AUDIT", 1), "\\N2.$AUDIT:trail.p1");
-        assert_ne!(
-            partition_trail_key(n, "$AUDIT", 1),
-            partition_trail_key(n, "$AUDIT", 2)
-        );
+        assert_eq!(trail_key(n, 0), "\\N2.$AUDIT:trail");
+        assert_eq!(trail_key(n, 1), "\\N2.$AUDIT:trail.p1");
+        assert_ne!(trail_key(n, 1), trail_key(n, 2));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig, GROUP_COMM
 use encompass_audit::backout::{spawn_backout_process, BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
-use encompass_audit::trail::{partition_trail_key, trail_key, TrailMedia};
+use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::{CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, DiscRequest};
 use encompass_storage::locks::LockMode;
@@ -42,7 +42,7 @@ fn setup(mode: RecoveryMode) -> (World, NodeId, Target) {
     spawn_audit_process(&mut w, n, 2, 3, AuditConfig::default());
     let cfg = DiscConfig {
         recovery_mode: mode,
-        audit_service: Some("$AUDIT".into()),
+        audited: true,
         ..DiscConfig::default()
     };
     let h = spawn_disc_process(&mut w, 0, 1, vol, catalog, cfg);
@@ -89,10 +89,7 @@ fn nonstop_mode_defers_forces_to_phase_one() {
     // exactly one group force for the whole transaction
     assert_eq!(w.metrics().get("audit.forces"), 1);
     // and the trail now has the three images
-    let trail = w
-        .stable()
-        .get::<TrailMedia>(&trail_key(n, "$AUDIT"))
-        .unwrap();
+    let trail = w.stable().get::<TrailMedia>(&trail_key(n, 0)).unwrap();
     assert_eq!(trail.txn_images(txn(1)).len(), 3);
 }
 
@@ -170,7 +167,7 @@ fn audit_takeover_with_half_filled_boxcar_loses_nothing() {
     );
     let cfg = DiscConfig {
         recovery_mode: RecoveryMode::NonStopCheckpoint,
-        audit_service: Some("$AUDIT".into()),
+        audited: true,
         ..DiscConfig::default()
     };
     let h = spawn_disc_process(&mut w, 0, 1, vol, catalog, cfg);
@@ -219,10 +216,7 @@ fn audit_takeover_with_half_filled_boxcar_loses_nothing() {
     assert!(w.metrics().get("audit.takeovers") >= 1);
     // the checkpointed boxcar records reached the trail exactly once each:
     // nothing lost with the primary, nothing double-forced on retransmit
-    let trail = w
-        .stable()
-        .get::<TrailMedia>(&trail_key(n, "$AUDIT"))
-        .unwrap();
+    let trail = w.stable().get::<TrailMedia>(&trail_key(n, 0)).unwrap();
     assert_eq!(trail.txn_images(txn(1)).len(), 1);
     assert_eq!(trail.txn_images(txn(2)).len(), 1);
 }
@@ -251,7 +245,7 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
     );
     let cfg = DiscConfig {
         recovery_mode: RecoveryMode::NonStopCheckpoint,
-        audit_service: Some("$AUDIT".into()),
+        audited: true,
         ..DiscConfig::default()
     };
     let h = spawn_disc_process(&mut w, 0, 1, vol, catalog, cfg);
@@ -336,7 +330,7 @@ fn partition_takeover_with_half_filled_boxcar_per_partition_loses_nothing() {
     );
     let cfg = DiscConfig {
         recovery_mode: RecoveryMode::NonStopCheckpoint,
-        audit_service: Some("$AUDIT".into()),
+        audited: true,
         ..DiscConfig::default()
     };
     let ha = spawn_disc_process(&mut w, 0, 1, vol_a, catalog.clone(), cfg.clone());
@@ -376,14 +370,8 @@ fn partition_takeover_with_half_filled_boxcar_per_partition_loses_nothing() {
     }
     assert!(w.metrics().get("audit.takeovers") >= 1);
     // each partition trail holds exactly its own volume's image, once
-    let p0 = w
-        .stable()
-        .get::<TrailMedia>(&partition_trail_key(n, "$AUDIT", 0))
-        .unwrap();
-    let p1 = w
-        .stable()
-        .get::<TrailMedia>(&partition_trail_key(n, "$AUDIT", 1))
-        .unwrap();
+    let p0 = w.stable().get::<TrailMedia>(&trail_key(n, 0)).unwrap();
+    let p1 = w.stable().get::<TrailMedia>(&trail_key(n, 1)).unwrap();
     assert_eq!(p0.txn_images(txn(1)).len(), 1);
     assert_eq!(p0.txn_images(txn(2)).len(), 0);
     assert_eq!(p1.txn_images(txn(2)).len(), 1);
@@ -405,7 +393,6 @@ impl Process for BackoutDriver {
             BackoutMsg::Backout {
                 transid: self.transid,
                 volumes: vec![VolumeRef::new(self.node, "$DATA")],
-                audit_services: vec!["$AUDIT".into()],
             },
             SimDuration::from_millis(100),
             (),
@@ -662,7 +649,7 @@ fn archive_crash_rollforward_cycle() {
     }
 
     let vol = VolumeRef::new(n, "$DATA");
-    let report = rollforward_volume(&mut w, &vol, &[trail_key(n, "$AUDIT")], 1);
+    let report = rollforward_volume(&mut w, &vol, &trail_key(n, 0), 1);
     assert!(
         report.redone >= 1,
         "t2's post-archive update redone: {report:?}"

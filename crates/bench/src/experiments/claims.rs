@@ -321,7 +321,7 @@ pub fn t5() -> Vec<Table> {
             media.revive_drive(0);
             media.revive_drive(1);
         }
-        let tk = trail_key(n, "$AUDIT");
+        let tk = trail_key(n, 0);
         let trail_records = app
             .world
             .stable()
@@ -331,7 +331,7 @@ pub fn t5() -> Vec<Table> {
         // bench boundary: measuring real rollforward wall time is the point
         #[allow(clippy::disallowed_methods)]
         let start = std::time::Instant::now();
-        let report = rollforward_volume(&mut app.world, &vol, &[tk], 1);
+        let report = rollforward_volume(&mut app.world, &vol, &tk, 1);
         let wall = start.elapsed().as_micros() as f64 / 1000.0;
         let recovered_total = total_balance(&mut app.world, &app.catalog, "accounts");
         table.row(vec![

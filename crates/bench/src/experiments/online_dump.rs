@@ -17,13 +17,13 @@
 
 use crate::Table;
 use encompass::app::{launch_bank_app, BankAppParams};
-use encompass_audit::dump::{DumpMsg, DumpReply};
+use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
 use encompass_sim::SimDuration;
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::VolumeRef;
 use guardian::{ask, Target};
-use tmf::facility::TmfNodeConfig;
+use tmf::facility::{trail_key_of, TmfNodeConfig};
 
 /// One cell of the sweep.
 #[derive(Clone, Debug)]
@@ -85,7 +85,7 @@ fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDump
                 v.node,
                 0,
                 2,
-                Target::Named(v.node, "$DUMP".into()),
+                Target::Named(v.node, DUMP_SERVICE),
                 DumpMsg::DumpVolume {
                     volume: v.clone(),
                     generation: 1,
@@ -110,13 +110,7 @@ fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDump
     let dump_records = m.get("dump.records");
     let archive_reads = m.get("disc.archive_read");
 
-    let trail_keys: Vec<String> = app
-        .tmf
-        .iter()
-        .flat_map(|h| h.trail_keys.iter().cloned())
-        .collect();
-    let trail_records: u64 = trail_keys
-        .iter()
+    let trail_records: u64 = (app.tmf.iter().flat_map(|h| &h.trail_keys))
         .filter_map(|k| {
             app.world
                 .stable()
@@ -134,7 +128,8 @@ fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDump
             .get::<DumpRegistry>(&dump_registry_key(v))
             .map(|r| r.generation)
             .unwrap_or(0);
-        let report = rollforward_volume(&mut app.world, v, &trail_keys, generation);
+        let trail = trail_key_of(&app.tmf, v).expect("every volume is audited");
+        let report = rollforward_volume(&mut app.world, v, trail, generation);
         recovery_redone += report.redone as u64;
         recovery_undone += report.undone as u64;
     }

@@ -42,20 +42,20 @@ use bytes::Bytes;
 use encompass::app::{launch_bank_app, AppHandles, BankAppParams};
 use encompass::workload::total_balance;
 use encompass_audit::auditprocess::{AuditProcess, AuditStateReport};
-use encompass_audit::dump::{DumpMsg, DumpReply};
+use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
 use encompass_sim::{
     format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, Name, NodeId, SimConfig,
     SimDuration, SimTime, World,
 };
-use encompass_storage::audit_api::{AuditMsg, AuditReply};
+use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscProcess, DiscStateReport};
 use encompass_storage::media::{dump_registry_key, media_key, DumpRegistry, VolumeMedia};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{ask, PairApp, PairHandle, Target};
 use std::collections::BTreeMap;
-use tmf::facility::{NodeHandles, TmfNodeConfig, TmfNodeConfigBuilder};
+use tmf::facility::{trail_key_of, NodeHandles, TmfNodeConfig, TmfNodeConfigBuilder};
 use tmf::tmp::{TmpProcess, TmpStateReport};
 
 /// Accounts preloaded per run (balance 1000 each).
@@ -322,7 +322,7 @@ fn run_sweep(
     check_tmp_tables(&seen, violations, &mut implicated);
     check_locks(&seen, violations);
     violations.extend(timer_violations(&seen.timers));
-    check_convergence(&mut app.world, &volumes, &trail_keys(&app.tmf), violations);
+    check_convergence(&mut app.world, &volumes, &app.tmf, violations);
     report.finish(&app.world, &app.nodes, implicated, flight_recorder)
 }
 
@@ -434,7 +434,7 @@ pub(crate) fn request_dumps(
             node,
             cpu,
             2,
-            Target::Named(node, "$DUMP".into()),
+            Target::Named(node, DUMP_SERVICE),
             DumpMsg::DumpVolume {
                 volume: v.clone(),
                 generation,
@@ -478,7 +478,7 @@ pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
             node,
             0,
             3,
-            Target::Named(node, "$AUDIT".into()),
+            Target::Named(node, AUDIT_SERVICE),
             AuditMsg::Append {
                 records: Vec::new(),
                 force: true,
@@ -506,7 +506,7 @@ pub(crate) struct TmpRead {
     pub(crate) state: TmpStateReport,
 }
 
-/// Read every node's TMP, AUDITPROCESSes and DISCPROCESSes, and take the
+/// Read every node's TMP, AUDITPROCESS and DISCPROCESSes, and take the
 /// timer census.
 pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
     fn read<A: PairApp, R>(
@@ -540,8 +540,8 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
     };
     Observation {
         tmps,
-        audits: (tmf.iter().flat_map(|h| &h.audits))
-            .map(|p| read(world, p, AuditProcess::state_report))
+        audits: (tmf.iter())
+            .map(|h| read(world, &h.audit, AuditProcess::state_report))
             .collect(),
         discs: (tmf.iter().flat_map(|h| &h.discs))
             .map(|p| read(world, p, DiscProcess::state_report))
@@ -588,41 +588,21 @@ pub(crate) fn check_locks(obs: &Observation, violations: &mut Vec<String>) {
     }
 }
 
-/// `(node, volume)` → the one trail (partition) holding the volume's
-/// images. With partitioned trails a *sibling* partition may have purged
-/// past this volume's floor — scanning every trail of the service would
-/// trip ROLLFORWARD's purge-floor check spuriously.
-pub(crate) type TrailKeys = BTreeMap<(NodeId, Name), String>;
-
-pub(crate) fn trail_keys(tmf: &[NodeHandles]) -> TrailKeys {
-    tmf.iter()
-        .flat_map(|h| {
-            let node = h.node;
-            h.trail_key_of
-                .iter()
-                .map(move |(vol, key)| ((node, vol.clone()), key.clone()))
-        })
-        .collect()
-}
-
 /// ROLLFORWARD `v` from its latest registered dump (the fuzzy online
 /// archive, when one registered; the generation-0 snapshot otherwise)
-/// plus its trail. Returns the archive generation used.
+/// plus its trail partition. Returns the archive generation used.
 pub(crate) fn rollforward_from_registry(
     world: &mut World,
     v: &VolumeRef,
-    trails: &TrailKeys,
+    tmf: &[NodeHandles],
 ) -> u64 {
     let generation = world
         .stable()
         .get::<DumpRegistry>(&dump_registry_key(v))
         .map(|r| r.generation)
         .unwrap_or(0);
-    let keys: Vec<String> = trails
-        .get(&(v.node, v.volume.clone()))
-        .map(|k| vec![k.clone()])
-        .unwrap_or_default();
-    let _ = rollforward_volume(world, v, &keys, generation);
+    let trail = trail_key_of(tmf, v).expect("every catalog volume is audited");
+    let _ = rollforward_volume(world, v, trail, generation);
     generation
 }
 
@@ -783,12 +763,12 @@ fn parse_history_amount(v: &Bytes) -> Option<i64> {
 pub(crate) fn check_convergence(
     world: &mut World,
     volumes: &[VolumeRef],
-    trails: &TrailKeys,
+    tmf: &[NodeHandles],
     violations: &mut Vec<String>,
 ) {
     for v in volumes {
         let live = snapshot_volume(world, v);
-        rollforward_from_registry(world, v, trails);
+        rollforward_from_registry(world, v, tmf);
         let rebuilt = snapshot_volume(world, v);
         if live != rebuilt {
             let detail = diff_summary(&live, &rebuilt);

@@ -30,8 +30,8 @@ use crate::oracles::{
 use crate::runner::{
     apply, bank_terminals, build_tmf, check_atomicity, check_conservation, check_convergence,
     flush_audit_buffers, heal_everything, launch_bank, live_cpu, observe, request_dumps,
-    rollforward_from_registry, run_out, tmf_builder, trail_keys, Observation, RunReport, TierStats,
-    TmpRead, ACCOUNTS, SAFE_DELIVERY_TAIL,
+    rollforward_from_registry, run_out, tmf_builder, Observation, RunReport, TierStats, TmpRead,
+    ACCOUNTS, SAFE_DELIVERY_TAIL,
 };
 use crate::schedule::{BankShape, ChaosAction, Schedule, SoakPlan};
 use bytes::Bytes;
@@ -90,7 +90,6 @@ pub(crate) fn run(
     let vpn = schedule.volumes_per_node.max(1);
     let drill: Option<(usize, usize)> = plan.disaster.map(|(e, s)| (e, s % volumes.len()));
     let drill_slot = drill.map(|(_, s)| s);
-    let trails = trail_keys(&app.tmf);
 
     // ---- long-lived soak clients ------------------------------------
     // One long-hold writer and one long-lived snapshot reader per node.
@@ -201,7 +200,7 @@ pub(crate) fn run(
                 media.revive_drive(0);
                 media.revive_drive(1);
             }
-            let generation = rollforward_from_registry(&mut app.world, v, &trails);
+            let generation = rollforward_from_registry(&mut app.world, v, &app.tmf);
             app.world
                 .metrics_mut()
                 .add(counter!("chaos.drill_recoveries"), 1);
@@ -329,7 +328,7 @@ pub(crate) fn run(
     ));
     violations.extend(bounded_violations(&bounded_obs, SOAK_SNAPSHOT_UNDO));
     violations.extend(timer_findings);
-    check_convergence(&mut app.world, &volumes, &trails, violations);
+    check_convergence(&mut app.world, &volumes, &app.tmf, violations);
     report.finish(&app.world, &app.nodes, implicated, flight_recorder)
 }
 

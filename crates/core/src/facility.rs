@@ -4,7 +4,8 @@
 //! layer that `encompass` adds):
 //!
 //! * one `$TMP` pair,
-//! * one `$AUDIT` AUDITPROCESS pair (more can be added manually),
+//! * one `$AUDIT` AUDITPROCESS pair, whose trail may be split into
+//!   partitions (DESIGN.md §D7, §D12),
 //! * one `$BACKOUT` pair,
 //! * one DISCPROCESS pair per volume the catalog places on this node,
 //! * one transaction table per processor,
@@ -14,12 +15,13 @@ use crate::table::TxTableProcess;
 use crate::tmp::{spawn_tmp, TmpConfig};
 use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig};
 use encompass_audit::backout::spawn_backout_process;
+use encompass_audit::trail::trail_key;
 use encompass_sim::{
     attribute_commit, CommitAttribution, FlightEvent, FlightTransid, Name, NodeId, SimDuration,
     World,
 };
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig};
-use encompass_storage::types::RecoveryMode;
+use encompass_storage::types::{RecoveryMode, VolumeRef};
 use encompass_storage::Catalog;
 use guardian::{OperatorProcess, PairHandle};
 use std::collections::BTreeMap;
@@ -29,14 +31,8 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 pub struct TmfNodeConfig {
     pub recovery_mode: RecoveryMode,
-    /// Number of AUDITPROCESS pairs (and trails) per node. One is named
-    /// `$AUDIT`; more are `$AUDIT0`, `$AUDIT1`, … with volumes assigned
-    /// round-robin — the paper's "all audited discs on a given controller
-    /// share an AUDITPROCESS and an audit trail; multiple controllers may
-    /// be configured to use the same or different AUDITPROCESSes".
-    pub audit_processes: usize,
-    /// Trail partitions per AUDITPROCESS: each audit service splits its
-    /// volumes round-robin into this many volume groups, each with its own
+    /// Trail partitions of the node's one AUDITPROCESS: its volumes are
+    /// dealt round-robin into this many volume groups, each with its own
     /// trail media and in-flight force slot so independent groups force in
     /// parallel (DESIGN.md §D12). One partition (the default) reproduces
     /// the single-trail layout byte for byte. Private: set through the
@@ -71,7 +67,6 @@ impl Default for TmfNodeConfig {
     fn default() -> Self {
         TmfNodeConfig {
             recovery_mode: RecoveryMode::NonStopCheckpoint,
-            audit_processes: 1,
             audit_partitions: 1,
             group_commit_window: SimDuration::ZERO,
             dump_page_size: 64,
@@ -118,8 +113,6 @@ impl TmfNodeConfig {
 /// A rejected [`TmfNodeConfigBuilder::build`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A node needs at least one AUDITPROCESS pair.
-    NoAuditProcesses,
     /// The window exceeds one second — longer than any commit timeout,
     /// so every boxcar would expire its requesters instead of forcing.
     WindowTooLong,
@@ -136,7 +129,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::NoAuditProcesses => write!(f, "audit_processes must be >= 1"),
             ConfigError::WindowTooLong => {
                 write!(f, "group_commit_window must be at most one second")
             }
@@ -160,11 +152,6 @@ pub struct TmfNodeConfigBuilder {
 impl TmfNodeConfigBuilder {
     pub fn recovery_mode(mut self, mode: RecoveryMode) -> Self {
         self.cfg.recovery_mode = mode;
-        self
-    }
-
-    pub fn audit_processes(mut self, count: usize) -> Self {
-        self.cfg.audit_processes = count;
         self
     }
 
@@ -200,9 +187,6 @@ impl TmfNodeConfigBuilder {
 
     pub fn build(self) -> Result<TmfNodeConfig, ConfigError> {
         let c = &self.cfg;
-        if c.audit_processes < 1 {
-            return Err(ConfigError::NoAuditProcesses);
-        }
         if c.group_commit_window > SimDuration::from_secs(1) {
             return Err(ConfigError::WindowTooLong);
         }
@@ -226,18 +210,19 @@ impl TmfNodeConfigBuilder {
 pub struct NodeHandles {
     pub node: NodeId,
     pub tmp: PairHandle,
-    pub audits: Vec<PairHandle>,
+    /// The node's one `$AUDIT` AUDITPROCESS pair.
+    pub audit: PairHandle,
     pub backout: PairHandle,
     pub discs: Vec<PairHandle>,
     /// The node's `$DUMP` ONLINEDUMP pair.
     pub dump: PairHandle,
-    /// Stable-storage keys of this node's audit trails, every partition
-    /// included (for ROLLFORWARD).
+    /// Stable-storage keys of this node's trail partitions, in partition
+    /// order.
     pub trail_keys: Vec<String>,
-    /// Local volume name → the one trail (partition) holding its images.
-    /// Per-partition purging makes whole-service trail scans unsound for
-    /// per-volume recovery: a sibling partition may legitimately have
-    /// purged past this volume's floor.
+    /// Local volume name → the one trail (partition) holding its images:
+    /// what ROLLFORWARD reads. Per-partition purging makes a scan of every
+    /// partition unsound for per-volume recovery: a sibling partition may
+    /// legitimately have purged past this volume's floor.
     pub trail_key_of: BTreeMap<Name, String>,
 }
 
@@ -263,68 +248,45 @@ pub fn spawn_tmf_node(
     }
     world.spawn(node, 0, Box::new(OperatorProcess::default()));
 
-    // audit processes (one per simulated controller group) + backout
-    let audit_count = cfg.audit_processes.max(1);
-    let service_names: Vec<Name> = (0..audit_count)
-        .map(|i| match audit_count {
-            1 => Name::from_static("$AUDIT"),
-            _ => Name::from(format!("$AUDIT{i}")),
-        })
-        .collect();
-    // Volumes share audit services round-robin; within each service they
-    // are dealt round-robin again into trail partitions (the volume
-    // groups of DESIGN.md §D12). Computed up front: the AUDITPROCESS
-    // needs its volume→partition map at spawn time.
+    // The node's one AUDITPROCESS deals its volumes round-robin into trail
+    // partitions (the volume groups of DESIGN.md §D12). Computed up front:
+    // the AUDITPROCESS needs its volume→partition map at spawn time.
     let volumes: Vec<_> = catalog
         .all_volumes()
         .into_iter()
         .filter(|v| v.node == node)
         .collect();
     let partitions = cfg.audit_partitions.max(1);
-    let mut partition_maps: Vec<BTreeMap<Name, usize>> = vec![BTreeMap::new(); audit_count];
-    let mut trail_key_of = BTreeMap::new();
-    for (i, volume) in volumes.iter().enumerate() {
-        let s = i % audit_count;
-        let p = partition_maps[s].len() % partitions;
-        partition_maps[s].insert(volume.volume.clone(), p);
-        trail_key_of.insert(
-            volume.volume.clone(),
-            encompass_audit::trail::partition_trail_key(node, &service_names[s], p),
-        );
-    }
+    let partition_of: BTreeMap<Name, usize> = (volumes.iter().enumerate())
+        .map(|(i, v)| (v.volume.clone(), i % partitions))
+        .collect();
+    let trail_key_of = (partition_of.iter())
+        .map(|(v, &p)| (v.clone(), trail_key(node, p)))
+        .collect();
+    let trail_keys = (0..partitions).map(|p| trail_key(node, p)).collect();
+    // the TMP's purge sweep reports one floor per volume, in name order
+    let volume_names: Vec<Name> = partition_of.keys().cloned().collect();
 
-    let mut audits = Vec::new();
-    let mut trail_keys = Vec::new();
-    for (i, partition_of) in partition_maps.iter().enumerate() {
-        let (ap, ab) = pair_cpus(i as u8);
-        let svc = service_names[i].clone();
-        for p in 0..partitions {
-            trail_keys.push(encompass_audit::trail::partition_trail_key(node, &svc, p));
-        }
-        audits.push(spawn_audit_process(
-            world,
-            node,
-            ap,
-            ab,
-            AuditConfig {
-                service: svc,
-                rotate_every: cfg.audit_rotate_every,
-                group_commit_window: cfg.group_commit_window,
-                partitions,
-                partition_of: partition_of.clone(),
-            },
-        ));
-    }
-    let (bp, bb) = pair_cpus(audit_count as u8);
+    let (ap, ab) = pair_cpus(0);
+    let audit = spawn_audit_process(
+        world,
+        node,
+        ap,
+        ab,
+        AuditConfig {
+            rotate_every: cfg.audit_rotate_every,
+            group_commit_window: cfg.group_commit_window,
+            partitions,
+            partition_of,
+        },
+    );
+    let (bp, bb) = pair_cpus(1);
     let backout = spawn_backout_process(world, node, bp, bb);
 
     // one DISCPROCESS pair per local volume
     let mut discs = Vec::new();
-    let mut audit_service_of = BTreeMap::new();
     for (i, volume) in volumes.iter().enumerate() {
-        let (dp, db) = pair_cpus(1 + audit_count as u8 + i as u8);
-        let svc = service_names[i % audit_count].clone();
-        audit_service_of.insert(volume.volume.clone(), svc.clone());
+        let (dp, db) = pair_cpus(2 + i as u8);
         discs.push(spawn_disc_process(
             world,
             dp,
@@ -333,7 +295,7 @@ pub fn spawn_tmf_node(
             catalog.clone(),
             DiscConfig {
                 recovery_mode: cfg.recovery_mode,
-                audit_service: Some(svc),
+                audited: true,
                 dump_page_size: cfg.dump_page_size,
                 snapshot_undo_capacity: cfg.snapshot_undo_capacity,
             },
@@ -341,27 +303,27 @@ pub fn spawn_tmf_node(
     }
 
     // the TMP itself
-    let (tp, tb) = pair_cpus(1 + audit_count as u8 + volumes.len() as u8);
+    let (tp, tb) = pair_cpus(2 + volumes.len() as u8);
     let tmp = spawn_tmp(
         world,
         node,
         tp,
         tb,
         TmpConfig {
-            audit_service_of,
+            volumes: volume_names,
             group_commit_window: cfg.group_commit_window,
             purge_interval: cfg.trail_purge_interval,
         },
     );
 
     // the ONLINEDUMP pair, on the slot after the TMP's
-    let (up, ub) = pair_cpus(2 + audit_count as u8 + volumes.len() as u8);
+    let (up, ub) = pair_cpus(3 + volumes.len() as u8);
     let dump = encompass_audit::dump::spawn_dump_process(world, node, up, ub);
 
     NodeHandles {
         node,
         tmp,
-        audits,
+        audit,
         backout,
         discs,
         dump,
@@ -414,6 +376,14 @@ pub fn spawn_tmf_network(
         .collect()
 }
 
+/// The stable-storage key of the one trail partition holding `volume`'s
+/// images, looked up in its node's [`NodeHandles::trail_key_of`]: the
+/// trail ROLLFORWARD of `volume` reads.
+pub fn trail_key_of<'a>(nodes: &'a [NodeHandles], volume: &VolumeRef) -> Option<&'a str> {
+    let node = nodes.iter().find(|h| h.node == volume.node)?;
+    node.trail_key_of.get(&*volume.volume).map(String::as_str)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,10 +398,10 @@ mod tests {
     fn builder_rejects_bad_knobs() {
         assert_eq!(
             TmfNodeConfig::builder()
-                .audit_processes(0)
+                .audit_partitions(0)
                 .build()
                 .unwrap_err(),
-            ConfigError::NoAuditProcesses
+            ConfigError::ZeroAuditPartitions
         );
         assert_eq!(
             TmfNodeConfig::builder()
@@ -449,5 +419,42 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(cfg.group_commit_window(), SimDuration::from_millis(2));
+    }
+
+    #[test]
+    fn one_audit_pair_deals_volumes_round_robin_over_partitions() {
+        use encompass_sim::{CpuId, SimConfig};
+        use encompass_storage::types::FileDef;
+
+        let mut world = World::new(SimConfig::default());
+        let node = world.add_node(8);
+        let mut catalog = Catalog::new();
+        for (file, volume) in [("fa", "$DA"), ("fb", "$DB"), ("fc", "$DC")] {
+            catalog.add(FileDef::key_sequenced(file, VolumeRef::new(node, volume)));
+        }
+        let cfg = TmfNodeConfig::builder()
+            .audit_partitions(2)
+            .build()
+            .expect("valid");
+        let h = spawn_tmf_node(&mut world, node, &catalog, cfg);
+
+        let audit_pids = (0..world.cpu_count(node))
+            .flat_map(|cpu| world.procs_on_cpu(node, CpuId(cpu)))
+            .filter(|&pid| world.process_kind(pid) == Some("auditprocess"))
+            .count();
+        assert_eq!(audit_pids, 2, "one $AUDIT primary and its backup");
+        assert_eq!(&*h.audit.name, "$AUDIT");
+        assert_eq!(h.trail_keys, [trail_key(node, 0), trail_key(node, 1)]);
+        let dealt: Vec<(&str, &str)> = (h.trail_key_of.iter())
+            .map(|(v, k)| (&**v, k.as_str()))
+            .collect();
+        assert_eq!(
+            dealt,
+            [
+                ("$DA", "\\N0.$AUDIT:trail"),
+                ("$DB", "\\N0.$AUDIT:trail.p1"),
+                ("$DC", "\\N0.$AUDIT:trail"),
+            ]
+        );
     }
 }

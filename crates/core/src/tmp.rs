@@ -38,7 +38,7 @@ use encompass_sim::{
     counter, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid, SimDuration,
     SimTime, SystemEvent, World,
 };
-use encompass_storage::audit_api::{AuditMsg, AuditReply};
+use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -97,7 +97,8 @@ pub enum TmpMsg {
     EnsureRemoteSend { transid: Transid, dest: NodeId },
     /// END-TRANSACTION (home node only).
     End { transid: Transid },
-    /// ABORT-TRANSACTION / RESTART-TRANSACTION backout request.
+    /// ABORT-TRANSACTION / RESTART-TRANSACTION backout request. The TMP
+    /// does not act on `reason`; it travels for per-cause accounting.
     Abort {
         transid: Transid,
         reason: AbortReason,
@@ -167,25 +168,26 @@ pub struct TmpStateReport {
 /// Configuration for one node's TMP.
 #[derive(Clone, Debug)]
 pub struct TmpConfig {
-    /// Audit service for each local volume name (for backout requests).
-    pub audit_service_of: BTreeMap<Name, Name>,
+    /// The node's volume names, sorted: the capacity sweep reports one
+    /// purge floor per volume, in this order.
+    pub volumes: Vec<Name>,
     /// How long a decided completion record may wait for other concurrently
     /// completing transactions to board the same monitor-trail force (up
     /// to [`GROUP_COMMIT_MAX`] records). Zero starts each record's force
     /// as soon as it is decided, beside any force already in flight.
     pub group_commit_window: SimDuration,
-    /// Interval of the audit-trail capacity sweep: for every local audit
-    /// service whose volumes all have a completed online dump registered,
-    /// ask it to purge trail files below the smallest dump purge floor
-    /// (clamped by the oldest open transaction). Zero disables the sweep
-    /// (the default, preserving historical traces).
+    /// Interval of the audit-trail capacity sweep: ask the node's
+    /// AUDITPROCESS to purge each trail partition whose volumes all have a
+    /// completed online dump registered, below the smallest dump purge
+    /// floor (clamped by the oldest open transaction). Zero disables the
+    /// sweep (the default, preserving historical traces).
     pub purge_interval: SimDuration,
 }
 
 impl Default for TmpConfig {
     fn default() -> Self {
         TmpConfig {
-            audit_service_of: BTreeMap::new(),
+            volumes: Vec::new(),
             group_commit_window: SimDuration::ZERO,
             purge_interval: SimDuration::ZERO,
         }
@@ -207,7 +209,6 @@ struct Txn {
     /// The request awaiting End (home) or Phase1 (non-home).
     end_waiter: Option<Owed>,
     abort_waiters: Vec<Owed>,
-    abort_reason: Option<AbortReason>,
     /// Outstanding phase-two / abort-propagation acknowledgements. The
     /// entry stays in the table (terminal state) until every safe-delivery
     /// message is acknowledged, so a takeover can re-drive them.
@@ -233,7 +234,6 @@ impl Txn {
             outstanding_phase1: 0,
             end_waiter: None,
             abort_waiters: Vec::new(),
-            abort_reason: None,
             pending_deliveries: 0,
             janitor_armed: false,
             ending_at: None,
@@ -419,14 +419,6 @@ impl TmpProcess {
         }
     }
 
-    fn audit_service(&self, volume: &VolumeRef) -> Name {
-        self.cfg
-            .audit_service_of
-            .get(&*volume.volume)
-            .cloned()
-            .unwrap_or(Name::from_static("$AUDIT"))
-    }
-
     // ------------------------------------------------------------------
     // Broadcast + checkpoint
     // ------------------------------------------------------------------
@@ -590,7 +582,7 @@ impl TmpProcess {
     }
 
     fn phase1_failed(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
-        self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
+        self.abort_txn(ctx, transid);
     }
 
     /// Every participant has forced its audit: the transaction reaches its
@@ -881,10 +873,10 @@ impl TmpProcess {
     /// Abort `transid` if Figure 3 lets it: only Active and Ending may
     /// become Aborting. Anything else — unknown, COMMITTING, already
     /// aborting or finished — keeps its course.
-    fn abort_txn(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, reason: AbortReason) {
+    fn abort_txn(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
         let entry = self.txns.get(&transid);
         if entry.is_some_and(|t| t.state.can_become(TxState::Aborting)) {
-            self.drive_backout(ctx, transid, reason);
+            self.drive_backout(ctx, transid);
         }
     }
 
@@ -892,11 +884,10 @@ impl TmpProcess {
     /// the BACKOUTPROCESS to undo the local volumes. Unguarded: reached
     /// through [`Self::abort_txn`]'s gate, or from a takeover re-driving
     /// an entry that was already Aborting when the primary died.
-    fn drive_backout(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, reason: AbortReason) {
-        let Some(t) = self.txns.get_mut(&transid) else {
+    fn drive_backout(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
+        let Some(t) = self.txns.get(&transid) else {
             return;
         };
-        t.abort_reason = Some(reason);
         let volumes = t.volumes.clone();
         let children: Vec<NodeId> = t.children.iter().copied().collect();
         self.set_state(ctx, transid, TxState::Aborting);
@@ -918,16 +909,11 @@ impl TmpProcess {
         if volumes.is_empty() {
             self.backout_done(ctx, transid);
         } else {
-            let audit_services = volumes.iter().map(|v| self.audit_service(v)).collect();
             let node = ctx.node();
             self.backout_rpc.call_persistent(
                 ctx,
                 Target::Named(node, BACKOUT_SERVICE),
-                BackoutMsg::Backout {
-                    transid,
-                    volumes,
-                    audit_services,
-                },
+                BackoutMsg::Backout { transid, volumes },
                 SAFE_RETRY,
                 transid,
             );
@@ -1117,7 +1103,7 @@ impl TmpProcess {
                     }
                 }
             }
-            TmpMsg::Abort { transid, reason } => {
+            TmpMsg::Abort { transid, .. } => {
                 let home = self.txns.get(&transid).is_some_and(|t| t.home);
                 match self.state_of(ctx, transid) {
                     Some(TxState::Ended) => self.replies.answer(ctx, owed, TmpReply::Committed),
@@ -1133,7 +1119,7 @@ impl TmpProcess {
                         if let Some(t) = self.txns.get_mut(&transid) {
                             t.abort_waiters.push(owed);
                         }
-                        self.abort_txn(ctx, transid, reason);
+                        self.abort_txn(ctx, transid);
                     }
                 }
             }
@@ -1150,7 +1136,7 @@ impl TmpProcess {
                 // COMMITTING or finished transaction keeps its outcome
                 ctx.count(counter!("tmf.force_disposition"), 1);
                 if !commit {
-                    self.abort_txn(ctx, transid, AbortReason::OperatorOverride);
+                    self.abort_txn(ctx, transid);
                 } else if let Some(t) = self.txns.get_mut(&transid) {
                     if t.state.can_become(TxState::Ended) {
                         // the operator's word is not the waiting END's
@@ -1207,7 +1193,7 @@ impl TmpProcess {
                 // safe-delivery: ack receipt, then apply
                 self.replies.answer(ctx, owed, TmpReply::Ok);
                 if self.txns.contains_key(&transid) {
-                    self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
+                    self.abort_txn(ctx, transid);
                 }
             }
         }
@@ -1294,7 +1280,7 @@ impl TmpProcess {
             // or a read-only parent's child) and may abort on its own.
             Some(TxState::Ended) | Some(TxState::Aborted) | None => {
                 ctx.count(counter!("tmf.indoubt_aborts"), 1);
-                self.abort_txn(ctx, transid, AbortReason::Phase1Failure);
+                self.abort_txn(ctx, transid);
             }
             _ => {} // still in progress at home: leave it alone
         }
@@ -1348,55 +1334,44 @@ impl TmpProcess {
         }
     }
 
-    /// Audit-trail capacity sweep. Per local audit service, report every
-    /// volume's purge floor from its *latest completed* dump — every
-    /// trail record below a dump's floor was taken by a transaction that
-    /// released its locks before the dump began, so its effects are fully
-    /// inside the archive image and neither ROLLFORWARD nor backout can
-    /// ever need it. The AUDITPROCESS groups the floors by trail
-    /// partition and cuts each partition independently (skipping any with
-    /// an undumped volume), clamped below the oldest open transaction's
-    /// first image on that partition.
+    /// Audit-trail capacity sweep. Report every local volume's purge floor
+    /// from its *latest completed* dump — every trail record below a
+    /// dump's floor was taken by a transaction that released its locks
+    /// before the dump began, so its effects are fully inside the archive
+    /// image and neither ROLLFORWARD nor backout can ever need it. The
+    /// AUDITPROCESS groups the floors by trail partition and cuts each
+    /// partition independently (skipping any with an undumped volume),
+    /// clamped below the oldest open transaction's first image on that
+    /// partition.
     fn purge_tick(&mut self, ctx: &mut PairCtx<'_, '_>) {
         let node = ctx.node();
-        let mut floors_by_service: BTreeMap<Name, Vec<(Name, Option<u64>)>> = BTreeMap::new();
-        let services: Vec<(Name, Name)> = self
-            .cfg
-            .audit_service_of
-            .iter()
-            .map(|(v, s)| (v.clone(), s.clone()))
+        let floors: Vec<(Name, Option<u64>)> = (self.cfg.volumes.iter())
+            .map(|volume| {
+                let key = dump_registry_key(&VolumeRef::new(node, volume));
+                let floor = ctx
+                    .stable()
+                    .get::<DumpRegistry>(&key)
+                    .map(|r| r.purge_floor);
+                (volume.clone(), floor)
+            })
             .collect();
-        for (volume, service) in services {
-            let key = dump_registry_key(&VolumeRef::new(node, &volume));
-            let floor = ctx
-                .stable()
-                .get::<DumpRegistry>(&key)
-                .map(|r| r.purge_floor);
-            floors_by_service
-                .entry(service)
-                .or_default()
-                .push((volume, floor));
+        // no volume has a purgeable floor yet: spare the message
+        if !floors.iter().any(|(_, f)| matches!(f, Some(f) if *f > 1)) {
+            return;
         }
-        let open: Vec<Transid> = self.txns.keys().copied().collect();
-        for (service, floors) in floors_by_service {
-            // no volume has a purgeable floor yet: spare the message
-            if !floors.iter().any(|(_, f)| matches!(f, Some(f) if *f > 1)) {
-                continue;
-            }
-            ctx.count(counter!("tmf.purge_requests"), 1);
-            // a sweep lost with the primary is simply re-run at the next
-            // interval
-            self.audit_rpc.call_persistent(
-                ctx,
-                Target::Named(node, service),
-                AuditMsg::Purge {
-                    floors,
-                    open: open.clone(),
-                },
-                SAFE_RETRY,
-                (),
-            );
-        }
+        ctx.count(counter!("tmf.purge_requests"), 1);
+        // a sweep lost with the primary is simply re-run at the next
+        // interval
+        self.audit_rpc.call_persistent(
+            ctx,
+            Target::Named(node, AUDIT_SERVICE),
+            AuditMsg::Purge {
+                floors,
+                open: self.txns.keys().copied().collect(),
+            },
+            SAFE_RETRY,
+            (),
+        );
     }
 
     /// A critical-response call ran out of retries. Safe-delivery calls
@@ -1546,7 +1521,7 @@ impl PairApp for TmpProcess {
                 .collect();
             for transid in affected {
                 ctx.count(counter!("tmf.cpu_failure_aborts"), 1);
-                self.abort_txn(ctx, transid, AbortReason::CpuFailure);
+                self.abort_txn(ctx, transid);
             }
         }
     }
@@ -1580,7 +1555,7 @@ impl PairApp for TmpProcess {
                         self.finish_commit(ctx, transid);
                     } else {
                         // no commit record on stable storage: presume abort
-                        self.abort_txn(ctx, transid, AbortReason::CpuFailure);
+                        self.abort_txn(ctx, transid);
                     }
                 }
                 TxState::Ending => { /* wait for the home node's disposition */ }
@@ -1603,7 +1578,7 @@ impl PairApp for TmpProcess {
                     // the backout (or the abort record's force) may have
                     // died with the primary: re-enter Aborting and re-drive
                     // it, past abort_txn's gate
-                    self.drive_backout(ctx, transid, AbortReason::CpuFailure);
+                    self.drive_backout(ctx, transid);
                 }
                 TxState::Ended | TxState::Aborted => {
                     // the outcome is decided but its safe-delivery set
@@ -1619,7 +1594,7 @@ impl PairApp for TmpProcess {
                     // state: a takeover resolves it as a plain abort and the
                     // requester restarts (DESIGN.md §D13).
                     ctx.count(counter!("tmf.takeover_readonly_aborts"), 1);
-                    self.abort_txn(ctx, transid, AbortReason::CpuFailure);
+                    self.abort_txn(ctx, transid);
                 }
                 TxState::Active => {
                     // still collecting work; the requester's timeout (or the

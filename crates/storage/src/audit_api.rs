@@ -65,6 +65,9 @@ impl ImageRecord {
     }
 }
 
+/// The service name of every node's one AUDITPROCESS pair.
+pub const AUDIT_SERVICE: Name = Name::from_static("$AUDIT");
+
 /// Requests a DISCPROCESS (or BACKOUTPROCESS / ROLLFORWARD) sends to an
 /// AUDITPROCESS.
 #[derive(Clone, Debug)]
@@ -84,7 +87,7 @@ pub enum AuditMsg {
     ReadTxnImages { transid: Transid },
     /// Capacity management: drop trail files whose records can never be
     /// needed by ROLLFORWARD. Sent by the TMP's purge pass with one entry
-    /// per audited volume of the service: `Some(floor)` is the purge floor
+    /// per audited volume of the node: `Some(floor)` is the purge floor
     /// proven by the volume's latest completed dump, `None` means the
     /// volume has no completed dump yet. The AUDITPROCESS groups floors by
     /// trail partition and cuts each partition at the minimum floor of its

@@ -639,7 +639,7 @@ fn release_after_takeover_leaves_no_transaction_state() {
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(4);
     let cfg = DiscConfig {
-        audit_service: Some("$AUDIT".into()),
+        audited: true,
         ..DiscConfig::default()
     };
     let vol = VolumeRef::new(n, "$DATA");

@@ -4,8 +4,9 @@
 //! message loss on every link, distributed transactions must still either
 //! commit everywhere or abort everywhere, and the workload must complete.
 //!
-//! Also covers the multi-AUDITPROCESS configuration: two volumes on one
-//! node, each with its own audit service and trail, recovered together.
+//! Also covers a partitioned audit trail: two volumes on one node, each
+//! dealt its own partition of the node's one AUDITPROCESS, recovered from
+//! that partition alone.
 
 use encompass_tmf::encompass::app::AppBuilder;
 use encompass_tmf::sim::{NodeId, SimDuration};
@@ -184,9 +185,9 @@ fn distributed_transactions_complete_over_a_lossy_link() {
 }
 
 #[test]
-fn multiple_audit_processes_share_the_load_and_recover_together() {
+fn trail_partitions_share_the_load_and_recover_together() {
     use encompass_tmf::audit::rollforward::rollforward_volume;
-    use encompass_tmf::sim::{CpuId, Fault};
+    use encompass_tmf::sim::Fault;
     use encompass_tmf::storage::media::{media_key, VolumeMedia};
     use guardian::Target;
 
@@ -198,7 +199,7 @@ fn multiple_audit_processes_share_the_load_and_recover_together() {
         .node(8)
         .tmf_config(
             TmfNodeConfig::builder()
-                .audit_processes(2)
+                .audit_partitions(2)
                 .build()
                 .expect("valid tmf config"),
         )
@@ -217,16 +218,14 @@ fn multiple_audit_processes_share_the_load_and_recover_together() {
     app.world.run_for(SimDuration::from_millis(200));
 
     // run 10 transactions, each touching both volumes (and hence both
-    // audit services)
+    // trail partitions)
     let committed = dual_driver::spawn(&mut app.world, n0, app.catalog.clone(), 10);
     app.world.run_for(SimDuration::from_secs(120));
     assert_eq!(*committed.borrow(), 10);
-    // both trails carry records
-    let trails = [
-        encompass_tmf::audit::trail::trail_key(n0, "$AUDIT0"),
-        encompass_tmf::audit::trail::trail_key(n0, "$AUDIT1"),
-    ];
-    for tk in &trails {
+    // both trails carry records, and each volume has its own
+    let handles = &app.tmf[0];
+    assert_eq!(handles.trail_keys.len(), 2);
+    for tk in &handles.trail_keys {
         let t = app
             .world
             .stable()
@@ -234,10 +233,19 @@ fn multiple_audit_processes_share_the_load_and_recover_together() {
             .expect("trail exists");
         assert!(!t.is_empty(), "{tk} carries audit records");
     }
-    // total failure of volume $DA (its pair lives on CPUs 3,4)
+    let da_trail = handles.trail_key_of["$DA"].clone();
+    assert_ne!(da_trail, handles.trail_key_of["$DB"]);
+    // total failure of volume $DA: both CPUs its pair has run on
     app.world.run_for(SimDuration::from_secs(5));
-    app.world.inject(Fault::KillCpu(n0, CpuId(3)));
-    app.world.inject(Fault::KillCpu(n0, CpuId(4)));
+    let primary = app.world.lookup_name(n0, "$DA").expect("$DA primary");
+    app.world.inject(Fault::KillCpu(n0, primary.cpu));
+    app.world.run_for(SimDuration::from_millis(100));
+    let backup = app
+        .world
+        .lookup_name(n0, "$DA")
+        .expect("$DA backup took over");
+    assert_ne!(backup.cpu, primary.cpu);
+    app.world.inject(Fault::KillCpu(n0, backup.cpu));
     app.world.run_for(SimDuration::from_millis(100));
     {
         let media = app
@@ -250,7 +258,7 @@ fn multiple_audit_processes_share_the_load_and_recover_together() {
         media.revive_drive(0);
         media.revive_drive(1);
     }
-    let report = rollforward_volume(&mut app.world, &VolumeRef::new(n0, "$DA"), &trails, 1);
+    let report = rollforward_volume(&mut app.world, &VolumeRef::new(n0, "$DA"), &da_trail, 1);
     assert!(report.redone >= 10, "{report:?}");
     let media = app
         .world

@@ -108,7 +108,7 @@ fn rollforward_negotiates_with_remote_home_node() {
     let report = rollforward_volume(
         &mut app.world,
         &VolumeRef::new(n1, "$D1"),
-        &[trail_key(n1, "$AUDIT")],
+        &trail_key(n1, 0),
         1,
     );
     assert!(report.redone >= 1, "{report:?}");
@@ -160,7 +160,7 @@ fn trail_purge_respects_archive_watermark() {
         )
         .expect("archive present")
         .audit_watermark;
-    let tk = trail_key(n, "$AUDIT");
+    let tk = trail_key(n, 0);
     {
         let trail = app.world.stable_mut().get_mut::<TrailMedia>(&tk).unwrap();
         let before = trail.len();
@@ -183,7 +183,7 @@ fn trail_purge_respects_archive_watermark() {
         media.revive_drive(0);
         media.revive_drive(1);
     }
-    let _ = rollforward_volume(&mut app.world, &VolumeRef::new(n, "$BANK"), &[tk], 2);
+    let _ = rollforward_volume(&mut app.world, &VolumeRef::new(n, "$BANK"), &tk, 2);
     let post_total = total_balance(&mut app.world, &app.catalog, "accounts");
     assert_eq!(post_total, pre_total, "recovery exact despite the purge");
 }
