@@ -133,7 +133,10 @@ pub struct AuditStateReport {
 /// Checkpoint deltas sent from the primary to the backup.
 pub enum AuditDelta {
     Append {
-        req_id: u64,
+        /// The append request this delta answers. Only the first of an
+        /// append's per-partition deltas carries it: a backup records each
+        /// reply once.
+        answers: Option<u64>,
         partition: usize,
         records: Vec<ImageRecord>,
     },
@@ -487,9 +490,10 @@ impl PairApp for AuditProcess {
                     split.insert(0, Vec::new());
                 }
                 let mut per_txn: BTreeMap<Transid, u32> = BTreeMap::new();
+                let mut answers = Some(owed.id());
                 for (p, recs) in split {
                     ctx.checkpoint(AuditDelta::Append {
-                        req_id: owed.id(),
+                        answers: answers.take(),
                         partition: p,
                         records: recs.clone(),
                     });
@@ -639,13 +643,15 @@ impl PairApp for AuditProcess {
     fn apply_checkpoint(&mut self, delta: AuditDelta, _cp: &Checkpointed) {
         match delta {
             AuditDelta::Append {
-                req_id,
+                answers,
                 partition,
                 records,
             } => {
                 let p = partition.min(self.parts.len() - 1);
                 self.parts[p].buffer.extend(records);
-                self.replies.record(req_id, AuditReply::Appended);
+                if let Some(req_id) = answers {
+                    self.replies.record(req_id, AuditReply::Appended);
+                }
             }
             AuditDelta::Forced { partition, count } => {
                 let p = partition.min(self.parts.len() - 1);

@@ -24,6 +24,7 @@ use encompass_sim::{
 };
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Timer tags at or above this value are reserved for `Rpc`; processes must
@@ -445,30 +446,38 @@ pub enum Admitted<M> {
     Fresh(Owed, M),
 }
 
-enum Slot<R> {
-    Pending,
-    Answered(R),
-}
+/// The index's mark for an id admitted and not yet answered.
+const PENDING: u64 = u64::MAX;
 
-/// The serving side of request/reply: one table per server whose entry
-/// for a request id is *pending* (admitted, not yet answered) or
-/// *answered* (the reply, kept to replay to retransmissions). At most
-/// `capacity` answers are kept, the oldest evicted first. A pair's backup
-/// learns answers through [`Served::record`] and [`Served::restore`] and
-/// never holds a pending entry, so a takeover has none to discard.
+/// The serving side of request/reply: one per server. A request id is
+/// *pending* (admitted, not yet answered) or *answered* (the reply, kept
+/// to replay to retransmissions). At most `capacity` answers are kept, the
+/// oldest evicted first.
+///
+/// The answers live in a ring, oldest first. Only a primary looks them up,
+/// so the id index is built from the ring by the first [`Served::admit`]
+/// or [`Served::forget`]: a pair's backup learns answers through
+/// [`Served::record`] and [`Served::restore`], which only append to the
+/// ring, and indexes that log at its first request after a takeover. A
+/// backup never holds a pending id, so a takeover has none to discard.
 pub struct Served<R> {
     capacity: usize,
-    /// The answered ids, oldest first.
-    ring: std::collections::VecDeque<u64>,
-    table: DetHashMap<u64, Slot<R>>,
+    /// The remembered `(id, reply)` pairs, oldest first.
+    ring: VecDeque<(u64, R)>,
+    /// Answers ever pushed on the ring: the position of the next one.
+    pushed: u64,
+    /// id → [`PENDING`] or the position of its answer; `None` until the
+    /// first `admit` or `forget`.
+    index: Option<DetHashMap<u64, u64>>,
 }
 
 impl<R: Clone + Send + 'static> Served<R> {
     pub fn new(capacity: usize) -> Served<R> {
         Served {
             capacity: capacity.max(1),
-            ring: std::collections::VecDeque::new(),
-            table: DetHashMap::default(),
+            ring: VecDeque::new(),
+            pushed: 0,
+            index: None,
         }
     }
 
@@ -482,24 +491,40 @@ impl<R: Clone + Send + 'static> Served<R> {
             id: req.id,
             to: req.from,
         };
-        match self.table.entry(req.id) {
-            Entry::Occupied(slot) => match slot.get() {
-                Slot::Answered(cached) => {
-                    reply(ctx, owed.id, owed.to, cached.clone());
-                    Admitted::Replayed
-                }
-                Slot::Pending => Admitted::Duplicate(owed, req.body),
-            },
+        let at = match self.index().entry(req.id) {
+            Entry::Occupied(slot) => *slot.get(),
             Entry::Vacant(slot) => {
-                slot.insert(Slot::Pending);
-                Admitted::Fresh(owed, req.body)
+                slot.insert(PENDING);
+                return Admitted::Fresh(owed, req.body);
             }
+        };
+        if at == PENDING {
+            return Admitted::Duplicate(owed, req.body);
         }
+        let cached = self.ring[self.slot(at)].1.clone();
+        reply(ctx, owed.id, owed.to, cached);
+        Admitted::Replayed
     }
 
-    /// Remember `body` as the answer and send it.
+    /// Remember `body` as the answer and send it. A second answer to an id
+    /// still remembered replaces the first and keeps its place.
     pub fn answer(&mut self, ctx: &mut Ctx<'_>, owed: Owed, body: R) {
-        self.record(owed.id, body.clone());
+        let next = self.pushed;
+        let at = *self
+            .index()
+            .entry(owed.id)
+            .and_modify(|at| {
+                if *at == PENDING {
+                    *at = next;
+                }
+            })
+            .or_insert(next);
+        if at == next {
+            self.push(owed.id, body.clone());
+        } else {
+            let slot = self.slot(at);
+            self.ring[slot].1 = body.clone();
+        }
         reply(ctx, owed.id, owed.to, body);
     }
 
@@ -513,31 +538,31 @@ impl<R: Clone + Send + 'static> Served<R> {
     /// Drop a request unanswered, on purpose: a retransmission is admitted
     /// afresh.
     pub fn forget(&mut self, owed: Owed) {
-        if let Entry::Occupied(slot) = self.table.entry(owed.id) {
-            if matches!(slot.get(), Slot::Pending) {
+        if let Entry::Occupied(slot) = self.index().entry(owed.id) {
+            if *slot.get() == PENDING {
                 slot.remove();
             }
         }
     }
 
     /// Remember that `id` was answered with `body` (a backup applying its
-    /// primary's checkpoint). An id already answered keeps its place in
-    /// the eviction order.
+    /// primary's checkpoint). `record` takes only an id's *first* answer:
+    /// an unindexed `Served` (a backup's) appends it without a lookup, so
+    /// a second one is caught when the log is indexed, as it is at once
+    /// when already indexed: either panics, naming the id.
     pub fn record(&mut self, id: u64, body: R) {
-        if let Some(Slot::Answered(_)) = self.table.insert(id, Slot::Answered(body)) {
-            return;
+        if let Some(index) = &mut self.index {
+            let first = index.insert(id, self.pushed).is_none_or(|at| at == PENDING);
+            assert!(first, "{}", recorded_twice(id));
         }
-        self.ring.push_back(id);
-        if self.ring.len() > self.capacity {
-            if let Some(old) = self.ring.pop_front() {
-                self.table.remove(&old);
-            }
-        }
+        self.push(id, body);
     }
 
     /// Requests admitted and not yet answered.
     pub fn pending(&self) -> usize {
-        self.table.len() - self.ring.len()
+        self.index
+            .as_ref()
+            .map_or(0, |index| index.len() - self.ring.len())
     }
 
     /// Remembered replies (at most the capacity).
@@ -548,22 +573,55 @@ impl<R: Clone + Send + 'static> Served<R> {
     /// The remembered `(id, reply)` pairs, oldest first (for a pair's
     /// snapshot).
     pub fn entries(&self) -> Vec<(u64, R)> {
-        let answer = |id: &u64| match self.table.get(id)? {
-            Slot::Answered(r) => Some((*id, r.clone())),
-            Slot::Pending => None,
-        };
-        self.ring.iter().filter_map(answer).collect()
+        self.ring.iter().cloned().collect()
     }
 
     /// Replace everything held with `entries` (the inverse of
-    /// [`Self::entries`]).
+    /// [`Self::entries`]), unindexed.
     pub fn restore(&mut self, entries: Vec<(u64, R)>) {
         self.ring.clear();
-        self.table.clear();
+        self.index = None;
         for (id, r) in entries {
-            self.record(id, r);
+            self.push(id, r);
         }
     }
+
+    /// Append an answer, evicting the oldest first when the ring is full
+    /// (so a full ring never grows). If there is an index, the caller has
+    /// pointed `id` at the position this push takes.
+    fn push(&mut self, id: u64, body: R) {
+        if self.ring.len() == self.capacity {
+            if let Some((old, _)) = self.ring.pop_front() {
+                if let Some(index) = &mut self.index {
+                    index.remove(&old);
+                }
+            }
+        }
+        self.ring.push_back((id, body));
+        self.pushed += 1;
+    }
+
+    /// Where in the ring the answer pushed at position `at` sits.
+    fn slot(&self, at: u64) -> usize {
+        (at + self.ring.len() as u64 - self.pushed) as usize
+    }
+
+    /// The id index, built from the ring on first use.
+    fn index(&mut self) -> &mut DetHashMap<u64, u64> {
+        let (ring, first) = (&self.ring, self.pushed - self.ring.len() as u64);
+        self.index.get_or_insert_with(|| {
+            let mut index = DetHashMap::default();
+            index.reserve(ring.len());
+            for ((id, _), at) in ring.iter().zip(first..) {
+                assert!(index.insert(*id, at).is_none(), "{}", recorded_twice(*id));
+            }
+            index
+        })
+    }
+}
+
+fn recorded_twice(id: u64) -> String {
+    format!("request {id} was recorded twice: Served::record takes only an id's first answer")
 }
 
 #[cfg(test)]
@@ -918,5 +976,69 @@ mod tests {
             issued.len(),
             "request ids collide: {issued:?}"
         );
+    }
+
+    /// Runs `f` in a process's first event, for a `Ctx` to admit with.
+    fn in_handler(f: impl FnOnce(&mut Ctx<'_>) + 'static) {
+        struct Once<F>(Option<F>);
+        impl<F: FnOnce(&mut Ctx<'_>) + 'static> Process for Once<F> {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                if let Some(f) = self.0.take() {
+                    f(ctx);
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_>, _: Pid, _: Payload) {}
+        }
+        let (mut w, n) = world();
+        w.spawn(n, 0, Box::new(Once(Some(f))));
+        w.run_until_quiescent();
+    }
+
+    fn ping(ctx: &Ctx<'_>, id: u64) -> Payload {
+        Payload::new(Request {
+            id,
+            from: ctx.pid(),
+            body: Ping(0),
+        })
+    }
+
+    /// A backup's writes (`record`, `restore`) and the reads a snapshot or
+    /// state report makes leave its answers an unindexed log; the first
+    /// request indexes it.
+    #[test]
+    fn only_a_request_builds_the_index() {
+        in_handler(|ctx| {
+            let mut served: Served<u32> = Served::new(4);
+            for id in 0..6 {
+                served.record(id, id as u32 * 10);
+            }
+            let log = served.entries();
+            served.restore(log.clone());
+            served.record(6, 60);
+            assert_eq!((served.answered(), served.pending()), (4, 0));
+            assert_eq!(served.entries(), [(3, 30), (4, 40), (5, 50), (6, 60)]);
+            assert!(served.index.is_none(), "a backup's log is not indexed");
+
+            let replayed = served.admit::<Ping>(ctx, ping(ctx, 5));
+            assert!(matches!(replayed, Admitted::Replayed));
+            assert!(served.index.is_some(), "a request indexes it");
+            assert!(matches!(
+                served.admit::<Ping>(ctx, ping(ctx, 2)),
+                Admitted::Fresh(..)
+            ));
+            assert_eq!((served.answered(), served.pending()), (4, 1));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7 was recorded twice")]
+    fn indexing_a_log_that_holds_an_id_twice_names_the_id() {
+        in_handler(|ctx| {
+            let mut served: Served<u32> = Served::new(4);
+            served.record(7, 1);
+            served.record(8, 2);
+            served.record(7, 3);
+            let _ = served.admit::<Ping>(ctx, ping(ctx, 9));
+        });
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! Serving side: admitting a request and answering it in the same event
 //! costs the reply message and nothing else — the `Served` table keeps no
-//! per-request record besides its own entry.
+//! per-request record besides its own entry. A backup learning an answer
+//! from a checkpoint costs nothing once its log is full: it evicts the
+//! oldest answer before appending and indexes nothing.
 //!
 //! Underneath both (`encompass-sim`): a counter bump, a histogram
 //! observation and a fetch of a stable-storage medium by id are indexes —
@@ -198,6 +200,23 @@ fn admitting_and_answering_a_request_allocates_only_the_reply() {
         "one allocation per request, the boxed reply: {:?}",
         &costs[32..]
     );
+}
+
+#[test]
+fn a_backup_record_into_a_full_ring_allocates_nothing() {
+    let mut served: Served<u32> = Served::new(8);
+    for id in 0..8 {
+        served.record(id, 0);
+    }
+    // from the first record past the capacity on
+    let costs: Vec<u64> = (8..64u64)
+        .map(|id| allocations_in(|| served.record(id, id as u32)).0)
+        .collect();
+    assert!(
+        costs.iter().all(|&c| c == 0),
+        "a full log neither grows nor hashes: {costs:?}"
+    );
+    assert_eq!(served.answered(), 8);
 }
 
 /// Bumps a counter, observes a histogram and fetches its medium on every

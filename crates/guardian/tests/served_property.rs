@@ -8,7 +8,9 @@
 //!
 //! Capacity and id space are tiny so that evictions, re-admissions of an
 //! evicted id and second answers to one id all happen within a few dozen
-//! steps.
+//! steps. `record` is held to its contract — only an id's first answer —
+//! and reaches both an indexed `Served` and an unindexed one (a fresh one,
+//! or one just restored by a takeover, until its next admit).
 
 use encompass_sim::{Ctx, Payload, Pid, Process, SimConfig, SimDuration, World};
 use guardian::{Admitted, Owed, Request, RpcReply, Served};
@@ -118,10 +120,13 @@ enum Op {
     Answer(usize, u32),
     AnswerUncached(usize, u32),
     Forget(usize),
-    /// A checkpoint says this id was answered.
-    Record(u64, u32),
+    /// A checkpoint says an id was answered for the first time: the id at
+    /// this index (modulo how many there are) among those neither
+    /// remembered nor held.
+    Record(usize, u32),
     /// A fresh backup is built from a snapshot and takes over: the parked
-    /// requests die with the old primary.
+    /// requests die with the old primary, and the restored log is indexed
+    /// by the next admit.
     Takeover,
 }
 
@@ -137,7 +142,7 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..8, any::<u32>()).prop_map(|(i, r)| Op::Answer(i, r)),
         (0usize..8, any::<u32>()).prop_map(|(i, r)| Op::AnswerUncached(i, r)),
         (0usize..8).prop_map(Op::Forget),
-        (0..IDS, any::<u32>()).prop_map(|(id, r)| Op::Record(id, r)),
+        (0usize..IDS as usize, any::<u32>()).prop_map(|(i, r)| Op::Record(i, r)),
         (0u8..1).prop_map(|_| Op::Takeover),
     ]
 }
@@ -200,11 +205,18 @@ impl Process for Server {
                     served.forget(owed);
                 }
                 Op::Answer(..) | Op::AnswerUncached(..) | Op::Forget(_) => {}
-                // checkpoints reach a backup, which has parked nothing
-                Op::Record(id, _) if held.iter().any(|owed| owed.id() == id) => {}
-                Op::Record(id, reply) => {
-                    model.cache.store(id, reply);
-                    served.record(id, reply);
+                Op::Record(i, reply) => {
+                    // checkpoints reach a backup, which has parked nothing,
+                    // and carry an id's first answer only
+                    let unseen: Vec<u64> = (0..IDS)
+                        .filter(|&id| model.cache.check(id).is_none())
+                        .filter(|&id| held.iter().all(|owed| owed.id() != id))
+                        .collect();
+                    if !unseen.is_empty() {
+                        let id = unseen[i % unseen.len()];
+                        model.cache.store(id, reply);
+                        served.record(id, reply);
+                    }
                 }
                 Op::Takeover => {
                     let snapshot = served.entries();

@@ -190,19 +190,21 @@ fn lock_conflict_waits_until_release() {
     assert_eq!(r2.borrow()[0], DiscReply::Value(Some(b("v1"))));
 }
 
+/// Keeps every reply it is sent.
+struct Collector(Replies);
+
+impl Process for Collector {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let reply = payload.expect::<guardian::RpcReply<DiscReply>>();
+        self.0.borrow_mut().push(reply.body);
+    }
+}
+
 /// A request retransmitted while it is parked on a lock queue is not run
 /// again and not answered again: the parked record answers it, once, and
 /// from then on the volume owes nothing.
 #[test]
 fn request_retransmitted_while_parked_on_a_lock_is_answered_once() {
-    /// Keeps every reply it is sent.
-    struct Collector(Replies);
-    impl Process for Collector {
-        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-            let reply = payload.expect::<guardian::RpcReply<DiscReply>>();
-            self.0.borrow_mut().push(reply.body);
-        }
-    }
     let node = NodeId(0);
     let (mut w, n, target) = setup(basic_catalog(node));
     let (t1, t2) = (txn(1), txn(2));
@@ -593,6 +595,56 @@ fn takeover_preserves_overlay_and_locks() {
         "t1's lock survived the takeover"
     );
     assert_eq!(w.metrics().get("pair.takeovers"), 1);
+}
+
+/// A write the old primary answered is not run again by the new one: the
+/// backup logged its reply from the checkpoint, and the new primary
+/// replays it to the client's retransmission. (An entry-sequenced append
+/// run twice would write a second entry and answer its number.)
+#[test]
+fn write_answered_before_takeover_is_replayed_not_rerun() {
+    let (mut w, n, _) = setup(basic_catalog(NodeId(0)));
+    let replies = Replies::default();
+    let client = w.spawn(n, 3, Box::new(Collector(replies.clone())));
+    let write = || {
+        Payload::new(Request {
+            id: 91,
+            from: client,
+            body: DiscRequest::InsertEntry {
+                file: "history".into(),
+                value: b("once"),
+                transid: Some(txn(1)),
+            },
+        })
+    };
+    // the backup is up before the write, so it learns the answer from the
+    // write's checkpoint, not from a snapshot
+    w.run_for(SimDuration::from_millis(50));
+    let old = w.lookup_name(n, "$DATA").expect("disc process");
+    w.send_external(old, write());
+    w.run_for(SimDuration::from_millis(20));
+    assert_eq!(replies.borrow().as_slice(), &[DiscReply::EntryNumber(0)]);
+    let writes = w.metrics().get("disc.writes");
+
+    w.inject(Fault::KillCpu(n, CpuId(0)));
+    w.run_for(SimDuration::from_millis(50));
+    assert_eq!(w.metrics().get("pair.takeovers"), 1);
+    let new = w.lookup_name(n, "$DATA").expect("the backup took the name");
+    assert_ne!(new, old);
+    w.send_external(new, write());
+    w.run_for(SimDuration::from_millis(20));
+    assert_eq!(
+        w.metrics().get("disc.writes"),
+        writes,
+        "the write did not run again"
+    );
+    assert_eq!(
+        replies.borrow().as_slice(),
+        &[DiscReply::EntryNumber(0), DiscReply::EntryNumber(0)],
+        "the original reply, replayed"
+    );
+    let state = state_of(&w, n);
+    assert_eq!((state.reply_cache, state.pending_requests), (1, 0));
 }
 
 /// Stand-in AUDITPROCESS: acknowledges appends and forces, each after

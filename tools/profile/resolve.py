@@ -13,14 +13,19 @@
 Addresses are resolved with `nm` on the file they fall in (`nm -D` for a
 stripped library, plus the run-time IFUNC addresses the sampler saved; a
 stripped library's local functions show under the exported symbol before
-them). A
+them). On a stripped libc, malloc's internal functions (`_int_malloc`,
+`_int_free`, `malloc_consolidate`, ...) therefore show up as
+`__default_morecore`: count those samples as `malloc` + `free`. A
 sample with no frame chain (libc's malloc uses rbp as scratch) takes the
 window membership of the last sample that had one.
+
+Output piped into `head` ends quietly when the reader stops reading.
 """
 import argparse
 import bisect
 import collections
 import re
+import signal
 import struct
 import subprocess
 
@@ -97,6 +102,9 @@ def short(name):
 
 
 def main():
+    # a closed pipe ends the process, as it does any Unix filter, rather
+    # than raising BrokenPipeError
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("binary")
     ap.add_argument("raw")
