@@ -23,6 +23,7 @@
 //! the historical stable-storage layout.
 
 use crate::trail::{trail_key, TrailMedia};
+use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
     counter, DetHashMap, DetHashSet, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload,
     Pid, SimTime, World,
@@ -233,17 +234,8 @@ impl AuditProcess {
         }
     }
 
-    /// Which partition a record's volume belongs to.
-    fn partition_of(&self, r: &ImageRecord) -> usize {
-        self.cfg
-            .partition_of
-            .get(&*r.volume.volume)
-            .copied()
-            .unwrap_or(0)
-            .min(self.parts.len() - 1)
-    }
-
-    fn partition_of_volume(&self, volume: &str) -> usize {
+    /// Which partition a volume's records go to.
+    fn partition_of(&self, volume: &str) -> usize {
         self.cfg
             .partition_of
             .get(volume)
@@ -394,8 +386,7 @@ impl AuditProcess {
         }
         // one rotating-media write per force, regardless of batch size:
         // this is the group commit
-        let latency = ctx.config().disc_access;
-        ctx.set_timer(latency, tag_force(p));
+        ctx.set_timer(DISC_ACCESS, tag_force(p));
     }
 
     fn complete_force(&mut self, ctx: &mut PairCtx<'_, '_>, p: usize) {
@@ -481,7 +472,7 @@ impl PairApp for AuditProcess {
                 ctx.count(counter!("audit.records"), records.len() as u64);
                 let mut split: BTreeMap<usize, Vec<ImageRecord>> = BTreeMap::new();
                 for r in records {
-                    let p = self.partition_of(&r);
+                    let p = self.partition_of(&r.volume.volume);
                     split.entry(p).or_default().push(r);
                 }
                 // an append that deduplicated away entirely still
@@ -526,7 +517,7 @@ impl PairApp for AuditProcess {
                 // audits has a completed dump (Some floor)
                 let mut cut: BTreeMap<usize, Option<u64>> = BTreeMap::new();
                 for (volume, floor) in &floors {
-                    let p = self.partition_of_volume(volume);
+                    let p = self.partition_of(volume);
                     cut.entry(p)
                         .and_modify(|c| {
                             *c = match (*c, *floor) {

@@ -14,6 +14,7 @@ use encompass_storage::Catalog;
 use guardian::{ask, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
+use tmf::facility::TmfNodeConfig;
 use tmf::tmp::{TmpMsg, TmpReply};
 
 fn b(s: &str) -> Bytes {
@@ -177,7 +178,10 @@ pub fn t3() -> Vec<Table> {
         let terminals = 6usize;
         let txns = 20u64;
         let mut app = launch_bank_app(BankAppParams {
-            recovery_mode: mode,
+            tmf: TmfNodeConfig::builder()
+                .recovery_mode(mode)
+                .build()
+                .expect("a recovery mode alone is a valid config"),
             terminals_per_node: terminals,
             transactions_per_terminal: txns,
             accounts: 600,

@@ -550,6 +550,18 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
     }
 }
 
+// The sweep and shard tiers check leaks with these two oracles, not the
+// soak's wider `oracles::liveness_violations`, because two of its checks
+// trip on benign leftovers there:
+// - with no flush barrier (the sweep tier flushes AUDITPROCESS buffers
+//   only when dumps ran), 1–3 images can stay buffered at an
+//   AUDITPROCESS after quiesce — 4 of 400 `--sweep` seeds, 3 more under
+//   `--readers 2`, 1 under `--window 2000`;
+// - the `$SUSPENSE` monitor polls every 100 ms, so a `$SB` volume often
+//   holds one suspense-file scan in flight (11 of 32 `--shards` seeds).
+// Neither is a leaked transaction, lock or waiter, which is what these
+// two look for.
+
 /// Oracle: after quiesce + heal every TMP has a primary, with an empty
 /// table.
 pub(crate) fn check_tmp_tables(

@@ -30,7 +30,11 @@ use std::collections::BTreeMap;
 /// which validates the knobs; `TmfNodeConfig::default()` is always valid.
 #[derive(Clone, Debug)]
 pub struct TmfNodeConfig {
-    pub recovery_mode: RecoveryMode,
+    /// How every DISCPROCESS of the node makes its updates recoverable:
+    /// the paper's NonStop checkpointing, or the Write-Ahead-Log baseline
+    /// of experiment T3. Private: set through the builder like every
+    /// other knob.
+    recovery_mode: RecoveryMode,
     /// Trail partitions of the node's one AUDITPROCESS: its volumes are
     /// dealt round-robin into this many volume groups, each with its own
     /// trail media and in-flight force slot so independent groups force in

@@ -175,6 +175,11 @@ struct Pending {
     register: bool,
 }
 
+/// Per-attempt timeout of a session's requests.
+const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+/// Retries of a data-base request before it is reported as Failed.
+const RETRIES: u32 = 10;
+
 /// Per-process TMF session state.
 pub struct TmfSession {
     catalog: Catalog,
@@ -193,10 +198,6 @@ pub struct TmfSession {
     pending: Option<Pending>,
     /// Default lock-wait (deadlock timeout) attached to lock requests.
     pub lock_wait: SimDuration,
-    /// Per-attempt timeout of requests.
-    pub attempt_timeout: SimDuration,
-    /// Retries before an operation is reported as Failed.
-    pub retries: u32,
 }
 
 impl TmfSession {
@@ -213,8 +214,6 @@ impl TmfSession {
             snapshot_fences: BTreeMap::new(),
             pending: None,
             lock_wait: SimDuration::from_millis(500),
-            attempt_timeout: SimDuration::from_millis(300),
-            retries: 10,
         }
     }
 
@@ -238,17 +237,22 @@ impl TmfSession {
     /// requester's [`SessionOptions`] ride along with the transid so the
     /// server's reads run in the transaction's declared mode.
     pub fn adopt(&mut self, transid: Transid, options: SessionOptions) {
+        self.reset();
         self.current = Some(transid);
         self.options = options;
-        self.registered_volumes.clear();
-        self.ensured_nodes.clear();
-        self.snapshot_fences.clear();
     }
 
     /// Drop transaction mode without talking to the TMP (a context-free
     /// server finishing a request).
     pub fn clear(&mut self) {
         debug_assert!(self.pending.is_none(), "clear() while an op is pending");
+        self.reset();
+    }
+
+    /// Leave transaction mode: forget the transid, its options and every
+    /// per-transaction memo (registered volumes, ensured nodes, snapshot
+    /// fences).
+    fn reset(&mut self) {
         self.current = None;
         self.options = SessionOptions::default();
         self.registered_volumes.clear();
@@ -266,10 +270,8 @@ impl TmfSession {
     pub fn begin(&mut self, ctx: &mut Ctx<'_>, options: SessionOptions) {
         assert!(self.pending.is_none(), "session is single-threaded");
         assert!(self.current.is_none(), "already in transaction mode");
+        self.reset();
         self.options = options;
-        self.registered_volumes.clear();
-        self.ensured_nodes.clear();
-        self.snapshot_fences.clear();
         self.pending = Some(Pending {
             op: None,
             volume: None,
@@ -550,7 +552,7 @@ impl TmfSession {
                     let target = Target::Named(volume.node, volume.volume.clone());
                     if self
                         .disc_rpc
-                        .call(ctx, target, op, self.attempt_timeout, self.retries, ())
+                        .call(ctx, target, op, ATTEMPT_TIMEOUT, RETRIES, ())
                         .is_err()
                     {
                         // the DISCPROCESS name is unresolvable right now
@@ -561,7 +563,7 @@ impl TmfSession {
                                 ctx,
                                 Target::Named(volume.node, volume.volume.clone()),
                                 op,
-                                self.attempt_timeout,
+                                ATTEMPT_TIMEOUT,
                                 (),
                             );
                         }
@@ -585,7 +587,7 @@ impl TmfSession {
             ctx,
             Target::Named(node, TMP_SERVICE),
             msg,
-            self.attempt_timeout,
+            ATTEMPT_TIMEOUT,
             (),
         );
     }
@@ -638,24 +640,16 @@ impl TmfSession {
                 if let Some(t) = self.current {
                     ctx.flight(t.flight_id(), FlightCause::SessionCommitted);
                 }
-                self.current = None;
-                self.options = SessionOptions::default();
                 self.pending = None;
-                self.registered_volumes.clear();
-                self.ensured_nodes.clear();
-                self.snapshot_fences.clear();
+                self.reset();
                 Some(SessionEvent::Committed)
             }
             TmpReply::Aborted => {
                 if let Some(t) = self.current {
                     ctx.flight(t.flight_id(), FlightCause::SessionAborted);
                 }
-                self.current = None;
-                self.options = SessionOptions::default();
                 self.pending = None;
-                self.registered_volumes.clear();
-                self.ensured_nodes.clear();
-                self.snapshot_fences.clear();
+                self.reset();
                 Some(SessionEvent::Aborted)
             }
             TmpReply::Ok => {

@@ -34,6 +34,7 @@ use crate::table::StateBroadcast;
 use encompass_audit::auditprocess::GROUP_COMMIT_MAX;
 use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
+use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
     counter, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid, SimDuration,
     SimTime, SystemEvent, World,
@@ -686,8 +687,7 @@ impl TmpProcess {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForceStart);
             self.monitor_inflight.push((tag, transid, commit));
         }
-        let latency = ctx.config().disc_access;
-        ctx.set_timer(latency, tag);
+        ctx.set_timer(DISC_ACCESS, tag);
     }
 
     /// The force under timer `tag` reached the platter: every record it

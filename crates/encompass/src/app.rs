@@ -6,11 +6,11 @@ use crate::appmon::{spawn_server_class, ServerClassConfig};
 use crate::manufacturing::{self, manufacturing_catalog, MfgServer};
 use crate::screen::ScreenProgram;
 use crate::tcp::{spawn_tcp, TcpConfig};
-use crate::workload::{preload_accounts, BankProgram, BankServer, BankWorkload};
+use crate::workload::{preload_accounts, BankProgram, BankServer, BankWorkload, BANK_CLASS};
 use bytes::Bytes;
 use encompass_shard::{spawn_suspense_monitor, ShardMap};
 use encompass_sim::{Name, NodeId, SimConfig, SimDuration, World};
-use encompass_storage::types::{FileDef, PartitionSpec, RecoveryMode, VolumeRef};
+use encompass_storage::types::{FileDef, PartitionSpec, VolumeRef};
 use encompass_storage::Catalog;
 use tmf::facility::{spawn_tmf_network, NodeHandles, TmfNodeConfig};
 
@@ -51,11 +51,6 @@ impl AppBuilder {
         self
     }
 
-    pub fn seed(mut self, seed: u64) -> AppBuilder {
-        self.sim.seed = seed;
-        self
-    }
-
     /// Add a node with the given processor count (2..=16).
     pub fn node(mut self, cpus: u8) -> AppBuilder {
         self.node_cpus.push(cpus);
@@ -75,11 +70,6 @@ impl AppBuilder {
                 self.links.push((a, b, latency));
             }
         }
-        self
-    }
-
-    pub fn recovery_mode(mut self, mode: RecoveryMode) -> AppBuilder {
-        self.tmf.recovery_mode = mode;
         self
     }
 
@@ -136,18 +126,16 @@ pub struct BankAppParams {
     pub think: SimDuration,
     pub hot_fraction: f64,
     pub hot_set: u64,
-    pub recovery_mode: RecoveryMode,
     pub servers_min: usize,
     pub servers_max: usize,
     pub seed: u64,
     /// Deadlock timeout used by the bank servers' lock requests.
     pub lock_wait: SimDuration,
-    /// Simulator cost model (latencies, jitter); the seed field above
-    /// overrides `sim.seed`.
+    /// Simulator settings (jitter, tracing, flight recording); the seed
+    /// field above overrides `sim.seed`.
     pub sim: SimConfig,
-    /// Per-node TMF configuration (group-commit knobs live here; build it
-    /// with `TmfNodeConfig::builder()`). The `recovery_mode` field above
-    /// overrides the mode inside this config.
+    /// Per-node TMF configuration (recovery mode and group-commit knobs
+    /// live here; build it with `TmfNodeConfig::builder()`).
     pub tmf: TmfNodeConfig,
 }
 
@@ -165,7 +153,6 @@ impl Default for BankAppParams {
             think: SimDuration::from_millis(10),
             hot_fraction: 0.0,
             hot_set: 10,
-            recovery_mode: RecoveryMode::NonStopCheckpoint,
             servers_min: 2,
             servers_max: 8,
             seed: 42,
@@ -180,16 +167,16 @@ impl Default for BankAppParams {
 /// TMF, one `bank` server class per node, one TCP per node running
 /// [`BankProgram`] terminals, and preloaded accounts.
 pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
-    let mut builder = AppBuilder::new()
-        .sim_config(params.sim.clone())
-        .seed(params.seed);
+    let mut builder = AppBuilder::new().sim_config(SimConfig {
+        seed: params.seed,
+        ..params.sim.clone()
+    });
     for &c in &params.node_cpus {
         builder = builder.node(c);
     }
     builder = builder
         .mesh(SimDuration::from_millis(2))
-        .tmf_config(params.tmf.clone())
-        .recovery_mode(params.recovery_mode);
+        .tmf_config(params.tmf.clone());
 
     // provisional world to learn node ids (deterministic: 0..n)
     let n_nodes = params.node_cpus.len();
@@ -244,7 +231,7 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             node,
             0,
             ServerClassConfig {
-                class: "bank".into(),
+                class: BANK_CLASS.into(),
                 server_cpus: (0..cpus).collect(),
                 min_servers: params.servers_min,
                 max_servers: params.servers_max,
@@ -264,8 +251,6 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             hot_set: params.hot_set,
             transactions: params.transactions_per_terminal,
             think: params.think,
-            server_class: "bank".into(),
-            server_node: None,
             read_only: false,
         };
         let terminals = params.terminals_per_node;
@@ -334,7 +319,7 @@ pub fn launch_mfg_app(params: MfgAppParams) -> AppHandles {
     const CPUS: u8 = 4;
     let node_ids: Vec<NodeId> = (0..NODES).map(NodeId).collect();
     let catalog = manufacturing_catalog(&node_ids);
-    let mut builder = AppBuilder::new().seed(params.seed);
+    let mut builder = AppBuilder::new().sim_config(SimConfig::with_seed(params.seed));
     for _ in &node_ids {
         builder = builder.node(CPUS);
     }
@@ -432,7 +417,7 @@ impl Default for ShardBankAppParams {
 pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
     use crate::shardbank::{
         shard_range, ShardBankProgram, ShardBankServer, ShardBankWorkload, ACCOUNTS_FILE,
-        BRANCH_FILE,
+        BRANCH_FILE, SHARDBANK_CLASS,
     };
     use encompass_shard::{add_replicated_file, add_suspense_files};
     const CPUS: u8 = 3;
@@ -449,8 +434,10 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
     add_suspense_files(&mut catalog, &node_ids, vol_of);
 
     let mut builder = AppBuilder::new()
-        .sim_config(params.sim.clone())
-        .seed(params.seed)
+        .sim_config(SimConfig {
+            seed: params.seed,
+            ..params.sim.clone()
+        })
         .tmf_config(params.tmf.clone());
     for _ in 0..n_nodes {
         builder = builder.node(CPUS);
@@ -471,7 +458,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             node,
             0,
             ServerClassConfig {
-                class: "shardbank".into(),
+                class: SHARDBANK_CLASS.into(),
                 server_cpus: (0..CPUS).collect(),
                 min_servers: 2,
                 max_servers: 8,
@@ -488,7 +475,6 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             branch_permille: params.branch_permille,
             transactions: params.transactions_per_terminal,
             think: params.think,
-            server_class: "shardbank".into(),
         };
         let terminals = params.terminals_per_node;
         let seed = params.seed;

@@ -21,9 +21,9 @@
 //! ablation, experiment T7.
 
 use crate::messages::{AppReply, AppRequest};
-use crate::server::{DbOp, ServerLogic, ServerStep};
+use crate::server::{suspense_appends, upsert, DbOp, ServerLogic, ServerStep};
 use bytes::{BufMut, Bytes, BytesMut};
-use encompass_shard::{add_suspense_files, SuspenseRecord};
+use encompass_shard::add_suspense_files;
 use encompass_sim::{Name, NodeId};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::{FileDef, Transid, VolumeRef};
@@ -99,7 +99,8 @@ pub fn payload_of(record: &[u8]) -> &[u8] {
 /// Ops:
 /// * `read-global [file, key]` — read the local replica;
 /// * `master-update [file, key, payload]` — master-node write: update the
-///   master copy and queue a deferred [`SuspenseRecord`] for every other
+///   master copy and queue a deferred
+///   [`SuspenseRecord`](encompass_shard::SuspenseRecord) for every other
 ///   replica (the suspense monitor pair drains them);
 /// * `put-local [file, key, value]` — read-lock + insert-or-update a local
 ///   file record;
@@ -192,21 +193,12 @@ impl ServerLogic for MfgServer {
             "put-local" => match (self.step, db) {
                 (1, DiscReply::Value(existing)) => {
                     self.step = 2;
-                    let file = local(&self.file, self.node);
-                    let op = if existing.is_some() {
-                        DbOp::Update {
-                            file,
-                            key: self.key.clone(),
-                            value: self.value.clone(),
-                        }
-                    } else {
-                        DbOp::Insert {
-                            file,
-                            key: self.key.clone(),
-                            value: self.value.clone(),
-                        }
-                    };
-                    ServerStep::Db(op)
+                    ServerStep::Db(upsert(
+                        existing.is_some(),
+                        local(&self.file, self.node),
+                        self.key.clone(),
+                        self.value.clone(),
+                    ))
                 }
                 (2, DiscReply::Ok) => ServerStep::Reply(AppReply::ok(vec![])),
                 _ => ServerStep::Reply(AppReply::error()),
@@ -216,41 +208,20 @@ impl ServerLogic for MfgServer {
                     // build the full work list: master copy + deferred
                     // updates for the other replicas
                     let record = global_record(self.node, &self.value);
-                    let master_file = replica(&self.file, self.node);
-                    let master_op = if existing.is_some() {
-                        DbOp::Update {
-                            file: master_file,
-                            key: self.key.clone(),
-                            value: record.clone(),
-                        }
-                    } else {
-                        DbOp::Insert {
-                            file: master_file,
-                            key: self.key.clone(),
-                            value: record.clone(),
-                        }
-                    };
-                    let transid = self.transid.unwrap_or(Transid {
-                        home_node: self.node,
-                        cpu: 0,
-                        seq: 0,
-                    });
-                    for &n in &self.all_nodes {
-                        if n == self.node {
-                            continue;
-                        }
-                        let deferred = SuspenseRecord {
-                            transid,
-                            dest: n,
-                            file: self.file.clone(),
-                            key: self.key.clone(),
-                            value: record.clone(),
-                        };
-                        self.queue.push(DbOp::InsertEntry {
-                            file: suspense(self.node),
-                            value: deferred.encode(),
-                        });
-                    }
+                    let master_op = upsert(
+                        existing.is_some(),
+                        replica(&self.file, self.node),
+                        self.key.clone(),
+                        record.clone(),
+                    );
+                    self.queue.extend(suspense_appends(
+                        self.node,
+                        self.transid,
+                        self.all_nodes.iter().copied().filter(|&n| n != self.node),
+                        self.file.clone(),
+                        self.key.clone(),
+                        record,
+                    ));
                     self.step = 2;
                     ServerStep::Db(master_op)
                 }
@@ -275,20 +246,12 @@ impl ServerLogic for MfgServer {
                     self.cursor = 0;
                     self.value = record.clone();
                     self.step = 2;
-                    let master_file = replica(&self.file, self.node);
-                    if existing.is_some() {
-                        ServerStep::Db(DbOp::Update {
-                            file: master_file,
-                            key: self.key.clone(),
-                            value: record,
-                        })
-                    } else {
-                        ServerStep::Db(DbOp::Insert {
-                            file: master_file,
-                            key: self.key.clone(),
-                            value: record,
-                        })
-                    }
+                    ServerStep::Db(upsert(
+                        existing.is_some(),
+                        replica(&self.file, self.node),
+                        self.key.clone(),
+                        record,
+                    ))
                 }
                 (2, DiscReply::Ok) | (4, DiscReply::Ok) => {
                     if self.step == 4 {
@@ -304,21 +267,13 @@ impl ServerLogic for MfgServer {
                     })
                 }
                 (3, DiscReply::Value(existing)) => {
-                    let file = replica(&self.file, self.remotes[self.cursor]);
                     self.step = 4;
-                    if existing.is_some() {
-                        ServerStep::Db(DbOp::Update {
-                            file,
-                            key: self.key.clone(),
-                            value: self.value.clone(),
-                        })
-                    } else {
-                        ServerStep::Db(DbOp::Insert {
-                            file,
-                            key: self.key.clone(),
-                            value: self.value.clone(),
-                        })
-                    }
+                    ServerStep::Db(upsert(
+                        existing.is_some(),
+                        replica(&self.file, self.remotes[self.cursor]),
+                        self.key.clone(),
+                        self.value.clone(),
+                    ))
                 }
                 _ => ServerStep::Reply(AppReply::error()),
             },
@@ -330,6 +285,7 @@ impl ServerLogic for MfgServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encompass_shard::SuspenseRecord;
 
     #[test]
     fn global_record_encoding() {

@@ -13,7 +13,9 @@
 //! transaction is immaterial".
 
 use crate::messages::{AppReply, AppRequest, ServerRequest};
-use encompass_sim::{counter, CounterId, Ctx, Payload, Pid, Process, TimerId};
+use bytes::Bytes;
+use encompass_shard::{suspense_file, SuspenseRecord};
+use encompass_sim::{counter, CounterId, Ctx, Name, NodeId, Payload, Pid, Process, TimerId};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::Catalog;
 use guardian::reply;
@@ -23,6 +25,47 @@ use tmf::Transid;
 /// A data-base operation a server step may issue. This is the session
 /// layer's typed request enum, re-exported where server authors expect it.
 pub use tmf::session::DbOp;
+
+/// Write `value` at `key`: an update if the record exists (the read-lock
+/// before the write said so), else an insert.
+pub(crate) fn upsert(exists: bool, file: Name, key: Bytes, value: Bytes) -> DbOp {
+    if exists {
+        DbOp::Update { file, key, value }
+    } else {
+        DbOp::Insert { file, key, value }
+    }
+}
+
+/// The deferred half of a master-node write to a replicated record: one
+/// [`SuspenseRecord`] per replica in `dests`, each an append to
+/// `master`'s suspense file stamped with the writing transaction. The
+/// `$SUSPENSE` monitor pair drains them.
+pub(crate) fn suspense_appends(
+    master: NodeId,
+    transid: Option<Transid>,
+    dests: impl IntoIterator<Item = NodeId>,
+    file: Name,
+    key: Bytes,
+    value: Bytes,
+) -> impl Iterator<Item = DbOp> {
+    let transid = transid.unwrap_or(Transid {
+        home_node: master,
+        cpu: 0,
+        seq: 0,
+    });
+    let suspense = suspense_file(master);
+    dests.into_iter().map(move |dest| DbOp::InsertEntry {
+        file: suspense.clone(),
+        value: SuspenseRecord {
+            transid,
+            dest,
+            file: file.clone(),
+            key: key.clone(),
+            value: value.clone(),
+        }
+        .encode(),
+    })
+}
 
 /// What a server-logic step decided.
 #[derive(Debug)]

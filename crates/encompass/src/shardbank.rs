@@ -23,15 +23,20 @@
 
 use crate::messages::{AppReply, AppRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
-use crate::server::{DbOp, ServerLogic, ServerStep};
+use crate::server::{suspense_appends, upsert, DbOp, ServerLogic, ServerStep};
 use crate::workload::{account_key, balance_bytes, balance_of};
 use bytes::Bytes;
-use encompass_shard::{replica_file, suspense_file, SuspenseRecord};
+use encompass_shard::replica_file;
 use encompass_sim::{Name, NodeId, SimDuration};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::Transid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The sharded bank's server class: the class
+/// [`crate::app::launch_shard_bank`] registers on every node and the one
+/// [`ShardBankProgram`] SENDs to.
+pub const SHARDBANK_CLASS: &str = "shardbank";
 
 /// The partitioned accounts file.
 pub const ACCOUNTS_FILE: &str = "accounts";
@@ -57,7 +62,8 @@ pub fn branch_key(node: NodeId) -> Bytes {
 ///   deadlock; a cross-shard destination makes this a distributed
 ///   transaction.
 /// * `branch-credit [amount]` — master-update of this node's replicated
-///   branch record: bump the master copy and queue one [`SuspenseRecord`]
+///   branch record: bump the master copy and queue one
+///   [`SuspenseRecord`](encompass_shard::SuspenseRecord)
 ///   per ring replica (stamped with the writing transid).
 /// * `query [key]` — read one account.
 pub struct ShardBankServer {
@@ -199,32 +205,18 @@ impl ServerLogic for ShardBankServer {
                 (1, DiscReply::Value(existing)) => {
                     let total = existing.as_ref().map(balance_of).unwrap_or(0) + self.amount;
                     let value = balance_bytes(total);
-                    let transid = self.transid.unwrap_or(Transid {
-                        home_node: self.node,
-                        cpu: 0,
-                        seq: 0,
-                    });
-                    for &dest in &self.branch_replicas {
-                        let rec = SuspenseRecord {
-                            transid,
-                            dest,
-                            file: BRANCH_FILE.into(),
-                            key: branch_key(self.node),
-                            value: value.clone(),
-                        };
-                        self.queue.push(DbOp::InsertEntry {
-                            file: suspense_file(self.node),
-                            value: rec.encode(),
-                        });
-                    }
+                    let key = branch_key(self.node);
+                    self.queue.extend(suspense_appends(
+                        self.node,
+                        self.transid,
+                        self.branch_replicas.iter().copied(),
+                        BRANCH_FILE.into(),
+                        key.clone(),
+                        value.clone(),
+                    ));
                     self.step = 2;
                     let file = replica_file(BRANCH_FILE, self.node);
-                    let key = branch_key(self.node);
-                    if existing.is_some() {
-                        ServerStep::Db(DbOp::Update { file, key, value })
-                    } else {
-                        ServerStep::Db(DbOp::Insert { file, key, value })
-                    }
+                    ServerStep::Db(upsert(existing.is_some(), file, key, value))
                 }
                 (2, DiscReply::Ok) | (2, DiscReply::EntryNumber(_)) => self.next_queued(),
                 _ => ServerStep::Reply(AppReply::error()),
@@ -257,7 +249,6 @@ pub struct ShardBankWorkload {
     pub transactions: u64,
     /// Operator think time between transactions.
     pub think: SimDuration,
-    pub server_class: Name,
 }
 
 enum Op {
@@ -347,7 +338,7 @@ impl ScreenProgram for ShardBankProgram {
                 // terminal's own node
                 ScreenAction::Send {
                     node: Some(self.cfg.node),
-                    class: self.cfg.server_class.clone(),
+                    class: SHARDBANK_CLASS.into(),
                     request,
                 }
             }
@@ -394,7 +385,7 @@ pub fn shard_range(accounts: u64, n: u64, j: u64) -> (u64, u64) {
 )]
 mod tests {
     use super::*;
-    use encompass_shard::ShardMap;
+    use encompass_shard::{suspense_file, ShardMap, SuspenseRecord};
 
     #[test]
     fn shard_ranges_tile_the_accounts() {
@@ -485,7 +476,6 @@ mod tests {
             branch_permille: 0,
             transactions: u64::MAX,
             think: SimDuration::ZERO,
-            server_class: "shardbank".into(),
         };
         for (permille, lo_expect, hi_expect) in [(0, 0.0, 0.0), (300, 0.2, 0.4), (1000, 1.0, 1.0)] {
             let mut p = ShardBankProgram::new(mk(permille), 42);

@@ -36,6 +36,10 @@ use tmf::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TermDelta>;
 
 const MAX_TERMINALS: usize = 32;
+/// SEND timeout (a dead server's processor surfaces here).
+const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Pause before retrying after a failed BEGIN or exhausted restart.
+const BACKOFF: SimDuration = SimDuration::from_millis(100);
 
 /// TCP configuration.
 #[derive(Clone, Debug)]
@@ -44,10 +48,6 @@ pub struct TcpConfig {
     pub name: Name,
     /// The transaction restart limit.
     pub restart_limit: u32,
-    /// SEND timeout (a dead server's processor surfaces here).
-    pub send_timeout: SimDuration,
-    /// Pause before retrying after a failed BEGIN or exhausted restart.
-    pub backoff: SimDuration,
 }
 
 impl Default for TcpConfig {
@@ -55,8 +55,6 @@ impl Default for TcpConfig {
         TcpConfig {
             name: "$TCP".into(),
             restart_limit: 5,
-            send_timeout: SimDuration::from_secs(2),
-            backoff: SimDuration::from_millis(100),
         }
     }
 }
@@ -257,8 +255,10 @@ impl TerminalControlProcess {
         // a single attempt: a lost server surfaces as a timeout and takes
         // the abort+restart path (no blind re-execution of non-idempotent
         // work)
-        let timeout = self.cfg.send_timeout;
-        if t.server_rpc.call(ctx, target, env, timeout, 0, ()).is_err() {
+        if t.server_rpc
+            .call(ctx, target, env, SEND_TIMEOUT, 0, ())
+            .is_err()
+        {
             self.send_failed(ctx, idx);
         }
     }
@@ -283,7 +283,6 @@ impl TerminalControlProcess {
     /// the limit).
     fn after_abort_restart(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
         let limit = self.cfg.restart_limit;
-        let backoff = self.cfg.backoff;
         let t = &mut self.terminals[idx];
         t.aborted += 1;
         t.restart_count += 1;
@@ -297,7 +296,7 @@ impl TerminalControlProcess {
         }
         t.program.restart();
         t.state = TermState::Thinking;
-        ctx.set_timer(backoff, idx as u64);
+        ctx.set_timer(BACKOFF, idx as u64);
         self.checkpoint_terminal(ctx, idx);
     }
 
@@ -349,8 +348,7 @@ impl TerminalControlProcess {
                     let t = &mut self.terminals[idx];
                     t.state = TermState::Thinking;
                     t.program.restart();
-                    let backoff = self.cfg.backoff;
-                    ctx.set_timer(backoff, idx as u64);
+                    ctx.set_timer(BACKOFF, idx as u64);
                 }
             }
             SessionEvent::OpDone { .. } => {
@@ -474,8 +472,7 @@ impl PairApp for TerminalControlProcess {
                 t.program.set_progress(t.committed);
                 t.program.restart();
                 t.state = TermState::Thinking;
-                let backoff = self.cfg.backoff;
-                ctx.set_timer(backoff, idx as u64);
+                ctx.set_timer(BACKOFF, idx as u64);
             }
         }
     }

@@ -16,12 +16,16 @@ use crate::messages::{AppReply, AppRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
 use crate::server::{DbOp, ServerLogic, ServerStep};
 use bytes::Bytes;
-use encompass_sim::{Name, NodeId, SimDuration, World};
+use encompass_sim::{Name, SimDuration, World};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::Catalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The bank's server class: the class [`crate::app::launch_bank_app`]
+/// registers on every node and the one [`BankProgram`] SENDs to.
+pub const BANK_CLASS: &str = "bank";
 
 /// Account key formatting shared by generator and server.
 pub fn account_key(i: u64) -> Bytes {
@@ -148,9 +152,6 @@ pub struct BankWorkload {
     pub transactions: u64,
     /// Operator think time between transactions.
     pub think: SimDuration,
-    /// Server class to SEND to, and the node it runs on (`None` = local).
-    pub server_class: Name,
-    pub server_node: Option<NodeId>,
     /// Run read-only query transactions (BEGIN read-only → SEND `query` →
     /// END) instead of debits. Readers commit without forcing any trail.
     pub read_only: bool,
@@ -164,8 +165,6 @@ impl Default for BankWorkload {
             hot_set: 10,
             transactions: 100,
             think: SimDuration::from_millis(10),
-            server_class: "bank".into(),
-            server_node: None,
             read_only: false,
         }
     }
@@ -229,9 +228,10 @@ impl ScreenProgram for BankProgram {
                 } else {
                     AppRequest::new("debit", vec![account_key(acct), balance_bytes(amount)])
                 };
+                // the bank server class on the terminal's own node
                 ScreenAction::Send {
-                    node: self.cfg.server_node,
-                    class: self.cfg.server_class.clone(),
+                    node: None,
+                    class: BANK_CLASS.into(),
                     request,
                 }
             }

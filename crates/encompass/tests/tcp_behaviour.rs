@@ -122,8 +122,6 @@ fn send_to_unknown_server_class_hits_the_restart_limit() {
         1,
         TcpConfig {
             restart_limit: 2,
-            send_timeout: SimDuration::from_millis(300),
-            backoff: SimDuration::from_millis(50),
             ..TcpConfig::default()
         },
         catalog,

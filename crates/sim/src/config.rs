@@ -1,35 +1,37 @@
 //! Simulation configuration: the virtual-hardware cost model and the RNG
 //! seed that makes a run reproducible.
 //!
-//! The latency constants are loosely calibrated to the hardware the paper
-//! describes (13.5 MB/s dual interprocessor bus, early-1980s discs, 9.6 kb/s
-//! to 56 kb/s network trunks), but their *ratios* are what the experiments
-//! depend on: local < bus < network, and disc I/O dominating everything.
+//! The cost model is fixed — constants, not settings — and loosely
+//! calibrated to the hardware the paper describes (13.5 MB/s dual
+//! interprocessor bus, early-1980s discs, 9.6 kb/s to 56 kb/s network
+//! trunks), but their *ratios* are what the experiments depend on:
+//! local < bus < network, and disc I/O dominating everything.
 
 use crate::time::SimDuration;
 
-/// Tunable cost model and determinism knobs for a [`crate::World`].
+/// Latency of a message between two processes on the same CPU.
+pub const LOCAL_LATENCY: SimDuration = SimDuration::from_micros(50);
+/// Latency of a message across the interprocessor bus (same node,
+/// different CPU).
+pub const BUS_LATENCY: SimDuration = SimDuration::from_micros(150);
+/// Fixed per-hop latency added by each network link in the message path
+/// (on top of the per-link latency configured when the link is created).
+pub const NET_HOP_OVERHEAD: SimDuration = SimDuration::from_micros(500);
+/// Time for a rotating-media access (seek + latency); charged once per
+/// physical I/O: a DISCPROCESS access, an audit or Monitor trail force.
+pub const DISC_ACCESS: SimDuration = SimDuration::from_micros(25_000);
+/// How long after a CPU failure the remaining CPUs of the node learn of
+/// it (the "I'm alive" protocol period in real GUARDIAN).
+pub const FAILURE_DETECT_DELAY: SimDuration = SimDuration::from_millis(5);
+
+/// Determinism and observation knobs for a [`crate::World`].
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Seed for the kernel RNG. Same seed + same fault schedule = same trace.
     pub seed: u64,
-    /// Latency of a message between two processes on the same CPU.
-    pub local_latency: SimDuration,
-    /// Latency of a message across the interprocessor bus (same node,
-    /// different CPU).
-    pub bus_latency: SimDuration,
-    /// Fixed per-hop latency added by each network link in the message path
-    /// (on top of the per-link latency configured when the link is created).
-    pub net_hop_overhead: SimDuration,
     /// Random jitter added to every message delivery, drawn uniformly from
     /// `0..=jitter` microseconds. Zero disables jitter entirely.
     pub jitter: SimDuration,
-    /// Time for a rotating-media access (seek + latency); charged by the
-    /// disc model per physical I/O.
-    pub disc_access: SimDuration,
-    /// How long after a CPU failure the remaining CPUs of the node learn of
-    /// it (the "I'm alive" protocol period in real GUARDIAN).
-    pub failure_detect_delay: SimDuration,
     /// Keep a human-readable trace of every event (expensive; for tests and
     /// debugging). The rolling [`crate::World::trace_hash`] is kept always.
     pub trace_enabled: bool,
@@ -46,12 +48,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 0xE0C0_1981,
-            local_latency: SimDuration::from_micros(50),
-            bus_latency: SimDuration::from_micros(150),
-            net_hop_overhead: SimDuration::from_micros(500),
             jitter: SimDuration::ZERO,
-            disc_access: SimDuration::from_micros(25_000),
-            failure_detect_delay: SimDuration::from_millis(5),
             trace_enabled: false,
             trace_capacity: 65_536,
             flight_recorder: false,
@@ -88,10 +85,9 @@ mod tests {
 
     #[test]
     fn defaults_are_ordered_sensibly() {
-        let c = SimConfig::default();
-        assert!(c.local_latency < c.bus_latency);
-        assert!(c.bus_latency < c.net_hop_overhead);
-        assert!(c.net_hop_overhead < c.disc_access);
+        assert!(LOCAL_LATENCY < BUS_LATENCY);
+        assert!(BUS_LATENCY < NET_HOP_OVERHEAD);
+        assert!(NET_HOP_OVERHEAD < DISC_ACCESS);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The simulation kernel: owns all processes, hardware state, the event
 //! queue, stable storage, metrics, and the fault injector.
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, BUS_LATENCY, FAILURE_DETECT_DELAY, LOCAL_LATENCY, NET_HOP_OVERHEAD,
+};
 use crate::event::{EventKind, EventQueue, Popped};
 use crate::fault::Fault;
 use crate::flightrec::FlightRecorder;
@@ -199,10 +201,6 @@ impl World {
         self.now
     }
 
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -334,7 +332,7 @@ impl World {
     }
 
     fn notify_node(&mut self, node: NodeId, ev: SystemEvent) {
-        let delay = self.cfg.failure_detect_delay;
+        let delay = FAILURE_DETECT_DELAY;
         let targets: Vec<Pid> = self
             .subscribers
             .iter()
@@ -348,7 +346,7 @@ impl World {
     }
 
     fn notify_all(&mut self, ev: SystemEvent) {
-        let delay = self.cfg.failure_detect_delay;
+        let delay = FAILURE_DETECT_DELAY;
         let targets: Vec<Pid> = self.subscribers.to_vec();
         for dst in targets {
             self.queue
@@ -413,10 +411,10 @@ impl World {
                     return Err(SendError::BusDown);
                 }
                 self.metrics.add(counter!("sim.msgs.bus"), 1);
-                (self.cfg.bus_latency, None)
+                (BUS_LATENCY, None)
             } else {
                 self.metrics.add(counter!("sim.msgs.local"), 1);
-                (self.cfg.local_latency, None)
+                (LOCAL_LATENCY, None)
             }
         } else {
             let route = self
@@ -439,10 +437,7 @@ impl World {
                 }
             }
             let hops = route.links.len() as u64;
-            (
-                route.latency + self.cfg.net_hop_overhead.mul(hops),
-                Some(route),
-            )
+            (route.latency + NET_HOP_OVERHEAD.mul(hops), Some(route))
         };
 
         if self.cfg.jitter.as_micros() > 0 {
@@ -656,8 +651,7 @@ mod tests {
         let r = replies.borrow();
         assert_eq!(r.len(), 3, "all three echoes replied");
         // round-trips: local < bus < network
-        let cfg = SimConfig::default();
-        assert_eq!(r[0].0, cfg.local_latency.as_micros() * 2);
+        assert_eq!(r[0].0, LOCAL_LATENCY.as_micros() * 2);
         assert_eq!(w.metrics().get("sim.msgs.bus"), 2);
         assert_eq!(w.metrics().get("sim.msgs.net"), 2);
     }

@@ -101,11 +101,6 @@ impl<'a> Ctx<'a> {
         self.world.now()
     }
 
-    /// The simulation cost model.
-    pub fn config(&self) -> &crate::SimConfig {
-        self.world.config()
-    }
-
     /// Send a message. Latency is chosen by locality (same CPU, bus, or
     /// network route); see the crate docs for the failure semantics.
     pub fn send(&mut self, dst: Pid, payload: Payload) -> Result<(), SendError> {

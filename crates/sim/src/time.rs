@@ -1,6 +1,7 @@
 //! Virtual time. The simulation clock counts microseconds from the start of
-//! the run; all latencies in [`crate::SimConfig`] are expressed in the same
-//! unit. `SimTime` is a point on the clock, `SimDuration` a distance.
+//! the run; all latencies of the cost model ([`crate::config`]) are
+//! expressed in the same unit. `SimTime` is a point on the clock,
+//! `SimDuration` a distance.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

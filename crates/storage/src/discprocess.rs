@@ -33,6 +33,7 @@ use crate::media::{archive_key, media_key, ArchiveImage, FileImage, VolumeMedia}
 use crate::overlay::{Overlay, ReadCache};
 use crate::types::{num_key, FileDef, FileOrganization, RecoveryMode, Transid, VolumeRef};
 use bytes::Bytes;
+use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
     counter, DetHashMap, FlightCause, FlightLockMode, MediaId, Name, Payload, Pid, SimDuration,
     World,
@@ -1558,8 +1559,7 @@ impl DiscProcess {
     fn park_on_disc(&mut self, ctx: &mut PairCtx<'_, '_>, accesses: u64, parked: Delayed) {
         let tag = TAG_READ_BASE + self.next_read_tag;
         self.next_read_tag += 1;
-        let latency = ctx.config().disc_access.mul(accesses);
-        ctx.set_timer(latency, tag);
+        ctx.set_timer(DISC_ACCESS.mul(accesses), tag);
         self.delayed.insert(tag, parked);
     }
 

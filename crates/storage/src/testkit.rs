@@ -11,6 +11,12 @@ use std::rc::Rc;
 /// Shared handle the driver reads results from after the run.
 pub type Replies = Rc<RefCell<Vec<DiscReply>>>;
 
+/// Per-call retry timeout of a [`ScriptClient`].
+const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+/// Retries per call before a [`ScriptClient`] records a synthetic
+/// `VolumeDown` error.
+const RETRIES: u32 = 20;
+
 /// A process that issues a fixed sequence of requests, one at a time, with
 /// retries, recording every final reply.
 pub struct ScriptClient {
@@ -19,10 +25,6 @@ pub struct ScriptClient {
     replies: Replies,
     rpc: Rpc<DiscRequest, DiscReply>,
     next: usize,
-    /// Per-call retry timeout.
-    pub attempt_timeout: SimDuration,
-    /// Retries per call before recording a synthetic `VolumeDown` error.
-    pub retries: u32,
 }
 
 impl ScriptClient {
@@ -33,8 +35,6 @@ impl ScriptClient {
             replies,
             rpc: Rpc::new(9),
             next: 0,
-            attempt_timeout: SimDuration::from_millis(100),
-            retries: 20,
         }
     }
 
@@ -50,15 +50,15 @@ impl ScriptClient {
                 ctx,
                 self.target.clone(),
                 op.clone(),
-                self.attempt_timeout,
-                self.retries,
+                ATTEMPT_TIMEOUT,
+                RETRIES,
                 (),
             )
             .is_err()
         {
             // service name unresolvable (takeover window): keep trying
             self.rpc
-                .call_persistent(ctx, self.target.clone(), op, self.attempt_timeout, ());
+                .call_persistent(ctx, self.target.clone(), op, ATTEMPT_TIMEOUT, ());
         }
     }
 }
