@@ -10,7 +10,6 @@ use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::{CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, DiscRequest};
-use encompass_storage::locks::LockMode;
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::testkit::run_script;
 use encompass_storage::types::{FileDef, RecoveryMode, Transid, VolumeRef};
@@ -449,7 +448,6 @@ fn backout_restores_before_images_via_audit_trail() {
                 key: b("acct"),
                 transid: t2,
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "accounts".into(),
@@ -583,7 +581,6 @@ fn archive_crash_rollforward_cycle() {
                 key: b("a"),
                 transid: t2,
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "accounts".into(),
@@ -618,7 +615,6 @@ fn archive_crash_rollforward_cycle() {
                 key: b("b"),
                 transid: t3,
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "accounts".into(),

@@ -16,7 +16,7 @@
 //! 3. heal everything, run the workload to completion, and let the
 //!    safe-delivery tail (phase 2, abort notifications, backouts) drain;
 //! 4. read every TMP, AUDITPROCESS and DISCPROCESS and the kernel's armed
-//!    timers at one instant ([`observe`]), then the counters;
+//!    timers at one instant (`observe`), then the counters;
 //! 5. evaluate the oracles.
 //!
 //! The oracles are the paper's own guarantees:

@@ -68,12 +68,7 @@ fn committed_transactions_have_complete_timelines() {
         };
         let begin = first(|c| matches!(c, FlightCause::Begin), "Begin");
         let lock = first(
-            |c| {
-                matches!(
-                    c,
-                    FlightCause::LockGranted { .. } | FlightCause::LockQueued { .. }
-                )
-            },
+            |c| matches!(c, FlightCause::LockGranted | FlightCause::LockQueued),
             "lock",
         );
         let force = first(

@@ -25,7 +25,6 @@ use crate::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
 use bytes::Bytes;
 use encompass_sim::{counter, Ctx, DetHashSet, FlightCause, Name, NodeId, Payload, SimDuration};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
-use encompass_storage::locks::LockMode;
 use encompass_storage::types::{Transid, VolumeRef};
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
@@ -34,16 +33,14 @@ use std::collections::BTreeMap;
 /// How a transaction wants to run, declared at BEGIN-TRANSACTION and
 /// carried to every server that adopts the transid.
 ///
-/// The default is the paper's read-write transaction. `read_only()`
-/// declares the no-write promise; by default a read-only transaction reads
+/// The default is the paper's read-write transaction, which locks what
+/// it reads with `ReadLock` and what it writes, exclusively. `read_only()`
+/// declares the no-write promise; a read-only transaction reads
 /// *snapshots* (no record locks at all — each volume serves the value as
-/// of a pinned before-image fence), while `locked_reads()` downgrades it
-/// to shared record locks for applications that want to block writers
-/// instead of reading slightly-stale data.
+/// of a pinned before-image fence).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SessionOptions {
     class: TxnClass,
-    locked_reads: bool,
 }
 
 impl SessionOptions {
@@ -57,25 +54,6 @@ impl SessionOptions {
     pub fn read_only(mut self) -> SessionOptions {
         self.class = TxnClass::ReadOnly;
         self
-    }
-
-    /// Read under shared record locks instead of against a snapshot fence
-    /// (only meaningful combined with [`SessionOptions::read_only`]).
-    pub fn locked_reads(mut self) -> SessionOptions {
-        self.locked_reads = true;
-        self
-    }
-
-    pub fn class(&self) -> TxnClass {
-        self.class
-    }
-
-    /// Does this transaction read snapshots (no record locks)?
-    pub fn snapshot_reads(&self) -> bool {
-        match self.class {
-            TxnClass::ReadOnly => !self.locked_reads,
-            TxnClass::ReadWrite => false,
-        }
     }
 }
 
@@ -352,12 +330,10 @@ impl TmfSession {
     /// to the wire request according to the transaction's declared mode:
     ///
     /// * read-write: `Read` is the plain unlocked read, `ReadLock` takes
-    ///   an exclusive record lock (the historical behavior);
-    /// * read-only + `locked_reads`: both reads take *shared* record
-    ///   locks, released at END-TRANSACTION;
-    /// * read-only (snapshot, the default): both reads become
-    ///   [`DiscRequest::SnapshotRead`] against the volume's pinned fence —
-    ///   no record locks, no transid on the wire, no registration;
+    ///   an exclusive record lock;
+    /// * read-only: both reads become [`DiscRequest::SnapshotRead`]
+    ///   against the volume's pinned fence — no record locks, no transid
+    ///   on the wire, no registration;
     /// * writes under a read-only transaction are refused synchronously:
     ///   the returned event is `Failed { error: ReadOnlyViolation }` and
     ///   nothing was sent.
@@ -382,39 +358,22 @@ impl TmfSession {
                 error: SessionError::ReadOnlyViolation,
             });
         }
-        let snapshot = in_txn && self.options.snapshot_reads();
         let req = match op {
-            DbOp::Read { file, key } | DbOp::ReadLock { file, key } if snapshot => {
+            DbOp::Read { file, key } | DbOp::ReadLock { file, key } if read_only => {
                 let fence = self
                     .catalog
                     .volume_for(&file, &key)
                     .and_then(|v| self.snapshot_fences.get(&v).copied());
                 DiscRequest::SnapshotRead { file, key, fence }
             }
-            DbOp::Read { file, key } if read_only => {
-                // locked read-only mode: every read blocks writers
-                let transid = self.current.expect("in transaction mode");
-                DiscRequest::ReadLock {
-                    file,
-                    key,
-                    transid,
-                    lock_wait: self.lock_wait,
-                    mode: LockMode::Shared,
-                }
-            }
             DbOp::Read { file, key } => DiscRequest::Read { file, key },
             DbOp::ReadLock { file, key } => {
                 let transid = self.current.expect("ReadLock requires transaction mode");
-                let mode = match self.options.class {
-                    TxnClass::ReadWrite => LockMode::Exclusive,
-                    TxnClass::ReadOnly => LockMode::Shared,
-                };
                 DiscRequest::ReadLock {
                     file,
                     key,
                     transid,
                     lock_wait: self.lock_wait,
-                    mode,
                 }
             }
             DbOp::Insert { file, key, value } => DiscRequest::Insert {

@@ -122,9 +122,9 @@ pub enum TxnClass {
     /// May read and write; commits through the full two-phase protocol.
     #[default]
     ReadWrite,
-    /// Promises not to write. Reads run under shared locks or against a
-    /// snapshot fence; END-TRANSACTION resolves locally without a forced
-    /// monitor record.
+    /// Promises not to write. Reads run against a snapshot fence and take
+    /// no locks; END-TRANSACTION resolves locally without a forced monitor
+    /// record.
     ReadOnly,
 }
 

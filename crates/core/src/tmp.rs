@@ -818,11 +818,11 @@ impl TmpProcess {
         for child in children {
             // A committed read-only parent never ran phase one, so its
             // children are still Active — Phase2 would be silently ignored
-            // there and the child's shared locks would leak until the
-            // janitor's presumed-abort sweep. AbortTxn drives the Active
-            // child straight through backout (it has no images) and frees
-            // its locks promptly; the outcome is identical because the
-            // transaction wrote nothing anywhere.
+            // there and the child would linger until the janitor's
+            // presumed-abort sweep. AbortTxn drives the Active child
+            // straight through backout (it has no images) and ends it
+            // promptly; the outcome is identical because the transaction
+            // wrote nothing anywhere.
             let msg = if committed && class == TxnClass::ReadWrite {
                 ctx.count(counter!("tmf.msgs.phase2_net"), 1);
                 TmpMsg::Phase2 { transid }
@@ -1080,7 +1080,7 @@ impl TmpProcess {
                                 // nothing to make durable: no phase one, no
                                 // forced commit record. END-TRANSACTION
                                 // resolves locally; the terminal delivery
-                                // set still frees any shared locks it took
+                                // set still ends it at any child node
                                 // (DESIGN.md §D13).
                                 ctx.count(counter!("tmf.commits"), 1);
                                 ctx.count(counter!("tmf.readonly_commits"), 1);

@@ -1534,163 +1534,66 @@ fn retransmitted_repark_counts_one_lock_wait() {
 
 #[test]
 fn readonly_snapshot_commits_without_forces_and_is_not_blocked_by_writer() {
-    let (mut w, n, catalog) = single_node();
-    // committed baseline
-    let log0 = drive(
-        &mut w,
-        n,
-        0,
-        catalog.clone(),
-        vec![Step::Begin, insert("accounts", "alice", "100"), Step::End],
-    );
-    w.run_for(SimDuration::from_secs(3));
-    assert_eq!(log0.borrow().last().unwrap(), "committed");
-    let forces_before = w.metrics().get("tmf.monitor_forces") + w.metrics().get("audit.forces");
-    // a writer takes the X lock on alice and sits on it mid-transaction
-    let writer = drive(
-        &mut w,
-        n,
-        1,
-        catalog.clone(),
-        vec![
-            Step::Begin,
-            read_lock("accounts", "alice"),
-            update("accounts", "alice", "150"),
-            Step::Pause(SimDuration::from_secs(2)),
-            Step::End,
-        ],
-    );
-    // a snapshot reader starts after the writer holds the lock; it must
-    // read the committed value (100, not the dirty 150) without queueing
-    let reader = drive_with(
-        &mut w,
-        n,
-        2,
-        catalog.clone(),
-        SessionOptions::new().read_only(),
-        vec![
-            Step::Pause(SimDuration::from_millis(500)),
-            Step::Begin,
-            read("accounts", "alice"),
-            Step::End,
-        ],
-    );
-    w.run_for(SimDuration::from_secs(1));
-    // the writer is still mid-pause, yet the reader has already committed
-    assert_eq!(steps(&reader), &["began", "value:100", "committed"]);
-    assert_eq!(w.metrics().get("tmf.readonly_commits"), 1);
-    // the read-only END forced nothing on either trail
-    assert_eq!(
-        w.metrics().get("tmf.monitor_forces") + w.metrics().get("audit.forces"),
-        forces_before,
-        "read-only commit must not force a trail record"
-    );
-    // the writer finishes normally afterwards
-    w.run_for(SimDuration::from_secs(3));
-    assert_eq!(writer.borrow().last().unwrap(), "committed");
-    assert_eq!(w.metrics().get("tmf.commits"), 3);
-}
-
-#[test]
-fn locked_readonly_readers_share_the_lock() {
-    let (mut w, n, catalog) = single_node();
-    let log0 = drive(
-        &mut w,
-        n,
-        0,
-        catalog.clone(),
-        vec![Step::Begin, insert("accounts", "bob", "500"), Step::End],
-    );
-    w.run_for(SimDuration::from_secs(3));
-    assert_eq!(log0.borrow().last().unwrap(), "committed");
-    // two locked-read-only sessions hold the same record lock at once —
-    // shared mode is compatible with itself, so neither queues
-    let ro = SessionOptions::new().read_only().locked_reads();
-    let ra = drive_with(
-        &mut w,
-        n,
-        1,
-        catalog.clone(),
-        ro,
-        vec![
-            Step::Begin,
-            read("accounts", "bob"),
-            Step::Pause(SimDuration::from_secs(1)),
-            Step::End,
-        ],
-    );
-    let rb = drive_with(
-        &mut w,
-        n,
-        2,
-        catalog.clone(),
-        ro,
-        vec![
-            Step::Begin,
-            read("accounts", "bob"),
-            Step::Pause(SimDuration::from_secs(1)),
-            Step::End,
-        ],
-    );
-    w.run_for(SimDuration::from_millis(500));
-    // both reads completed while both transactions are still open
-    assert_eq!(steps(&ra), &["began", "value:500"]);
-    assert_eq!(steps(&rb), &["began", "value:500"]);
-    w.run_for(SimDuration::from_secs(3));
-    assert_eq!(ra.borrow().last().unwrap(), "committed");
-    assert_eq!(rb.borrow().last().unwrap(), "committed");
-    assert_eq!(w.metrics().get("tmf.readonly_commits"), 2);
-}
-
-#[test]
-fn locked_readonly_reader_blocks_writer_until_end() {
-    let (mut w, n, catalog) = single_node();
-    let log0 = drive(
-        &mut w,
-        n,
-        0,
-        catalog.clone(),
-        vec![Step::Begin, insert("accounts", "carol", "7"), Step::End],
-    );
-    w.run_for(SimDuration::from_secs(3));
-    assert_eq!(log0.borrow().last().unwrap(), "committed");
-    // a locked reader pins a shared lock across a pause shorter than the
-    // writer's 500ms lock wait: the writer queues, then is granted
-    let reader = drive_with(
-        &mut w,
-        n,
-        1,
-        catalog.clone(),
-        SessionOptions::new().read_only().locked_reads(),
-        vec![
-            Step::Begin,
-            read("accounts", "carol"),
-            Step::Pause(SimDuration::from_millis(400)),
-            Step::End,
-        ],
-    );
-    // the writer's exclusive lock request conflicts with the shared hold
-    let writer = drive(
-        &mut w,
-        n,
-        2,
-        catalog.clone(),
-        vec![
-            Step::Pause(SimDuration::from_millis(100)),
-            Step::Begin,
-            read_lock("accounts", "carol"),
-            update("accounts", "carol", "8"),
-            Step::End,
-        ],
-    );
-    w.run_for(SimDuration::from_millis(300));
-    assert_eq!(steps(&reader), &["began", "value:7"]);
-    // the writer is queued behind the shared lock: begun, nothing more
-    assert_eq!(steps(&writer), &["began"]);
-    w.run_for(SimDuration::from_secs(5));
-    assert_eq!(reader.borrow().last().unwrap(), "committed");
-    assert_eq!(writer.borrow().last().unwrap(), "committed");
-    assert_eq!(w.metrics().get("tmf.readonly_commits"), 1);
+    // in a read-only transaction `Read` and `ReadLock` are the same
+    // snapshot read
+    for read_op in [read, read_lock] {
+        let (mut w, n, catalog) = single_node();
+        // committed baseline
+        let log0 = drive(
+            &mut w,
+            n,
+            0,
+            catalog.clone(),
+            vec![Step::Begin, insert("accounts", "alice", "100"), Step::End],
+        );
+        w.run_for(SimDuration::from_secs(3));
+        assert_eq!(log0.borrow().last().unwrap(), "committed");
+        let forces_before = w.metrics().get("tmf.monitor_forces") + w.metrics().get("audit.forces");
+        // a writer takes the X lock on alice and sits on it mid-transaction
+        let writer = drive(
+            &mut w,
+            n,
+            1,
+            catalog.clone(),
+            vec![
+                Step::Begin,
+                read_lock("accounts", "alice"),
+                update("accounts", "alice", "150"),
+                Step::Pause(SimDuration::from_secs(2)),
+                Step::End,
+            ],
+        );
+        // a snapshot reader starts after the writer holds the lock; it must
+        // read the committed value (100, not the dirty 150) without queueing
+        let reader = drive_with(
+            &mut w,
+            n,
+            2,
+            catalog.clone(),
+            SessionOptions::new().read_only(),
+            vec![
+                Step::Pause(SimDuration::from_millis(500)),
+                Step::Begin,
+                read_op("accounts", "alice"),
+                Step::End,
+            ],
+        );
+        w.run_for(SimDuration::from_secs(1));
+        // the writer is still mid-pause, yet the reader has already committed
+        assert_eq!(steps(&reader), &["began", "value:100", "committed"]);
+        assert_eq!(w.metrics().get("tmf.readonly_commits"), 1);
+        assert_eq!(w.metrics().get("disc.snapshot_reads"), 1);
+        // the read-only END forced nothing on either trail
+        assert_eq!(
+            w.metrics().get("tmf.monitor_forces") + w.metrics().get("audit.forces"),
+            forces_before,
+            "read-only commit must not force a trail record"
+        );
+        // the writer finishes normally afterwards
+        w.run_for(SimDuration::from_secs(3));
+        assert_eq!(writer.borrow().last().unwrap(), "committed");
+        assert_eq!(w.metrics().get("tmf.commits"), 3);
+    }
 }
 
 #[test]

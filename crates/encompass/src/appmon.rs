@@ -6,10 +6,10 @@
 //! and utilization of resources as the workload on the system changes."
 //!
 //! A [`ServerClassQueue`] is a process-pair registered as `$SC-<class>` on
-//! its node. SENDs from TCPs arrive here; the queue dispatches each to an
-//! idle server (spawning new ones while the backlog is deep, up to the
-//! maximum) and the server replies directly to the TCP. Idle servers above
-//! the minimum are deleted after a shrink interval.
+//! its node. SENDs from TCPs arrive here; the queue forwards each, as it
+//! arrived, to an idle server (spawning new ones while the backlog is
+//! deep, up to the maximum) and the server replies directly to the TCP.
+//! Idle servers above the minimum are deleted after a shrink interval.
 //!
 //! The queue's state is deliberately reconstructible: a takeover drops the
 //! backlog and the server roster and spawns a fresh minimum set — the
@@ -17,7 +17,7 @@
 //! is exactly TMF's recovery model for application-path failures.
 
 use crate::messages::ServerRequest;
-use crate::server::{Dispatch, ServerIdle, ServerLogic, ServerProcess};
+use crate::server::{ServerIdle, ServerLogic, ServerProcess};
 use encompass_sim::{counter, CounterId, CpuId, Name, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::Catalog;
 use guardian::{Checkpointed, PairApp, PairHandle, Request};
@@ -76,7 +76,7 @@ pub struct ServerClassQueue {
     factory: Rc<dyn Fn() -> Box<dyn ServerLogic>>,
     idle: VecDeque<Pid>,
     busy: Vec<Pid>,
-    backlog: VecDeque<Dispatch>,
+    backlog: VecDeque<Request<ServerRequest>>,
     cpu_rr: usize,
     started: bool,
 }
@@ -179,12 +179,8 @@ impl PairApp for ServerClassQueue {
 
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, src: Pid, payload: Payload) {
         if payload.is::<Request<ServerRequest>>() {
-            let req = payload.expect::<Request<ServerRequest>>();
-            self.backlog.push_back(Dispatch {
-                req_id: req.id,
-                from: req.from,
-                body: req.body,
-            });
+            self.backlog
+                .push_back(payload.expect::<Request<ServerRequest>>());
             ctx.count(self.requests_counter, 1);
             self.drain(ctx);
             return;

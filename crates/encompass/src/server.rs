@@ -18,7 +18,7 @@ use encompass_shard::{suspense_file, SuspenseRecord};
 use encompass_sim::{counter, CounterId, Ctx, Name, NodeId, Payload, Pid, Process, TimerId};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::Catalog;
-use guardian::reply;
+use guardian::{Admitted, Owed, Served};
 use tmf::session::{SessionEvent, TmfSession};
 use tmf::Transid;
 
@@ -91,8 +91,7 @@ pub trait ServerLogic: 'static {
 }
 
 struct Active {
-    req_id: u64,
-    from: Pid,
+    owed: Owed,
     logic: Box<dyn ServerLogic>,
 }
 
@@ -102,6 +101,10 @@ pub struct ServerProcess {
     dispatched_counter: CounterId,
     factory: Box<dyn Fn() -> Box<dyn ServerLogic>>,
     session: TmfSession,
+    /// Admits the requests the class queue forwards. A TCP sends each
+    /// request once and never retries, and a server is context-free, so
+    /// every answer goes out uncached.
+    served: Served<AppReply>,
     active: Option<Active>,
     /// The queue to notify when idle (set by the dispatcher).
     queue: Option<Pid>,
@@ -117,6 +120,7 @@ impl ServerProcess {
             dispatched_counter: CounterId::named(&format!("server.{class}.dispatched")),
             factory: Box::new(factory),
             session: TmfSession::new(catalog, 1),
+            served: Served::new(1),
             active: None,
             queue: None,
         }
@@ -145,7 +149,7 @@ impl ServerProcess {
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, r: AppReply) {
         if let Some(active) = self.active.take() {
-            reply(ctx, active.req_id, active.from, r);
+            self.served.answer_uncached(ctx, active.owed, r);
         }
         self.session.clear();
         ctx.count(counter!("server.requests_served"), 1);
@@ -158,14 +162,6 @@ impl ServerProcess {
 
 /// Notification from server to its class queue.
 pub(crate) struct ServerIdle;
-
-/// Dispatch envelope from the queue: the original requester's correlation
-/// info rides along so the server replies directly to the TCP.
-pub(crate) struct Dispatch {
-    pub req_id: u64,
-    pub from: Pid,
-    pub body: ServerRequest,
-}
 
 impl Process for ServerProcess {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -202,33 +198,33 @@ impl Process for ServerProcess {
             }
             return;
         }
-        if payload.is::<Dispatch>() {
-            let d = payload.expect::<Dispatch>();
-            if self.queue.is_none() {
-                self.queue = Some(src);
-            }
-            if self.active.is_some() {
-                // busy (dispatcher raced a takeover); bounce a restart
-                reply(ctx, d.req_id, d.from, AppReply::restart());
-                return;
-            }
-            // (1) read the request: adopt its transid as the current
-            // process transid, in the requester's declared mode
-            match d.body.transid {
-                Some(t) => self.session.adopt(t, d.body.options),
-                None => self.session.clear(),
-            }
-            let mut logic = (self.factory)();
-            logic.on_adopt(d.body.transid);
-            let step = logic.on_request(&d.body.request);
-            self.active = Some(Active {
-                req_id: d.req_id,
-                from: d.from,
-                logic,
-            });
-            ctx.count(self.dispatched_counter, 1);
-            self.run_step(ctx, step);
+        // the queue forwards the TCP's request as it arrived, so the
+        // answer goes straight back to the TCP
+        let (owed, body) = match self.served.admit::<ServerRequest>(ctx, payload) {
+            Admitted::Fresh(owed, body) => (owed, body),
+            // a TCP never retransmits, and nothing is remembered to replay
+            Admitted::Duplicate(..) | Admitted::Replayed | Admitted::NotARequest(_) => return,
+        };
+        if self.queue.is_none() {
+            self.queue = Some(src);
         }
+        if self.active.is_some() {
+            // busy (dispatcher raced a takeover); bounce a restart
+            self.served.answer_uncached(ctx, owed, AppReply::restart());
+            return;
+        }
+        // (1) read the request: adopt its transid as the current
+        // process transid, in the requester's declared mode
+        match body.transid {
+            Some(t) => self.session.adopt(t, body.options),
+            None => self.session.clear(),
+        }
+        let mut logic = (self.factory)();
+        logic.on_adopt(body.transid);
+        let step = logic.on_request(&body.request);
+        self.active = Some(Active { owed, logic });
+        ctx.count(self.dispatched_counter, 1);
+        self.run_step(ctx, step);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
@@ -280,8 +276,8 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 let _ = ctx.send(
                     self.srv,
-                    Payload::new(Dispatch {
-                        req_id: 1,
+                    Payload::new(guardian::Request {
+                        id: 1,
                         from: ctx.pid(),
                         body: ServerRequest {
                             transid: None,

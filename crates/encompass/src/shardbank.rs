@@ -1,10 +1,11 @@
 //! The partitioned-bank scale-out workload (experiment SO).
 //!
 //! A bank with `accounts` records partitioned over 16–64 nodes by a
-//! [`ShardMap`]: each node masters one contiguous key range of the
-//! `accounts` file (the shard boundaries **are** the partition
-//! boundaries), plus one replicated `branch` statistics record mastered
-//! per node and replicated over the ring via the suspense-file subsystem.
+//! [`ShardMap`](encompass_shard::ShardMap): each node masters one
+//! contiguous key range of the `accounts` file (the shard boundaries
+//! **are** the partition boundaries), plus one replicated `branch`
+//! statistics record mastered per node and replicated over the ring via
+//! the suspense-file subsystem.
 //!
 //! Terminals run **transfer** transactions: debit one account, credit
 //! another, atomically. The source account is always drawn from the
@@ -373,7 +374,8 @@ impl ScreenProgram for ShardBankProgram {
 }
 
 /// The account-index range `[lo, hi)` of shard slot `j` when `accounts`
-/// keys are split evenly over `n` slots (matches [`ShardMap::uniform`]).
+/// keys are split evenly over `n` slots (matches
+/// [`ShardMap::uniform`](encompass_shard::ShardMap::uniform)).
 pub fn shard_range(accounts: u64, n: u64, j: u64) -> (u64, u64) {
     (accounts * j / n, accounts * (j + 1) / n)
 }

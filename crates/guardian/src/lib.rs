@@ -34,6 +34,6 @@ pub mod rpc;
 pub use operator::OperatorProcess;
 pub use pair::{primary, spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{
-    ask, reply, Admitted, Completion, Owed, Request, Rpc, RpcReply, Served, Target, TimerOutcome,
+    ask, Admitted, Completion, Owed, Request, Rpc, RpcReply, Served, Target, TimerOutcome,
     RPC_TAG_BASE,
 };

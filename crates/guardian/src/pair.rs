@@ -154,11 +154,6 @@ impl<D: Send + 'static> PairCtx<'_, '_, D> {
         }
         Checkpointed(())
     }
-
-    /// Is a backup currently in place?
-    pub fn has_backup(&self) -> bool {
-        self.peer.is_some()
-    }
 }
 
 /// The [`Process`] wrapper that turns a [`PairApp`] into one half of a pair.

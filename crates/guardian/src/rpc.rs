@@ -71,7 +71,7 @@ pub struct RpcReply<R> {
 }
 
 /// Send a reply to a previously received [`Request`].
-pub fn reply<R: Send + 'static>(ctx: &mut Ctx<'_>, req_id: u64, to: Pid, body: R) {
+fn reply<R: Send + 'static>(ctx: &mut Ctx<'_>, req_id: u64, to: Pid, body: R) {
     let _ = ctx.send(to, Payload::new(RpcReply { id: req_id, body }));
 }
 

@@ -4,7 +4,7 @@
 //! exactly what is pending.
 
 use encompass_sim::{Ctx, Payload, Pid, Process, SimConfig, SimDuration, TimerId, World};
-use guardian::{reply, Request, Rpc, Target, TimerOutcome};
+use guardian::{Request, Rpc, RpcReply, Target, TimerOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -30,7 +30,11 @@ impl Process for MultiEcho {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         let req = payload.expect::<Request<Ping>>();
         for _ in 0..self.replies_per_request {
-            reply(ctx, req.id, req.from, Pong(req.body.0));
+            let pong = RpcReply {
+                id: req.id,
+                body: Pong(req.body.0),
+            };
+            let _ = ctx.send(req.from, Payload::new(pong));
         }
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! Applying in entry order per destination is transid order: entries were
 //! appended by the master transactions in commit order. A destination
-//! behind a partition simply blocks its own queue ([`Ctx::reachable`]
+//! behind a partition simply blocks its own queue ([`Ctx::reachable`](encompass_sim::Ctx::reachable)
 //! gating) while other destinations keep draining — the paper's node
 //! autonomy — and after the partition heals the backlog drains to zero,
 //! which the chaos drain-liveness oracle enforces.

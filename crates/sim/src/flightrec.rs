@@ -42,28 +42,6 @@ impl fmt::Display for FlightTransid {
     }
 }
 
-/// The lock mode as the recorder sees it. The storage crate's `LockMode`
-/// cannot appear here (the sim crate sits below storage), so this mirrors
-/// its variants; the DISCPROCESS converts at the report site.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FlightLockMode {
-    Shared,
-    Exclusive,
-    IntentShared,
-    IntentExclusive,
-}
-
-impl FlightLockMode {
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlightLockMode::Shared => "s",
-            FlightLockMode::Exclusive => "x",
-            FlightLockMode::IntentShared => "is",
-            FlightLockMode::IntentExclusive => "ix",
-        }
-    }
-}
-
 /// Why a flight event was recorded. Every variant is cheap to copy; the
 /// numeric payloads carry counts (volumes in a phase, records in a
 /// boxcar) rather than strings.
@@ -78,11 +56,9 @@ pub enum FlightCause {
     /// One participant acknowledged phase one (TMP).
     Phase1VolumeDone,
     /// A lock request conflicted and queued (DISCPROCESS).
-    LockQueued { mode: FlightLockMode },
-    /// A lock was granted — immediately or after a wait (DISCPROCESS);
-    /// `group` is the size of the grant set after the grant, so a reader
-    /// convoy (shared group > 1) is distinguishable from writer blocking.
-    LockGranted { mode: FlightLockMode, group: u64 },
+    LockQueued,
+    /// A lock was granted — immediately or after a wait (DISCPROCESS).
+    LockGranted,
     /// A lock wait hit its timeout; the requester is told to restart
     /// (DISCPROCESS).
     LockTimeout,
@@ -148,18 +124,8 @@ impl FlightCause {
             FlightCause::EndRequested => "end_requested",
             FlightCause::Phase1Start { .. } => "phase1_start",
             FlightCause::Phase1VolumeDone => "phase1_volume_done",
-            FlightCause::LockQueued { mode } => match mode {
-                FlightLockMode::Shared => "lock_queued_s",
-                FlightLockMode::Exclusive => "lock_queued_x",
-                FlightLockMode::IntentShared => "lock_queued_is",
-                FlightLockMode::IntentExclusive => "lock_queued_ix",
-            },
-            FlightCause::LockGranted { mode, .. } => match mode {
-                FlightLockMode::Shared => "lock_granted_s",
-                FlightLockMode::Exclusive => "lock_granted_x",
-                FlightLockMode::IntentShared => "lock_granted_is",
-                FlightLockMode::IntentExclusive => "lock_granted_ix",
-            },
+            FlightCause::LockQueued => "lock_queued",
+            FlightCause::LockGranted => "lock_granted",
             FlightCause::LockTimeout => "lock_timeout",
             FlightCause::LockFenced => "lock_fenced",
             FlightCause::AuditAppend { .. } => "audit_append",
@@ -209,7 +175,6 @@ impl FlightCause {
             }
             FlightCause::DumpScan { records } => Some(("records", u64::from(*records))),
             FlightCause::TrailPurge { files } => Some(("files", u64::from(*files))),
-            FlightCause::LockGranted { group, .. } => Some(("group", *group)),
             _ => None,
         }
     }
@@ -222,10 +187,10 @@ impl FlightCause {
     )]
     pub fn component(&self) -> LatencyComponent {
         match self {
-            FlightCause::LockQueued { .. } => LatencyComponent::Bus,
-            FlightCause::LockGranted { .. }
-            | FlightCause::LockTimeout
-            | FlightCause::LockFenced => LatencyComponent::LockWait,
+            FlightCause::LockQueued => LatencyComponent::Bus,
+            FlightCause::LockGranted | FlightCause::LockTimeout | FlightCause::LockFenced => {
+                LatencyComponent::LockWait
+            }
             FlightCause::AppendsDrained | FlightCause::AuditAppend { .. } => {
                 LatencyComponent::Checkpoint
             }
@@ -513,19 +478,11 @@ mod tests {
         let mut fr = FlightRecorder::new(true, 64);
         fr.record(at(10), pid(0, 1), tid(7), FlightCause::Begin);
         fr.record(at(30), pid(0, 1), tid(7), FlightCause::Committed);
-        fr.record(
-            at(20),
-            pid(1, 2),
-            tid(7),
-            FlightCause::LockGranted {
-                mode: FlightLockMode::Exclusive,
-                group: 1,
-            },
-        );
+        fr.record(at(20), pid(1, 2), tid(7), FlightCause::LockGranted);
         let tl = fr.timelines();
         let events = &tl[&tid(7)];
         let causes: Vec<&str> = events.iter().map(|e| e.cause.name()).collect();
-        assert_eq!(causes, vec!["begin", "lock_granted_x", "committed"]);
+        assert_eq!(causes, vec!["begin", "lock_granted", "committed"]);
     }
 
     #[test]
@@ -600,19 +557,8 @@ mod tests {
         };
         let events = vec![
             mk(0, FlightCause::Begin),
-            mk(
-                50,
-                FlightCause::LockQueued {
-                    mode: FlightLockMode::Exclusive,
-                },
-            ),
-            mk(
-                400,
-                FlightCause::LockGranted {
-                    mode: FlightLockMode::Exclusive,
-                    group: 1,
-                },
-            ),
+            mk(50, FlightCause::LockQueued),
+            mk(400, FlightCause::LockGranted),
             mk(500, FlightCause::EndRequested),
             mk(900, FlightCause::MonitorForced { boxcar: 1 }),
             mk(1000, FlightCause::Committed),

@@ -71,8 +71,8 @@ pub mod trace;
 pub use config::SimConfig;
 pub use fault::Fault;
 pub use flightrec::{
-    attribute_commit, format_timeline, CommitAttribution, FlightCause, FlightEvent, FlightLockMode,
-    FlightRecorder, FlightTransid, LatencyComponent,
+    attribute_commit, format_timeline, CommitAttribution, FlightCause, FlightEvent, FlightRecorder,
+    FlightTransid, LatencyComponent,
 };
 pub use hash::{DetHashMap, DetHashSet};
 pub use ids::{CpuId, LinkId, NodeId, Pid};

@@ -5,7 +5,7 @@
 //! Reading an absent counter yields zero.
 //!
 //! Writing is by [`CounterId`] (DESIGN.md §D21): a name is resolved to its
-//! id once — by [`counter!`] at a call site, by [`CounterId::named`] when a
+//! id once — by [`counter!`](crate::counter!) at a call site, by [`CounterId::named`] when a
 //! process is built — and every bump after that is an index and an add.
 //! Ids come from one process-wide table shared by every [`World`] of the
 //! process, in first-use order, which differs from run to run when worlds
@@ -102,7 +102,7 @@ impl Names {
     }
 }
 
-/// The call-site half of [`counter!`]: a literal name and, once resolved,
+/// The call-site half of [`counter!`](crate::counter!): a literal name and, once resolved,
 /// its id.
 pub struct CounterSite {
     name: &'static str,

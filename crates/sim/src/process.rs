@@ -32,8 +32,6 @@ pub enum SendError {
     Unreachable,
     /// Both interprocessor buses of the node are down.
     BusDown,
-    /// No process is registered under the requested name.
-    UnknownName,
 }
 
 /// Hardware notifications delivered to subscribed processes
@@ -105,22 +103,6 @@ impl<'a> Ctx<'a> {
     /// network route); see the crate docs for the failure semantics.
     pub fn send(&mut self, dst: Pid, payload: Payload) -> Result<(), SendError> {
         self.world.kernel_send(self.pid, dst, payload)
-    }
-
-    /// Send to the process registered under `name` on `node`.
-    /// Returns the resolved pid so the caller can await a reply from it.
-    pub fn send_named(
-        &mut self,
-        node: NodeId,
-        name: &str,
-        payload: Payload,
-    ) -> Result<Pid, SendError> {
-        let dst = self
-            .world
-            .lookup_name(node, name)
-            .ok_or(SendError::UnknownName)?;
-        self.world.kernel_send(self.pid, dst, payload)?;
-        Ok(dst)
     }
 
     /// Resolve a registered process name (only returns live processes).

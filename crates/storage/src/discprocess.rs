@@ -28,15 +28,14 @@
 
 use crate::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use crate::catalog::Catalog;
-use crate::locks::{Acquire, GrantedWaiter, LockManager, LockMode, LockScope};
+use crate::locks::{Acquire, GrantedWaiter, LockManager, LockScope};
 use crate::media::{archive_key, media_key, ArchiveImage, FileImage, VolumeMedia};
 use crate::overlay::{Overlay, ReadCache};
 use crate::types::{num_key, FileDef, FileOrganization, RecoveryMode, Transid, VolumeRef};
 use bytes::Bytes;
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, DetHashMap, FlightCause, FlightLockMode, MediaId, Name, Payload, Pid, SimDuration,
-    World,
+    counter, DetHashMap, FlightCause, MediaId, Name, Payload, Pid, SimDuration, World,
 };
 use guardian::{
     Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, Target,
@@ -65,13 +64,12 @@ pub enum DiscRequest {
         key: Bytes,
         fence: Option<u64>,
     },
-    /// Read and acquire a record lock in the requested mode ("locks on
-    /// existing records are obtained at read time by explicit … request").
+    /// Read and acquire the record's exclusive lock ("locks on existing
+    /// records are obtained at read time by explicit … request").
     ReadLock {
         file: Name,
         key: Bytes,
         transid: Transid,
-        mode: LockMode,
         lock_wait: SimDuration,
     },
     /// Insert a record; TMF "automatically generates locks on all new
@@ -380,7 +378,7 @@ struct TxnDelta {
 #[derive(Default)]
 struct Effects {
     writes: WriteSet,
-    lock: Option<(Transid, LockScope, LockMode)>,
+    lock: Option<(Transid, LockScope)>,
     entry_counter: Option<(Name, u64)>,
     txn: Option<TxnDelta>,
 }
@@ -392,7 +390,7 @@ struct Effects {
 #[allow(clippy::large_enum_variant)]
 pub enum DiscDelta {
     /// An operation completed: its reply (for retry dedup) and its
-    /// [`Effects`]. This is the paper's "checkpointing the audit records
+    /// effects. This is the paper's "checkpointing the audit records
     /// generated by an update request to its backup prior to performing
     /// the update" — the delta carries the same information as the
     /// images.
@@ -424,7 +422,7 @@ pub struct Applied {
 /// Full state for (re)initializing a backup.
 pub struct DiscSnapshot {
     overlay: Vec<(Name, Bytes, Option<Bytes>)>,
-    holdings: Vec<(Transid, LockScope, LockMode)>,
+    holdings: Vec<(Transid, LockScope)>,
     replies: Vec<(u64, DiscReply)>,
     audit_seq: u64,
     entry_counters: Vec<(Name, u64)>,
@@ -840,24 +838,17 @@ impl DiscProcess {
         for g in granted {
             if let Some(p) = self.pending_locks.remove(&g.token) {
                 ctx.cancel_timer(p.timer);
-                let group = self.locks.holder_count(&g.scope) as u64;
                 // the lock manager already granted g.scope to g.txn;
                 // mirror that grant on the backup
                 self.checkpoint_applied(
                     ctx,
                     None,
                     Effects {
-                        lock: Some((g.txn, g.scope, g.mode)),
+                        lock: Some((g.txn, g.scope)),
                         ..Effects::default()
                     },
                 );
-                ctx.flight(
-                    g.txn.flight_id(),
-                    FlightCause::LockGranted {
-                        mode: flight_mode(g.mode),
-                        group,
-                    },
-                );
+                ctx.flight(g.txn.flight_id(), FlightCause::LockGranted);
                 self.execute(ctx, p.owed, p.op);
             }
         }
@@ -899,7 +890,6 @@ impl DiscProcess {
                 ref file,
                 ref key,
                 transid,
-                mode,
                 lock_wait,
             } => {
                 let scope = LockScope::Record {
@@ -907,7 +897,7 @@ impl DiscProcess {
                     key: key.clone(),
                 };
                 let (file, key) = (file.clone(), key.clone());
-                let lock = (transid, scope, mode);
+                let lock = (transid, scope);
                 let Some(owed) = self.park_unless_locked(ctx, owed, &op, &lock, lock_wait) else {
                     return;
                 };
@@ -945,11 +935,7 @@ impl DiscProcess {
                 transid,
                 lock_wait,
             } => {
-                let lock = (
-                    transid,
-                    LockScope::File { file: file.clone() },
-                    LockMode::Exclusive,
-                );
+                let lock = (transid, LockScope::File { file: file.clone() });
                 let Some(owed) = self.park_unless_locked(ctx, owed, &op, &lock, lock_wait) else {
                     return;
                 };
@@ -1131,22 +1117,15 @@ impl DiscProcess {
         ctx: &mut PairCtx<'_, '_>,
         owed: Owed,
         op: &DiscRequest,
-        lock: &(Transid, LockScope, LockMode),
+        lock: &(Transid, LockScope),
         lock_wait: SimDuration,
     ) -> Option<Owed> {
-        let (transid, scope, mode) = (lock.0, &lock.1, lock.2);
+        let (transid, scope) = (lock.0, &lock.1);
         let token = self.next_token;
         self.next_token += 1;
-        match self.locks.acquire(transid, scope.clone(), mode, token) {
+        match self.locks.acquire(transid, scope.clone(), token) {
             Acquire::Granted => {
-                let group = self.locks.holder_count(scope) as u64;
-                ctx.flight(
-                    transid.flight_id(),
-                    FlightCause::LockGranted {
-                        mode: flight_mode(mode),
-                        group,
-                    },
-                );
+                ctx.flight(transid.flight_id(), FlightCause::LockGranted);
                 Some(owed)
             }
             Acquire::Queued => {
@@ -1156,12 +1135,7 @@ impl DiscProcess {
                     ctx.count(counter!("disc.lock_waits"), 1);
                     ctx.checkpoint(DiscDelta::Parked(owed.id()));
                 }
-                ctx.flight(
-                    transid.flight_id(),
-                    FlightCause::LockQueued {
-                        mode: flight_mode(mode),
-                    },
-                );
+                ctx.flight(transid.flight_id(), FlightCause::LockQueued);
                 let timer = ctx.set_timer(lock_wait, TAG_LOCK_BASE + token);
                 self.pending_locks.insert(
                     token,
@@ -1198,7 +1172,7 @@ impl DiscProcess {
                     file: file.clone(),
                     key: key.clone(),
                 };
-                let lock = (t, scope, LockMode::Exclusive);
+                let lock = (t, scope);
                 owed = match self.park_unless_locked(ctx, owed, &op, &lock, *lock_wait) {
                     Some(owed) => owed,
                     None => return,
@@ -1211,9 +1185,7 @@ impl DiscProcess {
                     key: key.clone(),
                 };
                 let file_scope = LockScope::File { file: file.clone() };
-                if !self.locks.holds(t, &scope, LockMode::Exclusive)
-                    && !self.locks.holds(t, &file_scope, LockMode::Exclusive)
-                {
+                if !self.locks.holds(t, &scope) && !self.locks.holds(t, &file_scope) {
                     self.finish_simple(ctx, owed, DiscReply::Err(DiscError::LockRequired));
                     return;
                 }
@@ -1239,7 +1211,6 @@ impl DiscProcess {
                             file: file.clone(),
                             key: key.clone(),
                         },
-                        LockMode::Exclusive,
                     )
                 });
                 (key.clone(), Some(value.clone()), lock, None, DiscReply::Ok)
@@ -1267,9 +1238,9 @@ impl DiscProcess {
                         key: key.clone(),
                     };
                     // a fresh entry number can never conflict
-                    let granted = self.locks.acquire(t, scope.clone(), LockMode::Exclusive, 0);
+                    let granted = self.locks.acquire(t, scope.clone(), 0);
                     debug_assert_eq!(granted, Acquire::Granted);
-                    (t, scope, LockMode::Exclusive)
+                    (t, scope)
                 });
                 (
                     key,
@@ -1840,8 +1811,8 @@ impl PairApp for DiscProcess {
                 for (file, _org, key, value) in fx.writes {
                     self.overlay.put(&file, key, value, cp);
                 }
-                if let Some((t, scope, mode)) = fx.lock {
-                    let _ = self.locks.acquire(t, scope, mode, 0);
+                if let Some((t, scope)) = fx.lock {
+                    let _ = self.locks.acquire(t, scope, 0);
                 }
                 if let Some((req_id, reply)) = answered {
                     self.replies.record(req_id, reply);
@@ -1914,8 +1885,8 @@ impl PairApp for DiscProcess {
             self.overlay.put(&f, k, v, cp);
         }
         self.locks = LockManager::new();
-        for (t, scope, mode) in s.holdings {
-            let _ = self.locks.acquire(t, scope, mode, 0);
+        for (t, scope) in s.holdings {
+            let _ = self.locks.acquire(t, scope, 0);
         }
         self.replies.restore(s.replies);
         self.audit_seq = s.audit_seq;
@@ -1946,17 +1917,6 @@ pub fn spawn_disc_process(
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
         DiscProcess::new(volume.clone(), media, catalog.clone(), cfg.clone())
     })
-}
-
-/// Mirror a storage lock mode into the sim-layer flight-recorder enum
-/// (the sim crate sits below storage and cannot name [`LockMode`]).
-fn flight_mode(mode: LockMode) -> FlightLockMode {
-    match mode {
-        LockMode::Shared => FlightLockMode::Shared,
-        LockMode::Exclusive => FlightLockMode::Exclusive,
-        LockMode::IntentShared => FlightLockMode::IntentShared,
-        LockMode::IntentExclusive => FlightLockMode::IntentExclusive,
-    }
 }
 
 fn op_file(op: &DiscRequest) -> &str {

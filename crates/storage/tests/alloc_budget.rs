@@ -11,7 +11,7 @@ mod counting_alloc;
 use bytes::Bytes;
 use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_sim::{Name, NodeId};
-use encompass_storage::locks::{Acquire, LockManager, LockMode, LockScope};
+use encompass_storage::locks::{Acquire, LockManager, LockScope};
 use encompass_storage::overlay::{Overlay, ReadCache};
 use encompass_storage::types::{Transid, VolumeRef};
 use encompass_storage::DiscRequest;
@@ -57,27 +57,26 @@ fn the_counter_counts() {
 
 #[test]
 fn lock_lookups_borrow() {
-    const X: LockMode = LockMode::Exclusive;
     let mut lm = LockManager::new();
     let held = record("accounts", 7);
     let other_key = record("accounts", 8);
     let other_file = record("history", 7);
-    assert_eq!(lm.acquire(t(1), held.clone(), X, 1), Acquire::Granted);
+    assert_eq!(lm.acquire(t(1), held.clone(), 1), Acquire::Granted);
 
     let (n, holds) = allocations_in(|| {
         (
-            lm.holds(t(1), &held, X),
-            lm.holds(t(2), &held, X),
-            lm.holds(t(1), &other_key, X),
-            lm.holds(t(1), &other_file, X),
-            lm.holder_count(&held),
+            lm.holds(t(1), &held),
+            lm.holds(t(2), &held),
+            lm.holds(t(1), &other_key),
+            lm.holds(t(1), &other_file),
+            lm.holder(&held),
         )
     });
-    assert_eq!(holds, (true, false, false, false, 1));
-    assert_eq!(n, 0, "holds / holder_count");
+    assert_eq!(holds, (true, false, false, false, Some(t(1))));
+    assert_eq!(n, 0, "holds / holder");
 
     // the retried request of a lock already held: granted from the table
-    let (n, again) = allocations_in(|| lm.acquire(t(1), held.clone(), X, 2));
+    let (n, again) = allocations_in(|| lm.acquire(t(1), held.clone(), 2));
     assert_eq!(again, Acquire::Granted);
     assert_eq!(n, 0, "re-acquire of a held record lock");
     assert_eq!(lm.held_count(t(1)), 1);

@@ -15,7 +15,6 @@ use encompass_storage::audit_api::{AuditMsg, AuditReply};
 use encompass_storage::discprocess::{
     spawn_disc_process, DiscConfig, DiscError, DiscProcess, DiscReply, DiscRequest, DiscStateReport,
 };
-use encompass_storage::locks::LockMode;
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::testkit::{run_script, Replies};
 use encompass_storage::types::{num_key, FileDef, PartitionSpec, Transid, VolumeRef};
@@ -169,7 +168,6 @@ fn lock_conflict_waits_until_release() {
             key: b("k"),
             transid: t2,
             lock_wait: SimDuration::from_secs(2),
-            mode: LockMode::Exclusive,
         }],
     );
     w.run_for(SimDuration::from_millis(100));
@@ -239,7 +237,6 @@ fn request_retransmitted_while_parked_on_a_lock_is_answered_once() {
                 key: b("k"),
                 transid: t2,
                 lock_wait: SimDuration::from_secs(2),
-                mode: LockMode::Exclusive,
             },
         };
         w.send_external(disc, Payload::new(request));
@@ -307,7 +304,6 @@ fn lock_timeout_signals_deadlock() {
             key: b("hot"),
             transid: t2,
             lock_wait: SimDuration::from_millis(80),
-            mode: LockMode::Exclusive,
         }],
     );
     w.run_for(SimDuration::from_secs(2));
@@ -422,7 +418,6 @@ fn alternate_key_index_is_maintained() {
                 key: b("acme"),
                 transid: t2,
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "vendors".into(),
@@ -582,7 +577,6 @@ fn takeover_preserves_overlay_and_locks() {
                 key: b("x"),
                 transid: t2,
                 lock_wait: SimDuration::from_millis(50),
-                mode: LockMode::Exclusive,
             },
         ],
     );
@@ -670,7 +664,7 @@ impl Process for SlowAudit {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, _tag: u64) {
         if let Some((id, to, ack)) = self.parked.pop_front() {
-            guardian::reply(ctx, id, to, ack);
+            let _ = ctx.send(to, Payload::new(guardian::RpcReply { id, body: ack }));
         }
     }
 }
@@ -864,7 +858,6 @@ fn undo_restores_before_images() {
                 key: b("u"),
                 transid: txn(2),
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "accounts".into(),
@@ -997,7 +990,6 @@ fn snapshot_read_sees_fence_time_value_despite_later_commit() {
                 key: b("snap"),
                 transid: t2,
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "accounts".into(),
@@ -1096,7 +1088,6 @@ fn snapshot_read_ignores_uncommitted_writer_without_blocking() {
                 key: b("live"),
                 transid: t2,
                 lock_wait: WAIT,
-                mode: LockMode::Exclusive,
             },
             DiscRequest::Update {
                 file: "accounts".into(),
@@ -1177,7 +1168,6 @@ fn snapshot_read_with_evicted_fence_is_too_old() {
                     key: b("old"),
                     transid: t,
                     lock_wait: WAIT,
-                    mode: LockMode::Exclusive,
                 },
                 DiscRequest::Update {
                     file: "accounts".into(),

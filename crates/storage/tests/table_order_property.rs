@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use encompass_sim::{Name, NodeId};
-use encompass_storage::locks::{Acquire, LockManager, LockMode, LockScope};
+use encompass_storage::locks::{Acquire, LockManager, LockScope};
 use encompass_storage::overlay::Overlay;
 use encompass_storage::types::Transid;
 use guardian::Checkpointed;
@@ -67,8 +67,6 @@ fn whole(file: usize) -> LockScope {
         file: Name::new(FILES[file]),
     }
 }
-
-const X: LockMode = LockMode::Exclusive;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -149,7 +147,7 @@ proptest! {
         let mut lm = LockManager::new();
         let locked: BTreeSet<usize> = locked.into_iter().collect();
         for &f in &locked {
-            prop_assert_eq!(lm.acquire(t(0), whole(f), X, 0), Acquire::Granted);
+            prop_assert_eq!(lm.acquire(t(0), whole(f), 0), Acquire::Granted);
         }
         // one waiter per distinct record, each its own transaction; a
         // record in a file the holder did not lock is granted at once
@@ -160,7 +158,7 @@ proptest! {
                 continue;
             }
             let token = 100 + i as u64;
-            let outcome = lm.acquire(t(token), record(f, k), X, token);
+            let outcome = lm.acquire(t(token), record(f, k), token);
             if locked.contains(&f) {
                 prop_assert_eq!(outcome, Acquire::Queued);
                 model.insert(model_key(f, k), token);
@@ -185,7 +183,7 @@ proptest! {
         prop_assert_eq!(scopes, expected);
         prop_assert_eq!(lm.waiting(), 0);
         for g in &woken {
-            prop_assert!(lm.holds(g.txn, &g.scope, X));
+            prop_assert!(lm.holds(g.txn, &g.scope));
         }
     }
 
@@ -198,8 +196,8 @@ proptest! {
     ) {
         let mut lm = LockManager::new();
         // t1 works in the file; t2 wants the whole file and waits
-        prop_assert_eq!(lm.acquire(t(1), record(file, 0), X, 1), Acquire::Granted);
-        prop_assert_eq!(lm.acquire(t(2), whole(file), X, 2), Acquire::Queued);
+        prop_assert_eq!(lm.acquire(t(1), record(file, 0), 1), Acquire::Granted);
+        prop_assert_eq!(lm.acquire(t(2), whole(file), 2), Acquire::Queued);
         let mut model: BTreeMap<(String, Bytes), u64> = BTreeMap::new();
         for (i, k) in keys.into_iter().enumerate() {
             // key 0 is t1's: skip it, its waiter would stay blocked
@@ -207,7 +205,7 @@ proptest! {
                 continue;
             }
             let token = 100 + i as u64;
-            prop_assert_eq!(lm.acquire(t(token), record(file, k), X, token), Acquire::Queued);
+            prop_assert_eq!(lm.acquire(t(token), record(file, k), token), Acquire::Queued);
             model.insert(model_key(file, k), token);
         }
         let woken = lm.cancel_waiter(2).expect("the file waiter is queued");

@@ -27,7 +27,7 @@ pub mod prelude {
     pub use encompass_storage::types::{FileDef, PartitionSpec, RecoveryMode, VolumeRef};
     pub use encompass_storage::Catalog;
     // the TMF session and node wiring
-    pub use encompass_storage::locks::{LockMode, LockScope};
+    pub use encompass_storage::locks::LockScope;
     pub use tmf::facility::{
         spawn_tmf_network, spawn_tmf_node, ConfigError, NodeHandles, TmfNodeConfig,
         TmfNodeConfigBuilder,
