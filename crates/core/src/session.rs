@@ -195,6 +195,14 @@ impl TmfSession {
         }
     }
 
+    /// The id spaces of the session's two `Rpc`s (TMP, then DISCPROCESS):
+    /// every reply [`Self::accept`] takes, and every timer
+    /// [`Self::on_timer`] drives, carries one of them
+    /// ([`guardian::space_of`]).
+    pub fn id_spaces(&self) -> [u64; 2] {
+        [self.tmp_rpc.id_space(), self.disc_rpc.id_space()]
+    }
+
     /// The current process transid, if in transaction mode.
     pub fn transid(&self) -> Option<Transid> {
         self.current

@@ -346,7 +346,14 @@ pub struct TmpProcess {
     /// `$TXTABLE<cpu>` by CPU number, named once: every state change is
     /// broadcast to each of them.
     txtable_names: Vec<String>,
+    /// The pid each of those names last resolved to. A live table is the
+    /// registrant of its name, so a name is looked up again only once its
+    /// table has died (or never registered).
+    txtable_pids: [Option<Pid>; MAX_CPUS],
 }
+
+/// The most processors a node has (`Topology` refuses more).
+const MAX_CPUS: usize = 16;
 
 impl TmpProcess {
     /// `monitor` is the [`MediaId`] of the node's [`monitor_key`] in the
@@ -370,6 +377,7 @@ impl TmpProcess {
             boxcar_hist: HistogramHandle::new("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
             latency_hist: HistogramHandle::new("tmf.commit_latency_us", LATENCY_BOUNDS),
             txtable_names: Vec::new(),
+            txtable_pids: [None; MAX_CPUS],
         }
     }
 
@@ -433,8 +441,19 @@ impl TmpProcess {
             self.txtable_names
                 .push(crate::table::txtable_name(cpu as u8));
         }
-        for name in &self.txtable_names[..cpus as usize] {
-            if let Some(pid) = ctx.lookup_name(node, name) {
+        let tables = self.txtable_names[..cpus as usize]
+            .iter()
+            .zip(&mut self.txtable_pids);
+        for (name, cached) in tables {
+            let pid = match *cached {
+                Some(pid) if ctx.is_alive(pid) => Some(pid),
+                _ => {
+                    *cached = ctx.lookup_name(node, name);
+                    *cached
+                }
+            };
+            debug_assert_eq!(pid, ctx.lookup_name(node, name), "{name} changed hands");
+            if let Some(pid) = pid {
                 let _ = ctx.send(pid, Payload::new(StateBroadcast { transid, state }));
                 ctx.count(counter!("tmf.state_broadcasts"), 1);
             }
