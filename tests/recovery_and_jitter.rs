@@ -1,6 +1,6 @@
 //! Additional workspace-level scenarios: ROLLFORWARD's negotiation with a
 //! *remote* home node, audit-trail purging against an archive watermark,
-//! the TMF utility (disposition query / manual override), and a run with
+//! the TMF utility (disposition query / manual override), and runs with
 //! message jitter enabled (shakes out accidental ordering assumptions).
 
 #![allow(
@@ -21,6 +21,8 @@ use encompass_tmf::storage::Catalog;
 use guardian::Target;
 
 use tmf::script::{run_txn_script as drive, Step};
+use tmf::tmp::TmpProcess;
+use tmf::TxTableProcess;
 
 fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
@@ -300,4 +302,38 @@ fn bank_workload_correct_under_message_jitter() {
     assert_eq!(app.world.metrics().get("tcp.terminals_finished"), 4);
     let final_total = total_balance(&mut app.world, &app.catalog, "accounts");
     assert!(final_total < accounts as i64 * 1000);
+}
+
+/// Under delivery jitter a read-only END's `Ended` broadcast overtakes its
+/// `Ending` about half the time. Once the terminals are done, every
+/// per-CPU transaction table holds only transids the TMP still holds: a
+/// late `Ending` does not re-insert a transid that has left the system.
+#[test]
+fn reordered_broadcasts_leave_only_live_transids_in_the_tables() {
+    let mut sim = SimConfig::with_seed(7);
+    sim.jitter = SimDuration::from_micros(50);
+    let mut app = launch_bank_app(BankAppParams {
+        accounts: 100,
+        terminals_per_node: 2,
+        transactions_per_terminal: 10,
+        readonly_terminals_per_node: 4,
+        readonly_transactions_per_terminal: Some(50),
+        think: SimDuration::from_micros(500),
+        sim,
+        ..BankAppParams::default()
+    });
+    let n = app.nodes[0];
+    app.world.run_for(SimDuration::from_secs(60));
+    let m = app.world.metrics();
+    assert_eq!(m.get("tcp.terminals_finished"), 6);
+    assert!(m.get("tcp.commits") >= 200, "the read-only ENDs ran");
+
+    let tmp = guardian::primary::<TmpProcess>(&app.world, n, "$TMP").expect("a TMP primary");
+    let live: Vec<_> = tmp.open_transids();
+    for cpu in 0..app.world.cpu_count(n) {
+        let pid = (app.world.lookup_name(n, &format!("$TXTABLE{cpu}"))).expect("a table per CPU");
+        let table = app.world.inspect::<TxTableProcess>(pid).expect("a table");
+        let stale: Vec<_> = table.transids().filter(|t| !live.contains(t)).collect();
+        assert!(stale.is_empty(), "$TXTABLE{cpu} still holds {stale:?}");
+    }
 }
