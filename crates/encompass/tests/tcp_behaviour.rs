@@ -1,6 +1,7 @@
 //! Focused TCP behaviour tests: scripted programs through the real TCP
 //! pair — voluntary abort, the restart limit, SEND to an unknown class,
-//! and TCP takeover resuming checkpointed progress.
+//! and TCP takeover resuming checkpointed progress with no call left
+//! behind.
 
 use bytes::Bytes;
 use encompass::appmon::{spawn_server_class, ServerClassConfig};
@@ -12,6 +13,7 @@ use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, World};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::types::{FileDef, VolumeRef};
 use encompass_storage::Catalog;
+use guardian::RPC_TAG_BASE;
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
 
 fn setup() -> (World, NodeId, Catalog) {
@@ -151,8 +153,8 @@ fn send_to_unknown_server_class_hits_the_restart_limit() {
     assert_eq!(m.get("tcp.terminals_finished"), 1);
 }
 
-#[test]
-fn tcp_takeover_aborts_open_transaction_and_finishes_script() {
+/// One terminal whose TCP primary dies while its transaction is open.
+fn takeover_with_open_transaction() -> (World, NodeId) {
     let (mut w, n, catalog) = setup();
     spawn_tcp(
         &mut w,
@@ -174,6 +176,12 @@ fn tcp_takeover_aborts_open_transaction_and_finishes_script() {
     w.run_for(SimDuration::from_millis(500));
     w.inject(Fault::KillCpu(n, CpuId(2)));
     w.run_for(SimDuration::from_secs(30));
+    (w, n)
+}
+
+#[test]
+fn tcp_takeover_aborts_open_transaction_and_finishes_script() {
+    let (w, _) = takeover_with_open_transaction();
     let m = w.metrics();
     assert!(m.get("tcp.takeovers") >= 1);
     // the open transaction was aborted by the backup and the program
@@ -184,4 +192,19 @@ fn tcp_takeover_aborts_open_transaction_and_finishes_script() {
         m.get("tmf.aborts") >= 1,
         "the takeover aborted the open txn"
     );
+}
+
+/// The abort the backup sends for the open transaction is answered, and
+/// its answer ends the call: once the script is done, the TCP has no call
+/// left to retry.
+#[test]
+fn tcp_takeover_leaves_no_outstanding_call() {
+    let (w, n) = takeover_with_open_transaction();
+    assert_eq!(w.metrics().get("tcp.terminals_finished"), 1);
+    let tcp = w.lookup_name(n, "$TCP").expect("the backup took over");
+    let calls: Vec<u64> = (w.armed_timers())
+        .filter(|&(owner, tag)| owner == tcp && tag >= RPC_TAG_BASE)
+        .map(|(_, tag)| tag - RPC_TAG_BASE)
+        .collect();
+    assert!(calls.is_empty(), "the TCP still retries calls {calls:x?}");
 }
