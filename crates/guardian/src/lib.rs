@@ -10,9 +10,9 @@
 //!   operation initiated by the primary". This is the NonStop mechanism the
 //!   paper's DISCPROCESS, AUDITPROCESS, TMP, BACKOUTPROCESS, and TCP are all
 //!   built from — and the reason TMF can treat checkpointing as the
-//!   functional equivalent of Write-Ahead-Log. [`primary`] reads the app
-//!   of a service's live primary between events, for drivers and oracles
-//!   that would otherwise have to ask it.
+//!   functional equivalent of Write-Ahead-Log. [`primary`] and [`backup`]
+//!   read the app of a service's live primary and of its backup between
+//!   events, for drivers and oracles that would otherwise have to ask.
 //! * **Request/reply messaging** ([`rpc`]): correlation ids, timeouts and
 //!   retransmission — the end-to-end protocol that "assures that data
 //!   transmissions are reliably received". The two retry policies mirror
@@ -32,7 +32,7 @@ pub mod pair;
 pub mod rpc;
 
 pub use operator::OperatorProcess;
-pub use pair::{primary, spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
+pub use pair::{backup, primary, spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{
     ask, space_of, Admitted, Completion, Owed, Request, Rpc, RpcReply, Served, Target,
     TimerOutcome, ID_SPACES, RPC_TAG_BASE,

@@ -9,19 +9,21 @@
 )]
 
 use bytes::Bytes;
+use encompass_tmf::audit::auditprocess::{AuditProcess, AuditStateReport};
 use encompass_tmf::audit::monitor::MonitorTrail;
 use encompass_tmf::audit::rollforward::rollforward_volume;
 use encompass_tmf::audit::trail::{trail_key, TrailMedia};
 use encompass_tmf::encompass::app::{launch_bank_app, AppBuilder, BankAppParams};
 use encompass_tmf::encompass::workload::total_balance;
 use encompass_tmf::sim::{CpuId, Fault, NodeId, SimConfig, SimDuration};
+use encompass_tmf::storage::discprocess::{DiscProcess, DiscStateReport};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
 use encompass_tmf::storage::types::{FileDef, VolumeRef};
 use encompass_tmf::storage::Catalog;
 use guardian::Target;
 
 use tmf::script::{run_txn_script as drive, Step};
-use tmf::tmp::TmpProcess;
+use tmf::tmp::{TmpProcess, TmpStateReport};
 use tmf::TxTableProcess;
 
 fn b(s: &str) -> Bytes {
@@ -335,5 +337,67 @@ fn reordered_broadcasts_leave_only_live_transids_in_the_tables() {
         let table = app.world.inspect::<TxTableProcess>(pid).expect("a table");
         let stale: Vec<_> = table.transids().filter(|t| !live.contains(t)).collect();
         assert!(stale.is_empty(), "$TXTABLE{cpu} still holds {stale:?}");
+    }
+}
+
+/// Checkpoints are a log. Under delivery jitter a later checkpoint often
+/// overtakes an earlier one (a read-only END sends `Ending`, `Ended` and
+/// the drop from one handler), and a backup that applied them as they
+/// arrived re-inserted the dropped transid for good. Once the terminals
+/// are done, every pair's backup reports the same state as its primary:
+/// the TMP, every DISCPROCESS and the AUDITPROCESS.
+#[test]
+fn jittered_backups_end_in_their_primaries_state() {
+    let mut sim = SimConfig::with_seed(3);
+    sim.jitter = SimDuration::from_micros(50);
+    let mut app = launch_bank_app(BankAppParams {
+        accounts: 100,
+        terminals_per_node: 2,
+        transactions_per_terminal: 20,
+        readonly_terminals_per_node: 4,
+        readonly_transactions_per_terminal: Some(100),
+        think: SimDuration::from_micros(500),
+        sim,
+        ..BankAppParams::default()
+    });
+    app.world.run_for(SimDuration::from_secs(60));
+    assert_eq!(app.world.metrics().get("tcp.terminals_finished"), 6);
+    assert!(
+        app.world.metrics().get("pair.checkpoints") >= 1_000,
+        "enough checkpoints for jitter to reorder some"
+    );
+
+    fn same<A: guardian::PairApp, R: PartialEq + std::fmt::Debug>(
+        world: &encompass_tmf::sim::World,
+        pair: &guardian::PairHandle,
+        report: impl Fn(&A) -> R,
+    ) {
+        let primary = guardian::primary::<A>(world, pair.node, &pair.name).expect("a primary");
+        let backup = guardian::backup::<A>(world, pair).expect("a backup");
+        assert_eq!(
+            report(backup),
+            report(primary),
+            "{}'s backup against its primary",
+            pair.name
+        );
+    }
+    // a backup remembers only the answers its primary checkpointed, so
+    // the reply caches are not compared
+    let node = &app.tmf[0];
+    same(&app.world, &node.tmp, |tmp: &TmpProcess| TmpStateReport {
+        reply_cache: 0,
+        ..tmp.state_report()
+    });
+    same(&app.world, &node.audit, |audit: &AuditProcess| {
+        AuditStateReport {
+            reply_cache: 0,
+            ..audit.state_report()
+        }
+    });
+    for disc in &node.discs {
+        same(&app.world, disc, |disc: &DiscProcess| DiscStateReport {
+            reply_cache: 0,
+            ..disc.state_report()
+        });
     }
 }
