@@ -252,14 +252,13 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         // peek before unboxing: a reply that is not pending here (stale,
         // or addressed to another `Rpc` of the same process) goes back
         // untouched
-        let mine = payload
-            .downcast_ref::<RpcReply<R>>()
-            .is_some_and(|reply| self.pending.contains_key(&reply.id));
-        if !mine {
+        let Some(id) = payload.downcast_ref::<RpcReply<R>>().map(|r| r.id) else {
             return Err(payload);
-        }
+        };
+        let Some(p) = self.pending.remove(&id) else {
+            return Err(payload);
+        };
         let reply = payload.expect::<RpcReply<R>>();
-        let p = self.pending.remove(&reply.id).expect("peeked above");
         ctx.cancel_timer(p.timer);
         Ok(Completion {
             id: reply.id,
