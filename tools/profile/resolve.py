@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Resolve the samples sampler.c wrote into a self-time profile.
+"""Resolve the samples sampler.c wrote into a self-time profile, or the
+census heap.c wrote into live heap by allocation site.
 
     resolve.py BINARY RUN.raw                     # top symbols, all samples
     resolve.py BINARY RUN.raw --sites measure_window
@@ -9,6 +10,8 @@
     resolve.py BINARY RUN.raw --within 0x1a2b3c   # only samples under it
     resolve.py BINARY RUN.raw --within 0x1a2b3c --returns-to
         # libc samples grouped by the function their word at rsp returns to
+    resolve.py BINARY RUN.heap --heap             # MiB live at the peak, by site
+    resolve.py BINARY RUN.heap --heap --frames 3  # sites three callers deep
 
 Addresses are resolved with `nm` on the file they fall in (`nm -D` for a
 stripped library, plus the run-time IFUNC addresses the sampler saved; a
@@ -18,6 +21,13 @@ them). On a stripped libc, malloc's internal functions (`_int_malloc`,
 `__default_morecore`: count those samples as `malloc` + `free`. A
 sample with no frame chain (libc's malloc uses rbp as scratch) takes the
 window membership of the last sample that had one.
+
+A heap site is the first `--frames` functions of BINARY on the
+allocation's call chain that are not allocation plumbing: std's `alloc`,
+`core` and `std` paths, hashbrown, the `Bytes` shim, the `__rust_*`
+entry points, and trait impls from `alloc`/`core` (`Clone`, `Extend`,
+`FromIterator`, ...). A `VecDeque::push_back` that grows the deque's
+buffer is charged to the function that pushed.
 
 Output piped into `head` ends quietly when the reader stops reading.
 """
@@ -38,6 +48,22 @@ def read_samples(path):
         n = words[i]
         yield words[i + 1:i + 1 + n]
         i += 1 + n
+
+
+def read_census(path):
+    """The live total at heap.c's snapshot, and (bytes, blocks, chain) per
+    call chain."""
+    words = open(path, "rb").read()
+    words = struct.unpack(f"<{len(words) // 8}Q", words)
+    chains, i = [], 1
+    while i < len(words):
+        nbytes, blocks, n = words[i:i + 3]
+        chains.append((nbytes, blocks, words[i + 3:i + 3 + n]))
+        i += 3 + n
+    return words[0], chains
+
+
+PLUMBING = re.compile(r"^<?(alloc|core|std|hashbrown|bytes)::|^__r|^<[^<>]* as (alloc|core)::")
 
 
 class Symbols:
@@ -101,6 +127,23 @@ def short(name):
     return "::".join(name.split("::")[-2:])
 
 
+def heap_sites(syms, binary, args):
+    total, chains = read_census(args.raw)
+    sites, blocks = collections.Counter(), collections.Counter()
+    for nbytes, n, chain in chains:
+        names = []
+        for path, _, name in map(syms.resolve, chain):
+            if path == binary and not PLUMBING.search(name) and len(names) < args.frames:
+                names.append(short(name))
+        site = " <- ".join(names) or "(outside BINARY)"
+        sites[site] += nbytes
+        blocks[site] += n
+    mib = 1 << 20
+    print(f"{total / mib:.2f} MiB live at the peak, {len(chains)} call chains")
+    for site, nbytes in sites.most_common(args.top):
+        print(f"{nbytes / mib:8.3f} MiB {100 * nbytes / max(total, 1):5.1f} % {blocks[site]:9}  {site}")
+
+
 def main():
     # a closed pipe ends the process, as it does any Unix filter, rather
     # than raising BrokenPipeError
@@ -112,9 +155,14 @@ def main():
     ap.add_argument("--within", help="keep samples whose chain holds this return address (in BINARY)")
     ap.add_argument("--sites", help="list the call sites inside this function")
     ap.add_argument("--returns-to", action="store_true", help="group libc samples by caller")
+    ap.add_argument("--heap", action="store_true", help="RAW is a heap.c census")
+    ap.add_argument("--frames", type=int, default=2, help="callers that name a heap site")
     args = ap.parse_args()
     syms = Symbols(args.raw + ".maps")
     binary = next(p for _, _, _, p in syms.maps if p.endswith(args.binary.split("/")[-1]))
+    if args.heap:
+        heap_sites(syms, binary, args)
+        return
     within = int(args.within, 16) if args.within else None
     counts, sites, kept, total, member = collections.Counter(), collections.Counter(), 0, 0, True
     for sample in read_samples(args.raw):
