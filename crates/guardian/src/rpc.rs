@@ -20,7 +20,7 @@
 //! the remembered reply instead of running a request twice.
 
 use encompass_sim::{
-    Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId, World,
+    push_bounded, Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId, World,
 };
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -40,11 +40,18 @@ pub enum Target {
 }
 
 impl Target {
-    fn resolve(&self, ctx: &Ctx<'_>) -> Option<Pid> {
-        match self {
+    /// Send request `id` here, resolving a name now: whether it went out.
+    fn send<M: Clone + Send + 'static>(&self, ctx: &mut Ctx<'_>, id: u64, body: &M) -> bool {
+        let dst = match self {
             Target::Pid(p) => Some(*p),
             Target::Named(node, name) => ctx.lookup_name(*node, name),
-        }
+        };
+        let Some(dst) = dst else {
+            return false;
+        };
+        let (from, body) = (ctx.pid(), body.clone());
+        ctx.send(dst, Payload::new(Request { id, from, body }))
+            .is_ok()
     }
 
     pub fn node(&self) -> NodeId {
@@ -178,15 +185,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         then: K,
     ) -> Result<u64, K> {
         let id = self.fresh_id(ctx);
-        let Some(dst) = target.resolve(ctx) else {
-            return Err(then);
-        };
-        let request = Request {
-            id,
-            from: ctx.pid(),
-            body: body.clone(),
-        };
-        if ctx.send(dst, Payload::new(request)).is_err() {
+        if !target.send(ctx, id, &body) {
             return Err(then);
         }
         let timer = ctx.set_timer(timeout, RPC_TAG_BASE + id);
@@ -216,16 +215,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         then: K,
     ) -> u64 {
         let id = self.fresh_id(ctx);
-        if let Some(dst) = target.resolve(ctx) {
-            let _ = ctx.send(
-                dst,
-                Payload::new(Request {
-                    id,
-                    from: ctx.pid(),
-                    body: body.clone(),
-                }),
-            );
-        }
+        target.send(ctx, id, &body);
         let timer = ctx.set_timer(retry_interval, RPC_TAG_BASE + id);
         self.pending.insert(
             id,
@@ -287,21 +277,8 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         if p.retries_left != u32::MAX {
             p.retries_left -= 1;
         }
-        let body = p.body.clone();
-        let target = p.target.clone();
-        let timeout = p.timeout;
-        if let Some(dst) = target.resolve(ctx) {
-            let _ = ctx.send(
-                dst,
-                Payload::new(Request {
-                    id,
-                    from: ctx.pid(),
-                    body,
-                }),
-            );
-        }
-        let timer = ctx.set_timer(timeout, RPC_TAG_BASE + id);
-        self.pending.get_mut(&id).expect("still present").timer = timer;
+        p.target.send(ctx, id, &p.body);
+        p.timer = ctx.set_timer(p.timeout, RPC_TAG_BASE + id);
         TimerOutcome::Resent
     }
 
@@ -617,14 +594,10 @@ impl<R: Clone + Send + 'static> Served<R> {
     /// (so a full ring never grows). If there is an index, the caller has
     /// pointed `id` at the position this push takes.
     fn push(&mut self, id: u64, body: R) {
-        if self.ring.len() == self.capacity {
-            if let Some((old, _)) = self.ring.pop_front() {
-                if let Some(index) = &mut self.index {
-                    index.remove(&old);
-                }
-            }
+        let evicted = push_bounded(&mut self.ring, self.capacity, (id, body));
+        if let (Some((old, _)), Some(index)) = (evicted, &mut self.index) {
+            index.remove(&old);
         }
-        self.ring.push_back((id, body));
         self.pushed += 1;
     }
 

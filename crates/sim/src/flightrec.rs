@@ -16,6 +16,7 @@
 //! the chaos crate). It is off by default.
 
 use crate::ids::Pid;
+use crate::ring::push_bounded;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -294,16 +295,15 @@ impl FlightRecorder {
             return;
         }
         let ring = self.rings.entry(pid.node.0).or_default();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-            self.dropped += 1;
-        }
-        ring.push_back(FlightEvent {
+        let event = FlightEvent {
             at,
             pid,
             transid,
             cause,
-        });
+        };
+        if push_bounded(ring, self.capacity, event).is_some() {
+            self.dropped += 1;
+        }
     }
 
     /// Every retained event, ordered by time (ties broken by node, then

@@ -63,6 +63,7 @@ pub mod metrics;
 pub mod msg;
 pub mod name;
 pub mod process;
+pub mod ring;
 pub mod stable;
 pub mod time;
 pub mod topology;
@@ -81,5 +82,6 @@ pub use metrics::{CounterId, HistogramHandle, Metrics};
 pub use msg::Payload;
 pub use name::Name;
 pub use process::{Ctx, Process, SendError, SystemEvent, TimerId};
+pub use ring::push_bounded;
 pub use stable::{MediaId, StableStorage};
 pub use time::{SimDuration, SimTime};

@@ -7,6 +7,7 @@
 //!   tests to assert that two runs with the same seed and fault schedule are
 //!   bit-identical in behaviour.
 
+use crate::ring::push_bounded;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
@@ -57,14 +58,12 @@ impl Trace {
             self.hash = self.hash.wrapping_mul(FNV_PRIME);
         }
         if self.enabled {
-            if self.events.len() == self.capacity {
-                self.events.pop_front();
-            }
-            self.events.push_back(TraceEvent {
+            let event = TraceEvent {
                 at,
                 kind,
                 detail: detail(),
-            });
+            };
+            push_bounded(&mut self.events, self.capacity, event);
         }
     }
 

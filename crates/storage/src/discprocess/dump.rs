@@ -1,0 +1,183 @@
+//! Archives and online dumps of the volume: what a copy sees, the audit
+//! watermark it is consistent with, and the trail it still needs.
+
+use super::*;
+
+impl DiscProcess {
+    /// Build archive generation `generation` in stable storage, replying
+    /// after the disc accesses reading the whole volume takes.
+    pub(super) fn archive(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, generation: u64) {
+        let snapshot = self.build_archive(ctx, generation);
+        // reading the whole volume is not free: charge one
+        // archive-read disc access per page it would take
+        let records: usize = snapshot.files.values().map(|f| f.len()).sum();
+        let pages = records.div_ceil(self.cfg.dump_page_size.max(1)).max(1) as u64;
+        ctx.count(counter!("disc.archive_read"), pages);
+        let key = archive_key(&self.volume, generation);
+        ctx.stable().remove(&key);
+        ctx.stable()
+            .get_or_create::<ArchiveImage, _>(&key, move || snapshot);
+        ctx.count(counter!("disc.archives"), 1);
+        let reply = DiscReply::Ok;
+        self.park_on_disc(ctx, pages, Parked::Reply { owed, reply });
+    }
+
+    /// Begin an online dump: see [`DiscRequest::DumpBegin`].
+    pub(super) fn dump_begin(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, generation: u64) {
+        // watermark: highest sequence whose effect every later
+        // page copy is guaranteed to reflect. WAL-mode writes
+        // parked on their force ack have assigned sequences but
+        // unapplied updates, so clamp below the oldest of them.
+        let parked_low = self
+            .audit_rpc
+            .awaiting()
+            .filter_map(|then| match then {
+                AuditThen::Wal(plan) => Some(plan.low_seq),
+                AuditThen::Phase1 { .. } | AuditThen::DumpMarker { .. } | AuditThen::Append(_) => {
+                    None
+                }
+            })
+            .min();
+        let watermark = parked_low.map_or(self.audit_seq, |low| {
+            self.audit_seq.min(low.saturating_sub(1))
+        });
+        let purge_floor = self.purge_floor(watermark);
+        // copy set: every file on media or with overlay-resident
+        // writes (BTreeSet ⇒ deterministic order)
+        let files: Vec<(Name, FileOrganization)> = self
+            .with_media(ctx, |m| m.files.keys().cloned().collect::<Vec<_>>())
+            .into_iter()
+            .chain(self.overlay.iter().map(|(f, _, _)| f.clone()))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .map(|f| {
+                let org = self.org_of(&f);
+                (f, org)
+            })
+            .collect();
+        ctx.count(counter!("disc.dump_begins"), 1);
+        self.dump_flight(ctx, generation, FlightCause::DumpBegin { generation });
+        let begun = DiscReply::DumpBegun {
+            watermark,
+            purge_floor,
+            files,
+        };
+        self.append_dump_marker(ctx, owed, generation, false, begun);
+    }
+
+    /// Copy one page of an online dump: see [`DiscRequest::DumpScan`].
+    pub(super) fn dump_scan(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        owed: Owed,
+        generation: u64,
+        file: &str,
+        resume: Option<&Bytes>,
+        limit: usize,
+    ) {
+        let limit = limit.clamp(1, self.cfg.dump_page_size.max(1));
+        let low = resume.cloned().unwrap_or_default();
+        // fetch one extra so `done` distinguishes a full last page
+        // — plus one more on resumed pages, since the scan's low
+        // bound is inclusive and the resume key (if still present)
+        // burns a slot the filter below then discards
+        let fetch = limit + 1 + usize::from(resume.is_some());
+        let mut page: Vec<(Bytes, Bytes)> = self
+            .scan_merged(ctx, file, &low, None, fetch)
+            .into_iter()
+            .filter(|(k, _)| match resume {
+                Some(r) => k.as_ref() > r.as_ref(),
+                None => true,
+            })
+            .collect();
+        let done = page.len() <= limit;
+        page.truncate(limit);
+        ctx.count(counter!("disc.dump_pages"), 1);
+        ctx.count(counter!("disc.archive_read"), 1);
+        let records = page.len() as u32;
+        self.dump_flight(ctx, generation, FlightCause::DumpScan { records });
+        // each page costs one disc access
+        let reply = DiscReply::DumpPage {
+            entries: page,
+            done,
+        };
+        self.park_on_disc(ctx, 1, Parked::Reply { owed, reply });
+    }
+
+    /// End an online dump: see [`DiscRequest::DumpEnd`].
+    pub(super) fn dump_end(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, generation: u64) {
+        ctx.count(counter!("disc.dump_ends"), 1);
+        self.dump_flight(ctx, generation, FlightCause::DumpEnd { generation });
+        self.append_dump_marker(ctx, owed, generation, true, DiscReply::Ok);
+    }
+
+    /// Lowest trail sequence a recovery could still need: the first image
+    /// of the oldest transaction still holding locks, clamped to
+    /// `watermark + 1` when none has written.
+    fn purge_floor(&self, watermark: u64) -> u64 {
+        self.txns
+            .values()
+            .filter_map(|t| t.low_seq)
+            .min()
+            .unwrap_or(watermark + 1)
+            .min(watermark + 1)
+    }
+
+    /// Record an online dump's step on the flight recorder.
+    fn dump_flight(&self, ctx: &mut PairCtx<'_, '_>, generation: u64, cause: FlightCause) {
+        let dump = Transid::dump_marker(self.volume.node, generation);
+        ctx.flight(dump.flight_id(), cause);
+    }
+
+    /// Append a DumpBegin/DumpEnd marker to the volume's audit trail and
+    /// park the reply until the audit process acknowledges it. The
+    /// DumpEnd marker is *forced*, so its ack additionally means every
+    /// image buffered before it — anything the page copies may have
+    /// caught mid-flight — is durable on the trail before the dump is
+    /// registered complete. Unaudited volumes have no trail: reply
+    /// immediately.
+    fn append_dump_marker(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        owed: Owed,
+        generation: u64,
+        end: bool,
+        done: DiscReply,
+    ) {
+        if !self.cfg.audited {
+            self.finish_simple(ctx, owed, done);
+            return;
+        }
+        self.audit_seq += 1;
+        let marker = ImageRecord::dump_marker(self.audit_seq, self.volume.clone(), generation, end);
+        // replicate the sequence bump so a takeover never reuses it
+        self.checkpoint_applied(ctx, None, Effects::default());
+        let msg = AuditMsg::Append {
+            records: vec![marker],
+            force: end,
+        };
+        self.call_audit(ctx, msg, AuditThen::DumpMarker { owed, done });
+    }
+
+    fn build_archive(&self, ctx: &mut PairCtx<'_, '_>, generation: u64) -> ArchiveImage {
+        let mut files = self.with_media(ctx, |m| m.files.clone());
+        for (file, key, value) in self.overlay.iter() {
+            let org = self.org_of(file);
+            files
+                .entry(file.clone())
+                .or_insert_with(|| FileImage::new(org))
+                .apply(key, value.clone());
+        }
+        // the snapshot includes uncommitted overlay writes of transactions
+        // still holding locks; their images (from their first one on) must
+        // survive on the trail for recovery to undo losers
+        let purge_floor = self.purge_floor(self.audit_seq);
+        ArchiveImage {
+            volume: self.volume.clone(),
+            files,
+            audit_watermark: self.audit_seq,
+            purge_floor,
+            generation,
+        }
+    }
+}

@@ -1,0 +1,253 @@
+//! What a volume keeps of its settled transactions: the snapshot-undo
+//! ring that snapshot reads reconstruct old values from, and the
+//! settled-fence ring that refuses their straggler writes. Both are FIFO
+//! rings of bounded size, replicated to the backup whole.
+
+use crate::audit_api::ImageRecord;
+use crate::types::Transid;
+use bytes::Bytes;
+use encompass_sim::{push_bounded, Name};
+use std::collections::{BTreeSet, VecDeque};
+
+/// Settled-transaction fences retained to refuse straggler writes (a FIFO
+/// ring, `SettledFences`). Old enough fences are evicted — by then every
+/// retransmission of the transaction's requests has long since drained.
+pub const SETTLED_FENCE_CAPACITY: usize = 4096;
+
+/// One entry of the snapshot-undo ring: what a snapshot read needs of a
+/// committed writer's image, and no more (the rest of the
+/// [`ImageRecord`] is on the audit trail).
+#[derive(Clone)]
+struct UndoEntry {
+    /// The volume commit sequence of the writer's transaction.
+    commit_seq: u64,
+    file: Name,
+    key: Bytes,
+    before: Option<Bytes>,
+}
+
+/// Before-images of committed transactions in commit order, at most `cap`
+/// of them, and the volume commit sequence that orders them.
+/// Reconstructing a key as of fence F takes the `before` of the first
+/// entry with `commit_seq > F`, because per-key commit order equals
+/// append order (exclusive record locks serialize writers).
+#[derive(Clone)]
+pub(super) struct UndoRing {
+    cap: usize,
+    /// Volume commit sequence: bumped once per committed transaction with
+    /// images here, at the moment its locks release. A snapshot fence is
+    /// a value of this counter.
+    seq: u64,
+    /// Highest commit sequence evicted from the ring; fences below it are
+    /// too old to reconstruct.
+    evicted: u64,
+    entries: VecDeque<UndoEntry>,
+}
+
+impl UndoRing {
+    pub(super) fn new(cap: usize) -> UndoRing {
+        UndoRing {
+            cap,
+            seq: 0,
+            evicted: 0,
+            entries: VecDeque::new(),
+        }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The fence a snapshot read runs at — the one it carries, or else the
+    /// current commit sequence — unless that has aged out of the ring.
+    pub(super) fn fence(&self, carried: Option<u64>) -> Option<u64> {
+        let fence = carried.unwrap_or(self.seq);
+        (fence >= self.evicted).then_some(fence)
+    }
+
+    /// Move a committed transaction's before-images in under the next
+    /// commit sequence (defining "the volume state after this commit" for
+    /// snapshot readers), evicting the oldest entries past `cap`.
+    pub(super) fn commit(&mut self, images: Vec<ImageRecord>) {
+        self.seq += 1;
+        for img in images {
+            let entry = UndoEntry {
+                commit_seq: self.seq,
+                file: img.file,
+                key: img.key,
+                before: img.before,
+            };
+            if let Some(evicted) = push_bounded(&mut self.entries, self.cap, entry) {
+                self.evicted = self.evicted.max(evicted.commit_seq);
+            }
+        }
+    }
+
+    /// The `before` of the first entry for `(file, key)` whose writer
+    /// committed after `fence`: the key's value at the fence, if a
+    /// committed writer has changed it since. `commit_seq` never decreases
+    /// along the ring, so those entries are a suffix, found by binary
+    /// search.
+    pub(super) fn lookup(&self, file: &str, key: &[u8], fence: u64) -> Option<&Option<Bytes>> {
+        let start = self.entries.partition_point(|e| e.commit_seq <= fence);
+        (self.entries.range(start..))
+            .find(|e| e.file == file && e.key[..] == *key)
+            .map(|e| &e.before)
+    }
+}
+
+/// Fences of settled (released) transactions, retired FIFO once the ring
+/// holds [`SETTLED_FENCE_CAPACITY`]. Straggler data ops for a settled
+/// transaction are still refused while its fence is retained; by eviction
+/// time every retransmission of the transaction's requests has drained
+/// (its sessions got their replies thousands of transactions ago).
+/// Without the bound the set would grow with every transaction the volume
+/// ever saw — the unbounded-state leak the soak tier's oracle catches.
+#[derive(Default)]
+pub(super) struct SettledFences {
+    /// The fences in the order they settled.
+    ring: VecDeque<Transid>,
+    /// The same fences, for O(log n) membership tests.
+    set: BTreeSet<Transid>,
+}
+
+/// A copy (a backup's snapshot) builds its set from the ring: a set built
+/// in one pass packs its nodes, where copying the tree would copy the
+/// half-empty nodes that eviction leaves.
+impl Clone for SettledFences {
+    fn clone(&self) -> SettledFences {
+        let (ring, set) = (self.ring.clone(), self.ring.iter().copied().collect());
+        SettledFences { ring, set }
+    }
+}
+
+impl SettledFences {
+    pub(super) fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    pub(super) fn contains(&self, transid: &Transid) -> bool {
+        self.set.contains(transid)
+    }
+
+    /// Retain `transid`'s fence (once), evicting the oldest past capacity.
+    pub(super) fn settle(&mut self, transid: Transid) {
+        if !self.set.insert(transid) {
+            return;
+        }
+        if let Some(old) = push_bounded(&mut self.ring, SETTLED_FENCE_CAPACITY, transid) {
+            self.set.remove(&old);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::{FileOrganization, VolumeRef};
+    use encompass_sim::NodeId;
+    use proptest::prelude::*;
+
+    fn image(seq: u64, key: &str, before: u64) -> ImageRecord {
+        ImageRecord {
+            seq,
+            transid: Transid {
+                home_node: NodeId(0),
+                cpu: 0,
+                seq,
+            },
+            volume: VolumeRef::new(NodeId(0), "$DATA"),
+            file: Name::from_static("accounts"),
+            organization: FileOrganization::KeySequenced,
+            key: Bytes::from(key.to_string()),
+            before: Some(Bytes::from(before.to_string())),
+            after: Some(Bytes::from((before + 1).to_string())),
+        }
+    }
+
+    #[test]
+    fn a_full_undo_ring_evicts_without_growing_its_buffer() {
+        let mut ring = UndoRing::new(8);
+        let mut buffer_at_8 = 0;
+        for seq in 1..=20u64 {
+            ring.commit(vec![image(seq, "k", seq)]);
+            if seq == 8 {
+                buffer_at_8 = ring.entries.capacity();
+            }
+        }
+        assert_eq!(ring.len(), 8);
+        assert_eq!(ring.entries.capacity(), buffer_at_8);
+        assert_eq!(ring.evicted, 12, "commits 1..=12 were evicted");
+        assert_eq!(ring.entries.front().map(|e| e.commit_seq), Some(13));
+        assert_eq!(
+            (ring.fence(Some(11)), ring.fence(Some(12))),
+            (None, Some(12))
+        );
+        assert_eq!(ring.fence(None), Some(20));
+    }
+
+    #[test]
+    fn a_settled_fence_is_retained_once_and_evicted_oldest_first() {
+        let t = |seq| Transid {
+            home_node: NodeId(0),
+            cpu: 0,
+            seq,
+        };
+        let mut fences = SettledFences::default();
+        for seq in 0..=SETTLED_FENCE_CAPACITY as u64 {
+            fences.settle(t(seq));
+            fences.settle(t(seq));
+        }
+        assert_eq!(fences.len(), SETTLED_FENCE_CAPACITY);
+        assert!(!fences.contains(&t(0)) && fences.contains(&t(1)));
+        let in_order: Vec<Transid> = (1..=SETTLED_FENCE_CAPACITY as u64).map(t).collect();
+        assert!(fences.ring.iter().eq(&in_order));
+        assert!(fences.set.iter().eq(&in_order));
+    }
+
+    /// The lookup as the scan from the front of the ring it replaces.
+    fn full_scan<'a>(
+        ring: &'a UndoRing,
+        file: &str,
+        key: &[u8],
+        fence: u64,
+    ) -> Option<&'a Option<Bytes>> {
+        (ring.entries.iter())
+            .find(|e| e.commit_seq > fence && e.file == file && e.key[..] == *key)
+            .map(|e| &e.before)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn undo_lookup_matches_a_full_scan(
+            // (commit-sequence step, file, key, before) per image: a step
+            // of 0 puts the image in the previous image's commit
+            images in prop::collection::vec((0u64..3, 0u8..2, 0u8..6, 0u64..4), 0..80),
+            cap in 1usize..24,
+            reads in prop::collection::vec((0u64..60, 0u8..2, 0u8..6), 1..24),
+        ) {
+            let files = ["accounts", "history"];
+            let mut ring = UndoRing::new(cap);
+            let mut commit_seq = 0;
+            for (step, file, key, before) in images {
+                commit_seq += step;
+                let entry = UndoEntry {
+                    commit_seq,
+                    file: Name::from_static(files[file as usize]),
+                    key: Bytes::from(vec![key]),
+                    before: (before > 0).then(|| Bytes::from(vec![before as u8])),
+                };
+                push_bounded(&mut ring.entries, cap, entry);
+                prop_assert!(ring.entries.capacity() <= cap);
+            }
+            for (fence, file, key) in reads {
+                let file = files[file as usize];
+                prop_assert_eq!(
+                    ring.lookup(file, &[key], fence),
+                    full_scan(&ring, file, &[key], fence)
+                );
+            }
+        }
+    }
+}

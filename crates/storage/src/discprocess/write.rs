@@ -1,0 +1,212 @@
+//! The write pipeline: how an insert, update, delete or entry append
+//! checks its lock, becomes before/after images and alternate-key index
+//! writes, and completes — after its checkpoint, or in WAL mode after its
+//! force.
+
+use super::*;
+
+impl DiscProcess {
+    pub(super) fn write_path(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        mut owed: Owed,
+        file: Name,
+        op: DiscRequest,
+    ) {
+        let audited = self.def(&file).expect("validated").audited;
+        let transid = op.fenced_transid();
+        if audited && transid.is_none() {
+            self.finish_simple(ctx, owed, DiscReply::Err(DiscError::NeedTransid));
+            return;
+        }
+
+        let record = |key: &Bytes| LockScope::Record {
+            file: file.clone(),
+            key: key.clone(),
+        };
+        // an insert waits for its record's lock (TMF locks new records)
+        if let (DiscRequest::Insert { key, lock_wait, .. }, Some(t)) = (&op, transid) {
+            let lock = (t, record(key));
+            owed = match self.park_unless_locked(ctx, owed, &op, &lock, *lock_wait) {
+                Some(owed) => owed,
+                None => return,
+            };
+        }
+
+        // resolve the concrete write
+        #[allow(
+            clippy::wildcard_enum_match_arm,
+            reason = "non-write ops are rejected upstream in execute()"
+        )]
+        let resolved = match &op {
+            DiscRequest::Insert { key, value, .. } => match self.logical_read(ctx, &file, key) {
+                Some(_) => Err(DiscError::DuplicateKey),
+                None => {
+                    let lock = transid.map(|t| (t, record(key)));
+                    Ok((key.clone(), Some(value.clone()), lock, None, DiscReply::Ok))
+                }
+            },
+            DiscRequest::Update { key, value, .. } => (self.find_locked(ctx, transid, &file, key))
+                .map(|()| (key.clone(), Some(value.clone()), None, None, DiscReply::Ok)),
+            DiscRequest::Delete { key, .. } => (self.find_locked(ctx, transid, &file, key))
+                .map(|()| (key.clone(), None, None, None, DiscReply::Ok)),
+            DiscRequest::InsertEntry { value, .. } => {
+                let n = self.next_entry_number(ctx, &file);
+                let key = num_key(n);
+                let lock = transid.map(|t| {
+                    // a fresh entry number can never conflict
+                    let granted = self.locks.acquire(t, record(&key), 0);
+                    debug_assert_eq!(granted, Acquire::Granted);
+                    (t, record(&key))
+                });
+                let counter = Some((file.clone(), n + 1));
+                Ok((
+                    key,
+                    Some(value.clone()),
+                    lock,
+                    counter,
+                    DiscReply::EntryNumber(n),
+                ))
+            }
+            _ => unreachable!("write_path only receives write ops"),
+        };
+        let (key, after, lock_for_backup, entry_counter, ok_reply) = match resolved {
+            Ok(write) => write,
+            Err(e) => {
+                self.finish_simple(ctx, owed, DiscReply::Err(e));
+                return;
+            }
+        };
+
+        // assemble writes (record + alternate-key index maintenance)
+        let before = self.logical_read(ctx, &file, &key);
+        let def = self.def(&file).expect("validated");
+        let mut writes: WriteSet = Vec::new();
+        writes.push((file.clone(), def.organization, key.clone(), after.clone()));
+        for alt in &def.alternates {
+            let old_alt = before.as_ref().map(|b| alt.extract(b));
+            let new_alt = after.as_ref().map(|a| alt.extract(a));
+            if old_alt == new_alt {
+                continue;
+            }
+            // drop the old index entry, then add the new one
+            for (alt_key, value) in [(old_alt, None), (new_alt, Some(Bytes::new()))] {
+                if let Some(alt_key) = alt_key {
+                    let mut idx_key = alt_key.to_vec();
+                    idx_key.extend_from_slice(&key);
+                    let org = FileOrganization::KeySequenced;
+                    writes.push((alt.index_file.clone(), org, Bytes::from(idx_key), value));
+                }
+            }
+        }
+
+        // generate before/after images
+        let images: Vec<ImageRecord> = match transid.filter(|_| audited) {
+            Some(t) => (writes.iter())
+                .map(|(wfile, worg, wkey, wafter)| {
+                    self.audit_seq += 1;
+                    let wbefore = if wfile == &file {
+                        before.clone()
+                    } else {
+                        self.logical_read(ctx, wfile, wkey)
+                    };
+                    ImageRecord {
+                        seq: self.audit_seq,
+                        transid: t,
+                        volume: self.volume.clone(),
+                        file: wfile.clone(),
+                        organization: *worg,
+                        key: wkey.clone(),
+                        before: wbefore,
+                        after: wafter.clone(),
+                    }
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let txn = transid.map(|t| {
+            let txn = self.txns.entry(t).or_default();
+            txn.images += images.len() as u64;
+            // the transaction's lowest image sequence on this volume pins
+            // the ONLINEDUMP purge floor for as long as its locks are held
+            if let Some(first) = images.first() {
+                txn.low_seq.get_or_insert(first.seq);
+            }
+            TxnDelta {
+                transid: t,
+                images: txn.images,
+                low_seq: txn.low_seq,
+                retained: Vec::new(),
+            }
+        });
+        let mut fx = Effects {
+            writes,
+            lock: lock_for_backup,
+            entry_counter,
+            txn,
+        };
+        ctx.count(counter!("disc.images"), images.len() as u64);
+
+        let force_first = self.cfg.recovery_mode == RecoveryMode::WalForce
+            && !images.is_empty()
+            && self.cfg.audited;
+        if force_first {
+            // WAL baseline: the update waits for its force ack
+            let low_seq = images.first().map(|i| i.seq).unwrap_or(0);
+            let msg = AuditMsg::Append {
+                records: images,
+                force: true,
+            };
+            let plan = WalPlan {
+                owed,
+                reply: ok_reply,
+                fx,
+                low_seq,
+            };
+            self.call_audit(ctx, msg, AuditThen::Wal(plan));
+        } else {
+            // NonStop design: checkpoint ≡ WAL, audit append is lazy
+            if !images.is_empty() {
+                let txn = fx.txn.as_mut().expect("audited requires transid");
+                self.send_audit_append(ctx, txn.transid, images.clone());
+                txn.retained = images;
+            }
+            self.finish_applied(ctx, owed, ok_reply, fx);
+        }
+    }
+
+    /// An update or delete needs its transaction to hold the record's
+    /// lock or the file's, and the record to exist.
+    fn find_locked(
+        &self,
+        ctx: &mut PairCtx<'_, '_>,
+        transid: Option<Transid>,
+        file: &Name,
+        key: &Bytes,
+    ) -> Result<(), DiscError> {
+        if let Some(t) = transid {
+            let record = LockScope::Record {
+                file: file.clone(),
+                key: key.clone(),
+            };
+            let whole = LockScope::File { file: file.clone() };
+            if !self.locks.holds(t, &record) && !self.locks.holds(t, &whole) {
+                return Err(DiscError::LockRequired);
+            }
+        }
+        match self.logical_read(ctx, file, key) {
+            Some(_) => Ok(()),
+            None => Err(DiscError::NotFound),
+        }
+    }
+
+    fn next_entry_number(&mut self, ctx: &mut PairCtx<'_, '_>, file: &Name) -> u64 {
+        if let Some(n) = self.entry_counters.get(&**file) {
+            return *n;
+        }
+        let from_media =
+            self.with_media(ctx, |m| m.file(file).map(|f| f.next_entry()).unwrap_or(0));
+        self.entry_counters.insert(file.clone(), from_media);
+        from_media
+    }
+}

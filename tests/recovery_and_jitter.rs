@@ -15,7 +15,7 @@ use encompass_tmf::audit::rollforward::rollforward_volume;
 use encompass_tmf::audit::trail::{trail_key, TrailMedia};
 use encompass_tmf::encompass::app::{launch_bank_app, AppBuilder, BankAppParams};
 use encompass_tmf::encompass::workload::total_balance;
-use encompass_tmf::sim::{CpuId, Fault, NodeId, SimConfig, SimDuration};
+use encompass_tmf::sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, SimTime};
 use encompass_tmf::storage::discprocess::{DiscProcess, DiscStateReport};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
 use encompass_tmf::storage::types::{FileDef, VolumeRef};
@@ -292,12 +292,10 @@ fn bank_workload_correct_under_message_jitter() {
         ..BankAppParams::default()
     });
     let n = app.nodes[0];
+    app.world
+        .schedule_fault(SimTime::from_micros(333_333), Fault::KillCpu(n, CpuId(1)));
     app.world.schedule_fault(
-        encompass_tmf::sim::SimTime::from_micros(333_333),
-        Fault::KillCpu(n, CpuId(1)),
-    );
-    app.world.schedule_fault(
-        encompass_tmf::sim::SimTime::from_micros(777_777),
+        SimTime::from_micros(777_777),
         Fault::RestoreCpu(n, CpuId(1)),
     );
     app.world.run_for(SimDuration::from_secs(240));
@@ -346,58 +344,80 @@ fn reordered_broadcasts_leave_only_live_transids_in_the_tables() {
 /// arrived re-inserted the dropped transid for good. Once the terminals
 /// are done, every pair's backup reports the same state as its primary:
 /// the TMP, every DISCPROCESS and the AUDITPROCESS.
+///
+/// The second input kills the CPU holding `$BANK`'s backup at 1 s and
+/// restores it at 2 s. At this seed that CPU also holds the `$TMP`
+/// primary, so the run takes one takeover and respawns two backups, and
+/// the compared `$BANK` and `$TMP` backups were rebuilt from a snapshot.
 #[test]
 fn jittered_backups_end_in_their_primaries_state() {
-    let mut sim = SimConfig::with_seed(3);
-    sim.jitter = SimDuration::from_micros(50);
-    let mut app = launch_bank_app(BankAppParams {
-        accounts: 100,
-        terminals_per_node: 2,
-        transactions_per_terminal: 20,
-        readonly_terminals_per_node: 4,
-        readonly_transactions_per_terminal: Some(100),
-        think: SimDuration::from_micros(500),
-        sim,
-        ..BankAppParams::default()
-    });
-    app.world.run_for(SimDuration::from_secs(60));
-    assert_eq!(app.world.metrics().get("tcp.terminals_finished"), 6);
-    assert!(
-        app.world.metrics().get("pair.checkpoints") >= 1_000,
-        "enough checkpoints for jitter to reorder some"
-    );
-
-    fn same<A: guardian::PairApp, R: PartialEq + std::fmt::Debug>(
-        world: &encompass_tmf::sim::World,
-        pair: &guardian::PairHandle,
-        report: impl Fn(&A) -> R,
-    ) {
-        let primary = guardian::primary::<A>(world, pair.node, &pair.name).expect("a primary");
-        let backup = guardian::backup::<A>(world, pair).expect("a backup");
-        assert_eq!(
-            report(backup),
-            report(primary),
-            "{}'s backup against its primary",
-            pair.name
-        );
-    }
-    // a backup remembers only the answers its primary checkpointed, so
-    // the reply caches are not compared
-    let node = &app.tmf[0];
-    same(&app.world, &node.tmp, |tmp: &TmpProcess| TmpStateReport {
-        reply_cache: 0,
-        ..tmp.state_report()
-    });
-    same(&app.world, &node.audit, |audit: &AuditProcess| {
-        AuditStateReport {
-            reply_cache: 0,
-            ..audit.state_report()
-        }
-    });
-    for disc in &node.discs {
-        same(&app.world, disc, |disc: &DiscProcess| DiscStateReport {
-            reply_cache: 0,
-            ..disc.state_report()
+    for kill_bank_backup in [false, true] {
+        let mut sim = SimConfig::with_seed(3);
+        sim.jitter = SimDuration::from_micros(50);
+        let mut app = launch_bank_app(BankAppParams {
+            accounts: 100,
+            terminals_per_node: 2,
+            transactions_per_terminal: 20,
+            readonly_terminals_per_node: 4,
+            readonly_transactions_per_terminal: Some(100),
+            think: SimDuration::from_micros(500),
+            sim,
+            ..BankAppParams::default()
         });
+        if kill_bank_backup {
+            let bank = (app.tmf[0].discs.iter())
+                .find(|disc| disc.name == "$BANK")
+                .expect("a $BANK volume");
+            let (node, cpu) = (bank.node, bank.backup.cpu);
+            assert_eq!(app.tmf[0].tmp.primary.cpu, cpu, "$TMP's primary shares it");
+            let at = |s| SimTime::ZERO + SimDuration::from_secs(s);
+            app.world.schedule_fault(at(1), Fault::KillCpu(node, cpu));
+            app.world
+                .schedule_fault(at(2), Fault::RestoreCpu(node, cpu));
+        }
+        app.world.run_for(SimDuration::from_secs(60));
+        let m = app.world.metrics();
+        assert_eq!(m.get("tcp.terminals_finished"), 6);
+        assert!(
+            m.get("pair.checkpoints") >= 1_000,
+            "enough checkpoints for jitter to reorder some"
+        );
+        let faults = (m.get("pair.takeovers"), m.get("pair.backup_respawned"));
+        let expected = if kill_bank_backup { (1, 2) } else { (0, 0) };
+        assert_eq!(faults, expected, "(takeovers, respawned backups)");
+
+        fn same<A: guardian::PairApp, R: PartialEq + std::fmt::Debug>(
+            world: &encompass_tmf::sim::World,
+            pair: &guardian::PairHandle,
+            report: impl Fn(&A) -> R,
+        ) {
+            let primary = guardian::primary::<A>(world, pair.node, &pair.name).expect("a primary");
+            let backup = guardian::backup::<A>(world, pair).expect("a backup");
+            assert_eq!(
+                report(backup),
+                report(primary),
+                "{}'s backup against its primary",
+                pair.name
+            );
+        }
+        // a backup remembers only the answers its primary checkpointed, so
+        // the reply caches are not compared
+        let node = &app.tmf[0];
+        same(&app.world, &node.tmp, |tmp: &TmpProcess| TmpStateReport {
+            reply_cache: 0,
+            ..tmp.state_report()
+        });
+        same(&app.world, &node.audit, |audit: &AuditProcess| {
+            AuditStateReport {
+                reply_cache: 0,
+                ..audit.state_report()
+            }
+        });
+        for disc in &node.discs {
+            same(&app.world, disc, |disc: &DiscProcess| DiscStateReport {
+                reply_cache: 0,
+                ..disc.state_report()
+            });
+        }
     }
 }
