@@ -25,12 +25,12 @@
 use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, DetHashMap, DetHashSet, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload,
-    Pid, SimTime, World,
+    counter, CpuId, DetHashMap, DetHashSet, FlightCause, HistogramHandle, MediaId, Name, NodeId,
+    Payload, Pid, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::Transid;
-use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Served};
+use guardian::{Admitted, Asked, Checkpointed, Owed, PairApp, PairHandle, Served, ServedSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, AuditDelta>;
@@ -62,8 +62,6 @@ const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 /// A boxcar this full forces at once, without waiting out its window: the
 /// AUDITPROCESS counts force waiters, the TMP monitor-trail records.
 pub const GROUP_COMMIT_MAX: usize = 64;
-/// Replies remembered for retransmissions (see [`Served`]).
-pub const REPLY_CAPACITY: usize = 8192;
 
 /// Configuration for one AUDITPROCESS.
 #[derive(Clone, Debug)]
@@ -124,8 +122,11 @@ pub struct AuditStateReport {
     pub inflight_forces: usize,
     /// Fanned-out force requests awaiting partition acknowledgements.
     pub pending_forces: usize,
-    /// Remembered replies (bounded by [`REPLY_CAPACITY`]).
+    /// Remembered replies: the answers at or above their requesters'
+    /// floors (see [`Served`]).
     pub reply_cache: usize,
+    /// Remembered replies below their requester's floor: always 0.
+    pub replies_below_floor: usize,
     /// Requests admitted and not yet answered: each is a fanned-out force,
     /// so this equals `pending_forces`.
     pub pending_requests: usize,
@@ -134,10 +135,10 @@ pub struct AuditStateReport {
 /// Checkpoint deltas sent from the primary to the backup.
 pub enum AuditDelta {
     Append {
-        /// The append request this delta answers. Only the first of an
-        /// append's per-partition deltas carries it: a backup records each
-        /// reply once.
-        answers: Option<u64>,
+        /// The append request this delta answers, with its requester's
+        /// floor. Only the first of an append's per-partition deltas
+        /// carries it: a backup records each reply once.
+        answers: Option<Asked>,
         partition: usize,
         records: Vec<ImageRecord>,
     },
@@ -150,7 +151,7 @@ pub enum AuditDelta {
 pub struct AuditSnapshot {
     /// Per partition: (buffer, forced_count).
     partitions: Vec<(Vec<ImageRecord>, u64)>,
-    replies: Vec<(u64, AuditReply)>,
+    replies: ServedSnapshot<AuditReply>,
 }
 
 /// One trail partition's force machinery.
@@ -212,7 +213,7 @@ impl AuditProcess {
             parts: trails.iter().map(|_| Partition::new()).collect(),
             trails,
             pending: DetHashMap::default(),
-            replies: Served::new(REPLY_CAPACITY),
+            replies: Served::new(),
             seen: None,
             boxcar_hist: HistogramHandle::new("audit.boxcar_size", BOXCAR_BOUNDS),
         }
@@ -230,6 +231,7 @@ impl AuditProcess {
                 .count(),
             pending_forces: self.pending.len(),
             reply_cache: self.replies.answered(),
+            replies_below_floor: self.replies.below_floor(),
             pending_requests: self.replies.pending(),
         }
     }
@@ -481,7 +483,7 @@ impl PairApp for AuditProcess {
                     split.insert(0, Vec::new());
                 }
                 let mut per_txn: BTreeMap<Transid, u32> = BTreeMap::new();
-                let mut answers = Some(owed.id());
+                let mut answers = Some(owed.asked());
                 for (p, recs) in split {
                     ctx.checkpoint(AuditDelta::Append {
                         answers: answers.take(),
@@ -640,8 +642,8 @@ impl PairApp for AuditProcess {
             } => {
                 let p = partition.min(self.parts.len() - 1);
                 self.parts[p].buffer.extend(records);
-                if let Some(req_id) = answers {
-                    self.replies.record(req_id, AuditReply::Appended);
+                if let Some(asked) = answers {
+                    self.replies.record(asked, AuditReply::Appended);
                 }
             }
             AuditDelta::Forced { partition, count } => {
@@ -672,6 +674,10 @@ impl PairApp for AuditProcess {
             }
         }
         self.replies.restore(s.replies);
+    }
+
+    fn on_cpu_down(&mut self, node: NodeId, cpu: CpuId) {
+        self.replies.forget_cpu(node, cpu);
     }
 }
 

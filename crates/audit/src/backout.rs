@@ -10,7 +10,7 @@
 //! reconstructible, so they die with a failed primary and the requesting
 //! TMP retries against the new one (its Backout request is safe-delivery).
 
-use encompass_sim::{counter, DetHashMap, Name, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, CpuId, DetHashMap, Name, NodeId, Payload, Pid, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -71,7 +71,7 @@ impl Default for BackoutProcess {
             audit_rpc: Rpc::new(3),
             disc_rpc: Rpc::new(4),
             jobs: DetHashMap::default(),
-            replies: Served::new(4096),
+            replies: Served::new(),
         }
     }
 }
@@ -210,6 +210,10 @@ impl PairApp for BackoutProcess {
     fn snapshot(&self) {}
 
     fn restore(&mut self, _snapshot: (), _cp: &Checkpointed) {}
+
+    fn on_cpu_down(&mut self, node: NodeId, cpu: CpuId) {
+        self.replies.forget_cpu(node, cpu);
+    }
 }
 
 /// Spawn a BACKOUTPROCESS pair named [`BACKOUT_SERVICE`] on `node`.

@@ -29,7 +29,7 @@
 //! requester's safe-delivery retry restarts the dump from scratch. Duplicate begin/end
 //! markers from a restarted dump are harmless — recovery filters them.
 
-use encompass_sim::{counter, Name, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, CpuId, Name, NodeId, Payload, Pid, SimDuration, World};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, superseded_archive_keys, ArchiveImage, DumpRegistry, FileImage,
@@ -102,7 +102,7 @@ impl Default for DumpProcess {
     fn default() -> DumpProcess {
         DumpProcess {
             disc_rpc: Rpc::new(1),
-            replies: Served::new(4096),
+            replies: Served::new(),
         }
     }
 }
@@ -294,6 +294,10 @@ impl PairApp for DumpProcess {
     fn snapshot(&self) {}
 
     fn restore(&mut self, _snapshot: (), _cp: &Checkpointed) {}
+
+    fn on_cpu_down(&mut self, node: NodeId, cpu: CpuId) {
+        self.replies.forget_cpu(node, cpu);
+    }
 }
 
 /// Spawn a DUMPPROCESS pair named [`DUMP_SERVICE`] on `node`.

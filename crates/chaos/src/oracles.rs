@@ -12,15 +12,13 @@
 //! kernel's timer queue and off stable storage (dump registries, archive
 //! keys), then hand them here.
 
-use encompass_audit::auditprocess::{AuditStateReport, REPLY_CAPACITY as AUDIT_REPLIES};
+use encompass_audit::auditprocess::AuditStateReport;
 use encompass_audit::dump::ARCHIVE_RETAIN;
 use encompass_sim::Pid;
-use encompass_storage::discprocess::{
-    DiscStateReport, REPLY_CAPACITY as DISC_REPLIES, SETTLED_FENCE_CAPACITY,
-};
+use encompass_storage::discprocess::{DiscStateReport, SETTLED_FENCE_CAPACITY};
 use guardian::RPC_TAG_BASE;
 use std::collections::BTreeMap;
-use tmf::tmp::{TmpStateReport, REPLY_CAPACITY as TMP_REPLIES};
+use tmf::tmp::TmpStateReport;
 
 /// One process's state, tagged with whose it is and when it was read
 /// (soak epoch index; `usize::MAX` = the final post-heal read).
@@ -57,6 +55,13 @@ const COUNTED_WAITS: usize = 512;
 const TMP_TXNS: usize = 256;
 /// Records buffered at one AUDITPROCESS awaiting a force.
 const AUDIT_BUFFERED: usize = 4096;
+/// Remembered replies at one DISCPROCESS, TMP and AUDITPROCESS. A reply
+/// table keeps an answer only while its requester may still ask for it
+/// (`guardian::Served`) and has no capacity of its own; these are the
+/// fixed ring sizes it had before, so the check is no looser than it was.
+const DISC_REPLIES: usize = 8192;
+const TMP_REPLIES: usize = 16384;
+const AUDIT_REPLIES: usize = 8192;
 /// `archive:` keys retained per volume: [`ARCHIVE_RETAIN`] plus one
 /// in-flight generation.
 const ARCHIVE_KEYS: usize = ARCHIVE_RETAIN as usize + 1;
@@ -64,11 +69,12 @@ const ARCHIVE_KEYS: usize = ARCHIVE_RETAIN as usize + 1;
 /// Bounded-state oracle: everything a server keeps per transid or per
 /// request must stay within its cap at every observation point across the
 /// whole soak horizon — a monotonically growing structure is a leak even
-/// when the run is otherwise green. A reply table's cap is its own
-/// process's `REPLY_CAPACITY`, the settled-fence ring's the DISCPROCESS's
-/// `SETTLED_FENCE_CAPACITY`, and the snapshot-undo ring's `snapshot_undo`,
-/// the capacity the run configured. Returns one violation string per
-/// breach, naming the process, the field, the observed size, and the cap.
+/// when the run is otherwise green. The settled-fence ring's cap is the
+/// DISCPROCESS's `SETTLED_FENCE_CAPACITY`, and the snapshot-undo ring's
+/// `snapshot_undo`, the capacity the run configured. A reply table must
+/// also hold no answer below its requester's floor: one there could never
+/// be asked for again. Returns one violation string per breach, naming
+/// the process, the field, the observed size, and the cap.
 pub fn bounded_violations(obs: &[StateObservation], snapshot_undo: usize) -> Vec<String> {
     let mut v = Vec::new();
     for o in obs {
@@ -87,14 +93,17 @@ pub fn bounded_violations(obs: &[StateObservation], snapshot_undo: usize) -> Vec
                 breach("settled_fences", r.settled_fences, SETTLED_FENCE_CAPACITY);
                 breach("counted_waits", r.counted_waits, COUNTED_WAITS);
                 breach("reply_cache", r.reply_cache, DISC_REPLIES);
+                breach("replies_below_floor", r.replies_below_floor, 0);
             }
             StateKind::Tmp(r) => {
                 breach("txns", r.txns, TMP_TXNS);
                 breach("reply_cache", r.reply_cache, TMP_REPLIES);
+                breach("replies_below_floor", r.replies_below_floor, 0);
             }
             StateKind::Audit(r) => {
                 breach("buffered", r.buffered, AUDIT_BUFFERED);
                 breach("reply_cache", r.reply_cache, AUDIT_REPLIES);
+                breach("replies_below_floor", r.replies_below_floor, 0);
             }
             StateKind::ArchiveKeys { volume, count } => {
                 let field = format!("archive set for {volume} archive_keys");
@@ -524,6 +533,40 @@ mod tests {
         assert!(v[0].contains("snapshot_undo=65"), "{}", v[0]);
         assert!(v[0].contains("cap 64"), "{}", v[0]);
         assert!(v[0].contains("epoch 4"), "{}", v[0]);
+    }
+
+    #[test]
+    fn replies_past_their_ceiling_or_below_a_floor_fire() {
+        let obs = vec![
+            StateObservation {
+                process: "$TMP@\\N2".into(),
+                epoch: 5,
+                kind: StateKind::Tmp(TmpStateReport {
+                    reply_cache: TMP_REPLIES + 1,
+                    ..Default::default()
+                }),
+            },
+            StateObservation {
+                process: "$AUDIT@\\N0".into(),
+                epoch: 6,
+                kind: StateKind::Audit(AuditStateReport {
+                    replies_below_floor: 2,
+                    ..Default::default()
+                }),
+            },
+        ];
+        let v = bounded_violations(&obs, UNDO);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(
+            v[0].contains("$TMP@\\N2 reply_cache=16385 exceeds cap 16384"),
+            "{}",
+            v[0]
+        );
+        assert!(
+            v[1].contains("$AUDIT@\\N0 replies_below_floor=2 exceeds cap 0"),
+            "{}",
+            v[1]
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * **bounded state** — per-transid maps, snapshot-undo rings, reply
 //!   caches, and stable-storage archive sets stay within their caps at
 //!   every epoch boundary (a leak shows up as monotonic growth long
-//!   before it hurts a short run).
+//!   before it hurts a short run), and no reply cache holds an answer
+//!   below its requester's floor.
 
 use crate::oracles::{
     bounded_violations, liveness_violations, timer_violations, ClientStatus, LivenessObservation,

@@ -36,7 +36,7 @@ use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid, SimDuration,
+    counter, CpuId, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid, SimDuration,
     SimTime, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
@@ -44,8 +44,8 @@ use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{
-    Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, Target,
-    TimerOutcome, RPC_TAG_BASE,
+    Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, ServedSnapshot,
+    Target, TimerOutcome, RPC_TAG_BASE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -75,8 +75,6 @@ const SAFE_RETRY: SimDuration = SimDuration::from_millis(100);
 /// without progress are resolved against the home node's TMP
 /// (ROLLFORWARD's "negotiation with other nodes", done online).
 const INDOUBT_PROBE: SimDuration = SimDuration::from_millis(250);
-/// Replies remembered for retransmissions (see [`Served`]).
-pub const REPLY_CAPACITY: usize = 16384;
 
 /// Cumulative bucket bounds for the boxcar-size histogram.
 const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
@@ -158,8 +156,11 @@ pub struct TmpStateReport {
     /// its rpc clients (DISCPROCESS, TMP, BACKOUTPROCESS, AUDITPROCESS):
     /// every message of either class, whatever it is for.
     pub outstanding_rpcs: usize,
-    /// Remembered replies (bounded by [`REPLY_CAPACITY`]).
+    /// Remembered replies: the answers at or above their requesters'
+    /// floors (see [`Served`]).
     pub reply_cache: usize,
+    /// Remembered replies below their requester's floor: always 0.
+    pub replies_below_floor: usize,
     /// Requests admitted and not yet answered: the END, Abort, Phase1 and
     /// EnsureRemoteSend requests waiting on a transaction, so zero once
     /// every transaction has completed.
@@ -272,7 +273,7 @@ pub struct TmpDelta {
 pub struct TmpSnapshot {
     seq: u64,
     txns: Vec<TmpDelta>,
-    replies: Vec<(u64, TmpReply)>,
+    replies: ServedSnapshot<TmpReply>,
 }
 
 /// What an outstanding call to a DISCPROCESS is for.
@@ -364,7 +365,7 @@ impl TmpProcess {
             monitor,
             seq: 0,
             txns: BTreeMap::new(),
-            replies: Served::new(REPLY_CAPACITY),
+            replies: Served::new(),
             disc_rpc: Rpc::new(10),
             tmp_rpc: Rpc::new(11),
             backout_rpc: Rpc::new(12),
@@ -402,6 +403,7 @@ impl TmpProcess {
                 + self.backout_rpc.in_flight()
                 + self.audit_rpc.in_flight(),
             reply_cache: self.replies.answered(),
+            replies_below_floor: self.replies.below_floor(),
             pending_requests: self.replies.pending(),
         }
     }
@@ -1659,6 +1661,10 @@ impl PairApp for TmpProcess {
             self.apply_checkpoint(delta, cp);
         }
         self.replies.restore(s.replies);
+    }
+
+    fn on_cpu_down(&mut self, node: NodeId, cpu: CpuId) {
+        self.replies.forget_cpu(node, cpu);
     }
 }
 

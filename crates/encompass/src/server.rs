@@ -120,7 +120,7 @@ impl ServerProcess {
             dispatched_counter: CounterId::named(&format!("server.{class}.dispatched")),
             factory: Box::new(factory),
             session: TmfSession::new(catalog, 1),
-            served: Served::new(1),
+            served: Served::new(),
             active: None,
             queue: None,
         }
@@ -279,6 +279,7 @@ mod tests {
                     Payload::new(guardian::Request {
                         id: 1,
                         from: ctx.pid(),
+                        floor: 1,
                         body: ServerRequest {
                             transid: None,
                             options: tmf::session::SessionOptions::default(),

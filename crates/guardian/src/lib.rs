@@ -21,8 +21,10 @@
 //!   until deliverable). [`ask`] is the one-shot client every operator
 //!   command is: one persistent request, keep the reply, exit.
 //!   [`Served`] is the serving half: a retried request is answered from
-//!   memory instead of run twice, and a request admitted but not yet
-//!   answered is an [`Owed`] held by whatever record it parked in.
+//!   memory instead of run twice, an answer is kept while its requester
+//!   can still ask for it (the *floor* every request carries), and a
+//!   request admitted but not yet answered is an [`Owed`] held by
+//!   whatever record it parked in.
 //! * **An operator process** ([`operator`]): subscribes to hardware events
 //!   and tallies them, standing in for the paper's console-printing
 //!   operator pair.
@@ -34,6 +36,6 @@ pub mod rpc;
 pub use operator::OperatorProcess;
 pub use pair::{backup, primary, spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{
-    ask, space_of, Admitted, Completion, Owed, Request, Rpc, RpcReply, Served, Target,
-    TimerOutcome, ID_SPACES, RPC_TAG_BASE,
+    ask, space_of, Admitted, Asked, Completion, Owed, Request, Rpc, RpcReply, Served,
+    ServedSnapshot, Target, TimerOutcome, ID_SPACES, RPC_TAG_BASE,
 };

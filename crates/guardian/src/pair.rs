@@ -132,6 +132,11 @@ pub trait PairApp: 'static {
 
     /// Extra system events (link failures etc.), primary only.
     fn on_system(&mut self, _ctx: &mut PairCtx<'_, '_, Self::Delta>, _ev: SystemEvent) {}
+
+    /// `cpu` of this pair's node failed: in either role, and before the
+    /// takeover it may cause, forget what the processes that died with it
+    /// left here (a [`Served`](crate::Served)'s entries for them).
+    fn on_cpu_down(&mut self, _node: NodeId, _cpu: CpuId) {}
 }
 
 /// The context handed to [`PairApp`] handlers: everything [`Ctx`] offers,
@@ -347,6 +352,7 @@ impl<A: PairApp> Process for PairProcess<A> {
     fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
         match ev {
             SystemEvent::CpuDown(node, cpu) if node == ctx.node() => {
+                self.app.on_cpu_down(node, cpu);
                 match self.role {
                     Role::Backup if self.peer.map(|p| p.cpu) == Some(cpu) => {
                         // the primary died with its CPU: apply what it
@@ -513,7 +519,7 @@ pub fn backup<'w, A: PairApp>(world: &'w encompass_sim::World, pair: &PairHandle
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::{Admitted, Rpc, Served, Target, TimerOutcome};
+    use crate::rpc::{Admitted, Asked, Rpc, Served, Target, TimerOutcome};
     use encompass_sim::{Fault, SimConfig, SimDuration, World};
     use std::cell::RefCell;
     use std::rc::Rc as StdRc;
@@ -533,14 +539,14 @@ mod tests {
             Counter {
                 name: Name::new(name),
                 value: 0,
-                applied: Served::new(1024),
+                applied: Served::new(),
             }
         }
     }
 
     impl PairApp for Counter {
-        /// An applied request: `(request id, amount added)`.
-        type Delta = (u64, u64);
+        /// An applied request: `(who asked, amount added)`.
+        type Delta = (Asked, u64);
         type Snapshot = u64;
 
         fn service_name(&self) -> Name {
@@ -548,7 +554,7 @@ mod tests {
         }
         fn on_request(
             &mut self,
-            ctx: &mut PairCtx<'_, '_, (u64, u64)>,
+            ctx: &mut PairCtx<'_, '_, (Asked, u64)>,
             _src: Pid,
             payload: Payload,
         ) {
@@ -558,13 +564,13 @@ mod tests {
                 self.value += n;
                 // checkpoint the *applied request*, not the raw value, so a
                 // backup can dedup retries that arrive after takeover too
-                ctx.checkpoint((owed.id(), n));
+                ctx.checkpoint((owed.asked(), n));
                 self.applied.answer(ctx, owed, self.value);
             }
         }
-        fn apply_checkpoint(&mut self, (id, add): (u64, u64), _cp: &Checkpointed) {
+        fn apply_checkpoint(&mut self, (asked, add): (Asked, u64), _cp: &Checkpointed) {
             self.value += add;
-            self.applied.record(id, self.value);
+            self.applied.record(asked, self.value);
         }
         fn snapshot(&self) -> u64 {
             self.value

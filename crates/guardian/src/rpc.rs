@@ -17,13 +17,16 @@
 //!
 //! Retransmission implies at-least-once delivery; receivers that are not
 //! naturally idempotent answer through a [`Served`] table, which replays
-//! the remembered reply instead of running a request twice.
+//! the remembered reply instead of running a request twice. Every request
+//! carries its requester's *floor*, the lowest call it still has
+//! outstanding, so a server remembers an answer only while its requester
+//! can still ask for it again.
 
 use encompass_sim::{
-    push_bounded, Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId, World,
+    counter, CpuId, Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId,
+    World,
 };
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -40,8 +43,15 @@ pub enum Target {
 }
 
 impl Target {
-    /// Send request `id` here, resolving a name now: whether it went out.
-    fn send<M: Clone + Send + 'static>(&self, ctx: &mut Ctx<'_>, id: u64, body: &M) -> bool {
+    /// Send request `id` here with its requester's `floor`, resolving a
+    /// name now: whether it went out.
+    fn send<M: Clone + Send + 'static>(
+        &self,
+        ctx: &mut Ctx<'_>,
+        id: u64,
+        floor: u64,
+        body: &M,
+    ) -> bool {
         let dst = match self {
             Target::Pid(p) => Some(*p),
             Target::Named(node, name) => ctx.lookup_name(*node, name),
@@ -50,8 +60,16 @@ impl Target {
             return false;
         };
         let (from, body) = (ctx.pid(), body.clone());
-        ctx.send(dst, Payload::new(Request { id, from, body }))
-            .is_ok()
+        ctx.send(
+            dst,
+            Payload::new(Request {
+                id,
+                from,
+                floor,
+                body,
+            }),
+        )
+        .is_ok()
     }
 
     pub fn node(&self) -> NodeId {
@@ -67,6 +85,10 @@ impl Target {
 pub struct Request<M> {
     pub id: u64,
     pub from: Pid,
+    /// The lowest id its [`Rpc`] still had outstanding when this copy was
+    /// sent (at most `id`): every call of the requester below it has
+    /// ended, so a server may forget their answers.
+    pub floor: u64,
     pub body: M,
 }
 
@@ -133,6 +155,9 @@ pub struct Rpc<M, R, K = ()> {
     /// processes.
     salt: Option<u64>,
     counter: u64,
+    /// The call number of the lowest call still outstanding, `counter` if
+    /// none is: every request carries it ([`Request::floor`]).
+    floor: u64,
     pending: DetHashMap<u64, Pending<M, K>>,
     _r: std::marker::PhantomData<fn() -> R>,
 }
@@ -150,6 +175,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
             id_space,
             salt: None,
             counter: 0,
+            floor: 0,
             pending: DetHashMap::default(),
             _r: std::marker::PhantomData,
         }
@@ -185,7 +211,8 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         then: K,
     ) -> Result<u64, K> {
         let id = self.fresh_id(ctx);
-        if !target.send(ctx, id, &body) {
+        if !target.send(ctx, id, self.floor_id(), &body) {
+            self.ended(id);
             return Err(then);
         }
         let timer = ctx.set_timer(timeout, RPC_TAG_BASE + id);
@@ -215,7 +242,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         then: K,
     ) -> u64 {
         let id = self.fresh_id(ctx);
-        target.send(ctx, id, &body);
+        target.send(ctx, id, self.floor_id(), &body);
         let timer = ctx.set_timer(retry_interval, RPC_TAG_BASE + id);
         self.pending.insert(
             id,
@@ -250,6 +277,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         };
         let reply = payload.expect::<RpcReply<R>>();
         ctx.cancel_timer(p.timer);
+        self.ended(id);
         Ok(Completion {
             id: reply.id,
             body: reply.body,
@@ -263,11 +291,13 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
             return TimerOutcome::NotMine;
         }
         let id = tag - RPC_TAG_BASE;
+        let floor = self.floor_id();
         let Some(p) = self.pending.get_mut(&id) else {
             return TimerOutcome::NotMine;
         };
         if p.retries_left == 0 {
             let p = self.pending.remove(&id).expect("present above");
+            self.ended(id);
             return TimerOutcome::Expired {
                 id,
                 body: p.body,
@@ -277,7 +307,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         if p.retries_left != u32::MAX {
             p.retries_left -= 1;
         }
-        p.target.send(ctx, id, &p.body);
+        p.target.send(ctx, id, floor, &p.body);
         p.timer = ctx.set_timer(p.timeout, RPC_TAG_BASE + id);
         TimerOutcome::Resent
     }
@@ -287,12 +317,33 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
     pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: u64) -> Option<K> {
         let p = self.pending.remove(&id)?;
         ctx.cancel_timer(p.timer);
+        self.ended(id);
         Some(p.then)
     }
 
+    /// The floor as an id, as requests carry it.
+    fn floor_id(&self) -> u64 {
+        self.salt.unwrap_or(0) + self.floor
+    }
+
+    /// Call `id` is no longer outstanding. If it was the lowest, the floor
+    /// moves up to the next call still outstanding: each call number is
+    /// passed once, so this costs one `pending` probe per call.
+    fn ended(&mut self, id: u64) {
+        let salt = self.salt.unwrap_or(0);
+        if id != salt + self.floor {
+            return;
+        }
+        self.floor += 1;
+        while self.floor < self.counter && !self.pending.contains_key(&(salt + self.floor)) {
+            self.floor += 1;
+        }
+    }
+
     /// `(id_space << 56) | (pid << 24) | call number`. A server remembers
-    /// a request id to recognise its retransmissions, so an id must never
-    /// be issued twice — not by this `Rpc`, and not by the same id space of
+    /// a request id to recognise its retransmissions while the id is at or
+    /// above its requester's floor, and refuses it below, so an id must
+    /// never be issued twice — not by this `Rpc`, and not by the same id space of
     /// another process: the call number has [`CALL_BITS`] bits to itself,
     /// and running out of them is a panic, not a quiet walk into the next
     /// pid's ids (whose remembered replies a server would then replay to
@@ -395,12 +446,13 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
     }
 }
 
-/// A request a server admitted and has not answered yet: its id and the
-/// process its one reply goes to. Only [`Served::admit`] mints one and only
-/// [`Served::answer`], [`Served::answer_uncached`] and [`Served::forget`]
-/// consume it, so the record a request parks in holds its `Owed`, and the
-/// request is *in progress* exactly while that record exists (DESIGN.md
-/// §D20). It cannot be copied, built by hand, or answered twice:
+/// A request a server admitted and has not answered yet: who asked what
+/// (its [`Asked`]), and so where its one reply goes. Only
+/// [`Served::admit`] mints one and only [`Served::answer`],
+/// [`Served::answer_uncached`] and [`Served::forget`] consume it, so the
+/// record a request parks in holds its `Owed`, and the request is *in
+/// progress* exactly while that record exists (DESIGN.md §D20). It cannot
+/// be copied, built by hand, or answered twice:
 ///
 /// ```compile_fail
 /// fn both(owed: guardian::Owed) -> (guardian::Owed, guardian::Owed) {
@@ -409,8 +461,8 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
 /// }
 /// ```
 /// ```compile_fail
-/// fn forge(to: encompass_sim::Pid) -> guardian::Owed {
-///     guardian::Owed { id: 7, to }
+/// fn forge(asked: guardian::Asked) -> guardian::Owed {
+///     guardian::Owed { asked }
 /// }
 /// ```
 /// ```compile_fail
@@ -423,65 +475,150 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
 #[derive(Debug)]
 #[must_use = "an admitted request stays pending until its Owed is answered or forgotten"]
 pub struct Owed {
-    id: u64,
-    to: Pid,
+    asked: Asked,
 }
 
 impl Owed {
     /// The id of the request this answers.
     pub fn id(&self) -> u64 {
-        self.id
+        self.asked.id
     }
+
+    /// What a backup needs to remember this request's answer: the
+    /// argument of [`Served::record`], carried by the checkpoint that
+    /// records the answer.
+    pub fn asked(&self) -> Asked {
+        self.asked
+    }
+}
+
+/// Who asked what, as far as a reply memory cares: a request's id, the
+/// process it came from, and its requester's floor when that copy was
+/// sent ([`Request::floor`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Asked {
+    pub id: u64,
+    pub from: Pid,
+    pub floor: u64,
 }
 
 /// What [`Served::admit`] made of an incoming payload.
 pub enum Admitted<M> {
     /// Not a `Request<M>`: the payload, untouched.
     NotARequest(Payload),
-    /// Already answered; the remembered reply was sent again.
+    /// Nothing to do: the request was answered and the remembered reply
+    /// was sent again, or it is a stale copy below its requester's floor
+    /// (a call that has ended there), refused unanswered and counted as
+    /// `rpc.stale_refused`.
     Replayed,
     /// A retransmission of a request still pending. The record it parked
     /// in answers it, so most servers drop this, token and all; one that
     /// re-drives work on a retransmission handles it again (a second
     /// answer to an id re-sends the reply and keeps its place in memory).
     Duplicate(Owed, M),
-    /// Not seen before, or so long ago that its reply was evicted: now
-    /// pending.
+    /// Not seen before: now pending.
     Fresh(Owed, M),
 }
 
-/// The index's mark for an id admitted and not yet answered.
-const PENDING: u64 = u64::MAX;
-
 /// The serving side of request/reply: one per server. A request id is
 /// *pending* (admitted, not yet answered) or *answered* (the reply, kept
-/// to replay to retransmissions). At most `capacity` answers are kept, the
-/// oldest evicted first.
+/// to replay to retransmissions).
 ///
-/// The answers live in a ring, oldest first. Only a primary looks them up,
-/// so the id index is built from the ring by the first [`Served::admit`]
-/// or [`Served::forget`]: a pair's backup learns answers through
-/// [`Served::record`] and [`Served::restore`], which only append to the
-/// ring, and indexes that log at its first request after a takeover. A
+/// What is kept is bounded by what requesters can still ask, not by a
+/// capacity. A *requester* is one [`Rpc`] of one process (the id space
+/// and pid in an id's top bits), and each of its requests carries its
+/// floor: the lowest call it still has outstanding. For each requester a
+/// `Served` keeps the highest floor it has seen, the ids it holds
+/// pending, and its answers at or above that floor, in id order; a later
+/// request that raises the floor drops the answers below it. A copy of a
+/// request below the floor belongs to a call that has ended at its
+/// requester, so it is refused: neither run nor answered. Every answer a
+/// requester may still ask for stays, so no retransmission runs twice.
+/// A requester's entries go with the CPU it ran on ([`Served::forget_cpu`]).
+///
+/// A pair's backup learns answers through [`Served::record`], whose
+/// [`Asked`] carries the requester's floor, and [`Served::restore`]. A
 /// backup never holds a pending id, so a takeover has none to discard.
 pub struct Served<R> {
-    capacity: usize,
-    /// The remembered `(id, reply)` pairs, oldest first.
-    ring: VecDeque<(u64, R)>,
-    /// Answers ever pushed on the ring: the position of the next one.
-    pushed: u64,
-    /// id → [`PENDING`] or the position of its answer; `None` until the
-    /// first `admit` or `forget`.
-    index: Option<DetHashMap<u64, u64>>,
+    /// Requester (`id >> CALL_BITS`) → what is kept for it.
+    requesters: DetHashMap<u64, Requester<R>>,
+    /// Pending ids, over all requesters.
+    pending: usize,
+    /// Kept answers, over all requesters.
+    answered: usize,
+}
+
+/// What a [`Served`] keeps for one requester.
+struct Requester<R> {
+    /// The process, whose CPU takes these entries with it.
+    from: Pid,
+    /// The highest floor its requests carried, as an id of its own.
+    floor: u64,
+    /// Its pending ids (`None`), and its answers at or above `floor`, in
+    /// id order. A pending id below the floor stays until it is answered
+    /// or forgotten.
+    calls: VecDeque<(u64, Option<R>)>,
+}
+
+impl<R> Requester<R> {
+    fn new(from: Pid, floor: u64) -> Requester<R> {
+        Requester {
+            from,
+            floor,
+            calls: VecDeque::new(),
+        }
+    }
+
+    /// Raise the floor to `floor` if that is higher, dropping the answers
+    /// below it: how many were dropped.
+    fn advance(&mut self, floor: u64) -> usize {
+        if floor <= self.floor {
+            return 0;
+        }
+        self.floor = floor;
+        let before = self.calls.len();
+        if self.calls.front().is_some_and(|(id, _)| *id < floor) {
+            // a pending id the requester stopped waiting for holds its place
+            self.calls.retain(|(id, r)| *id >= floor || r.is_none());
+        }
+        before - self.calls.len()
+    }
+
+    /// Where `id` is in `calls`, or where it would go.
+    fn find(&self, id: u64) -> Result<usize, usize> {
+        self.calls.binary_search_by_key(&id, |(i, _)| *i)
+    }
+}
+
+/// What a [`Served`] hands a fresh backup ([`Served::entries`]): every
+/// requester's floor and the answers kept at or above it, in requester
+/// order, so that two `Served` holding the same compare equal.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServedSnapshot<R> {
+    /// `(requester, its floor)`.
+    floors: Vec<(Pid, u64)>,
+    /// `(id, reply)`, ids ascending.
+    answers: Vec<(u64, R)>,
+}
+
+impl<R> ServedSnapshot<R> {
+    /// Every requester known, and its floor, in requester order.
+    pub fn floors(&self) -> &[(Pid, u64)] {
+        &self.floors
+    }
+
+    /// The answers kept, ids ascending.
+    pub fn answers(&self) -> &[(u64, R)] {
+        &self.answers
+    }
 }
 
 impl<R: Clone + Send + 'static> Served<R> {
-    pub fn new(capacity: usize) -> Served<R> {
+    pub fn new() -> Served<R> {
         Served {
-            capacity: capacity.max(1),
-            ring: VecDeque::new(),
-            pushed: 0,
-            index: None,
+            requesters: DetHashMap::default(),
+            pending: 0,
+            answered: 0,
         }
     }
 
@@ -492,131 +629,192 @@ impl<R: Clone + Send + 'static> Served<R> {
             Err(other) => return Admitted::NotARequest(other),
         };
         let owed = Owed {
-            id: req.id,
-            to: req.from,
+            asked: Asked {
+                id: req.id,
+                from: req.from,
+                floor: req.floor,
+            },
         };
-        let at = match self.index().entry(req.id) {
-            Entry::Occupied(slot) => *slot.get(),
-            Entry::Vacant(slot) => {
-                slot.insert(PENDING);
-                return Admitted::Fresh(owed, req.body);
-            }
-        };
-        if at == PENDING {
-            return Admitted::Duplicate(owed, req.body);
+        let requester = self.raise(owed.asked);
+        if req.id < requester.floor {
+            ctx.count(counter!("rpc.stale_refused"), 1);
+            return Admitted::Replayed;
         }
-        let cached = self.ring[self.slot(at)].1.clone();
-        reply(ctx, owed.id, owed.to, cached);
-        Admitted::Replayed
+        match requester.find(req.id) {
+            Err(at) => {
+                requester.calls.insert(at, (req.id, None));
+                self.pending += 1;
+                Admitted::Fresh(owed, req.body)
+            }
+            Ok(at) => match &requester.calls[at].1 {
+                None => Admitted::Duplicate(owed, req.body),
+                Some(cached) => {
+                    reply(ctx, req.id, req.from, cached.clone());
+                    Admitted::Replayed
+                }
+            },
+        }
     }
 
     /// Remember `body` as the answer and send it. A second answer to an id
-    /// still remembered replaces the first and keeps its place.
+    /// still remembered replaces the first and keeps its place; an answer
+    /// below its requester's floor is sent and not kept.
     pub fn answer(&mut self, ctx: &mut Ctx<'_>, owed: Owed, body: R) {
-        let next = self.pushed;
-        let at = *self
-            .index()
-            .entry(owed.id)
-            .and_modify(|at| {
-                if *at == PENDING {
-                    *at = next;
+        let Asked { id, from, .. } = owed.asked;
+        if let Some((requester, at)) = self.slot(id) {
+            match &mut requester.calls[at].1 {
+                Some(kept) => *kept = body.clone(),
+                slot @ None if id >= requester.floor => {
+                    *slot = Some(body.clone());
+                    self.answered += 1;
+                    self.pending -= 1;
                 }
-            })
-            .or_insert(next);
-        if at == next {
-            self.push(owed.id, body.clone());
-        } else {
-            let slot = self.slot(at);
-            self.ring[slot].1 = body.clone();
+                None => {
+                    requester.calls.remove(at);
+                    self.pending -= 1;
+                }
+            }
         }
-        reply(ctx, owed.id, owed.to, body);
+        reply(ctx, id, from, body);
     }
 
     /// Send `body` without remembering it: for idempotent queries, which a
     /// retransmission simply runs again.
     pub fn answer_uncached(&mut self, ctx: &mut Ctx<'_>, owed: Owed, body: R) {
-        reply(ctx, owed.id, owed.to, body);
+        reply(ctx, owed.asked.id, owed.asked.from, body);
         self.forget(owed);
     }
 
     /// Drop a request unanswered, on purpose: a retransmission is admitted
     /// afresh.
     pub fn forget(&mut self, owed: Owed) {
-        if let Entry::Occupied(slot) = self.index().entry(owed.id) {
-            if *slot.get() == PENDING {
-                slot.remove();
+        if let Some((requester, at)) = self.slot(owed.asked.id) {
+            if requester.calls[at].1.is_none() {
+                requester.calls.remove(at);
+                self.pending -= 1;
             }
         }
     }
 
-    /// Remember that `id` was answered with `body` (a backup applying its
-    /// primary's checkpoint). `record` takes only an id's *first* answer:
-    /// an unindexed `Served` (a backup's) appends it without a lookup, so
-    /// a second one is caught when the log is indexed, as it is at once
-    /// when already indexed: either panics, naming the id.
-    pub fn record(&mut self, id: u64, body: R) {
-        if let Some(index) = &mut self.index {
-            let first = index.insert(id, self.pushed).is_none_or(|at| at == PENDING);
-            assert!(first, "{}", recorded_twice(id));
+    /// Remember that a request was answered with `body` (a backup applying
+    /// its primary's checkpoint), raising its requester's floor to the one
+    /// `asked` carries. `record` takes only an id's *first* answer: a
+    /// second panics, naming the id.
+    pub fn record(&mut self, asked: Asked, body: R) {
+        let requester = self.raise(asked);
+        if asked.id < requester.floor {
+            return;
         }
-        self.push(id, body);
+        match requester.find(asked.id) {
+            Err(at) => requester.calls.insert(at, (asked.id, Some(body))),
+            Ok(at) => {
+                let slot = &mut requester.calls[at].1;
+                assert!(slot.is_none(), "{}", recorded_twice(asked.id));
+                *slot = Some(body);
+                self.pending -= 1;
+            }
+        }
+        self.answered += 1;
+    }
+
+    /// Drop everything kept for the requesters that ran on `cpu` of
+    /// `node`, which failed: they can ask nothing again.
+    pub fn forget_cpu(&mut self, node: NodeId, cpu: CpuId) {
+        let (mut pending, mut answered) = (0, 0);
+        self.requesters.retain(|_, r| {
+            let gone = r.from.node == node && r.from.cpu == cpu;
+            if gone {
+                let held = r.calls.iter().filter(|(_, a)| a.is_none()).count();
+                pending += held;
+                answered += r.calls.len() - held;
+            }
+            !gone
+        });
+        self.pending -= pending;
+        self.answered -= answered;
     }
 
     /// Requests admitted and not yet answered.
     pub fn pending(&self) -> usize {
-        self.index
-            .as_ref()
-            .map_or(0, |index| index.len() - self.ring.len())
+        self.pending
     }
 
-    /// Remembered replies (at most the capacity).
+    /// Remembered replies.
     pub fn answered(&self) -> usize {
-        self.ring.len()
+        self.answered
     }
 
-    /// The remembered `(id, reply)` pairs, oldest first (for a pair's
+    /// Remembered replies below their requester's floor: 0, or the floor
+    /// rule is broken (the bounded-state oracle reads it).
+    pub fn below_floor(&self) -> usize {
+        (self.requesters.values())
+            .map(|r| {
+                (r.calls.iter())
+                    .filter(|(id, a)| a.is_some() && *id < r.floor)
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Every requester's floor and the answers kept (for a pair's
     /// snapshot).
-    pub fn entries(&self) -> Vec<(u64, R)> {
-        self.ring.iter().cloned().collect()
+    pub fn entries(&self) -> ServedSnapshot<R> {
+        let mut keys: Vec<u64> = self.requesters.keys().copied().collect();
+        keys.sort_unstable();
+        let mut snapshot = ServedSnapshot {
+            floors: Vec::with_capacity(keys.len()),
+            answers: Vec::with_capacity(self.answered),
+        };
+        for key in keys {
+            let r = &self.requesters[&key];
+            snapshot.floors.push((r.from, r.floor));
+            let kept = r.calls.iter().filter_map(|(id, a)| Some((*id, a.clone()?)));
+            snapshot.answers.extend(kept);
+        }
+        snapshot
     }
 
-    /// Replace everything held with `entries` (the inverse of
-    /// [`Self::entries`]), unindexed.
-    pub fn restore(&mut self, entries: Vec<(u64, R)>) {
-        self.ring.clear();
-        self.index = None;
-        for (id, r) in entries {
-            self.push(id, r);
+    /// Replace everything held with `snapshot` (the inverse of
+    /// [`Self::entries`]).
+    pub fn restore(&mut self, snapshot: ServedSnapshot<R>) {
+        *self = Served::new();
+        for (from, floor) in snapshot.floors {
+            let requester = Requester::new(from, floor);
+            self.requesters.insert(floor >> CALL_BITS, requester);
+        }
+        for (id, body) in snapshot.answers {
+            let requester = (self.requesters.get_mut(&(id >> CALL_BITS)))
+                .expect("a snapshot's answers belong to its requesters");
+            requester.calls.push_back((id, Some(body)));
+            self.answered += 1;
         }
     }
 
-    /// Append an answer, evicting the oldest first when the ring is full
-    /// (so a full ring never grows). If there is an index, the caller has
-    /// pointed `id` at the position this push takes.
-    fn push(&mut self, id: u64, body: R) {
-        let evicted = push_bounded(&mut self.ring, self.capacity, (id, body));
-        if let (Some((old, _)), Some(index)) = (evicted, &mut self.index) {
-            index.remove(&old);
-        }
-        self.pushed += 1;
+    /// The requester of `asked`, its floor raised to the one `asked`
+    /// carries (dropping the answers below it).
+    fn raise(&mut self, asked: Asked) -> &mut Requester<R> {
+        let key = asked.id >> CALL_BITS;
+        // a hand-built request's floor may be 0: hold it to the
+        // requester's own ids, at or below the one it rides with
+        let floor = asked.floor.clamp(key << CALL_BITS, asked.id);
+        let requester =
+            (self.requesters.entry(key)).or_insert_with(|| Requester::new(asked.from, floor));
+        self.answered -= requester.advance(floor);
+        requester
     }
 
-    /// Where in the ring the answer pushed at position `at` sits.
-    fn slot(&self, at: u64) -> usize {
-        (at + self.ring.len() as u64 - self.pushed) as usize
+    /// The requester of `id` and the place of `id` among its calls, if
+    /// `id` is held.
+    fn slot(&mut self, id: u64) -> Option<(&mut Requester<R>, usize)> {
+        let requester = self.requesters.get_mut(&(id >> CALL_BITS))?;
+        let at = requester.find(id).ok()?;
+        Some((requester, at))
     }
+}
 
-    /// The id index, built from the ring on first use.
-    fn index(&mut self) -> &mut DetHashMap<u64, u64> {
-        let (ring, first) = (&self.ring, self.pushed - self.ring.len() as u64);
-        self.index.get_or_insert_with(|| {
-            let mut index = DetHashMap::default();
-            index.reserve(ring.len());
-            for ((id, _), at) in ring.iter().zip(first..) {
-                assert!(index.insert(*id, at).is_none(), "{}", recorded_twice(*id));
-            }
-            index
-        })
+impl<R: Clone + Send + 'static> Default for Served<R> {
+    fn default() -> Served<R> {
+        Served::new()
     }
 }
 
@@ -1020,51 +1218,135 @@ mod tests {
         w.run_until_quiescent();
     }
 
-    fn ping(ctx: &Ctx<'_>, id: u64) -> Payload {
+    /// A request from this process with call number `n` of id space 0
+    /// and floor call number `floor`.
+    fn ping(ctx: &Ctx<'_>, n: u64, floor: u64) -> Payload {
+        let base = (ctx.pid().index as u64) << CALL_BITS;
         Payload::new(Request {
-            id,
+            id: base + n,
             from: ctx.pid(),
+            floor: base + floor,
             body: Ping(0),
         })
     }
 
-    /// A backup's writes (`record`, `restore`) and the reads a snapshot or
-    /// state report makes leave its answers an unindexed log; the first
-    /// request indexes it.
-    #[test]
-    fn only_a_request_builds_the_index() {
-        in_handler(|ctx| {
-            let mut served: Served<u32> = Served::new(4);
-            for id in 0..6 {
-                served.record(id, id as u32 * 10);
-            }
-            let log = served.entries();
-            served.restore(log.clone());
-            served.record(6, 60);
-            assert_eq!((served.answered(), served.pending()), (4, 0));
-            assert_eq!(served.entries(), [(3, 30), (4, 40), (5, 50), (6, 60)]);
-            assert!(served.index.is_none(), "a backup's log is not indexed");
+    fn asked(ctx: &Ctx<'_>, n: u64, floor: u64) -> Asked {
+        let base = (ctx.pid().index as u64) << CALL_BITS;
+        Asked {
+            id: base + n,
+            from: ctx.pid(),
+            floor: base + floor,
+        }
+    }
 
-            let replayed = served.admit::<Ping>(ctx, ping(ctx, 5));
-            assert!(matches!(replayed, Admitted::Replayed));
-            assert!(served.index.is_some(), "a request indexes it");
+    /// The floor is the lowest call still outstanding, whichever way the
+    /// calls end, and passes a call that ended out of order.
+    #[test]
+    fn the_floor_is_the_lowest_outstanding_call() {
+        in_handler(|ctx| {
+            let mut rpc: Rpc<Ping, Pong> = Rpc::new(3);
+            let target = Target::Pid(ctx.pid());
+            let one_second = SimDuration::from_secs(1);
+            let ids: Vec<u64> = (0..4)
+                .map(|_| rpc.call_persistent(ctx, target.clone(), Ping(0), one_second, ()))
+                .collect();
+            assert_eq!(rpc.floor_id(), ids[0]);
+            rpc.cancel(ctx, ids[1]);
+            assert_eq!(rpc.floor_id(), ids[0], "a call above the floor ended");
+            rpc.cancel(ctx, ids[0]);
+            assert_eq!(rpc.floor_id(), ids[2], "the floor passes the ended call");
+            rpc.cancel(ctx, ids[3]);
+            rpc.cancel(ctx, ids[2]);
+            assert_eq!(rpc.floor_id(), ids[3] + 1, "none outstanding");
+            let next = rpc.call_persistent(ctx, target, Ping(0), one_second, ());
+            assert_eq!(rpc.floor_id(), next);
+        });
+    }
+
+    /// A request that raises its requester's floor drops the answers below
+    /// it; a copy of an id below the floor is refused, unanswered.
+    #[test]
+    fn a_raised_floor_drops_the_answers_below_it_and_refuses_their_ids() {
+        in_handler(|ctx| {
+            let mut served: Served<u32> = Served::new();
+            for n in 0..4 {
+                served.record(asked(ctx, n, 0), n as u32 * 10);
+            }
+            assert_eq!((served.answered(), served.pending()), (4, 0));
             assert!(matches!(
-                served.admit::<Ping>(ctx, ping(ctx, 2)),
-                Admitted::Fresh(..)
+                served.admit::<Ping>(ctx, ping(ctx, 2, 0)),
+                Admitted::Replayed
             ));
-            assert_eq!((served.answered(), served.pending()), (4, 1));
+            let Admitted::Fresh(owed, _) = served.admit::<Ping>(ctx, ping(ctx, 6, 2)) else {
+                panic!("a new id is fresh");
+            };
+            assert_eq!((served.answered(), served.pending()), (2, 1));
+            assert!(matches!(
+                served.admit::<Ping>(ctx, ping(ctx, 1, 0)),
+                Admitted::Replayed
+            ));
+            assert_eq!(served.answered(), 2, "a refused id is not run");
+            served.answer(ctx, owed, 60);
+            assert_eq!(served.answered(), 3);
+            assert_eq!(served.below_floor(), 0);
+        });
+    }
+
+    /// A pending id its requester stopped waiting for keeps its place, and
+    /// its answer is sent, not kept.
+    #[test]
+    fn a_pending_id_below_the_floor_is_answered_and_not_kept() {
+        in_handler(|ctx| {
+            let mut served: Served<u32> = Served::new();
+            let Admitted::Fresh(parked, _) = served.admit::<Ping>(ctx, ping(ctx, 0, 0)) else {
+                panic!("fresh");
+            };
+            let Admitted::Fresh(owed, _) = served.admit::<Ping>(ctx, ping(ctx, 1, 0)) else {
+                panic!("fresh");
+            };
+            served.answer(ctx, owed, 10);
+            let Admitted::Fresh(owed, _) = served.admit::<Ping>(ctx, ping(ctx, 2, 2)) else {
+                panic!("fresh");
+            };
+            assert_eq!((served.answered(), served.pending()), (0, 2));
+            served.answer(ctx, parked, 0);
+            served.answer(ctx, owed, 20);
+            assert_eq!((served.answered(), served.pending()), (1, 0));
+            assert_eq!(served.below_floor(), 0);
+        });
+    }
+
+    /// A snapshot carries every requester's floor, so the restored copy
+    /// refuses what the original refuses.
+    #[test]
+    fn a_restored_copy_keeps_the_floors() {
+        in_handler(|ctx| {
+            let mut served: Served<u32> = Served::new();
+            served.record(asked(ctx, 4, 4), 40);
+            let Admitted::Fresh(owed, _) = served.admit::<Ping>(ctx, ping(ctx, 5, 5)) else {
+                panic!("fresh");
+            };
+            served.forget(owed);
+            let mut copy: Served<u32> = Served::new();
+            copy.restore(served.entries());
+            assert_eq!(copy.entries(), served.entries());
+            assert_eq!((copy.answered(), copy.pending()), (0, 0));
+            assert!(matches!(
+                copy.admit::<Ping>(ctx, ping(ctx, 4, 4)),
+                Admitted::Replayed
+            ));
+            assert_eq!(copy.pending(), 0, "refused below the restored floor");
         });
     }
 
     #[test]
-    #[should_panic(expected = "request 7 was recorded twice")]
-    fn indexing_a_log_that_holds_an_id_twice_names_the_id() {
+    #[should_panic(expected = "was recorded twice")]
+    fn recording_an_id_twice_names_the_id() {
         in_handler(|ctx| {
-            let mut served: Served<u32> = Served::new(4);
-            served.record(7, 1);
-            served.record(8, 2);
-            served.record(7, 3);
-            let _ = served.admit::<Ping>(ctx, ping(ctx, 9));
+            let mut served: Served<u32> = Served::new();
+            served.record(asked(ctx, 7, 0), 1);
+            served.record(asked(ctx, 8, 0), 2);
+            served.record(asked(ctx, 7, 0), 3);
         });
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! Serving side: admitting a request and answering it in the same event
 //! costs the reply message and nothing else — the `Served` table keeps no
-//! per-request record besides its own entry. A backup learning an answer
-//! from a checkpoint costs nothing once its log is full: it evicts the
-//! oldest answer before appending and indexes nothing.
+//! per-request record besides its own entry, and a requester whose floor
+//! advances reuses the room its dropped answers left. A backup learning an
+//! answer from a checkpoint costs nothing once it is warm, for the same
+//! reason.
 //!
 //! Underneath both (`encompass-sim`): a counter bump, a histogram
 //! observation and a fetch of a stable-storage medium by id are indexes —
@@ -22,9 +23,10 @@ mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_sim::{
-    counter, Ctx, HistogramHandle, MediaId, Payload, Pid, Process, SimConfig, SimDuration, World,
+    counter, CpuId, Ctx, HistogramHandle, MediaId, NodeId, Payload, Pid, Process, SimConfig,
+    SimDuration, World,
 };
-use guardian::{Admitted, Request, Rpc, RpcReply, Served, Target};
+use guardian::{Admitted, Asked, Request, Rpc, RpcReply, Served, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -174,20 +176,21 @@ fn admitting_and_answering_a_request_allocates_only_the_reply() {
     let n = w.add_node(2);
     let client = w.spawn(n, 0, Box::new(Sink));
     let costs = Rc::new(RefCell::new(Vec::new()));
-    // a small table, so the warm-up below fills it and every later
-    // request evicts one reply: table and ring stay the size they are
     let server = w.spawn(
         n,
         1,
         Box::new(Server {
-            served: Served::new(8),
+            served: Served::new(),
             costs: costs.clone(),
         }),
     );
+    // the requester keeps three calls outstanding, so each request raises
+    // its floor by one and drops one answer: the table stays the size it is
     for id in 0..64u64 {
         let request = Request {
             id,
             from: client,
+            floor: id.saturating_sub(2),
             body: 7u32,
         };
         w.send_external(server, Payload::new(request));
@@ -203,18 +206,29 @@ fn admitting_and_answering_a_request_allocates_only_the_reply() {
 }
 
 #[test]
-fn a_backup_record_into_a_full_ring_allocates_nothing() {
-    let mut served: Served<u32> = Served::new(8);
+fn a_warm_backup_record_allocates_nothing() {
+    let mut served: Served<u32> = Served::new();
+    let from = Pid {
+        node: NodeId(0),
+        cpu: CpuId(1),
+        index: 9,
+    };
+    // eight answers in the requester's window: each checkpoint raises its
+    // floor by one
+    let asked = |id: u64| Asked {
+        id,
+        from,
+        floor: id.saturating_sub(7),
+    };
     for id in 0..8 {
-        served.record(id, 0);
+        served.record(asked(id), 0);
     }
-    // from the first record past the capacity on
     let costs: Vec<u64> = (8..64u64)
-        .map(|id| allocations_in(|| served.record(id, id as u32)).0)
+        .map(|id| allocations_in(|| served.record(asked(id), id as u32)).0)
         .collect();
     assert!(
         costs.iter().all(|&c| c == 0),
-        "a full log neither grows nor hashes: {costs:?}"
+        "a warm requester neither grows nor rehashes: {costs:?}"
     );
     assert_eq!(served.answered(), 8);
 }

@@ -232,6 +232,7 @@ fn request_retransmitted_while_parked_on_a_lock_is_answered_once() {
         let request = Request {
             id: 77,
             from: collector,
+            floor: 77,
             body: DiscRequest::ReadLock {
                 file: "accounts".into(),
                 key: b("k"),
@@ -604,6 +605,7 @@ fn write_answered_before_takeover_is_replayed_not_rerun() {
         Payload::new(Request {
             id: 91,
             from: client,
+            floor: 91,
             body: DiscRequest::InsertEntry {
                 file: "history".into(),
                 value: b("once"),
