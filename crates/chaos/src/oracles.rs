@@ -1,6 +1,7 @@
 //! The oracle families that read process state: **liveness** and
 //! **bounded state** (the soak's), **suspense drain** (the sharded
-//! bank's) and the **timer census** (every run's).
+//! bank's), the **timer census** (every run's) and **exactly-once** (the
+//! bank cluster's: its TCPs against its history file).
 //!
 //! Each is a pure function over observation structs so that unit tests
 //! can feed synthetic stuck schedules (a transaction that never
@@ -12,9 +13,10 @@
 //! kernel's timer queue and off stable storage (dump registries, archive
 //! keys), then hand them here.
 
+use encompass::workload::DebitTag;
 use encompass_audit::auditprocess::AuditStateReport;
 use encompass_audit::dump::ARCHIVE_RETAIN;
-use encompass_sim::Pid;
+use encompass_sim::{NodeId, Pid};
 use encompass_storage::discprocess::{DiscStateReport, SETTLED_FENCE_CAPACITY};
 use guardian::RPC_TAG_BASE;
 use std::collections::BTreeMap;
@@ -358,10 +360,56 @@ pub fn timer_violations(census: &TimerCensus) -> Vec<String> {
     v
 }
 
+/// One read-write terminal's count of committed logical transactions,
+/// read off its TCP's primary.
+#[derive(Clone, Copy, Debug)]
+pub struct TerminalCommits {
+    pub node: NodeId,
+    pub terminal: u8,
+    pub committed: u64,
+}
+
+/// Exactly-once oracle: a terminal's logical transaction commits once,
+/// whatever fails under it. Each committed debit wrote one history record
+/// tagged with its [`DebitTag`], so a tag appears at most once in `tags`
+/// (the history file's), and each read-write terminal of `terminals` has
+/// as many records as its TCP counts commits. A takeover that re-runs a
+/// committed transaction breaks both. Returns one violation per breach,
+/// naming the node, the terminal and, for a repeat, `n`.
+pub fn exactly_once_violations(tags: &[DebitTag], terminals: &[TerminalCommits]) -> Vec<String> {
+    let mut times: BTreeMap<DebitTag, u64> = BTreeMap::new();
+    for &tag in tags {
+        *times.entry(tag).or_default() += 1;
+    }
+    let mut records: BTreeMap<(NodeId, u8), u64> = BTreeMap::new();
+    let mut v = Vec::new();
+    for (tag, &k) in &times {
+        *records.entry((tag.node, tag.terminal)).or_default() += k;
+        if k > 1 {
+            v.push(format!(
+                "exactly-once: terminal {} of {} committed its logical transaction {} \
+                 {k} times",
+                tag.terminal, tag.node, tag.n
+            ));
+        }
+    }
+    for t in terminals {
+        let held = records.get(&(t.node, t.terminal)).copied().unwrap_or(0);
+        if held != t.committed {
+            v.push(format!(
+                "exactly-once: terminal {} of {} counts {} commits, but the history \
+                 file holds {held} of its debits",
+                t.terminal, t.node, t.committed
+            ));
+        }
+    }
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encompass_sim::{CpuId, NodeId};
+    use encompass_sim::CpuId;
 
     /// The soak's snapshot-undo capacity.
     const UNDO: usize = 64;
@@ -718,5 +766,49 @@ mod tests {
         assert!(v[0].contains("3 rpc timers"), "{}", v[0]);
         assert!(v[0].contains("1 outstanding rpcs"), "{}", v[0]);
         assert!(v[0].contains(&RPC_TAG_BASE.to_string()), "{}", v[0]);
+    }
+
+    fn tag(terminal: u8, n: u64) -> DebitTag {
+        DebitTag {
+            node: NodeId(1),
+            terminal,
+            n,
+        }
+    }
+
+    fn commits(terminal: u8, committed: u64) -> TerminalCommits {
+        TerminalCommits {
+            node: NodeId(1),
+            terminal,
+            committed,
+        }
+    }
+
+    #[test]
+    fn one_record_per_commit_is_exactly_once() {
+        let tags = [tag(0, 0), tag(0, 1), tag(1, 0)];
+        assert!(exactly_once_violations(&tags, &[commits(0, 2), commits(1, 1)]).is_empty());
+        // a read-only terminal commits and writes nothing: not listed
+        assert!(exactly_once_violations(&[], &[commits(0, 0)]).is_empty());
+    }
+
+    #[test]
+    fn a_committed_transaction_run_again_names_terminal_and_n() {
+        // the takeover re-ran terminal 3's second transaction: its record
+        // is there twice, and the TCP counted the commit once
+        let tags = [tag(3, 0), tag(3, 1), tag(3, 1)];
+        let v = exactly_once_violations(&tags, &[commits(3, 2)]);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].contains("terminal 3 of \\N1"), "{}", v[0]);
+        assert!(v[0].contains("transaction 1 2 times"), "{}", v[0]);
+        assert!(v[1].contains("counts 2 commits"), "{}", v[1]);
+        assert!(v[1].contains("holds 3 of its debits"), "{}", v[1]);
+    }
+
+    #[test]
+    fn a_commit_with_no_record_is_reported() {
+        let v = exactly_once_violations(&[tag(0, 0)], &[commits(0, 2)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("holds 1 of its debits"), "{}", v[0]);
     }
 }

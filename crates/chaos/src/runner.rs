@@ -27,6 +27,9 @@
 //!   `initial_total - sum(history amounts) == final_total`, which only
 //!   holds if backout undid the history appends of every aborted
 //!   transaction and phase 2 landed every committed one;
+//! * **exactly-once** — each terminal's logical transaction commits once:
+//!   no two history records carry the same debit tag, and each
+//!   read-write terminal has as many records as its TCP counts commits;
 //! * **no leaks** — after quiesce + heal, every TMP transaction table is
 //!   empty and every lock manager holds nothing and queues nobody;
 //! * **durability / convergence** — ROLLFORWARD from the generation-0
@@ -34,13 +37,14 @@
 //!   live volumes, i.e. every committed transaction survives recovery
 //!   from total node failure and nothing uncommitted does.
 
-use crate::oracles::{timer_violations, TimerCensus};
+use crate::oracles::{exactly_once_violations, timer_violations, TerminalCommits, TimerCensus};
 use crate::schedule::{
     BankShape, ChaosAction, FaultPlan, Schedule, ScheduledDump, Timeline, Workload, CPUS_PER_NODE,
 };
 use bytes::Bytes;
-use encompass::app::{launch_bank_app, AppHandles, BankAppParams};
-use encompass::workload::total_balance;
+use encompass::app::{launch_bank_app, tcp_name, AppHandles, BankAppParams};
+use encompass::tcp::TerminalControlProcess;
+use encompass::workload::{total_balance, DebitTag};
 use encompass_audit::auditprocess::{AuditProcess, AuditStateReport};
 use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
@@ -318,7 +322,8 @@ fn run_sweep(
     let mut implicated: Vec<Transid> = Vec::new();
     let violations = &mut report.violations;
     check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
-    check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    let tags = check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    check_exactly_once(&app.world, &app.nodes, shape, &tags, violations);
     check_tmp_tables(&seen, violations, &mut implicated);
     check_locks(&seen, violations);
     violations.extend(timer_violations(&seen.timers));
@@ -726,28 +731,31 @@ fn outcome(committed: bool) -> &'static str {
 }
 
 /// Oracle: money is conserved. Every committed debit appended exactly one
-/// history record (`account:amount`), and backout removed the records of
-/// every aborted transaction, so the history file's sum must equal the
-/// total drained from the account balances.
+/// history record (`account:tag:amount`), and backout removed the records
+/// of every aborted transaction, so the history file's sum must equal the
+/// total drained from the account balances. Returns the records' debit
+/// tags, for [`check_exactly_once`].
 pub(crate) fn check_conservation(
     world: &mut World,
     catalog: &encompass_storage::Catalog,
     nodes: &[NodeId],
     violations: &mut Vec<String>,
-) {
+) -> Vec<DebitTag> {
     let initial_total = ACCOUNTS as i64 * 1000;
     let final_total = total_balance(world, catalog, "accounts");
     let mut history_sum: i64 = 0;
-    let mut history_records = 0usize;
+    let mut tags = Vec::new();
     if let Some(media) = world
         .stable()
         .get::<VolumeMedia>(&media_key(nodes[0], "$BANK"))
     {
         if let Some(img) = media.file("history") {
             for (_, v) in img.scan(&[], None, usize::MAX) {
-                history_records += 1;
-                match parse_history_amount(&v) {
-                    Some(a) => history_sum += a,
+                match parse_history(&v) {
+                    Some((tag, a)) => {
+                        tags.push(tag);
+                        history_sum += a;
+                    }
                     None => violations.push(format!(
                         "conservation: unparseable history record {:?}",
                         String::from_utf8_lossy(&v)
@@ -758,16 +766,49 @@ pub(crate) fn check_conservation(
     }
     if initial_total - history_sum != final_total {
         violations.push(format!(
-            "conservation: initial {initial_total} - {history_records} debits summing \
+            "conservation: initial {initial_total} - {} debits summing \
              {history_sum} != final {final_total} (off by {})",
+            tags.len(),
             initial_total - history_sum - final_total
         ));
     }
+    tags
 }
 
-fn parse_history_amount(v: &Bytes) -> Option<i64> {
-    let s = std::str::from_utf8(v).ok()?;
-    s.rsplit(':').next()?.parse().ok()
+/// A history record's debit tag and amount: `account:tag:amount`.
+fn parse_history(v: &Bytes) -> Option<(DebitTag, i64)> {
+    let mut fields = std::str::from_utf8(v).ok()?.rsplitn(3, ':');
+    let amount = fields.next()?.parse().ok()?;
+    let tag = DebitTag::decode(fields.next()?.as_bytes())?;
+    Some((tag, amount))
+}
+
+/// Oracle: every read-write terminal's logical transactions committed
+/// once each — [`exactly_once_violations`] over the history file's `tags`
+/// and the commit counts of each node's TCP primary.
+pub(crate) fn check_exactly_once(
+    world: &World,
+    nodes: &[NodeId],
+    shape: &BankShape,
+    tags: &[DebitTag],
+    violations: &mut Vec<String>,
+) {
+    let mut terminals = Vec::new();
+    for &node in nodes {
+        let name = tcp_name(node);
+        let Some(tcp) = guardian::primary::<TerminalControlProcess>(world, node, &name) else {
+            violations.push(format!("exactly-once: {name} on {node} has no primary"));
+            continue;
+        };
+        // the read-write terminals come first
+        let writers = tcp.committed().take(shape.terminals_per_node);
+        terminals.extend(writers.enumerate().map(|(t, committed)| TerminalCommits {
+            node,
+            terminal: t as u8,
+            committed,
+        }));
+    }
+    violations.extend(exactly_once_violations(tags, &terminals));
 }
 
 /// Oracle: ROLLFORWARD from the latest completed dump plus the surviving

@@ -28,6 +28,7 @@
 //! * every destructive action is paired with a heal, and a final
 //!   heal-everything barrier precedes the quiesce phase.
 
+use encompass::app::tcp_name;
 use encompass_sim::{CpuId, Fault, LinkId, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -540,7 +541,7 @@ fn timeline(seed: u64, nodes: usize) -> Timeline {
 /// time in five.
 fn service(rng: &mut StdRng, node: NodeId) -> String {
     if rng.random_bool(0.2) {
-        format!("$TCP{}", node.0)
+        tcp_name(node).to_string()
     } else {
         SERVICES[rng.random_range(0..SERVICES.len())].to_string()
     }

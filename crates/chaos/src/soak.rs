@@ -30,9 +30,9 @@ use crate::oracles::{
 };
 use crate::runner::{
     apply, bank_terminals, build_tmf, check_atomicity, check_conservation, check_convergence,
-    flush_audit_buffers, heal_everything, launch_bank, live_cpu, observe, request_dumps,
-    rollforward_from_registry, run_out, tmf_builder, Observation, RunReport, TierStats, TmpRead,
-    ACCOUNTS, SAFE_DELIVERY_TAIL,
+    check_exactly_once, flush_audit_buffers, heal_everything, launch_bank, live_cpu, observe,
+    request_dumps, rollforward_from_registry, run_out, tmf_builder, Observation, RunReport,
+    TierStats, TmpRead, ACCOUNTS, SAFE_DELIVERY_TAIL,
 };
 use crate::schedule::{BankShape, ChaosAction, Schedule, SoakPlan};
 use bytes::Bytes;
@@ -307,7 +307,8 @@ pub(crate) fn run(
     let mut implicated: Vec<Transid> = Vec::new();
     let violations = &mut report.violations;
     check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
-    check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    let tags = check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    check_exactly_once(&app.world, &app.nodes, shape, &tags, violations);
 
     // The final read feeds the liveness oracle here (not the sweep's leak
     // oracles): a soak finding names the process alongside its boxcars

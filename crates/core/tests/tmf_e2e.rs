@@ -976,6 +976,59 @@ fn nonhome_unilateral_abort_answers_aborted() {
     );
 }
 
+/// What a TMP answers an abort of a transid it has already forgotten:
+/// the question a taken-over TCP asks for each transaction its primary
+/// had open. A read-write commit wrote its record on the Monitor Audit
+/// Trail, which nothing purges, so the answer is `Committed`. A read-only
+/// END wrote no record, so the answer is the presumed `Aborted`.
+#[test]
+fn abort_of_a_forgotten_transid_is_answered_from_the_monitor_trail() {
+    let (mut w, n, catalog) = single_node();
+    let (log, read_write) = drive_capturing(
+        &mut w,
+        n,
+        0,
+        catalog.clone(),
+        vec![Step::Begin, insert("accounts", "alice", "1"), Step::End],
+    );
+    let read_only = Rc::new(RefCell::new(None));
+    let mut reader = TxnScript::with_options(
+        catalog,
+        SessionOptions::new().read_only(),
+        vec![Step::Begin, read("accounts", "alice"), Step::End],
+        log.clone(),
+    );
+    reader.transid_out = Some(read_only.clone());
+    w.spawn(n, 1, Box::new(reader));
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(
+        log.borrow().iter().filter(|e| *e == "committed").count(),
+        2,
+        "{:?}",
+        log.borrow()
+    );
+    let forgotten = [read_write, read_only].map(|t| t.borrow().expect("captured at Began"));
+    let tmp = guardian::primary::<TmpProcess>(&w, n, "$TMP").expect("a live $TMP primary");
+    assert!(
+        forgotten.iter().all(|t| !tmp.open_transids().contains(t)),
+        "both transids have left the table"
+    );
+    let answers = forgotten.map(|transid| {
+        ask_tmp(
+            &mut w,
+            n,
+            2,
+            TmpMsg::Abort {
+                transid,
+                reason: AbortReason::CpuFailure,
+            },
+        )
+    });
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(*answers[0].borrow(), Some(TmpReply::Committed));
+    assert_eq!(*answers[1].borrow(), Some(TmpReply::Aborted));
+}
+
 /// A late or retried `RegisterVolume` for a transid that already finished
 /// used to `or_insert` a phantom Active entry that never terminated — an
 /// entry leak with a wrong disposition. The Monitor Audit Trail is now

@@ -163,6 +163,11 @@ impl Default for BankAppParams {
     }
 }
 
+/// The service name of `node`'s TCP in the bank applications.
+pub fn tcp_name(node: NodeId) -> Name {
+    Name::from(format!("$TCP{}", node.0))
+}
+
 /// Build the complete bank application: catalog (accounts + history),
 /// TMF, one `bank` server class per node, one TCP per node running
 /// [`BankProgram`] terminals, and preloaded accounts.
@@ -264,7 +269,7 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             0,
             1,
             TcpConfig {
-                name: Name::from(format!("$TCP{}", node.0)),
+                name: tcp_name(node),
                 ..TcpConfig::default()
             },
             catalog,
@@ -274,6 +279,8 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
                         Box::new(BankProgram::new(
                             wl.clone(),
                             seed ^ (node_idx << 16) ^ t as u64,
+                            node,
+                            t as u8,
                         )) as Box<dyn ScreenProgram>
                     })
                     .collect();
@@ -289,6 +296,8 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
                     Box::new(BankProgram::new(
                         ro.clone(),
                         seed ^ (node_idx << 16) ^ t as u64,
+                        node,
+                        t as u8,
                     )) as Box<dyn ScreenProgram>
                 }));
                 programs
@@ -485,7 +494,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             0,
             1,
             TcpConfig {
-                name: Name::from(format!("$TCP{}", node.0)),
+                name: tcp_name(node),
                 ..TcpConfig::default()
             },
             app.catalog.clone(),

@@ -89,11 +89,13 @@ pub trait ScreenProgram: 'static {
     /// (called on RESTART-TRANSACTION and on automatic restart).
     fn restart(&mut self);
 
+    /// Resume after the `committed`-th END-TRANSACTION that committed.
     /// After a TCP takeover the backup's program instances are fresh; the
-    /// TCP hands them the checkpointed number of already-committed
-    /// transactions so completed work is not re-entered. Default: no-op
-    /// (programs that do not loop need nothing).
-    fn set_progress(&mut self, _committed: u64) {}
+    /// TCP hands them the checkpointed number of committed transactions,
+    /// and again once more when the takeover learns that the transaction
+    /// the primary had open committed, so completed work is never
+    /// re-entered. Every program that commits needs it, looping or not.
+    fn set_progress(&mut self, committed: u64);
 }
 
 /// A fixed linear script (useful for tests): actions are taken in order;
@@ -129,6 +131,18 @@ impl ScreenProgram for ScriptProgram {
 
     fn restart(&mut self) {
         self.next = self.begin_at;
+    }
+
+    fn set_progress(&mut self, committed: u64) {
+        // the step after the script's `committed`-th END
+        self.next = match committed.checked_sub(1) {
+            None => 0,
+            Some(k) => (self.steps.iter().enumerate())
+                .filter(|(_, s)| matches!(s, ScreenAction::End))
+                .nth(k as usize)
+                .map_or(self.steps.len(), |(i, _)| i + 1),
+        };
+        self.begin_at = self.next;
     }
 }
 
@@ -166,5 +180,31 @@ mod tests {
             matches!(p.next(ScreenInput::Go), ScreenAction::Begin { .. }),
             "restart resumes at BEGIN, not at the think step"
         );
+    }
+
+    #[test]
+    fn set_progress_resumes_after_the_nth_end() {
+        let script = || {
+            ScriptProgram::new(vec![
+                ScreenAction::begin(),
+                ScreenAction::End,
+                ScreenAction::Think(SimDuration::from_millis(1)),
+                ScreenAction::begin(),
+                ScreenAction::End,
+            ])
+        };
+        let mut p = script();
+        p.set_progress(0);
+        assert!(matches!(
+            p.next(ScreenInput::Go),
+            ScreenAction::Begin { .. }
+        ));
+        let mut p = script();
+        p.set_progress(1);
+        p.restart();
+        assert!(matches!(p.next(ScreenInput::Go), ScreenAction::Think(_)));
+        let mut p = script();
+        p.set_progress(2);
+        assert!(matches!(p.next(ScreenInput::Go), ScreenAction::Finished));
     }
 }

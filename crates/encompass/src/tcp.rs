@@ -20,6 +20,15 @@
 //!
 //! A server-processor failure surfaces as a SEND timeout and takes the
 //! restart path, matching the paper's list of automatic abort causes.
+//!
+//! A TCP failure is one more such cause, with a twist: the primary may
+//! have died after the TMP committed the transaction but before it heard
+//! so. The backup's terminal sessions hold the transids the primary
+//! checkpointed open, and on takeover each of those sessions asks its TMP
+//! to abort its transid. The answer decides, through the same session
+//! events as any END: `Committed` moves the program past the transaction,
+//! `Aborted` restarts it at BEGIN-TRANSACTION. So a terminal's logical
+//! transaction commits once, whoever was primary when it did.
 
 use crate::appmon::server_class_service;
 use crate::messages::{AppReply, ServerRequest};
@@ -32,9 +41,9 @@ use guardian::{
     RPC_TAG_BASE,
 };
 use std::collections::BTreeMap;
-use tmf::session::{SessionEvent, TmfSession};
+use tmf::session::{SessionEvent, SessionOptions, TmfSession};
 use tmf::state::AbortReason;
-use tmf::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
+use tmf::tmp::TmpReply;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TermDelta>;
 
@@ -65,13 +74,15 @@ impl Default for TcpConfig {
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum TermState {
     Idle,
-    AwaitBegin,
+    /// A BEGIN, END or restart's abort is out at the session; its event
+    /// says what comes next.
+    Waiting,
     AwaitSend,
-    AwaitEnd,
-    /// Abort issued; on completion the program restarts at BEGIN.
-    AwaitAbortRestart,
     /// Abort issued voluntarily; on completion the program sees Aborted.
     AwaitAbortFinal,
+    /// Taken over with a transid open: the abort's answer says whether the
+    /// program resumes past the transaction or restarts it.
+    Held,
     Thinking,
     Finished,
 }
@@ -95,8 +106,6 @@ struct Terminal {
 enum Route {
     /// No `Rpc` of this TCP issues ids in the space.
     Unused,
-    /// The TCP's own TMP calls (the aborts a takeover sends).
-    Tmp,
     /// Terminal `idx`'s TMF session (its TMP and DISCPROCESS calls).
     Session(u8),
     /// Terminal `idx`'s SENDs to server classes.
@@ -113,7 +122,7 @@ fn reply_id(payload: &Payload) -> Option<u64> {
 
 /// Checkpoint delta: per-terminal transaction metadata (the "data
 /// extracted from input screens" equivalent — enough for the backup to
-/// abort and restart cleanly).
+/// resolve the open transaction and resume the program).
 pub struct TermDelta {
     idx: usize,
     committed: u64,
@@ -127,9 +136,6 @@ pub struct TermDelta {
 pub struct TerminalControlProcess {
     cfg: TcpConfig,
     terminals: Vec<Terminal>,
-    /// Mirrored per-terminal metadata on the backup.
-    mirror_open: Vec<Option<Transid>>,
-    tmp_rpc: Rpc<TmpMsg, TmpReply>,
     /// Id space → the `Rpc` using it, built once at construction.
     routes: [Route; ID_SPACES],
     /// Server class → the service name of its queue, named on the first
@@ -161,7 +167,6 @@ impl TerminalControlProcess {
                 aborted: 0,
             })
             .collect::<Vec<_>>();
-        let tmp_rpc = Rpc::new(30);
         let mut routes = [Route::Unused; ID_SPACES];
         let mut claim = |space: u64, route: Route| {
             let slot = &mut routes[space as usize];
@@ -171,19 +176,15 @@ impl TerminalControlProcess {
             );
             *slot = route;
         };
-        claim(tmp_rpc.id_space(), Route::Tmp);
         for (i, t) in terminals.iter().enumerate() {
             for space in t.session.id_spaces() {
                 claim(space, Route::Session(i as u8));
             }
             claim(t.server_rpc.id_space(), Route::Server(i as u8));
         }
-        let n = terminals.len();
         TerminalControlProcess {
             cfg,
             terminals,
-            mirror_open: vec![None; n],
-            tmp_rpc,
             routes,
             class_services: BTreeMap::new(),
         }
@@ -194,16 +195,30 @@ impl TerminalControlProcess {
         self.routes[space_of(id) as usize]
     }
 
-    fn checkpoint_terminal(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
+    /// Terminal `idx`'s delta, read off its live state.
+    fn delta(&self, idx: usize) -> TermDelta {
         let t = &self.terminals[idx];
-        ctx.checkpoint(TermDelta {
+        TermDelta {
             idx,
             committed: t.committed,
             aborted: t.aborted,
             restart_count: t.restart_count,
             finished: t.state == TermState::Finished,
             open: t.session.transid(),
-        });
+        }
+    }
+
+    fn checkpoint_terminal(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
+        ctx.checkpoint(self.delta(idx));
+    }
+
+    /// Rewind terminal `idx`'s program to its BEGIN-TRANSACTION point and
+    /// start it again after a pause.
+    fn resume(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
+        let t = &mut self.terminals[idx];
+        t.program.restart();
+        t.state = TermState::Thinking;
+        ctx.set_timer(BACKOFF, idx as u64);
     }
 
     /// Feed `input` to terminal `idx`'s program and carry out its action.
@@ -223,7 +238,7 @@ impl TerminalControlProcess {
                     self.restart_transaction(ctx, idx);
                     return;
                 }
-                t.state = TermState::AwaitBegin;
+                t.state = TermState::Waiting;
                 t.session.begin(ctx, options);
             }
             ScreenAction::Send {
@@ -251,7 +266,7 @@ impl TerminalControlProcess {
                     self.drive(ctx, idx, ScreenInput::Aborted);
                     return;
                 }
-                t.state = TermState::AwaitEnd;
+                t.state = TermState::Waiting;
                 t.session.end(ctx);
             }
             ScreenAction::Abort => {
@@ -318,7 +333,7 @@ impl TerminalControlProcess {
     fn restart_transaction(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
         let t = &mut self.terminals[idx];
         if t.session.transid().is_some() {
-            t.state = TermState::AwaitAbortRestart;
+            t.state = TermState::Waiting;
             if !t.session.busy() {
                 t.session.abort(ctx, AbortReason::Restart);
             }
@@ -344,9 +359,7 @@ impl TerminalControlProcess {
             self.drive(ctx, idx, ScreenInput::Aborted);
             return;
         }
-        t.program.restart();
-        t.state = TermState::Thinking;
-        ctx.set_timer(BACKOFF, idx as u64);
+        self.resume(ctx, idx);
         self.checkpoint_terminal(ctx, idx);
     }
 
@@ -373,7 +386,15 @@ impl TerminalControlProcess {
                 t.restart_count = 0;
                 ctx.count(counter!("tcp.commits"), 1);
                 self.checkpoint_terminal(ctx, idx);
-                self.drive(ctx, idx, ScreenInput::Committed);
+                let t = &mut self.terminals[idx];
+                if t.state == TermState::Held {
+                    // the primary died inside END, after the commit: the
+                    // fresh program resumes past the transaction
+                    t.program.set_progress(t.committed);
+                    self.resume(ctx, idx);
+                } else {
+                    self.drive(ctx, idx, ScreenInput::Committed);
+                }
             }
             SessionEvent::Aborted => {
                 if self.terminals[idx].state == TermState::AwaitAbortFinal {
@@ -384,8 +405,8 @@ impl TerminalControlProcess {
                     self.checkpoint_terminal(ctx, idx);
                     self.drive(ctx, idx, ScreenInput::Aborted);
                 } else {
-                    // END answered "aborted" (system abort) or an abort we
-                    // requested for restart completed
+                    // END answered "aborted" (system abort), or an abort
+                    // requested for a restart or by a takeover completed
                     self.after_abort_restart(ctx, idx);
                 }
             }
@@ -412,12 +433,11 @@ impl TerminalControlProcess {
         }
     }
 
-    /// Per-terminal totals (committed, aborted) — read by experiments via
-    /// the world's metrics instead; kept for doc completeness.
-    pub fn totals(&self) -> (u64, u64) {
-        self.terminals
-            .iter()
-            .fold((0, 0), |(c, a), t| (c + t.committed, a + t.aborted))
+    /// Each terminal's count of committed logical transactions, in
+    /// terminal order: what the exactly-once oracle holds the history
+    /// file's records to.
+    pub fn committed(&self) -> impl Iterator<Item = u64> + '_ {
+        self.terminals.iter().map(|t| t.committed)
     }
 }
 
@@ -467,10 +487,6 @@ impl PairApp for TerminalControlProcess {
                     }
                 }
             }
-            Route::Tmp => {
-                // a takeover's abort is answered: the call ends
-                let _ = self.tmp_rpc.accept(ctx, payload);
-            }
             Route::Unused => {}
         }
     }
@@ -501,81 +517,53 @@ impl PairApp for TerminalControlProcess {
                     self.send_failed(ctx, idx);
                 }
             }
-            Route::Tmp => {
-                let _ = self.tmp_rpc.on_timer(ctx, tag);
-            }
             Route::Unused => {}
         }
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         ctx.count(counter!("tcp.takeovers"), 1);
-        // abort every transaction that was open on the failed primary,
-        // then restart the programs at BEGIN-TRANSACTION
-        let node = ctx.node();
-        let opens: Vec<(usize, Option<Transid>)> =
-            self.mirror_open.iter().copied().enumerate().collect();
-        for (idx, open) in opens {
-            if let Some(transid) = open {
-                self.tmp_rpc.call_persistent(
-                    ctx,
-                    Target::Named(node, TMP_SERVICE),
-                    TmpMsg::Abort {
-                        transid,
-                        reason: AbortReason::CpuFailure,
-                    },
-                    SimDuration::from_millis(100),
-                    (),
-                );
+        // the programs are fresh: each resumes after its checkpointed
+        // commits, and a terminal whose transaction was open holds until
+        // its session learns how the transaction ended
+        for idx in 0..self.terminals.len() {
+            let t = &mut self.terminals[idx];
+            if t.state == TermState::Finished {
+                continue;
             }
-            if idx < self.terminals.len() && self.terminals[idx].state != TermState::Finished {
-                let t = &mut self.terminals[idx];
-                // resume from the checkpointed progress: committed work is
-                // never re-entered
-                t.program.set_progress(t.committed);
-                t.program.restart();
-                t.state = TermState::Thinking;
-                ctx.set_timer(BACKOFF, idx as u64);
+            t.program.set_progress(t.committed);
+            if t.session.transid().is_some() {
+                t.state = TermState::Held;
+                t.session.abort(ctx, AbortReason::CpuFailure);
+            } else {
+                self.resume(ctx, idx);
             }
         }
     }
 
     fn apply_checkpoint(&mut self, d: TermDelta, _cp: &Checkpointed) {
-        if d.idx < self.terminals.len() {
-            let t = &mut self.terminals[d.idx];
-            t.committed = d.committed;
-            t.aborted = d.aborted;
-            t.restart_count = d.restart_count;
-            if d.finished {
-                t.state = TermState::Finished;
-            }
-            self.mirror_open[d.idx] = d.open;
+        let t = &mut self.terminals[d.idx];
+        t.committed = d.committed;
+        t.aborted = d.aborted;
+        t.restart_count = d.restart_count;
+        if d.finished {
+            t.state = TermState::Finished;
+        }
+        match d.open {
+            Some(transid) => t.session.adopt(transid, SessionOptions::default()),
+            None => t.session.clear(),
         }
     }
 
     fn snapshot(&self) -> Vec<TermDelta> {
-        self.terminals
-            .iter()
-            .enumerate()
-            .map(|(idx, t)| TermDelta {
-                idx,
-                committed: t.committed,
-                aborted: t.aborted,
-                restart_count: t.restart_count,
-                finished: t.state == TermState::Finished,
-                open: self.mirror_open.get(idx).copied().flatten(),
-            })
+        (0..self.terminals.len())
+            .map(|idx| self.delta(idx))
             .collect()
     }
 
     fn restore(&mut self, snapshot: Vec<TermDelta>, cp: &Checkpointed) {
         for d in snapshot {
-            let open = d.open;
-            let idx = d.idx;
             self.apply_checkpoint(d, cp);
-            if idx < self.mirror_open.len() {
-                self.mirror_open[idx] = open;
-            }
         }
     }
 }
@@ -613,11 +601,7 @@ mod tests {
             .iter()
             .filter(|r| !matches!(r, Route::Unused))
             .count();
-        assert_eq!(
-            routed,
-            1 + 3 * MAX_TERMINALS,
-            "the TCP's, then 3 a terminal"
-        );
+        assert_eq!(routed, 3 * MAX_TERMINALS, "3 a terminal");
         // the first id an `Rpc` of id space `space` issues from pid 0
         let id = |space: u64| space << 56;
         for (i, t) in tcp.terminals.iter().enumerate() {

@@ -4,7 +4,8 @@
 //! serves).
 //!
 //! * [`BankServer`] — the server class: `debit` (read-lock the account,
-//!   update its balance, append a history record), `query` (browse read).
+//!   update its balance, append a history record naming the debit's
+//!   [`DebitTag`]), `query` (browse read).
 //! * [`BankProgram`] — the screen program: a loop of
 //!   `BEGIN-TRANSACTION` → `SEND debit` → `END-TRANSACTION` with think
 //!   time, over a configurable account population with an optional hot
@@ -16,12 +17,13 @@ use crate::messages::{AppReply, AppRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
 use crate::server::{DbOp, ServerLogic, ServerStep};
 use bytes::Bytes;
-use encompass_sim::{Name, SimDuration, World};
+use encompass_sim::{Name, NodeId, SimDuration, World};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::Catalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::Write;
 
 /// The bank's server class: the class [`crate::app::launch_bank_app`]
 /// registers on every node and the one [`BankProgram`] SENDs to.
@@ -43,6 +45,51 @@ pub(crate) fn balance_bytes(b: i64) -> Bytes {
     Bytes::from(format!("{b}"))
 }
 
+/// Where a debit comes from: logical transaction `n` of terminal
+/// `terminal` on `node`, numbered by the terminal's commits before it.
+/// The bank server writes it into the debit's history record, so a re-run
+/// of a committed transaction shows as a second record of the same tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct DebitTag {
+    pub node: NodeId,
+    pub terminal: u8,
+    pub n: u64,
+}
+
+impl DebitTag {
+    /// Bytes of an encoded tag: `nn.tt.nnnnnnnnnnnnnnnn`, each field in
+    /// fixed-width hex.
+    const LEN: usize = 22;
+
+    /// The tag as a SEND parameter: one allocation, the copy of a stack
+    /// buffer.
+    pub fn encode(&self) -> Bytes {
+        let mut buf = [0u8; Self::LEN];
+        let mut w = &mut buf[..];
+        write!(
+            w,
+            "{:02x}.{:02x}.{:016x}",
+            self.node.0, self.terminal, self.n
+        )
+        .expect("a tag fits its buffer");
+        Bytes::copy_from_slice(&buf)
+    }
+
+    /// The tag [`Self::encode`] wrote, if `b` is one.
+    pub fn decode(b: &[u8]) -> Option<DebitTag> {
+        if b.len() != Self::LEN {
+            return None;
+        }
+        let mut fields = std::str::from_utf8(b).ok()?.split('.');
+        let mut field = || fields.next().and_then(|f| u64::from_str_radix(f, 16).ok());
+        Some(DebitTag {
+            node: NodeId(u8::try_from(field()?).ok()?),
+            terminal: u8::try_from(field()?).ok()?,
+            n: field()?,
+        })
+    }
+}
+
 // ----------------------------------------------------------------------
 // Server side
 // ----------------------------------------------------------------------
@@ -54,12 +101,14 @@ pub struct BankServer {
     step: u32,
     account: Bytes,
     amount: i64,
+    /// The request's [`DebitTag`], as sent (empty if it carried none).
+    tag: Bytes,
     history_file: Option<Name>,
 }
 
 impl BankServer {
     /// `history_file`: if set, every debit appends an audit-style history
-    /// record (entry-sequenced).
+    /// record (entry-sequenced), `account:tag:amount`.
     pub fn new(history_file: Option<Name>) -> BankServer {
         BankServer {
             history_file,
@@ -74,6 +123,7 @@ impl ServerLogic for BankServer {
             "debit" => {
                 self.account = req.param(0);
                 self.amount = balance_of(&req.param(1));
+                self.tag = req.param(2);
                 self.step = 1;
                 ServerStep::Db(DbOp::ReadLock {
                     file: "accounts".into(),
@@ -115,9 +165,13 @@ impl ServerLogic for BankServer {
             (2, DiscReply::Ok) => match &self.history_file {
                 Some(h) => {
                     self.step = 3;
-                    let mut rec = self.account.to_vec();
-                    rec.extend_from_slice(b":");
-                    rec.extend_from_slice(format!("{}", self.amount).as_bytes());
+                    // sized for the widest amount: one allocation
+                    let mut rec = Vec::with_capacity(self.account.len() + self.tag.len() + 22);
+                    rec.extend_from_slice(&self.account);
+                    rec.push(b':');
+                    rec.extend_from_slice(&self.tag);
+                    rec.push(b':');
+                    write!(rec, "{}", self.amount).expect("a Vec takes any write");
                     ServerStep::Db(DbOp::InsertEntry {
                         file: h.clone(),
                         value: Bytes::from(rec),
@@ -173,6 +227,9 @@ impl Default for BankWorkload {
 /// The screen program: think → BEGIN → SEND debit → END → repeat.
 pub struct BankProgram {
     cfg: BankWorkload,
+    /// Where the program runs: its debits' [`DebitTag`] node and terminal.
+    node: NodeId,
+    terminal: u8,
     rng: StdRng,
     done: u64,
     /// The input data of the current logical transaction (checkpoint-
@@ -182,9 +239,12 @@ pub struct BankProgram {
 }
 
 impl BankProgram {
-    pub fn new(cfg: BankWorkload, seed: u64) -> BankProgram {
+    /// The program of terminal `terminal` of `node`'s TCP.
+    pub fn new(cfg: BankWorkload, seed: u64, node: NodeId, terminal: u8) -> BankProgram {
         BankProgram {
             cfg,
+            node,
+            terminal,
             rng: StdRng::seed_from_u64(seed),
             done: 0,
             current: None,
@@ -226,7 +286,13 @@ impl ScreenProgram for BankProgram {
                 let request = if self.cfg.read_only {
                     AppRequest::new("query", vec![account_key(acct)])
                 } else {
-                    AppRequest::new("debit", vec![account_key(acct), balance_bytes(amount)])
+                    let tag = DebitTag {
+                        node: self.node,
+                        terminal: self.terminal,
+                        n: self.done,
+                    };
+                    let params = vec![account_key(acct), balance_bytes(amount), tag.encode()];
+                    AppRequest::new("debit", params)
                 };
                 // the bank server class on the terminal's own node
                 ScreenAction::Send {
@@ -342,6 +408,8 @@ mod tests {
                 ..BankWorkload::default()
             },
             7,
+            NodeId(0),
+            0,
         );
         assert!(matches!(
             p.next(ScreenInput::Go),
@@ -366,7 +434,7 @@ mod tests {
 
     #[test]
     fn restart_reuses_input_data() {
-        let mut p = BankProgram::new(BankWorkload::default(), 3);
+        let mut p = BankProgram::new(BankWorkload::default(), 3, NodeId(0), 0);
         let _ = p.next(ScreenInput::Go);
         let first = match p.next(ScreenInput::Began) {
             ScreenAction::Send { request, .. } => request,
@@ -383,7 +451,7 @@ mod tests {
 
     #[test]
     fn restart_reply_maps_to_restart_action() {
-        let mut p = BankProgram::new(BankWorkload::default(), 3);
+        let mut p = BankProgram::new(BankWorkload::default(), 3, NodeId(0), 0);
         let _ = p.next(ScreenInput::Go);
         let _ = p.next(ScreenInput::Began);
         let r = AppReply::restart();
@@ -413,6 +481,52 @@ mod tests {
             ServerStep::Reply(r) => assert!(r.ok),
             _ => panic!("expected reply"),
         }
+    }
+
+    #[test]
+    fn a_debit_tag_numbers_the_terminals_commits_and_lands_in_the_history_record() {
+        let tag = DebitTag {
+            node: NodeId(3),
+            terminal: 31,
+            n: 1 << 40,
+        };
+        assert_eq!(DebitTag::decode(&tag.encode()), Some(tag));
+        assert_eq!(DebitTag::decode(b"acct00000001"), None);
+
+        let mut p = BankProgram::new(BankWorkload::default(), 7, NodeId(2), 5);
+        let mut sent_tag = || {
+            let _ = p.next(ScreenInput::Go);
+            let ScreenAction::Send { request, .. } = p.next(ScreenInput::Began) else {
+                panic!("a debit follows BEGIN");
+            };
+            let _ = p.next(ScreenInput::Reply(&AppReply::ok(vec![])));
+            let _ = p.next(ScreenInput::Committed);
+            request.param(2)
+        };
+        let first = sent_tag();
+        let second = sent_tag();
+        let at = |n| DebitTag {
+            node: NodeId(2),
+            terminal: 5,
+            n,
+        };
+        assert_eq!(DebitTag::decode(&first), Some(at(0)));
+        assert_eq!(DebitTag::decode(&second), Some(at(1)));
+
+        let mut s = BankServer::new(Some("history".into()));
+        let req = AppRequest::new(
+            "debit",
+            vec![account_key(1), balance_bytes(-7), second.clone()],
+        );
+        let _ = s.on_request(&req);
+        let _ = s.on_db(&DiscReply::Value(Some(balance_bytes(100))));
+        let ServerStep::Db(DbOp::InsertEntry { value, .. }) = s.on_db(&DiscReply::Ok) else {
+            panic!("a debit appends its history record");
+        };
+        let mut want = b"acct00000001:".to_vec();
+        want.extend_from_slice(&second);
+        want.extend_from_slice(b":-7");
+        assert_eq!(&value[..], &want[..]);
     }
 
     #[test]

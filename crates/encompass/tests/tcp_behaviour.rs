@@ -208,3 +208,81 @@ fn tcp_takeover_leaves_no_outstanding_call() {
         .collect();
     assert!(calls.is_empty(), "the TCP still retries calls {calls:x?}");
 }
+
+/// The balance of the one account, once the commit's writes are flushed.
+fn balance(w: &mut World, n: NodeId) -> Bytes {
+    w.run_for(SimDuration::from_secs(3));
+    let media = w
+        .stable()
+        .get::<VolumeMedia>(&media_key(n, "$BANK"))
+        .unwrap();
+    media
+        .file("accounts")
+        .unwrap()
+        .read(b"acct00000000")
+        .unwrap()
+}
+
+/// A TCP pair (primary on cpu2, backup on cpu3) whose one terminal
+/// debits 5 inside a transaction, thinks for `think`, then ENDs.
+fn debit_then_end(think: SimDuration) -> (World, NodeId) {
+    let (mut w, n, catalog) = setup();
+    spawn_tcp(&mut w, n, 2, 3, TcpConfig::default(), catalog, move || {
+        vec![Box::new(ScriptProgram::new(vec![
+            ScreenAction::begin(),
+            debit_send(),
+            ScreenAction::Think(think),
+            ScreenAction::End,
+        ])) as Box<dyn ScreenProgram>]
+    });
+    (w, n)
+}
+
+/// Run until the TMP has committed the terminal's transaction, then kill
+/// the TCP primary's processor before the TCP hears of the commit, and
+/// run the script out.
+fn kill_tcp_primary_inside_commit(w: &mut World, n: NodeId) {
+    while w.metrics().get("tmf.commits") == 0 {
+        assert!(w.step(), "the world ran dry before the commit");
+    }
+    assert_eq!(w.metrics().get("tcp.commits"), 0, "the TCP heard too soon");
+    w.inject(Fault::KillCpu(n, CpuId(2)));
+    w.run_for(SimDuration::from_secs(30));
+}
+
+/// The TCP primary dies after the TMP commits the terminal's transaction
+/// and before the TCP hears so. The backup learns the commit from the TMP
+/// and moves the script past it: the debit is not run a second time.
+#[test]
+fn tcp_takeover_inside_the_commit_does_not_rerun_the_transaction() {
+    let (mut w, n) = debit_then_end(SimDuration::ZERO);
+    kill_tcp_primary_inside_commit(&mut w, n);
+    let m = w.metrics();
+    assert_eq!(m.get("tcp.takeovers"), 1);
+    assert_eq!(m.get("tmf.commits"), 1, "committed once");
+    assert_eq!(m.get("tcp.commits"), 1, "and counted once");
+    assert_eq!(m.get("tcp.terminals_finished"), 1);
+    assert_eq!(balance(&mut w, n), Bytes::from_static(b"995"));
+}
+
+/// The same, when the backup was rebuilt from its primary's snapshot
+/// while the transaction was open: the snapshot carries the open transid.
+#[test]
+fn a_backup_rebuilt_by_snapshot_learns_the_open_transaction() {
+    let (mut w, n) = debit_then_end(SimDuration::from_secs(2));
+    w.run_for(SimDuration::from_millis(500));
+    w.inject(Fault::KillCpu(n, CpuId(3)));
+    w.run_for(SimDuration::from_millis(100));
+    w.inject(Fault::RestoreCpu(n, CpuId(3)));
+    w.run_for(SimDuration::from_millis(500));
+    assert!(
+        w.metrics().get("pair.backup_respawned") >= 1,
+        "the backup was rebuilt"
+    );
+    kill_tcp_primary_inside_commit(&mut w, n);
+    let m = w.metrics();
+    assert_eq!(m.get("tcp.takeovers"), 1);
+    assert_eq!(m.get("tmf.commits"), 1, "committed once");
+    assert_eq!(m.get("tcp.commits"), 1, "and counted once");
+    assert_eq!(balance(&mut w, n), Bytes::from_static(b"995"));
+}
