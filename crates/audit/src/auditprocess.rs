@@ -25,24 +25,59 @@
 use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, CpuId, DetHashMap, DetHashSet, FlightCause, HistogramHandle, MediaId, Name, NodeId,
-    Payload, Pid, SimTime, World,
+    counter, CpuId, DetHashMap, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid,
+    SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
-use encompass_storage::types::Transid;
+use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{Admitted, Asked, Checkpointed, Owed, PairApp, PairHandle, Served, ServedSnapshot};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, AuditDelta>;
 
-/// Identity of one image record: duplicates arise when a DISCPROCESS
-/// takeover re-sends retained images whose original append already
-/// arrived. `seq` is only unique per volume, so the volume is part of
-/// the key.
-type ImageKey = (Transid, u64, NodeId, Name);
+/// Identity of one image record within its volume: duplicates arise when
+/// a DISCPROCESS takeover re-sends retained images whose original append
+/// already arrived.
+type ImageKey = (u64, Transid);
 
 fn image_key(r: &ImageRecord) -> ImageKey {
-    (r.transid, r.seq, r.volume.node, r.volume.volume.clone())
+    (r.seq, r.transid)
+}
+
+/// The duplicate filter's view of one volume (DESIGN.md §D27): the highest
+/// re-send floor the volume's appends have carried, and the keys of the
+/// images at or above it, in key order. No image below the floor can
+/// arrive again, so the keys under it are forgotten.
+#[derive(Clone, Default)]
+struct VolumeKeys {
+    floor: u64,
+    keys: VecDeque<ImageKey>,
+}
+
+impl VolumeKeys {
+    /// Raise the floor to `floor` (a lower one, from an older append,
+    /// changes nothing) and forget the keys below it.
+    fn raise(&mut self, floor: u64) {
+        if floor <= self.floor {
+            return;
+        }
+        self.floor = floor;
+        while self.keys.front().is_some_and(|&(seq, _)| seq < floor) {
+            self.keys.pop_front();
+        }
+    }
+
+    /// Hold `key`: false if it is held already. Images mostly arrive in
+    /// sequence order, so the insert is mostly at the back.
+    fn insert(&mut self, key: ImageKey) -> bool {
+        match self.keys.binary_search(&key) {
+            Ok(_) => false,
+            Err(at) => {
+                self.keys.insert(at, key);
+                true
+            }
+        }
+    }
 }
 
 /// Timer tag of partition `p`'s physical force completion. Partition 0
@@ -127,6 +162,9 @@ pub struct AuditStateReport {
     pub reply_cache: usize,
     /// Remembered replies below their requester's floor: always 0.
     pub replies_below_floor: usize,
+    /// Image keys the duplicate filter holds, across volumes: those at or
+    /// above each volume's re-send floor.
+    pub image_keys: usize,
     /// Requests admitted and not yet answered: each is a fanned-out force,
     /// so this equals `pending_forces`.
     pub pending_requests: usize,
@@ -139,6 +177,11 @@ pub enum AuditDelta {
         /// floor. Only the first of an append's per-partition deltas
         /// carries it: a backup records each reply once.
         answers: Option<Asked>,
+        /// The volume the append came from and the re-send floor it
+        /// carried, on the delta holding its records (`None` for an
+        /// append without records): the backup's filter learns what the
+        /// primary's did.
+        floor: Option<(VolumeRef, u64)>,
         partition: usize,
         records: Vec<ImageRecord>,
     },
@@ -152,6 +195,7 @@ pub struct AuditSnapshot {
     /// Per partition: (buffer, forced_count).
     partitions: Vec<(Vec<ImageRecord>, u64)>,
     replies: ServedSnapshot<AuditReply>,
+    filter: Vec<(VolumeRef, VolumeKeys)>,
 }
 
 /// One trail partition's force machinery.
@@ -193,9 +237,10 @@ pub struct AuditProcess {
     /// request id.
     pending: DetHashMap<u64, PendingForce>,
     replies: Served<AuditReply>,
-    /// Keys of every record on the trails or in the buffers; `None` until
-    /// first needed (rebuilt by scanning the trails after a takeover).
-    seen: Option<DetHashSet<ImageKey>>,
+    /// The duplicate filter, one entry per volume that has appended (a
+    /// node has a few). Replicated with each append's checkpoint, so a
+    /// takeover starts from the keys its primary held.
+    filter: Vec<(VolumeRef, VolumeKeys)>,
     boxcar_hist: HistogramHandle,
 }
 
@@ -214,7 +259,7 @@ impl AuditProcess {
             trails,
             pending: DetHashMap::default(),
             replies: Served::new(),
-            seen: None,
+            filter: Vec::new(),
             boxcar_hist: HistogramHandle::new("audit.boxcar_size", BOXCAR_BOUNDS),
         }
     }
@@ -232,6 +277,7 @@ impl AuditProcess {
             pending_forces: self.pending.len(),
             reply_cache: self.replies.answered(),
             replies_below_floor: self.replies.below_floor(),
+            image_keys: self.filter.iter().map(|(_, v)| v.keys.len()).sum(),
             pending_requests: self.replies.pending(),
         }
     }
@@ -246,37 +292,44 @@ impl AuditProcess {
             .min(self.parts.len() - 1)
     }
 
-    /// Drop records already on a trail or in a buffer.
-    fn dedup(&mut self, ctx: &mut PairCtx<'_, '_>, records: Vec<ImageRecord>) -> Vec<ImageRecord> {
-        if self.seen.is_none() {
-            let mut s: DetHashSet<ImageKey> = DetHashSet::default();
-            for p in 0..self.parts.len() {
-                self.with_trail(ctx, p, |t| {
-                    for f in &t.files {
-                        for r in &f.records {
-                            s.insert(image_key(r));
-                        }
-                    }
-                });
-            }
-            for part in &self.parts {
-                for r in &part.buffer {
-                    s.insert(image_key(r));
-                }
-            }
-            self.seen = Some(s);
-        }
-        let seen = self.seen.as_mut().expect("built above");
-        let before = records.len();
-        let fresh: Vec<ImageRecord> = records
-            .into_iter()
-            .filter(|r| seen.insert(image_key(r)))
+    /// Drop the records `volume` has already appended, and refuse those
+    /// below its re-send `floor`.
+    fn dedup(
+        &mut self,
+        ctx: &mut PairCtx<'_, '_>,
+        volume: &VolumeRef,
+        floor: u64,
+        records: Vec<ImageRecord>,
+    ) -> Vec<ImageRecord> {
+        let keys = self.volume_keys(volume, floor);
+        let (before, mut stale) = (records.len(), 0);
+        let fresh: Vec<ImageRecord> = (records.into_iter())
+            .filter(|r| {
+                let above = r.seq >= keys.floor;
+                stale += u64::from(!above);
+                above && keys.insert(image_key(r))
+            })
             .collect();
-        ctx.count(
-            counter!("audit.duplicate_records"),
-            (before - fresh.len()) as u64,
-        );
+        let dropped = (before - fresh.len()) as u64;
+        ctx.count(counter!("audit.duplicate_records"), dropped - stale);
+        if stale > 0 {
+            ctx.count(counter!("audit.stale_images"), stale);
+        }
         fresh
+    }
+
+    /// `volume`'s filter, its floor raised to `floor`.
+    fn volume_keys(&mut self, volume: &VolumeRef, floor: u64) -> &mut VolumeKeys {
+        let at = match self.filter.iter().position(|(v, _)| v == volume) {
+            Some(at) => at,
+            None => {
+                self.filter.push((volume.clone(), VolumeKeys::default()));
+                self.filter.len() - 1
+            }
+        };
+        let keys = &mut self.filter[at].1;
+        keys.raise(floor);
+        keys
     }
 
     fn with_trail<R>(
@@ -468,9 +521,19 @@ impl PairApp for AuditProcess {
             return;
         };
         match msg {
-            AuditMsg::Append { records, force } => {
+            AuditMsg::Append {
+                records,
+                force,
+                floor,
+            } => {
                 ctx.count(counter!("audit.appends"), 1);
-                let records = self.dedup(ctx, records);
+                // an append's records come from one volume, whose floor it
+                // carries, so they land in one partition's delta
+                let mut floor = records.first().map(|r| (r.volume.clone(), floor));
+                let records = match &floor {
+                    Some((volume, at)) => self.dedup(ctx, volume, *at, records),
+                    None => records,
+                };
                 ctx.count(counter!("audit.records"), records.len() as u64);
                 let mut split: BTreeMap<usize, Vec<ImageRecord>> = BTreeMap::new();
                 for r in records {
@@ -487,6 +550,7 @@ impl PairApp for AuditProcess {
                 for (p, recs) in split {
                     ctx.checkpoint(AuditDelta::Append {
                         answers: answers.take(),
+                        floor: floor.take(),
                         partition: p,
                         records: recs.clone(),
                     });
@@ -572,9 +636,9 @@ impl PairApp for AuditProcess {
                     );
                 }
                 ctx.count(counter!("audit.purged_files"), total_files);
-                // The seen-set (if built) still names purged records; that
-                // is harmless — it only makes dedup drop re-sent copies of
-                // records the capacity manager proved dispensable.
+                // The duplicate filter never reads the trail, so a purge
+                // leaves it alone: a key goes when its volume's re-send
+                // floor passes it.
                 let r = AuditReply::Purged { files: total_files };
                 self.replies.answer(ctx, owed, r);
             }
@@ -625,11 +689,10 @@ impl PairApp for AuditProcess {
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        // In-flight forces, their waiters and the seen-set died with the
-        // primary's memory; this half has never served a request, so it
-        // holds none of its own to discard. Requesters retransmit, and
-        // the seen-set is rebuilt from the trails and buffers on the next
-        // append.
+        // In-flight forces and their waiters died with the primary's
+        // memory; this half has never served a request, so it holds none
+        // of its own to discard. Requesters retransmit. The duplicate
+        // filter came with the checkpoints, so nothing is rebuilt.
         ctx.count(counter!("audit.takeovers"), 1);
     }
 
@@ -637,9 +700,16 @@ impl PairApp for AuditProcess {
         match delta {
             AuditDelta::Append {
                 answers,
+                floor,
                 partition,
                 records,
             } => {
+                if let Some((volume, floor)) = floor {
+                    let keys = self.volume_keys(&volume, floor);
+                    for r in &records {
+                        keys.insert(image_key(r));
+                    }
+                }
                 let p = partition.min(self.parts.len() - 1);
                 self.parts[p].buffer.extend(records);
                 if let Some(asked) = answers {
@@ -663,6 +733,7 @@ impl PairApp for AuditProcess {
                 .map(|p| (p.buffer.clone(), p.forced_count))
                 .collect(),
             replies: self.replies.entries(),
+            filter: self.filter.clone(),
         }
     }
 
@@ -674,6 +745,7 @@ impl PairApp for AuditProcess {
             }
         }
         self.replies.restore(s.replies);
+        self.filter = s.filter;
     }
 
     fn on_cpu_down(&mut self, node: NodeId, cpu: CpuId) {

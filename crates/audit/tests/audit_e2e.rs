@@ -3,19 +3,23 @@
 //! archive → crash → ROLLFORWARD cycle.
 
 use bytes::Bytes;
-use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig, GROUP_COMMIT_MAX};
+use encompass_audit::auditprocess::{
+    spawn_audit_process, AuditConfig, AuditProcess, GROUP_COMMIT_MAX,
+};
 use encompass_audit::backout::{spawn_backout_process, BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::{CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
+use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, DiscRequest};
 use encompass_storage::media::{media_key, VolumeMedia};
 use encompass_storage::testkit::run_script;
-use encompass_storage::types::{FileDef, RecoveryMode, Transid, VolumeRef};
+use encompass_storage::types::{FileDef, FileOrganization, RecoveryMode, Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::{Checkpointed, Rpc, Target, TimerOutcome};
-use std::cell::RefCell;
+use guardian::{Checkpointed, PairHandle, Rpc, Target, TimerOutcome};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 fn b(s: &str) -> Bytes {
@@ -33,7 +37,11 @@ fn txn(seq: u64) -> Transid {
 const WAIT: SimDuration = SimDuration::from_millis(200);
 
 fn setup(mode: RecoveryMode) -> (World, NodeId, Target) {
-    let mut w = World::new(SimConfig::default());
+    setup_with(mode, SimConfig::default())
+}
+
+fn setup_with(mode: RecoveryMode, sim: SimConfig) -> (World, NodeId, Target) {
+    let mut w = World::new(sim);
     let n = w.add_node(4);
     let vol = VolumeRef::new(n, "$DATA");
     let mut catalog = Catalog::new();
@@ -662,5 +670,183 @@ fn archive_crash_rollforward_cycle() {
         accounts.read(b"b"),
         Some(b("9")),
         "t3's dirty update undone"
+    );
+}
+
+/// Sends its appends to the node's AUDITPROCESS one at a time, each once
+/// the one before is answered, as a DISCPROCESS's lazy appends go.
+struct AppendDriver {
+    node: NodeId,
+    appends: VecDeque<AuditMsg>,
+    rpc: Rpc<AuditMsg, AuditReply>,
+    answered: Rc<Cell<usize>>,
+}
+
+impl AppendDriver {
+    fn send_next(&mut self, ctx: &mut encompass_sim::Ctx<'_>) {
+        if let Some(msg) = self.appends.pop_front() {
+            let target = Target::Named(self.node, AUDIT_SERVICE);
+            self.rpc
+                .call_persistent(ctx, target, msg, SimDuration::from_millis(30), ());
+        }
+    }
+}
+
+impl Process for AppendDriver {
+    fn on_start(&mut self, ctx: &mut encompass_sim::Ctx<'_>) {
+        self.send_next(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut encompass_sim::Ctx<'_>, _src: Pid, payload: Payload) {
+        if self.rpc.accept(ctx, payload).is_ok() {
+            self.answered.set(self.answered.get() + 1);
+            self.send_next(ctx);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut encompass_sim::Ctx<'_>, _t: encompass_sim::TimerId, tag: u64) {
+        let _ = self.rpc.on_timer(ctx, tag);
+    }
+}
+
+/// Spawn an [`AppendDriver`] on CPU 0; the cell counts its answers.
+fn drive_appends(w: &mut World, n: NodeId, appends: Vec<AuditMsg>) -> Rc<Cell<usize>> {
+    let answered = Rc::new(Cell::new(0));
+    let driver = AppendDriver {
+        node: n,
+        appends: appends.into(),
+        rpc: Rpc::new(1),
+        answered: answered.clone(),
+    };
+    w.spawn(n, 0, Box::new(driver));
+    answered
+}
+
+/// The one image of transaction `i` on `$DATA`, at sequence `i`.
+fn image(n: NodeId, i: u64) -> ImageRecord {
+    ImageRecord {
+        seq: i,
+        transid: txn(i),
+        volume: VolumeRef::new(n, "$DATA"),
+        file: "accounts".into(),
+        organization: FileOrganization::KeySequenced,
+        key: Bytes::from(format!("k{i}")),
+        before: None,
+        after: Some(b("1")),
+    }
+}
+
+fn append(records: Vec<ImageRecord>, floor: u64) -> AuditMsg {
+    AuditMsg::Append {
+        records,
+        force: false,
+        floor,
+    }
+}
+
+fn image_keys(w: &World, n: NodeId) -> usize {
+    let audit = guardian::primary::<AuditProcess>(w, n, &AUDIT_SERVICE).expect("a live primary");
+    audit.state_report().image_keys
+}
+
+fn backup_image_keys(w: &World, audit: &PairHandle) -> usize {
+    let backup = guardian::backup::<AuditProcess>(w, audit).expect("a backup");
+    backup.state_report().image_keys
+}
+
+/// Transactions 1..=10 000 each write one image on one volume, and four
+/// are live at a time: every append carries the first image of the oldest
+/// live one as its floor. The duplicate filter ends holding the keys of
+/// the four live transactions, not one per image ever appended, and still
+/// drops a re-sent live image and refuses one below the floor. The backup
+/// learns the same keys from the append checkpoints, so after a takeover
+/// the new primary still drops the re-sent images.
+#[test]
+fn the_image_filter_holds_only_live_transactions_keys() {
+    const APPENDS: u64 = 10_000;
+    const LIVE: u64 = 4;
+    let mut w = World::new(SimConfig::default());
+    let n = w.add_node(4);
+    let audit = spawn_audit_process(&mut w, n, 2, 3, AuditConfig::default());
+    let floor = |i: u64| i.saturating_sub(LIVE - 1).max(1);
+    let appends = (1..=APPENDS).map(|i| append(vec![image(n, i)], floor(i)));
+    let answered = drive_appends(&mut w, n, appends.collect());
+    w.run_for(SimDuration::from_secs(60));
+    assert_eq!(answered.get(), APPENDS as usize);
+    assert_eq!(w.metrics().get("audit.records"), APPENDS);
+    assert_eq!(image_keys(&w, n), LIVE as usize, "only the live window");
+    assert_eq!(backup_image_keys(&w, &audit), LIVE as usize);
+
+    // a takeover re-sends the live transactions' images: all duplicates;
+    // an image below the floor cannot come again, and is refused
+    let last = floor(APPENDS);
+    let resent: Vec<ImageRecord> = (last..=APPENDS).map(|i| image(n, i)).collect();
+    let answered = drive_appends(
+        &mut w,
+        n,
+        vec![
+            append(resent.clone(), last),
+            append(vec![image(n, last - 1)], last),
+        ],
+    );
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(answered.get(), 2);
+    assert_eq!(w.metrics().get("audit.duplicate_records"), LIVE);
+    assert_eq!(w.metrics().get("audit.stale_images"), 1);
+    assert_eq!(
+        w.metrics().get("audit.records"),
+        APPENDS,
+        "nothing appended twice"
+    );
+
+    // the new primary holds the keys its primary checkpointed
+    w.inject(Fault::KillCpu(n, CpuId(2)));
+    w.run_for(SimDuration::from_millis(300));
+    let answered = drive_appends(&mut w, n, vec![append(resent, last)]);
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(answered.get(), 1);
+    assert!(w.metrics().get("audit.takeovers") >= 1);
+    assert_eq!(w.metrics().get("audit.duplicate_records"), 2 * LIVE);
+    assert_eq!(image_keys(&w, n), LIVE as usize);
+}
+
+/// A dump marker belongs to no transaction, so nothing but its append in
+/// flight keeps the re-send floor at or below it. With delivery jitter a
+/// transaction's first append, sent just after a marker, can overtake it;
+/// its floor must not pass the marker, or the marker is refused. (A floor
+/// that leaves out the appends in flight refuses 5 to 9 of these markers
+/// at seeds 1, 2 and 7.)
+#[test]
+fn an_append_in_flight_keeps_the_floor_below_it() {
+    const ROUNDS: u64 = 400;
+    let mut sim = SimConfig::with_seed(7);
+    sim.jitter = SimDuration::from_millis(3);
+    let (mut w, n, target) = setup_with(RecoveryMode::NonStopCheckpoint, sim);
+    let dumps = (1..=ROUNDS).map(|generation| DiscRequest::DumpBegin { generation });
+    let dumps = run_script(&mut w, n, 0, target.clone(), dumps.collect());
+    let writes = (1..=ROUNDS).flat_map(|i| {
+        let t = txn(i);
+        [
+            DiscRequest::Insert {
+                file: "accounts".into(),
+                key: Bytes::from(format!("k{i}")),
+                value: b("1"),
+                transid: Some(t),
+                lock_wait: WAIT,
+            },
+            DiscRequest::EndPhase1 { transid: t },
+            DiscRequest::ReleaseLocks {
+                transid: t,
+                commit: true,
+            },
+        ]
+    });
+    let writes = run_script(&mut w, n, 1, target, writes.collect());
+    w.run_for(SimDuration::from_secs(300));
+    assert_eq!(dumps.borrow().len(), ROUNDS as usize);
+    assert_eq!(writes.borrow().len(), 3 * ROUNDS as usize);
+    assert_eq!(w.metrics().get("audit.stale_images"), 0);
+    assert_eq!(
+        w.metrics().get("audit.records"),
+        2 * ROUNDS,
+        "every marker and image"
     );
 }

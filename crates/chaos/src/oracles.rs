@@ -59,11 +59,20 @@ const TMP_TXNS: usize = 256;
 const AUDIT_BUFFERED: usize = 4096;
 /// Remembered replies at one DISCPROCESS, TMP and AUDITPROCESS. A reply
 /// table keeps an answer only while its requester may still ask for it
-/// (`guardian::Served`) and has no capacity of its own; these are the
-/// fixed ring sizes it had before, so the check is no looser than it was.
-const DISC_REPLIES: usize = 8192;
-const TMP_REPLIES: usize = 16384;
-const AUDIT_REPLIES: usize = 8192;
+/// (`guardian::Served`) and has no capacity of its own. Across CI's nine
+/// chaos invocations and `--sweep 4000` the most any observation found is
+/// 29, 49 and 8; each cap is four times that, rounded up to a power of
+/// two.
+const DISC_REPLIES: usize = 128;
+const TMP_REPLIES: usize = 256;
+const AUDIT_REPLIES: usize = 32;
+/// Image keys an AUDITPROCESS's duplicate filter holds: those at or above
+/// each volume's re-send floor. A soak's long-hold writer pins its
+/// volume's floor at its first image for its whole hold; the most CI's
+/// soak runs observe is 1 375, and the cap is that plus half, rounded up
+/// to a power of two. A filter that kept every key ever appended reaches
+/// 2 379 in `--soak --sweep 256`.
+const AUDIT_IMAGE_KEYS: usize = 2048;
 /// `archive:` keys retained per volume: [`ARCHIVE_RETAIN`] plus one
 /// in-flight generation.
 const ARCHIVE_KEYS: usize = ARCHIVE_RETAIN as usize + 1;
@@ -106,6 +115,7 @@ pub fn bounded_violations(obs: &[StateObservation], snapshot_undo: usize) -> Vec
                 breach("buffered", r.buffered, AUDIT_BUFFERED);
                 breach("reply_cache", r.reply_cache, AUDIT_REPLIES);
                 breach("replies_below_floor", r.replies_below_floor, 0);
+                breach("image_keys", r.image_keys, AUDIT_IMAGE_KEYS);
             }
             StateKind::ArchiveKeys { volume, count } => {
                 let field = format!("archive set for {volume} archive_keys");
@@ -606,7 +616,7 @@ mod tests {
         let v = bounded_violations(&obs, UNDO);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(
-            v[0].contains("$TMP@\\N2 reply_cache=16385 exceeds cap 16384"),
+            v[0].contains("$TMP@\\N2 reply_cache=257 exceeds cap 256"),
             "{}",
             v[0]
         );
@@ -614,6 +624,26 @@ mod tests {
             v[1].contains("$AUDIT@\\N0 replies_below_floor=2 exceeds cap 0"),
             "{}",
             v[1]
+        );
+    }
+
+    #[test]
+    fn image_keys_past_their_cap_fire() {
+        let keys = |image_keys| StateObservation {
+            process: "$AUDIT@\\N1".into(),
+            epoch: 3,
+            kind: StateKind::Audit(AuditStateReport {
+                image_keys,
+                ..Default::default()
+            }),
+        };
+        assert!(bounded_violations(&[keys(AUDIT_IMAGE_KEYS)], UNDO).is_empty());
+        let v = bounded_violations(&[keys(AUDIT_IMAGE_KEYS + 1)], UNDO);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("$AUDIT@\\N1 image_keys=2049 exceeds cap 2048 at epoch 3"),
+            "{}",
+            v[0]
         );
     }
 

@@ -475,7 +475,8 @@ pub(crate) fn run_out(
 pub(crate) const SAFE_DELIVERY_TAIL: SimDuration = SimDuration::from_secs(5);
 
 /// Send every node's `$AUDIT` an empty forced append — the flush barrier
-/// that pushes every buffered image onto the trail.
+/// that pushes every buffered image onto the trail. It names no volume,
+/// so its floor moves none.
 pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
     for &node in nodes {
         ask::<AuditMsg, AuditReply>(
@@ -487,6 +488,7 @@ pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
             AuditMsg::Append {
                 records: Vec::new(),
                 force: true,
+                floor: 0,
             },
             ASK_RETRY,
         );

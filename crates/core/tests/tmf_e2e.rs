@@ -9,15 +9,18 @@
 
 use bytes::Bytes;
 use encompass_audit::monitor::MonitorTrail;
+use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::{
     CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId,
     World,
 };
+use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::{FileDef, PartitionSpec, Transid, VolumeRef};
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
 use tmf::script::{Log, Step, TxnScript};
@@ -805,7 +808,7 @@ fn disc_takeover_mid_transaction_keeps_backout_images() {
         &mut w,
         n,
         1,
-        catalog,
+        catalog.clone(),
         vec![
             Step::Begin,
             read_lock("accounts", "vic"),
@@ -838,6 +841,31 @@ fn disc_takeover_mid_transaction_keeps_backout_images() {
         &["began", "value:500", "ok", "aborted", "value:500"],
         "backout found the before-image despite the takeover"
     );
+    assert!(
+        w.metrics().get("audit.duplicate_records") >= 1,
+        "the AUDITPROCESS dropped the re-sent copies it already held"
+    );
+    assert_eq!(w.metrics().get("audit.stale_images"), 0);
+    // a later commit forces everything buffered before it onto the trail
+    let log3 = drive(
+        &mut w,
+        n,
+        2,
+        catalog,
+        vec![Step::Begin, insert("accounts", "wes", "1"), Step::End],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(log3.borrow().last().unwrap(), "committed");
+    let trail = w.stable().get::<TrailMedia>(&trail_key(n, 0)).unwrap();
+    let records: Vec<&ImageRecord> = trail.files.iter().flat_map(|f| &f.records).collect();
+    let update = |r: &&&ImageRecord| r.key == b("vic") && r.after == Some(b("0"));
+    assert_eq!(
+        records.iter().filter(update).count(),
+        1,
+        "the re-sent update image is on the trail once"
+    );
+    let keys: BTreeSet<(u64, Transid)> = records.iter().map(|r| (r.seq, r.transid)).collect();
+    assert_eq!(keys.len(), records.len(), "no image is on the trail twice");
 }
 
 /// An AUDITPROCESS takeover mid-transaction: the buffered (unforced) image

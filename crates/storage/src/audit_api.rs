@@ -75,9 +75,16 @@ pub enum AuditMsg {
     /// Buffer image records; if `force`, do not acknowledge until they are
     /// on the trail media (the Write-Ahead-Log baseline forces every
     /// append; the NonStop design appends lazily).
+    ///
+    /// The records come from one volume, and `floor` is that volume's
+    /// re-send floor: no image below it will ever reach the AUDITPROCESS
+    /// again, first time or re-sent, so the duplicate filter forgets the
+    /// keys under it (DESIGN.md §D27). An append without records names no
+    /// volume, and its floor is ignored.
     Append {
         records: Vec<ImageRecord>,
         force: bool,
+        floor: u64,
     },
     /// Phase one of commit: force every buffered record of this
     /// transaction (and everything queued before them) to the trail.

@@ -33,9 +33,9 @@ impl DiscProcess {
             .awaiting()
             .filter_map(|then| match then {
                 AuditThen::Wal(plan) => Some(plan.low_seq),
-                AuditThen::Phase1 { .. } | AuditThen::DumpMarker { .. } | AuditThen::Append(_) => {
-                    None
-                }
+                AuditThen::Phase1 { .. }
+                | AuditThen::DumpMarker { .. }
+                | AuditThen::Append { .. } => None,
             })
             .min();
         let watermark = parked_low.map_or(self.audit_seq, |low| {
@@ -114,7 +114,7 @@ impl DiscProcess {
     /// Lowest trail sequence a recovery could still need: the first image
     /// of the oldest transaction still holding locks, clamped to
     /// `watermark + 1` when none has written.
-    fn purge_floor(&self, watermark: u64) -> u64 {
+    pub(super) fn purge_floor(&self, watermark: u64) -> u64 {
         self.txns
             .values()
             .filter_map(|t| t.low_seq)
@@ -152,11 +152,9 @@ impl DiscProcess {
         let marker = ImageRecord::dump_marker(self.audit_seq, self.volume.clone(), generation, end);
         // replicate the sequence bump so a takeover never reuses it
         self.checkpoint_applied(ctx, None, Effects::default());
-        let msg = AuditMsg::Append {
-            records: vec![marker],
-            force: end,
-        };
-        self.call_audit(ctx, msg, AuditThen::DumpMarker { owed, done });
+        let seq = self.audit_seq;
+        let then = AuditThen::DumpMarker { owed, done, seq };
+        self.call_audit_append(ctx, vec![marker], end, then);
     }
 
     fn build_archive(&self, ctx: &mut PairCtx<'_, '_>, generation: u64) -> ArchiveImage {

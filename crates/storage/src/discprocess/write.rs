@@ -153,17 +153,13 @@ impl DiscProcess {
         if force_first {
             // WAL baseline: the update waits for its force ack
             let low_seq = images.first().map(|i| i.seq).unwrap_or(0);
-            let msg = AuditMsg::Append {
-                records: images,
-                force: true,
-            };
             let plan = WalPlan {
                 owed,
                 reply: ok_reply,
                 fx,
                 low_seq,
             };
-            self.call_audit(ctx, msg, AuditThen::Wal(plan));
+            self.call_audit_append(ctx, images, true, AuditThen::Wal(plan));
         } else {
             // NonStop design: checkpoint ≡ WAL, audit append is lazy
             if !images.is_empty() {
