@@ -25,7 +25,7 @@
 use crate::messages::{AppReply, AppRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
 use crate::server::{suspense_appends, upsert, DbOp, ServerLogic, ServerStep};
-use crate::workload::{account_key, balance_bytes, balance_of};
+use crate::workload::{account_key, balance_bytes, balance_of, format_bytes};
 use bytes::Bytes;
 use encompass_shard::replica_file;
 use encompass_sim::{Name, NodeId, SimDuration};
@@ -47,7 +47,7 @@ pub const BRANCH_FILE: &str = "branch";
 
 /// The key of node `n`'s branch record.
 pub fn branch_key(node: NodeId) -> Bytes {
-    Bytes::from(format!("branch{:03}", node.0))
+    format_bytes(format_args!("branch{:03}", node.0))
 }
 
 // ----------------------------------------------------------------------

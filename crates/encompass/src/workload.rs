@@ -29,9 +29,24 @@ use std::io::Write;
 /// registers on every node and the one [`BankProgram`] SENDs to.
 pub const BANK_CLASS: &str = "bank";
 
+/// `args` written as a [`Bytes`] through a stack buffer: text of up to
+/// [`Bytes::INLINE_CAP`] bytes is held inline and costs no heap block;
+/// longer text falls back to one `String`.
+pub(crate) fn format_bytes(args: std::fmt::Arguments<'_>) -> Bytes {
+    let mut buf = [0u8; Bytes::INLINE_CAP];
+    let mut w = &mut buf[..];
+    match w.write_fmt(args) {
+        Ok(()) => {
+            let len = Bytes::INLINE_CAP - w.len();
+            Bytes::copy_from_slice(&buf[..len])
+        }
+        Err(_) => Bytes::from(std::fmt::format(args)),
+    }
+}
+
 /// Account key formatting shared by generator and server.
 pub fn account_key(i: u64) -> Bytes {
-    Bytes::from(format!("acct{i:08}"))
+    format_bytes(format_args!("acct{i:08}"))
 }
 
 pub(crate) fn balance_of(v: &Bytes) -> i64 {
@@ -41,8 +56,9 @@ pub(crate) fn balance_of(v: &Bytes) -> i64 {
         .unwrap_or(0)
 }
 
-pub(crate) fn balance_bytes(b: i64) -> Bytes {
-    Bytes::from(format!("{b}"))
+/// Balance formatting shared by generator and server: decimal text.
+pub fn balance_bytes(b: i64) -> Bytes {
+    format_bytes(format_args!("{b}"))
 }
 
 /// Where a debit comes from: logical transaction `n` of terminal
@@ -61,18 +77,12 @@ impl DebitTag {
     /// fixed-width hex.
     const LEN: usize = 22;
 
-    /// The tag as a SEND parameter: one allocation, the copy of a stack
-    /// buffer.
+    /// The tag as a SEND parameter, held inline: no allocation.
     pub fn encode(&self) -> Bytes {
-        let mut buf = [0u8; Self::LEN];
-        let mut w = &mut buf[..];
-        write!(
-            w,
+        format_bytes(format_args!(
             "{:02x}.{:02x}.{:016x}",
             self.node.0, self.terminal, self.n
-        )
-        .expect("a tag fits its buffer");
-        Bytes::copy_from_slice(&buf)
+        ))
     }
 
     /// The tag [`Self::encode`] wrote, if `b` is one.
@@ -89,6 +99,9 @@ impl DebitTag {
         })
     }
 }
+
+// an encoded tag is exactly as long as a `Bytes` holds inline
+const _: () = assert!(DebitTag::LEN == Bytes::INLINE_CAP);
 
 // ----------------------------------------------------------------------
 // Server side

@@ -1,5 +1,6 @@
-//! A counting `GlobalAlloc` for the allocation-budget tests (this crate's
-//! and `encompass-storage`'s, which includes this file by path). A test
+//! A counting `GlobalAlloc` for the allocation-budget tests (this crate's,
+//! and those of `encompass-storage` and `encompass`, which include this
+//! file by path). A test
 //! binary installs it with `#[global_allocator]` and measures a closure
 //! with [`allocations_in`]. The count is per thread, so the tests of one
 //! binary can run in parallel without seeing each other's allocations.

@@ -13,7 +13,7 @@ use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_sim::{Name, NodeId};
 use encompass_storage::locks::{Acquire, LockManager, LockScope};
 use encompass_storage::overlay::{Overlay, ReadCache};
-use encompass_storage::types::{Transid, VolumeRef};
+use encompass_storage::types::{num_key, Transid, VolumeRef};
 use encompass_storage::DiscRequest;
 use guardian::Checkpointed;
 use std::hint::black_box;
@@ -172,4 +172,27 @@ fn names_clone_by_handle() {
     );
     assert_eq!(clones.0, "accounts");
     assert_eq!(clones.2, volume);
+}
+
+#[test]
+fn short_keys_are_inline() {
+    let long = [7u8; Bytes::INLINE_CAP + 1];
+    let (n, (record_no, short)) = allocations_in(|| {
+        let record_no = num_key(black_box(42));
+        let short = Bytes::copy_from_slice(black_box(&long[..Bytes::INLINE_CAP]));
+        drop(black_box(short.clone()));
+        (record_no, short)
+    });
+    assert_eq!(
+        n, 0,
+        "num_key, a 22-byte copy_from_slice, its clone and drop"
+    );
+    assert_eq!(record_no[..], 42u64.to_be_bytes());
+    assert_eq!(short, long[..Bytes::INLINE_CAP]);
+
+    let (n, spilled) = allocations_in(|| Bytes::copy_from_slice(black_box(&long)));
+    assert_eq!(n, 1, "23 bytes take one shared block");
+    assert_eq!(spilled, long[..]);
+    let (n, ()) = allocations_in(|| drop(black_box(spilled.clone())));
+    assert_eq!(n, 0, "a shared clone is a count bump");
 }

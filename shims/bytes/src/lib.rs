@@ -10,39 +10,76 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Immutable, cheaply-cloneable byte buffer. The shared arm is one
-/// allocation (`Arc<[u8]>`: counts and bytes side by side), not the two of
-/// an `Arc<Vec<u8>>`.
+/// Immutable, cheaply-cloneable byte buffer. Up to [`Bytes::INLINE_CAP`]
+/// bytes live inside the value itself, so a short key or record costs no
+/// heap block and its clone is a 24-byte copy. Longer ones are one shared
+/// allocation (`Arc<[u8]>`: counts and bytes side by side, not the two of
+/// an `Arc<Vec<u8>>`); a `'static` slice is borrowed. Which form a value
+/// takes is invisible: equality, order, hash and `Debug` are those of the
+/// bytes.
 #[derive(Clone)]
-pub enum Bytes {
+pub struct Bytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
     Static(&'static [u8]),
+    /// `buf[..len]`; `len <= INLINE_CAP`.
+    Inline {
+        len: u8,
+        buf: [u8; Bytes::INLINE_CAP],
+    },
     Shared(Arc<[u8]>),
 }
 
+// the inline arm fills the tag's word and the two words of a fat pointer,
+// and the tag's unused values leave `Option<Bytes>` a niche
+const _: () = assert!(std::mem::size_of::<Bytes>() == 24);
+const _: () = assert!(std::mem::size_of::<Option<Bytes>>() == 24);
+
 impl Bytes {
-    pub fn new() -> Bytes {
-        Bytes::Static(&[])
+    /// The longest byte string held inline, without a heap block.
+    pub const INLINE_CAP: usize = 22;
+
+    pub const fn new() -> Bytes {
+        Bytes(Repr::Static(&[]))
     }
 
     pub const fn from_static(b: &'static [u8]) -> Bytes {
-        Bytes::Static(b)
+        Bytes(Repr::Static(b))
     }
 
+    /// A copy of `b`: inline if it fits, otherwise one allocation.
     pub fn copy_from_slice(b: &[u8]) -> Bytes {
-        Bytes::Shared(Arc::from(b))
+        Bytes::inline(b).unwrap_or_else(|| Bytes(Repr::Shared(Arc::from(b))))
     }
 
+    fn inline(b: &[u8]) -> Option<Bytes> {
+        let len = b.len();
+        (len <= Bytes::INLINE_CAP).then(|| {
+            let mut buf = [0; Bytes::INLINE_CAP];
+            buf[..len].copy_from_slice(b);
+            Bytes(Repr::Inline {
+                len: len as u8,
+                buf,
+            })
+        })
+    }
+
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Bytes::Static(s) => s,
-            Bytes::Shared(v) => v,
+        match &self.0 {
+            Repr::Static(s) => s,
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Shared(v) => v,
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.as_slice().is_empty()
     }
@@ -60,18 +97,21 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         self.as_slice()
     }
@@ -79,29 +119,30 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::Shared(Arc::from(v))
+        Bytes::inline(&v).unwrap_or_else(|| Bytes(Repr::Shared(Arc::from(v))))
     }
 }
 
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
-        Bytes::Shared(Arc::from(s.into_bytes()))
+        Bytes::from(s.into_bytes())
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(b: &'static [u8]) -> Bytes {
-        Bytes::Static(b)
+        Bytes::from_static(b)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(s: &'static str) -> Bytes {
-        Bytes::Static(s.as_bytes())
+        Bytes::from_static(s.as_bytes())
     }
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Bytes) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -109,6 +150,7 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
@@ -121,18 +163,21 @@ impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
 }
 
 impl PartialOrd for Bytes {
+    #[inline]
     fn partial_cmp(&self, other: &Bytes) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Bytes {
+    #[inline]
     fn cmp(&self, other: &Bytes) -> Ordering {
         self.as_slice().cmp(other.as_slice())
     }
 }
 
 impl Hash for Bytes {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state)
     }
@@ -192,7 +237,7 @@ impl BytesMut {
     }
 
     pub fn freeze(self) -> Bytes {
-        Bytes::Shared(Arc::from(self.buf))
+        Bytes::from(self.buf)
     }
 }
 

@@ -1,20 +1,24 @@
-/* A live-heap census to LD_PRELOAD into a single-threaded x86-64 process.
+/* A heap census to LD_PRELOAD into a single-threaded x86-64 process.
  *
  * malloc, calloc, realloc, posix_memalign and free are wrapped: each
  * block is charged, by its requested size, to the frame-pointer chain of
  * the call that allocated it (up to MAX_FRAMES return addresses), and the
- * table keeps the bytes and blocks live per chain. Whenever the live total
- * passes the level of the last snapshot by 1/256, the table's live column
- * is copied aside. Copying stops once the live total first falls below
- * half of a snapshot of at least FREEZE_FLOOR (1 MiB, so that start-up's
- * churn does not count). A benchmark builds a world, runs it and drops
- * it, so the copy left is the first repetition's peak, to within 0.4 %;
- * the repo benchmark's first repetition is its counted warm-up. The copy
- * goes to $HEAP_OUT (default heap.raw) as u64 words: the live total at
- * the snapshot, then per chain with live bytes its bytes, its blocks, a
- * count n and n return addresses. /proc/self/maps is copied to
- * $HEAP_OUT.maps. `resolve.py --heap` turns the two files into MiB by
- * allocation site.
+ * table keeps, per chain, the bytes and blocks live and the blocks
+ * allocated since start (a realloc counts as one, as a counting
+ * GlobalAlloc counts it). Whenever the live total passes the level of
+ * the last snapshot by 1/256, the table's live column is copied aside.
+ * Copying stops once the live total first falls below half of a snapshot
+ * of at least FREEZE_FLOOR (1 MiB, so that start-up's churn does not
+ * count). A benchmark builds a world, runs it and drops it, so the copy
+ * left is the first repetition's peak, to within 0.4 %; the repo
+ * benchmark's first repetition is its counted warm-up. The allocation
+ * count runs on to the end. At exit the census goes to $HEAP_OUT
+ * (default heap.raw) as u64 words: the live total at the snapshot, then
+ * per chain with live bytes at the snapshot or any allocation its bytes
+ * and blocks at the snapshot, its allocations, a count n and n return
+ * addresses. /proc/self/maps is copied to $HEAP_OUT.maps. `resolve.py
+ * --heap` turns the two files into MiB live at the peak by allocation
+ * site, `resolve.py --heap --allocs` into blocks allocated by site.
  *
  *   cc -O2 -fno-omit-frame-pointer -shared -fPIC -o heap.so heap.c -ldl
  *   LD_PRELOAD=$PWD/heap.so HEAP_OUT=run.heap ./binary args...
@@ -45,7 +49,7 @@
 #define FREEZE_FLOOR (1 << 20)
 
 typedef struct {
-    uint64_t hash, live, blocks, snap_live, snap_blocks;
+    uint64_t hash, live, blocks, snap_live, snap_blocks, allocs;
     uint32_t n;
     uint64_t frames[MAX_FRAMES];
 } Site;
@@ -194,7 +198,7 @@ static void track(void *p, size_t size, uintptr_t fp) {
     while (blocks[i].ptr) i = (i + 1) & (block_cap - 1);
     blocks[i] = (Block){(uintptr_t)p, size, s};
     nblocks++;
-    sites[s].live += size, sites[s].blocks++;
+    sites[s].live += size, sites[s].blocks++, sites[s].allocs++;
     live += size;
     if (live > snap_level && !frozen) snapshot();
 }
@@ -289,9 +293,9 @@ __attribute__((destructor)) static void stop(void) {
     put(fd, &snap_total, 1);
     for (uint32_t i = 0; i <= nsites; i++) {
         Site *s = &sites[i];
-        if (s->snap_live == 0) continue;
-        uint64_t head[3] = {s->snap_live, s->snap_blocks, s->n};
-        put(fd, head, 3);
+        if (s->snap_live == 0 && s->allocs == 0) continue;
+        uint64_t head[4] = {s->snap_live, s->snap_blocks, s->allocs, s->n};
+        put(fd, head, 4);
         put(fd, s->frames, s->n);
     }
     close(fd);

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Resolve the samples sampler.c wrote into a self-time profile, or the
-census heap.c wrote into live heap by allocation site.
+census heap.c wrote into live heap or allocation counts by site.
 
     resolve.py BINARY RUN.raw                     # top symbols, all samples
     resolve.py BINARY RUN.raw --sites measure_window
@@ -12,6 +12,10 @@ census heap.c wrote into live heap by allocation site.
         # libc samples grouped by the function their word at rsp returns to
     resolve.py BINARY RUN.heap --heap             # MiB live at the peak, by site
     resolve.py BINARY RUN.heap --heap --frames 3  # sites three callers deep
+    resolve.py BINARY RUN.heap --heap --allocs --per 28800
+        # blocks allocated over the whole run by site, and per commit of a
+        # run that committed 28 800 transactions (the benchmark's
+        # "attempted" less "failed")
 
 Addresses are resolved with `nm` on the file they fall in (`nm -D` for a
 stripped library, plus the run-time IFUNC addresses the sampler saved; a
@@ -51,15 +55,16 @@ def read_samples(path):
 
 
 def read_census(path):
-    """The live total at heap.c's snapshot, and (bytes, blocks, chain) per
-    call chain."""
+    """The live total at heap.c's snapshot, and (bytes, blocks, allocations,
+    chain) per call chain: bytes and blocks live at the snapshot, blocks
+    allocated over the run."""
     words = open(path, "rb").read()
     words = struct.unpack(f"<{len(words) // 8}Q", words)
     chains, i = [], 1
     while i < len(words):
-        nbytes, blocks, n = words[i:i + 3]
-        chains.append((nbytes, blocks, words[i + 3:i + 3 + n]))
-        i += 3 + n
+        nbytes, blocks, allocs, n = words[i:i + 4]
+        chains.append((nbytes, blocks, allocs, words[i + 4:i + 4 + n]))
+        i += 4 + n
     return words[0], chains
 
 
@@ -129,8 +134,8 @@ def short(name):
 
 def heap_sites(syms, binary, args):
     total, chains = read_census(args.raw)
-    sites, blocks = collections.Counter(), collections.Counter()
-    for nbytes, n, chain in chains:
+    sites, blocks, allocs = collections.Counter(), collections.Counter(), collections.Counter()
+    for nbytes, n, allocated, chain in chains:
         names = []
         for path, _, name in map(syms.resolve, chain):
             if path == binary and not PLUMBING.search(name) and len(names) < args.frames:
@@ -138,10 +143,19 @@ def heap_sites(syms, binary, args):
         site = " <- ".join(names) or "(outside BINARY)"
         sites[site] += nbytes
         blocks[site] += n
+        allocs[site] += allocated
+    if args.allocs:
+        count = sum(allocs.values())
+        print(f"{count} blocks allocated over the run, {len(chains)} call chains")
+        for site, n in allocs.most_common(args.top):
+            per = f"{n / args.per:9.3f} /commit " if args.per else ""
+            print(f"{n:10} {100 * n / max(count, 1):5.1f} % {per} {site}")
+        return
     mib = 1 << 20
     print(f"{total / mib:.2f} MiB live at the peak, {len(chains)} call chains")
     for site, nbytes in sites.most_common(args.top):
-        print(f"{nbytes / mib:8.3f} MiB {100 * nbytes / max(total, 1):5.1f} % {blocks[site]:9}  {site}")
+        if nbytes:
+            print(f"{nbytes / mib:8.3f} MiB {100 * nbytes / max(total, 1):5.1f} % {blocks[site]:9}  {site}")
 
 
 def main():
@@ -157,6 +171,8 @@ def main():
     ap.add_argument("--returns-to", action="store_true", help="group libc samples by caller")
     ap.add_argument("--heap", action="store_true", help="RAW is a heap.c census")
     ap.add_argument("--frames", type=int, default=2, help="callers that name a heap site")
+    ap.add_argument("--allocs", action="store_true", help="with --heap: rank sites by blocks allocated")
+    ap.add_argument("--per", type=int, help="with --allocs: also divide each count by this (the run's commits)")
     args = ap.parse_args()
     syms = Symbols(args.raw + ".maps")
     binary = next(p for _, _, _, p in syms.maps if p.endswith(args.binary.split("/")[-1]))
