@@ -80,6 +80,21 @@ impl VolumeKeys {
     }
 }
 
+/// Put an append's records on each transaction's flight timeline, in
+/// transid order. An append holds a few records, all of one transaction
+/// when a DISCPROCESS sends it, so they are counted without a map.
+fn flight_appended(ctx: &mut PairCtx<'_, '_>, records: &[ImageRecord]) {
+    let mut after = None;
+    while let Some(t) = (records.iter().map(|r| r.transid))
+        .filter(|&t| after < Some(t))
+        .min()
+    {
+        let n = records.iter().filter(|r| r.transid == t).count() as u32;
+        ctx.flight(t.flight_id(), FlightCause::AuditAppend { records: n });
+        after = Some(t);
+    }
+}
+
 /// Timer tag of partition `p`'s physical force completion. Partition 0
 /// keeps the historical tag 1.
 fn tag_force(p: usize) -> u64 {
@@ -172,15 +187,15 @@ pub struct AuditStateReport {
 
 /// Checkpoint deltas sent from the primary to the backup.
 pub enum AuditDelta {
+    /// One append request: its records all come from one volume, so they
+    /// go to one partition.
     Append {
         /// The append request this delta answers, with its requester's
-        /// floor. Only the first of an append's per-partition deltas
-        /// carries it: a backup records each reply once.
-        answers: Option<Asked>,
+        /// floor.
+        answers: Asked,
         /// The volume the append came from and the re-send floor it
-        /// carried, on the delta holding its records (`None` for an
-        /// append without records): the backup's filter learns what the
-        /// primary's did.
+        /// carried (`None` for an append without records): the backup's
+        /// filter learns what the primary's did.
         floor: Option<(VolumeRef, u64)>,
         partition: usize,
         records: Vec<ImageRecord>,
@@ -345,50 +360,34 @@ impl AuditProcess {
         f(trail)
     }
 
-    /// Partitions currently buffering records of `transid`.
-    fn parts_buffering(&self, transid: Transid) -> Vec<usize> {
-        (0..self.parts.len())
-            .filter(|&p| self.parts[p].buffer.iter().any(|r| r.transid == transid))
-            .collect()
-    }
-
-    /// Partitions with anything buffered at all.
-    fn parts_nonempty(&self) -> Vec<usize> {
-        (0..self.parts.len())
-            .filter(|&p| !self.parts[p].buffer.is_empty())
-            .collect()
-    }
-
-    /// Fan a force request out to `targets`, each partition completing
-    /// when everything it currently buffers is on its trail.
+    /// Fan a force request out to the partitions it waits on, each
+    /// completing when everything it currently buffers is on its trail.
+    /// A force for `transid` waits on the partitions buffering its
+    /// records; one for no transaction (a forced append, the flush
+    /// barrier) on every partition buffering anything.
     fn enqueue_force(
         &mut self,
         ctx: &mut PairCtx<'_, '_>,
         owed: Owed,
         r: AuditReply,
         transid: Option<Transid>,
-        targets: Vec<usize>,
     ) {
-        if targets.is_empty() {
-            // nothing to force (e.g. an append fully deduplicated away)
-            self.replies.answer(ctx, owed, r);
-            return;
-        }
-        if let Some(t) = transid {
-            ctx.flight(t.flight_id(), FlightCause::AuditForceStart);
-        }
         let force = owed.id();
-        self.pending.insert(
-            force,
-            PendingForce {
-                owed,
-                reply: r,
-                remaining: targets.len(),
-                transid,
-            },
-        );
-        for p in targets {
-            let needed = self.parts[p].forced_count + self.parts[p].buffer.len() as u64;
+        let mut remaining = 0;
+        for p in 0..self.parts.len() {
+            let buffer = &self.parts[p].buffer;
+            let waits = match transid {
+                Some(t) => buffer.iter().any(|r| r.transid == t),
+                None => !buffer.is_empty(),
+            };
+            if !waits {
+                continue;
+            }
+            if let Some(t) = transid.filter(|_| remaining == 0) {
+                ctx.flight(t.flight_id(), FlightCause::AuditForceStart);
+            }
+            remaining += 1;
+            let needed = self.parts[p].forced_count + buffer.len() as u64;
             self.parts[p].waiters.push(Waiter {
                 force,
                 needed,
@@ -396,6 +395,20 @@ impl AuditProcess {
             });
             self.maybe_start_force(ctx, p);
         }
+        if remaining == 0 {
+            // nothing to force (e.g. an append fully deduplicated away)
+            self.replies.answer(ctx, owed, r);
+            return;
+        }
+        self.pending.insert(
+            force,
+            PendingForce {
+                owed,
+                reply: r,
+                remaining,
+                transid,
+            },
+        );
     }
 
     fn maybe_start_force(&mut self, ctx: &mut PairCtx<'_, '_>, p: usize) {
@@ -425,12 +438,9 @@ impl AuditProcess {
         self.parts[p].force_in_progress = Some(upto);
         ctx.count(counter!("audit.force_started"), 1);
         let will_force = self.parts[p].forced_count + upto as u64;
-        let boarding: Vec<Transid> = self.parts[p]
-            .waiters
-            .iter()
+        let boarding = (self.parts[p].waiters.iter())
             .filter(|w| w.needed <= will_force)
-            .filter_map(|w| w.transid)
-            .collect();
+            .filter_map(|w| w.transid);
         for t in boarding {
             ctx.flight(
                 t.flight_id(),
@@ -529,52 +539,41 @@ impl PairApp for AuditProcess {
                 ctx.count(counter!("audit.appends"), 1);
                 // an append's records come from one volume, whose floor it
                 // carries, so they land in one partition's delta
-                let mut floor = records.first().map(|r| (r.volume.clone(), floor));
-                let records = match &floor {
-                    Some((volume, at)) => self.dedup(ctx, volume, *at, records),
+                let volume = records.first().map(|r| r.volume.clone());
+                assert!(
+                    records.iter().all(|r| Some(&r.volume) == volume.as_ref()),
+                    "an append's records come from one volume"
+                );
+                let records = match &volume {
+                    Some(volume) => self.dedup(ctx, volume, floor, records),
                     None => records,
                 };
                 ctx.count(counter!("audit.records"), records.len() as u64);
-                let mut split: BTreeMap<usize, Vec<ImageRecord>> = BTreeMap::new();
-                for r in records {
-                    let p = self.partition_of(&r.volume.volume);
-                    split.entry(p).or_default().push(r);
-                }
                 // an append that deduplicated away entirely still
                 // checkpoints once, so the backup replicates the reply
-                if split.is_empty() {
-                    split.insert(0, Vec::new());
-                }
-                let mut per_txn: BTreeMap<Transid, u32> = BTreeMap::new();
-                let mut answers = Some(owed.asked());
-                for (p, recs) in split {
-                    ctx.checkpoint(AuditDelta::Append {
-                        answers: answers.take(),
-                        floor: floor.take(),
-                        partition: p,
-                        records: recs.clone(),
-                    });
-                    for r in &recs {
-                        *per_txn.entry(r.transid).or_insert(0) += 1;
-                    }
-                    self.parts[p].buffer.extend(recs);
-                }
-                for (t, n) in per_txn {
-                    ctx.flight(t.flight_id(), FlightCause::AuditAppend { records: n });
-                }
+                let p = match (&volume, records.is_empty()) {
+                    (Some(volume), false) => self.partition_of(&volume.volume),
+                    _ => 0,
+                };
+                flight_appended(ctx, &records);
+                self.parts[p].buffer.extend(records.iter().cloned());
+                ctx.checkpoint(AuditDelta::Append {
+                    answers: owed.asked(),
+                    floor: volume.map(|v| (v, floor)),
+                    partition: p,
+                    records,
+                });
                 if force {
                     // a forced append is a flush barrier: everything
                     // queued before it, on every partition, must land
-                    let targets = self.parts_nonempty();
-                    self.enqueue_force(ctx, owed, AuditReply::Appended, None, targets);
+                    self.enqueue_force(ctx, owed, AuditReply::Appended, None);
                 } else {
                     self.replies.answer(ctx, owed, AuditReply::Appended);
                 }
             }
             AuditMsg::ForceTxn { transid } => {
                 ctx.count(counter!("audit.force_txn"), 1);
-                let targets = self.parts_buffering(transid);
-                self.enqueue_force(ctx, owed, AuditReply::Forced, Some(transid), targets);
+                self.enqueue_force(ctx, owed, AuditReply::Forced, Some(transid));
             }
             AuditMsg::Purge { floors, open } => {
                 ctx.count(counter!("audit.purges"), 1);
@@ -712,9 +711,7 @@ impl PairApp for AuditProcess {
                 }
                 let p = partition.min(self.parts.len() - 1);
                 self.parts[p].buffer.extend(records);
-                if let Some(asked) = answers {
-                    self.replies.record(asked, AuditReply::Appended);
-                }
+                self.replies.record(answers, AuditReply::Appended);
             }
             AuditDelta::Forced { partition, count } => {
                 let p = partition.min(self.parts.len() - 1);

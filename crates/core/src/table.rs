@@ -216,6 +216,31 @@ mod tests {
         assert!(w.metrics().get("tmf.table_broadcasts") >= 3);
     }
 
+    /// The TMP sends every table a copy of one shared broadcast: each
+    /// table applies it, and the last copy read frees the block.
+    #[test]
+    fn one_shared_broadcast_reaches_four_tables() {
+        let mut w = World::new(SimConfig::default());
+        let n = w.add_node(4);
+        let tables: Vec<Pid> = (0..4)
+            .map(|cpu| w.spawn(n, cpu, Box::new(TxTableProcess::new())))
+            .collect();
+        w.run_until_quiescent();
+        let change = std::sync::Arc::new(StateBroadcast {
+            transid: t(3),
+            state: TxState::Active,
+        });
+        for &table in &tables {
+            w.send_external(table, Payload::shared(&change));
+        }
+        w.run_for(SimDuration::from_millis(5));
+        assert_eq!(std::sync::Arc::strong_count(&change), 1, "every copy read");
+        for &table in &tables {
+            assert_eq!(query(&mut w, n, table, t(3)), Some(TxState::Active));
+        }
+        assert_eq!(w.metrics().get("tmf.table_broadcasts"), 4);
+    }
+
     #[test]
     fn illegal_regressions_are_ignored() {
         let mut w = World::new(SimConfig::default());

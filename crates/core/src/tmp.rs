@@ -47,7 +47,9 @@ use guardian::{
     Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, ServedSnapshot,
     Target, TimerOutcome, RPC_TAG_BASE,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TmpDelta>;
 
@@ -204,8 +206,9 @@ struct Txn {
     /// abort — there is nothing durable to salvage) and that a committed
     /// read-only parent's children get AbortTxn, not Phase2.
     class: TxnClass,
-    volumes: Vec<VolumeRef>,
-    children: BTreeSet<NodeId>,
+    volumes: Members<VolumeRef>,
+    /// Sorted.
+    children: Members<NodeId>,
     /// Outstanding phase-one acknowledgements (local volumes + children).
     outstanding_phase1: usize,
     /// The request awaiting End (home) or Phase1 (non-home).
@@ -231,8 +234,8 @@ impl Txn {
             state: TxState::Active,
             home,
             class,
-            volumes: Vec::new(),
-            children: BTreeSet::new(),
+            volumes: Members::default(),
+            children: Members::default(),
             outstanding_phase1: 0,
             end_waiter: None,
             abort_waiters: Vec::new(),
@@ -250,10 +253,47 @@ impl Txn {
             home: self.home,
             class: self.class,
             volumes: self.volumes.clone(),
-            children: self.children.iter().copied().collect(),
+            children: self.children.clone(),
             seq,
             drop: false,
         }
+    }
+}
+
+/// A transaction's participating volumes, or its children: one block,
+/// shared by its entry and by every checkpoint delta of it. Adding a
+/// member builds the next list; nothing else copies one (DESIGN.md
+/// §D19(e)).
+struct Members<T>(Option<Arc<[T]>>);
+
+impl<T> Default for Members<T> {
+    fn default() -> Self {
+        Members(None)
+    }
+}
+
+impl<T> Clone for Members<T> {
+    fn clone(&self) -> Self {
+        Members(self.0.clone())
+    }
+}
+
+impl<T> Deref for Members<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl<T: Clone> Members<T> {
+    /// The list with `member` inserted at `at`, in one allocation.
+    fn inserted(&self, at: usize, member: T) -> Members<T> {
+        let (head, tail) = self.split_at(at);
+        let list = (head.iter().cloned())
+            .chain([member])
+            .chain(tail.iter().cloned())
+            .collect();
+        Members(Some(list))
     }
 }
 
@@ -263,8 +303,8 @@ pub struct TmpDelta {
     state: TxState,
     home: bool,
     class: TxnClass,
-    volumes: Vec<VolumeRef>,
-    children: Vec<NodeId>,
+    volumes: Members<VolumeRef>,
+    children: Members<NodeId>,
     seq: u64,
     drop: bool,
 }
@@ -435,7 +475,9 @@ impl TmpProcess {
     // ------------------------------------------------------------------
 
     /// Broadcast a state change to the transaction table of *every*
-    /// processor in this node (the paper's intra-node design).
+    /// processor in this node (the paper's intra-node design): one bus
+    /// message per table, all of them copies of one shared block
+    /// (DESIGN.md §D19(e)).
     fn broadcast(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid, state: TxState) {
         let node = ctx.node();
         let cpus = ctx.cpu_count(node);
@@ -446,6 +488,7 @@ impl TmpProcess {
         let tables = self.txtable_names[..cpus as usize]
             .iter()
             .zip(&mut self.txtable_pids);
+        let mut change = None;
         for (name, cached) in tables {
             let pid = match *cached {
                 Some(pid) if ctx.is_alive(pid) => Some(pid),
@@ -456,7 +499,9 @@ impl TmpProcess {
             };
             debug_assert_eq!(pid, ctx.lookup_name(node, name), "{name} changed hands");
             if let Some(pid) = pid {
-                let _ = ctx.send(pid, Payload::new(StateBroadcast { transid, state }));
+                let change =
+                    change.get_or_insert_with(|| Arc::new(StateBroadcast { transid, state }));
+                let _ = ctx.send(pid, Payload::shared(change));
                 ctx.count(counter!("tmf.state_broadcasts"), 1);
             }
         }
@@ -475,8 +520,8 @@ impl TmpProcess {
                 state: TxState::Aborted,
                 home: false,
                 class: TxnClass::ReadWrite,
-                volumes: Vec::new(),
-                children: Vec::new(),
+                volumes: Members::default(),
+                children: Members::default(),
                 seq: self.seq,
                 drop: false,
             },
@@ -533,8 +578,7 @@ impl TmpProcess {
         let Some(t) = self.txns.get(&transid) else {
             return;
         };
-        let volumes = t.volumes.clone();
-        let children: Vec<NodeId> = t.children.iter().copied().collect();
+        let (volumes, children) = (t.volumes.clone(), t.children.clone());
         let outstanding = volumes.len() + children.len();
         if let Some(t) = self.txns.get_mut(&transid) {
             t.outstanding_phase1 = outstanding;
@@ -549,7 +593,7 @@ impl TmpProcess {
             self.phase1_complete(ctx, transid);
             return;
         }
-        for v in volumes {
+        for v in volumes.iter() {
             ctx.count(counter!("tmf.msgs.phase1_local"), 1);
             if self
                 .disc_rpc
@@ -567,7 +611,7 @@ impl TmpProcess {
                 return;
             }
         }
-        for child in children {
+        for &child in children.iter() {
             ctx.count(counter!("tmf.msgs.phase1_net"), 1);
             if self
                 .tmp_rpc
@@ -647,8 +691,7 @@ impl TmpProcess {
         let Some(t) = self.txns.get(&transid) else {
             return;
         };
-        let volumes = t.volumes.clone();
-        for v in volumes {
+        for v in t.volumes.iter() {
             ctx.count(counter!("tmf.msgs.release_early"), 1);
             self.disc_rpc.call_persistent(
                 ctx,
@@ -816,13 +859,13 @@ impl TmpProcess {
         let committed = t.state == TxState::Ended;
         let class = t.class;
         let volumes = t.volumes.clone();
-        let children: Vec<NodeId> = if t.home {
-            t.children.iter().copied().collect()
+        let children = if t.home {
+            t.children.clone()
         } else {
-            Vec::new()
+            Members::default()
         };
         let mut pending = 0usize;
-        for v in volumes {
+        for v in volumes.iter() {
             ctx.count(counter!("tmf.msgs.release_local"), 1);
             self.disc_rpc.call_persistent(
                 ctx,
@@ -836,7 +879,7 @@ impl TmpProcess {
             );
             pending += 1;
         }
-        for child in children {
+        for &child in children.iter() {
             // A committed read-only parent never ran phase one, so its
             // children are still Active — Phase2 would be silently ignored
             // there and the child would linger until the janitor's
@@ -909,15 +952,14 @@ impl TmpProcess {
         let Some(t) = self.txns.get(&transid) else {
             return;
         };
-        let volumes = t.volumes.clone();
-        let children: Vec<NodeId> = t.children.iter().copied().collect();
+        let (volumes, children) = (t.volumes.clone(), t.children.clone());
         self.set_state(ctx, transid, TxState::Aborting);
         ctx.count(counter!("tmf.abort_started"), 1);
         if !volumes.is_empty() {
             ctx.flight(transid.flight_id(), FlightCause::BackoutStart);
         }
         // abort notifications to children are safe-delivery
-        for child in children {
+        for &child in children.iter() {
             ctx.count(counter!("tmf.msgs.abort_net"), 1);
             self.tmp_rpc.call_persistent(
                 ctx,
@@ -934,7 +976,10 @@ impl TmpProcess {
             self.backout_rpc.call_persistent(
                 ctx,
                 Target::Named(node, BACKOUT_SERVICE),
-                BackoutMsg::Backout { transid, volumes },
+                BackoutMsg::Backout {
+                    transid,
+                    volumes: volumes.to_vec(),
+                },
                 SAFE_RETRY,
                 transid,
             );
@@ -1041,7 +1086,7 @@ impl TmpProcess {
                     } else if t.volumes.contains(&volume) {
                         (true, false)
                     } else {
-                        t.volumes.push(volume);
+                        t.volumes = t.volumes.inserted(t.volumes.len(), volume);
                         (true, true)
                     }
                 };
@@ -1257,7 +1302,9 @@ impl TmpProcess {
                 owed,
             } => match self.txns.get_mut(&transid) {
                 Some(t) if matches!(c.body, TmpReply::Ok) => {
-                    t.children.insert(dest);
+                    if let Err(at) = t.children.binary_search(&dest) {
+                        t.children = t.children.inserted(at, dest);
+                    }
                     self.checkpoint_txn(ctx, transid, false);
                     self.replies.answer(ctx, owed, TmpReply::Ok);
                 }
@@ -1639,7 +1686,7 @@ impl PairApp for TmpProcess {
         t.home = d.home;
         t.class = d.class;
         t.volumes = d.volumes;
-        t.children = d.children.into_iter().collect();
+        t.children = d.children;
     }
 
     fn snapshot(&self) -> TmpSnapshot {

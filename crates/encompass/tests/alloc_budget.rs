@@ -2,14 +2,19 @@
 //! a branch key and a debit tag are short enough for a `Bytes` to hold
 //! inline, and they are written through a stack buffer, so building one
 //! allocates nothing: a debit's SEND parameters cost their `Vec` alone.
+//!
+//! And of a whole bank commit: what it allocates is its messages
+//! (DESIGN.md §D19(e)). Its bookkeeping borrows the lists it reads and
+//! reuses the buffers it fills.
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
+use encompass::app::{launch_bank_app, BankAppParams};
 use encompass::shardbank::branch_key;
 use encompass::workload::{account_key, balance_bytes, DebitTag};
-use encompass_sim::NodeId;
+use encompass_sim::{NodeId, SimDuration, World};
 use std::hint::black_box;
 
 #[global_allocator]
@@ -55,4 +60,50 @@ fn text_longer_than_the_buffer_falls_back_to_the_heap() {
     let (n, key) = allocations_in(|| account_key(black_box(u64::MAX)));
     assert!(n >= 1, "24 bytes do not fit inline");
     assert_eq!(key, b"acct18446744073709551615");
+}
+
+/// Blocks a warm read-write bank commit may allocate beyond one per
+/// message sent. Most messages are one block. The four messages of a
+/// state broadcast share one (twelve blocks fewer than messages a
+/// commit); some messages carry a list of their own (an append's
+/// images, a SEND's parameters, a write set in a checkpoint); and some
+/// state lives as long as the transaction (its lock-table entries, its
+/// retained images). Measured: 1.4; 28.8 when every broadcast copy was
+/// a block and the commit path copied the lists it reads.
+const BLOCKS_PER_COMMIT_BEYOND_MESSAGES: f64 = 2.0;
+
+fn counter_sum(w: &World, names: &[&str]) -> u64 {
+    names.iter().map(|name| w.metrics().get(name)).sum()
+}
+
+#[test]
+fn a_warm_bank_commit_allocates_its_messages_and_little_else() {
+    // bank1_write's shape: one 4-CPU node, 8 terminals debiting
+    let mut app = launch_bank_app(BankAppParams {
+        node_cpus: vec![4],
+        history: false,
+        accounts: 1_000,
+        terminals_per_node: 8,
+        transactions_per_terminal: 400,
+        think: SimDuration::from_micros(500),
+        seed: 1,
+        ..BankAppParams::default()
+    });
+    app.world.run_for(SimDuration::from_secs(3));
+    let msgs = ["sim.msgs.local", "sim.msgs.bus", "sim.msgs.net"];
+    let (commits, sent) = (
+        counter_sum(&app.world, &["tmf.commits"]),
+        counter_sum(&app.world, &msgs),
+    );
+    let (blocks, ()) = allocations_in(|| app.world.run_for(SimDuration::from_secs(10)));
+    let commits = counter_sum(&app.world, &["tmf.commits"]) - commits;
+    let sent = counter_sum(&app.world, &msgs) - sent;
+    assert!(commits >= 500, "{commits} commits in the window");
+    assert_eq!(counter_sum(&app.world, &["tmf.readonly_commits"]), 0);
+    let beyond = (blocks as f64 - sent as f64) / commits as f64;
+    assert!(
+        beyond <= BLOCKS_PER_COMMIT_BEYOND_MESSAGES,
+        "{blocks} blocks for {sent} messages and {commits} commits: {beyond:.2} a commit \
+         beyond its messages, budget {BLOCKS_PER_COMMIT_BEYOND_MESSAGES}"
+    );
 }

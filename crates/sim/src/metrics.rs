@@ -17,7 +17,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Distinct counter names one process may register (the workspace has
 /// about 150, histogram buckets included). The name table and every
@@ -43,27 +43,42 @@ impl CounterId {
 
 impl fmt::Debug for CounterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = names().by_id[self.0 as usize];
-        f.write_str(name)
+        f.write_str(name_of(self.0))
     }
 }
 
-/// The process-wide name table. Both arrays are reserved here, in static
+/// The process-wide name table. Everything is reserved here, in static
 /// storage: a counter that first fires in the middle of a measured window
 /// (takeover and backout counters do) must not allocate there.
+///
+/// Registration takes the lock; reading by name does not. A name is set
+/// in [`BY_ID`] before its id is published in [`INDEX`], so a reader that
+/// finds the id finds the name.
 struct Names {
-    /// The name of each id, in registration order.
-    by_id: [&'static str; MAX_COUNTERS],
-    /// The ids registered so far, sorted by name: the read side's index.
+    /// The ids registered so far, sorted by name: [`Metrics::snapshot`]
+    /// lists counters in this order.
     sorted: [u32; MAX_COUNTERS],
     len: usize,
 }
 
 static NAMES: Mutex<Names> = Mutex::new(Names {
-    by_id: [""; MAX_COUNTERS],
     sorted: [0; MAX_COUNTERS],
     len: 0,
 });
+
+/// The name of each id, in registration order.
+static BY_ID: [OnceLock<&'static str>; MAX_COUNTERS] = [const { OnceLock::new() }; MAX_COUNTERS];
+
+/// Slots of the by-name index: a power of two, twice [`MAX_COUNTERS`], so
+/// the table is at most half full and a probe ends within a few slots.
+const INDEX_BITS: u32 = 10;
+const INDEX_SLOTS: usize = 1 << INDEX_BITS;
+const _: () = assert!(INDEX_SLOTS >= 2 * MAX_COUNTERS);
+
+/// Open addressing on a hash of the name, probed linearly: a slot holds
+/// an id plus one, or 0 while empty. Only [`Names::intern`] fills a slot,
+/// and no slot is ever emptied.
+static INDEX: [AtomicU32; INDEX_SLOTS] = [const { AtomicU32::new(0) }; INDEX_SLOTS];
 
 fn names() -> MutexGuard<'static, Names> {
     NAMES
@@ -71,34 +86,62 @@ fn names() -> MutexGuard<'static, Names> {
         .expect("a counter registration panicked holding the name table")
 }
 
+fn name_of(id: u32) -> &'static str {
+    BY_ID[id as usize]
+        .get()
+        .expect("an id is named before it is handed out")
+}
+
+/// The first index slot of `name`: FNV-1a, high bits.
+fn home_slot(name: &str) -> usize {
+    let hash = (name.bytes()).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    (hash >> (64 - INDEX_BITS)) as usize
+}
+
+/// The id of `name`, if it is registered: a hash and, mostly, one string
+/// compare, without the lock.
+fn id_of(name: &str) -> Option<CounterId> {
+    let mut at = home_slot(name);
+    loop {
+        // Acquire: pairs with the Release in `intern`, so the name of
+        // the id read here is set
+        match INDEX[at].load(Ordering::Acquire) {
+            0 => return None,
+            slot if name_of(slot - 1) == name => return Some(CounterId(slot - 1)),
+            _ => at = (at + 1) % INDEX_SLOTS,
+        }
+    }
+}
+
 impl Names {
-    /// Position of `name` in `sorted`, or where it would go.
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        self.sorted[..self.len].binary_search_by(|&id| self.by_id[id as usize].cmp(name))
-    }
-
-    fn id_of(&self, name: &str) -> Option<CounterId> {
-        self.find(name).ok().map(|at| CounterId(self.sorted[at]))
-    }
-
     /// The id of `name`, registering it if new; `keep` yields the copy of
     /// a new name that the table holds on to.
     fn intern(&mut self, name: &str, keep: impl FnOnce() -> &'static str) -> CounterId {
-        match self.find(name) {
-            Ok(at) => CounterId(self.sorted[at]),
-            Err(at) => {
-                assert!(
-                    self.len < MAX_COUNTERS,
-                    "more than MAX_COUNTERS ({MAX_COUNTERS}) counter names; {name:?} does not fit"
-                );
-                let id = self.len as u32;
-                self.by_id[self.len] = keep();
-                self.sorted.copy_within(at..self.len, at + 1);
-                self.sorted[at] = id;
-                self.len += 1;
-                CounterId(id)
-            }
+        if let Some(id) = id_of(name) {
+            return id;
         }
+        assert!(
+            self.len < MAX_COUNTERS,
+            "more than MAX_COUNTERS ({MAX_COUNTERS}) counter names; {name:?} does not fit"
+        );
+        let id = self.len as u32;
+        let at = (self.sorted[..self.len])
+            .binary_search_by(|&other| name_of(other).cmp(name))
+            .expect_err("the index did not hold the name");
+        BY_ID[self.len]
+            .set(keep())
+            .expect("ids are handed out once, under the lock");
+        self.sorted.copy_within(at..self.len, at + 1);
+        self.sorted[at] = id;
+        self.len += 1;
+        let mut slot = home_slot(name);
+        while INDEX[slot].load(Ordering::Relaxed) != 0 {
+            slot = (slot + 1) % INDEX_SLOTS;
+        }
+        INDEX[slot].store(id + 1, Ordering::Release);
+        CounterId(id)
     }
 }
 
@@ -119,13 +162,14 @@ impl CounterSite {
         }
     }
 
-    /// One load after the first use. `Relaxed`: the id is a bare number
-    /// that publishes nothing else — the name table is only read under
-    /// its lock — and two threads racing through the first use store the
-    /// same value.
+    /// One load after the first use. `Acquire`, paired with the store in
+    /// `resolve`: a thread that reads the id may read its name without
+    /// the table's lock (a `CounterId` prints it), so the id publishes
+    /// the name. Two threads racing through the first use store the same
+    /// value.
     #[inline]
     pub fn id(&self) -> CounterId {
-        match self.id.load(Ordering::Relaxed) {
+        match self.id.load(Ordering::Acquire) {
             UNRESOLVED => self.resolve(),
             id => CounterId(id),
         }
@@ -134,7 +178,7 @@ impl CounterSite {
     #[cold]
     fn resolve(&self) -> CounterId {
         let id = names().intern(self.name, || self.name);
-        self.id.store(id.0, Ordering::Relaxed);
+        self.id.store(id.0, Ordering::Release);
         id
     }
 }
@@ -213,11 +257,10 @@ impl Metrics {
         slot.touched = true;
     }
 
-    /// Current value of a counter (zero if it was never touched).
+    /// Current value of a counter (zero if it was never touched). Takes
+    /// no lock: a hash of `name` and a compare or two.
     pub fn get(&self, name: &str) -> u64 {
-        names()
-            .id_of(name)
-            .map_or(0, |id| self.slots[id.0 as usize].value)
+        id_of(name).map_or(0, |id| self.slots[id.0 as usize].value)
     }
 
     /// All counters this world touched, in name order.
@@ -225,7 +268,7 @@ impl Metrics {
         let names = names();
         names.sorted[..names.len]
             .iter()
-            .map(|&id| (names.by_id[id as usize], self.slots[id as usize]))
+            .map(|&id| (name_of(id), self.slots[id as usize]))
             .filter(|(_, slot)| slot.touched)
             .map(|(name, slot)| (name.to_string(), slot.value))
             .collect()

@@ -125,6 +125,44 @@ proptest! {
     }
 }
 
+/// The names of the by-name index test: enough of them, under shared
+/// prefixes, that some share an index slot.
+fn indexed_names() -> Vec<String> {
+    (0..96).map(|i| format!("prop.idx.{}", i * 7919)).collect()
+}
+
+// `get` finds a name through a hash index, not the id that wrote it:
+// for every registered name it reads the slot of that name's id, and a
+// name never registered (here or anywhere in the process) reads 0.
+proptest! {
+    #[test]
+    fn get_by_name_reads_the_slot_of_its_id(
+        bumps in proptest::collection::vec((0usize..96, 0u64..1_000), 0..80),
+        unknown in proptest::collection::vec(0u32..1_000_000, 0..8),
+    ) {
+        let names = indexed_names();
+        let ids: Vec<CounterId> = names.iter().map(|n| CounterId::named(n)).collect();
+        let mut metrics = Metrics::new();
+        let mut want = vec![0u64; names.len()];
+        for (i, n) in bumps {
+            metrics.add(ids[i], n);
+            want[i] += n;
+        }
+        for (i, name) in names.iter().enumerate() {
+            prop_assert_eq!(metrics.get(name), want[i]);
+            prop_assert_eq!(CounterId::named(name), ids[i]);
+            prop_assert_eq!(format!("{:?}", ids[i]), name.clone());
+        }
+        for u in unknown {
+            // a registered name's prefix, and one past its end
+            prop_assert_eq!(metrics.get(&format!("prop.unregistered.{u}")), 0);
+            prop_assert_eq!(metrics.get(&format!("prop.idx.{u}x")), 0);
+        }
+        prop_assert_eq!(metrics.get("prop.idx."), 0);
+        prop_assert_eq!(metrics.get(""), 0);
+    }
+}
+
 /// Ids are handed out in first-use order, which two threads building
 /// worlds do not agree on; values and snapshots must not care.
 #[test]

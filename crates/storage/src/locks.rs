@@ -330,7 +330,7 @@ impl LockManager {
     /// backout). Returns the queued requests that became grantable — the
     /// DISCPROCESS completes those operations.
     pub fn release_all(&mut self, txn: Transid) -> Vec<GrantedWaiter> {
-        let scopes = self.held.remove(&txn).unwrap_or_default();
+        let mut scopes = self.held.remove(&txn).unwrap_or_default();
         for scope in &scopes {
             let Some(locks) = self.files.get_mut(&**scope.file()) else {
                 continue;
@@ -359,14 +359,17 @@ impl LockManager {
                 self.wake_record(file, key, &mut granted);
             }
         }
-        // re-evaluate file-lock queues of every touched file, and record
-        // waiters blocked by a released file lock
-        let mut touched_files: Vec<&Name> = scopes.iter().map(LockScope::file).collect();
-        touched_files.sort();
-        touched_files.dedup();
-        for file in touched_files {
-            self.wake_file(file, &mut granted);
-            self.wake_records_of_file(file, &mut granted);
+        // re-evaluate file-lock queues of every touched file, once each and
+        // in name order, and record waiters blocked by a released file
+        // lock; the scopes are the held list's own, so sorting them in
+        // place costs no copy
+        scopes.sort_unstable_by(|a, b| a.file().cmp(b.file()));
+        let mut last = None;
+        for file in scopes.iter().map(LockScope::file) {
+            if last.replace(file) != Some(file) {
+                self.wake_file(file, &mut granted);
+                self.wake_records_of_file(file, &mut granted);
+            }
         }
         // drop the record queues this release left idle, to bound memory
         // (a queue only ever empties here or in `cancel_waiter`)
