@@ -10,7 +10,9 @@ use encompass_audit::backout::{spawn_backout_process, BackoutMsg, BackoutReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::{trail_key, TrailMedia};
-use encompass_sim::{CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
+use encompass_sim::{
+    CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, World,
+};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, DiscRequest};
 use encompass_storage::media::{media_key, VolumeMedia};
@@ -46,6 +48,7 @@ fn setup_with(mode: RecoveryMode, sim: SimConfig) -> (World, NodeId, Target) {
     let vol = VolumeRef::new(n, "$DATA");
     let mut catalog = Catalog::new();
     catalog.add(FileDef::key_sequenced("accounts", vol.clone()));
+    catalog.add(FileDef::entry_sequenced("log", vol.clone()));
     spawn_audit_process(&mut w, n, 2, 3, AuditConfig::default());
     let cfg = DiscConfig {
         recovery_mode: mode,
@@ -109,6 +112,100 @@ fn wal_mode_forces_every_update() {
     // one force per write (3 writes), none needed at phase one
     assert_eq!(w.metrics().get("audit.forces"), 3);
     assert_eq!(w.metrics().get("disc.wal_forced_writes"), 3);
+}
+
+/// The WAL contract: a write is answered only once its images are on the
+/// trail. Checked after every event, so an answer sent before the force
+/// completes is caught the moment it arrives.
+#[test]
+fn wal_mode_answers_a_write_only_once_its_images_are_forced() {
+    let (mut w, n, target) = setup(RecoveryMode::WalForce);
+    let t = txn(1);
+    let replies = run_script(&mut w, n, 0, target, write_workload(t));
+    let mut answered = 0;
+    while w.now().as_micros() < 5_000_000 && w.step() {
+        let got = replies.borrow().len();
+        // the first three replies answer writes of one image each
+        if got > answered && got <= 3 {
+            let trail = w.stable().get::<TrailMedia>(&trail_key(n, 0));
+            let forced = trail.map_or(0, |trail| trail.txn_images(t).len());
+            assert!(
+                forced >= got,
+                "write {got} answered with {forced} image(s) on the trail"
+            );
+        }
+        answered = got;
+    }
+    assert_eq!(answered, 5, "{:?}", replies.borrow());
+}
+
+/// Two inserts into one entry-sequenced file, from two clients, arriving
+/// while the first one's force is still in progress (both are sent at
+/// once; a force takes a disc access): each takes its own entry number,
+/// and both records survive the commit.
+#[test]
+fn wal_mode_inserts_inside_one_force_take_distinct_entry_numbers() {
+    let (mut w, n, target) = setup(RecoveryMode::WalForce);
+    let scripts: Vec<_> = (1..=2)
+        .map(|i| {
+            let t = txn(i);
+            let script = vec![
+                DiscRequest::InsertEntry {
+                    file: "log".into(),
+                    value: Bytes::from(format!("entry of txn {i}")),
+                    transid: Some(t),
+                },
+                DiscRequest::EndPhase1 { transid: t },
+                DiscRequest::ReleaseLocks {
+                    transid: t,
+                    commit: true,
+                },
+            ];
+            run_script(&mut w, n, i as u8 + 1, target.clone(), script)
+        })
+        .collect();
+    w.run_for(SimDuration::from_secs(5));
+    let numbers: Vec<DiscReply> = scripts.iter().map(|r| r.borrow()[0].clone()).collect();
+    assert!(
+        matches!(numbers[..], [DiscReply::EntryNumber(a), DiscReply::EntryNumber(b)] if a != b),
+        "{numbers:?}"
+    );
+    let media = w
+        .stable()
+        .get::<VolumeMedia>(&media_key(n, "$DATA"))
+        .unwrap();
+    let log = media.file("log").expect("the log reached the media");
+    assert_eq!(log.scan(&[], None, usize::MAX).len(), 2);
+}
+
+/// A WAL write checkpoints its answer with its effects but sends it only
+/// at the force ack. A backup created from a snapshot in between must
+/// still know the answer: when the primary then dies, the retransmitted
+/// insert is answered `Ok` from memory, not re-run into `DuplicateKey`.
+#[test]
+fn wal_mode_snapshot_carries_an_answer_held_for_the_force() {
+    let (mut w, n, target) = setup(RecoveryMode::WalForce);
+    // the backup's CPU is down when the insert arrives; it reloads, and
+    // the fresh backup's snapshot is taken, while the force is under way
+    w.inject(Fault::KillCpu(n, CpuId(1)));
+    let replies = run_script(
+        &mut w,
+        n,
+        2,
+        target,
+        vec![DiscRequest::Insert {
+            file: "accounts".into(),
+            key: b("a"),
+            value: b("1"),
+            transid: Some(txn(1)),
+            lock_wait: WAIT,
+        }],
+    );
+    w.schedule_fault(SimTime::from_micros(2_000), Fault::RestoreCpu(n, CpuId(1)));
+    w.schedule_fault(SimTime::from_micros(15_000), Fault::KillCpu(n, CpuId(0)));
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(w.metrics().get("pair.backup_respawned"), 1);
+    assert_eq!(*replies.borrow(), vec![DiscReply::Ok]);
 }
 
 #[test]

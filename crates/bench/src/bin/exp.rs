@@ -10,7 +10,8 @@
 //!
 //! A sweep writes its machine-readable form to `BENCH_<name>.json` (or
 //! `--out PATH`) in addition to printing the table; `--smoke` and `--out`
-//! mean nothing to the figures and claims.
+//! mean nothing to the figures and claims. A claim whose table checks
+//! what it measured and finds it false makes the run exit with status 1.
 
 use encompass_bench::experiments::{all, SWEEPS, TABLES};
 
@@ -43,7 +44,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    for table in tables {
+    for table in &tables {
         println!("{table}");
+    }
+    let violations = tables.iter().flat_map(|t| &t.violations).count();
+    if violations > 0 {
+        eprintln!("{violations} claim(s) violated");
+        std::process::exit(1);
     }
 }

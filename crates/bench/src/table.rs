@@ -1,12 +1,15 @@
 //! Minimal aligned-column table rendering for experiment output.
 
-/// A titled table with aligned columns.
+/// A titled table with aligned columns, and the claims its rows failed.
 #[derive(Clone, Debug)]
 pub struct Table {
     pub title: String,
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
     pub notes: Vec<String>,
+    /// The claims [`Table::check`] found false: `exp` prints them and
+    /// exits non-zero.
+    pub violations: Vec<String>,
 }
 
 impl Table {
@@ -16,6 +19,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            violations: Vec::new(),
         }
     }
 
@@ -28,6 +32,14 @@ impl Table {
 
     pub fn note(&mut self, s: &str) -> &mut Table {
         self.notes.push(s.to_string());
+        self
+    }
+
+    /// Record `claim` as violated unless it `holds`.
+    pub fn check(&mut self, holds: bool, claim: String) -> &mut Table {
+        if !holds {
+            self.violations.push(claim);
+        }
         self
     }
 
@@ -59,6 +71,9 @@ impl Table {
         for n in &self.notes {
             out.push_str(&format!("note: {n}\n"));
         }
+        for v in &self.violations {
+            out.push_str(&format!("VIOLATION: {v}\n"));
+        }
         out
     }
 }
@@ -85,6 +100,14 @@ mod tests {
         assert!(s.contains("note: a note"));
         // aligned: the short row is padded to the long row's width
         assert!(s.contains("x            1"));
+    }
+
+    #[test]
+    fn renders_only_the_claims_that_fail() {
+        let mut t = Table::new("demo", &["a"]);
+        t.check(true, "holds".into()).check(false, "fails".into());
+        assert_eq!(t.violations, vec!["fails".to_string()]);
+        assert!(t.render().ends_with("VIOLATION: fails\n"));
     }
 
     #[test]

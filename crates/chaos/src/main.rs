@@ -5,6 +5,7 @@
 //! encompass-chaos --sweep COUNT       # seeds 0..COUNT
 //! encompass-chaos --sweep COUNT --start S
 //! encompass-chaos --sweep 10 --window 2000   # force a 2ms group-commit window
+//! encompass-chaos --sweep 200 --wal          # every volume in the WAL baseline
 //! encompass-chaos                     # default: the 25-schedule CI smoke
 //! encompass-chaos --soak | --shards   # the same, over that tier's preset
 //! ```
@@ -13,6 +14,7 @@
 //! reproduce its own determinism hash), 2 on arguments it cannot honour.
 
 use encompass_chaos::{run_schedule, run_schedule_with, RunReport, Schedule, TierStats};
+use encompass_storage::types::RecoveryMode;
 use std::ops::Range;
 
 /// Which preset a run starts from.
@@ -44,6 +46,7 @@ fn main() {
     let mut dumps = false;
     let mut partitions: Option<u64> = None;
     let mut readers: Option<u64> = None;
+    let mut wal = false;
     let mut soak = false;
     let mut shards = false;
     let mut i = 0;
@@ -61,6 +64,7 @@ fn main() {
             "--dumps" => dumps = true,
             "--partitions" => partitions = Some(num()),
             "--readers" => readers = Some(num()),
+            "--wal" => wal = true,
             "--soak" => soak = true,
             "--shards" => shards = true,
             "--help" | "-h" => {
@@ -92,8 +96,8 @@ fn main() {
         (false, false) => Preset::Sweep,
     };
     // the preset's schedule for a seed, with the dump plan added and the
-    // drawn window, trail partitions (and up to two volumes per node) and
-    // read-only terminals overridden as the flags ask
+    // drawn window, trail partitions (and up to two volumes per node),
+    // read-only terminals and recovery mode overridden as the flags ask
     let schedule_for = |seed: u64| {
         let mut schedule = (preset.spec().0)(seed);
         if dumps {
@@ -108,6 +112,9 @@ fn main() {
         }
         if let Some(r) = readers {
             schedule.readonly_terminals_per_node = r as usize;
+        }
+        if wal {
+            schedule.recovery_mode = RecoveryMode::WalForce;
         }
         schedule
     };
@@ -139,12 +146,13 @@ fn parse_num(arg: Option<&String>, flag: &str) -> u64 {
 fn print_usage() {
     println!(
         "usage: encompass-chaos [--seed N | --sweep COUNT [--start S]] [--window US] [--dumps] \
-         [--partitions N] [--readers N] [--soak | --shards]\n\
+         [--partitions N] [--readers N] [--wal] [--soak | --shards]\n\
          default: --sweep 25 (the CI smoke subset); COUNT must be >= 1\n\
          --window US overrides each schedule's group-commit window (microseconds)\n\
          --dumps enables each schedule's online-dump plan + trail purging\n\
          --partitions N forces N audit-trail partitions (and up to 2 volumes per node)\n\
          --readers N forces N read-only (snapshot) terminals per node\n\
+         --wal runs every volume in the Write-Ahead-Log baseline (RecoveryMode::WalForce)\n\
          --soak runs each seed as a simulated-hours soak (epochs of kill/dump/restore\n\
          waves, long-hold writers, long-lived snapshot readers, liveness +\n\
          bounded-state oracles, and for a quarter of seeds a full-disaster drill)\n\

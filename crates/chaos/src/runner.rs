@@ -44,7 +44,7 @@ use crate::schedule::{
 use bytes::Bytes;
 use encompass::app::{launch_bank_app, tcp_name, AppHandles, BankAppParams};
 use encompass::tcp::TerminalControlProcess;
-use encompass::workload::{total_balance, DebitTag};
+use encompass::workload::{history_records, total_balance, DebitTag};
 use encompass_audit::auditprocess::{AuditProcess, AuditStateReport};
 use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
@@ -322,7 +322,7 @@ fn run_sweep(
     let mut implicated: Vec<Transid> = Vec::new();
     let violations = &mut report.violations;
     check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
-    let tags = check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    let tags = check_conservation(&mut app.world, &app.catalog, violations);
     check_exactly_once(&app.world, &app.nodes, shape, &tags, violations);
     check_tmp_tables(&seen, violations, &mut implicated);
     check_locks(&seen, violations);
@@ -336,12 +336,14 @@ fn run_sweep(
 // a deadline), never the fault plan: where drivers differ in a way the
 // trace hash sees, the difference lives in the driver.
 
-/// The schedule's TMF config: its group-commit window and trail
-/// partitions and, when it plans dumps, trail purging over small files.
+/// The schedule's TMF config: its group-commit window, trail partitions
+/// and recovery mode and, when it plans dumps, trail purging over small
+/// files.
 pub(crate) fn tmf_builder(schedule: &Schedule) -> TmfNodeConfigBuilder {
     let builder = TmfNodeConfig::builder()
         .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
-        .audit_partitions(schedule.audit_partitions.max(1));
+        .audit_partitions(schedule.audit_partitions.max(1))
+        .recovery_mode(schedule.recovery_mode);
     match &schedule.dumps {
         Some(d) => builder
             .trail_purge_interval(SimDuration::from_micros(d.trail_purge_interval_us))
@@ -740,30 +742,22 @@ fn outcome(committed: bool) -> &'static str {
 pub(crate) fn check_conservation(
     world: &mut World,
     catalog: &encompass_storage::Catalog,
-    nodes: &[NodeId],
     violations: &mut Vec<String>,
 ) -> Vec<DebitTag> {
     let initial_total = ACCOUNTS as i64 * 1000;
     let final_total = total_balance(world, catalog, "accounts");
     let mut history_sum: i64 = 0;
     let mut tags = Vec::new();
-    if let Some(media) = world
-        .stable()
-        .get::<VolumeMedia>(&media_key(nodes[0], "$BANK"))
-    {
-        if let Some(img) = media.file("history") {
-            for (_, v) in img.scan(&[], None, usize::MAX) {
-                match parse_history(&v) {
-                    Some((tag, a)) => {
-                        tags.push(tag);
-                        history_sum += a;
-                    }
-                    None => violations.push(format!(
-                        "conservation: unparseable history record {:?}",
-                        String::from_utf8_lossy(&v)
-                    )),
-                }
+    for record in history_records(world, catalog, "history") {
+        match record {
+            Ok((tag, a)) => {
+                tags.push(tag);
+                history_sum += a;
             }
+            Err(v) => violations.push(format!(
+                "conservation: unparseable history record {:?}",
+                String::from_utf8_lossy(&v)
+            )),
         }
     }
     if initial_total - history_sum != final_total {
@@ -775,14 +769,6 @@ pub(crate) fn check_conservation(
         ));
     }
     tags
-}
-
-/// A history record's debit tag and amount: `account:tag:amount`.
-fn parse_history(v: &Bytes) -> Option<(DebitTag, i64)> {
-    let mut fields = std::str::from_utf8(v).ok()?.rsplitn(3, ':');
-    let amount = fields.next()?.parse().ok()?;
-    let tag = DebitTag::decode(fields.next()?.as_bytes())?;
-    Some((tag, amount))
 }
 
 /// Oracle: every read-write terminal's logical transactions committed

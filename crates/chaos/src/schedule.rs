@@ -30,6 +30,7 @@
 
 use encompass::app::tcp_name;
 use encompass_sim::{CpuId, Fault, LinkId, NodeId, SimTime};
+use encompass_storage::types::RecoveryMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::RangeInclusive;
@@ -101,6 +102,11 @@ pub struct Schedule {
     /// the scheduled ONLINEDUMPs run.
     pub dumps: Option<DumpPlan>,
     pub faults: FaultPlan,
+    /// How every DISCPROCESS makes its writes recoverable. Every preset
+    /// runs the paper's design and no seed draws it (the Write-Ahead-Log
+    /// baseline is about twice as slow, and drawing it would move every
+    /// sweep's runs); `--wal` forces the baseline.
+    pub recovery_mode: RecoveryMode,
 }
 
 /// What the run's terminals drive.
@@ -288,6 +294,7 @@ impl Schedule {
             readonly_terminals_per_node: 0,
             dumps: None,
             faults: FaultPlan::ShardCut(cut),
+            recovery_mode: RecoveryMode::NonStopCheckpoint,
         }
     }
 
@@ -321,6 +328,7 @@ impl Schedule {
             readonly_terminals_per_node: readers(seed),
             dumps,
             faults,
+            recovery_mode: RecoveryMode::NonStopCheckpoint,
         }
     }
 
@@ -351,7 +359,11 @@ impl Schedule {
                 p.branch_permille,
             )),
         }
-        out.push_str(&format!(", gc-window {}us\n", self.group_commit_window_us));
+        out.push_str(&format!(", gc-window {}us", self.group_commit_window_us));
+        if self.recovery_mode != RecoveryMode::NonStopCheckpoint {
+            out.push_str(&format!(", {:?}", self.recovery_mode));
+        }
+        out.push('\n');
         match &self.faults {
             FaultPlan::Timeline(t) => {
                 for ev in &t.events {

@@ -307,7 +307,7 @@ pub(crate) fn run(
     let mut implicated: Vec<Transid> = Vec::new();
     let violations = &mut report.violations;
     check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
-    let tags = check_conservation(&mut app.world, &app.catalog, &app.nodes, violations);
+    let tags = check_conservation(&mut app.world, &app.catalog, violations);
     check_exactly_once(&app.world, &app.nodes, shape, &tags, violations);
 
     // The final read feeds the liveness oracle here (not the sweep's leak

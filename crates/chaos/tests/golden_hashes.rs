@@ -7,6 +7,7 @@
 //! the same commit — the failure message prints the new fold.
 
 use encompass_chaos::{run_schedule, run_seed, Schedule};
+use encompass_storage::types::RecoveryMode;
 
 fn fold(hashes: impl Iterator<Item = u64>) -> u64 {
     hashes.fold(0u64, |acc, h| acc.rotate_left(7) ^ h)
@@ -90,6 +91,16 @@ fn sweep_0_to_10_readers_2() {
         "seeds 0..10 with readonly_terminals_per_node = 2",
         0xace7_82d7_0d7d_819a,
         overridden(0..10, |s| s.readonly_terminals_per_node = 2),
+    );
+}
+
+/// `--sweep 25 --wal`: every volume in the Write-Ahead-Log baseline.
+#[test]
+fn sweep_0_to_25_wal() {
+    check(
+        "seeds 0..25 with recovery_mode = WalForce",
+        0x0b88_5222_25a4_032d,
+        overridden(0..25, |s| s.recovery_mode = RecoveryMode::WalForce),
     );
 }
 

@@ -12,6 +12,9 @@
 //!   set (for lock-contention experiments).
 //! * [`preload_accounts`] — bulk-load the account file straight onto the
 //!   volume media (experiment setup, bypassing TMF on purpose).
+//! * [`history_records`] and [`total_balance`] — read the history file
+//!   and the balances back, for the conservation check
+//!   `initial_total - Σ history amounts == final_total`.
 
 use crate::messages::{AppReply, AppRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
@@ -373,9 +376,41 @@ pub fn preload_accounts(world: &mut World, catalog: &Catalog, file: &str, count:
     }
 }
 
+/// A history record's debit tag and amount, read from the
+/// `account:tag:amount` that [`BankServer`] writes.
+fn parse_history(v: &[u8]) -> Option<(DebitTag, i64)> {
+    let mut fields = std::str::from_utf8(v).ok()?.rsplitn(3, ':');
+    let amount = fields.next()?.parse().ok()?;
+    let tag = DebitTag::decode(fields.next()?.as_bytes())?;
+    Some((tag, amount))
+}
+
+/// Every record of the entry-sequenced history `file` on its volume's
+/// media, in entry order and parsed; a record that does not parse comes
+/// back as its bytes. Records still in the DISCPROCESS's
+/// write-behind overlay are not on the media yet: read after a flush.
+pub fn history_records(
+    world: &World,
+    catalog: &Catalog,
+    file: &str,
+) -> Vec<Result<(DebitTag, i64), Bytes>> {
+    let vol = &catalog.get(file).expect("file in catalog").partitions[0].volume;
+    let media = world
+        .stable()
+        .get::<VolumeMedia>(&media_key(vol.node, &vol.volume));
+    let records = media.and_then(|m| m.file(file));
+    records
+        .map(|img| img.scan(&[], None, usize::MAX))
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(_, v)| parse_history(&v).ok_or(v))
+        .collect()
+}
+
 /// Sum every account balance across partitions (consistency assertions in
 /// tests: debits move money, the workload's invariant is
-/// `initial_total - committed_debits == final_total`).
+/// `initial_total - committed_debits == final_total`, the committed
+/// debits being the amounts of the [`history_records`]).
 pub fn total_balance(world: &mut World, catalog: &Catalog, file: &str) -> i64 {
     let def = catalog.get(file).expect("file in catalog").clone();
     let mut total = 0;

@@ -6,34 +6,47 @@ use bytes::Bytes;
 use encompass::app::{launch_bank_app, launch_mfg_app, read_replica, BankAppParams, MfgAppParams};
 use encompass::manufacturing::{global_record, master_of};
 use encompass::messages::{AppReply, AppRequest, ServerRequest};
-use encompass::workload::total_balance;
+use encompass::workload::{history_records, total_balance};
 use encompass_shard::SuspenseRecord;
 use encompass_sim::{CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, TimerId};
+use encompass_storage::types::RecoveryMode;
 use guardian::{Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
+use tmf::facility::TmfNodeConfig;
 use tmf::session::SessionOptions;
 
 #[test]
 fn bank_app_runs_all_transactions_and_conserves_money() {
-    let params = BankAppParams {
-        accounts: 200,
-        terminals_per_node: 4,
-        transactions_per_terminal: 10,
-        ..BankAppParams::default()
-    };
-    let mut app = launch_bank_app(params);
-    app.world.run_for(SimDuration::from_secs(60));
-    let commits = app.world.metrics().get("tcp.commits");
-    let finished = app.world.metrics().get("tcp.terminals_finished");
-    assert_eq!(finished, 4, "all terminals finished");
-    assert_eq!(commits, 40, "4 terminals x 10 transactions");
-    // run long enough for flushes, then check conservation:
-    // every debit moved money out of an account; committed history count
-    // equals committed debits; initial total = 200 * 1000
-    app.world.run_for(SimDuration::from_secs(5));
-    let total = total_balance(&mut app.world, &app.catalog, "accounts");
-    assert!(total < 200 * 1000, "debits actually happened");
+    for mode in [RecoveryMode::NonStopCheckpoint, RecoveryMode::WalForce] {
+        let params = BankAppParams {
+            accounts: 200,
+            terminals_per_node: 4,
+            transactions_per_terminal: 10,
+            tmf: TmfNodeConfig::builder()
+                .recovery_mode(mode)
+                .build()
+                .expect("a recovery mode alone is a valid config"),
+            ..BankAppParams::default()
+        };
+        let mut app = launch_bank_app(params);
+        app.world.run_for(SimDuration::from_secs(60));
+        let commits = app.world.metrics().get("tcp.commits");
+        let finished = app.world.metrics().get("tcp.terminals_finished");
+        assert_eq!(finished, 4, "{mode:?}: all terminals finished");
+        assert_eq!(commits, 40, "{mode:?}: 4 terminals x 10 transactions");
+        // run long enough for flushes, then check conservation: every
+        // commit left one history record, and the records' amounts are
+        // exactly what left the accounts
+        app.world.run_for(SimDuration::from_secs(5));
+        let history = history_records(&app.world, &app.catalog, "history");
+        assert_eq!(history.len(), 40, "{mode:?}: one history record per commit");
+        let debited: i64 = (history.iter())
+            .map(|r| r.as_ref().expect("a history record parses").1)
+            .sum();
+        let total = total_balance(&mut app.world, &app.catalog, "accounts");
+        assert_eq!(200 * 1000 - debited, total, "{mode:?}: money is conserved");
+    }
 }
 
 #[test]

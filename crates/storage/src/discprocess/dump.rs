@@ -24,23 +24,9 @@ impl DiscProcess {
 
     /// Begin an online dump: see [`DiscRequest::DumpBegin`].
     pub(super) fn dump_begin(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, generation: u64) {
-        // watermark: highest sequence whose effect every later
-        // page copy is guaranteed to reflect. WAL-mode writes
-        // parked on their force ack have assigned sequences but
-        // unapplied updates, so clamp below the oldest of them.
-        let parked_low = self
-            .audit_rpc
-            .awaiting()
-            .filter_map(|then| match then {
-                AuditThen::Wal(plan) => Some(plan.low_seq),
-                AuditThen::Phase1 { .. }
-                | AuditThen::DumpMarker { .. }
-                | AuditThen::Append { .. } => None,
-            })
-            .min();
-        let watermark = parked_low.map_or(self.audit_seq, |low| {
-            self.audit_seq.min(low.saturating_sub(1))
-        });
+        // watermark: every assigned sequence's write is applied (§D1), so
+        // every later page copy reflects it
+        let watermark = self.audit_seq;
         let purge_floor = self.purge_floor(watermark);
         // copy set: every file on media or with overlay-resident
         // writes (BTreeSet ⇒ deterministic order)

@@ -1,7 +1,7 @@
 //! The write pipeline: how an insert, update, delete or entry append
 //! checks its lock, becomes before/after images and alternate-key index
-//! writes, and completes — after its checkpoint, or in WAL mode after its
-//! force.
+//! writes, and completes after its checkpoint — answered at once, or in
+//! WAL mode once its images are forced.
 
 use super::*;
 
@@ -147,27 +147,18 @@ impl DiscProcess {
         };
         ctx.count(counter!("disc.images"), images.len() as u64);
 
-        let force_first = self.cfg.recovery_mode == RecoveryMode::WalForce
-            && !images.is_empty()
-            && self.cfg.audited;
-        if force_first {
-            // WAL baseline: the update waits for its force ack
-            let low_seq = images.first().map(|i| i.seq).unwrap_or(0);
-            let plan = WalPlan {
-                owed,
-                reply: ok_reply,
-                fx,
-                low_seq,
-            };
-            self.call_audit_append(ctx, images, true, AuditThen::Wal(plan));
-        } else {
-            // NonStop design: checkpoint ≡ WAL, audit append is lazy
-            if !images.is_empty() {
-                let txn = fx.txn.as_mut().expect("audited requires transid");
-                self.send_audit_append(ctx, txn.transid, images.clone());
-                txn.retained = images;
-            }
-            self.finish_applied(ctx, owed, ok_reply, fx);
+        // checkpoint ≡ WAL (§D1): retain the images, send them to the
+        // audit trail, checkpoint, apply — in this one event, whatever the
+        // recovery mode. Only the answer may wait, for a forced append.
+        let asked = owed.asked();
+        let mut answer = Some((owed, ok_reply.clone()));
+        if let Some(txn) = fx.txn.as_mut().filter(|_| !images.is_empty()) {
+            answer = self.send_audit_append(ctx, txn.transid, images.clone(), answer);
+            txn.retained = images;
+        }
+        self.apply(ctx, asked, ok_reply, fx);
+        if let Some((owed, reply)) = answer {
+            self.replies.answer(ctx, owed, reply);
         }
     }
 
