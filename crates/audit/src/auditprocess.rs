@@ -25,13 +25,13 @@
 use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, CpuId, DetHashMap, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid,
-    SimTime, World,
+    counter, CpuId, DetHashMap, FlightCause, Floored, HistogramHandle, MediaId, Name, NodeId,
+    Payload, Pid, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{Admitted, Asked, Checkpointed, Owed, PairApp, PairHandle, Served, ServedSnapshot};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, AuditDelta>;
 
@@ -42,42 +42,6 @@ type ImageKey = (u64, Transid);
 
 fn image_key(r: &ImageRecord) -> ImageKey {
     (r.seq, r.transid)
-}
-
-/// The duplicate filter's view of one volume (DESIGN.md §D27): the highest
-/// re-send floor the volume's appends have carried, and the keys of the
-/// images at or above it, in key order. No image below the floor can
-/// arrive again, so the keys under it are forgotten.
-#[derive(Clone, Default)]
-struct VolumeKeys {
-    floor: u64,
-    keys: VecDeque<ImageKey>,
-}
-
-impl VolumeKeys {
-    /// Raise the floor to `floor` (a lower one, from an older append,
-    /// changes nothing) and forget the keys below it.
-    fn raise(&mut self, floor: u64) {
-        if floor <= self.floor {
-            return;
-        }
-        self.floor = floor;
-        while self.keys.front().is_some_and(|&(seq, _)| seq < floor) {
-            self.keys.pop_front();
-        }
-    }
-
-    /// Hold `key`: false if it is held already. Images mostly arrive in
-    /// sequence order, so the insert is mostly at the back.
-    fn insert(&mut self, key: ImageKey) -> bool {
-        match self.keys.binary_search(&key) {
-            Ok(_) => false,
-            Err(at) => {
-                self.keys.insert(at, key);
-                true
-            }
-        }
-    }
 }
 
 /// Put an append's records on each transaction's flight timeline, in
@@ -210,7 +174,7 @@ pub struct AuditSnapshot {
     /// Per partition: (buffer, forced_count).
     partitions: Vec<(Vec<ImageRecord>, u64)>,
     replies: ServedSnapshot<AuditReply>,
-    filter: Vec<(VolumeRef, VolumeKeys)>,
+    filter: Vec<(VolumeRef, Floored<ImageKey, ()>)>,
 }
 
 /// One trail partition's force machinery.
@@ -252,10 +216,12 @@ pub struct AuditProcess {
     /// request id.
     pending: DetHashMap<u64, PendingForce>,
     replies: Served<AuditReply>,
-    /// The duplicate filter, one entry per volume that has appended (a
-    /// node has a few). Replicated with each append's checkpoint, so a
-    /// takeover starts from the keys its primary held.
-    filter: Vec<(VolumeRef, VolumeKeys)>,
+    /// The duplicate filter (DESIGN.md §D27), one entry per volume that
+    /// has appended (a node has a few): the highest re-send floor its
+    /// appends have carried, and the keys of its images at or above it.
+    /// Replicated with each append's checkpoint, so a takeover starts from
+    /// the keys its primary held.
+    filter: Vec<(VolumeRef, Floored<ImageKey, ()>)>,
     boxcar_hist: HistogramHandle,
 }
 
@@ -292,7 +258,7 @@ impl AuditProcess {
             pending_forces: self.pending.len(),
             reply_cache: self.replies.answered(),
             replies_below_floor: self.replies.below_floor(),
-            image_keys: self.filter.iter().map(|(_, v)| v.keys.len()).sum(),
+            image_keys: self.filter.iter().map(|(_, v)| v.len()).sum(),
             pending_requests: self.replies.pending(),
         }
     }
@@ -320,9 +286,9 @@ impl AuditProcess {
         let (before, mut stale) = (records.len(), 0);
         let fresh: Vec<ImageRecord> = (records.into_iter())
             .filter(|r| {
-                let above = r.seq >= keys.floor;
+                let above = r.seq >= keys.floor();
                 stale += u64::from(!above);
-                above && keys.insert(image_key(r))
+                above && keys.insert(image_key(r), ()).is_none()
             })
             .collect();
         let dropped = (before - fresh.len()) as u64;
@@ -334,16 +300,13 @@ impl AuditProcess {
     }
 
     /// `volume`'s filter, its floor raised to `floor`.
-    fn volume_keys(&mut self, volume: &VolumeRef, floor: u64) -> &mut VolumeKeys {
-        let at = match self.filter.iter().position(|(v, _)| v == volume) {
-            Some(at) => at,
-            None => {
-                self.filter.push((volume.clone(), VolumeKeys::default()));
-                self.filter.len() - 1
-            }
-        };
+    fn volume_keys(&mut self, volume: &VolumeRef, floor: u64) -> &mut Floored<ImageKey, ()> {
+        let at = (self.filter.iter().position(|(v, _)| v == volume)).unwrap_or_else(|| {
+            self.filter.push((volume.clone(), Floored::new(floor)));
+            self.filter.len() - 1
+        });
         let keys = &mut self.filter[at].1;
-        keys.raise(floor);
+        keys.raise(floor, |_| false);
         keys
     }
 
@@ -706,7 +669,7 @@ impl PairApp for AuditProcess {
                 if let Some((volume, floor)) = floor {
                     let keys = self.volume_keys(&volume, floor);
                     for r in &records {
-                        keys.insert(image_key(r));
+                        keys.insert(image_key(r), ());
                     }
                 }
                 let p = partition.min(self.parts.len() - 1);

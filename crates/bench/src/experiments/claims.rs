@@ -97,6 +97,7 @@ pub fn t1() -> Vec<Table> {
 
 /// T2 — "the effect of a processor failure … is limited to the on-line
 /// backout of those transactions in process on the failed module."
+/// Checked: every transaction commits in the end.
 pub fn t2() -> Vec<Table> {
     let terminals = 8usize;
     let txns = 30u64;
@@ -141,11 +142,12 @@ pub fn t2() -> Vec<Table> {
         ],
     );
     let aborted = m.get("tmf.aborts");
+    let (commits, all) = (m.get("tcp.commits"), terminals as u64 * txns);
     table.row(vec![
         "TMF (measured)".to_string(),
         aborted.to_string(),
         (m.get("tcp.restarts") + m.get("tcp.takeovers")).to_string(),
-        format!("{}/{}", m.get("tcp.commits"), terminals as u64 * txns),
+        format!("{commits}/{all}"),
         "none (see T2b: commits continue through the failure)".to_string(),
     ]);
     table.row(vec![
@@ -155,6 +157,7 @@ pub fn t2() -> Vec<Table> {
         "-".to_string(),
         "full log-replay restart (T5 measures replay cost)".to_string(),
     ]);
+    table.check(commits == all, format!("TMF: {commits} of {all} commit"));
     table.note("only transactions touching the failed processor abort and are transparently restarted; unaffected transactions keep committing in every bucket");
     vec![table, timeline]
 }
@@ -193,13 +196,7 @@ pub fn t3() -> Vec<Table> {
             think: SimDuration::from_millis(1),
             ..BankAppParams::default()
         });
-        let mut elapsed = 0u64;
-        while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-            && elapsed < 600_000
-        {
-            app.world.run_for(SimDuration::from_millis(100));
-            elapsed += 100;
-        }
+        super::run_until_finished(&mut app.world, terminals as u64, 600);
         let t = app.world.now().as_micros() as f64 / 1e6;
         let m = app.world.metrics();
         let commits = m.get("tcp.commits");
@@ -279,13 +276,7 @@ pub fn t4() -> Vec<Table> {
             lock_wait: SimDuration::from_millis(wait_ms),
             ..BankAppParams::default()
         });
-        let mut elapsed = 0u64;
-        while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-            && elapsed < 600_000
-        {
-            app.world.run_for(SimDuration::from_millis(100));
-            elapsed += 100;
-        }
+        super::run_until_finished(&mut app.world, terminals as u64, 600);
         let t = app.world.now().as_micros() as f64 / 1e6;
         let m = app.world.metrics();
         table.row(vec![
@@ -335,13 +326,7 @@ pub fn t5() -> Vec<Table> {
             vec![encompass_storage::discprocess::DiscRequest::Archive { generation: 1 }],
         );
         // run the workload to completion, plus time for flushes
-        let mut elapsed = 0u64;
-        while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-            && elapsed < 600_000
-        {
-            app.world.run_for(SimDuration::from_millis(100));
-            elapsed += 100;
-        }
+        super::run_until_finished(&mut app.world, terminals as u64, 600);
         app.world.run_for(SimDuration::from_secs(5));
         let pre_crash_total = total_balance(&mut app.world, &app.catalog, "accounts");
         let commits = app.world.metrics().get("tmf.commits");
@@ -598,7 +583,9 @@ pub fn t6() -> Vec<Table> {
 }
 
 /// T7 — node autonomy: global-update availability during a one-node
-/// outage, master+suspense design vs synchronous replication.
+/// outage, master+suspense design vs synchronous replication. Checked:
+/// the suspense design commits every update it attempts, synchronous
+/// replication none.
 pub fn t7() -> Vec<Table> {
     let mut table = Table::new(
         "T7 — global-update availability while node 3 is unreachable (20s window, updates at node 0)",
@@ -634,13 +621,20 @@ pub fn t7() -> Vec<Table> {
             t.committed.to_string(),
             format!("{avail:.0}%"),
         ]);
+        let (tried, done) = (t.attempted, t.committed);
+        let want = if op == "master-update" { tried } else { 0 };
+        table.check(
+            tried > 0 && done == want,
+            format!("{label}: {done} of {tried} attempted commit"),
+        );
     }
     table.note("\"no node can run a global update transaction at a time when any other node is unavailable\" — the synchronous design's availability collapses; the suspense design keeps updating (master-local records) and converges later (F4)");
     vec![table]
 }
 
 /// T8 — process-pair takeover: service gap when a primary's processor
-/// fails mid-workload.
+/// fails mid-workload. Checked: every transaction commits, whichever
+/// primary failed.
 pub fn t8() -> Vec<Table> {
     let mut table = Table::new(
         "T8 — takeover service gap by failed primary (commit-gap around the fault, 10ms sampling)",
@@ -690,16 +684,18 @@ pub fn t8() -> Vec<Table> {
             }
         }
         app.world.run_for(SimDuration::from_secs(120));
+        let m = app.world.metrics();
+        let (commits, all) = (m.get("tcp.commits"), terminals as u64 * txns);
         table.row(vec![
             label.to_string(),
-            app.world.metrics().get("pair.takeovers").to_string(),
+            m.get("pair.takeovers").to_string(),
             longest_gap.to_string(),
-            format!(
-                "{}/{}",
-                app.world.metrics().get("tcp.commits"),
-                terminals as u64 * txns
-            ),
+            format!("{commits}/{all}"),
         ]);
+        table.check(
+            commits == all,
+            format!("{label}: {commits} of {all} commit"),
+        );
     }
     table.note("backups take over within the failure-detection delay plus in-flight retries; every workload still completes in full — zero lost operations");
     vec![table]

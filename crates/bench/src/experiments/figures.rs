@@ -21,8 +21,9 @@ fn bank_params(terminals: usize, txns: u64) -> BankAppParams {
 /// F1 — Figure 1's claim: "the failure of a single module does not
 /// disable any other module or disable any inter-module communication".
 /// One failure class per row, injected mid-run; service must complete the
-/// full workload for every *single*-module class. The double-drive row is
-/// the contrast: only ROLLFORWARD recovers from it.
+/// full workload for every *single*-module class. The double-drive row,
+/// the last, is the contrast: only ROLLFORWARD recovers from it. Checked
+/// both ways.
 pub fn f1() -> Vec<Table> {
     type Inject = Box<dyn Fn(&mut encompass_sim::World, NodeId)>;
     let classes: Vec<(&str, Inject)> = vec![
@@ -84,7 +85,8 @@ pub fn f1() -> Vec<Table> {
             "service survived",
         ],
     );
-    for (label, inject) in classes {
+    let single_module = classes.len() - 1;
+    for (i, (label, inject)) in classes.into_iter().enumerate() {
         let mut app = launch_bank_app(bank_params(terminals, txns));
         let n = app.nodes[0];
         app.world.run_for(SimDuration::from_millis(500));
@@ -107,6 +109,11 @@ pub fn f1() -> Vec<Table> {
                 "NO".to_string()
             },
         ]);
+        // the last row, both drives, is the one that must not survive
+        table.check(
+            survived == (i < single_module),
+            format!("{label}: {commits} of {expected} commit, {finished}/{terminals} finish"),
+        );
     }
     table.note("every single-module failure completes the full workload; only the double-drive failure (a multi-module failure) loses service — the paper's ROLLFORWARD case (see T5)");
     vec![table]
@@ -140,13 +147,7 @@ pub fn f2() -> Vec<Table> {
             ..BankAppParams::default()
         });
         let expected = terminals as u64 * txns;
-        let mut elapsed = 0u64;
-        while app.world.metrics().get("tcp.terminals_finished") < terminals as u64
-            && elapsed < 300_000
-        {
-            app.world.run_for(SimDuration::from_millis(100));
-            elapsed += 100;
-        }
+        super::run_until_finished(&mut app.world, terminals as u64, 300);
         let t = app.world.now().as_micros() as f64 / 1e6;
         let commits = app.world.metrics().get("tcp.commits");
         table.row(vec![

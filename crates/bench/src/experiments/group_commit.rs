@@ -59,12 +59,7 @@ fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> G
         tmf,
         ..BankAppParams::default()
     });
-    let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64 && elapsed < 600_000
-    {
-        app.world.run_for(SimDuration::from_millis(100));
-        elapsed += 100;
-    }
+    super::run_until_finished(&mut app.world, terminals as u64, 600);
     let t = app.world.now().as_micros() as f64 / 1e6;
     let m = app.world.metrics();
     let commits = m.get("tmf.commits");

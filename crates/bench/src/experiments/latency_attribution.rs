@@ -91,12 +91,7 @@ fn run_cell(
         tmf,
         ..BankAppParams::default()
     });
-    let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64 && elapsed < 600_000
-    {
-        app.world.run_for(SimDuration::from_millis(100));
-        elapsed += 100;
-    }
+    super::run_until_finished(&mut app.world, terminals as u64, 600);
     let mut n = 0u64;
     let (mut total, mut commit, mut lock_wait, mut force, mut checkpoint, mut bus) =
         (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);

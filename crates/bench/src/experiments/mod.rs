@@ -2,6 +2,8 @@
 //! more [`crate::Table`]s ready to print; the `exp` binary looks them up
 //! by name in [`TABLES`] and [`SWEEPS`].
 
+use encompass_sim::{SimDuration, World};
+
 mod claims;
 mod figures;
 mod group_commit;
@@ -19,6 +21,16 @@ pub use latency_attribution::{
 pub use online_dump::{online_dump, OnlineDumpResult, OnlineDumpRow};
 pub use read_mix::{read_mix, ReadMixResult, ReadMixRow};
 pub use scaleout::{scaleout, ScaleoutResult, ScaleoutRow};
+
+/// Run `world` in 100 ms steps until `terminals` terminal programs have
+/// finished, or for at most `limit_s` seconds of virtual time.
+fn run_until_finished(world: &mut World, terminals: u64, limit_s: u64) {
+    let mut elapsed = 0;
+    while world.metrics().get("tcp.terminals_finished") < terminals && elapsed < limit_s * 1000 {
+        world.run_for(SimDuration::from_millis(100));
+        elapsed += 100;
+    }
+}
 
 pub type Experiment = fn() -> Vec<crate::Table>;
 pub type Sweep = fn(bool) -> (crate::Table, String);
@@ -40,29 +52,25 @@ pub const TABLES: &[(&str, Experiment)] = &[
     ("t8", t8),
 ];
 
+/// A [`SWEEPS`] entry: the sweep's name, and a run giving its table and
+/// its JSON.
+macro_rules! sweep {
+    ($name:ident) => {
+        (stringify!($name), |smoke| {
+            let r = $name(smoke);
+            (r.table(), r.to_json())
+        })
+    };
+}
+
 /// The sweeps that also write a machine-readable `BENCH_<name>.json`:
 /// given `smoke`, each returns its table and that JSON.
 pub const SWEEPS: &[(&str, Sweep)] = &[
-    ("group_commit", |smoke| {
-        let r = group_commit(smoke);
-        (r.table(), r.to_json())
-    }),
-    ("latency_attribution", |smoke| {
-        let r = latency_attribution(smoke);
-        (r.table(), r.to_json())
-    }),
-    ("online_dump", |smoke| {
-        let r = online_dump(smoke);
-        (r.table(), r.to_json())
-    }),
-    ("read_mix", |smoke| {
-        let r = read_mix(smoke);
-        (r.table(), r.to_json())
-    }),
-    ("scaleout", |smoke| {
-        let r = scaleout(smoke);
-        (r.table(), r.to_json())
-    }),
+    sweep!(group_commit),
+    sweep!(latency_attribution),
+    sweep!(online_dump),
+    sweep!(read_mix),
+    sweep!(scaleout),
 ];
 
 /// Run every experiment in [`TABLES`] (`exp all`), in parallel — each

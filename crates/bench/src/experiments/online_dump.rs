@@ -94,12 +94,7 @@ fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDump
             );
         }
     }
-    let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < terminals as u64 && elapsed < 600_000
-    {
-        app.world.run_for(SimDuration::from_millis(100));
-        elapsed += 100;
-    }
+    super::run_until_finished(&mut app.world, terminals as u64, 600);
     // drain phase 2 + let any still-running dump finish
     app.world.run_for(SimDuration::from_secs(2));
 

@@ -58,11 +58,7 @@ fn run_cell(
         ..BankAppParams::default()
     });
     let total = (writers + readers) as u64;
-    let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < total && elapsed < 600_000 {
-        app.world.run_for(SimDuration::from_millis(100));
-        elapsed += 100;
-    }
+    super::run_until_finished(&mut app.world, total, 600);
     let t = app.world.now().as_micros() as f64 / 1e6;
     let m = app.world.metrics();
     let commits = m.get("tmf.commits");

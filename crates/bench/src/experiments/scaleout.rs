@@ -56,11 +56,7 @@ fn run_cell(
         ..ShardBankAppParams::default()
     });
     let total = (nodes * 4) as u64;
-    let mut elapsed = 0u64;
-    while app.world.metrics().get("tcp.terminals_finished") < total && elapsed < 600_000 {
-        app.world.run_for(SimDuration::from_millis(100));
-        elapsed += 100;
-    }
+    super::run_until_finished(&mut app.world, total, 600);
     assert_eq!(
         app.world.metrics().get("tcp.terminals_finished"),
         total,

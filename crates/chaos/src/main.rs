@@ -26,13 +26,13 @@ enum Preset {
 }
 
 impl Preset {
-    /// The preset itself, the seeds a bare invocation sweeps, the flag
-    /// that chose it and its name in a verdict.
-    fn spec(self) -> (fn(u64) -> Schedule, u64, &'static str, &'static str) {
+    /// The preset itself, the seeds a bare invocation sweeps and its
+    /// name in a verdict.
+    fn spec(self) -> (fn(u64) -> Schedule, u64, &'static str) {
         match self {
-            Preset::Sweep => (Schedule::generate, 25, "", ""),
-            Preset::Soak => (Schedule::soak, 3, "--soak ", "soak "),
-            Preset::Shards => (Schedule::shards, 5, "--shards ", "shard "),
+            Preset::Sweep => (Schedule::generate, 25, ""),
+            Preset::Soak => (Schedule::soak, 3, "soak "),
+            Preset::Shards => (Schedule::shards, 5, "shard "),
         }
     }
 }
@@ -123,12 +123,27 @@ fn main() {
         Some(s) => run_single(s, preset, &schedule_for(s)),
         None => {
             let count = sweep.unwrap_or(preset.spec().1);
-            run_sweep(start..start + count, preset, dumps, &schedule_for)
+            let repro = schedule_flags(&args);
+            run_sweep(start..start + count, preset, dumps, &repro, &schedule_for)
         }
     };
     if failed {
         std::process::exit(1);
     }
+}
+
+/// The flags that shaped each schedule, as given and each followed by a
+/// space: all of `args` but the seed range (`--seed`, `--sweep`,
+/// `--start` and their values), so `{flags}--seed N` replays seed `N`.
+fn schedule_flags(args: &[String]) -> String {
+    let (mut args, mut flags) = (args.iter(), String::new());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" | "--sweep" | "--start" => _ = args.next(),
+            flag => flags += &format!("{flag} "),
+        }
+    }
+    flags
 }
 
 /// Bad arguments: say why, print the usage, exit 2.
@@ -190,7 +205,7 @@ fn run_single(seed: u64, preset: Preset, schedule: &Schedule) -> bool {
     if failed {
         dump_flight(&b);
     } else {
-        let which = preset.spec().3;
+        let which = preset.spec().2;
         println!("seed {seed}: all {which}invariants hold, deterministic");
     }
     failed
@@ -225,12 +240,13 @@ fn dump_flight(report: &RunReport) {
 }
 
 /// `seeds`, one summary line each and a preset-wide tally at the end; a
-/// failing seed prints its schedule and violations and is re-run recorded
-/// for its flight records.
+/// failing seed prints its schedule, violations and `{repro}--seed N`,
+/// and is re-run recorded for its flight records.
 fn run_sweep(
     seeds: Range<u64>,
     preset: Preset,
     dumps: bool,
+    repro: &str,
     schedule_for: &dyn Fn(u64) -> Schedule,
 ) -> bool {
     let count = seeds.end - seeds.start;
@@ -272,8 +288,7 @@ fn run_sweep(
         }
         if !report.ok() {
             failures += 1;
-            let flag = preset.spec().2;
-            println!("--- failing schedule (repro: {flag}--seed {seed}) ---");
+            println!("--- failing schedule (repro: {repro}--seed {seed}) ---");
             print!("{}", schedule.describe());
             for v in &report.violations {
                 println!("  violation: {v}");
@@ -303,4 +318,27 @@ fn run_sweep(
         println!("online dumps: {dumps_done} completed, {purged_files} trail files purged");
     }
     failures > 0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::schedule_flags;
+
+    fn flags(line: &str) -> String {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        schedule_flags(&args)
+    }
+
+    #[test]
+    fn the_repro_line_keeps_every_flag_that_shaped_the_schedule() {
+        assert_eq!(
+            flags("--sweep 100 --partitions 2 --dumps --wal"),
+            "--partitions 2 --dumps --wal "
+        );
+        assert_eq!(
+            flags("--soak --sweep 8 --start 40 --window 2000"),
+            "--soak --window 2000 "
+        );
+        assert_eq!(flags("--sweep 400"), "");
+    }
 }

@@ -23,11 +23,10 @@
 //! can still ask for it again.
 
 use encompass_sim::{
-    counter, CpuId, Ctx, DetHashMap, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId,
-    World,
+    counter, CpuId, Ctx, DetHashMap, Floored, Name, NodeId, Payload, Pid, Process, SimDuration,
+    TimerId, World,
 };
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Timer tags at or above this value are reserved for `Rpc`; processes must
@@ -528,8 +527,8 @@ pub enum Admitted<M> {
 /// capacity. A *requester* is one [`Rpc`] of one process (the id space
 /// and pid in an id's top bits), and each of its requests carries its
 /// floor: the lowest call it still has outstanding. For each requester a
-/// `Served` keeps the highest floor it has seen, the ids it holds
-/// pending, and its answers at or above that floor, in id order; a later
+/// `Served` keeps a [`Floored`]: the highest floor it has seen, the ids
+/// pending, and the answers at or above that floor, in id order; a later
 /// request that raises the floor drops the answers below it. A copy of a
 /// request below the floor belongs to a call that has ended at its
 /// requester, so it is refused: neither run nor answered. Every answer a
@@ -540,55 +539,15 @@ pub enum Admitted<M> {
 /// [`Asked`] carries the requester's floor, and [`Served::restore`]. A
 /// backup never holds a pending id, so a takeover has none to discard.
 pub struct Served<R> {
-    /// Requester (`id >> CALL_BITS`) → what is kept for it.
-    requesters: DetHashMap<u64, Requester<R>>,
-    /// Pending ids, over all requesters.
-    pending: usize,
-    /// Kept answers, over all requesters.
-    answered: usize,
+    /// Requester (`id >> CALL_BITS`) → its process, whose CPU takes these
+    /// entries with it, and its calls: pending ids (`None`) and answers.
+    /// A pending id below the floor stays until it is answered or
+    /// forgotten.
+    requesters: DetHashMap<u64, (Pid, Calls<R>)>,
 }
 
-/// What a [`Served`] keeps for one requester.
-struct Requester<R> {
-    /// The process, whose CPU takes these entries with it.
-    from: Pid,
-    /// The highest floor its requests carried, as an id of its own.
-    floor: u64,
-    /// Its pending ids (`None`), and its answers at or above `floor`, in
-    /// id order. A pending id below the floor stays until it is answered
-    /// or forgotten.
-    calls: VecDeque<(u64, Option<R>)>,
-}
-
-impl<R> Requester<R> {
-    fn new(from: Pid, floor: u64) -> Requester<R> {
-        Requester {
-            from,
-            floor,
-            calls: VecDeque::new(),
-        }
-    }
-
-    /// Raise the floor to `floor` if that is higher, dropping the answers
-    /// below it: how many were dropped.
-    fn advance(&mut self, floor: u64) -> usize {
-        if floor <= self.floor {
-            return 0;
-        }
-        self.floor = floor;
-        let before = self.calls.len();
-        if self.calls.front().is_some_and(|(id, _)| *id < floor) {
-            // a pending id the requester stopped waiting for holds its place
-            self.calls.retain(|(id, r)| *id >= floor || r.is_none());
-        }
-        before - self.calls.len()
-    }
-
-    /// Where `id` is in `calls`, or where it would go.
-    fn find(&self, id: u64) -> Result<usize, usize> {
-        self.calls.binary_search_by_key(&id, |(i, _)| *i)
-    }
-}
+/// One requester's calls, its floor an id of its own.
+type Calls<R> = Floored<u64, Option<R>>;
 
 /// What a [`Served`] hands a fresh backup ([`Served::entries`]): every
 /// requester's floor and the answers kept at or above it, in requester
@@ -617,8 +576,6 @@ impl<R: Clone + Send + 'static> Served<R> {
     pub fn new() -> Served<R> {
         Served {
             requesters: DetHashMap::default(),
-            pending: 0,
-            answered: 0,
         }
     }
 
@@ -635,24 +592,21 @@ impl<R: Clone + Send + 'static> Served<R> {
                 floor: req.floor,
             },
         };
-        let requester = self.raise(owed.asked);
-        if req.id < requester.floor {
+        let calls = self.raise(owed.asked);
+        if req.id < calls.floor() {
             ctx.count(counter!("rpc.stale_refused"), 1);
             return Admitted::Replayed;
         }
-        match requester.find(req.id) {
-            Err(at) => {
-                requester.calls.insert(at, (req.id, None));
-                self.pending += 1;
-                Admitted::Fresh(owed, req.body)
+        // mark the id pending in one search: an answered id gets its
+        // answer back
+        match calls.insert(req.id, None) {
+            None => Admitted::Fresh(owed, req.body),
+            Some(None) => Admitted::Duplicate(owed, req.body),
+            Some(Some(cached)) => {
+                reply(ctx, req.id, req.from, cached.clone());
+                calls.insert(req.id, Some(cached));
+                Admitted::Replayed
             }
-            Ok(at) => match &requester.calls[at].1 {
-                None => Admitted::Duplicate(owed, req.body),
-                Some(cached) => {
-                    reply(ctx, req.id, req.from, cached.clone());
-                    Admitted::Replayed
-                }
-            },
         }
     }
 
@@ -661,18 +615,12 @@ impl<R: Clone + Send + 'static> Served<R> {
     /// below its requester's floor is sent and not kept.
     pub fn answer(&mut self, ctx: &mut Ctx<'_>, owed: Owed, body: R) {
         let Asked { id, from, .. } = owed.asked;
-        if let Some((requester, at)) = self.slot(id) {
-            match &mut requester.calls[at].1 {
-                Some(kept) => *kept = body.clone(),
-                slot @ None if id >= requester.floor => {
-                    *slot = Some(body.clone());
-                    self.answered += 1;
-                    self.pending -= 1;
-                }
-                None => {
-                    requester.calls.remove(at);
-                    self.pending -= 1;
-                }
+        if let Some(calls) = self.calls(id) {
+            // only pending ids are held below the floor
+            if id < calls.floor() {
+                calls.remove(&id);
+            } else if let Some(slot) = calls.get_mut(&id) {
+                *slot = Some(body.clone());
             }
         }
         reply(ctx, id, from, body);
@@ -688,10 +636,10 @@ impl<R: Clone + Send + 'static> Served<R> {
     /// Drop a request unanswered, on purpose: a retransmission is admitted
     /// afresh.
     pub fn forget(&mut self, owed: Owed) {
-        if let Some((requester, at)) = self.slot(owed.asked.id) {
-            if requester.calls[at].1.is_none() {
-                requester.calls.remove(at);
-                self.pending -= 1;
+        let id = owed.asked.id;
+        if let Some(calls) = self.calls(id) {
+            if calls.get(&id).is_some_and(Option::is_none) {
+                calls.remove(&id);
             }
         }
     }
@@ -701,59 +649,35 @@ impl<R: Clone + Send + 'static> Served<R> {
     /// `asked` carries. `record` takes only an id's *first* answer: a
     /// second panics, naming the id.
     pub fn record(&mut self, asked: Asked, body: R) {
-        let requester = self.raise(asked);
-        if asked.id < requester.floor {
-            return;
+        let calls = self.raise(asked);
+        if asked.id >= calls.floor() {
+            let first = calls.insert(asked.id, Some(body));
+            assert!(first.flatten().is_none(), "{}", recorded_twice(asked.id));
         }
-        match requester.find(asked.id) {
-            Err(at) => requester.calls.insert(at, (asked.id, Some(body))),
-            Ok(at) => {
-                let slot = &mut requester.calls[at].1;
-                assert!(slot.is_none(), "{}", recorded_twice(asked.id));
-                *slot = Some(body);
-                self.pending -= 1;
-            }
-        }
-        self.answered += 1;
     }
 
     /// Drop everything kept for the requesters that ran on `cpu` of
     /// `node`, which failed: they can ask nothing again.
     pub fn forget_cpu(&mut self, node: NodeId, cpu: CpuId) {
-        let (mut pending, mut answered) = (0, 0);
-        self.requesters.retain(|_, r| {
-            let gone = r.from.node == node && r.from.cpu == cpu;
-            if gone {
-                let held = r.calls.iter().filter(|(_, a)| a.is_none()).count();
-                pending += held;
-                answered += r.calls.len() - held;
-            }
-            !gone
-        });
-        self.pending -= pending;
-        self.answered -= answered;
+        (self.requesters).retain(|_, (from, _)| from.node != node || from.cpu != cpu);
     }
 
     /// Requests admitted and not yet answered.
     pub fn pending(&self) -> usize {
-        self.pending
+        self.held().filter(|(_, answer)| answer.is_none()).count()
     }
 
     /// Remembered replies.
     pub fn answered(&self) -> usize {
-        self.answered
+        self.held().filter(|(_, answer)| answer.is_some()).count()
     }
 
     /// Remembered replies below their requester's floor: 0, or the floor
     /// rule is broken (the bounded-state oracle reads it).
     pub fn below_floor(&self) -> usize {
-        (self.requesters.values())
-            .map(|r| {
-                (r.calls.iter())
-                    .filter(|(id, a)| a.is_some() && *id < r.floor)
-                    .count()
-            })
-            .sum()
+        self.held()
+            .filter(|&(below, answer)| below && answer.is_some())
+            .count()
     }
 
     /// Every requester's floor and the answers kept (for a pair's
@@ -763,12 +687,12 @@ impl<R: Clone + Send + 'static> Served<R> {
         keys.sort_unstable();
         let mut snapshot = ServedSnapshot {
             floors: Vec::with_capacity(keys.len()),
-            answers: Vec::with_capacity(self.answered),
+            answers: Vec::with_capacity(self.answered()),
         };
         for key in keys {
-            let r = &self.requesters[&key];
-            snapshot.floors.push((r.from, r.floor));
-            let kept = r.calls.iter().filter_map(|(id, a)| Some((*id, a.clone()?)));
+            let (from, calls) = &self.requesters[&key];
+            snapshot.floors.push((*from, calls.floor()));
+            let kept = calls.iter().filter_map(|(id, a)| Some((*id, a.clone()?)));
             snapshot.answers.extend(kept);
         }
         snapshot
@@ -779,36 +703,38 @@ impl<R: Clone + Send + 'static> Served<R> {
     pub fn restore(&mut self, snapshot: ServedSnapshot<R>) {
         *self = Served::new();
         for (from, floor) in snapshot.floors {
-            let requester = Requester::new(from, floor);
-            self.requesters.insert(floor >> CALL_BITS, requester);
+            (self.requesters).insert(floor >> CALL_BITS, (from, Floored::new(floor)));
         }
         for (id, body) in snapshot.answers {
-            let requester = (self.requesters.get_mut(&(id >> CALL_BITS)))
-                .expect("a snapshot's answers belong to its requesters");
-            requester.calls.push_back((id, Some(body)));
-            self.answered += 1;
+            let calls = (self.calls(id)).expect("a snapshot's answers belong to its requesters");
+            calls.insert(id, Some(body));
         }
     }
 
-    /// The requester of `asked`, its floor raised to the one `asked`
-    /// carries (dropping the answers below it).
-    fn raise(&mut self, asked: Asked) -> &mut Requester<R> {
+    /// The calls of `asked`'s requester, its floor raised to the one
+    /// `asked` carries (dropping the answers below it).
+    fn raise(&mut self, asked: Asked) -> &mut Calls<R> {
         let key = asked.id >> CALL_BITS;
         // a hand-built request's floor may be 0: hold it to the
         // requester's own ids, at or below the one it rides with
         let floor = asked.floor.clamp(key << CALL_BITS, asked.id);
-        let requester =
-            (self.requesters.entry(key)).or_insert_with(|| Requester::new(asked.from, floor));
-        self.answered -= requester.advance(floor);
-        requester
+        let (_, calls) =
+            (self.requesters.entry(key)).or_insert_with(|| (asked.from, Floored::new(floor)));
+        // a pending id the requester stopped waiting for holds its place
+        calls.raise(floor, Option::is_none);
+        calls
     }
 
-    /// The requester of `id` and the place of `id` among its calls, if
-    /// `id` is held.
-    fn slot(&mut self, id: u64) -> Option<(&mut Requester<R>, usize)> {
-        let requester = self.requesters.get_mut(&(id >> CALL_BITS))?;
-        let at = requester.find(id).ok()?;
-        Some((requester, at))
+    /// The calls of `id`'s requester, if it is known.
+    fn calls(&mut self, id: u64) -> Option<&mut Calls<R>> {
+        let (_, calls) = self.requesters.get_mut(&(id >> CALL_BITS))?;
+        Some(calls)
+    }
+
+    /// Every entry held, and whether it is below its requester's floor.
+    fn held(&self) -> impl Iterator<Item = (bool, &Option<R>)> {
+        (self.requesters.values())
+            .flat_map(|(_, calls)| calls.iter().map(move |(id, a)| (*id < calls.floor(), a)))
     }
 }
 

@@ -56,6 +56,7 @@ pub mod config;
 pub mod event;
 pub mod fault;
 pub mod flightrec;
+pub mod floored;
 pub mod hash;
 pub mod ids;
 pub mod kernel;
@@ -75,6 +76,7 @@ pub use flightrec::{
     attribute_commit, format_timeline, CommitAttribution, FlightCause, FlightEvent, FlightRecorder,
     FlightTransid, LatencyComponent,
 };
+pub use floored::{Floored, Sequenced};
 pub use hash::{DetHashMap, DetHashSet};
 pub use ids::{CpuId, LinkId, NodeId, Pid};
 pub use kernel::World;
