@@ -15,6 +15,7 @@ use guardian::{ask, Target};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tmf::facility::TmfNodeConfig;
+use tmf::script::{Log, TxnScript};
 use tmf::tmp::{TmpMsg, TmpReply};
 
 fn b(s: &str) -> Bytes {
@@ -42,22 +43,28 @@ fn multi_node_world(n: usize) -> (encompass::app::AppHandles, Vec<NodeId>) {
 
 /// T1 — commit-protocol message counts: the abbreviated single-node 2PC
 /// vs the distributed protocol, by number of participating nodes.
+/// Checked: each transaction commits, and every count is exactly the
+/// linear one — per remote participant one remote begin, one network
+/// phase one and one network phase two (10 network messages in all) and
+/// 12 state broadcasts; per participant one local phase one; one monitor
+/// force.
 pub fn t1() -> Vec<Table> {
+    let counted = [
+        ("network msgs", "sim.msgs.net"),
+        ("remote begins", "tmf.msgs.remote_begin"),
+        ("phase1 (net)", "tmf.msgs.phase1_net"),
+        ("phase2 (net)", "tmf.msgs.phase2_net"),
+        ("phase1 (local)", "tmf.msgs.phase1_local"),
+        ("monitor forces", "tmf.monitor_forces"),
+        ("state broadcasts", "tmf.state_broadcasts"),
+    ];
+    let mut headers = vec!["participants", "protocol"];
+    headers.extend(counted.map(|(header, _)| header));
     let mut table = Table::new(
         "T1 — commit protocol costs by participating nodes (one transaction, one insert per node)",
-        &[
-            "participants",
-            "protocol",
-            "network msgs",
-            "remote begins",
-            "phase1 (net)",
-            "phase2 (net)",
-            "phase1 (local)",
-            "monitor forces",
-            "state broadcasts",
-        ],
+        &headers,
     );
-    for p in 1..=4usize {
+    for p in 1..=4u64 {
         let (mut app, nodes) = multi_node_world(4);
         let home = nodes[0];
         let mut script = vec![Step::Begin];
@@ -68,28 +75,18 @@ pub fn t1() -> Vec<Table> {
         let log = run_txn_script(&mut app.world, home, 0, app.catalog.clone(), script);
         // settle everything including safe-delivery phase 2
         app.world.run_for(SimDuration::from_secs(10));
-        assert_eq!(
-            log.borrow().last().map(|s| s.as_str()),
-            Some("committed"),
-            "txn committed: {:?}",
-            log.borrow()
+        let counts = counted.map(|(_, metric)| app.world.metrics().get(metric));
+        let protocol = if p == 1 { "abbreviated" } else { "distributed" };
+        let mut row = vec![p.to_string(), format!("{protocol} 2PC")];
+        row.extend(counts.map(|c| c.to_string()));
+        table.row(row);
+        let remote = p - 1;
+        let want = [10 * remote, remote, remote, remote, p, 1, 16 + 12 * remote];
+        let end = log.borrow().last().cloned().unwrap_or_default();
+        table.check(
+            end == "committed" && counts == want,
+            format!("{p} participants: ended {end:?}, counts {counts:?}, expected {want:?}"),
         );
-        let m = app.world.metrics();
-        table.row(vec![
-            p.to_string(),
-            if p == 1 {
-                "abbreviated 2PC".to_string()
-            } else {
-                "distributed 2PC".to_string()
-            },
-            m.get("sim.msgs.net").to_string(),
-            m.get("tmf.msgs.remote_begin").to_string(),
-            m.get("tmf.msgs.phase1_net").to_string(),
-            m.get("tmf.msgs.phase2_net").to_string(),
-            m.get("tmf.msgs.phase1_local").to_string(),
-            m.get("tmf.monitor_forces").to_string(),
-            m.get("tmf.state_broadcasts").to_string(),
-        ]);
     }
     table.note("single-node transactions pay no network messages at all; the distributed protocol adds one remote-begin + one phase1 + one phase2 per participating node (critical-response + safe-delivery), growing linearly");
     vec![table]
@@ -293,7 +290,17 @@ pub fn t4() -> Vec<Table> {
     vec![table]
 }
 
+/// Every record of the bank's `accounts` file on `node`'s `$BANK` media.
+fn accounts(world: &World, node: NodeId) -> Vec<(Bytes, Bytes)> {
+    (world.stable().get::<VolumeMedia>(&media_key(node, "$BANK")))
+        .and_then(|media| media.file("accounts"))
+        .map(|file| file.scan(&[], None, usize::MAX))
+        .unwrap_or_default()
+}
+
 /// T5 — ROLLFORWARD: recovery fidelity and cost vs audit-trail volume.
+/// Checked: every record of the recovered volume equals the one
+/// committed before the crash.
 pub fn t5() -> Vec<Table> {
     let mut table = Table::new(
         "T5 — ROLLFORWARD after total node failure, by workload size",
@@ -328,7 +335,7 @@ pub fn t5() -> Vec<Table> {
         // run the workload to completion, plus time for flushes
         super::run_until_finished(&mut app.world, terminals as u64, 600);
         app.world.run_for(SimDuration::from_secs(5));
-        let pre_crash_total = total_balance(&mut app.world, &app.catalog, "accounts");
+        let pre_crash = accounts(&app.world, n);
         let commits = app.world.metrics().get("tmf.commits");
 
         // total failure of the DISCPROCESS pair + both drives
@@ -358,15 +365,24 @@ pub fn t5() -> Vec<Table> {
         let start = std::time::Instant::now();
         let report = rollforward_volume(&mut app.world, &vol, &tk, 1);
         let wall = start.elapsed().as_micros() as f64 / 1000.0;
-        let recovered_total = total_balance(&mut app.world, &app.catalog, "accounts");
+        let recovered = accounts(&app.world, n);
+        let same = !pre_crash.is_empty() && recovered == pre_crash;
         table.row(vec![
             commits.to_string(),
             trail_records.to_string(),
             report.redone.to_string(),
             report.rolled_back_txns.to_string(),
-            (recovered_total == pre_crash_total).to_string(),
+            same.to_string(),
             format!("{wall:.2}"),
         ]);
+        table.check(
+            same,
+            format!(
+                "{commits} commits: {} records recovered, {} committed before the crash, not all equal",
+                recovered.len(),
+                pre_crash.len()
+            ),
+        );
     }
     table.note("recovery cost grows with the audit volume since the archive; the recovered volume is bit-identical to the committed pre-crash state (the conservation check)");
     vec![table]
@@ -385,18 +401,20 @@ fn tmp_command(world: &mut World, node: NodeId, id_space: u64, msg: TmpMsg) {
     );
 }
 
-fn parse_transid(log_entry: &str) -> Option<Transid> {
-    // "began:T0.2.1"
-    let rest = log_entry.strip_prefix("began:T")?;
-    let mut it = rest.split('.');
-    let home = it.next()?.parse().ok()?;
-    let cpu = it.next()?.parse().ok()?;
-    let seq = it.next()?.parse().ok()?;
-    Some(Transid {
-        home_node: NodeId(home),
-        cpu,
-        seq,
-    })
+/// Run `script` on `node` (CPU 0), returning its log and a slot that
+/// receives the transid at BEGIN.
+fn run_capturing(
+    world: &mut World,
+    node: NodeId,
+    catalog: Catalog,
+    script: Vec<Step>,
+) -> (Log, Rc<RefCell<Option<Transid>>>) {
+    let log = Log::default();
+    let slot = Rc::default();
+    let mut driver = TxnScript::new(catalog, script, log.clone());
+    driver.transid_out = Some(Rc::clone(&slot));
+    world.spawn(node, 0, Box::new(driver));
+    (log, slot)
 }
 
 /// How long after `from` a lock on `file`/key `k` (node `node`) stays
@@ -452,10 +470,9 @@ pub fn t6() -> Vec<Table> {
     // (a) unilateral abort before phase one forces consensus abort
     {
         let (mut app, nodes) = multi_node_world(2);
-        let log = run_txn_script(
+        let (log, transid) = run_capturing(
             &mut app.world,
             nodes[0],
-            0,
             app.catalog.clone(),
             vec![
                 Step::Begin,
@@ -468,7 +485,7 @@ pub fn t6() -> Vec<Table> {
         while log.borrow().len() < 2 && app.world.now() < SimTime::from_micros(5_000_000) {
             app.world.run_for(SimDuration::from_millis(10));
         }
-        let transid = parse_transid(&log.borrow()[0]).expect("transid in log");
+        let transid = transid.borrow().expect("transid at BEGIN");
         tmp_command(
             &mut app.world,
             nodes[1],
@@ -534,10 +551,9 @@ pub fn t6() -> Vec<Table> {
     // (c) the manual override: operator forces the disposition while cut off
     {
         let (mut app, nodes) = multi_node_world(2);
-        let log = run_txn_script(
+        let (log, transid) = run_capturing(
             &mut app.world,
             nodes[0],
-            0,
             app.catalog.clone(),
             vec![
                 Step::Begin,
@@ -550,7 +566,7 @@ pub fn t6() -> Vec<Table> {
         {
             app.world.run_for(SimDuration::from_millis(1));
         }
-        let transid = parse_transid(&log.borrow()[0]).expect("transid");
+        let transid = transid.borrow().expect("transid at BEGIN");
         app.world.inject(Fault::Partition(vec![nodes[1]]));
         // operator on node 1 queries the home node by phone, then forces
         tmp_command(

@@ -10,38 +10,30 @@
 //! readable result to `BENCH_group_commit.json` (the bench-trajectory
 //! baseline for later perf PRs).
 
-use crate::Table;
+use crate::sweep::{Column, SweepResult, Value};
 use encompass::app::{launch_bank_app, BankAppParams};
 use encompass_sim::SimDuration;
 use tmf::facility::TmfNodeConfig;
 
-/// One cell of the sweep.
-#[derive(Clone, Debug)]
-pub struct GroupCommitRow {
-    pub window_us: u64,
-    pub terminals: usize,
-    /// Audit-trail partitions per AUDITPROCESS (1 = the legacy single
-    /// trail; >1 also spreads the accounts over that many volumes so
-    /// concurrent forces land on different partitions).
-    pub partitions: usize,
-    pub commits: u64,
-    pub audit_forces: u64,
-    pub monitor_forces: u64,
-    pub forces_per_commit: f64,
-    pub throughput_tps: f64,
-    pub mean_audit_boxcar: f64,
-    pub mean_monitor_boxcar: f64,
-    pub mean_commit_latency_us: f64,
-    pub virtual_secs: f64,
-}
+/// `partitions` is the audit-trail partitions per AUDITPROCESS (1 = the
+/// legacy single trail; >1 also spreads the accounts over that many
+/// volumes so concurrent forces land on different partitions).
+const COLUMNS: &[Column] = &[
+    Column::new("window_us", "window (us)"),
+    Column::new("terminals", "terminals"),
+    Column::new("partitions", "partitions"),
+    Column::new("commits", "commits"),
+    Column::new("audit_forces", "audit forces"),
+    Column::new("monitor_forces", "monitor forces"),
+    Column::new("forces_per_commit", "forces/commit").decimals(4, 3),
+    Column::new("throughput_tps", "txns/s").decimals(2, 1),
+    Column::new("mean_audit_boxcar", "mean audit boxcar").decimals(3, 2),
+    Column::new("mean_monitor_boxcar", "mean monitor boxcar").decimals(3, 2),
+    Column::new("mean_commit_latency_us", "mean commit latency (us)").decimals(1, 0),
+    Column::json("virtual_secs", 3),
+];
 
-/// The whole sweep plus its rendered table.
-pub struct GroupCommitResult {
-    pub rows: Vec<GroupCommitRow>,
-    pub smoke: bool,
-}
-
-fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> GroupCommitRow {
+fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> Vec<Value> {
     let tmf = TmfNodeConfig::builder()
         .group_commit_window(SimDuration::from_micros(window_us))
         .audit_partitions(partitions)
@@ -65,112 +57,42 @@ fn run_cell(window_us: u64, terminals: usize, partitions: usize, txns: u64) -> G
     let commits = m.get("tmf.commits");
     let audit_forces = m.get("audit.forces");
     let monitor_forces = m.get("tmf.monitor_forces");
-    GroupCommitRow {
-        window_us,
-        terminals,
-        partitions,
-        commits,
-        audit_forces,
-        monitor_forces,
-        forces_per_commit: (audit_forces + monitor_forces) as f64 / commits.max(1) as f64,
-        throughput_tps: commits as f64 / t.max(0.001),
-        mean_audit_boxcar: m.observed_mean("audit.boxcar_size"),
-        mean_monitor_boxcar: m.observed_mean("tmf.monitor_boxcar_size"),
-        mean_commit_latency_us: m.observed_mean("tmf.commit_latency_us"),
-        virtual_secs: t,
-    }
+    vec![
+        window_us.into(),
+        terminals.into(),
+        partitions.into(),
+        commits.into(),
+        audit_forces.into(),
+        monitor_forces.into(),
+        ((audit_forces + monitor_forces) as f64 / commits.max(1) as f64).into(),
+        (commits as f64 / t.max(0.001)).into(),
+        m.observed_mean("audit.boxcar_size").into(),
+        m.observed_mean("tmf.monitor_boxcar_size").into(),
+        m.observed_mean("tmf.commit_latency_us").into(),
+        t.into(),
+    ]
 }
 
-/// Run the sweep. `smoke` trims it to a CI-sized subset.
-pub fn group_commit(smoke: bool) -> GroupCommitResult {
-    let (windows, terminals, partitions, txns): (&[u64], &[usize], &[usize], u64) = if smoke {
-        (&[0, 2_000], &[2, 8], &[1, 2], 10)
-    } else {
-        (&[0, 500, 1_000, 2_000, 5_000], &[1, 4, 8, 16], &[1, 2], 40)
-    };
-    let mut rows = Vec::new();
-    for &w in windows {
-        for &t in terminals {
-            for &p in partitions {
-                rows.push(run_cell(w, t, p, txns));
+/// Run the sweep: every window × terminal count × partition count.
+pub fn group_commit() -> SweepResult {
+    let mut sweep = SweepResult::new(
+        "group_commit",
+        "group commit — physical forces per committed transaction, by window and concurrency",
+        COLUMNS,
+    );
+    for window in [0, 500, 1_000, 2_000, 5_000] {
+        for terminals in [1, 4, 8, 16] {
+            for partitions in [1, 2] {
+                sweep.row(run_cell(window, terminals, partitions, 40));
             }
         }
     }
-    GroupCommitResult { rows, smoke }
-}
-
-impl GroupCommitResult {
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "group commit — physical forces per committed transaction, by window and concurrency",
-            &[
-                "window (us)",
-                "terminals",
-                "partitions",
-                "commits",
-                "audit forces",
-                "monitor forces",
-                "forces/commit",
-                "txns/s",
-                "mean audit boxcar",
-                "mean monitor boxcar",
-                "mean commit latency (us)",
-            ],
-        );
-        for r in &self.rows {
-            table.row(vec![
-                r.window_us.to_string(),
-                r.terminals.to_string(),
-                r.partitions.to_string(),
-                r.commits.to_string(),
-                r.audit_forces.to_string(),
-                r.monitor_forces.to_string(),
-                format!("{:.3}", r.forces_per_commit),
-                format!("{:.1}", r.throughput_tps),
-                format!("{:.2}", r.mean_audit_boxcar),
-                format!("{:.2}", r.mean_monitor_boxcar),
-                format!("{:.0}", r.mean_commit_latency_us),
-            ]);
-        }
-        table.note(
-            "window 0 is the pre-boxcarring behavior (one monitor force per commit); \
-             with a window open, concurrent phase-one forces ride one trail write — \
-             forces/commit falls below 1 once boxcars average above ~2; with >1 trail \
-             partitions, forces on different partitions overlap instead of queueing \
-             behind one in-flight force, lifting the high-concurrency plateau",
-        );
-        table
-    }
-
-    /// Hand-rolled JSON (the container has no serde): stable key order,
-    /// one row object per sweep cell.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"group_commit\",\n");
-        out.push_str(&format!("  \"smoke\": {},\n  \"rows\": [\n", self.smoke));
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"window_us\": {}, \"terminals\": {}, \"partitions\": {}, \
-                 \"commits\": {}, \
-                 \"audit_forces\": {}, \"monitor_forces\": {}, \
-                 \"forces_per_commit\": {:.4}, \"throughput_tps\": {:.2}, \
-                 \"mean_audit_boxcar\": {:.3}, \"mean_monitor_boxcar\": {:.3}, \
-                 \"mean_commit_latency_us\": {:.1}, \"virtual_secs\": {:.3}}}{}\n",
-                r.window_us,
-                r.terminals,
-                r.partitions,
-                r.commits,
-                r.audit_forces,
-                r.monitor_forces,
-                r.forces_per_commit,
-                r.throughput_tps,
-                r.mean_audit_boxcar,
-                r.mean_monitor_boxcar,
-                r.mean_commit_latency_us,
-                r.virtual_secs,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+    sweep.table.note(
+        "window 0 is the pre-boxcarring behavior (one monitor force per commit); \
+         with a window open, concurrent phase-one forces ride one trail write — \
+         forces/commit falls below 1 once boxcars average above ~2; with >1 trail \
+         partitions, forces on different partitions overlap instead of queueing \
+         behind one in-flight force, lifting the high-concurrency plateau",
+    );
+    sweep
 }

@@ -14,13 +14,11 @@ mod scaleout;
 
 pub use claims::{t1, t2, t3, t4, t5, t6, t7, t8};
 pub use figures::{f1, f2, f3, f4};
-pub use group_commit::{group_commit, GroupCommitResult, GroupCommitRow};
-pub use latency_attribution::{
-    latency_attribution, LatencyAttributionResult, LatencyAttributionRow,
-};
-pub use online_dump::{online_dump, OnlineDumpResult, OnlineDumpRow};
-pub use read_mix::{read_mix, ReadMixResult, ReadMixRow};
-pub use scaleout::{scaleout, ScaleoutResult, ScaleoutRow};
+pub use group_commit::group_commit;
+pub use latency_attribution::latency_attribution;
+pub use online_dump::online_dump;
+pub use read_mix::read_mix;
+pub use scaleout::scaleout;
 
 /// Run `world` in 100 ms steps until `terminals` terminal programs have
 /// finished, or for at most `limit_s` seconds of virtual time.
@@ -33,7 +31,7 @@ fn run_until_finished(world: &mut World, terminals: u64, limit_s: u64) {
 }
 
 pub type Experiment = fn() -> Vec<crate::Table>;
-pub type Sweep = fn(bool) -> (crate::Table, String);
+pub type Sweep = fn() -> crate::sweep::SweepResult;
 
 /// The paper's figures and claims, in the canonical F1..T8 order:
 /// `exp <name>` prints one, `exp all` prints them all.
@@ -52,36 +50,29 @@ pub const TABLES: &[(&str, Experiment)] = &[
     ("t8", t8),
 ];
 
-/// A [`SWEEPS`] entry: the sweep's name, and a run giving its table and
-/// its JSON.
-macro_rules! sweep {
-    ($name:ident) => {
-        (stringify!($name), |smoke| {
-            let r = $name(smoke);
-            (r.table(), r.to_json())
-        })
-    };
-}
-
-/// The sweeps that also write a machine-readable `BENCH_<name>.json`:
-/// given `smoke`, each returns its table and that JSON.
+/// The sweeps, which also write a machine-readable `BENCH_<name>.json`.
 pub const SWEEPS: &[(&str, Sweep)] = &[
-    sweep!(group_commit),
-    sweep!(latency_attribution),
-    sweep!(online_dump),
-    sweep!(read_mix),
-    sweep!(scaleout),
+    ("group_commit", group_commit),
+    ("latency_attribution", latency_attribution),
+    ("online_dump", online_dump),
+    ("read_mix", read_mix),
+    ("scaleout", scaleout),
 ];
 
-/// Run every experiment in [`TABLES`] (`exp all`), in parallel — each
-/// experiment builds its own simulated worlds, so they are independent;
-/// results are returned in the canonical F1..T8 order.
+/// Run every experiment in [`TABLES`] (`exp all`) and return their
+/// tables in the canonical F1..T8 order. Each builds its own simulated
+/// worlds, so all but T5 run in parallel; T5 times its recovery on the
+/// host clock, so it runs alone once the others have joined.
 pub fn all() -> Vec<crate::Table> {
-    std::thread::scope(|scope| {
-        let running: Vec<_> = TABLES.iter().map(|(_, f)| scope.spawn(f)).collect();
-        running
-            .into_iter()
-            .flat_map(|h| h.join().expect("experiment thread panicked"))
+    let parallel: Vec<Option<Vec<crate::Table>>> = std::thread::scope(|scope| {
+        let running: Vec<_> = (TABLES.iter())
+            .map(|&(name, f)| (name != "t5").then(|| scope.spawn(f)))
+            .collect();
+        (running.into_iter())
+            .map(|h| h.map(|h| h.join().expect("experiment thread panicked")))
             .collect()
-    })
+    });
+    (parallel.into_iter().zip(TABLES))
+        .flat_map(|(tables, &(_, f))| tables.unwrap_or_else(f))
+        .collect()
 }

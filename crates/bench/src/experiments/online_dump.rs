@@ -15,7 +15,7 @@
 //!
 //! The machine-readable result goes to `BENCH_online_dump.json`.
 
-use crate::Table;
+use crate::sweep::{Column, SweepResult, Value};
 use encompass::app::{launch_bank_app, BankAppParams};
 use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
@@ -25,33 +25,28 @@ use encompass_storage::types::VolumeRef;
 use guardian::{ask, Target};
 use tmf::facility::{trail_key_of, TmfNodeConfig};
 
-/// One cell of the sweep.
-#[derive(Clone, Debug)]
-pub struct OnlineDumpRow {
-    pub txns_per_terminal: u64,
-    /// Dump page size; `None` = no concurrent dump in this cell.
-    pub dump_page: Option<usize>,
-    pub commits: u64,
-    pub mean_commit_latency_us: f64,
-    pub throughput_tps: f64,
-    /// Records the dump copied, and the disc accesses the copy cost.
-    pub dump_records: u64,
-    pub archive_reads: u64,
-    /// Trail records on the media at the end of the run.
-    pub trail_records: u64,
-    /// ROLLFORWARD work from the best available archive (the registered
-    /// fuzzy dump when one exists, generation 0 otherwise).
-    pub recovery_redone: u64,
-    pub recovery_undone: u64,
-}
+/// `dump_page` is the dump's page size (`null`/`none`: no concurrent
+/// dump in this cell); `dump_records` and `archive_reads` are the
+/// records the dump copied and the disc accesses the copy cost;
+/// `trail_records` is the trail records on the media at the end of the
+/// run; `recovery_*` is the ROLLFORWARD work from the best available
+/// archive (the registered fuzzy dump when one exists, generation 0
+/// otherwise).
+const COLUMNS: &[Column] = &[
+    Column::new("txns_per_terminal", "txns/terminal"),
+    Column::new("dump_page", "dump page"),
+    Column::new("commits", "commits"),
+    Column::new("mean_commit_latency_us", "mean commit latency (us)").decimals(1, 0),
+    Column::new("throughput_tps", "txns/s").decimals(2, 1),
+    Column::new("dump_records", "dump records"),
+    Column::new("archive_reads", "archive reads"),
+    Column::new("trail_records", "trail records"),
+    Column::new("recovery_redone", "recovery redo"),
+    Column::new("recovery_undone", "recovery undo"),
+];
 
-/// The whole sweep plus its rendered table.
-pub struct OnlineDumpResult {
-    pub rows: Vec<OnlineDumpRow>,
-    pub smoke: bool,
-}
-
-fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDumpRow {
+fn run_cell(txns: u64, dump_page: Option<usize>) -> Vec<Value> {
+    let terminals = 8;
     let tmf = TmfNodeConfig::builder()
         .dump_page_size(dump_page.unwrap_or(64))
         .build()
@@ -129,110 +124,41 @@ fn run_cell(txns: u64, dump_page: Option<usize>, terminals: usize) -> OnlineDump
         recovery_undone += report.undone as u64;
     }
 
-    OnlineDumpRow {
-        txns_per_terminal: txns,
-        dump_page,
-        commits,
-        mean_commit_latency_us,
-        throughput_tps: commits as f64 / t.max(0.001),
-        dump_records,
-        archive_reads,
-        trail_records,
-        recovery_redone,
-        recovery_undone,
-    }
+    vec![
+        txns.into(),
+        dump_page.into(),
+        commits.into(),
+        mean_commit_latency_us.into(),
+        (commits as f64 / t.max(0.001)).into(),
+        dump_records.into(),
+        archive_reads.into(),
+        trail_records.into(),
+        recovery_redone.into(),
+        recovery_undone.into(),
+    ]
 }
 
-/// Run the sweep. `smoke` trims it to a CI-sized subset.
-pub fn online_dump(smoke: bool) -> OnlineDumpResult {
-    let (txn_counts, pages, terminals): (&[u64], &[usize], usize) = if smoke {
-        (&[10], &[64], 4)
-    } else {
-        (&[10, 20, 40], &[16, 64, 256], 8)
-    };
-    let mut rows = Vec::new();
-    for &txns in txn_counts {
-        rows.push(run_cell(txns, None, terminals));
-        rows.push(run_cell(txns, Some(pages[pages.len() / 2]), terminals));
+/// Run the sweep: with and without a dump (64-record pages) at each
+/// history length, then the other page sizes at the longest history.
+pub fn online_dump() -> SweepResult {
+    let mut sweep = SweepResult::new(
+        "online_dump",
+        "online dump — foreground impact of a concurrent fuzzy dump, and recovery work \
+         from the resulting archive vs from generation 0",
+        COLUMNS,
+    );
+    for txns in [10, 20, 40] {
+        sweep.row(run_cell(txns, None));
+        sweep.row(run_cell(txns, Some(64)));
     }
-    // page-size sensitivity at the largest history
-    if !smoke {
-        let &txns = txn_counts.last().expect("nonempty");
-        for &p in pages {
-            if p != pages[pages.len() / 2] {
-                rows.push(run_cell(txns, Some(p), terminals));
-            }
-        }
+    for page in [16, 256] {
+        sweep.row(run_cell(40, Some(page)));
     }
-    OnlineDumpResult { rows, smoke }
-}
-
-impl OnlineDumpResult {
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "online dump — foreground impact of a concurrent fuzzy dump, and recovery work \
-             from the resulting archive vs from generation 0",
-            &[
-                "txns/terminal",
-                "dump page",
-                "commits",
-                "mean commit latency (us)",
-                "txns/s",
-                "dump records",
-                "archive reads",
-                "trail records",
-                "recovery redo",
-                "recovery undo",
-            ],
-        );
-        for r in &self.rows {
-            table.row(vec![
-                r.txns_per_terminal.to_string(),
-                r.dump_page.map_or("none".to_string(), |p| p.to_string()),
-                r.commits.to_string(),
-                format!("{:.0}", r.mean_commit_latency_us),
-                format!("{:.1}", r.throughput_tps),
-                r.dump_records.to_string(),
-                r.archive_reads.to_string(),
-                r.trail_records.to_string(),
-                r.recovery_redone.to_string(),
-                r.recovery_undone.to_string(),
-            ]);
-        }
-        table.note(
-            "'none' rows recover from the generation-0 archive, so recovery redo grows with \
-             the trail; dumped rows recover from the fuzzy archive's watermark, so redo stays \
-             bounded by the work that followed the dump — the trade is the archive reads the \
-             copy spends while transactions run",
-        );
-        table
-    }
-
-    /// Hand-rolled JSON (the container has no serde): stable key order,
-    /// one row object per sweep cell.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"online_dump\",\n");
-        out.push_str(&format!("  \"smoke\": {},\n  \"rows\": [\n", self.smoke));
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"txns_per_terminal\": {}, \"dump_page\": {}, \"commits\": {}, \
-                 \"mean_commit_latency_us\": {:.1}, \"throughput_tps\": {:.2}, \
-                 \"dump_records\": {}, \"archive_reads\": {}, \"trail_records\": {}, \
-                 \"recovery_redone\": {}, \"recovery_undone\": {}}}{}\n",
-                r.txns_per_terminal,
-                r.dump_page.map_or("null".to_string(), |p| p.to_string()),
-                r.commits,
-                r.mean_commit_latency_us,
-                r.throughput_tps,
-                r.dump_records,
-                r.archive_reads,
-                r.trail_records,
-                r.recovery_redone,
-                r.recovery_undone,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+    sweep.table.note(
+        "'none' rows recover from the generation-0 archive, so recovery redo grows with \
+         the trail; dumped rows recover from the fuzzy archive's watermark, so redo stays \
+         bounded by the work that followed the dump — the trade is the archive reads the \
+         copy spends while transactions run",
+    );
+    sweep
 }

@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one function per entry in EXPERIMENTS.md
 //! (figures F1–F4 and claims T1–T8 of the paper), each regenerating its
-//! table/series, plus shared scripted drivers and table rendering.
+//! table/series, plus shared scripted drivers, table rendering, and the
+//! one shape of a sweep (its columns, rows, table and JSON).
 //!
 //! Run a single experiment:
 //! ```text
@@ -15,6 +16,7 @@
 
 pub mod driver;
 pub mod experiments;
+pub mod sweep;
 pub mod table;
 
 pub use table::Table;
