@@ -25,8 +25,8 @@
 use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, CpuId, DetHashMap, FlightCause, Floored, HistogramHandle, MediaId, Name, NodeId,
-    Payload, Pid, SimTime, World,
+    counter, CpuId, DetHashMap, FlightCause, Floored, HistogramHandle, MediaId, Members, Name,
+    NodeId, Payload, Pid, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -162,7 +162,8 @@ pub enum AuditDelta {
         /// filter learns what the primary's did.
         floor: Option<(VolumeRef, u64)>,
         partition: usize,
-        records: Vec<ImageRecord>,
+        /// The append's own list when the filter dropped none of it.
+        records: Members<ImageRecord>,
     },
     Forced {
         partition: usize,
@@ -274,24 +275,32 @@ impl AuditProcess {
     }
 
     /// Drop the records `volume` has already appended, and refuse those
-    /// below its re-send `floor`.
+    /// below its re-send `floor`. An append that drops none, the common
+    /// case, keeps its list.
     fn dedup(
         &mut self,
         ctx: &mut PairCtx<'_, '_>,
         volume: &VolumeRef,
         floor: u64,
-        records: Vec<ImageRecord>,
-    ) -> Vec<ImageRecord> {
+        records: Members<ImageRecord>,
+    ) -> Members<ImageRecord> {
         let keys = self.volume_keys(volume, floor);
-        let (before, mut stale) = (records.len(), 0);
-        let fresh: Vec<ImageRecord> = (records.into_iter())
-            .filter(|r| {
-                let above = r.seq >= keys.floor();
-                stale += u64::from(!above);
-                above && keys.insert(image_key(r), ()).is_none()
-            })
-            .collect();
-        let dropped = (before - fresh.len()) as u64;
+        let mut stale = 0;
+        let mut keep = |r: &ImageRecord| {
+            let above = r.seq >= keys.floor();
+            stale += u64::from(!above);
+            above && keys.insert(image_key(r), ()).is_none()
+        };
+        // the records up to the first drop are kept as they are
+        let kept = records.iter().take_while(|r| keep(r)).count();
+        let fresh: Members<ImageRecord> = match records.get(kept..) {
+            Some([_, rest @ ..]) => (records[..kept].iter())
+                .chain(rest.iter().filter(|r| keep(r)))
+                .cloned()
+                .collect(),
+            _ => records.clone(),
+        };
+        let dropped = (records.len() - fresh.len()) as u64;
         ctx.count(counter!("audit.duplicate_records"), dropped - stale);
         if stale > 0 {
             ctx.count(counter!("audit.stale_images"), stale);
@@ -421,30 +430,34 @@ impl AuditProcess {
         let Some(upto) = self.parts[p].force_in_progress.take() else {
             return;
         };
-        let batch: Vec<ImageRecord> = self.parts[p].buffer.drain(..upto).collect();
         ctx.count(counter!("audit.forces"), 1);
-        ctx.count(counter!("audit.forced_records"), batch.len() as u64);
-        ctx.count(counter!("audit.group_size_total"), batch.len() as u64);
-        self.with_trail(ctx, p, |t| t.force(batch));
+        ctx.count(counter!("audit.forced_records"), upto as u64);
+        ctx.count(counter!("audit.group_size_total"), upto as u64);
+        // the batch streams from the buffer onto the trail
+        let rotate = self.cfg.rotate_every;
+        let trail = ctx
+            .stable()
+            .get_or_create_at(self.trails[p], || TrailMedia::new(rotate));
+        trail.force(self.parts[p].buffer.drain(..upto));
         self.parts[p].forced_count += upto as u64;
         ctx.checkpoint(AuditDelta::Forced {
             partition: p,
             count: upto,
         });
-        // satisfy waiters
+        // satisfy waiters: a waiter needs the partition's append count at
+        // its push, which never decreases, so the satisfied ones are a
+        // prefix, drained in place
         let forced = self.parts[p].forced_count;
-        let (done, rest): (Vec<Waiter>, Vec<Waiter>) = self.parts[p]
-            .waiters
-            .drain(..)
-            .partition(|w| w.needed <= forced);
-        self.parts[p].waiters = rest;
+        let mut waiters = std::mem::take(&mut self.parts[p].waiters);
+        debug_assert!(waiters.is_sorted_by_key(|w| w.needed));
+        let boxcar = waiters.partition_point(|w| w.needed <= forced);
         // an append-only force (no waiter satisfied) is not a boxcar:
         // observing 0 here would skew the group-size mean
-        if !done.is_empty() {
-            ctx.observe_handle(&self.boxcar_hist, done.len() as u64);
+        if boxcar > 0 {
+            ctx.observe_handle(&self.boxcar_hist, boxcar as u64);
         }
-        let boxcar = done.len() as u32;
-        for w in done {
+        let boxcar = boxcar as u32;
+        for w in waiters.drain(..boxcar as usize) {
             if let Some(t) = w.transid {
                 ctx.flight(
                     t.flight_id(),
@@ -455,6 +468,7 @@ impl AuditProcess {
             }
             self.partition_acked(ctx, w.force, boxcar);
         }
+        self.parts[p].waiters = waiters;
         self.maybe_start_force(ctx, p);
     }
 
@@ -668,12 +682,12 @@ impl PairApp for AuditProcess {
             } => {
                 if let Some((volume, floor)) = floor {
                     let keys = self.volume_keys(&volume, floor);
-                    for r in &records {
+                    for r in records.iter() {
                         keys.insert(image_key(r), ());
                     }
                 }
                 let p = partition.min(self.parts.len() - 1);
-                self.parts[p].buffer.extend(records);
+                self.parts[p].buffer.extend(records.iter().cloned());
                 self.replies.record(answers, AuditReply::Appended);
             }
             AuditDelta::Forced { partition, count } => {

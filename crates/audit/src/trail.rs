@@ -69,8 +69,9 @@ impl TrailMedia {
     }
 
     /// Append a batch of records as one physical force.
-    pub fn force(&mut self, records: Vec<ImageRecord>) {
-        if records.is_empty() {
+    pub fn force(&mut self, records: impl IntoIterator<Item = ImageRecord>) {
+        let mut records = records.into_iter().peekable();
+        if records.peek().is_none() {
             return;
         }
         self.forces += 1;
@@ -211,7 +212,7 @@ mod tests {
     #[test]
     fn purge_drops_old_files() {
         let mut t = TrailMedia::new(2);
-        t.force((1..=6).map(|i| img(i, 1, "$D")).collect());
+        t.force((1..=6).map(|i| img(i, 1, "$D")));
         assert_eq!(t.files.len(), 3);
         let dropped = t.purge_below(5);
         assert_eq!(dropped, 2);
@@ -288,7 +289,7 @@ mod tests {
     #[test]
     fn purge_drops_stale_empty_files() {
         let mut t = TrailMedia::new(2);
-        t.force((1..=4).map(|i| img(i, 1, "$D")).collect());
+        t.force((1..=4).map(|i| img(i, 1, "$D")));
         // fabricate a stale empty file in the middle (e.g. left over from
         // an older purge implementation)
         t.files.insert(

@@ -833,7 +833,7 @@ fn image(n: NodeId, i: u64) -> ImageRecord {
 
 fn append(records: Vec<ImageRecord>, floor: u64) -> AuditMsg {
     AuditMsg::Append {
-        records,
+        records: records.into_iter().collect(),
         force: false,
         floor,
     }

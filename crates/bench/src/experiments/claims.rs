@@ -94,10 +94,14 @@ pub fn t1() -> Vec<Table> {
 
 /// T2 — "the effect of a processor failure … is limited to the on-line
 /// backout of those transactions in process on the failed module."
-/// Checked: every transaction commits in the end.
+/// Checked: every transaction commits in the end; the failure aborts at
+/// least one transaction and at most one per terminal (those in flight on
+/// the failed CPU); and every 250 ms bucket from the failure to the last
+/// commit commits something.
 pub fn t2() -> Vec<Table> {
     let terminals = 8usize;
     let txns = 30u64;
+    let all = terminals as u64 * txns;
     let mut app = launch_bank_app(BankAppParams {
         terminals_per_node: terminals,
         transactions_per_terminal: txns,
@@ -112,18 +116,21 @@ pub fn t2() -> Vec<Table> {
         "T2b — commit timeline around the CPU-0 failure (250ms buckets)",
         &["t (ms)", "cumulative commits", "commits in bucket"],
     );
-    let mut last = 0u64;
+    let (kill, mut last) = (4u64, 0u64);
     for bucket in 0..16u64 {
-        if bucket == 4 {
+        if bucket == kill {
             app.world.inject(Fault::KillCpu(n, CpuId(0)));
         }
         app.world.run_for(SimDuration::from_millis(250));
         let c = app.world.metrics().get("tcp.commits");
-        timeline.row(vec![
-            ((bucket + 1) * 250).to_string(),
-            c.to_string(),
-            (c - last).to_string(),
-        ]);
+        let t = (bucket + 1) * 250;
+        timeline.row(vec![t.to_string(), c.to_string(), (c - last).to_string()]);
+        if bucket >= kill && last < all {
+            timeline.check(
+                c > last,
+                format!("no commit in the bucket ending at {t} ms"),
+            );
+        }
         last = c;
     }
     app.world.run_for(SimDuration::from_secs(180));
@@ -139,7 +146,7 @@ pub fn t2() -> Vec<Table> {
         ],
     );
     let aborted = m.get("tmf.aborts");
-    let (commits, all) = (m.get("tcp.commits"), terminals as u64 * txns);
+    let commits = m.get("tcp.commits");
     table.row(vec![
         "TMF (measured)".to_string(),
         aborted.to_string(),
@@ -154,7 +161,12 @@ pub fn t2() -> Vec<Table> {
         "-".to_string(),
         "full log-replay restart (T5 measures replay cost)".to_string(),
     ]);
-    table.check(commits == all, format!("TMF: {commits} of {all} commit"));
+    table
+        .check(commits == all, format!("TMF: {commits} of {all} commit"))
+        .check(
+            (1..=terminals as u64).contains(&aborted),
+            format!("TMF: the failure aborted {aborted}, not 1 to {terminals}"),
+        );
     table.note("only transactions touching the failed processor abort and are transparently restarted; unaffected transactions keep committing in every bucket");
     vec![table, timeline]
 }

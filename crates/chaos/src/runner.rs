@@ -50,8 +50,8 @@ use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
 use encompass_sim::{
-    format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, Name, NodeId, SimConfig,
-    SimDuration, SimTime, World,
+    format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, Members, Name, NodeId,
+    SimConfig, SimDuration, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscProcess, DiscStateReport};
@@ -488,7 +488,7 @@ pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
             3,
             Target::Named(node, AUDIT_SERVICE),
             AuditMsg::Append {
-                records: Vec::new(),
+                records: Members::default(),
                 force: true,
                 floor: 0,
             },

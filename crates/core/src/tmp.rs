@@ -36,8 +36,8 @@ use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, CpuId, FlightCause, HistogramHandle, MediaId, Name, NodeId, Payload, Pid, SimDuration,
-    SimTime, SystemEvent, World,
+    counter, CpuId, FlightCause, HistogramHandle, MediaId, Members, Name, NodeId, Payload, Pid,
+    SimDuration, SimTime, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
@@ -48,7 +48,6 @@ use guardian::{
     Target, TimerOutcome, RPC_TAG_BASE,
 };
 use std::collections::BTreeMap;
-use std::ops::Deref;
 use std::sync::Arc;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TmpDelta>;
@@ -257,43 +256,6 @@ impl Txn {
             seq,
             drop: false,
         }
-    }
-}
-
-/// A transaction's participating volumes, or its children: one block,
-/// shared by its entry and by every checkpoint delta of it. Adding a
-/// member builds the next list; nothing else copies one (DESIGN.md
-/// §D19(e)).
-struct Members<T>(Option<Arc<[T]>>);
-
-impl<T> Default for Members<T> {
-    fn default() -> Self {
-        Members(None)
-    }
-}
-
-impl<T> Clone for Members<T> {
-    fn clone(&self) -> Self {
-        Members(self.0.clone())
-    }
-}
-
-impl<T> Deref for Members<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        self.0.as_deref().unwrap_or(&[])
-    }
-}
-
-impl<T: Clone> Members<T> {
-    /// The list with `member` inserted at `at`, in one allocation.
-    fn inserted(&self, at: usize, member: T) -> Members<T> {
-        let (head, tail) = self.split_at(at);
-        let list = (head.iter().cloned())
-            .chain([member])
-            .chain(tail.iter().cloned())
-            .collect();
-        Members(Some(list))
     }
 }
 

@@ -6,7 +6,7 @@
 //! transid-carrying envelope.
 
 use bytes::Bytes;
-use encompass_sim::Name;
+use encompass_sim::{Members, Name};
 use encompass_storage::types::Transid;
 use tmf::session::SessionOptions;
 
@@ -15,15 +15,18 @@ use tmf::session::SessionOptions;
 pub struct AppRequest {
     /// Operation name, interpreted by the server class (e.g. `"debit"`).
     pub op: Name,
-    /// Positional parameters (encoding is the application's business).
-    pub params: Vec<Bytes>,
+    /// Positional parameters (encoding is the application's business),
+    /// in one block the TCP's retained copy shares (DESIGN.md §D19(f)).
+    pub params: Members<Bytes>,
 }
 
 impl AppRequest {
-    pub fn new(op: impl Into<Name>, params: Vec<Bytes>) -> AppRequest {
+    /// The parameters take one block when their count is known up front
+    /// (an array).
+    pub fn new(op: impl Into<Name>, params: impl IntoIterator<Item = Bytes>) -> AppRequest {
         AppRequest {
             op: op.into(),
-            params,
+            params: params.into_iter().collect(),
         }
     }
 

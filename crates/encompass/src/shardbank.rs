@@ -327,11 +327,11 @@ impl ScreenProgram for ShardBankProgram {
             ScreenInput::Began => {
                 let (src, dst, amount, is_branch) = self.current.expect("input data present");
                 let request = if is_branch {
-                    AppRequest::new("branch-credit", vec![balance_bytes(amount)])
+                    AppRequest::new("branch-credit", [balance_bytes(amount)])
                 } else {
                     AppRequest::new(
                         "transfer",
-                        vec![account_key(src), account_key(dst), balance_bytes(amount)],
+                        [account_key(src), account_key(dst), balance_bytes(amount)],
                     )
                 };
                 // record-master routing: the request goes to the server

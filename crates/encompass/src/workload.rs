@@ -300,14 +300,14 @@ impl ScreenProgram for BankProgram {
                 let (acct, amount) = self.current.expect("input data present");
                 self.phase = 1;
                 let request = if self.cfg.read_only {
-                    AppRequest::new("query", vec![account_key(acct)])
+                    AppRequest::new("query", [account_key(acct)])
                 } else {
                     let tag = DebitTag {
                         node: self.node,
                         terminal: self.terminal,
                         n: self.done,
                     };
-                    let params = vec![account_key(acct), balance_bytes(amount), tag.encode()];
+                    let params = [account_key(acct), balance_bytes(amount), tag.encode()];
                     AppRequest::new("debit", params)
                 };
                 // the bank server class on the terminal's own node

@@ -306,6 +306,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         if p.retries_left != u32::MAX {
             p.retries_left -= 1;
         }
+        ctx.count(counter!("rpc.retransmits"), 1);
         p.target.send(ctx, id, floor, &p.body);
         p.timer = ctx.set_timer(p.timeout, RPC_TAG_BASE + id);
         TimerOutcome::Resent
@@ -916,6 +917,7 @@ mod tests {
         );
         w.run_until_quiescent();
         assert_eq!(*seen.borrow(), 3, "two dropped + one answered");
+        assert_eq!(w.metrics().get("rpc.retransmits"), 2, "each resend counted");
         assert_eq!(
             outcome.borrow().as_slice(),
             &[

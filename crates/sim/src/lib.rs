@@ -60,6 +60,7 @@ pub mod floored;
 pub mod hash;
 pub mod ids;
 pub mod kernel;
+pub mod members;
 pub mod metrics;
 pub mod msg;
 pub mod name;
@@ -80,6 +81,7 @@ pub use floored::{Floored, Sequenced};
 pub use hash::{DetHashMap, DetHashSet};
 pub use ids::{CpuId, LinkId, NodeId, Pid};
 pub use kernel::World;
+pub use members::Members;
 pub use metrics::{CounterId, HistogramHandle, Metrics};
 pub use msg::Payload;
 pub use name::Name;

@@ -10,7 +10,7 @@
 
 use crate::types::{FileOrganization, Transid, VolumeRef};
 use bytes::Bytes;
-use encompass_sim::Name;
+use encompass_sim::{Members, Name};
 
 /// Reserved pseudo-file name of ONLINEDUMP marker records (DumpBegin /
 /// DumpEnd brackets). No real file may use this name; recovery filters
@@ -80,9 +80,11 @@ pub enum AuditMsg {
     /// re-send floor: no image below it will ever reach the AUDITPROCESS
     /// again, first time or re-sent, so the duplicate filter forgets the
     /// keys under it (DESIGN.md §D27). An append without records names no
-    /// volume, and its floor is ignored.
+    /// volume, and its floor is ignored. The records are the list the
+    /// DISCPROCESS checkpoints and retains (§D19(f)): a retry's copy, the
+    /// AUDITPROCESS's checkpoint and its backup all share one block.
     Append {
-        records: Vec<ImageRecord>,
+        records: Members<ImageRecord>,
         force: bool,
         floor: u64,
     },

@@ -140,7 +140,7 @@ impl DiscProcess {
         self.checkpoint_applied(ctx, None, Effects::default());
         let seq = self.audit_seq;
         let then = AuditThen::DumpMarker { owed, done, seq };
-        self.call_audit_append(ctx, vec![marker], end, then);
+        self.call_audit_append(ctx, [marker].into_iter().collect(), end, then);
     }
 
     fn build_archive(&self, ctx: &mut PairCtx<'_, '_>, generation: u64) -> ArchiveImage {

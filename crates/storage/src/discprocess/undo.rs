@@ -68,14 +68,14 @@ impl UndoRing {
     /// Move a committed transaction's before-images in under the next
     /// commit sequence (defining "the volume state after this commit" for
     /// snapshot readers), evicting the oldest entries past `cap`.
-    pub(super) fn commit(&mut self, images: Vec<ImageRecord>) {
+    pub(super) fn commit(&mut self, images: &[ImageRecord]) {
         self.seq += 1;
         for img in images {
             let entry = UndoEntry {
                 commit_seq: self.seq,
-                file: img.file,
-                key: img.key,
-                before: img.before,
+                file: img.file.clone(),
+                key: img.key.clone(),
+                before: img.before.clone(),
             };
             if let Some(evicted) = push_bounded(&mut self.entries, self.cap, entry) {
                 self.evicted = self.evicted.max(evicted.commit_seq);
@@ -170,7 +170,7 @@ mod tests {
         let mut ring = UndoRing::new(8);
         let mut buffer_at_8 = 0;
         for seq in 1..=20u64 {
-            ring.commit(vec![image(seq, "k", seq)]);
+            ring.commit(&[image(seq, "k", seq)]);
             if seq == 8 {
                 buffer_at_8 = ring.entries.capacity();
             }

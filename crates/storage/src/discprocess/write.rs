@@ -101,7 +101,7 @@ impl DiscProcess {
         }
 
         // generate before/after images
-        let images: Vec<ImageRecord> = match transid.filter(|_| audited) {
+        let images: Members<ImageRecord> = match transid.filter(|_| audited) {
             Some(t) => (writes.iter())
                 .map(|(wfile, worg, wkey, wafter)| {
                     self.audit_seq += 1;
@@ -122,7 +122,7 @@ impl DiscProcess {
                     }
                 })
                 .collect(),
-            None => Vec::new(),
+            None => Members::default(),
         };
         let txn = transid.map(|t| {
             let txn = self.txns.entry(t).or_default();
@@ -136,7 +136,7 @@ impl DiscProcess {
                 transid: t,
                 images: txn.images,
                 low_seq: txn.low_seq,
-                retained: Vec::new(),
+                retained: Members::default(),
             }
         });
         let mut fx = Effects {
@@ -150,6 +150,7 @@ impl DiscProcess {
         // checkpoint ≡ WAL (§D1): retain the images, send them to the
         // audit trail, checkpoint, apply — in this one event, whatever the
         // recovery mode. Only the answer may wait, for a forced append.
+        // The three are one list, shared, not copied (§D19(f)).
         let asked = owed.asked();
         let mut answer = Some((owed, ok_reply.clone()));
         if let Some(txn) = fx.txn.as_mut().filter(|_| !images.is_empty()) {

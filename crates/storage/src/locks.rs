@@ -108,8 +108,13 @@ struct FileLocks {
 #[derive(Default)]
 pub struct LockManager {
     files: BTreeMap<Name, FileLocks>,
-    /// Everything a transaction holds, for release_all.
-    held: BTreeMap<Transid, Vec<LockScope>>,
+    /// Everything every transaction holds, for release_all: sorted by
+    /// transaction, each one's scopes in the order they were granted. One
+    /// list for the volume, reused as transactions come and go, so a warm
+    /// volume allocates no per-transaction list.
+    held: Vec<(Transid, LockScope)>,
+    /// The scopes `release_all` is releasing, its buffer reused.
+    releasing: Vec<LockScope>,
 }
 
 impl LockManager {
@@ -119,7 +124,13 @@ impl LockManager {
 
     /// Number of locks held by `txn`.
     pub fn held_count(&self, txn: Transid) -> usize {
-        self.held.get(&txn).map(|v| v.len()).unwrap_or(0)
+        self.held_by(txn).len()
+    }
+
+    /// Where `txn`'s scopes are in `held`.
+    fn held_by(&self, txn: Transid) -> std::ops::Range<usize> {
+        let from = self.held.partition_point(|(t, _)| *t < txn);
+        from..from + self.held[from..].partition_point(|(t, _)| *t == txn)
     }
 
     fn queue(&self, scope: &LockScope) -> Option<&LockQueue> {
@@ -155,10 +166,7 @@ impl LockManager {
     /// DISCPROCESS for backup initialization. Waiters are deliberately
     /// excluded: their requesters retransmit and re-queue.
     pub fn holdings(&self) -> Vec<(Transid, LockScope)> {
-        self.held
-            .iter()
-            .flat_map(|(t, scopes)| scopes.iter().map(move |s| (*t, s.clone())))
-            .collect()
+        self.held.clone()
     }
 
     /// Total queued waiters (diagnostics).
@@ -265,10 +273,13 @@ impl LockManager {
         if q.holder.is_none() {
             q.holder = Some(txn);
             *locks.record_holders.entry(txn).or_default() += 1;
-            self.held.entry(txn).or_default().push(LockScope::Record {
-                file: file.clone(),
-                key: key.clone(),
-            });
+            self.hold(
+                txn,
+                LockScope::Record {
+                    file: file.clone(),
+                    key: key.clone(),
+                },
+            );
         }
     }
 
@@ -277,11 +288,21 @@ impl LockManager {
         debug_assert!(!q.held_by_other(txn));
         if q.holder.is_none() {
             q.holder = Some(txn);
-            self.held
-                .entry(txn)
-                .or_default()
-                .push(LockScope::File { file: file.clone() });
+            self.hold(txn, LockScope::File { file: file.clone() });
         }
+    }
+
+    /// Add a granted scope after `txn`'s others. A full list grows by an
+    /// eighth: it is reused, so room beyond the most locks the volume has
+    /// held at once stays empty for good (doubling left 0.04 MiB of it in
+    /// `shard64_x100`'s peak heap), yet a transaction taking thousands of
+    /// locks still copies the list a logarithmic number of times.
+    fn hold(&mut self, txn: Transid, scope: LockScope) {
+        let at = self.held.partition_point(|(t, _)| *t <= txn);
+        if self.held.len() == self.held.capacity() {
+            self.held.reserve_exact(self.held.len() / 8 + 1);
+        }
+        self.held.insert(at, (txn, scope));
     }
 
     /// Remove a queued waiter (its timeout fired, or its transaction was
@@ -330,7 +351,9 @@ impl LockManager {
     /// backout). Returns the queued requests that became grantable — the
     /// DISCPROCESS completes those operations.
     pub fn release_all(&mut self, txn: Transid) -> Vec<GrantedWaiter> {
-        let mut scopes = self.held.remove(&txn).unwrap_or_default();
+        let mut scopes = std::mem::take(&mut self.releasing);
+        let mine = self.held_by(txn);
+        scopes.extend(self.held.drain(mine).map(|(_, scope)| scope));
         for scope in &scopes {
             let Some(locks) = self.files.get_mut(&**scope.file()) else {
                 continue;
@@ -361,7 +384,7 @@ impl LockManager {
         }
         // re-evaluate file-lock queues of every touched file, once each and
         // in name order, and record waiters blocked by a released file
-        // lock; the scopes are the held list's own, so sorting them in
+        // lock; the scopes are this release's own, so sorting them in
         // place costs no copy
         scopes.sort_unstable_by(|a, b| a.file().cmp(b.file()));
         let mut last = None;
@@ -382,6 +405,8 @@ impl LockManager {
                 }
             }
         }
+        scopes.clear();
+        self.releasing = scopes;
         granted
     }
 

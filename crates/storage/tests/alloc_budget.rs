@@ -4,19 +4,28 @@
 //! looked up with the caller's borrowed `&str` and `&[u8]`. Each assertion
 //! here is *zero* — it fails the day a `String` (or a throw-away lookup
 //! key) creeps back onto one of these paths.
+//!
+//! And of a write's images: one list, built once, that the audit append,
+//! its retry copy, the checkpoint and both halves' retained undo share
+//! (DESIGN.md §D19(f)); and of the held locks, one list a warm lock
+//! manager reuses.
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
 use bytes::Bytes;
 use counting_alloc::{allocations_in, CountingAlloc};
-use encompass_sim::{Name, NodeId};
+use encompass_sim::{Ctx, Name, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
+use encompass_storage::audit_api::{AuditMsg, AuditReply};
+use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply};
 use encompass_storage::locks::{Acquire, LockManager, LockScope};
 use encompass_storage::overlay::{Overlay, ReadCache};
-use encompass_storage::types::{num_key, Transid, VolumeRef};
-use encompass_storage::DiscRequest;
-use guardian::Checkpointed;
+use encompass_storage::types::{num_key, FileDef, Transid, VolumeRef};
+use encompass_storage::{Catalog, DiscRequest};
+use guardian::{Checkpointed, Request, RpcReply};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::rc::Rc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -195,4 +204,202 @@ fn short_keys_are_inline() {
     assert_eq!(spilled, long[..]);
     let (n, ()) = allocations_in(|| drop(black_box(spilled.clone())));
     assert_eq!(n, 0, "a shared clone is a count bump");
+}
+
+#[test]
+fn a_warm_lock_cycle_allocates_nothing() {
+    let mut lm = LockManager::new();
+    let scopes: Vec<[LockScope; 2]> = (0..8)
+        .map(|i| [record("accounts", i), record("history", i)])
+        .collect();
+    let cycle = |lm: &mut LockManager, round: u64| {
+        for (i, pair) in (0..).zip(&scopes) {
+            for scope in pair {
+                let granted = lm.acquire(t(round * 8 + i), scope.clone(), 0);
+                assert_eq!(granted, Acquire::Granted);
+            }
+        }
+        for i in 0..8 {
+            assert!(lm.release_all(t(round * 8 + i)).is_empty());
+        }
+    };
+    for round in 0..4 {
+        cycle(&mut lm, round);
+    }
+    let (n, ()) = allocations_in(|| cycle(&mut lm, 4));
+    assert_eq!(
+        n, 0,
+        "eight transactions' acquire and release_all on a warm LockManager"
+    );
+    assert!(lm.holdings().is_empty());
+}
+
+/// Stand-in AUDITPROCESS: acknowledges every append and force at once.
+struct InstantAudit;
+
+impl Process for InstantAudit {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.register_name("$AUDIT");
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let req = payload.expect::<Request<AuditMsg>>();
+        #[allow(
+            clippy::wildcard_enum_match_arm,
+            reason = "the volume sends appends and forces only"
+        )]
+        let body = match req.body {
+            AuditMsg::Append { .. } => AuditReply::Appended,
+            AuditMsg::ForceTxn { .. } => AuditReply::Forced,
+            other => panic!("the volume never sends {other:?}"),
+        };
+        let _ = ctx.send(req.from, Payload::new(RpcReply { id: req.id, body }));
+    }
+}
+
+/// Keeps the last reply only, so that receiving one allocates nothing.
+struct LastReply(Rc<RefCell<Option<DiscReply>>>);
+
+impl Process for LastReply {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let reply = payload.expect::<RpcReply<DiscReply>>();
+        *self.0.borrow_mut() = Some(reply.body);
+    }
+}
+
+const MSGS: [&str; 3] = ["sim.msgs.local", "sim.msgs.bus", "sim.msgs.net"];
+
+/// A volume pair with an instant audit stand-in and a client.
+struct Volume {
+    world: World,
+    disc: Pid,
+    client: Pid,
+    reply: Rc<RefCell<Option<DiscReply>>>,
+    id: u64,
+}
+
+impl Volume {
+    fn new() -> Volume {
+        let mut world = World::new(SimConfig::default());
+        let n = world.add_node(4);
+        let vol = VolumeRef::new(n, "$DATA");
+        let mut catalog = Catalog::new();
+        catalog.add(FileDef::key_sequenced("accounts", vol.clone()));
+        catalog.add(FileDef::key_sequenced("scratch", vol.clone()).unaudited());
+        let cfg = DiscConfig {
+            audited: true,
+            ..DiscConfig::default()
+        };
+        spawn_disc_process(&mut world, 0, 1, vol, catalog, cfg);
+        world.spawn(n, 2, Box::new(InstantAudit));
+        let reply = Rc::default();
+        let client = world.spawn(n, 3, Box::new(LastReply(Rc::clone(&reply))));
+        world.run_for(SimDuration::from_millis(50));
+        let disc = world.lookup_name(n, "$DATA").expect("disc process");
+        Volume {
+            world,
+            disc,
+            client,
+            reply,
+            id: 1,
+        }
+    }
+
+    fn msgs(&self) -> u64 {
+        MSGS.iter().map(|m| self.world.metrics().get(m)).sum()
+    }
+
+    /// Send `body` and run until it is answered: the blocks allocated on
+    /// the way less the messages sent, and the reply.
+    fn run(&mut self, body: DiscRequest) -> (i64, DiscReply) {
+        let request = Payload::new(Request {
+            id: self.id,
+            from: self.client,
+            floor: self.id,
+            body,
+        });
+        self.id += 1;
+        let sent = self.msgs();
+        let (blocks, ()) = allocations_in(|| {
+            self.world.send_external(self.disc, request);
+            self.world.run_for(SimDuration::from_millis(100));
+        });
+        let reply = self.reply.borrow_mut().take().expect("answered");
+        (blocks as i64 - (self.msgs() - sent) as i64, reply)
+    }
+
+    /// One transaction updating `key` of `file`: the update's blocks
+    /// beyond its messages.
+    fn transaction(&mut self, seq: u64, file: &str, key: u32) -> i64 {
+        let (file, key, transid) = (Name::new(file), self::key(key), t(seq));
+        let lock_wait = SimDuration::from_millis(100);
+        let (_, locked) = self.run(DiscRequest::ReadLock {
+            file: file.clone(),
+            key: key.clone(),
+            transid,
+            lock_wait,
+        });
+        assert!(matches!(locked, DiscReply::Value(_)), "{locked:?}");
+        let value = Bytes::from(format!("{seq:>8}"));
+        let (update, done) = self.run(DiscRequest::Update {
+            file,
+            key,
+            value,
+            transid: Some(transid),
+        });
+        assert_eq!(done, DiscReply::Ok);
+        for end in [
+            DiscRequest::EndPhase1 { transid },
+            DiscRequest::ReleaseLocks {
+                transid,
+                commit: true,
+            },
+        ] {
+            self.run(end);
+        }
+        update
+    }
+}
+
+#[test]
+fn a_warm_audited_write_allocates_its_image_list_once() {
+    let mut v = Volume::new();
+    let records = [
+        (0, "accounts"),
+        (1, "accounts"),
+        (0, "scratch"),
+        (1, "scratch"),
+    ];
+    for (transid, (i, file)) in (1_000..).map(t).zip(records) {
+        let (_, r) = v.run(DiscRequest::Insert {
+            file: Name::new(file),
+            key: key(i),
+            value: Bytes::from_static(b"0"),
+            transid: Some(transid),
+            lock_wait: SimDuration::from_millis(100),
+        });
+        assert_eq!(r, DiscReply::Ok);
+        v.run(DiscRequest::ReleaseLocks {
+            transid,
+            commit: true,
+        });
+    }
+    // the last of eight transactions on each file, its records, queues
+    // and tables warm
+    let mut seq = 0;
+    let mut cost = |v: &mut Volume, file: &str| {
+        (0..8)
+            .map(|round| {
+                seq += 1;
+                v.transaction(seq, file, round % 2)
+            })
+            .last()
+            .expect("eight rounds")
+    };
+    let (audited, unaudited) = (cost(&mut v, "accounts"), cost(&mut v, "scratch"));
+    assert_eq!(
+        audited - unaudited,
+        1,
+        "beyond its messages, an audited update allocates one block more than an unaudited \
+         one: its image list ({audited} against {unaudited})"
+    );
 }

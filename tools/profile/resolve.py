@@ -16,6 +16,13 @@ census heap.c wrote into live heap or allocation counts by site.
         # blocks allocated over the whole run by site, and per commit of a
         # run that committed 28 800 transactions (the benchmark's
         # "attempted" less "failed")
+    resolve.py BINARY RUN.heap --heap --allocs --sites measure_window
+        # the call sites inside a function that allocating chains passed
+        # through, weighted by blocks allocated
+    resolve.py BINARY RUN.heap --heap --allocs --within 0x1a2b3c --per 2700 --lines
+        # only the chains under that call site (a window's loop: no set-up,
+        # no reference laps), per commit of the window, each site with the
+        # source line of its first frame
 
 Addresses are resolved with `nm` on the file they fall in (`nm -D` for a
 stripped library, plus the run-time IFUNC addresses the sampler saved; a
@@ -31,7 +38,13 @@ allocation's call chain that are not allocation plumbing: std's `alloc`,
 `core` and `std` paths, hashbrown, the `Bytes` shim, the `__rust_*`
 entry points, and trait impls from `alloc`/`core` (`Clone`, `Extend`,
 `FromIterator`, ...). A `VecDeque::push_back` that grows the deque's
-buffer is charged to the function that pushed.
+buffer is charged to the function that pushed. `--lines` adds the source
+line of the call in the first of those frames (a site then is one line:
+a function that allocates on two lines is two sites). BINARY needs line
+tables for it: `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` (the
+workspace's release profile has them, the benchmark's does not).
+A chain is at most heap.c's MAX_FRAMES deep: `--within` drops a chain
+cut short above the address.
 
 Output piped into `head` ends quietly when the reader stops reading.
 """
@@ -132,21 +145,58 @@ def short(name):
     return "::".join(name.split("::")[-2:])
 
 
+def source_lines(binary, addrs):
+    """The source line of each return address's call, by address: with
+    inlining, the line in the function the frame belongs to (the last of
+    `addr2line -i`'s chain), not in what was inlined into it."""
+    addrs = sorted(set(addrs))
+    if not addrs:
+        return {}
+    out = subprocess.run(["addr2line", "-a", "-i", "-e", binary] + [hex(a - 1) for a in addrs],
+                         capture_output=True, text=True).stdout
+    lines, at = {}, None
+    for line in out.splitlines():
+        if line.startswith("0x"):
+            at = int(line, 16) + 1
+        else:
+            lines[at] = re.sub(r"^.*?/(crates|benchmark|tests)/", r"\1/", line)
+    return lines
+
+
 def heap_sites(syms, binary, args):
     total, chains = read_census(args.raw)
-    sites, blocks, allocs = collections.Counter(), collections.Counter(), collections.Counter()
+    within = int(args.within, 16) if args.within else None
+    kept = []
     for nbytes, n, allocated, chain in chains:
-        names = []
-        for path, _, name in map(syms.resolve, chain):
-            if path == binary and not PLUMBING.search(name) and len(names) < args.frames:
-                names.append(short(name))
-        site = " <- ".join(names) or "(outside BINARY)"
+        resolved = [syms.resolve(a) for a in chain]
+        if within is None or any(p == binary and v == within for p, v, _ in resolved):
+            kept.append((nbytes, n, allocated, resolved))
+    if args.sites:
+        calls = collections.Counter()
+        for _, _, allocated, resolved in kept:
+            callees = ["malloc"] + [name for _, _, name in resolved]
+            for (p, v, caller), callee in zip(resolved, callees):
+                if p == binary and args.sites in caller:
+                    calls[v, short(callee)] += allocated
+        lines = source_lines(binary, [v for v, _ in calls])
+        for (v, callee), n in calls.most_common():
+            print(f"{n:10}  {v:#x} calls {callee}  {lines.get(v, '')}")
+        return
+    frames = [[(v, name) for p, v, name in resolved if p == binary and not PLUMBING.search(name)][:args.frames]
+              for *_, resolved in kept]
+    lines = source_lines(binary, [f[0][0] for f in frames if f]) if args.lines else {}
+    sites, blocks, allocs = collections.Counter(), collections.Counter(), collections.Counter()
+    for (nbytes, n, allocated, _), first in zip(kept, frames):
+        site = " <- ".join(short(name) for _, name in first) or "(outside BINARY)"
+        if first and args.lines:
+            site += f"  {lines.get(first[0][0], '?')}"
         sites[site] += nbytes
         blocks[site] += n
         allocs[site] += allocated
     if args.allocs:
         count = sum(allocs.values())
-        print(f"{count} blocks allocated over the run, {len(chains)} call chains")
+        span = "under the call site" if within is not None else "over the run"
+        print(f"{count} blocks allocated {span}, {len(kept)} call chains")
         for site, n in allocs.most_common(args.top):
             per = f"{n / args.per:9.3f} /commit " if args.per else ""
             print(f"{n:10} {100 * n / max(count, 1):5.1f} % {per} {site}")
@@ -166,8 +216,9 @@ def main():
     ap.add_argument("binary")
     ap.add_argument("raw")
     ap.add_argument("--top", type=int, default=40)
-    ap.add_argument("--within", help="keep samples whose chain holds this return address (in BINARY)")
+    ap.add_argument("--within", help="keep samples (census chains) whose chain holds this return address (in BINARY)")
     ap.add_argument("--sites", help="list the call sites inside this function")
+    ap.add_argument("--lines", action="store_true", help="with --heap: the source line of each site's first frame")
     ap.add_argument("--returns-to", action="store_true", help="group libc samples by caller")
     ap.add_argument("--heap", action="store_true", help="RAW is a heap.c census")
     ap.add_argument("--frames", type=int, default=2, help="callers that name a heap site")
