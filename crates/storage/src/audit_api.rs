@@ -17,8 +17,8 @@ use encompass_sim::{Members, Name};
 /// these records out instead of replaying them.
 pub const DUMP_MARKER_FILE: &str = "$DUMPMARK";
 
-/// One before/after image of a logical record update (including the
-/// automatic updates of alternate-key index files).
+/// One before/after image of a logical record update: every insert,
+/// update, delete or entry append on an audited file yields exactly one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ImageRecord {
     /// Per-volume, strictly increasing audit sequence number.

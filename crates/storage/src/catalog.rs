@@ -4,7 +4,7 @@
 //! every process that needs it — a handle on one shared dictionary, so a
 //! clone is a reference-count bump however many files and nodes there are.
 
-use crate::types::{FileDef, FileOrganization, VolumeRef};
+use crate::types::{FileDef, VolumeRef};
 use encompass_sim::Name;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,39 +23,14 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a file. Alternate keys are only supported on
-    /// single-partition files (the index lives with the data volume so its
-    /// maintenance stays a local operation).
+    /// Register a file.
     pub fn add(&mut self, def: FileDef) -> &mut Catalog {
-        assert!(
-            def.alternates.is_empty() || def.partitions.len() == 1,
-            "alternate keys require a single-partition file ({})",
-            def.name
-        );
         assert!(
             !self.files.contains_key(&*def.name),
             "duplicate file {}",
             def.name
         );
-        let files = Arc::make_mut(&mut self.files);
-        // register the implicit alternate-key index files so they can be
-        // scanned like ordinary key-sequenced files
-        for alt in &def.alternates {
-            let idx = FileDef {
-                name: alt.index_file.clone(),
-                organization: FileOrganization::KeySequenced,
-                audited: def.audited,
-                partitions: def.partitions.clone(),
-                alternates: Vec::new(),
-            };
-            assert!(
-                !files.contains_key(&*idx.name),
-                "duplicate file {}",
-                idx.name
-            );
-            files.insert(idx.name.clone(), idx);
-        }
-        files.insert(def.name.clone(), def);
+        Arc::make_mut(&mut self.files).insert(def.name.clone(), def);
         self
     }
 
@@ -162,25 +137,5 @@ mod tests {
         let mut c = Catalog::new();
         c.add(FileDef::key_sequenced("f", vol(0, "$D0")));
         c.add(FileDef::key_sequenced("f", vol(0, "$D0")));
-    }
-
-    #[test]
-    #[should_panic(expected = "single-partition")]
-    fn alternates_require_single_partition() {
-        let mut c = Catalog::new();
-        c.add(
-            FileDef::key_sequenced("f", vol(0, "$D0"))
-                .with_alternate("a", 0, 4)
-                .partitioned(vec![
-                    PartitionSpec {
-                        low_key: Bytes::new(),
-                        volume: vol(0, "$D0"),
-                    },
-                    PartitionSpec {
-                        low_key: Bytes::from_static(b"m"),
-                        volume: vol(1, "$D1"),
-                    },
-                ]),
-        );
     }
 }

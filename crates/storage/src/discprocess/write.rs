@@ -1,6 +1,6 @@
 //! The write pipeline: how an insert, update, delete or entry append
-//! checks its lock, becomes before/after images and alternate-key index
-//! writes, and completes after its checkpoint — answered at once, or in
+//! checks its lock, becomes one before/after image and one overlay write,
+//! and completes after its checkpoint — answered at once, or in
 //! WAL mode once its images are forced.
 
 use super::*;
@@ -13,7 +13,8 @@ impl DiscProcess {
         file: Name,
         op: DiscRequest,
     ) {
-        let audited = self.def(&file).expect("validated").audited;
+        let def = self.def(&file).expect("validated");
+        let (audited, organization) = (def.audited, def.organization);
         let transid = op.fenced_transid();
         if audited && transid.is_none() {
             self.finish_simple(ctx, owed, DiscReply::Err(DiscError::NeedTransid));
@@ -78,50 +79,24 @@ impl DiscProcess {
             }
         };
 
-        // assemble writes (record + alternate-key index maintenance)
+        // one write, and for an audited file one image of it
         let before = self.logical_read(ctx, &file, &key);
-        let def = self.def(&file).expect("validated");
-        let mut writes: WriteSet = Vec::new();
-        writes.push((file.clone(), def.organization, key.clone(), after.clone()));
-        for alt in &def.alternates {
-            let old_alt = before.as_ref().map(|b| alt.extract(b));
-            let new_alt = after.as_ref().map(|a| alt.extract(a));
-            if old_alt == new_alt {
-                continue;
-            }
-            // drop the old index entry, then add the new one
-            for (alt_key, value) in [(old_alt, None), (new_alt, Some(Bytes::new()))] {
-                if let Some(alt_key) = alt_key {
-                    let mut idx_key = alt_key.to_vec();
-                    idx_key.extend_from_slice(&key);
-                    let org = FileOrganization::KeySequenced;
-                    writes.push((alt.index_file.clone(), org, Bytes::from(idx_key), value));
-                }
-            }
-        }
-
-        // generate before/after images
         let images: Members<ImageRecord> = match transid.filter(|_| audited) {
-            Some(t) => (writes.iter())
-                .map(|(wfile, worg, wkey, wafter)| {
-                    self.audit_seq += 1;
-                    let wbefore = if wfile == &file {
-                        before.clone()
-                    } else {
-                        self.logical_read(ctx, wfile, wkey)
-                    };
-                    ImageRecord {
-                        seq: self.audit_seq,
-                        transid: t,
-                        volume: self.volume.clone(),
-                        file: wfile.clone(),
-                        organization: *worg,
-                        key: wkey.clone(),
-                        before: wbefore,
-                        after: wafter.clone(),
-                    }
-                })
-                .collect(),
+            Some(t) => {
+                self.audit_seq += 1;
+                [ImageRecord {
+                    seq: self.audit_seq,
+                    transid: t,
+                    volume: self.volume.clone(),
+                    file: file.clone(),
+                    organization,
+                    key: key.clone(),
+                    before,
+                    after: after.clone(),
+                }]
+                .into_iter()
+                .collect()
+            }
             None => Members::default(),
         };
         let txn = transid.map(|t| {
@@ -140,7 +115,7 @@ impl DiscProcess {
             }
         });
         let mut fx = Effects {
-            writes,
+            writes: vec![(file, key, after)],
             lock: lock_for_backup,
             entry_counter,
             txn,

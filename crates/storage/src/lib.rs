@@ -3,10 +3,11 @@
 //! The data-base management substrate of ENCOMPASS (the layer the paper
 //! calls the relational data base manager plus the DISCPROCESS):
 //!
-//! * three structured file organizations — **key-sequenced** (a B+tree with
-//!   prefix key compression, [`btree`]), **relative** ([`relative`]), and
-//!   **entry-sequenced** ([`entryseq`]);
-//! * **alternate-key indices** maintained automatically during file update;
+//! * two structured file organizations — **key-sequenced** (an ordered
+//!   map from primary key to record, [`media::FileImage`]) and
+//!   **entry-sequenced** ([`entryseq`]); ENSCRIBE's page structure, key
+//!   compression, relative files and alternate-key indices are not
+//!   modelled, since nothing the paper claims rests on them;
 //! * **partitioning** of files by primary-key range across volumes, possibly
 //!   on multiple nodes ([`catalog`]);
 //! * **mirrored disc volumes** with independently failable drives
@@ -28,14 +29,12 @@
 //! images, and requests with it; `tmf` re-exports it.
 
 pub mod audit_api;
-pub mod btree;
 pub mod catalog;
 pub mod discprocess;
 pub mod entryseq;
 pub mod locks;
 pub mod media;
 pub mod overlay;
-pub mod relative;
 pub mod testkit;
 pub mod types;
 
@@ -45,6 +44,4 @@ pub use discprocess::{
     spawn_disc_process, DiscConfig, DiscError, DiscProcess, DiscReply, DiscRequest,
 };
 pub use media::{media_key, ArchiveImage, FileImage, VolumeMedia};
-pub use types::{
-    AltKeySpec, FileDef, FileOrganization, PartitionSpec, RecoveryMode, Transid, VolumeRef,
-};
+pub use types::{FileDef, FileOrganization, PartitionSpec, RecoveryMode, Transid, VolumeRef};

@@ -13,13 +13,12 @@
 //! backup), which is exactly why "audit records need not be written to
 //! disc prior to updating the data base" holds in the NonStop design.
 
-use crate::btree::BPlusTree;
 use crate::entryseq::EntrySequencedFile;
-use crate::relative::RelativeFile;
 use crate::types::{key_num, FileOrganization, VolumeRef};
 use bytes::Bytes;
 use encompass_sim::{Name, NodeId};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// The stable-storage key for a volume's media object.
 pub fn media_key(node: NodeId, volume: &str) -> String {
@@ -46,37 +45,28 @@ pub fn superseded_archive_keys(volume: &VolumeRef, generation: u64, retain: u64)
         .collect()
 }
 
-/// The flushed content of one file.
+/// The flushed content of one file. A key-sequenced file is an ordered
+/// map: ENSCRIBE's page structure and key compression are not modelled,
+/// since nothing above the file reads them.
 #[derive(Clone, Debug)]
 pub enum FileImage {
-    KeySequenced(BPlusTree),
-    Relative(RelativeFile),
+    KeySequenced(BTreeMap<Bytes, Bytes>),
     EntrySequenced(EntrySequencedFile),
 }
 
 impl FileImage {
     pub fn new(org: FileOrganization) -> FileImage {
         match org {
-            FileOrganization::KeySequenced => FileImage::KeySequenced(BPlusTree::default()),
-            FileOrganization::Relative => FileImage::Relative(RelativeFile::new()),
+            FileOrganization::KeySequenced => FileImage::KeySequenced(BTreeMap::new()),
             FileOrganization::EntrySequenced => {
                 FileImage::EntrySequenced(EntrySequencedFile::new())
             }
         }
     }
 
-    pub fn organization(&self) -> FileOrganization {
-        match self {
-            FileImage::KeySequenced(_) => FileOrganization::KeySequenced,
-            FileImage::Relative(_) => FileOrganization::Relative,
-            FileImage::EntrySequenced(_) => FileOrganization::EntrySequenced,
-        }
-    }
-
     pub fn len(&self) -> usize {
         match self {
             FileImage::KeySequenced(t) => t.len(),
-            FileImage::Relative(f) => f.len(),
             FileImage::EntrySequenced(f) => f.len(),
         }
     }
@@ -85,12 +75,11 @@ impl FileImage {
         self.len() == 0
     }
 
-    /// Read by uniform byte key (relative/entry-sequenced keys are 8-byte
+    /// Read by uniform byte key (entry-sequenced keys are 8-byte
     /// big-endian numbers).
     pub fn read(&self, key: &[u8]) -> Option<Bytes> {
         match self {
             FileImage::KeySequenced(t) => t.get(key).cloned(),
-            FileImage::Relative(f) => key_num(key).and_then(|n| f.get(n).cloned()),
             FileImage::EntrySequenced(f) => key_num(key).and_then(|n| f.get(n).cloned()),
         }
     }
@@ -100,24 +89,9 @@ impl FileImage {
         match self {
             FileImage::KeySequenced(t) => {
                 match value {
-                    Some(v) => {
-                        t.insert(Bytes::copy_from_slice(key), v);
-                    }
-                    None => {
-                        t.remove(key);
-                    }
+                    Some(v) => t.insert(Bytes::copy_from_slice(key), v),
+                    None => t.remove(key),
                 };
-            }
-            FileImage::Relative(f) => {
-                let n = key_num(key).expect("relative files use 8-byte numeric keys");
-                match value {
-                    Some(v) => {
-                        f.set(n, v);
-                    }
-                    None => {
-                        f.clear(n);
-                    }
-                }
             }
             FileImage::EntrySequenced(f) => {
                 let n = key_num(key).expect("entry-sequenced files use 8-byte numeric keys");
@@ -126,16 +100,18 @@ impl FileImage {
         }
     }
 
-    /// Ordered scan by uniform byte key.
+    /// Records with `low <= key` and (if given) `key <= high`, in key
+    /// order, at most `limit`.
     pub fn scan(&self, low: &[u8], high: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
         match self {
-            FileImage::KeySequenced(t) => t.range(low, high, limit),
-            FileImage::Relative(f) => {
-                let lo = key_num(low).unwrap_or(0);
-                let hi = high.and_then(key_num);
-                f.scan(lo, hi, limit)
-                    .into_iter()
-                    .map(|(n, v)| (crate::types::num_key(n), v))
+            FileImage::KeySequenced(t) => {
+                if high.is_some_and(|h| h < low) {
+                    return Vec::new();
+                }
+                let high = high.map_or(Bound::Unbounded, Bound::Included);
+                (t.range::<[u8], _>((Bound::Included(low), high)))
+                    .take(limit)
+                    .map(|(k, v)| (k.clone(), v.clone()))
                     .collect()
             }
             FileImage::EntrySequenced(f) => {
@@ -154,7 +130,7 @@ impl FileImage {
     pub fn next_entry(&self) -> u64 {
         match self {
             FileImage::EntrySequenced(f) => f.next_entry(),
-            FileImage::KeySequenced(_) | FileImage::Relative(_) => 0,
+            FileImage::KeySequenced(_) => 0,
         }
     }
 }
@@ -299,13 +275,12 @@ mod tests {
     fn uniform_key_interface_across_organizations() {
         for org in [
             FileOrganization::KeySequenced,
-            FileOrganization::Relative,
             FileOrganization::EntrySequenced,
         ] {
             let mut img = FileImage::new(org);
             let key = match org {
                 FileOrganization::KeySequenced => Bytes::from_static(b"alpha"),
-                FileOrganization::Relative | FileOrganization::EntrySequenced => num_key(3),
+                FileOrganization::EntrySequenced => num_key(3),
             };
             img.apply(&key, Some(b("v1")));
             assert_eq!(img.read(&key), Some(b("v1")), "{org:?}");

@@ -1,5 +1,5 @@
 //! Shared storage-layer types: transaction identifiers, volume references,
-//! file definitions, partitioning, alternate keys, and recovery modes.
+//! file definitions, partitioning, and recovery modes.
 
 use bytes::Bytes;
 use encompass_sim::{Name, NodeId};
@@ -92,40 +92,13 @@ impl fmt::Display for VolumeRef {
     }
 }
 
-/// The three ENSCRIBE structured file organizations.
+/// The two ENSCRIBE structured file organizations this model keeps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FileOrganization {
-    /// B+tree keyed by an arbitrary byte-string primary key.
+    /// Ordered by an arbitrary byte-string primary key.
     KeySequenced,
-    /// Fixed slots addressed by record number (8-byte big-endian key).
-    Relative,
     /// Append-only; records addressed by entry number assigned at insert.
     EntrySequenced,
-}
-
-/// An alternate (secondary) key: a fixed field of the record value.
-/// The index is maintained automatically on every insert/update/delete.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AltKeySpec {
-    /// The generated index file: `<file>.<alternate name>`.
-    pub index_file: Name,
-    /// Byte offset of the field within the record value.
-    pub offset: usize,
-    /// Byte length of the field.
-    pub len: usize,
-}
-
-impl AltKeySpec {
-    /// Extract the alternate key field from a record value (zero-padded if
-    /// the record is short).
-    pub fn extract(&self, value: &Bytes) -> Bytes {
-        let mut out = vec![0u8; self.len];
-        let end = (self.offset + self.len).min(value.len());
-        if end > self.offset {
-            out[..end - self.offset].copy_from_slice(&value[self.offset..end]);
-        }
-        Bytes::from(out)
-    }
 }
 
 /// One partition of a file: all keys `>= low_key` (up to the next
@@ -146,8 +119,6 @@ pub struct FileDef {
     /// Partitions in ascending `low_key` order; the first must be the empty
     /// key. A single-partition file is the common case.
     pub partitions: Vec<PartitionSpec>,
-    /// Alternate keys (empty for most files).
-    pub alternates: Vec<AltKeySpec>,
 }
 
 impl FileDef {
@@ -161,7 +132,6 @@ impl FileDef {
                 low_key: Bytes::new(),
                 volume,
             }],
-            alternates: Vec::new(),
         }
     }
 
@@ -173,27 +143,9 @@ impl FileDef {
         }
     }
 
-    /// A single-partition audited relative file.
-    pub fn relative(name: &str, volume: VolumeRef) -> FileDef {
-        FileDef {
-            organization: FileOrganization::Relative,
-            ..FileDef::key_sequenced(name, volume)
-        }
-    }
-
     /// Builder: mark unaudited.
     pub fn unaudited(mut self) -> FileDef {
         self.audited = false;
-        self
-    }
-
-    /// Builder: add an alternate key.
-    pub fn with_alternate(mut self, name: &str, offset: usize, len: usize) -> FileDef {
-        self.alternates.push(AltKeySpec {
-            index_file: Name::from(format!("{}.{name}", self.name)),
-            offset,
-            len,
-        });
         self
     }
 
@@ -245,8 +197,8 @@ pub enum RecoveryMode {
     WalForce,
 }
 
-/// Helper: encode a u64 as the 8-byte big-endian key used by relative
-/// files and entry numbers.
+/// Helper: encode a u64 as the 8-byte big-endian key used by
+/// entry-sequenced files.
 pub fn num_key(n: u64) -> Bytes {
     Bytes::copy_from_slice(&n.to_be_bytes())
 }
@@ -272,29 +224,6 @@ mod tests {
             seq: 42,
         };
         assert_eq!(t.to_string(), "T3.1.42");
-    }
-
-    #[test]
-    fn alt_key_extraction_pads() {
-        let spec = AltKeySpec {
-            index_file: "f.region".into(),
-            offset: 4,
-            len: 4,
-        };
-        assert_eq!(
-            spec.extract(&Bytes::from_static(b"aaaabbbbcc")),
-            Bytes::from_static(b"bbbb")
-        );
-        // record shorter than the field: zero padded
-        assert_eq!(
-            spec.extract(&Bytes::from_static(b"aaaab")),
-            Bytes::from_static(b"b\0\0\0")
-        );
-        // record ends before the field starts
-        assert_eq!(
-            spec.extract(&Bytes::from_static(b"aa")),
-            Bytes::from_static(b"\0\0\0\0")
-        );
     }
 
     #[test]
@@ -336,15 +265,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let def = FileDef::key_sequenced("item", vol(0, "$D0"))
-            .with_alternate("vendor", 0, 8)
-            .unaudited();
+        let def = FileDef::key_sequenced("item", vol(0, "$D0")).unaudited();
         assert!(!def.audited);
-        assert_eq!(def.alternates[0].index_file, "item.vendor");
-        assert_eq!(
-            FileDef::relative("r", vol(0, "$D0")).organization,
-            FileOrganization::Relative
-        );
         assert_eq!(
             FileDef::entry_sequenced("e", vol(0, "$D0")).organization,
             FileOrganization::EntrySequenced

@@ -47,9 +47,7 @@ fn basic_catalog(node: NodeId) -> Catalog {
     let vol = VolumeRef::new(node, "$DATA");
     let mut c = Catalog::new();
     c.add(FileDef::key_sequenced("accounts", vol.clone()));
-    c.add(FileDef::entry_sequenced("history", vol.clone()));
-    c.add(FileDef::relative("slots", vol.clone()).unaudited());
-    c.add(FileDef::key_sequenced("vendors", vol).with_alternate("region", 0, 2));
+    c.add(FileDef::entry_sequenced("history", vol));
     c
 }
 
@@ -354,96 +352,6 @@ fn entry_sequenced_append_and_scan() {
             assert_eq!(es.len(), 2);
             assert_eq!(es[0], (num_key(0), b("first")));
             assert_eq!(es[1], (num_key(1), b("second")));
-        }
-        other => panic!("expected entries, got {other:?}"),
-    }
-}
-
-#[test]
-fn alternate_key_index_is_maintained() {
-    let node = NodeId(0);
-    let (mut w, n, target) = setup(basic_catalog(node));
-    let t = txn(1);
-    let replies = run_script(
-        &mut w,
-        n,
-        2,
-        target,
-        vec![
-            DiscRequest::Insert {
-                file: "vendors".into(),
-                key: b("acme"),
-                value: b("CAdata"),
-                transid: Some(t),
-                lock_wait: WAIT,
-            },
-            DiscRequest::Insert {
-                file: "vendors".into(),
-                key: b("bolt"),
-                value: b("NYdata"),
-                transid: Some(t),
-                lock_wait: WAIT,
-            },
-            DiscRequest::ReleaseLocks {
-                transid: t,
-                commit: true,
-            },
-            // scan the index by region prefix "CA"
-            DiscRequest::ReadRange {
-                file: "vendors.region".into(),
-                low: b("CA"),
-                high: Some(b("CA\u{ff}")),
-                limit: 10,
-            },
-        ],
-    );
-    w.run_for(SimDuration::from_secs(2));
-    let r = replies.borrow();
-    match &r[3] {
-        DiscReply::Entries(es) => {
-            assert_eq!(es.len(), 1);
-            assert_eq!(es[0].0, b("CAacme"), "index key = altkey || primary key");
-        }
-        other => panic!("expected entries, got {other:?}"),
-    }
-    // move acme to NY: index entry follows
-    let t2 = txn(2);
-    let replies2 = run_script(
-        &mut w,
-        n,
-        3,
-        Target::Named(n, "$DATA".into()),
-        vec![
-            DiscRequest::ReadLock {
-                file: "vendors".into(),
-                key: b("acme"),
-                transid: t2,
-                lock_wait: WAIT,
-            },
-            DiscRequest::Update {
-                file: "vendors".into(),
-                key: b("acme"),
-                value: b("NYdata2"),
-                transid: Some(t2),
-            },
-            DiscRequest::ReleaseLocks {
-                transid: t2,
-                commit: true,
-            },
-            DiscRequest::ReadRange {
-                file: "vendors.region".into(),
-                low: b(""),
-                high: None,
-                limit: 10,
-            },
-        ],
-    );
-    w.run_for(SimDuration::from_secs(2));
-    let r2 = replies2.borrow();
-    match &r2[3] {
-        DiscReply::Entries(es) => {
-            let keys: Vec<&[u8]> = es.iter().map(|(k, _)| k.as_ref()).collect();
-            assert_eq!(keys, vec![b"NYacme".as_ref(), b"NYbolt".as_ref()]);
         }
         other => panic!("expected entries, got {other:?}"),
     }

@@ -1,6 +1,7 @@
 //! Property test: the DISCPROCESS's layered view (write-behind overlay
 //! over flushed media) must be indistinguishable from a flat map, under
-//! any interleaving of writes, deletes, flush batches, and scans.
+//! any interleaving of writes, deletes, flush batches, and scans — full
+//! and bounded.
 
 use bytes::Bytes;
 use encompass_storage::media::FileImage;
@@ -55,10 +56,34 @@ fn layered_scan(overlay: &Overlay, media: &FileImage) -> Vec<(Bytes, Bytes)> {
     base.into_iter().collect()
 }
 
+/// A bounded scan's contract, read off the flat map: `low` and `high`
+/// both inclusive, at most `limit` records, none when `low > high`.
+fn model_scan(
+    model: &BTreeMap<Bytes, Bytes>,
+    low: &Bytes,
+    high: &Bytes,
+    limit: usize,
+) -> Vec<(Bytes, Bytes)> {
+    (model.iter())
+        .filter(|(k, _)| low <= *k && *k <= high)
+        .take(limit)
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
+}
+
+fn bounds_strategy() -> impl Strategy<Value = (u16, u16, usize)> {
+    // bounds on and past the written keys; limits from 0, or none
+    let limit = (0usize..7).prop_map(|n| if n == 6 { usize::MAX } else { n });
+    (0u16..210, 0u16..210, limit)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
-    fn overlay_over_media_equals_flat_map(ops in prop::collection::vec(op_strategy(), 1..300)) {
+    fn overlay_over_media_equals_flat_map(
+        ops in prop::collection::vec(op_strategy(), 1..300),
+        bounded in prop::collection::vec(bounds_strategy(), 8..9),
+    ) {
         let cp = Checkpointed::reviewed("property test: no backup exists");
         let mut overlay = Overlay::new();
         let mut media = FileImage::new(FileOrganization::KeySequenced);
@@ -101,7 +126,18 @@ proptest! {
         }
         prop_assert!(overlay.is_empty());
         let flushed: Vec<(Bytes, Bytes)> = media.scan(&[], None, usize::MAX);
-        let expected: Vec<(Bytes, Bytes)> = model.into_iter().collect();
+        let expected: Vec<(Bytes, Bytes)> = model.clone().into_iter().collect();
         prop_assert_eq!(flushed, expected);
+        // bounded scans of the flushed file, and of an empty one
+        let empty = FileImage::new(FileOrganization::KeySequenced);
+        for (low, high, limit) in bounded {
+            let (low, high) = (key(low), key(high));
+            prop_assert_eq!(
+                media.scan(&low, Some(&high), limit),
+                model_scan(&model, &low, &high, limit),
+                "{:?}..={:?} limit {}", low, high, limit
+            );
+            prop_assert!(empty.scan(&low, Some(&high), limit).is_empty());
+        }
     }
 }
