@@ -7,10 +7,11 @@
 //! the property the paper's distributed audit-trail placement buys.
 //!
 //! The process is deliberately stateless across failures: its jobs are
-//! reconstructible, so they die with a failed primary and the requesting
-//! TMP retries against the new one (its Backout request is safe-delivery).
+//! reconstructible, so they die with a failed primary, and the requesting
+//! TMP resends its safe-delivery Backout request to the new one when the
+//! failure notice arrives.
 
-use encompass_sim::{counter, CpuId, DetHashMap, Name, NodeId, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, CpuId, DetHashMap, Name, NodeId, Payload, Pid, SystemEvent, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -68,8 +69,8 @@ pub struct BackoutProcess {
 impl Default for BackoutProcess {
     fn default() -> BackoutProcess {
         BackoutProcess {
-            audit_rpc: Rpc::new(3),
-            disc_rpc: Rpc::new(4),
+            audit_rpc: Rpc::local(3),
+            disc_rpc: Rpc::local(4),
             jobs: DetHashMap::default(),
             replies: Served::new(),
         }
@@ -127,7 +128,6 @@ impl PairApp for BackoutProcess {
                     ctx,
                     Target::Named(volume.node, volume.volume.clone()),
                     DiscRequest::Undo { images: local },
-                    SimDuration::from_millis(50),
                     DiscThen::Undone(transid),
                 );
                 return;
@@ -144,7 +144,6 @@ impl PairApp for BackoutProcess {
                             ctx,
                             Target::Named(volume.node, AUDIT_SERVICE),
                             AuditMsg::ReadTxnImages { transid },
-                            SimDuration::from_millis(50),
                             (transid, volume),
                         );
                     }
@@ -158,12 +157,12 @@ impl PairApp for BackoutProcess {
             return; // answered from memory, or its job is still running
         };
         let BackoutMsg::Backout { transid, volumes } = msg;
-        if self.jobs.contains_key(&transid) {
+        if let Some(job) = self.jobs.get_mut(&transid) {
             // a second request for a transaction already being backed out
-            // (a TMP takeover re-drove it) goes unanswered: its retry is
-            // admitted afresh, and starts a job of its own once this one
-            // is done
-            self.replies.forget(owed);
+            // comes from a TMP that took over and re-drove it: the job
+            // answers it instead of the first, whose requester died
+            let first = std::mem::replace(&mut job.owed, owed);
+            self.replies.forget(first);
             return;
         }
         ctx.count(counter!("backout.requests"), 1);
@@ -185,7 +184,6 @@ impl PairApp for BackoutProcess {
                 ctx,
                 Target::Named(volume.node, volume.volume.clone()),
                 DiscRequest::FlushTxn { transid },
-                SimDuration::from_millis(50),
                 DiscThen::Flushed { transid, volume },
             );
         }
@@ -196,10 +194,15 @@ impl PairApp for BackoutProcess {
         let _ = self.disc_rpc.on_timer(ctx, tag);
     }
 
+    fn on_system(&mut self, ctx: &mut PairCtx<'_, '_>, ev: SystemEvent) {
+        self.audit_rpc.on_system(ctx, ev);
+        self.disc_rpc.on_system(ctx, ev);
+    }
+
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         // jobs are reconstructible: the dead primary's died with it (this
         // half has never run one), and the TMP's request is safe-delivery,
-        // so it is retried against this new primary
+        // so it is resent to this new primary at the failure notice
         ctx.count(counter!("backout.takeovers"), 1);
     }
 

@@ -25,11 +25,12 @@
 //!    trail-capacity manager trusts when purging.
 //!
 //! The pair is deliberately stateless across failures, like the
-//! BACKOUTPROCESS: the in-flight copy dies with a failed primary and the
-//! requester's safe-delivery retry restarts the dump from scratch. Duplicate begin/end
-//! markers from a restarted dump are harmless — recovery filters them.
+//! BACKOUTPROCESS: the in-flight copy dies with a failed primary, and the
+//! requester's safe-delivery resend at the failure notice restarts the
+//! dump from scratch. Duplicate begin/end markers from a restarted dump
+//! are harmless — recovery filters them.
 
-use encompass_sim::{counter, CpuId, Name, NodeId, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, CpuId, Name, NodeId, Payload, Pid, SystemEvent, World};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, superseded_archive_keys, ArchiveImage, DumpRegistry, FileImage,
@@ -101,7 +102,7 @@ pub const ARCHIVE_RETAIN: u64 = 2;
 impl Default for DumpProcess {
     fn default() -> DumpProcess {
         DumpProcess {
-            disc_rpc: Rpc::new(1),
+            disc_rpc: Rpc::local(1),
             replies: Served::new(),
         }
     }
@@ -110,8 +111,7 @@ impl Default for DumpProcess {
 impl DumpProcess {
     fn send_disc(&mut self, ctx: &mut PairCtx<'_, '_>, job: Job, req: DiscRequest) {
         let target = Target::Named(job.volume.node, job.volume.volume.clone());
-        self.disc_rpc
-            .call_persistent(ctx, target, req, SimDuration::from_millis(50), job);
+        self.disc_rpc.call_persistent(ctx, target, req, job);
     }
 
     /// Request the next page, or move to archiving + DumpEnd when every
@@ -280,10 +280,14 @@ impl PairApp for DumpProcess {
         let _ = self.disc_rpc.on_timer(ctx, tag);
     }
 
+    fn on_system(&mut self, ctx: &mut PairCtx<'_, '_>, ev: SystemEvent) {
+        self.disc_rpc.on_system(ctx, ev);
+    }
+
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         // the copy in progress died with the primary (this half has never
-        // run one); the requester's safe-delivery retry restarts the dump
-        // from DumpBegin
+        // run one); the requester's safe-delivery resend at the failure
+        // notice restarts the dump from DumpBegin
         ctx.count(counter!("dump.takeovers"), 1);
     }
 

@@ -39,8 +39,9 @@
 //!
 //! * every write with `seq <= audit_watermark` is fully reflected (the
 //!   watermark is taken when the DumpBegin marker is cut, before any page
-//!   is read, and in the WAL design it is clamped below any assigned-but-
-//!   unapplied sequence);
+//!   is read, and in either recovery mode a write applies in the event
+//!   that assigns its sequences, so no sequence below it is still
+//!   unapplied: DESIGN.md §D1);
 //! * a write above the watermark may or may not be in the image, depending
 //!   on whether its page was copied before or after the update.
 //!

@@ -11,7 +11,8 @@ use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::{
-    CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, World,
+    CpuId, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, SystemEvent,
+    World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, DiscRequest};
@@ -491,6 +492,7 @@ struct BackoutDriver {
 }
 impl Process for BackoutDriver {
     fn on_start(&mut self, ctx: &mut encompass_sim::Ctx<'_>) {
+        ctx.subscribe_system();
         self.rpc.call_persistent(
             ctx,
             Target::Named(self.node, "$BACKOUT".into()),
@@ -498,7 +500,6 @@ impl Process for BackoutDriver {
                 transid: self.transid,
                 volumes: vec![VolumeRef::new(self.node, "$DATA")],
             },
-            SimDuration::from_millis(100),
             (),
         );
     }
@@ -510,6 +511,9 @@ impl Process for BackoutDriver {
     }
     fn on_timer(&mut self, ctx: &mut encompass_sim::Ctx<'_>, _t: encompass_sim::TimerId, tag: u64) {
         let _ = matches!(self.rpc.on_timer(ctx, tag), TimerOutcome::Resent);
+    }
+    fn on_system(&mut self, ctx: &mut encompass_sim::Ctx<'_>, ev: SystemEvent) {
+        self.rpc.on_system(ctx, ev);
     }
 }
 
@@ -570,7 +574,7 @@ fn backout_restores_before_images_via_audit_trail() {
         Box::new(BackoutDriver {
             node: n,
             transid: t2,
-            rpc: Rpc::new(7),
+            rpc: Rpc::local(7),
             done: done.clone(),
         }),
     );
@@ -598,11 +602,12 @@ fn backout_restores_before_images_via_audit_trail() {
 }
 
 /// A second Backout request for a transaction whose backout is running
-/// (a TMP takeover re-drives it under a new request id) is dropped
-/// unanswered — and leaves nothing behind: its retransmission is admitted
-/// as a request of its own once the running job is done, and answered.
+/// (a TMP takeover re-drives it under a new request id) takes the running
+/// job over: the job answers it, not the first, whose requester died with
+/// the old TMP primary. Nothing within a node is resent on a clock, so a
+/// request left unanswered would wait for good.
 #[test]
-fn second_backout_request_for_a_running_transid_is_forgotten_not_parked() {
+fn second_backout_request_for_a_running_transid_takes_the_job_over() {
     let (mut w, n, target) = setup(RecoveryMode::NonStopCheckpoint);
     spawn_backout_process(&mut w, n, 0, 1);
     let t = txn(1);
@@ -629,30 +634,21 @@ fn second_backout_request_for_a_running_transid_is_forgotten_not_parked() {
             Box::new(BackoutDriver {
                 node: n,
                 transid: t,
-                rpc: Rpc::new(7 + i as u64),
+                rpc: Rpc::local(7 + i as u64),
                 done: done.clone(),
             }),
         );
     }
     w.run_for(SimDuration::from_millis(50));
-    assert_eq!(
-        w.metrics().get("backout.requests"),
-        1,
-        "the second was dropped"
-    );
+    assert_eq!(w.metrics().get("backout.requests"), 1, "one job");
     assert_eq!(
         (*done[0].borrow(), *done[1].borrow()),
-        (true, false),
-        "only the request that started the job is answered by it"
+        (false, true),
+        "the job answers the request that re-drove it"
     );
-    // the dropped request's retry (100 ms) finds no trace of its first try
     w.run_for(SimDuration::from_secs(1));
-    assert!(
-        *done[1].borrow(),
-        "the retry was admitted afresh and answered"
-    );
-    assert_eq!(w.metrics().get("backout.requests"), 2);
-    assert_eq!(w.metrics().get("backout.completed"), 2);
+    assert!(!*done[0].borrow(), "the first request is not run again");
+    assert_eq!(w.metrics().get("backout.completed"), 1);
 }
 
 #[test]
@@ -783,14 +779,14 @@ impl AppendDriver {
     fn send_next(&mut self, ctx: &mut encompass_sim::Ctx<'_>) {
         if let Some(msg) = self.appends.pop_front() {
             let target = Target::Named(self.node, AUDIT_SERVICE);
-            self.rpc
-                .call_persistent(ctx, target, msg, SimDuration::from_millis(30), ());
+            self.rpc.call_persistent(ctx, target, msg, ());
         }
     }
 }
 
 impl Process for AppendDriver {
     fn on_start(&mut self, ctx: &mut encompass_sim::Ctx<'_>) {
+        ctx.subscribe_system();
         self.send_next(ctx);
     }
     fn on_message(&mut self, ctx: &mut encompass_sim::Ctx<'_>, _src: Pid, payload: Payload) {
@@ -802,6 +798,9 @@ impl Process for AppendDriver {
     fn on_timer(&mut self, ctx: &mut encompass_sim::Ctx<'_>, _t: encompass_sim::TimerId, tag: u64) {
         let _ = self.rpc.on_timer(ctx, tag);
     }
+    fn on_system(&mut self, ctx: &mut encompass_sim::Ctx<'_>, ev: SystemEvent) {
+        self.rpc.on_system(ctx, ev);
+    }
 }
 
 /// Spawn an [`AppendDriver`] on CPU 0; the cell counts its answers.
@@ -810,7 +809,7 @@ fn drive_appends(w: &mut World, n: NodeId, appends: Vec<AuditMsg>) -> Rc<Cell<us
     let driver = AppendDriver {
         node: n,
         appends: appends.into(),
-        rpc: Rpc::new(1),
+        rpc: Rpc::local(1),
         answered: answered.clone(),
     };
     w.spawn(n, 0, Box::new(driver));

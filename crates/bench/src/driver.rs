@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use encompass::messages::{AppReply, AppRequest, ServerRequest};
-use encompass_sim::{Ctx, Name, NodeId, Payload, Pid, Process, SimDuration, TimerId};
+use encompass_sim::{Ctx, Name, NodeId, Payload, Pid, Process, SimDuration, SystemEvent, TimerId};
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
@@ -20,6 +20,10 @@ pub struct MfgTally {
     pub committed: u64,
     pub failed: u64,
 }
+
+/// A SEND's critical-response limit, and its resend interval to another
+/// node (the TCP's).
+const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Repeatedly issues global updates (one transaction each) to a
 /// manufacturing server class, recording availability.
@@ -47,7 +51,7 @@ impl MfgDriver {
     ) -> MfgDriver {
         MfgDriver {
             session: TmfSession::new(catalog, 6),
-            rpc: Rpc::new(41),
+            rpc: Rpc::new(41, SEND_TIMEOUT),
             op: Name::new(op),
             server_node,
             interval,
@@ -82,6 +86,7 @@ impl MfgDriver {
 
 impl Process for MfgDriver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         ctx.set_timer(self.interval, 2);
     }
 
@@ -109,7 +114,6 @@ impl Process for MfgDriver {
                                 ctx,
                                 Target::Named(self.server_node, "$SC-mfg".into()),
                                 env,
-                                SimDuration::from_secs(2),
                                 0,
                                 (),
                             )
@@ -167,6 +171,11 @@ impl Process for MfgDriver {
         if let TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
             self.fail(ctx);
         }
+    }
+
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
+        self.rpc.on_system(ctx, ev);
     }
 
     fn kind(&self) -> &'static str {

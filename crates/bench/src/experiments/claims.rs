@@ -409,7 +409,6 @@ fn tmp_command(world: &mut World, node: NodeId, id_space: u64, msg: TmpMsg) {
         id_space,
         Target::Named(node, "$TMP".into()),
         msg,
-        SimDuration::from_millis(200),
     );
 }
 
@@ -725,6 +724,6 @@ pub fn t8() -> Vec<Table> {
             format!("{label}: {commits} of {all} commit"),
         );
     }
-    table.note("backups take over within the failure-detection delay plus in-flight retries; every workload still completes in full — zero lost operations");
+    table.note("backups take over within the failure-detection delay, and requesters resend to them at that same notice; every workload still completes in full — zero lost operations");
     vec![table]
 }

@@ -85,7 +85,6 @@ fn run_cell(txns: u64, dump_page: Option<usize>) -> Vec<Value> {
                     volume: v.clone(),
                     generation: 1,
                 },
-                SimDuration::from_millis(100),
             );
         }
     }

@@ -330,17 +330,22 @@ pub fn suspense_drain_violations(obs: &[SuspenseObservation], drain_window_ms: u
 pub struct TimerCensus {
     /// Every armed timer: owner, the owner's `Process::kind`, tag.
     pub armed: Vec<(Pid, &'static str, u64)>,
-    /// Outstanding rpcs per reporting process
-    /// (`TmpStateReport::outstanding_rpcs`).
+    /// Per reporting process (each TMP and DISCPROCESS primary), its
+    /// outstanding rpcs that may hold a timer: its calls to other nodes,
+    /// and its local calls that hold a deadline or wait on the takeover
+    /// retry (`guardian::Rpc::timed`).
     pub rpcs: Vec<(Pid, usize)>,
 }
 
 /// Timer oracle: a process arms each of its own tags (those below
 /// `guardian::RPC_TAG_BASE`) at most once, and a process that reports its
-/// outstanding rpcs holds no more rpc-tag timers than that. A timer chain
-/// that forks — a periodic timer re-armed from two places — shows up here
-/// long before it costs anything. Returns one violation per breach,
-/// naming the pid, the process kind and the tag.
+/// outstanding rpcs holds no more rpc-tag timers than it has calls that
+/// may hold one. A call within the node waits on its reply or on a
+/// failure notice, not on a clock (DESIGN.md §D28), so a clock re-armed
+/// on one shows up here. So does a timer chain that forks — a periodic
+/// timer re-armed from two places — long before it costs anything.
+/// Returns one violation per breach, naming the pid, the process kind and
+/// the tag.
 pub fn timer_violations(census: &TimerCensus) -> Vec<String> {
     let mut own: BTreeMap<(Pid, u64), (&str, usize)> = BTreeMap::new();
     let mut rpc: BTreeMap<Pid, (&str, usize)> = BTreeMap::new();
@@ -362,7 +367,7 @@ pub fn timer_violations(census: &TimerCensus) -> Vec<String> {
         match rpc.get(&pid) {
             Some(&(kind, n)) if n > outstanding => v.push(format!(
                 "timers: {kind} {pid} holds {n} rpc timers (tags from {RPC_TAG_BASE}) \
-                 for {outstanding} outstanding rpcs"
+                 for {outstanding} outstanding rpcs that may hold one"
             )),
             Some(_) | None => {}
         }

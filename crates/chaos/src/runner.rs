@@ -65,9 +65,6 @@ use tmf::tmp::{TmpProcess, TmpStateReport};
 /// Accounts preloaded per run (balance 1000 each).
 pub(crate) const ACCOUNTS: u64 = 120;
 
-/// Retry interval of every one-shot command the harness sends.
-pub(crate) const ASK_RETRY: SimDuration = SimDuration::from_millis(100);
-
 /// What one chaos run produced, whatever its fault plan.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -299,6 +296,7 @@ fn run_sweep(
     let mut violations = Vec::new();
     run_out(
         &mut app.world,
+        &app.nodes,
         bank_terminals(schedule, shape),
         SimDuration::from_millis(500),
         timeline.heal_at + SimDuration::from_secs(120),
@@ -446,15 +444,16 @@ pub(crate) fn request_dumps(
                 volume: v.clone(),
                 generation,
             },
-            ASK_RETRY,
         );
     }
 }
 
-/// Run until every one of `terminals` finished, polling every `step`;
-/// giving up at `deadline` is a stall violation.
+/// Run until every one of `terminals` on `nodes` finished, polling every
+/// `step`; giving up at `deadline` is a stall violation, and each
+/// unfinished terminal is named with the calls it waits on.
 pub(crate) fn run_out(
     world: &mut World,
+    nodes: &[NodeId],
     terminals: u64,
     step: SimDuration,
     deadline: SimTime,
@@ -464,11 +463,26 @@ pub(crate) fn run_out(
         world.run_for(step);
     }
     let finished = world.metrics().get("tcp.terminals_finished");
-    if finished < terminals {
-        violations.push(format!(
-            "workload stalled: {finished}/{terminals} terminals finished by t={}ms",
-            world.now().as_millis()
-        ));
+    if finished == terminals {
+        return;
+    }
+    violations.push(format!(
+        "workload stalled: {finished}/{terminals} terminals finished by t={}ms",
+        world.now().as_millis()
+    ));
+    for &node in nodes {
+        let name = tcp_name(node);
+        let Some(tcp) = guardian::primary::<TerminalControlProcess>(world, node, &name) else {
+            continue;
+        };
+        for (terminal, calls) in tcp.unfinished() {
+            let calls: Vec<String> = calls.iter().map(|t| t.to_string()).collect();
+            violations.push(format!(
+                "liveness: terminal {terminal} of {node}.{name} never finished, \
+                 waiting on calls to [{}]",
+                calls.join(", ")
+            ));
+        }
     }
 }
 
@@ -492,7 +506,6 @@ pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
                 force: true,
                 floor: 0,
             },
-            ASK_RETRY,
         );
     }
 }
@@ -531,6 +544,21 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
         state: t.state_report(),
     };
     let tmps: Vec<_> = tmf.iter().map(|h| read(world, &h.tmp, tmp)).collect();
+    let discs: Vec<_> = (tmf.iter().flat_map(|h| &h.discs))
+        .map(|p| read(world, p, DiscProcess::state_report))
+        .collect();
+    // the rpc calls of every TMP and DISCPROCESS primary that may hold a
+    // timer
+    let timed = |pair: &PairHandle, rpcs: Option<usize>| {
+        Some((world.lookup_name(pair.node, &pair.name)?, rpcs?))
+    };
+    let rpcs = (tmps.iter())
+        .filter_map(|(pair, read)| timed(pair, read.as_ref().map(|r| r.state.timed_rpcs)))
+        .chain(
+            (discs.iter())
+                .filter_map(|(pair, read)| timed(pair, read.as_ref().map(|r| r.timed_rpcs))),
+        )
+        .collect();
     let timers = TimerCensus {
         armed: (world.armed_timers())
             .map(|(pid, tag)| {
@@ -540,21 +568,14 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
                 (pid, kind, tag)
             })
             .collect(),
-        rpcs: (tmps.iter())
-            .filter_map(|(pair, read)| {
-                let pid = world.lookup_name(pair.node, &pair.name)?;
-                Some((pid, read.as_ref()?.state.outstanding_rpcs))
-            })
-            .collect(),
+        rpcs,
     };
     Observation {
         tmps,
         audits: (tmf.iter())
             .map(|h| read(world, &h.audit, AuditProcess::state_report))
             .collect(),
-        discs: (tmf.iter().flat_map(|h| &h.discs))
-            .map(|p| read(world, p, DiscProcess::state_report))
-            .collect(),
+        discs,
         timers,
     }
 }

@@ -91,6 +91,7 @@ pub(crate) fn run(
     let mut violations = Vec::new();
     run_out(
         &mut app.world,
+        &app.nodes,
         (plan.nodes * plan.terminals_per_node) as u64,
         SimDuration::from_millis(500),
         heal_at + SimDuration::from_secs(120),

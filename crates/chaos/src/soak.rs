@@ -38,7 +38,8 @@ use crate::schedule::{BankShape, ChaosAction, Schedule, SoakPlan};
 use bytes::Bytes;
 use encompass::workload::account_key;
 use encompass_sim::{
-    counter, Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, SimTime, TimerId, World,
+    counter, Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, SimTime, SystemEvent, TimerId,
+    World,
 };
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::media::{
@@ -254,6 +255,7 @@ pub(crate) fn run(
     let stall_deadline = horizon + SimDuration::from_secs(900);
     run_out(
         &mut app.world,
+        &app.nodes,
         bank_terminals(schedule, shape),
         step,
         stall_deadline,
@@ -660,7 +662,9 @@ impl SoakWriter {
                         value: Bytes::from_static(b"7"),
                     },
                 );
-                debug_assert!(refused.is_none());
+                if let Some(ev) = refused {
+                    self.on_event(ctx, ev);
+                }
             }
             (
                 WriterState::WaitInsert1,
@@ -678,7 +682,9 @@ impl SoakWriter {
                         value: Bytes::from_static(b"-7"),
                     },
                 );
-                debug_assert!(refused.is_none());
+                if let Some(ev) = refused {
+                    self.on_event(ctx, ev);
+                }
             }
             (
                 WriterState::WaitInsert2,
@@ -728,7 +734,12 @@ impl SoakWriter {
 
 impl Process for SoakWriter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         self.start_attempt(ctx);
+    }
+
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
@@ -844,7 +855,9 @@ impl SoakReader {
                 key: account_key(idx),
             },
         );
-        debug_assert!(refused.is_none());
+        if let Some(ev) = refused {
+            self.on_event(ctx, ev);
+        }
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: SessionEvent) {
@@ -894,7 +907,12 @@ impl SoakReader {
 
 impl Process for SoakReader {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         self.begin(ctx);
+    }
+
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {

@@ -25,7 +25,7 @@ fn check(what: &str, expected: u64, got: u64) {
 fn sweep_0_to_25() {
     check(
         "run_seed(0..25)",
-        0xa2e8_bb72_4f1d_e898,
+        0xce35_3f3d_a779_ca3c,
         fold((0..25).map(|s| run_seed(s).trace_hash)),
     );
 }
@@ -36,7 +36,7 @@ fn sweep_0_to_25() {
 fn sweep_0_to_25_with_dumps() {
     check(
         "run_seed(0..25) with dumps",
-        0x35fc_4ffc_1c40_4938,
+        0xc2a5_f1fd_9f23_c5cd,
         runs(0..25, |s| Schedule::generate(s).with_dumps()),
     );
 }
@@ -65,7 +65,7 @@ fn overridden(seeds: impl IntoIterator<Item = u64>, set: fn(&mut Schedule)) -> u
 fn sweep_0_to_10_window_2000() {
     check(
         "seeds 0..10 with group_commit_window_us = 2000",
-        0x6154_98e8_b4c2_6038,
+        0xedac_508a_3b35_0718,
         overridden(0..10, |s| s.group_commit_window_us = 2000),
     );
 }
@@ -75,7 +75,7 @@ fn sweep_0_to_10_window_2000() {
 fn sweep_0_to_10_partitions_2_with_dumps() {
     check(
         "seeds 0..10 with audit_partitions = 2, volumes_per_node = 2, dumps",
-        0x8aed_35e0_8c36_a175,
+        0x7851_293c_b4f6_e680,
         runs(0..10, |s| Schedule {
             audit_partitions: 2,
             volumes_per_node: 2,
@@ -89,7 +89,7 @@ fn sweep_0_to_10_partitions_2_with_dumps() {
 fn sweep_0_to_10_readers_2() {
     check(
         "seeds 0..10 with readonly_terminals_per_node = 2",
-        0xace7_82d7_0d7d_819a,
+        0x7c4c_deab_d456_64f7,
         overridden(0..10, |s| s.readonly_terminals_per_node = 2),
     );
 }
@@ -99,7 +99,7 @@ fn sweep_0_to_10_readers_2() {
 fn sweep_0_to_25_wal() {
     check(
         "seeds 0..25 with recovery_mode = WalForce",
-        0x0b88_5222_25a4_032d,
+        0x3386_567c_e0ae_fbc3,
         overridden(0..25, |s| s.recovery_mode = RecoveryMode::WalForce),
     );
 }
@@ -108,7 +108,7 @@ fn sweep_0_to_25_wal() {
 fn shard_sweep_0_to_8() {
     check(
         "Schedule::shards(0..8)",
-        0xca5e_17f4_754a_0008,
+        0xd1ed_f417_9439_8d26,
         runs(0..8, Schedule::shards),
     );
 }
@@ -121,7 +121,7 @@ fn shard_sweep_0_to_8() {
 fn soak_seeds_0_and_10() {
     check(
         "Schedule::soak(0) and (2)",
-        0xc271_c1b5_bb68_a0ad,
+        0xc390_6164_bdd3_f4a7,
         runs([0, 2], Schedule::soak),
     );
 }

@@ -6,7 +6,7 @@
 use crate::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
 use crate::state::AbortReason;
 use bytes::Bytes;
-use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimDuration, TimerId, World};
+use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimDuration, SystemEvent, TimerId, World};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::Transid;
 use encompass_storage::Catalog;
@@ -142,6 +142,7 @@ impl TxnScript {
 
 impl Process for TxnScript {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         self.kick(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
@@ -157,6 +158,9 @@ impl Process for TxnScript {
         if let Some(ev) = self.session.on_timer(ctx, tag) {
             self.on_event(ctx, ev);
         }
+    }
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
     }
     fn kind(&self) -> &'static str {
         "txn-script"

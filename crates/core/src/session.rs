@@ -23,7 +23,9 @@
 use crate::state::TxnClass;
 use crate::tmp::{TmpMsg, TmpReply, TMP_SERVICE};
 use bytes::Bytes;
-use encompass_sim::{counter, Ctx, DetHashSet, FlightCause, Name, NodeId, Payload, SimDuration};
+use encompass_sim::{
+    counter, Ctx, DetHashSet, FlightCause, Name, NodeId, Payload, SimDuration, SystemEvent,
+};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::types::{Transid, VolumeRef};
 use encompass_storage::Catalog;
@@ -105,7 +107,8 @@ pub enum SessionError {
     /// Every retry of the underlying request timed out.
     Timeout,
     /// The TMP refused the operation (remote node unreachable, volume
-    /// registration after completion, or phase-one refusal).
+    /// registration after completion, or phase-one refusal), or the
+    /// volume's node was unreachable when the request was initiated.
     Refused,
     /// A reply arrived that does not answer the pending operation — a
     /// protocol-level surprise; abort and restart the transaction.
@@ -153,7 +156,9 @@ struct Pending {
     register: bool,
 }
 
-/// Per-attempt timeout of a session's requests.
+/// Per-attempt timeout of a session's requests: the resend interval of a
+/// request to another node. A data-base request within the node is
+/// reported as Failed `(RETRIES + 1) × ATTEMPT_TIMEOUT` after it was made.
 const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(300);
 /// Retries of a data-base request before it is reported as Failed.
 const RETRIES: u32 = 10;
@@ -183,8 +188,8 @@ impl TmfSession {
     pub fn new(catalog: Catalog, id_space: u64) -> TmfSession {
         TmfSession {
             catalog,
-            tmp_rpc: Rpc::new(32 + id_space * 2),
-            disc_rpc: Rpc::new(33 + id_space * 2),
+            tmp_rpc: Rpc::new(32 + id_space * 2, ATTEMPT_TIMEOUT),
+            disc_rpc: Rpc::new(33 + id_space * 2, ATTEMPT_TIMEOUT),
             current: None,
             options: SessionOptions::default(),
             registered_volumes: DetHashSet::default(),
@@ -419,14 +424,16 @@ impl TmfSession {
                 limit,
             },
         };
-        self.submit(ctx, req);
-        None
+        self.submit(ctx, req)
     }
 
     /// Route an already-built request (advanced callers). Panics on files
     /// not in the catalog — that is a configuration bug, not a runtime
-    /// condition.
-    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: DiscRequest) {
+    /// condition. Returns the `Failed` event when the request could not
+    /// be initiated (its volume's node is unreachable now); completion
+    /// arrives later otherwise.
+    #[must_use = "a request that cannot be initiated completes synchronously and must be handled"]
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: DiscRequest) -> Option<SessionEvent> {
         assert!(self.pending.is_none(), "session is single-threaded");
         let volume = self
             .volume_of(&op)
@@ -441,7 +448,7 @@ impl TmfSession {
             stage: Stage::EnsureRemote,
             register,
         });
-        self.advance(ctx);
+        self.advance(ctx)
     }
 
     fn volume_of(&self, op: &DiscRequest) -> Option<VolumeRef> {
@@ -473,13 +480,12 @@ impl TmfSession {
 
     /// Drive the pending op through its stages: remote-begin →
     /// registration → execution. Each network step returns and resumes
-    /// when its ack arrives.
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
+    /// when its ack arrives. The one event it returns is the failure of a
+    /// data-base request that could not be initiated.
+    fn advance(&mut self, ctx: &mut Ctx<'_>) -> Option<SessionEvent> {
         loop {
-            let Some(p) = &mut self.pending else { return };
-            let Some(volume) = p.volume.clone() else {
-                return;
-            };
+            let p = self.pending.as_mut()?;
+            let volume = p.volume.clone()?;
             let transactional = self.current.is_some() && p.register;
             match p.stage {
                 Stage::EnsureRemote => {
@@ -495,7 +501,7 @@ impl TmfSession {
                     p.stage = Stage::Register; // resumed by the ack
                     let dest = volume.node;
                     self.call_tmp(ctx, my_node, TmpMsg::EnsureRemoteSend { transid, dest });
-                    return;
+                    return None;
                 }
                 Stage::Register => {
                     if !transactional || self.registered_volumes.contains(&volume) {
@@ -512,32 +518,19 @@ impl TmfSession {
                             volume: volume.clone(),
                         },
                     );
-                    return;
+                    return None;
                 }
                 Stage::Execute => {
                     let op = p.op.clone().expect("data op present");
-                    let target = Target::Named(volume.node, volume.volume.clone());
-                    if self
-                        .disc_rpc
-                        .call(ctx, target, op, ATTEMPT_TIMEOUT, RETRIES, ())
-                        .is_err()
-                    {
-                        // the DISCPROCESS name is unresolvable right now
-                        // (takeover window): retry persistently
-                        let op = self.pending.as_ref().and_then(|p| p.op.clone());
-                        if let Some(op) = op {
-                            self.disc_rpc.call_persistent(
-                                ctx,
-                                Target::Named(volume.node, volume.volume.clone()),
-                                op,
-                                ATTEMPT_TIMEOUT,
-                                (),
-                            );
-                        }
+                    let target = Target::Named(volume.node, volume.volume);
+                    // a DISCPROCESS of this node is waited for through a
+                    // takeover; one on another node must be accessible now
+                    if self.disc_rpc.call(ctx, target, op, RETRIES, ()).is_err() {
+                        return Some(self.failed(ctx, SessionError::Refused));
                     }
-                    return;
+                    return None;
                 }
-                Stage::TmpVerb | Stage::EnsureOnly => return,
+                Stage::TmpVerb | Stage::EnsureOnly => return None,
             }
         }
     }
@@ -547,16 +540,20 @@ impl TmfSession {
     // ------------------------------------------------------------------
 
     fn call_tmp(&mut self, ctx: &mut Ctx<'_>, node: NodeId, msg: TmpMsg) {
-        // the TMP name survives takeovers, and persistent retry rides out
-        // the takeover window; critical-response semantics for sessions
-        // come from the TMP's own replies (Failed / Phase1Refused)
-        let _ = self.tmp_rpc.call_persistent(
-            ctx,
-            Target::Named(node, TMP_SERVICE),
-            msg,
-            ATTEMPT_TIMEOUT,
-            (),
-        );
+        // the TMP name survives takeovers, and a persistent call rides
+        // out the takeover window (resent at the failure notice, or on the
+        // clock to another node); critical-response semantics for
+        // sessions come from the TMP's own replies (Failed / Phase1Refused)
+        let _ = self
+            .tmp_rpc
+            .call_persistent(ctx, Target::Named(node, TMP_SERVICE), msg, ());
+    }
+
+    /// The pending operation failed: it ends with `error`.
+    fn failed(&mut self, ctx: &mut Ctx<'_>, error: SessionError) -> SessionEvent {
+        self.pending = None;
+        ctx.count(counter!("tmf.session_failures"), 1);
+        SessionEvent::Failed { error }
     }
 
     /// Offer an incoming payload; `Ok(Some(event))` when the pending
@@ -642,24 +639,15 @@ impl TmfSession {
                     }
                     _ => {}
                 }
-                self.advance(ctx);
-                None
+                self.advance(ctx)
             }
             TmpReply::Failed | TmpReply::Phase1Refused => {
-                self.pending = None;
-                ctx.count(counter!("tmf.session_failures"), 1);
-                Some(SessionEvent::Failed {
-                    error: SessionError::Refused,
-                })
+                Some(self.failed(ctx, SessionError::Refused))
             }
             TmpReply::Phase1Ok | TmpReply::Disposition { .. } => {
                 // these replies answer TMP-internal or utility requests,
                 // never a session verb
-                self.pending = None;
-                ctx.count(counter!("tmf.session_failures"), 1);
-                Some(SessionEvent::Failed {
-                    error: SessionError::Protocol,
-                })
+                Some(self.failed(ctx, SessionError::Protocol))
             }
         }
     }
@@ -673,12 +661,24 @@ impl TmfSession {
             self.disc_rpc.on_timer(ctx, tag),
             TimerOutcome::Expired { .. }
         );
-        if expired && self.pending.take().is_some() {
-            ctx.count(counter!("tmf.session_failures"), 1);
-            return Some(SessionEvent::Failed {
-                error: SessionError::Timeout,
-            });
+        if expired && self.pending.is_some() {
+            return Some(self.failed(ctx, SessionError::Timeout));
         }
         None
+    }
+
+    /// Where the session's outstanding requests are addressed (a TMP or a
+    /// DISCPROCESS): nothing while it is idle.
+    pub fn awaiting(&self) -> impl Iterator<Item = &Target> {
+        self.tmp_rpc.targets().chain(self.disc_rpc.targets())
+    }
+
+    /// Take a failure notice: a request within the node whose
+    /// destination's CPU failed is resent to the process that took over.
+    /// The owning process subscribes to system events and forwards them
+    /// here.
+    pub fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.tmp_rpc.on_system(ctx, ev);
+        self.disc_rpc.on_system(ctx, ev);
     }
 }

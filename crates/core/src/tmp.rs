@@ -66,12 +66,13 @@ const TAG_MONITOR_WINDOW: u64 = 8;
 /// completed dump floor).
 const TAG_PURGE: u64 = 10;
 
-/// Per-attempt timeout of critical-response messages.
+/// Per-attempt timeout of critical-response messages, and the resend
+/// interval of every message to another node: a critical-response message
+/// within the node expires `(CRITICAL_RETRIES + 1) × CRITICAL_TIMEOUT`
+/// after it was sent.
 const CRITICAL_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 /// Retry budget of critical-response messages.
 const CRITICAL_RETRIES: u32 = 3;
-/// Retry interval of safe-delivery messages.
-const SAFE_RETRY: SimDuration = SimDuration::from_millis(100);
 /// Interval of the non-home in-doubt sweep: entries that sit in the table
 /// without progress are resolved against the home node's TMP
 /// (ROLLFORWARD's "negotiation with other nodes", done online).
@@ -157,6 +158,8 @@ pub struct TmpStateReport {
     /// its rpc clients (DISCPROCESS, TMP, BACKOUTPROCESS, AUDITPROCESS):
     /// every message of either class, whatever it is for.
     pub outstanding_rpcs: usize,
+    /// Those of the calls that may hold a timer ([`Rpc::timed`]).
+    pub timed_rpcs: usize,
     /// Remembered replies: the answers at or above their requesters'
     /// floors (see [`Served`]).
     pub reply_cache: usize,
@@ -368,10 +371,10 @@ impl TmpProcess {
             seq: 0,
             txns: BTreeMap::new(),
             replies: Served::new(),
-            disc_rpc: Rpc::new(10),
-            tmp_rpc: Rpc::new(11),
-            backout_rpc: Rpc::new(12),
-            audit_rpc: Rpc::new(13),
+            disc_rpc: Rpc::new(10, CRITICAL_TIMEOUT),
+            tmp_rpc: Rpc::new(11, CRITICAL_TIMEOUT),
+            backout_rpc: Rpc::local(12),
+            audit_rpc: Rpc::local(13),
             monitor_boxcar: Vec::new(),
             monitor_inflight: Vec::new(),
             monitor_batch: Vec::new(),
@@ -404,6 +407,10 @@ impl TmpProcess {
                 + self.tmp_rpc.in_flight()
                 + self.backout_rpc.in_flight()
                 + self.audit_rpc.in_flight(),
+            timed_rpcs: self.disc_rpc.timed()
+                + self.tmp_rpc.timed()
+                + self.backout_rpc.timed()
+                + self.audit_rpc.timed(),
             reply_cache: self.replies.answered(),
             replies_below_floor: self.replies.below_floor(),
             pending_requests: self.replies.pending(),
@@ -516,9 +523,11 @@ impl TmpProcess {
     }
 
     /// Make `owed` the request that `transid`'s END (home) or Phase1
-    /// (non-home) answers. A requester that gave up on an earlier request
-    /// and sent another leaves the earlier one unanswered, on purpose; a
-    /// retransmission re-points the waiter at the same request.
+    /// (non-home) answers. A retransmission (a copy resent at a takeover's
+    /// notice, or on the network clock) re-points the waiter at the same
+    /// request. A request with another id comes from a process that took
+    /// over from the earlier one's sender, or from a sender that gave up on
+    /// it: nobody waits on the earlier one, so it is left unanswered.
     fn set_end_waiter(&mut self, transid: Transid, owed: Owed) {
         let t = self
             .txns
@@ -563,7 +572,6 @@ impl TmpProcess {
                     ctx,
                     Target::Named(v.node, v.volume.clone()),
                     DiscRequest::EndPhase1 { transid },
-                    CRITICAL_TIMEOUT,
                     CRITICAL_RETRIES,
                     DiscThen::Phase1(transid),
                 )
@@ -581,7 +589,6 @@ impl TmpProcess {
                     ctx,
                     Target::Named(child, TMP_SERVICE),
                     TmpMsg::Phase1 { transid },
-                    CRITICAL_TIMEOUT,
                     CRITICAL_RETRIES,
                     TmpThen::Phase1(transid),
                 )
@@ -662,7 +669,6 @@ impl TmpProcess {
                     transid,
                     commit: true,
                 },
-                SAFE_RETRY,
                 DiscThen::EarlyRelease,
             );
         }
@@ -836,7 +842,6 @@ impl TmpProcess {
                     transid,
                     commit: committed,
                 },
-                SAFE_RETRY,
                 DiscThen::Delivery(transid),
             );
             pending += 1;
@@ -860,7 +865,6 @@ impl TmpProcess {
                 ctx,
                 Target::Named(child, TMP_SERVICE),
                 msg,
-                SAFE_RETRY,
                 TmpThen::Delivery(transid),
             );
             pending += 1;
@@ -927,7 +931,6 @@ impl TmpProcess {
                 ctx,
                 Target::Named(child, TMP_SERVICE),
                 TmpMsg::AbortTxn { transid },
-                SAFE_RETRY,
                 TmpThen::AbortNotice,
             );
         }
@@ -942,7 +945,6 @@ impl TmpProcess {
                     transid,
                     volumes: volumes.to_vec(),
                 },
-                SAFE_RETRY,
                 transid,
             );
         }
@@ -1077,7 +1079,6 @@ impl TmpProcess {
                     ctx,
                     Target::Named(dest, TMP_SERVICE),
                     TmpMsg::RemoteBegin { transid },
-                    CRITICAL_TIMEOUT,
                     CRITICAL_RETRIES,
                     TmpThen::RemoteBegin {
                         transid,
@@ -1167,11 +1168,14 @@ impl TmpProcess {
                     self.abort_txn(ctx, transid);
                 } else if let Some(t) = self.txns.get_mut(&transid) {
                     if t.state.can_become(TxState::Ended) {
-                        // the operator's word is not the waiting END's
-                        // or Phase1's answer: its retransmission finds the
-                        // outcome
-                        if let Some(old) = t.end_waiter.take() {
-                            self.replies.forget(old);
+                        // a home END, a call within the node, is answered
+                        // Committed as the commit finishes; a Phase1 is
+                        // its parent's call across the network, whose
+                        // retransmission finds the entry Ended
+                        if !t.home {
+                            if let Some(old) = t.end_waiter.take() {
+                                self.replies.forget(old);
+                            }
                         }
                         self.commit_nonhome(ctx, transid);
                     }
@@ -1357,7 +1361,6 @@ impl TmpProcess {
                 ctx,
                 Target::Named(home, TMP_SERVICE),
                 TmpMsg::QueryDisposition { transid },
-                CRITICAL_TIMEOUT,
                 CRITICAL_RETRIES,
                 TmpThen::Janitor(transid),
             );
@@ -1399,7 +1402,6 @@ impl TmpProcess {
                 floors,
                 open: self.txns.keys().copied().collect(),
             },
-            SAFE_RETRY,
             (),
         );
     }
@@ -1537,6 +1539,12 @@ impl PairApp for TmpProcess {
     }
 
     fn on_system(&mut self, ctx: &mut PairCtx<'_, '_>, ev: SystemEvent) {
+        // calls within the node whose destination died go to the process
+        // that took over
+        self.disc_rpc.on_system(ctx, ev);
+        self.tmp_rpc.on_system(ctx, ev);
+        self.backout_rpc.on_system(ctx, ev);
+        self.audit_rpc.on_system(ctx, ev);
         if let SystemEvent::CpuDown(node, cpu) = ev {
             if node != ctx.node() {
                 return;
@@ -1559,7 +1567,8 @@ impl PairApp for TmpProcess {
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {
         ctx.count(counter!("tmf.takeovers"), 1);
         // Re-drive in-flight protocol work from checkpointed state; client
-        // rpcs retry so lost waiters re-attach. The dead primary's
+        // rpcs are resent to this half at the failure notice, so lost
+        // waiters re-attach. The dead primary's
         // outstanding calls, monitor forces and boxcar lived in its memory
         // only — this half has never served a request or issued a call, so
         // there is nothing of its own to discard. Boxcarred records that

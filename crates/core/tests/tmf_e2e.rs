@@ -18,7 +18,7 @@ use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::{FileDef, PartitionSpec, Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::{Rpc, Target, TimerOutcome};
+use guardian::Target;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -112,49 +112,14 @@ fn drive_capturing(
 
 /// One-shot raw client: send `msg` to `node`'s `$TMP` and record the reply.
 fn ask_tmp(world: &mut World, node: NodeId, cpu: u8, msg: TmpMsg) -> Rc<RefCell<Option<TmpReply>>> {
-    struct TmpClient {
-        node: NodeId,
-        msg: Option<TmpMsg>,
-        rpc: Rpc<TmpMsg, TmpReply>,
-        out: Rc<RefCell<Option<TmpReply>>>,
-    }
-    impl Process for TmpClient {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.rpc.call_persistent(
-                ctx,
-                Target::Named(self.node, "$TMP".into()),
-                self.msg.take().expect("one shot"),
-                SimDuration::from_millis(100),
-                (),
-            );
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-            if let Ok(c) = self.rpc.accept(ctx, payload) {
-                *self.out.borrow_mut() = Some(c.body);
-                ctx.exit();
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-            if let TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
-                ctx.exit();
-            }
-        }
-        fn kind(&self) -> &'static str {
-            "tmp-client"
-        }
-    }
-    let out = Rc::new(RefCell::new(None));
-    world.spawn(
+    guardian::ask(
+        world,
         node,
         cpu,
-        Box::new(TmpClient {
-            node,
-            msg: Some(msg),
-            rpc: Rpc::new(11),
-            out: out.clone(),
-        }),
-    );
-    out
+        11,
+        Target::Named(node, "$TMP".into()),
+        msg,
+    )
 }
 
 /// One node, one volume, one audited file.
@@ -586,7 +551,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
                 (1, SessionEvent::Began { .. }) => {
                     self.step = 2;
                     let transid = self.session.transid().unwrap();
-                    self.session.submit(
+                    let refused = self.session.submit(
                         ctx,
                         DiscRequest::LockFile {
                             file: "accounts".into(),
@@ -594,6 +559,7 @@ fn file_lock_blocks_other_transactions_until_commit() {
                             lock_wait: SimDuration::from_millis(200),
                         },
                     );
+                    assert!(refused.is_none(), "a volume of this node is never refused");
                 }
                 (2, SessionEvent::OpDone { .. }) => {
                     self.log.borrow_mut().push("file-locked".into());
@@ -1293,6 +1259,58 @@ fn operator_abort_cannot_overtake_committing() {
     assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
     assert_eq!(steps(&log), &["began", "ok", "committed"]);
     assert_eq!(w.metrics().get("tmf.abort_started"), 0, "no backout");
+    let probe = drive(
+        &mut w,
+        n,
+        3,
+        catalog,
+        vec![Step::Begin, read_lock("accounts", "c"), Step::Abort],
+    );
+    w.run_for(SimDuration::from_secs(3));
+    assert_eq!(steps(&probe), &["began", "value:1", "aborted"]);
+}
+
+/// The override's commit arm on a home transaction still in phase one:
+/// END-TRANSACTION, waiting at its own node's TMP for an answer that no
+/// clock asks for again, is answered Committed when the forced commit
+/// finishes.
+#[test]
+fn operator_commit_answers_the_waiting_end() {
+    let cfg = TmfNodeConfig::builder()
+        .group_commit_window(SimDuration::from_millis(200))
+        .build()
+        .expect("valid tmf config");
+    let (mut w, n, catalog) = single_node_with(cfg);
+    let (log, transid) = drive_capturing(
+        &mut w,
+        n,
+        0,
+        catalog.clone(),
+        vec![Step::Begin, insert("accounts", "c", "1"), Step::End],
+    );
+    // phase one waits on the audit force the open window holds
+    run_until(&mut w, SimDuration::from_micros(50), |w| {
+        w.metrics().get("tmf.msgs.phase1_local") == 1
+    });
+    let transid = transid.borrow().expect("captured at Began");
+    assert_eq!(
+        disposition(&mut w, n, 1, transid),
+        Some(TmpReply::Disposition {
+            state: Some(TxState::Ending)
+        })
+    );
+    let reply = ask_tmp(
+        &mut w,
+        n,
+        2,
+        TmpMsg::ForceDisposition {
+            transid,
+            commit: true,
+        },
+    );
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
+    assert_eq!(steps(&log), &["began", "ok", "committed"]);
     let probe = drive(
         &mut w,
         n,

@@ -15,11 +15,13 @@
 use crate::messages::{AppReply, AppRequest, ServerRequest};
 use bytes::Bytes;
 use encompass_shard::{suspense_file, SuspenseRecord};
-use encompass_sim::{counter, CounterId, Ctx, Name, NodeId, Payload, Pid, Process, TimerId};
+use encompass_sim::{
+    counter, CounterId, Ctx, Name, NodeId, Payload, Pid, Process, SystemEvent, TimerId,
+};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::Catalog;
 use guardian::{Admitted, Owed, Served};
-use tmf::session::{SessionEvent, TmfSession};
+use tmf::session::{SessionError, SessionEvent, TmfSession};
 use tmf::Transid;
 
 /// A data-base operation a server step may issue. This is the session
@@ -135,12 +137,19 @@ impl ServerProcess {
     fn run_step(&mut self, ctx: &mut Ctx<'_>, step: ServerStep) {
         match step {
             ServerStep::Db(op) => {
-                if let Some(SessionEvent::Failed { .. }) = self.session.op(ctx, op) {
-                    // synchronous refusal (a write under a read-only
-                    // transaction): a server-logic bug, not a transient —
-                    // restarting would loop forever
-                    ctx.count(counter!("server.readonly_violations"), 1);
-                    self.finish(ctx, AppReply::error());
+                if let Some(SessionEvent::Failed { error }) = self.session.op(ctx, op) {
+                    if error == SessionError::ReadOnlyViolation {
+                        // a write under a read-only transaction: a
+                        // server-logic bug, not a transient — restarting
+                        // would loop forever
+                        ctx.count(counter!("server.readonly_violations"), 1);
+                        self.finish(ctx, AppReply::error());
+                    } else {
+                        // the volume's node is unreachable now: a
+                        // transient, as when the same failure arrives
+                        // later
+                        self.finish(ctx, AppReply::restart());
+                    }
                 }
             }
             ServerStep::Reply(r) => self.finish(ctx, r),
@@ -164,7 +173,9 @@ impl ServerProcess {
 pub(crate) struct ServerIdle;
 
 impl Process for ServerProcess {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
+    }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, src: Pid, payload: Payload) {
         // session completions first
@@ -231,6 +242,10 @@ impl Process for ServerProcess {
         if let Some(SessionEvent::Failed { .. }) = self.session.on_timer(ctx, tag) {
             self.finish(ctx, AppReply::restart());
         }
+    }
+
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
     }
 
     fn kind(&self) -> &'static str {

@@ -33,7 +33,7 @@
 use crate::appmon::server_class_service;
 use crate::messages::{AppReply, ServerRequest};
 use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
-use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration};
+use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::types::Transid;
 use encompass_storage::{Catalog, DiscReply};
 use guardian::{
@@ -48,7 +48,10 @@ use tmf::tmp::TmpReply;
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, TermDelta>;
 
 const MAX_TERMINALS: usize = 32;
-/// SEND timeout (a dead server's processor surfaces here).
+/// SEND timeout: the critical-response limit of a SEND, and its resend
+/// interval to another node. A SEND is never resent, so a server that
+/// dies with the request (its own process, or its processor) surfaces
+/// here: no notice tells the TCP of a process's death (DESIGN.md §D28).
 const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Pause before retrying after a failed BEGIN or exhausted restart.
 const BACKOFF: SimDuration = SimDuration::from_millis(100);
@@ -159,7 +162,7 @@ impl TerminalControlProcess {
             .map(|(i, program)| Terminal {
                 program,
                 session: TmfSession::new(catalog.clone(), 64 + i as u64),
-                server_rpc: Rpc::new(128 + i as u64),
+                server_rpc: Rpc::new(128 + i as u64, SEND_TIMEOUT),
                 pending_send: None,
                 state: TermState::Idle,
                 restart_count: 0,
@@ -320,10 +323,7 @@ impl TerminalControlProcess {
         // a single attempt: a lost server surfaces as a timeout and takes
         // the abort+restart path (no blind re-execution of non-idempotent
         // work)
-        if t.server_rpc
-            .call(ctx, target, env, SEND_TIMEOUT, 0, ())
-            .is_err()
-        {
+        if t.server_rpc.call(ctx, target, env, 0, ()).is_err() {
             self.send_failed(ctx, idx);
         }
     }
@@ -433,6 +433,20 @@ impl TerminalControlProcess {
         }
     }
 
+    /// The terminals whose program has not finished, in terminal order,
+    /// each with where its outstanding calls are addressed (its session's
+    /// and its SEND's): what a stalled workload is waiting on.
+    pub fn unfinished(&self) -> impl Iterator<Item = (usize, Vec<&Target>)> + '_ {
+        (self.terminals.iter().enumerate())
+            .filter(|(_, t)| t.state != TermState::Finished)
+            .map(|(i, t)| {
+                (
+                    i,
+                    t.session.awaiting().chain(t.server_rpc.targets()).collect(),
+                )
+            })
+    }
+
     /// Each terminal's count of committed logical transactions, in
     /// terminal order: what the exactly-once oracle holds the history
     /// file's records to.
@@ -518,6 +532,13 @@ impl PairApp for TerminalControlProcess {
                 }
             }
             Route::Unused => {}
+        }
+    }
+
+    fn on_system(&mut self, ctx: &mut PairCtx<'_, '_>, ev: SystemEvent) {
+        for t in &mut self.terminals {
+            t.session.on_system(ctx, ev);
+            t.server_rpc.on_system(ctx, ev);
         }
     }
 

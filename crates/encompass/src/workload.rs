@@ -362,14 +362,18 @@ impl ScreenProgram for BankProgram {
 /// media of the volumes holding `file`. Setup-only: bypasses TMF.
 pub fn preload_accounts(world: &mut World, catalog: &Catalog, file: &str, count: u64, init: i64) {
     let def = catalog.get(file).expect("file in catalog").clone();
+    // each partition's media key, named once and not per record
+    let media_ids: Vec<_> = (def.partitions.iter())
+        .map(|p| media_key(p.volume.node, &p.volume.volume))
+        .collect();
     for i in 0..count {
         let key = account_key(i);
-        let vol = def.volume_for(&key).clone();
-        let media_id = media_key(vol.node, &vol.volume);
-        let vname = vol.volume.clone();
-        let media = world
-            .stable_mut()
-            .get_or_create::<VolumeMedia, _>(&media_id, move || VolumeMedia::new(&vname));
+        let vol = def.volume_for(&key);
+        let at = (def.partitions.iter())
+            .position(|p| &p.volume == vol)
+            .expect("a key's volume is one of its file's partitions");
+        let media = (world.stable_mut())
+            .get_or_create::<VolumeMedia, _>(&media_ids[at], || VolumeMedia::new(&vol.volume));
         media
             .ensure_file(file, def.organization)
             .apply(&key, Some(balance_bytes(init)));

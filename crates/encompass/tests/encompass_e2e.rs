@@ -35,6 +35,12 @@ fn bank_app_runs_all_transactions_and_conserves_money() {
         let finished = app.world.metrics().get("tcp.terminals_finished");
         assert_eq!(finished, 4, "{mode:?}: all terminals finished");
         assert_eq!(commits, 40, "{mode:?}: 4 terminals x 10 transactions");
+        // one node and no fault: every call is answered on its first copy
+        assert_eq!(
+            app.world.metrics().get("rpc.retransmits"),
+            0,
+            "{mode:?}: nothing within a node is resent"
+        );
         // run long enough for flushes, then check conservation: every
         // commit left one history record, and the records' amounts are
         // exactly what left the accounts
@@ -68,6 +74,57 @@ fn bank_app_survives_cpu_failure_mid_run() {
     assert_eq!(finished, 4, "all terminals eventually finished");
     let commits = app.world.metrics().get("tcp.commits");
     assert_eq!(commits, 60, "every transaction eventually committed");
+}
+
+/// An account may live on the other node. A request to its volume made
+/// while a partition leaves no route there (a query's snapshot read, or a
+/// debit's update once its locked read got through) is refused by the
+/// server's session at once. That is a transient, like the same failure
+/// arriving later, so the terminal restarts the transaction; it is not a
+/// server-logic error, which the bank program answers with a voluntary
+/// abort that drops the terminal's input.
+#[test]
+fn a_remote_op_refused_in_a_partition_restarts_the_transaction() {
+    let params = BankAppParams {
+        node_cpus: vec![4, 4],
+        accounts: 200,
+        terminals_per_node: 2,
+        readonly_terminals_per_node: 2,
+        transactions_per_terminal: 40,
+        think: SimDuration::from_millis(1),
+        ..BankAppParams::default()
+    };
+    let mut app = launch_bank_app(params);
+    let n1 = app.nodes[1];
+    for _ in 0..4 {
+        app.world.run_for(SimDuration::from_millis(150));
+        app.world.inject(Fault::Partition(vec![n1]));
+        app.world.run_for(SimDuration::from_millis(50));
+        app.world.inject(Fault::HealAllLinks);
+    }
+    app.world.run_for(SimDuration::from_secs(120));
+    let m = app.world.metrics();
+    assert_eq!(
+        m.get("tcp.terminals_finished"),
+        8,
+        "every terminal finished"
+    );
+    assert!(
+        m.get("tmf.session_failures") > 0,
+        "the partitions refused requests"
+    );
+    assert!(m.get("tcp.restarts") > 0, "and restarted transactions");
+    assert_eq!(
+        m.get("server.readonly_violations"),
+        0,
+        "no refusal is a logic error"
+    );
+    assert_eq!(
+        m.get("tcp.voluntary_aborts"),
+        0,
+        "no terminal dropped its input"
+    );
+    assert_eq!(m.get("tcp.commits"), 8 * 40, "every transaction committed");
 }
 
 #[test]
@@ -114,7 +171,7 @@ impl OneShot {
             node,
             class: class.to_string(),
             request,
-            rpc: Rpc::new(40),
+            rpc: Rpc::new(40, SimDuration::from_secs(3)),
             session: tmf::session::TmfSession::new(catalog, 5),
             state: 0,
             result,
@@ -124,8 +181,13 @@ impl OneShot {
 
 impl Process for OneShot {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         self.state = 1;
         self.session.begin(ctx, SessionOptions::default());
+    }
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: encompass_sim::SystemEvent) {
+        self.session.on_system(ctx, ev);
+        self.rpc.on_system(ctx, ev);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         let payload = match self.session.accept(ctx, payload) {
@@ -146,7 +208,6 @@ impl Process for OneShot {
                                 encompass::appmon::server_class_service(&self.class),
                             ),
                             env,
-                            SimDuration::from_secs(3),
                             0,
                             (),
                         );

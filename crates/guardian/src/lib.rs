@@ -13,12 +13,15 @@
 //!   functional equivalent of Write-Ahead-Log. [`primary`] and [`backup`]
 //!   read the app of a service's live primary and of its backup between
 //!   events, for drivers and oracles that would otherwise have to ask.
-//! * **Request/reply messaging** ([`rpc`]): correlation ids, timeouts and
-//!   retransmission — the end-to-end protocol that "assures that data
-//!   transmissions are reliably received". The two retry policies mirror
-//!   the paper's two network message classes: *critical response* (bounded
-//!   retries, caller is told of failure) and *safe delivery* (retried
-//!   until deliverable). [`ask`] is the one-shot client every operator
+//! * **Request/reply messaging** ([`rpc`]): correlation ids, failure
+//!   notices and retransmission — the end-to-end protocol that "assures
+//!   that data transmissions are reliably received". Within a node a call
+//!   is resent only when the kernel announces its destination's processor
+//!   failed, or a bus repaired after both were down; across nodes it is
+//!   resent on a clock. The two retry policies
+//!   mirror the paper's two network message classes: *critical response*
+//!   (bounded retries or a deadline, caller is told of failure) and *safe
+//!   delivery* (retried until deliverable). [`ask`] is the one-shot client every operator
 //!   command is: one persistent request, keep the reply, exit.
 //!   [`Served`] is the serving half: a retried request is answered from
 //!   memory instead of run twice, an answer is kept while its requester

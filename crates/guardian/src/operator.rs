@@ -27,6 +27,7 @@ impl Process for OperatorProcess {
         let counter = match ev {
             SystemEvent::CpuDown(..) => counter!("operator.cpu_down"),
             SystemEvent::CpuUp(..) => counter!("operator.cpu_up"),
+            SystemEvent::BusUp(..) => counter!("operator.bus_up"),
             SystemEvent::LinkDown(..) => counter!("operator.link_down"),
             SystemEvent::LinkUp(..) => counter!("operator.link_up"),
         };

@@ -408,6 +408,7 @@ impl<A: PairApp> Process for PairProcess<A> {
             }
             SystemEvent::CpuDown(..)
             | SystemEvent::CpuUp(..)
+            | SystemEvent::BusUp(_)
             | SystemEvent::LinkDown(_)
             | SystemEvent::LinkUp(_) => {}
         }
@@ -519,7 +520,7 @@ pub fn backup<'w, A: PairApp>(world: &'w encompass_sim::World, pair: &PairHandle
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::{Admitted, Asked, Rpc, Served, Target, TimerOutcome};
+    use crate::rpc::{Admitted, Asked, Rpc, Served, Target};
     use encompass_sim::{Fault, SimConfig, SimDuration, World};
     use std::cell::RefCell;
     use std::rc::Rc as StdRc;
@@ -580,8 +581,9 @@ mod tests {
         }
     }
 
-    /// Client that sends `n` Add(1) requests, one after the other, with
-    /// aggressive retries, and records the final counter value.
+    /// Client that sends `n` Add(1) requests, one after the other, each a
+    /// persistent call that a takeover's failure notice resends, and
+    /// records the final counter value.
     struct AddClient {
         target: Target,
         rpc: Rpc<Add, u64>,
@@ -590,6 +592,7 @@ mod tests {
     }
     impl Process for AddClient {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.subscribe_system();
             self.kick(ctx);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
@@ -599,44 +602,32 @@ mod tests {
             }
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-            if matches!(self.rpc.on_timer(ctx, tag), TimerOutcome::Expired { .. }) {
-                // name may be mid-takeover; try again
-                self.kick_retry(ctx);
-            }
+            // a persistent call never expires
+            let _ = self.rpc.on_timer(ctx, tag);
+        }
+        fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+            self.rpc.on_system(ctx, ev);
         }
     }
     impl AddClient {
+        fn spawn(w: &mut World, h: &PairHandle, remaining: u64) -> StdRc<RefCell<Option<u64>>> {
+            let last = StdRc::new(RefCell::new(None));
+            let client = AddClient {
+                target: h.target(),
+                rpc: Rpc::local(0),
+                remaining,
+                last: last.clone(),
+            };
+            w.spawn(h.node, 2, Box::new(client));
+            last
+        }
         fn kick(&mut self, ctx: &mut Ctx<'_>) {
             if self.remaining == 0 {
                 return;
             }
             self.remaining -= 1;
-            self.kick_retry(ctx);
-        }
-        fn kick_retry(&mut self, ctx: &mut Ctx<'_>) {
-            // bounded per-call retries; on expiry we re-issue a fresh call
-            if self
-                .rpc
-                .call(
-                    ctx,
-                    self.target.clone(),
-                    Add(1),
-                    SimDuration::from_millis(20),
-                    8,
-                    (),
-                )
-                .is_err()
-            {
-                // name unresolvable during takeover: fall back to a
-                // safe-delivery call that keeps retrying until it lands
-                self.rpc.call_persistent(
-                    ctx,
-                    self.target.clone(),
-                    Add(1),
-                    SimDuration::from_millis(20),
-                    (),
-                );
-            }
+            self.rpc
+                .call_persistent(ctx, self.target.clone(), Add(1), ());
         }
     }
 
@@ -645,17 +636,7 @@ mod tests {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(4);
         let h = spawn_pair(&mut w, n, 0, 1, || Counter::new("$CTR"));
-        let last = StdRc::new(RefCell::new(None));
-        w.spawn(
-            n,
-            2,
-            Box::new(AddClient {
-                target: h.target(),
-                rpc: Rpc::new(0),
-                remaining: 10,
-                last: last.clone(),
-            }),
-        );
+        let last = AddClient::spawn(&mut w, &h, 10);
         w.run_until_quiescent();
         assert_eq!(*last.borrow(), Some(10));
         assert_eq!(w.metrics().get("pair.checkpoints"), 10);
@@ -666,17 +647,7 @@ mod tests {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(4);
         let h = spawn_pair(&mut w, n, 0, 1, || Counter::new("$CTR"));
-        let last = StdRc::new(RefCell::new(None));
-        w.spawn(
-            n,
-            2,
-            Box::new(AddClient {
-                target: h.target(),
-                rpc: Rpc::new(0),
-                remaining: 200,
-                last: last.clone(),
-            }),
-        );
+        let last = AddClient::spawn(&mut w, &h, 200);
         // kill the primary's CPU mid-workload
         w.schedule_fault(
             encompass_sim::SimTime::from_micros(20_000),
@@ -684,6 +655,9 @@ mod tests {
         );
         w.run_until_quiescent();
         assert_eq!(w.metrics().get("pair.takeovers"), 1);
+        // the add the dead primary held went to the new primary at the
+        // failure notice, once, and nothing else was resent
+        assert_eq!(w.metrics().get("rpc.retransmits"), 1);
         // every one of the 200 adds is reflected exactly once
         assert_eq!(*last.borrow(), Some(200));
     }
@@ -693,17 +667,7 @@ mod tests {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(4);
         let h = spawn_pair(&mut w, n, 0, 1, || Counter::new("$CTR"));
-        let last = StdRc::new(RefCell::new(None));
-        w.spawn(
-            n,
-            2,
-            Box::new(AddClient {
-                target: h.target(),
-                rpc: Rpc::new(0),
-                remaining: 300,
-                last: last.clone(),
-            }),
-        );
+        let last = AddClient::spawn(&mut w, &h, 300);
         use encompass_sim::SimTime;
         // primary dies; backup (cpu1) takes over
         w.schedule_fault(SimTime::from_micros(20_000), Fault::KillCpu(n, CpuId(0)));
@@ -722,16 +686,7 @@ mod tests {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(4);
         let h = spawn_pair(&mut w, n, 0, 1, || Counter::new("$CTR"));
-        w.spawn(
-            n,
-            2,
-            Box::new(AddClient {
-                target: h.target(),
-                rpc: Rpc::new(0),
-                remaining: 10,
-                last: StdRc::new(RefCell::new(None)),
-            }),
-        );
+        let _ = AddClient::spawn(&mut w, &h, 10);
         w.run_until_quiescent();
         let value = |w: &World| primary::<Counter>(w, n, "$CTR").map(|c| c.value);
         assert_eq!(value(&w), Some(10));

@@ -1,19 +1,39 @@
-//! Request/reply messaging with correlation, timeouts, and retransmission.
+//! Request/reply messaging with correlation, failure notices, and
+//! retransmission across nodes.
 //!
-//! GUARDIAN/EXPAND gave every message an end-to-end acknowledgment; software
-//! layered request/reply on top. [`Rpc`] packages that pattern for simulated
-//! processes: the caller gets a correlation id, a per-attempt timeout, and a
-//! bounded or unbounded retry budget.
+//! GUARDIAN's message system never loses a message within a node: a send
+//! there is delivered, or it fails at once, and the failure of a
+//! processor is announced to every CPU of the node
+//! ([`SystemEvent::CpuDown`]). EXPAND, between nodes, does lose messages.
+//! [`Rpc`] keeps both rules. A call is *local* when its target is on the
+//! caller's node and a *network* call otherwise:
 //!
-//! The two retry policies map onto the paper's distributed-commit message
+//! * a **local** call is sent once. It is resent only when the notice of
+//!   its destination's CPU failure arrives ([`Rpc::on_system`]); the name
+//!   is resolved again, so the copy reaches the backup that took over.
+//!   While the name resolves to no live process (the backup's own notice
+//!   may run after the requester's), the call retries every millisecond
+//!   until a copy goes out. While both of the node's buses are down, a
+//!   copy to another CPU, or its answer, may be refused: the notice that a
+//!   bus is back ([`SystemEvent::BusUp`]) resends every call that went
+//!   across them;
+//! * a **network** call is resent whenever its `Rpc`'s resend interval
+//!   ([`Rpc::new`]) passes without an answer.
+//!
+//! The two kinds of call map onto the paper's distributed-commit message
 //! classes:
 //!
-//! * **critical response** — `retries` is finite; when the budget is
-//!   exhausted (or the destination is immediately unreachable) the caller
-//!   is told, and can e.g. abort the transaction;
-//! * **safe delivery** — `retries = u32::MAX`; the message is re-offered
-//!   "whenever transmission becomes possible", which is exactly how
-//!   phase-two and backout notifications behave.
+//! * **critical response** ([`Rpc::call`]) — `retries` is finite. A
+//!   network call fails fast if its destination is unreachable *now*, and
+//!   expires when its resends are spent. A local call expires at its
+//!   deadline, `interval × (retries + 1)`, and a notice resends it at most
+//!   `retries` times;
+//! * **safe delivery** ([`Rpc::call_persistent`]) — the message is
+//!   re-offered "whenever transmission becomes possible", which is
+//!   exactly how phase-two and backout notifications behave.
+//!
+//! A local persistent call holds no timer while a copy is out; a local
+//! bounded call holds one, its deadline (DESIGN.md §D28).
 //!
 //! Retransmission implies at-least-once delivery; receivers that are not
 //! naturally idempotent answer through a [`Served`] table, which replays
@@ -23,8 +43,8 @@
 //! can still ask for it again.
 
 use encompass_sim::{
-    counter, CpuId, Ctx, DetHashMap, Floored, Name, NodeId, Payload, Pid, Process, SimDuration,
-    TimerId, World,
+    counter, CpuId, Ctx, DetHashMap, Floored, Name, NodeId, Payload, Pid, Process, SendError,
+    SimDuration, SimTime, SystemEvent, TimerId, World,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -33,8 +53,14 @@ use std::rc::Rc;
 /// keep their own tags below it.
 pub const RPC_TAG_BASE: u64 = 1 << 48;
 
+/// How soon a local call tries again when its name resolved to no live
+/// process. A takeover re-registers the name at the instant of the failure
+/// notice, so one retry finds the new primary.
+const TAKEOVER_RETRY: SimDuration = SimDuration::from_millis(1);
+
 /// Where a request is addressed. Named targets are re-resolved on every
-/// attempt, so a retry finds the new primary after a process-pair takeover.
+/// attempt, so a resend finds the new primary after a process-pair
+/// takeover.
 #[derive(Clone, Debug)]
 pub enum Target {
     Pid(Pid),
@@ -43,38 +69,53 @@ pub enum Target {
 
 impl Target {
     /// Send request `id` here with its requester's `floor`, resolving a
-    /// name now: whether it went out.
+    /// name now: the CPU of the process it went to, or why it did not go
+    /// (an unresolvable name is [`SendError::NoSuchProcess`]).
     fn send<M: Clone + Send + 'static>(
         &self,
         ctx: &mut Ctx<'_>,
         id: u64,
         floor: u64,
         body: &M,
-    ) -> bool {
+    ) -> Sent {
         let dst = match self {
-            Target::Pid(p) => Some(*p),
-            Target::Named(node, name) => ctx.lookup_name(*node, name),
-        };
-        let Some(dst) = dst else {
-            return false;
+            Target::Pid(p) => *p,
+            Target::Named(node, name) => {
+                (ctx.lookup_name(*node, name)).ok_or(SendError::NoSuchProcess)?
+            }
         };
         let (from, body) = (ctx.pid(), body.clone());
-        ctx.send(
-            dst,
-            Payload::new(Request {
-                id,
-                from,
-                floor,
-                body,
-            }),
-        )
-        .is_ok()
+        let request = Request {
+            id,
+            from,
+            floor,
+            body,
+        };
+        ctx.send(dst, Payload::new(request)).map(|()| dst.cpu)
+    }
+
+    /// Can a copy that did not go out still go out later? A name may be
+    /// taken over; a dead pid stays dead.
+    fn may_resolve(&self, ctx: &Ctx<'_>) -> bool {
+        match self {
+            Target::Pid(p) => ctx.is_alive(*p),
+            Target::Named(..) => true,
+        }
     }
 
     pub fn node(&self) -> NodeId {
         match self {
             Target::Pid(p) => p.node,
             Target::Named(n, _) => *n,
+        }
+    }
+}
+
+impl std::fmt::Display for Target {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Target::Pid(p) => write!(f, "{p}"),
+            Target::Named(node, name) => write!(f, "{node}.{name}"),
         }
     }
 }
@@ -103,14 +144,62 @@ fn reply<R: Send + 'static>(ctx: &mut Ctx<'_>, req_id: u64, to: Pid, body: R) {
     let _ = ctx.send(to, Payload::new(RpcReply { id: req_id, body }));
 }
 
+/// Where a call's last copy went: the CPU of the process that took it, or
+/// why the kernel refused it.
+type Sent = Result<CpuId, SendError>;
+
 struct Pending<M, K> {
     target: Target,
     body: M,
-    timeout: SimDuration,
+    /// Copies that may still follow the first: `u32::MAX` for a
+    /// persistent call.
     retries_left: u32,
-    timer: TimerId,
+    /// A local bounded call's critical-response limit; `SimTime::MAX` for
+    /// any other call.
+    deadline: SimTime,
+    copy: Sent,
+    /// The one timer the call holds, if any: a network call's resend
+    /// clock, or a local call's takeover retry or deadline.
+    timer: Option<TimerId>,
     /// the caller's continuation, handed back when the call ends
     then: K,
+}
+
+impl<M, K> Pending<M, K> {
+    /// Is this a local bounded call, with a critical-response limit?
+    fn has_deadline(&self) -> bool {
+        self.deadline != SimTime::MAX
+    }
+
+    /// Does a local call wait on the takeover retry? Its copy did not go
+    /// out, and not for want of a bus (the notice that one is back resends
+    /// it).
+    fn retrying(&self) -> bool {
+        matches!(self.copy, Err(e) if e != SendError::BusDown)
+    }
+
+    /// Arm the timer this call should hold now, as `tag`: a network
+    /// call's `interval`; a local call's takeover retry, or its deadline,
+    /// whichever comes first; or none.
+    fn arm(&mut self, ctx: &mut Ctx<'_>, tag: u64, interval: Option<SimDuration>) {
+        let delay = if self.target.node() == ctx.node() {
+            let retry = (self.retrying() && self.target.may_resolve(ctx)).then_some(TAKEOVER_RETRY);
+            let deadline = self.has_deadline().then(|| self.deadline.since(ctx.now()));
+            match (retry, deadline) {
+                (Some(r), Some(d)) => Some(r.min(d)),
+                (one, other) => one.or(other),
+            }
+        } else {
+            Some(interval.expect("a network call is made by an Rpc with an interval (Rpc::new)"))
+        };
+        self.timer = delay.map(|delay| ctx.set_timer(delay, tag));
+    }
+
+    fn disarm(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(timer) = self.timer.take() {
+            ctx.cancel_timer(timer);
+        }
+    }
 }
 
 /// What `on_timer` decided about an RPC timer.
@@ -118,9 +207,10 @@ struct Pending<M, K> {
 pub enum TimerOutcome<M, K = ()> {
     /// The tag did not belong to this `Rpc`.
     NotMine,
-    /// A retransmission was sent; keep waiting.
+    /// A copy was sent again (or tried); keep waiting.
     Resent,
-    /// The retry budget is exhausted; the request has been abandoned.
+    /// The retry budget is exhausted or the deadline passed; the request
+    /// has been abandoned.
     Expired { id: u64, body: M, then: K },
 }
 
@@ -139,16 +229,25 @@ pub struct Completion<R, K = ()> {
 /// whom to answer when it ends. It is stored inline with the pending
 /// request and handed back exactly once — by [`Rpc::accept`] on
 /// completion, by [`TimerOutcome::Expired`] on expiry, by [`Rpc::cancel`],
-/// or by [`Rpc::call`] itself when the send fails — so the caller keeps no
-/// `rpc id → why` map of its own (DESIGN.md §D16), and a continuation may
-/// own what cannot be copied (the [`Owed`] of the request the call
-/// serves). Callers with a single kind of call use `K = ()`.
+/// or by [`Rpc::call`] itself when a network send fails — so the caller
+/// keeps no `rpc id → why` map of its own (DESIGN.md §D16), and a
+/// continuation may own what cannot be copied (the [`Owed`] of the request
+/// the call serves). Callers with a single kind of call use `K = ()`.
 ///
 /// Owning process responsibilities:
+/// * subscribe to system events ([`Ctx::subscribe_system`]) and forward
+///   them to [`Rpc::on_system`] (a pair does both for its app);
 /// * forward unknown timer tags `>= RPC_TAG_BASE` to [`Rpc::on_timer`];
 /// * offer incoming payloads to [`Rpc::accept`] before other decoding.
 pub struct Rpc<M, R, K = ()> {
     id_space: u64,
+    /// The owning process's node, learnt with `salt`: a call to it is
+    /// local.
+    home: Option<NodeId>,
+    /// A network call's resend interval and a bounded call's attempt
+    /// timeout; `None` for an `Rpc` that only makes persistent calls
+    /// within its node ([`Rpc::local`]).
+    interval: Option<SimDuration>,
     /// Lazily derived from the owning process's pid so that request ids —
     /// which servers use for retry deduplication — never collide across
     /// processes.
@@ -164,14 +263,27 @@ pub struct Rpc<M, R, K = ()> {
 impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
     /// `id_space` disambiguates correlation ids between several `Rpc`
     /// instances inside one process: use distinct integers below 256, the
-    /// top byte of every id this `Rpc` issues ([`space_of`]).
-    pub fn new(id_space: u64) -> Rpc<M, R, K> {
+    /// top byte of every id this `Rpc` issues ([`space_of`]). A network
+    /// call is resent every `interval`; a local bounded call's deadline
+    /// is `interval × (retries + 1)`.
+    pub fn new(id_space: u64, interval: SimDuration) -> Rpc<M, R, K> {
+        let mut rpc = Rpc::local(id_space);
+        rpc.interval = Some(interval);
+        rpc
+    }
+
+    /// An `Rpc` that runs no clock: it makes only persistent calls, and
+    /// only within its node. A bounded call or a call to another node
+    /// panics.
+    pub fn local(id_space: u64) -> Rpc<M, R, K> {
         assert!(
             id_space < ID_SPACES as u64,
             "id space {id_space} does not fit the top byte of a request id"
         );
         Rpc {
             id_space,
+            home: None,
+            interval: None,
             salt: None,
             counter: 0,
             floor: 0,
@@ -191,70 +303,92 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         self.pending.len()
     }
 
+    /// The requests still awaiting replies that may hold an rpc-tag
+    /// timer, one each: calls to other nodes (their resend clock), and
+    /// local calls that hold a deadline or wait on the takeover retry. Read
+    /// from what each call is, not from the timers it holds, so a census
+    /// can hold the timers to it.
+    pub fn timed(&self) -> usize {
+        (self.pending.values())
+            .filter(|p| Some(p.target.node()) != self.home || p.has_deadline() || p.retrying())
+            .count()
+    }
+
     /// The continuations of the requests still awaiting replies, in no
     /// particular order.
     pub fn awaiting(&self) -> impl Iterator<Item = &K> {
         self.pending.values().map(|p| &p.then)
     }
 
+    /// Where the requests still awaiting replies are addressed, in no
+    /// particular order.
+    pub fn targets(&self) -> impl Iterator<Item = &Target> {
+        self.pending.values().map(|p| &p.target)
+    }
+
     /// Issue a request with a bounded retry budget (critical-response
-    /// style). Fails fast, giving `then` back, if the target is dead or
-    /// unreachable *now*.
+    /// style). A network call fails fast, giving `then` back, if its
+    /// target is unreachable *now*; a local call waits for a target that
+    /// does not resolve yet, up to its deadline.
     pub fn call(
         &mut self,
         ctx: &mut Ctx<'_>,
         target: Target,
         body: M,
-        timeout: SimDuration,
         retries: u32,
         then: K,
     ) -> Result<u64, K> {
+        let interval = self
+            .interval
+            .expect("a bounded call is made by an Rpc with an interval (Rpc::new)");
         let id = self.fresh_id(ctx);
-        if !target.send(ctx, id, self.floor_id(), &body) {
+        let local = target.node() == ctx.node();
+        let copy = target.send(ctx, id, self.floor_id(), &body);
+        if !local && copy.is_err() {
             self.ended(id);
             return Err(then);
         }
-        let timer = ctx.set_timer(timeout, RPC_TAG_BASE + id);
-        self.pending.insert(
-            id,
-            Pending {
-                target,
-                body,
-                timeout,
-                retries_left: retries,
-                timer,
-                then,
-            },
-        );
+        let deadline = if local {
+            ctx.now() + interval.mul(u64::from(retries) + 1)
+        } else {
+            SimTime::MAX
+        };
+        let call = Pending {
+            target,
+            body,
+            retries_left: retries,
+            deadline,
+            copy,
+            timer: None,
+            then,
+        };
+        self.start(ctx, id, call);
         Ok(id)
     }
 
     /// Issue a request that is retried until it can be delivered and
     /// answered (safe-delivery style). Never fails at call time: if the
     /// target is unreachable the first attempt simply becomes a retry.
-    pub fn call_persistent(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        target: Target,
-        body: M,
-        retry_interval: SimDuration,
-        then: K,
-    ) -> u64 {
+    pub fn call_persistent(&mut self, ctx: &mut Ctx<'_>, target: Target, body: M, then: K) -> u64 {
         let id = self.fresh_id(ctx);
-        target.send(ctx, id, self.floor_id(), &body);
-        let timer = ctx.set_timer(retry_interval, RPC_TAG_BASE + id);
-        self.pending.insert(
-            id,
-            Pending {
-                target,
-                body,
-                timeout: retry_interval,
-                retries_left: u32::MAX,
-                timer,
-                then,
-            },
-        );
+        let copy = target.send(ctx, id, self.floor_id(), &body);
+        let call = Pending {
+            target,
+            body,
+            retries_left: u32::MAX,
+            deadline: SimTime::MAX,
+            copy,
+            timer: None,
+            then,
+        };
+        self.start(ctx, id, call);
         id
+    }
+
+    /// Record call `id`, its first copy sent (or not), and arm its timer.
+    fn start(&mut self, ctx: &mut Ctx<'_>, id: u64, mut call: Pending<M, K>) {
+        call.arm(ctx, RPC_TAG_BASE + id, self.interval);
+        self.pending.insert(id, call);
     }
 
     /// Offer an incoming payload. If it is a reply to one of our pending
@@ -271,11 +405,11 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         let Some(id) = payload.downcast_ref::<RpcReply<R>>().map(|r| r.id) else {
             return Err(payload);
         };
-        let Some(p) = self.pending.remove(&id) else {
+        let Some(mut p) = self.pending.remove(&id) else {
             return Err(payload);
         };
         let reply = payload.expect::<RpcReply<R>>();
-        ctx.cancel_timer(p.timer);
+        p.disarm(ctx);
         self.ended(id);
         Ok(Completion {
             id: reply.id,
@@ -294,7 +428,14 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         let Some(p) = self.pending.get_mut(&id) else {
             return TimerOutcome::NotMine;
         };
-        if p.retries_left == 0 {
+        p.timer = None;
+        let local = p.target.node() == ctx.node();
+        let spent = if local {
+            p.has_deadline() && ctx.now() >= p.deadline
+        } else {
+            p.retries_left == 0
+        };
+        if spent {
             let p = self.pending.remove(&id).expect("present above");
             self.ended(id);
             return TimerOutcome::Expired {
@@ -303,20 +444,69 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
                 then: p.then,
             };
         }
-        if p.retries_left != u32::MAX {
+        // a network call's resend spends its budget; a local call's
+        // takeover retry does not, as no copy of it is out
+        if !local && p.retries_left != u32::MAX {
             p.retries_left -= 1;
         }
-        ctx.count(counter!("rpc.retransmits"), 1);
-        p.target.send(ctx, id, floor, &p.body);
-        p.timer = ctx.set_timer(p.timeout, RPC_TAG_BASE + id);
+        p.copy = p.target.send(ctx, id, floor, &p.body);
+        if !local || p.copy.is_ok() {
+            ctx.count(counter!("rpc.retransmits"), 1);
+        }
+        p.arm(ctx, tag, self.interval);
         TimerOutcome::Resent
+    }
+
+    /// Take a notice of this node. Network calls keep their clock; a
+    /// local call is sent again, to its target resolved anew, when its
+    /// last copy may be lost:
+    ///
+    /// * on `CpuDown`, if that copy went to a process of the failed CPU.
+    ///   The copy reaches the backup that took over, or (if the name does
+    ///   not resolve yet) nobody, and the call waits on the takeover
+    ///   retry;
+    /// * on `BusUp`, if the copy was refused for want of a bus, or went to
+    ///   another CPU, whose answer may have been.
+    ///
+    /// A resend spends a bounded call's budget when a copy was out.
+    pub fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        let here = ctx.node();
+        let mine = ctx.pid().cpu;
+        let lost = |copy: Sent| match ev {
+            SystemEvent::CpuDown(node, cpu) => node == here && copy == Ok(cpu),
+            SystemEvent::BusUp(node) => {
+                node == here && copy.map_or_else(|e| e == SendError::BusDown, |cpu| cpu != mine)
+            }
+            SystemEvent::CpuUp(..) | SystemEvent::LinkDown(_) | SystemEvent::LinkUp(_) => false,
+        };
+        let floor = self.floor_id();
+        for (&id, p) in self.pending.iter_mut() {
+            if p.target.node() != here || !lost(p.copy) {
+                continue;
+            }
+            if p.copy.is_ok() {
+                if p.retries_left == 0 {
+                    continue;
+                }
+                if p.retries_left != u32::MAX {
+                    p.retries_left -= 1;
+                }
+            }
+            p.copy = p.target.send(ctx, id, floor, &p.body);
+            if p.copy.is_ok() {
+                ctx.count(counter!("rpc.retransmits"), 1);
+            } else {
+                p.disarm(ctx);
+                p.arm(ctx, RPC_TAG_BASE + id, self.interval);
+            }
+        }
     }
 
     /// Abandon a pending request (e.g. the transaction it served aborted),
     /// handing its continuation back. `None` if `id` is not pending.
     pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: u64) -> Option<K> {
-        let p = self.pending.remove(&id)?;
-        ctx.cancel_timer(p.timer);
+        let mut p = self.pending.remove(&id)?;
+        p.disarm(ctx);
         self.ended(id);
         Some(p.then)
     }
@@ -352,6 +542,7 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
         let salt = *self.salt.get_or_insert_with(|| {
             (self.id_space << SPACE_SHIFT) | ((ctx.pid().index as u64) << CALL_BITS)
         });
+        self.home = Some(ctx.node());
         assert!(
             self.counter < 1 << CALL_BITS,
             "{} issued 2^{CALL_BITS} calls from one Rpc (id space {}): request ids would repeat",
@@ -389,11 +580,15 @@ pub fn space_of(id: u64) -> u64 {
     id >> SPACE_SHIFT
 }
 
+/// A network target's resend interval for [`ask`].
+const ASK_RESEND: SimDuration = SimDuration::from_millis(100);
+
 /// A one-shot client: spawn a process on `node`/`cpu` that sends `target`
-/// one persistent request (retried every `retry` until answered — across a
-/// takeover a named target finds the new primary), keeps the reply and
-/// exits. The returned slot is `None` until (unless) the reply arrives.
-/// `id_space` is as for [`Rpc::new`].
+/// one persistent request, keeps the reply and exits. A named target on
+/// its node is found again at a takeover's failure notice; one on another
+/// node is resent every 100 ms until answered. The returned slot is
+/// `None` until (unless) the reply arrives. `id_space` is as for
+/// [`Rpc::new`].
 pub fn ask<M: Clone + Send + 'static, R: Send + 'static>(
     world: &mut World,
     node: NodeId,
@@ -401,15 +596,14 @@ pub fn ask<M: Clone + Send + 'static, R: Send + 'static>(
     id_space: u64,
     target: Target,
     msg: M,
-    retry: SimDuration,
 ) -> Rc<RefCell<Option<R>>> {
     let out = Rc::new(RefCell::new(None));
     world.spawn(
         node,
         cpu,
         Box::new(Ask {
-            request: Some((target, msg, retry)),
-            rpc: Rpc::new(id_space),
+            request: Some((target, msg)),
+            rpc: Rpc::new(id_space, ASK_RESEND),
             out: out.clone(),
         }),
     );
@@ -418,15 +612,16 @@ pub fn ask<M: Clone + Send + 'static, R: Send + 'static>(
 
 struct Ask<M, R> {
     /// Handed to the rpc by `on_start`.
-    request: Option<(Target, M, SimDuration)>,
+    request: Option<(Target, M)>,
     rpc: Rpc<M, R>,
     out: Rc<RefCell<Option<R>>>,
 }
 
 impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let (target, msg, retry) = self.request.take().expect("a process starts once");
-        self.rpc.call_persistent(ctx, target, msg, retry, ());
+        ctx.subscribe_system();
+        let (target, msg) = self.request.take().expect("a process starts once");
+        self.rpc.call_persistent(ctx, target, msg, ());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
@@ -441,11 +636,14 @@ impl<M: Clone + Send + 'static, R: Send + 'static> Process for Ask<M, R> {
         let _ = self.rpc.on_timer(ctx, tag);
     }
 
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.rpc.on_system(ctx, ev);
+    }
+
     fn kind(&self) -> &'static str {
         "ask"
     }
 }
-
 /// A request a server admitted and has not answered yet: who asked what
 /// (its [`Asked`]), and so where its one reply goes. Only
 /// [`Served::admit`] mints one and only [`Served::answer`],
@@ -777,50 +975,116 @@ mod tests {
         }
     }
 
+    /// Echo server that answers each request `delay` after it arrives.
+    struct SlowServer {
+        delay: SimDuration,
+        held: Vec<Request<Ping>>,
+    }
+    impl Process for SlowServer {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+            self.held.push(payload.expect::<Request<Ping>>());
+            ctx.set_timer(self.delay, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, _tag: u64) {
+            let req = self.held.remove(0);
+            reply(ctx, req.id, req.from, Pong(req.body.0 * 2));
+        }
+    }
+
+    /// Makes one call at start, bounded (`Some(retries)`, 10 ms per
+    /// attempt) or persistent (`None`), and logs what became of it with
+    /// the virtual millisecond.
     struct Client {
         server: Target,
         rpc: Rpc<Ping, Pong, u64>,
-        retries: u32,
+        retries: Option<u32>,
         outcome: Rc<RefCell<Vec<String>>>,
+    }
+    impl Client {
+        fn spawn(
+            w: &mut World,
+            node: NodeId,
+            cpu: u8,
+            server: Target,
+            retries: Option<u32>,
+        ) -> Log {
+            let outcome = Rc::new(RefCell::new(Vec::new()));
+            w.spawn(
+                node,
+                cpu,
+                Box::new(Client {
+                    server,
+                    rpc: Rpc::new(0, SimDuration::from_millis(10)),
+                    retries,
+                    outcome: outcome.clone(),
+                }),
+            );
+            outcome
+        }
+        fn log(&self, ctx: &Ctx<'_>, what: String) {
+            let at = ctx.now().as_millis();
+            self.outcome.borrow_mut().push(format!("{what}@{at}"));
+        }
     }
     impl Process for Client {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let r = self.rpc.call(
-                ctx,
-                self.server.clone(),
-                Ping(21),
-                SimDuration::from_millis(10),
-                self.retries,
-                7,
-            );
-            if r.is_err() {
-                self.outcome.borrow_mut().push("send-error".into());
+            ctx.subscribe_system();
+            let target = self.server.clone();
+            let sent = match self.retries {
+                Some(retries) => self.rpc.call(ctx, target, Ping(21), retries, 7).is_ok(),
+                None => {
+                    self.rpc.call_persistent(ctx, target, Ping(21), 7);
+                    true
+                }
+            };
+            if !sent {
+                self.log(ctx, "send-error".into());
             }
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
             match self.rpc.accept(ctx, payload) {
-                Ok(c) => self
-                    .outcome
-                    .borrow_mut()
-                    .push(format!("ok:{}:{}", c.body.0, c.then)),
-                Err(_) => self.outcome.borrow_mut().push("stray".into()),
+                Ok(c) => self.log(ctx, format!("ok:{}:{}", c.body.0, c.then)),
+                Err(_) => self.log(ctx, "stray".into()),
             }
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
             match self.rpc.on_timer(ctx, tag) {
-                TimerOutcome::Expired { then, .. } => {
-                    self.outcome.borrow_mut().push(format!("expired:{then}"))
-                }
-                TimerOutcome::Resent => self.outcome.borrow_mut().push("resent".into()),
+                TimerOutcome::Expired { then, .. } => self.log(ctx, format!("expired:{then}")),
+                TimerOutcome::Resent => self.log(ctx, "resent".into()),
                 TimerOutcome::NotMine => {}
             }
         }
+        fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+            self.rpc.on_system(ctx, ev);
+        }
     }
+
+    type Log = Rc<RefCell<Vec<String>>>;
 
     fn world() -> (World, NodeId) {
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(4);
         (w, n)
+    }
+
+    /// Two nodes a 1 ms link apart: a call from the first to the second
+    /// runs on the network clock.
+    fn two_nodes() -> (World, NodeId, NodeId) {
+        let mut w = World::new(SimConfig::default());
+        let a = w.add_node(4);
+        let b = w.add_node(4);
+        let _ = w.add_link(a, b, SimDuration::from_millis(1));
+        (w, a, b)
+    }
+
+    /// A flaky server on `node`, dropping its first `drop_first` requests.
+    fn flaky(w: &mut World, node: NodeId, drop_first: u32) -> (Pid, Rc<RefCell<u32>>) {
+        let seen = Rc::new(RefCell::new(0));
+        let server = FlakyServer {
+            drop_first,
+            seen: seen.clone(),
+        };
+        (w.spawn(node, 0, Box::new(server)), seen)
     }
 
     /// The last call number is issued; the one after it would be the first
@@ -858,8 +1122,8 @@ mod tests {
             n,
             0,
             Box::new(Exhausted {
-                rpc: Rpc::new(5),
-                neighbour: Rpc::new(5),
+                rpc: Rpc::local(5),
+                neighbour: Rpc::local(5),
             }),
         );
         w.run_until_quiescent();
@@ -868,103 +1132,81 @@ mod tests {
     #[test]
     fn call_completes() {
         let (mut w, n) = world();
-        let seen = Rc::new(RefCell::new(0));
-        let srv = w.spawn(
-            n,
-            0,
-            Box::new(FlakyServer {
-                drop_first: 0,
-                seen: seen.clone(),
-            }),
-        );
-        let outcome = Rc::new(RefCell::new(Vec::new()));
-        w.spawn(
-            n,
-            1,
-            Box::new(Client {
-                server: Target::Pid(srv),
-                rpc: Rpc::new(0),
-                retries: 0,
-                outcome: outcome.clone(),
-            }),
-        );
+        let (srv, _) = flaky(&mut w, n, 0);
+        let outcome = Client::spawn(&mut w, n, 1, Target::Pid(srv), Some(0));
         w.run_until_quiescent();
-        assert_eq!(outcome.borrow().as_slice(), &["ok:42:7".to_string()]);
+        assert_eq!(outcome.borrow().as_slice(), &["ok:42:7@0".to_string()]);
     }
 
+    /// EXPAND loses messages: a call to another node is resent on its
+    /// clock until a copy is answered.
     #[test]
     fn retransmits_until_answered() {
-        let (mut w, n) = world();
-        let seen = Rc::new(RefCell::new(0));
-        let srv = w.spawn(
-            n,
-            0,
-            Box::new(FlakyServer {
-                drop_first: 2,
-                seen: seen.clone(),
-            }),
-        );
-        let outcome = Rc::new(RefCell::new(Vec::new()));
-        w.spawn(
-            n,
-            1,
-            Box::new(Client {
-                server: Target::Pid(srv),
-                rpc: Rpc::new(0),
-                retries: 5,
-                outcome: outcome.clone(),
-            }),
-        );
+        let (mut w, a, b) = two_nodes();
+        let (srv, seen) = flaky(&mut w, b, 2);
+        let outcome = Client::spawn(&mut w, a, 1, Target::Pid(srv), Some(5));
         w.run_until_quiescent();
         assert_eq!(*seen.borrow(), 3, "two dropped + one answered");
         assert_eq!(w.metrics().get("rpc.retransmits"), 2, "each resend counted");
-        assert_eq!(
-            outcome.borrow().as_slice(),
-            &[
-                "resent".to_string(),
-                "resent".to_string(),
-                "ok:42:7".to_string()
-            ]
-        );
+        let outcome = outcome.borrow();
+        let kinds: Vec<&str> = outcome
+            .iter()
+            .map(|o| o.split('@').next().unwrap())
+            .collect();
+        assert_eq!(kinds, ["resent", "resent", "ok:42:7"], "{outcome:?}");
     }
 
+    /// A bounded call to another node is resent on its clock until its
+    /// budget is spent. One within the node holds one timer, its deadline,
+    /// where its last attempt's timeout would have ended (10 ms × (2 + 1)),
+    /// and is not resent while its destination lives.
     #[test]
     fn bounded_retries_expire() {
-        let (mut w, n) = world();
-        let seen = Rc::new(RefCell::new(0));
-        let srv = w.spawn(
-            n,
-            0,
-            Box::new(FlakyServer {
-                drop_first: u32::MAX,
-                seen,
-            }),
-        );
-        let outcome = Rc::new(RefCell::new(Vec::new()));
-        w.spawn(
-            n,
-            1,
-            Box::new(Client {
-                server: Target::Pid(srv),
-                rpc: Rpc::new(0),
-                retries: 2,
-                outcome: outcome.clone(),
-            }),
-        );
-        w.run_until_quiescent();
-        assert_eq!(
-            outcome.borrow().as_slice(),
-            &[
-                "resent".to_string(),
-                "resent".to_string(),
-                "expired:7".to_string()
-            ]
-        );
+        for remote in [true, false] {
+            let (mut w, a, b) = two_nodes();
+            let (srv, seen) = flaky(&mut w, if remote { b } else { a }, u32::MAX);
+            let outcome = Client::spawn(&mut w, a, 1, Target::Pid(srv), Some(2));
+            w.run_for(SimDuration::from_millis(5));
+            let rpc_timers = (w.armed_timers()).filter(|&(_, tag)| tag >= RPC_TAG_BASE);
+            assert_eq!(rpc_timers.count(), 1, "the clock or the deadline");
+            w.run_until_quiescent();
+            let (expected, copies): (&[&str], u32) = if remote {
+                (&["resent@10", "resent@20", "expired:7@30"], 3)
+            } else {
+                (&["expired:7@30"], 1)
+            };
+            assert_eq!(outcome.borrow().as_slice(), expected, "remote: {remote}");
+            assert_eq!(*seen.borrow(), copies, "remote: {remote}");
+        }
     }
 
+    /// Within a node nothing is lost, so a call holds no clock: a
+    /// persistent call arms no timer at all, and a server that takes a
+    /// second to answer is waited for, not asked again.
     #[test]
-    fn named_target_follows_reregistration() {
-        // a "takeover": the name moves to a second server between retries
+    fn a_local_persistent_call_arms_no_timer() {
+        let (mut w, n) = world();
+        let slow = SlowServer {
+            delay: SimDuration::from_secs(1),
+            held: Vec::new(),
+        };
+        let srv = w.spawn(n, 0, Box::new(slow));
+        let outcome = Client::spawn(&mut w, n, 1, Target::Pid(srv), None);
+        w.run_for(SimDuration::from_millis(500));
+        let rpc_timers = (w.armed_timers()).filter(|&(_, tag)| tag >= RPC_TAG_BASE);
+        assert_eq!(rpc_timers.count(), 0, "the call holds no timer");
+        w.run_until_quiescent();
+        assert_eq!(outcome.borrow().as_slice(), &["ok:42:7@1000"]);
+        assert_eq!(w.metrics().get("rpc.retransmits"), 0);
+    }
+
+    /// A server that registered a name and never answers dies with its
+    /// CPU; the name moves to a second server only 3 ms after the
+    /// requester's failure notice. The notice finds no live process under
+    /// the name, so the call waits on the short takeover retry, which
+    /// finds the new one.
+    #[test]
+    fn a_name_unresolvable_at_the_notice_is_found_by_the_takeover_retry() {
         struct NamedServer {
             answer: bool,
         }
@@ -982,55 +1224,76 @@ mod tests {
             }
         }
         let (mut w, n) = world();
-        let silent = w.spawn(n, 0, Box::new(NamedServer { answer: false }));
+        w.spawn(n, 0, Box::new(NamedServer { answer: false }));
         let answering = w.spawn(n, 2, Box::new(NamedServer { answer: true }));
         w.run_until_quiescent();
-        let outcome = Rc::new(RefCell::new(Vec::new()));
-        w.spawn(
-            n,
-            1,
-            Box::new(Client {
-                server: Target::Named(n, "$SVC".into()),
-                rpc: Rpc::new(0),
-                retries: 10,
-                outcome: outcome.clone(),
-            }),
-        );
-        // after 15ms, kill the silent primary and move the name
+        let outcome = Client::spawn(&mut w, n, 1, Target::Named(n, "$SVC".into()), None);
         w.run_for(SimDuration::from_millis(15));
-        w.inject(Fault::KillProcess(silent));
+        let killed_at = w.now().as_millis();
+        w.inject(Fault::KillCpu(n, CpuId(0)));
+        // the notice comes FAILURE_DETECT_DELAY later; the name moves after
+        w.run_for(encompass_sim::config::FAILURE_DETECT_DELAY + SimDuration::from_millis(3));
         w.register_name(n, "$SVC", answering);
         w.run_until_quiescent();
-        assert_eq!(outcome.borrow().last().unwrap(), "ok:21:7");
+        let outcome = outcome.borrow();
+        let answered = outcome.last().unwrap();
+        assert!(answered.starts_with("ok:21:7@"), "{outcome:?}");
+        let at: u64 = answered.split('@').nth(1).unwrap().parse().unwrap();
+        assert!(
+            at <= killed_at + 5 + 3 + 1 + 1,
+            "found within one retry of the name moving: {outcome:?}"
+        );
+        assert_eq!(
+            w.metrics().get("rpc.retransmits"),
+            1,
+            "one copy went out again"
+        );
+    }
+
+    /// With both of the node's buses down, a server's answer across them
+    /// is refused, and so is a request made meanwhile; neither call holds
+    /// a timer. The notice that a bus is back resends both, and both are
+    /// answered.
+    #[test]
+    fn a_bus_repair_resends_what_the_buses_refused() {
+        let (mut w, n) = world();
+        let slow = SlowServer {
+            delay: SimDuration::from_millis(100),
+            held: Vec::new(),
+        };
+        let srv = w.spawn(n, 0, Box::new(slow));
+        let before = Client::spawn(&mut w, n, 1, Target::Pid(srv), None);
+        w.run_for(SimDuration::from_millis(50));
+        w.inject(Fault::KillBus(n, 0));
+        w.inject(Fault::KillBus(n, 1));
+        w.run_for(SimDuration::from_millis(10));
+        let during = Client::spawn(&mut w, n, 2, Target::Pid(srv), None);
+        w.run_for(SimDuration::from_millis(90));
+        let rpc_timers = (w.armed_timers()).filter(|&(_, tag)| tag >= RPC_TAG_BASE);
+        assert_eq!(rpc_timers.count(), 0, "no clock waits out the outage");
+        assert!(before.borrow().is_empty(), "the answer was refused");
+        w.inject(Fault::HealBus(n, 0));
+        w.run_until_quiescent();
+        for outcome in [before, during] {
+            let outcome = outcome.borrow();
+            assert_eq!(outcome.len(), 1, "{outcome:?}");
+            assert!(outcome[0].starts_with("ok:42:7@"), "{outcome:?}");
+        }
+        assert_eq!(
+            w.metrics().get("rpc.retransmits"),
+            2,
+            "one copy each at the notice"
+        );
     }
 
     #[test]
     fn persistent_call_survives_partition() {
-        let mut w = World::new(SimConfig::default());
-        let a = w.add_node(2);
-        let b = w.add_node(2);
-        let _l = w.add_link(a, b, SimDuration::from_millis(1));
-        let seen = Rc::new(RefCell::new(0));
-        let srv = w.spawn(
-            b,
-            0,
-            Box::new(FlakyServer {
-                drop_first: 0,
-                seen: seen.clone(),
-            }),
-        );
+        let (mut w, a, b) = two_nodes();
+        let (srv, _) = flaky(&mut w, b, 0);
 
         // partition before the client even starts
         w.inject(Fault::Partition(vec![b]));
-        let done = ask::<Ping, Pong>(
-            &mut w,
-            a,
-            0,
-            0,
-            Target::Pid(srv),
-            Ping(1),
-            SimDuration::from_millis(20),
-        );
+        let done = ask::<Ping, Pong>(&mut w, a, 0, 0, Target::Pid(srv), Ping(1));
         w.run_for(SimDuration::from_millis(200));
         assert!(done.borrow().is_none(), "unreachable while partitioned");
         w.inject(Fault::HealAllLinks);
@@ -1056,13 +1319,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 for _ in 0..3 {
                     for rpc in &mut self.rpcs {
-                        let id = rpc.call_persistent(
-                            ctx,
-                            Target::Pid(self.sink),
-                            Ping(0),
-                            SimDuration::from_secs(1),
-                            (),
-                        );
+                        let id = rpc.call_persistent(ctx, Target::Pid(self.sink), Ping(0), ());
                         self.issued.borrow_mut().push(id);
                     }
                 }
@@ -1085,7 +1342,7 @@ mod tests {
                 cpu,
                 Box::new(TwoClients {
                     sink,
-                    rpcs: [Rpc::new(1), Rpc::new(2)],
+                    rpcs: [Rpc::local(1), Rpc::local(2)],
                     issued: issued.clone(),
                 }),
             );
@@ -1110,14 +1367,8 @@ mod tests {
     fn space_of_an_id_is_its_rpcs_id_space() {
         in_handler(|ctx| {
             for space in [0, 30, 223, 255] {
-                let mut rpc: Rpc<Ping, Pong> = Rpc::new(space);
-                let id = rpc.call_persistent(
-                    ctx,
-                    Target::Pid(ctx.pid()),
-                    Ping(0),
-                    SimDuration::from_secs(1),
-                    (),
-                );
+                let mut rpc: Rpc<Ping, Pong> = Rpc::local(space);
+                let id = rpc.call_persistent(ctx, Target::Pid(ctx.pid()), Ping(0), ());
                 assert_eq!(space_of(id), rpc.id_space());
                 rpc.cancel(ctx, id);
             }
@@ -1127,7 +1378,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit the top byte")]
     fn an_id_space_past_the_top_byte_is_refused() {
-        let _: Rpc<Ping, Pong> = Rpc::new(256);
+        let _: Rpc<Ping, Pong> = Rpc::local(256);
     }
 
     /// Runs `f` in a process's first event, for a `Ctx` to admit with.
@@ -1172,11 +1423,10 @@ mod tests {
     #[test]
     fn the_floor_is_the_lowest_outstanding_call() {
         in_handler(|ctx| {
-            let mut rpc: Rpc<Ping, Pong> = Rpc::new(3);
+            let mut rpc: Rpc<Ping, Pong> = Rpc::local(3);
             let target = Target::Pid(ctx.pid());
-            let one_second = SimDuration::from_secs(1);
             let ids: Vec<u64> = (0..4)
-                .map(|_| rpc.call_persistent(ctx, target.clone(), Ping(0), one_second, ()))
+                .map(|_| rpc.call_persistent(ctx, target.clone(), Ping(0), ()))
                 .collect();
             assert_eq!(rpc.floor_id(), ids[0]);
             rpc.cancel(ctx, ids[1]);
@@ -1186,7 +1436,7 @@ mod tests {
             rpc.cancel(ctx, ids[3]);
             rpc.cancel(ctx, ids[2]);
             assert_eq!(rpc.floor_id(), ids[3] + 1, "none outstanding");
-            let next = rpc.call_persistent(ctx, target, Ping(0), one_second, ());
+            let next = rpc.call_persistent(ctx, target, Ping(0), ());
             assert_eq!(rpc.floor_id(), next);
         });
     }

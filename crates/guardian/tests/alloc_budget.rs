@@ -57,13 +57,9 @@ struct Client {
 impl Process for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // one call in flight, so the miss is a miss in a non-empty table
-        let id = self.rpc.call_persistent(
-            ctx,
-            Target::Pid(self.sink),
-            Ping,
-            SimDuration::from_secs(60),
-            (),
-        );
+        let id = self
+            .rpc
+            .call_persistent(ctx, Target::Pid(self.sink), Ping, ());
         *self.pending_id.borrow_mut() = Some(id);
     }
 
@@ -102,7 +98,7 @@ fn a_reply_that_is_not_pending_is_handed_back_unboxed() {
         1,
         Box::new(Client {
             sink,
-            rpc: Rpc::new(1),
+            rpc: Rpc::local(1),
             pending_id: pending_id.clone(),
             offers: offers.clone(),
         }),

@@ -3,7 +3,9 @@
 //!
 //! * A retransmission that follows more answers than any fixed reply
 //!   table held (16 384 at the TMP, 8 192 at a DISCPROCESS) still gets the
-//!   answer remembered for it, and the request is not run again.
+//!   answer remembered for it, and the request is not run again. Only a
+//!   network call is resent on a clock, so its requester is on another
+//!   node.
 //! * A delayed copy of a call that has ended at its requester is refused:
 //!   not run, not answered, counted as `rpc.stale_refused`.
 //! * A requester whose CPU fails leaves nothing behind, in either half of
@@ -79,20 +81,21 @@ struct Log {
 
 /// Makes one call, then `more` calls one after another. With `lose_first`
 /// the first answer never reaches the rpc, so that call stays outstanding
-/// (pinning the caller's floor) until its retransmission, 10 s later.
+/// (pinning the caller's floor): on another node until its retransmission,
+/// 30 s later; on the server's node for good, as nothing there is lost.
 struct Caller {
+    target: Target,
     rpc: Rpc<Work, u64>,
     lose_first: bool,
     more: u64,
     log: Rc<RefCell<Log>>,
 }
 
-const RETRY: SimDuration = SimDuration::from_secs(10);
+const RETRY: SimDuration = SimDuration::from_secs(30);
 
 impl Caller {
     fn call(&mut self, ctx: &mut Ctx<'_>) -> u64 {
-        let target = Target::Named(ctx.node(), Name::new("$RUNS"));
-        self.rpc.call_persistent(ctx, target, Work, RETRY, ())
+        self.rpc.call_persistent(ctx, self.target.clone(), Work, ())
     }
 }
 
@@ -138,20 +141,24 @@ impl Process for Caller {
     }
 }
 
-fn world() -> (World, NodeId, PairHandle) {
+/// The `$RUNS` pair on the first node, and a second node one link away.
+fn world() -> (World, NodeId, NodeId, PairHandle) {
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(4);
+    let m = w.add_node(2);
+    let _ = w.add_link(n, m, SimDuration::ZERO);
     let pair = spawn_pair(&mut w, n, 0, 1, || Runs {
         runs: 0,
         served: Served::new(),
     });
     w.run_for(SimDuration::from_millis(10));
-    (w, n, pair)
+    (w, n, m, pair)
 }
 
+/// A caller on `n`, `cpu` of the `$RUNS` pair on `server`.
 fn caller(
     w: &mut World,
-    n: NodeId,
+    (n, server): (NodeId, NodeId),
     cpu: u8,
     space: u64,
     lose_first: bool,
@@ -162,7 +169,8 @@ fn caller(
         n,
         cpu,
         Box::new(Caller {
-            rpc: Rpc::new(space),
+            target: Target::Named(server, Name::new("$RUNS")),
+            rpc: Rpc::new(space, RETRY),
             lose_first,
             more,
             log: log.clone(),
@@ -177,10 +185,10 @@ fn runs(w: &World, n: NodeId) -> &Runs {
 
 #[test]
 fn a_retransmission_after_more_answers_than_any_ring_held_is_replayed_not_rerun() {
-    let (mut w, n, pair) = world();
+    let (mut w, n, m, pair) = world();
     let others = 20_000;
-    let (_, log) = caller(&mut w, n, 2, 7, true, others);
-    w.run_for(SimDuration::from_secs(9));
+    let (_, log) = caller(&mut w, (m, n), 1, 7, true, others);
+    w.run_for(SimDuration::from_secs(29));
     assert_eq!(
         log.borrow().completed,
         others,
@@ -214,8 +222,8 @@ fn a_retransmission_after_more_answers_than_any_ring_held_is_replayed_not_rerun(
 
 #[test]
 fn a_delayed_copy_below_the_floor_is_refused_and_counted() {
-    let (mut w, n, _) = world();
-    let (client, log) = caller(&mut w, n, 2, 7, false, 2);
+    let (mut w, n, _, _) = world();
+    let (client, log) = caller(&mut w, (n, n), 2, 7, false, 2);
     w.run_for(SimDuration::from_millis(100));
     assert_eq!(log.borrow().completed, 2);
     let (first, _) = log.borrow().first.expect("called");
@@ -237,9 +245,9 @@ fn a_delayed_copy_below_the_floor_is_refused_and_counted() {
 
 #[test]
 fn a_requester_on_a_killed_cpu_leaves_no_entries() {
-    let (mut w, n, pair) = world();
-    let (_, log) = caller(&mut w, n, 2, 7, true, 3);
-    let (_, other) = caller(&mut w, n, 3, 8, false, 3);
+    let (mut w, n, _, pair) = world();
+    let (_, log) = caller(&mut w, (n, n), 2, 7, true, 3);
+    let (_, other) = caller(&mut w, (n, n), 3, 8, false, 3);
     w.run_for(SimDuration::from_millis(100));
     assert_eq!((log.borrow().completed, other.borrow().completed), (3, 3));
     let kept = |w: &World| {
@@ -264,9 +272,9 @@ fn a_requester_on_a_killed_cpu_leaves_no_entries() {
 
 #[test]
 fn a_backup_rebuilt_from_a_snapshot_holds_its_primarys_answers_and_floors() {
-    let (mut w, n, pair) = world();
-    caller(&mut w, n, 2, 7, true, 4);
-    caller(&mut w, n, 3, 8, false, 3);
+    let (mut w, n, _, pair) = world();
+    caller(&mut w, (n, n), 2, 7, true, 4);
+    caller(&mut w, (n, n), 3, 8, false, 3);
     w.run_for(SimDuration::from_millis(100));
     w.inject(Fault::KillCpu(n, CpuId(1)));
     w.run_for(SimDuration::from_millis(100));

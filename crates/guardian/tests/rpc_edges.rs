@@ -57,14 +57,7 @@ impl Process for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let id = self
             .rpc
-            .call(
-                ctx,
-                Target::Pid(self.server),
-                Ping(5),
-                SimDuration::from_millis(50),
-                1,
-                Why::Audit(77),
-            )
+            .call(ctx, Target::Pid(self.server), Ping(5), 1, Why::Audit(77))
             .expect("send ok");
         assert_eq!(self.rpc.in_flight(), 1);
         if self.cancel_after_send {
@@ -108,7 +101,7 @@ fn run(cancel: bool, replies_per_request: u32) -> Vec<String> {
             server,
             cancel_after_send: cancel,
             events: events.clone(),
-            rpc: Rpc::new(0),
+            rpc: Rpc::new(0, SimDuration::from_millis(50)),
         }),
     );
     w.run_for(SimDuration::from_secs(2));
@@ -138,8 +131,8 @@ fn duplicate_replies_surface_as_stray_and_yield_no_continuation() {
 
 #[test]
 fn expiry_hands_the_continuation_back_once() {
-    // a silent peer: one retransmission, then the budget is spent; no
-    // later timer or reply produces a second outcome
+    // a silent peer on the caller's node: the deadline passes with no
+    // resend; no later timer or reply produces a second outcome
     assert_eq!(
         run(false, 0),
         vec!["expired:Some(Audit(77)):in_flight=0".to_string()]
@@ -178,18 +171,13 @@ impl Process for Lister {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.snapshot();
         let target = Target::Pid(self.server);
-        let wait = SimDuration::from_millis(50);
         self.rpc
-            .call_persistent(ctx, target.clone(), Ping(1), wait, Why::Audit(1));
-        let second = self.rpc.call_persistent(
-            ctx,
-            target.clone(),
-            Ping(2),
-            wait,
-            Why::Answer { req_id: 9 },
-        );
+            .call_persistent(ctx, target.clone(), Ping(1), Why::Audit(1));
+        let second =
+            self.rpc
+                .call_persistent(ctx, target.clone(), Ping(2), Why::Answer { req_id: 9 });
         self.rpc
-            .call_persistent(ctx, target, Ping(3), wait, Why::Audit(3));
+            .call_persistent(ctx, target, Ping(3), Why::Audit(3));
         self.snapshot();
         assert_eq!(
             self.rpc.cancel(ctx, second),
@@ -221,7 +209,7 @@ fn awaiting_lists_exactly_the_pending_continuations() {
         1,
         Box::new(Lister {
             server,
-            rpc: Rpc::new(0),
+            rpc: Rpc::local(0),
             seen: seen.clone(),
         }),
     );

@@ -34,7 +34,7 @@
 use crate::suspense::{
     replica_file, suspense_file, SuspenseDelta, SuspenseRecord, SUSPENSE_SERVICE,
 };
-use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration, World};
+use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration, SystemEvent, World};
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::{key_num, num_key};
 use encompass_storage::Catalog;
@@ -114,16 +114,13 @@ impl SuspenseMonitorApp {
     }
 
     fn scan(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        self.state = MonState::Scanning;
-        let _ = self.session.op(
-            ctx,
-            DbOp::ReadRange {
-                file: self.suspense_file.clone(),
-                low: num_key(0),
-                high: None,
-                limit: SCAN_BATCH,
-            },
-        );
+        let op = DbOp::ReadRange {
+            file: self.suspense_file.clone(),
+            low: num_key(0),
+            high: None,
+            limit: SCAN_BATCH,
+        };
+        self.issue(ctx, MonState::Scanning, op);
     }
 
     /// A retryable failure: back out if in transaction mode, else go idle.
@@ -307,6 +304,10 @@ impl PairApp for SuspenseMonitorApp {
         if let Some(ev) = self.session.on_timer(ctx, tag) {
             self.on_event(ctx, ev);
         }
+    }
+
+    fn on_system(&mut self, ctx: &mut PairCtx<'_, '_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {

@@ -298,7 +298,11 @@ impl World {
                 self.topology.node_mut(node).buses[(bus as usize) & 1] = false;
             }
             Fault::HealBus(node, bus) => {
+                let was_up = self.topology.node(node).bus_up();
                 self.topology.node_mut(node).buses[(bus as usize) & 1] = true;
+                if !was_up {
+                    self.notify_node(node, SystemEvent::BusUp(node));
+                }
             }
             Fault::CutLink(link) => {
                 self.topology.set_link_up(link, false);
@@ -332,29 +336,34 @@ impl World {
     }
 
     fn notify_node(&mut self, node: NodeId, ev: SystemEvent) {
-        let delay = FAILURE_DETECT_DELAY;
-        let targets: Vec<Pid> = self
-            .subscribers
-            .iter()
-            .copied()
-            .filter(|p| p.node == node)
-            .collect();
-        for dst in targets {
-            self.queue
-                .push(self.now + delay, EventKind::System { dst, ev });
-        }
+        self.notify(ev, |p| p.node == node);
     }
 
     fn notify_all(&mut self, ev: SystemEvent) {
-        let delay = FAILURE_DETECT_DELAY;
-        let targets: Vec<Pid> = self.subscribers.to_vec();
-        for dst in targets {
-            self.queue
-                .push(self.now + delay, EventKind::System { dst, ev });
+        self.notify(ev, |_| true);
+    }
+
+    /// Deliver `ev` to every live subscriber `to` picks, after the
+    /// failure-detection delay.
+    fn notify(&mut self, ev: SystemEvent, to: impl Fn(&Pid) -> bool) {
+        self.drop_dead_subscribers();
+        let at = self.now + FAILURE_DETECT_DELAY;
+        for &dst in self.subscribers.iter().filter(|p| to(p)) {
+            self.queue.push(at, EventKind::System { dst, ev });
         }
     }
 
+    /// Subscribers come and go with their processes (every process that
+    /// calls within its node subscribes, servers and one-shot clients
+    /// too), so the list keeps only the live ones.
+    fn drop_dead_subscribers(&mut self) {
+        let procs = &self.procs;
+        let alive = |p: &Pid| procs.get(p.index as usize).is_some_and(|s| s.alive);
+        self.subscribers.retain(alive);
+    }
+
     pub(crate) fn subscribe_system(&mut self, pid: Pid) {
+        self.drop_dead_subscribers();
         if !self.subscribers.contains(&pid) {
             self.subscribers.push(pid);
         }
@@ -919,6 +928,7 @@ mod tests {
 
     #[test]
     fn bus_failure_blocks_intra_node_traffic_until_healed() {
+        type Log<T> = std::rc::Rc<std::cell::RefCell<Vec<T>>>;
         let (mut w, a, _, _) = two_node_world();
         let echo = w.spawn(a, 0, Box::new(Echo));
         w.run_until_quiescent();
@@ -926,38 +936,50 @@ mod tests {
         // one bus down: traffic still flows
         struct D {
             peer: Pid,
-            results: std::rc::Rc<std::cell::RefCell<Vec<Result<(), SendError>>>>,
+            results: Log<Result<(), SendError>>,
+            notices: Log<SystemEvent>,
         }
         impl Process for D {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.subscribe_system();
                 let r = ctx.send(self.peer, Payload::new(0u32));
                 self.results.borrow_mut().push(r);
             }
             fn on_message(&mut self, _: &mut Ctx<'_>, _: Pid, _: Payload) {}
+            fn on_system(&mut self, _: &mut Ctx<'_>, ev: SystemEvent) {
+                self.notices.borrow_mut().push(ev);
+            }
         }
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        w.spawn(
-            a,
-            1,
+        let results: Log<_> = Default::default();
+        let notices: Log<_> = Default::default();
+        let d = |results: &Log<_>, notices: &Log<_>| {
             Box::new(D {
                 peer: echo,
                 results: results.clone(),
-            }),
-        );
+                notices: notices.clone(),
+            })
+        };
+        w.spawn(a, 1, d(&results, &notices));
         w.run_until_quiescent();
         assert_eq!(results.borrow()[0], Ok(()));
         // both buses down: BusDown
         w.inject(Fault::KillBus(a, 1));
-        w.spawn(
-            a,
-            1,
-            Box::new(D {
-                peer: echo,
-                results: results.clone(),
-            }),
-        );
+        w.spawn(a, 1, d(&results, &notices));
         w.run_until_quiescent();
         assert_eq!(results.borrow()[1], Err(SendError::BusDown));
+        assert!(
+            notices.borrow().is_empty(),
+            "a bus failure is not announced"
+        );
+        // the first repair is announced to the node, once per subscriber;
+        // the second changes nothing a sender sees
+        w.inject(Fault::HealBus(a, 1));
+        w.inject(Fault::HealBus(a, 0));
+        w.run_until_quiescent();
+        assert_eq!(*notices.borrow(), vec![SystemEvent::BusUp(a); 2]);
+        w.spawn(a, 1, d(&results, &notices));
+        w.run_until_quiescent();
+        assert_eq!(results.borrow()[2], Ok(()));
     }
 
     #[test]

@@ -44,6 +44,11 @@ pub enum SystemEvent {
     CpuDown(NodeId, CpuId),
     /// A processor in the subscriber's own node was reloaded.
     CpuUp(NodeId, CpuId),
+    /// Both interprocessor buses of the subscriber's own node were down,
+    /// and one was repaired: messages between its CPUs flow again. A
+    /// message refused in the meantime ([`SendError::BusDown`]) may be
+    /// sent again.
+    BusUp(NodeId),
     /// A network link failed (delivered to subscribers on all nodes; remote
     /// software normally learns of partitions through send errors and
     /// timeouts instead, but the operator process wants to log this).

@@ -3,7 +3,7 @@
 //! DISCPROCESS client process and reply collectors.
 
 use crate::discprocess::{DiscReply, DiscRequest};
-use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimDuration, TimerId, World};
+use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimDuration, SystemEvent, TimerId, World};
 use guardian::{Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,7 +11,9 @@ use std::rc::Rc;
 /// Shared handle the driver reads results from after the run.
 pub type Replies = Rc<RefCell<Vec<DiscReply>>>;
 
-/// Per-call retry timeout of a [`ScriptClient`].
+/// Per-attempt timeout of a [`ScriptClient`]'s calls: a call to another
+/// node is resent at this interval, and one on the client's node expires
+/// after `RETRIES + 1` of them.
 const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 /// Retries per call before a [`ScriptClient`] records a synthetic
 /// `VolumeDown` error.
@@ -33,38 +35,35 @@ impl ScriptClient {
             target,
             script,
             replies,
-            rpc: Rpc::new(9),
+            rpc: Rpc::new(9, ATTEMPT_TIMEOUT),
             next: 0,
         }
     }
 
     fn kick(&mut self, ctx: &mut Ctx<'_>) {
-        if self.next >= self.script.len() {
-            return;
-        }
-        let op = self.script[self.next].clone();
-        self.next += 1;
-        if self
-            .rpc
-            .call(
-                ctx,
-                self.target.clone(),
-                op.clone(),
-                ATTEMPT_TIMEOUT,
-                RETRIES,
-                (),
-            )
-            .is_err()
-        {
-            // service name unresolvable (takeover window): keep trying
-            self.rpc
-                .call_persistent(ctx, self.target.clone(), op, ATTEMPT_TIMEOUT, ());
+        while let Some(op) = self.script.get(self.next).cloned() {
+            self.next += 1;
+            // a call within the node waits out a takeover; only a volume
+            // on another node can be unreachable now
+            if self
+                .rpc
+                .call(ctx, self.target.clone(), op, RETRIES, ())
+                .is_ok()
+            {
+                return;
+            }
+            self.replies.borrow_mut().push(volume_down());
         }
     }
 }
 
+fn volume_down() -> DiscReply {
+    DiscReply::Err(crate::discprocess::DiscError::VolumeDown)
+}
+
 impl Process for ScriptClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         self.kick(ctx);
     }
 
@@ -77,11 +76,13 @@ impl Process for ScriptClient {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
         if let TimerOutcome::Expired { .. } = self.rpc.on_timer(ctx, tag) {
-            self.replies
-                .borrow_mut()
-                .push(DiscReply::Err(crate::discprocess::DiscError::VolumeDown));
+            self.replies.borrow_mut().push(volume_down());
             self.kick(ctx);
         }
+    }
+
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.rpc.on_system(ctx, ev);
     }
 
     fn kind(&self) -> &'static str {

@@ -33,6 +33,7 @@ struct Update {
 
 impl Process for Update {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.subscribe_system();
         self.state = 1;
         self.session.begin(ctx, SessionOptions::default());
     }
@@ -58,7 +59,6 @@ impl Process for Update {
                             ctx,
                             Target::Named(self.node, "$SC-mfg".into()),
                             env,
-                            SimDuration::from_secs(2),
                             0,
                             (),
                         );
@@ -86,6 +86,10 @@ impl Process for Update {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
         let _ = self.session.on_timer(ctx, tag);
         let _ = self.rpc.on_timer(ctx, tag);
+    }
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
+        self.rpc.on_system(ctx, ev);
     }
 }
 
@@ -117,7 +121,7 @@ fn main() {
             key: "widget",
             value: "rev-42",
             session: TmfSession::new(catalog, 5),
-            rpc: Rpc::new(40),
+            rpc: Rpc::new(40, SimDuration::from_secs(2)),
             state: 0,
             ok: ok.clone(),
         }),

@@ -22,6 +22,9 @@ struct Quickstart {
 
 impl Process for Quickstart {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        // a processor failure notice is how the session learns that a
+        // process it is waiting on died, and resends to its backup
+        ctx.subscribe_system();
         println!("[{}] BEGIN-TRANSACTION", ctx.now());
         self.step = 1;
         self.session.begin(ctx, SessionOptions::default());
@@ -105,6 +108,10 @@ impl Process for Quickstart {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
         let _ = self.session.on_timer(ctx, tag);
+    }
+
+    fn on_system(&mut self, ctx: &mut Ctx<'_>, ev: SystemEvent) {
+        self.session.on_system(ctx, ev);
     }
 }
 

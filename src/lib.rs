@@ -20,7 +20,8 @@ pub use tmf;
 pub mod prelude {
     // simulator
     pub use encompass_sim::{
-        Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId, World,
+        Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, SystemEvent,
+        TimerId, World,
     };
     // storage schema + disc surface
     pub use encompass_storage::discprocess::{DiscError, DiscReply, DiscRequest};

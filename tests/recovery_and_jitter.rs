@@ -195,12 +195,8 @@ fn trail_purge_respects_archive_watermark() {
 /// The TMF utility: query a completed transaction's disposition.
 #[test]
 fn disposition_query_after_completion() {
-    use encompass_tmf::sim::{Ctx, Payload, Pid, Process, TimerId};
     use encompass_tmf::tmf::tmp::{TmpMsg, TmpReply};
     use encompass_tmf::tmf::TxState;
-    use guardian::Rpc;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     let mut catalog = Catalog::new();
     catalog.add(FileDef::key_sequenced(
@@ -223,44 +219,18 @@ fn disposition_query_after_completion() {
     app.world.run_for(SimDuration::from_secs(5));
     assert_eq!(log.borrow().last().unwrap(), "committed");
 
-    struct Query {
-        node: NodeId,
-        rpc: Rpc<TmpMsg, TmpReply>,
-        got: Rc<RefCell<Option<TmpReply>>>,
-    }
-    impl Process for Query {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let transid = encompass_tmf::tmf::Transid {
-                home_node: self.node,
-                cpu: 0,
-                seq: 1,
-            };
-            self.rpc.call_persistent(
-                ctx,
-                Target::Named(self.node, "$TMP".into()),
-                TmpMsg::QueryDisposition { transid },
-                SimDuration::from_millis(100),
-                (),
-            );
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-            if let Ok(c) = self.rpc.accept(ctx, payload) {
-                *self.got.borrow_mut() = Some(c.body);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-            let _ = self.rpc.on_timer(ctx, tag);
-        }
-    }
-    let got = Rc::new(RefCell::new(None));
-    app.world.spawn(
+    let transid = encompass_tmf::tmf::Transid {
+        home_node: n0,
+        cpu: 0,
+        seq: 1,
+    };
+    let got = guardian::ask::<TmpMsg, TmpReply>(
+        &mut app.world,
         n0,
         1,
-        Box::new(Query {
-            node: n0,
-            rpc: Rpc::new(60),
-            got: got.clone(),
-        }),
+        60,
+        Target::Named(n0, "$TMP".into()),
+        TmpMsg::QueryDisposition { transid },
     );
     app.world.run_for(SimDuration::from_secs(2));
     assert_eq!(
