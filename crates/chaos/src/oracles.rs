@@ -1,7 +1,9 @@
 //! The oracle families that read process state: **liveness** and
 //! **bounded state** (the soak's), **suspense drain** (the sharded
-//! bank's), the **timer census** (every run's) and **exactly-once** (the
-//! bank cluster's: its TCPs against its history file).
+//! bank's), the **timer census** (every run's: at each fault instant of a
+//! sweep or shard run, at each soak epoch boundary, and at the final
+//! read) and **exactly-once** (the bank cluster's: its TCPs against its
+//! history file).
 //!
 //! Each is a pure function over observation structs so that unit tests
 //! can feed synthetic stuck schedules (a transaction that never
@@ -325,7 +327,9 @@ pub fn suspense_drain_violations(obs: &[SuspenseObservation], drain_window_ms: u
 }
 
 /// The kernel's armed timers at one instant, and the rpc counts of the
-/// processes that report them.
+/// processes that report them. A census taken while the workload runs
+/// sees its outstanding calls and any clock armed on one; after the
+/// quiesce tail no call is outstanding, and such a clock is gone.
 #[derive(Clone, Debug, Default)]
 pub struct TimerCensus {
     /// Every armed timer: owner, the owner's `Process::kind`, tag.

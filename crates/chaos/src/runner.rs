@@ -12,7 +12,8 @@
 //!    TMF, so the audit trail alone cannot reproduce them — exactly like
 //!    a real pre-TMF bulk load followed by an online dump);
 //! 2. play the fault timeline, resolving name-addressed actions against
-//!    the live world;
+//!    the live world, and take the timer census (`census`) at each
+//!    event's instant, before the event;
 //! 3. heal everything, run the workload to completion, and let the
 //!    safe-delivery tail (phase 2, abort notifications, backouts) drain;
 //! 4. read every TMP, AUDITPROCESS and DISCPROCESS and the kernel's armed
@@ -51,7 +52,7 @@ use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
 use encompass_sim::{
     format_timeline, CpuId, DetHashMap, Fault, FlightEvent, FlightTransid, Members, Name, NodeId,
-    SimConfig, SimDuration, SimTime, World,
+    Pid, SimConfig, SimDuration, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscProcess, DiscStateReport};
@@ -277,9 +278,11 @@ fn run_sweep(
     // ---- phase 2: the fault timeline (+ online dumps, if planned) ---
     let dumps: &[ScheduledDump] = schedule.dumps.as_ref().map_or(&[], |d| &d.scheduled);
     let mut next_dump = 0usize;
+    let mut violations = Vec::new();
     for ev in &timeline.events {
         start_due_dumps(&mut app.world, &volumes, dumps, &mut next_dump, ev.at);
         app.world.run_until(ev.at);
+        violations.extend(timer_violations(&census(&app.world, &app.tmf)));
         apply(&mut app.world, &ev.action);
     }
     start_due_dumps(
@@ -293,7 +296,6 @@ fn run_sweep(
     heal_everything(&mut app.world, &app.nodes);
 
     // ---- phase 3: run the workload out, then drain ------------------
-    let mut violations = Vec::new();
     run_out(
         &mut app.world,
         &app.nodes,
@@ -543,23 +545,37 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
         open: t.open_transids(),
         state: t.state_report(),
     };
-    let tmps: Vec<_> = tmf.iter().map(|h| read(world, &h.tmp, tmp)).collect();
-    let discs: Vec<_> = (tmf.iter().flat_map(|h| &h.discs))
-        .map(|p| read(world, p, DiscProcess::state_report))
-        .collect();
-    // the rpc calls of every TMP and DISCPROCESS primary that may hold a
-    // timer
-    let timed = |pair: &PairHandle, rpcs: Option<usize>| {
-        Some((world.lookup_name(pair.node, &pair.name)?, rpcs?))
-    };
-    let rpcs = (tmps.iter())
-        .filter_map(|(pair, read)| timed(pair, read.as_ref().map(|r| r.state.timed_rpcs)))
-        .chain(
-            (discs.iter())
-                .filter_map(|(pair, read)| timed(pair, read.as_ref().map(|r| r.timed_rpcs))),
-        )
-        .collect();
-    let timers = TimerCensus {
+    Observation {
+        tmps: tmf.iter().map(|h| read(world, &h.tmp, tmp)).collect(),
+        audits: (tmf.iter())
+            .map(|h| read(world, &h.audit, AuditProcess::state_report))
+            .collect(),
+        discs: (tmf.iter().flat_map(|h| &h.discs))
+            .map(|p| read(world, p, DiscProcess::state_report))
+            .collect(),
+        timers: census(world, tmf),
+    }
+}
+
+/// The timer census alone: the kernel's armed timers, and the rpc calls
+/// of every TMP and DISCPROCESS primary that may hold one. Like
+/// [`observe`] it sends nothing, so a driver takes it at every fault
+/// instant, where a clock armed on a call the fault does not concern
+/// would otherwise be gone by the final read.
+pub(crate) fn census(world: &World, tmf: &[NodeHandles]) -> TimerCensus {
+    fn timed<A: PairApp>(
+        world: &World,
+        pair: &PairHandle,
+        rpcs: impl Fn(&A) -> usize,
+    ) -> Option<(Pid, usize)> {
+        let app = guardian::primary(world, pair.node, &pair.name)?;
+        Some((world.lookup_name(pair.node, &pair.name)?, rpcs(app)))
+    }
+    let tmps = (tmf.iter())
+        .filter_map(|h| timed(world, &h.tmp, |t: &TmpProcess| t.state_report().timed_rpcs));
+    let discs = (tmf.iter().flat_map(|h| &h.discs))
+        .filter_map(|p| timed(world, p, |d: &DiscProcess| d.state_report().timed_rpcs));
+    TimerCensus {
         armed: (world.armed_timers())
             .map(|(pid, tag)| {
                 let kind = world
@@ -568,15 +584,7 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
                 (pid, kind, tag)
             })
             .collect(),
-        rpcs,
-    };
-    Observation {
-        tmps,
-        audits: (tmf.iter())
-            .map(|h| read(world, &h.audit, AuditProcess::state_report))
-            .collect(),
-        discs,
-        timers,
+        rpcs: tmps.chain(discs).collect(),
     }
 }
 

@@ -23,8 +23,8 @@
 
 use crate::oracles::{suspense_drain_violations, timer_violations, SuspenseObservation};
 use crate::runner::{
-    apply, build_tmf, check_atomicity, check_locks, check_tmp_tables, observe, restore_down_cpus,
-    run_out, sim_config, tmf_builder, RunReport, TierStats, SAFE_DELIVERY_TAIL,
+    apply, build_tmf, census, check_atomicity, check_locks, check_tmp_tables, observe,
+    restore_down_cpus, run_out, sim_config, tmf_builder, RunReport, TierStats, SAFE_DELIVERY_TAIL,
 };
 use crate::schedule::{ChaosAction, Schedule, ShardCut, ShardPlan};
 use encompass::app::{launch_shard_bank, read_branch_copy, suspense_backlog, ShardBankAppParams};
@@ -67,11 +67,15 @@ pub(crate) fn run(
     let initial_total = accounts as i64 * 1000;
 
     // ---- phase 1: partition, heal, optional monitor kill ------------
+    // the timer census runs at each of these instants, before the fault
+    let mut violations = Vec::new();
     let partition_at = SimTime::from_micros(cut.partition_at_us);
     let heal_at = SimTime::from_micros(cut.partition_at_us + cut.heal_after_us);
     app.world.run_until(partition_at);
+    violations.extend(timer_violations(&census(&app.world, &app.tmf)));
     app.world.inject(Fault::Partition(vec![cut.partition_node]));
     app.world.run_until(heal_at);
+    violations.extend(timer_violations(&census(&app.world, &app.tmf)));
     app.world.inject(Fault::HealAllLinks);
     let backlog_at_heal: Vec<usize> = app
         .nodes
@@ -80,6 +84,7 @@ pub(crate) fn run(
         .collect();
     if let Some((node, at)) = cut.monitor_kill {
         app.world.run_until(SimTime::from_micros(at));
+        violations.extend(timer_violations(&census(&app.world, &app.tmf)));
         let service = SUSPENSE_SERVICE.to_string();
         apply(
             &mut app.world,
@@ -88,7 +93,6 @@ pub(crate) fn run(
     }
 
     // ---- phase 2: run the workload out ------------------------------
-    let mut violations = Vec::new();
     run_out(
         &mut app.world,
         &app.nodes,

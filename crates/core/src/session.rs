@@ -427,13 +427,13 @@ impl TmfSession {
         self.submit(ctx, req)
     }
 
-    /// Route an already-built request (advanced callers). Panics on files
-    /// not in the catalog — that is a configuration bug, not a runtime
-    /// condition. Returns the `Failed` event when the request could not
-    /// be initiated (its volume's node is unreachable now); completion
-    /// arrives later otherwise.
+    /// Route the request an operation built. Panics on files not in the
+    /// catalog — that is a configuration bug, not a runtime condition.
+    /// Returns the `Failed` event when the request could not be initiated
+    /// (its volume's node is unreachable now); completion arrives later
+    /// otherwise.
     #[must_use = "a request that cannot be initiated completes synchronously and must be handled"]
-    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: DiscRequest) -> Option<SessionEvent> {
+    fn submit(&mut self, ctx: &mut Ctx<'_>, op: DiscRequest) -> Option<SessionEvent> {
         assert!(self.pending.is_none(), "session is single-threaded");
         let volume = self
             .volume_of(&op)
@@ -462,9 +462,7 @@ impl TmfSession {
             // scans address the partition holding `low`; cross-partition
             // scans are the application's concern
             DiscRequest::ReadRange { file, low, .. } => (file.as_str(), low.as_ref()),
-            DiscRequest::InsertEntry { file, .. } | DiscRequest::LockFile { file, .. } => {
-                (file.as_str(), &[][..])
-            }
+            DiscRequest::InsertEntry { file, .. } => (file.as_str(), &[][..]),
             // protocol / recovery / dump ops carry no data address
             DiscRequest::EndPhase1 { .. }
             | DiscRequest::FlushTxn { .. }

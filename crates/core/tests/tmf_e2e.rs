@@ -10,10 +10,7 @@
 use bytes::Bytes;
 use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::trail::{trail_key, TrailMedia};
-use encompass_sim::{
-    CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId,
-    World,
-};
+use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, SimTime, World};
 use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::{FileDef, PartitionSpec, Transid, VolumeRef};
@@ -24,7 +21,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
 use tmf::script::{Log, Step, TxnScript};
-use tmf::session::{SessionEvent, SessionOptions, TmfSession};
+use tmf::session::SessionOptions;
 use tmf::state::{AbortReason, TxState};
 use tmf::tmp::{TmpMsg, TmpProcess, TmpReply};
 
@@ -527,102 +524,6 @@ fn delete_is_backed_out_and_its_key_lock_persists() {
             "value:v" // backout restored the record
         ]
     );
-}
-
-#[test]
-fn file_lock_blocks_other_transactions_until_commit() {
-    use encompass_storage::discprocess::DiscRequest;
-    // a driver that takes a FILE lock via the raw submit API
-    struct FileLocker {
-        session: TmfSession,
-        step: u8,
-        log: Log,
-    }
-    impl Process for FileLocker {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.step = 1;
-            self.session.begin(ctx, SessionOptions::default());
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-            let Ok(Some(ev)) = self.session.accept(ctx, payload) else {
-                return;
-            };
-            match (self.step, ev) {
-                (1, SessionEvent::Began { .. }) => {
-                    self.step = 2;
-                    let transid = self.session.transid().unwrap();
-                    let refused = self.session.submit(
-                        ctx,
-                        DiscRequest::LockFile {
-                            file: "accounts".into(),
-                            transid,
-                            lock_wait: SimDuration::from_millis(200),
-                        },
-                    );
-                    assert!(refused.is_none(), "a volume of this node is never refused");
-                }
-                (2, SessionEvent::OpDone { .. }) => {
-                    self.log.borrow_mut().push("file-locked".into());
-                    self.step = 3;
-                    ctx.set_timer(SimDuration::from_millis(800), 1);
-                }
-                (4, SessionEvent::Committed) => {
-                    self.log.borrow_mut().push("committed".into());
-                }
-                _ => {}
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
-            if tag == 1 && self.step == 3 {
-                self.step = 4;
-                self.session.end(ctx);
-                return;
-            }
-            let _ = self.session.on_timer(ctx, tag);
-        }
-    }
-
-    let (mut w, n, catalog) = single_node();
-    let log1: Log = Rc::new(RefCell::new(Vec::new()));
-    w.spawn(
-        n,
-        0,
-        Box::new(FileLocker {
-            session: TmfSession::new(catalog.clone(), 0),
-            step: 0,
-            log: log1.clone(),
-        }),
-    );
-    w.run_for(SimDuration::from_millis(150));
-    assert_eq!(log1.borrow().as_slice(), &["file-locked"]);
-    // while the file lock is held, another transaction's record insert
-    // into the same file times out
-    let log2 = drive(
-        &mut w,
-        n,
-        1,
-        catalog.clone(),
-        vec![Step::Begin, insert("accounts", "x", "1"), Step::Abort],
-    );
-    w.run_for(SimDuration::from_millis(650));
-    assert_eq!(
-        log2.borrow()[1],
-        format!("err:{:?}", DiscError::LockTimeout),
-        "{:?}",
-        log2.borrow()
-    );
-    // after the locker commits, inserts flow again
-    w.run_for(SimDuration::from_secs(5));
-    assert_eq!(log1.borrow().last().unwrap(), "committed");
-    let log3 = drive(
-        &mut w,
-        n,
-        2,
-        catalog,
-        vec![Step::Begin, insert("accounts", "x", "1"), Step::End],
-    );
-    w.run_for(SimDuration::from_secs(5));
-    assert_eq!(log3.borrow().last().unwrap(), "committed");
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ use crate::time::SimTime;
 use crate::topology::Route;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
 /// What happens when an event that is never cancelled fires.
@@ -50,7 +51,7 @@ pub(crate) enum Popped {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
-    seq: u64,
+    seq: NonZeroU64,
     slot: u32,
 }
 
@@ -73,14 +74,20 @@ pub(crate) struct EventQueue {
     owners: Vec<(Pid, u64)>,
     /// The first free timer slot plus one; 0 if there is none.
     free_timers: u32,
-    next_seq: u64,
+    /// Sequence numbers handed out so far; the first is 1, so a
+    /// `TimerId`'s is never zero and `Option<TimerId>` needs no tag.
+    issued: u64,
 }
 
 impl EventQueue {
+    fn next_seq(&mut self) -> NonZeroU64 {
+        self.issued += 1;
+        NonZeroU64::new(self.issued).expect("counts from 1")
+    }
+
     /// Schedule `kind` at `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.next_seq();
         let slot = self.free_bodies.pop().unwrap_or(self.bodies.len() as u32);
         if slot as usize == self.bodies.len() {
             self.bodies.push(None);
@@ -92,8 +99,7 @@ impl EventQueue {
     /// Arm a timer for `pid` at `at`. The handle names this timer until it
     /// is popped or cancelled, and nothing afterwards.
     pub fn set_timer(&mut self, at: SimTime, pid: Pid, tag: u64) -> TimerId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.next_seq();
         if self.free_timers == 0 {
             // a new slot, free and last in an empty list
             self.pos.push(FREE);
@@ -228,7 +234,7 @@ mod tests {
     fn serial_of(popped: Popped) -> (u64, bool) {
         match popped {
             Popped::Timer(id, _, tag) => {
-                assert_eq!(id.seq, tag, "a timer's sequence is its serial number");
+                assert_eq!(id.seq.get(), tag, "a timer's sequence is its serial number");
                 (tag, true)
             }
             Popped::Event(EventKind::Start { pid }) => (pid.index as u64, false),
@@ -252,7 +258,7 @@ mod tests {
             let mut queue = EventQueue::default();
             let mut model: BTreeMap<(SimTime, u64), bool> = BTreeMap::new();
             let mut timers: Vec<(SimTime, TimerId)> = Vec::new();
-            let mut serial = 0u64;
+            let mut serial = 1u64;
             let sides = |model: &BTreeMap<_, bool>| {
                 let timers = model.values().filter(|&&t| t).count();
                 (model.len() - timers, timers)
@@ -275,14 +281,14 @@ mod tests {
                     }
                     2 | 3 => {
                         let id = queue.set_timer(at, pid(0), serial);
-                        prop_assert_eq!(id.seq, serial);
+                        prop_assert_eq!(id.seq.get(), serial);
                         model.insert((at, serial), true);
                         timers.push((at, id));
                         serial += 1;
                     }
                     4 if !timers.is_empty() => {
                         let (at, id) = timers[pick % timers.len()];
-                        model.remove(&(at, id.seq));
+                        model.remove(&(at, id.seq.get()));
                         queue.cancel(id);
                     }
                     _ => {

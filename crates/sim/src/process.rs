@@ -12,6 +12,7 @@ use crate::kernel::World;
 use crate::msg::Payload;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
+use std::num::NonZeroU64;
 
 /// A timer handle, unique for the lifetime of the simulation: the timer
 /// slot the timer occupies while armed, and the queue sequence number that
@@ -19,8 +20,12 @@ use rand::rngs::StdRng;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerId {
     pub(crate) slot: u32,
-    pub(crate) seq: u64,
+    pub(crate) seq: NonZeroU64,
 }
+
+// the sequence number's niche holds `None`: a pending call's optional
+// timer costs no tag word
+const _: () = assert!(std::mem::size_of::<Option<TimerId>>() == 16);
 
 /// Why a send failed. GUARDIAN surfaced equivalent errors through File
 /// System error codes.

@@ -60,12 +60,6 @@ pub enum DiscRequest {
         value: Bytes,
         transid: Option<Transid>,
     },
-    /// Exclusive file-granularity lock.
-    LockFile {
-        file: Name,
-        transid: Transid,
-        lock_wait: SimDuration,
-    },
     /// Ordered browse scan.
     ReadRange {
         file: Name,
@@ -188,9 +182,7 @@ impl DiscRequest {
     /// recovery ops, and protocol ops are exempt).
     pub(super) fn fenced_transid(&self) -> Option<Transid> {
         match self {
-            DiscRequest::ReadLock { transid, .. } | DiscRequest::LockFile { transid, .. } => {
-                Some(*transid)
-            }
+            DiscRequest::ReadLock { transid, .. } => Some(*transid),
             DiscRequest::Insert { transid, .. }
             | DiscRequest::Update { transid, .. }
             | DiscRequest::Delete { transid, .. }

@@ -21,7 +21,7 @@ impl DiscProcess {
             return;
         }
 
-        let record = |key: &Bytes| LockScope::Record {
+        let record = |key: &Bytes| LockScope {
             file: file.clone(),
             key: key.clone(),
         };
@@ -139,7 +139,7 @@ impl DiscProcess {
     }
 
     /// An update or delete needs its transaction to hold the record's
-    /// lock or the file's, and the record to exist.
+    /// lock, and the record to exist.
     fn find_locked(
         &self,
         ctx: &mut PairCtx<'_, '_>,
@@ -148,12 +148,11 @@ impl DiscProcess {
         key: &Bytes,
     ) -> Result<(), DiscError> {
         if let Some(t) = transid {
-            let record = LockScope::Record {
+            let record = LockScope {
                 file: file.clone(),
                 key: key.clone(),
             };
-            let whole = LockScope::File { file: file.clone() };
-            if !self.locks.holds(t, &record) && !self.locks.holds(t, &whole) {
+            if !self.locks.holds(t, &record) {
                 return Err(DiscError::LockRequired);
             }
         }

@@ -43,7 +43,7 @@ fn key(i: u32) -> Bytes {
 }
 
 fn record(file: &str, i: u32) -> LockScope {
-    LockScope::Record {
+    LockScope {
         file: Name::new(file),
         key: key(i),
     }

@@ -1,13 +1,16 @@
-//! Property tests: the two-level `file → key` tables of the DISCPROCESS
-//! enumerate in exactly the order of the flat `BTreeMap<(String, Bytes), _>`
-//! they replaced. Flush batches, archives, backup snapshots and the
-//! wake-ups a lock release issues all walk these tables, so their order is
-//! visible in every trace hash.
+//! Property tests of the DISCPROCESS's two-level `file → key` tables
+//! against flat models keyed by `(file, key)`.
 //!
+//! The overlay enumerates in exactly the order of the flat
+//! `BTreeMap<(String, Bytes), _>` it replaced: flush batches, archives and
+//! backup snapshots walk it, so its order is visible in every trace hash.
 //! The file names are chosen so that "file, then key" and the flat tuple
 //! order could disagree if either level compared differently: one name is
 //! a prefix of another, one sorts between them by a byte below `'a'`, and
 //! keys are of mixed length.
+//!
+//! The lock table grants, queues and wakes exactly as a flat map of
+//! exclusive record locks does.
 
 use bytes::Bytes;
 use encompass_sim::{Name, NodeId};
@@ -16,7 +19,7 @@ use encompass_storage::overlay::Overlay;
 use encompass_storage::types::Transid;
 use guardian::Checkpointed;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 const FILES: [&str; 5] = ["a", "a.idx", "ab", "a@1", "b"];
 const KEYS: [&[u8]; 6] = [b"", b"k", b"k0", b"k00", b"k1", b"l"];
@@ -56,15 +59,76 @@ fn t(seq: u64) -> Transid {
 }
 
 fn record(file: usize, key: usize) -> LockScope {
-    LockScope::Record {
+    LockScope {
         file: Name::new(FILES[file]),
         key: Bytes::from_static(KEYS[key]),
     }
 }
 
-fn whole(file: usize) -> LockScope {
-    LockScope::File {
-        file: Name::new(FILES[file]),
+#[derive(Debug, Clone)]
+enum LockOp {
+    Acquire(u64, usize, usize),
+    ReleaseAll(u64),
+    /// Cancel the n-th queued waiter (mod their number), or, with none
+    /// queued, a token nobody was given.
+    Cancel(usize),
+}
+
+fn lock_op() -> impl Strategy<Value = LockOp> {
+    // few transactions and records, so most requests meet a holder
+    let (txn, f, k) = (0u64..5, 0..3usize, 0..3usize);
+    let acquire = move || (txn.clone(), f.clone(), k.clone());
+    prop_oneof![
+        acquire().prop_map(|(t, f, k)| LockOp::Acquire(t, f, k)),
+        acquire().prop_map(|(t, f, k)| LockOp::Acquire(t, f, k)),
+        acquire().prop_map(|(t, f, k)| LockOp::Acquire(t, f, k)),
+        (0u64..5).prop_map(LockOp::ReleaseAll),
+        (0u64..5).prop_map(LockOp::ReleaseAll),
+        (0usize..64).prop_map(LockOp::Cancel),
+    ]
+}
+
+/// A record, as indices into `FILES` and `KEYS`.
+type Rec = (usize, usize);
+
+/// A record's holder and its waiters `(token, transaction)` in arrival
+/// order.
+type Queue = (u64, VecDeque<(u64, u64)>);
+
+/// The flat model of a volume's record locks: per record its queue, and
+/// per transaction the records it holds in the order it was granted them.
+#[derive(Default)]
+struct LockModel {
+    records: BTreeMap<Rec, Queue>,
+    held: BTreeMap<u64, Vec<Rec>>,
+}
+
+impl LockModel {
+    /// What `release_all(txn)` grants: `(token, transaction, record)`.
+    fn release_all(&mut self, txn: u64) -> Vec<(u64, u64, Rec)> {
+        let mut granted = Vec::new();
+        for r in self.held.remove(&txn).unwrap_or_default() {
+            let (holder, waiters) = self.records.get_mut(&r).expect("held");
+            assert_eq!(*holder, txn);
+            let Some((token, next)) = waiters.pop_front() else {
+                self.records.remove(&r);
+                continue;
+            };
+            *holder = next;
+            granted.push((token, next, r));
+            // the new holder's other requests for the record are granted
+            // with it
+            for &(token, _) in waiters.iter().filter(|w| w.1 == next) {
+                granted.push((token, next, r));
+            }
+            waiters.retain(|w| w.1 != next);
+            self.held.entry(next).or_default().push(r);
+        }
+        granted
+    }
+
+    fn waiters(&self) -> impl Iterator<Item = (Rec, u64)> + '_ {
+        (self.records.iter()).flat_map(|(&r, (_, w))| w.iter().map(move |&(token, _)| (r, token)))
     }
 }
 
@@ -135,82 +199,75 @@ proptest! {
             }
         }
     }
+}
 
-    // A transaction holding file locks releases them; every record waiter
-    // they blocked is woken file by file, key by key: flat `(file, key)`
-    // order, whatever order the locks were taken and the waiters queued in.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The lock table against the flat model, after every operation: at
+    // most one holder per record, and a record with waiters is held by a
+    // transaction none of them belongs to (a re-entrant request is
+    // granted, never queued); `cancel_waiter` grants nothing; and
+    // `release_all` hands each record the releaser held to its first
+    // waiter, record by record in the order the releaser took them.
     #[test]
-    fn release_wakes_blocked_records_in_flat_order(
-        locked in prop::collection::vec(0..FILES.len(), 1..8),
-        waiters in prop::collection::vec((0..FILES.len(), 0..KEYS.len()), 1..24),
-    ) {
+    fn record_locks_behave_like_a_flat_model(ops in prop::collection::vec(lock_op(), 1..200)) {
         let mut lm = LockManager::new();
-        let locked: BTreeSet<usize> = locked.into_iter().collect();
-        for &f in &locked {
-            prop_assert_eq!(lm.acquire(t(0), whole(f), 0), Acquire::Granted);
-        }
-        // one waiter per distinct record, each its own transaction; a
-        // record in a file the holder did not lock is granted at once
-        let mut model: BTreeMap<(String, Bytes), u64> = BTreeMap::new();
-        let mut seen = BTreeSet::new();
-        for (i, (f, k)) in waiters.into_iter().enumerate() {
-            if !seen.insert((f, k)) {
-                continue;
+        let mut model = LockModel::default();
+        for (token, op) in (1u64..).zip(ops) {
+            match op {
+                LockOp::Acquire(txn, f, k) => {
+                    let expected = match model.records.get_mut(&(f, k)) {
+                        Some((holder, _)) if *holder == txn => Acquire::Granted,
+                        Some((_, waiters)) => {
+                            waiters.push_back((token, txn));
+                            Acquire::Queued
+                        }
+                        None => {
+                            model.records.insert((f, k), (txn, VecDeque::new()));
+                            model.held.entry(txn).or_default().push((f, k));
+                            Acquire::Granted
+                        }
+                    };
+                    prop_assert_eq!(lm.acquire(t(txn), record(f, k), token), expected);
+                }
+                LockOp::ReleaseAll(txn) => {
+                    let granted: Vec<_> = (lm.release_all(t(txn)).into_iter())
+                        .map(|g| (g.token, g.txn, g.scope))
+                        .collect();
+                    let expected: Vec<_> = (model.release_all(txn).into_iter())
+                        .map(|(token, txn, (f, k))| (token, t(txn), record(f, k)))
+                        .collect();
+                    prop_assert_eq!(granted, expected);
+                }
+                LockOp::Cancel(n) => {
+                    let queued: Vec<_> = model.waiters().collect();
+                    let holdings = lm.holdings().to_vec();
+                    if queued.is_empty() {
+                        prop_assert!(!lm.cancel_waiter(&record(0, 0), 0));
+                    } else {
+                        let ((f, k), token) = queued[n % queued.len()];
+                        prop_assert!(lm.cancel_waiter(&record(f, k), token));
+                        let (_, waiters) = model.records.get_mut(&(f, k)).expect("queued");
+                        waiters.retain(|w| w.0 != token);
+                    }
+                    prop_assert_eq!(lm.holdings(), holdings, "a cancel grants nothing");
+                }
             }
-            let token = 100 + i as u64;
-            let outcome = lm.acquire(t(token), record(f, k), token);
-            if locked.contains(&f) {
-                prop_assert_eq!(outcome, Acquire::Queued);
-                model.insert(model_key(f, k), token);
-            } else {
-                prop_assert_eq!(outcome, Acquire::Granted);
+            // at most one holder per record, the model's; waiters only
+            // behind a holder of another transaction
+            for (f, k) in (0..FILES.len()).flat_map(|f| (0..KEYS.len()).map(move |k| (f, k))) {
+                let entry = model.records.get(&(f, k));
+                prop_assert_eq!(lm.holder(&record(f, k)), entry.map(|e| t(e.0)));
+                if let Some((holder, waiters)) = entry {
+                    prop_assert!(waiters.iter().all(|w| w.1 != *holder));
+                }
             }
+            let flat: Vec<_> = (model.held.iter())
+                .flat_map(|(&txn, rs)| rs.iter().map(move |&(f, k)| (t(txn), record(f, k))))
+                .collect();
+            prop_assert_eq!(lm.holdings(), flat);
+            prop_assert_eq!(lm.waiting(), model.waiters().count());
         }
-        prop_assert_eq!(lm.waiting(), model.len());
-
-        let woken = lm.release_all(t(0));
-        let tokens: Vec<u64> = woken.iter().map(|g| g.token).collect();
-        let expected: Vec<u64> = model.values().copied().collect();
-        prop_assert_eq!(tokens, expected);
-        let scopes: Vec<(String, Bytes)> = woken
-            .iter()
-            .map(|g| match &g.scope {
-                LockScope::Record { file, key } => (file.to_string(), key.clone()),
-                LockScope::File { file } => panic!("no file waiter was queued on {file}"),
-            })
-            .collect();
-        let expected: Vec<(String, Bytes)> = model.keys().cloned().collect();
-        prop_assert_eq!(scopes, expected);
-        prop_assert_eq!(lm.waiting(), 0);
-        for g in &woken {
-            prop_assert!(lm.holds(g.txn, &g.scope));
-        }
-    }
-
-    // The fairness fence: record latecomers queue behind a file-lock
-    // waiter; when that waiter gives up, they are granted in key order.
-    #[test]
-    fn a_lifted_fence_wakes_its_file_in_key_order(
-        keys in prop::collection::vec(0..KEYS.len(), 1..12),
-        file in 0..FILES.len(),
-    ) {
-        let mut lm = LockManager::new();
-        // t1 works in the file; t2 wants the whole file and waits
-        prop_assert_eq!(lm.acquire(t(1), record(file, 0), 1), Acquire::Granted);
-        prop_assert_eq!(lm.acquire(t(2), whole(file), 2), Acquire::Queued);
-        let mut model: BTreeMap<(String, Bytes), u64> = BTreeMap::new();
-        for (i, k) in keys.into_iter().enumerate() {
-            // key 0 is t1's: skip it, its waiter would stay blocked
-            if k == 0 || model.contains_key(&model_key(file, k)) {
-                continue;
-            }
-            let token = 100 + i as u64;
-            prop_assert_eq!(lm.acquire(t(token), record(file, k), token), Acquire::Queued);
-            model.insert(model_key(file, k), token);
-        }
-        let woken = lm.cancel_waiter(2).expect("the file waiter is queued");
-        let tokens: Vec<u64> = woken.iter().map(|g| g.token).collect();
-        let expected: Vec<u64> = model.values().copied().collect();
-        prop_assert_eq!(tokens, expected);
     }
 }
