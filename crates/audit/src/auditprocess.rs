@@ -25,8 +25,8 @@
 use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, CpuId, DetHashMap, FlightCause, Floored, HistogramHandle, MediaId, Members, Name,
-    NodeId, Payload, Pid, SimTime, World,
+    counter, histogram, CpuId, DetHashMap, FlightCause, Floored, MediaId, Members, Name, NodeId,
+    Payload, Pid, SimTime, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -223,7 +223,6 @@ pub struct AuditProcess {
     /// Replicated with each append's checkpoint, so a takeover starts from
     /// the keys its primary held.
     filter: Vec<(VolumeRef, Floored<ImageKey, ()>)>,
-    boxcar_hist: HistogramHandle,
 }
 
 impl AuditProcess {
@@ -242,7 +241,6 @@ impl AuditProcess {
             pending: DetHashMap::default(),
             replies: Served::new(),
             filter: Vec::new(),
-            boxcar_hist: HistogramHandle::new("audit.boxcar_size", BOXCAR_BOUNDS),
         }
     }
 
@@ -454,7 +452,10 @@ impl AuditProcess {
         // an append-only force (no waiter satisfied) is not a boxcar:
         // observing 0 here would skew the group-size mean
         if boxcar > 0 {
-            ctx.observe_handle(&self.boxcar_hist, boxcar as u64);
+            ctx.observe(
+                histogram!("audit.boxcar_size", BOXCAR_BOUNDS),
+                boxcar as u64,
+            );
         }
         let boxcar = boxcar as u32;
         for w in waiters.drain(..boxcar as usize) {

@@ -329,10 +329,12 @@ pub fn suspense_drain_violations(obs: &[SuspenseObservation], drain_window_ms: u
 /// The kernel's armed timers at one instant, and the rpc counts of the
 /// processes that report them. A census taken while the workload runs
 /// sees its outstanding calls and any clock armed on one; after the
-/// quiesce tail no call is outstanding, and such a clock is gone.
+/// quiesce tail no call is outstanding, and such a clock is gone. A run
+/// keeps one census and refills it at each instant.
 #[derive(Clone, Debug, Default)]
 pub struct TimerCensus {
-    /// Every armed timer: owner, the owner's `Process::kind`, tag.
+    /// Every armed timer: owner, the owner's `Process::kind`, tag, sorted
+    /// by pid and tag. A pid has one kind.
     pub armed: Vec<(Pid, &'static str, u64)>,
     /// Per reporting process (each TMP and DISCPROCESS primary), its
     /// outstanding rpcs that may hold a timer: its calls to other nodes,
@@ -349,31 +351,33 @@ pub struct TimerCensus {
 /// on one shows up here. So does a timer chain that forks — a periodic
 /// timer re-armed from two places — long before it costs anything.
 /// Returns one violation per breach, naming the pid, the process kind and
-/// the tag.
+/// the tag: the own tags in pid and tag order, then the rpc counts in
+/// the census's order. Counts the runs of the sorted `census.armed`.
 pub fn timer_violations(census: &TimerCensus) -> Vec<String> {
-    let mut own: BTreeMap<(Pid, u64), (&str, usize)> = BTreeMap::new();
-    let mut rpc: BTreeMap<Pid, (&str, usize)> = BTreeMap::new();
-    for &(pid, kind, tag) in &census.armed {
-        let slot = if tag < RPC_TAG_BASE {
-            own.entry((pid, tag)).or_insert((kind, 0))
-        } else {
-            rpc.entry(pid).or_insert((kind, 0))
-        };
-        slot.1 += 1;
+    let armed = &census.armed;
+    debug_assert!(
+        armed.is_sorted_by_key(|&(pid, _, tag)| (pid, tag)),
+        "a census's armed timers are sorted by pid and tag"
+    );
+    let mut v = Vec::new();
+    for run in armed.chunk_by(|a, b| (a.0, a.2) == (b.0, b.2)) {
+        let ((pid, kind, tag), n) = (run[0], run.len());
+        if tag < RPC_TAG_BASE && n > 1 {
+            v.push(format!(
+                "timers: {kind} {pid} holds {n} armed timers with tag {tag}"
+            ));
+        }
     }
-    let mut v: Vec<String> = (own.into_iter())
-        .filter(|&(_, (_, n))| n > 1)
-        .map(|((pid, tag), (kind, n))| {
-            format!("timers: {kind} {pid} holds {n} armed timers with tag {tag}")
-        })
-        .collect();
     for &(pid, outstanding) in &census.rpcs {
-        match rpc.get(&pid) {
-            Some(&(kind, n)) if n > outstanding => v.push(format!(
+        let from = armed.partition_point(|&(p, _, tag)| (p, tag) < (pid, RPC_TAG_BASE));
+        // a pid's rpc tags sort after its own
+        let n = armed.partition_point(|&(p, _, _)| p <= pid) - from;
+        if n > outstanding {
+            let kind = armed[from].1;
+            v.push(format!(
                 "timers: {kind} {pid} holds {n} rpc timers (tags from {RPC_TAG_BASE}) \
                  for {outstanding} outstanding rpcs that may hold one"
-            )),
-            Some(_) | None => {}
+            ));
         }
     }
     v
@@ -774,9 +778,9 @@ mod tests {
         let census = TimerCensus {
             armed: vec![
                 (pid(7), "suspense-monitor", 1),
+                (pid(7), "suspense-monitor", 1),
+                (pid(7), "suspense-monitor", 1),
                 (pid(9), "tmp", 7),
-                (pid(7), "suspense-monitor", 1),
-                (pid(7), "suspense-monitor", 1),
             ],
             rpcs: Vec::new(),
         };

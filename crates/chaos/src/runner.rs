@@ -56,7 +56,9 @@ use encompass_sim::{
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscProcess, DiscStateReport};
-use encompass_storage::media::{dump_registry_key, media_key, DumpRegistry, VolumeMedia};
+use encompass_storage::media::{
+    dump_registry_key, media_key, DumpRegistry, FileImage, VolumeMedia,
+};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{ask, PairApp, PairHandle, Target};
 use std::collections::BTreeMap;
@@ -279,10 +281,12 @@ fn run_sweep(
     let dumps: &[ScheduledDump] = schedule.dumps.as_ref().map_or(&[], |d| &d.scheduled);
     let mut next_dump = 0usize;
     let mut violations = Vec::new();
+    let mut timers = TimerCensus::default();
     for ev in &timeline.events {
         start_due_dumps(&mut app.world, &volumes, dumps, &mut next_dump, ev.at);
         app.world.run_until(ev.at);
-        violations.extend(timer_violations(&census(&app.world, &app.tmf)));
+        census(&app.world, &app.tmf, &mut timers);
+        violations.extend(timer_violations(&timers));
         apply(&mut app.world, &ev.action);
     }
     start_due_dumps(
@@ -553,16 +557,22 @@ pub(crate) fn observe(world: &World, tmf: &[NodeHandles]) -> Observation {
         discs: (tmf.iter().flat_map(|h| &h.discs))
             .map(|p| read(world, p, DiscProcess::state_report))
             .collect(),
-        timers: census(world, tmf),
+        timers: {
+            let mut timers = TimerCensus::default();
+            census(world, tmf, &mut timers);
+            timers
+        },
     }
 }
 
-/// The timer census alone: the kernel's armed timers, and the rpc calls
-/// of every TMP and DISCPROCESS primary that may hold one. Like
-/// [`observe`] it sends nothing, so a driver takes it at every fault
+/// The timer census alone, into `census`: the kernel's armed timers, and
+/// the rpc calls of every TMP and DISCPROCESS primary that may hold one.
+/// Like [`observe`] it sends nothing, so a driver takes it at every fault
 /// instant, where a clock armed on a call the fault does not concern
-/// would otherwise be gone by the final read.
-pub(crate) fn census(world: &World, tmf: &[NodeHandles]) -> TimerCensus {
+/// would otherwise be gone by the final read. A driver keeps one census
+/// for the run and refills it at each instant. The armed timers are
+/// sorted by pid and tag, as [`timer_violations`] reads them.
+pub(crate) fn census(world: &World, tmf: &[NodeHandles], census: &mut TimerCensus) {
     fn timed<A: PairApp>(
         world: &World,
         pair: &PairHandle,
@@ -575,17 +585,18 @@ pub(crate) fn census(world: &World, tmf: &[NodeHandles]) -> TimerCensus {
         .filter_map(|h| timed(world, &h.tmp, |t: &TmpProcess| t.state_report().timed_rpcs));
     let discs = (tmf.iter().flat_map(|h| &h.discs))
         .filter_map(|p| timed(world, p, |d: &DiscProcess| d.state_report().timed_rpcs));
-    TimerCensus {
-        armed: (world.armed_timers())
-            .map(|(pid, tag)| {
-                let kind = world
-                    .process_kind(pid)
-                    .expect("a timer's owner was spawned");
-                (pid, kind, tag)
-            })
-            .collect(),
-        rpcs: tmps.chain(discs).collect(),
-    }
+    census.armed.clear();
+    census.armed.extend(world.armed_timers().map(|(pid, tag)| {
+        let kind = world
+            .process_kind(pid)
+            .expect("a timer's owner was spawned");
+        (pid, kind, tag)
+    }));
+    census
+        .armed
+        .sort_unstable_by_key(|&(pid, _, tag)| (pid, tag));
+    census.rpcs.clear();
+    census.rpcs.extend(tmps.chain(discs));
 }
 
 // The sweep and shard tiers check leaks with these two oracles, not the
@@ -829,7 +840,10 @@ pub(crate) fn check_exactly_once(
 }
 
 /// Oracle: ROLLFORWARD from the latest completed dump plus the surviving
-/// audit trail reproduces the live media exactly.
+/// audit trail reproduces the live media exactly. The live files are
+/// taken off the media while ROLLFORWARD rebuilds it (it reads only the
+/// archive and the trail), then compared with the rebuilt ones record by
+/// record.
 pub(crate) fn check_convergence(
     world: &mut World,
     volumes: &[VolumeRef],
@@ -837,11 +851,15 @@ pub(crate) fn check_convergence(
     violations: &mut Vec<String>,
 ) {
     for v in volumes {
-        let live = snapshot_volume(world, v);
+        let key = media_key(v.node, &v.volume);
+        let live = (world.stable_mut().get_mut::<VolumeMedia>(&key))
+            .map(|media| std::mem::take(&mut media.files))
+            .unwrap_or_default();
         rollforward_from_registry(world, v, tmf);
-        let rebuilt = snapshot_volume(world, v);
-        if live != rebuilt {
-            let detail = diff_summary(&live, &rebuilt);
+        let none = BTreeMap::new();
+        let rebuilt = (world.stable().get::<VolumeMedia>(&key)).map_or(&none, |m| &m.files);
+        if !same_records(&live, rebuilt) {
+            let detail = diff_summary(&snapshot(&live), &snapshot(rebuilt));
             violations.push(format!(
                 "durability: rollforward of {}.{} diverges from the live volume: {detail}",
                 v.node, v.volume
@@ -850,19 +868,19 @@ pub(crate) fn check_convergence(
     }
 }
 
+/// The same files, each holding the same records.
+fn same_records(live: &BTreeMap<Name, FileImage>, rebuilt: &BTreeMap<Name, FileImage>) -> bool {
+    live.len() == rebuilt.len()
+        && (live.iter().zip(rebuilt))
+            .all(|((a, live), (b, rebuilt))| a == b && live.records().eq(rebuilt.records()))
+}
+
 type VolumeSnapshot = BTreeMap<Name, Vec<(Bytes, Bytes)>>;
 
-fn snapshot_volume(world: &World, v: &VolumeRef) -> VolumeSnapshot {
-    let mut out = BTreeMap::new();
-    if let Some(media) = world
-        .stable()
-        .get::<VolumeMedia>(&media_key(v.node, &v.volume))
-    {
-        for (name, img) in &media.files {
-            out.insert(name.clone(), img.scan(&[], None, usize::MAX));
-        }
-    }
-    out
+fn snapshot(files: &BTreeMap<Name, FileImage>) -> VolumeSnapshot {
+    (files.iter())
+        .map(|(name, img)| (name.clone(), img.scan(&[], None, usize::MAX)))
+        .collect()
 }
 
 fn diff_summary(live: &VolumeSnapshot, rebuilt: &VolumeSnapshot) -> String {
@@ -908,7 +926,105 @@ fn diff_summary(live: &VolumeSnapshot, rebuilt: &VolumeSnapshot) -> String {
 mod tests {
     use super::*;
     use encompass::workload::account_key;
+    use encompass_storage::types::FileOrganization;
     use tmf::script::{run_txn_script, Step};
+
+    /// A fault-free run of seed 0's bank workload, run out and drained:
+    /// ROLLFORWARD reproduces every volume.
+    fn converged_run() -> (AppHandles, Vec<VolumeRef>) {
+        let schedule = Schedule::generate(0);
+        let Workload::Bank(shape) = &schedule.workload else {
+            panic!("seed 0 draws the bank cluster");
+        };
+        let tmf = build_tmf(tmf_builder(&schedule));
+        let think = SimDuration::from_millis(5);
+        let (mut app, volumes) = launch_bank(&schedule, shape, think, tmf, false);
+        let mut violations = Vec::new();
+        let (terminals, step) = (
+            bank_terminals(&schedule, shape),
+            SimDuration::from_millis(500),
+        );
+        let deadline = SimTime::ZERO + SimDuration::from_secs(120);
+        run_out(
+            &mut app.world,
+            &app.nodes,
+            terminals,
+            step,
+            deadline,
+            &mut violations,
+        );
+        app.world.run_for(SAFE_DELIVERY_TAIL);
+        check_convergence(&mut app.world, &volumes, &app.tmf, &mut violations);
+        assert_eq!(violations, Vec::<String>::new());
+        assert!(
+            app.world.metrics().get("tmf.commits") > 0,
+            "the run committed"
+        );
+        (app, volumes)
+    }
+
+    /// The live media of `v`.
+    fn media<'w>(world: &'w mut World, v: &VolumeRef) -> &'w mut VolumeMedia {
+        let key = media_key(v.node, &v.volume);
+        (world.stable_mut().get_mut::<VolumeMedia>(&key)).expect("the volume's media")
+    }
+
+    /// One record of a volume's live media changed behind TMF's back:
+    /// the rebuilt volume differs, and the oracle names the file, the key
+    /// and both values. The rebuilt files stay on the media, so a second
+    /// check passes.
+    #[test]
+    fn a_corrupted_record_is_named_by_the_convergence_oracle() {
+        let (mut app, volumes) = converged_run();
+        let v = &volumes[0];
+        let accounts = media(&mut app.world, v).files.get_mut("accounts");
+        let FileImage::KeySequenced(records) = accounts.expect("accounts on the first volume")
+        else {
+            panic!("accounts is key-sequenced");
+        };
+        let n = records.len();
+        let (key, value) = records.iter_mut().nth(3).expect("a fourth account");
+        let key = String::from_utf8_lossy(key).into_owned();
+        let was = String::from_utf8_lossy(value).into_owned();
+        *value = Bytes::from_static(b"-1");
+
+        let mut violations = Vec::new();
+        check_convergence(&mut app.world, &volumes, &app.tmf, &mut violations);
+        assert_eq!(
+            violations,
+            [format!(
+                "durability: rollforward of {}.{} diverges from the live volume: file accounts: \
+                 {n} live vs {n} recovered records [{key}: live \"-1\" recovered Some({was:?})]",
+                v.node, v.volume
+            )]
+        );
+
+        violations.clear();
+        check_convergence(&mut app.world, &volumes, &app.tmf, &mut violations);
+        assert_eq!(
+            violations,
+            Vec::<String>::new(),
+            "ROLLFORWARD left the rebuilt files"
+        );
+    }
+
+    /// An empty file on the live media is not an absent one.
+    #[test]
+    fn an_empty_live_file_is_not_an_absent_one() {
+        let (mut app, volumes) = converged_run();
+        let v = &volumes[0];
+        media(&mut app.world, v).ensure_file("scratch", FileOrganization::EntrySequenced);
+        let mut violations = Vec::new();
+        check_convergence(&mut app.world, &volumes, &app.tmf, &mut violations);
+        assert_eq!(
+            violations,
+            [format!(
+                "durability: rollforward of {}.{} diverges from the live volume: \
+                 file scratch missing after recovery",
+                v.node, v.volume
+            )]
+        );
+    }
 
     /// A transaction left open (no END) with a record locked: one read of
     /// the world names it twice, as a transid leaked in its TMP table and

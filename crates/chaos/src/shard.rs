@@ -21,7 +21,9 @@
 //!   replica of every master's branch record equals the master copy;
 //! * **no leaks** — TMP tables empty, no locks held or waited on.
 
-use crate::oracles::{suspense_drain_violations, timer_violations, SuspenseObservation};
+use crate::oracles::{
+    suspense_drain_violations, timer_violations, SuspenseObservation, TimerCensus,
+};
 use crate::runner::{
     apply, build_tmf, census, check_atomicity, check_locks, check_tmp_tables, observe,
     restore_down_cpus, run_out, sim_config, tmf_builder, RunReport, TierStats, SAFE_DELIVERY_TAIL,
@@ -69,13 +71,16 @@ pub(crate) fn run(
     // ---- phase 1: partition, heal, optional monitor kill ------------
     // the timer census runs at each of these instants, before the fault
     let mut violations = Vec::new();
+    let mut timers = TimerCensus::default();
     let partition_at = SimTime::from_micros(cut.partition_at_us);
     let heal_at = SimTime::from_micros(cut.partition_at_us + cut.heal_after_us);
     app.world.run_until(partition_at);
-    violations.extend(timer_violations(&census(&app.world, &app.tmf)));
+    census(&app.world, &app.tmf, &mut timers);
+    violations.extend(timer_violations(&timers));
     app.world.inject(Fault::Partition(vec![cut.partition_node]));
     app.world.run_until(heal_at);
-    violations.extend(timer_violations(&census(&app.world, &app.tmf)));
+    census(&app.world, &app.tmf, &mut timers);
+    violations.extend(timer_violations(&timers));
     app.world.inject(Fault::HealAllLinks);
     let backlog_at_heal: Vec<usize> = app
         .nodes
@@ -84,7 +89,8 @@ pub(crate) fn run(
         .collect();
     if let Some((node, at)) = cut.monitor_kill {
         app.world.run_until(SimTime::from_micros(at));
-        violations.extend(timer_violations(&census(&app.world, &app.tmf)));
+        census(&app.world, &app.tmf, &mut timers);
+        violations.extend(timer_violations(&timers));
         let service = SUSPENSE_SERVICE.to_string();
         apply(
             &mut app.world,

@@ -36,7 +36,7 @@ use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
-    counter, CpuId, FlightCause, HistogramHandle, MediaId, Members, Name, NodeId, Payload, Pid,
+    counter, histogram, CpuId, FlightCause, MediaId, Members, Name, NodeId, Payload, Pid,
     SimDuration, SimTime, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
@@ -345,10 +345,6 @@ pub struct TmpProcess {
     /// ignored, or it closes the new boxcar before its own window elapses.
     monitor_window_deadline: Option<SimTime>,
     next_tag: u64,
-    /// Interned histogram keys: the commit path must not format counter
-    /// names per observation.
-    boxcar_hist: HistogramHandle,
-    latency_hist: HistogramHandle,
     /// `$TXTABLE<cpu>` by CPU number, named once: every state change is
     /// broadcast to each of them.
     txtable_names: Vec<String>,
@@ -380,8 +376,6 @@ impl TmpProcess {
             monitor_batch: Vec::new(),
             monitor_window_deadline: None,
             next_tag: 0,
-            boxcar_hist: HistogramHandle::new("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
-            latency_hist: HistogramHandle::new("tmf.commit_latency_us", LATENCY_BOUNDS),
             txtable_names: Vec::new(),
             txtable_pids: [None; MAX_CPUS],
         }
@@ -714,7 +708,10 @@ impl TmpProcess {
         let tag = TAG_MONITOR_BASE + self.next_tag;
         self.next_tag += 1;
         ctx.count(counter!("tmf.monitor_forces"), 1);
-        ctx.observe_handle(&self.boxcar_hist, self.monitor_boxcar.len() as u64);
+        ctx.observe(
+            histogram!("tmf.monitor_boxcar_size", BOXCAR_BOUNDS),
+            self.monitor_boxcar.len() as u64,
+        );
         for (transid, commit) in self.monitor_boxcar.drain(..) {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForceStart);
             self.monitor_inflight.push((tag, transid, commit));
@@ -796,7 +793,10 @@ impl TmpProcess {
     fn finish_commit(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
         let now = ctx.now();
         if let Some(at) = self.txns.get_mut(&transid).and_then(|t| t.ending_at.take()) {
-            ctx.observe_handle(&self.latency_hist, now.since(at).as_micros());
+            ctx.observe(
+                histogram!("tmf.commit_latency_us", LATENCY_BOUNDS),
+                now.since(at).as_micros(),
+            );
         }
         ctx.flight(transid.flight_id(), FlightCause::Committed);
         self.set_state(ctx, transid, TxState::Ended);

@@ -4,16 +4,21 @@
 //! the node, one bus message each. The messages are copies of one shared
 //! block, so a state change allocates one block for its broadcast however
 //! many processors the node has.
+//!
+//! And of building a TMP: its histograms are named by their call sites,
+//! once per process (DESIGN.md §D21), so a TMP built after the first
+//! allocates nothing for them.
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
+use encompass_audit::monitor::monitor_key;
 use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
 use guardian::{ask, Target};
 use tmf::state::TxnClass;
 use tmf::table::TxTableProcess;
-use tmf::tmp::{spawn_tmp, TmpConfig, TmpMsg, TmpReply, TMP_SERVICE};
+use tmf::tmp::{spawn_tmp, TmpConfig, TmpMsg, TmpProcess, TmpReply, TMP_SERVICE};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -87,4 +92,22 @@ fn a_state_change_allocates_one_block_for_its_broadcast() {
         state_changes,
         "one block per state change for its {CPUS} messages"
     );
+}
+
+#[test]
+fn building_a_second_tmp_allocates_no_histogram_block() {
+    // the first TMP of the process ends a transaction, observing its
+    // commit latency
+    let (mut w, n) = node(false);
+    read_only_txn(&mut w, n);
+    assert_eq!(w.metrics().get("tmf.commit_latency_us.count"), 1);
+    let (cfg, monitor) = (TmpConfig::default(), w.stable_mut().id(&monitor_key(n)));
+    let (blocks, tmp) = allocations_in(|| TmpProcess::new(cfg, monitor));
+    assert_eq!(blocks, 0, "a TMP is built without a block");
+    drop(tmp);
+    // a second world's TMP observes into its own counters
+    let (mut second, n) = node(false);
+    read_only_txn(&mut second, n);
+    assert_eq!(second.metrics().get("tmf.commit_latency_us.count"), 1);
+    assert_eq!(second.metrics().get("tmf.commit_latency_us.le_inf"), 1);
 }

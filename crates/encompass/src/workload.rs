@@ -402,12 +402,11 @@ pub fn history_records(
     let media = world
         .stable()
         .get::<VolumeMedia>(&media_key(vol.node, &vol.volume));
-    let records = media.and_then(|m| m.file(file));
-    records
-        .map(|img| img.scan(&[], None, usize::MAX))
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(_, v)| parse_history(&v).ok_or(v))
+    let Some(img) = media.and_then(|m| m.file(file)) else {
+        return Vec::new();
+    };
+    (img.records())
+        .map(|(_, v)| parse_history(v).ok_or_else(|| v.clone()))
         .collect()
 }
 
@@ -416,21 +415,17 @@ pub fn history_records(
 /// `initial_total - committed_debits == final_total`, the committed
 /// debits being the amounts of the [`history_records`]).
 pub fn total_balance(world: &mut World, catalog: &Catalog, file: &str) -> i64 {
-    let def = catalog.get(file).expect("file in catalog").clone();
+    let partitions = &catalog.get(file).expect("file in catalog").partitions;
     let mut total = 0;
-    let mut seen_volumes = Vec::new();
-    for p in &def.partitions {
-        if seen_volumes.contains(&p.volume) {
+    for (i, p) in partitions.iter().enumerate() {
+        // partitions may share a volume: read each volume once
+        if partitions[..i].iter().any(|q| q.volume == p.volume) {
             continue;
         }
-        seen_volumes.push(p.volume.clone());
         let media_id = media_key(p.volume.node, &p.volume.volume);
-        if let Some(media) = world.stable().get::<VolumeMedia>(&media_id) {
-            if let Some(img) = media.file(file) {
-                for (_, v) in img.scan(&[], None, usize::MAX) {
-                    total += balance_of(&v);
-                }
-            }
+        if let Some(img) = (world.stable().get::<VolumeMedia>(&media_id)).and_then(|m| m.file(file))
+        {
+            total += img.records().map(|(_, v)| balance_of(v)).sum::<i64>();
         }
     }
     total

@@ -16,15 +16,16 @@
 //! Underneath both (`encompass-sim`): a counter bump, a histogram
 //! observation and a fetch of a stable-storage medium by id are indexes —
 //! they allocate nothing, and a `counter!` call site allocates nothing
-//! even the first time it is passed.
+//! even the first time it is passed. A `histogram!` site allocates the
+//! first time the process passes it, to name its buckets.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_sim::{
-    counter, CpuId, Ctx, HistogramHandle, MediaId, NodeId, Payload, Pid, Process, SimConfig,
-    SimDuration, World,
+    counter, histogram, CpuId, Ctx, HistogramSite, MediaId, Metrics, NodeId, Payload, Pid, Process,
+    SimConfig, SimDuration, World,
 };
 use guardian::{Admitted, Asked, Request, Rpc, RpcReply, Served, Target};
 use std::cell::RefCell;
@@ -229,10 +230,16 @@ fn a_warm_backup_record_allocates_nothing() {
     assert_eq!(served.answered(), 8);
 }
 
+/// The histogram [`Instrumented`] observes. Its site formats and interns
+/// its counters' names the first time any world of the process observes
+/// through it, and never again.
+fn budget_histogram() -> &'static HistogramSite {
+    histogram!("alloc_budget.histogram", &[1, 10])
+}
+
 /// Bumps a counter, observes a histogram and fetches its medium on every
 /// message, measuring each.
 struct Instrumented {
-    histogram: HistogramHandle,
     medium: MediaId,
     /// `[count, observe, fetch]` allocations, per message.
     costs: Rc<RefCell<Vec<[u64; 3]>>>,
@@ -243,7 +250,7 @@ impl Process for Instrumented {
         // this call site is passed for the first time on the first message,
         // and no other names its counter
         let (count, ()) = allocations_in(|| ctx.count(counter!("alloc_budget.first_use"), 1));
-        let (observe, ()) = allocations_in(|| ctx.observe_handle(&self.histogram, 3));
+        let (observe, ()) = allocations_in(|| ctx.observe(budget_histogram(), 3));
         let (fetch, ()) =
             allocations_in(|| *ctx.stable().get_or_create_at(self.medium, || 0u64) += 1);
         self.costs.borrow_mut().push([count, observe, fetch]);
@@ -252,6 +259,8 @@ impl Process for Instrumented {
 
 #[test]
 fn counting_observing_and_fetching_a_medium_by_id_allocate_nothing() {
+    // an earlier world of the process observed through the site
+    Metrics::new().observe(budget_histogram(), 0);
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(2);
     let costs = Rc::new(RefCell::new(Vec::new()));
@@ -260,7 +269,6 @@ fn counting_observing_and_fetching_a_medium_by_id_allocate_nothing() {
         n,
         0,
         Box::new(Instrumented {
-            histogram: HistogramHandle::new("alloc_budget.histogram", &[1, 10]),
             medium,
             costs: costs.clone(),
         }),
@@ -277,4 +285,19 @@ fn counting_observing_and_fetching_a_medium_by_id_allocate_nothing() {
     assert_eq!(w.metrics().get("alloc_budget.first_use"), 3);
     assert_eq!(w.metrics().get("alloc_budget.histogram.le_10"), 3);
     assert_eq!(w.stable().get::<u64>("\\N0.$BUDGET"), Some(&3));
+}
+
+/// A takeover registers its service name again, on a table that already
+/// holds it: the entry is overwritten, and only a new name is copied.
+#[test]
+fn re_registering_a_name_allocates_nothing() {
+    let mut w = World::new(SimConfig::default());
+    let n = w.add_node(2);
+    let primary = w.spawn(n, 0, Box::new(Sink));
+    let backup = w.spawn(n, 1, Box::new(Sink));
+    let (first, ()) = allocations_in(|| w.register_name(n, "$PAIR", primary));
+    assert!(first > 0, "a new name is copied into the table");
+    let (again, ()) = allocations_in(|| w.register_name(n, "$PAIR", backup));
+    assert_eq!(again, 0, "a known name is overwritten in place");
+    assert_eq!(w.lookup_name(n, "$PAIR"), Some(backup));
 }

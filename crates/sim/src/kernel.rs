@@ -183,8 +183,17 @@ impl World {
             .collect()
     }
 
+    /// Bind `name` to `pid` on `node`, replacing any earlier binding. A
+    /// takeover re-registers a name the table already holds: that
+    /// overwrites the entry, and only a name never seen is copied.
     pub fn register_name(&mut self, node: NodeId, name: &str, pid: Pid) {
-        self.names[node.0 as usize].insert(name.to_string(), pid);
+        let names = &mut self.names[node.0 as usize];
+        match names.get_mut(name) {
+            Some(bound) => *bound = pid,
+            None => {
+                names.insert(name.to_string(), pid);
+            }
+        }
     }
 
     /// Resolve a name to a live process.

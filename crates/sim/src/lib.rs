@@ -82,7 +82,7 @@ pub use hash::{DetHashMap, DetHashSet};
 pub use ids::{CpuId, LinkId, NodeId, Pid};
 pub use kernel::World;
 pub use members::Members;
-pub use metrics::{CounterId, HistogramHandle, Metrics};
+pub use metrics::{CounterId, HistogramSite, Metrics};
 pub use msg::Payload;
 pub use name::Name;
 pub use process::{Ctx, Process, SendError, SystemEvent, TimerId};

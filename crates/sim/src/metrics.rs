@@ -7,6 +7,9 @@
 //! Writing is by [`CounterId`] (DESIGN.md §D21): a name is resolved to its
 //! id once — by [`counter!`](crate::counter!) at a call site, by [`CounterId::named`] when a
 //! process is built — and every bump after that is an index and an add.
+//! A histogram's counters are resolved together, by
+//! [`histogram!`](crate::histogram!) at its call site, the first time
+//! any world of the process observes through it.
 //! Ids come from one process-wide table shared by every [`World`] of the
 //! process, in first-use order, which differs from run to run when worlds
 //! are built on several threads; so an id is never ordered, hashed or
@@ -20,7 +23,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Distinct counter names one process may register (the workspace has
-/// about 150, histogram buckets included). The name table and every
+/// about 170: 134 `counter!` literals, 28 counters of its three
+/// histograms, and two per server class). The name table and every
 /// [`Metrics`] are sized to this up front, so registering a name and first
 /// touching a counter allocate nothing.
 pub const MAX_COUNTERS: usize = 512;
@@ -31,8 +35,9 @@ pub const MAX_COUNTERS: usize = 512;
 pub struct CounterId(u32);
 
 impl CounterId {
-    /// The id of a name built at run time (one per server class, one per
-    /// histogram bucket). Resolve it where the process is built and keep
+    /// The id of a name built at run time (one per server class; a
+    /// [`histogram!`](crate::histogram!) site resolves its buckets' names
+    /// through this). Resolve it where the process is built and keep
     /// the id: this takes the table's lock and compares strings, and the
     /// first call for a new name keeps a copy of it for the life of the
     /// process.
@@ -194,32 +199,72 @@ macro_rules! counter {
     }};
 }
 
-/// Pre-resolved counters for one histogram: the ids of its buckets, count
-/// and sum are interned once at construction, and observing bumps them.
-#[derive(Debug, Clone)]
-pub struct HistogramHandle {
-    /// `(bound, <name>.le_<bound>)`, ascending.
-    buckets: Vec<(u64, CounterId)>,
+/// The call-site half of [`histogram!`](crate::histogram!): a literal name, its
+/// bucket bounds and, once resolved, the ids of its counters.
+pub struct HistogramSite {
+    name: &'static str,
+    /// Ascending.
+    bounds: &'static [u64],
+    ids: OnceLock<HistogramIds>,
+}
+
+/// The counters of one histogram: `<name>.le_<bound>` per bound (in bound
+/// order), then `<name>.le_inf`, `<name>.count` and `<name>.sum`.
+struct HistogramIds {
+    buckets: Box<[CounterId]>,
     inf: CounterId,
     count: CounterId,
     sum: CounterId,
 }
 
-impl HistogramHandle {
-    /// Intern the counters for `name` over ascending `bounds`.
-    pub fn new(name: &str, bounds: &[u64]) -> HistogramHandle {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds ascending");
+impl HistogramSite {
+    pub const fn new(name: &'static str, bounds: &'static [u64]) -> HistogramSite {
+        HistogramSite {
+            name,
+            bounds,
+            ids: OnceLock::new(),
+        }
+    }
+
+    /// One load after the first use, which interns the names and keeps
+    /// their ids for the life of the process: a name built at run time
+    /// is resolved once per process, not once per process *built*.
+    #[inline]
+    fn ids(&self) -> &HistogramIds {
+        self.ids.get_or_init(|| self.resolve())
+    }
+
+    #[cold]
+    fn resolve(&self) -> HistogramIds {
+        debug_assert!(
+            self.bounds.windows(2).all(|w| w[0] < w[1]),
+            "{}: bounds ascending",
+            self.name
+        );
+        let name = self.name;
         let id = |suffix: fmt::Arguments<'_>| CounterId::named(&format!("{name}.{suffix}"));
-        HistogramHandle {
-            buckets: bounds
-                .iter()
-                .map(|&b| (b, id(format_args!("le_{b}"))))
+        HistogramIds {
+            buckets: (self.bounds.iter())
+                .map(|b| id(format_args!("le_{b}")))
                 .collect(),
             inf: id(format_args!("le_inf")),
             count: id(format_args!("count")),
             sum: id(format_args!("sum")),
         }
     }
+}
+
+/// The [`HistogramSite`] of a literal histogram name over ascending
+/// `&'static [u64]` bounds, resolved on the first observation through
+/// this call site and kept in a `static` of its own:
+/// `ctx.observe(histogram!("tmf.commit_latency_us", LATENCY_BOUNDS), us)`.
+#[macro_export]
+macro_rules! histogram {
+    ($name:literal, $bounds:expr) => {{
+        static SITE: $crate::metrics::HistogramSite =
+            $crate::metrics::HistogramSite::new($name, $bounds);
+        &SITE
+    }};
 }
 
 #[derive(Clone, Copy, Default)]
@@ -278,18 +323,19 @@ impl Metrics {
     /// counters: cumulative buckets `<name>.le_<bound>` (plus the implicit
     /// `<name>.le_inf`), an observation count `<name>.count`, and a running
     /// `<name>.sum`.
-    pub fn observe_handle(&mut self, h: &HistogramHandle, value: u64) {
-        for &(bound, bucket) in &h.buckets {
+    pub fn observe(&mut self, site: &HistogramSite, value: u64) {
+        let ids = site.ids();
+        for (&bound, &bucket) in site.bounds.iter().zip(&ids.buckets) {
             if value <= bound {
                 self.add(bucket, 1);
             }
         }
-        self.add(h.inf, 1);
-        self.add(h.count, 1);
-        self.add(h.sum, value);
+        self.add(ids.inf, 1);
+        self.add(ids.count, 1);
+        self.add(ids.sum, value);
     }
 
-    /// Mean of every observation recorded with [`Metrics::observe_handle`] under
+    /// Mean of every observation recorded with [`Metrics::observe`] under
     /// `name` (zero if nothing was observed).
     pub fn observed_mean(&self, name: &str) -> f64 {
         let count = self.get(&format!("{name}.count"));
@@ -322,33 +368,50 @@ mod tests {
         assert_eq!(m.get("test.never_registered"), 0);
     }
 
+    /// One pass through a `histogram!` call site, as a process's
+    /// observation is: every world observes through the same `static`.
+    fn observe_lat(m: &mut Metrics, value: u64) {
+        m.observe(crate::histogram!("test.lat", &[10, 100, 1_000]), value);
+    }
+
     #[test]
-    fn handle_observation_fills_cumulative_buckets() {
+    fn site_observation_fills_cumulative_buckets() {
         let mut m = Metrics::new();
-        let h = HistogramHandle::new("lat", &[10, 100, 1000]);
         for v in [3, 10, 11, 5_000] {
-            m.observe_handle(&h, v);
+            observe_lat(&mut m, v);
         }
-        let names: Vec<String> = m.snapshot().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(
-            names,
-            [
-                "lat.count",
-                "lat.le_10",
-                "lat.le_100",
-                "lat.le_1000",
-                "lat.le_inf",
-                "lat.sum"
-            ]
-        );
-        assert_eq!(m.get("lat.le_10"), 2);
-        assert_eq!(m.get("lat.le_100"), 3);
-        assert_eq!(m.get("lat.le_1000"), 3);
-        assert_eq!(m.get("lat.le_inf"), 4);
-        assert_eq!(m.get("lat.count"), 4);
-        assert_eq!(m.get("lat.sum"), 3 + 10 + 11 + 5_000);
-        assert_eq!(m.observed_mean("lat"), 5_024.0 / 4.0);
+        // the counters a handle built by name, `<name>.<suffix>` per
+        // bound (the bound printed as a plain number), interned under the
+        // same ids a run-time name resolves to
+        let expect = [
+            ("test.lat.count", 4),
+            ("test.lat.le_10", 2),
+            ("test.lat.le_100", 3),
+            ("test.lat.le_1000", 3),
+            ("test.lat.le_inf", 4),
+            ("test.lat.sum", 3 + 10 + 11 + 5_000),
+        ];
+        let snapshot: Vec<(String, u64)> = (m.snapshot().into_iter())
+            .filter(|(k, _)| k.starts_with("test.lat."))
+            .collect();
+        let want: Vec<(String, u64)> = expect.iter().map(|&(k, v)| (k.into(), v)).collect();
+        assert_eq!(snapshot, want);
+        let mut by_id = Metrics::new();
+        for (name, value) in expect {
+            by_id.add(CounterId::named(name), value);
+        }
+        assert_eq!(format!("{by_id:?}"), format!("{m:?}"));
+        assert_eq!(m.observed_mean("test.lat"), 5_024.0 / 4.0);
         assert_eq!(m.observed_mean("test.never_observed"), 0.0);
+
+        // a second world through the same site: its own counts, nothing
+        // of the first's
+        let mut other = Metrics::new();
+        observe_lat(&mut other, 100);
+        assert_eq!(other.get("test.lat.le_10"), 0);
+        assert_eq!(other.get("test.lat.le_100"), 1);
+        assert_eq!(other.get("test.lat.sum"), 100);
+        assert_eq!(m.get("test.lat.count"), 4);
     }
 
     #[test]

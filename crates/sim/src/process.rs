@@ -197,10 +197,11 @@ impl<'a> Ctx<'a> {
         self.world.metrics_mut().add(id, delta);
     }
 
-    /// Record one observation against a pre-resolved histogram handle
-    /// (see [`crate::HistogramHandle`]).
-    pub fn observe_handle(&mut self, h: &crate::HistogramHandle, value: u64) {
-        self.world.metrics_mut().observe_handle(h, value);
+    /// Record one observation into a histogram:
+    /// `ctx.observe(histogram!("audit.boxcar_size", BOUNDS), n)`.
+    #[inline]
+    pub fn observe(&mut self, site: &crate::HistogramSite, value: u64) {
+        self.world.metrics_mut().observe(site, value);
     }
 
     /// Record a transaction flight event attributed to this process

@@ -5,7 +5,7 @@
 //! `BTreeMap<String, u64>` per world — and ids, which are handed out in
 //! first-use order by one process-wide table, must never show.
 
-use encompass_sim::{counter, CounterId, HistogramHandle, Metrics};
+use encompass_sim::{counter, histogram, CounterId, HistogramSite, Metrics};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -38,6 +38,11 @@ fn resolve(i: usize) -> (&'static str, CounterId) {
 }
 
 const HIST_BOUNDS: &[u64] = &[4, 64];
+
+/// The one call site every case observes through.
+fn hist() -> &'static HistogramSite {
+    histogram!("prop.hist", HIST_BOUNDS)
+}
 
 /// The write path `metrics.rs` replaced.
 #[derive(Clone, Default)]
@@ -84,7 +89,6 @@ proptest! {
         ops in proptest::collection::vec((0usize..2, 0usize..5, 0usize..10, 0u64..100), 1..60),
     ) {
         let mut worlds = [(Metrics::new(), Model::default()), (Metrics::new(), Model::default())];
-        let hist = HistogramHandle::new("prop.hist", HIST_BOUNDS);
         for (w, op, name, n) in ops {
             match op {
                 0 | 1 => {
@@ -94,7 +98,7 @@ proptest! {
                     worlds[w].1.add(name, n);
                 }
                 2 => {
-                    worlds[w].0.observe_handle(&hist, n);
+                    worlds[w].0.observe(hist(), n);
                     worlds[w].1.observe("prop.hist", n);
                 }
                 3 => {

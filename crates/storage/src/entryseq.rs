@@ -79,18 +79,42 @@ impl EntrySequencedFile {
         *slot = value;
     }
 
-    /// Live entries from `low` in entry order, at most `limit`.
-    pub fn scan(&self, low: u64, limit: usize) -> Vec<(u64, Bytes)> {
-        let mut out = Vec::new();
-        for (i, e) in self.entries.iter().enumerate().skip(low as usize) {
-            if out.len() == limit {
-                break;
-            }
-            if let Some(v) = e {
-                out.push((i as u64, v.clone()));
+    /// Live entries numbered from `low` through `high` (or the last), in
+    /// entry order, borrowed.
+    pub fn entries_in(&self, low: u64, high: Option<u64>) -> Entries<'_> {
+        let end = high.map_or(self.entries.len(), |h| {
+            usize::try_from(h.saturating_add(1))
+                .map_or(self.entries.len(), |end| end.min(self.entries.len()))
+        });
+        let start = usize::try_from(low).map_or(end, |low| low.min(end));
+        Entries {
+            slots: self.entries[start..end].iter(),
+            next: start as u64,
+        }
+    }
+}
+
+/// The live entries of an [`EntrySequencedFile`] in a number range: see
+/// [`EntrySequencedFile::entries_in`].
+#[derive(Clone, Debug)]
+pub struct Entries<'a> {
+    slots: std::slice::Iter<'a, Option<Bytes>>,
+    /// The number of the next slot.
+    next: u64,
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = (u64, &'a Bytes);
+
+    fn next(&mut self) -> Option<(u64, &'a Bytes)> {
+        for slot in self.slots.by_ref() {
+            let n = self.next;
+            self.next += 1;
+            if let Some(v) = slot {
+                return Some((n, v));
             }
         }
-        out
+        None
     }
 }
 
@@ -137,17 +161,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_skips_deleted() {
+    fn entries_skip_deleted() {
         let mut f = EntrySequencedFile::new();
         for s in ["a", "b", "c", "d"] {
             f.append(b(s));
         }
         f.delete(1);
-        let got = f.scan(0, usize::MAX);
-        assert_eq!(
-            got.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![0, 2, 3]
-        );
-        assert_eq!(f.scan(2, 1).len(), 1);
+        let numbers = |low, high| f.entries_in(low, high).map(|(n, _)| n).collect::<Vec<_>>();
+        assert_eq!(numbers(0, None), [0, 2, 3]);
+        assert_eq!(numbers(1, Some(2)), [2]);
+        assert_eq!(numbers(2, Some(u64::MAX)), [2, 3]);
+        assert_eq!(numbers(3, Some(2)), []);
+        assert_eq!(numbers(9, None), []);
+        assert_eq!(f.entries_in(2, None).next(), Some((2, &b("c"))));
     }
 }

@@ -13,12 +13,13 @@
 //! backup), which is exactly why "audit records need not be written to
 //! disc prior to updating the data base" holds in the NonStop design.
 
-use crate::entryseq::EntrySequencedFile;
+use crate::entryseq::{Entries, EntrySequencedFile};
 use crate::types::{key_num, FileOrganization, VolumeRef};
 use bytes::Bytes;
 use encompass_sim::{Name, NodeId};
+use std::collections::btree_map::Range;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 
 /// The stable-storage key for a volume's media object.
 pub fn media_key(node: NodeId, volume: &str) -> String {
@@ -103,25 +104,33 @@ impl FileImage {
     /// Records with `low <= key` and (if given) `key <= high`, in key
     /// order, at most `limit`.
     pub fn scan(&self, low: &[u8], high: Option<&[u8]>, limit: usize) -> Vec<(Bytes, Bytes)> {
+        (self.records_in(low, high))
+            .take(limit)
+            .map(|(k, v)| (k.to_bytes(), v.clone()))
+            .collect()
+    }
+
+    /// Every record, in key order, borrowed: [`FileImage::records_in`]
+    /// over the whole file.
+    pub fn records(&self) -> Records<'_> {
+        self.records_in(&[], None)
+    }
+
+    /// The records [`FileImage::scan`] returns, borrowed from the file and
+    /// without a limit. An entry-sequenced bound that is not an 8-byte
+    /// number does not bound.
+    pub fn records_in<'a>(&'a self, low: &[u8], high: Option<&[u8]>) -> Records<'a> {
         match self {
-            FileImage::KeySequenced(t) => {
-                if high.is_some_and(|h| h < low) {
-                    return Vec::new();
+            FileImage::KeySequenced(t) => Records::Keyed(match high {
+                Some(h) if h < low => Range::default(),
+                _ => {
+                    let high = high.map_or(Bound::Unbounded, Bound::Included);
+                    t.range::<[u8], _>((Bound::Included(low), high))
                 }
-                let high = high.map_or(Bound::Unbounded, Bound::Included);
-                (t.range::<[u8], _>((Bound::Included(low), high)))
-                    .take(limit)
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect()
-            }
+            }),
             FileImage::EntrySequenced(f) => {
-                let lo = key_num(low).unwrap_or(0);
-                let hi = high.and_then(key_num);
-                f.scan(lo, limit)
-                    .into_iter()
-                    .filter(|(n, _)| hi.map(|h| *n <= h).unwrap_or(true))
-                    .map(|(n, v)| (crate::types::num_key(n), v))
-                    .collect()
+                let low = key_num(low).unwrap_or(0);
+                Records::Entries(f.entries_in(low, high.and_then(key_num)))
             }
         }
     }
@@ -131,6 +140,64 @@ impl FileImage {
         match self {
             FileImage::EntrySequenced(f) => f.next_entry(),
             FileImage::KeySequenced(_) => 0,
+        }
+    }
+}
+
+/// A record's key as [`FileImage::scan`] spells it: the stored key of a
+/// key-sequenced record, borrowed, or an entry's number as an 8-byte
+/// big-endian key. It derefs to those bytes, and two keys are equal when
+/// their bytes are.
+#[derive(Clone, Copy, Debug)]
+pub enum RecordKey<'a> {
+    Stored(&'a Bytes),
+    Entry([u8; 8]),
+}
+
+impl RecordKey<'_> {
+    /// The key as [`FileImage::scan`] returns it.
+    pub fn to_bytes(&self) -> Bytes {
+        match self {
+            RecordKey::Stored(k) => Bytes::clone(k),
+            RecordKey::Entry(n) => Bytes::copy_from_slice(n),
+        }
+    }
+}
+
+impl Deref for RecordKey<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            RecordKey::Stored(k) => k,
+            RecordKey::Entry(n) => n,
+        }
+    }
+}
+
+impl PartialEq for RecordKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// A [`FileImage`]'s records in key order, borrowed: see
+/// [`FileImage::records_in`].
+#[derive(Clone, Debug)]
+pub enum Records<'a> {
+    Keyed(Range<'a, Bytes, Bytes>),
+    Entries(Entries<'a>),
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (RecordKey<'a>, &'a Bytes);
+
+    fn next(&mut self) -> Option<(RecordKey<'a>, &'a Bytes)> {
+        match self {
+            Records::Keyed(r) => r.next().map(|(k, v)| (RecordKey::Stored(k), v)),
+            Records::Entries(e) => e
+                .next()
+                .map(|(n, v)| (RecordKey::Entry(n.to_be_bytes()), v)),
         }
     }
 }
