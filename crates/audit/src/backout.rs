@@ -126,7 +126,7 @@ impl PairApp for BackoutProcess {
                 }
                 self.disc_rpc.call_persistent(
                     ctx,
-                    Target::Named(volume.node, volume.volume.clone()),
+                    Target::new(volume.node, volume.volume.clone()),
                     DiscRequest::Undo { images: local },
                     DiscThen::Undone(transid),
                 );
@@ -142,7 +142,7 @@ impl PairApp for BackoutProcess {
                         // trail + buffer now hold every image, so read them
                         self.audit_rpc.call_persistent(
                             ctx,
-                            Target::Named(volume.node, AUDIT_SERVICE),
+                            Target::new(volume.node, AUDIT_SERVICE),
                             AuditMsg::ReadTxnImages { transid },
                             (transid, volume),
                         );
@@ -182,7 +182,7 @@ impl PairApp for BackoutProcess {
             // appends for the transaction are acknowledged by the audit
             self.disc_rpc.call_persistent(
                 ctx,
-                Target::Named(volume.node, volume.volume.clone()),
+                Target::new(volume.node, volume.volume.clone()),
                 DiscRequest::FlushTxn { transid },
                 DiscThen::Flushed { transid, volume },
             );

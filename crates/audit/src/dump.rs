@@ -37,8 +37,10 @@ use encompass_storage::media::{
 };
 use encompass_storage::types::{FileOrganization, VolumeRef};
 use guardian::{Admitted, Checkpointed, Owed, PairApp, PairHandle, Rpc, Served, Target};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::rc::Rc;
 
 type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
 
@@ -110,7 +112,7 @@ impl Default for DumpProcess {
 
 impl DumpProcess {
     fn send_disc(&mut self, ctx: &mut PairCtx<'_, '_>, job: Job, req: DiscRequest) {
-        let target = Target::Named(job.volume.node, job.volume.volume.clone());
+        let target = Target::new(job.volume.node, job.volume.volume.clone());
         self.disc_rpc.call_persistent(ctx, target, req, job);
     }
 
@@ -312,4 +314,30 @@ pub fn spawn_dump_process(
     cpu_backup: u8,
 ) -> PairHandle {
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, DumpProcess::default)
+}
+
+/// Ask the DUMPPROCESS of `volume`'s node for an online dump of `volume`
+/// as archive `generation`, from a one-shot requester on CPU `cpu` whose
+/// calls use `id_space` ([`guardian::ask`]). The request is safe-delivery:
+/// a takeover mid-copy restarts the dump. The reply lands in the returned
+/// slot.
+pub fn request_dump(
+    world: &mut World,
+    cpu: u8,
+    id_space: u64,
+    volume: &VolumeRef,
+    generation: u64,
+) -> Rc<RefCell<Option<DumpReply>>> {
+    let node = volume.node;
+    guardian::ask(
+        world,
+        node,
+        cpu,
+        id_space,
+        Target::new(node, DUMP_SERVICE),
+        DumpMsg::DumpVolume {
+            volume: volume.clone(),
+            generation,
+        },
+    )
 }

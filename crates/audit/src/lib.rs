@@ -38,7 +38,7 @@ pub mod trail;
 
 pub use auditprocess::{spawn_audit_process, AuditConfig, AuditProcess};
 pub use backout::{spawn_backout_process, BackoutMsg, BackoutProcess, BackoutReply};
-pub use dump::{spawn_dump_process, DumpMsg, DumpProcess, DumpReply};
+pub use dump::{request_dump, spawn_dump_process, DumpMsg, DumpProcess, DumpReply};
 pub use monitor::{monitor_key, CompletionRecord, MonitorTrail};
 pub use rollforward::{rollforward_volume, RollforwardReport};
 pub use trail::{trail_key, TrailFile, TrailMedia};

@@ -57,9 +57,9 @@
 //! a wrong state. ONLINEDUMP marker records are bookkeeping, not data,
 //! and are filtered out before replay.
 
-use crate::monitor::MonitorTrail;
+use crate::monitor::{monitor_key, MonitorTrail};
 use crate::trail::TrailMedia;
-use encompass_sim::{counter, DetHashMap, Name, World};
+use encompass_sim::{counter, DetHashMap, MediaId, Name, NodeId, World};
 use encompass_storage::audit_api::ImageRecord;
 use encompass_storage::media::{archive_key, media_key, ArchiveImage, VolumeMedia};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -120,15 +120,12 @@ pub fn rollforward_volume(
     trail_key: &str,
     generation: u64,
 ) -> RollforwardReport {
-    // 1. the archived copy
+    // 1. the archived copy: its files, copied once to rebuild from
     let akey = archive_key(volume, generation);
-    let archive = world
-        .stable()
-        .get::<ArchiveImage>(&akey)
-        .unwrap_or_else(|| panic!("no archive {akey} — cannot roll forward"))
-        .clone();
-    let watermark = archive.audit_watermark;
-    let floor = archive.purge_floor;
+    let archive = (world.stable().get::<ArchiveImage>(&akey))
+        .unwrap_or_else(|| panic!("no archive {akey} — cannot roll forward"));
+    let (watermark, floor) = (archive.audit_watermark, archive.purge_floor);
+    let mut files = archive.files.clone();
 
     // 2. gather this volume's images from its trail, in ascending sequence
     // order. The capacity manager must not have purged any record recovery
@@ -145,12 +142,17 @@ pub fn rollforward_volume(
     // ONLINEDUMP begin/end markers are trail bookkeeping, not data images
     images.retain(|r| !r.is_dump_marker());
 
-    // 3. resolve outcomes against the home nodes' monitor trails
+    // 3. resolve outcomes against the home nodes' monitor trails, each
+    // trail's key named once
     let mut outcomes: DetHashMap<Transid, bool> = DetHashMap::default();
+    let mut monitors: DetHashMap<NodeId, MediaId> = DetHashMap::default();
     for img in &images {
         let t = img.transid;
         if let std::collections::hash_map::Entry::Vacant(e) = outcomes.entry(t) {
-            let committed = MonitorTrail::of(world.stable_mut(), t.home_node)
+            let stable = world.stable_mut();
+            let id = *(monitors.entry(t.home_node))
+                .or_insert_with(|| stable.id(&monitor_key(t.home_node)));
+            let committed = (stable.get_or_create_at(id, MonitorTrail::new))
                 .outcome(t)
                 .unwrap_or(false); // no completion record ⇒ never committed
             e.insert(committed);
@@ -158,10 +160,7 @@ pub fn rollforward_volume(
     }
 
     // 4. rebuild
-    let mut files = archive.files.clone();
     let mut report = RollforwardReport::default();
-    let mut committed_seen: DetHashMap<Transid, ()> = DetHashMap::default();
-    let mut rolled_seen: DetHashMap<Transid, ()> = DetHashMap::default();
     // REDO committed, ascending; remember the newest committed sequence
     // per record for the UNDO pass below. The committed-high map covers
     // *all* committed images — including those at or below the watermark,
@@ -170,7 +169,6 @@ pub fn rollforward_volume(
     let mut committed_high: DetHashMap<(&str, &bytes::Bytes), u64> = DetHashMap::default();
     for img in &images {
         if outcomes[&img.transid] {
-            committed_seen.insert(img.transid, ());
             committed_high.insert((img.file.as_str(), &img.key), img.seq);
             if img.seq <= watermark {
                 // applied to the volume before the dump began reading
@@ -192,7 +190,6 @@ pub fn rollforward_volume(
     // the committed value.
     for img in images.iter().rev() {
         if !outcomes[&img.transid] {
-            rolled_seen.insert(img.transid, ());
             if committed_high
                 .get(&(img.file.as_str(), &img.key))
                 .is_some_and(|&s| s > img.seq)
@@ -207,8 +204,9 @@ pub fn rollforward_volume(
             report.undone += 1;
         }
     }
-    report.committed_txns = committed_seen.len();
-    report.rolled_back_txns = rolled_seen.len();
+    // every transid with an outcome has an image: count them by outcome
+    report.committed_txns = outcomes.values().filter(|&&c| c).count();
+    report.rolled_back_txns = outcomes.len() - report.committed_txns;
 
     // 5. install the rebuilt files on the volume media
     let mkey = media_key(volume.node, &volume.volume);

@@ -1,12 +1,13 @@
 //! End-to-end audit tests: DISCPROCESS + AUDITPROCESS + BACKOUTPROCESS in
 //! one simulated node, including the Checkpoint-vs-WAL ablation and a full
-//! archive → crash → ROLLFORWARD cycle.
+//! online dump → crash → ROLLFORWARD cycle.
 
 use bytes::Bytes;
 use encompass_audit::auditprocess::{
     spawn_audit_process, AuditConfig, AuditProcess, GROUP_COMMIT_MAX,
 };
 use encompass_audit::backout::{spawn_backout_process, BackoutMsg, BackoutReply};
+use encompass_audit::dump::{request_dump, spawn_dump_process, DumpReply};
 use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_audit::trail::{trail_key, TrailMedia};
@@ -495,7 +496,7 @@ impl Process for BackoutDriver {
         ctx.subscribe_system();
         self.rpc.call_persistent(
             ctx,
-            Target::Named(self.node, "$BACKOUT".into()),
+            Target::new(self.node, "$BACKOUT".into()),
             BackoutMsg::Backout {
                 transid: self.transid,
                 volumes: vec![VolumeRef::new(self.node, "$DATA")],
@@ -654,12 +655,19 @@ fn second_backout_request_for_a_running_transid_takes_the_job_over() {
 #[test]
 fn archive_crash_rollforward_cycle() {
     let (mut w, n, target) = setup(RecoveryMode::NonStopCheckpoint);
+    spawn_dump_process(&mut w, n, 2, 3);
+    let vol = VolumeRef::new(n, "$DATA");
     // committed transaction before the archive
     let t1 = txn(1);
-    let mut script = write_workload(t1);
-    script.push(DiscRequest::Archive { generation: 1 });
-    let _ = run_script(&mut w, n, 0, target.clone(), script);
-    w.run_for(SimDuration::from_secs(2));
+    let _ = run_script(&mut w, n, 0, target.clone(), write_workload(t1));
+    w.run_for(SimDuration::from_secs(1));
+    let dump = request_dump(&mut w, 2, 50, &vol, 1);
+    w.run_for(SimDuration::from_secs(1));
+    assert!(
+        matches!(*dump.borrow(), Some(DumpReply::Done { .. })),
+        "{:?}",
+        dump.borrow()
+    );
     // record commit outcomes in the monitor trail (normally the TMP's job)
     let now = w.now();
     MonitorTrail::of(w.stable_mut(), n).record(
@@ -745,7 +753,6 @@ fn archive_crash_rollforward_cycle() {
         assert!(!media.available());
     }
 
-    let vol = VolumeRef::new(n, "$DATA");
     let report = rollforward_volume(&mut w, &vol, &trail_key(n, 0), 1);
     assert!(
         report.redone >= 1,
@@ -778,7 +785,7 @@ struct AppendDriver {
 impl AppendDriver {
     fn send_next(&mut self, ctx: &mut encompass_sim::Ctx<'_>) {
         if let Some(msg) = self.appends.pop_front() {
-            let target = Target::Named(self.node, AUDIT_SERVICE);
+            let target = Target::new(self.node, AUDIT_SERVICE);
             self.rpc.call_persistent(ctx, target, msg, ());
         }
     }

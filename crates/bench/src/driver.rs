@@ -112,7 +112,7 @@ impl Process for MfgDriver {
                             .rpc
                             .call(
                                 ctx,
-                                Target::Named(self.server_node, "$SC-mfg".into()),
+                                Target::new(self.server_node, "$SC-mfg".into()),
                                 env,
                                 0,
                                 (),

@@ -17,12 +17,11 @@
 
 use crate::sweep::{Column, SweepResult, Value};
 use encompass::app::{launch_bank_app, BankAppParams};
-use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
+use encompass_audit::dump::request_dump;
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
 use encompass_sim::SimDuration;
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::VolumeRef;
-use guardian::{ask, Target};
 use tmf::facility::{trail_key_of, TmfNodeConfig};
 
 /// `dump_page` is the dump's page size (`null`/`none`: no concurrent
@@ -75,17 +74,7 @@ fn run_cell(txns: u64, dump_page: Option<usize>) -> Vec<Value> {
             waited += 10;
         }
         for v in &volumes {
-            ask::<DumpMsg, DumpReply>(
-                &mut app.world,
-                v.node,
-                0,
-                2,
-                Target::Named(v.node, DUMP_SERVICE),
-                DumpMsg::DumpVolume {
-                    volume: v.clone(),
-                    generation: 1,
-                },
-            );
+            request_dump(&mut app.world, 0, 2, v, 1);
         }
     }
     super::run_until_finished(&mut app.world, terminals as u64, 600);

@@ -47,7 +47,7 @@ use encompass::app::{launch_bank_app, tcp_name, AppHandles, BankAppParams};
 use encompass::tcp::TerminalControlProcess;
 use encompass::workload::{history_records, total_balance, DebitTag};
 use encompass_audit::auditprocess::{AuditProcess, AuditStateReport};
-use encompass_audit::dump::{DumpMsg, DumpReply, DUMP_SERVICE};
+use encompass_audit::dump::request_dump;
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_audit::rollforward::{archive_generation_zero, rollforward_volume};
 use encompass_sim::{
@@ -440,17 +440,7 @@ pub(crate) fn request_dumps(
 ) {
     let cpu = live_cpu(world, node);
     for v in volumes.iter().filter(|v| v.node == node) {
-        ask::<DumpMsg, DumpReply>(
-            world,
-            node,
-            cpu,
-            2,
-            Target::Named(node, DUMP_SERVICE),
-            DumpMsg::DumpVolume {
-                volume: v.clone(),
-                generation,
-            },
-        );
+        request_dump(world, cpu, 2, v, generation);
     }
 }
 
@@ -506,7 +496,7 @@ pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
             node,
             0,
             3,
-            Target::Named(node, AUDIT_SERVICE),
+            Target::new(node, AUDIT_SERVICE),
             AuditMsg::Append {
                 records: Members::default(),
                 force: true,

@@ -468,7 +468,6 @@ impl TmfSession {
             | DiscRequest::FlushTxn { .. }
             | DiscRequest::ReleaseLocks { .. }
             | DiscRequest::Undo { .. }
-            | DiscRequest::Archive { .. }
             | DiscRequest::DumpBegin { .. }
             | DiscRequest::DumpScan { .. }
             | DiscRequest::DumpEnd { .. } => return None,
@@ -520,7 +519,7 @@ impl TmfSession {
                 }
                 Stage::Execute => {
                     let op = p.op.clone().expect("data op present");
-                    let target = Target::Named(volume.node, volume.volume);
+                    let target = Target::new(volume.node, volume.volume);
                     // a DISCPROCESS of this node is waited for through a
                     // takeover; one on another node must be accessible now
                     if self.disc_rpc.call(ctx, target, op, RETRIES, ()).is_err() {
@@ -544,7 +543,7 @@ impl TmfSession {
         // sessions come from the TMP's own replies (Failed / Phase1Refused)
         let _ = self
             .tmp_rpc
-            .call_persistent(ctx, Target::Named(node, TMP_SERVICE), msg, ());
+            .call_persistent(ctx, Target::new(node, TMP_SERVICE), msg, ());
     }
 
     /// The pending operation failed: it ends with `error`.

@@ -4,9 +4,8 @@
 //! bus, to all processors within a single node … regardless of which
 //! processors actually participated in the transaction" — a design choice
 //! the paper justifies by the bus's speed and reliability (and whose cost
-//! experiment T1b measures). One `TxTableProcess` runs on every CPU; the
-//! TMP broadcasts state changes to all of them; local software (File
-//! System shims, servers) can query its own CPU's table cheaply.
+//! experiment T1b measures). One `TxTableProcess` runs on every CPU, and
+//! the TMP broadcasts state changes to all of them.
 
 use crate::state::TxState;
 use encompass_sim::{counter, Ctx, DetHashMap, Payload, Pid, Process};
@@ -20,36 +19,20 @@ pub struct StateBroadcast {
     pub state: TxState,
 }
 
-/// Query a table for a transaction's state; the reply is
-/// `TableAnswer`.
-#[derive(Clone, Copy, Debug)]
-pub struct TableQuery {
-    pub transid: Transid,
-}
-
-/// Reply to a [`TableQuery`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TableAnswer {
-    pub transid: Transid,
-    pub state: Option<TxState>,
-}
-
 /// The name the transaction table of processor `cpu` registers.
 pub(crate) fn txtable_name(cpu: u8) -> String {
     format!("$TXTABLE{cpu}")
 }
 
-/// The per-CPU transaction table. Registered as `$TXTABLE` on its node
-/// (one per CPU; lookups resolve per-CPU via pid, queries in tests use the
-/// pid directly).
+/// The per-CPU transaction table, registered as `$TXTABLE<cpu>` on its
+/// node.
 ///
 /// Two broadcasts the TMP sends from one handler can arrive swapped under
 /// delivery jitter (a read-only END sends `Ending` then `Ended`). A
 /// terminal state that overtakes its Figure-3 predecessor leaves a
 /// *tombstone*: the terminal state itself, kept as the entry until the
 /// late predecessor arrives and removes both, so that it cannot re-insert
-/// a transid that has left the system. A tombstone answers queries as
-/// absent.
+/// a transid that has left the system.
 #[derive(Default)]
 pub struct TxTableProcess {
     states: DetHashMap<Transid, TxState>,
@@ -105,18 +88,10 @@ impl Process for TxTableProcess {
         ctx.register_name(&txtable_name(ctx.pid().cpu.0));
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, src: Pid, payload: Payload) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         if let Some(b) = payload.downcast_ref::<StateBroadcast>() {
             ctx.count(counter!("tmf.table_broadcasts"), 1);
             self.apply(b.transid, b.state);
-            return;
-        }
-        if let Some(q) = payload.downcast_ref::<TableQuery>() {
-            let answer = TableAnswer {
-                transid: q.transid,
-                state: (self.states.get(&q.transid).copied()).filter(|s| !s.is_terminal()),
-            };
-            let _ = ctx.send(src, Payload::new(answer));
         }
     }
 
@@ -129,8 +104,6 @@ impl Process for TxTableProcess {
 mod tests {
     use super::*;
     use encompass_sim::{NodeId, SimConfig, SimDuration, World};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn t(seq: u64) -> Transid {
         Transid {
@@ -140,39 +113,11 @@ mod tests {
         }
     }
 
-    struct Asker {
-        table: Pid,
-        transid: Transid,
-        got: Rc<RefCell<Option<TableAnswer>>>,
-    }
-    impl Process for Asker {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let _ = ctx.send(
-                self.table,
-                Payload::new(TableQuery {
-                    transid: self.transid,
-                }),
-            );
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
-            *self.got.borrow_mut() = Some(payload.expect::<TableAnswer>());
-        }
-    }
-
-    fn query(w: &mut World, n: NodeId, table: Pid, transid: Transid) -> Option<TxState> {
-        let got = Rc::new(RefCell::new(None));
-        w.spawn(
-            n,
-            1,
-            Box::new(Asker {
-                table,
-                transid,
-                got: got.clone(),
-            }),
-        );
-        w.run_for(SimDuration::from_millis(10));
-        let answer = got.borrow().expect("query answered");
-        answer.state
+    /// The state `table` holds for `transid`, read between events; a
+    /// tombstone reads as absent.
+    fn state_of(w: &World, table: Pid, transid: Transid) -> Option<TxState> {
+        let table = w.inspect::<TxTableProcess>(table).expect("table alive");
+        (table.states.get(&transid).copied()).filter(|s| !s.is_terminal())
     }
 
     #[test]
@@ -190,8 +135,8 @@ mod tests {
             }),
         );
         w.run_for(SimDuration::from_millis(5));
-        assert_eq!(query(&mut w, n, table, t(1)), Some(TxState::Active));
-        assert_eq!(query(&mut w, n, table, t(2)), None);
+        assert_eq!(state_of(&w, table, t(1)), Some(TxState::Active));
+        assert_eq!(state_of(&w, table, t(2)), None);
 
         w.send_external(
             table,
@@ -201,7 +146,7 @@ mod tests {
             }),
         );
         w.run_for(SimDuration::from_millis(5));
-        assert_eq!(query(&mut w, n, table, t(1)), Some(TxState::Ending));
+        assert_eq!(state_of(&w, table, t(1)), Some(TxState::Ending));
 
         // terminal: the transid leaves the system
         w.send_external(
@@ -212,7 +157,7 @@ mod tests {
             }),
         );
         w.run_for(SimDuration::from_millis(5));
-        assert_eq!(query(&mut w, n, table, t(1)), None);
+        assert_eq!(state_of(&w, table, t(1)), None);
         assert!(w.metrics().get("tmf.table_broadcasts") >= 3);
     }
 
@@ -236,7 +181,7 @@ mod tests {
         w.run_for(SimDuration::from_millis(5));
         assert_eq!(std::sync::Arc::strong_count(&change), 1, "every copy read");
         for &table in &tables {
-            assert_eq!(query(&mut w, n, table, t(3)), Some(TxState::Active));
+            assert_eq!(state_of(&w, table, t(3)), Some(TxState::Active));
         }
         assert_eq!(w.metrics().get("tmf.table_broadcasts"), 4);
     }
@@ -258,7 +203,7 @@ mod tests {
         }
         w.run_for(SimDuration::from_millis(5));
         // the stale Active re-broadcast did not overwrite Aborting
-        assert_eq!(query(&mut w, n, table, t(7)), Some(TxState::Aborting));
+        assert_eq!(state_of(&w, table, t(7)), Some(TxState::Aborting));
     }
 
     /// A terminal state that overtakes its predecessor keeps a tombstone
@@ -286,11 +231,11 @@ mod tests {
                 w.run_for(SimDuration::from_millis(5));
                 if i == 1 {
                     assert_eq!(held(&w), vec![transid], "the tombstone");
-                    assert_eq!(query(&mut w, n, table, transid), None);
+                    assert_eq!(state_of(&w, table, transid), None);
                 }
             }
             assert_eq!(held(&w), vec![], "{transid} left the table");
-            assert_eq!(query(&mut w, n, table, transid), None);
+            assert_eq!(state_of(&w, table, transid), None);
         }
     }
 }

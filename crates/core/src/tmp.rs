@@ -564,7 +564,7 @@ impl TmpProcess {
                 .disc_rpc
                 .call(
                     ctx,
-                    Target::Named(v.node, v.volume.clone()),
+                    Target::new(v.node, v.volume.clone()),
                     DiscRequest::EndPhase1 { transid },
                     CRITICAL_RETRIES,
                     DiscThen::Phase1(transid),
@@ -581,7 +581,7 @@ impl TmpProcess {
                 .tmp_rpc
                 .call(
                     ctx,
-                    Target::Named(child, TMP_SERVICE),
+                    Target::new(child, TMP_SERVICE),
                     TmpMsg::Phase1 { transid },
                     CRITICAL_RETRIES,
                     TmpThen::Phase1(transid),
@@ -658,7 +658,7 @@ impl TmpProcess {
             ctx.count(counter!("tmf.msgs.release_early"), 1);
             self.disc_rpc.call_persistent(
                 ctx,
-                Target::Named(v.node, v.volume.clone()),
+                Target::new(v.node, v.volume.clone()),
                 DiscRequest::ReleaseLocks {
                     transid,
                     commit: true,
@@ -837,7 +837,7 @@ impl TmpProcess {
             ctx.count(counter!("tmf.msgs.release_local"), 1);
             self.disc_rpc.call_persistent(
                 ctx,
-                Target::Named(v.node, v.volume.clone()),
+                Target::new(v.node, v.volume.clone()),
                 DiscRequest::ReleaseLocks {
                     transid,
                     commit: committed,
@@ -863,7 +863,7 @@ impl TmpProcess {
             };
             self.tmp_rpc.call_persistent(
                 ctx,
-                Target::Named(child, TMP_SERVICE),
+                Target::new(child, TMP_SERVICE),
                 msg,
                 TmpThen::Delivery(transid),
             );
@@ -929,7 +929,7 @@ impl TmpProcess {
             ctx.count(counter!("tmf.msgs.abort_net"), 1);
             self.tmp_rpc.call_persistent(
                 ctx,
-                Target::Named(child, TMP_SERVICE),
+                Target::new(child, TMP_SERVICE),
                 TmpMsg::AbortTxn { transid },
                 TmpThen::AbortNotice,
             );
@@ -940,7 +940,7 @@ impl TmpProcess {
             let node = ctx.node();
             self.backout_rpc.call_persistent(
                 ctx,
-                Target::Named(node, BACKOUT_SERVICE),
+                Target::new(node, BACKOUT_SERVICE),
                 BackoutMsg::Backout {
                     transid,
                     volumes: volumes.to_vec(),
@@ -1077,7 +1077,7 @@ impl TmpProcess {
                 ctx.count(counter!("tmf.msgs.remote_begin"), 1);
                 let sent = self.tmp_rpc.call(
                     ctx,
-                    Target::Named(dest, TMP_SERVICE),
+                    Target::new(dest, TMP_SERVICE),
                     TmpMsg::RemoteBegin { transid },
                     CRITICAL_RETRIES,
                     TmpThen::RemoteBegin {
@@ -1359,7 +1359,7 @@ impl TmpProcess {
             // retry budget runs out): the next sweep simply retries
             let _ = self.tmp_rpc.call(
                 ctx,
-                Target::Named(home, TMP_SERVICE),
+                Target::new(home, TMP_SERVICE),
                 TmpMsg::QueryDisposition { transid },
                 CRITICAL_RETRIES,
                 TmpThen::Janitor(transid),
@@ -1397,7 +1397,7 @@ impl TmpProcess {
         // interval
         self.audit_rpc.call_persistent(
             ctx,
-            Target::Named(node, AUDIT_SERVICE),
+            Target::new(node, AUDIT_SERVICE),
             AuditMsg::Purge {
                 floors,
                 open: self.txns.keys().copied().collect(),

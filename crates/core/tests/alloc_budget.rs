@@ -52,7 +52,7 @@ fn node(tables: bool) -> (World, NodeId) {
 }
 
 fn call(w: &mut World, n: NodeId, msg: TmpMsg) -> TmpReply {
-    let reply = ask::<TmpMsg, TmpReply>(w, n, 2, 0, Target::Named(n, TMP_SERVICE), msg);
+    let reply = ask::<TmpMsg, TmpReply>(w, n, 2, 0, Target::new(n, TMP_SERVICE), msg);
     w.run_for(SimDuration::from_millis(20));
     let answered = reply.borrow_mut().take();
     answered.expect("the TMP answered")

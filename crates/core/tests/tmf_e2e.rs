@@ -109,14 +109,7 @@ fn drive_capturing(
 
 /// One-shot raw client: send `msg` to `node`'s `$TMP` and record the reply.
 fn ask_tmp(world: &mut World, node: NodeId, cpu: u8, msg: TmpMsg) -> Rc<RefCell<Option<TmpReply>>> {
-    guardian::ask(
-        world,
-        node,
-        cpu,
-        11,
-        Target::Named(node, "$TMP".into()),
-        msg,
-    )
+    guardian::ask(world, node, cpu, 11, Target::new(node, "$TMP".into()), msg)
 }
 
 /// One node, one volume, one audited file.
@@ -797,7 +790,7 @@ fn late_write_with_stale_transid_is_fenced() {
         &mut w,
         n,
         1,
-        Target::Named(n, "$DATA".into()),
+        Target::new(n, "$DATA".into()),
         vec![
             DiscRequest::Update {
                 file: "accounts".into(),

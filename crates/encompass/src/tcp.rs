@@ -313,7 +313,7 @@ impl TerminalControlProcess {
             }
         };
         let t = &mut self.terminals[idx];
-        let target = Target::Named(dest, service);
+        let target = Target::new(dest, service);
         let env = ServerRequest {
             transid: t.session.transid(),
             options: t.session.options(),

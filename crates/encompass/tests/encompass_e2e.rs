@@ -203,7 +203,7 @@ impl Process for OneShot {
                         };
                         let _ = self.rpc.call(
                             ctx,
-                            Target::Named(
+                            Target::new(
                                 self.node,
                                 encompass::appmon::server_class_service(&self.class),
                             ),

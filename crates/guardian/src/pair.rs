@@ -436,7 +436,7 @@ pub struct PairHandle {
 impl PairHandle {
     /// The [`crate::rpc::Target`] for requests to this service.
     pub fn target(&self) -> crate::rpc::Target {
-        crate::rpc::Target::Named(self.node, self.name.clone())
+        crate::rpc::Target::new(self.node, self.name.clone())
     }
 }
 

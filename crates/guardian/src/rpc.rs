@@ -58,17 +58,21 @@ pub const RPC_TAG_BASE: u64 = 1 << 48;
 /// notice, so one retry finds the new primary.
 const TAKEOVER_RETRY: SimDuration = SimDuration::from_millis(1);
 
-/// Where a request is addressed. Named targets are re-resolved on every
-/// attempt, so a resend finds the new primary after a process-pair
-/// takeover.
+/// Where a request is addressed: a service name on a node. The name is
+/// resolved again on every attempt, so a resend finds the new primary
+/// after a process-pair takeover.
 #[derive(Clone, Debug)]
-pub enum Target {
-    Pid(Pid),
-    Named(NodeId, Name),
+pub struct Target {
+    node: NodeId,
+    name: Name,
 }
 
 impl Target {
-    /// Send request `id` here with its requester's `floor`, resolving a
+    pub fn new(node: NodeId, name: Name) -> Target {
+        Target { node, name }
+    }
+
+    /// Send request `id` here with its requester's `floor`, resolving the
     /// name now: the CPU of the process it went to, or why it did not go
     /// (an unresolvable name is [`SendError::NoSuchProcess`]).
     fn send<M: Clone + Send + 'static>(
@@ -78,12 +82,7 @@ impl Target {
         floor: u64,
         body: &M,
     ) -> Sent {
-        let dst = match self {
-            Target::Pid(p) => *p,
-            Target::Named(node, name) => {
-                (ctx.lookup_name(*node, name)).ok_or(SendError::NoSuchProcess)?
-            }
-        };
+        let dst = (ctx.lookup_name(self.node, &self.name)).ok_or(SendError::NoSuchProcess)?;
         let (from, body) = (ctx.pid(), body.clone());
         let request = Request {
             id,
@@ -94,29 +93,14 @@ impl Target {
         ctx.send(dst, Payload::new(request)).map(|()| dst.cpu)
     }
 
-    /// Can a copy that did not go out still go out later? A name may be
-    /// taken over; a dead pid stays dead.
-    fn may_resolve(&self, ctx: &Ctx<'_>) -> bool {
-        match self {
-            Target::Pid(p) => ctx.is_alive(*p),
-            Target::Named(..) => true,
-        }
-    }
-
     pub fn node(&self) -> NodeId {
-        match self {
-            Target::Pid(p) => p.node,
-            Target::Named(n, _) => *n,
-        }
+        self.node
     }
 }
 
 impl std::fmt::Display for Target {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Target::Pid(p) => write!(f, "{p}"),
-            Target::Named(node, name) => write!(f, "{node}.{name}"),
-        }
+        write!(f, "{}.{}", self.node, self.name)
     }
 }
 
@@ -183,7 +167,7 @@ impl<M, K> Pending<M, K> {
     /// whichever comes first; or none.
     fn arm(&mut self, ctx: &mut Ctx<'_>, tag: u64, interval: Option<SimDuration>) {
         let delay = if self.target.node() == ctx.node() {
-            let retry = (self.retrying() && self.target.may_resolve(ctx)).then_some(TAKEOVER_RETRY);
+            let retry = self.retrying().then_some(TAKEOVER_RETRY);
             let deadline = self.has_deadline().then(|| self.deadline.since(ctx.now()));
             match (retry, deadline) {
                 (Some(r), Some(d)) => Some(r.min(d)),
@@ -228,11 +212,11 @@ pub struct Completion<R, K = ()> {
 /// Every call carries a **continuation** `K`: what the call is for and
 /// whom to answer when it ends. It is stored inline with the pending
 /// request and handed back exactly once — by [`Rpc::accept`] on
-/// completion, by [`TimerOutcome::Expired`] on expiry, by [`Rpc::cancel`],
-/// or by [`Rpc::call`] itself when a network send fails — so the caller
-/// keeps no `rpc id → why` map of its own (DESIGN.md §D16), and a
-/// continuation may own what cannot be copied (the [`Owed`] of the request
-/// the call serves). Callers with a single kind of call use `K = ()`.
+/// completion, by [`TimerOutcome::Expired`] on expiry, or by [`Rpc::call`]
+/// itself when a network send fails — so the caller keeps no `rpc id →
+/// why` map of its own (DESIGN.md §D16), and a continuation may own what
+/// cannot be copied (the [`Owed`] of the request the call serves). Callers
+/// with a single kind of call use `K = ()`.
 ///
 /// Owning process responsibilities:
 /// * subscribe to system events ([`Ctx::subscribe_system`]) and forward
@@ -500,15 +484,6 @@ impl<M: Clone + Send + 'static, R: Send + 'static, K> Rpc<M, R, K> {
                 p.arm(ctx, RPC_TAG_BASE + id, self.interval);
             }
         }
-    }
-
-    /// Abandon a pending request (e.g. the transaction it served aborted),
-    /// handing its continuation back. `None` if `id` is not pending.
-    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: u64) -> Option<K> {
-        let mut p = self.pending.remove(&id)?;
-        p.disarm(ctx);
-        self.ended(id);
-        Some(p.then)
     }
 
     /// The floor as an id, as requests carry it.
@@ -1077,14 +1052,22 @@ mod tests {
         (w, a, b)
     }
 
+    /// Spawn `server` on CPU 0 of `node` under the name `$SRV`, and
+    /// address it.
+    fn serve(w: &mut World, node: NodeId, server: impl Process + 'static) -> Target {
+        let pid = w.spawn(node, 0, Box::new(server));
+        w.register_name(node, "$SRV", pid);
+        Target::new(node, "$SRV".into())
+    }
+
     /// A flaky server on `node`, dropping its first `drop_first` requests.
-    fn flaky(w: &mut World, node: NodeId, drop_first: u32) -> (Pid, Rc<RefCell<u32>>) {
+    fn flaky(w: &mut World, node: NodeId, drop_first: u32) -> (Target, Rc<RefCell<u32>>) {
         let seen = Rc::new(RefCell::new(0));
         let server = FlakyServer {
             drop_first,
             seen: seen.clone(),
         };
-        (w.spawn(node, 0, Box::new(server)), seen)
+        (serve(w, node, server), seen)
     }
 
     /// The last call number is issued; the one after it would be the first
@@ -1133,7 +1116,7 @@ mod tests {
     fn call_completes() {
         let (mut w, n) = world();
         let (srv, _) = flaky(&mut w, n, 0);
-        let outcome = Client::spawn(&mut w, n, 1, Target::Pid(srv), Some(0));
+        let outcome = Client::spawn(&mut w, n, 1, srv, Some(0));
         w.run_until_quiescent();
         assert_eq!(outcome.borrow().as_slice(), &["ok:42:7@0".to_string()]);
     }
@@ -1144,7 +1127,7 @@ mod tests {
     fn retransmits_until_answered() {
         let (mut w, a, b) = two_nodes();
         let (srv, seen) = flaky(&mut w, b, 2);
-        let outcome = Client::spawn(&mut w, a, 1, Target::Pid(srv), Some(5));
+        let outcome = Client::spawn(&mut w, a, 1, srv, Some(5));
         w.run_until_quiescent();
         assert_eq!(*seen.borrow(), 3, "two dropped + one answered");
         assert_eq!(w.metrics().get("rpc.retransmits"), 2, "each resend counted");
@@ -1165,7 +1148,7 @@ mod tests {
         for remote in [true, false] {
             let (mut w, a, b) = two_nodes();
             let (srv, seen) = flaky(&mut w, if remote { b } else { a }, u32::MAX);
-            let outcome = Client::spawn(&mut w, a, 1, Target::Pid(srv), Some(2));
+            let outcome = Client::spawn(&mut w, a, 1, srv, Some(2));
             w.run_for(SimDuration::from_millis(5));
             let rpc_timers = (w.armed_timers()).filter(|&(_, tag)| tag >= RPC_TAG_BASE);
             assert_eq!(rpc_timers.count(), 1, "the clock or the deadline");
@@ -1190,8 +1173,8 @@ mod tests {
             delay: SimDuration::from_secs(1),
             held: Vec::new(),
         };
-        let srv = w.spawn(n, 0, Box::new(slow));
-        let outcome = Client::spawn(&mut w, n, 1, Target::Pid(srv), None);
+        let srv = serve(&mut w, n, slow);
+        let outcome = Client::spawn(&mut w, n, 1, srv, None);
         w.run_for(SimDuration::from_millis(500));
         let rpc_timers = (w.armed_timers()).filter(|&(_, tag)| tag >= RPC_TAG_BASE);
         assert_eq!(rpc_timers.count(), 0, "the call holds no timer");
@@ -1227,7 +1210,7 @@ mod tests {
         w.spawn(n, 0, Box::new(NamedServer { answer: false }));
         let answering = w.spawn(n, 2, Box::new(NamedServer { answer: true }));
         w.run_until_quiescent();
-        let outcome = Client::spawn(&mut w, n, 1, Target::Named(n, "$SVC".into()), None);
+        let outcome = Client::spawn(&mut w, n, 1, Target::new(n, "$SVC".into()), None);
         w.run_for(SimDuration::from_millis(15));
         let killed_at = w.now().as_millis();
         w.inject(Fault::KillCpu(n, CpuId(0)));
@@ -1261,13 +1244,13 @@ mod tests {
             delay: SimDuration::from_millis(100),
             held: Vec::new(),
         };
-        let srv = w.spawn(n, 0, Box::new(slow));
-        let before = Client::spawn(&mut w, n, 1, Target::Pid(srv), None);
+        let srv = serve(&mut w, n, slow);
+        let before = Client::spawn(&mut w, n, 1, srv.clone(), None);
         w.run_for(SimDuration::from_millis(50));
         w.inject(Fault::KillBus(n, 0));
         w.inject(Fault::KillBus(n, 1));
         w.run_for(SimDuration::from_millis(10));
-        let during = Client::spawn(&mut w, n, 2, Target::Pid(srv), None);
+        let during = Client::spawn(&mut w, n, 2, srv, None);
         w.run_for(SimDuration::from_millis(90));
         let rpc_timers = (w.armed_timers()).filter(|&(_, tag)| tag >= RPC_TAG_BASE);
         assert_eq!(rpc_timers.count(), 0, "no clock waits out the outage");
@@ -1293,7 +1276,7 @@ mod tests {
 
         // partition before the client even starts
         w.inject(Fault::Partition(vec![b]));
-        let done = ask::<Ping, Pong>(&mut w, a, 0, 0, Target::Pid(srv), Ping(1));
+        let done = ask::<Ping, Pong>(&mut w, a, 0, 0, srv, Ping(1));
         w.run_for(SimDuration::from_millis(200));
         assert!(done.borrow().is_none(), "unreachable while partitioned");
         w.inject(Fault::HealAllLinks);
@@ -1311,7 +1294,7 @@ mod tests {
         // unique across the `Rpc`s of one process (the id space) and
         // across processes using the same id space (the pid salt)
         struct TwoClients {
-            sink: Pid,
+            sink: Target,
             rpcs: [Rpc<Ping, Pong>; 2],
             issued: Rc<RefCell<Vec<u64>>>,
         }
@@ -1319,7 +1302,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 for _ in 0..3 {
                     for rpc in &mut self.rpcs {
-                        let id = rpc.call_persistent(ctx, Target::Pid(self.sink), Ping(0), ());
+                        let id = rpc.call_persistent(ctx, self.sink.clone(), Ping(0), ());
                         self.issued.borrow_mut().push(id);
                     }
                 }
@@ -1327,21 +1310,14 @@ mod tests {
             fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, _payload: Payload) {}
         }
         let (mut w, n) = world();
-        let sink = w.spawn(
-            n,
-            0,
-            Box::new(FlakyServer {
-                drop_first: u32::MAX,
-                seen: Rc::new(RefCell::new(0)),
-            }),
-        );
+        let (sink, _) = flaky(&mut w, n, u32::MAX);
         let issued = Rc::new(RefCell::new(Vec::new()));
         for cpu in [1, 2] {
             w.spawn(
                 n,
                 cpu,
                 Box::new(TwoClients {
-                    sink,
+                    sink: sink.clone(),
                     rpcs: [Rpc::local(1), Rpc::local(2)],
                     issued: issued.clone(),
                 }),
@@ -1366,11 +1342,11 @@ mod tests {
     #[test]
     fn space_of_an_id_is_its_rpcs_id_space() {
         in_handler(|ctx| {
+            let target = own_name(ctx);
             for space in [0, 30, 223, 255] {
                 let mut rpc: Rpc<Ping, Pong> = Rpc::local(space);
-                let id = rpc.call_persistent(ctx, Target::Pid(ctx.pid()), Ping(0), ());
+                let id = rpc.call_persistent(ctx, target.clone(), Ping(0), ());
                 assert_eq!(space_of(id), rpc.id_space());
-                rpc.cancel(ctx, id);
             }
         });
     }
@@ -1395,6 +1371,12 @@ mod tests {
         let (mut w, n) = world();
         w.spawn(n, 0, Box::new(Once(Some(f))));
         w.run_until_quiescent();
+    }
+
+    /// Register the running process as `$SELF` and address it.
+    fn own_name(ctx: &mut Ctx<'_>) -> Target {
+        ctx.register_name("$SELF");
+        Target::new(ctx.node(), "$SELF".into())
     }
 
     /// A request from this process with call number `n` of id space 0
@@ -1424,17 +1406,21 @@ mod tests {
     fn the_floor_is_the_lowest_outstanding_call() {
         in_handler(|ctx| {
             let mut rpc: Rpc<Ping, Pong> = Rpc::local(3);
-            let target = Target::Pid(ctx.pid());
+            let target = own_name(ctx);
             let ids: Vec<u64> = (0..4)
                 .map(|_| rpc.call_persistent(ctx, target.clone(), Ping(0), ()))
                 .collect();
+            fn answer(rpc: &mut Rpc<Ping, Pong>, ctx: &mut Ctx<'_>, id: u64) {
+                let reply = Payload::new(RpcReply { id, body: Pong(0) });
+                assert!(rpc.accept(ctx, reply).is_ok(), "call {id} was pending");
+            }
             assert_eq!(rpc.floor_id(), ids[0]);
-            rpc.cancel(ctx, ids[1]);
+            answer(&mut rpc, ctx, ids[1]);
             assert_eq!(rpc.floor_id(), ids[0], "a call above the floor ended");
-            rpc.cancel(ctx, ids[0]);
+            answer(&mut rpc, ctx, ids[0]);
             assert_eq!(rpc.floor_id(), ids[2], "the floor passes the ended call");
-            rpc.cancel(ctx, ids[3]);
-            rpc.cancel(ctx, ids[2]);
+            answer(&mut rpc, ctx, ids[3]);
+            answer(&mut rpc, ctx, ids[2]);
             assert_eq!(rpc.floor_id(), ids[3] + 1, "none outstanding");
             let next = rpc.call_persistent(ctx, target, Ping(0), ());
             assert_eq!(rpc.floor_id(), next);

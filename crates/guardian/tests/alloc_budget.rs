@@ -49,7 +49,7 @@ struct Offer {
 }
 
 struct Client {
-    sink: Pid,
+    sink: Target,
     rpc: Rpc<Ping, Pong>,
     pending_id: Rc<RefCell<Option<u64>>>,
     offers: Rc<RefCell<Vec<Offer>>>,
@@ -58,9 +58,7 @@ struct Client {
 impl Process for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // one call in flight, so the miss is a miss in a non-empty table
-        let id = self
-            .rpc
-            .call_persistent(ctx, Target::Pid(self.sink), Ping, ());
+        let id = self.rpc.call_persistent(ctx, self.sink.clone(), Ping, ());
         *self.pending_id.borrow_mut() = Some(id);
     }
 
@@ -92,13 +90,14 @@ fn a_reply_that_is_not_pending_is_handed_back_unboxed() {
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(2);
     let sink = w.spawn(n, 0, Box::new(Sink));
+    w.register_name(n, "$SINK", sink);
     let pending_id = Rc::new(RefCell::new(None));
     let offers = Rc::new(RefCell::new(Vec::new()));
     let client = w.spawn(
         n,
         1,
         Box::new(Client {
-            sink,
+            sink: Target::new(n, "$SINK".into()),
             rpc: Rpc::local(1),
             pending_id: pending_id.clone(),
             offers: offers.clone(),

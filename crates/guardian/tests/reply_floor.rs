@@ -169,7 +169,7 @@ fn caller(
         n,
         cpu,
         Box::new(Caller {
-            target: Target::Named(server, Name::new("$RUNS")),
+            target: Target::new(server, Name::new("$RUNS")),
             rpc: Rpc::new(space, RETRY),
             lose_first,
             more,

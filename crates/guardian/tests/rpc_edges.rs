@@ -1,9 +1,9 @@
 //! Edge-case tests for the guardian RPC layer's continuation contract:
-//! completion, expiry and cancellation each hand the call's `K` back
-//! exactly once; duplicate replies hand back nothing; `awaiting()` lists
-//! exactly what is pending.
+//! completion and expiry each hand the call's `K` back exactly once;
+//! duplicate replies hand back nothing; `awaiting()` lists exactly what
+//! is pending.
 
-use encompass_sim::{Ctx, Payload, Pid, Process, SimConfig, SimDuration, TimerId, World};
+use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimConfig, SimDuration, TimerId, World};
 use guardian::{Request, Rpc, RpcReply, Target, TimerOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -40,8 +40,7 @@ impl Process for MultiEcho {
 }
 
 struct Client {
-    server: Pid,
-    cancel_after_send: bool,
+    server: Target,
     events: Rc<RefCell<Vec<String>>>,
     rpc: Rpc<Ping, Pong, Why>,
 }
@@ -55,17 +54,10 @@ impl Client {
 }
 impl Process for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let id = self
-            .rpc
-            .call(ctx, Target::Pid(self.server), Ping(5), 1, Why::Audit(77))
+        self.rpc
+            .call(ctx, self.server.clone(), Ping(5), 1, Why::Audit(77))
             .expect("send ok");
         assert_eq!(self.rpc.in_flight(), 1);
-        if self.cancel_after_send {
-            let then = self.rpc.cancel(ctx, id);
-            self.log("cancelled", then.as_ref());
-            // the continuation left with the first cancel
-            assert_eq!(self.rpc.cancel(ctx, id), None);
-        }
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
         match self.rpc.accept(ctx, payload) {
@@ -83,15 +75,22 @@ impl Process for Client {
     }
 }
 
-fn run(cancel: bool, replies_per_request: u32) -> Vec<String> {
+/// Spawn `server` on CPU 0 of `n` under the name `$ECHO`, and address it.
+fn serve(w: &mut World, n: NodeId, server: impl Process + 'static) -> Target {
+    let pid = w.spawn(n, 0, Box::new(server));
+    w.register_name(n, "$ECHO", pid);
+    Target::new(n, "$ECHO".into())
+}
+
+fn run(replies_per_request: u32) -> Vec<String> {
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(2);
-    let server = w.spawn(
+    let server = serve(
+        &mut w,
         n,
-        0,
-        Box::new(MultiEcho {
+        MultiEcho {
             replies_per_request,
-        }),
+        },
     );
     let events = Rc::new(RefCell::new(Vec::new()));
     w.spawn(
@@ -99,7 +98,6 @@ fn run(cancel: bool, replies_per_request: u32) -> Vec<String> {
         1,
         Box::new(Client {
             server,
-            cancel_after_send: cancel,
             events: events.clone(),
             rpc: Rpc::new(0, SimDuration::from_millis(50)),
         }),
@@ -111,16 +109,13 @@ fn run(cancel: bool, replies_per_request: u32) -> Vec<String> {
 
 #[test]
 fn completion_hands_the_continuation_back_once() {
-    assert_eq!(
-        run(false, 1),
-        vec!["ok:Some(Audit(77)):in_flight=0".to_string()]
-    );
+    assert_eq!(run(1), vec!["ok:Some(Audit(77)):in_flight=0".to_string()]);
 }
 
 #[test]
 fn duplicate_replies_surface_as_stray_and_yield_no_continuation() {
     assert_eq!(
-        run(false, 3),
+        run(3),
         vec![
             "ok:Some(Audit(77)):in_flight=0".to_string(),
             "stray:None:in_flight=0".to_string(),
@@ -134,28 +129,31 @@ fn expiry_hands_the_continuation_back_once() {
     // a silent peer on the caller's node: the deadline passes with no
     // resend; no later timer or reply produces a second outcome
     assert_eq!(
-        run(false, 0),
+        run(0),
         vec!["expired:Some(Audit(77)):in_flight=0".to_string()]
     );
 }
 
-#[test]
-fn cancel_hands_the_continuation_back_and_the_call_never_completes() {
-    // the reply still arrives at the process, but the rpc no longer owns
-    // the id, so it surfaces as stray; no timeout fires either
-    assert_eq!(
-        run(true, 1),
-        vec![
-            "cancelled:Some(Audit(77)):in_flight=0".to_string(),
-            "stray:None:in_flight=0".to_string()
-        ]
-    );
+/// Echo server that answers only the requests whose body is
+/// `Ping(self.0)`.
+struct EchoOne(u32);
+impl Process for EchoOne {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let req = payload.expect::<Request<Ping>>();
+        if req.body.0 == self.0 {
+            let pong = RpcReply {
+                id: req.id,
+                body: Pong(req.body.0),
+            };
+            let _ = ctx.send(req.from, Payload::new(pong));
+        }
+    }
 }
 
-/// Issues three calls to a dead peer, cancels one, and records what
-/// `awaiting()` lists.
+/// Issues three calls to a peer that answers the second only, and records
+/// what `awaiting()` lists before and after that answer.
 struct Lister {
-    server: Pid,
+    server: Target,
     rpc: Rpc<Ping, Pong, Why>,
     seen: Rc<RefCell<Vec<Vec<String>>>>,
 }
@@ -170,22 +168,20 @@ impl Lister {
 impl Process for Lister {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.snapshot();
-        let target = Target::Pid(self.server);
+        let target = self.server.clone();
         self.rpc
             .call_persistent(ctx, target.clone(), Ping(1), Why::Audit(1));
-        let second =
-            self.rpc
-                .call_persistent(ctx, target.clone(), Ping(2), Why::Answer { req_id: 9 });
+        self.rpc
+            .call_persistent(ctx, target.clone(), Ping(2), Why::Answer { req_id: 9 });
         self.rpc
             .call_persistent(ctx, target, Ping(3), Why::Audit(3));
         self.snapshot();
-        assert_eq!(
-            self.rpc.cancel(ctx, second),
-            Some(Why::Answer { req_id: 9 })
-        );
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _src: Pid, payload: Payload) {
+        let done = self.rpc.accept(ctx, payload).expect("a pending call");
+        assert_eq!(done.then, Why::Answer { req_id: 9 });
         self.snapshot();
     }
-    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _src: Pid, _payload: Payload) {}
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
         // safe-delivery calls only ever retransmit
         assert!(matches!(self.rpc.on_timer(ctx, tag), TimerOutcome::Resent));
@@ -196,13 +192,7 @@ impl Process for Lister {
 fn awaiting_lists_exactly_the_pending_continuations() {
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(2);
-    let server = w.spawn(
-        n,
-        0,
-        Box::new(MultiEcho {
-            replies_per_request: 0,
-        }),
-    );
+    let server = serve(&mut w, n, EchoOne(2));
     let seen = Rc::new(RefCell::new(Vec::new()));
     w.spawn(
         n,

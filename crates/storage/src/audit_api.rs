@@ -35,13 +35,6 @@ pub struct ImageRecord {
 }
 
 impl ImageRecord {
-    /// Approximate size on the trail, for throughput accounting.
-    pub fn wire_size(&self) -> usize {
-        32 + self.key.len()
-            + self.before.as_ref().map(|b| b.len()).unwrap_or(0)
-            + self.after.as_ref().map(|b| b.len()).unwrap_or(0)
-    }
-
     /// An ONLINEDUMP marker record (DumpBegin when `end` is false,
     /// DumpEnd when true). Lives on the trail only; never applied to
     /// media and never replayed by recovery.
@@ -122,29 +115,4 @@ pub enum AuditReply {
     Images(Vec<ImageRecord>),
     /// Purge complete; `files` trail files were dropped.
     Purged { files: u64 },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use encompass_sim::NodeId;
-
-    #[test]
-    fn wire_size_accounts_for_payloads() {
-        let rec = ImageRecord {
-            seq: 1,
-            transid: Transid {
-                home_node: NodeId(0),
-                cpu: 0,
-                seq: 1,
-            },
-            volume: VolumeRef::new(NodeId(0), "$D"),
-            file: "f".into(),
-            organization: FileOrganization::KeySequenced,
-            key: Bytes::from_static(b"key"),
-            before: Some(Bytes::from_static(b"aa")),
-            after: None,
-        };
-        assert_eq!(rec.wire_size(), 32 + 3 + 2);
-    }
 }

@@ -1,27 +1,9 @@
-//! Archives and online dumps of the volume: what a copy sees, the audit
-//! watermark it is consistent with, and the trail it still needs.
+//! Online dumps of the volume: what a copy sees, the audit watermark it
+//! is consistent with, and the trail it still needs.
 
 use super::*;
 
 impl DiscProcess {
-    /// Build archive generation `generation` in stable storage, replying
-    /// after the disc accesses reading the whole volume takes.
-    pub(super) fn archive(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, generation: u64) {
-        let snapshot = self.build_archive(ctx, generation);
-        // reading the whole volume is not free: charge one
-        // archive-read disc access per page it would take
-        let records: usize = snapshot.files.values().map(|f| f.len()).sum();
-        let pages = records.div_ceil(self.cfg.dump_page_size.max(1)).max(1) as u64;
-        ctx.count(counter!("disc.archive_read"), pages);
-        let key = archive_key(&self.volume, generation);
-        ctx.stable().remove(&key);
-        ctx.stable()
-            .get_or_create::<ArchiveImage, _>(&key, move || snapshot);
-        ctx.count(counter!("disc.archives"), 1);
-        let reply = DiscReply::Ok;
-        self.park_on_disc(ctx, pages, Parked::Reply { owed, reply });
-    }
-
     /// Begin an online dump: see [`DiscRequest::DumpBegin`].
     pub(super) fn dump_begin(&mut self, ctx: &mut PairCtx<'_, '_>, owed: Owed, generation: u64) {
         // watermark: every assigned sequence's write is applied (§D1), so
@@ -87,7 +69,7 @@ impl DiscProcess {
             entries: page,
             done,
         };
-        self.park_on_disc(ctx, 1, Parked::Reply { owed, reply });
+        self.park_on_disc(ctx, Parked::Reply { owed, reply });
     }
 
     /// End an online dump: see [`DiscRequest::DumpEnd`].
@@ -141,27 +123,5 @@ impl DiscProcess {
         let seq = self.audit_seq;
         let then = AuditThen::DumpMarker { owed, done, seq };
         self.call_audit_append(ctx, [marker].into_iter().collect(), end, then);
-    }
-
-    fn build_archive(&self, ctx: &mut PairCtx<'_, '_>, generation: u64) -> ArchiveImage {
-        let mut files = self.with_media(ctx, |m| m.files.clone());
-        for (file, key, value) in self.overlay.iter() {
-            let org = self.org_of(file);
-            files
-                .entry(file.clone())
-                .or_insert_with(|| FileImage::new(org))
-                .apply(key, value.clone());
-        }
-        // the snapshot includes uncommitted overlay writes of transactions
-        // still holding locks; their images (from their first one on) must
-        // survive on the trail for recovery to undo losers
-        let purge_floor = self.purge_floor(self.audit_seq);
-        ArchiveImage {
-            volume: self.volume.clone(),
-            files,
-            audit_watermark: self.audit_seq,
-            purge_floor,
-            generation,
-        }
     }
 }

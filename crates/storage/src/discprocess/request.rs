@@ -85,9 +85,6 @@ pub enum DiscRequest {
     /// Apply before-images (sent by the BACKOUTPROCESS); generates no
     /// audit of its own.
     Undo { images: Vec<ImageRecord> },
-    /// Build archive generation `generation` of this volume (a logical
-    /// snapshot plus the audit watermark) in stable storage.
-    Archive { generation: u64 },
     /// Begin an online (fuzzy) dump: append a DumpBegin marker to the
     /// audit trail and reply [`DiscReply::DumpBegun`] with the dump's
     /// audit watermark, its purge floor, and the files to copy. Sent by
@@ -194,7 +191,6 @@ impl DiscRequest {
             | DiscRequest::FlushTxn { .. }
             | DiscRequest::ReleaseLocks { .. }
             | DiscRequest::Undo { .. }
-            | DiscRequest::Archive { .. }
             | DiscRequest::DumpBegin { .. }
             | DiscRequest::DumpScan { .. }
             | DiscRequest::DumpEnd { .. } => None,

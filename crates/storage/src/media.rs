@@ -282,14 +282,13 @@ impl VolumeMedia {
 
 /// An archive of a volume, used by ROLLFORWARD.
 ///
-/// Two kinds exist: instantaneous snapshots (`DiscRequest::Archive`, which
-/// captures media+overlay in one event) and ONLINEDUMP *fuzzy* archives
-/// copied page by page while transactions keep updating. For a snapshot
-/// the image is transaction-consistent as of `audit_watermark`; for a
-/// fuzzy dump `audit_watermark` is the volume's audit sequence number when
-/// the dump *began*, and each page may reflect any state between begin and
-/// end — recovery must REDO committed images after the watermark and UNDO
-/// captured-but-uncommitted ones to converge.
+/// An archive of a live volume is an ONLINEDUMP: a *fuzzy* copy taken page
+/// by page while transactions keep updating. `audit_watermark` is the
+/// volume's audit sequence number when the dump *began*, and each page may
+/// reflect any state between begin and end — recovery must REDO committed
+/// images after the watermark and UNDO captured-but-uncommitted ones to
+/// converge. The one sharp copy is generation 0, taken from the media of
+/// a volume no transaction has written yet (a bulk preload).
 #[derive(Clone)]
 pub struct ArchiveImage {
     pub volume: VolumeRef,

@@ -57,7 +57,7 @@ impl Process for Update {
                         };
                         let _ = self.rpc.call(
                             ctx,
-                            Target::Named(self.node, "$SC-mfg".into()),
+                            Target::new(self.node, "$SC-mfg".into()),
                             env,
                             0,
                             (),

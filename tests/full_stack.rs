@@ -202,10 +202,10 @@ fn deterministic_full_stack_replay() {
 
 #[test]
 fn rollforward_restores_exact_committed_state_full_stack() {
+    use encompass_tmf::audit::dump::{request_dump, DumpReply};
     use encompass_tmf::audit::rollforward::rollforward_volume;
     use encompass_tmf::audit::trail::trail_key;
     use encompass_tmf::storage::types::VolumeRef;
-    use guardian::Target;
 
     let accounts = 150u64;
     let mut app = launch_bank_app(BankAppParams {
@@ -216,16 +216,16 @@ fn rollforward_restores_exact_committed_state_full_stack() {
         ..BankAppParams::default()
     });
     let n = app.nodes[0];
+    let vol = VolumeRef::new(n, "$BANK");
     // archive while the workload is running (a fuzzy dump)
-    let _ = encompass_tmf::storage::testkit::run_script(
-        &mut app.world,
-        n,
-        0,
-        Target::Named(n, "$BANK".into()),
-        vec![encompass_tmf::storage::discprocess::DiscRequest::Archive { generation: 1 }],
-    );
+    let dump = request_dump(&mut app.world, 0, 50, &vol, 1);
     app.world.run_for(SimDuration::from_secs(120));
     assert_eq!(app.world.metrics().get("tcp.terminals_finished"), 4);
+    assert!(
+        matches!(*dump.borrow(), Some(DumpReply::Done { .. })),
+        "the dump completed: {:?}",
+        dump.borrow()
+    );
     app.world.run_for(SimDuration::from_secs(10)); // flush drain
     let pre_total = total_balance(&mut app.world, &app.catalog, "accounts");
     let pre_history = history_total(&mut app);
@@ -246,12 +246,7 @@ fn rollforward_restores_exact_committed_state_full_stack() {
         media.revive_drive(1);
         assert!(!media.available(), "content lost");
     }
-    let report = rollforward_volume(
-        &mut app.world,
-        &VolumeRef::new(n, "$BANK"),
-        &trail_key(n, 0),
-        1,
-    );
+    let report = rollforward_volume(&mut app.world, &vol, &trail_key(n, 0), 1);
     assert!(report.redone > 0);
     let post_total = total_balance(&mut app.world, &app.catalog, "accounts");
     let post_history = history_total(&mut app);

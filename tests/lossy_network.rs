@@ -186,10 +186,10 @@ fn distributed_transactions_complete_over_a_lossy_link() {
 
 #[test]
 fn trail_partitions_share_the_load_and_recover_together() {
+    use encompass_tmf::audit::dump::{request_dump, DumpReply};
     use encompass_tmf::audit::rollforward::rollforward_volume;
     use encompass_tmf::sim::Fault;
     use encompass_tmf::storage::media::{media_key, VolumeMedia};
-    use guardian::Target;
 
     let n0 = NodeId(0);
     let mut catalog = Catalog::new();
@@ -206,16 +206,18 @@ fn trail_partitions_share_the_load_and_recover_together() {
         .build(catalog);
 
     // archive both volumes, then run transactions touching both
-    for vol in ["$DA", "$DB"] {
-        let _ = encompass_tmf::storage::testkit::run_script(
-            &mut app.world,
-            n0,
-            0,
-            Target::Named(n0, vol.into()),
-            vec![encompass_tmf::storage::discprocess::DiscRequest::Archive { generation: 1 }],
+    let dumps: Vec<_> = ["$DA", "$DB"]
+        .into_iter()
+        .map(|vol| request_dump(&mut app.world, 0, 50, &VolumeRef::new(n0, vol), 1))
+        .collect();
+    app.world.run_for(SimDuration::from_millis(200));
+    for dump in &dumps {
+        assert!(
+            matches!(*dump.borrow(), Some(DumpReply::Done { .. })),
+            "{:?}",
+            dump.borrow()
         );
     }
-    app.world.run_for(SimDuration::from_millis(200));
 
     // run 10 transactions, each touching both volumes (and hence both
     // trail partitions)

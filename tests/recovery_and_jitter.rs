@@ -1,5 +1,5 @@
 //! Additional workspace-level scenarios: ROLLFORWARD's negotiation with a
-//! *remote* home node, audit-trail purging against an archive watermark,
+//! *remote* home node, audit-trail purging below an online dump's floor,
 //! the TMF utility (disposition query / manual override), and runs with
 //! message jitter enabled (shakes out accidental ordering assumptions).
 
@@ -10,6 +10,7 @@
 
 use bytes::Bytes;
 use encompass_tmf::audit::auditprocess::{AuditProcess, AuditStateReport};
+use encompass_tmf::audit::dump::{request_dump, DumpReply};
 use encompass_tmf::audit::monitor::MonitorTrail;
 use encompass_tmf::audit::rollforward::rollforward_volume;
 use encompass_tmf::audit::trail::{trail_key, TrailMedia};
@@ -20,6 +21,7 @@ use encompass_tmf::storage::discprocess::{DiscProcess, DiscStateReport};
 use encompass_tmf::storage::media::{media_key, VolumeMedia};
 use encompass_tmf::storage::types::{FileDef, VolumeRef};
 use encompass_tmf::storage::Catalog;
+use encompass_tmf::tmf::facility::TmfNodeConfig;
 use guardian::Target;
 
 use tmf::script::{run_txn_script as drive, Step};
@@ -51,14 +53,14 @@ fn rollforward_negotiates_with_remote_home_node() {
     let (n0, n1) = (app.nodes[0], app.nodes[1]);
 
     // archive node 1's volume up front
-    let _ = encompass_tmf::storage::testkit::run_script(
-        &mut app.world,
-        n1,
-        0,
-        Target::Named(n1, "$D1".into()),
-        vec![encompass_tmf::storage::discprocess::DiscRequest::Archive { generation: 1 }],
-    );
+    let vol = VolumeRef::new(n1, "$D1");
+    let dump = request_dump(&mut app.world, 0, 50, &vol, 1);
     app.world.run_for(SimDuration::from_millis(200));
+    assert!(
+        matches!(*dump.borrow(), Some(DumpReply::Done { .. })),
+        "{:?}",
+        dump.borrow()
+    );
 
     // a distributed transaction homed at node 0 writes node 1's volume
     let log = drive(
@@ -109,12 +111,7 @@ fn rollforward_negotiates_with_remote_home_node() {
         .stable_mut()
         .remove(&encompass_tmf::audit::monitor::monitor_key(n1));
 
-    let report = rollforward_volume(
-        &mut app.world,
-        &VolumeRef::new(n1, "$D1"),
-        &trail_key(n1, 0),
-        1,
-    );
+    let report = rollforward_volume(&mut app.world, &vol, &trail_key(n1, 0), 1);
     assert!(report.redone >= 1, "{report:?}");
     let media = app
         .world
@@ -128,8 +125,11 @@ fn rollforward_negotiates_with_remote_home_node() {
     );
 }
 
-/// Trail files wholly below an archive watermark can be purged; recovery
-/// from that archive still works.
+/// Trail files wholly below an online dump's purge floor can be purged;
+/// recovery from that dump is still exact. The floor, not the dump's
+/// watermark, is the bound: recovery needs every record from the floor
+/// up (the first image of a transaction the dump may have caught
+/// mid-flight), and the floor is at or below the watermark.
 #[test]
 fn trail_purge_respects_archive_watermark() {
     let mut app = launch_bank_app(BankAppParams {
@@ -137,39 +137,37 @@ fn trail_purge_respects_archive_watermark() {
         terminals_per_node: 3,
         transactions_per_terminal: 10,
         think: SimDuration::from_millis(1),
+        // short trail files, so the records below the floor fill some
+        tmf: TmfNodeConfig::builder()
+            .audit_rotate_every(8)
+            .build()
+            .expect("valid tmf config"),
         ..BankAppParams::default()
     });
     let n = app.nodes[0];
-    // run half the workload, then archive (watermark captures progress)
+    // run half the workload, then dump (the watermark captures progress)
     app.world.run_for(SimDuration::from_millis(700));
-    let _ = encompass_tmf::storage::testkit::run_script(
-        &mut app.world,
-        n,
-        0,
-        Target::Named(n, "$BANK".into()),
-        vec![encompass_tmf::storage::discprocess::DiscRequest::Archive { generation: 2 }],
-    );
+    let dump = request_dump(&mut app.world, 0, 50, &VolumeRef::new(n, "$BANK"), 2);
     app.world.run_for(SimDuration::from_secs(120));
     assert_eq!(app.world.metrics().get("tcp.terminals_finished"), 3);
     app.world.run_for(SimDuration::from_secs(5));
     let pre_total = total_balance(&mut app.world, &app.catalog, "accounts");
 
-    // purge trail files below the watermark ("creation and purging is
+    // purge trail files below the dump's floor ("creation and purging is
     // managed by TMF"; here the operator drives it)
-    let watermark = app
-        .world
-        .stable()
-        .get::<encompass_tmf::storage::media::ArchiveImage>(
-            &encompass_tmf::storage::media::archive_key(&VolumeRef::new(n, "$BANK"), 2),
-        )
-        .expect("archive present")
-        .audit_watermark;
+    let Some(DumpReply::Done { purge_floor, .. }) = *dump.borrow() else {
+        panic!("the dump did not complete: {:?}", dump.borrow());
+    };
     let tk = trail_key(n, 0);
     {
         let trail = app.world.stable_mut().get_mut::<TrailMedia>(&tk).unwrap();
         let before = trail.len();
-        trail.purge_below(watermark);
-        assert!(trail.len() <= before);
+        let dropped = trail.purge_below(purge_floor);
+        assert!(
+            dropped >= 1,
+            "no whole trail file lay below seq {purge_floor}"
+        );
+        assert!(trail.len() < before);
     }
 
     // crash + recover from generation 2: still exact
@@ -229,7 +227,7 @@ fn disposition_query_after_completion() {
         n0,
         1,
         60,
-        Target::Named(n0, "$TMP".into()),
+        Target::new(n0, "$TMP".into()),
         TmpMsg::QueryDisposition { transid },
     );
     app.world.run_for(SimDuration::from_secs(2));
