@@ -581,14 +581,8 @@ impl PairApp for AuditProcess {
                     // cut past the first image of a transaction that is
                     // still open (its before-images may yet drive a
                     // backout)
-                    let oldest_open = self.with_trail(ctx, p, |t| {
-                        t.files
-                            .iter()
-                            .flat_map(|f| f.records.iter())
-                            .filter(|r| open.contains(&r.transid))
-                            .map(|r| r.seq)
-                            .min()
-                    });
+                    let oldest_open =
+                        self.with_trail(ctx, p, |t| t.first_seq_of(|t| open.contains(t)));
                     let oldest_open = self.parts[p]
                         .buffer
                         .iter()
@@ -622,7 +616,9 @@ impl PairApp for AuditProcess {
             AuditMsg::ReadTxnImages { transid } => {
                 let mut images: Vec<ImageRecord> = Vec::new();
                 for p in 0..self.parts.len() {
-                    images.extend(self.with_trail(ctx, p, |t| t.txn_images(transid)));
+                    // unsorted: the sort below orders the lot, and a
+                    // stable sort leaves equal sequences in trail order
+                    self.with_trail(ctx, p, |t| images.extend(t.txn_records(transid)));
                     images.extend(
                         self.parts[p]
                             .buffer

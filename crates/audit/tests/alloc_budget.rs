@@ -7,6 +7,10 @@
 //! Building an AUDITPROCESS allocates its partition list and nothing for
 //! its boxcar histogram, which its call site names once per process, the
 //! first time any world observes through it.
+//!
+//! A trail file holds its records as bytes (DESIGN.md §D29): a bank's
+//! images take about a third of the room they took as `ImageRecord`s, in
+//! no more growth steps, and reading them back allocates nothing.
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -16,7 +20,7 @@ use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig, AuditProcess};
 use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
-use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
+use encompass_sim::{Ctx, Members, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
 use encompass_storage::types::{FileOrganization, Transid, VolumeRef};
 use guardian::{Request, RpcReply};
@@ -62,8 +66,15 @@ fn audited() -> (World, NodeId, Pid, Pid, Rc<Cell<u64>>) {
 
 /// Appends two records of transaction `round` to node `n`'s AUDITPROCESS
 /// and asks for its force, which is then on the disc; `id` numbers the
-/// requests.
-fn append_and_force(w: &mut World, n: NodeId, audit: Pid, sink: Pid, id: &mut u64, round: u64) {
+/// requests. Returns the records.
+fn append_and_force(
+    w: &mut World,
+    n: NodeId,
+    audit: Pid,
+    sink: Pid,
+    id: &mut u64,
+    round: u64,
+) -> Vec<ImageRecord> {
     let volume = VolumeRef::new(n, "$DATA");
     let mut ask = |w: &mut World, body: AuditMsg| {
         *id += 1;
@@ -78,7 +89,7 @@ fn append_and_force(w: &mut World, n: NodeId, audit: Pid, sink: Pid, id: &mut u6
     };
     let transid = txn(round);
     let floor = 2 * round;
-    let records = (floor..floor + 2)
+    let records: Members<ImageRecord> = (floor..floor + 2)
         .map(|seq| ImageRecord {
             seq,
             transid,
@@ -93,12 +104,13 @@ fn append_and_force(w: &mut World, n: NodeId, audit: Pid, sink: Pid, id: &mut u6
     ask(
         w,
         AuditMsg::Append {
-            records,
+            records: records.clone(),
             force: false,
             floor,
         },
     );
     ask(w, AuditMsg::ForceTxn { transid });
+    records.to_vec()
 }
 
 #[test]
@@ -113,32 +125,106 @@ fn completing_a_force_allocates_its_messages_only() {
     drop(earlier);
 
     let (mut w, n, audit, sink, forced) = audited();
-    let trail = trail_key(n, 0);
+    // the same forces on a trail of its own count what the medium grows by
+    let mut shadow = TrailMedia::new(AuditConfig::default().rotate_every);
     let mut id = 0;
-    let trail_room = |w: &World| {
-        let trail = w.stable().get::<TrailMedia>(&trail).expect("the trail");
-        trail
-            .files
-            .iter()
-            .map(|f| f.records.capacity())
-            .sum::<usize>()
-    };
     for round in 1..=12u64 {
-        append_and_force(&mut w, n, audit, sink, &mut id, round);
+        let records = append_and_force(&mut w, n, audit, sink, &mut id, round);
         // the force is on the disc; its completion is what is measured
-        let (sent, room) = (MSGS.map(|m| w.metrics().get(m)), trail_room(&w));
+        let sent = MSGS.map(|m| w.metrics().get(m));
         let (blocks, ()) = allocations_in(|| w.run_for(DISC_ACCESS + SimDuration::from_millis(5)));
         let sent: u64 = (MSGS.iter().zip(sent))
             .map(|(m, before)| w.metrics().get(m) - before)
             .sum();
         assert_eq!(forced.get(), round, "force {round} answered");
         assert_eq!(sent, 2, "the reply and the checkpoint");
-        let grown = u64::from(trail_room(&w) > room);
+        let (grown, ()) = allocations_in(|| shadow.force(records));
         assert_eq!(
             blocks,
             sent + grown,
             "force {round}: {blocks} blocks for {sent} messages, the trail grown {grown}"
         );
+    }
+    let trail = w.stable().get::<TrailMedia>(&trail_key(n, 0));
+    let trail = trail.expect("the trail");
+    assert!(trail.records().eq(shadow.records()), "the same records");
+}
+
+/// Image `seq` of a debit on a bank account: a 12-byte key and balances
+/// of five and six digits. `long` makes the after image a history-shaped
+/// record over the inline limit instead.
+fn bank_image(seq: u64, long: bool) -> ImageRecord {
+    let after = if long {
+        Bytes::from(format!("acct00000007:t{seq:06}:-250"))
+    } else {
+        Bytes::from(format!("{}", 99_750 + seq % 500))
+    };
+    ImageRecord {
+        seq,
+        transid: txn(seq),
+        volume: VolumeRef::new(NodeId(0), "$DATA"),
+        file: "accounts".into(),
+        organization: FileOrganization::KeySequenced,
+        key: Bytes::from_static(b"acct00000007"),
+        before: Some(Bytes::from(format!("{}", 100_000 + seq % 500))),
+        after: Some(after),
+    }
+}
+
+#[test]
+fn a_bank_trail_file_is_a_third_of_its_records_in_no_more_growth_steps() {
+    const RECORDS: u64 = 4096;
+    let images: Vec<ImageRecord> = (1..=RECORDS).map(|s| bank_image(s, false)).collect();
+    // the file as a vector of records, pushed one force at a time
+    let (vec_blocks, vec) = allocations_in(|| {
+        let mut file: Vec<ImageRecord> = Vec::new();
+        for r in images.iter().cloned() {
+            file.push(r);
+        }
+        file
+    });
+    assert_eq!(vec.capacity() * size_of::<ImageRecord>(), 640 << 10);
+    let mut trail = TrailMedia::new(RECORDS as usize);
+    let (blocks, ()) = allocations_in(|| {
+        for r in images.iter().cloned() {
+            trail.force([r]);
+        }
+    });
+    assert_eq!(trail.files.len(), 1, "one file, not rotated");
+    let room = trail.files[0].buffer_capacity();
+    assert!(room <= 256 << 10, "{room} bytes of trail buffer");
+    // the name table is the one block the vector did not have
+    assert!(
+        blocks <= vec_blocks + 1,
+        "{blocks} blocks where the vector took {vec_blocks}"
+    );
+}
+
+#[test]
+fn reading_a_trail_file_allocates_nothing() {
+    for long in [false, true] {
+        let mut trail = TrailMedia::new(64);
+        trail.force((1..=48).map(|s| bank_image(s, long)));
+        let (blocks, read) = allocations_in(|| {
+            let mut read = 0;
+            for r in trail.files[0].records() {
+                read += std::hint::black_box(r).seq;
+            }
+            read
+        });
+        assert_eq!(read, (1..=48).sum::<u64>());
+        assert_eq!(
+            blocks, 0,
+            "reading 48 images allocated (long values: {long})"
+        );
+        let (blocks, found) = allocations_in(|| {
+            let mut found = 0;
+            for t in 1..=48 {
+                found += trail.txn_records(txn(t)).count();
+            }
+            found
+        });
+        assert_eq!((blocks, found), (0, 48), "long values: {long}");
     }
 }
 

@@ -94,7 +94,7 @@ fn run_cell(txns: u64, dump_page: Option<usize>) -> Vec<Value> {
                 .stable()
                 .get::<encompass_audit::trail::TrailMedia>(k)
         })
-        .map(|t| t.files.iter().map(|f| f.records.len() as u64).sum::<u64>())
+        .map(|t| t.len() as u64)
         .sum();
 
     let mut recovery_redone = 0u64;

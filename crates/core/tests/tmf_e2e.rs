@@ -717,8 +717,8 @@ fn disc_takeover_mid_transaction_keeps_backout_images() {
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(log3.borrow().last().unwrap(), "committed");
     let trail = w.stable().get::<TrailMedia>(&trail_key(n, 0)).unwrap();
-    let records: Vec<&ImageRecord> = trail.files.iter().flat_map(|f| &f.records).collect();
-    let update = |r: &&&ImageRecord| r.key == b("vic") && r.after == Some(b("0"));
+    let records: Vec<ImageRecord> = trail.records().collect();
+    let update = |r: &&ImageRecord| r.key == b("vic") && r.after == Some(b("0"));
     assert_eq!(
         records.iter().filter(update).count(),
         1,

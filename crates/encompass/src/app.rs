@@ -425,10 +425,11 @@ impl Default for ShardBankAppParams {
 /// assertions and the convergence oracle).
 pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
     use crate::shardbank::{
-        shard_range, ShardBankProgram, ShardBankServer, ShardBankWorkload, ACCOUNTS_FILE,
-        BRANCH_FILE, SHARDBANK_CLASS,
+        shard_range, ShardBankNode, ShardBankProgram, ShardBankServer, ShardBankWorkload,
+        ACCOUNTS_FILE, BRANCH_FILE, SHARDBANK_CLASS,
     };
     use encompass_shard::{add_replicated_file, add_suspense_files};
+    use std::rc::Rc;
     const CPUS: u8 = 3;
 
     let n_nodes = params.nodes;
@@ -461,7 +462,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
     );
 
     for (i, &node) in app.nodes.iter().enumerate() {
-        let replicas = map.replica_set(node, params.branch_replicas);
+        let shared = ShardBankNode::new(node, map.replica_set(node, params.branch_replicas));
         spawn_server_class(
             &mut app.world,
             node,
@@ -474,7 +475,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
                 lock_wait: params.lock_wait,
             },
             app.catalog.clone(),
-            move || Box::new(ShardBankServer::new(node, replicas.clone())),
+            move || Box::new(ShardBankServer::new(Rc::clone(&shared))),
         );
         let wl = ShardBankWorkload {
             accounts: params.accounts,

@@ -215,6 +215,7 @@ impl ServerLogic for MfgServer {
                         record.clone(),
                     );
                     self.queue.extend(suspense_appends(
+                        suspense(self.node),
                         self.node,
                         self.transid,
                         self.all_nodes.iter().copied().filter(|&n| n != self.node),

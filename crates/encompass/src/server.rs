@@ -14,7 +14,7 @@
 
 use crate::messages::{AppReply, AppRequest, ServerRequest};
 use bytes::Bytes;
-use encompass_shard::{suspense_file, SuspenseRecord};
+use encompass_shard::SuspenseRecord;
 use encompass_sim::{
     counter, CounterId, Ctx, Name, NodeId, Payload, Pid, Process, SystemEvent, TimerId,
 };
@@ -40,9 +40,10 @@ pub(crate) fn upsert(exists: bool, file: Name, key: Bytes, value: Bytes) -> DbOp
 
 /// The deferred half of a master-node write to a replicated record: one
 /// [`SuspenseRecord`] per replica in `dests`, each an append to
-/// `master`'s suspense file stamped with the writing transaction. The
-/// `$SUSPENSE` monitor pair drains them.
+/// `master`'s suspense file `suspense` stamped with the writing
+/// transaction. The `$SUSPENSE` monitor pair drains them.
 pub(crate) fn suspense_appends(
+    suspense: Name,
     master: NodeId,
     transid: Option<Transid>,
     dests: impl IntoIterator<Item = NodeId>,
@@ -55,7 +56,6 @@ pub(crate) fn suspense_appends(
         cpu: 0,
         seq: 0,
     });
-    let suspense = suspense_file(master);
     dests.into_iter().map(move |dest| DbOp::InsertEntry {
         file: suspense.clone(),
         value: SuspenseRecord {

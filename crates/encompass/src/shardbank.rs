@@ -27,12 +27,13 @@ use crate::screen::{ScreenAction, ScreenInput, ScreenProgram};
 use crate::server::{suspense_appends, upsert, DbOp, ServerLogic, ServerStep};
 use crate::workload::{account_key, balance_bytes, balance_of, format_bytes};
 use bytes::Bytes;
-use encompass_shard::replica_file;
+use encompass_shard::{replica_file, suspense_file};
 use encompass_sim::{Name, NodeId, SimDuration};
 use encompass_storage::discprocess::{DiscError, DiscReply};
 use encompass_storage::types::Transid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::rc::Rc;
 
 /// The sharded bank's server class: the class
 /// [`crate::app::launch_shard_bank`] registers on every node and the one
@@ -68,9 +69,7 @@ pub fn branch_key(node: NodeId) -> Bytes {
 ///   per ring replica (stamped with the writing transid).
 /// * `query [key]` — read one account.
 pub struct ShardBankServer {
-    node: NodeId,
-    /// Ring replicas of this node's branch record.
-    branch_replicas: Vec<NodeId>,
+    node: Rc<ShardBankNode>,
     transid: Option<Transid>,
     op: Name,
     step: u32,
@@ -82,11 +81,32 @@ pub struct ShardBankServer {
     queue: Vec<DbOp>,
 }
 
-impl ShardBankServer {
-    pub fn new(node: NodeId, branch_replicas: Vec<NodeId>) -> ShardBankServer {
-        ShardBankServer {
+/// What the server logic of every request on one node shares, built once
+/// with the node's server class (a request's logic is built afresh for
+/// each request): the branch record's ring replicas, and the names of the
+/// node's branch copy and suspense file.
+pub struct ShardBankNode {
+    node: NodeId,
+    branch_replicas: Vec<NodeId>,
+    branch_file: Name,
+    suspense_file: Name,
+}
+
+impl ShardBankNode {
+    pub fn new(node: NodeId, branch_replicas: Vec<NodeId>) -> Rc<ShardBankNode> {
+        Rc::new(ShardBankNode {
             node,
             branch_replicas,
+            branch_file: replica_file(BRANCH_FILE, node),
+            suspense_file: suspense_file(node),
+        })
+    }
+}
+
+impl ShardBankServer {
+    pub fn new(node: Rc<ShardBankNode>) -> ShardBankServer {
+        ShardBankServer {
+            node,
             transid: None,
             op: Name::default(),
             step: 0,
@@ -139,8 +159,8 @@ impl ServerLogic for ShardBankServer {
                 self.amount = balance_of(&req.param(0));
                 self.step = 1;
                 ServerStep::Db(DbOp::ReadLock {
-                    file: replica_file(BRANCH_FILE, self.node),
-                    key: branch_key(self.node),
+                    file: self.node.branch_file.clone(),
+                    key: branch_key(self.node.node),
                 })
             }
             "query" => ServerStep::Db(DbOp::Read {
@@ -206,17 +226,18 @@ impl ServerLogic for ShardBankServer {
                 (1, DiscReply::Value(existing)) => {
                     let total = existing.as_ref().map(balance_of).unwrap_or(0) + self.amount;
                     let value = balance_bytes(total);
-                    let key = branch_key(self.node);
+                    let key = branch_key(self.node.node);
                     self.queue.extend(suspense_appends(
-                        self.node,
+                        self.node.suspense_file.clone(),
+                        self.node.node,
                         self.transid,
-                        self.branch_replicas.iter().copied(),
+                        self.node.branch_replicas.iter().copied(),
                         BRANCH_FILE.into(),
                         key.clone(),
                         value.clone(),
                     ));
                     self.step = 2;
-                    let file = replica_file(BRANCH_FILE, self.node);
+                    let file = self.node.branch_file.clone();
                     ServerStep::Db(upsert(existing.is_some(), file, key, value))
                 }
                 (2, DiscReply::Ok) | (2, DiscReply::EntryNumber(_)) => self.next_queued(),
@@ -387,7 +408,7 @@ pub fn shard_range(accounts: u64, n: u64, j: u64) -> (u64, u64) {
 )]
 mod tests {
     use super::*;
-    use encompass_shard::{suspense_file, ShardMap, SuspenseRecord};
+    use encompass_shard::{ShardMap, SuspenseRecord};
 
     #[test]
     fn shard_ranges_tile_the_accounts() {
@@ -417,7 +438,7 @@ mod tests {
 
     #[test]
     fn transfer_locks_in_key_order() {
-        let mut s = ShardBankServer::new(NodeId(0), vec![]);
+        let mut s = ShardBankServer::new(ShardBankNode::new(NodeId(0), vec![]));
         // src key is greater than dst key: dst must be locked first
         let step = s.on_request(&AppRequest::new(
             "transfer",
@@ -451,7 +472,7 @@ mod tests {
             cpu: 1,
             seq: 9,
         };
-        let mut s = ShardBankServer::new(NodeId(2), vec![NodeId(3), NodeId(4)]);
+        let mut s = ShardBankServer::new(ShardBankNode::new(NodeId(2), vec![NodeId(3), NodeId(4)]));
         s.on_adopt(Some(t));
         let _ = s.on_request(&AppRequest::new("branch-credit", vec![balance_bytes(5)]));
         let _ = s.on_db(&DiscReply::Value(Some(balance_bytes(20))));

@@ -32,6 +32,6 @@ pub mod suspense;
 pub use map::ShardMap;
 pub use monitor::{spawn_suspense_monitor, SuspenseMonitorApp};
 pub use suspense::{
-    add_replicated_file, add_suspense_files, replica_file, suspense_file, SuspenseRecord,
-    SUSPENSE_SERVICE,
+    add_replicated_file, add_suspense_files, replica_file, suspense_file, ReplicaNames,
+    SuspenseRecord, SUSPENSE_SERVICE,
 };

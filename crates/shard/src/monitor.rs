@@ -32,7 +32,7 @@
 //! which the chaos drain-liveness oracle enforces.
 
 use crate::suspense::{
-    replica_file, suspense_file, SuspenseDelta, SuspenseRecord, SUSPENSE_SERVICE,
+    suspense_file, ReplicaNames, SuspenseDelta, SuspenseRecord, SUSPENSE_SERVICE,
 };
 use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration, SystemEvent, World};
 use encompass_storage::discprocess::DiscReply;
@@ -75,6 +75,8 @@ enum MonState {
 pub struct SuspenseMonitorApp {
     /// The suspense file of the node this monitor drains.
     suspense_file: Name,
+    /// The replicated files its records name, each named once.
+    names: ReplicaNames,
     session: TmfSession,
     state: MonState,
     /// The entry being applied: its number, the record, and the replica
@@ -89,6 +91,7 @@ impl SuspenseMonitorApp {
     pub fn new(node: NodeId, catalog: Catalog) -> SuspenseMonitorApp {
         SuspenseMonitorApp {
             suspense_file: suspense_file(node),
+            names: ReplicaNames::default(),
             session: TmfSession::new(catalog, 2),
             state: MonState::Idle,
             current: None,
@@ -167,7 +170,7 @@ impl SuspenseMonitorApp {
                 let mut seen_dests: Vec<NodeId> = Vec::new();
                 for (k, v) in &entries {
                     let Some(entry) = key_num(k) else { continue };
-                    let Some(rec) = SuspenseRecord::decode(v) else {
+                    let Some(rec) = SuspenseRecord::decode_named(v, &mut self.names) else {
                         continue;
                     };
                     if seen_dests.contains(&rec.dest) {
@@ -175,7 +178,7 @@ impl SuspenseMonitorApp {
                     }
                     seen_dests.push(rec.dest);
                     if chosen.is_none() && ctx.reachable(rec.dest) {
-                        let replica = replica_file(&rec.file, rec.dest);
+                        let replica = self.names.replica(&rec.file, rec.dest);
                         chosen = Some((entry, rec, replica));
                     }
                 }

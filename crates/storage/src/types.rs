@@ -164,17 +164,11 @@ impl FileDef {
         self
     }
 
-    /// The volume holding `key`.
+    /// The volume holding `key`: the last partition whose low key is at
+    /// or below it, found by binary search over the ordered partitions.
     pub fn volume_for(&self, key: &[u8]) -> &VolumeRef {
-        let mut chosen = &self.partitions[0];
-        for p in &self.partitions {
-            if p.low_key.as_ref() <= key {
-                chosen = p;
-            } else {
-                break;
-            }
-        }
-        &chosen.volume
+        let after = (self.partitions).partition_point(|p| p.low_key.as_ref() <= key);
+        &self.partitions[after.saturating_sub(1)].volume
     }
 
     /// All volumes this file (or any partition of it) lives on.
@@ -271,6 +265,55 @@ mod tests {
             FileDef::entry_sequenced("e", vol(0, "$D0")).organization,
             FileOrganization::EntrySequenced
         );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The scan `volume_for` replaced: the last partition whose low
+        /// key is at or below `key`.
+        fn scanned<'a>(def: &'a FileDef, key: &[u8]) -> &'a VolumeRef {
+            let mut chosen = &def.partitions[0];
+            for p in &def.partitions {
+                if p.low_key.as_ref() <= key {
+                    chosen = p;
+                } else {
+                    break;
+                }
+            }
+            &chosen.volume
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn binary_search_finds_the_partition_the_scan_found(
+                bounds in prop::collection::vec(prop::collection::vec(0u8..4, 1..4), 0..64),
+                probes in prop::collection::vec(prop::collection::vec(0u8..5, 0..5), 1..32),
+            ) {
+                let mut bounds = bounds;
+                bounds.sort();
+                bounds.dedup();
+                let parts: Vec<PartitionSpec> = std::iter::once(Vec::new())
+                    .chain(bounds.iter().cloned())
+                    .enumerate()
+                    .map(|(i, low)| PartitionSpec {
+                        low_key: Bytes::from(low),
+                        volume: vol(i as u8, "$D"),
+                    })
+                    .collect();
+                let def = FileDef::key_sequenced("f", vol(0, "$D")).partitioned(parts);
+                // every bound, a byte past each, and keys beyond the last
+                let keys = (bounds.iter().cloned())
+                    .chain(bounds.iter().map(|b| [b.as_slice(), &[0]].concat()))
+                    .chain(probes)
+                    .chain([vec![], vec![9; 8]]);
+                for key in keys {
+                    prop_assert_eq!(def.volume_for(&key), scanned(&def, &key), "key {:?}", key);
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,23 @@ impl Bytes {
         Bytes::inline(b).unwrap_or_else(|| Bytes(Repr::Shared(Arc::from(b))))
     }
 
+    /// `len` bytes that `fill` writes in place: inline if they fit,
+    /// otherwise the one shared allocation, with no builder to copy from.
+    pub fn from_fn(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        if len <= Bytes::INLINE_CAP {
+            let mut buf = [0; Bytes::INLINE_CAP];
+            fill(&mut buf[..len]);
+            return Bytes(Repr::Inline {
+                len: len as u8,
+                buf,
+            });
+        }
+        // an exact-size iterator collects in one allocation
+        let mut shared: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut shared).expect("not yet shared"));
+        Bytes(Repr::Shared(shared))
+    }
+
     fn inline(b: &[u8]) -> Option<Bytes> {
         let len = b.len();
         (len <= Bytes::INLINE_CAP).then(|| {
@@ -293,6 +310,28 @@ impl BufMut for Vec<u8> {
     }
 }
 
+/// Writes at the front of the slice, which then starts after what was
+/// written. Writing past the end panics, as in the real crate.
+impl BufMut for &mut [u8] {
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.put_slice(&v.to_be_bytes());
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.put_slice(&v.to_be_bytes());
+    }
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, tail) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = tail;
+    }
+}
+
 /// Big-endian read cursor. Implemented for `&[u8]`, advancing the slice
 /// in place. Reads past the end panic, as in the real crate.
 pub trait Buf {
@@ -369,6 +408,27 @@ mod tests {
         assert!(a < c);
         assert_eq!(a, b"abc");
         assert_eq!(Bytes::new().len(), 0);
+    }
+
+    #[test]
+    fn from_fn_fills_in_place_either_side_of_the_inline_limit() {
+        for len in [0, 5, Bytes::INLINE_CAP, Bytes::INLINE_CAP + 1, 100] {
+            let b = Bytes::from_fn(len, |mut out| {
+                for i in 0..len {
+                    out.put_u8(i as u8);
+                }
+                assert!(out.is_empty());
+            });
+            assert_eq!(b.to_vec(), (0..len).map(|i| i as u8).collect::<Vec<u8>>());
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_slice_cursor_does_not_write_past_its_end() {
+        let mut buf = [0u8; 3];
+        let mut out = &mut buf[..];
+        out.put_u32(1);
     }
 
     #[test]
