@@ -8,10 +8,10 @@
 //! resolve in-doubt transactions by consulting the home node's monitor
 //! trail.
 
-use encompass_sim::{DetHashMap, NodeId, SimTime, StableStorage};
+use encompass_sim::{NodeId, StableStorage};
+use encompass_storage::transids::TransidMap;
 use encompass_storage::types::Transid;
 use guardian::Checkpointed;
-use std::collections::hash_map::Entry;
 
 /// Stable-storage key of a node's monitor audit trail.
 pub fn monitor_key(node: NodeId) -> String {
@@ -23,16 +23,16 @@ pub fn monitor_key(node: NodeId) -> String {
 pub struct CompletionRecord {
     pub transid: Transid,
     pub committed: bool,
-    pub at: SimTime,
 }
 
 /// The persistent monitor trail of one node.
 #[derive(Default)]
 pub struct MonitorTrail {
-    /// Each completed transaction's disposition and the instant it was
-    /// forced, keyed by transid: every write looks its transid up first,
-    /// so a scan here would make the trail quadratic in a run's commits.
-    records: DetHashMap<Transid, (bool, SimTime)>,
+    /// Each completed transaction's disposition, by home node and sequence
+    /// number (DESIGN.md §D30): every write looks its transid up first, so
+    /// a scan here would make the trail quadratic in a run's commits.
+    records: TransidMap<bool>,
+    commits: usize,
     /// Every record is a forced write.
     pub forces: u64,
 }
@@ -53,13 +53,13 @@ impl MonitorTrail {
     /// proves it with the [`Checkpointed`] witness:
     ///
     /// ```compile_fail
-    /// use encompass_sim::{NodeId, SimTime};
+    /// use encompass_sim::NodeId;
     /// let transid = encompass_storage::types::Transid { home_node: NodeId(1), cpu: 0, seq: 1 };
     /// let mut trail = encompass_audit::monitor::MonitorTrail::new();
-    /// trail.record(transid, true, SimTime::ZERO); // no checkpoint, no commit record
+    /// trail.record(transid, true); // no checkpoint, no commit record
     /// ```
-    pub fn record(&mut self, transid: Transid, committed: bool, at: SimTime, _cp: &Checkpointed) {
-        if self.write(transid, committed, at) {
+    pub fn record(&mut self, transid: Transid, committed: bool, _cp: &Checkpointed) {
+        if self.write(transid, committed) {
             self.forces += 1;
         }
     }
@@ -70,15 +70,10 @@ impl MonitorTrail {
     /// write is still "force at phase one", there is just one of it.
     /// Returns how many records were new (retries are skipped, as in
     /// [`MonitorTrail::record`]). A fully-duplicate batch costs no force.
-    pub fn record_group(
-        &mut self,
-        batch: &[(Transid, bool)],
-        at: SimTime,
-        _cp: &Checkpointed,
-    ) -> usize {
+    pub fn record_group(&mut self, batch: &[(Transid, bool)], _cp: &Checkpointed) -> usize {
         let mut written = 0;
         for &(transid, committed) in batch {
-            written += usize::from(self.write(transid, committed, at));
+            written += usize::from(self.write(transid, committed));
         }
         if written > 0 {
             self.forces += 1;
@@ -88,29 +83,20 @@ impl MonitorTrail {
 
     /// Add a record unless `transid` has one: idempotent against TMP
     /// retries, the first disposition stands. True if it was added.
-    fn write(&mut self, transid: Transid, committed: bool, at: SimTime) -> bool {
-        match self.records.entry(transid) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert((committed, at));
-                true
-            }
-        }
+    fn write(&mut self, transid: Transid, committed: bool) -> bool {
+        let added = self.records.insert(transid, committed);
+        self.commits += usize::from(added && committed);
+        added
     }
 
     /// The recorded outcome of a transaction, if it completed.
     pub fn outcome(&self, transid: Transid) -> Option<bool> {
-        self.records.get(&transid).map(|&(committed, _)| committed)
+        self.records.get(&transid)
     }
 
-    /// Every record, in no particular order (but the same one in every run
-    /// of a seed).
+    /// Every record, by home node, then sequence number.
     pub fn records(&self) -> impl Iterator<Item = CompletionRecord> + '_ {
-        let record = |(&transid, &(committed, at))| CompletionRecord {
-            transid,
-            committed,
-            at,
-        };
+        let record = |(transid, committed)| CompletionRecord { transid, committed };
         self.records.iter().map(record)
     }
 
@@ -124,12 +110,12 @@ impl MonitorTrail {
 
     /// Count of commit records (experiments).
     pub fn commits(&self) -> usize {
-        self.records.values().filter(|r| r.0).count()
+        self.commits
     }
 
     /// Count of abort records.
     pub fn aborts(&self) -> usize {
-        self.len() - self.commits()
+        self.len() - self.commits
     }
 }
 
@@ -153,8 +139,8 @@ mod tests {
     #[test]
     fn records_and_outcomes() {
         let mut m = MonitorTrail::new();
-        m.record(t(1), true, SimTime::from_micros(10), &cp());
-        m.record(t(2), false, SimTime::from_micros(20), &cp());
+        m.record(t(1), true, &cp());
+        m.record(t(2), false, &cp());
         assert_eq!(m.outcome(t(1)), Some(true));
         assert_eq!(m.outcome(t(2)), Some(false));
         assert_eq!(m.outcome(t(3)), None);
@@ -166,9 +152,9 @@ mod tests {
     #[test]
     fn first_disposition_is_final() {
         let mut m = MonitorTrail::new();
-        m.record(t(1), true, SimTime::from_micros(10), &cp());
+        m.record(t(1), true, &cp());
         // a retried (or conflicting) record cannot change the outcome
-        m.record(t(1), false, SimTime::from_micros(30), &cp());
+        m.record(t(1), false, &cp());
         assert_eq!(m.outcome(t(1)), Some(true));
         assert_eq!(m.len(), 1);
         assert_eq!(m.forces, 1);
@@ -178,17 +164,17 @@ mod tests {
     fn group_record_is_one_force() {
         let mut m = MonitorTrail::new();
         let batch = [(t(1), true), (t(2), true), (t(3), false)];
-        let written = m.record_group(&batch, SimTime::ZERO, &cp());
+        let written = m.record_group(&batch, &cp());
         assert_eq!(written, 3);
         assert_eq!(m.forces, 1);
         assert_eq!(m.commits(), 2);
         assert_eq!(m.aborts(), 1);
         // a retried batch is absorbed without another force
-        let written = m.record_group(&batch[..2], SimTime::from_micros(5), &cp());
+        let written = m.record_group(&batch[..2], &cp());
         assert_eq!(written, 0);
         assert_eq!(m.forces, 1);
         // and a conflicting retry cannot flip an outcome
-        m.record_group(&[(t(3), true)], SimTime::from_micros(6), &cp());
+        m.record_group(&[(t(3), true)], &cp());
         assert_eq!(m.outcome(t(3)), Some(false));
     }
 
@@ -206,16 +192,11 @@ mod tests {
             records.find(|r| r.transid == transid).map(|r| r.committed)
         }
 
-        fn record_group(&mut self, batch: &[(Transid, bool)], at: SimTime) -> usize {
+        fn record_group(&mut self, batch: &[(Transid, bool)]) -> usize {
             let mut written = 0;
             for &(transid, committed) in batch {
                 if self.outcome(transid).is_none() {
-                    let record = CompletionRecord {
-                        transid,
-                        committed,
-                        at,
-                    };
-                    self.records.push(record);
+                    self.records.push(CompletionRecord { transid, committed });
                     written += 1;
                 }
             }
@@ -239,19 +220,18 @@ mod tests {
             let mut trail = MonitorTrail::new();
             let mut model = Linear::default();
             let transid = |cpu, seq| Transid { home_node: NodeId(1), cpu, seq };
-            for (i, (group, batch)) in ops.into_iter().enumerate() {
-                let at = SimTime::from_micros(i as u64);
+            for (group, batch) in ops {
                 let batch: Vec<(Transid, bool)> = batch
                     .into_iter()
                     .map(|(cpu, seq, committed)| (transid(cpu, seq), committed == 1))
                     .collect();
                 if group == 0 {
                     let (t, committed) = batch[0];
-                    trail.record(t, committed, at, &cp());
-                    model.record_group(&batch[..1], at);
+                    trail.record(t, committed, &cp());
+                    model.record_group(&batch[..1]);
                 } else {
-                    let written = trail.record_group(&batch, at, &cp());
-                    prop_assert_eq!(written, model.record_group(&batch, at));
+                    let written = trail.record_group(&batch, &cp());
+                    prop_assert_eq!(written, model.record_group(&batch));
                 }
                 prop_assert_eq!(trail.len(), model.records.len());
                 prop_assert_eq!(trail.forces, model.forces);
@@ -263,17 +243,16 @@ mod tests {
                     prop_assert_eq!(trail.outcome(t), model.outcome(t));
                 }
             }
-            let mut records: Vec<CompletionRecord> = trail.records().collect();
-            records.sort_by_key(|r| r.transid);
-            model.records.sort_by_key(|r| r.transid);
-            prop_assert_eq!(records, model.records);
+            // listed by sequence number, then cpu where one was issued twice
+            model.records.sort_by_key(|r| (r.transid.seq, r.transid.cpu));
+            prop_assert_eq!(trail.records().collect::<Vec<_>>(), model.records);
         }
     }
 
     #[test]
     fn lives_in_stable_storage() {
         let mut stable = StableStorage::new();
-        MonitorTrail::of(&mut stable, NodeId(3)).record(t(9), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(&mut stable, NodeId(3)).record(t(9), true, &cp());
         assert_eq!(
             MonitorTrail::of(&mut stable, NodeId(3)).outcome(t(9)),
             Some(true)

@@ -229,7 +229,7 @@ pub fn rollforward_volume(
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use encompass_sim::{NodeId, SimConfig, SimTime};
+    use encompass_sim::{NodeId, SimConfig};
     use encompass_storage::media::ArchiveImage;
     use encompass_storage::types::FileOrganization;
 
@@ -301,8 +301,8 @@ mod tests {
         ]);
 
         // monitor trail: t1 committed, t2 aborted, t3 has no record
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, &cp());
 
         // simulate total loss of the volume
         let mkey = media_key(n, "$D");
@@ -356,7 +356,7 @@ mod tests {
         w.stable_mut()
             .get_or_create::<TrailMedia, _>(&tk, || TrailMedia::new(100))
             .force(vec![img(1, t(1), "k", None, Some("v"))]);
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, &cp());
 
         let r1 = rollforward_volume(&mut w, &vol, &tk, 1);
         let r2 = rollforward_volume(&mut w, &vol, &tk, 1);
@@ -400,9 +400,9 @@ mod tests {
                 img(2, t(2), "k", Some("900"), Some("850")),
                 img(3, t(3), "k", Some("900"), Some("870")),
             ]);
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
-        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, &cp());
 
         let report = rollforward_volume(&mut w, &vol, &tk, 0);
         assert_eq!(report.redone, 2);
@@ -469,9 +469,9 @@ mod tests {
             ImageRecord::dump_marker(5, vol.clone(), 2, true),
         ]);
         assert!(trail.files.len() > 1, "trail rotated across files");
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, SimTime::ZERO, &cp());
-        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), false, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(3), true, &cp());
 
         let report = rollforward_volume(&mut w, &vol, &tk, 2);
         assert_eq!(report.redone, 1, "only t3's post-watermark write replays");
@@ -527,8 +527,8 @@ mod tests {
         let dropped = trail.purge_below(4);
         assert!(dropped >= 1, "old trail files purged");
         assert_eq!(trail.purged_through, 3);
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
-        MonitorTrail::of(w.stable_mut(), n).record(t(2), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(2), true, &cp());
 
         let report = rollforward_volume(&mut w, &vol, &tk, 3);
         assert_eq!(report.redone, 0, "purged prefix was already in the image");
@@ -564,7 +564,7 @@ mod tests {
             img(2, t(1), "a", Some("1"), Some("2")),
         ]);
         trail.purge_below(2); // drops seq 1, which gen-0 recovery needs
-        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, SimTime::ZERO, &cp());
+        MonitorTrail::of(w.stable_mut(), n).record(t(1), true, &cp());
         let _ = rollforward_volume(&mut w, &vol, &tk, 0);
     }
 }

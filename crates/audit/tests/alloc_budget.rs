@@ -11,19 +11,26 @@
 //! A trail file holds its records as bytes (DESIGN.md §D29): a bank's
 //! images take about a third of the room they took as `ImageRecord`s, in
 //! no more growth steps, and reading them back allocates nothing.
+//!
+//! The Monitor Audit Trail and a volume's settled fences keep a transid
+//! in a 2-byte slot of its home node's run (DESIGN.md §D30): a node's
+//! trail of a bank run, and a fence set at capacity, hold a few KiB, not
+//! the hundreds a hash table or an ordered set took.
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
 use bytes::Bytes;
-use counting_alloc::{allocations_in, CountingAlloc};
+use counting_alloc::{allocations_in, bytes_held_by, CountingAlloc};
 use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig, AuditProcess};
+use encompass_audit::monitor::MonitorTrail;
 use encompass_audit::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{Ctx, Members, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
+use encompass_storage::discprocess::{SettledFences, SETTLED_FENCE_CAPACITY};
 use encompass_storage::types::{FileOrganization, Transid, VolumeRef};
-use guardian::{Request, RpcReply};
+use guardian::{Checkpointed, Request, RpcReply};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -236,4 +243,49 @@ fn building_an_auditprocess_allocates_its_partition_list_only() {
     let (blocks, audit) = allocations_in(|| AuditProcess::new(AuditConfig::default(), trails));
     assert_eq!(blocks, 1, "its one partition, and no histogram block");
     drop(audit);
+}
+
+fn transid(home: u8, cpu: u8, seq: u64) -> Transid {
+    Transid {
+        home_node: NodeId(home),
+        cpu,
+        seq,
+    }
+}
+
+#[test]
+fn a_trail_and_a_fence_set_hold_two_bytes_a_transid() {
+    // a node's trail: 4 800 commits and aborts of its own, one boxcar at a
+    // time, and one record from each of 63 remote home nodes, as a node of
+    // the 64-node bank keeps
+    let cp = Checkpointed::reviewed("the test stands in for the TMP");
+    let (bytes, trail) = bytes_held_by(|| {
+        let mut trail = MonitorTrail::new();
+        for seq in 1..=4_800 {
+            let record = (transid(0, (seq % 4) as u8, seq), seq % 50 != 0);
+            trail.record_group(&[record], &cp);
+        }
+        for home in 1..64 {
+            trail.record(transid(home, 1, 7 * u64::from(home)), true, &cp);
+        }
+        trail
+    });
+    assert_eq!((trail.len(), trail.aborts()), (4_863, 96));
+    assert!(bytes <= 16 << 10, "the trail holds {bytes} bytes");
+    // a volume's fences at capacity, after as many again were evicted
+    let capacity = SETTLED_FENCE_CAPACITY as u64;
+    let (bytes, fences) = bytes_held_by(|| {
+        let mut fences = SettledFences::default();
+        for seq in 1..=2 * capacity {
+            fences.settle(transid(0, (seq % 4) as u8, seq));
+        }
+        fences
+    });
+    assert_eq!(fences.len(), SETTLED_FENCE_CAPACITY);
+    let ring = SETTLED_FENCE_CAPACITY * size_of::<Transid>();
+    let set = bytes as usize - ring;
+    assert!(
+        set <= 12 << 10,
+        "the fence set holds {set} bytes beside its ring"
+    );
 }

@@ -669,11 +669,9 @@ fn archive_crash_rollforward_cycle() {
         dump.borrow()
     );
     // record commit outcomes in the monitor trail (normally the TMP's job)
-    let now = w.now();
     MonitorTrail::of(w.stable_mut(), n).record(
         t1,
         true,
-        now,
         &Checkpointed::reviewed("test stands in for the TMP"),
     );
 
@@ -705,11 +703,9 @@ fn archive_crash_rollforward_cycle() {
         ],
     );
     w.run_for(SimDuration::from_secs(2));
-    let now = w.now();
     MonitorTrail::of(w.stable_mut(), n).record(
         t2,
         true,
-        now,
         &Checkpointed::reviewed("test stands in for the TMP"),
     );
     let t3 = txn(3);

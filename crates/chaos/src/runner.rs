@@ -724,7 +724,9 @@ pub(crate) fn committed_transids(world: &World, nodes: &[NodeId]) -> Vec<FlightT
 }
 
 /// Oracle: a transid is committed everywhere or aborted everywhere, as
-/// judged by each node's Monitor Audit Trail.
+/// judged by each node's Monitor Audit Trail. Violations are listed node
+/// by node, each node's in its trail's transid order (home node, then
+/// sequence number).
 pub(crate) fn check_atomicity(
     world: &World,
     nodes: &[NodeId],

@@ -319,6 +319,8 @@ pub struct TmpProcess {
     cfg: TmpConfig,
     /// The slot of this node's Monitor Audit Trail in stable storage.
     monitor: MediaId,
+    /// The last transid sequence number issued on this node. A takeover
+    /// behind a double bus failure can issue one again (DESIGN.md §D30).
     seq: u64,
     // BTreeMap: takeover/janitor/purge sweeps iterate this table, and do so
     // in transid order.
@@ -744,13 +746,12 @@ impl TmpProcess {
             }
             false
         });
-        let now = ctx.now();
         let cp = Checkpointed::reviewed(
             "a record only enters the boxcar after set_state checkpointed \
              COMMITTING/Aborting to the backup; the filter above re-reads that \
              checkpointed state at write completion",
         );
-        self.monitor_trail(ctx).record_group(&batch, now, &cp);
+        self.monitor_trail(ctx).record_group(&batch, &cp);
         let boxcar = batch.len() as u32;
         for &(transid, commit) in &batch {
             ctx.flight(transid.flight_id(), FlightCause::MonitorForced { boxcar });
@@ -777,7 +778,6 @@ impl TmpProcess {
     /// mirror the completion record onto the local trail, then run local
     /// phase two.
     fn commit_nonhome(&mut self, ctx: &mut PairCtx<'_, '_>, transid: Transid) {
-        let now = ctx.now();
         let cp = Checkpointed::reviewed(
             "the home node's *forced* commit record is the transaction's commit \
              point and is already durable before Phase2/rollforward reaches this \
@@ -785,7 +785,7 @@ impl TmpProcess {
              sender (home TMP or operator) re-sends until answered, so a primary \
              dying before the write loses nothing",
         );
-        self.monitor_trail(ctx).record(transid, true, now, &cp);
+        self.monitor_trail(ctx).record(transid, true, &cp);
         self.finish_commit(ctx, transid);
     }
 
@@ -990,8 +990,7 @@ impl TmpProcess {
         let cp = self.set_state(ctx, transid, TxState::Aborted);
         // record the disposition on this node's trail so late retries
         // (e.g. a duplicate RegisterVolume) see a completed transaction
-        let now = ctx.now();
-        self.monitor_trail(ctx).record(transid, false, now, &cp);
+        self.monitor_trail(ctx).record(transid, false, &cp);
         let (phase1_waiter, abort_waiters) = match self.txns.get_mut(&transid) {
             Some(t) => (t.end_waiter.take(), std::mem::take(&mut t.abort_waiters)),
             None => (None, Vec::new()),

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use tmf::facility::{spawn_tmf_network, TmfNodeConfig};
 use tmf::script::{Log, Step, TxnScript};
 use tmf::session::SessionOptions;
-use tmf::state::{AbortReason, TxState};
+use tmf::state::{AbortReason, TxState, TxnClass};
 use tmf::tmp::{TmpMsg, TmpProcess, TmpReply};
 
 fn b(s: &str) -> Bytes {
@@ -957,6 +957,57 @@ fn late_register_volume_after_completion_is_refused() {
         tmp.open_transids(),
         Vec::new(),
         "the transaction table is empty"
+    );
+}
+
+/// A TMP issues a sequence number a second time, under another processor,
+/// when it answered a BEGIN its backup never heard of: both buses were
+/// down, so the checkpoint of the counter failed to send, while the reply
+/// went to a requester on the primary's own processor. The primary's
+/// processor then fails and the backup takes over with the old counter.
+/// So a set keyed by transid must tell two transids apart by their cpu
+/// (DESIGN.md §D30).
+#[test]
+fn a_takeover_behind_a_double_bus_failure_reissues_a_sequence_number() {
+    let (mut w, n, _catalog) = single_node();
+    w.run_for(SimDuration::from_millis(100));
+    let tmp_cpu = w.lookup_name(n, "$TMP").expect("TMP registered").cpu;
+    let begin = |cpu: CpuId| TmpMsg::Begin {
+        cpu: cpu.0,
+        class: TxnClass::ReadWrite,
+    };
+    w.inject(Fault::KillBus(n, 0));
+    w.inject(Fault::KillBus(n, 1));
+    let first = ask_tmp(&mut w, n, tmp_cpu.0, begin(tmp_cpu));
+    w.run_for(SimDuration::from_millis(10));
+    let Some(TmpReply::Began { transid: first }) = *first.borrow() else {
+        panic!("a local BEGIN is answered with the buses down");
+    };
+    w.inject(Fault::KillCpu(n, tmp_cpu));
+    w.inject(Fault::HealBus(n, 0));
+    w.inject(Fault::HealBus(n, 1));
+    w.run_for(SimDuration::from_secs(1));
+    let backup_cpu = w.lookup_name(n, "$TMP").expect("the backup took over").cpu;
+    assert_ne!(backup_cpu, tmp_cpu);
+    let second = ask_tmp(&mut w, n, backup_cpu.0, begin(backup_cpu));
+    w.run_for(SimDuration::from_millis(10));
+    let Some(TmpReply::Began { transid: second }) = *second.borrow() else {
+        panic!("the new primary answers BEGIN");
+    };
+    assert_eq!(
+        (second.home_node, second.seq),
+        (first.home_node, first.seq),
+        "the same sequence number"
+    );
+    assert_ne!(second.cpu, first.cpu);
+    // a trail that records both keeps both dispositions
+    let cp = guardian::Checkpointed::reviewed("test stands in for the TMP");
+    let trail = MonitorTrail::of(w.stable_mut(), n);
+    trail.record(first, true, &cp);
+    trail.record(second, false, &cp);
+    assert_eq!(
+        (trail.outcome(first), trail.outcome(second)),
+        (Some(true), Some(false))
     );
 }
 

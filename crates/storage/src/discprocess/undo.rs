@@ -4,10 +4,11 @@
 //! rings of bounded size, replicated to the backup whole.
 
 use crate::audit_api::ImageRecord;
+use crate::transids::TransidSet;
 use crate::types::Transid;
 use bytes::Bytes;
 use encompass_sim::{push_bounded, Name};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Settled-transaction fences retained to refuse straggler writes (a FIFO
 /// ring, `SettledFences`). Old enough fences are evicted — by then every
@@ -103,36 +104,31 @@ impl UndoRing {
 /// (its sessions got their replies thousands of transactions ago).
 /// Without the bound the set would grow with every transaction the volume
 /// ever saw — the unbounded-state leak the soak tier's oracle catches.
-#[derive(Default)]
-pub(super) struct SettledFences {
+/// The backup's copy is a clone of both.
+#[derive(Clone, Default)]
+pub struct SettledFences {
     /// The fences in the order they settled.
     ring: VecDeque<Transid>,
-    /// The same fences, for O(log n) membership tests.
-    set: BTreeSet<Transid>,
-}
-
-/// A copy (a backup's snapshot) builds its set from the ring: a set built
-/// in one pass packs its nodes, where copying the tree would copy the
-/// half-empty nodes that eviction leaves.
-impl Clone for SettledFences {
-    fn clone(&self) -> SettledFences {
-        let (ring, set) = (self.ring.clone(), self.ring.iter().copied().collect());
-        SettledFences { ring, set }
-    }
+    /// The same fences, a run of slots per home node (DESIGN.md §D30).
+    set: TransidSet,
 }
 
 impl SettledFences {
-    pub(super) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.ring.len()
     }
 
-    pub(super) fn contains(&self, transid: &Transid) -> bool {
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    pub fn contains(&self, transid: &Transid) -> bool {
         self.set.contains(transid)
     }
 
     /// Retain `transid`'s fence (once), evicting the oldest past capacity.
-    pub(super) fn settle(&mut self, transid: Transid) {
-        if !self.set.insert(transid) {
+    pub fn settle(&mut self, transid: Transid) {
+        if !self.set.insert(transid, ()) {
             return;
         }
         if let Some(old) = push_bounded(&mut self.ring, SETTLED_FENCE_CAPACITY, transid) {
@@ -202,7 +198,75 @@ mod tests {
         assert!(!fences.contains(&t(0)) && fences.contains(&t(1)));
         let in_order: Vec<Transid> = (1..=SETTLED_FENCE_CAPACITY as u64).map(t).collect();
         assert!(fences.ring.iter().eq(&in_order));
-        assert!(fences.set.iter().eq(&in_order));
+        assert!(fences.set.iter().map(|(t, ())| t).eq(in_order));
+    }
+
+    /// The fence set as it was before its runs: the ring beside an ordered
+    /// set.
+    #[derive(Default)]
+    struct RingAndSet {
+        ring: VecDeque<Transid>,
+        set: std::collections::BTreeSet<Transid>,
+    }
+
+    impl RingAndSet {
+        fn settle(&mut self, transid: Transid) {
+            if !self.set.insert(transid) {
+                return;
+            }
+            if let Some(old) = push_bounded(&mut self.ring, SETTLED_FENCE_CAPACITY, transid) {
+                self.set.remove(&old);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        // Bursts of settles past capacity from three home nodes: dense
+        // ones, sparse ones (read-only transactions between), a sequence
+        // number under the other cpu, and transids settled again, some of
+        // them long evicted. The ring, its order and every membership
+        // agree with the ring and ordered set they replace.
+        #[test]
+        fn settled_fences_agree_with_a_ring_and_an_ordered_set(
+            bursts in prop::collection::vec((0u8..5, 0u8..3, 0u8..2, 1u64..300), 1..40)
+        ) {
+            let mut fences = SettledFences::default();
+            let mut model = RingAndSet::default();
+            let mut next = [0u64; 3];
+            let mut history: Vec<Transid> = Vec::new();
+            let t = |home: u8, cpu, seq| Transid { home_node: NodeId(home), cpu, seq };
+            for (kind, home, cpu, n) in bursts {
+                let h = home as usize;
+                for i in 0..n {
+                    let transid = match kind {
+                        0 | 1 => {
+                            next[h] += 1;
+                            t(home, cpu, next[h])
+                        }
+                        2 => {
+                            next[h] += 9;
+                            t(home, cpu, next[h])
+                        }
+                        3 => t(home, cpu ^ 1, next[h]),
+                        _ if history.is_empty() => continue,
+                        _ => history[(i * 7_919 + n) as usize % history.len()],
+                    };
+                    history.push(transid);
+                    fences.settle(transid);
+                    model.settle(transid);
+                    prop_assert!(fences.contains(&transid));
+                }
+                prop_assert!(fences.ring.iter().eq(&model.ring));
+                prop_assert_eq!(fences.set.len(), model.set.len());
+                for probe in history.iter().rev().step_by(13) {
+                    prop_assert_eq!(fences.contains(probe), model.set.contains(probe));
+                }
+            }
+            let mut settled: Vec<Transid> = model.set.into_iter().collect();
+            settled.sort_by_key(|t| (t.home_node, t.seq, t.cpu));
+            prop_assert!(fences.set.iter().map(|(t, ())| t).eq(settled));
+        }
     }
 
     /// The lookup as the scan from the front of the ring it replaces.

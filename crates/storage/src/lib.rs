@@ -36,6 +36,7 @@ pub mod locks;
 pub mod media;
 pub mod overlay;
 pub mod testkit;
+pub mod transids;
 pub mod types;
 
 pub use audit_api::{AuditMsg, AuditReply, ImageRecord};

@@ -18,7 +18,8 @@ pub struct Transid {
     pub home_node: NodeId,
     /// The processor on which `BEGIN-TRANSACTION` ran.
     pub cpu: u8,
-    /// Per-CPU sequence number.
+    /// Sequence number, from the home node's one counter (the TMP's;
+    /// DESIGN.md §D30).
     pub seq: u64,
 }
 

@@ -11,6 +11,9 @@ census heap.c wrote into live heap or allocation counts by site.
     resolve.py BINARY RUN.raw --within 0x1a2b3c --returns-to
         # libc samples grouped by the function their word at rsp returns to
     resolve.py BINARY RUN.heap --heap             # MiB live at the peak, by site
+        # (the first repetition's peak, for a run whose live heap passes
+        # heap.c's FREEZE_FLOOR of 256 KiB and then falls below a quarter
+        # of its peak: every benchmark workload's)
     resolve.py BINARY RUN.heap --heap --frames 3  # sites three callers deep
     resolve.py BINARY RUN.heap --heap --allocs --per 28800
         # blocks allocated over the whole run by site, and per commit of a
