@@ -15,7 +15,8 @@
 //! The Monitor Audit Trail and a volume's settled fences keep a transid
 //! in a 2-byte slot of its home node's run (DESIGN.md §D30): a node's
 //! trail of a bank run, and a fence set at capacity, hold a few KiB, not
-//! the hundreds a hash table or an ordered set took.
+//! the hundreds a hash table or an ordered set took. The fence ring beside
+//! the set keeps each transid packed into 8 bytes.
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -282,7 +283,9 @@ fn a_trail_and_a_fence_set_hold_two_bytes_a_transid() {
         fences
     });
     assert_eq!(fences.len(), SETTLED_FENCE_CAPACITY);
-    let ring = SETTLED_FENCE_CAPACITY * size_of::<Transid>();
+    // the ring: 8 bytes a fence, in a buffer no larger than its capacity
+    // rounded up to a power of two (a VecDeque's slack)
+    let ring = SETTLED_FENCE_CAPACITY.next_power_of_two() * size_of::<u64>();
     let set = bytes as usize - ring;
     assert!(
         set <= 12 << 10,

@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use encompass::messages::{AppReply, AppRequest, ServerRequest};
+use encompass::tcp::SEND_TIMEOUT;
 use encompass_sim::{Ctx, Name, NodeId, Payload, Pid, Process, SimDuration, SystemEvent, TimerId};
 use encompass_storage::Catalog;
 use guardian::{Rpc, Target, TimerOutcome};
@@ -20,10 +21,6 @@ pub struct MfgTally {
     pub committed: u64,
     pub failed: u64,
 }
-
-/// A SEND's critical-response limit, and its resend interval to another
-/// node (the TCP's).
-const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Repeatedly issues global updates (one transaction each) to a
 /// manufacturing server class, recording availability.

@@ -596,8 +596,10 @@ pub(crate) fn census(world: &World, tmf: &[NodeHandles], census: &mut TimerCensu
 //   only when dumps ran), 1–3 images can stay buffered at an
 //   AUDITPROCESS after quiesce — 4 of 400 `--sweep` seeds, 3 more under
 //   `--readers 2`, 1 under `--window 2000`;
-// - the `$SUSPENSE` monitor polls every 100 ms, so a `$SB` volume often
-//   holds one suspense-file scan in flight (11 of 32 `--shards` seeds).
+// - the `$SUSPENSE` monitor's poll is one of the two clocks that tick
+//   with no work (DESIGN.md §D31): every 100 ms it scans its suspense
+//   file, so a `$SB` volume often holds one scan in flight (11 of 32
+//   `--shards` seeds).
 // Neither is a leaked transaction, lock or waiter, which is what these
 // two look for.
 

@@ -25,7 +25,7 @@ fn check(what: &str, expected: u64, got: u64) {
 fn sweep_0_to_25() {
     check(
         "run_seed(0..25)",
-        0xce35_3f3d_a779_ca3c,
+        0x9090_079e_e299_19ae,
         fold((0..25).map(|s| run_seed(s).trace_hash)),
     );
 }
@@ -36,7 +36,7 @@ fn sweep_0_to_25() {
 fn sweep_0_to_25_with_dumps() {
     check(
         "run_seed(0..25) with dumps",
-        0xc2a5_f1fd_9f23_c5cd,
+        0xb0ac_dcc9_4962_093f,
         runs(0..25, |s| Schedule::generate(s).with_dumps()),
     );
 }
@@ -65,7 +65,7 @@ fn overridden(seeds: impl IntoIterator<Item = u64>, set: fn(&mut Schedule)) -> u
 fn sweep_0_to_10_window_2000() {
     check(
         "seeds 0..10 with group_commit_window_us = 2000",
-        0xedac_508a_3b35_0718,
+        0x5207_8e60_4d86_1041,
         overridden(0..10, |s| s.group_commit_window_us = 2000),
     );
 }
@@ -75,7 +75,7 @@ fn sweep_0_to_10_window_2000() {
 fn sweep_0_to_10_partitions_2_with_dumps() {
     check(
         "seeds 0..10 with audit_partitions = 2, volumes_per_node = 2, dumps",
-        0x7851_293c_b4f6_e680,
+        0x2fea_f1b3_c076_277e,
         runs(0..10, |s| Schedule {
             audit_partitions: 2,
             volumes_per_node: 2,
@@ -89,7 +89,7 @@ fn sweep_0_to_10_partitions_2_with_dumps() {
 fn sweep_0_to_10_readers_2() {
     check(
         "seeds 0..10 with readonly_terminals_per_node = 2",
-        0x7c4c_deab_d456_64f7,
+        0x3e77_8e58_91fb_6b83,
         overridden(0..10, |s| s.readonly_terminals_per_node = 2),
     );
 }
@@ -99,7 +99,7 @@ fn sweep_0_to_10_readers_2() {
 fn sweep_0_to_25_wal() {
     check(
         "seeds 0..25 with recovery_mode = WalForce",
-        0x3386_567c_e0ae_fbc3,
+        0x06d5_f9e0_797f_0a8a,
         overridden(0..25, |s| s.recovery_mode = RecoveryMode::WalForce),
     );
 }
@@ -108,7 +108,7 @@ fn sweep_0_to_25_wal() {
 fn shard_sweep_0_to_8() {
     check(
         "Schedule::shards(0..8)",
-        0xd1ed_f417_9439_8d26,
+        0x4f30_5d95_9f8d_d04b,
         runs(0..8, Schedule::shards),
     );
 }
@@ -121,7 +121,7 @@ fn shard_sweep_0_to_8() {
 fn soak_seeds_0_and_10() {
     check(
         "Schedule::soak(0) and (2)",
-        0xc390_6164_bdd3_f4a7,
+        0xfa83_b041_21f5_e737,
         runs([0, 2], Schedule::soak),
     );
 }

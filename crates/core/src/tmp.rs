@@ -44,8 +44,8 @@ use encompass_storage::discprocess::{DiscReply, DiscRequest};
 use encompass_storage::media::{dump_registry_key, DumpRegistry};
 use encompass_storage::types::{Transid, VolumeRef};
 use guardian::{
-    Admitted, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served, ServedSnapshot,
-    Target, TimerOutcome, RPC_TAG_BASE,
+    Admitted, Cadence, Checkpointed, Completion, Owed, PairApp, PairHandle, Rpc, Served,
+    ServedSnapshot, Target, TimerOutcome, RPC_TAG_BASE,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,7 +58,7 @@ pub const TMP_SERVICE: Name = Name::from_static("$TMP");
 /// Physical completion of a monitor-trail force: each force in flight has
 /// its own tag, from here up to the rpc tags.
 const TAG_MONITOR_BASE: u64 = 1 << 16;
-/// Periodic in-doubt sweep on non-home nodes (below TAG_MONITOR_BASE).
+/// The in-doubt sweep on non-home nodes (below TAG_MONITOR_BASE).
 const TAG_JANITOR: u64 = 7;
 /// Group-commit window expiry for the monitor-trail boxcar.
 const TAG_MONITOR_WINDOW: u64 = 8;
@@ -75,7 +75,8 @@ const CRITICAL_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 const CRITICAL_RETRIES: u32 = 3;
 /// Interval of the non-home in-doubt sweep: entries that sit in the table
 /// without progress are resolved against the home node's TMP
-/// (ROLLFORWARD's "negotiation with other nodes", done online).
+/// (ROLLFORWARD's "negotiation with other nodes", done online). It ticks
+/// only while an entry is in doubt (DESIGN.md §D31).
 const INDOUBT_PROBE: SimDuration = SimDuration::from_millis(250);
 
 /// Cumulative bucket bounds for the boxcar-size histogram.
@@ -247,6 +248,12 @@ impl Txn {
         }
     }
 
+    /// Does the in-doubt janitor sweep this entry: a non-home one whose
+    /// outcome this node has not learnt?
+    fn in_doubt(&self) -> bool {
+        !self.home && matches!(self.state, TxState::Active | TxState::Ending)
+    }
+
     /// The replicated fraction of this entry.
     fn delta(&self, transid: Transid, seq: u64) -> TmpDelta {
         TmpDelta {
@@ -347,6 +354,12 @@ pub struct TmpProcess {
     /// ignored, or it closes the new boxcar before its own window elapses.
     monitor_window_deadline: Option<SimTime>,
     next_tag: u64,
+    /// The in-doubt janitor's clock: armed on the primary while an entry
+    /// is in doubt ([`Txn::in_doubt`]).
+    janitor_clock: Cadence,
+    /// The capacity sweep's clock, started only when `purge_interval` is
+    /// not zero.
+    purge_clock: Cadence,
     /// `$TXTABLE<cpu>` by CPU number, named once: every state change is
     /// broadcast to each of them.
     txtable_names: Vec<String>,
@@ -364,6 +377,7 @@ impl TmpProcess {
     /// world the process will run in.
     pub fn new(cfg: TmpConfig, monitor: MediaId) -> TmpProcess {
         TmpProcess {
+            purge_clock: Cadence::new(cfg.purge_interval, TAG_PURGE),
             cfg,
             monitor,
             seq: 0,
@@ -378,6 +392,7 @@ impl TmpProcess {
             monitor_batch: Vec::new(),
             monitor_window_deadline: None,
             next_tag: 0,
+            janitor_clock: Cadence::new(INDOUBT_PROBE, TAG_JANITOR),
             txtable_names: Vec::new(),
             txtable_pids: [None; MAX_CPUS],
         }
@@ -497,7 +512,8 @@ impl TmpProcess {
     /// The one writer of an entry's state outside `apply_checkpoint`. It
     /// asserts, in every build, that the change takes an edge of Figure 3
     /// ([`TxState::successors`]) or re-enters the state the entry is in
-    /// (BEGIN's first broadcast, a takeover re-driving a backout).
+    /// (BEGIN's first broadcast, a takeover re-driving a backout), and
+    /// arms the janitor when the entry is left in doubt.
     fn set_state(
         &mut self,
         ctx: &mut PairCtx<'_, '_>,
@@ -513,6 +529,9 @@ impl TmpProcess {
             );
             t.state = state;
             t.janitor_armed = false;
+            if t.in_doubt() {
+                self.janitor_clock.arm(ctx);
+            }
         }
         self.broadcast(ctx, transid, state);
         self.checkpoint_txn(ctx, transid, false)
@@ -1044,6 +1063,9 @@ impl TmpProcess {
                         .txns
                         .entry(transid)
                         .or_insert_with(|| Txn::new(home, TxnClass::ReadWrite));
+                    if t.in_doubt() {
+                        self.janitor_clock.arm(ctx);
+                    }
                     if t.state != TxState::Active {
                         (false, false)
                     } else if t.volumes.contains(&volume) {
@@ -1338,11 +1360,7 @@ impl TmpProcess {
         let stale: Vec<(Transid, NodeId)> = self
             .txns
             .iter_mut()
-            .filter(|(t, e)| {
-                !e.home
-                    && matches!(e.state, TxState::Active | TxState::Ending)
-                    && !in_flight.contains(t)
-            })
+            .filter(|(t, e)| e.in_doubt() && !in_flight.contains(t))
             .filter_map(|(t, e)| {
                 if e.janitor_armed {
                     Some((*t, t.home_node))
@@ -1363,6 +1381,13 @@ impl TmpProcess {
                 CRITICAL_RETRIES,
                 TmpThen::Janitor(transid),
             );
+        }
+    }
+
+    /// Arm the janitor if any entry is in doubt.
+    fn arm_janitor(&mut self, ctx: &mut PairCtx<'_, '_>) {
+        if self.txns.values().any(Txn::in_doubt) {
+            self.janitor_clock.arm(ctx);
         }
     }
 
@@ -1486,22 +1511,26 @@ impl PairApp for TmpProcess {
         }
     }
 
+    /// Lay both clocks' grids; after a takeover the janitor starts at
+    /// once if the backup inherited an entry in doubt.
     fn on_primary_start(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        ctx.set_timer(INDOUBT_PROBE, TAG_JANITOR);
+        self.janitor_clock.start(ctx);
+        self.arm_janitor(ctx);
         if self.cfg.purge_interval > SimDuration::ZERO {
-            ctx.set_timer(self.cfg.purge_interval, TAG_PURGE);
+            self.purge_clock.start(ctx);
+            self.purge_clock.arm(ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut PairCtx<'_, '_>, tag: u64) {
-        if tag == TAG_JANITOR {
+        if self.janitor_clock.fired(tag) {
             self.janitor_tick(ctx);
-            ctx.set_timer(INDOUBT_PROBE, TAG_JANITOR);
+            self.arm_janitor(ctx);
             return;
         }
-        if tag == TAG_PURGE {
+        if self.purge_clock.fired(tag) {
             self.purge_tick(ctx);
-            ctx.set_timer(self.cfg.purge_interval, TAG_PURGE);
+            self.purge_clock.arm(ctx);
             return;
         }
         if tag == TAG_MONITOR_WINDOW {

@@ -1316,6 +1316,48 @@ fn janitor_aborts_a_phantom_of_a_committed_transaction() {
     assert_eq!(steps(&probe), &["began", "value:2", "aborted"]);
 }
 
+/// A late `RegisterVolume` can create a non-home entry on a node that
+/// never heard of the transaction, so its Monitor Audit Trail cannot
+/// refuse it. Nothing but the janitor resolves that phantom, and the
+/// janitor ticks only while an entry is in doubt (DESIGN.md §D31): the
+/// insert itself must arm it. The home node answers Ended, the phantom
+/// never acknowledged phase one, so it is aborted, and then the network
+/// falls silent.
+#[test]
+fn janitor_aborts_a_phantom_a_late_register_volume_created() {
+    let (mut w, [n0, _n1, n2], catalog) = three_nodes();
+    let (log, transid) = drive_capturing(
+        &mut w,
+        n0,
+        0,
+        catalog,
+        vec![Step::Begin, insert("accounts", "a", "1"), Step::End],
+    );
+    w.run_until_quiescent();
+    assert_eq!(steps(&log), &["began", "ok", "committed"]);
+    let transid = transid.borrow().expect("captured at Began");
+    assert_eq!(MonitorTrail::of(w.stable_mut(), n2).outcome(transid), None);
+    let reply = ask_tmp(
+        &mut w,
+        n2,
+        1,
+        TmpMsg::RegisterVolume {
+            transid,
+            volume: VolumeRef::new(n2, "$D2"),
+        },
+    );
+    w.run_for(SimDuration::from_millis(20));
+    assert_eq!(*reply.borrow(), Some(TmpReply::Ok));
+    let open = |w: &World| {
+        let tmp = guardian::primary::<TmpProcess>(w, n2, "$TMP").expect("a live $TMP primary");
+        tmp.open_transids()
+    };
+    assert_eq!(open(&w), vec![transid], "a phantom entry");
+    w.run_until_quiescent();
+    assert_eq!(w.metrics().get("tmf.indoubt_aborts"), 1);
+    assert_eq!(open(&w), Vec::new(), "the phantom left the table");
+}
+
 /// A TMP primary that dies mid-backout leaves its backup a checkpointed
 /// Aborting entry. The takeover re-drives the backout exactly once — it
 /// re-enters the state it is in, which is not an edge of Figure 3 — and

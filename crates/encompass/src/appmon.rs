@@ -20,7 +20,7 @@ use crate::messages::ServerRequest;
 use crate::server::{ServerIdle, ServerLogic, ServerProcess};
 use encompass_sim::{counter, CounterId, CpuId, Name, Payload, Pid, SimDuration, SystemEvent};
 use encompass_storage::Catalog;
-use guardian::{Checkpointed, PairApp, PairHandle, Request};
+use guardian::{Cadence, Checkpointed, PairApp, PairHandle, Request};
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::rc::Rc;
@@ -30,7 +30,8 @@ type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, Infallible>;
 const TAG_SHRINK: u64 = 1;
 /// Spawn another server when the backlog exceeds this.
 const SPAWN_BACKLOG: usize = 2;
-/// How often to consider deleting idle servers above the minimum.
+/// How often to consider deleting idle servers above the minimum, while
+/// there are any (DESIGN.md §D31).
 const SHRINK_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// The service name the queue of server class `class` registers.
@@ -79,6 +80,8 @@ pub struct ServerClassQueue {
     backlog: VecDeque<Request<ServerRequest>>,
     cpu_rr: usize,
     started: bool,
+    /// The shrink's clock: armed while [`Self::can_shrink`].
+    shrink_clock: Cadence,
 }
 
 impl ServerClassQueue {
@@ -98,11 +101,25 @@ impl ServerClassQueue {
             backlog: VecDeque::new(),
             cpu_rr: 0,
             started: false,
+            shrink_clock: Cadence::new(SHRINK_INTERVAL, TAG_SHRINK),
         }
     }
 
-    fn server_count(&self) -> usize {
+    /// The servers on the class's roster, idle or busy.
+    pub fn server_count(&self) -> usize {
         self.idle.len() + self.busy.len()
+    }
+
+    /// Would a shrink delete a server: are more than the minimum running,
+    /// and more than one of them idle?
+    fn can_shrink(&self) -> bool {
+        self.server_count() > self.cfg.min_servers && self.idle.len() > 1
+    }
+
+    fn arm_shrink(&mut self, ctx: &mut PairCtx<'_, '_>) {
+        if self.can_shrink() {
+            self.shrink_clock.arm(ctx);
+        }
     }
 
     fn spawn_server(&mut self, ctx: &mut PairCtx<'_, '_>) {
@@ -150,6 +167,9 @@ impl ServerClassQueue {
                 self.busy.push(server);
             }
         }
+        // every request and failure notice ends here: one that left idle
+        // servers above the minimum arms the shrink
+        self.arm_shrink(ctx);
     }
 }
 
@@ -174,7 +194,8 @@ impl PairApp for ServerClassQueue {
                 self.spawn_server(ctx);
             }
         }
-        ctx.set_timer(SHRINK_INTERVAL, TAG_SHRINK);
+        self.shrink_clock.start(ctx);
+        self.arm_shrink(ctx);
     }
 
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, src: Pid, payload: Payload) {
@@ -195,15 +216,16 @@ impl PairApp for ServerClassQueue {
     }
 
     fn on_timer(&mut self, ctx: &mut PairCtx<'_, '_>, tag: u64) {
-        if tag == TAG_SHRINK {
-            // dynamic deletion: drop idle servers above the minimum
-            while self.server_count() > self.cfg.min_servers && self.idle.len() > 1 {
+        if self.shrink_clock.fired(tag) {
+            // dynamic deletion: drop idle servers above the minimum. The
+            // loop leaves nothing to shrink, so the clock stays disarmed
+            // until a request or a failure notice gives it work again
+            while self.can_shrink() {
                 if let Some(server) = self.idle.pop_front() {
                     let _ = ctx.send(server, Payload::new(ServerStop));
                     ctx.count(counter!("appmon.servers_deleted"), 1);
                 }
             }
-            ctx.set_timer(SHRINK_INTERVAL, TAG_SHRINK);
         }
     }
 

@@ -52,7 +52,8 @@ const MAX_TERMINALS: usize = 32;
 /// interval to another node. A SEND is never resent, so a server that
 /// dies with the request (its own process, or its processor) surfaces
 /// here: no notice tells the TCP of a process's death (DESIGN.md §D28).
-const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Every other SEND client (the bench's `MfgDriver`) uses it too.
+pub const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Pause before retrying after a failed BEGIN or exhausted restart.
 const BACKOFF: SimDuration = SimDuration::from_millis(100);
 

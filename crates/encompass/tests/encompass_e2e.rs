@@ -3,18 +3,23 @@
 //! application's replica-convergence behaviour.
 
 use bytes::Bytes;
-use encompass::app::{launch_bank_app, launch_mfg_app, read_replica, BankAppParams, MfgAppParams};
+use encompass::app::{
+    launch_bank_app, launch_mfg_app, read_replica, AppHandles, BankAppParams, MfgAppParams,
+};
+use encompass::appmon::{server_class_service, ServerClassQueue};
 use encompass::manufacturing::{global_record, master_of};
 use encompass::messages::{AppReply, AppRequest, ServerRequest};
-use encompass::workload::{history_records, total_balance};
+use encompass::workload::{history_records, total_balance, BANK_CLASS};
 use encompass_shard::SuspenseRecord;
 use encompass_sim::{CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimDuration, TimerId};
+use encompass_storage::discprocess::DiscProcess;
 use encompass_storage::types::RecoveryMode;
 use guardian::{Rpc, Target, TimerOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tmf::facility::TmfNodeConfig;
 use tmf::session::SessionOptions;
+use tmf::tmp::{TmpProcess, TMP_SERVICE};
 
 #[test]
 fn bank_app_runs_all_transactions_and_conserves_money() {
@@ -41,10 +46,10 @@ fn bank_app_runs_all_transactions_and_conserves_money() {
             0,
             "{mode:?}: nothing within a node is resent"
         );
-        // run long enough for flushes, then check conservation: every
+        // run until the last flush, then check conservation: every
         // commit left one history record, and the records' amounts are
         // exactly what left the accounts
-        app.world.run_for(SimDuration::from_secs(5));
+        app.world.run_until_quiescent();
         let history = history_records(&app.world, &app.catalog, "history");
         assert_eq!(history.len(), 40, "{mode:?}: one history record per commit");
         let debited: i64 = (history.iter())
@@ -74,6 +79,100 @@ fn bank_app_survives_cpu_failure_mid_run() {
     assert_eq!(finished, 4, "all terminals eventually finished");
     let commits = app.world.metrics().get("tcp.commits");
     assert_eq!(commits, 60, "every transaction eventually committed");
+}
+
+/// Run `app` until its `terminals` finish, then until no event is left,
+/// and check that it left nothing behind: no timer (a background clock
+/// runs only while it has work, DESIGN.md §D31), no dirty record in any
+/// volume's overlay, no entry in any TMP's table, and each server class
+/// back at `servers_min`. Primaries and backups alike.
+fn finish_and_fall_silent(app: &mut AppHandles, terminals: u64, servers_min: usize, what: &str) {
+    for _ in 0..24 {
+        if app.world.metrics().get("tcp.terminals_finished") == terminals {
+            break;
+        }
+        app.world.run_for(SimDuration::from_secs(10));
+    }
+    let finished = app.world.metrics().get("tcp.terminals_finished");
+    assert_eq!(finished, terminals, "{what}: all terminals finished");
+    // the last flush and the last shrink are due within one shrink interval
+    app.world.run_for(SimDuration::from_secs(10));
+    let w = &app.world;
+    let armed: Vec<_> = (w.armed_timers())
+        .map(|(pid, tag)| (pid, w.process_kind(pid), tag))
+        .collect();
+    assert!(
+        armed.is_empty(),
+        "{what}: idle processes hold timers {armed:?}"
+    );
+    let events = app.world.events_processed();
+    app.world.run_until_quiescent();
+    let w = &app.world;
+    assert_eq!(
+        w.events_processed(),
+        events,
+        "{what}: an idle world holds no event"
+    );
+    for node in &app.tmf {
+        for disc in &node.discs {
+            let primary = guardian::primary::<DiscProcess>(w, disc.node, &disc.name);
+            let backup = guardian::backup::<DiscProcess>(w, disc);
+            for (half, disc) in [("primary", primary), ("backup", backup)] {
+                let disc = disc.unwrap_or_else(|| panic!("{what}: {} has a {half}", node.node));
+                assert_eq!(disc.state_report().overlay, 0, "{what}: {half} overlay");
+            }
+        }
+        let primary = guardian::primary::<TmpProcess>(w, node.node, &TMP_SERVICE);
+        let backup = guardian::backup::<TmpProcess>(w, &node.tmp);
+        for (half, tmp) in [("primary", primary), ("backup", backup)] {
+            let tmp = tmp.unwrap_or_else(|| panic!("{what}: {} has a $TMP {half}", node.node));
+            assert_eq!(tmp.open_transids(), vec![], "{what}: $TMP {half} table");
+        }
+        let class = server_class_service(BANK_CLASS);
+        let queue = guardian::primary::<ServerClassQueue>(w, node.node, &class)
+            .unwrap_or_else(|| panic!("{what}: {} has a live {class}", node.node));
+        assert_eq!(queue.server_count(), servers_min, "{what}: {class} servers");
+    }
+}
+
+/// A finished bank world, of one node and of two, holds no event: fault
+/// free, and after the processor of the `$BANK` DISCPROCESS's primary, or
+/// of the `$TMP`'s, failed mid-run and was reloaded. Eight terminals with
+/// no think time keep a backlog, so each class grows past one server and
+/// must shrink back.
+#[test]
+fn a_finished_bank_world_holds_no_event() {
+    for nodes in [1, 2] {
+        for outage in [None, Some("$BANK"), Some(TMP_SERVICE.as_str())] {
+            let params = BankAppParams {
+                node_cpus: vec![4; nodes],
+                accounts: 200,
+                terminals_per_node: 8,
+                transactions_per_terminal: 8,
+                think: SimDuration::from_micros(10),
+                servers_min: 1,
+                ..BankAppParams::default()
+            };
+            let servers_min = params.servers_min;
+            let mut app = launch_bank_app(params);
+            let what = format!("{nodes} node(s), outage of {outage:?}");
+            if let Some(service) = outage {
+                let n = app.nodes[0];
+                app.world.run_for(SimDuration::from_millis(300));
+                let cpu = app.world.lookup_name(n, service).expect("a primary").cpu;
+                app.world.inject(Fault::KillCpu(n, cpu));
+                app.world.run_for(SimDuration::from_millis(500));
+                app.world.inject(Fault::RestoreCpu(n, cpu));
+                assert!(app.world.metrics().get("pair.takeovers") > 0, "{what}");
+            }
+            let terminals = 8 * nodes as u64;
+            finish_and_fall_silent(&mut app, terminals, servers_min, &what);
+            assert!(
+                app.world.metrics().get("appmon.servers_deleted") > 0,
+                "{what}"
+            );
+        }
+    }
 }
 
 /// An account may live on the other node. A request to its volume made

@@ -28,14 +28,18 @@
 //!   can still ask for it (the *floor* every request carries), and a
 //!   request admitted but not yet answered is an [`Owed`] held by
 //!   whatever record it parked in.
+//! * **A background clock** ([`Cadence`]): one periodic timer, armed on
+//!   the grid its primary start lays down, while its owner has work.
 //! * **An operator process** ([`operator`]): subscribes to hardware events
 //!   and tallies them, standing in for the paper's console-printing
 //!   operator pair.
 
+pub mod cadence;
 pub mod operator;
 pub mod pair;
 pub mod rpc;
 
+pub use cadence::Cadence;
 pub use operator::OperatorProcess;
 pub use pair::{backup, primary, spawn_pair, Checkpointed, PairApp, PairCtx, PairHandle, Role};
 pub use rpc::{

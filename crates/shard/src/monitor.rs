@@ -38,7 +38,7 @@ use encompass_sim::{counter, Name, NodeId, Payload, Pid, SimDuration, SystemEven
 use encompass_storage::discprocess::DiscReply;
 use encompass_storage::types::{key_num, num_key};
 use encompass_storage::Catalog;
-use guardian::{Checkpointed, PairApp, PairHandle};
+use guardian::{Cadence, Checkpointed, PairApp, PairHandle};
 use tmf::session::{DbOp, SessionEvent, SessionOptions, TmfSession};
 use tmf::state::AbortReason;
 
@@ -46,7 +46,9 @@ type PairCtx<'a, 'b> = guardian::PairCtx<'a, 'b, SuspenseDelta>;
 
 /// The one poll timer's tag: a primary keeps exactly one armed.
 pub const TAG_POLL: u64 = 1;
-/// Scan cadence while idle.
+/// Scan cadence while idle. The poll ticks whether or not the file holds
+/// anything: a commit writes the records, and nothing tells the monitor
+/// (DESIGN.md §D31).
 const POLL: SimDuration = SimDuration::from_millis(100);
 /// `ReadRange` page size per scan.
 const SCAN_BATCH: usize = 64;
@@ -79,6 +81,8 @@ pub struct SuspenseMonitorApp {
     names: ReplicaNames,
     session: TmfSession,
     state: MonState,
+    /// The poll's clock, re-armed at every firing.
+    poll: Cadence,
     /// The entry being applied: its number, the record, and the replica
     /// file at the record's destination.
     current: Option<(u64, SuspenseRecord, Name)>,
@@ -94,6 +98,7 @@ impl SuspenseMonitorApp {
             names: ReplicaNames::default(),
             session: TmfSession::new(catalog, 2),
             state: MonState::Idle,
+            poll: Cadence::new(POLL, TAG_POLL),
             current: None,
             applied: 0,
             pending: 0,
@@ -287,7 +292,8 @@ impl PairApp for SuspenseMonitorApp {
 
     /// At spawn and again after a takeover: start the one poll chain.
     fn on_primary_start(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        ctx.set_timer(POLL, TAG_POLL);
+        self.poll.start(ctx);
+        self.poll.arm(ctx);
     }
 
     fn on_request(&mut self, ctx: &mut PairCtx<'_, '_>, _src: Pid, payload: Payload) {
@@ -297,11 +303,11 @@ impl PairApp for SuspenseMonitorApp {
     }
 
     fn on_timer(&mut self, ctx: &mut PairCtx<'_, '_>, tag: u64) {
-        if tag == TAG_POLL {
+        if self.poll.fired(tag) {
             if self.state == MonState::Idle {
                 self.scan(ctx);
             }
-            ctx.set_timer(POLL, TAG_POLL);
+            self.poll.arm(ctx);
             return;
         }
         if let Some(ev) = self.session.on_timer(ctx, tag) {

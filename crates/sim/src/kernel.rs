@@ -591,9 +591,13 @@ impl World {
         self.run_until(t);
     }
 
-    /// Run until no events remain. Panics after 100 million events — a
-    /// quiescence-based driver is only appropriate for workloads without
-    /// free-running periodic processes.
+    /// Run until no events remain, and return the instant of the last.
+    /// Panics after 100 million events. A process that re-arms a timer
+    /// on every firing keeps the queue from ever emptying. In a TMF world
+    /// that is only the TMP's audit-trail purge sweep, when
+    /// `trail_purge_interval` is set, and a sharded bank's `$SUSPENSE`
+    /// poll; every other background clock of the stack runs only while it
+    /// has work (DESIGN.md §D31), so a finished bank world falls silent.
     pub fn run_until_quiescent(&mut self) -> SimTime {
         let mut budget: u64 = 100_000_000;
         while self.step() {

@@ -48,9 +48,15 @@
 //! let node = world.add_node(2);
 //! let echo = world.spawn(node, 0, Box::new(Echo));
 //! world.spawn(node, 1, Box::new(Driver { peer: echo, got_reply: false }));
-//! world.run_until_quiescent();
-//! assert!(world.now().as_micros() > 0);
+//! // neither process arms a timer, so once the reply lands nothing is left
+//! // to happen: the run ends at that instant, one bus hop each way
+//! let end = world.run_until_quiescent();
+//! assert_eq!(end.as_micros(), 2 * encompass_sim::config::BUS_LATENCY.as_micros());
 //! ```
+//!
+//! A finished TMF bank world ends the same way: its background clocks
+//! tick only while they have work (DESIGN.md §D31 names the two that do
+//! not).
 
 pub mod config;
 pub mod event;

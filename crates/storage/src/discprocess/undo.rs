@@ -7,7 +7,7 @@ use crate::audit_api::ImageRecord;
 use crate::transids::TransidSet;
 use crate::types::Transid;
 use bytes::Bytes;
-use encompass_sim::{push_bounded, Name};
+use encompass_sim::{push_bounded, Name, NodeId};
 use std::collections::VecDeque;
 
 /// Settled-transaction fences retained to refuse straggler writes (a FIFO
@@ -107,8 +107,8 @@ impl UndoRing {
 /// The backup's copy is a clone of both.
 #[derive(Clone, Default)]
 pub struct SettledFences {
-    /// The fences in the order they settled.
-    ring: VecDeque<Transid>,
+    /// The fences in the order they settled, each [`pack`]ed into 8 bytes.
+    ring: VecDeque<u64>,
     /// The same fences, a run of slots per home node (DESIGN.md §D30).
     set: TransidSet,
 }
@@ -131,9 +131,34 @@ impl SettledFences {
         if !self.set.insert(transid, ()) {
             return;
         }
-        if let Some(old) = push_bounded(&mut self.ring, SETTLED_FENCE_CAPACITY, transid) {
-            self.set.remove(&old);
+        if let Some(old) = push_bounded(&mut self.ring, SETTLED_FENCE_CAPACITY, pack(transid)) {
+            self.set.remove(&unpack(old));
         }
+    }
+}
+
+/// Bits of a packed transid's sequence number; the home node and the cpu
+/// take a byte each above them.
+const SEQ_BITS: u32 = 48;
+
+/// `transid` in one word: home node, cpu, then the sequence number. A
+/// node would have to begin 2^48 transactions to reach a sequence number
+/// that does not fit, so one that does not is a bug, and it panics.
+fn pack(transid: Transid) -> u64 {
+    assert!(
+        transid.seq >> SEQ_BITS == 0,
+        "{transid}: its sequence number does not fit a settled-fence slot"
+    );
+    u64::from(transid.home_node.0) << (SEQ_BITS + 8)
+        | u64::from(transid.cpu) << SEQ_BITS
+        | transid.seq
+}
+
+fn unpack(packed: u64) -> Transid {
+    Transid {
+        home_node: NodeId((packed >> (SEQ_BITS + 8)) as u8),
+        cpu: (packed >> SEQ_BITS) as u8,
+        seq: packed & ((1 << SEQ_BITS) - 1),
     }
 }
 
@@ -141,7 +166,6 @@ impl SettledFences {
 mod tests {
     use super::*;
     use crate::types::{FileOrganization, VolumeRef};
-    use encompass_sim::NodeId;
     use proptest::prelude::*;
 
     fn image(seq: u64, key: &str, before: u64) -> ImageRecord {
@@ -197,8 +221,34 @@ mod tests {
         assert_eq!(fences.len(), SETTLED_FENCE_CAPACITY);
         assert!(!fences.contains(&t(0)) && fences.contains(&t(1)));
         let in_order: Vec<Transid> = (1..=SETTLED_FENCE_CAPACITY as u64).map(t).collect();
-        assert!(fences.ring.iter().eq(&in_order));
+        assert!(fences
+            .ring
+            .iter()
+            .map(|&p| unpack(p))
+            .eq(in_order.iter().copied()));
         assert!(fences.set.iter().map(|(t, ())| t).eq(in_order));
+    }
+
+    #[test]
+    fn a_packed_fence_is_its_transid() {
+        for (home, cpu, seq) in [(0, 0, 1), (255, 255, (1 << 48) - 1), (63, 3, 1 << 40)] {
+            let transid = Transid {
+                home_node: NodeId(home),
+                cpu,
+                seq,
+            };
+            assert_eq!(unpack(pack(transid)), transid);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a settled-fence slot")]
+    fn a_sequence_number_past_48_bits_does_not_pack() {
+        pack(Transid {
+            home_node: NodeId(1),
+            cpu: 0,
+            seq: 1 << 48,
+        });
     }
 
     /// The fence set as it was before its runs: the ring beside an ordered
@@ -257,7 +307,7 @@ mod tests {
                     model.settle(transid);
                     prop_assert!(fences.contains(&transid));
                 }
-                prop_assert!(fences.ring.iter().eq(&model.ring));
+                prop_assert!(fences.ring.iter().map(|&p| unpack(p)).eq(model.ring.iter().copied()));
                 prop_assert_eq!(fences.set.len(), model.set.len());
                 for probe in history.iter().rev().step_by(13) {
                     prop_assert_eq!(fences.contains(probe), model.set.contains(probe));

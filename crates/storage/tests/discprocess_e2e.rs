@@ -500,6 +500,50 @@ fn takeover_preserves_overlay_and_locks() {
     assert_eq!(w.metrics().get("pair.takeovers"), 1);
 }
 
+/// The flush ticks only while the overlay holds something (DESIGN.md
+/// §D31), so a backup that takes over a dirty overlay must start the clock
+/// itself: no later write will. Once the record is on the media, the
+/// volume holds no timer and the world falls silent.
+#[test]
+fn a_takeover_over_a_dirty_overlay_flushes_it() {
+    let (mut w, n, target) = setup(basic_catalog(NodeId(0)));
+    let t = txn(1);
+    let replies = run_script(
+        &mut w,
+        n,
+        2,
+        target,
+        vec![
+            DiscRequest::Insert {
+                file: "accounts".into(),
+                key: b("dirty"),
+                value: b("v"),
+                transid: Some(t),
+                lock_wait: WAIT,
+            },
+            DiscRequest::ReleaseLocks {
+                transid: t,
+                commit: true,
+            },
+        ],
+    );
+    w.run_for(SimDuration::from_millis(20));
+    assert_eq!(replies.borrow().len(), 2);
+    assert_eq!(state_of(&w, n).overlay, 1, "not flushed yet");
+    w.inject(Fault::KillCpu(n, CpuId(0)));
+    w.run_until_quiescent();
+    assert_eq!(w.metrics().get("pair.takeovers"), 1);
+    assert_eq!(state_of(&w, n).overlay, 0, "the new primary flushed");
+    let media = w
+        .stable()
+        .get::<VolumeMedia>(&media_key(n, "$DATA"))
+        .expect("media exists");
+    assert_eq!(
+        media.file("accounts").and_then(|f| f.read(b"dirty")),
+        Some(b("v"))
+    );
+}
+
 /// A write the old primary answered is not run again by the new one: the
 /// backup logged its reply from the checkpoint, and the new primary
 /// replays it to the client's retransmission. (An entry-sequenced append
