@@ -12,9 +12,10 @@
 //! purge scan and the per-transaction and per-volume queries filter without
 //! decoding a record they do not return.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use encompass_sim::{Name, NodeId};
 use encompass_storage::audit_api::{ImageRecord, AUDIT_SERVICE};
+use encompass_storage::image_codec::{encoded_len, get_image, put_image};
 use encompass_storage::types::{FileOrganization, Transid, VolumeRef};
 
 /// Stable-storage key of trail partition `partition` of `node`'s
@@ -42,21 +43,16 @@ const VOLUME: usize = 20;
 const FILE: usize = 23;
 /// `u8`: 0 key-sequenced, 1 entry-sequenced.
 const ORGANIZATION: usize = 25;
-/// The key, before image and after image, each a tag byte and its bytes:
-/// a tag up to [`Bytes::INLINE_CAP`] is the length of the bytes that
-/// follow; [`LONG`] is followed by a `u32` index into the file's long
-/// values; [`ABSENT`] (an image only) has nothing after it.
+/// The key, before image and after image, each a tag byte and its bytes
+/// (`encompass_storage::image_codec`), a long one an index into the
+/// file's long values.
 const IMAGES: usize = 26;
-const LONG: u8 = 0xFE;
-const ABSENT: u8 = 0xFF;
 /// Records a file's first buffer holds, at the first record's length
 /// rounded up to a power of two, and the long values its first list
 /// holds. Four times a `Vec<ImageRecord>`'s first block, so the buffer
 /// takes two growth steps fewer than that vector did; doubling from a
 /// power of two, a full file ends at the same capacity either way.
 const FIRST_RECORDS: usize = 16;
-
-const _: () = assert!(Bytes::INLINE_CAP < LONG as usize);
 
 /// One file in the numbered sequence.
 #[derive(Clone, Debug, Default)]
@@ -149,22 +145,14 @@ impl TrailFile {
     }
 
     fn put_image(&mut self, image: Option<Bytes>) {
-        match image {
-            None => self.buf.put_u8(ABSENT),
-            Some(b) if b.len() <= Bytes::INLINE_CAP => {
-                self.buf.put_u8(b.len() as u8);
-                self.buf.put_slice(&b);
+        put_image(&mut self.buf, image, |b| {
+            let at = u32::try_from(self.long.len()).expect("a trail file under 4 Gi images");
+            if self.long.capacity() == 0 {
+                self.long.reserve_exact(FIRST_RECORDS);
             }
-            Some(b) => {
-                self.buf.put_u8(LONG);
-                let at = u32::try_from(self.long.len()).expect("a trail file under 4 Gi images");
-                self.buf.put_u32(at);
-                if self.long.capacity() == 0 {
-                    self.long.reserve_exact(FIRST_RECORDS);
-                }
-                self.long.push(b);
-            }
-        }
+            self.long.push(b);
+            at
+        });
     }
 
     fn decode(&self, raw: &[u8]) -> ImageRecord {
@@ -194,30 +182,13 @@ impl TrailFile {
 
     /// The image at the head of `cur`, which moves past it.
     fn image(&self, cur: &mut &[u8]) -> Option<Bytes> {
-        match cur.get_u8() {
-            ABSENT => None,
-            LONG => Some(self.long[cur.get_u32() as usize].clone()),
-            len => {
-                let (bytes, rest) = cur.split_at(usize::from(len));
-                *cur = rest;
-                Some(Bytes::copy_from_slice(bytes))
-            }
-        }
+        get_image(cur, |at| self.long[at as usize].clone())
     }
 
     /// True if the record encoded as `raw` is an image of `volume`, whose
     /// name is at `name` in this file's table.
     fn of_volume(raw: &[u8], volume: &VolumeRef, name: u16) -> bool {
         raw[VOLUME] == volume.node.0 && raw[VOLUME + 1..VOLUME + 3] == name.to_be_bytes()
-    }
-}
-
-/// Bytes an image takes in a record.
-fn encoded_len(image: Option<&Bytes>) -> usize {
-    match image {
-        None => 1,
-        Some(b) if b.len() <= Bytes::INLINE_CAP => 1 + b.len(),
-        Some(_) => 1 + 4,
     }
 }
 

@@ -19,7 +19,9 @@ use encompass::workload::DebitTag;
 use encompass_audit::auditprocess::AuditStateReport;
 use encompass_audit::dump::ARCHIVE_RETAIN;
 use encompass_sim::{NodeId, Pid};
-use encompass_storage::discprocess::{DiscStateReport, SETTLED_FENCE_CAPACITY};
+use encompass_storage::discprocess::{
+    DiscStateReport, SETTLED_FENCE_CAPACITY, UNDO_ENTRY_MAX_BYTES,
+};
 use guardian::RPC_TAG_BASE;
 use std::collections::BTreeMap;
 use tmf::tmp::TmpStateReport;
@@ -84,7 +86,10 @@ const ARCHIVE_KEYS: usize = ARCHIVE_RETAIN as usize + 1;
 /// whole soak horizon — a monotonically growing structure is a leak even
 /// when the run is otherwise green. The settled-fence ring's cap is the
 /// DISCPROCESS's `SETTLED_FENCE_CAPACITY`, and the snapshot-undo ring's
-/// `snapshot_undo`, the capacity the run configured. A reply table must
+/// `snapshot_undo`, the capacity the run configured; the bytes that ring
+/// reserves stay within that capacity times its largest entry
+/// (`UNDO_ENTRY_MAX_BYTES`), with one doubling of slack, so a ring that
+/// never compacts its evicted prefix away is caught. A reply table must
 /// also hold no answer below its requester's floor: one there could never
 /// be asked for again. Returns one violation string per breach, naming
 /// the process, the field, the observed size, and the cap.
@@ -102,6 +107,8 @@ pub fn bounded_violations(obs: &[StateObservation], snapshot_undo: usize) -> Vec
         match &o.kind {
             StateKind::Disc(r) => {
                 breach("snapshot_undo", r.snapshot_undo, snapshot_undo);
+                let undo_bytes = 2 * snapshot_undo * UNDO_ENTRY_MAX_BYTES;
+                breach("snapshot_undo_bytes", r.snapshot_undo_bytes, undo_bytes);
                 breach("live_txns", r.live_txns, LIVE_TXNS);
                 breach("settled_fences", r.settled_fences, SETTLED_FENCE_CAPACITY);
                 breach("counted_waits", r.counted_waits, COUNTED_WAITS);
@@ -604,6 +611,27 @@ mod tests {
         assert!(v[0].contains("snapshot_undo=65"), "{}", v[0]);
         assert!(v[0].contains("cap 64"), "{}", v[0]);
         assert!(v[0].contains("epoch 4"), "{}", v[0]);
+    }
+
+    #[test]
+    fn snapshot_undo_bytes_over_their_bound_name_the_volume_process() {
+        let cap = 2 * UNDO * UNDO_ENTRY_MAX_BYTES;
+        let obs = |bytes| StateObservation {
+            process: "$BANK1@\\N1".into(),
+            epoch: 7,
+            kind: StateKind::Disc(DiscStateReport {
+                snapshot_undo: UNDO,
+                snapshot_undo_bytes: bytes,
+                ..Default::default()
+            }),
+        };
+        assert!(bounded_violations(&[obs(cap)], UNDO).is_empty());
+        let v = bounded_violations(&[obs(cap + 1)], UNDO);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("$BANK1@\\N1"), "{}", v[0]);
+        let field = format!("snapshot_undo_bytes={} exceeds cap {cap}", cap + 1);
+        assert!(v[0].contains(&field), "{}", v[0]);
+        assert!(v[0].contains("epoch 7"), "{}", v[0]);
     }
 
     #[test]

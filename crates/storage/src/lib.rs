@@ -32,6 +32,7 @@ pub mod audit_api;
 pub mod catalog;
 pub mod discprocess;
 pub mod entryseq;
+pub mod image_codec;
 pub mod locks;
 pub mod media;
 pub mod overlay;

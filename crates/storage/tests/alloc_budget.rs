@@ -9,6 +9,10 @@
 //! its retry copy, the checkpoint and both halves' retained undo share
 //! (DESIGN.md §D19(f)); and of the held locks, one list a warm lock
 //! manager reuses.
+//!
+//! And the bytes of the snapshot-undo ring: a full ring of bank images
+//! holds its entries encoded, and the copy a fresh backup starts from
+//! holds the live ones alone (§D32).
 
 #[path = "../../guardian/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -16,11 +20,11 @@ mod counting_alloc;
 use bytes::Bytes;
 use counting_alloc::{allocations_in, CountingAlloc};
 use encompass_sim::{Ctx, Name, NodeId, Payload, Pid, Process, SimConfig, SimDuration, World};
-use encompass_storage::audit_api::{AuditMsg, AuditReply};
-use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply};
+use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord};
+use encompass_storage::discprocess::{spawn_disc_process, DiscConfig, DiscReply, UndoRing};
 use encompass_storage::locks::{Acquire, LockManager, LockScope};
 use encompass_storage::overlay::{Overlay, ReadCache};
-use encompass_storage::types::{num_key, FileDef, Transid, VolumeRef};
+use encompass_storage::types::{num_key, FileDef, FileOrganization, Transid, VolumeRef};
 use encompass_storage::{Catalog, DiscRequest};
 use guardian::{Checkpointed, Request, RpcReply};
 use std::cell::RefCell;
@@ -402,4 +406,50 @@ fn a_warm_audited_write_allocates_its_image_list_once() {
         "beyond its messages, an audited update allocates one block more than an unaudited \
          one: its image list ({audited} against {unaudited})"
     );
+}
+
+/// A bank debit's image as the undo ring keeps it: a 12-byte account key
+/// and a balance of at most eight digits before it.
+fn debit_image(seq: u64) -> ImageRecord {
+    let balance = 10_000_000 - seq;
+    ImageRecord {
+        seq,
+        transid: t(seq),
+        volume: VolumeRef::new(NodeId(0), "$BANK"),
+        file: Name::from_static("accounts"),
+        organization: FileOrganization::KeySequenced,
+        key: key((seq % 1_000) as u32),
+        before: Some(Bytes::from(balance.to_string())),
+        after: Some(Bytes::from((balance - 1).to_string())),
+    }
+}
+
+#[test]
+fn a_full_undo_ring_of_bank_images_holds_32_bytes_an_entry() {
+    const CAP: usize = 4_096;
+    let mut ring = UndoRing::new(CAP);
+    for seq in 1..=CAP as u64 {
+        ring.commit(&[debit_image(seq)]);
+    }
+    assert_eq!(ring.len(), CAP);
+    let reserved = ring.reserved_bytes();
+    assert!(
+        reserved <= 32 * CAP,
+        "{reserved} bytes for {CAP} entries, their index included: over 32 an entry"
+    );
+    // wrapped twice, it compacts its evicted prefix away and does not
+    // grow
+    let mut seq = CAP as u64;
+    while seq < 3 * CAP as u64 || ring.evicted_prefix_bytes() == 0 {
+        seq += 1;
+        ring.commit(&[debit_image(seq)]);
+    }
+    assert_eq!(ring.reserved_bytes(), reserved, "a full ring does not grow");
+    // a fresh backup's copy takes the live entries alone, into buffers as
+    // large as the primary's
+    let (blocks, copy) = allocations_in(|| ring.replica());
+    assert_eq!(blocks, 2, "the entries and their index");
+    assert_eq!(copy.len(), CAP);
+    assert_eq!(copy.evicted_prefix_bytes(), 0);
+    assert_eq!(copy.reserved_bytes(), ring.reserved_bytes());
 }
