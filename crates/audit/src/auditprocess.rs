@@ -26,7 +26,7 @@ use crate::trail::{trail_key, TrailMedia};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
     counter, histogram, CpuId, DetHashMap, FlightCause, Floored, MediaId, Members, Name, NodeId,
-    Payload, Pid, SimTime, World,
+    Payload, Pid, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, ImageRecord, AUDIT_SERVICE};
 use encompass_storage::types::{Transid, VolumeRef};
@@ -71,11 +71,9 @@ fn tag_window(p: usize) -> u64 {
     2 + 2 * p as u64
 }
 
-/// Cumulative bucket bounds for the boxcar-size histogram.
-const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
-/// A boxcar this full forces at once, without waiting out its window: the
+/// Cumulative bucket bounds for the boxcar-size histograms: the
 /// AUDITPROCESS counts force waiters, the TMP monitor-trail records.
-pub const GROUP_COMMIT_MAX: usize = 64;
+pub const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 
 /// Configuration for one AUDITPROCESS.
 #[derive(Clone, Debug)]
@@ -83,8 +81,7 @@ pub struct AuditConfig {
     /// Trail-file rotation threshold (records per file).
     pub rotate_every: usize,
     /// How long to hold an eligible force open so that later requesters can
-    /// board the same boxcar (up to [`GROUP_COMMIT_MAX`] waiters). Zero
-    /// forces as soon as one waiter is queued.
+    /// board the same boxcar. Zero forces as soon as one waiter is queued.
     pub group_commit_window: encompass_sim::SimDuration,
     /// Number of trail partitions (volume groups forcing in parallel).
     pub partitions: usize,
@@ -185,13 +182,10 @@ struct Partition {
     /// Total records forced to this partition's trail over all time.
     forced_count: u64,
     force_in_progress: Option<usize>,
-    /// Deadline of the window timer armed for the boxcar now
-    /// accumulating. A firing before this deadline is a *stale* timer
-    /// from an earlier, max-filled boxcar and must be ignored — closing
-    /// the new boxcar early would defeat the group-commit window.
-    /// Primary-memory only: the timer dies with the primary, and
-    /// retransmitted requests re-arm it after a takeover.
-    window_deadline: Option<SimTime>,
+    /// The window timer of the boxcar now accumulating is armed; its
+    /// firing starts the force. Primary-memory only: the timer dies with
+    /// the primary, and retransmitted requests re-arm it after a takeover.
+    window_armed: bool,
     waiters: Vec<Waiter>,
 }
 
@@ -201,7 +195,7 @@ impl Partition {
             buffer: Vec::new(),
             forced_count: 0,
             force_in_progress: None,
-            window_deadline: None,
+            window_armed: false,
             waiters: Vec::new(),
         }
     }
@@ -386,15 +380,10 @@ impl AuditProcess {
         if part.force_in_progress.is_some() || part.buffer.is_empty() || part.waiters.is_empty() {
             return;
         }
-        if self.cfg.group_commit_window > encompass_sim::SimDuration::ZERO
-            && part.waiters.len() < GROUP_COMMIT_MAX
-        {
-            // hold the boxcar open for late boarders; the recorded
-            // deadline lets on_timer ignore stale firings from earlier,
-            // max-filled boxcars
-            if part.window_deadline.is_none() {
-                let deadline = ctx.now() + self.cfg.group_commit_window;
-                self.parts[p].window_deadline = Some(deadline);
+        if self.cfg.group_commit_window > encompass_sim::SimDuration::ZERO {
+            // hold the boxcar open for late boarders, for its whole window
+            if !part.window_armed {
+                self.parts[p].window_armed = true;
                 ctx.set_timer(self.cfg.group_commit_window, tag_window(p));
             }
             return;
@@ -403,7 +392,6 @@ impl AuditProcess {
     }
 
     fn start_force(&mut self, ctx: &mut PairCtx<'_, '_>, p: usize) {
-        self.parts[p].window_deadline = None;
         let upto = self.parts[p].buffer.len();
         self.parts[p].force_in_progress = Some(upto);
         ctx.count(counter!("audit.force_started"), 1);
@@ -643,22 +631,11 @@ impl PairApp for AuditProcess {
             self.complete_force(ctx, p);
             return;
         }
-        // window firing: ignore stale timers armed for an earlier boxcar
-        // (one that filled to GROUP_COMMIT_MAX and forced before its
-        // window elapsed) — the accumulating boxcar deserves its own full
-        // window
-        match self.parts[p].window_deadline {
-            Some(deadline) if ctx.now() >= deadline => {
-                self.parts[p].window_deadline = None;
-                if self.parts[p].force_in_progress.is_none()
-                    && !self.parts[p].buffer.is_empty()
-                    && !self.parts[p].waiters.is_empty()
-                {
-                    self.start_force(ctx, p);
-                }
-            }
-            _ => ctx.count(counter!("audit.stale_window_ignored"), 1),
-        }
+        // the window ends: the boxcar armed it with a waiter on board, and
+        // nothing but this firing starts its force
+        debug_assert!(self.parts[p].window_armed && self.parts[p].force_in_progress.is_none());
+        self.parts[p].window_armed = false;
+        self.start_force(ctx, p);
     }
 
     fn on_takeover(&mut self, ctx: &mut PairCtx<'_, '_>) {

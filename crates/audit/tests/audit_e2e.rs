@@ -3,9 +3,7 @@
 //! online dump → crash → ROLLFORWARD cycle.
 
 use bytes::Bytes;
-use encompass_audit::auditprocess::{
-    spawn_audit_process, AuditConfig, AuditProcess, GROUP_COMMIT_MAX,
-};
+use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig, AuditProcess};
 use encompass_audit::backout::{spawn_backout_process, BackoutMsg, BackoutReply};
 use encompass_audit::dump::{request_dump, spawn_dump_process, DumpReply};
 use encompass_audit::monitor::MonitorTrail;
@@ -328,12 +326,9 @@ fn audit_takeover_with_half_filled_boxcar_loses_nothing() {
 }
 
 #[test]
-fn stale_window_timer_does_not_close_the_next_boxcar_early() {
-    // `GROUP_COMMIT_MAX` force requests fill the boxcar, so the force
-    // starts *before* the armed window expires — leaving the window timer
-    // live. One more transaction then opens a fresh window. The
-    // stale timer from the first window fires mid-way through the new
-    // window; it must be ignored, not close the new boxcar ~100ms early.
+fn a_boxcar_of_a_hundred_is_held_for_its_whole_window() {
+    // 100 transactions reach phase one together under a 300 ms window:
+    // however many board, the boxcar forces once, when its window ends
     let mut w = World::new(SimConfig::default());
     let n = w.add_node(4);
     let vol = VolumeRef::new(n, "$DATA");
@@ -373,33 +368,25 @@ fn stale_window_timer_does_not_close_the_next_boxcar_early() {
             },
         ]
     };
-    // t≈0: the first transaction arms the window, the rest fill the
-    // boxcar — the force starts early, stranding the window timer (fires
-    // ≈ t+300ms)
-    let full = GROUP_COMMIT_MAX as u64;
-    let mut scripts: Vec<_> = (1..=full)
+    let scripts: Vec<_> = (1..=100)
         .map(|i| run_script(&mut w, n, (i % 4) as u8, target.clone(), phase1(i)))
         .collect();
+    // the first force request arms the window a little after t = 0, and
+    // by t = 100 ms every transaction has boarded
     w.run_for(SimDuration::from_millis(100));
-    assert_eq!(
-        w.metrics().get("audit.forces"),
-        1,
-        "boxcar filled: forced early"
-    );
-    // t≈100ms: one more transaction arms a fresh window (deadline ≈ 400ms)
-    scripts.push(run_script(&mut w, n, 2, target, phase1(full + 1)));
-    // t≈360ms: the stale timer has fired (≈300ms) inside the new window;
-    // the new boxcar must still be open
-    w.run_for(SimDuration::from_millis(260));
-    assert_eq!(
-        w.metrics().get("audit.forces"),
-        1,
-        "stale window timer closed the new boxcar early"
-    );
-    assert_eq!(w.metrics().get("audit.stale_window_ignored"), 1);
-    // and the new window still closes on its own deadline
+    assert_eq!(w.metrics().get("audit.force_txn"), 100, "all on board");
+    // t = 300 ms: just before the window ends, nothing is forced
     w.run_for(SimDuration::from_millis(200));
-    assert_eq!(w.metrics().get("audit.forces"), 2);
+    assert_eq!(
+        w.metrics().get("audit.forces"),
+        0,
+        "forced before its window"
+    );
+    // the window ends and one force carries all 100
+    w.run_for(SimDuration::from_millis(500));
+    assert_eq!(w.metrics().get("audit.forces"), 1);
+    assert_eq!(w.metrics().get("audit.boxcar_size.count"), 1);
+    assert_eq!(w.metrics().get("audit.boxcar_size.sum"), 100);
     for (i, r) in scripts.iter().enumerate() {
         assert_eq!(r.borrow().len(), 3, "txn {}: {:?}", i + 1, r.borrow());
         assert_eq!(r.borrow()[1], DiscReply::Phase1Done, "txn {}", i + 1);

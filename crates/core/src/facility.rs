@@ -43,11 +43,10 @@ pub struct TmfNodeConfig {
     /// builder so validation always runs.
     audit_partitions: usize,
     /// Group-commit boxcar window applied to both the AUDITPROCESS force
-    /// path and the TMP's monitor-trail writes; a boxcar of
-    /// [`GROUP_COMMIT_MAX`](encompass_audit::auditprocess::GROUP_COMMIT_MAX)
-    /// forces without waiting it out. Zero (the default) holds nothing
-    /// open: a force starts as soon as it is asked for. Private: set
-    /// through the builder so validation always runs.
+    /// path and the TMP's monitor-trail writes: a boxcar is held for the
+    /// whole window. Zero (the default) holds nothing open: a force starts
+    /// as soon as it is asked for. Private: set through the builder so
+    /// validation always runs.
     group_commit_window: SimDuration,
     /// Records per ONLINEDUMP page (one disc access each). Private: set
     /// through the builder so validation always runs.

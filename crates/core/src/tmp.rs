@@ -31,13 +31,13 @@
 
 use crate::state::{AbortReason, TxState, TxnClass};
 use crate::table::StateBroadcast;
-use encompass_audit::auditprocess::GROUP_COMMIT_MAX;
+use encompass_audit::auditprocess::BOXCAR_BOUNDS;
 use encompass_audit::backout::{BackoutMsg, BackoutReply, BACKOUT_SERVICE};
 use encompass_audit::monitor::{monitor_key, MonitorTrail};
 use encompass_sim::config::DISC_ACCESS;
 use encompass_sim::{
     counter, histogram, CpuId, FlightCause, MediaId, Members, Name, NodeId, Payload, Pid,
-    SimDuration, SimTime, SystemEvent, World,
+    SimDuration, SystemEvent, World,
 };
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AUDIT_SERVICE};
 use encompass_storage::discprocess::{DiscReply, DiscRequest};
@@ -79,8 +79,6 @@ const CRITICAL_RETRIES: u32 = 3;
 /// only while an entry is in doubt (DESIGN.md §D31).
 const INDOUBT_PROBE: SimDuration = SimDuration::from_millis(250);
 
-/// Cumulative bucket bounds for the boxcar-size histogram.
-const BOXCAR_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 /// Cumulative bucket bounds (µs) for home-commit latency.
 const LATENCY_BOUNDS: &[u64] = &[1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000];
 
@@ -179,9 +177,9 @@ pub struct TmpConfig {
     /// purge floor per volume, in this order.
     pub volumes: Vec<Name>,
     /// How long a decided completion record may wait for other concurrently
-    /// completing transactions to board the same monitor-trail force (up
-    /// to [`GROUP_COMMIT_MAX`] records). Zero starts each record's force
-    /// as soon as it is decided, beside any force already in flight.
+    /// completing transactions to board the same monitor-trail force. Zero
+    /// starts each record's force as soon as it is decided, beside any
+    /// force already in flight.
     pub group_commit_window: SimDuration,
     /// Interval of the audit-trail capacity sweep: ask the node's
     /// AUDITPROCESS to purge each trail partition whose volumes all have a
@@ -348,11 +346,9 @@ pub struct TmpProcess {
     /// The records one completing force writes; kept only so that a force
     /// allocates nothing once the commit path has warmed up.
     monitor_batch: Vec<(Transid, bool)>,
-    /// Deadline of the `TAG_MONITOR_WINDOW` timer armed for the
-    /// accumulating boxcar. A firing before this deadline is a *stale*
-    /// timer left over from an earlier, max-filled boxcar and must be
-    /// ignored, or it closes the new boxcar before its own window elapses.
-    monitor_window_deadline: Option<SimTime>,
+    /// The `TAG_MONITOR_WINDOW` timer of the accumulating boxcar is
+    /// armed; its firing starts the force. Primary-memory only.
+    monitor_window_armed: bool,
     next_tag: u64,
     /// The in-doubt janitor's clock: armed on the primary while an entry
     /// is in doubt ([`Txn::in_doubt`]).
@@ -390,7 +386,7 @@ impl TmpProcess {
             monitor_boxcar: Vec::new(),
             monitor_inflight: Vec::new(),
             monitor_batch: Vec::new(),
-            monitor_window_deadline: None,
+            monitor_window_armed: false,
             next_tag: 0,
             janitor_clock: Cadence::new(INDOUBT_PROBE, TAG_JANITOR),
             txtable_names: Vec::new(),
@@ -706,17 +702,13 @@ impl TmpProcess {
             if !self.monitor_inflight.is_empty() || self.monitor_boxcar.is_empty() {
                 return;
             }
-            if self.monitor_boxcar.len() < GROUP_COMMIT_MAX {
-                // hold the boxcar open for other transactions reaching
-                // their completion point; the recorded deadline lets
-                // on_timer tell this boxcar's own window expiry apart from
-                // stale timers of earlier, max-filled boxcars
-                if self.monitor_window_deadline.is_none() {
-                    self.monitor_window_deadline = Some(ctx.now() + window);
-                    ctx.set_timer(window, TAG_MONITOR_WINDOW);
-                }
-                return;
+            // hold the boxcar open for other transactions reaching their
+            // completion point, for its whole window
+            if !self.monitor_window_armed {
+                self.monitor_window_armed = true;
+                ctx.set_timer(window, TAG_MONITOR_WINDOW);
             }
+            return;
         }
         // with no window there is no boxcar to hold open: the record's
         // force starts now, beside any force already in flight
@@ -725,7 +717,6 @@ impl TmpProcess {
 
     /// Start the single physical force for everything in the boxcar.
     fn start_monitor_force(&mut self, ctx: &mut PairCtx<'_, '_>) {
-        self.monitor_window_deadline = None;
         let tag = TAG_MONITOR_BASE + self.next_tag;
         self.next_tag += 1;
         ctx.count(counter!("tmf.monitor_forces"), 1);
@@ -1534,19 +1525,11 @@ impl PairApp for TmpProcess {
             return;
         }
         if tag == TAG_MONITOR_WINDOW {
-            // ignore stale firings armed for an earlier boxcar that
-            // already forced (filled to GROUP_COMMIT_MAX before its
-            // window elapsed): the accumulating boxcar gets its own full
-            // window
-            match self.monitor_window_deadline {
-                Some(deadline) if ctx.now() >= deadline => {
-                    self.monitor_window_deadline = None;
-                    if self.monitor_inflight.is_empty() && !self.monitor_boxcar.is_empty() {
-                        self.start_monitor_force(ctx);
-                    }
-                }
-                _ => ctx.count(counter!("tmf.stale_monitor_window_ignored"), 1),
-            }
+            // the window ends: the boxcar armed it with a record on board,
+            // and nothing but this firing starts its force
+            debug_assert!(self.monitor_window_armed && self.monitor_inflight.is_empty());
+            self.monitor_window_armed = false;
+            self.start_monitor_force(ctx);
             return;
         }
         if (TAG_MONITOR_BASE..RPC_TAG_BASE).contains(&tag) {

@@ -1557,6 +1557,33 @@ fn group_commit_window_batches_monitor_forces() {
     assert_eq!(MonitorTrail::of(w.stable_mut(), n).commits(), 4);
 }
 
+#[test]
+fn a_monitor_boxcar_of_eighty_is_held_for_its_whole_window() {
+    // 80 home commits decide inside one 200 ms window (a longer one
+    // expires phase one): however many board, their records share one
+    // monitor-trail force, when the window ends
+    let cfg = TmfNodeConfig::builder()
+        .group_commit_window(SimDuration::from_millis(200))
+        .build()
+        .expect("valid tmf config");
+    let (mut w, n, catalog) = single_node_with(cfg);
+    let logs: Vec<Log> = (0..80)
+        .map(|i| {
+            let key = format!("k{i:02}");
+            let script = vec![Step::Begin, insert("accounts", &key, "1"), Step::End];
+            drive(&mut w, n, (i % 4) as u8, catalog.clone(), script)
+        })
+        .collect();
+    w.run_for(SimDuration::from_secs(5));
+    for (i, log) in logs.iter().enumerate() {
+        assert_eq!(log.borrow().last().unwrap(), "committed", "txn {i}");
+    }
+    assert_eq!(w.metrics().get("tmf.commits"), 80);
+    assert_eq!(w.metrics().get("tmf.monitor_forces"), 1, "one boxcar");
+    assert_eq!(w.metrics().get("tmf.monitor_boxcar_size.sum"), 80);
+    assert_eq!(MonitorTrail::of(w.stable_mut(), n).commits(), 80);
+}
+
 /// A parked lock request that is retransmitted after a DISCPROCESS
 /// takeover re-parks on the new primary; the replicated counted-waits set
 /// must keep `disc.lock_waits` exact (one wait, not one per park).

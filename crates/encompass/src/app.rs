@@ -5,7 +5,7 @@
 use crate::appmon::{spawn_server_class, ServerClassConfig};
 use crate::manufacturing::{self, manufacturing_catalog, MfgServer};
 use crate::screen::ScreenProgram;
-use crate::tcp::{spawn_tcp, TcpConfig};
+use crate::tcp::spawn_tcp;
 use crate::workload::{preload_accounts, BankProgram, BankServer, BankWorkload, BANK_CLASS};
 use bytes::Bytes;
 use encompass_shard::{spawn_suspense_monitor, ShardMap};
@@ -229,7 +229,6 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
     );
 
     for (i, &node) in app.nodes.iter().enumerate() {
-        let cpus = params.node_cpus[i];
         // the bank server class
         spawn_server_class(
             &mut app.world,
@@ -237,7 +236,6 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             0,
             ServerClassConfig {
                 class: BANK_CLASS.into(),
-                server_cpus: (0..cpus).collect(),
                 min_servers: params.servers_min,
                 max_servers: params.servers_max,
                 lock_wait: params.lock_wait,
@@ -268,10 +266,7 @@ pub fn launch_bank_app(params: BankAppParams) -> AppHandles {
             node,
             0,
             1,
-            TcpConfig {
-                name: tcp_name(node),
-                ..TcpConfig::default()
-            },
+            tcp_name(node),
             catalog,
             move || {
                 let mut programs: Vec<Box<dyn ScreenProgram>> = (0..terminals)
@@ -341,7 +336,6 @@ pub fn launch_mfg_app(params: MfgAppParams) -> AppHandles {
             0,
             ServerClassConfig {
                 class: "mfg".into(),
-                server_cpus: (0..CPUS).collect(),
                 min_servers: 2,
                 max_servers: 6,
                 lock_wait: SimDuration::from_millis(500),
@@ -469,7 +463,6 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             0,
             ServerClassConfig {
                 class: SHARDBANK_CLASS.into(),
-                server_cpus: (0..CPUS).collect(),
                 min_servers: 2,
                 max_servers: 8,
                 lock_wait: params.lock_wait,
@@ -494,10 +487,7 @@ pub fn launch_shard_bank(params: ShardBankAppParams) -> (AppHandles, ShardMap) {
             node,
             0,
             1,
-            TcpConfig {
-                name: tcp_name(node),
-                ..TcpConfig::default()
-            },
+            tcp_name(node),
             app.catalog.clone(),
             move || {
                 (0..terminals)

@@ -39,13 +39,12 @@ pub fn server_class_service(class: &str) -> Name {
     Name::from(format!("$SC-{class}"))
 }
 
-/// Configuration of one server class on one node.
+/// Configuration of one server class on one node. Its servers run on
+/// every CPU of the node, dealt round-robin.
 #[derive(Clone, Debug)]
 pub struct ServerClassConfig {
     /// Class name; the queue registers as `$SC-<class>`.
     pub class: String,
-    /// CPUs servers may run on (round-robin).
-    pub server_cpus: Vec<u8>,
     pub min_servers: usize,
     pub max_servers: usize,
     /// Lock-wait (deadlock timeout) for the servers' data-base requests.
@@ -56,7 +55,6 @@ impl Default for ServerClassConfig {
     fn default() -> Self {
         ServerClassConfig {
             class: "server".into(),
-            server_cpus: vec![0, 1],
             min_servers: 1,
             max_servers: 8,
             lock_wait: SimDuration::from_millis(500),
@@ -124,8 +122,9 @@ impl ServerClassQueue {
 
     fn spawn_server(&mut self, ctx: &mut PairCtx<'_, '_>) {
         let node = ctx.node();
-        for _ in 0..self.cfg.server_cpus.len() {
-            let cpu = self.cfg.server_cpus[self.cpu_rr % self.cfg.server_cpus.len()];
+        let cpus = usize::from(ctx.cpu_count(node));
+        for _ in 0..cpus {
+            let cpu = (self.cpu_rr % cpus) as u8;
             self.cpu_rr += 1;
             let factory = Rc::clone(&self.factory);
             let catalog = self.catalog.clone();
@@ -284,10 +283,7 @@ pub fn spawn_server_class(
     factory: impl Fn() -> Box<dyn ServerLogic> + 'static,
 ) -> PairHandle {
     let factory: Rc<dyn Fn() -> Box<dyn ServerLogic>> = Rc::new(factory);
-    let backup_cpu = cfg
-        .server_cpus
-        .iter()
-        .copied()
+    let backup_cpu = (0..world.cpu_count(node))
         .find(|&c| c != cpu)
         .unwrap_or(cpu.wrapping_add(1));
     guardian::spawn_pair(world, node, cpu, backup_cpu, move || {

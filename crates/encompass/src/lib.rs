@@ -48,4 +48,4 @@ pub use appmon::{spawn_server_class, ServerClassConfig, ServerClassQueue};
 pub use messages::{AppReply, AppRequest, ServerRequest};
 pub use screen::{ScreenAction, ScreenInput, ScreenProgram};
 pub use server::{DbOp, ServerLogic, ServerProcess, ServerStep};
-pub use tcp::{spawn_tcp, TcpConfig, TerminalControlProcess};
+pub use tcp::{spawn_tcp, TerminalControlProcess};

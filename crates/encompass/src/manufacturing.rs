@@ -86,10 +86,6 @@ pub fn master_of(record: &[u8]) -> Option<NodeId> {
     record.first().map(|&m| NodeId(m))
 }
 
-pub fn payload_of(record: &[u8]) -> &[u8] {
-    &record[1.min(record.len())..]
-}
-
 // ----------------------------------------------------------------------
 // The manufacturing server class
 // ----------------------------------------------------------------------
@@ -292,7 +288,6 @@ mod tests {
     fn global_record_encoding() {
         let r = global_record(NodeId(2), b"data");
         assert_eq!(master_of(&r), Some(NodeId(2)));
-        assert_eq!(payload_of(&r), b"data");
         assert_eq!(master_of(b""), None);
     }
 

@@ -57,23 +57,8 @@ pub const SEND_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Pause before retrying after a failed BEGIN or exhausted restart.
 const BACKOFF: SimDuration = SimDuration::from_millis(100);
 
-/// TCP configuration.
-#[derive(Clone, Debug)]
-pub struct TcpConfig {
-    /// Service name (e.g. `"$TCP0"`).
-    pub name: Name,
-    /// The transaction restart limit.
-    pub restart_limit: u32,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            name: "$TCP".into(),
-            restart_limit: 5,
-        }
-    }
-}
+/// Restarts of one transaction before its program is told it aborted.
+const RESTART_LIMIT: u32 = 5;
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum TermState {
@@ -138,7 +123,8 @@ pub struct TermDelta {
 
 /// The Terminal Control Process application.
 pub struct TerminalControlProcess {
-    cfg: TcpConfig,
+    /// Service name (e.g. `"$TCP0"`).
+    name: Name,
     terminals: Vec<Terminal>,
     /// Id space → the `Rpc` using it, built once at construction.
     routes: [Route; ID_SPACES],
@@ -149,7 +135,7 @@ pub struct TerminalControlProcess {
 
 impl TerminalControlProcess {
     pub fn new(
-        cfg: TcpConfig,
+        name: Name,
         catalog: Catalog,
         programs: Vec<Box<dyn ScreenProgram>>,
     ) -> TerminalControlProcess {
@@ -187,7 +173,7 @@ impl TerminalControlProcess {
             claim(t.server_rpc.id_space(), Route::Server(i as u8));
         }
         TerminalControlProcess {
-            cfg,
+            name,
             terminals,
             routes,
             class_services: BTreeMap::new(),
@@ -348,12 +334,11 @@ impl TerminalControlProcess {
     /// The transaction is backed out: restart the program (or give up past
     /// the limit).
     fn after_abort_restart(&mut self, ctx: &mut PairCtx<'_, '_>, idx: usize) {
-        let limit = self.cfg.restart_limit;
         let t = &mut self.terminals[idx];
         t.aborted += 1;
         t.restart_count += 1;
         ctx.count(counter!("tcp.restarts"), 1);
-        if t.restart_count > limit {
+        if t.restart_count > RESTART_LIMIT {
             ctx.count(counter!("tcp.restart_limit_hit"), 1);
             t.restart_count = 0;
             self.checkpoint_terminal(ctx, idx);
@@ -462,7 +447,7 @@ impl PairApp for TerminalControlProcess {
     type Snapshot = Vec<TermDelta>;
 
     fn service_name(&self) -> Name {
-        self.cfg.name.clone()
+        self.name.clone()
     }
 
     fn kind(&self) -> &'static str {
@@ -596,12 +581,12 @@ pub fn spawn_tcp(
     node: NodeId,
     cpu_primary: u8,
     cpu_backup: u8,
-    cfg: TcpConfig,
+    name: Name,
     catalog: Catalog,
     program_factory: impl Fn() -> Vec<Box<dyn ScreenProgram>> + 'static,
 ) -> PairHandle {
     guardian::spawn_pair(world, node, cpu_primary, cpu_backup, move || {
-        TerminalControlProcess::new(cfg.clone(), catalog.clone(), program_factory())
+        TerminalControlProcess::new(name.clone(), catalog.clone(), program_factory())
     })
 }
 
@@ -617,7 +602,7 @@ mod tests {
         let programs = (0..MAX_TERMINALS)
             .map(|_| Box::new(ScriptProgram::new(Vec::new())) as Box<dyn ScreenProgram>)
             .collect();
-        let tcp = TerminalControlProcess::new(TcpConfig::default(), Catalog::new(), programs);
+        let tcp = TerminalControlProcess::new("$TCP".into(), Catalog::new(), programs);
         let routed = tcp
             .routes
             .iter()

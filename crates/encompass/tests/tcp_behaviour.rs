@@ -7,7 +7,7 @@ use bytes::Bytes;
 use encompass::appmon::{spawn_server_class, ServerClassConfig};
 use encompass::messages::AppRequest;
 use encompass::screen::{ScreenAction, ScreenProgram, ScriptProgram};
-use encompass::tcp::{spawn_tcp, TcpConfig};
+use encompass::tcp::spawn_tcp;
 use encompass::workload::BankServer;
 use encompass_sim::{CpuId, Fault, NodeId, SimConfig, SimDuration, World};
 use encompass_storage::media::{media_key, VolumeMedia};
@@ -35,7 +35,6 @@ fn setup() -> (World, NodeId, Catalog) {
         0,
         ServerClassConfig {
             class: "bank".into(),
-            server_cpus: vec![0, 1, 2, 3],
             min_servers: 2,
             ..ServerClassConfig::default()
         },
@@ -75,7 +74,7 @@ fn debit_send() -> ScreenAction {
 #[test]
 fn scripted_commit_and_voluntary_abort_through_the_tcp() {
     let (mut w, n, catalog) = setup();
-    spawn_tcp(&mut w, n, 0, 1, TcpConfig::default(), catalog, move || {
+    spawn_tcp(&mut w, n, 0, 1, "$TCP".into(), catalog, move || {
         vec![
             // terminal 0: begin → debit → commit
             Box::new(ScriptProgram::new(vec![
@@ -117,28 +116,17 @@ fn scripted_commit_and_voluntary_abort_through_the_tcp() {
 #[test]
 fn send_to_unknown_server_class_hits_the_restart_limit() {
     let (mut w, n, catalog) = setup();
-    spawn_tcp(
-        &mut w,
-        n,
-        0,
-        1,
-        TcpConfig {
-            restart_limit: 2,
-            ..TcpConfig::default()
-        },
-        catalog,
-        move || {
-            vec![Box::new(ScriptProgram::new(vec![
-                ScreenAction::begin(),
-                ScreenAction::Send {
-                    node: None,
-                    class: "no-such-class".into(),
-                    request: AppRequest::new("x", vec![]),
-                },
-                ScreenAction::End,
-            ])) as Box<dyn ScreenProgram>]
-        },
-    );
+    spawn_tcp(&mut w, n, 0, 1, "$TCP".into(), catalog, move || {
+        vec![Box::new(ScriptProgram::new(vec![
+            ScreenAction::begin(),
+            ScreenAction::Send {
+                node: None,
+                class: "no-such-class".into(),
+                request: AppRequest::new("x", vec![]),
+            },
+            ScreenAction::End,
+        ])) as Box<dyn ScreenProgram>]
+    });
     w.run_for(SimDuration::from_secs(30));
     let m = w.metrics();
     assert!(
@@ -161,7 +149,7 @@ fn takeover_with_open_transaction() -> (World, NodeId) {
         n,
         2, // primary on cpu2 so we can kill it without killing the queue
         3,
-        TcpConfig::default(),
+        "$TCP".into(),
         catalog,
         move || {
             vec![Box::new(ScriptProgram::new(vec![
@@ -227,7 +215,7 @@ fn balance(w: &mut World, n: NodeId) -> Bytes {
 /// debits 5 inside a transaction, thinks for `think`, then ENDs.
 fn debit_then_end(think: SimDuration) -> (World, NodeId) {
     let (mut w, n, catalog) = setup();
-    spawn_tcp(&mut w, n, 2, 3, TcpConfig::default(), catalog, move || {
+    spawn_tcp(&mut w, n, 2, 3, "$TCP".into(), catalog, move || {
         vec![Box::new(ScriptProgram::new(vec![
             ScreenAction::begin(),
             debit_send(),

@@ -43,14 +43,6 @@ impl Catalog {
         Some(self.get(file)?.volume_for(key).clone())
     }
 
-    /// Every file with a partition on `volume`.
-    pub fn files_on(&self, volume: &VolumeRef) -> Vec<&FileDef> {
-        self.files
-            .values()
-            .filter(|d| d.partitions.iter().any(|p| &p.volume == volume))
-            .collect()
-    }
-
     /// Every volume referenced by any file.
     pub fn all_volumes(&self) -> Vec<VolumeRef> {
         let mut vols: Vec<VolumeRef> = self
@@ -106,8 +98,6 @@ mod tests {
         assert_eq!(c.volume_for("stock", b"apple"), Some(vol(0, "$D0")));
         assert_eq!(c.volume_for("stock", b"zebra"), Some(vol(1, "$D1")));
         assert_eq!(c.volume_for("missing", b"x"), None);
-        assert_eq!(c.files_on(&vol(0, "$D0")).len(), 2);
-        assert_eq!(c.files_on(&vol(1, "$D1")).len(), 1);
         assert_eq!(c.all_volumes().len(), 2);
         assert_eq!(c.len(), 2);
     }
