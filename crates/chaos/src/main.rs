@@ -13,6 +13,7 @@
 //! Exit status is 1 if any run violates an invariant (or a seed fails to
 //! reproduce its own determinism hash), 2 on arguments it cannot honour.
 
+use encompass_chaos::runner::tmf_builder;
 use encompass_chaos::{run_schedule, run_schedule_with, RunReport, Schedule, TierStats};
 use encompass_storage::types::RecoveryMode;
 use std::ops::Range;
@@ -119,6 +120,13 @@ fn main() {
         schedule
     };
 
+    // a TMF config the flags make and TMF refuses (a window past its
+    // bound) is an argument the CLI cannot honour; the flags shape every
+    // seed's config alike, and no drawn value is refused
+    if let Err(e) = tmf_builder(&schedule_for(seed.unwrap_or(start))).build() {
+        reject(&e.to_string());
+    }
+
     let failed = match seed {
         Some(s) => run_single(s, preset, &schedule_for(s)),
         None => {
@@ -163,18 +171,20 @@ fn print_usage() {
         "usage: encompass-chaos [--seed N | --sweep COUNT [--start S]] [--window US] [--dumps] \
          [--partitions N] [--readers N] [--wal] [--soak | --shards]\n\
          default: --sweep 25 (the CI smoke subset); COUNT must be >= 1\n\
-         --window US overrides each schedule's group-commit window (microseconds)\n\
+         --window US overrides each schedule's group-commit window (microseconds, <= 300000)\n\
          --dumps enables each schedule's online-dump plan + trail purging\n\
          --partitions N forces N audit-trail partitions (and up to 2 volumes per node)\n\
          --readers N forces N read-only (snapshot) terminals per node\n\
          --wal runs every volume in the Write-Ahead-Log baseline (RecoveryMode::WalForce)\n\
          --soak runs each seed as a simulated-hours soak (epochs of kill/dump/restore\n\
-         waves, long-hold writers, long-lived snapshot readers, liveness +\n\
-         bounded-state oracles, and for a quarter of seeds a full-disaster drill)\n\
+         waves, long-hold writers, long-lived snapshot readers, client and purge-floor\n\
+         liveness + per-epoch bounded-state oracles, and for a quarter of seeds a\n\
+         full-disaster drill)\n\
          --shards runs each seed as a 4-6-node sharded bank (cross-shard transfers,\n\
          replicated branch records, one partition/heal cycle, for half the seeds a\n\
          CPU kill on a $SUSPENSE primary; suspense drain-liveness + replica\n\
-         convergence oracles on top of atomicity/conservation/leak checks); it takes\n\
+         convergence oracles on top of atomicity/conservation and the drained-world\n\
+         checks every tier runs); it takes\n\
          --window but none of --dumps, --partitions, --readers"
     );
 }

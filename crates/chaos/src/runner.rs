@@ -14,11 +14,16 @@
 //! 2. play the fault timeline, resolving name-addressed actions against
 //!    the live world, and take the timer census (`census`) at each
 //!    event's instant, before the event;
-//! 3. heal everything, run the workload to completion, and let the
-//!    safe-delivery tail (phase 2, abort notifications, backouts) drain;
-//! 4. read every TMP, AUDITPROCESS and DISCPROCESS and the kernel's armed
-//!    timers at one instant (`observe`), then the counters;
-//! 5. evaluate the oracles.
+//! 3. heal everything and run the workload out (the driver's own
+//!    run-out: the soak also waits for its long-lived clients, the shard
+//!    tier for its suspense drain);
+//! 4. the one end phase (`end_run`): flush every AUDITPROCESS buffer,
+//!    let the safe-delivery tail (phase 2, abort notifications, backouts)
+//!    drain, then settle: read every TMP, AUDITPROCESS and DISCPROCESS
+//!    and the kernel's armed timers at one instant (`observe`) and, while
+//!    the drained-world oracle finds something, advance 1 ms and read
+//!    again, for at most 1 s. The last read is the run's final one;
+//! 5. read the counters, then evaluate the oracles.
 //!
 //! The oracles are the paper's own guarantees:
 //!
@@ -31,14 +36,20 @@
 //! * **exactly-once** — each terminal's logical transaction commits once:
 //!   no two history records carry the same debit tag, and each
 //!   read-write terminal has as many records as its TCP counts commits;
-//! * **no leaks** — after quiesce + heal, every TMP transaction table is
-//!   empty and every lock manager holds nothing and queues nobody;
+//! * **drained world** — on the final read every TMP, AUDITPROCESS and
+//!   DISCPROCESS has a primary that holds no transaction, boxcar, call,
+//!   buffered image, waiter, lock or unanswered request; the same read is
+//!   held to the bounded-state caps and the timer census, in every tier
+//!   (`check_final_read`);
 //! * **durability / convergence** — ROLLFORWARD from the generation-0
 //!   archive plus the audit trails rebuilds media byte-identical to the
 //!   live volumes, i.e. every committed transaction survives recovery
 //!   from total node failure and nothing uncommitted does.
 
-use crate::oracles::{exactly_once_violations, timer_violations, TerminalCommits, TimerCensus};
+use crate::oracles::{
+    bounded_violations, drained_violations, exactly_once_violations, state_observations,
+    timer_violations, TerminalCommits, TimerCensus,
+};
 use crate::schedule::{
     BankShape, ChaosAction, FaultPlan, Schedule, ScheduledDump, Timeline, Workload, CPUS_PER_NODE,
 };
@@ -269,13 +280,10 @@ fn run_sweep(
     timeline: &Timeline,
     flight_recorder: bool,
 ) -> RunReport {
-    let (mut app, volumes) = launch_bank(
-        schedule,
-        shape,
-        SimDuration::from_millis(5),
-        build_tmf(tmf_builder(schedule)),
-        flight_recorder,
-    );
+    let tmf = build_tmf(tmf_builder(schedule));
+    let snapshot_undo = tmf.snapshot_undo_capacity();
+    let think = SimDuration::from_millis(5);
+    let (mut app, volumes) = launch_bank(schedule, shape, think, tmf, flight_recorder);
 
     // ---- phase 2: the fault timeline (+ online dumps, if planned) ---
     let dumps: &[ScheduledDump] = schedule.dumps.as_ref().map_or(&[], |d| &d.scheduled);
@@ -299,7 +307,7 @@ fn run_sweep(
     app.world.run_until(timeline.heal_at);
     heal_everything(&mut app.world, &app.nodes);
 
-    // ---- phase 3: run the workload out, then drain ------------------
+    // ---- phase 3: run the workload out ------------------------------
     run_out(
         &mut app.world,
         &app.nodes,
@@ -308,18 +316,9 @@ fn run_sweep(
         timeline.heal_at + SimDuration::from_secs(120),
         &mut violations,
     );
-    // When dumps ran, drain every AUDITPROCESS buffer to the trail media,
-    // landing inside the tail, before the convergence oracle reads the
-    // trails: a fuzzy archive may have caught a dirty value whose undo
-    // image is still sitting in a buffer. The workload is over, so no
-    // image is appended after the barrier.
-    if schedule.dumps.is_some() {
-        flush_audit_buffers(&mut app.world, &app.nodes);
-    }
-    app.world.run_for(SAFE_DELIVERY_TAIL);
 
-    // ---- phase 4: one read of every process, and the counters -------
-    let seen = observe(&app.world, &app.tmf);
+    // ---- phase 4: the end phase, then the counters ------------------
+    let seen = end_run(&mut app.world, &app.nodes, &app.tmf);
     let mut report = RunReport::read_out(schedule, &app.world, violations, TierStats::Sweep);
 
     // ---- phase 5: oracles -------------------------------------------
@@ -328,9 +327,7 @@ fn run_sweep(
     check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
     let tags = check_conservation(&mut app.world, &app.catalog, violations);
     check_exactly_once(&app.world, &app.nodes, shape, &tags, violations);
-    check_tmp_tables(&seen, violations, &mut implicated);
-    check_locks(&seen, violations);
-    violations.extend(timer_violations(&seen.timers));
+    check_final_read(&seen, snapshot_undo, violations, &mut implicated);
     check_convergence(&mut app.world, &volumes, &app.tmf, violations);
     report.finish(&app.world, &app.nodes, implicated, flight_recorder)
 }
@@ -342,8 +339,9 @@ fn run_sweep(
 
 /// The schedule's TMF config: its group-commit window, trail partitions
 /// and recovery mode and, when it plans dumps, trail purging over small
-/// files.
-pub(crate) fn tmf_builder(schedule: &Schedule) -> TmfNodeConfigBuilder {
+/// files. A CLI checks a schedule's flags against its `build()` before
+/// running it.
+pub fn tmf_builder(schedule: &Schedule) -> TmfNodeConfigBuilder {
     let builder = TmfNodeConfig::builder()
         .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
         .audit_partitions(schedule.audit_partitions.max(1))
@@ -484,12 +482,44 @@ pub(crate) fn run_out(
 
 /// The safe-delivery tail after the run-out: phase 2, abort
 /// notifications, backouts.
-pub(crate) const SAFE_DELIVERY_TAIL: SimDuration = SimDuration::from_secs(5);
+const SAFE_DELIVERY_TAIL: SimDuration = SimDuration::from_secs(5);
+
+/// The settle's step. A drained world reads drained at the first read;
+/// what the settle waits out is a call in flight on one of the two
+/// clocks that tick with no work (DESIGN.md §D31) — a `$SUSPENSE` scan of
+/// its file, a TMP purge sweep — which lands within milliseconds.
+const SETTLE_STEP: SimDuration = SimDuration::from_millis(1);
+/// The longest the settle waits: a leak outlasts it and is reported.
+const SETTLE_BOUND: SimDuration = SimDuration::from_secs(1);
+
+/// The end phase every driver calls after its own run-out: flush every
+/// node's AUDITPROCESS buffers, run the safe-delivery tail, then settle —
+/// read the world and, while the drained-world oracle finds something,
+/// advance one [`SETTLE_STEP`], for at most [`SETTLE_BOUND`]. Returns the
+/// settle's last read: the run's final [`Observation`].
+///
+/// The flush lands inside the tail, before the final read and before the
+/// convergence oracle reads the trails: a fuzzy archive may have caught a
+/// dirty value whose undo image is still buffered, and a buffered image
+/// is one the drained world must not hold. The workload is over, so no
+/// image is appended after the barrier.
+pub(crate) fn end_run(world: &mut World, nodes: &[NodeId], tmf: &[NodeHandles]) -> Observation {
+    flush_audit_buffers(world, nodes);
+    world.run_for(SAFE_DELIVERY_TAIL);
+    let give_up = world.now() + SETTLE_BOUND;
+    loop {
+        let seen = observe(world, tmf);
+        if world.now() >= give_up || drained_violations(&seen).is_empty() {
+            return seen;
+        }
+        world.run_for(SETTLE_STEP);
+    }
+}
 
 /// Send every node's `$AUDIT` an empty forced append — the flush barrier
 /// that pushes every buffered image onto the trail. It names no volume,
 /// so its floor moves none.
-pub(crate) fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
+fn flush_audit_buffers(world: &mut World, nodes: &[NodeId]) {
     for &node in nodes {
         ask::<AuditMsg, AuditReply>(
             world,
@@ -589,56 +619,25 @@ pub(crate) fn census(world: &World, tmf: &[NodeHandles], census: &mut TimerCensu
     census.rpcs.extend(tmps.chain(discs));
 }
 
-// The sweep and shard tiers check leaks with these two oracles, not the
-// soak's wider `oracles::liveness_violations`, because two of its checks
-// trip on benign leftovers there:
-// - with no flush barrier (the sweep tier flushes AUDITPROCESS buffers
-//   only when dumps ran), 1–3 images can stay buffered at an
-//   AUDITPROCESS after quiesce — 4 of 400 `--sweep` seeds, 3 more under
-//   `--readers 2`, 1 under `--window 2000`;
-// - the `$SUSPENSE` monitor's poll is one of the two clocks that tick
-//   with no work (DESIGN.md §D31): every 100 ms it scans its suspense
-//   file, so a `$SB` volume often holds one scan in flight (11 of 32
-//   `--shards` seeds).
-// Neither is a leaked transaction, lock or waiter, which is what these
-// two look for.
-
-/// Oracle: after quiesce + heal every TMP has a primary, with an empty
-/// table.
-pub(crate) fn check_tmp_tables(
-    obs: &Observation,
+/// The oracles every tier holds its final read to: the drained world
+/// (each transid still open at a TMP is implicated), bounded state with
+/// the run's snapshot-undo capacity, and the timer census.
+pub(crate) fn check_final_read(
+    seen: &Observation,
+    snapshot_undo: usize,
     violations: &mut Vec<String>,
     implicated: &mut Vec<Transid>,
 ) {
-    for (tmp, read) in &obs.tmps {
-        let node = tmp.node;
-        match read {
-            None => violations.push(format!("{node}: $TMP unreachable after heal")),
-            Some(TmpRead { open, .. }) if !open.is_empty() => {
-                violations.push(format!(
-                    "{node}: {} transaction(s) leaked in the TMP table: {open:?}",
-                    open.len()
-                ));
-                implicated.extend(open);
-            }
-            Some(_) => {}
-        }
-    }
-}
-
-/// Oracle: after quiesce + heal no lock is held and no waiter parked.
-pub(crate) fn check_locks(obs: &Observation, violations: &mut Vec<String>) {
-    for (disc, read) in &obs.discs {
-        let (node, volume) = (disc.node, &disc.name);
-        match read {
-            Some(r) if r.locks_held == 0 && r.lock_waiters == 0 => {}
-            Some(r) => violations.push(format!(
-                "{node}.{volume}: {} lock(s) still held, {} waiter(s) parked after quiesce",
-                r.locks_held, r.lock_waiters
-            )),
-            None => violations.push(format!("{node}.{volume}: unreachable after heal")),
-        }
-    }
+    violations.extend(drained_violations(seen));
+    implicated.extend(
+        seen.tmps
+            .iter()
+            .flat_map(|(_, r)| r.iter().flat_map(|r| &r.open)),
+    );
+    let mut state = Vec::new();
+    state_observations(seen, usize::MAX, &mut state);
+    violations.extend(bounded_violations(&state, snapshot_undo));
+    violations.extend(timer_violations(&seen.timers));
 }
 
 /// ROLLFORWARD `v` from its latest registered dump (the fuzzy online
@@ -947,7 +946,7 @@ mod tests {
             deadline,
             &mut violations,
         );
-        app.world.run_for(SAFE_DELIVERY_TAIL);
+        end_run(&mut app.world, &app.nodes, &app.tmf);
         check_convergence(&mut app.world, &volumes, &app.tmf, &mut violations);
         assert_eq!(violations, Vec::<String>::new());
         assert!(
@@ -1021,8 +1020,8 @@ mod tests {
     }
 
     /// A transaction left open (no END) with a record locked: one read of
-    /// the world names it twice, as a transid leaked in its TMP table and
-    /// as a lock still held on its volume.
+    /// the world names it twice, as a transid still open at its TMP and as
+    /// a lock still held on its volume, and implicates the transid.
     #[test]
     fn one_read_names_an_open_transaction_and_its_lock() {
         let mut app = launch_bank_app(BankAppParams {
@@ -1047,18 +1046,30 @@ mod tests {
 
         let seen = observe(&app.world, &app.tmf);
         let (mut violations, mut implicated) = (Vec::new(), Vec::new());
-        check_tmp_tables(&seen, &mut violations, &mut implicated);
-        check_locks(&seen, &mut violations);
-        assert_eq!(violations.len(), 2, "{violations:?}");
-        assert!(
-            violations[0].contains("leaked in the TMP table") && violations[0].contains(transid),
-            "{violations:?}"
-        );
-        assert!(
-            violations[1].contains(&format!("{node}.$BANK: 1 lock(s) still held")),
-            "{violations:?}"
+        let undo = TmfNodeConfig::default().snapshot_undo_capacity();
+        check_final_read(&seen, undo, &mut violations, &mut implicated);
+        assert_eq!(
+            violations,
+            [
+                format!(
+                    "liveness: transaction {transid} never reached a terminal state \
+                     (still open at $TMP@{node})"
+                ),
+                format!("liveness: 1 locks still held at $BANK@{node}"),
+            ]
         );
         let implicated: Vec<String> = implicated.iter().map(Transid::to_string).collect();
         assert_eq!(implicated, [transid]);
+    }
+
+    /// The end phase over a finished, fault-free run reads a drained world
+    /// at once: the settle takes no step, so the run ends at the tail.
+    #[test]
+    fn a_drained_world_ends_at_the_tail() {
+        let (mut app, _) = converged_run();
+        let before = app.world.now();
+        let seen = end_run(&mut app.world, &app.nodes, &app.tmf);
+        assert_eq!(app.world.now(), before + SAFE_DELIVERY_TAIL);
+        assert_eq!(drained_violations(&seen), Vec::<String>::new());
     }
 }

@@ -19,14 +19,15 @@
 //!   implicated node);
 //! * **replica convergence** — once the backlogs are empty, every ring
 //!   replica of every master's branch record equals the master copy;
-//! * **no leaks** — TMP tables empty, no locks held or waited on.
+//! * the **drained world**, bounded state and the timer census on the
+//!   final read, as every tier ([`crate::runner::check_final_read`]).
 
 use crate::oracles::{
     suspense_drain_violations, timer_violations, SuspenseObservation, TimerCensus,
 };
 use crate::runner::{
-    apply, build_tmf, census, check_atomicity, check_locks, check_tmp_tables, observe,
-    restore_down_cpus, run_out, sim_config, tmf_builder, RunReport, TierStats, SAFE_DELIVERY_TAIL,
+    apply, build_tmf, census, check_atomicity, check_final_read, end_run, restore_down_cpus,
+    run_out, sim_config, tmf_builder, RunReport, TierStats,
 };
 use crate::schedule::{ChaosAction, Schedule, ShardCut, ShardPlan};
 use encompass::app::{launch_shard_bank, read_branch_copy, suspense_backlog, ShardBankAppParams};
@@ -36,8 +37,8 @@ use encompass_sim::{Fault, SimDuration, SimTime};
 use encompass_storage::types::Transid;
 
 /// Bounded drain window after the final heal barrier (sim-time, ms):
-/// the liveness oracle requires every suspense backlog to reach zero
-/// within it.
+/// the suspense drain oracle reads every backlog at its end and requires
+/// it to be zero.
 const DRAIN_WINDOW_MS: u64 = 30_000;
 
 /// Ring replicas of each node's branch record.
@@ -52,6 +53,8 @@ pub(crate) fn run(
     flight_recorder: bool,
 ) -> RunReport {
     let accounts = plan.nodes as u64 * plan.accounts_per_node;
+    let tmf = build_tmf(tmf_builder(schedule));
+    let snapshot_undo = tmf.snapshot_undo_capacity();
     let (mut app, map) = launch_shard_bank(ShardBankAppParams {
         nodes: plan.nodes,
         accounts,
@@ -64,11 +67,11 @@ pub(crate) fn run(
         lock_wait: SimDuration::from_millis(300),
         seed: schedule.seed,
         sim: sim_config(flight_recorder),
-        tmf: build_tmf(tmf_builder(schedule)),
+        tmf,
     });
     let initial_total = accounts as i64 * 1000;
 
-    // ---- phase 1: partition, heal, optional monitor kill ------------
+    // ---- phase 2: partition, heal, optional monitor kill ------------
     // the timer census runs at each of these instants, before the fault
     let mut violations = Vec::new();
     let mut timers = TimerCensus::default();
@@ -98,7 +101,7 @@ pub(crate) fn run(
         );
     }
 
-    // ---- phase 2: run the workload out ------------------------------
+    // ---- phase 3: run the workload out, heal, bounded drain window --
     run_out(
         &mut app.world,
         &app.nodes,
@@ -107,9 +110,6 @@ pub(crate) fn run(
         heal_at + SimDuration::from_secs(120),
         &mut violations,
     );
-    app.world.run_for(SAFE_DELIVERY_TAIL);
-
-    // ---- phase 3: heal barrier + bounded drain window ---------------
     // Links and processors only: this tier never fails a bus, and a
     // `HealBus` injection is an event the trace hash would see.
     app.world.inject(Fault::HealAllLinks);
@@ -117,9 +117,7 @@ pub(crate) fn run(
         restore_down_cpus(&mut app.world, node);
     }
     app.world.run_for(SimDuration::from_millis(DRAIN_WINDOW_MS));
-
-    // ---- phase 4: one read of every process, and the counters -------
-    let seen = observe(&app.world, &app.tmf);
+    // the suspense files as the window's bound leaves them
     let suspense_obs: Vec<SuspenseObservation> = (app.nodes.iter().enumerate())
         .map(|(i, &node)| SuspenseObservation {
             node: node.to_string(),
@@ -129,6 +127,9 @@ pub(crate) fn run(
                 .map(|m| (m.pending(), m.applied())),
         })
         .collect();
+
+    // ---- phase 4: the end phase, then the counters ------------------
+    let seen = end_run(&mut app.world, &app.nodes, &app.tmf);
     let metrics = app.world.metrics();
     let stats = TierStats::Shards {
         applied: metrics.get("suspense.applied"),
@@ -165,8 +166,6 @@ pub(crate) fn run(
         }
     }
 
-    check_tmp_tables(&seen, violations, &mut implicated);
-    check_locks(&seen, violations);
-    violations.extend(timer_violations(&seen.timers));
+    check_final_read(&seen, snapshot_undo, violations, &mut implicated);
     report.finish(&app.world, &app.nodes, implicated, flight_recorder)
 }

@@ -11,28 +11,27 @@
 //! mid-traffic, and the volume is recovered with ROLLFORWARD from its
 //! latest fuzzy archive while the survivors keep serving.
 //!
-//! On top of the short-run oracles (atomicity, conservation, leak
-//! freedom, convergence), the soak tier evaluates two families that only
-//! make sense over a long horizon — see [`crate::oracles`]:
+//! On top of the oracles every tier runs (atomicity, conservation,
+//! exactly-once, the drained world, bounded state and the timer census
+//! on the final read, convergence), the soak tier evaluates two families
+//! that only make sense over a long horizon — see [`crate::oracles`]:
 //!
-//! * **liveness** — every begun transaction reaches a terminal state,
-//!   monitor/audit boxcars and lock wait queues drain, purge floors
-//!   advance, and every long-lived client finishes;
-//! * **bounded state** — per-transid maps, snapshot-undo rings, reply
-//!   caches, and stable-storage archive sets stay within their caps at
-//!   every epoch boundary (a leak shows up as monotonic growth long
+//! * **liveness** — purge floors advance, and every long-lived client
+//!   finishes;
+//! * **bounded state** at every epoch boundary — per-transid maps,
+//!   snapshot-undo rings, reply caches, and stable-storage archive sets
+//!   stay within their caps (a leak shows up as monotonic growth long
 //!   before it hurts a short run), and no reply cache holds an answer
 //!   below its requester's floor.
 
 use crate::oracles::{
-    bounded_violations, liveness_violations, timer_violations, ClientStatus, LivenessObservation,
+    bounded_violations, liveness_violations, state_observations, timer_violations, ClientStatus,
     PurgeFloorTrack, StateKind, StateObservation,
 };
 use crate::runner::{
     apply, bank_terminals, build_tmf, check_atomicity, check_conservation, check_convergence,
-    check_exactly_once, flush_audit_buffers, heal_everything, launch_bank, live_cpu, observe,
-    request_dumps, rollforward_from_registry, run_out, tmf_builder, Observation, RunReport,
-    TierStats, TmpRead, ACCOUNTS, SAFE_DELIVERY_TAIL,
+    check_exactly_once, check_final_read, end_run, heal_everything, launch_bank, live_cpu, observe,
+    request_dumps, rollforward_from_registry, run_out, tmf_builder, RunReport, TierStats, ACCOUNTS,
 };
 use crate::schedule::{BankShape, ChaosAction, Schedule, SoakPlan};
 use bytes::Bytes;
@@ -47,7 +46,6 @@ use encompass_storage::media::{
 };
 use encompass_storage::types::{Transid, VolumeRef};
 use encompass_storage::Catalog;
-use guardian::PairHandle;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -56,8 +54,9 @@ use tmf::state::AbortReason;
 
 /// Snapshot-undo ring capacity while soaking: small enough that a
 /// long-lived reader's fence falls off the ring within an epoch or two,
-/// exercising the `SnapshotTooOld` restart path.
-const SOAK_SNAPSHOT_UNDO: usize = 64;
+/// exercising the `SnapshotTooOld` restart path. The bounded-state
+/// oracle reads it back off the run's config.
+const SNAPSHOT_UNDO_CAPACITY: usize = 64;
 
 /// How many epochs a soak writer holds its transaction open.
 pub(crate) const WRITER_HOLD_EPOCHS: u64 = 2;
@@ -72,7 +71,8 @@ pub(crate) fn run(
 ) -> RunReport {
     let gap = plan.epoch_gap_us;
     let horizon = SimTime::from_micros(plan.epochs.len() as u64 * gap);
-    let tmf = tmf_builder(schedule).snapshot_undo_capacity(SOAK_SNAPSHOT_UNDO);
+    let tmf = build_tmf(tmf_builder(schedule).snapshot_undo_capacity(SNAPSHOT_UNDO_CAPACITY));
+    let snapshot_undo = tmf.snapshot_undo_capacity();
     // Terminals pace themselves over the horizon: cap the drawn think
     // time so each terminal's budget fits in ~60% of it, leaving the
     // run-out phase to absorb fault-induced restarts.
@@ -83,7 +83,7 @@ pub(crate) fn run(
         schedule,
         shape,
         SimDuration::from_millis(think_ms.max(1)),
-        build_tmf(tmf),
+        tmf,
         flight_recorder,
     );
 
@@ -217,7 +217,7 @@ pub(crate) fn run(
         app.world
             .run_until(SimTime::from_micros(base + gap - 1_000_000));
         let seen = observe(&app.world, &app.tmf);
-        observe_bounded(&seen, e, &mut bounded_obs);
+        state_observations(&seen, e, &mut bounded_obs);
         timer_findings.extend(timer_violations(&seen.timers));
         observe_stable_state(&app.world, &volumes, e, max_generation, &mut bounded_obs);
         track_purge_floors(&app.world, &volumes, &mut floors);
@@ -248,7 +248,7 @@ pub(crate) fn run(
         }
     }
 
-    // ---- run out the workload, then drain ---------------------------
+    // ---- heal, run out the workload and the long-lived clients -------
     heal_everything(&mut app.world, &app.nodes);
     let mut violations = Vec::new();
     let step = SimDuration::from_secs(2);
@@ -271,22 +271,15 @@ pub(crate) fn run(
     }
     // a client that died inside the final epoch has no boundary left to
     // respawn it; excuse it (its transactions are still covered by the
-    // leak and atomicity oracles)
+    // drained-world and atomicity oracles)
     for c in &clients {
         if c.finished.borrow().is_none() && !app.world.is_alive(c.pid) {
             *c.finished.borrow_mut() = Some("died in the final epoch".to_string());
         }
     }
-    app.world.run_for(SAFE_DELIVERY_TAIL);
-    // flush every AUDITPROCESS buffer to the trail media and let it land
-    // before the final read (and the convergence oracle) sees it
-    flush_audit_buffers(&mut app.world, &app.nodes);
-    app.world.run_for(SimDuration::from_secs(2));
 
-    // ---- final reads ------------------------------------------------
-    let seen = observe(&app.world, &app.tmf);
-    observe_bounded(&seen, usize::MAX, &mut bounded_obs);
-    timer_findings.extend(timer_violations(&seen.timers));
+    // ---- the end phase, and the soak's own final reads ---------------
+    let seen = end_run(&mut app.world, &app.nodes, &app.tmf);
     observe_stable_state(
         &app.world,
         &volumes,
@@ -311,11 +304,7 @@ pub(crate) fn run(
     check_atomicity(&app.world, &app.nodes, violations, &mut implicated);
     let tags = check_conservation(&mut app.world, &app.catalog, violations);
     check_exactly_once(&app.world, &app.nodes, shape, &tags, violations);
-
-    // The final read feeds the liveness oracle here (not the sweep's leak
-    // oracles): a soak finding names the process alongside its boxcars
-    // and queues.
-    let live_obs = observe_liveness(&seen, &mut implicated);
+    check_final_read(&seen, snapshot_undo, violations, &mut implicated);
     let client_statuses: Vec<ClientStatus> = clients
         .iter()
         .map(|c| ClientStatus {
@@ -325,12 +314,8 @@ pub(crate) fn run(
         })
         .collect();
     let floor_tracks: Vec<PurgeFloorTrack> = floors.into_values().collect();
-    violations.extend(liveness_violations(
-        &live_obs,
-        &client_statuses,
-        &floor_tracks,
-    ));
-    violations.extend(bounded_violations(&bounded_obs, SOAK_SNAPSHOT_UNDO));
+    violations.extend(liveness_violations(&client_statuses, &floor_tracks));
+    violations.extend(bounded_violations(&bounded_obs, snapshot_undo));
     violations.extend(timer_findings);
     check_convergence(&mut app.world, &volumes, &app.tmf, violations);
     report.finish(&app.world, &app.nodes, implicated, flight_recorder)
@@ -349,82 +334,6 @@ fn writer_slot(node_idx: usize, vpn: usize, slots: usize, drill: Option<usize>) 
 
 // ---------------------------------------------------------------------
 // observations
-
-/// `"$TMP@\\N0"`, `"$BANK1@\\N2"`: how soak findings name a process.
-fn label(pair: &PairHandle) -> String {
-    format!("{}@{}", pair.name, pair.node)
-}
-
-/// Fold one read into bounded-state observations. A service with no live
-/// primary is skipped (the *final* read feeds the liveness oracle, which
-/// does flag it).
-fn observe_bounded(obs: &Observation, epoch: usize, out: &mut Vec<StateObservation>) {
-    let tmps = (obs.tmps.iter()).filter_map(|(p, r)| Some((p, StateKind::Tmp(r.as_ref()?.state))));
-    let audits = (obs.audits.iter()).filter_map(|(p, r)| Some((p, StateKind::Audit((*r)?))));
-    let discs = (obs.discs.iter()).filter_map(|(p, r)| Some((p, StateKind::Disc((*r)?))));
-    out.extend(
-        tmps.chain(audits)
-            .chain(discs)
-            .map(|(pair, kind)| StateObservation {
-                process: label(pair),
-                epoch,
-                kind,
-            }),
-    );
-}
-
-/// The liveness oracle's view of the final read; every transid still open
-/// at a TMP is implicated.
-fn observe_liveness(obs: &Observation, implicated: &mut Vec<Transid>) -> Vec<LivenessObservation> {
-    let unreachable = |pair: &PairHandle| LivenessObservation {
-        process: label(pair),
-        unreachable: true,
-        ..Default::default()
-    };
-    let mut out = Vec::new();
-    for (pair, read) in &obs.tmps {
-        out.push(match read {
-            None => unreachable(pair),
-            Some(TmpRead { open, state }) => {
-                implicated.extend(open);
-                LivenessObservation {
-                    process: label(pair),
-                    open_transids: open.iter().map(|t| t.to_string()).collect(),
-                    monitor_boxcar: state.monitor_boxcar,
-                    monitor_inflight: state.monitor_inflight,
-                    outstanding_rpcs: state.outstanding_rpcs,
-                    pending_requests: state.pending_requests,
-                    ..Default::default()
-                }
-            }
-        });
-    }
-    for (pair, read) in &obs.audits {
-        out.push(match read {
-            None => unreachable(pair),
-            Some(r) => LivenessObservation {
-                process: label(pair),
-                audit_buffered: r.buffered,
-                audit_waiters: r.waiters,
-                pending_requests: r.pending_requests,
-                ..Default::default()
-            },
-        });
-    }
-    for (pair, read) in &obs.discs {
-        out.push(match read {
-            None => unreachable(pair),
-            Some(r) => LivenessObservation {
-                process: label(pair),
-                locks_held: r.locks_held,
-                lock_waiters: r.lock_waiters,
-                pending_requests: r.pending_requests,
-                ..Default::default()
-            },
-        });
-    }
-    out
-}
 
 /// Count the `archive:` keys each volume retains on stable storage —
 /// the bounded-state check for satellite retention: rolling dump

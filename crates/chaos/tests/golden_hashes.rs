@@ -25,7 +25,7 @@ fn check(what: &str, expected: u64, got: u64) {
 fn sweep_0_to_25() {
     check(
         "run_seed(0..25)",
-        0x9090_079e_e299_19ae,
+        0x4521_775e_6126_49fe,
         fold((0..25).map(|s| run_seed(s).trace_hash)),
     );
 }
@@ -65,7 +65,7 @@ fn overridden(seeds: impl IntoIterator<Item = u64>, set: fn(&mut Schedule)) -> u
 fn sweep_0_to_10_window_2000() {
     check(
         "seeds 0..10 with group_commit_window_us = 2000",
-        0x5207_8e60_4d86_1041,
+        0xf3bc_e1f4_8896_0371,
         overridden(0..10, |s| s.group_commit_window_us = 2000),
     );
 }
@@ -89,7 +89,7 @@ fn sweep_0_to_10_partitions_2_with_dumps() {
 fn sweep_0_to_10_readers_2() {
     check(
         "seeds 0..10 with readonly_terminals_per_node = 2",
-        0x3e77_8e58_91fb_6b83,
+        0x85b4_f14b_ce7e_a791,
         overridden(0..10, |s| s.readonly_terminals_per_node = 2),
     );
 }
@@ -99,7 +99,7 @@ fn sweep_0_to_10_readers_2() {
 fn sweep_0_to_25_wal() {
     check(
         "seeds 0..25 with recovery_mode = WalForce",
-        0x06d5_f9e0_797f_0a8a,
+        0x89f7_1c9d_0e92_d272,
         overridden(0..25, |s| s.recovery_mode = RecoveryMode::WalForce),
     );
 }
@@ -108,7 +108,7 @@ fn sweep_0_to_25_wal() {
 fn shard_sweep_0_to_8() {
     check(
         "Schedule::shards(0..8)",
-        0x4f30_5d95_9f8d_d04b,
+        0x2108_0f96_5ad5_2c6a,
         runs(0..8, Schedule::shards),
     );
 }
@@ -121,7 +121,7 @@ fn shard_sweep_0_to_8() {
 fn soak_seeds_0_and_10() {
     check(
         "Schedule::soak(0) and (2)",
-        0xfa83_b041_21f5_e737,
+        0xd802_9574_fdd2_e4e7,
         runs([0, 2], Schedule::soak),
     );
 }

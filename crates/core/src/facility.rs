@@ -12,7 +12,7 @@
 //! * one operator process.
 
 use crate::table::TxTableProcess;
-use crate::tmp::{spawn_tmp, TmpConfig};
+use crate::tmp::{spawn_tmp, TmpConfig, MAX_GROUP_COMMIT_WINDOW};
 use encompass_audit::auditprocess::{spawn_audit_process, AuditConfig};
 use encompass_audit::backout::spawn_backout_process;
 use encompass_audit::trail::trail_key;
@@ -116,8 +116,10 @@ impl TmfNodeConfig {
 /// A rejected [`TmfNodeConfigBuilder::build`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The window exceeds one second — longer than any commit timeout,
-    /// so every boxcar would expire its requesters instead of forcing.
+    /// The window exceeds [`MAX_GROUP_COMMIT_WINDOW`] (300 ms): a boxcar
+    /// held that long outlasts the retry budget of the phase-one calls
+    /// waiting on its force, so their transactions abort instead of
+    /// committing.
     WindowTooLong,
     /// An ONLINEDUMP page must copy at least one record per disc access.
     ZeroDumpPageSize,
@@ -132,9 +134,12 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::WindowTooLong => {
-                write!(f, "group_commit_window must be at most one second")
-            }
+            ConfigError::WindowTooLong => write!(
+                f,
+                "group_commit_window must be at most {} us \
+                 (the TMP's critical-response retries times their timeout)",
+                MAX_GROUP_COMMIT_WINDOW.as_micros()
+            ),
             ConfigError::ZeroDumpPageSize => write!(f, "dump_page_size must be >= 1"),
             ConfigError::ZeroAuditRotate => write!(f, "audit_rotate_every must be >= 1"),
             ConfigError::ZeroAuditPartitions => write!(f, "audit_partitions must be >= 1"),
@@ -190,7 +195,7 @@ impl TmfNodeConfigBuilder {
 
     pub fn build(self) -> Result<TmfNodeConfig, ConfigError> {
         let c = &self.cfg;
-        if c.group_commit_window > SimDuration::from_secs(1) {
+        if c.group_commit_window > MAX_GROUP_COMMIT_WINDOW {
             return Err(ConfigError::WindowTooLong);
         }
         if c.dump_page_size < 1 {
@@ -412,6 +417,23 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::WindowTooLong
+        );
+    }
+
+    /// The window's bound is inclusive: 300 ms is accepted, a microsecond
+    /// more is refused.
+    #[test]
+    fn the_window_may_reach_the_phase_one_retry_budget_and_no_further() {
+        let window = |w| TmfNodeConfig::builder().group_commit_window(w).build();
+        assert_eq!(MAX_GROUP_COMMIT_WINDOW, SimDuration::from_millis(300));
+        let at = window(SimDuration::from_millis(300)).expect("300 ms is accepted");
+        assert_eq!(at.group_commit_window(), SimDuration::from_millis(300));
+        let past = SimDuration::from_micros(300_001);
+        assert_eq!(window(past).unwrap_err(), ConfigError::WindowTooLong);
+        assert_eq!(
+            ConfigError::WindowTooLong.to_string(),
+            "group_commit_window must be at most 300000 us \
+             (the TMP's critical-response retries times their timeout)"
         );
     }
 
